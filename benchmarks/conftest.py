@@ -1,10 +1,10 @@
 """Shared helpers for the benchmark harness.
 
 Every benchmark regenerates one table, figure-level claim or ablation from
-the paper's evaluation (see DESIGN.md's experiment index) and prints the
-reproduced rows next to the paper's reported values, so the textual output
-of ``pytest benchmarks/ --benchmark-only`` doubles as the reproduction
-report recorded in EXPERIMENTS.md.
+the paper's evaluation (the file name says which: ``test_table*``,
+``test_claim_*``, ``test_ablation_*``) and prints the reproduced rows next
+to the paper's reported values, so the textual output of
+``pytest benchmarks/ --benchmark-only`` doubles as the reproduction report.
 """
 
 from __future__ import annotations

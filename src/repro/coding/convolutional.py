@@ -165,7 +165,10 @@ class ConvolutionalEncoder:
 
     The hardware encoder is a shift register plus XOR trees; this model keeps
     the same state semantics so the Viterbi decoder and the encoder agree on
-    the trellis.
+    the trellis.  :meth:`encode_bit` steps the register one bit at a time;
+    :meth:`encode` computes a whole block as one GF(2) convolution per
+    generator and leaves the register and puncture phase exactly where the
+    bit-serial walk would.
     """
 
     def __init__(self, code: Optional[ConvolutionalCode] = None) -> None:
@@ -222,13 +225,29 @@ class ConvolutionalEncoder:
         data = _as_bit_array(bits)
         if reset:
             self.reset()
-        stream = list(data)
-        if terminate:
-            stream.extend([0] * self.code.memory)
-        coded: List[int] = []
-        for bit in stream:
-            coded.extend(self.encode_bit(int(bit)))
-        return np.array(coded, dtype=np.uint8)
+        memory = self.code.memory
+        # The shift register's contents (oldest bit first) then the input.
+        history = (self._state >> np.arange(memory)) & 1
+        stream = np.concatenate(
+            [history, data, np.zeros(memory if terminate else 0, dtype=np.int64)]
+        )
+        n_steps = stream.size - memory
+        # Output g at step t is the GF(2) convolution of the input with g's
+        # taps, tap i weighting the bit entered i steps earlier.
+        taps = np.arange(memory, -1, -1)
+        mother = np.stack(
+            [
+                np.convolve(stream, (g >> taps) & 1)[memory : memory + n_steps] & 1
+                for g in self.code.generators
+            ],
+            axis=1,
+        )
+        period = self.code.puncture_period
+        columns = (self._puncture_phase + np.arange(n_steps)) % period
+        kept = self.code.puncture_pattern[:, columns].T.astype(bool)
+        self._state = int(np.dot(stream[n_steps:], 1 << np.arange(memory)))
+        self._puncture_phase = (self._puncture_phase + n_steps) % period
+        return mother[kept].astype(np.uint8)
 
     def coded_length(self, n_info_bits: int, terminate: bool = True) -> int:
         """Number of coded bits produced for ``n_info_bits`` information bits."""

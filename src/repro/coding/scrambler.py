@@ -11,6 +11,9 @@ polarity values.
 
 from __future__ import annotations
 
+import functools
+from typing import Tuple
+
 import numpy as np
 
 from repro.utils.bits import BitArray, _as_bit_array
@@ -47,16 +50,54 @@ class Scrambler:
         return feedback
 
     def sequence(self, length: int) -> BitArray:
-        """Generate ``length`` scrambler bits without consuming input data."""
-        return np.array([self.next_bit() for _ in range(length)], dtype=np.uint8)
+        """Generate ``length`` scrambler bits without consuming input data.
+
+        The LFSR visits all 127 non-zero states in one cycle, so the bits
+        are read off the cached cycle starting at the current state.
+        """
+        bits, states, position = _lfsr_cycle()
+        start = position[self._state]
+        self._state = int(states[(start + length) % _PERIOD])
+        return np.take(bits, np.arange(start, start + length), mode="wrap")
 
     def process(self, bits: np.ndarray, reset: bool = True) -> BitArray:
-        """Scramble (or descramble) a bit stream."""
-        data = _as_bit_array(bits)
+        """Scramble (or descramble) a bit stream.
+
+        A 2-D ``(n_blocks, n_bits)`` stack scrambles every row with the same
+        keystream, as if each row started from the same LFSR state.
+        """
+        data = np.asarray(bits, dtype=np.uint8)
+        flat = _as_bit_array(data)
+        if data.ndim != 2:
+            data = flat
         if reset:
             self.reset()
-        keystream = self.sequence(data.size)
-        return (data ^ keystream).astype(np.uint8)
+        return data ^ self.sequence(data.shape[-1])
+
+
+#: Length of the maximal x^7 + x^4 + 1 LFSR cycle.
+_PERIOD = 127
+
+
+@functools.lru_cache(maxsize=None)
+def _lfsr_cycle() -> Tuple[BitArray, np.ndarray, np.ndarray]:
+    """One full LFSR cycle: ``(bits, states, position)``.
+
+    ``states[k]`` is the register after ``k`` steps from state 1,
+    ``bits[k]`` the bit produced by the step leaving ``states[k]``, and
+    ``position[s]`` the index of state ``s`` in the cycle.
+    """
+    lfsr = Scrambler(seed=1)
+    bits = np.zeros(_PERIOD, dtype=np.uint8)
+    states = np.zeros(_PERIOD, dtype=np.int64)
+    for k in range(_PERIOD):
+        states[k] = lfsr._state
+        bits[k] = lfsr.next_bit()
+    position = np.zeros(128, dtype=np.int64)
+    position[states] = np.arange(_PERIOD)
+    for table in (bits, states, position):
+        table.setflags(write=False)  # shared by every caller
+    return bits, states, position
 
 
 def pilot_polarity_sequence(length: int = 127) -> FloatArray:

@@ -1,19 +1,23 @@
 """Viterbi decoder (hard and soft decision) with depuncturing.
 
 The paper performs error correction with a Viterbi decoder per receive
-channel (Table 4 lists its resource cost).  The decoder here supports the
-same generic :class:`~repro.coding.convolutional.ConvolutionalCode` the
-encoder uses, hard- or soft-decision branch metrics, and depuncturing of the
-802.11a punctured rates.
+channel (Table 4 lists its resource cost), all of them running side by side.
+The decoder here supports the same generic
+:class:`~repro.coding.convolutional.ConvolutionalCode` the encoder uses,
+hard- or soft-decision branch metrics, and depuncturing of the 802.11a
+punctured rates.
 
-Two add-compare-select implementations are provided: a fully vectorised
-path (the default, used by the :mod:`repro.sim` sweep engine's hot loop)
-that resolves every trellis step with a handful of NumPy gather/argmin
-operations over a precomputed predecessor table, and the original
-per-branch scalar path kept as the reference the agreement tests in
-``tests/test_hot_path_agreement.py`` validate against.  Both paths are
-bit-exact: they evaluate the identical ``metric + branch`` floating-point
-expressions and break ties toward the smaller ``(state, bit)`` flat index.
+Like the hardware's parallel decoders, :meth:`ViterbiDecoder.decode` takes a
+``(n_blocks, n_coded)`` stack and runs every block through one
+add-compare-select loop over an ``(n_blocks, n_states)`` metric matrix, so
+the per-step Python cost is paid once per stack rather than once per
+stream.  The trellis of a rate-1/n feed-forward code is a radix-2
+butterfly: the two predecessors of next state ``ns`` are
+``2 * (ns % (n_states // 2)) + {0, 1}`` and its input bit is the top state
+bit.  Each step gathers its branch metrics from the ``2 ** n_outputs``
+per-label metrics of that step, and a tie keeps the lower predecessor.  The
+frozen per-branch reference in ``tests/reference`` checks the result
+bit for bit.
 """
 
 from __future__ import annotations
@@ -26,6 +30,10 @@ from repro.coding.convolutional import ConvolutionalCode
 from repro.utils.bits import BitArray
 
 _METRIC_INF = 1e18
+
+#: Trellis steps whose branch metrics are gathered at once; bounds the
+#: gathered block to ``_ACS_CHUNK * n_blocks * n_states * 2`` floats.
+_ACS_CHUNK = 64
 
 
 class ViterbiDecoder:
@@ -45,11 +53,6 @@ class ViterbiDecoder:
         Kept for API completeness / resource modelling; this software decoder
         always runs full-block traceback, which upper-bounds the hardware's
         windowed traceback performance.
-    vectorized:
-        Use the NumPy-vectorised add-compare-select path (default).  The
-        scalar path is retained for the bit-exact agreement tests and for
-        exotic codes whose trellis is not uniform (a different number of
-        branches into each state).
     """
 
     def __init__(
@@ -57,37 +60,24 @@ class ViterbiDecoder:
         code: Optional[ConvolutionalCode] = None,
         decision: str = "hard",
         traceback_length: int = 96,
-        vectorized: bool = True,
     ) -> None:
         if decision not in ("hard", "soft"):
             raise ValueError("decision must be 'hard' or 'soft'")
         self.code = code if code is not None else ConvolutionalCode.ieee80211a()
         self.decision = decision
         self.traceback_length = traceback_length
-        self.vectorized = vectorized
-        self._next_states, self._outputs = self.code.build_trellis()
         n = self.code.n_outputs
-        # outputs unpacked to individual bits, shape (n_states, 2, n_outputs)
+        # Bits of every output label, MSB (output 0) first: (2**n, n).
         shifts = np.arange(n - 1, -1, -1)
-        self._output_bits = ((self._outputs[..., None] >> shifts) & 1).astype(np.float64)
-        self._predecessors = self._build_predecessor_table()
-
-    def _build_predecessor_table(self) -> Optional[np.ndarray]:
-        """Flat ``(state, bit)`` indices feeding each next state.
-
-        Row ``ns`` lists every flat index ``prev * 2 + bit`` whose branch
-        lands in state ``ns``, sorted ascending so that ``argmin`` (which
-        returns the first minimum) reproduces the scalar path's stable
-        tie-break toward the smaller flat index.  Returns ``None`` when the
-        trellis is not uniform, in which case decoding falls back to the
-        scalar path.
-        """
-        flat_next = self._next_states.ravel()
-        counts = np.bincount(flat_next, minlength=self.code.n_states)
-        if counts.min() == 0 or counts.min() != counts.max():
-            return None
-        order = np.argsort(flat_next, kind="stable")
-        return order.reshape(self.code.n_states, counts[0])
+        self._label_bits = ((np.arange(1 << n)[:, None] >> shifts) & 1).astype(np.float64)
+        # Label of the branch from predecessor 2j + p under input bit b,
+        # indexed [p, b, j]; that branch lands in next state b * half + j.
+        _, outputs = self.code.build_trellis()
+        half = self.code.n_states // 2
+        p = np.arange(2)[:, None, None]
+        b = np.arange(2)[None, :, None]
+        j = np.arange(half)[None, None, :]
+        self._branch_labels = outputs[2 * j + p, b]
 
     # ------------------------------------------------------------------
     # depuncturing
@@ -100,77 +90,62 @@ class ViterbiDecoder:
         Parameters
         ----------
         values:
-            Received coded values (hard bits or LLRs) in transmission order.
+            Received coded values (hard bits or LLRs) in transmission order,
+            one block ``(n_coded,)`` or a stack ``(n_blocks, n_coded)``.
         n_input_bits:
-            Number of trellis steps (information + tail bits) the block
+            Number of trellis steps (information + tail bits) each block
             represents.
 
         Returns
         -------
         (full_values, erasure_mask):
-            ``full_values`` has shape ``(n_input_bits, n_outputs)`` with
-            zeros in erased positions, and ``erasure_mask`` is 1 where a real
-            received value is present and 0 where the puncturer deleted the
-            bit.
+            ``full_values`` has shape ``(n_input_bits, n_outputs)`` (with a
+            leading ``n_blocks`` axis for a stack) and zeros in erased
+            positions; ``erasure_mask`` has shape ``(n_input_bits,
+            n_outputs)`` and is 1 where a real received value is present and
+            0 where the puncturer deleted the bit.
         """
-        pattern = self.code.puncture_pattern
-        period = self.code.puncture_period
-        n_out = self.code.n_outputs
-        received = np.asarray(values, dtype=np.float64).ravel()
+        received = np.asarray(values, dtype=np.float64)
+        stacked = received.ndim == 2
+        stack = received if stacked else received.reshape(1, -1)
         # Tile the puncture pattern across trellis steps; filling the boolean
         # mask in C order (step-major, output-minor) reproduces exactly the
         # transmission order the serial depuncturer consumed values in.
-        columns = np.arange(n_input_bits) % period
-        present = pattern[:, columns].T.astype(bool)
+        columns = np.arange(n_input_bits) % self.code.puncture_period
+        present = self.code.puncture_pattern[:, columns].T.astype(bool)
         consumed = int(np.count_nonzero(present))
-        if received.size < consumed:
+        if stack.shape[1] < consumed:
             raise ValueError(
                 "received stream too short for the requested block length"
             )
-        if received.size > consumed:
+        if stack.shape[1] > consumed:
             raise ValueError(
-                f"received stream has {received.size} values but the block "
+                f"received stream has {stack.shape[1]} values but the block "
                 f"consumes {consumed}"
             )
-        full = np.zeros((n_input_bits, n_out), dtype=np.float64)
-        full[present] = received
-        return full, present.astype(np.float64)
+        full = np.zeros((stack.shape[0], n_input_bits, self.code.n_outputs), dtype=np.float64)
+        full[:, present] = stack
+        return (full if stacked else full[0]), present.astype(np.float64)
 
     # ------------------------------------------------------------------
     # branch metrics
     # ------------------------------------------------------------------
-    def _branch_metrics(
-        self, observation: np.ndarray, mask: np.ndarray
-    ) -> np.ndarray:
-        """Metric of each (state, input) branch for one trellis step.
+    def _label_metrics(self, observations: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        """Metric of every output label at every step, lower is better.
 
-        Lower is better.  ``observation`` and ``mask`` have length
-        ``n_outputs``.
+        ``observations`` has shape ``(n_blocks, n_steps, n_outputs)`` and
+        ``mask`` ``(n_steps, n_outputs)``; the result has shape ``(n_steps,
+        n_blocks, 2 ** n_outputs)``.  A branch's metric is its label's.
         """
+        obs = observations.transpose(1, 0, 2)[:, :, None, :]
+        erasures = mask[:, None, None, :]
         if self.decision == "hard":
             # Hamming distance over non-erased positions.
-            diff = np.abs(self._output_bits - observation[None, None, :])
-            return (diff * mask[None, None, :]).sum(axis=-1)
+            return (np.abs(self._label_bits - obs) * erasures).sum(axis=-1)
         # Soft decision: LLR convention is positive => bit 0 more likely.
         # Metric = sum over outputs of (bit ? +LLR : -LLR), lower better.
-        signs = 1.0 - 2.0 * self._output_bits  # bit0 -> +1, bit1 -> -1
-        return -(signs * (observation * mask)[None, None, :]).sum(axis=-1)
-
-    def _branch_metrics_block(
-        self, observations: np.ndarray, mask: np.ndarray
-    ) -> np.ndarray:
-        """Branch metrics for every trellis step at once.
-
-        ``observations`` and ``mask`` have shape ``(n_steps, n_outputs)``;
-        the result has shape ``(n_steps, n_states, 2)``.  The arithmetic is
-        the per-step :meth:`_branch_metrics` expression broadcast over steps,
-        so the two are bit-identical.
-        """
-        if self.decision == "hard":
-            diff = np.abs(self._output_bits[None] - observations[:, None, None, :])
-            return (diff * mask[:, None, None, :]).sum(axis=-1)
-        signs = 1.0 - 2.0 * self._output_bits
-        return -(signs[None] * (observations * mask)[:, None, None, :]).sum(axis=-1)
+        signs = 1.0 - 2.0 * self._label_bits  # bit0 -> +1, bit1 -> -1
+        return -(signs * (obs * erasures)).sum(axis=-1)
 
     # ------------------------------------------------------------------
     # decoding
@@ -181,127 +156,109 @@ class ViterbiDecoder:
         n_info_bits: Optional[int] = None,
         terminated: bool = True,
     ) -> BitArray:
-        """Decode a received block back to information bits.
+        """Decode one received block, or a stack of blocks, back to information bits.
 
         Parameters
         ----------
         received:
-            Hard bits or LLRs, in the (punctured) order the encoder emitted.
+            Hard bits or LLRs, in the (punctured) order the encoder emitted:
+            one block ``(n_coded,)`` or a stack ``(n_blocks, n_coded)`` of
+            equally long blocks decoded in one trellis pass.
         n_info_bits:
-            Number of information bits to return.  Required when puncturing
-            makes the count ambiguous; when omitted it is inferred assuming
-            an unpunctured, terminated block.
+            Number of information bits to return per block.  Required when
+            puncturing makes the count ambiguous; when omitted it is inferred
+            assuming an unpunctured, terminated block.
         terminated:
             Whether the encoder appended tail bits forcing the final state to
             zero; when True the decoder both exploits that and strips the
             tail from its output.
+
+        Returns
+        -------
+        ``(n_info_bits,)`` bits for one block, ``(n_blocks, n_info_bits)``
+        for a stack.
         """
-        values = np.asarray(received, dtype=np.float64).ravel()
+        values = np.asarray(received, dtype=np.float64)
+        stacked = values.ndim == 2
+        if not stacked:
+            values = values.reshape(1, -1)
         tail = self.code.memory if terminated else 0
         if n_info_bits is None:
             pattern_sum = int(self.code.puncture_pattern.sum())
             period = self.code.puncture_period
-            if values.size * period % pattern_sum != 0:
+            if values.shape[1] * period % pattern_sum != 0:
                 raise ValueError(
                     "cannot infer block length; pass n_info_bits explicitly"
                 )
-            n_steps = values.size * period // pattern_sum
-            n_info_bits = n_steps - tail
-        n_steps = n_info_bits + tail
+            n_info_bits = values.shape[1] * period // pattern_sum - tail
         if n_info_bits < 0:
             raise ValueError("n_info_bits must be non-negative")
+        n_steps = n_info_bits + tail
         if n_steps == 0:
-            return np.zeros(0, dtype=np.uint8)
+            empty = np.zeros((values.shape[0], 0), dtype=np.uint8)
+            return empty if stacked else empty[0]
 
         observations, mask = self.depuncture(values, n_steps)
-
-        if self.vectorized and self._predecessors is not None:
-            metrics, survivors, survivor_bits = self._acs_vectorized(
-                observations, mask
-            )
+        metrics, choices = self._acs(self._label_metrics(observations, mask))
+        if terminated:
+            end_states = [0] * values.shape[0]
         else:
-            metrics, survivors, survivor_bits = self._acs_scalar(observations, mask)
-
-        end_state = 0 if terminated else int(np.argmin(metrics))
-        decoded = np.zeros(n_steps, dtype=np.uint8)
-        state = end_state
-        for step in range(n_steps - 1, -1, -1):
-            decoded[step] = survivor_bits[step, state]
-            state = survivors[step, state]
-        return decoded[:n_info_bits]
+            end_states = np.argmin(metrics, axis=1).tolist()
+        decoded = self._traceback(choices, end_states)[:, :n_info_bits]
+        return decoded if stacked else decoded[0]
 
     # ------------------------------------------------------------------
-    # add-compare-select
+    # add-compare-select and traceback
     # ------------------------------------------------------------------
-    def _acs_vectorized(
-        self, observations: np.ndarray, mask: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorised ACS recursion over the whole block.
+    def _acs(self, label_metrics: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Butterfly add-compare-select over every block at once.
 
-        The per-step work is a gather of each state's incoming candidate
-        metrics through the precomputed predecessor table followed by a
-        row-wise ``argmin`` — no Python loop over states or branches.
-        ``argmin`` returns the first minimum and the predecessor rows are
-        sorted by flat ``(state, bit)`` index, matching the scalar path's
-        stable tie-break exactly.
+        Returns the final ``(n_blocks, n_states)`` path metrics and the
+        ``(n_steps, n_blocks, n_states)`` choice bits: ``True`` where the
+        survivor into a state came from the odd predecessor ``2j + 1``.
+        Candidates are the same ``metric + branch`` sums a per-branch
+        decoder forms, and ``c1 < c0`` keeps the even predecessor on a tie.
         """
-        n_steps = observations.shape[0]
+        n_steps, n_blocks, _ = label_metrics.shape
         n_states = self.code.n_states
-        predecessors = self._predecessors
-        rows = np.arange(n_states)
-        branch_all = self._branch_metrics_block(observations, mask)
+        half = n_states // 2
+        # Metrics of next state b * half + j live at [block, b, j]; the same
+        # buffer seen as [block, p, 1, j] is the metric of predecessor 2j + p.
+        metrics = np.full((n_blocks, 2, half), _METRIC_INF)
+        metrics[:, 0, 0] = 0.0
+        predecessors = metrics.reshape(n_blocks, half, 2).transpose(0, 2, 1)[:, :, None, :]
+        candidate = np.empty((n_blocks, 2, 2, half))  # [block, p, b, j]
+        even, odd = candidate[:, 0], candidate[:, 1]
+        choices = np.empty((n_steps, n_blocks, 2, half), dtype=bool)
+        for start in range(0, n_steps, _ACS_CHUNK):
+            # Branch metrics of a bounded chunk of steps, [step, block, p, b, j].
+            branches = label_metrics[start : start + _ACS_CHUNK][:, :, self._branch_labels]
+            for branch, choice in zip(branches, choices[start : start + _ACS_CHUNK]):
+                np.add(predecessors, branch, out=candidate)
+                np.less(odd, even, out=choice)
+                np.minimum(even, odd, out=metrics)
+        return metrics.reshape(n_blocks, n_states), choices.reshape(n_steps, n_blocks, n_states)
 
-        metrics = np.full(n_states, _METRIC_INF)
-        metrics[0] = 0.0
-        survivors = np.zeros((n_steps, n_states), dtype=np.int64)
-        survivor_bits = np.zeros((n_steps, n_states), dtype=np.uint8)
-        for step in range(n_steps):
-            candidate = metrics[:, None] + branch_all[step]  # (state, bit)
-            contenders = candidate.ravel()[predecessors]  # (state, n_branches)
-            choice = np.argmin(contenders, axis=1)
-            winners = predecessors[rows, choice]
-            metrics = contenders[rows, choice]
-            survivors[step] = winners >> 1
-            survivor_bits[step] = (winners & 1).astype(np.uint8)
-        return metrics, survivors, survivor_bits
+    def _traceback(self, choices: np.ndarray, end_states: Sequence[int]) -> np.ndarray:
+        """Walk every block's survivor path back from its end state.
 
-    def _acs_scalar(
-        self, observations: np.ndarray, mask: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Reference per-branch ACS (the original implementation).
-
-        Kept as the ground truth for the vectorised path's agreement tests
-        and as the fallback for non-uniform trellises.
+        The choice bits are packed into 64-bit words, so each step of the
+        walk is a few integer operations on the block's word list.
         """
-        n_steps = observations.shape[0]
-        n_states = self.code.n_states
-        metrics = np.full(n_states, _METRIC_INF)
-        metrics[0] = 0.0
-        survivors = np.zeros((n_steps, n_states), dtype=np.int64)
-        survivor_bits = np.zeros((n_steps, n_states), dtype=np.uint8)
-
-        next_states = self._next_states
-        for step in range(n_steps):
-            branch = self._branch_metrics(observations[step], mask[step])
-            candidate = metrics[:, None] + branch  # (state, bit)
-            new_metrics = np.full(n_states, _METRIC_INF)
-            best_prev = np.zeros(n_states, dtype=np.int64)
-            best_bit = np.zeros(n_states, dtype=np.uint8)
-            flat_next = next_states.ravel()
-            flat_metric = candidate.ravel()
-            order = np.argsort(flat_metric, kind="stable")
-            seen = np.zeros(n_states, dtype=bool)
-            for idx in order:
-                ns = flat_next[idx]
-                if seen[ns]:
-                    continue
-                seen[ns] = True
-                new_metrics[ns] = flat_metric[idx]
-                best_prev[ns] = idx // 2
-                best_bit[ns] = idx % 2
-                if seen.all():
-                    break
-            metrics = new_metrics
-            survivors[step] = best_prev
-            survivor_bits[step] = best_bit
-        return metrics, survivors, survivor_bits
+        n_steps, n_blocks, n_states = choices.shape
+        packed = np.packbits(choices, axis=-1, bitorder="little")
+        if packed.shape[-1] % 8:
+            packed = np.pad(packed, ((0, 0), (0, 0), (0, 8 - packed.shape[-1] % 8)))
+        words = packed.view("<u8").transpose(1, 0, 2).tolist()
+        low = n_states // 2 - 1
+        states = np.empty((n_blocks, n_steps), dtype=np.int64)
+        for block, state in enumerate(end_states):
+            path = words[block]
+            visited = [0] * n_steps
+            for step in range(n_steps - 1, -1, -1):
+                visited[step] = state
+                odd = (path[step][state >> 6] >> (state & 63)) & 1
+                state = ((state & low) << 1) | odd
+            states[block] = visited
+        # The input bit that entered a state is its top bit.
+        return (states >> (self.code.memory - 1)).astype(np.uint8)

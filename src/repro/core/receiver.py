@@ -16,7 +16,9 @@ through a single planned FFT call (:mod:`repro.dsp.fft`'s cached
 and pilot-corrected with one :meth:`~repro.core.pilots.PilotProcessor.
 correct_block` pass.  The original per-symbol loop is retained behind
 ``vectorized=False`` as the bit-exact agreement-test reference (the same
-pattern as the Viterbi ACS and demapper hot paths).
+pattern as the demapper hot path).  Channel inversion runs every active
+subcarrier through one stacked QR, and all streams are demapped,
+de-interleaved, Viterbi-decoded and descrambled in one pass.
 
 Finite word lengths are modelled at the paper's two RX interfaces when the
 configuration asks for them: the incoming sample stream is quantised to
@@ -201,41 +203,46 @@ class MimoReceiver:
         return self.channel_estimator.estimate(averaged.transpose(1, 0, 2))
 
     # ------------------------------------------------------------------
-    # per-stream decoding
+    # stream decoding
     # ------------------------------------------------------------------
-    def _decode_stream(
+    def _decode_streams(
         self,
         equalized_symbols: np.ndarray,
         n_info_bits: int,
         noise_variance: float,
     ) -> np.ndarray:
-        """Demap, de-interleave, Viterbi-decode and descramble one stream.
+        """Demap, de-interleave, Viterbi-decode and descramble every stream.
 
-        ``equalized_symbols`` has shape ``(n_symbols, n_data_subcarriers)``.
+        ``equalized_symbols`` has shape ``(n_streams, n_symbols,
+        n_data_subcarriers)``; the result has shape ``(n_streams,
+        n_info_bits)``.
 
-        The whole block is demapped in one batched call and every OFDM
-        symbol's bits are de-interleaved in one permutation pass — the bits
-        come out in exactly the per-symbol order the serial path produced.
+        All streams go through each stage in one call — one demap, one
+        de-interleave permutation pass, one Viterbi trellis over the
+        ``(n_streams, n_coded)`` stack and one descramble — like the
+        paper's per-channel decoders running side by side.  Each stream's
+        bits come out exactly as decoding it on its own would give.
         """
+        n_streams = equalized_symbols.shape[0]
         n_cbps = self.config.coded_bits_per_symbol
         n_bpsc = self.config.bits_per_subcarrier
-        if equalized_symbols.shape[0] == 0:
-            received = np.zeros(0)
+        if equalized_symbols.shape[1] == 0:
+            received = np.zeros((n_streams, 0))
         else:
             demapped = self.demapper.demap(
                 equalized_symbols,
                 soft=self.config.soft_decision,
                 noise_variance=noise_variance,
             )
-            received = deinterleave(demapped, n_cbps, n_bpsc)
+            received = deinterleave(demapped, n_cbps, n_bpsc).reshape(n_streams, -1)
 
         coded_length = self._encoder.coded_length(n_info_bits, terminate=True)
-        if received.size < coded_length:
+        if received.shape[1] < coded_length:
             raise DecodingError(
                 "recovered coded stream shorter than the expected code block"
             )
         decoded = self.viterbi.decode(
-            received[:coded_length], n_info_bits=n_info_bits, terminated=True
+            received[:, :coded_length], n_info_bits=n_info_bits, terminated=True
         )
         if self.config.scramble:
             decoded = self._scrambler.process(decoded, reset=True)
@@ -456,11 +463,9 @@ class MimoReceiver:
             streams, estimate, data_start, n_symbols, noise_variance
         )
 
+        decoded_streams = self._decode_streams(equalized, n_info_bits, noise_variance)
         results: List[StreamDecodeResult] = []
-        for stream in range(n_tx):
-            decoded = self._decode_stream(
-                equalized[stream], n_info_bits, noise_variance
-            )
+        for stream, decoded in enumerate(decoded_streams):
             bit_errors = None
             ber = None
             if reference_bits is not None:

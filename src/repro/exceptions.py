@@ -15,9 +15,14 @@ class SynchronizationError(ReproError):
     """Raised when the time synchroniser cannot locate the start of a burst."""
 
 
-class ChannelEstimationError(ReproError):
-    """Raised when channel estimation fails (e.g. singular channel matrix)."""
-
-
 class DecodingError(ReproError):
     """Raised when the receive datapath cannot decode a frame."""
+
+
+class ChannelEstimationError(DecodingError):
+    """Raised when channel estimation fails (e.g. singular channel matrix).
+
+    A frame whose channel cannot be inverted cannot be decoded, so this is
+    a :class:`DecodingError`: the sweep engine and the streaming pipeline
+    count it as a lost frame like every other receiver give-up.
+    """

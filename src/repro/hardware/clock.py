@@ -3,8 +3,8 @@
 The paper's headline claim is a 1 Gbps wireless baseband built from a 4x4
 MIMO-OFDM datapath clocked at 100 MHz.  :class:`ThroughputModel` computes the
 achievable bit rates from the OFDM numerology, modulation, code rate and the
-sample clock, so the claim can be checked across configurations (this is the
-"Claim C1" benchmark in DESIGN.md).
+sample clock, so the claim can be checked across configurations (the
+throughput-claim benchmark ``benchmarks/test_claim_throughput.py``).
 """
 
 from __future__ import annotations

@@ -106,21 +106,24 @@ def invert_channel_matrices(
         raise ValueError("channel must have shape (fft_size, n, n)")
     fft_size = h.shape[0]
     if active_mask is None:
-        active_mask = np.array([np.any(np.abs(h[k]) > 0) for k in range(fft_size)])
+        active_mask = np.any(h != 0, axis=(1, 2))
     else:
         active_mask = np.asarray(active_mask, dtype=bool).ravel()
         if active_mask.size != fft_size:
             raise ValueError("active_mask length must equal the FFT size")
 
-    decomposer = CordicQrDecomposer(iterations=cordic_iterations) if use_cordic else None
     inverses = np.zeros_like(h)
-    for k in np.nonzero(active_mask)[0]:
-        if decomposer is not None:
+    active = np.nonzero(active_mask)[0]
+    if use_cordic:
+        decomposer = CordicQrDecomposer(iterations=cordic_iterations)
+        for k in active:
             q, r, _ = decomposer.decompose(h[k])
-        else:
-            q, r, _ = qr_decompose_givens(h[k])
-        r_inv = invert_upper_triangular(r)
-        inverses[k] = r_inv @ hermitian(q)
+            inverses[k] = invert_upper_triangular(r) @ hermitian(q)
+    elif active.size:
+        # Every active subcarrier in one stacked QR and one stacked R^-1,
+        # like the paper's per-subcarrier arrays running side by side.
+        q, r, _ = qr_decompose_givens(h[active])
+        inverses[active] = invert_upper_triangular(r) @ hermitian(q)
     return inverses
 
 

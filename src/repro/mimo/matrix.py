@@ -9,8 +9,8 @@ from repro.types import ComplexArray
 
 
 def hermitian(matrix: npt.ArrayLike) -> ComplexArray:
-    """Conjugate transpose."""
-    return np.conj(np.asarray(matrix)).T
+    """Conjugate transpose (of the last two axes, so stacks work too)."""
+    return np.conj(np.asarray(matrix)).swapaxes(-1, -2)
 
 
 def is_upper_triangular(matrix: npt.ArrayLike, tolerance: float = 1e-9) -> bool:

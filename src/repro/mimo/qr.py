@@ -18,7 +18,8 @@ inversion ``H^-1 = R^-1 Q^H`` needs.
 Two implementations are provided:
 
 * :func:`qr_decompose_givens` — floating-point rotations (the functional
-  reference);
+  reference), applied to a whole ``(k, n, n)`` stack of subcarrier matrices
+  at once;
 * :class:`CordicQrDecomposer` — every angle computation and rotation routed
   through :class:`repro.dsp.cordic.Cordic`, so word-length/iteration effects
   can be studied, and so the structural model in
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -56,27 +57,42 @@ class GivensRotation:
     theta_1:
         Real rotation angle between the diagonal value and the de-phased
         element.
+
+    Both angles are ``(k,)`` arrays when a stack of ``k`` matrices is
+    decomposed in lock step.
     """
 
     col: int
     row: int
-    theta_b: float
-    theta_1: float
+    theta_b: Union[float, np.ndarray]
+    theta_1: Union[float, np.ndarray]
+
+
+_atan2 = np.frompyfunc(math.atan2, 2, 1)
+
+
+def _angles(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Elementwise ``math.atan2`` (``np.arctan2`` rounds differently)."""
+    return _atan2(y, x).astype(np.float64)
 
 
 def _apply_rotation_float(
-    matrix: np.ndarray, rotation: GivensRotation
+    stack: np.ndarray, col: int, row: int, theta_b: np.ndarray, theta_1: np.ndarray
 ) -> None:
-    """Apply one Givens step to ``matrix`` in place (float reference)."""
-    col, row = rotation.col, rotation.row
-    phase = np.exp(-1j * rotation.theta_b)
-    matrix[row, :] = matrix[row, :] * phase
-    c = math.cos(rotation.theta_1)
-    s = math.sin(rotation.theta_1)
-    upper = matrix[col, :].copy()
-    lower = matrix[row, :].copy()
-    matrix[col, :] = c * upper + s * lower
-    matrix[row, :] = -s * upper + c * lower
+    """Apply one Givens step to every matrix of ``stack`` in place.
+
+    ``stack`` has shape ``(k, n, m)`` and the angles shape ``(k,)``.  The
+    phase product stays a complex array multiply: spelt out in real
+    arithmetic it rounds differently.
+    """
+    phase = np.exp(-1j * theta_b)[:, None]
+    stack[:, row, :] = stack[:, row, :] * phase
+    c = np.cos(theta_1)[:, None]
+    s = np.sin(theta_1)[:, None]
+    upper = stack[:, col, :].copy()
+    lower = stack[:, row, :].copy()
+    stack[:, col, :] = c * upper + s * lower
+    stack[:, row, :] = -s * upper + c * lower
 
 
 def qr_decompose_givens(
@@ -88,37 +104,50 @@ def qr_decompose_givens(
     triangular with real non-negative diagonal, and the rotation sequence the
     systolic array would evaluate (useful for the structural model and for
     replaying the same rotations onto the identity to obtain ``Q^H``).
+
+    ``matrix`` may also be a ``(k, n, n)`` stack, which is decomposed in one
+    pass the way the paper's per-subcarrier arrays run side by side: every
+    matrix sees the same rotation order and the same per-element float
+    expressions as on its own.  ``q`` and ``r`` are then stacks too, and
+    each rotation's angles are ``(k,)`` arrays.
     """
     h = np.asarray(matrix, dtype=np.complex128)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError("expected a square matrix")
-    n = h.shape[0]
-    r = h.copy()
-    q_hermitian = np.eye(n, dtype=np.complex128)
+    if h.ndim not in (2, 3) or h.shape[-1] != h.shape[-2]:
+        raise ValueError("expected a square matrix or a stack of them")
+    stack = h.reshape((-1,) + h.shape[-2:])
+    k, n = stack.shape[0], stack.shape[-1]
+    # R and Q^H side by side: every rotation acts on the same rows of both.
+    work = np.concatenate(
+        [stack, np.broadcast_to(np.eye(n, dtype=np.complex128), stack.shape)], axis=2
+    )
     rotations: List[GivensRotation] = []
+    no_rotation = np.zeros(k)
 
     for col in range(n):
         # First make the diagonal element real and non-negative: the boundary
         # cell's stored value is a magnitude.
-        diag = r[col, col]
-        theta_diag = math.atan2(diag.imag, diag.real)
-        diag_rotation = GivensRotation(col=col, row=col, theta_b=theta_diag, theta_1=0.0)
-        rotations.append(diag_rotation)
-        _apply_rotation_float(r, diag_rotation)
-        _apply_rotation_float(q_hermitian, diag_rotation)
+        diag = work[:, col, col]
+        theta_diag = _angles(diag.imag, diag.real)
+        rotations.append(GivensRotation(col, col, theta_diag, no_rotation))
+        _apply_rotation_float(work, col, col, theta_diag, no_rotation)
         for row in range(col + 1, n):
-            element = r[row, col]
-            theta_b = math.atan2(element.imag, element.real)
-            magnitude = abs(element)
-            pivot = r[col, col].real
-            theta_1 = math.atan2(magnitude, pivot)
-            rotation = GivensRotation(col=col, row=row, theta_b=theta_b, theta_1=theta_1)
-            rotations.append(rotation)
-            _apply_rotation_float(r, rotation)
-            _apply_rotation_float(q_hermitian, rotation)
+            element = work[:, row, col]
+            theta_b = _angles(element.imag, element.real)
+            magnitude = np.hypot(element.real, element.imag)
+            pivot = work[:, col, col].real
+            theta_1 = _angles(magnitude, pivot)
+            rotations.append(GivensRotation(col, row, theta_b, theta_1))
+            _apply_rotation_float(work, col, row, theta_b, theta_1)
+    r = work[:, :, :n]
     # Clean numerically-zero subdiagonal residue.
-    r[np.tril_indices(n, k=-1)] = 0.0
-    q = hermitian(q_hermitian)
+    r[:, np.tril(np.ones((n, n), dtype=bool), k=-1)] = 0.0
+    q = hermitian(work[:, :, n:])
+    if h.ndim == 2:
+        rotations = [
+            GivensRotation(rot.col, rot.row, float(rot.theta_b[0]), float(rot.theta_1[0]))
+            for rot in rotations
+        ]
+        return q[0], r[0], rotations
     return q, r, rotations
 
 

@@ -23,31 +23,47 @@ def invert_upper_triangular(r: np.ndarray, tolerance: float = 1e-12) -> np.ndarr
         R^-1[i, i] = 1 / R[i, i]
         R^-1[i, j] = -( sum_{k=i+1..j} R[i, k] * R^-1[k, j] ) / R[i, i]   (j > i)
 
+    ``r`` may also be a ``(k, n, n)`` stack: every matrix is inverted in
+    the same pass with the same per-element float expressions.  The
+    products are spelt out in real arithmetic because a complex array
+    multiply rounds differently from the scalar one.
+
     Raises
     ------
     ChannelEstimationError
-        If a diagonal element is (numerically) zero, i.e. the channel matrix
-        is rank deficient and zero-forcing equalisation is impossible.
+        If any diagonal element is (numerically) zero or not finite, i.e.
+        the channel matrix is rank deficient and zero-forcing equalisation
+        is impossible.
     """
     matrix = np.asarray(r, dtype=np.complex128)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError("expected a square matrix")
-    n = matrix.shape[0]
-    if np.any(np.abs(np.tril(matrix, k=-1)) > 1e-9 * max(1.0, np.abs(matrix).max())):
+    if matrix.ndim not in (2, 3) or matrix.shape[-1] != matrix.shape[-2]:
+        raise ValueError("expected a square matrix or a stack of them")
+    stack = matrix.reshape((-1,) + matrix.shape[-2:])
+    n = stack.shape[-1]
+    scale = np.maximum(1.0, np.abs(stack).max(axis=(1, 2), initial=0.0))
+    if np.any(np.abs(np.tril(stack, k=-1)) > 1e-9 * scale[:, None, None]):
         raise ValueError("matrix is not upper triangular")
-    diag = np.diagonal(matrix)
-    if np.any(np.abs(diag) <= tolerance):
+    magnitude = np.abs(np.diagonal(stack, axis1=1, axis2=2))
+    if not np.all((magnitude > tolerance) & np.isfinite(magnitude)):
         raise ChannelEstimationError("upper-triangular matrix is singular")
 
-    inverse = np.zeros_like(matrix)
+    inverse = np.zeros_like(stack)
     for i in range(n - 1, -1, -1):
-        inverse[i, i] = 1.0 / matrix[i, i]
+        inverse[:, i, i] = 1.0 / stack[:, i, i]
         for j in range(i + 1, n):
-            acc = 0.0 + 0.0j
+            acc = np.zeros(stack.shape[0], dtype=np.complex128)
             for k in range(i + 1, j + 1):
-                acc += matrix[i, k] * inverse[k, j]
-            inverse[i, j] = -acc / matrix[i, i]
-    return inverse
+                acc = acc + _multiply(stack[:, i, k], inverse[:, k, j])
+            inverse[:, i, j] = -acc / stack[:, i, i]
+    return inverse.reshape(matrix.shape)
+
+
+def _multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Complex product rounded like the scalar ``a * b`` (no fused multiply-add)."""
+    product = np.empty(a.shape, dtype=np.complex128)
+    product.real = a.real * b.real - a.imag * b.imag
+    product.imag = a.real * b.imag + a.imag * b.real
+    return product
 
 
 def r_inverse_4x4_paper_equations(r: np.ndarray) -> np.ndarray:

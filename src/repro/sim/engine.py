@@ -317,9 +317,11 @@ def simulate_batch(task: dict) -> Dict[str, object]:
             # Deep in the noise the receiver gives up: the time synchroniser
             # misses the burst entirely, locks onto a window that starts
             # before the first received sample, or a rank-deficient estimate
-            # leaves the MMSE weights unsolvable.  A sweep over extreme
-            # operating points must survive all of those: count the burst as
-            # a fully errored frame (every payload bit lost) and move on.
+            # stops the channel inversion (ChannelEstimationError is a
+            # DecodingError) or leaves the MMSE weights unsolvable.  A sweep
+            # over extreme operating points must survive all of those: count
+            # the burst as a fully errored frame (every payload bit lost) and
+            # move on.
             burst = lost_frame_counts(spec.n_info_bits, point.n_streams)
         bursts.append(burst)
         local_errors += burst["bit_errors"]

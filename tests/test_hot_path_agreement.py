@@ -1,18 +1,24 @@
 """Bit-exact agreement between the vectorised hot paths and their scalar references.
 
 The :mod:`repro.sim` engine leans on the vectorised inner loops — the
-Viterbi add-compare-select in :mod:`repro.coding.viterbi`, the batched
+batched Viterbi add-compare-select in :mod:`repro.coding.viterbi`, the
+GF(2)-convolution encoder and cached-keystream scrambler, the stacked
+Givens QR and back substitution in :mod:`repro.mimo`, the batched
 symbol demapper in :mod:`repro.modulation.demapper`, the whole-burst
 receive chain in :mod:`repro.core.receiver` (planned FFT gather, batched
 ZF/MMSE detection and block pilot correction), the whole-burst transmit
 chain in :mod:`repro.core.transmitter` (block interleave/map, block pilot
 insertion, one planned IFFT, strided cyclic-prefix gather) and the fused
-channel pipeline in :mod:`repro.channel.model`.  Each keeps its original
-scalar/stage-at-a-time implementation around precisely so these
-property-style tests can assert exact equality across random codewords,
-constellations, noise levels, puncturing patterns, impairment combinations
-and full transceiver configurations.
+channel pipeline in :mod:`repro.channel.model`.  The coding and QR stages
+are checked against the frozen one-unit-at-a-time oracles in
+``tests/reference``; the others keep their original scalar/stage-at-a-time
+implementation around.  Either way these property-style tests assert exact
+equality across random codewords, constellations, noise levels, puncturing
+patterns, impairment combinations and full transceiver configurations.
 """
+
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,14 +26,26 @@ import pytest
 from repro.channel.fading import FlatRayleighChannel, FrequencySelectiveChannel
 from repro.channel.model import MimoChannel
 from repro.coding.convolutional import CodeRate, ConvolutionalCode, ConvolutionalEncoder
+from repro.coding.interleaver import deinterleave
+from repro.coding.scrambler import Scrambler
 from repro.coding.viterbi import ViterbiDecoder
 from repro.core.config import TransceiverConfig
 from repro.core.pilots import PilotProcessor
 from repro.core.receiver import MimoReceiver
 from repro.core.transmitter import MimoTransmitter
 from repro.dsp.fixedpoint import MULTIPLIER_FORMAT_18BIT
+from repro.exceptions import ChannelEstimationError
+from repro.mimo.channel_estimation import invert_channel_matrices
+from repro.mimo.qr import qr_decompose_givens
+from repro.mimo.rinv import invert_upper_triangular
 from repro.modulation.constellations import Modulation
 from repro.modulation.demapper import SymbolDemapper
+from reference.coding import encode_serial, scramble_serial, viterbi_decode_serial
+from reference.mimo import (
+    invert_channel_serial,
+    invert_upper_triangular_serial,
+    qr_givens_serial,
+)
 
 ALL_RATES = [CodeRate.RATE_1_2, CodeRate.RATE_2_3, CodeRate.RATE_3_4]
 ALL_MODULATIONS = [
@@ -39,65 +57,67 @@ ALL_MODULATIONS = [
 
 
 class TestViterbiAcsAgreement:
-    """Vectorised vs scalar add-compare-select across the code grid."""
+    """Batched butterfly add-compare-select vs the per-branch reference."""
 
-    @pytest.mark.parametrize("rate", ALL_RATES)
-    @pytest.mark.parametrize("decision", ["hard", "soft"])
-    def test_random_codewords_decode_identically(self, rate, decision):
-        rng = np.random.default_rng(hash((rate.value, decision)) % 2**32)
-        code = ConvolutionalCode.ieee80211a(rate)
+    @staticmethod
+    def _received_stack(code, decision, n_blocks, n_bits, terminated, rng):
         encoder = ConvolutionalEncoder(code)
-        vectorized = ViterbiDecoder(code, decision=decision)
-        scalar = ViterbiDecoder(code, decision=decision, vectorized=False)
-        assert vectorized._predecessors is not None
-
-        for _ in range(12):
-            n_bits = int(rng.integers(4, 240))
+        rows = []
+        for _ in range(n_blocks):
             info = rng.integers(0, 2, n_bits).astype(np.uint8)
-            coded = encoder.encode(info, terminate=True).astype(np.float64)
+            coded = encoder.encode(info, terminate=terminated).astype(np.float64)
             if decision == "hard":
                 # Flip a random fraction of the coded bits.
                 flips = rng.random(coded.size) < rng.uniform(0.0, 0.12)
-                received = np.where(flips, 1.0 - coded, coded)
+                rows.append(np.where(flips, 1.0 - coded, coded))
             else:
                 # Noisy LLRs around the +-1 antipodal mapping (0 -> +1).
-                received = (1.0 - 2.0 * coded) + rng.normal(
-                    0.0, rng.uniform(0.3, 1.2), coded.size
+                rows.append(
+                    (1.0 - 2.0 * coded) + rng.normal(0.0, rng.uniform(0.3, 1.2), coded.size)
                 )
-            out_vec = vectorized.decode(received, n_info_bits=n_bits, terminated=True)
-            out_sca = scalar.decode(received, n_info_bits=n_bits, terminated=True)
-            np.testing.assert_array_equal(out_vec, out_sca)
+        return np.array(rows)
 
+    @pytest.mark.parametrize("n_blocks", [1, 2, 4])
+    @pytest.mark.parametrize("terminated", [True, False])
+    @pytest.mark.parametrize("decision", ["hard", "soft"])
     @pytest.mark.parametrize("rate", ALL_RATES)
-    def test_unterminated_blocks_decode_identically(self, rate):
-        rng = np.random.default_rng(99)
+    def test_stack_decodes_like_each_row_alone(self, rate, decision, terminated, n_blocks):
+        seed = 10 * ALL_RATES.index(rate) + 4 * (decision == "soft") + 2 * terminated + n_blocks
+        rng = np.random.default_rng(seed)
         code = ConvolutionalCode.ieee80211a(rate)
-        encoder = ConvolutionalEncoder(code)
-        vectorized = ViterbiDecoder(code)
-        scalar = ViterbiDecoder(code, vectorized=False)
-        for _ in range(6):
-            n_bits = int(rng.integers(8, 120))
-            info = rng.integers(0, 2, n_bits).astype(np.uint8)
-            coded = encoder.encode(info, terminate=False).astype(np.float64)
-            flips = rng.random(coded.size) < 0.05
-            received = np.where(flips, 1.0 - coded, coded)
-            np.testing.assert_array_equal(
-                vectorized.decode(received, n_info_bits=n_bits, terminated=False),
-                scalar.decode(received, n_info_bits=n_bits, terminated=False),
-            )
+        decoder = ViterbiDecoder(code, decision=decision)
+        for _ in range(3):
+            n_bits = int(rng.integers(4, 240))
+            stack = self._received_stack(code, decision, n_blocks, n_bits, terminated, rng)
+            decoded = decoder.decode(stack, n_info_bits=n_bits, terminated=terminated)
+            assert decoded.shape == (n_blocks, n_bits)
+            for row, bits in zip(stack, decoded):
+                expected = viterbi_decode_serial(code, decision, row, n_bits, terminated)
+                np.testing.assert_array_equal(bits, expected)
+                np.testing.assert_array_equal(
+                    decoder.decode(row, n_info_bits=n_bits, terminated=terminated), expected
+                )
 
-    def test_tie_break_matches_on_degenerate_input(self):
+    @pytest.mark.parametrize("decision", ["hard", "soft"])
+    def test_tie_break_matches_on_degenerate_input(self, decision):
         # An all-zero received block produces many equal path metrics; the
-        # vectorised argmin must resolve every tie exactly like the scalar
-        # stable sort does.
+        # butterfly compare must resolve every tie exactly like the
+        # reference's stable sort does.
         code = ConvolutionalCode.ieee80211a()
-        vectorized = ViterbiDecoder(code)
-        scalar = ViterbiDecoder(code, vectorized=False)
-        received = np.zeros(2 * 40, dtype=np.float64)
-        np.testing.assert_array_equal(
-            vectorized.decode(received, n_info_bits=34, terminated=True),
-            scalar.decode(received, n_info_bits=34, terminated=True),
-        )
+        decoder = ViterbiDecoder(code, decision=decision)
+        stack = np.zeros((3, 2 * 40), dtype=np.float64)
+        expected = viterbi_decode_serial(code, decision, stack[0], 34, True)
+        for bits in decoder.decode(stack, n_info_bits=34, terminated=True):
+            np.testing.assert_array_equal(bits, expected)
+
+    def test_non_802_11a_code_decodes_like_the_reference(self):
+        # K=3 (5, 7): fewer states than one packed choice word.
+        code = ConvolutionalCode(constraint_length=3, generators=(0o5, 0o7))
+        rng = np.random.default_rng(12)
+        decoder = ViterbiDecoder(code)
+        stack = self._received_stack(code, "hard", 2, 50, True, rng)
+        for row, bits in zip(stack, decoder.decode(stack, n_info_bits=50)):
+            np.testing.assert_array_equal(bits, viterbi_decode_serial(code, "hard", row, 50))
 
     @pytest.mark.parametrize("rate", ALL_RATES)
     def test_depuncture_matches_serial_reference(self, rate):
@@ -129,6 +149,171 @@ class TestViterbiAcsAgreement:
             decoder.depuncture(np.zeros(3), 6)
         with pytest.raises(ValueError):
             decoder.depuncture(np.zeros(100), 6)
+
+
+CODING_LENGTHS = [0, 1, 126, 127, 128, 1000]
+
+
+class TestEncoderScramblerAgreement:
+    """GF(2)-convolution encoder and cached-keystream scrambler vs serial loops."""
+
+    @pytest.mark.parametrize("terminate", [True, False])
+    @pytest.mark.parametrize("rate", ALL_RATES)
+    def test_encoder_matches_serial_loop(self, rate, terminate):
+        rng = np.random.default_rng(30 + ALL_RATES.index(rate))
+        code = ConvolutionalCode.ieee80211a(rate)
+        for length in CODING_LENGTHS:
+            bits = rng.integers(0, 2, length).astype(np.uint8)
+            fast, serial = ConvolutionalEncoder(code), ConvolutionalEncoder(code)
+            np.testing.assert_array_equal(
+                fast.encode(bits, terminate=terminate),
+                encode_serial(serial, bits, terminate=terminate),
+            )
+            assert fast.state == serial.state
+
+    @pytest.mark.parametrize("rate", ALL_RATES)
+    def test_encoder_continuation_matches_serial_loop(self, rate):
+        # reset=False carries the shift register and the puncture phase
+        # across calls, including through empty and odd-length chunks.
+        rng = np.random.default_rng(40 + ALL_RATES.index(rate))
+        code = ConvolutionalCode.ieee80211a(rate)
+        fast, serial = ConvolutionalEncoder(code), ConvolutionalEncoder(code)
+        for index, length in enumerate(CODING_LENGTHS):
+            bits = rng.integers(0, 2, length).astype(np.uint8)
+            reset = index == 0
+            np.testing.assert_array_equal(
+                fast.encode(bits, terminate=False, reset=reset),
+                encode_serial(serial, bits, terminate=False, reset=reset),
+            )
+            assert fast.state == serial.state
+        # Streaming encode_bit picks up where the block encoder stopped.
+        assert fast.encode_bit(1) == serial.encode_bit(1)
+
+    @pytest.mark.parametrize("seed", [0b1011101, 0b0000001, 0b1111111])
+    def test_scrambler_matches_serial_lfsr(self, seed):
+        rng = np.random.default_rng(seed)
+        for length in CODING_LENGTHS:
+            bits = rng.integers(0, 2, length).astype(np.uint8)
+            np.testing.assert_array_equal(
+                Scrambler(seed).process(bits), scramble_serial(Scrambler(seed), bits)
+            )
+
+    def test_scrambler_continuation_matches_serial_lfsr(self):
+        rng = np.random.default_rng(50)
+        fast, serial = Scrambler(), Scrambler()
+        for index, length in enumerate(CODING_LENGTHS):
+            bits = rng.integers(0, 2, length).astype(np.uint8)
+            reset = index == 0
+            np.testing.assert_array_equal(
+                fast.process(bits, reset=reset), scramble_serial(serial, bits, reset=reset)
+            )
+        assert fast.next_bit() == serial.next_bit()
+
+    def test_scrambler_stack_scrambles_every_row_from_the_seed(self):
+        rng = np.random.default_rng(51)
+        stack = rng.integers(0, 2, (4, 300)).astype(np.uint8)
+        scrambled = Scrambler().process(stack)
+        for row, out in zip(stack, scrambled):
+            np.testing.assert_array_equal(out, scramble_serial(Scrambler(), row))
+
+
+def _random_stack(k, n, rng):
+    scale = rng.uniform(0.01, 100.0, size=(k, 1, 1))
+    return scale * (rng.normal(size=(k, n, n)) + 1j * rng.normal(size=(k, n, n)))
+
+
+class TestStackedQrAgreement:
+    """Stacked Givens QR and back substitution vs the per-matrix reference."""
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_stacked_qr_equals_per_matrix_reference(self, n):
+        rng = np.random.default_rng(60 + n)
+        stack = _random_stack(200, n, rng)
+        q, r, rotations = qr_decompose_givens(stack)
+        assert len(rotations) == n + n * (n - 1) // 2
+        for k in range(stack.shape[0]):
+            q_ref, r_ref = qr_givens_serial(stack[k])
+            np.testing.assert_array_equal(q[k], q_ref)
+            np.testing.assert_array_equal(r[k], r_ref)
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_single_matrix_equals_reference(self, n):
+        matrix = _random_stack(1, n, np.random.default_rng(70 + n))[0]
+        q, r, rotations = qr_decompose_givens(matrix)
+        q_ref, r_ref = qr_givens_serial(matrix)
+        np.testing.assert_array_equal(q, q_ref)
+        np.testing.assert_array_equal(r, r_ref)
+        assert all(isinstance(rot.theta_b, float) for rot in rotations)
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_stacked_r_inverse_equals_per_matrix_reference(self, n):
+        rng = np.random.default_rng(80 + n)
+        _, r, _ = qr_decompose_givens(_random_stack(200, n, rng))
+        inverse = invert_upper_triangular(r)
+        for k in range(r.shape[0]):
+            np.testing.assert_array_equal(inverse[k], invert_upper_triangular_serial(r[k]))
+
+    def test_channel_inversion_equals_per_subcarrier_reference(self):
+        rng = np.random.default_rng(90)
+        channel = _random_stack(64, 4, rng)
+        active = np.ones(64, dtype=bool)
+        active[[0, 27, 28, 29]] = False
+        inverses = invert_channel_matrices(channel, active)
+        for k in range(64):
+            expected = invert_channel_serial(channel[k]) if active[k] else np.zeros((4, 4))
+            np.testing.assert_array_equal(inverses[k], expected)
+
+    def test_one_singular_subcarrier_raises_typed_error(self):
+        rng = np.random.default_rng(91)
+        channel = _random_stack(52, 4, rng)
+        channel[17] = np.ones((4, 4))  # rank one
+        with pytest.raises(ChannelEstimationError):
+            invert_channel_matrices(channel)
+        channel[17] = np.nan
+        with pytest.raises(ChannelEstimationError):
+            invert_channel_matrices(channel)
+
+
+class TestReceiverDecodeAgreement:
+    """One batched decode pass vs decoding each stream on its own."""
+
+    @pytest.mark.parametrize("soft_decision", [False, True])
+    @pytest.mark.parametrize("rate", ALL_RATES)
+    def test_streams_decode_like_the_serial_chain(self, rate, soft_decision):
+        config = TransceiverConfig(code_rate=rate, soft_decision=soft_decision)
+        seed = 100 + 10 * ALL_RATES.index(rate) + int(soft_decision)
+        channel = MimoChannel(FlatRayleighChannel(rng=seed), snr_db=12.0, rng=seed + 1)
+        burst = MimoTransmitter(config).transmit_random(300, rng=np.random.default_rng(seed))
+        output = channel.transmit(burst.samples)
+        receiver = MimoReceiver(config)
+        result = receiver.receive(output.samples, 300, noise_variance=output.noise_variance)
+        code = ConvolutionalCode.ieee80211a(rate)
+        coded_length = ConvolutionalEncoder(code).coded_length(300)
+        for stream in result.streams:
+            demapped = receiver.demapper.demap(
+                stream.equalized_symbols,
+                soft=soft_decision,
+                noise_variance=output.noise_variance,
+            )
+            received = deinterleave(
+                demapped, config.coded_bits_per_symbol, config.bits_per_subcarrier
+            )[:coded_length]
+            decision = "soft" if soft_decision else "hard"
+            decoded = viterbi_decode_serial(code, decision, received, 300)
+            np.testing.assert_array_equal(
+                stream.decoded_bits, scramble_serial(Scrambler(), decoded)
+            )
+
+
+def test_src_never_imports_the_reference_oracles():
+    src = Path(__file__).resolve().parents[1] / "src"
+    pattern = re.compile(r"^\s*(from|import)\s+(tests\.)?reference\b", re.MULTILINE)
+    offenders = [
+        path.relative_to(src).as_posix()
+        for path in src.rglob("*.py")
+        if pattern.search(path.read_text(encoding="utf-8"))
+    ]
+    assert offenders == []
 
 
 class TestDemapperBatchAgreement:

@@ -437,6 +437,27 @@ class TestDecodeFailureAccounting:
         assert point.packet_error_rate == 1.0
         assert point.bit_error_rate == 1.0
 
+    def test_singular_subcarrier_counts_as_lost_frames(self, monkeypatch):
+        # One rank-deficient subcarrier inside the stacked channel inversion
+        # raises ChannelEstimationError; the engine must count the burst as
+        # a fully errored frame rather than abort the sweep.
+        import repro.mimo.channel_estimation as estimation
+
+        real_estimate = estimation.estimate_channel_from_lts
+
+        def one_singular_subcarrier(*args, **kwargs):
+            matrices = real_estimate(*args, **kwargs)
+            matrices[1] = 1.0  # rank one
+            return matrices
+
+        monkeypatch.setattr(estimation, "estimate_channel_from_lts", one_singular_subcarrier)
+        spec = small_spec(snr_db=(30.0,))
+        result = SweepRunner(spec, n_workers=1, cache=False).run()
+        point = result.points[0]
+        assert point.decode_failures == spec.n_bursts
+        assert point.packet_error_rate == 1.0
+        assert point.bit_error_rate == 1.0
+
 
 class TestJsonCache:
     def test_round_trip_and_miss(self, tmp_path):
