@@ -4,45 +4,30 @@
 #                            benchmarks/, fail fast)
 #   make test-fast         - unit tests only (skips the benchmark harness)
 #   make lint              - repro_lint invariant gate over src/ tools/
-#                            examples/ (+ a minimal ruff pass when installed)
-#   make typecheck         - mypy strict-on-annotated over src/repro (skips
-#                            with a warning when mypy is absent); writes
-#                            build/typecheck_report.json
+#                            examples/ tests/
 #   make test-store        - result-store tier: store/queue semantics, crash/
 #                            resume, concurrency, adaptive refinement, sharing gates
 #   make bench-smoke       - quick benchmark pass: every claim/table/ablation once
 #   make bench-impairments - front-end impairment grid smoke (CFO x word length x SNR)
-#   make bench-rx          - batched receiver datapath vs per-symbol loop speedup
-#   make bench-link        - batched transmit + fused channel vs per-symbol/staged
 #   make bench-store       - per-point store gates: zero-burst warm re-run +
 #                            overlapping grids sharing their intersection
 #   make bench-stream      - streaming downlink service: 1000 concurrent user
 #                            streams, sustained frames/sec + latency percentiles
 #   make docs-check        - fail if any public module lacks a module docstring
 #                            and every required doc page is present + linked
-#   make clean-cache       - drop the repro.sim result store + JSON cache
+#   make clean-cache       - drop the repro.sim result store
 
 PYTHON ?= python
 PYTHONPATH_PREFIX := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 LINTPATH_PREFIX := PYTHONPATH=src:tools/lint$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
-.PHONY: test test-fast test-store lint typecheck bench-smoke bench-impairments bench-rx bench-link bench-store bench-stream docs-check clean-cache
+.PHONY: test test-fast test-store lint bench-smoke bench-impairments bench-store bench-stream docs-check clean-cache
 
-test: lint typecheck
+test: lint
 	$(PYTHONPATH_PREFIX) $(PYTHON) -m pytest -x -q
-
-typecheck:
-	$(PYTHON) tools/typecheck.py
 
 lint:
 	$(LINTPATH_PREFIX) $(PYTHON) -m repro_lint src tools examples tests
-	@if $(PYTHON) -m ruff --version >/dev/null 2>&1; then \
-		$(PYTHON) -m ruff check src tools examples; \
-	elif command -v ruff >/dev/null 2>&1; then \
-		ruff check src tools examples; \
-	else \
-		echo "lint: ruff not installed; skipping style pass (repro_lint gate already ran)"; \
-	fi
 
 test-fast:
 	$(PYTHONPATH_PREFIX) $(PYTHON) -m pytest tests -q
@@ -56,12 +41,6 @@ bench-smoke:
 bench-impairments:
 	$(PYTHONPATH_PREFIX) $(PYTHON) -m pytest benchmarks/test_impairment_sweep.py -q --benchmark-disable
 
-bench-rx:
-	$(PYTHONPATH_PREFIX) $(PYTHON) -m pytest benchmarks/test_rx_datapath.py -q --benchmark-disable -s
-
-bench-link:
-	$(PYTHONPATH_PREFIX) $(PYTHON) -m pytest benchmarks/test_link_datapath.py -q --benchmark-disable -s
-
 bench-store:
 	$(PYTHONPATH_PREFIX) $(PYTHON) -m pytest benchmarks/test_sweep_store.py -q --benchmark-disable -s
 
@@ -72,4 +51,4 @@ docs-check:
 	$(PYTHON) tools/docs_check.py
 
 clean-cache:
-	$(PYTHONPATH_PREFIX) $(PYTHON) -c "from repro.sim import JsonCache, ResultStore; print(ResultStore().clear(), 'point records and', JsonCache().clear(), 'cache entries removed')"
+	$(PYTHONPATH_PREFIX) $(PYTHON) -c "from repro.sim import ResultStore; print(ResultStore().clear(), 'point records removed')"

@@ -9,16 +9,16 @@ worker pool and checks the engine's contracts on the new axes:
 
 * the pooled run and every (n_workers, batch_size) variant report
   bit-identical statistics (physics is a pure function of the spec);
-* an identical re-run is served from the JSON cache without simulating a
-  single burst;
-* the cache key includes ``ENGINE_VERSION`` (bumped to 2 with the axis),
-  so an entry written by an older engine is demonstrably never reused.
+* an identical re-run is served from the per-point result store without
+  simulating a single burst;
+* the point keys include ``ENGINE_VERSION`` (bumped to 2 with the axis),
+  so a record written by an older engine is demonstrably never served.
 """
 
 import pytest
 
-from repro.sim import ENGINE_VERSION, ImpairmentSpec, SweepRunner, SweepSpec
-from repro.sim.cache import JsonCache, content_key
+import repro.sim.spec as spec_module
+from repro.sim import ENGINE_VERSION, ImpairmentSpec, ResultStore, SweepRunner, SweepSpec
 
 CFO_VALUES = (5e-4, 2e-3)
 WORD_LENGTHS = (8, 16)
@@ -109,29 +109,43 @@ def test_impairment_statistics_independent_of_runner_knobs(benchmark, tmp_path):
 
 
 @pytest.mark.benchmark(group="impairment-sweep")
-def test_old_engine_version_cache_entry_is_not_reused(benchmark, tmp_path):
+def test_old_engine_version_cache_entry_is_not_reused(benchmark, tmp_path, monkeypatch):
     spec = _grid_spec().subset(
         snr_db=(26.0,), impairments=(ImpairmentSpec.quantized(16),)
     )
-    cache = JsonCache(tmp_path)
+    store = ResultStore(tmp_path)
+    (point,) = spec.points()
 
-    # The impairment axes shipped with ENGINE_VERSION 2; plant an entry
-    # under the key an engine-version-1 cache would have used.
+    # The impairment axes shipped with ENGINE_VERSION 2; plant a poisoned
+    # record under the key an engine-version-1 runner would have committed.
     assert ENGINE_VERSION >= 2
-    stale_key = content_key({"engine_version": ENGINE_VERSION - 1, **spec.to_dict()})
+    monkeypatch.setattr(spec_module, "ENGINE_VERSION", ENGINE_VERSION - 1)
+    stale_key = point.content_key(spec)
+    monkeypatch.undo()
+    assert stale_key != point.content_key(spec)
+    store.put(
+        stale_key,
+        {
+            "bit_errors": 10**9,
+            "total_bits": 10**9,
+            "frame_errors": N_BURSTS,
+            "n_bursts": N_BURSTS,
+            "early_stopped": False,
+            "decode_failures": 0,
+            "point": point.to_dict(),
+        },
+    )
+
     fresh = benchmark.pedantic(
-        lambda: SweepRunner(spec, n_workers=1, cache=cache).run(),
+        lambda: SweepRunner(spec, n_workers=1, cache=store).run(),
         rounds=1,
         iterations=1,
     )
-    poisoned = dict(fresh.to_dict())
-    poisoned["points"] = [
-        {**p, "bit_errors": 10**9} for p in poisoned["points"]
-    ]
-    cache.put(stale_key, poisoned)
-
-    assert spec.spec_hash() != stale_key
-    result = SweepRunner(spec, n_workers=1, cache=cache).run()
-    # Served from the *current* version's entry, never the stale one.
-    assert result.from_cache
-    assert all(p.bit_errors < 10**9 for p in result.points)
+    # The stale record is never served: the point is simulated afresh...
+    assert not fresh.from_cache
+    assert fresh.n_bursts_simulated == N_BURSTS
+    assert all(p.bit_errors < 10**9 for p in fresh.points)
+    # ...and the re-run is served from the current version's record.
+    again = SweepRunner(spec, n_workers=1, cache=store).run()
+    assert again.from_cache
+    assert _stats(again) == _stats(fresh)

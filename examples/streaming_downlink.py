@@ -43,8 +43,8 @@ from repro.stream import StreamingReceiver
 # The delivery knobs, hoisted so the cached PER estimate and the ARQ replay
 # can never silently diverge: both the SweepSpec below and the streaming
 # delivery loop read the *same* constants, which is what keeps repeated runs
-# with identical knobs hitting the engine's JsonCache instead of
-# re-simulating.
+# with identical knobs hitting the engine's per-point result store instead
+# of re-simulating.
 BITS_PER_FRAME_PER_STREAM = 1000
 PER_ESTIMATE_BURSTS = 16
 PER_ESTIMATE_SEED = 21

@@ -15,11 +15,9 @@ signal power over *occupied* sample instants (see
 depend on how much zero padding a timing delay prepends or how long the
 idle tail runs; the exact variance used is reported on the output.
 
-The default datapath is fused: one observation-window buffer is allocated
-and fading/CFO/noise/IQ/quantisation update it in place, whole-burst,
-without intermediate per-stage copies.  ``vectorized=False`` keeps the
-original stage-at-a-time pipeline as the bit-exact agreement-test
-reference.
+Every stage runs on the whole burst at once; the CFO, noise and IQ stages
+are the public helpers of :mod:`repro.channel.awgn` and
+:mod:`repro.channel.impairments`, so the pipeline needs no reference twin.
 """
 
 from __future__ import annotations
@@ -37,7 +35,6 @@ from repro.channel.impairments import (
 )
 from repro.dsp.fixedpoint import FixedPointFormat
 from repro.utils.rng import SeedLike, make_rng
-from repro.utils.units import amplitude_db_to_gain
 
 
 class IdealChannel:
@@ -124,11 +121,6 @@ class MimoChannel:
     rng:
         Seed or generator used for the noise (fading randomness is owned by
         the fading object itself).
-    vectorized:
-        Run the fused whole-burst datapath (default): one observation
-        buffer, every stage applied in place.  ``False`` selects the
-        stage-at-a-time pipeline kept as the bit-exact agreement-test
-        reference.
     """
 
     def __init__(
@@ -142,7 +134,6 @@ class MimoChannel:
         tx_quantization: Optional[FixedPointFormat] = None,
         rx_quantization: Optional[FixedPointFormat] = None,
         rng: SeedLike = None,
-        vectorized: bool = True,
     ) -> None:
         self.fading = fading if fading is not None else IdealChannel()
         self.snr_db = snr_db
@@ -153,7 +144,6 @@ class MimoChannel:
         self.tx_quantization = tx_quantization
         self.rx_quantization = rx_quantization
         self.rng = make_rng(rng)
-        self.vectorized = vectorized
 
     @property
     def n_rx(self) -> int:
@@ -184,10 +174,23 @@ class MimoChannel:
 
         if self.tx_quantization is not None:
             x = self.tx_quantization.quantize_complex(x)
-        if self.vectorized:
-            y, noise_variance = self._transmit_fused(x)
-        else:
-            y, noise_variance = self._transmit_stages(x)
+        y = self.fading.apply(x)
+        if self.sample_delay:
+            # The receiver keeps listening while the burst arrives late:
+            # the observation window grows by the delay and every
+            # transmitted sample survives the shift.  (The length-preserving
+            # apply_sample_delay alone would truncate the burst tail.)
+            pad = np.zeros(y.shape[:-1] + (self.sample_delay,), dtype=np.complex128)
+            y = np.concatenate([pad, y], axis=-1)
+        if self.cfo_normalized:
+            y = apply_carrier_frequency_offset(y, self.cfo_normalized)
+        noise_variance = self._noise_variance_for(y)
+        if noise_variance:
+            y = y + awgn_noise(y.shape, noise_variance, self.rng)
+        if self.iq_amplitude_db or self.iq_phase_deg:
+            y = apply_iq_imbalance(y, self.iq_amplitude_db, self.iq_phase_deg)
+        if self.rx_quantization is not None:
+            y = self.rx_quantization.quantize_complex(y)
 
         response = None
         if fft_size is not None:
@@ -214,70 +217,3 @@ class MimoChannel:
         if power == 0.0:
             return 0.0
         return noise_variance_for_snr(self.snr_db, power)
-
-    def _transmit_stages(
-        self, x: np.ndarray
-    ) -> tuple[np.ndarray, Optional[float]]:
-        """Stage-at-a-time reference pipeline (bit-exact vs the fused path)."""
-        y = self.fading.apply(x)
-        if self.sample_delay:
-            # The receiver keeps listening while the burst arrives late:
-            # the observation window grows by the delay and every
-            # transmitted sample survives the shift.  (The length-preserving
-            # apply_sample_delay alone would truncate the burst tail.)
-            pad = np.zeros(y.shape[:-1] + (self.sample_delay,), dtype=np.complex128)
-            y = np.concatenate([pad, y], axis=-1)
-        if self.cfo_normalized:
-            y = apply_carrier_frequency_offset(y, self.cfo_normalized)
-        noise_variance = self._noise_variance_for(y)
-        if noise_variance:
-            y = y + awgn_noise(y.shape, noise_variance, self.rng)
-        if self.iq_amplitude_db or self.iq_phase_deg:
-            y = apply_iq_imbalance(y, self.iq_amplitude_db, self.iq_phase_deg)
-        if self.rx_quantization is not None:
-            y = self.rx_quantization.quantize_complex(y)
-        return y, noise_variance
-
-    def _transmit_fused(
-        self, x: np.ndarray
-    ) -> tuple[np.ndarray, Optional[float]]:
-        """Fused whole-burst pipeline: one buffer, every stage in place.
-
-        Applies exactly the stages of :meth:`_transmit_stages` in the same
-        order with the same arithmetic (agreement-tested bit-exact), but
-        allocates the observation window once — the delay padding is a
-        slice assignment instead of a concatenate, and the CFO rotation,
-        noise addition and IQ mixing are in-place updates.
-        """
-        faded = self.fading.apply(x)
-        if self.sample_delay:
-            y = np.zeros(
-                faded.shape[:-1] + (faded.shape[-1] + self.sample_delay,),
-                dtype=np.complex128,
-            )
-            y[..., self.sample_delay :] = faded
-        else:
-            # Every fading model returns a fresh array, safe to mutate.
-            y = faded
-        if self.cfo_normalized:
-            indices = np.arange(y.shape[-1])
-            y *= np.exp(2j * np.pi * self.cfo_normalized * indices)
-        noise_variance = self._noise_variance_for(y)
-        if noise_variance:
-            y += awgn_noise(y.shape, noise_variance, self.rng)
-        if self.iq_amplitude_db or self.iq_phase_deg:
-            g = amplitude_db_to_gain(self.iq_amplitude_db)
-            phi = np.deg2rad(self.iq_phase_deg)
-            alpha = 0.5 * (1.0 + g * np.exp(1j * phi))
-            beta = 0.5 * (1.0 - g * np.exp(1j * phi))
-            # Operand order matters for bit-exactness: numpy's complex
-            # multiply fuses one product (FMA), so scalar*array and
-            # array*scalar differ in the last ULP.  Keep the reference's
-            # scalar-first order while still writing in place.
-            image = np.conj(y)
-            np.multiply(beta, image, out=image)
-            np.multiply(alpha, y, out=y)
-            y += image
-        if self.rx_quantization is not None:
-            y = self.rx_quantization.quantize_complex(y)
-        return y, noise_variance

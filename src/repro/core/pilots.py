@@ -21,21 +21,13 @@ from repro.core.config import OfdmNumerology
 
 
 @dataclass(frozen=True)
-class PilotCorrection:
-    """Diagnostics of the pilot-based corrections for one OFDM symbol."""
-
-    common_phase: float
-    tau: float
-    pilot_magnitude: float
-
-
-@dataclass(frozen=True)
 class PilotBlockCorrection:
     """Diagnostics of the pilot corrections for a whole block of symbols.
 
     Each field is an array shaped like the corrected block without its
     subcarrier axis (e.g. ``(n_streams, n_symbols)`` for a burst), holding
-    per-symbol what :class:`PilotCorrection` holds for one symbol.
+    one value per symbol: the removed common phase, the timing slope
+    ``tau`` and the mean pilot magnitude.
     """
 
     common_phase: np.ndarray
@@ -107,61 +99,10 @@ class PilotProcessor:
         symbol = np.asarray(frequency_domain, dtype=np.complex128)
         return symbol[list(self.numerology.pilot_bins)]
 
-    def correct(
-        self, frequency_domain: np.ndarray, symbol_index: int
-    ) -> tuple[np.ndarray, PilotCorrection]:
-        """Apply common-phase and timing (tau) correction to one symbol.
-
-        Parameters
-        ----------
-        frequency_domain:
-            The equalised frequency-domain OFDM symbol of one spatial stream.
-        symbol_index:
-            Index of the symbol within the burst (selects the pilot
-            polarity).
-
-        Returns
-        -------
-        (corrected_symbol, diagnostics)
-        """
-        symbol = np.asarray(frequency_domain, dtype=np.complex128).copy()
-        if symbol.size != self.numerology.fft_size:
-            raise ValueError("frequency-domain symbol has the wrong length")
-        expected = self.pilot_values(symbol_index)
-        measured = self.extract(symbol)
-
-        # --- common phase correction (de-scrambled pilot average) ---------
-        correlation = np.sum(measured * np.conj(expected))
-        if np.abs(correlation) == 0:
-            return symbol, PilotCorrection(common_phase=0.0, tau=0.0, pilot_magnitude=0.0)
-        common_phase = float(np.angle(correlation))
-        symbol = symbol * np.exp(-1j * common_phase)
-
-        # --- feed-forward timing correction (tau) -------------------------
-        # After the common phase is removed, a residual timing error shows up
-        # as a phase proportional to the logical subcarrier index.  Each
-        # pilot's phase divided by its subcarrier number estimates tau; the
-        # average over pilots is used (as in the paper), implemented here as
-        # a magnitude-weighted least-squares slope for numerical robustness.
-        measured = self.extract(symbol)
-        pilot_indices = np.array(self.numerology.pilot_logical, dtype=np.float64)
-        phases = np.angle(measured * np.conj(expected))
-        weights = np.abs(measured)
-        denom = float(np.sum(weights * pilot_indices * pilot_indices))
-        tau = float(np.sum(weights * pilot_indices * phases) / denom) if denom else 0.0
-
-        # Apply the incrementing per-subcarrier correction.
-        logical = self._logical_index_vector()
-        symbol = symbol * np.exp(-1j * tau * logical)
-        magnitude = float(np.mean(np.abs(measured)))
-        return symbol, PilotCorrection(
-            common_phase=common_phase, tau=tau, pilot_magnitude=magnitude
-        )
-
     def correct_block(
         self, block: np.ndarray, start_index: int = 0
     ) -> tuple[np.ndarray, PilotBlockCorrection]:
-        """Vectorised :meth:`correct` across a whole block of OFDM symbols.
+        """Apply common-phase and timing (tau) correction to every symbol.
 
         Parameters
         ----------
@@ -177,17 +118,15 @@ class PilotProcessor:
         Returns
         -------
         (corrected_block, diagnostics)
-            Bit-identical to calling :meth:`correct` on every ``(...,
-            n, :)`` slice with symbol index ``start_index + n`` — every
-            reduction runs over the same pilot values in the same order, and
-            symbols whose pilot correlation is exactly zero are left
-            untouched with zeroed diagnostics, exactly like the scalar
-            early-return.
+            Every ``(..., n, :)`` slice is corrected with the pilots of
+            symbol index ``start_index + n``.  Symbols whose pilot
+            correlation is exactly zero are left untouched with zeroed
+            diagnostics.
         """
         # A C-contiguous operand is required for bit-exactness, not speed:
         # numpy picks its pairwise-reduction strategy from the strides, so
         # summing pilots out of a non-contiguous block (einsum output) can
-        # differ from the scalar reference in the last ULP.
+        # differ from the one-symbol-at-a-time reduction in the last ULP.
         symbols = np.ascontiguousarray(block, dtype=np.complex128)
         if symbols.ndim < 2:
             raise ValueError("block must have shape (..., n_symbols, fft_size)")
@@ -212,6 +151,11 @@ class PilotProcessor:
         symbols = symbols * np.exp(-1j * common_phase)[..., None]
 
         # --- feed-forward timing correction (tau) -------------------------
+        # After the common phase is removed, a residual timing error shows up
+        # as a phase proportional to the logical subcarrier index.  Each
+        # pilot's phase divided by its subcarrier number estimates tau; the
+        # average over pilots is used (as in the paper), implemented here as
+        # a magnitude-weighted least-squares slope for numerical robustness.
         measured = symbols[..., pilot_bins]
         pilot_indices = np.array(self.numerology.pilot_logical, dtype=np.float64)
         phases = np.angle(measured * np.conj(expected))
@@ -222,6 +166,7 @@ class PilotProcessor:
         tau = np.zeros_like(denom)
         np.divide(numer, denom, out=tau, where=valid)
 
+        # Apply the incrementing per-subcarrier correction.
         logical = self._logical_index_vector()
         symbols = symbols * np.exp(-1j * tau[..., None] * logical)
         magnitude = np.where(zero, 0.0, np.mean(np.abs(measured), axis=-1))

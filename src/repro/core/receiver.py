@@ -14,11 +14,9 @@ window is gathered into one ``(n_rx, n_symbols, fft_size)`` block, pushed
 through a single planned FFT call (:mod:`repro.dsp.fft`'s cached
 :class:`~repro.dsp.fft.FftPlan`), detected with one per-subcarrier einsum
 and pilot-corrected with one :meth:`~repro.core.pilots.PilotProcessor.
-correct_block` pass.  The original per-symbol loop is retained behind
-``vectorized=False`` as the bit-exact agreement-test reference (the same
-pattern as the demapper hot path).  Channel inversion runs every active
-subcarrier through one stacked QR, and all streams are demapped,
-de-interleaved, Viterbi-decoded and descrambled in one pass.
+correct_block` pass.  Channel inversion runs every active subcarrier
+through one stacked QR, and all streams are demapped, de-interleaved,
+Viterbi-decoded and descrambled in one pass.
 
 Finite word lengths are modelled at the paper's two RX interfaces when the
 configuration asks for them: the incoming sample stream is quantised to
@@ -44,7 +42,7 @@ from repro.core.frame import ReceiveResult, StreamDecodeResult
 from repro.core.pilots import PilotProcessor
 from repro.core.preamble import PreambleGenerator
 from repro.dsp.fft import fft
-from repro.exceptions import ConfigurationError, DecodingError
+from repro.exceptions import ConfigurationError, DecodingError, SynchronizationError
 from repro.mimo.channel_estimation import ChannelEstimate, ChannelEstimator
 from repro.mimo.detector import MmseDetector, zf_detect
 from repro.modulation.demapper import SymbolDemapper
@@ -70,10 +68,6 @@ class MimoReceiver:
         ramp cancels in equalisation; the advance simply moves any
         late-timing error of the synchroniser into the cyclic prefix instead
         of into the next symbol.
-    vectorized:
-        Process the whole burst through the batched FFT/detect/pilot chain
-        (default).  ``False`` selects the original per-symbol loop, kept as
-        the bit-exact reference for the agreement tests.
     """
 
     def __init__(
@@ -81,7 +75,6 @@ class MimoReceiver:
         config: Optional[TransceiverConfig] = None,
         sync_mode: str = "peak",
         timing_advance: int = 2,
-        vectorized: bool = True,
     ) -> None:
         self.config = config if config is not None else TransceiverConfig()
         if timing_advance < 0 or timing_advance > self.config.cyclic_prefix_length:
@@ -89,7 +82,6 @@ class MimoReceiver:
                 "timing_advance must lie within the cyclic prefix"
             )
         self.timing_advance = timing_advance
-        self.vectorized = vectorized
         self.numerology = self.config.numerology
         self.preamble = PreambleGenerator(self.config.fft_size)
         self.pilots = PilotProcessor(self.numerology)
@@ -129,6 +121,10 @@ class MimoReceiver:
         Every antenna's stream is searched; the antenna with the strongest
         correlation peak wins (the STS is transmitted from antenna 0 only,
         so different receive antennas see it with different channel gains).
+
+        Raises :class:`~repro.exceptions.SynchronizationError` when no
+        antenna yields a finite correlation peak (e.g. NaN or infinite
+        samples).
         """
         streams = np.asarray(samples, dtype=np.complex128)
         if streams.ndim != 2:
@@ -137,10 +133,11 @@ class MimoReceiver:
         best_peak = -1.0
         for antenna in range(streams.shape[0]):
             result = self.synchronizer.search(streams[antenna])
-            if result.peak_magnitude > best_peak:
+            if np.isfinite(result.peak_magnitude) and result.peak_magnitude > best_peak:
                 best_peak = result.peak_magnitude
                 best_start = result.lts_start
-        assert best_start is not None
+        if best_start is None:
+            raise SynchronizationError("no receive antenna yielded a finite correlation peak")
         return int(best_start)
 
     def estimate_channel(
@@ -154,7 +151,6 @@ class MimoReceiver:
         estimate (the sweep engine counts that burst as a lost frame).
         """
         streams = np.asarray(samples, dtype=np.complex128)
-        n_rx = streams.shape[0]
         n_tx = self.config.n_antennas
         fft_size = self.config.fft_size
         layout = self.preamble.layout(n_tx)
@@ -173,22 +169,6 @@ class MimoReceiver:
             )
         if slot_starts[-1] + 2 * fft_size > streams.shape[1]:
             raise DecodingError("burst too short to contain the full LTS preamble")
-
-        if not self.vectorized:
-            received_lts = np.zeros((n_tx, n_rx, fft_size), dtype=np.complex128)
-            for slot in range(n_tx):
-                first_end = int(slot_starts[slot]) + fft_size
-                second_end = first_end + fft_size
-                for rx in range(n_rx):
-                    first = self._quantize_multiplier(
-                        fft(streams[rx, int(slot_starts[slot]) : first_end])
-                    )
-                    second = self._quantize_multiplier(
-                        fft(streams[rx, first_end:second_end])
-                    )
-                    # Averaged with an adder and right shift in hardware.
-                    received_lts[slot, rx] = (first + second) / 2.0
-            return self.channel_estimator.estimate(received_lts)
 
         # Gather every (slot, repetition) window of every antenna and run one
         # planned FFT over the whole stack: (n_rx, n_tx, 2, fft_size).
@@ -266,10 +246,9 @@ class MimoReceiver:
         data window, per-subcarrier MIMO detection (ZF or MMSE per the
         configuration), and pilot phase/timing correction — with the
         ``rx_multiplier_format`` quantisation applied to every FFT output.
-        In the default vectorised mode the whole burst runs as one strided
-        gather, one planned FFT over ``(n_rx, n_symbols, fft_size)``, one
-        detection einsum and one batched pilot pass; ``vectorized=False``
-        runs the original per-symbol loop, which is bit-identical.
+        The whole burst runs as one strided gather, one planned FFT over
+        ``(n_rx, n_symbols, fft_size)``, one detection einsum and one
+        batched pilot pass.
 
         Parameters
         ----------
@@ -289,10 +268,9 @@ class MimoReceiver:
         -------
         (equalized, pilot_phases)
             ``equalized`` has shape ``(n_tx, n_symbols, n_data_subcarriers)``;
-            ``pilot_phases`` holds each symbol's common pilot phase in the
-            scalar loop's (symbol, stream) order.
+            ``pilot_phases`` holds each symbol's common pilot phase in
+            (symbol, stream) order.
         """
-        n_tx = self.config.n_antennas
         sps = self.config.samples_per_symbol
         cp = self.config.cyclic_prefix_length
         fft_size = self.config.fft_size
@@ -316,31 +294,14 @@ class MimoReceiver:
             def detect(frequency: np.ndarray) -> np.ndarray:
                 return zf_detect(frequency, estimate.inverses)
 
-        if self.vectorized:
-            window = starts[:, None] + np.arange(fft_size)
-            frequency = self._quantize_multiplier(fft(streams[:, window]))
-            detected = detect(frequency)
-            corrected, diag = self.pilots.correct_block(detected)
-            equalized = corrected[..., data_bins]
-            # Transpose to the scalar loop's (symbol, stream) append order so
-            # the diagnostics mean reduces over the same sequence.
-            pilot_phases = diag.common_phase.T.ravel()
-        else:
-            equalized = np.zeros(
-                (n_tx, n_symbols, len(data_bins)), dtype=np.complex128
-            )
-            phases = []
-            for n in range(n_symbols):
-                start = int(starts[n])
-                block = streams[:, start : start + fft_size]
-                frequency = self._quantize_multiplier(fft(block))
-                detected = detect(frequency)
-                for stream in range(n_tx):
-                    corrected, diag = self.pilots.correct(detected[stream], n)
-                    phases.append(diag.common_phase)
-                    equalized[stream, n] = corrected[data_bins]
-            pilot_phases = np.array(phases, dtype=np.float64)
-        return equalized, pilot_phases
+        window = starts[:, None] + np.arange(fft_size)
+        frequency = self._quantize_multiplier(fft(streams[:, window]))
+        detected = detect(frequency)
+        corrected, diag = self.pilots.correct_block(detected)
+        # (symbol, stream) order fixes the summation order of the
+        # mean-pilot-phase diagnostic.
+        pilot_phases = diag.common_phase.T.ravel()
+        return corrected[..., data_bins], pilot_phases
 
     # ------------------------------------------------------------------
     # externally-detected frame windows (streaming entry point)

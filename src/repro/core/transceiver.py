@@ -66,10 +66,8 @@ class LinkSimulationResult:
 class MimoTransceiver:
     """Transmitter + channel + receiver wired together.
 
-    ``vectorized_tx``/``vectorized_rx`` select the whole-burst batched
-    datapaths (default) or the per-symbol reference loops; ``backend``
-    names the :class:`~repro.dsp.backend.DspBackend` carrying the
-    vectorised transmitter's transform arithmetic.
+    ``backend`` names the :class:`~repro.dsp.backend.DspBackend` carrying
+    the transmitter's IFFT arithmetic.
     """
 
     def __init__(
@@ -77,17 +75,11 @@ class MimoTransceiver:
         config: Optional[TransceiverConfig] = None,
         channel: Optional[MimoChannel] = None,
         sync_mode: str = "peak",
-        vectorized_rx: bool = True,
-        vectorized_tx: bool = True,
         backend=None,
     ) -> None:
         self.config = config if config is not None else TransceiverConfig()
-        self.transmitter = MimoTransmitter(
-            self.config, vectorized=vectorized_tx, backend=backend
-        )
-        self.receiver = MimoReceiver(
-            self.config, sync_mode=sync_mode, vectorized=vectorized_rx
-        )
+        self.transmitter = MimoTransmitter(self.config, backend=backend)
+        self.receiver = MimoReceiver(self.config, sync_mode=sync_mode)
         self.channel = channel if channel is not None else MimoChannel()
         if self.channel.n_tx != self.config.n_antennas:
             raise ValueError("channel antenna count does not match the configuration")

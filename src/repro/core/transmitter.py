@@ -14,8 +14,7 @@ frequency-domain block, pilot-inserted with one
 :meth:`~repro.core.pilots.PilotProcessor.insert_block` pass, transformed by
 a single planned IFFT (through the configured
 :class:`~repro.dsp.backend.DspBackend`), and cyclic-prefixed with one
-indexed gather.  The original per-symbol loop survives behind
-``vectorized=False`` as the bit-exact agreement-test reference.
+indexed gather.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from repro.core.frame import TransmitBurst
 from repro.core.pilots import PilotProcessor
 from repro.core.preamble import PreambleGenerator
 from repro.dsp.backend import BackendLike, get_backend
-from repro.dsp.fft import ofdm_modulate
 from repro.exceptions import ConfigurationError
 from repro.modulation.mapper import SymbolMapper
 from repro.types import BitArray, ComplexArray
@@ -48,25 +46,18 @@ class MimoTransmitter:
     config:
         Transceiver configuration; defaults to the paper's synthesised
         configuration (4x4, 16-QAM, 64-point OFDM, rate 1/2).
-    vectorized:
-        Build the burst through the whole-burst batched datapath (default).
-        ``False`` selects the original per-symbol loop, kept as the
-        bit-exact reference for the agreement tests.
     backend:
         :class:`~repro.dsp.backend.DspBackend` (or registry name) carrying
-        the transform arithmetic of the vectorised path.  The default
-        complex128 numpy backend is bit-identical to the scalar loop; the
-        ``"numpy32"`` backend runs the IFFTs in single precision.
+        the IFFT arithmetic.  The default is the complex128 numpy backend;
+        the ``"numpy32"`` backend runs the IFFTs in single precision.
     """
 
     def __init__(
         self,
         config: Optional[TransceiverConfig] = None,
-        vectorized: bool = True,
         backend: BackendLike = None,
     ) -> None:
         self.config = config if config is not None else TransceiverConfig()
-        self.vectorized = vectorized
         self.backend = get_backend(backend)
         self.numerology = self.config.numerology
         self.preamble = PreambleGenerator(self.config.fft_size)
@@ -121,36 +112,6 @@ class MimoTransmitter:
         padded[: coded.size] = coded
         return padded, n_symbols
 
-    def _map_stream(self, coded_bits: np.ndarray, n_symbols: int) -> np.ndarray:
-        """Interleave and map one stream; returns frequency-domain symbols.
-
-        Output shape is ``(n_symbols, fft_size)`` with pilots inserted.
-        """
-        n_cbps = self.config.coded_bits_per_symbol
-        n_bpsc = self.config.bits_per_subcarrier
-        fft_size = self.config.fft_size
-        data_bins = list(self.numerology.data_bins)
-        symbols = np.zeros((n_symbols, fft_size), dtype=np.complex128)
-        for n in range(n_symbols):
-            block = coded_bits[n * n_cbps : (n + 1) * n_cbps]
-            interleaved = interleave(block, n_cbps, n_bpsc)
-            constellation_points = self.mapper.map_bits(interleaved)
-            frequency = np.zeros(fft_size, dtype=np.complex128)
-            frequency[data_bins] = constellation_points
-            symbols[n] = self.pilots.insert(frequency, n)
-        return symbols
-
-    def _modulate_stream(self, frequency_symbols: np.ndarray) -> np.ndarray:
-        """IFFT + cyclic prefix for every OFDM symbol of one stream."""
-        cp = self.config.cyclic_prefix_length
-        waveform = [
-            ofdm_modulate(frequency_symbols[n], cp)
-            for n in range(frequency_symbols.shape[0])
-        ]
-        if not waveform:
-            return np.zeros(0, dtype=np.complex128)
-        return np.concatenate(waveform)
-
     # ------------------------------------------------------------------
     # whole-burst datapath
     # ------------------------------------------------------------------
@@ -160,11 +121,10 @@ class MimoTransmitter:
 
         ``padded_bits`` has shape ``(n_streams, n_symbols * n_cbps)``; the
         result is the ``(n_streams, n_symbols, fft_size)`` frequency-domain
-        block, value-identical to running :meth:`_map_stream` per stream
-        (the interleaver permutes all blocks with one fancy index, the LUT
-        mapper packs every symbol's address in one reshape, and the pilots
-        land with one :meth:`~repro.core.pilots.PilotProcessor.insert_block`
-        pass).
+        block (the interleaver permutes all blocks with one fancy index, the
+        LUT mapper packs every symbol's address in one reshape, and the
+        pilots land with one
+        :meth:`~repro.core.pilots.PilotProcessor.insert_block` pass).
         """
         n_cbps = self.config.coded_bits_per_symbol
         n_bpsc = self.config.bits_per_subcarrier
@@ -243,14 +203,7 @@ class MimoTransmitter:
             full[: coded.size] = coded
             padded.append(full)
 
-        if self.vectorized:
-            frequency_symbols = self._map_block(np.stack(padded), n_symbols)
-        else:
-            frequency_symbols = np.zeros(
-                (n_streams, n_symbols, self.config.fft_size), dtype=np.complex128
-            )
-            for stream in range(n_streams):
-                frequency_symbols[stream] = self._map_stream(padded[stream], n_symbols)
+        frequency_symbols = self._map_block(np.stack(padded), n_symbols)
 
         preamble_waveform = self.preamble.mimo_preamble(n_streams)
         layout = self.preamble.layout(n_streams)
@@ -266,15 +219,9 @@ class MimoTransmitter:
         )
         burst[:, : layout.total_length] = preamble_waveform
         data_end = layout.total_length + data_length
-        if self.vectorized:
-            burst[:, layout.total_length : data_end] = self._modulate_block(  # reprolint: disable=DTYPE001 -- the assembled burst is the complex128 air-interface boundary; payload precision is already decided inside the backend's ifft, so this single widening store loses nothing
-                frequency_symbols
-            )
-        else:
-            for stream in range(n_streams):
-                burst[stream, layout.total_length : data_end] = (
-                    self._modulate_stream(frequency_symbols[stream])
-                )
+        burst[:, layout.total_length : data_end] = self._modulate_block(  # reprolint: disable=DTYPE001 -- the assembled burst is the complex128 air-interface boundary; payload precision is already decided inside the backend's ifft, so this single widening store loses nothing
+            frequency_symbols
+        )
 
         return TransmitBurst(
             samples=burst,

@@ -12,10 +12,7 @@ de-interleaver to the Viterbi decoder.  The software model provides:
 All entry points accept symbol arrays of any shape and demap every symbol in
 one vectorised pass — the receiver hands a whole burst's
 ``(n_symbols, n_data_subcarriers)`` block to a single call, which is one of
-the two hot paths the :mod:`repro.sim` sweep engine leans on.  The
-per-symbol reference implementations (``hard_decisions_scalar`` /
-``soft_decisions_scalar``) are retained for the bit-exact agreement tests in
-``tests/test_hot_path_agreement.py``.
+the two hot paths the :mod:`repro.sim` sweep engine leans on.
 """
 
 from __future__ import annotations
@@ -101,38 +98,6 @@ class SymbolDemapper:
             d_zero = distances[:, self._points_bit_zero[bit]].min(axis=1)
             d_one = distances[:, self._points_bit_one[bit]].min(axis=1)
             llrs[:, bit] = (d_one - d_zero) / noise_variance
-        return llrs.ravel()
-
-    # ------------------------------------------------------------------
-    # scalar reference implementations (agreement-test ground truth)
-    # ------------------------------------------------------------------
-    def hard_decisions_scalar(self, symbols: npt.ArrayLike) -> BitArray:
-        """Per-symbol reference hard demapper (one symbol at a time)."""
-        received = np.asarray(symbols, dtype=np.complex128).ravel()
-        bits = []
-        for symbol in received:
-            distances = np.abs(symbol - self.constellation.points) ** 2
-            bits.append(unpack_bits([int(np.argmin(distances))], self.bits_per_symbol))
-        if not bits:
-            return np.zeros(0, dtype=np.uint8)
-        return np.concatenate(bits)
-
-    def soft_decisions_scalar(
-        self, symbols: np.ndarray, noise_variance: float = 1.0
-    ) -> np.ndarray:
-        """Per-symbol, per-bit reference soft demapper."""
-        if noise_variance <= 0:
-            raise ValueError("noise_variance must be positive")
-        received = np.asarray(symbols, dtype=np.complex128).ravel()
-        k = self.bits_per_symbol
-        llrs = np.zeros((received.size, k), dtype=np.float64)
-        for index, symbol in enumerate(received):
-            distances = np.abs(symbol - self.constellation.points) ** 2
-            for bit in range(k):
-                mask_zero = self._bit_table[:, bit] == 0
-                d_zero = distances[mask_zero].min()
-                d_one = distances[~mask_zero].min()
-                llrs[index, bit] = (d_one - d_zero) / noise_variance
         return llrs.ravel()
 
     # ------------------------------------------------------------------

@@ -41,7 +41,7 @@ Quick start::
 See ``docs/simulation.md`` for the full engine guide.
 """
 
-from repro.sim.cache import JsonCache, content_key, default_cache_dir
+from repro.sim.cache import content_key, default_cache_dir
 from repro.sim.queue import (
     InProcessQueue,
     MultiprocessingQueue,
@@ -69,7 +69,6 @@ __all__ = [
     "ENGINE_VERSION",
     "ImpairmentSpec",
     "InProcessQueue",
-    "JsonCache",
     "MultiprocessingQueue",
     "ResultStore",
     "SweepPoint",

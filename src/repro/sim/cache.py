@@ -1,14 +1,11 @@
-"""JSON result cache keyed by content hashes.
+"""Content-hash keys and the result-cache directory.
 
-Sweep results (and any other JSON-serialisable experiment payload, e.g. the
-ergodic-capacity curves in :mod:`repro.analysis.capacity`) are stored one
-file per key under a cache directory.  A repeated sweep whose
-:class:`~repro.sim.spec.SweepSpec` hashes to an existing entry is served
-from disk without simulating a single burst.
-
-The default directory is ``~/.cache/repro-sim`` and can be overridden with
-the ``REPRO_SIM_CACHE_DIR`` environment variable or per-instance.  Corrupt
-or unreadable entries are treated as misses, never as errors.
+:func:`content_key` is the one canonical hash of a JSON-serialisable
+payload, shared by sweep specs, sweep points and the ergodic-capacity
+curves in :mod:`repro.analysis.capacity`.  :func:`default_cache_dir` is
+the root under which :class:`~repro.sim.store.ResultStore` keeps its
+records: ``~/.cache/repro-sim`` unless the ``REPRO_SIM_CACHE_DIR``
+environment variable overrides it.
 """
 
 from __future__ import annotations
@@ -17,7 +14,6 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import Optional, Union
 
 _ENV_VAR = "REPRO_SIM_CACHE_DIR"
 
@@ -41,62 +37,3 @@ def default_cache_dir() -> Path:
     if override:
         return Path(override)
     return Path.home() / ".cache" / "repro-sim"
-
-
-class JsonCache:
-    """Tiny content-addressed JSON store (one file per key)."""
-
-    def __init__(self, directory: Union[None, str, Path] = None) -> None:
-        self.directory = Path(directory) if directory is not None else default_cache_dir()
-
-    def path_for(self, key: str) -> Path:
-        """File backing ``key``."""
-        return self.directory / f"{key}.json"
-
-    def get(self, key: str) -> Optional[dict]:
-        """Stored payload for ``key``, or ``None`` on miss/corruption."""
-        path = self.path_for(key)
-        try:
-            with path.open("r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except (OSError, ValueError):
-            return None
-        # Every put() stores a dict; any other valid-JSON content (a bare
-        # list, string, number...) is a truncated or foreign file wearing
-        # the key's name — corruption, so a miss, not a crash downstream.
-        if not isinstance(payload, dict):
-            return None
-        return payload
-
-    def put(self, key: str, payload: dict) -> Path:
-        """Store ``payload`` under ``key`` atomically; returns the file path.
-
-        Delegates to :func:`repro.sim.store.commit_json_file`, whose
-        temp-write + ``fsync`` + ``os.replace`` recipe guarantees a crash at
-        any instant leaves either the previous entry or the complete new
-        one — never a torn file that :meth:`get` would misread.  (The
-        import is deferred: :mod:`repro.sim.store` imports this module for
-        the cache-directory resolution.)
-        """
-        from repro.sim.store import commit_json_file
-
-        return commit_json_file(self.path_for(key), payload)
-
-    def clear(self) -> int:
-        """Delete every entry and stale temp file; returns the number removed.
-
-        An interrupted :meth:`put` (process killed between ``mkstemp`` and
-        ``os.replace``) leaves a ``.<key>.<random>.tmp`` file behind; those
-        are part of the store and must not survive a clear.
-        """
-        removed = 0
-        if not self.directory.is_dir():
-            return removed
-        for pattern in ("*.json", ".*.tmp"):
-            for path in self.directory.glob(pattern):
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    pass
-        return removed

@@ -39,31 +39,23 @@ import os
 import time
 from typing import Dict, List, Optional, Union
 
-from repro.sim.cache import JsonCache
 from repro.sim.engine import simulate_batch
 from repro.sim.queue import QueueLike, make_queue
 from repro.sim.spec import SweepPoint, SweepPointResult, SweepResult, SweepSpec
 from repro.sim.stats import allocate_bursts
 from repro.sim.store import ResultStore
 
-StoreLike = Union[None, bool, str, "os.PathLike[str]", JsonCache, ResultStore]
+StoreLike = Union[None, bool, str, "os.PathLike[str]", ResultStore]
 
 
 def _resolve_store(cache: StoreLike) -> Optional[ResultStore]:
-    """Normalise the ``cache`` argument into a :class:`ResultStore` or ``None``.
-
-    A :class:`JsonCache` is accepted for backwards compatibility and maps
-    to a store rooted in a ``points/`` subdirectory of the cache directory,
-    keeping per-spec ``*.json`` files and per-point shards apart.
-    """
+    """Normalise the ``cache`` argument into a :class:`ResultStore` or ``None``."""
     if cache is None or cache is False:
         return None
     if cache is True:
         return ResultStore()
     if isinstance(cache, ResultStore):
         return cache
-    if isinstance(cache, JsonCache):
-        return ResultStore(cache.directory / "points")
     return ResultStore(cache)
 
 
@@ -85,8 +77,7 @@ class SweepRunner:
     cache:
         ``True`` (default) for the shared per-point store, ``False``/``None``
         to disable persistence, or a directory /
-        :class:`~repro.sim.store.ResultStore` /
-        :class:`~repro.sim.cache.JsonCache` selecting a specific store.
+        :class:`~repro.sim.store.ResultStore` selecting a specific store.
     resume:
         When True (default), finished points found in the store are loaded
         instead of simulated — re-running an interrupted or overlapping

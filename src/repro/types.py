@@ -4,8 +4,8 @@ The engine moves a small set of array species between stages — complex
 baseband samples, float soft bits, uint8 hard bits, integer symbol
 addresses — and a handful of closed string enums (detector and DSP
 backend names).  Spelling them once here keeps the annotations on public
-APIs short, searchable, and consistent, and gives checkers (mypy via
-``make typecheck``, plus any IDE) a precise dtype to propagate.
+APIs short, searchable, and consistent, and gives static type checkers
+and IDEs a precise dtype to propagate.
 
 These are *aliases*, not wrappers: at runtime every one of them is just
 ``np.ndarray`` (or ``str``), so importing this module costs nothing and

@@ -1,0 +1,259 @@
+"""Per-symbol transceiver references: map/modulate, LTS FFTs, equalise, pilots.
+
+These are the one-symbol-at-a-time transmit and receive loops the
+production :class:`~repro.core.transmitter.MimoTransmitter` and
+:class:`~repro.core.receiver.MimoReceiver` replaced with whole-burst
+gathers, one planned FFT/IFFT and block pilot passes.  They reuse the
+production objects only for stages that have a single implementation
+(FFT, quantiser, interleaver, mapper, pilot insertion, channel estimator,
+detectors, synchroniser, CFO estimator); every batched stage is
+recomputed here one unit at a time, down to the serial demapper, Viterbi
+decoder, encoder and scrambler.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import List, Sequence, Tuple
+
+import numpy as np
+
+from repro.coding.convolutional import ConvolutionalEncoder
+from repro.coding.interleaver import deinterleave, interleave
+from repro.coding.scrambler import Scrambler
+from repro.core.frame import ReceiveResult, StreamDecodeResult
+from repro.core.pilots import PilotProcessor
+from repro.core.receiver import MimoReceiver
+from repro.core.transmitter import MimoTransmitter
+from repro.dsp.fft import fft, ofdm_modulate
+from repro.mimo.channel_estimation import ChannelEstimate
+from repro.mimo.detector import MmseDetector, zf_detect
+
+from reference.coding import encode_serial, scramble_serial, viterbi_decode_serial
+from reference.modulation import demap_serial
+
+
+@dataclass(frozen=True)
+class PilotCorrection:
+    """Diagnostics of the pilot-based corrections for one OFDM symbol."""
+
+    common_phase: float
+    tau: float
+    pilot_magnitude: float
+
+
+def _logical_indices(fft_size: int) -> np.ndarray:
+    logical = np.arange(fft_size, dtype=np.float64)
+    logical[logical > fft_size / 2] -= fft_size
+    return logical
+
+
+def correct_pilots_serial(
+    processor: PilotProcessor, frequency_domain: np.ndarray, symbol_index: int
+) -> Tuple[np.ndarray, PilotCorrection]:
+    """Common-phase and timing (tau) correction of one OFDM symbol."""
+    numerology = processor.numerology
+    symbol = np.asarray(frequency_domain, dtype=np.complex128).copy()
+    if symbol.size != numerology.fft_size:
+        raise ValueError("frequency-domain symbol has the wrong length")
+    expected = processor.pilot_values(symbol_index)
+    measured = processor.extract(symbol)
+
+    correlation = np.sum(measured * np.conj(expected))
+    if np.abs(correlation) == 0:
+        return symbol, PilotCorrection(common_phase=0.0, tau=0.0, pilot_magnitude=0.0)
+    common_phase = float(np.angle(correlation))
+    symbol = symbol * np.exp(-1j * common_phase)
+
+    measured = processor.extract(symbol)
+    pilot_indices = np.array(numerology.pilot_logical, dtype=np.float64)
+    phases = np.angle(measured * np.conj(expected))
+    weights = np.abs(measured)
+    denom = float(np.sum(weights * pilot_indices * pilot_indices))
+    tau = float(np.sum(weights * pilot_indices * phases) / denom) if denom else 0.0
+
+    symbol = symbol * np.exp(-1j * tau * _logical_indices(numerology.fft_size))
+    magnitude = float(np.mean(np.abs(measured)))
+    return symbol, PilotCorrection(
+        common_phase=common_phase, tau=tau, pilot_magnitude=magnitude
+    )
+
+
+def transmit_serial(
+    transmitter: MimoTransmitter, stream_bits: Sequence[np.ndarray]
+) -> Tuple[np.ndarray, np.ndarray, List[np.ndarray]]:
+    """``(samples, frequency_symbols, padded coded bits)`` of one burst.
+
+    Every stream is scrambled and encoded bit by bit, then interleaved,
+    mapped, pilot-inserted and IFFT'd one OFDM symbol at a time.
+    """
+    config = transmitter.config
+    n_cbps = config.coded_bits_per_symbol
+    n_bpsc = config.bits_per_subcarrier
+    fft_size = config.fft_size
+    cp = config.cyclic_prefix_length
+    data_bins = list(transmitter.numerology.data_bins)
+
+    coded = []
+    for bits in stream_bits:
+        info = np.asarray(bits, dtype=np.uint8)
+        if config.scramble:
+            info = scramble_serial(Scrambler(), info)
+        coded.append(encode_serial(ConvolutionalEncoder(transmitter.code), info))
+    n_symbols = max(-(-bits.size // n_cbps) for bits in coded)
+    padded = []
+    for bits in coded:
+        full = np.zeros(n_symbols * n_cbps, dtype=np.uint8)
+        full[: bits.size] = bits
+        padded.append(full)
+
+    n_streams = len(padded)
+    frequency_symbols = np.zeros((n_streams, n_symbols, fft_size), dtype=np.complex128)
+    layout = transmitter.preamble.layout(n_streams)
+    data_end = layout.total_length + n_symbols * config.samples_per_symbol
+    samples = np.zeros((n_streams, data_end + cp), dtype=np.complex128)
+    samples[:, : layout.total_length] = transmitter.preamble.mimo_preamble(n_streams)
+    for stream, bits in enumerate(padded):
+        for n in range(n_symbols):
+            block = interleave(bits[n * n_cbps : (n + 1) * n_cbps], n_cbps, n_bpsc)
+            frequency = np.zeros(fft_size, dtype=np.complex128)
+            frequency[data_bins] = transmitter.mapper.map_bits(block)
+            frequency_symbols[stream, n] = transmitter.pilots.insert(frequency, n)
+        samples[stream, layout.total_length : data_end] = np.concatenate(
+            [ofdm_modulate(symbol, cp) for symbol in frequency_symbols[stream]]
+        )
+    return samples, frequency_symbols, padded
+
+
+def _quantize_multiplier(receiver: MimoReceiver, values: np.ndarray) -> np.ndarray:
+    fmt = receiver.config.rx_multiplier_format
+    return fmt.quantize_complex(values) if fmt is not None else values
+
+
+def estimate_channel_serial(
+    receiver: MimoReceiver, samples: np.ndarray, lts_start: int
+) -> ChannelEstimate:
+    """Channel estimate from one FFT per (LTS slot, repetition, antenna)."""
+    streams = np.asarray(samples, dtype=np.complex128)
+    n_rx = streams.shape[0]
+    n_tx = receiver.config.n_antennas
+    fft_size = receiver.config.fft_size
+    layout = receiver.preamble.layout(n_tx)
+    received_lts = np.zeros((n_tx, n_rx, fft_size), dtype=np.complex128)
+    for slot in range(n_tx):
+        start = (
+            lts_start
+            + slot * layout.lts_slot_length
+            + receiver.preamble.lts_cp_length
+            - receiver.timing_advance
+        )
+        for rx in range(n_rx):
+            first = _quantize_multiplier(receiver, fft(streams[rx, start : start + fft_size]))
+            second = _quantize_multiplier(
+                receiver, fft(streams[rx, start + fft_size : start + 2 * fft_size])
+            )
+            received_lts[slot, rx] = (first + second) / 2.0
+    return receiver.channel_estimator.estimate(received_lts)
+
+
+def equalize_burst_serial(
+    receiver: MimoReceiver,
+    streams: np.ndarray,
+    estimate: ChannelEstimate,
+    data_start: int,
+    n_symbols: int,
+    noise_variance: float = 1.0,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """FFT, detect and pilot-correct one data OFDM symbol at a time.
+
+    Returns ``(equalized, pilot_phases)`` with the phases appended in
+    (symbol, stream) order.
+    """
+    config = receiver.config
+    fft_size = config.fft_size
+    data_bins = list(receiver.numerology.data_bins)
+    if config.detector == "mmse":
+        detect = MmseDetector(estimate, noise_variance).detect
+    else:
+        def detect(frequency: np.ndarray) -> np.ndarray:
+            return zf_detect(frequency, estimate.inverses)
+
+    equalized = np.zeros((config.n_antennas, n_symbols, len(data_bins)), dtype=np.complex128)
+    phases = []
+    for n in range(n_symbols):
+        start = (
+            data_start
+            + n * config.samples_per_symbol
+            + config.cyclic_prefix_length
+            - receiver.timing_advance
+        )
+        frequency = _quantize_multiplier(receiver, fft(streams[:, start : start + fft_size]))
+        detected = detect(frequency)
+        for stream in range(config.n_antennas):
+            corrected, diag = correct_pilots_serial(receiver.pilots, detected[stream], n)
+            phases.append(diag.common_phase)
+            equalized[stream, n] = corrected[data_bins]
+    return equalized, np.array(phases, dtype=np.float64)
+
+
+def receive_serial(
+    receiver: MimoReceiver,
+    samples: np.ndarray,
+    n_info_bits: int,
+    noise_variance: float = 1.0,
+) -> ReceiveResult:
+    """Decode one burst symbol by symbol and stream by stream."""
+    config = receiver.config
+    streams = np.asarray(samples, dtype=np.complex128)
+    if config.rx_sample_format is not None:
+        streams = config.rx_sample_format.quantize_complex(streams)
+    lts_start = receiver.synchronize(streams)
+    estimated_cfo = 0.0
+    if receiver.cfo_estimator is not None:
+        cfo = receiver.cfo_estimator.estimate(streams, lts_start)
+        streams = receiver.cfo_estimator.correct(streams, cfo)
+        estimated_cfo = cfo.combined
+
+    estimate = estimate_channel_serial(receiver, streams, lts_start)
+    n_tx = config.n_antennas
+    data_start = lts_start + n_tx * receiver.preamble.layout(n_tx).lts_slot_length
+    coded_length = ConvolutionalEncoder(receiver.code).coded_length(n_info_bits, terminate=True)
+    n_symbols = -(-coded_length // config.coded_bits_per_symbol)
+    equalized, phases = equalize_burst_serial(
+        receiver, streams, estimate, data_start, n_symbols, noise_variance
+    )
+
+    decision = "soft" if config.soft_decision else "hard"
+    results = []
+    for stream in range(n_tx):
+        demapped = demap_serial(
+            receiver.demapper,
+            equalized[stream],
+            soft=config.soft_decision,
+            noise_variance=noise_variance,
+        )
+        received = deinterleave(
+            demapped, config.coded_bits_per_symbol, config.bits_per_subcarrier
+        )
+        decoded = viterbi_decode_serial(
+            receiver.code, decision, received[:coded_length], n_info_bits
+        )
+        if config.scramble:
+            decoded = scramble_serial(Scrambler(), decoded)
+        results.append(
+            StreamDecodeResult(
+                stream=stream, decoded_bits=decoded, equalized_symbols=equalized[stream]
+            )
+        )
+    diagnostics = {
+        "lts_start": float(lts_start),
+        "n_ofdm_symbols": float(n_symbols),
+        "mean_pilot_phase": float(np.mean(phases)) if len(phases) else 0.0,
+        "estimated_cfo": estimated_cfo,
+    }
+    return ReceiveResult(
+        streams=results,
+        lts_start=int(lts_start),
+        channel_estimate=estimate,
+        diagnostics=diagnostics,
+    )

@@ -198,8 +198,7 @@ class TestNoiseCalibration:
         assert output.noise_variance == pytest.approx(0.01)
         assert MimoChannel(rng=31).transmit(x).noise_variance is None
 
-    @pytest.mark.parametrize("vectorized", [True, False])
-    def test_delivered_snr_invariant_to_sample_delay(self, vectorized):
+    def test_delivered_snr_invariant_to_sample_delay(self):
         # Regression: the SNR used to be calibrated against the mean power
         # of the whole observation window, so the zero pad a sample_delay
         # prepends diluted the measurement and raised the delivered SNR.
@@ -207,9 +206,7 @@ class TestNoiseCalibration:
         x = np.exp(1j * rng.uniform(0, 2 * np.pi, (4, 20_000)))
 
         def run(delay):
-            channel = MimoChannel(
-                snr_db=10.0, sample_delay=delay, rng=33, vectorized=vectorized
-            )
+            channel = MimoChannel(snr_db=10.0, sample_delay=delay, rng=33)
             output = channel.transmit(x)
             noise = output.samples[:, delay:] - x
             return output.noise_variance, float(np.mean(np.abs(noise) ** 2))
@@ -221,8 +218,7 @@ class TestNoiseCalibration:
         achieved = 10 * np.log10(1.0 / measured_delayed)
         assert achieved == pytest.approx(10.0, abs=0.2)
 
-    @pytest.mark.parametrize("vectorized", [True, False])
-    def test_iq_imbalance_distorts_the_noise_too(self, vectorized):
+    def test_iq_imbalance_distorts_the_noise_too(self):
         # The IQ imbalance models the *receive* mixer, so it must run after
         # noise injection: the output equals noise-then-IQ, not IQ-then-noise.
         rng = np.random.default_rng(34)
@@ -232,7 +228,6 @@ class TestNoiseCalibration:
             iq_amplitude_db=1.0,
             iq_phase_deg=4.0,
             rng=35,
-            vectorized=vectorized,
         )
         output = channel.transmit(x)
 

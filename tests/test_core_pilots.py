@@ -22,6 +22,12 @@ def _symbol_with_pilots(processor, symbol_index=0):
     return processor.insert(symbol, symbol_index)
 
 
+def _correct(processor, symbol, symbol_index):
+    """Correct one symbol as a one-symbol block; diagnostics as scalars."""
+    corrected, diag = processor.correct_block(symbol[None, :], start_index=symbol_index)
+    return corrected[0], (diag.common_phase[0], diag.tau[0], diag.pilot_magnitude[0])
+
+
 class TestPilotInsertion:
     def test_pilot_polarity_follows_scrambler_sequence(self, processor):
         polarity = pilot_polarity_sequence(10)
@@ -52,18 +58,18 @@ class TestPilotInsertion:
 class TestPhaseCorrection:
     def test_identity_when_no_impairment(self, processor):
         symbol = _symbol_with_pilots(processor, 0)
-        corrected, diagnostics = processor.correct(symbol, 0)
+        corrected, (common_phase, tau, _) = _correct(processor, symbol, 0)
         np.testing.assert_allclose(corrected, symbol, atol=1e-9)
-        assert diagnostics.common_phase == pytest.approx(0.0, abs=1e-9)
-        assert diagnostics.tau == pytest.approx(0.0, abs=1e-9)
+        assert common_phase == pytest.approx(0.0, abs=1e-9)
+        assert tau == pytest.approx(0.0, abs=1e-9)
 
     @pytest.mark.parametrize("phase", [-1.2, -0.3, 0.4, 1.0, 2.5])
     def test_removes_common_phase(self, processor, phase):
         symbol = _symbol_with_pilots(processor, 1)
         rotated = symbol * np.exp(1j * phase)
-        corrected, diagnostics = processor.correct(rotated, 1)
+        corrected, (common_phase, _, _) = _correct(processor, rotated, 1)
         np.testing.assert_allclose(corrected, symbol, atol=1e-6)
-        assert diagnostics.common_phase == pytest.approx(phase, abs=1e-6)
+        assert common_phase == pytest.approx(phase, abs=1e-6)
 
     def test_removes_timing_phase_ramp(self, processor):
         symbol = _symbol_with_pilots(processor, 2)
@@ -71,27 +77,33 @@ class TestPhaseCorrection:
         logical = np.arange(64, dtype=float)
         logical[logical > 32] -= 64
         ramped = symbol * np.exp(1j * tau * logical)
-        corrected, diagnostics = processor.correct(ramped, 2)
+        corrected, (_, estimated_tau, _) = _correct(processor, ramped, 2)
         np.testing.assert_allclose(corrected, symbol, atol=1e-3)
-        assert diagnostics.tau == pytest.approx(tau, abs=1e-3)
+        assert estimated_tau == pytest.approx(tau, abs=1e-3)
 
     def test_combined_phase_and_timing(self, processor):
         symbol = _symbol_with_pilots(processor, 5)
         logical = np.arange(64, dtype=float)
         logical[logical > 32] -= 64
         impaired = symbol * np.exp(1j * (0.7 + 0.02 * logical))
-        corrected, _ = processor.correct(impaired, 5)
+        corrected, _ = _correct(processor, impaired, 5)
         np.testing.assert_allclose(corrected, symbol, atol=1e-2)
 
     def test_zero_pilots_returns_unchanged(self, processor):
         symbol = np.zeros(64, dtype=complex)
-        corrected, diagnostics = processor.correct(symbol, 0)
-        np.testing.assert_allclose(corrected, symbol)
-        assert diagnostics.pilot_magnitude == 0.0
+        corrected, diagnostics = _correct(processor, symbol, 0)
+        np.testing.assert_array_equal(corrected, symbol)
+        assert diagnostics == (0.0, 0.0, 0.0)
+        # Data around silent pilots is passed through untouched too.
+        symbol = _symbol_with_pilots(processor, 4) * np.exp(0.3j)
+        symbol[list(processor.numerology.pilot_bins)] = 0.0
+        corrected, diagnostics = _correct(processor, symbol, 4)
+        np.testing.assert_array_equal(corrected, symbol)
+        assert diagnostics == (0.0, 0.0, 0.0)
 
     def test_wrong_symbol_length_rejected(self, processor):
         with pytest.raises(ValueError):
-            processor.correct(np.zeros(32, dtype=complex), 0)
+            processor.correct_block(np.zeros((1, 32), dtype=complex))
 
     def test_polarity_scrambled_pilots_still_corrected(self, processor):
         # Symbol index with negative polarity must still correct properly.
@@ -99,6 +111,6 @@ class TestPhaseCorrection:
         index = negative_indices[0]
         symbol = _symbol_with_pilots(processor, index)
         rotated = symbol * np.exp(1j * 0.9)
-        corrected, diagnostics = processor.correct(rotated, index)
+        corrected, (common_phase, _, _) = _correct(processor, rotated, index)
         np.testing.assert_allclose(corrected, symbol, atol=1e-6)
-        assert diagnostics.common_phase == pytest.approx(0.9, abs=1e-6)
+        assert common_phase == pytest.approx(0.9, abs=1e-6)

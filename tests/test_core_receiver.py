@@ -13,7 +13,7 @@ from repro.dsp.fixedpoint import (
     MULTIPLIER_FORMAT_18BIT,
     SAMPLE_FORMAT_16BIT,
 )
-from repro.exceptions import ConfigurationError, DecodingError
+from repro.exceptions import ConfigurationError, DecodingError, SynchronizationError
 
 
 def _loopback(config, channel=None, n_info_bits=200, seed=0, **receive_kwargs):
@@ -162,24 +162,22 @@ class TestKnownTimingAndValidation:
         with pytest.raises(DecodingError):
             receiver.receive(truncated, n_info_bits=120, lts_start=160)
 
-    @pytest.mark.parametrize("vectorized", [True, False])
-    def test_window_before_burst_start_raises(self, paper_config, vectorized):
+    def test_window_before_burst_start_raises(self, paper_config):
         # Regression: a too-small LTS hypothesis used to be clamped with
         # max(start, 0), silently decoding garbage from a misaligned window;
         # it must raise DecodingError like every other decode failure.
         transmitter = MimoTransmitter(paper_config)
-        receiver = MimoReceiver(paper_config, vectorized=vectorized)
+        receiver = MimoReceiver(paper_config)
         burst = transmitter.transmit_random(120, rng=np.random.default_rng(11))
         with pytest.raises(DecodingError):
             receiver.receive(burst.samples, n_info_bits=120, lts_start=-200)
 
-    @pytest.mark.parametrize("vectorized", [True, False])
-    def test_equalize_burst_past_end_raises(self, paper_config, vectorized):
+    def test_equalize_burst_past_end_raises(self, paper_config):
         # Direct callers of equalize_burst get the same DecodingError as
         # receive() when the windows run past the received samples, not a
         # raw IndexError from the gather.
         transmitter = MimoTransmitter(paper_config)
-        receiver = MimoReceiver(paper_config, vectorized=vectorized)
+        receiver = MimoReceiver(paper_config)
         burst = transmitter.transmit_random(120, rng=np.random.default_rng(11))
         estimate = receiver.estimate_channel(burst.samples, 160)
         layout = receiver.preamble.layout(paper_config.n_antennas)
@@ -189,13 +187,31 @@ class TestKnownTimingAndValidation:
                 burst.samples, estimate, data_start, n_symbols=10_000
             )
 
-    @pytest.mark.parametrize("vectorized", [True, False])
-    def test_lts_window_before_burst_start_raises(self, paper_config, vectorized):
+    def test_lts_window_before_burst_start_raises(self, paper_config):
         transmitter = MimoTransmitter(paper_config)
-        receiver = MimoReceiver(paper_config, vectorized=vectorized)
+        receiver = MimoReceiver(paper_config)
         burst = transmitter.transmit_random(120, rng=np.random.default_rng(11))
         with pytest.raises(DecodingError):
             receiver.estimate_channel(burst.samples, lts_start=-64)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(np.nan, 1.0)])
+    def test_non_finite_samples_raise_synchronization_error(self, paper_config, value):
+        # Regression: every antenna's peak compared False against the
+        # initial best, leaving a bare `assert` (or, under -O, int(None)).
+        receiver = MimoReceiver(paper_config)
+        samples = np.full((4, 1200), value, dtype=np.complex128)
+        with pytest.raises(SynchronizationError):
+            receiver.receive(samples, n_info_bits=120)
+        with pytest.raises(SynchronizationError):
+            receiver.synchronize(samples)
+
+    def test_one_finite_antenna_still_synchronizes(self, paper_config):
+        transmitter = MimoTransmitter(paper_config)
+        receiver = MimoReceiver(paper_config)
+        burst = transmitter.transmit_random(120, rng=np.random.default_rng(14))
+        samples = burst.samples.copy()
+        samples[1:] = np.nan
+        assert receiver.synchronize(samples) == 160
 
     def test_reference_length_mismatch_rejected(self, paper_config):
         transmitter = MimoTransmitter(paper_config)
@@ -207,27 +223,6 @@ class TestKnownTimingAndValidation:
                 n_info_bits=120,
                 reference_bits=[np.zeros(60, dtype=np.uint8)] * 4,
             )
-
-
-class TestScalarReferencePath:
-    """The retained per-symbol datapath decodes like the batched default."""
-
-    def test_scalar_loopback_error_free(self, paper_config):
-        transmitter = MimoTransmitter(paper_config)
-        receiver = MimoReceiver(paper_config, vectorized=False)
-        burst = transmitter.transmit_random(200, rng=np.random.default_rng(40))
-        result = receiver.receive(
-            burst.samples, n_info_bits=200, reference_bits=burst.info_bits
-        )
-        assert result.total_bit_errors(burst.info_bits) == 0
-
-    def test_transceiver_exposes_the_reference_path(self, paper_config):
-        from repro.core.transceiver import MimoTransceiver
-
-        transceiver = MimoTransceiver(paper_config, vectorized_rx=False)
-        assert transceiver.receiver.vectorized is False
-        result = transceiver.run_burst(150, rng=np.random.default_rng(41))
-        assert result.bit_errors == 0
 
 
 class TestRxQuantization:

@@ -1,4 +1,4 @@
-"""Bit-exact agreement between the vectorised hot paths and their scalar references.
+"""Bit-exact agreement between the vectorised hot paths and their serial oracles.
 
 The :mod:`repro.sim` engine leans on the vectorised inner loops — the
 batched Viterbi add-compare-select in :mod:`repro.coding.viterbi`, the
@@ -6,15 +6,17 @@ GF(2)-convolution encoder and cached-keystream scrambler, the stacked
 Givens QR and back substitution in :mod:`repro.mimo`, the batched
 symbol demapper in :mod:`repro.modulation.demapper`, the whole-burst
 receive chain in :mod:`repro.core.receiver` (planned FFT gather, batched
-ZF/MMSE detection and block pilot correction), the whole-burst transmit
+ZF/MMSE detection and block pilot correction) and the whole-burst transmit
 chain in :mod:`repro.core.transmitter` (block interleave/map, block pilot
-insertion, one planned IFFT, strided cyclic-prefix gather) and the fused
-channel pipeline in :mod:`repro.channel.model`.  The coding and QR stages
-are checked against the frozen one-unit-at-a-time oracles in
-``tests/reference``; the others keep their original scalar/stage-at-a-time
-implementation around.  Either way these property-style tests assert exact
-equality across random codewords, constellations, noise levels, puncturing
-patterns, impairment combinations and full transceiver configurations.
+insertion, one planned IFFT, strided cyclic-prefix gather).  Each is
+checked against a frozen one-unit-at-a-time oracle in ``tests/reference``:
+``coding`` (serial encoder, scrambler, per-branch Viterbi), ``mimo``
+(per-matrix QR, back substitution), ``modulation`` (per-symbol hard and
+soft demapper) and ``core`` (per-symbol transmit loop, per-slot LTS FFTs,
+per-symbol equalise loop, one-symbol pilot correction, fully serial
+receive).  These property-style tests assert exact equality across random
+codewords, constellations, noise levels, puncturing patterns and full
+transceiver configurations.
 """
 
 import re
@@ -41,11 +43,18 @@ from repro.mimo.rinv import invert_upper_triangular
 from repro.modulation.constellations import Modulation
 from repro.modulation.demapper import SymbolDemapper
 from reference.coding import encode_serial, scramble_serial, viterbi_decode_serial
+from reference.core import (
+    correct_pilots_serial,
+    estimate_channel_serial,
+    receive_serial,
+    transmit_serial,
+)
 from reference.mimo import (
     invert_channel_serial,
     invert_upper_triangular_serial,
     qr_givens_serial,
 )
+from reference.modulation import hard_decisions_serial, soft_decisions_serial
 
 ALL_RATES = [CodeRate.RATE_1_2, CodeRate.RATE_2_3, CodeRate.RATE_3_4]
 ALL_MODULATIONS = [
@@ -305,9 +314,28 @@ class TestReceiverDecodeAgreement:
             )
 
 
+REFERENCE_MODULES = ["coding", "core", "mimo", "modulation"]
+
+
 def test_src_never_imports_the_reference_oracles():
+    # The guard must know every oracle module, so a new one cannot slip in
+    # unguarded.
+    reference = Path(__file__).resolve().parent / "reference"
+    assert sorted(
+        path.stem for path in reference.glob("*.py") if path.stem != "__init__"
+    ) == REFERENCE_MODULES
     src = Path(__file__).resolve().parents[1] / "src"
-    pattern = re.compile(r"^\s*(from|import)\s+(tests\.)?reference\b", re.MULTILINE)
+    pattern = re.compile(
+        r"^\s*((from|import)\s+(tests\.)?reference\b|from\s+tests\s+import\s+reference\b)",
+        re.MULTILINE,
+    )
+    for name in REFERENCE_MODULES:
+        for line in (
+            f"from reference.{name} import oracle",
+            f"import tests.reference.{name}",
+            f"from tests.reference import {name}",
+        ):
+            assert pattern.search(line), line
     offenders = [
         path.relative_to(src).as_posix()
         for path in src.rglob("*.py")
@@ -317,7 +345,7 @@ def test_src_never_imports_the_reference_oracles():
 
 
 class TestDemapperBatchAgreement:
-    """Batched demapping vs the per-symbol scalar reference."""
+    """Batched demapping vs the per-symbol reference."""
 
     @pytest.mark.parametrize("modulation", ALL_MODULATIONS)
     def test_hard_decisions_agree(self, modulation):
@@ -328,7 +356,7 @@ class TestDemapperBatchAgreement:
             symbols = rng.normal(size=n_symbols) + 1j * rng.normal(size=n_symbols)
             np.testing.assert_array_equal(
                 demapper.hard_decisions(symbols),
-                demapper.hard_decisions_scalar(symbols),
+                hard_decisions_serial(demapper, symbols),
             )
 
     @pytest.mark.parametrize("modulation", ALL_MODULATIONS)
@@ -341,7 +369,7 @@ class TestDemapperBatchAgreement:
             symbols = rng.normal(size=n_symbols) + 1j * rng.normal(size=n_symbols)
             np.testing.assert_array_equal(
                 demapper.soft_decisions(symbols, noise_variance=noise_variance),
-                demapper.soft_decisions_scalar(symbols, noise_variance=noise_variance),
+                soft_decisions_serial(demapper, symbols, noise_variance=noise_variance),
             )
 
     @pytest.mark.parametrize("modulation", ALL_MODULATIONS)
@@ -361,24 +389,22 @@ class TestDemapperBatchAgreement:
     def test_empty_input(self):
         demapper = SymbolDemapper("qpsk")
         assert demapper.hard_decisions(np.zeros(0)).size == 0
-        assert demapper.hard_decisions_scalar(np.zeros(0)).size == 0
+        assert hard_decisions_serial(demapper, np.zeros(0)).size == 0
         assert demapper.soft_decisions(np.zeros(0)).size == 0
 
 
 def _receive_both_ways(config, channel, n_info_bits=360, seed=0, noise_variance=0.05):
-    """Decode one faded burst with the batched and the per-symbol receivers."""
+    """Decode one faded burst with the receiver and with the serial oracle.
+
+    Returns ``(batched, serial, burst)``.
+    """
     transmitter = MimoTransmitter(config)
     burst = transmitter.transmit_random(n_info_bits, rng=np.random.default_rng(seed))
     samples = channel.transmit(burst.samples).samples if channel is not None else burst.samples
-    results = []
-    for vectorized in (True, False):
-        receiver = MimoReceiver(config, vectorized=vectorized)
-        results.append(
-            receiver.receive(
-                samples, n_info_bits=n_info_bits, noise_variance=noise_variance
-            )
-        )
-    return results
+    receiver = MimoReceiver(config)
+    batched = receiver.receive(samples, n_info_bits=n_info_bits, noise_variance=noise_variance)
+    serial = receive_serial(receiver, samples, n_info_bits, noise_variance=noise_variance)
+    return batched, serial, burst
 
 
 def _assert_results_identical(batched, scalar):
@@ -398,7 +424,7 @@ def _assert_results_identical(batched, scalar):
 
 
 class TestReceiverBatchAgreement:
-    """Whole-burst receive chain vs the retained per-symbol reference.
+    """Whole-burst receive chain vs the per-symbol, per-stream oracle.
 
     The full matrix the tentpole claims: hard and soft decisions, ZF and
     MMSE detection, with and without the 18-bit multiplier quantisation
@@ -425,7 +451,7 @@ class TestReceiverBatchAgreement:
         channel = MimoChannel(
             FlatRayleighChannel(rng=seed), snr_db=14.0, rng=seed + 1
         )
-        batched, scalar = _receive_both_ways(config, channel, seed=seed + 2)
+        batched, scalar, _ = _receive_both_ways(config, channel, seed=seed + 2)
         _assert_results_identical(batched, scalar)
 
     def test_frequency_selective_channel_agrees(self):
@@ -433,14 +459,14 @@ class TestReceiverBatchAgreement:
         channel = MimoChannel(
             FrequencySelectiveChannel(n_taps=4, rng=50), snr_db=20.0, rng=51
         )
-        batched, scalar = _receive_both_ways(config, channel, seed=52)
+        batched, scalar, _ = _receive_both_ways(config, channel, seed=52)
         _assert_results_identical(batched, scalar)
 
     def test_ideal_channel_agrees(self):
         config = TransceiverConfig()
-        batched, scalar = _receive_both_ways(config, channel=None, seed=53)
+        batched, scalar, burst = _receive_both_ways(config, channel=None, seed=53)
         _assert_results_identical(batched, scalar)
-        assert all(s.bit_errors in (None, 0) for s in batched.streams)
+        assert batched.total_bit_errors(burst.info_bits) == 0
 
     @pytest.mark.parametrize("n_streams", [2, 4])
     def test_channel_estimation_agrees(self, n_streams):
@@ -451,17 +477,16 @@ class TestReceiverBatchAgreement:
             FlatRayleighChannel(n_streams, n_streams, rng=61), snr_db=25.0, rng=62
         )
         samples = channel.transmit(burst.samples).samples
-        batched = MimoReceiver(config, vectorized=True)
-        scalar = MimoReceiver(config, vectorized=False)
-        lts_start = batched.synchronize(samples)
-        est_b = batched.estimate_channel(samples, lts_start)
-        est_s = scalar.estimate_channel(samples, lts_start)
+        receiver = MimoReceiver(config)
+        lts_start = receiver.synchronize(samples)
+        est_b = receiver.estimate_channel(samples, lts_start)
+        est_s = estimate_channel_serial(receiver, samples, lts_start)
         np.testing.assert_array_equal(est_b.matrices, est_s.matrices)
         np.testing.assert_array_equal(est_b.inverses, est_s.inverses)
 
 
 class TestTransmitterBatchAgreement:
-    """Whole-burst transmit chain vs the retained per-symbol reference."""
+    """Whole-burst transmit chain vs the per-symbol oracle."""
 
     @pytest.mark.parametrize("rate", ALL_RATES)
     @pytest.mark.parametrize("modulation", ALL_MODULATIONS)
@@ -473,13 +498,12 @@ class TestTransmitterBatchAgreement:
             rng.integers(0, 2, size=int(rng.integers(40, 700)), dtype=np.uint8)
             for _ in range(config.n_streams)
         ]
-        batched = MimoTransmitter(config, vectorized=True).transmit(bits)
-        scalar = MimoTransmitter(config, vectorized=False).transmit(bits)
-        np.testing.assert_array_equal(batched.samples, scalar.samples)
-        np.testing.assert_array_equal(
-            batched.frequency_symbols, scalar.frequency_symbols
-        )
-        for coded_b, coded_s in zip(batched.coded_bits, scalar.coded_bits):
+        transmitter = MimoTransmitter(config)
+        batched = transmitter.transmit(bits)
+        samples, frequency_symbols, coded_bits = transmit_serial(transmitter, bits)
+        np.testing.assert_array_equal(batched.samples, samples)
+        np.testing.assert_array_equal(batched.frequency_symbols, frequency_symbols)
+        for coded_b, coded_s in zip(batched.coded_bits, coded_bits):
             np.testing.assert_array_equal(coded_b, coded_s)
 
     @pytest.mark.parametrize("n_streams", [2, 4])
@@ -489,9 +513,9 @@ class TestTransmitterBatchAgreement:
         bits = [
             rng.integers(0, 2, size=300, dtype=np.uint8) for _ in range(n_streams)
         ]
-        batched = MimoTransmitter(config, vectorized=True).transmit(bits)
-        scalar = MimoTransmitter(config, vectorized=False).transmit(bits)
-        np.testing.assert_array_equal(batched.samples, scalar.samples)
+        transmitter = MimoTransmitter(config)
+        samples, _, _ = transmit_serial(transmitter, bits)
+        np.testing.assert_array_equal(transmitter.transmit(bits).samples, samples)
 
     def test_pilot_insert_block_matches_per_symbol_insert(self):
         numerology = TransceiverConfig().numerology
@@ -511,9 +535,10 @@ class TestTransmitterBatchAgreement:
     def test_full_link_matrix_decodes_identically(
         self, detector, soft_decision, quantized
     ):
-        # The transmit path is the only knob: both bursts cross the same
-        # channel realisation and the same (batched) receiver, so every
-        # decoded bit and equalised symbol must be bit-identical.
+        # The transmit path is the only knob: the production and the
+        # oracle burst cross the same channel realisation and the same
+        # receiver, so every decoded bit and equalised symbol must be
+        # bit-identical.
         config = TransceiverConfig(
             detector=detector,
             soft_decision=soft_decision,
@@ -530,14 +555,17 @@ class TestTransmitterBatchAgreement:
             rng.integers(0, 2, size=360, dtype=np.uint8)
             for _ in range(config.n_streams)
         ]
+        transmitter = MimoTransmitter(config)
         receiver = MimoReceiver(config)
         results = []
-        for vectorized in (True, False):
-            burst = MimoTransmitter(config, vectorized=vectorized).transmit(bits)
+        for samples in (
+            transmitter.transmit(bits).samples,
+            transmit_serial(transmitter, bits)[0],
+        ):
             channel = MimoChannel(
                 FlatRayleighChannel(rng=seed + 1), snr_db=16.0, rng=seed + 2
             )
-            output = channel.transmit(burst.samples)
+            output = channel.transmit(samples)
             results.append(
                 receiver.receive(
                     output.samples,
@@ -548,63 +576,8 @@ class TestTransmitterBatchAgreement:
         _assert_results_identical(*results)
 
 
-CHANNEL_IMPAIRMENT_CASES = [
-    {},
-    {"snr_db": 12.0},
-    {"cfo_normalized": 2e-4},
-    {"sample_delay": 23},
-    {"iq_amplitude_db": 0.5, "iq_phase_deg": 2.0},
-    {"snr_db": 8.0, "sample_delay": 11, "iq_amplitude_db": 0.3, "iq_phase_deg": -3.0},
-    {
-        "snr_db": 15.0,
-        "cfo_normalized": 1e-4,
-        "sample_delay": 17,
-        "iq_amplitude_db": 1.0,
-        "iq_phase_deg": 4.0,
-    },
-]
-
-
-class TestChannelFusedAgreement:
-    """Fused whole-burst channel pipeline vs the stage-at-a-time reference.
-
-    Noise consumes the generator, so each compared path gets a freshly
-    seeded channel — identical seeds, identical draws.
-    """
-
-    @pytest.mark.parametrize("case", CHANNEL_IMPAIRMENT_CASES)
-    @pytest.mark.parametrize("fading", ["ideal", "flat", "selective"])
-    def test_every_impairment_combination_agrees(self, fading, case):
-        from repro.dsp.fixedpoint import SAMPLE_FORMAT_16BIT
-
-        rng = np.random.default_rng(5000)
-        x = rng.normal(size=(4, 1500)) + 1j * rng.normal(size=(4, 1500))
-        kwargs = dict(case)
-        kwargs["tx_quantization"] = SAMPLE_FORMAT_16BIT
-        kwargs["rx_quantization"] = SAMPLE_FORMAT_16BIT
-
-        def build(vectorized):
-            if fading == "flat":
-                model = FlatRayleighChannel(4, 4, rng=np.random.default_rng(5001))
-            elif fading == "selective":
-                model = FrequencySelectiveChannel(4, 4, rng=np.random.default_rng(5001))
-            else:
-                model = None
-            return MimoChannel(
-                model,
-                rng=np.random.default_rng(5002),
-                vectorized=vectorized,
-                **kwargs,
-            )
-
-        fused = build(True).transmit(x)
-        staged = build(False).transmit(x)
-        np.testing.assert_array_equal(fused.samples, staged.samples)
-        assert fused.noise_variance == staged.noise_variance
-
-
 class TestPilotBlockAgreement:
-    """PilotProcessor.correct_block vs per-symbol correct."""
+    """PilotProcessor.correct_block vs the one-symbol oracle."""
 
     def test_random_blocks_agree(self):
         numerology = TransceiverConfig().numerology
@@ -614,7 +587,7 @@ class TestPilotBlockAgreement:
         corrected, diag = processor.correct_block(block)
         for stream in range(4):
             for n in range(9):
-                expected, expected_diag = processor.correct(block[stream, n], n)
+                expected, expected_diag = correct_pilots_serial(processor, block[stream, n], n)
                 np.testing.assert_array_equal(corrected[stream, n], expected)
                 assert diag.common_phase[stream, n] == expected_diag.common_phase
                 assert diag.tau[stream, n] == expected_diag.tau
@@ -628,12 +601,12 @@ class TestPilotBlockAgreement:
         corrected, _ = processor.correct_block(block, start_index=5)
         for stream in range(2):
             for n in range(3):
-                expected, _ = processor.correct(block[stream, n], 5 + n)
+                expected, _ = correct_pilots_serial(processor, block[stream, n], 5 + n)
                 np.testing.assert_array_equal(corrected[stream, n], expected)
 
     def test_zero_pilot_symbol_left_untouched(self):
-        # A symbol whose pilot correlation is exactly zero takes the scalar
-        # early-return; the block path must reproduce it with zeroed
+        # A symbol whose pilot correlation is exactly zero takes the
+        # oracle's early return; the block path must reproduce it with zeroed
         # diagnostics and unchanged data values.
         numerology = TransceiverConfig().numerology
         processor = PilotProcessor(numerology)
@@ -641,7 +614,7 @@ class TestPilotBlockAgreement:
         block = rng.normal(size=(1, 2, 64)) + 1j * rng.normal(size=(1, 2, 64))
         block[0, 1, list(numerology.pilot_bins)] = 0.0
         corrected, diag = processor.correct_block(block)
-        expected, expected_diag = processor.correct(block[0, 1], 1)
+        expected, expected_diag = correct_pilots_serial(processor, block[0, 1], 1)
         np.testing.assert_array_equal(corrected[0, 1], expected)
         assert diag.common_phase[0, 1] == expected_diag.common_phase == 0.0
         assert diag.tau[0, 1] == expected_diag.tau == 0.0

@@ -200,3 +200,14 @@ def test_env_var_disables_runtime_checks():
     assert result.stdout.strip() == "ok"
     # In this process (checks on by default) the same call must raise.
     assert shape_checks_enabled()
+
+
+def test_py_typed_marker_ships_with_the_package():
+    # The annotations and contracts are only visible to downstream
+    # checkers when the PEP 561 marker is packaged.
+    import tomllib
+
+    assert (REPO_ROOT / "src" / "repro" / "py.typed").exists()
+    pyproject = tomllib.loads((REPO_ROOT / "pyproject.toml").read_text())
+    package_data = pyproject["tool"]["setuptools"]["package-data"]
+    assert "py.typed" in package_data["repro"]

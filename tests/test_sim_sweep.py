@@ -11,7 +11,7 @@ from repro.dsp.fixedpoint import (
     MULTIPLIER_FORMAT_18BIT,
     SAMPLE_FORMAT_16BIT,
 )
-from repro.sim import ImpairmentSpec, JsonCache, SweepRunner, SweepSpec, run_sweep
+from repro.sim import ImpairmentSpec, SweepRunner, SweepSpec, run_sweep
 from repro.sim.spec import SweepPoint, SweepPointResult, SweepResult
 
 
@@ -457,93 +457,3 @@ class TestDecodeFailureAccounting:
         assert point.decode_failures == spec.n_bursts
         assert point.packet_error_rate == 1.0
         assert point.bit_error_rate == 1.0
-
-
-class TestJsonCache:
-    def test_round_trip_and_miss(self, tmp_path):
-        cache = JsonCache(tmp_path)
-        assert cache.get("absent") is None
-        cache.put("key", {"value": 3})
-        assert cache.get("key") == {"value": 3}
-
-    def test_corrupt_entry_is_a_miss(self, tmp_path):
-        cache = JsonCache(tmp_path)
-        cache.path_for("bad").parent.mkdir(parents=True, exist_ok=True)
-        cache.path_for("bad").write_text("not json{")
-        assert cache.get("bad") is None
-
-    @pytest.mark.parametrize("payload", ["[1, 2, 3]", '"a string"', "42", "null"])
-    def test_non_dict_entry_is_a_miss(self, tmp_path, payload):
-        # Regression: any valid-JSON file was returned verbatim, so a
-        # truncated or foreign file parsing to a list/string/number escaped
-        # get() and crashed SweepResult.from_dict downstream.  put() only
-        # ever stores dicts, so anything else is corruption -> a miss.
-        cache = JsonCache(tmp_path)
-        cache.path_for("odd").parent.mkdir(parents=True, exist_ok=True)
-        cache.path_for("odd").write_text(payload)
-        assert cache.get("odd") is None
-
-    def test_clear(self, tmp_path):
-        cache = JsonCache(tmp_path)
-        cache.put("a", {})
-        cache.put("b", {})
-        assert cache.clear() == 2
-        assert cache.get("a") is None
-
-    def test_put_routes_through_the_atomic_store_commit(self, tmp_path, monkeypatch):
-        # Regression (torn-write risk): put() used to json.dump straight
-        # into the temp file and rename without fsync, so a crash after the
-        # rename was issued but before the data hit disk could leave a torn
-        # destination.  The shim now delegates to commit_json_file, whose
-        # fsync-before-replace ordering closes that window.
-        import repro.sim.store as store_module
-
-        calls = []
-        original = store_module.commit_json_file
-        monkeypatch.setattr(
-            "repro.sim.store.commit_json_file",
-            lambda path, payload: calls.append(path) or original(path, payload),
-        )
-        cache = JsonCache(tmp_path)
-        cache.put("key", {"value": 1})
-        assert calls == [cache.path_for("key")]
-        assert cache.get("key") == {"value": 1}
-
-    def test_failed_put_preserves_the_previous_entry(self, tmp_path, monkeypatch):
-        # The other half of the torn-write guarantee: dying mid-put must
-        # leave the previous value fully readable, never a partial file.
-        cache = JsonCache(tmp_path)
-        cache.put("key", {"value": "old"})
-
-        def boom(src, dst):
-            raise KeyboardInterrupt
-
-        monkeypatch.setattr("repro.sim.store.os.replace", boom)
-        with pytest.raises(KeyboardInterrupt):
-            cache.put("key", {"value": "new"})
-        monkeypatch.undo()
-        assert cache.get("key") == {"value": "old"}
-        assert list(tmp_path.glob(".*.tmp")) == []
-
-    def test_interrupted_put_leaves_no_entry_and_clear_removes_temp(self, tmp_path, monkeypatch):
-        # Regression: clear() only globbed *.json, stranding the
-        # .<key>.<random>.tmp files an interrupted put() leaves behind.
-        cache = JsonCache(tmp_path)
-
-        def boom(src, dst):
-            raise KeyboardInterrupt  # simulate the process dying mid-write
-
-        monkeypatch.setattr("repro.sim.cache.os.replace", boom)
-        with pytest.raises(KeyboardInterrupt):
-            cache.put("key", {"value": 1})
-        monkeypatch.undo()
-        assert cache.get("key") is None
-
-        # put()'s cleanup handled that interrupt; now plant a stale temp file
-        # as left by a hard kill (no chance to unlink) and clear everything.
-        stale = tmp_path / ".key.abc123.tmp"
-        stale.write_text("{}")
-        cache.put("other", {"value": 2})
-        assert cache.clear() == 2
-        assert not stale.exists()
-        assert list(tmp_path.iterdir()) == []

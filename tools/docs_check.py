@@ -50,7 +50,6 @@ REQUIRED_SECTIONS: dict[str, tuple[str, ...]] = {
         "SHAPE001 — declared shape contracts",
         "DTYPE001 — backend dtype purity",
         "UNIT001 — dB vs linear power domains",
-        "Typing policy and `make typecheck`",
     ),
 }
 
