@@ -138,7 +138,9 @@ class ResultStore:
         crashes".
         """
         try:
-            text = path.read_text(encoding="utf-8")
+            # Records are ASCII JSON; undecodable bytes can only belong to
+            # foreign or damaged lines, which then fail to parse below.
+            text = path.read_text(encoding="utf-8", errors="replace")
         except OSError:
             return
         for line in text.splitlines():

@@ -15,8 +15,11 @@ checked against a frozen one-unit-at-a-time oracle in ``tests/reference``:
 soft demapper) and ``core`` (per-symbol transmit loop, per-slot LTS FFTs,
 per-symbol equalise loop, one-symbol pilot correction, fully serial
 receive).  These property-style tests assert exact equality across random
-codewords, constellations, noise levels, puncturing patterns and full
-transceiver configurations.
+codewords, constellations, noise levels, puncturing patterns, antenna
+counts, channel impairments and full transceiver configurations.  The
+oracles must also decode each other error-free, and the channel model,
+which has no reference twin, must equal its public stage helpers composed
+in physical order.
 """
 
 import re
@@ -25,7 +28,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.channel.awgn import awgn_noise, noise_variance_for_snr, occupied_power
 from repro.channel.fading import FlatRayleighChannel, FrequencySelectiveChannel
+from repro.channel.impairments import apply_carrier_frequency_offset, apply_iq_imbalance
 from repro.channel.model import MimoChannel
 from repro.coding.convolutional import CodeRate, ConvolutionalCode, ConvolutionalEncoder
 from repro.coding.interleaver import deinterleave
@@ -35,7 +40,7 @@ from repro.core.config import TransceiverConfig
 from repro.core.pilots import PilotProcessor
 from repro.core.receiver import MimoReceiver
 from repro.core.transmitter import MimoTransmitter
-from repro.dsp.fixedpoint import MULTIPLIER_FORMAT_18BIT
+from repro.dsp.fixedpoint import MULTIPLIER_FORMAT_18BIT, SAMPLE_FORMAT_16BIT
 from repro.exceptions import ChannelEstimationError
 from repro.mimo.channel_estimation import invert_channel_matrices
 from repro.mimo.qr import qr_decompose_givens
@@ -423,6 +428,21 @@ def _assert_results_identical(batched, scalar):
         np.testing.assert_array_equal(stream_b.decoded_bits, stream_s.decoded_bits)
 
 
+RX_IMPAIRMENT_CASES = [
+    {"snr_db": 20.0, "sample_delay": 37},
+    {"snr_db": 20.0, "cfo_normalized": 3e-4},
+    {"snr_db": 20.0, "iq_amplitude_db": 0.4, "iq_phase_deg": 2.5},
+    {"snr_db": 16.0, "cfo_normalized": -2e-4, "sample_delay": 9},
+    {
+        "snr_db": 18.0,
+        "cfo_normalized": 1e-4,
+        "sample_delay": 21,
+        "iq_amplitude_db": 0.3,
+        "iq_phase_deg": -2.0,
+    },
+]
+
+
 class TestReceiverBatchAgreement:
     """Whole-burst receive chain vs the per-symbol, per-stream oracle.
 
@@ -468,7 +488,19 @@ class TestReceiverBatchAgreement:
         _assert_results_identical(batched, scalar)
         assert batched.total_bit_errors(burst.info_bits) == 0
 
-    @pytest.mark.parametrize("n_streams", [2, 4])
+    @pytest.mark.parametrize("case", RX_IMPAIRMENT_CASES)
+    def test_impaired_channel_agrees(self, case):
+        # Timing offset, CFO correction, IQ skew and the 16-bit ADC all sit
+        # in front of the batched gathers; both paths must see them alike.
+        config = TransceiverConfig(
+            correct_cfo=True, soft_decision=True, rx_sample_format=SAMPLE_FORMAT_16BIT
+        )
+        seed = 700 + RX_IMPAIRMENT_CASES.index(case)
+        channel = MimoChannel(FlatRayleighChannel(rng=seed), rng=seed + 1, **case)
+        batched, scalar, _ = _receive_both_ways(config, channel, seed=seed + 2)
+        _assert_results_identical(batched, scalar)
+
+    @pytest.mark.parametrize("n_streams", [1, 2, 3, 4])
     def test_channel_estimation_agrees(self, n_streams):
         config = TransceiverConfig(n_antennas=n_streams)
         transmitter = MimoTransmitter(config)
@@ -506,7 +538,7 @@ class TestTransmitterBatchAgreement:
         for coded_b, coded_s in zip(batched.coded_bits, coded_bits):
             np.testing.assert_array_equal(coded_b, coded_s)
 
-    @pytest.mark.parametrize("n_streams", [2, 4])
+    @pytest.mark.parametrize("n_streams", [1, 2, 3, 4])
     def test_antenna_counts_agree(self, n_streams):
         config = TransceiverConfig(n_antennas=n_streams)
         rng = np.random.default_rng(90 + n_streams)
@@ -574,6 +606,106 @@ class TestTransmitterBatchAgreement:
                 )
             )
         _assert_results_identical(*results)
+
+    def test_512_point_numerology_agrees(self):
+        config = TransceiverConfig(fft_size=512)
+        rng = np.random.default_rng(92)
+        bits = [rng.integers(0, 2, size=2000, dtype=np.uint8) for _ in range(4)]
+        transmitter = MimoTransmitter(config)
+        samples, frequency_symbols, _ = transmit_serial(transmitter, bits)
+        batched = transmitter.transmit(bits)
+        np.testing.assert_array_equal(batched.samples, samples)
+        np.testing.assert_array_equal(batched.frequency_symbols, frequency_symbols)
+
+
+class TestOracleLoopback:
+    """The serial oracles form a working link on their own.
+
+    Agreement with a broken oracle proves nothing, so the per-symbol
+    transmit and receive chains must decode each other error-free.
+    """
+
+    @pytest.mark.parametrize("modulation", ALL_MODULATIONS)
+    def test_serial_chain_loopback_error_free(self, modulation):
+        config = TransceiverConfig(modulation=modulation)
+        rng = np.random.default_rng(40 + modulation.bits_per_symbol)
+        bits = [rng.integers(0, 2, size=200, dtype=np.uint8) for _ in range(4)]
+        samples, _, _ = transmit_serial(MimoTransmitter(config), bits)
+        result = receive_serial(MimoReceiver(config), samples, 200)
+        assert result.total_bit_errors(bits) == 0
+
+
+CHANNEL_IMPAIRMENT_CASES = [
+    {},
+    {"snr_db": 12.0},
+    {"cfo_normalized": 2e-4},
+    {"sample_delay": 23},
+    {"iq_amplitude_db": 0.5, "iq_phase_deg": 2.0},
+    {"snr_db": 8.0, "sample_delay": 11, "iq_amplitude_db": 0.3, "iq_phase_deg": -3.0},
+    {
+        "snr_db": 15.0,
+        "cfo_normalized": 1e-4,
+        "sample_delay": 17,
+        "iq_amplitude_db": 1.0,
+        "iq_phase_deg": 4.0,
+    },
+]
+
+
+def _channel_stage_by_stage(channel, x, rng):
+    """The documented stage order of :class:`MimoChannel`, one helper per stage.
+
+    DAC, fading, delay padding, CFO, AWGN calibrated on the occupied
+    samples, receive-mixer IQ imbalance, ADC; a zero parameter disables
+    its stage.
+    """
+    y = channel.tx_quantization.quantize_complex(x)
+    y = channel.fading.apply(y)
+    y = np.pad(y, ((0, 0), (channel.sample_delay, 0)))
+    if channel.cfo_normalized:
+        y = apply_carrier_frequency_offset(y, channel.cfo_normalized)
+    noise_variance = None
+    if channel.snr_db is not None:
+        noise_variance = noise_variance_for_snr(channel.snr_db, occupied_power(y))
+        y = y + awgn_noise(y.shape, noise_variance, rng)
+    if channel.iq_amplitude_db or channel.iq_phase_deg:
+        y = apply_iq_imbalance(y, channel.iq_amplitude_db, channel.iq_phase_deg)
+    return channel.rx_quantization.quantize_complex(y), noise_variance
+
+
+class TestChannelStageComposition:
+    """``MimoChannel.transmit`` is the composition of its public stage helpers.
+
+    The channel has no reference twin; this pins its one pipeline to the
+    tested helpers in physical order.  Noise consumes the generator, so
+    each side gets a freshly seeded one — identical seeds, identical draws.
+    """
+
+    @pytest.mark.parametrize("case", CHANNEL_IMPAIRMENT_CASES)
+    @pytest.mark.parametrize("fading", ["ideal", "flat", "selective"])
+    def test_every_impairment_combination_composes(self, fading, case):
+        rng = np.random.default_rng(5000)
+        x = rng.normal(size=(4, 1500)) + 1j * rng.normal(size=(4, 1500))
+        if fading == "flat":
+            model = FlatRayleighChannel(4, 4, rng=np.random.default_rng(5001))
+        elif fading == "selective":
+            model = FrequencySelectiveChannel(4, 4, rng=np.random.default_rng(5001))
+        else:
+            model = None
+        channel = MimoChannel(
+            model,
+            tx_quantization=SAMPLE_FORMAT_16BIT,
+            rx_quantization=SAMPLE_FORMAT_16BIT,
+            rng=np.random.default_rng(5002),
+            **case,
+        )
+        output = channel.transmit(x)
+        expected, noise_variance = _channel_stage_by_stage(
+            channel, x, np.random.default_rng(5002)
+        )
+        np.testing.assert_array_equal(output.samples, expected)
+        assert output.noise_variance == noise_variance
+        assert output.samples.shape == (4, 1500 + case.get("sample_delay", 0))
 
 
 class TestPilotBlockAgreement:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import threading
 
 import pytest
 
@@ -71,6 +72,56 @@ class TestRoundTrip:
         distinct_shards = {store.shard_path(k) for k in keys + ["absent"]}
         assert len(reads) == len(distinct_shards)
 
+    def test_get_many_last_record_wins(self, tmp_path):
+        store = ResultStore(tmp_path)
+        store.put("k", {"value": 1})
+        store.put("k", {"value": 2})
+        store.put("j", {"value": 3})
+        assert store.get_many(["k", "j"]) == {"k": {"value": 2}, "j": {"value": 3}}
+
+    def test_float_payloads_round_trip_exactly(self, tmp_path):
+        # Cached sweep points must come back bit-identical to a fresh run.
+        values = [0.1, 1e-300, 2.0 ** -1074, 1.0 / 3.0, -0.0, 1e308]
+        store = ResultStore(tmp_path)
+        store.put("k", {"ber": values, "nested": {"per": values[3]}})
+        payload = store.get("k")
+        assert payload["ber"] == values
+        assert [repr(v) for v in payload["ber"]] == [repr(v) for v in values]
+        assert payload["nested"]["per"] == values[3]
+
+    def test_put_fsyncs_the_record(self, tmp_path, monkeypatch):
+        # The record is durable before put() returns: fsync follows the
+        # write of the line on the same descriptor.
+        events = []
+        real_write, real_fsync = os.write, os.fsync
+        monkeypatch.setattr(
+            "repro.sim.store.os.write",
+            lambda fd, data: (events.append(("write", fd)), real_write(fd, data))[1],
+        )
+        monkeypatch.setattr(
+            "repro.sim.store.os.fsync",
+            lambda fd: (events.append(("fsync", fd)), real_fsync(fd))[1],
+        )
+        store = ResultStore(tmp_path)
+        store.put("k", {"value": 1})
+        assert [kind for kind, _ in events] == ["write", "fsync"]
+        assert events[0][1] == events[1][1]
+
+    def test_concurrent_puts_keep_every_record(self, tmp_path):
+        store = ResultStore(tmp_path)
+
+        def writer(base):
+            for i in range(25):
+                store.put(f"key-{base + i}", {"i": base + i})
+
+        threads = [threading.Thread(target=writer, args=(100 * t,)) for t in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert len(store) == 100
+        assert store.get("key-324") == {"i": 324}
+
     def test_clear_counts_and_removes(self, tmp_path):
         store = ResultStore(tmp_path)
         store.put("a", {})
@@ -116,6 +167,51 @@ class TestCorruptionTolerance:
             handle.write("\n")
         assert store.get("good") == {"value": 1}
         assert store.keys() == {"good"}
+
+    @pytest.mark.parametrize("payload", ["[1, 2, 3]", '"a string"', "42", "null"])
+    def test_non_dict_payload_is_a_miss(self, tmp_path, payload):
+        # put() only ever stores dicts; a record parsing to anything else
+        # would crash SweepResult.from_dict downstream, so it is a miss.
+        store = ResultStore(tmp_path)
+        shard = store.shard_path("odd")
+        shard.parent.mkdir(parents=True, exist_ok=True)
+        shard.write_text(f'{{"key": "odd", "payload": {payload}}}\n')
+        assert store.get("odd") is None
+        assert store.get_many(["odd"]) == {}
+        assert "odd" not in store
+
+    def test_undecodable_bytes_are_misses_not_errors(self, tmp_path):
+        # Regression: bytes that are not UTF-8 raised UnicodeDecodeError out
+        # of every read of the shard, hiding its intact records too.
+        store = ResultStore(tmp_path)
+        store.put("good", {"value": 1})
+        shard = store.shard_path("good")
+        with shard.open("ab") as handle:
+            handle.write(b"not json{\n\xff\xfe\n")
+        assert store.get("good") == {"value": 1}
+        assert store.keys() == {"good"}
+        assert store.clear() == 1
+
+    def test_interrupted_put_keeps_the_previous_record(self, tmp_path, monkeypatch):
+        # A writer killed halfway through its line leaves a torn tail; the
+        # previous record stays readable and the next put isolates the tear.
+        store = ResultStore(tmp_path)
+        store.put("k", {"value": "old"})
+        real_write = os.write
+
+        def torn_write(fd, data):
+            if data != b"\n":
+                real_write(fd, data[: len(data) // 2])
+                raise KeyboardInterrupt
+            return real_write(fd, data)
+
+        monkeypatch.setattr("repro.sim.store.os.write", torn_write)
+        with pytest.raises(KeyboardInterrupt):
+            store.put("k", {"value": "new"})
+        monkeypatch.undo()
+        assert store.get("k") == {"value": "old"}
+        store.put("k", {"value": "newer"})
+        assert store.get("k") == {"value": "newer"}
 
     def test_missing_directory_reads_as_empty(self, tmp_path):
         store = ResultStore(tmp_path / "never-created")
