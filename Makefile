@@ -13,6 +13,8 @@
 #                            overlapping grids sharing their intersection
 #   make bench-stream      - streaming downlink service: 1000 concurrent user
 #                            streams, sustained frames/sec + latency percentiles
+#   make bench-perf        - repository benchmark golden pins: perfbench smoke
+#                            checks, then a 1 s seed-0 run of every workload
 #   make docs-check        - fail if any public module lacks a module docstring
 #                            and every required doc page is present + linked
 #   make clean-cache       - drop the repro.sim result store
@@ -21,7 +23,7 @@ PYTHON ?= python
 PYTHONPATH_PREFIX := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 LINTPATH_PREFIX := PYTHONPATH=src:tools/lint$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
-.PHONY: test test-fast test-store lint bench-smoke bench-impairments bench-store bench-stream docs-check clean-cache
+.PHONY: test test-fast test-store lint bench-smoke bench-impairments bench-store bench-stream bench-perf docs-check clean-cache
 
 test: lint
 	$(PYTHONPATH_PREFIX) $(PYTHON) -m pytest -x -q
@@ -46,6 +48,15 @@ bench-store:
 
 bench-stream:
 	$(PYTHONPATH_PREFIX) REPRO_STREAM_USERS=1000 $(PYTHON) -m pytest benchmarks/test_streaming_service.py -q --benchmark-disable -s
+
+PERF_WORKLOADS := sweep_ref sweep_gigabit sweep_wide stream_downlink
+
+bench-perf:
+	$(PYTHONPATH_PREFIX) $(PYTHON) -m pytest perfbench/smoke_checks.py -q
+	@set -e; for workload in $(PERF_WORKLOADS); do \
+		echo "perfbench: $$workload"; \
+		$(PYTHONPATH_PREFIX) $(PYTHON) perfbench/run.py --workload $$workload --seconds 1 --seed 0; \
+	done
 
 docs-check:
 	$(PYTHON) tools/docs_check.py

@@ -91,7 +91,7 @@ def test_overlapping_grids_share_their_intersection(
     simulated_snrs = set()
 
     def counting(task):
-        simulated_snrs.add(task["point"]["snr_db"])
+        simulated_snrs.update(item["point"]["snr_db"] for item in task["items"])
         return simulate_batch(task)
 
     monkeypatch.setattr("repro.sim.runner.simulate_batch", counting)

@@ -242,23 +242,26 @@ class ViterbiDecoder:
     def _traceback(self, choices: np.ndarray, end_states: Sequence[int]) -> np.ndarray:
         """Walk every block's survivor path back from its end state.
 
-        The choice bits are packed into 64-bit words, so each step of the
-        walk is a few integer operations on the block's word list.
+        The choice bits are packed into 64-bit words and each block's words
+        flattened into one Python int list, ``words_per_step`` words per
+        step, so each step of the walk is a few integer operations.
         """
         n_steps, n_blocks, n_states = choices.shape
         packed = np.packbits(choices, axis=-1, bitorder="little")
         if packed.shape[-1] % 8:
             packed = np.pad(packed, ((0, 0), (0, 0), (0, 8 - packed.shape[-1] % 8)))
-        words = packed.view("<u8").transpose(1, 0, 2).tolist()
+        words = packed.view("<u8")
+        words_per_step = words.shape[-1]
+        flat = words.transpose(1, 0, 2).reshape(n_blocks, -1).tolist()
         low = n_states // 2 - 1
         states = np.empty((n_blocks, n_steps), dtype=np.int64)
         for block, state in enumerate(end_states):
-            path = words[block]
+            path = flat[block]
             visited = [0] * n_steps
             for step in range(n_steps - 1, -1, -1):
                 visited[step] = state
-                odd = (path[step][state >> 6] >> (state & 63)) & 1
-                state = ((state & low) << 1) | odd
+                word = path[step * words_per_step + (state >> 6)]
+                state = ((state & low) << 1) | ((word >> (state & 63)) & 1)
             states[block] = visited
         # The input bit that entered a state is its top bit.
         return (states >> (self.code.memory - 1)).astype(np.uint8)

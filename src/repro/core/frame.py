@@ -79,6 +79,34 @@ class StreamDecodeResult:
 
 
 @dataclass
+class FrontEndResult:
+    """What the receive front end recovered from one burst, before decoding.
+
+    Attributes
+    ----------
+    coded:
+        Recovered coded values of every stream, shape ``(n_streams,
+        coded_length)``: hard bits or LLRs in the (punctured) order the
+        encoder emitted, ready for the Viterbi decoder.
+    equalized:
+        Equalised data symbols, shape ``(n_streams, n_symbols,
+        n_data_subcarriers)``.
+    lts_start:
+        Sample index where the LTS section was found (after time sync).
+    channel_estimate:
+        The per-subcarrier channel estimate used for detection.
+    diagnostics:
+        Free-form numeric diagnostics (sync position, pilot phase, CFO).
+    """
+
+    coded: np.ndarray
+    equalized: np.ndarray
+    lts_start: int
+    channel_estimate: object
+    diagnostics: Dict[str, float] = field(default_factory=dict)
+
+
+@dataclass
 class ReceiveResult:
     """Everything the receiver recovered from one burst.
 
@@ -108,11 +136,20 @@ class ReceiveResult:
         """Total bit errors versus the transmitted information bits."""
         if len(reference) != len(self.streams):
             raise ValueError("reference must have one bit array per stream")
-        errors = 0
-        for stream_result, ref in zip(self.streams, reference):
-            ref_arr = np.asarray(ref, dtype=np.uint8)
-            dec = stream_result.decoded_bits
-            if dec.size != ref_arr.size:
-                raise ValueError("decoded and reference bit lengths differ")
-            errors += int(np.count_nonzero(dec != ref_arr))
-        return errors
+        return sum(
+            count_bit_errors(stream_result.decoded_bits, ref)
+            for stream_result, ref in zip(self.streams, reference)
+        )
+
+
+def count_bit_errors(decoded: np.ndarray, reference) -> int:
+    """Bit errors of decoded bits versus the transmitted ones.
+
+    The one error count of the link: :meth:`ReceiveResult.total_bit_errors`
+    (and so ``run_burst``) counts each stream with it, the sweep engine a
+    whole burst's ``(n_streams, n_info_bits)`` rows at once.
+    """
+    ref = np.asarray(reference, dtype=np.uint8)
+    if np.shape(decoded) != ref.shape:
+        raise ValueError("decoded and reference bit lengths differ")
+    return int(np.count_nonzero(decoded != ref))

@@ -15,8 +15,15 @@ through a single planned FFT call (:mod:`repro.dsp.fft`'s cached
 :class:`~repro.dsp.fft.FftPlan`), detected with one per-subcarrier einsum
 and pilot-corrected with one :meth:`~repro.core.pilots.PilotProcessor.
 correct_block` pass.  Channel inversion runs every active subcarrier
-through one stacked QR, and all streams are demapped, de-interleaved,
-Viterbi-decoded and descrambled in one pass.
+through one stacked QR, and all streams are demapped and de-interleaved
+in one pass.
+
+Reception is two steps: :meth:`MimoReceiver.front_end` carries a burst up
+to its recovered code blocks, and :meth:`MimoReceiver.decode`
+Viterbi-decodes and descrambles any stack of code blocks in one trellis
+pass.  :meth:`MimoReceiver.receive` chains the two for one burst; the
+sweep engine runs many bursts' front ends and decodes all their blocks
+together.
 
 Finite word lengths are modelled at the paper's two RX interfaces when the
 configuration asks for them: the incoming sample stream is quantised to
@@ -38,7 +45,12 @@ from repro.coding.scrambler import Scrambler
 from repro.coding.viterbi import ViterbiDecoder
 from repro.contracts import shaped
 from repro.core.config import TransceiverConfig
-from repro.core.frame import ReceiveResult, StreamDecodeResult
+from repro.core.frame import (
+    FrontEndResult,
+    ReceiveResult,
+    StreamDecodeResult,
+    count_bit_errors,
+)
 from repro.core.pilots import PilotProcessor
 from repro.core.preamble import PreambleGenerator
 from repro.dsp.fft import fft
@@ -185,23 +197,18 @@ class MimoReceiver:
     # ------------------------------------------------------------------
     # stream decoding
     # ------------------------------------------------------------------
-    def _decode_streams(
+    def _coded_values(
         self,
         equalized_symbols: np.ndarray,
         n_info_bits: int,
         noise_variance: float,
     ) -> np.ndarray:
-        """Demap, de-interleave, Viterbi-decode and descramble every stream.
+        """Demap and de-interleave every stream back to its code block.
 
         ``equalized_symbols`` has shape ``(n_streams, n_symbols,
         n_data_subcarriers)``; the result has shape ``(n_streams,
-        n_info_bits)``.
-
-        All streams go through each stage in one call — one demap, one
-        de-interleave permutation pass, one Viterbi trellis over the
-        ``(n_streams, n_coded)`` stack and one descramble — like the
-        paper's per-channel decoders running side by side.  Each stream's
-        bits come out exactly as decoding it on its own would give.
+        coded_length)``.  All streams go through one demap and one
+        de-interleave permutation pass.
         """
         n_streams = equalized_symbols.shape[0]
         n_cbps = self.config.coded_bits_per_symbol
@@ -221,9 +228,20 @@ class MimoReceiver:
             raise DecodingError(
                 "recovered coded stream shorter than the expected code block"
             )
-        decoded = self.viterbi.decode(
-            received[:, :coded_length], n_info_bits=n_info_bits, terminated=True
-        )
+        return received[:, :coded_length]
+
+    def decode(self, coded: np.ndarray, n_info_bits: int) -> np.ndarray:
+        """Viterbi-decode and descramble a stack of code blocks.
+
+        ``coded`` has shape ``(n_rows, coded_length)`` — the
+        :attr:`~repro.core.frame.FrontEndResult.coded` rows of one burst
+        or of many bursts of this configuration stacked together; the
+        result has shape ``(n_rows, n_info_bits)``.  Every row runs
+        through one trellis pass, like the paper's per-channel decoders
+        running side by side, and comes out exactly as decoding it on its
+        own would give.
+        """
+        decoded = self.viterbi.decode(coded, n_info_bits=n_info_bits, terminated=True)
         if self.config.scramble:
             decoded = self._scrambler.process(decoded, reset=True)
         return decoded
@@ -362,31 +380,26 @@ class MimoReceiver:
     # ------------------------------------------------------------------
     # full burst reception
     # ------------------------------------------------------------------
-    def receive(
+    def front_end(
         self,
         samples: np.ndarray,
         n_info_bits: int,
         lts_start: Optional[int] = None,
         noise_variance: float = 1.0,
-        reference_bits: Optional[Sequence[np.ndarray]] = None,
-    ) -> ReceiveResult:
-        """Decode one burst.
+    ) -> FrontEndResult:
+        """Recover one burst's coded values: everything before the decoder.
 
-        Parameters
-        ----------
-        samples:
-            Received baseband samples, shape ``(n_rx, n_samples)``.
-        n_info_bits:
-            Information bits carried by each spatial stream (in a real system
-            this is conveyed by a SIGNAL field; here it is a parameter).
-        lts_start:
-            Skip time synchronisation and use this LTS start index instead
-            (useful for isolating other blocks in tests).
-        noise_variance:
-            Noise variance used to scale soft-decision LLRs.
-        reference_bits:
-            When provided, per-stream BER is computed and attached to the
-            result.
+        Runs sample quantisation, time synchronisation, CFO correction,
+        channel estimation, equalisation, demapping and de-interleaving,
+        and returns each stream's ``(n_streams, coded_length)`` code block
+        for :meth:`decode`.  Splitting here lets a caller stack the code
+        blocks of many bursts into one trellis pass.  Parameters are those
+        of :meth:`receive`.
+
+        Raises :class:`~repro.exceptions.DecodingError` when the burst
+        cannot be decoded at all (sync miss, truncated windows, a
+        rank-deficient estimate, or a coded stream shorter than the code
+        block).
         """
         streams = np.asarray(samples, dtype=np.complex128)
         if streams.ndim != 2 or streams.shape[0] != self.config.n_antennas:
@@ -423,37 +436,68 @@ class MimoReceiver:
         equalized, pilot_phases = self.equalize_burst(
             streams, estimate, data_start, n_symbols, noise_variance
         )
+        return FrontEndResult(
+            coded=self._coded_values(equalized, n_info_bits, noise_variance),
+            equalized=equalized,
+            lts_start=int(lts_start),
+            channel_estimate=estimate,
+            diagnostics={
+                "lts_start": float(lts_start),
+                "n_ofdm_symbols": float(n_symbols),
+                "mean_pilot_phase": (
+                    float(np.mean(pilot_phases)) if len(pilot_phases) else 0.0
+                ),
+                "estimated_cfo": estimated_cfo,
+            },
+        )
 
-        decoded_streams = self._decode_streams(equalized, n_info_bits, noise_variance)
+    def receive(
+        self,
+        samples: np.ndarray,
+        n_info_bits: int,
+        lts_start: Optional[int] = None,
+        noise_variance: float = 1.0,
+        reference_bits: Optional[Sequence[np.ndarray]] = None,
+    ) -> ReceiveResult:
+        """Decode one burst: :meth:`front_end`, then :meth:`decode` its streams.
+
+        Parameters
+        ----------
+        samples:
+            Received baseband samples, shape ``(n_rx, n_samples)``.
+        n_info_bits:
+            Information bits carried by each spatial stream (in a real system
+            this is conveyed by a SIGNAL field; here it is a parameter).
+        lts_start:
+            Skip time synchronisation and use this LTS start index instead
+            (useful for isolating other blocks in tests).
+        noise_variance:
+            Noise variance used to scale soft-decision LLRs.
+        reference_bits:
+            When provided, per-stream BER is computed and attached to the
+            result.
+        """
+        front = self.front_end(samples, n_info_bits, lts_start, noise_variance)
+        decoded_streams = self.decode(front.coded, n_info_bits)
         results: List[StreamDecodeResult] = []
         for stream, decoded in enumerate(decoded_streams):
             bit_errors = None
             ber = None
             if reference_bits is not None:
-                ref = np.asarray(reference_bits[stream], dtype=np.uint8)
-                if ref.size != decoded.size:
-                    raise ValueError("reference bits length mismatch")
-                bit_errors = int(np.count_nonzero(ref != decoded))
-                ber = bit_errors / ref.size
+                bit_errors = count_bit_errors(decoded, reference_bits[stream])
+                ber = bit_errors / decoded.size
             results.append(
                 StreamDecodeResult(
                     stream=stream,
                     decoded_bits=decoded,
-                    equalized_symbols=equalized[stream],
+                    equalized_symbols=front.equalized[stream],
                     bit_errors=bit_errors,
                     bit_error_rate=ber,
                 )
             )
-
-        diagnostics = {
-            "lts_start": float(lts_start),
-            "n_ofdm_symbols": float(n_symbols),
-            "mean_pilot_phase": float(np.mean(pilot_phases)) if len(pilot_phases) else 0.0,
-            "estimated_cfo": estimated_cfo,
-        }
         return ReceiveResult(
             streams=results,
-            lts_start=int(lts_start),
-            channel_estimate=estimate,
-            diagnostics=diagnostics,
+            lts_start=front.lts_start,
+            channel_estimate=front.channel_estimate,
+            diagnostics=front.diagnostics,
         )

@@ -17,7 +17,7 @@ RNG stream across bursts and decode failures raised, not counted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
@@ -63,6 +63,20 @@ class LinkSimulationResult:
         return self.bit_errors > 0
 
 
+class AirBurst(NamedTuple):
+    """One transmitted burst as it reaches the receive antennas.
+
+    ``lts_start`` is the true LTS position when the caller asked for known
+    timing (``None`` lets the receiver synchronise), and
+    ``noise_variance`` is what the receiver scales soft decisions with.
+    """
+
+    burst: TransmitBurst
+    samples: np.ndarray
+    lts_start: Optional[int]
+    noise_variance: float
+
+
 class MimoTransceiver:
     """Transmitter + channel + receiver wired together.
 
@@ -95,24 +109,17 @@ class MimoTransceiver:
             raise ValueError("channel antenna count does not match the configuration")
         self.channel = channel
 
-    def run_burst(
+    def transmit_burst(
         self,
         n_info_bits: int,
         rng: SeedLike = None,
         known_timing: bool = False,
-    ) -> LinkSimulationResult:
-        """Transmit, propagate and decode one burst of random data.
+    ) -> AirBurst:
+        """Transmit one burst of random data and propagate it to the receiver.
 
-        Parameters
-        ----------
-        n_info_bits:
-            Information bits per spatial stream.
-        rng:
-            Seed or generator for the payload bits (channel noise uses the
-            channel's own generator).
-        known_timing:
-            Bypass the time synchroniser and hand the receiver the true LTS
-            position (isolates detection/decoding from sync errors).
+        The transmit half of :meth:`run_burst`, shared with callers that
+        run the receiver themselves (the sweep engine decodes many bursts
+        in one trellis pass).  Parameters are those of :meth:`run_burst`.
         """
         generator = make_rng(rng)
         burst = self.transmitter.transmit_random(n_info_bits, rng=generator)
@@ -134,12 +141,34 @@ class MimoTransceiver:
                 )
             else:
                 noise_variance = 1.0
+        return AirBurst(burst, output.samples, lts_start, noise_variance)
 
+    def run_burst(
+        self,
+        n_info_bits: int,
+        rng: SeedLike = None,
+        known_timing: bool = False,
+    ) -> LinkSimulationResult:
+        """Transmit, propagate and decode one burst of random data.
+
+        Parameters
+        ----------
+        n_info_bits:
+            Information bits per spatial stream.
+        rng:
+            Seed or generator for the payload bits (channel noise uses the
+            channel's own generator).
+        known_timing:
+            Bypass the time synchroniser and hand the receiver the true LTS
+            position (isolates detection/decoding from sync errors).
+        """
+        air = self.transmit_burst(n_info_bits, rng=rng, known_timing=known_timing)
+        burst = air.burst
         result = self.receiver.receive(
-            output.samples,
+            air.samples,
             n_info_bits=n_info_bits,
-            lts_start=lts_start,
-            noise_variance=noise_variance,
+            lts_start=air.lts_start,
+            noise_variance=air.noise_variance,
             reference_bits=burst.info_bits,
         )
 

@@ -5,9 +5,10 @@ simulations: it builds the :class:`~repro.core.config.TransceiverConfig` and
 channel model a grid cell describes, runs batches of bursts with
 deterministic per-batch seed streams, and aggregates BER/PER counts with
 optional early stopping.  :func:`simulate_batch` is the unit of work the
-:class:`~repro.sim.runner.SweepRunner` fans out over its worker pool — it is
-a module-level function taking one picklable payload so it crosses process
-boundaries untouched.
+:class:`~repro.sim.runner.SweepRunner` fans out over its worker pool — one
+batch of bursts for each of several points sharing a configuration, all
+decoded in one trellis pass.  It is a module-level function taking one
+picklable payload so it crosses process boundaries untouched.
 
 Seeding contract: every burst derives its RNG streams from
 ``SeedSequence([content_hash(point.seed_payload(spec)), burst_index])``, so
@@ -21,16 +22,17 @@ from __future__ import annotations
 
 import time
 from functools import lru_cache
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
 from repro.channel.fading import FlatRayleighChannel, FrequencySelectiveChannel
 from repro.channel.model import IdealChannel, MimoChannel
 from repro.core.config import TransceiverConfig
+from repro.core.frame import count_bit_errors
 from repro.core.transceiver import MimoTransceiver
 from repro.dsp.backend import default_backend
-from repro.exceptions import DecodingError
+from repro.exceptions import ConfigurationError, DecodingError
 from repro.sim.spec import CHANNEL_MODELS, ImpairmentSpec, SweepPoint, SweepSpec
 from repro.utils.rng import SeedLike, make_rng
 
@@ -243,92 +245,176 @@ def stream_frame_seed(
     return np.random.SeedSequence([base_seed, _STREAM_TAG, user, frame_index])
 
 
-def simulate_batch(task: dict) -> Dict[str, object]:
-    """Simulate one batch of bursts for one grid point (pool work unit).
+#: Most code blocks one trellis pass decodes; a work unit with more blocks
+#: is decoded in slices, so the ACS buffers stay bounded for any batch size.
+DECODE_SLICE = 64
+
+
+def simulate_batch(task: dict) -> List[Dict[str, object]]:
+    """Simulate one work unit: a batch of bursts for each of several points.
 
     ``task`` is a plain-JSON payload::
 
-        {"spec": SweepSpec.to_dict(), "point": SweepPoint.to_dict(),
-         "start_burst": int, "n_bursts": int, "batch_index": int}
+        {"spec": SweepSpec.to_dict(),
+         "items": [{"point": SweepPoint.to_dict(), "start_burst": int,
+                    "n_bursts": int, "batch_index": int}, ...]}
 
-    Each burst in ``[start_burst, start_burst + n_bursts)`` derives payload,
-    fading and noise generators from its own :func:`burst_seed`, and the
-    batch reports *per-burst* counts so the runner can fold the global
-    burst sequence and apply ``target_errors`` at burst granularity — the
-    reported sweep statistics are a pure function of the spec, independent
-    of batching and pool size.
+    Every item's point must share one :func:`build_config`.  Each burst in
+    an item's ``[start_burst, start_burst + n_bursts)`` derives payload,
+    fading and noise generators from its own :func:`burst_seed` and runs
+    through transmitter, channel and the receiver front end.  The unit
+    advances its items in lockstep rounds: a round takes the next burst of
+    every live item and Viterbi-decodes all their code blocks together,
+    up to :data:`DECODE_SLICE` blocks per trellis pass.  Blocks are
+    independent in the trellis, so each burst's bits are exactly what
+    decoding it alone would give.  An item retires at the burst whose
+    item-local cumulative bit errors reach ``target_errors``, and its
+    later bursts are never simulated: the global cumulative count at any
+    burst is at least the item-local one, so the runner's fold would
+    discard them.
 
-    The batch also applies ``target_errors`` to its own cumulative error
-    count as a shortcut: the global cumulative count at any burst is at
-    least the batch-local one, so every burst skipped here would have been
-    discarded by the runner's burst-level fold anyway.
+    Returns one report per item, in item order: ``{"batch_index",
+    "bursts", "elapsed_s"}`` with *per-burst* counts, so the runner can
+    fold the global burst sequence and apply ``target_errors`` at burst
+    granularity — the reported sweep statistics are a pure function of the
+    spec, independent of batching, grouping and pool size.  ``elapsed_s``
+    splits the unit's wall time over its items by burst count.
     """
     spec = SweepSpec.from_dict(task["spec"])
-    point = SweepPoint.from_dict(task["point"])
-    start_burst = int(task["start_burst"])
-    n_bursts = int(task["n_bursts"])
-    batch_start = time.perf_counter()
+    items = task["items"]
+    points = [SweepPoint.from_dict(item["point"]) for item in items]
+    unit_start = time.perf_counter()
 
-    transceiver = _transceiver_for(build_config(point, spec), default_backend().name)
+    config = build_config(points[0], spec)
+    if any(build_config(point, spec) != config for point in points[1:]):
+        raise ConfigurationError("every item of a work unit must share one configuration")
+    transceiver = _transceiver_for(config, default_backend().name)
+    receiver = transceiver.receiver
+    fixed_fadings = [
+        None
+        if spec.fresh_fading_per_burst
+        else build_fading(point, np.random.default_rng(fixed_fading_seed(spec, point)))
+        for point in points
+    ]
 
-    fixed_fading = None
-    if not spec.fresh_fading_per_burst:
-        fixed_fading = build_fading(
-            point, np.random.default_rng(fixed_fading_seed(spec, point))
-        )
+    reports: List[Dict[str, object]] = [
+        {"batch_index": int(item["batch_index"]), "bursts": []} for item in items
+    ]
+    errors = [0] * len(items)
+    live = list(range(len(items)))
+    for offset in range(max(int(item["n_bursts"]) for item in items)):
+        # Per live item: the round's transmitted bits, or None when the
+        # front end gave up on its burst.
+        sent: Dict[int, Optional[np.ndarray]] = {}
+        blocks: List[np.ndarray] = []
+        for i in live:
+            front = _front_end_burst(
+                transceiver,
+                spec,
+                points[i],
+                fixed_fadings[i],
+                int(items[i]["start_burst"]) + offset,
+            )
+            sent[i] = None if front is None else front[0]
+            if front is not None:
+                blocks.append(front[1])
+        decoded = _decode_sliced(receiver, blocks, spec.n_info_bits)
 
+        row = 0
+        for i, info_bits in sent.items():
+            if info_bits is None:
+                burst = lost_frame_counts(spec.n_info_bits, points[i].n_streams)
+            else:
+                n_rows = info_bits.shape[0]
+                bit_errors = count_bit_errors(decoded[row : row + n_rows], info_bits)
+                row += n_rows
+                burst = {
+                    "bit_errors": bit_errors,
+                    "total_bits": int(info_bits.size),
+                    "frame_error": int(bit_errors > 0),
+                    "decode_failure": 0,
+                }
+            reports[i]["bursts"].append(burst)
+            errors[i] += burst["bit_errors"]
+        live = [
+            i
+            for i in live
+            if offset + 1 < int(items[i]["n_bursts"])
+            and (spec.target_errors is None or errors[i] < spec.target_errors)
+        ]
+
+    elapsed = time.perf_counter() - unit_start
+    total_bursts = sum(len(report["bursts"]) for report in reports)
+    for report in reports:
+        report["elapsed_s"] = elapsed * len(report["bursts"]) / max(total_bursts, 1)
+    return reports
+
+
+def _decode_sliced(receiver, blocks: List[np.ndarray], n_info_bits: int) -> np.ndarray:
+    """Decode the stacked code blocks, at most :data:`DECODE_SLICE` per pass."""
+    if not blocks:
+        return np.empty((0, n_info_bits), dtype=np.uint8)
+    coded = np.concatenate(blocks)
+    return np.concatenate(
+        [
+            receiver.decode(coded[start : start + DECODE_SLICE], n_info_bits)
+            for start in range(0, coded.shape[0], DECODE_SLICE)
+        ]
+    )
+
+
+def _front_end_burst(
+    transceiver: MimoTransceiver,
+    spec: SweepSpec,
+    point: SweepPoint,
+    fixed_fading,
+    burst_index: int,
+):
+    """Transmit one burst of a point and run the receive front end on it.
+
+    Returns ``(info_bits, coded)`` — the transmitted bits, ``(n_streams,
+    n_info_bits)``, and the recovered code blocks — or ``None`` when the
+    receiver gives up on the burst.  ``fixed_fading`` is the point's fading
+    realisation when the spec keeps one fixed, else ``None``.
+    """
+    payload_seed, fading_seed, noise_seed = burst_seed(spec, point, burst_index).spawn(3)
+    fading = (
+        fixed_fading
+        if fixed_fading is not None
+        else build_fading(point, np.random.default_rng(fading_seed))
+    )
     impairment = point.impairment or ImpairmentSpec()
-    bursts = []
-    local_errors = 0
-    for burst_index in range(start_burst, start_burst + n_bursts):
-        payload_seed, fading_seed, noise_seed = burst_seed(
-            spec, point, burst_index
-        ).spawn(3)
-        fading = (
-            fixed_fading
-            if fixed_fading is not None
-            else build_fading(point, np.random.default_rng(fading_seed))
+    transceiver.set_channel(
+        MimoChannel(
+            fading=fading,
+            snr_db=point.snr_db,
+            cfo_normalized=impairment.cfo_normalized,
+            sample_delay=impairment.sample_delay,
+            iq_amplitude_db=impairment.iq_amplitude_db,
+            iq_phase_deg=impairment.iq_phase_deg,
+            tx_quantization=impairment.tx_format,
+            rng=np.random.default_rng(noise_seed),
         )
-        transceiver.set_channel(
-            MimoChannel(
-                fading=fading,
-                snr_db=point.snr_db,
-                cfo_normalized=impairment.cfo_normalized,
-                sample_delay=impairment.sample_delay,
-                iq_amplitude_db=impairment.iq_amplitude_db,
-                iq_phase_deg=impairment.iq_phase_deg,
-                tx_quantization=impairment.tx_format,
-                rng=np.random.default_rng(noise_seed),
-            )
+    )
+    air = transceiver.transmit_burst(
+        spec.n_info_bits,
+        rng=np.random.default_rng(payload_seed),
+        known_timing=spec.known_timing,
+    )
+    try:
+        front = transceiver.receiver.front_end(
+            air.samples,
+            spec.n_info_bits,
+            lts_start=air.lts_start,
+            noise_variance=air.noise_variance,
         )
-        try:
-            result = transceiver.run_burst(
-                spec.n_info_bits,
-                rng=np.random.default_rng(payload_seed),
-                known_timing=spec.known_timing,
-            )
-            burst = {
-                "bit_errors": result.bit_errors,
-                "total_bits": result.total_bits,
-                "frame_error": int(result.frame_error),
-                "decode_failure": 0,
-            }
-        except DecodingError:
-            # Deep in the noise the receiver gives up: the time synchroniser
-            # misses the burst entirely, locks onto a window that starts
-            # before the first received sample, or a rank-deficient estimate
-            # stops the channel inversion (ChannelEstimationError is a
-            # DecodingError) or leaves the MMSE weights unsolvable.  A sweep
-            # over extreme operating points must survive all of those: count
-            # the burst as a fully errored frame (every payload bit lost) and
-            # move on.
-            burst = lost_frame_counts(spec.n_info_bits, point.n_streams)
-        bursts.append(burst)
-        local_errors += burst["bit_errors"]
-        if spec.target_errors is not None and local_errors >= spec.target_errors:
-            break
-    return {
-        "batch_index": int(task["batch_index"]),
-        "bursts": bursts,
-        "elapsed_s": time.perf_counter() - batch_start,
-    }
+    except DecodingError:
+        # Deep in the noise the receiver gives up: the time synchroniser
+        # misses the burst entirely, locks onto a window that starts before
+        # the first received sample, or a rank-deficient estimate stops the
+        # channel inversion (ChannelEstimationError is a DecodingError) or
+        # leaves the MMSE weights unsolvable.  A sweep over extreme
+        # operating points must survive all of those: the caller counts the
+        # burst as a fully errored frame (every payload bit lost).
+        return None
+    return np.asarray(air.burst.info_bits, dtype=np.uint8), front.coded

@@ -37,15 +37,47 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Dict, List, Optional, Union
+from collections import Counter
+from typing import Dict, Hashable, List, Optional, Union
 
-from repro.sim.engine import simulate_batch
+from repro.sim.engine import build_config, simulate_batch
 from repro.sim.queue import QueueLike, make_queue
 from repro.sim.spec import SweepPoint, SweepPointResult, SweepResult, SweepSpec
 from repro.sim.stats import allocate_bursts
 from repro.sim.store import ResultStore
 
 StoreLike = Union[None, bool, str, "os.PathLike[str]", ResultStore]
+
+
+def _pack_units(
+    wanting: List[int],
+    configs: Dict[int, Hashable],
+    batch_of: Dict[int, int],
+    capacity: int,
+) -> List[List[int]]:
+    """Pack the points that want a batch into work units, in priority order.
+
+    ``wanting`` lists point indices, most urgent first; ``configs`` maps
+    each to its :func:`~repro.sim.engine.build_config` and ``batch_of`` to
+    the batch number it wants next.  A unit opens at the most urgent
+    unpacked point and takes along the following points with an equal
+    configuration and batch number, up to ``ceil(n_same_config /
+    capacity)`` points, where ``n_same_config`` counts the wanting points
+    of that configuration — so the serial queue (capacity 1) packs them
+    all into one unit while a pool still gets at least ``capacity`` units
+    to spread over its workers.  Units come out ordered by their first
+    point.
+    """
+    same_config = Counter(configs[index] for index in wanting)
+    groups: Dict[tuple, List[int]] = {}
+    for index in wanting:
+        groups.setdefault((configs[index], batch_of[index]), []).append(index)
+    units = []
+    for (config, _), members in groups.items():
+        limit = -(-same_config[config] // capacity)
+        units.extend(members[start : start + limit] for start in range(0, len(members), limit))
+    position = {index: rank for rank, index in enumerate(wanting)}
+    return sorted(units, key=lambda unit: position[unit[0]])
 
 
 def _resolve_store(cache: StoreLike) -> Optional[ResultStore]:
@@ -198,27 +230,18 @@ class SweepRunner:
 
     # ------------------------------------------------------------------
     # Task building and folding
-    def _tasks_for(self, point: SweepPoint) -> List[dict]:
-        """Batch payloads covering one point's burst budget."""
-        spec_payload = self.spec.to_dict()
+    def _items_for(self, point: SweepPoint, start_burst: int, n_bursts: int) -> List[dict]:
+        """Batch items covering ``n_bursts`` of one point from ``start_burst``."""
         point_payload = point.to_dict()
-        tasks = []
-        start_burst = 0
-        batch_index = 0
-        while start_burst < self.spec.n_bursts:
-            n_bursts = min(self.batch_size, self.spec.n_bursts - start_burst)
-            tasks.append(
-                {
-                    "spec": spec_payload,
-                    "point": point_payload,
-                    "start_burst": start_burst,
-                    "n_bursts": n_bursts,
-                    "batch_index": batch_index,
-                }
-            )
-            start_burst += n_bursts
-            batch_index += 1
-        return tasks
+        return [
+            {
+                "point": point_payload,
+                "start_burst": start_burst + offset,
+                "n_bursts": min(self.batch_size, n_bursts - offset),
+                "batch_index": batch_index,
+            }
+            for batch_index, offset in enumerate(range(0, n_bursts, self.batch_size))
+        ]
 
     def _fold(self, point: SweepPoint, batch_stats: List[dict]) -> SweepPointResult:
         """Accumulate the global burst sequence, stopping at the error target.
@@ -278,11 +301,15 @@ class SweepRunner:
         item counts every burst actually simulated — including any the
         fold later discards past the early-stopping point.
 
-        Scheduling: whenever the queue has capacity, one batch is submitted
+        Scheduling: whenever the queue has capacity, one batch is picked
         from the point with the fewest batches in flight (ties to the
         fewest dispatched, then the lowest index), which round-robins the
         frontier across every unfinished point — the pool stays saturated
         even when early stopping collapses most points to a single batch.
+        The picked batch takes along the same-numbered batch of other
+        wanting points with an equal :func:`~repro.sim.engine.build_config`
+        (in the same round-robin order, by :func:`_pack_units`), so one
+        work unit decodes their bursts together.
         A point whose running error total crosses the target stops
         submitting; its in-flight surplus is discarded by the fold.  Every
         point is committed to the store the moment it folds, so an
@@ -294,7 +321,11 @@ class SweepRunner:
         bounding double simulation to the points genuinely in flight at the
         same moment.
         """
-        tasks = {point.index: self._tasks_for(point) for point in points}
+        spec_payload = self.spec.to_dict()
+        tasks = {
+            point.index: self._items_for(point, 0, self.spec.n_bursts) for point in points
+        }
+        configs = {point.index: build_config(point, self.spec) for point in points}
         cursors = {point.index: 0 for point in points}
         in_flight = {point.index: 0 for point in points}
         collected: Dict[int, List[dict]] = {point.index: [] for point in points}
@@ -325,32 +356,45 @@ class SweepRunner:
                     sum(s.get("elapsed_s", 0.0) for s in collected[index]),
                 )
 
+            def adopted(index: int) -> bool:
+                """Adopt a record a concurrent runner committed since our scan."""
+                if not (check_store and cursors[index] == 0 and self.store is not None):
+                    return False
+                record = self.store.get(by_index[index].content_key(self.spec))
+                loaded = (
+                    self._result_from_record(by_index[index], record)
+                    if record is not None
+                    else None
+                )
+                if loaded is None:
+                    return False
+                results[index] = loaded
+                return True
+
+            def order(index: int):
+                return (in_flight[index], cursors[index], index)
+
             def submit_next() -> bool:
-                candidates = [index for index in by_index if wants_work(index)]
+                candidates = sorted(
+                    (index for index in by_index if wants_work(index)), key=order
+                )
                 while candidates:
-                    index = min(
-                        candidates,
-                        key=lambda i: (in_flight[i], cursors[i], i),
+                    packed = _pack_units(candidates, configs, cursors, queue.capacity)[0]
+                    candidates = [i for i in candidates if i not in packed]
+                    unit = [i for i in packed if not adopted(i)]
+                    if not unit:
+                        continue
+                    queue.submit(
+                        simulate_batch,
+                        {
+                            "spec": spec_payload,
+                            "items": [tasks[i][cursors[i]] for i in unit],
+                        },
+                        tag=unit,
                     )
-                    if check_store and cursors[index] == 0 and self.store is not None:
-                        record = self.store.get(
-                            by_index[index].content_key(self.spec)
-                        )
-                        loaded = (
-                            self._result_from_record(by_index[index], record)
-                            if record is not None
-                            else None
-                        )
-                        if loaded is not None:
-                            # A concurrent runner finished this point since
-                            # our initial scan: adopt its record, skip the
-                            # simulation entirely.
-                            results[index] = loaded
-                            candidates.remove(index)
-                            continue
-                    queue.submit(simulate_batch, tasks[index][cursors[index]], tag=index)
-                    cursors[index] += 1
-                    in_flight[index] += 1
+                    for i in unit:
+                        cursors[i] += 1
+                        in_flight[i] += 1
                     return True
                 return False
 
@@ -359,12 +403,13 @@ class SweepRunner:
                     pass
                 if queue.pending() == 0:
                     break
-                index, stats = queue.next_result()
-                in_flight[index] -= 1
-                collected[index].append(stats)
-                errors[index] += self._batch_errors(stats)
-                computed += len(stats["bursts"])
-                maybe_finish(index)
+                unit, reports = queue.next_result()
+                for index, stats in zip(unit, reports):
+                    in_flight[index] -= 1
+                    collected[index].append(stats)
+                    errors[index] += self._batch_errors(stats)
+                    computed += len(stats["bursts"])
+                    maybe_finish(index)
             for index in by_index:
                 maybe_finish(index)
         finally:
@@ -488,32 +533,33 @@ class SweepRunner:
         if not pending:
             return current, computed
 
+        configs = {
+            index: build_config(current[index].point, self.spec) for index in pending
+        }
+        items = {
+            index: self._items_for(current[index].point, current[index].n_bursts, count)
+            for index, count in pending.items()
+        }
         batches: Dict[int, List[dict]] = {index: [] for index in pending}
         queue = make_queue(self.queue_backend, self.n_workers)
         try:
-            for index, count in sorted(pending.items()):
-                start_burst = current[index].n_bursts
-                offset = 0
-                batch_index = 0
-                while offset < count:
-                    n_bursts = min(self.batch_size, count - offset)
+            for batch in range(max(len(batch_list) for batch_list in items.values())):
+                wanting = [index for index in sorted(pending) if batch < len(items[index])]
+                batch_of = dict.fromkeys(wanting, batch)
+                for unit in _pack_units(wanting, configs, batch_of, queue.capacity):
                     queue.submit(
                         simulate_batch,
                         {
                             "spec": spec_payload,
-                            "point": current[index].point.to_dict(),
-                            "start_burst": start_burst + offset,
-                            "n_bursts": n_bursts,
-                            "batch_index": batch_index,
+                            "items": [items[index][batch] for index in unit],
                         },
-                        tag=index,
+                        tag=unit,
                     )
-                    offset += n_bursts
-                    batch_index += 1
             while queue.pending() > 0:
-                index, stats = queue.next_result()
-                batches[index].append(stats)
-                computed += len(stats["bursts"])
+                unit, reports = queue.next_result()
+                for index, stats in zip(unit, reports):
+                    batches[index].append(stats)
+                    computed += len(stats["bursts"])
         finally:
             queue.close()
 

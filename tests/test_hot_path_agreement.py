@@ -133,6 +133,20 @@ class TestViterbiAcsAgreement:
         for row, bits in zip(stack, decoder.decode(stack, n_info_bits=50)):
             np.testing.assert_array_equal(bits, viterbi_decode_serial(code, "hard", row, 50))
 
+    @pytest.mark.parametrize("decision", ["hard", "soft"])
+    def test_code_wider_than_one_choice_word_decodes_like_the_reference(self, decision):
+        # K=8 (247, 371): 128 states, two packed choice words per step.
+        code = ConvolutionalCode(constraint_length=8, generators=(0o247, 0o371))
+        rng = np.random.default_rng(13)
+        decoder = ViterbiDecoder(code, decision=decision)
+        for terminated in (True, False):
+            stack = self._received_stack(code, decision, 3, 40, terminated, rng)
+            decoded = decoder.decode(stack, n_info_bits=40, terminated=terminated)
+            for row, bits in zip(stack, decoded):
+                np.testing.assert_array_equal(
+                    bits, viterbi_decode_serial(code, decision, row, 40, terminated)
+                )
+
     @pytest.mark.parametrize("rate", ALL_RATES)
     def test_depuncture_matches_serial_reference(self, rate):
         decoder = ViterbiDecoder(ConvolutionalCode.ieee80211a(rate))

@@ -44,7 +44,7 @@ def stats(result):
 #: Module-level so the multiprocessing backend can pickle it by reference
 #: (the pool is forked after the monkeypatch, so workers see this function).
 def _fail_highest_snr_batch(task):
-    if task["point"]["snr_db"] == 30.0:
+    if any(item["point"]["snr_db"] == 30.0 for item in task["items"]):
         # Give the other workers time to finish their points first, so the
         # crash reliably happens *mid-grid* — some points committed, some not.
         time.sleep(0.3)
@@ -86,7 +86,7 @@ class TestCrashResume:
         simulated = []
 
         def counting(task):
-            simulated.append(task["point"]["index"])
+            simulated.extend(item["point"]["index"] for item in task["items"])
             return simulate_batch(task)
 
         # (Serial queue here: the counting closure runs in-process, where a
@@ -137,8 +137,8 @@ class TestConcurrentRunners:
         simulated = {"A": [], "B": []}
 
         def counting(task):
-            simulated[threading.current_thread().name].append(
-                (task["point"]["snr_db"], task["start_burst"])
+            simulated[threading.current_thread().name].extend(
+                (item["point"]["snr_db"], item["start_burst"]) for item in task["items"]
             )
             return simulate_batch(task)
 

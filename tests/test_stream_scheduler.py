@@ -11,6 +11,8 @@ from repro.stream import (
     DownlinkScheduler,
     LatencySummary,
     PoissonTraffic,
+    ServiceReport,
+    UserStats,
     arrival_times,
 )
 
@@ -150,6 +152,41 @@ class TestScheduler:
         spread = report.user_latency_percentiles(99.0)
         assert spread.n == 4
         assert spread.p50 > 0
+
+    def test_per_user_percentiles_of_multi_frame_users(self):
+        # Each user's own p50 over its frames, then the spread across users;
+        # a user without decoded frames contributes nothing.
+        users = {
+            0: UserStats(user=0, latency_samples=[1.0, 3.0]),
+            1: UserStats(user=1, latency_samples=[2.0, 4.0, 6.0]),
+            2: UserStats(user=2, latency_samples=[10.0, 20.0, 30.0, 40.0]),
+            3: UserStats(user=3),
+        }
+        aggregate = LatencySummary.from_samples(
+            [s for stats in users.values() for s in stats.latency_samples]
+        )
+        report = ServiceReport(
+            n_users=4,
+            frames_offered=9,
+            frames_served=9,
+            frames_delivered=9,
+            frames_lost=0,
+            spurious_detections=0,
+            air_time_s=1.0,
+            wall_time_s=1.0,
+            sustained_fps=9.0,
+            goodput_bps=0.0,
+            loss_rate=0.0,
+            latency=aggregate,
+            users=users,
+        )
+        medians = report.user_latency_percentiles(50.0)
+        assert medians.n == 3
+        assert medians == LatencySummary.from_samples([2.0, 4.0, 25.0])
+        worst = report.user_latency_percentiles(100.0)
+        assert worst.worst == 40.0
+        assert worst.p50 == 6.0
+        assert report.user_latency_percentiles(99.0) != aggregate
 
     def test_invalid_arguments_rejected(self):
         with pytest.raises(ValueError):
