@@ -3,16 +3,8 @@
 The transceiver is a chain of fixed-shape tensor stages, and the
 costliest historical bugs were shape mistakes no unit test saw until a
 sweep ran.  :func:`shaped` turns a stage's shape expectations into a
-declaration that is enforced twice:
-
-* **at runtime** — the decorator checks every call (cheap tuple
-  comparisons; disable with ``REPRO_SHAPE_CHECKS=0`` for hot sweeps);
-* **statically** — the ``SHAPE001`` lint rule reads the same contract
-  strings off the AST and checks call sites where the dataflow pass can
-  prove what is passed.
-
-Contract grammar (shared verbatim with ``repro_lint.dataflow`` — the
-cross-parser agreement test keeps the two in lock-step)::
+declaration it checks on every call (cheap tuple comparisons, always
+on).  Contract grammar::
 
     @shaped(streams="(n_rx, n_samples)")            # one parameter
     @shaped("(n_streams, n_bits)", bits="(n_bits,)")  # positional = return
@@ -33,7 +25,6 @@ from __future__ import annotations
 
 import functools
 import inspect
-import os
 from typing import Any, Callable, Dict, Optional, Tuple, TypeVar, Union
 
 import numpy as np
@@ -44,7 +35,6 @@ __all__ = [
     "ShapeContractError",
     "parse_contract",
     "shaped",
-    "shape_checks_enabled",
 ]
 
 #: One dimension spec: literal int, bound name, ``None`` (= ``_``) or
@@ -65,19 +55,11 @@ class ShapeContractError(ReproError, ValueError):
     """
 
 
-def shape_checks_enabled() -> bool:
-    """Runtime contract checks are on unless ``REPRO_SHAPE_CHECKS=0``."""
-    return os.environ.get("REPRO_SHAPE_CHECKS", "1") != "0"
-
-
 def parse_contract(text: str) -> Tuple[ContractAlternative, ...]:
     """Parse a shape-contract string into its alternatives.
 
     ``"(n_rx, fft_size)"`` -> one alternative; ``"(a,) | (a, b)"`` ->
-    two.  Raises ``ValueError`` on malformed contracts.  This parser is
-    deliberately a twin of ``repro_lint.dataflow.parse_contract`` (the
-    linter must not import the engine it lints); the agreement test in
-    ``tests/test_shape_contracts.py`` holds them bit-identical.
+    two.  Raises ``ValueError`` on malformed contracts.
     """
     alternatives = []
     for part in text.split("|"):
@@ -214,8 +196,6 @@ def shaped(*args: str, **param_contracts: str) -> Callable[[_F], _F]:
 
         @functools.wraps(func)
         def wrapper(*call_args: Any, **call_kwargs: Any) -> Any:
-            if not shape_checks_enabled():
-                return func(*call_args, **call_kwargs)
             bound = signature.bind(*call_args, **call_kwargs)
             bindings: Dict[str, int] = {}
             for param, alternatives in contracts.items():

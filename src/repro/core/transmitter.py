@@ -219,7 +219,9 @@ class MimoTransmitter:
         )
         burst[:, : layout.total_length] = preamble_waveform
         data_end = layout.total_length + data_length
-        burst[:, layout.total_length : data_end] = self._modulate_block(  # reprolint: disable=DTYPE001 -- the assembled burst is the complex128 air-interface boundary; payload precision is already decided inside the backend's ifft, so this single widening store loses nothing
+        # The burst is the complex128 air interface whatever the backend:
+        # payload precision was already decided in the backend's ifft.
+        burst[:, layout.total_length : data_end] = self._modulate_block(
             frequency_symbols
         )
 

@@ -5,10 +5,9 @@ Both domains are plain floats, so nothing in the type system stops an
 miscalibration fixed in the occupied-power calibration work was exactly
 that bug.  The repo's convention is that the *name* carries the domain
 (``*_db`` vs ``*_linear`` / ``noise_variance`` / ``signal_power``) and
-that every conversion goes through one of the three helpers below, which
-the ``UNIT001`` lint rule recognises as domain crossings.  Inline
-``10 ** (x / 10)`` / ``10 * log10(...)`` idioms anywhere else are
-flagged; this module is the one place allowed to spell them out.
+that every conversion goes through one of the three helpers below.  The
+call sites that cross domains (AWGN calibration, IQ imbalance, capacity,
+the SNR estimate) are each pinned by a closed-form test.
 
 The implementations are bit-identical to the inline idioms they replace
 (same operations in the same order), so routing existing call sites

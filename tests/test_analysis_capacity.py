@@ -20,8 +20,10 @@ class TestMimoCapacity:
         expected = 4 * np.log2(1 + 100.0 / 4)
         assert capacity == pytest.approx(expected, rel=1e-9)
 
-    def test_siso_capacity(self):
-        assert mimo_capacity(np.eye(1), 10.0) == pytest.approx(np.log2(11.0))
+    @pytest.mark.parametrize("snr_db", [-10.0, 0.0, 10.0, 30.0])
+    def test_siso_capacity(self, snr_db):
+        expected = np.log2(1.0 + 10.0 ** (snr_db / 10.0))
+        assert mimo_capacity(np.eye(1), snr_db) == pytest.approx(expected, rel=1e-12)
 
     def test_capacity_increases_with_snr(self):
         rng = np.random.default_rng(0)

@@ -1,13 +1,13 @@
-"""Runtime twin of the KEY001 lint rule, independent of the linter.
+"""Cache-key completeness: every spec field reaches the keys it must.
 
 Enumerates ``dataclasses.fields`` of :class:`SweepSpec`,
-:class:`ImpairmentSpec` and :class:`SweepPoint` directly and asserts the
-caching contracts hold at runtime: every field round-trips through
+:class:`ImpairmentSpec` and :class:`SweepPoint` and asserts the caching
+contracts hold at runtime: every field round-trips through
 ``to_dict``/``from_dict``, every field perturbs the serialization it is
 supposed to reach (``spec_hash``, ``seed_payload``, ``content_key``), and
-the deliberately-absent fields stay absent.  If the linter ever regresses
-or is bypassed, this suite still refuses a spec field that could silently
-alias cached points.
+the deliberately-absent fields stay absent.  A spec field that could
+silently alias cached points fails here.  ``TestTheCheckerItself`` proves
+the perturbation helpers catch a forgotten field.
 """
 
 from __future__ import annotations
@@ -75,6 +75,41 @@ def variants(cls, base):
         )
 
 
+def unmoved_fields(cls, base, serializer):
+    """Fields whose perturbation leaves ``serializer(instance)`` unchanged."""
+    baseline = serializer(base)
+    return [name for name, variant in variants(cls, base) if serializer(variant) == baseline]
+
+
+class TestTheCheckerItself:
+    def test_a_toy_spec_with_a_forgotten_axis_is_caught(self):
+        @dataclasses.dataclass(frozen=True)
+        class ToySpec:
+            snr_db: float = 0.0
+            new_axis: int = 0
+
+            def spec_hash(self):
+                return f"hash-{self.snr_db}"  # forgot new_axis
+
+        assert unmoved_fields(ToySpec, ToySpec(), ToySpec.spec_hash) == ["new_axis"]
+
+    def test_a_serializer_that_drops_fft_size_is_caught(self):
+        def without_fft_size(spec):
+            return {k: v for k, v in spec.to_dict().items() if k != "fft_size"}
+
+        assert unmoved_fields(SweepSpec, SweepSpec(), without_fft_size) == ["fft_size"]
+
+    def test_a_payload_that_leaks_the_grid_index_is_caught(self):
+        spec = SweepSpec()
+        point = spec.points()[0]
+
+        def leaky(p):
+            return {**p.seed_payload(spec), "index": p.index}
+
+        # ``index`` now moves the payload, which would break cross-grid sharing.
+        assert set(unmoved_fields(SweepPoint, point, leaky)) == POINT_SEED_EXEMPT - {"index"}
+
+
 class TestRoundTrips:
     @pytest.mark.parametrize(
         "cls, instance",
@@ -99,95 +134,58 @@ class TestRoundTrips:
 
 class TestSpecHashCompleteness:
     def test_every_spec_field_perturbs_spec_hash(self):
-        spec = SweepSpec()
-        baseline = spec.spec_hash()
-        for name, variant in variants(SweepSpec, spec):
-            assert variant.spec_hash() != baseline, (
-                f"SweepSpec.{name} does not reach spec_hash(); two different "
-                "sweeps would alias one cache entry"
-            )
+        missing = unmoved_fields(SweepSpec, SweepSpec(), SweepSpec.spec_hash)
+        assert missing == [], (
+            f"SweepSpec fields {missing} do not reach spec_hash(); two "
+            "different sweeps would alias one cache entry"
+        )
 
 
 class TestSeedPayloadContract:
     def test_physics_fields_perturb_seed_payload(self):
         spec = SweepSpec()
         point = spec.points()[0]
-        baseline = point.seed_payload(spec)
-        for name, variant in variants(SweepPoint, point):
-            changed = variant.seed_payload(spec) != baseline
-            if name in POINT_SEED_EXEMPT:
-                assert not changed, (
-                    f"SweepPoint.{name} must stay out of seed_payload(): it "
-                    "is contractually absent so grids share stored points"
-                )
-            else:
-                assert changed, (
-                    f"SweepPoint.{name} missing from seed_payload(); two "
-                    "different cells would draw identical bursts"
-                )
+        unmoved = unmoved_fields(SweepPoint, point, lambda p: p.seed_payload(spec))
+        # A field missing here would make two different cells draw identical
+        # bursts; the exempt ones stay out so grids share stored points.
+        assert set(unmoved) == POINT_SEED_EXEMPT
 
     def test_spec_fields_follow_the_budget_extension_contract(self):
         spec = SweepSpec()
         point = spec.points()[0]
-        baseline = point.seed_payload(spec)
-        for name, variant in variants(SweepSpec, spec):
-            if name in SPEC_AXIS_FIELDS:
-                continue  # axis values flow through the expanded point
-            changed = point.seed_payload(variant) != baseline
-            if name in SPEC_SEED_EXEMPT:
-                assert not changed, (
-                    f"SweepSpec.{name} must not re-roll burst streams: "
-                    "bigger budgets extend the same stream"
-                )
-            else:
-                assert changed, (
-                    f"SweepSpec.{name} missing from seed_payload(); bursts "
-                    "would repeat across different physics"
-                )
+        unmoved = unmoved_fields(SweepSpec, spec, point.seed_payload)
+        # Axis values flow through the expanded point.  Budget knobs must not
+        # re-roll burst streams (bigger budgets extend the same stream); any
+        # other field missing would repeat bursts across different physics.
+        assert set(unmoved) - SPEC_AXIS_FIELDS == SPEC_SEED_EXEMPT - SPEC_AXIS_FIELDS
 
 
 class TestContentKeyCompleteness:
     def test_every_point_field_but_index_perturbs_content_key(self):
         spec = SweepSpec()
         point = spec.points()[0]
-        baseline = point.content_key(spec)
-        for name, variant in variants(SweepPoint, point):
-            changed = variant.content_key(spec) != baseline
-            if name == "index":
-                assert not changed, (
-                    "SweepPoint.index must stay out of content_key(): store "
-                    "records are grid-shape independent"
-                )
-            else:
-                assert changed, (
-                    f"SweepPoint.{name} missing from content_key(); two "
-                    "different cells would share one store record"
-                )
+        # Store records are grid-shape independent, so only ``index`` is out;
+        # any other field missing would make two cells share one record.
+        assert unmoved_fields(SweepPoint, point, lambda p: p.content_key(spec)) == ["index"]
 
     def test_every_scalar_spec_field_perturbs_content_key(self):
         spec = SweepSpec()
         point = spec.points()[0]
-        baseline = point.content_key(spec)
-        for name, variant in variants(SweepSpec, spec):
-            if name in SPEC_AXIS_FIELDS:
-                continue
-            assert point.content_key(variant) != baseline, (
-                f"SweepSpec.{name} missing from content_key(); records for "
-                "different budgets/physics would alias in the store"
-            )
+        unmoved = unmoved_fields(SweepSpec, spec, point.content_key)
+        # Records for different budgets/physics would alias in the store.
+        assert set(unmoved) - SPEC_AXIS_FIELDS == set()
 
     def test_every_impairment_field_perturbs_content_key(self):
         spec = SweepSpec()
         base_point = dataclasses.replace(
             spec.points()[0], impairment=ImpairmentSpec()
         )
-        baseline = base_point.content_key(spec)
-        for name, variant in variants(ImpairmentSpec, ImpairmentSpec()):
-            perturbed = dataclasses.replace(base_point, impairment=variant)
-            assert perturbed.content_key(spec) != baseline, (
-                f"ImpairmentSpec.{name} missing from content_key(); two "
-                "front-end conditions would share one store record"
-            )
+
+        def key(impairment):
+            return dataclasses.replace(base_point, impairment=impairment).content_key(spec)
+
+        # Two front-end conditions would share one store record.
+        assert unmoved_fields(ImpairmentSpec, ImpairmentSpec(), key) == []
 
     def test_extra_bursts_key_refined_records_separately(self):
         spec = SweepSpec()

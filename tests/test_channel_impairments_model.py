@@ -81,6 +81,24 @@ class TestIqImbalance:
         # Energy appears at the image frequency (bin 63) when imbalance exists.
         assert np.abs(spectrum[63]) > 0.1
 
+    @pytest.mark.parametrize("amplitude_db", [-3.0, 0.5, 1.0, 2.0])
+    def test_amplitude_imbalance_is_an_amplitude_gain(self, amplitude_db):
+        # With no phase error the quadrature rail is scaled by the
+        # amplitude gain 10 ** (a / 20) (not the power ratio 10 ** (a / 10))
+        # and the in-phase rail passes through.  At these amplitudes the
+        # alpha/beta split rounds back to the gain exactly.
+        gain = 10 ** (amplitude_db / 20)
+        quadrature = apply_iq_imbalance(
+            1j * np.ones(4), amplitude_imbalance_db=amplitude_db, phase_imbalance_deg=0
+        )
+        assert np.all(quadrature.imag == gain)
+        assert np.all(quadrature.real == 0)
+        in_phase = np.array([1.0, -2.5, 0.3, 7.0])
+        passed = apply_iq_imbalance(
+            in_phase, amplitude_imbalance_db=amplitude_db, phase_imbalance_deg=0
+        )
+        np.testing.assert_array_equal(passed, in_phase)
+
 
 class TestIdealChannel:
     def test_passthrough(self):

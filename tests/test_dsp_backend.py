@@ -119,3 +119,29 @@ class TestTransmitterThroughBackends:
         single = MimoTransmitter(config, backend="numpy32").transmit(bits)
         assert not np.array_equal(single.samples, reference.samples)
         np.testing.assert_allclose(single.samples, reference.samples, atol=1e-5)
+
+    @pytest.mark.parametrize("n_symbols", [0, 3])
+    def test_numpy32_modulate_block_stays_single_precision(self, n_symbols):
+        # Every payload sample the transmitter builds passes through the
+        # backend, so under "numpy32" it is complex64 — including the
+        # empty block, which must not fall back to a complex128 buffer.
+        from repro.core.config import TransceiverConfig
+        from repro.core.transmitter import MimoTransmitter
+
+        config = TransceiverConfig()
+        transmitter = MimoTransmitter(config, backend="numpy32")
+        block = np.ones((config.n_streams, n_symbols, config.fft_size), dtype=np.complex128)
+        samples = transmitter._modulate_block(block)
+        assert samples.dtype == np.complex64
+        assert samples.shape == (config.n_streams, n_symbols * config.samples_per_symbol)
+
+    def test_transmitted_burst_is_complex128_under_every_backend(self):
+        # The assembled burst is the air interface: always complex128.
+        from repro.core.config import TransceiverConfig
+        from repro.core.transmitter import MimoTransmitter
+
+        config = TransceiverConfig()
+        bits = [np.ones(96, dtype=np.uint8)] * config.n_streams
+        for backend in ("numpy", "numpy32"):
+            burst = MimoTransmitter(config, backend=backend).transmit(bits)
+            assert burst.samples.dtype == np.complex128

@@ -4,7 +4,6 @@ tree-is-clean integration gate that makes ``make lint`` part of tier-1."""
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import subprocess
@@ -18,11 +17,6 @@ sys.path.insert(0, str(REPO_ROOT / "tools" / "lint"))
 
 from repro_lint import lint_project, lint_source  # noqa: E402
 from repro_lint.core import parse_suppressions  # noqa: E402
-from repro_lint.rules.cache_keys import (  # noqa: E402
-    insensitive_fields,
-    run_checks,
-    sensitive_fields,
-)
 from repro_lint.rules.engine_version import (  # noqa: E402
     build_manifest,
     check_manifest,
@@ -60,14 +54,6 @@ FIXTURE_CASES = [
     ("exc_bare_ok.py", "examples/fixture.py", {}),
     ("exc_linalg_bad.py", "src/repro/mimo/fixture.py", {"EXC002": 3}),
     ("exc_linalg_ok.py", "src/repro/mimo/fixture.py", {}),
-    ("shape_bad.py", "src/repro/mimo/fixture.py", {"SHAPE001": 3}),
-    ("shape_ok.py", "src/repro/mimo/fixture.py", {}),
-    ("dtype_bad.py", "src/repro/core/fixture.py", {"DTYPE001": 4}),
-    ("dtype_bad.py", "src/repro/dsp/fixture.py", {}),  # the seam itself is exempt
-    ("dtype_ok.py", "src/repro/core/fixture.py", {}),
-    ("unit_bad.py", "src/repro/channel/fixture.py", {"UNIT001": 4}),
-    ("unit_bad.py", "src/repro/utils/units.py", {}),  # the converter module is exempt
-    ("unit_ok.py", "src/repro/channel/fixture.py", {}),
     ("suppressed_ok.py", "src/repro/channel/fixture.py", {}),
     ("suppressed_unjustified.py", "src/repro/channel/fixture.py", {"LINT001": 1}),
     ("suppressed_unused.py", "src/repro/channel/fixture.py", {"LINT002": 1}),
@@ -144,105 +130,21 @@ def test_suppression_for_unselected_rule_is_not_flagged_useless():
     assert [v.rule for v in dead] == ["LINT002"]
 
 
-@pytest.mark.parametrize(
-    "rule_id, source",
-    [
-        (
-            "SHAPE001",
-            "import numpy as np\n"
-            "n_rx, n_tx, extra = np.zeros((4, 4)).shape"
-            "  # reprolint: disable=SHAPE001 -- fixture justification\n",
-        ),
-        (
-            "DTYPE001",
-            "import numpy as np\n"
-            "x = np.zeros(4, dtype=np.complex64)"
-            " + np.zeros(4, dtype=np.complex128)"
-            "  # reprolint: disable=DTYPE001 -- fixture justification\n",
-        ),
-        (
-            "UNIT001",
-            "def f(snr_db):\n"
-            "    return 10.0 ** (snr_db / 10.0)"
-            "  # reprolint: disable=UNIT001 -- fixture justification\n",
-        ),
-    ],
-)
-def test_dataflow_rule_suppressions_respect_select_subsets(rule_id, source):
-    """--select runs without a dataflow rule must not flag its suppressions.
-
-    Mirrors ``test_suppression_for_unselected_rule_is_not_flagged_useless``
-    for the three dataflow rules: a suppression that never got the chance
-    to fire (rule unselected) is ignored, one that fires is consumed, and
-    a dead one still trips LINT002 under the full set.
-    """
-    from repro_lint.rules.seam import SeamPurityRule
-
+def test_suppression_of_an_unknown_rule_is_lint002():
+    """A typo'd or retired rule id can never silence anything."""
     relpath = "src/repro/channel/fixture.py"
-    # Rule not in the selected set: the suppression is silently ignored.
-    assert lint_source(source, relpath, rules=[SeamPurityRule()]) == []
-    # Full rule set: the rule fires and the suppression absorbs it.
-    assert lint_source(source, relpath) == []
-    # A dead suppression for the same rule still trips LINT002.
-    dead = lint_source(
-        f"x = 1  # reprolint: disable={rule_id} -- nothing here\n", relpath
+    typo = lint_source("x = 1  # reprolint: disable=NOPE999 -- typo\n", relpath)
+    assert [v.rule for v in typo] == ["LINT002"]
+    assert "NOPE999" in typo[0].message
+    # Reported even when the rest of the comment does suppress a finding.
+    mixed = lint_source(
+        "import numpy as np\n"
+        "y = np.fft.fft([1.0])"
+        "  # reprolint: disable=SEAM001,NOPE999 -- fixture justification\n",
+        relpath,
     )
-    assert [v.rule for v in dead] == ["LINT002"]
-
-
-# ----------------------------------------------------------------------
-# KEY001 — cache-key completeness
-# ----------------------------------------------------------------------
-
-def test_key001_clean_on_the_real_spec():
-    assert run_checks() == []
-
-
-def test_key001_fires_on_a_dropped_field():
-    from repro.sim.spec import SweepSpec
-
-    spec = SweepSpec()
-
-    def serializer_missing_fft_size(s):
-        return {k: v for k, v in s.to_dict().items() if k != "fft_size"}
-
-    missing = insensitive_fields(SweepSpec, spec, serializer_missing_fft_size)
-    assert missing == ["fft_size"]
-
-
-def test_key001_fires_on_a_toy_spec_with_a_forgotten_axis():
-    @dataclasses.dataclass(frozen=True)
-    class ToySpec:
-        snr_db: float = 0.0
-        new_axis: int = 0
-
-        def spec_hash(self):
-            return f"hash-{self.snr_db}"  # forgot new_axis
-
-    missing = insensitive_fields(ToySpec, ToySpec(), lambda s: s.spec_hash())
-    assert missing == ["new_axis"]
-
-
-def test_key001_stability_detects_contract_breaks():
-    from repro.sim.spec import SweepSpec
-
-    spec = SweepSpec()
-    point = spec.points()[0]
-
-    # A serializer that wrongly includes the grid index would break
-    # cross-grid sharing: the stability check must catch it.
-    def leaky(p):
-        return {**p.seed_payload(spec), "index": p.index}
-
-    moved = sensitive_fields(type(point), point, leaky, frozenset({"index"}))
-    assert moved == ["index"]
-    # The real payload is index-stable.
-    assert (
-        sensitive_fields(
-            type(point), point, lambda p: p.seed_payload(spec), frozenset({"index"})
-        )
-        == []
-    )
+    assert [(v.rule, v.line) for v in mixed] == [("LINT002", 2)]
+    assert "NOPE999" in mixed[0].message
 
 
 # ----------------------------------------------------------------------
@@ -340,6 +242,23 @@ def test_cli_exit_code_on_violation(tmp_path):
     result = _lint_cli("--no-project-rules", str(bad))
     assert result.returncode == 1
     assert "EXC001" in result.stdout
+
+
+def test_cli_select_of_an_unknown_rule_is_a_usage_error():
+    result = _lint_cli("--select", "NOPE999", "src")
+    assert result.returncode == 2
+    assert "NOPE999" in result.stderr
+    assert "SEAM001" in result.stderr  # the valid ids are listed
+
+
+def test_cli_lists_exactly_the_shipped_rules():
+    result = _lint_cli("--list-rules")
+    assert result.returncode == 0
+    listed = {line.split()[0] for line in result.stdout.splitlines() if line[:1].isupper()}
+    assert listed == {
+        "SEAM001", "DET001", "DET002", "EXC001", "EXC002", "VER001",
+        "LINT001", "LINT002", "PARSE001",
+    }
 
 
 def test_project_rules_clean_via_api():

@@ -1,17 +1,12 @@
-"""The runtime shape-contract decorator and its linter-twin parser.
+"""The runtime shape-contract decorator and its contract parser.
 
-``repro.contracts.parse_contract`` and ``repro_lint.dataflow.parse_contract``
-are deliberately duplicated (the runtime package must not import the lint
-tree and vice versa); the agreement tests here hold the two grammars
-bit-identical so a contract accepted by one can never be rejected by the
-other.  The remaining tests pin the runtime semantics of ``@shaped``:
-shared name bindings across parameters and return, wildcards, alternatives,
-the non-array skip, and the ``REPRO_SHAPE_CHECKS=0`` escape hatch.
+``repro.contracts.parse_contract`` is the one parser of the ``@shaped``
+grammar; the parser tests pin what it accepts and rejects.  The remaining
+tests pin the runtime semantics of ``@shaped``: shared name bindings
+across parameters and return, wildcards, alternatives and the non-array
+skip.
 """
 
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -21,18 +16,14 @@ from repro.contracts import (
     ShapeContractError,
     format_alternatives,
     parse_contract,
-    shape_checks_enabled,
     shaped,
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "tools" / "lint"))
-
-from repro_lint import dataflow  # noqa: E402
 
 
 # ----------------------------------------------------------------------
-# Parser agreement: the runtime and the linter share one grammar
+# The contract grammar
 # ----------------------------------------------------------------------
 
 VALID_CONTRACTS = [
@@ -59,29 +50,28 @@ MALFORMED_CONTRACTS = [
 
 
 @pytest.mark.parametrize("text", VALID_CONTRACTS)
-def test_parsers_agree_on_valid_contracts(text):
-    assert parse_contract(text) == dataflow.parse_contract(text)
+def test_valid_contracts_parse_and_round_trip(text):
+    alternatives = parse_contract(text)
+    assert alternatives
+    assert parse_contract(format_alternatives(alternatives)) == alternatives
 
 
 @pytest.mark.parametrize("text", MALFORMED_CONTRACTS)
-def test_parsers_agree_on_malformed_contracts(text):
+def test_malformed_contracts_are_rejected(text):
     with pytest.raises(ValueError):
         parse_contract(text)
-    with pytest.raises(ValueError):
-        dataflow.parse_contract(text)
 
 
-def test_parsed_structure_uses_the_shared_encoding():
+def test_parsed_structure_uses_the_documented_encoding():
     (alt,) = parse_contract("(_, 4, ..., n)")
     assert alt == (None, 4, Ellipsis, "n")
-    assert dataflow.parse_contract("(_, 4, ..., n)") == (alt,)
+    assert parse_contract("( n_rx , n_tx ) | ()") == (("n_rx", "n_tx"), ())
 
 
-def test_format_alternatives_round_trips_through_both_parsers():
+def test_format_alternatives_renders_the_canonical_spelling():
     text = "(n_rx, fft_size) | (n_rx, n_symbols, fft_size)"
-    rendered = format_alternatives(parse_contract(text))
-    assert parse_contract(rendered) == parse_contract(text)
-    assert dataflow.parse_contract(rendered) == dataflow.parse_contract(text)
+    assert format_alternatives(parse_contract(text)) == text
+    assert format_alternatives(parse_contract("(_, ...)")) == "(_, ...)"
 
 
 # ----------------------------------------------------------------------
@@ -104,7 +94,7 @@ def test_rank_mismatch_raises_with_a_readable_message():
         return block
 
     with pytest.raises(ShapeContractError) as excinfo:
-        modulate(np.zeros((4, 64)))  # reprolint: disable=SHAPE001 -- intentional violation; this test asserts the raise
+        modulate(np.zeros((4, 64)))
     message = str(excinfo.value)
     assert "modulate" in message
     assert "(4, 64)" in message
@@ -118,7 +108,7 @@ def test_bindings_are_shared_across_parameters():
 
     combine(np.zeros((2, 8)), np.zeros((8, 2)))
     with pytest.raises(ShapeContractError):
-        combine(np.zeros((2, 8)), np.zeros((8, 3)))  # n_rx rebound 2 -> 3  # reprolint: disable=SHAPE001 -- intentional violation; this test asserts the raise
+        combine(np.zeros((2, 8)), np.zeros((8, 3)))  # n_rx rebound 2 -> 3
 
 
 def test_bindings_are_shared_with_the_return_contract():
@@ -139,7 +129,7 @@ def test_alternatives_wildcards_and_ellipsis():
     flexible(np.zeros((2, 64)))
     flexible(np.zeros((2, 7, 64)))
     with pytest.raises(ShapeContractError):
-        flexible(np.zeros((2, 3, 7, 64)))  # reprolint: disable=SHAPE001 -- intentional violation; this test asserts the raise
+        flexible(np.zeros((2, 3, 7, 64)))
 
     @shaped(x="(..., fft_size)")
     def tail(x):
@@ -170,36 +160,6 @@ def test_shape_contract_error_is_a_value_error():
     # Stages used to hand-roll `raise ValueError` for shape validation;
     # callers catching ValueError must keep working under contracts.
     assert issubclass(ShapeContractError, ValueError)
-
-
-def test_env_var_disables_runtime_checks():
-    env = dict(os.environ)
-    env["REPRO_SHAPE_CHECKS"] = "0"
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(REPO_ROOT / "src")]
-        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
-    script = (
-        "import numpy as np\n"
-        "from repro.contracts import shaped, shape_checks_enabled\n"
-        "assert not shape_checks_enabled()\n"
-        "@shaped(x='(n, m)')\n"
-        "def f(x):\n"
-        "    return x\n"
-        "f(np.zeros(5))  # rank violation, but checks are off\n"
-        "print('ok')\n"
-    )
-    result = subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True,
-        text=True,
-        env=env,
-        cwd=REPO_ROOT,
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "ok"
-    # In this process (checks on by default) the same call must raise.
-    assert shape_checks_enabled()
 
 
 def test_py_typed_marker_ships_with_the_package():

@@ -1,11 +1,12 @@
-"""dB-vs-linear unit-domain regression tests for the SNR calibration.
+"""dB-vs-linear unit-domain regression tests.
 
-UNIT001 guards the *source* against cross-domain arithmetic; these tests
-guard the *behaviour*, independently of the linter: if someone ever mixed
-``snr_db`` into linear power arithmetic without a conversion, the delivered
-noise variance would be wrong by orders of magnitude, and every assertion
-here is chosen so that the most likely wrong formulas (``power / snr_db``,
-``power * snr_db``, ``10 ** snr_db``) fail loudly.
+If someone ever mixed ``snr_db`` into linear power arithmetic without a
+conversion, the delivered noise variance would be wrong by orders of
+magnitude, and every assertion here is chosen so that the most likely
+wrong formulas (``power / snr_db``, ``power * snr_db``, ``10 ** snr_db``)
+fail loudly.  The other call sites that cross domains have closed-form
+tests next to their modules: ``test_analysis_capacity.py``,
+``test_utils_metrics.py`` and ``test_channel_impairments_model.py``.
 """
 
 import numpy as np
@@ -43,9 +44,9 @@ def test_converters_round_trip():
 
 
 def test_converters_match_the_inline_idiom_bit_for_bit():
-    # The day-one UNIT001 fixes replaced inline ``10 ** (x / 10)`` with
-    # these helpers; the sweep cache is only valid if they are
-    # bit-identical to the expressions they replaced.
+    # These helpers replaced inline ``10 ** (x / 10)`` idioms; the sweep
+    # cache is only valid if they are bit-identical to the expressions
+    # they replaced.
     for value_db in (-35.0, -3.0, 0.0, 12.5, 35.0):
         assert db_to_linear(value_db) == 10.0 ** (value_db / 10.0)
         assert linear_to_db(value_db + 50.0) == 10.0 * np.log10(value_db + 50.0)

@@ -74,3 +74,11 @@ class TestSnrEstimate:
         )
         estimated = signal_to_noise_ratio_db(signal, signal + noise)
         assert estimated == pytest.approx(20.0, abs=0.5)
+
+    @pytest.mark.parametrize("error, expected_db", [(1.0, 0.0), (0.1, 20.0), (0.01, 40.0)])
+    def test_closed_form_for_a_constant_error(self, error, expected_db):
+        # Unit-power signal, error power error**2: SNR = -20 log10(error) dB.
+        signal = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False))
+        assert signal_to_noise_ratio_db(signal, signal + error) == pytest.approx(
+            expected_db, abs=1e-9
+        )

@@ -46,10 +46,8 @@ REQUIRED_SECTIONS: dict[str, tuple[str, ...]] = {
         "Rule catalog",
         "Suppressing a finding",
         "Refreshing the engine-version manifest",
-        "The dataflow contract rules",
-        "SHAPE001 — declared shape contracts",
-        "DTYPE001 — backend dtype purity",
-        "UNIT001 — dB vs linear power domains",
+        "Runtime contracts",
+        "The `@shaped` grammar",
     ),
 }
 

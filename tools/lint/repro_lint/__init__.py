@@ -14,25 +14,22 @@ DET001    no global-state RNG (``np.random.<sampler>``, the ``random``
           module, unseeded ``default_rng()``) in engine/datapath code
 DET002    no wall-clock reads (``time.time``, ``datetime.now``) in
           engine/datapath code
-KEY001    every ``SweepSpec``/``ImpairmentSpec``/``SweepPoint`` field
-          must perturb ``spec_hash``/``seed_payload``/``content_key``/
-          ``to_dict`` — a new axis can never silently alias cached points
 VER001    the semantics-bearing modules are fingerprinted into a
           committed manifest; changing them without an ``ENGINE_VERSION``
           bump or a manifest refresh fails the gate
 EXC001    no bare ``except:`` and no silently-swallowed ``Exception``
 EXC002    raising ``np.linalg`` solvers in datapath code must translate
           ``LinAlgError`` into ``DecodingError``
-SHAPE001  declared ``@shaped`` contracts, einsum subscripts and shape
-          unpacks must hold wherever dimensions are statically known
-DTYPE001  no complex64/complex128 mixing, and no hard-coded complex
-          dtype meeting a ``DspBackend``-produced value, outside
-          ``repro/dsp``
-UNIT001   dB and linear power domains only meet through
-          ``repro.utils.units`` conversions
 LINT001   suppression comments must carry a written justification
-LINT002   suppression comments must actually suppress something
+LINT002   suppression comments must name a registered rule and
+          actually suppress something
+PARSE001  every linted file must parse as Python
 ========  ==============================================================
+
+Contracts that running code can check for itself (``@shaped`` shape
+contracts, backend dtypes, dB/linear units, cache-key completeness) are
+enforced by the runtime and tier-1 tests, not here; ``docs/linting.md``
+names the test behind each.
 
 Findings are suppressed per line with a justified comment::
 

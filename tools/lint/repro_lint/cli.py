@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Set
 
 from repro_lint import core
 from repro_lint.core import META_RULES, Violation
@@ -34,10 +34,15 @@ def _ensure_repro_importable(root: Path) -> None:
         sys.path.insert(0, src)
 
 
-def _select(rules, selected: Optional[str]):
+def _selected_ids(selected: Optional[str]) -> Optional[Set[str]]:
     if not selected:
+        return None
+    return {rule_id.strip() for rule_id in selected.split(",") if rule_id.strip()}
+
+
+def _select(rules, wanted: Optional[Set[str]]):
+    if wanted is None:
         return rules
-    wanted = {rule_id.strip() for rule_id in selected.split(",") if rule_id.strip()}
     return tuple(rule for rule in rules if rule.rule_id in wanted)
 
 
@@ -111,7 +116,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--no-project-rules",
         action="store_true",
-        help="skip the repository-wide rules (KEY001, VER001)",
+        help="skip the repository-wide rule (VER001)",
     )
     parser.add_argument(
         "--refresh-manifest",
@@ -134,6 +139,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"repro_lint: manifest refreshed at {target}")
         return 0
 
+    wanted = _selected_ids(args.select)
+    known = sorted(rule.rule_id for rule in core.all_rules())
+    unknown = sorted(wanted - set(known)) if wanted is not None else []
+    if unknown:
+        print(
+            f"repro_lint: unknown rule id(s) in --select: {', '.join(unknown)}"
+            f" (valid: {', '.join(known)})",
+            file=sys.stderr,
+        )
+        return 2
+
     targets = [Path(p) for p in args.paths] or [
         root / "src", root / "tools", root / "examples", root / "tests"
     ]
@@ -144,7 +160,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     files = core.discover_files(targets)
     violations = core.lint_files(
-        root, files, rules=_select(core.file_rules(), args.select)
+        root, files, rules=_select(core.file_rules(), wanted)
     )
     if not args.no_project_rules:
         options = {}
@@ -152,7 +168,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             options["manifest"] = args.manifest
         violations.extend(
             core.lint_project(
-                root, options, rules=_select(core.project_rules(), args.select)
+                root, options, rules=_select(core.project_rules(), wanted)
             )
         )
     violations.sort(key=lambda v: (v.path, v.line, v.col, v.rule))

@@ -3,8 +3,8 @@
 A *file rule* (:class:`Rule`) sees one parsed module at a time through a
 :class:`FileContext` and reports :class:`Violation` objects.  A *project
 rule* (:class:`ProjectRule`) sees the whole repository through a
-:class:`ProjectContext` and enforces cross-file contracts (cache-key
-completeness, the engine-version manifest).
+:class:`ProjectContext` and enforces cross-file contracts (the
+engine-version manifest).
 
 Rules register themselves with the :func:`register` decorator; the CLI and
 the test suite both consume the same registry.  Per-line suppressions are
@@ -14,8 +14,8 @@ handled here so every rule gets them for free::
 
 A suppression must name the rule ids it silences and must carry a written
 justification after ``--``; an unjustified suppression is itself a
-violation (LINT001), as is one that silences nothing (LINT002) — dead
-suppressions rot into false confidence.
+violation (LINT001), as is one that silences nothing or names an
+unknown rule (LINT002) — dead suppressions rot into false confidence.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ _SUPPRESSION_RE = re.compile(
 META_RULES = {
     "PARSE001": "file could not be parsed as Python",
     "LINT001": "suppression comment has no written justification",
-    "LINT002": "suppression comment silences nothing on its line",
+    "LINT002": "suppression comment names an unknown rule or silences nothing",
 }
 
 
@@ -226,8 +226,11 @@ def apply_suppressions(
     down) and LINT002 for a suppression whose rules never fired on its
     line.  ``active_rules`` names the rule ids that actually ran on this
     file; a suppression naming a rule that was not run (``--select``
-    subsets, path scoping) is never reported as useless.
+    subsets, path scoping) is never reported as useless.  A suppression
+    naming a rule id that is not registered at all (a typo, a retired
+    rule) is always LINT002: it can never silence anything.
     """
+    known = {rule.rule_id for rule in all_rules()}
     by_line: Dict[int, List[Suppression]] = {}
     for suppression in suppressions:
         by_line.setdefault(suppression.line, []).append(suppression)
@@ -247,10 +250,25 @@ def apply_suppressions(
 
     for suppression in suppressions:
         key = (suppression.line, ",".join(suppression.rule_ids))
+        unknown = [r for r in suppression.rule_ids if r not in known]
         all_rules_ran = active_rules is None or all(
             rule_id in active_rules for rule_id in suppression.rule_ids
         )
-        if not used.get(key, False) and not all_rules_ran:
+        if unknown:
+            kept.append(
+                Violation(
+                    rule="LINT002",
+                    path=relpath,
+                    line=suppression.line,
+                    col=1,
+                    message=(
+                        f"unknown rule id(s) {', '.join(unknown)}: no "
+                        "registered rule can fire here — fix the id or "
+                        "delete it (see --list-rules)"
+                    ),
+                )
+            )
+        if not used.get(key, False) and (unknown or not all_rules_ran):
             continue
         if not used.get(key, False):
             kept.append(

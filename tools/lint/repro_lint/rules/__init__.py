@@ -3,12 +3,8 @@
 from __future__ import annotations
 
 from repro_lint.rules import (  # noqa: F401  (import-for-side-effect)
-    cache_keys,
     determinism,
-    dtypes,
     engine_version,
     exceptions,
     seam,
-    shapes,
-    units,
 )
