@@ -35,19 +35,19 @@ test-fast:
 	$(PYTHONPATH_PREFIX) $(PYTHON) -m pytest tests -q
 
 test-store:
-	$(PYTHONPATH_PREFIX) $(PYTHON) -m pytest tests/test_sim_store.py tests/test_sim_queue.py tests/test_sim_resume.py tests/test_sim_adaptive.py benchmarks/test_sweep_store.py -q --benchmark-disable
+	$(PYTHONPATH_PREFIX) $(PYTHON) -m pytest tests/test_sim_store.py tests/test_sim_queue.py tests/test_sim_resume.py tests/test_sim_adaptive.py benchmarks/test_sweep_store.py -q
 
 bench-smoke:
-	$(PYTHONPATH_PREFIX) $(PYTHON) -m pytest benchmarks -q --benchmark-disable
+	$(PYTHONPATH_PREFIX) $(PYTHON) -m pytest benchmarks -q
 
 bench-impairments:
-	$(PYTHONPATH_PREFIX) $(PYTHON) -m pytest benchmarks/test_impairment_sweep.py -q --benchmark-disable
+	$(PYTHONPATH_PREFIX) $(PYTHON) -m pytest benchmarks/test_impairment_sweep.py -q
 
 bench-store:
-	$(PYTHONPATH_PREFIX) $(PYTHON) -m pytest benchmarks/test_sweep_store.py -q --benchmark-disable -s
+	$(PYTHONPATH_PREFIX) $(PYTHON) -m pytest benchmarks/test_sweep_store.py -q -s
 
 bench-stream:
-	$(PYTHONPATH_PREFIX) REPRO_STREAM_USERS=1000 $(PYTHON) -m pytest benchmarks/test_streaming_service.py -q --benchmark-disable -s
+	$(PYTHONPATH_PREFIX) REPRO_STREAM_USERS=1000 $(PYTHON) -m pytest benchmarks/test_streaming_service.py -q -s
 
 PERF_WORKLOADS := sweep_ref sweep_gigabit sweep_wide stream_downlink
 

@@ -4,7 +4,8 @@ Every benchmark regenerates one table, figure-level claim or ablation from
 the paper's evaluation (the file name says which: ``test_table*``,
 ``test_claim_*``, ``test_ablation_*``) and prints the reproduced rows next
 to the paper's reported values, so the textual output of
-``pytest benchmarks/ --benchmark-only`` doubles as the reproduction report.
+``pytest benchmarks/ -s`` doubles as the reproduction report.  Each case
+runs its workload once; throughput is measured by ``perfbench/``, not here.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import pytest
 
 
 def print_table(title: str, headers: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
-    """Print an aligned table to stdout (captured by pytest -s / benchmark logs)."""
+    """Print an aligned table to stdout (shown by ``pytest -s``)."""
     rows = [tuple(str(cell) for cell in row) for row in rows]
     widths = [len(h) for h in headers]
     for row in rows:

@@ -9,8 +9,6 @@ benchmark sweeps the normalised CFO and shows where pilot-only correction
 collapses and the extension keeps the link closed.
 """
 
-import pytest
-
 from repro.channel.fading import FlatRayleighChannel
 from repro.channel.model import MimoChannel
 from repro.core.config import TransceiverConfig
@@ -36,9 +34,8 @@ def _sweep():
     }
 
 
-@pytest.mark.benchmark(group="extension-cfo")
-def test_ablation_cfo_correction(benchmark, table_printer):
-    results = benchmark.pedantic(_sweep, rounds=1, iterations=1)
+def test_ablation_cfo_correction(table_printer):
+    results = _sweep()
     table_printer(
         "Extension E1: CFO tolerance (16-QAM rate 1/2, flat Rayleigh, 35 dB)",
         ["normalised CFO", "pilot-only BER", "with CFO estimator BER"],

@@ -8,7 +8,6 @@ ablation sweeps both and reports the reconstruction error, justifying the
 """
 
 import numpy as np
-import pytest
 
 from repro.dsp.cordic import Cordic
 from repro.dsp.fixedpoint import FixedPointFormat
@@ -40,9 +39,8 @@ def _iteration_errors():
     return errors
 
 
-@pytest.mark.benchmark(group="ablation-cordic")
-def test_ablation_cordic_iterations(benchmark, table_printer):
-    errors = benchmark(_iteration_errors)
+def test_ablation_cordic_iterations(table_printer):
+    errors = _iteration_errors()
     table_printer(
         "Ablation A2: CORDIC micro-rotations vs QR reconstruction error",
         ["iterations", "mean relative error"],
@@ -70,9 +68,8 @@ def _word_length_errors():
     return errors
 
 
-@pytest.mark.benchmark(group="ablation-cordic")
-def test_ablation_cordic_word_length(benchmark, table_printer):
-    errors = benchmark(_word_length_errors)
+def test_ablation_cordic_word_length(table_printer):
+    errors = _word_length_errors()
     table_printer(
         "Ablation A2: CORDIC datapath word length vs QR reconstruction error",
         ["word length (bits)", "mean relative error"],

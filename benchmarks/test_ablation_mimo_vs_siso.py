@@ -43,9 +43,8 @@ def _generate_comparison():
     return rows
 
 
-@pytest.mark.benchmark(group="ablation-mimo-siso")
-def test_ablation_mimo_vs_siso(benchmark, table_printer):
-    rows = benchmark(_generate_comparison)
+def test_ablation_mimo_vs_siso(table_printer):
+    rows = _generate_comparison()
     table_printer(
         "Ablation A4: antenna-count scaling (16-QAM, rate 1/2, 64-pt OFDM)",
         ["channels", "info rate (Mbps)", "TX ALUTs", "RX estimation ALUTs"],

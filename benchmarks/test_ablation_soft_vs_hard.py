@@ -6,8 +6,6 @@ ablation measures what the soft option buys: coded BER of the full 4x4 link
 with hard-decision and soft-decision (LLR) demapping at the same SNR points.
 """
 
-import pytest
-
 from repro.channel.fading import FlatRayleighChannel
 from repro.channel.model import MimoChannel
 from repro.core.config import TransceiverConfig
@@ -31,9 +29,8 @@ def _sweep():
     }
 
 
-@pytest.mark.benchmark(group="ablation-soft-hard")
-def test_ablation_soft_vs_hard(benchmark, table_printer):
-    results = benchmark.pedantic(_sweep, rounds=1, iterations=1)
+def test_ablation_soft_vs_hard(table_printer):
+    results = _sweep()
     table_printer(
         "Ablation A3: hard vs soft demapping (16-QAM rate 1/2, flat Rayleigh)",
         ["SNR (dB)", "hard BER", "soft BER"],

@@ -43,9 +43,8 @@ def _generate_scaling():
     }
 
 
-@pytest.mark.benchmark(group="claim-512pt")
-def test_claim_512pt_scaling(benchmark, table_printer):
-    results = benchmark(_generate_scaling)
+def test_claim_512pt_scaling(table_printer):
+    results = _generate_scaling()
 
     rows = [
         ("TX IFFT resource ratio (512/64)", f"{results['tx_ifft_ratio']:.2f}", "~8x"),

@@ -3,11 +3,10 @@
 Paper: "Each CORDIC element has a latency of 20 clock cycles ... The QRD
 circuit therefore has a data-path latency of 440 clock cycles."  The
 benchmark regenerates those figures from the structural systolic-array model
-and times one matrix decomposition through the cell-level model.
+and runs one matrix decomposition through the cell-level model.
 """
 
 import numpy as np
-import pytest
 
 from repro.dsp.cordic import CORDIC_PIPELINE_LATENCY
 from repro.hardware.latency import LatencyModel, PAPER_QRD_LATENCY_CYCLES
@@ -18,13 +17,12 @@ PAPER_BOUNDARY_CELLS = 4
 PAPER_R_INTERNAL_CELLS = 6
 
 
-@pytest.mark.benchmark(group="claim-qrd-latency")
-def test_claim_qrd_latency(benchmark, table_printer):
+def test_claim_qrd_latency(table_printer):
     array = SystolicQrdArray(n=4, cordic_iterations=16)
     rng = np.random.default_rng(0)
     matrix = (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))) / np.sqrt(2)
 
-    benchmark(array.process, matrix)
+    array.process(matrix)
 
     latency_model = LatencyModel()
     rows = [

@@ -34,9 +34,8 @@ EXPECTED_RATES_GBPS = {
 }
 
 
-@pytest.mark.benchmark(group="claim-throughput")
-def test_claim_1gbps_throughput(benchmark, table_printer):
-    rows = benchmark(throughput_report)
+def test_claim_1gbps_throughput(table_printer):
+    rows = throughput_report()
 
     table_printer(
         "Claim C1: information bit rate at 100 MHz (4 spatial streams, 64-pt OFDM)",
@@ -72,8 +71,7 @@ def test_claim_1gbps_throughput(benchmark, table_printer):
     assert large.info_bit_rate_bps >= 1e9
 
 
-@pytest.mark.benchmark(group="claim-throughput")
-def test_claim_throughput_via_sweep_grid(benchmark, table_printer):
+def test_claim_throughput_via_sweep_grid(table_printer):
     """The same table, enumerated through the sweep engine's grid layer."""
     spec = SweepSpec(
         snr_db=(30.0,),
@@ -89,7 +87,7 @@ def test_claim_throughput_via_sweep_grid(benchmark, table_printer):
             for point in spec.points()
         }
 
-    rates = benchmark(_grid_rates)
+    rates = _grid_rates()
     assert len(rates) == len(EXPECTED_RATES_GBPS)
     table_printer(
         "Claim C1 via SweepSpec grid: every (modulation, rate) cell",

@@ -9,7 +9,6 @@ a full 4x4 matrix from the received LTS slots).
 """
 
 import numpy as np
-import pytest
 
 from repro.channel.fading import FlatRayleighChannel
 from repro.channel.model import MimoChannel
@@ -23,9 +22,8 @@ def _generate_burst():
     return transmitter.transmit_random(96, rng=np.random.default_rng(7))
 
 
-@pytest.mark.benchmark(group="fig2-preamble")
-def test_fig2_preamble_schedule(benchmark, table_printer):
-    burst = benchmark(_generate_burst)
+def test_fig2_preamble_schedule(table_printer):
+    burst = _generate_burst()
     transmitter = MimoTransmitter(TransceiverConfig())
     schedule = transmitter.preamble.transmission_schedule(4)
 

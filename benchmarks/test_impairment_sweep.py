@@ -15,8 +15,6 @@ worker pool and checks the engine's contracts on the new axes:
   so a record written by an older engine is demonstrably never served.
 """
 
-import pytest
-
 import repro.sim.spec as spec_module
 from repro.sim import ENGINE_VERSION, ImpairmentSpec, ResultStore, SweepRunner, SweepSpec
 
@@ -56,16 +54,11 @@ def _stats(result):
     ]
 
 
-@pytest.mark.benchmark(group="impairment-sweep")
-def test_impairment_grid_runs_pooled_and_caches(benchmark, table_printer, tmp_path):
+def test_impairment_grid_runs_pooled_and_caches(table_printer, tmp_path):
     spec = _grid_spec()
     assert spec.n_points == len(CFO_VALUES) * len(WORD_LENGTHS) * len(SNR_POINTS_DB)
 
-    result = benchmark.pedantic(
-        lambda: SweepRunner(spec, n_workers=2, batch_size=1, cache=tmp_path).run(),
-        rounds=1,
-        iterations=1,
-    )
+    result = SweepRunner(spec, n_workers=2, batch_size=1, cache=tmp_path).run()
     assert not result.from_cache
     assert result.n_bursts_simulated == spec.n_points * N_BURSTS
 
@@ -93,14 +86,9 @@ def test_impairment_grid_runs_pooled_and_caches(benchmark, table_printer, tmp_pa
     assert _stats(again) == _stats(result)
 
 
-@pytest.mark.benchmark(group="impairment-sweep")
-def test_impairment_statistics_independent_of_runner_knobs(benchmark, tmp_path):
+def test_impairment_statistics_independent_of_runner_knobs(tmp_path):
     spec = _grid_spec()
-    reference = benchmark.pedantic(
-        lambda: SweepRunner(spec, n_workers=2, batch_size=1, cache=False).run(),
-        rounds=1,
-        iterations=1,
-    )
+    reference = SweepRunner(spec, n_workers=2, batch_size=1, cache=False).run()
     for n_workers, batch_size in ((1, 1), (1, 2), (3, 2)):
         variant = SweepRunner(
             spec, n_workers=n_workers, batch_size=batch_size, cache=False
@@ -108,8 +96,7 @@ def test_impairment_statistics_independent_of_runner_knobs(benchmark, tmp_path):
         assert _stats(variant) == _stats(reference), (n_workers, batch_size)
 
 
-@pytest.mark.benchmark(group="impairment-sweep")
-def test_old_engine_version_cache_entry_is_not_reused(benchmark, tmp_path, monkeypatch):
+def test_old_engine_version_cache_entry_is_not_reused(tmp_path, monkeypatch):
     spec = _grid_spec().subset(
         snr_db=(26.0,), impairments=(ImpairmentSpec.quantized(16),)
     )
@@ -136,11 +123,7 @@ def test_old_engine_version_cache_entry_is_not_reused(benchmark, tmp_path, monke
         },
     )
 
-    fresh = benchmark.pedantic(
-        lambda: SweepRunner(spec, n_workers=1, cache=store).run(),
-        rounds=1,
-        iterations=1,
-    )
+    fresh = SweepRunner(spec, n_workers=1, cache=store).run()
     # The stale record is never served: the point is simulated afresh...
     assert not fresh.from_cache
     assert fresh.n_bursts_simulated == N_BURSTS

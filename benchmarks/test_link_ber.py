@@ -14,8 +14,6 @@ classic waterfall setup) and caching disabled so the benchmark always
 measures real simulation time.
 """
 
-import pytest
-
 from repro.sim import SweepRunner, SweepSpec
 
 SNR_POINTS_DB = (6.0, 14.0, 22.0, 30.0)
@@ -38,9 +36,8 @@ def _sweep(modulations):
     return SweepRunner(spec, n_workers=1, cache=False).run()
 
 
-@pytest.mark.benchmark(group="link-ber")
-def test_link_ber_16qam(benchmark, table_printer):
-    result = benchmark.pedantic(_sweep, args=(("16qam",),), rounds=1, iterations=1)
+def test_link_ber_16qam(table_printer):
+    result = _sweep(("16qam",))
     curve = result.ber_curve(modulation="16qam")
     table_printer(
         "Link BER vs SNR — 16-QAM rate 1/2 (paper's synthesised configuration)",
@@ -54,11 +51,8 @@ def test_link_ber_16qam(benchmark, table_printer):
     assert bers[0] > 0.0
 
 
-@pytest.mark.benchmark(group="link-ber")
-def test_link_ber_qpsk_vs_64qam(benchmark, table_printer):
-    result = benchmark.pedantic(
-        _sweep, args=(("qpsk", "64qam"),), rounds=1, iterations=1
-    )
+def test_link_ber_qpsk_vs_64qam(table_printer):
+    result = _sweep(("qpsk", "64qam"))
     qpsk = result.ber_curve(modulation="qpsk")
     qam64 = result.ber_curve(modulation="64qam")
     table_printer(

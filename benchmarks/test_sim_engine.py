@@ -21,8 +21,6 @@ larger ratios; ``docs/simulation.md`` shows the full-scale command.
 
 import time
 
-import pytest
-
 from repro.channel.fading import FlatRayleighChannel
 from repro.channel.model import MimoChannel
 from repro.core.config import TransceiverConfig
@@ -66,15 +64,12 @@ def _serial_baseline() -> dict:
     return curve
 
 
-@pytest.mark.benchmark(group="sim-engine")
-def test_engine_early_stopping_beats_serial_loop(benchmark, table_printer, tmp_path):
+def test_engine_early_stopping_beats_serial_loop(table_printer, tmp_path):
     serial_start = time.perf_counter()
     serial_curve = _serial_baseline()
     serial_elapsed = time.perf_counter() - serial_start
 
-    result = benchmark.pedantic(
-        _engine_sweep, args=(tmp_path,), rounds=1, iterations=1
-    )
+    result = _engine_sweep(tmp_path)
     engine_curve = result.ber_curve(modulation="16qam")
 
     speedup = serial_elapsed / result.elapsed_s
@@ -104,14 +99,11 @@ def test_engine_early_stopping_beats_serial_loop(benchmark, table_printer, tmp_p
     assert serial_curve[SNR_POINTS_DB[0]] > 0.1
 
 
-@pytest.mark.benchmark(group="sim-engine")
-def test_repeated_sweep_is_served_from_cache(benchmark, table_printer, tmp_path):
+def test_repeated_sweep_is_served_from_cache(table_printer, tmp_path):
     first = _engine_sweep(tmp_path)
     assert not first.from_cache
 
-    cached = benchmark.pedantic(
-        _engine_sweep, args=(tmp_path,), rounds=1, iterations=1
-    )
+    cached = _engine_sweep(tmp_path)
     start = time.perf_counter()
     again = _engine_sweep(tmp_path)
     cached_elapsed = time.perf_counter() - start

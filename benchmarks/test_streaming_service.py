@@ -52,7 +52,6 @@ def service_report():
     return scheduler, scheduler.run()
 
 
-@pytest.mark.benchmark(group="streaming-service")
 def test_streaming_service_levels(service_report, table_printer):
     scheduler, report = service_report
 

@@ -14,8 +14,6 @@ gates keep that property honest:
 
 import time
 
-import pytest
-
 from repro.sim import ResultStore, SweepRunner, SweepSpec
 from repro.sim.engine import simulate_batch
 
@@ -50,13 +48,12 @@ def _run(snr_grid, cache) -> "SweepResult":
     return SweepRunner(_spec(snr_grid), n_workers=1, batch_size=2, cache=cache).run()
 
 
-@pytest.mark.benchmark(group="sweep-store")
-def test_warm_rerun_is_a_pure_store_read(benchmark, table_printer, tmp_path):
+def test_warm_rerun_is_a_pure_store_read(table_printer, tmp_path):
     store = ResultStore(tmp_path / "points")
     first = _run(GRID_A_DB, store)
     assert not first.from_cache
 
-    warm = benchmark.pedantic(_run, args=(GRID_A_DB, store), rounds=1, iterations=1)
+    warm = _run(GRID_A_DB, store)
     start = time.perf_counter()
     again = _run(GRID_A_DB, store)
     warm_elapsed = time.perf_counter() - start
@@ -77,10 +74,7 @@ def test_warm_rerun_is_a_pure_store_read(benchmark, table_printer, tmp_path):
     assert [p.bit_errors for p in warm.points] == [p.bit_errors for p in first.points]
 
 
-@pytest.mark.benchmark(group="sweep-store")
-def test_overlapping_grids_share_their_intersection(
-    benchmark, table_printer, tmp_path, monkeypatch
-):
+def test_overlapping_grids_share_their_intersection(table_printer, tmp_path, monkeypatch):
     store = ResultStore(tmp_path / "points")
     run_a = _run(GRID_A_DB, store)
 
@@ -95,7 +89,7 @@ def test_overlapping_grids_share_their_intersection(
         return simulate_batch(task)
 
     monkeypatch.setattr("repro.sim.runner.simulate_batch", counting)
-    shared_b = benchmark.pedantic(_run, args=(GRID_B_DB, store), rounds=1, iterations=1)
+    shared_b = _run(GRID_B_DB, store)
     monkeypatch.undo()
 
     reduction = 1.0 - shared_b.n_bursts_simulated / fresh_b.n_bursts_simulated

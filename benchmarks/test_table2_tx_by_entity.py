@@ -5,8 +5,6 @@ block interleaver 28,016/1,730/0/0, IFFT 3,854/9,152/8,896/32,
 cyclic prefix 40/128/0/0 (ALUTs / registers / memory bits / DSP).
 """
 
-import pytest
-
 from repro.hardware.estimator import TransmitterResourceModel
 
 PAPER_TABLE2 = {
@@ -22,9 +20,8 @@ def _generate_table2():
     return {entity: model.entity_usage(entity) for entity in PAPER_TABLE2}
 
 
-@pytest.mark.benchmark(group="table2")
-def test_table2_tx_by_entity(benchmark, table_printer):
-    usages = benchmark(_generate_table2)
+def test_table2_tx_by_entity(table_printer):
+    usages = _generate_table2()
 
     rows = []
     for entity, paper in PAPER_TABLE2.items():

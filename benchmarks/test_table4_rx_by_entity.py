@@ -29,9 +29,8 @@ def _generate_table4():
     return usages, model.channel_estimation_share()
 
 
-@pytest.mark.benchmark(group="table4")
-def test_table4_rx_by_entity(benchmark, table_printer):
-    usages, share = benchmark(_generate_table4)
+def test_table4_rx_by_entity(table_printer):
+    usages, share = _generate_table4()
 
     rows = []
     for entity, paper in PAPER_TABLE4.items():

@@ -9,15 +9,19 @@ punctured rates.
 
 Like the hardware's parallel decoders, :meth:`ViterbiDecoder.decode` takes a
 ``(n_blocks, n_coded)`` stack and runs every block through one
-add-compare-select loop over an ``(n_blocks, n_states)`` metric matrix, so
-the per-step Python cost is paid once per stack rather than once per
-stream.  The trellis of a rate-1/n feed-forward code is a radix-2
-butterfly: the two predecessors of next state ``ns`` are
+add-compare-select loop, so the per-step Python cost is paid once per stack
+rather than once per stream.  Inside the trellis the block axis is the
+innermost, contiguous one: label metrics are ``(n_steps, 2 ** n_outputs,
+n_blocks)``, path metrics ``(2, n_states // 2, n_blocks)`` and survivor
+choices ``(n_steps, n_states, n_blocks)``, so every ufunc walks long
+unit-stride rows of blocks.  The trellis of a rate-1/n feed-forward code is
+a radix-2 butterfly: the two predecessors of next state ``ns`` are
 ``2 * (ns % (n_states // 2)) + {0, 1}`` and its input bit is the top state
-bit.  Each step gathers its branch metrics from the ``2 ** n_outputs``
-per-label metrics of that step, and a tie keeps the lower predecessor.  The
-frozen per-branch reference in ``tests/reference`` checks the result
-bit for bit.
+bit.  Each step gathers its branch metrics from that step's per-label
+metrics, and a tie keeps the lower predecessor.  The traceback turns the
+choices, in place, into per-step predecessor tables and walks each block
+back with one table lookup per step.  The frozen per-branch reference in
+``tests/reference`` checks the result bit for bit.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from repro.coding.convolutional import ConvolutionalCode
+from repro.exceptions import DecodingError
 from repro.utils.bits import BitArray
 
 _METRIC_INF = 1e18
@@ -49,27 +54,21 @@ class ViterbiDecoder:
         (positive LLR means the coded bit is more likely a 0, the convention
         produced by :mod:`repro.modulation.demapper`) and branch metrics are
         correlations.
-    traceback_length:
-        Kept for API completeness / resource modelling; this software decoder
-        always runs full-block traceback, which upper-bounds the hardware's
-        windowed traceback performance.
     """
 
     def __init__(
         self,
         code: Optional[ConvolutionalCode] = None,
         decision: str = "hard",
-        traceback_length: int = 96,
     ) -> None:
         if decision not in ("hard", "soft"):
             raise ValueError("decision must be 'hard' or 'soft'")
         self.code = code if code is not None else ConvolutionalCode.ieee80211a()
         self.decision = decision
-        self.traceback_length = traceback_length
         n = self.code.n_outputs
         # Bits of every output label, MSB (output 0) first: (2**n, n).
         shifts = np.arange(n - 1, -1, -1)
-        self._label_bits = ((np.arange(1 << n)[:, None] >> shifts) & 1).astype(np.float64)
+        self._label_bits = (np.arange(1 << n)[:, None] >> shifts) & 1
         # Label of the branch from predecessor 2j + p under input bit b,
         # indexed [p, b, j]; that branch lands in next state b * half + j.
         _, outputs = self.code.build_trellis()
@@ -100,7 +99,7 @@ class ViterbiDecoder:
         -------
         (full_values, erasure_mask):
             ``full_values`` has shape ``(n_input_bits, n_outputs)`` (with a
-            leading ``n_blocks`` axis for a stack) and zeros in erased
+            trailing ``n_blocks`` axis for a stack) and zeros in erased
             positions; ``erasure_mask`` has shape ``(n_input_bits,
             n_outputs)`` and is 1 where a real received value is present and
             0 where the puncturer deleted the bit.
@@ -123,9 +122,9 @@ class ViterbiDecoder:
                 f"received stream has {stack.shape[1]} values but the block "
                 f"consumes {consumed}"
             )
-        full = np.zeros((stack.shape[0], n_input_bits, self.code.n_outputs), dtype=np.float64)
-        full[:, present] = stack
-        return (full if stacked else full[0]), present.astype(np.float64)
+        full = np.zeros((n_input_bits, self.code.n_outputs, stack.shape[0]), dtype=np.float64)
+        full[present] = stack.T
+        return (full if stacked else full[..., 0]), present.astype(np.float64)
 
     # ------------------------------------------------------------------
     # branch metrics
@@ -133,19 +132,30 @@ class ViterbiDecoder:
     def _label_metrics(self, observations: np.ndarray, mask: np.ndarray) -> np.ndarray:
         """Metric of every output label at every step, lower is better.
 
-        ``observations`` has shape ``(n_blocks, n_steps, n_outputs)`` and
-        ``mask`` ``(n_steps, n_outputs)``; the result has shape ``(n_steps,
-        n_blocks, 2 ** n_outputs)``.  A branch's metric is its label's.
+        ``observations`` has shape ``(n_steps, n_outputs, n_blocks)`` and
+        ``mask`` ``(n_steps, n_outputs)``; the result is a contiguous
+        ``(n_steps, 2 ** n_outputs, n_blocks)`` array.  A branch's metric is
+        its label's: the sum over outputs, in output order, of that output's
+        term for the label's bit.
         """
-        obs = observations.transpose(1, 0, 2)[:, :, None, :]
-        erasures = mask[:, None, None, :]
+        erasures = mask[:, :, None, None]
+        bit_values = np.array([[0.0], [1.0]])
         if self.decision == "hard":
             # Hamming distance over non-erased positions.
-            return (np.abs(self._label_bits - obs) * erasures).sum(axis=-1)
-        # Soft decision: LLR convention is positive => bit 0 more likely.
-        # Metric = sum over outputs of (bit ? +LLR : -LLR), lower better.
-        signs = 1.0 - 2.0 * self._label_bits  # bit0 -> +1, bit1 -> -1
-        return -(signs * (obs * erasures)).sum(axis=-1)
+            terms = np.abs(bit_values - observations[:, :, None, :]) * erasures
+        else:
+            # Soft decision: LLR convention is positive => bit 0 more likely.
+            # Metric = -(sum over outputs of (bit ? -LLR : +LLR)), lower better.
+            signs = 1.0 - 2.0 * bit_values  # bit0 -> +1, bit1 -> -1
+            terms = signs * (observations[:, :, None, :] * erasures)
+        # terms[step, output, bit, block]; gather each output's term per label
+        # with ``take``, which (unlike fancy indexing) returns C order.
+        metrics = np.take(terms[:, 0], self._label_bits[:, 0], axis=1)
+        for output in range(1, self.code.n_outputs):
+            metrics += np.take(terms[:, output], self._label_bits[:, output], axis=1)
+        if self.decision == "soft":
+            np.negative(metrics, out=metrics)
+        return metrics
 
     # ------------------------------------------------------------------
     # decoding
@@ -177,8 +187,20 @@ class ViterbiDecoder:
         -------
         ``(n_info_bits,)`` bits for one block, ``(n_blocks, n_info_bits)``
         for a stack.
+
+        Raises
+        ------
+        DecodingError
+            If ``received`` has more than two dimensions or holds a NaN or
+            infinite value.
         """
         values = np.asarray(received, dtype=np.float64)
+        if values.ndim > 2:
+            raise DecodingError(
+                f"received must be one block or a 2-D stack, got {values.ndim} dimensions"
+            )
+        if not np.isfinite(values).all():
+            raise DecodingError("received values must be finite")
         stacked = values.ndim == 2
         if not stacked:
             values = values.reshape(1, -1)
@@ -203,7 +225,7 @@ class ViterbiDecoder:
         if terminated:
             end_states = [0] * values.shape[0]
         else:
-            end_states = np.argmin(metrics, axis=1).tolist()
+            end_states = np.argmin(metrics, axis=0).tolist()
         decoded = self._traceback(choices, end_states)[:, :n_info_bits]
         return decoded if stacked else decoded[0]
 
@@ -213,55 +235,59 @@ class ViterbiDecoder:
     def _acs(self, label_metrics: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Butterfly add-compare-select over every block at once.
 
-        Returns the final ``(n_blocks, n_states)`` path metrics and the
-        ``(n_steps, n_blocks, n_states)`` choice bits: ``True`` where the
+        Returns the final ``(n_states, n_blocks)`` path metrics and the
+        ``(n_steps, n_states, n_blocks)`` choice bits: ``True`` where the
         survivor into a state came from the odd predecessor ``2j + 1``.
         Candidates are the same ``metric + branch`` sums a per-branch
         decoder forms, and ``c1 < c0`` keeps the even predecessor on a tie.
         """
-        n_steps, n_blocks, _ = label_metrics.shape
+        n_steps, _, n_blocks = label_metrics.shape
         n_states = self.code.n_states
         half = n_states // 2
-        # Metrics of next state b * half + j live at [block, b, j]; the same
-        # buffer seen as [block, p, 1, j] is the metric of predecessor 2j + p.
-        metrics = np.full((n_blocks, 2, half), _METRIC_INF)
-        metrics[:, 0, 0] = 0.0
-        predecessors = metrics.reshape(n_blocks, half, 2).transpose(0, 2, 1)[:, :, None, :]
-        candidate = np.empty((n_blocks, 2, 2, half))  # [block, p, b, j]
-        even, odd = candidate[:, 0], candidate[:, 1]
-        choices = np.empty((n_steps, n_blocks, 2, half), dtype=bool)
+        # Metrics of next state b * half + j live at [b, j]; the same buffer
+        # seen as [p, 1, j] is the metric of predecessor 2j + p.
+        metrics = np.full((2, half, n_blocks), _METRIC_INF)
+        metrics[0, 0] = 0.0
+        predecessors = metrics.reshape(half, 2, n_blocks).transpose(1, 0, 2)[:, None]
+        candidate = np.empty((2, 2, half, n_blocks))  # [p, b, j, block]
+        even, odd = candidate[0], candidate[1]
+        choices = np.empty((n_steps, 2, half, n_blocks), dtype=bool)
         for start in range(0, n_steps, _ACS_CHUNK):
-            # Branch metrics of a bounded chunk of steps, [step, block, p, b, j].
-            branches = label_metrics[start : start + _ACS_CHUNK][:, :, self._branch_labels]
+            # Branch metrics of a bounded chunk of steps, [step, p, b, j, block].
+            chunk = label_metrics[start : start + _ACS_CHUNK]
+            branches = np.take(chunk, self._branch_labels, axis=1)
             for branch, choice in zip(branches, choices[start : start + _ACS_CHUNK]):
                 np.add(predecessors, branch, out=candidate)
                 np.less(odd, even, out=choice)
                 np.minimum(even, odd, out=metrics)
-        return metrics.reshape(n_blocks, n_states), choices.reshape(n_steps, n_blocks, n_states)
+        return metrics.reshape(n_states, n_blocks), choices.reshape(n_steps, n_states, n_blocks)
 
     def _traceback(self, choices: np.ndarray, end_states: Sequence[int]) -> np.ndarray:
         """Walk every block's survivor path back from its end state.
 
-        The choice bits are packed into 64-bit words and each block's words
-        flattened into one Python int list, ``words_per_step`` words per
-        step, so each step of the walk is a few integer operations.
+        The choice bits become per-step predecessor tables, ``table[step,
+        state] = ((state & (half - 1)) << 1) | choice``, written over the
+        choices' own bytes (codes over 256 states need a ``uint16`` table,
+        and so a copy).  Each block's column of tables is then one
+        ``bytes`` string, and every step of its walk is one lookup.
         """
-        n_steps, n_blocks, n_states = choices.shape
-        packed = np.packbits(choices, axis=-1, bitorder="little")
-        if packed.shape[-1] % 8:
-            packed = np.pad(packed, ((0, 0), (0, 0), (0, 8 - packed.shape[-1] % 8)))
-        words = packed.view("<u8")
-        words_per_step = words.shape[-1]
-        flat = words.transpose(1, 0, 2).reshape(n_blocks, -1).tolist()
-        low = n_states // 2 - 1
+        n_steps, n_states, n_blocks = choices.shape
+        low = np.arange(n_states) & (n_states // 2 - 1)
+        if n_states <= 256:
+            table = choices.view(np.uint8)
+        else:
+            table = choices.astype(np.uint16)
+        table |= (low << 1).astype(table.dtype)[:, None]
+        offsets = range((n_steps - 1) * n_states, -1, -n_states)
         states = np.empty((n_blocks, n_steps), dtype=np.int64)
         for block, state in enumerate(end_states):
-            path = flat[block]
-            visited = [0] * n_steps
-            for step in range(n_steps - 1, -1, -1):
-                visited[step] = state
-                word = path[step * words_per_step + (state >> 6)]
-                state = ((state & low) << 1) | ((word >> (state & 63)) & 1)
-            states[block] = visited
+            path = table[:, :, block].tobytes()
+            if table.itemsize > 1:
+                path = memoryview(path).cast(table.dtype.char)
+            visited = []
+            for offset in offsets:
+                visited.append(state)
+                state = path[offset + state]
+            states[block, ::-1] = visited
         # The input bit that entered a state is its top bit.
         return (states >> (self.code.memory - 1)).astype(np.uint8)

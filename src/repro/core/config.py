@@ -11,6 +11,7 @@ points and scaling it proportionally for other transform lengths.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -82,8 +83,9 @@ class OfdmNumerology:
         return mask
 
     @classmethod
+    @functools.lru_cache(maxsize=None)
     def for_fft_size(cls, fft_size: int) -> "OfdmNumerology":
-        """Build the allocation for ``fft_size``.
+        """Build the allocation for ``fft_size``, once per size.
 
         64-point OFDM reproduces the 802.11a allocation (48 data + 4 pilot
         subcarriers on logical indices -26..26); larger power-of-two lengths
@@ -91,7 +93,8 @@ class OfdmNumerology:
         512-point variant discussed in Section V carries 384 data and 32
         pilot subcarriers), keeping the ~81 % occupancy the paper's "eight
         times as many" scaling argument assumes and keeping the coded bits
-        per symbol a multiple of 16 as the interleaver requires.
+        per symbol a multiple of 16 as the interleaver requires.  The
+        result is frozen, so every call with one size shares one instance.
         """
         if fft_size < 64 or fft_size & (fft_size - 1):
             raise ConfigurationError("fft_size must be a power of two >= 64")

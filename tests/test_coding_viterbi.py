@@ -5,6 +5,7 @@ import pytest
 
 from repro.coding.convolutional import CodeRate, ConvolutionalCode, ConvolutionalEncoder
 from repro.coding.viterbi import ViterbiDecoder
+from repro.exceptions import DecodingError, ReproError
 from repro.utils.bits import count_bit_errors, random_bits
 
 
@@ -137,3 +138,25 @@ class TestSoftDecisionDecoding:
     def test_invalid_decision_mode(self):
         with pytest.raises(ValueError):
             ViterbiDecoder(decision="fuzzy")
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("decision", ["hard", "soft"])
+    def test_non_finite_value_raises_decoding_error(self, decision, bad):
+        llrs = 4.0 * (1.0 - 2.0 * _encode(np.zeros(20, dtype=np.uint8)).astype(np.float64))
+        stack = np.stack([llrs, llrs])
+        stack[1, 7] = bad
+        decoder = ViterbiDecoder(decision=decision)
+        with pytest.raises(DecodingError, match="finite"):
+            decoder.decode(stack, n_info_bits=20)
+        with pytest.raises(DecodingError, match="finite"):
+            decoder.decode(stack[1], n_info_bits=20)
+
+    def test_three_dimensional_input_raises_decoding_error(self):
+        coded = _encode(np.zeros(20, dtype=np.uint8))
+        with pytest.raises(DecodingError, match="got 3 dimensions"):
+            ViterbiDecoder().decode(coded.reshape(2, 2, -1), n_info_bits=20)
+
+    def test_decoding_error_is_a_repro_error(self):
+        assert issubclass(DecodingError, ReproError)

@@ -39,6 +39,15 @@ class TestOfdmNumerology64:
         assert all(v == 1 for v in numerology.pilot_values[:-1])
 
 
+    def test_memoised_per_fft_size(self):
+        first = OfdmNumerology.for_fft_size(64)
+        assert OfdmNumerology.for_fft_size(64) is first
+        assert TransceiverConfig().numerology is first
+        fresh = OfdmNumerology.for_fft_size.__wrapped__(OfdmNumerology, 64)
+        assert fresh is not first
+        assert fresh == first
+
+
 class TestOfdmNumerology512:
     def test_scaled_allocation(self):
         numerology = OfdmNumerology.for_fft_size(512)

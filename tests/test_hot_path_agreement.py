@@ -125,7 +125,7 @@ class TestViterbiAcsAgreement:
             np.testing.assert_array_equal(bits, expected)
 
     def test_non_802_11a_code_decodes_like_the_reference(self):
-        # K=3 (5, 7): fewer states than one packed choice word.
+        # K=3 (5, 7): four states against the 802.11a code's 64.
         code = ConvolutionalCode(constraint_length=3, generators=(0o5, 0o7))
         rng = np.random.default_rng(12)
         decoder = ViterbiDecoder(code)
@@ -134,8 +134,8 @@ class TestViterbiAcsAgreement:
             np.testing.assert_array_equal(bits, viterbi_decode_serial(code, "hard", row, 50))
 
     @pytest.mark.parametrize("decision", ["hard", "soft"])
-    def test_code_wider_than_one_choice_word_decodes_like_the_reference(self, decision):
-        # K=8 (247, 371): 128 states, two packed choice words per step.
+    def test_128_state_code_decodes_like_the_reference(self, decision):
+        # K=8 (247, 371): 128 states, still a one-byte predecessor table.
         code = ConvolutionalCode(constraint_length=8, generators=(0o247, 0o371))
         rng = np.random.default_rng(13)
         decoder = ViterbiDecoder(code, decision=decision)
