@@ -15,6 +15,7 @@ available once an entire block has been written.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import List, Optional
 
 import numpy as np
@@ -25,11 +26,13 @@ from repro.types import IntArray
 from repro.utils.bits import _as_bit_array
 
 
+@lru_cache(maxsize=32)
 def interleaver_permutation(n_cbps: int, n_bpsc: int) -> IntArray:
     """802.11a interleaver permutation.
 
     Returns an array ``perm`` of length ``n_cbps`` such that input bit ``k``
-    is written to output position ``perm[k]``.
+    is written to output position ``perm[k]``.  The permutation is built
+    once per ``(n_cbps, n_bpsc)`` and returned read-only.
 
     Parameters
     ----------
@@ -51,6 +54,7 @@ def interleaver_permutation(n_cbps: int, n_bpsc: int) -> IntArray:
     j = s * (i // s) + (i + n_cbps - (16 * i) // n_cbps) % s
     perm = np.empty(n_cbps, dtype=np.int64)
     perm[k] = j
+    perm.flags.writeable = False
     return perm
 
 

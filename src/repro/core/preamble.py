@@ -16,7 +16,7 @@ of the channel matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -38,6 +38,12 @@ _STS_NONZERO = {
 
 #: Number of 16-sample repetitions in the 802.11a short training section.
 STS_REPETITIONS = 10
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """Freeze a cached waveform so no caller can corrupt it for the next."""
+    array.flags.writeable = False
+    return array
 
 
 @dataclass(frozen=True)
@@ -89,6 +95,15 @@ class PreambleGenerator:
         self.lts_cp_length = fft_size // 2
         #: Length of one short training repetition.
         self.short_symbol_length = fft_size // 4
+        # The waveforms depend only on the FFT size, so each is built once
+        # per generator and handed out read-only.
+        self._lts_symbol = _read_only(ifft(self.lts_frequency))
+        short_symbol = ifft(self.sts_frequency)[: self.short_symbol_length]
+        self._sts = _read_only(np.tile(short_symbol, STS_REPETITIONS))
+        prefix = self._lts_symbol[-self.lts_cp_length:]
+        self._lts = _read_only(np.concatenate([prefix, self._lts_symbol, self._lts_symbol]))
+        self._layouts: Dict[int, PreambleLayout] = {}
+        self._mimo_preambles: Dict[int, ComplexArray] = {}
 
     # ------------------------------------------------------------------
     # frequency-domain sequences
@@ -132,20 +147,16 @@ class PreambleGenerator:
     # time-domain sections
     # ------------------------------------------------------------------
     def sts_time(self) -> ComplexArray:
-        """Short training section: 10 repetitions of the short symbol."""
-        full_period = ifft(self.sts_frequency)
-        short_symbol = full_period[: self.short_symbol_length]
-        return np.tile(short_symbol, STS_REPETITIONS)
+        """Short training section: 10 repetitions of the short symbol (read-only)."""
+        return self._sts
 
     def lts_symbol_time(self) -> ComplexArray:
-        """One long-training OFDM symbol (no cyclic prefix)."""
-        return ifft(self.lts_frequency)
+        """One long-training OFDM symbol, no cyclic prefix (read-only)."""
+        return self._lts_symbol
 
     def lts_time(self) -> ComplexArray:
-        """Long training section: long cyclic prefix + two LTS repetitions."""
-        symbol = self.lts_symbol_time()
-        prefix = symbol[-self.lts_cp_length:]
-        return np.concatenate([prefix, symbol, symbol])
+        """Long training section: long cyclic prefix + two LTS repetitions (read-only)."""
+        return self._lts
 
     # ------------------------------------------------------------------
     # MIMO schedule (Fig. 2)
@@ -154,26 +165,32 @@ class PreambleGenerator:
         """Section offsets for an ``n_antennas``-stream burst."""
         if n_antennas <= 0:
             raise ConfigurationError("n_antennas must be positive")
-        return PreambleLayout(
-            sts_length=self.sts_time().size,
-            lts_slot_length=self.lts_time().size,
-            n_lts_slots=n_antennas,
-        )
+        layout = self._layouts.get(n_antennas)
+        if layout is None:
+            layout = self._layouts[n_antennas] = PreambleLayout(
+                sts_length=self._sts.size,
+                lts_slot_length=self._lts.size,
+                n_lts_slots=n_antennas,
+            )
+        return layout
 
     def mimo_preamble(self, n_antennas: int) -> ComplexArray:
         """Per-antenna preamble waveforms, shape ``(n_antennas, total_length)``.
 
         Antenna 0 transmits the STS; each antenna then transmits the LTS in
-        its own slot while the others stay silent.
+        its own slot while the others stay silent.  Built once per antenna
+        count and returned read-only.
         """
+        waveform = self._mimo_preambles.get(n_antennas)
+        if waveform is not None:
+            return waveform
         layout = self.layout(n_antennas)
-        sts = self.sts_time()
-        lts = self.lts_time()
         waveform = np.zeros((n_antennas, layout.total_length), dtype=np.complex128)
-        waveform[0, : layout.sts_length] = sts
+        waveform[0, : layout.sts_length] = self._sts
         for antenna in range(n_antennas):
             start = layout.lts_slot_start(antenna)
-            waveform[antenna, start : start + layout.lts_slot_length] = lts
+            waveform[antenna, start : start + layout.lts_slot_length] = self._lts
+        self._mimo_preambles[n_antennas] = _read_only(waveform)
         return waveform
 
     def transmission_schedule(self, n_antennas: int) -> List[Tuple[str, int, int, int]]:

@@ -9,21 +9,25 @@ feed-forward timing correction, symbol demapping (hard or soft, batched
 over the whole burst), block de-interleaving, Viterbi decoding and
 descrambling.
 
-The post-sync chain is vectorised over the whole burst: every data FFT
-window is gathered into one ``(n_rx, n_symbols, fft_size)`` block, pushed
-through a single planned FFT call (:mod:`repro.dsp.fft`'s cached
-:class:`~repro.dsp.fft.FftPlan`), detected with one per-subcarrier einsum
-and pilot-corrected with one :meth:`~repro.core.pilots.PilotProcessor.
-correct_block` pass.  Channel inversion runs every active subcarrier
-through one stacked QR, and all streams are demapped and de-interleaved
-in one pass.
+The post-sync chain is vectorised over a whole stack of bursts:
+:meth:`MimoReceiver.front_end_stack` synchronises and CFO-corrects each
+burst on its own, then gathers every burst's LTS and data FFT windows into
+one ``(n_items, n_rx, ...)`` stack per window kind, pushes each through a
+single planned FFT call (:mod:`repro.dsp.fft`'s cached
+:class:`~repro.dsp.fft.FftPlan`), estimates and inverts every burst's
+channel in one stacked QR, detects with one per-subcarrier einsum (or one
+stacked MMSE solve), pilot-corrects with one
+:meth:`~repro.core.pilots.PilotProcessor.correct_block` pass and demaps
+and de-interleaves every stream in one pass.  A burst the receiver gives
+up on drops out of the stack alone.
 
-Reception is two steps: :meth:`MimoReceiver.front_end` carries a burst up
-to its recovered code blocks, and :meth:`MimoReceiver.decode`
-Viterbi-decodes and descrambles any stack of code blocks in one trellis
-pass.  :meth:`MimoReceiver.receive` chains the two for one burst; the
-sweep engine runs many bursts' front ends and decodes all their blocks
-together.
+Reception is two steps: :meth:`MimoReceiver.front_end_stack` carries
+bursts up to their recovered code blocks (:meth:`MimoReceiver.front_end`
+is its one-burst case), and :meth:`MimoReceiver.decode` Viterbi-decodes
+and descrambles any stack of code blocks in one trellis pass.
+:meth:`MimoReceiver.receive` chains the two for one burst; the sweep
+engine runs a whole lockstep round of bursts through one stacked front end
+and decodes all their blocks together.
 
 Finite word lengths are modelled at the paper's two RX interfaces when the
 configuration asks for them: the incoming sample stream is quantised to
@@ -35,7 +39,8 @@ and detection is quantised to ``TransceiverConfig.rx_multiplier_format``
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -61,6 +66,19 @@ from repro.modulation.demapper import SymbolDemapper
 from repro.sync.cfo import CfoEstimator
 from repro.sync.time_sync import TimeSynchronizer
 from repro.types import ComplexArray, FloatArray
+
+
+@dataclass
+class _Burst:
+    """One burst of a stacked front-end pass, between its stages."""
+
+    index: int
+    lts_start: int
+    estimated_cfo: float
+    noise_variance: float
+    lts_windows: ComplexArray
+    data_windows: ComplexArray
+    estimate: Optional[ChannelEstimate] = None
 
 
 class MimoReceiver:
@@ -115,6 +133,21 @@ class MimoReceiver:
             reference_lts=self.preamble.lts_frequency,
             use_cordic=self.config.use_cordic_channel_inversion,
         )
+        # Every (slot, repetition) LTS FFT window relative to the LTS start,
+        # shape (n_tx, 2, fft_size), and the data start relative to it.
+        n_tx = self.config.n_antennas
+        fft_size = self.config.fft_size
+        slot_length = self.preamble.layout(n_tx).lts_slot_length
+        slot_starts = (
+            np.arange(n_tx) * slot_length + self.preamble.lts_cp_length - timing_advance
+        )
+        self._lts_offsets = (
+            slot_starts[:, None, None]
+            + np.arange(2)[None, :, None] * fft_size
+            + np.arange(fft_size)[None, None, :]
+        )
+        self._data_offset = n_tx * slot_length
+        self._data_bins = list(self.numerology.data_bins)
 
     # ------------------------------------------------------------------
     # fixed-point interfaces
@@ -160,39 +193,35 @@ class MimoReceiver:
         Raises :class:`~repro.exceptions.DecodingError` when any LTS FFT
         window falls outside the received samples — a window that starts
         before sample zero is truncated and would only yield a garbage
-        estimate (the sweep engine counts that burst as a lost frame).
+        estimate (the sweep engine counts that burst as a lost frame) — and
+        :class:`~repro.exceptions.ChannelEstimationError` when the estimate
+        is rank deficient.
         """
         streams = np.asarray(samples, dtype=np.complex128)
-        n_tx = self.config.n_antennas
-        fft_size = self.config.fft_size
-        layout = self.preamble.layout(n_tx)
-        lts_cp = self.preamble.lts_cp_length
-
-        slot_starts = (
-            int(lts_start)
-            + np.arange(n_tx) * layout.lts_slot_length
-            + lts_cp
-            - self.timing_advance
+        return self.channel_estimator.estimate(
+            self._lts_spectra(self._lts_windows(streams, int(lts_start)))
         )
-        if slot_starts[0] < 0:
+
+    def _lts_windows(self, streams: np.ndarray, lts_start: int) -> ComplexArray:
+        """Every (slot, repetition) LTS window of a burst: ``(n_rx, n_tx, 2, fft_size)``."""
+        window = lts_start + self._lts_offsets
+        if window[0, 0, 0] < 0:
             raise DecodingError(
-                f"LTS FFT window starts {-int(slot_starts[0])} samples before the "
+                f"LTS FFT window starts {-int(window[0, 0, 0])} samples before the "
                 "burst (lts_start too small); refusing to decode a truncated window"
             )
-        if slot_starts[-1] + 2 * fft_size > streams.shape[1]:
+        if window[-1, -1, -1] >= streams.shape[1]:
             raise DecodingError("burst too short to contain the full LTS preamble")
+        return streams[:, window]
 
-        # Gather every (slot, repetition) window of every antenna and run one
-        # planned FFT over the whole stack: (n_rx, n_tx, 2, fft_size).
-        window = (
-            slot_starts[:, None, None]
-            + np.arange(2)[None, :, None] * fft_size
-            + np.arange(fft_size)[None, None, :]
-        )
-        frequency = self._quantize_multiplier(fft(streams[:, window]))
+    def _lts_spectra(self, windows: np.ndarray) -> ComplexArray:
+        """LTS windows ``(..., n_rx, n_tx, 2, fft_size)`` to the averaged
+        spectra ``(..., n_tx, n_rx, fft_size)`` channel estimation takes,
+        through one planned FFT over the whole stack."""
+        frequency = self._quantize_multiplier(fft(windows))
         # Averaged with an adder and right shift in hardware.
-        averaged = (frequency[:, :, 0] + frequency[:, :, 1]) / 2.0
-        return self.channel_estimator.estimate(averaged.transpose(1, 0, 2))
+        averaged = (frequency[..., 0, :] + frequency[..., 1, :]) / 2.0
+        return averaged.swapaxes(-3, -2)
 
     # ------------------------------------------------------------------
     # stream decoding
@@ -200,35 +229,25 @@ class MimoReceiver:
     def _coded_values(
         self,
         equalized_symbols: np.ndarray,
-        n_info_bits: int,
-        noise_variance: float,
+        coded_length: int,
+        noise_variances: np.ndarray,
     ) -> np.ndarray:
-        """Demap and de-interleave every stream back to its code block.
+        """Demap and de-interleave every stream of every burst to its code block.
 
-        ``equalized_symbols`` has shape ``(n_streams, n_symbols,
-        n_data_subcarriers)``; the result has shape ``(n_streams,
-        coded_length)``.  All streams go through one demap and one
-        de-interleave permutation pass.
+        ``equalized_symbols`` has shape ``(n_items, n_streams, n_symbols,
+        n_data_subcarriers)`` and ``noise_variances`` one entry per burst;
+        the result has shape ``(n_items, n_streams, coded_length)``.  All
+        streams go through one demap and one de-interleave permutation pass.
         """
-        n_streams = equalized_symbols.shape[0]
-        n_cbps = self.config.coded_bits_per_symbol
-        n_bpsc = self.config.bits_per_subcarrier
-        if equalized_symbols.shape[1] == 0:
-            received = np.zeros((n_streams, 0))
-        else:
-            demapped = self.demapper.demap(
-                equalized_symbols,
-                soft=self.config.soft_decision,
-                noise_variance=noise_variance,
-            )
-            received = deinterleave(demapped, n_cbps, n_bpsc).reshape(n_streams, -1)
-
-        coded_length = self._encoder.coded_length(n_info_bits, terminate=True)
-        if received.shape[1] < coded_length:
-            raise DecodingError(
-                "recovered coded stream shorter than the expected code block"
-            )
-        return received[:, :coded_length]
+        demapped = self.demapper.demap(
+            equalized_symbols,
+            soft=self.config.soft_decision,
+            noise_variance=noise_variances[:, None, None, None],
+        )
+        received = deinterleave(
+            demapped, self.config.coded_bits_per_symbol, self.config.bits_per_subcarrier
+        ).reshape(equalized_symbols.shape[:2] + (-1,))
+        return received[..., :coded_length]
 
     def decode(self, coded: np.ndarray, n_info_bits: int) -> np.ndarray:
         """Viterbi-decode and descramble a stack of code blocks.
@@ -266,7 +285,8 @@ class MimoReceiver:
         ``rx_multiplier_format`` quantisation applied to every FFT output.
         The whole burst runs as one strided gather, one planned FFT over
         ``(n_rx, n_symbols, fft_size)``, one detection einsum and one
-        batched pilot pass.
+        batched pilot pass — the one-burst case of the stacked pass
+        :meth:`front_end_stack` runs.
 
         Parameters
         ----------
@@ -289,12 +309,25 @@ class MimoReceiver:
             ``pilot_phases`` holds each symbol's common pilot phase in
             (symbol, stream) order.
         """
-        sps = self.config.samples_per_symbol
-        cp = self.config.cyclic_prefix_length
-        fft_size = self.config.fft_size
+        windows = self._data_windows(streams, data_start, n_symbols)
+        equalized, common_phase = self._equalize(
+            windows, self._detector(estimate, noise_variance)
+        )
+        # (symbol, stream) order fixes the summation order of the
+        # mean-pilot-phase diagnostic.
+        return equalized, common_phase.T.ravel()
 
-        data_bins = list(self.numerology.data_bins)
-        starts = data_start + np.arange(n_symbols) * sps + cp - self.timing_advance
+    def _data_windows(
+        self, streams: np.ndarray, data_start: int, n_symbols: int
+    ) -> ComplexArray:
+        """Every data FFT window of a burst: ``(n_rx, n_symbols, fft_size)``."""
+        fft_size = self.config.fft_size
+        starts = (
+            data_start
+            + np.arange(n_symbols) * self.config.samples_per_symbol
+            + self.config.cyclic_prefix_length
+            - self.timing_advance
+        )
         if n_symbols and starts[0] < 0:
             raise DecodingError(
                 f"data FFT window starts {-int(starts[0])} samples before the "
@@ -304,22 +337,32 @@ class MimoReceiver:
             raise DecodingError(
                 "burst too short for the requested number of OFDM symbols"
             )
+        return streams[:, starts[:, None] + np.arange(fft_size)]
 
+    def _detector(
+        self, estimate: ChannelEstimate, noise_variance: Union[float, np.ndarray]
+    ) -> Callable[[np.ndarray], np.ndarray]:
+        """The configured detector for an estimate, stacked or not: ZF
+        multiplies its inverses in, MMSE solves its weights (raising
+        :class:`DecodingError` on a singular Gram matrix)."""
         if self.config.detector == "mmse":
-            mmse = MmseDetector(estimate, noise_variance)
-            detect = mmse.detect
-        else:
-            def detect(frequency: np.ndarray) -> np.ndarray:
-                return zf_detect(frequency, estimate.inverses)
+            return MmseDetector(estimate, noise_variance).detect
 
-        window = starts[:, None] + np.arange(fft_size)
-        frequency = self._quantize_multiplier(fft(streams[:, window]))
-        detected = detect(frequency)
-        corrected, diag = self.pilots.correct_block(detected)
-        # (symbol, stream) order fixes the summation order of the
-        # mean-pilot-phase diagnostic.
-        pilot_phases = diag.common_phase.T.ravel()
-        return corrected[..., data_bins], pilot_phases
+        def detect(frequency: np.ndarray) -> np.ndarray:
+            return zf_detect(frequency, estimate.inverses)
+
+        return detect
+
+    def _equalize(
+        self, windows: np.ndarray, detect: Callable[[np.ndarray], np.ndarray]
+    ) -> Tuple[ComplexArray, FloatArray]:
+        """FFT, detect and pilot-correct data windows ``(..., n_rx, n_symbols,
+        fft_size)``: returns the data subcarriers ``(..., n_tx, n_symbols,
+        n_data_subcarriers)`` and each symbol's common pilot phase ``(...,
+        n_tx, n_symbols)``."""
+        frequency = self._quantize_multiplier(fft(windows))
+        corrected, diag = self.pilots.correct_block(detect(frequency))
+        return corrected[..., self._data_bins], diag.common_phase
 
     # ------------------------------------------------------------------
     # externally-detected frame windows (streaming entry point)
@@ -394,26 +437,139 @@ class MimoReceiver:
         and returns each stream's ``(n_streams, coded_length)`` code block
         for :meth:`decode`.  Splitting here lets a caller stack the code
         blocks of many bursts into one trellis pass.  Parameters are those
-        of :meth:`receive`.
+        of :meth:`receive`; this is :meth:`front_end_stack` on one burst.
 
         Raises :class:`~repro.exceptions.DecodingError` when the burst
         cannot be decoded at all (sync miss, truncated windows, a
-        rank-deficient estimate, or a coded stream shorter than the code
-        block).
+        rank-deficient estimate or a singular MMSE Gram matrix).
         """
+        (outcome,) = self.front_end_stack(
+            [samples], n_info_bits, [lts_start], [noise_variance]
+        )
+        if isinstance(outcome, DecodingError):
+            raise outcome
+        return outcome
+
+    def front_end_stack(
+        self,
+        samples: Sequence[np.ndarray],
+        n_info_bits: int,
+        lts_starts: Optional[Sequence[Optional[int]]] = None,
+        noise_variances: Optional[Sequence[float]] = None,
+    ) -> List[Union[FrontEndResult, DecodingError]]:
+        """Run the front end over a stack of bursts in one pass.
+
+        Each burst is quantised, synchronised and CFO-corrected on its own,
+        and its FFT windows are checked against its samples.  Then the LTS
+        windows of every burst go through one FFT and one channel
+        estimate (one stacked QR and R^-1), and the data windows through
+        one FFT, one detection einsum (or one stacked MMSE solve), one
+        pilot pass, one demap and one de-interleave.  Every burst comes
+        out exactly as :meth:`front_end` on it alone would give.
+
+        Parameters
+        ----------
+        samples:
+            One ``(n_rx, n_samples)`` array per burst; lengths may differ.
+        n_info_bits:
+            Information bits carried by each spatial stream of every burst.
+        lts_starts:
+            Per burst, the LTS start to trust, or ``None`` to synchronise
+            (the default for every burst).
+        noise_variances:
+            Per burst, the noise variance for soft LLRs and MMSE weights
+            (default 1.0).
+
+        Returns
+        -------
+        One entry per burst, in order: its :class:`FrontEndResult`, or the
+        :class:`~repro.exceptions.DecodingError` that burst gave up with —
+        a sync miss, a truncated window, a rank-deficient estimate or a
+        singular MMSE Gram matrix drops only that burst.
+        """
+        if n_info_bits <= 0:
+            raise ConfigurationError("n_info_bits must be positive")
+        n_items = len(samples)
+        lts_starts = [None] * n_items if lts_starts is None else list(lts_starts)
+        noise_variances = (
+            [1.0] * n_items if noise_variances is None else list(noise_variances)
+        )
+        if len(lts_starts) != n_items or len(noise_variances) != n_items:
+            raise ConfigurationError(
+                "lts_starts and noise_variances need one entry per burst"
+            )
+        coded_length = self._encoder.coded_length(n_info_bits, terminate=True)
+        n_symbols = -(-coded_length // self.config.coded_bits_per_symbol)
+
+        outcomes: List[Union[FrontEndResult, DecodingError, None]] = [None] * n_items
+        live: List[_Burst] = []
+        for index, (burst, lts_start, noise_variance) in enumerate(
+            zip(samples, lts_starts, noise_variances)
+        ):
+            try:
+                live.append(
+                    self._prepare(index, burst, lts_start, noise_variance, n_symbols)
+                )
+            except DecodingError as error:
+                # Kept without its traceback, whose frames would hold this
+                # whole stack's samples in a reference cycle with ``outcomes``.
+                outcomes[index] = error.with_traceback(None)
+
+        if live:
+            spectra = self._lts_spectra(np.stack([burst.lts_windows for burst in live]))
+            estimates = self.channel_estimator.estimate(spectra)
+            for burst, estimate in zip(live, estimates):
+                if isinstance(estimate, DecodingError):
+                    outcomes[burst.index] = estimate
+                else:
+                    burst.estimate = estimate
+            live = [burst for burst in live if burst.estimate is not None]
+        if live:
+            live, detect = self._stacked_detector(live, outcomes)
+        if live:
+            equalized, common_phase = self._equalize(
+                np.stack([burst.data_windows for burst in live]), detect
+            )
+            variances = np.array([burst.noise_variance for burst in live])
+            coded = self._coded_values(equalized, coded_length, variances)
+            for row, burst in enumerate(live):
+                # (symbol, stream) order fixes the summation order of the
+                # mean-pilot-phase diagnostic.
+                pilot_phases = common_phase[row].T.ravel()
+                outcomes[burst.index] = FrontEndResult(
+                    coded=coded[row],
+                    equalized=equalized[row],
+                    lts_start=burst.lts_start,
+                    channel_estimate=burst.estimate,
+                    diagnostics={
+                        "lts_start": float(burst.lts_start),
+                        "n_ofdm_symbols": float(n_symbols),
+                        "mean_pilot_phase": float(np.mean(pilot_phases)),
+                        "estimated_cfo": burst.estimated_cfo,
+                    },
+                )
+        return outcomes
+
+    def _prepare(
+        self,
+        index: int,
+        samples: np.ndarray,
+        lts_start: Optional[int],
+        noise_variance: float,
+        n_symbols: int,
+    ) -> _Burst:
+        """One burst's per-burst work: quantise, synchronise, correct CFO and
+        gather its FFT windows (raising :class:`DecodingError` on a give-up)."""
         streams = np.asarray(samples, dtype=np.complex128)
         if streams.ndim != 2 or streams.shape[0] != self.config.n_antennas:
             raise ConfigurationError(
                 f"samples must have shape ({self.config.n_antennas}, n_samples)"
             )
-        if n_info_bits <= 0:
-            raise ConfigurationError("n_info_bits must be positive")
-
         if self.config.rx_sample_format is not None:
             streams = self.config.rx_sample_format.quantize_complex(streams)
-
         if lts_start is None:
             lts_start = self.synchronize(streams)
+        lts_start = int(lts_start)
 
         estimated_cfo = 0.0
         if self.cfo_estimator is not None:
@@ -421,35 +577,48 @@ class MimoReceiver:
             streams = self.cfo_estimator.correct(streams, cfo)
             estimated_cfo = cfo.combined
 
-        estimate = self.estimate_channel(streams, lts_start)
-
-        n_tx = self.config.n_antennas
-        layout = self.preamble.layout(n_tx)
-        data_start = lts_start + n_tx * layout.lts_slot_length
-        coded_length = self._encoder.coded_length(n_info_bits, terminate=True)
-        n_cbps = self.config.coded_bits_per_symbol
-        n_symbols = -(-coded_length // n_cbps)
-        sps = self.config.samples_per_symbol
-        if data_start + n_symbols * sps > streams.shape[1]:
+        data_start = lts_start + self._data_offset
+        if data_start + n_symbols * self.config.samples_per_symbol > streams.shape[1]:
             raise DecodingError("burst too short for the requested number of OFDM symbols")
+        return _Burst(
+            index=index,
+            lts_start=lts_start,
+            estimated_cfo=estimated_cfo,
+            noise_variance=noise_variance,
+            lts_windows=self._lts_windows(streams, lts_start),
+            data_windows=self._data_windows(streams, data_start, n_symbols),
+        )
 
-        equalized, pilot_phases = self.equalize_burst(
-            streams, estimate, data_start, n_symbols, noise_variance
+    def _stacked_detector(
+        self, live: List[_Burst], outcomes: list
+    ) -> Tuple[List[_Burst], Optional[Callable[[np.ndarray], np.ndarray]]]:
+        """One detector over every live burst's stacked estimate.
+
+        A singular MMSE Gram matrix sinks the stacked solve, so the bursts
+        are then solved one at a time to find the ones that give up
+        (recorded in ``outcomes``) and the rest are solved again.  Returns
+        the surviving bursts and their detector.
+        """
+        estimate = ChannelEstimate(
+            matrices=np.stack([burst.estimate.matrices for burst in live]),
+            inverses=np.stack([burst.estimate.inverses for burst in live]),
+            active_mask=self.channel_estimator.active_mask,
         )
-        return FrontEndResult(
-            coded=self._coded_values(equalized, n_info_bits, noise_variance),
-            equalized=equalized,
-            lts_start=int(lts_start),
-            channel_estimate=estimate,
-            diagnostics={
-                "lts_start": float(lts_start),
-                "n_ofdm_symbols": float(n_symbols),
-                "mean_pilot_phase": (
-                    float(np.mean(pilot_phases)) if len(pilot_phases) else 0.0
-                ),
-                "estimated_cfo": estimated_cfo,
-            },
-        )
+        variances = np.array([burst.noise_variance for burst in live])
+        try:
+            return live, self._detector(estimate, variances)
+        except DecodingError:
+            survivors = []
+            for burst in live:
+                try:
+                    self._detector(burst.estimate, burst.noise_variance)
+                except DecodingError as error:
+                    outcomes[burst.index] = error.with_traceback(None)
+                else:
+                    survivors.append(burst)
+            if not survivors:
+                return [], None
+            return self._stacked_detector(survivors, outcomes)
 
     def receive(
         self,

@@ -11,12 +11,18 @@ class ConfigurationError(ReproError):
     """Raised when a transceiver or block configuration is inconsistent."""
 
 
-class SynchronizationError(ReproError):
-    """Raised when the time synchroniser cannot locate the start of a burst."""
-
-
 class DecodingError(ReproError):
     """Raised when the receive datapath cannot decode a frame."""
+
+
+class SynchronizationError(DecodingError):
+    """Raised when the time synchroniser cannot locate the start of a burst.
+
+    A burst the receiver cannot lock onto — no finite correlation peak, or
+    a lock so late that the preamble runs past the received samples —
+    cannot be decoded, so this is a :class:`DecodingError`: the sweep
+    engine and the streaming pipeline count it as a lost frame.
+    """
 
 
 class ChannelEstimationError(DecodingError):

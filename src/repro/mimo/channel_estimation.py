@@ -14,7 +14,7 @@ functions are exposed for tests and benchmarks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from repro.types import ComplexArray
 from repro.exceptions import ChannelEstimationError
 from repro.mimo.matrix import hermitian
 from repro.mimo.qr import CordicQrDecomposer, qr_decompose_givens
-from repro.mimo.rinv import invert_upper_triangular
+from repro.mimo.rinv import invert_upper_triangular, singular_mask
 
 
 def estimate_channel_from_lts(
@@ -40,7 +40,8 @@ def estimate_channel_from_lts(
         Frequency-domain received LTS, shape ``(n_tx_slots, n_rx, fft_size)``:
         element ``[j, i, k]`` is what receive antenna ``i`` observed on
         subcarrier ``k`` while transmit antenna ``j`` was sending its LTS
-        (already averaged over the two LTS repetitions).
+        (already averaged over the two LTS repetitions).  Leading axes
+        stack the observations of several bursts.
     reference_lts:
         Known frequency-domain LTS values per subcarrier, shape
         ``(fft_size,)``.  Subcarriers where the reference is zero (guards,
@@ -51,13 +52,13 @@ def estimate_channel_from_lts(
 
     Returns
     -------
-    Channel estimate of shape ``(fft_size, n_rx, n_tx)``.
+    Channel estimate of shape ``(..., fft_size, n_rx, n_tx)``.
     """
     rx = np.asarray(received_lts, dtype=np.complex128)
     ref = np.asarray(reference_lts, dtype=np.complex128).ravel()
-    if rx.ndim != 3:
-        raise ValueError("received_lts must have shape (n_tx, n_rx, fft_size)")
-    n_tx, n_rx, fft_size = rx.shape
+    if rx.ndim < 3:
+        raise ValueError("received_lts must have shape (..., n_tx, n_rx, fft_size)")
+    n_tx, n_rx, fft_size = rx.shape[-3:]
     if ref.size != fft_size:
         raise ValueError("reference_lts length must equal the FFT size")
     if active_mask is None:
@@ -67,14 +68,16 @@ def estimate_channel_from_lts(
         if active_mask.size != fft_size:
             raise ValueError("active_mask length must equal the FFT size")
 
-    estimate = np.zeros((fft_size, n_rx, n_tx), dtype=np.complex128)
-    for k in np.nonzero(active_mask)[0]:
-        if ref[k] == 0:
-            raise ChannelEstimationError(
-                f"subcarrier {k} is marked active but the reference LTS is zero there"
-            )
-        # H[i, j] = Y_i^{(j)}(k) / LTS(k)
-        estimate[k] = (rx[:, :, k] / ref[k]).T
+    active = np.flatnonzero(active_mask)
+    zero = active[ref[active] == 0]
+    if zero.size:
+        raise ChannelEstimationError(
+            f"subcarrier {zero[0]} is marked active but the reference LTS is zero there"
+        )
+    estimate = np.zeros(rx.shape[:-3] + (fft_size, n_rx, n_tx), dtype=np.complex128)
+    # H[..., k, i, j] = Y_i^{(j)}(k) / LTS(k)
+    ratio = rx[..., active] / ref[active]
+    estimate[..., active, :, :] = np.moveaxis(ratio, -1, -3).swapaxes(-1, -2)
     return estimate
 
 
@@ -91,7 +94,7 @@ def invert_channel_matrices(
     Parameters
     ----------
     channel:
-        Channel matrices, shape ``(fft_size, n_rx, n_tx)`` with
+        Channel matrices, shape ``(..., fft_size, n_rx, n_tx)`` with
         ``n_rx == n_tx``.
     active_mask:
         Subcarriers to invert (defaults to those whose matrix is non-zero).
@@ -100,31 +103,73 @@ def invert_channel_matrices(
         floating-point trigonometry.
     cordic_iterations:
         CORDIC micro-rotation count when ``use_cordic`` is set.
+
+    Raises :class:`~repro.exceptions.ChannelEstimationError` when any
+    active matrix is rank deficient.
+    """
+    inverses, singular = invert_channel_stack(
+        channel, active_mask, use_cordic, cordic_iterations
+    )
+    if np.any(singular):
+        raise _rank_deficient(np.argwhere(singular)[0][-1])
+    return inverses
+
+
+def _rank_deficient(subcarrier: int) -> ChannelEstimationError:
+    return ChannelEstimationError(
+        f"channel matrix on subcarrier {subcarrier} is rank deficient; "
+        "zero-forcing equalisation is impossible"
+    )
+
+
+def invert_channel_stack(
+    channel: npt.ArrayLike,
+    active_mask: Optional[npt.NDArray[np.bool_]] = None,
+    use_cordic: bool = False,
+    cordic_iterations: int = 16,
+) -> Tuple[ComplexArray, npt.NDArray[np.bool_]]:
+    """:func:`invert_channel_matrices` that flags rank deficiency instead.
+
+    Returns ``(inverses, singular)``: ``singular`` has the shape of the
+    stack without its matrix axes and marks every active matrix whose R is
+    singular; those inverses are left zero.  Every other matrix is
+    inverted exactly as on its own, so one bad burst of a stacked receive
+    pass cannot sink the rest.
     """
     h = np.asarray(channel, dtype=np.complex128)
-    if h.ndim != 3 or h.shape[1] != h.shape[2]:
-        raise ValueError("channel must have shape (fft_size, n, n)")
-    fft_size = h.shape[0]
+    if h.ndim < 3 or h.shape[-1] != h.shape[-2]:
+        raise ValueError("channel must have shape (..., fft_size, n, n)")
+    fft_size = h.shape[-3]
     if active_mask is None:
-        active_mask = np.any(h != 0, axis=(1, 2))
+        active = np.any(h != 0, axis=(-2, -1))
     else:
         active_mask = np.asarray(active_mask, dtype=bool).ravel()
         if active_mask.size != fft_size:
             raise ValueError("active_mask length must equal the FFT size")
+        active = np.broadcast_to(active_mask, h.shape[:-2])
 
     inverses = np.zeros_like(h)
-    active = np.nonzero(active_mask)[0]
+    singular = np.zeros(h.shape[:-2], dtype=bool)
+    selected = h[active]
+    if not selected.size:
+        return inverses, singular
     if use_cordic:
         decomposer = CordicQrDecomposer(iterations=cordic_iterations)
-        for k in active:
-            q, r, _ = decomposer.decompose(h[k])
-            inverses[k] = invert_upper_triangular(r) @ hermitian(q)
-    elif active.size:
-        # Every active subcarrier in one stacked QR and one stacked R^-1,
-        # like the paper's per-subcarrier arrays running side by side.
-        q, r, _ = qr_decompose_givens(h[active])
-        inverses[active] = invert_upper_triangular(r) @ hermitian(q)
-    return inverses
+        factors = [decomposer.decompose(matrix) for matrix in selected]
+        q = np.stack([factor[0] for factor in factors])
+        r = np.stack([factor[1] for factor in factors])
+    else:
+        # Every active subcarrier of every stacked estimate in one QR and
+        # one R^-1, like the paper's per-subcarrier arrays side by side.
+        q, r, _ = qr_decompose_givens(selected)
+    bad = singular_mask(r)
+    good = ~bad
+    selected_inverses = np.zeros_like(selected)
+    if np.any(good):
+        selected_inverses[good] = invert_upper_triangular(r[good]) @ hermitian(q[good])
+    inverses[active] = selected_inverses
+    singular[active] = bad
+    return inverses, singular
 
 
 @dataclass
@@ -135,6 +180,8 @@ class ChannelEstimate:
     ----------
     matrices:
         Estimated channel matrices per subcarrier, ``(fft_size, n_rx, n_tx)``.
+        Leading axes, when present, stack the estimates of several bursts
+        (what a stacked receive pass hands its detector).
     inverses:
         Zero-forcing equalisation matrices per subcarrier (``H^-1``), same
         shape; zero on inactive subcarriers.
@@ -149,17 +196,17 @@ class ChannelEstimate:
     @property
     def fft_size(self) -> int:
         """Transform length the estimate covers."""
-        return self.matrices.shape[0]
+        return self.matrices.shape[-3]
 
     @property
     def n_rx(self) -> int:
         """Number of receive antennas."""
-        return self.matrices.shape[1]
+        return self.matrices.shape[-2]
 
     @property
     def n_tx(self) -> int:
         """Number of transmit antennas."""
-        return self.matrices.shape[2]
+        return self.matrices.shape[-1]
 
     def estimation_error(self, true_channel: np.ndarray) -> float:
         """RMS relative error of the estimate versus a ground-truth channel."""
@@ -167,8 +214,8 @@ class ChannelEstimate:
         if truth.shape != self.matrices.shape:
             raise ValueError("true channel must match the estimate's shape")
         active = self.active_mask
-        diff = self.matrices[active] - truth[active]
-        denom = np.linalg.norm(truth[active])
+        diff = self.matrices[..., active, :, :] - truth[..., active, :, :]
+        denom = np.linalg.norm(truth[..., active, :, :])
         if denom == 0:
             return float(np.linalg.norm(diff))
         return float(np.linalg.norm(diff) / denom)
@@ -201,17 +248,50 @@ class ChannelEstimator:
         self.cordic_iterations = cordic_iterations
         self.active_mask = np.abs(self.reference_lts) > 0
 
-    def estimate(self, received_lts: np.ndarray) -> ChannelEstimate:
-        """Estimate and invert the channel from staggered LTS observations."""
+    def estimate(
+        self, received_lts: np.ndarray
+    ) -> Union[ChannelEstimate, List[Union[ChannelEstimate, ChannelEstimationError]]]:
+        """Estimate and invert the channel from staggered LTS observations.
+
+        ``received_lts`` of one burst, shape ``(n_tx, n_rx, fft_size)``,
+        gives its :class:`ChannelEstimate` and raises
+        :class:`~repro.exceptions.ChannelEstimationError` when the estimate
+        is rank deficient.  A stack of bursts, shape ``(n_items, n_tx,
+        n_rx, fft_size)``, runs through one estimate and one stacked
+        QR/R^-1 and gives one entry per burst: its estimate, or the error
+        the one-burst call would raise — so a rank-deficient burst drops
+        out alone.
+        """
+        received = np.asarray(received_lts, dtype=np.complex128)
+        if received.ndim not in (3, 4):
+            raise ValueError(
+                "received_lts must have shape (n_tx, n_rx, fft_size) "
+                "or (n_items, n_tx, n_rx, fft_size)"
+            )
         matrices = estimate_channel_from_lts(
-            received_lts, self.reference_lts, self.active_mask
+            received, self.reference_lts, self.active_mask
         )
-        inverses = invert_channel_matrices(
+        inverses, singular = invert_channel_stack(
             matrices,
             self.active_mask,
             use_cordic=self.use_cordic,
             cordic_iterations=self.cordic_iterations,
         )
+        if received.ndim == 3:
+            outcome = self._outcome(matrices, inverses, singular)
+            if isinstance(outcome, ChannelEstimationError):
+                raise outcome
+            return outcome
+        return [
+            self._outcome(*item) for item in zip(matrices, inverses, singular)
+        ]
+
+    def _outcome(
+        self, matrices: ComplexArray, inverses: ComplexArray, singular: np.ndarray
+    ) -> Union[ChannelEstimate, ChannelEstimationError]:
+        """One burst's estimate, or the error naming its first singular subcarrier."""
+        if np.any(singular):
+            return _rank_deficient(np.flatnonzero(singular)[0])
         return ChannelEstimate(
             matrices=matrices, inverses=inverses, active_mask=self.active_mask.copy()
         )

@@ -10,7 +10,7 @@ benchmarks to quantify what the ZF choice costs at low SNR.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Union
 
 import numpy as np
 import numpy.typing as npt
@@ -28,9 +28,11 @@ def _apply_per_subcarrier(weights: ComplexArray, received: npt.ArrayLike) -> Com
     ``weights`` has shape ``(fft_size, n_out, n_rx)``.  ``received`` is either
     one OFDM symbol, shape ``(n_rx, fft_size)``, or a whole burst of them,
     shape ``(n_rx, n_symbols, fft_size)``; the result keeps the layout with
-    ``n_out`` replacing ``n_rx``.  Both forms contract the antenna axis in the
-    same index order, so the batched product is bit-identical to applying the
-    2-D form symbol by symbol.
+    ``n_out`` replacing ``n_rx``.  A stack of bursts, ``(n_items, n_rx,
+    n_symbols, fft_size)``, takes one weight set per burst, ``(n_items,
+    fft_size, n_out, n_rx)``.  Every form contracts the antenna axis in the
+    same index order, so the batched products are bit-identical to applying
+    the 2-D form symbol by symbol.
     """
     y = np.asarray(received, dtype=np.complex128)
     if y.ndim == 2:
@@ -43,14 +45,21 @@ def _apply_per_subcarrier(weights: ComplexArray, received: npt.ArrayLike) -> Com
             raise ValueError("weights and received disagree on the FFT size")
         # one contraction for the whole burst: x_hat[:, n, k] = W[k] @ y[:, n, k]
         return np.einsum("kij,jnk->ink", weights, y)
+    if y.ndim == 4:
+        if weights.shape[:2] != (y.shape[0], y.shape[3]):
+            raise ValueError("weights and received disagree on the stack or FFT size")
+        # one contraction for every burst: x_hat[m, :, n, k] = W[m, k] @ y[m, :, n, k]
+        return np.einsum("mkij,mjnk->mink", weights, y)
     raise ValueError(
-        "received must have shape (n_rx, fft_size) or (n_rx, n_symbols, fft_size)"
+        "received must have shape (n_rx, fft_size), (n_rx, n_symbols, fft_size) "
+        "or (n_items, n_rx, n_symbols, fft_size)"
     )
 
 
 @shaped(
-    received="(n_rx, fft_size) | (n_rx, n_symbols, fft_size)",
-    channel_inverses="(fft_size, n_tx, n_rx)",
+    received="(n_rx, fft_size) | (n_rx, n_symbols, fft_size)"
+    " | (n_items, n_rx, n_symbols, fft_size)",
+    channel_inverses="(fft_size, n_tx, n_rx) | (n_items, fft_size, n_tx, n_rx)",
 )
 def zf_detect(received: npt.ArrayLike, channel_inverses: npt.ArrayLike) -> ComplexArray:
     """Zero-forcing detection: multiply by the stored ``H^-1`` per subcarrier.
@@ -59,19 +68,25 @@ def zf_detect(received: npt.ArrayLike, channel_inverses: npt.ArrayLike) -> Compl
     ----------
     received:
         Frequency-domain received symbols — one OFDM symbol of shape
-        ``(n_rx, fft_size)``, or a whole burst of shape
-        ``(n_rx, n_symbols, fft_size)``.
+        ``(n_rx, fft_size)``, a whole burst of shape
+        ``(n_rx, n_symbols, fft_size)``, or a stack of bursts of shape
+        ``(n_items, n_rx, n_symbols, fft_size)``.
     channel_inverses:
-        Pre-computed inverse channel matrices, shape ``(fft_size, n_tx, n_rx)``.
+        Pre-computed inverse channel matrices, shape ``(fft_size, n_tx,
+        n_rx)``, or one set per burst of a stack, ``(n_items, fft_size,
+        n_tx, n_rx)``.
 
     Returns
     -------
-    Equalised transmit-stream estimates, shape ``(n_tx, fft_size)`` or
-    ``(n_tx, n_symbols, fft_size)`` matching the input form.
+    Equalised transmit-stream estimates, shaped like ``received`` with
+    ``n_tx`` replacing ``n_rx``.
     """
     inv = np.asarray(channel_inverses, dtype=np.complex128)
-    if inv.ndim != 3:
-        raise ValueError("channel_inverses must have shape (fft_size, n_tx, n_rx)")
+    if inv.ndim not in (3, 4):
+        raise ValueError(
+            "channel_inverses must have shape (fft_size, n_tx, n_rx) "
+            "or (n_items, fft_size, n_tx, n_rx)"
+        )
     return _apply_per_subcarrier(inv, received)
 
 
@@ -105,11 +120,16 @@ class MmseDetector:
     """Linear MMSE detector baseline.
 
     Uses the *estimated* channel matrices (not the inverses) and the noise
-    variance: ``W_k = (H^H H + sigma^2 I)^-1 H^H``.
+    variance: ``W_k = (H^H H + sigma^2 I)^-1 H^H``.  A stacked estimate
+    (matrices ``(n_items, fft_size, n_rx, n_tx)``) takes one noise variance
+    per burst; all its weights come from one stacked solve, and
+    :meth:`detect` then takes the bursts stacked the same way.
     """
 
-    def __init__(self, estimate: ChannelEstimate, noise_variance: float) -> None:
-        if noise_variance < 0:
+    def __init__(
+        self, estimate: ChannelEstimate, noise_variance: Union[float, npt.ArrayLike]
+    ) -> None:
+        if np.any(np.asarray(noise_variance) < 0):
             raise ValueError("noise_variance cannot be negative")
         self.estimate = estimate
         self.noise_variance = noise_variance
@@ -117,27 +137,40 @@ class MmseDetector:
 
     def _compute_weights(self) -> np.ndarray:
         h = self.estimate.matrices
-        fft_size, n_rx, n_tx = h.shape
-        weights = np.zeros((fft_size, n_tx, n_rx), dtype=np.complex128)
-        identity = np.eye(n_tx)
-        for k in np.nonzero(self.estimate.active_mask)[0]:
-            hk = h[k]
-            gram = hermitian(hk) @ hk + self.noise_variance * identity
-            try:
-                weights[k] = np.linalg.solve(gram, hermitian(hk))
-            except np.linalg.LinAlgError as error:
-                # With noise_variance == 0 the regulariser vanishes and a
-                # rank-deficient channel estimate makes the Gram matrix
-                # exactly singular.  That is a property of the burst, not a
-                # programming error: surface it as the receive-chain failure
-                # the sweep engine already counts as a lost frame.
-                raise DecodingError(
-                    f"MMSE Gram matrix is singular on subcarrier {k} "
-                    f"(noise_variance={self.noise_variance})"
-                ) from error
+        n_rx, n_tx = h.shape[-2:]
+        active = np.flatnonzero(self.estimate.active_mask)
+        channel = h[..., active, :, :]
+        channel_h = hermitian(channel)
+        variance = np.asarray(self.noise_variance, dtype=np.float64)
+        gram = channel_h @ channel + variance[..., None, None, None] * np.eye(n_tx)
+        try:
+            solved = np.linalg.solve(gram, channel_h)
+        except np.linalg.LinAlgError as error:
+            # With noise_variance == 0 the regulariser vanishes and a
+            # rank-deficient channel estimate makes the Gram matrix
+            # exactly singular.  That is a property of the burst, not a
+            # programming error: surface it as the receive-chain failure
+            # the sweep engine already counts as a lost frame.
+            index = next(i for i in np.ndindex(gram.shape[:-2]) if _is_singular(gram[i]))
+            raise DecodingError(
+                f"MMSE Gram matrix is singular on subcarrier {active[index[-1]]} "
+                f"(noise_variance={self.noise_variance})"
+            ) from error
+        weights = np.zeros(h.shape[:-2] + (n_tx, n_rx), dtype=np.complex128)
+        weights[..., active, :, :] = solved
         return weights
 
     def detect(self, received: npt.ArrayLike) -> ComplexArray:
-        """Equalise one symbol ``(n_rx, fft_size)`` or a burst
-        ``(n_rx, n_symbols, fft_size)``."""
+        """Equalise one symbol ``(n_rx, fft_size)``, a burst ``(n_rx,
+        n_symbols, fft_size)`` or, for a stacked estimate, the stacked
+        bursts ``(n_items, n_rx, n_symbols, fft_size)``."""
         return _apply_per_subcarrier(self._weights, received)
+
+
+def _is_singular(gram: np.ndarray) -> bool:
+    """True when ``solve`` rejects this one Gram matrix as singular."""
+    try:
+        np.linalg.solve(gram, np.eye(gram.shape[-1]))
+    except np.linalg.LinAlgError:
+        return True
+    return False

@@ -15,6 +15,19 @@ import numpy as np
 from repro.exceptions import ChannelEstimationError
 
 
+def singular_mask(r: np.ndarray, tolerance: float = 1e-12) -> np.ndarray:
+    """Which upper-triangular matrices of a ``(..., n, n)`` stack are singular.
+
+    A matrix is singular when any diagonal element is (numerically) zero or
+    not finite — the channel matrix it came from is rank deficient and
+    zero-forcing equalisation is impossible.  The result has the stack's
+    leading shape, so a caller can drop the bad matrices and invert the
+    rest instead of losing the whole stack to one of them.
+    """
+    magnitude = np.abs(np.diagonal(np.asarray(r), axis1=-2, axis2=-1))
+    return ~np.all((magnitude > tolerance) & np.isfinite(magnitude), axis=-1)
+
+
 def invert_upper_triangular(r: np.ndarray, tolerance: float = 1e-12) -> np.ndarray:
     """Invert an upper-triangular matrix by back substitution.
 
@@ -31,9 +44,8 @@ def invert_upper_triangular(r: np.ndarray, tolerance: float = 1e-12) -> np.ndarr
     Raises
     ------
     ChannelEstimationError
-        If any diagonal element is (numerically) zero or not finite, i.e.
-        the channel matrix is rank deficient and zero-forcing equalisation
-        is impossible.
+        If any matrix is singular (see :func:`singular_mask`); callers
+        inverting a stack of independent matrices drop those first.
     """
     matrix = np.asarray(r, dtype=np.complex128)
     if matrix.ndim not in (2, 3) or matrix.shape[-1] != matrix.shape[-2]:
@@ -43,8 +55,7 @@ def invert_upper_triangular(r: np.ndarray, tolerance: float = 1e-12) -> np.ndarr
     scale = np.maximum(1.0, np.abs(stack).max(axis=(1, 2), initial=0.0))
     if np.any(np.abs(np.tril(stack, k=-1)) > 1e-9 * scale[:, None, None]):
         raise ValueError("matrix is not upper triangular")
-    magnitude = np.abs(np.diagonal(stack, axis1=1, axis2=2))
-    if not np.all((magnitude > tolerance) & np.isfinite(magnitude)):
+    if np.any(singular_mask(stack, tolerance)):
         raise ChannelEstimationError("upper-triangular matrix is singular")
 
     inverse = np.zeros_like(stack)

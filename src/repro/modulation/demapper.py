@@ -10,9 +10,11 @@ de-interleaver to the Viterbi decoder.  The software model provides:
   (the convention :class:`repro.coding.viterbi.ViterbiDecoder` expects).
 
 All entry points accept symbol arrays of any shape and demap every symbol in
-one vectorised pass — the receiver hands a whole burst's
-``(n_symbols, n_data_subcarriers)`` block to a single call, which is one of
-the two hot paths the :mod:`repro.sim` sweep engine leans on.
+one call, vectorised over chunks of at most :data:`DISTANCE_BUDGET`
+symbol-to-point distances — the receiver hands a whole lockstep round's
+``(n_items, n_streams, n_symbols, n_data_subcarriers)`` block to a single
+call, which is one of the hot paths the :mod:`repro.sim` sweep engine
+leans on.
 """
 
 from __future__ import annotations
@@ -24,6 +26,10 @@ import numpy.typing as npt
 from repro.types import BitArray, IntArray
 from repro.modulation.constellations import Constellation, Modulation, get_constellation
 from repro.utils.bits import unpack_bits
+
+#: Most symbol-to-point distances one demap pass holds at once (see
+#: :meth:`SymbolDemapper._distance_chunks`).
+DISTANCE_BUDGET = 1 << 15
 
 
 class SymbolDemapper:
@@ -53,10 +59,18 @@ class SymbolDemapper:
         return self.constellation.bits_per_symbol
 
     # ------------------------------------------------------------------
-    def _distances(self, symbols: np.ndarray) -> np.ndarray:
-        """Squared Euclidean distance of every symbol to every point."""
-        received = np.asarray(symbols, dtype=np.complex128).ravel()
-        return np.abs(received[:, None] - self.constellation.points[None, :]) ** 2
+    def _distance_chunks(self, received: np.ndarray):
+        """Yield ``(rows, squared distances of those symbols to every point)``.
+
+        A stacked receive round demaps many bursts in one call; holding at
+        most :data:`DISTANCE_BUDGET` distances at a time keeps its memory
+        at one burst's.  Every row is computed exactly as in one pass.
+        """
+        points = self.constellation.points[None, :]
+        step = max(1, DISTANCE_BUDGET // points.size)
+        for start in range(0, received.size, step):
+            rows = slice(start, start + step)
+            yield rows, np.abs(received[rows, None] - points) ** 2
 
     def hard_decisions(self, symbols: npt.ArrayLike) -> BitArray:
         """Nearest-point hard demapping, returning the coded bit stream.
@@ -70,11 +84,15 @@ class SymbolDemapper:
 
     def hard_addresses(self, symbols: npt.ArrayLike) -> IntArray:
         """Nearest-point hard demapping, returning LUT addresses."""
-        return np.argmin(self._distances(symbols), axis=1)
+        received = np.asarray(symbols, dtype=np.complex128).ravel()
+        addresses = np.empty(received.size, dtype=np.intp)
+        for rows, distances in self._distance_chunks(received):
+            addresses[rows] = np.argmin(distances, axis=1)
+        return addresses
 
     # ------------------------------------------------------------------
     def soft_decisions(
-        self, symbols: np.ndarray, noise_variance: float = 1.0
+        self, symbols: np.ndarray, noise_variance: float | np.ndarray = 1.0
     ) -> np.ndarray:
         """Max-log-MAP per-bit LLRs (positive means bit more likely 0).
 
@@ -87,17 +105,23 @@ class SymbolDemapper:
             Per-complex-dimension noise variance used to scale the LLRs.  A
             constant scale does not change hard Viterbi decisions but keeps
             the soft metric calibrated when different streams see different
-            noise levels.
+            noise levels.  An array broadcastable to ``symbols`` gives each
+            symbol its own variance (one per burst of a stacked block).
         """
-        if noise_variance <= 0:
+        variance = np.asarray(noise_variance, dtype=np.float64)
+        if np.any(variance <= 0):
             raise ValueError("noise_variance must be positive")
-        distances = self._distances(symbols)
+        if variance.ndim:
+            variance = np.broadcast_to(variance, np.shape(symbols)).reshape(-1)
+        received = np.asarray(symbols, dtype=np.complex128).ravel()
         k = self.bits_per_symbol
-        llrs = np.empty((distances.shape[0], k), dtype=np.float64)
-        for bit in range(k):
-            d_zero = distances[:, self._points_bit_zero[bit]].min(axis=1)
-            d_one = distances[:, self._points_bit_one[bit]].min(axis=1)
-            llrs[:, bit] = (d_one - d_zero) / noise_variance
+        llrs = np.empty((received.size, k), dtype=np.float64)
+        for rows, distances in self._distance_chunks(received):
+            scale = variance[rows] if variance.ndim else variance
+            for bit in range(k):
+                d_zero = distances[:, self._points_bit_zero[bit]].min(axis=1)
+                d_one = distances[:, self._points_bit_one[bit]].min(axis=1)
+                llrs[rows, bit] = (d_one - d_zero) / scale
         return llrs.ravel()
 
     # ------------------------------------------------------------------
@@ -105,7 +129,7 @@ class SymbolDemapper:
         self,
         symbols: np.ndarray,
         soft: bool = False,
-        noise_variance: float = 1.0,
+        noise_variance: float | np.ndarray = 1.0,
     ) -> np.ndarray:
         """Demap symbols, selecting hard bits or soft LLRs.
 

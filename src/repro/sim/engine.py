@@ -7,8 +7,9 @@ deterministic per-batch seed streams, and aggregates BER/PER counts with
 optional early stopping.  :func:`simulate_batch` is the unit of work the
 :class:`~repro.sim.runner.SweepRunner` fans out over its worker pool — one
 batch of bursts for each of several points sharing a configuration, all
-decoded in one trellis pass.  It is a module-level function taking one
-picklable payload so it crosses process boundaries untouched.
+run through one stacked front end and one trellis pass.  It is a
+module-level function taking one picklable payload so it crosses process
+boundaries untouched.
 
 Seeding contract: every burst derives its RNG streams from
 ``SeedSequence([content_hash(point.seed_payload(spec)), burst_index])``, so
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import time
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from repro.channel.fading import FlatRayleighChannel, FrequencySelectiveChannel
 from repro.channel.model import IdealChannel, MimoChannel
 from repro.core.config import TransceiverConfig
 from repro.core.frame import count_bit_errors
-from repro.core.transceiver import MimoTransceiver
+from repro.core.transceiver import AirBurst, MimoTransceiver
 from repro.dsp.backend import default_backend
 from repro.exceptions import ConfigurationError, DecodingError
 from repro.sim.spec import CHANNEL_MODELS, ImpairmentSpec, SweepPoint, SweepSpec
@@ -262,12 +263,15 @@ def simulate_batch(task: dict) -> List[Dict[str, object]]:
     Every item's point must share one :func:`build_config`.  Each burst in
     an item's ``[start_burst, start_burst + n_bursts)`` derives payload,
     fading and noise generators from its own :func:`burst_seed` and runs
-    through transmitter, channel and the receiver front end.  The unit
-    advances its items in lockstep rounds: a round takes the next burst of
-    every live item and Viterbi-decodes all their code blocks together,
-    up to :data:`DECODE_SLICE` blocks per trellis pass.  Blocks are
-    independent in the trellis, so each burst's bits are exactly what
-    decoding it alone would give.  An item retires at the burst whose
+    through transmitter and channel.  The unit advances its items in
+    lockstep rounds: a round takes the next burst of every live item, runs
+    all of them through one stacked receiver front end
+    (:meth:`~repro.core.receiver.MimoReceiver.front_end_stack`) and
+    Viterbi-decodes all their code blocks together, up to
+    :data:`DECODE_SLICE` blocks per trellis pass.  Bursts are independent
+    in both stacks, so each burst's bits are exactly what receiving it
+    alone would give, and a burst the front end gives up on drops out
+    alone as a lost frame.  An item retires at the burst whose
     item-local cumulative bit errors reach ``target_errors``, and its
     later bursts are never simulated: the global cumulative count at any
     burst is at least the item-local one, so the runner's fold would
@@ -303,26 +307,20 @@ def simulate_batch(task: dict) -> List[Dict[str, object]]:
     errors = [0] * len(items)
     live = list(range(len(items)))
     for offset in range(max(int(item["n_bursts"]) for item in items)):
-        # Per live item: the round's transmitted bits, or None when the
-        # front end gave up on its burst.
-        sent: Dict[int, Optional[np.ndarray]] = {}
-        blocks: List[np.ndarray] = []
-        for i in live:
-            front = _front_end_burst(
-                transceiver,
-                spec,
-                points[i],
-                fixed_fadings[i],
-                int(items[i]["start_burst"]) + offset,
-            )
-            sent[i] = None if front is None else front[0]
-            if front is not None:
-                blocks.append(front[1])
-        decoded = _decode_sliced(receiver, blocks, spec.n_info_bits)
+        sent = _front_end_round(
+            transceiver,
+            spec,
+            [points[i] for i in live],
+            [fixed_fadings[i] for i in live],
+            [int(items[i]["start_burst"]) + offset for i in live],
+        )
+        decoded = _decode_sliced(
+            receiver, [coded for _, coded in sent if coded is not None], spec.n_info_bits
+        )
 
         row = 0
-        for i, info_bits in sent.items():
-            if info_bits is None:
+        for i, (info_bits, coded) in zip(live, sent):
+            if coded is None:
                 burst = lost_frame_counts(spec.n_info_bits, points[i].n_streams)
             else:
                 n_rows = info_bits.shape[0]
@@ -363,19 +361,54 @@ def _decode_sliced(receiver, blocks: List[np.ndarray], n_info_bits: int) -> np.n
     )
 
 
-def _front_end_burst(
+def _front_end_round(
+    transceiver: MimoTransceiver,
+    spec: SweepSpec,
+    points: List[SweepPoint],
+    fixed_fadings: list,
+    burst_indices: List[int],
+) -> List[Tuple[np.ndarray, Optional[np.ndarray]]]:
+    """Transmit one burst per item and run them all through one stacked front end.
+
+    Returns, per item, the transmitted bits ``(n_streams, n_info_bits)``
+    and the recovered code blocks, or ``None`` in place of the blocks when
+    the receiver gave up on the burst.  Only those outlive the round's
+    decode: the transmitted bursts, the air samples and the other
+    front-end outputs are dropped here.
+    """
+    info_bits, samples, lts_starts, noise_variances = [], [], [], []
+    for point, fading, index in zip(points, fixed_fadings, burst_indices):
+        air = _transmit_burst(transceiver, spec, point, fading, index)
+        info_bits.append(np.asarray(air.burst.info_bits, dtype=np.uint8))
+        samples.append(air.samples)
+        lts_starts.append(air.lts_start)
+        noise_variances.append(air.noise_variance)
+    # Deep in the noise the receiver gives up on a burst: the time
+    # synchroniser misses it or locks too late for its preamble, a window
+    # starts before the first received sample, or a rank-deficient
+    # estimate stops the channel inversion or the MMSE solve.  The stacked
+    # front end drops just that burst, and the caller counts it as a fully
+    # errored frame (every payload bit lost).
+    fronts = transceiver.receiver.front_end_stack(
+        samples, spec.n_info_bits, lts_starts, noise_variances
+    )
+    return [
+        (bits, None if isinstance(front, DecodingError) else front.coded)
+        for bits, front in zip(info_bits, fronts)
+    ]
+
+
+def _transmit_burst(
     transceiver: MimoTransceiver,
     spec: SweepSpec,
     point: SweepPoint,
     fixed_fading,
     burst_index: int,
-):
-    """Transmit one burst of a point and run the receive front end on it.
+) -> AirBurst:
+    """Transmit one burst of a point through its channel realisation.
 
-    Returns ``(info_bits, coded)`` — the transmitted bits, ``(n_streams,
-    n_info_bits)``, and the recovered code blocks — or ``None`` when the
-    receiver gives up on the burst.  ``fixed_fading`` is the point's fading
-    realisation when the spec keeps one fixed, else ``None``.
+    ``fixed_fading`` is the point's fading realisation when the spec keeps
+    one fixed, else ``None``.
     """
     payload_seed, fading_seed, noise_seed = burst_seed(spec, point, burst_index).spawn(3)
     fading = (
@@ -396,25 +429,8 @@ def _front_end_burst(
             rng=np.random.default_rng(noise_seed),
         )
     )
-    air = transceiver.transmit_burst(
+    return transceiver.transmit_burst(
         spec.n_info_bits,
         rng=np.random.default_rng(payload_seed),
         known_timing=spec.known_timing,
     )
-    try:
-        front = transceiver.receiver.front_end(
-            air.samples,
-            spec.n_info_bits,
-            lts_start=air.lts_start,
-            noise_variance=air.noise_variance,
-        )
-    except DecodingError:
-        # Deep in the noise the receiver gives up: the time synchroniser
-        # misses the burst entirely, locks onto a window that starts before
-        # the first received sample, or a rank-deficient estimate stops the
-        # channel inversion (ChannelEstimationError is a DecodingError) or
-        # leaves the MMSE weights unsolvable.  A sweep over extreme
-        # operating points must survive all of those: the caller counts the
-        # burst as a fully errored frame (every payload bit lost).
-        return None
-    return np.asarray(air.burst.info_bits, dtype=np.uint8), front.coded

@@ -1,4 +1,5 @@
-"""Per-matrix MIMO references: Givens QR, back substitution, channel inversion."""
+"""Per-matrix MIMO references: Givens QR, back substitution, channel
+inversion, per-subcarrier LTS division and per-subcarrier MMSE solve."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.exceptions import ChannelEstimationError
+from repro.exceptions import ChannelEstimationError, DecodingError
 
 
 def _rotate(matrix: np.ndarray, col: int, row: int, theta_b: float, theta_1: float) -> None:
@@ -63,3 +64,41 @@ def invert_channel_serial(matrix: np.ndarray) -> np.ndarray:
     """``R^-1 Q^H`` of one channel matrix."""
     q, r = qr_givens_serial(matrix)
     return invert_upper_triangular_serial(r) @ np.conj(q).T
+
+
+def estimate_channel_from_lts_serial(
+    received_lts: np.ndarray, reference_lts: np.ndarray, active_mask: np.ndarray
+) -> np.ndarray:
+    """``(fft_size, n_rx, n_tx)`` estimate, one subcarrier's division at a time."""
+    rx = np.asarray(received_lts, dtype=np.complex128)
+    ref = np.asarray(reference_lts, dtype=np.complex128).ravel()
+    n_tx, n_rx, fft_size = rx.shape
+    estimate = np.zeros((fft_size, n_rx, n_tx), dtype=np.complex128)
+    for k in np.nonzero(active_mask)[0]:
+        if ref[k] == 0:
+            raise ChannelEstimationError(
+                f"subcarrier {k} is marked active but the reference LTS is zero there"
+            )
+        # H[i, j] = Y_i^{(j)}(k) / LTS(k)
+        estimate[k] = (rx[:, :, k] / ref[k]).T
+    return estimate
+
+
+def mmse_weights_serial(
+    matrices: np.ndarray, active_mask: np.ndarray, noise_variance: float
+) -> np.ndarray:
+    """``(fft_size, n_tx, n_rx)`` MMSE weights, one ``solve`` per subcarrier."""
+    fft_size, n_rx, n_tx = matrices.shape
+    weights = np.zeros((fft_size, n_tx, n_rx), dtype=np.complex128)
+    identity = np.eye(n_tx)
+    for k in np.nonzero(active_mask)[0]:
+        hk = matrices[k]
+        hk_h = np.conj(hk).T
+        gram = hk_h @ hk + noise_variance * identity
+        try:
+            weights[k] = np.linalg.solve(gram, hk_h)
+        except np.linalg.LinAlgError as error:
+            raise DecodingError(
+                f"MMSE Gram matrix is singular on subcarrier {k}"
+            ) from error
+    return weights

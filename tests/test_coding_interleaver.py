@@ -40,6 +40,15 @@ class TestPermutation:
         gaps = np.abs(np.diff(perm.astype(int)))
         assert gaps.min() >= 4
 
+    def test_permutation_is_memoised_and_read_only(self):
+        perm = interleaver_permutation(192, 4)
+        assert interleaver_permutation(192, 4) is perm
+        assert not perm.flags.writeable
+        with pytest.raises(ValueError):
+            perm[0] = 1
+        # Derived tables stay writable copies.
+        assert deinterleaver_permutation(192, 4).flags.writeable
+
     def test_rejects_bad_block_size(self):
         with pytest.raises(ValueError):
             interleaver_permutation(50, 1)

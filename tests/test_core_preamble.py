@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.core.config import TransceiverConfig
 from repro.core.preamble import PreambleGenerator, STS_REPETITIONS
+from repro.core.receiver import MimoReceiver
+from repro.core.transmitter import MimoTransmitter
+from repro.dsp.fft import FftPlan, ifft
 from repro.exceptions import ConfigurationError
 
 
@@ -106,3 +110,58 @@ class TestMimoSchedule:
     def test_invalid_fft_size(self):
         with pytest.raises(ConfigurationError):
             PreambleGenerator(32)
+
+
+class TestCachedWaveforms:
+    """Waveforms are built once per generator and handed out read-only."""
+
+    def test_cached_waveforms_equal_a_fresh_computation(self, preamble):
+        symbol = ifft(preamble.lts_frequency)
+        lts = np.concatenate([symbol[-preamble.lts_cp_length :], symbol, symbol])
+        sts = np.tile(ifft(preamble.sts_frequency)[:16], STS_REPETITIONS)
+        mimo = np.zeros((4, 800), dtype=np.complex128)
+        mimo[0, :160] = sts
+        for antenna in range(4):
+            start = 160 * (antenna + 1)
+            mimo[antenna, start : start + 160] = lts
+        for cached, fresh in (
+            (preamble.lts_symbol_time(), symbol),
+            (preamble.lts_time(), lts),
+            (preamble.sts_time(), sts),
+            (preamble.mimo_preamble(4), mimo),
+        ):
+            np.testing.assert_array_equal(cached, fresh)
+            assert not cached.flags.writeable
+            with pytest.raises(ValueError):
+                cached[0] = 0
+
+    def test_repeated_calls_return_the_cached_objects(self, preamble):
+        assert preamble.sts_time() is preamble.sts_time()
+        assert preamble.lts_time() is preamble.lts_time()
+        assert preamble.layout(2) is preamble.layout(2)
+        assert preamble.mimo_preamble(2) is preamble.mimo_preamble(2)
+        assert preamble.mimo_preamble(2).shape == (2, preamble.layout(2).total_length)
+
+    def test_warm_burst_runs_at_most_three_forward_ffts(self, monkeypatch):
+        # The data IFFT (one forward pass inside FftPlan.inverse), the
+        # stacked LTS FFT and the stacked data FFT: no preamble waveform is
+        # recomputed per burst.
+        config = TransceiverConfig()
+        transmitter = MimoTransmitter(config)
+        receiver = MimoReceiver(config)
+
+        def one_burst(seed):
+            burst = transmitter.transmit_random(120, rng=np.random.default_rng(seed))
+            receiver.front_end(burst.samples, 120)
+
+        one_burst(0)
+        calls = []
+        forward = FftPlan.forward
+
+        def counted(plan, x):
+            calls.append(np.shape(x))
+            return forward(plan, x)
+
+        monkeypatch.setattr(FftPlan, "forward", counted)
+        one_burst(1)
+        assert len(calls) <= 3

@@ -31,18 +31,29 @@ import pytest
 from repro.channel.awgn import awgn_noise, noise_variance_for_snr, occupied_power
 from repro.channel.fading import FlatRayleighChannel, FrequencySelectiveChannel
 from repro.channel.impairments import apply_carrier_frequency_offset, apply_iq_imbalance
-from repro.channel.model import MimoChannel
+from repro.channel.model import IdealChannel, MimoChannel
 from repro.coding.convolutional import CodeRate, ConvolutionalCode, ConvolutionalEncoder
 from repro.coding.interleaver import deinterleave
 from repro.coding.scrambler import Scrambler
 from repro.coding.viterbi import ViterbiDecoder
 from repro.core.config import TransceiverConfig
+from repro.core.frame import FrontEndResult
 from repro.core.pilots import PilotProcessor
 from repro.core.receiver import MimoReceiver
 from repro.core.transmitter import MimoTransmitter
 from repro.dsp.fixedpoint import MULTIPLIER_FORMAT_18BIT, SAMPLE_FORMAT_16BIT
-from repro.exceptions import ChannelEstimationError
-from repro.mimo.channel_estimation import invert_channel_matrices
+from repro.exceptions import (
+    ChannelEstimationError,
+    ConfigurationError,
+    DecodingError,
+    SynchronizationError,
+)
+from repro.mimo.channel_estimation import (
+    ChannelEstimate,
+    estimate_channel_from_lts,
+    invert_channel_matrices,
+)
+from repro.mimo.detector import MmseDetector
 from repro.mimo.qr import qr_decompose_givens
 from repro.mimo.rinv import invert_upper_triangular
 from repro.modulation.constellations import Modulation
@@ -55,8 +66,10 @@ from reference.core import (
     transmit_serial,
 )
 from reference.mimo import (
+    estimate_channel_from_lts_serial,
     invert_channel_serial,
     invert_upper_triangular_serial,
+    mmse_weights_serial,
     qr_givens_serial,
 )
 from reference.modulation import hard_decisions_serial, soft_decisions_serial
@@ -529,6 +542,236 @@ class TestReceiverBatchAgreement:
         est_s = estimate_channel_serial(receiver, samples, lts_start)
         np.testing.assert_array_equal(est_b.matrices, est_s.matrices)
         np.testing.assert_array_equal(est_b.inverses, est_s.inverses)
+
+
+class TestVectorisedEstimationAgreement:
+    """Broadcast LTS division and stacked MMSE solve vs per-subcarrier loops."""
+
+    @pytest.mark.parametrize("fft_size", [64, 512])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_lts_division_equals_per_subcarrier_loop(self, n, fft_size):
+        rng = np.random.default_rng(300 + n + fft_size)
+        reference = MimoReceiver(
+            TransceiverConfig(n_antennas=n, fft_size=fft_size)
+        ).channel_estimator.reference_lts
+        active = np.abs(reference) > 0
+        received = rng.normal(size=(3, n, n, fft_size)) + 1j * rng.normal(
+            size=(3, n, n, fft_size)
+        )
+        stacked = estimate_channel_from_lts(received, reference, active)
+        for item in range(3):
+            expected = estimate_channel_from_lts_serial(received[item], reference, active)
+            np.testing.assert_array_equal(
+                estimate_channel_from_lts(received[item], reference, active), expected
+            )
+            np.testing.assert_array_equal(stacked[item], expected)
+
+    def test_active_subcarrier_with_zero_reference_raises(self):
+        reference = np.ones(64, dtype=np.complex128)
+        reference[[0, 9]] = 0
+        active = np.ones(64, dtype=bool)
+        received = np.ones((2, 2, 64), dtype=np.complex128)
+        with pytest.raises(ChannelEstimationError, match="subcarrier 0"):
+            estimate_channel_from_lts(received, reference, active)
+        with pytest.raises(ChannelEstimationError, match="subcarrier 0"):
+            estimate_channel_from_lts_serial(received, reference, active)
+
+    def test_mmse_weights_equal_per_subcarrier_solve(self):
+        rng = np.random.default_rng(320)
+        for _ in range(300):
+            n = int(rng.integers(1, 5))
+            active = rng.random(64) < 0.8
+            matrices = np.zeros((64, n, n), dtype=np.complex128)
+            matrices[active] = _random_stack(int(active.sum()), n, rng)
+            estimate = ChannelEstimate(matrices, np.zeros_like(matrices), active)
+            variance = float(rng.uniform(1e-4, 2.0))
+            np.testing.assert_array_equal(
+                MmseDetector(estimate, variance)._weights,
+                mmse_weights_serial(matrices, active, variance),
+            )
+
+    def test_stacked_mmse_weights_equal_each_burst_alone(self):
+        rng = np.random.default_rng(321)
+        active = np.ones(52, dtype=bool)
+        matrices = _random_stack(5 * 52, 3, rng).reshape(5, 52, 3, 3)
+        variances = rng.uniform(1e-3, 1.0, size=5)
+        stacked = MmseDetector(
+            ChannelEstimate(matrices, np.zeros_like(matrices), active), variances
+        )
+        for item in range(5):
+            np.testing.assert_array_equal(
+                stacked._weights[item],
+                mmse_weights_serial(matrices[item], active, variances[item]),
+            )
+
+    def test_singular_gram_names_the_first_singular_subcarrier(self):
+        rng = np.random.default_rng(322)
+        matrices = _random_stack(16, 2, rng)
+        for k in (5, 9):
+            matrices[k, :, 1] = matrices[k, :, 0]  # two identical columns
+        estimate = ChannelEstimate(matrices, np.zeros_like(matrices), np.ones(16, dtype=bool))
+        with pytest.raises(DecodingError, match="subcarrier 5 "):
+            MmseDetector(estimate, noise_variance=0.0)
+        with pytest.raises(DecodingError, match="subcarrier 5$"):
+            mmse_weights_serial(matrices, np.ones(16, dtype=bool), 0.0)
+
+
+def _front_end_input(config, fading, seed, n_info_bits=96, **channel):
+    """``(samples, true LTS start, noise variance)`` of one received burst."""
+    transmitter = MimoTransmitter(config)
+    burst = transmitter.transmit_random(n_info_bits, rng=np.random.default_rng(seed))
+    output = MimoChannel(fading, rng=seed + 1, **channel).transmit(burst.samples)
+    lts_start = burst.layout.sts_length + channel.get("sample_delay", 0)
+    return output.samples, lts_start, output.noise_variance or 1.0
+
+
+def _assert_front_ends_identical(stacked, alone):
+    np.testing.assert_array_equal(stacked.coded, alone.coded)
+    np.testing.assert_array_equal(stacked.equalized, alone.equalized)
+    assert stacked.lts_start == alone.lts_start
+    assert stacked.diagnostics == alone.diagnostics
+    np.testing.assert_array_equal(
+        stacked.channel_estimate.matrices, alone.channel_estimate.matrices
+    )
+    np.testing.assert_array_equal(
+        stacked.channel_estimate.inverses, alone.channel_estimate.inverses
+    )
+    np.testing.assert_array_equal(
+        stacked.channel_estimate.active_mask, alone.channel_estimate.active_mask
+    )
+
+
+STACK_CONFIGS = {
+    "zf-hard": {},
+    "zf-soft": {"soft_decision": True},
+    "mmse-hard": {"detector": "mmse"},
+    "mmse-soft": {"detector": "mmse", "soft_decision": True},
+    "quantized": {
+        "detector": "mmse",
+        "soft_decision": True,
+        "rx_sample_format": SAMPLE_FORMAT_16BIT,
+        "rx_multiplier_format": MULTIPLIER_FORMAT_18BIT,
+    },
+    "cfo": {"correct_cfo": True, "soft_decision": True},
+    "2x2-qpsk-r3/4": {"n_antennas": 2, "modulation": "qpsk", "code_rate": "3/4"},
+    "512-point": {"fft_size": 512, "n_antennas": 2},
+}
+
+
+class TestStackedFrontEndAgreement:
+    """``front_end_stack`` vs :meth:`MimoReceiver.front_end` on each burst alone.
+
+    One stack mixes ideal, flat and frequency-selective channels, SNRs,
+    sample delays and (with CFO correction on) carrier offsets, with some
+    bursts synchronised and some handed their LTS start; every burst must
+    come out bit for bit as it does on its own, and a burst the receiver
+    gives up on must drop out alone, mid-stack, with the error its
+    one-burst call raises.
+    """
+
+    @staticmethod
+    def _mixed_stack(config, seed):
+        n = config.n_antennas
+        cfo = config.correct_cfo
+        cases = [
+            (IdealChannel(n, n), {"snr_db": 30.0}),
+            (FlatRayleighChannel(n, n, rng=seed), {"snr_db": 12.0, "sample_delay": 5}),
+            (
+                FrequencySelectiveChannel(n, n, n_taps=4, rng=seed + 2),
+                {"snr_db": 20.0, "sample_delay": 17, "cfo_normalized": 2e-4 if cfo else 0.0},
+            ),
+            (
+                FlatRayleighChannel(n, n, rng=seed + 4),
+                {"snr_db": 3.0, "cfo_normalized": -1e-4 if cfo else 0.0},
+            ),
+        ]
+        return [
+            _front_end_input(config, fading, seed + 10 * index, **channel)
+            for index, (fading, channel) in enumerate(cases)
+        ]
+
+    @staticmethod
+    def _run(receiver, bursts, known_timing):
+        samples = [burst[0] for burst in bursts]
+        lts_starts = [
+            burst[1] if known else None for burst, known in zip(bursts, known_timing)
+        ]
+        variances = [burst[2] for burst in bursts]
+        stacked = receiver.front_end_stack(samples, 96, lts_starts, variances)
+        assert len(stacked) == len(bursts)
+        for outcome, args in zip(stacked, zip(samples, lts_starts, variances)):
+            if isinstance(outcome, DecodingError):
+                with pytest.raises(type(outcome), match=re.escape(str(outcome))):
+                    receiver.front_end(args[0], 96, *args[1:])
+            else:
+                _assert_front_ends_identical(outcome, receiver.front_end(args[0], 96, *args[1:]))
+        return stacked
+
+    @pytest.mark.parametrize("name", list(STACK_CONFIGS))
+    def test_every_burst_equals_its_one_burst_front_end(self, name):
+        config = TransceiverConfig(**STACK_CONFIGS[name])
+        receiver = MimoReceiver(config)
+        bursts = self._mixed_stack(config, seed=500 + 20 * list(STACK_CONFIGS).index(name))
+        stacked = self._run(receiver, bursts, known_timing=[False, True, False, True])
+        assert all(isinstance(outcome, FrontEndResult) for outcome in stacked)
+
+    @pytest.mark.parametrize("detector", ["zf", "mmse"])
+    def test_give_ups_drop_out_alone_mid_stack(self, detector):
+        config = TransceiverConfig(n_antennas=2, modulation="qpsk", detector=detector)
+        good = self._mixed_stack(config, seed=900)
+        samples, lts_start, variance = good[1]
+        no_signal = (np.full_like(samples, np.nan), None, variance)
+        truncated = (samples[:, :600], None, variance)
+        silent_antenna = samples.copy()
+        silent_antenna[1] = 0.0  # rank-deficient estimate
+        bursts = [
+            good[0],
+            no_signal,
+            good[1],
+            truncated,
+            (silent_antenna, lts_start, variance),
+            good[2],
+        ]
+        stacked = self._run(
+            MimoReceiver(config), bursts, known_timing=[False, False, True, False, True, False]
+        )
+        assert isinstance(stacked[1], SynchronizationError)
+        assert isinstance(stacked[3], DecodingError)
+        assert isinstance(stacked[4], ChannelEstimationError)
+        assert all(isinstance(stacked[i], FrontEndResult) for i in (0, 2, 5))
+        # A kept traceback would hold the stack's samples in a frame cycle.
+        assert stacked[1].__traceback__ is None and stacked[3].__traceback__ is None
+
+    def test_singular_mmse_gram_drops_only_its_burst(self, monkeypatch):
+        # A Gram matrix that is singular without a singular R: every
+        # estimate gets two identical columns on subcarrier 7, and only the
+        # burst with zero noise variance loses its regulariser.
+        config = TransceiverConfig(n_antennas=2, modulation="qpsk", detector="mmse")
+        receiver = MimoReceiver(config)
+        estimate = receiver.channel_estimator.estimate
+
+        def duplicate_columns(received):
+            outcomes = estimate(received)
+            for outcome in outcomes:
+                outcome.matrices[7, :, 1] = outcome.matrices[7, :, 0]
+            return outcomes
+
+        monkeypatch.setattr(receiver.channel_estimator, "estimate", duplicate_columns)
+        bursts = self._mixed_stack(config, seed=950)[:3]
+        bursts[1] = bursts[1][:2] + (0.0,)
+        stacked = self._run(receiver, bursts, known_timing=[True, True, True])
+        assert isinstance(stacked[1], DecodingError)
+        assert "subcarrier 7 " in str(stacked[1])
+        assert isinstance(stacked[0], FrontEndResult)
+        assert isinstance(stacked[2], FrontEndResult)
+
+    def test_empty_and_malformed_stacks(self):
+        receiver = MimoReceiver(TransceiverConfig(n_antennas=2))
+        assert receiver.front_end_stack([], 96) == []
+        with pytest.raises(ConfigurationError):
+            receiver.front_end_stack([np.zeros((2, 2000))], 96, lts_starts=[None, None])
+        with pytest.raises(ConfigurationError):
+            receiver.front_end_stack([np.zeros((3, 2000))], 96)
 
 
 class TestTransmitterBatchAgreement:

@@ -15,7 +15,10 @@ host, over unit-normal inputs:
   phase rotation, a complex array multiply in the scalar code too, stays
   one;
 * ``np.cos``, ``np.sin``, complex ``np.exp``, complex division and stacked
-  ``@`` match their scalar or per-matrix forms.
+  ``@`` match their scalar or per-matrix forms;
+* the stacked receive front end also relies on a stacked
+  ``np.linalg.solve`` matching the per-matrix solve and on the
+  burst-stacked detection einsum matching the per-burst one.
 
 Each test below pins one fact the production code relies on, so a numpy
 upgrade or a new host that breaks one fails here, loudly, rather than
@@ -93,3 +96,25 @@ def test_stacked_matmul_equals_per_matrix(complex_pair):
     stacked = left @ np.conj(right).swapaxes(-1, -2)
     for k in range(left.shape[0]):
         np.testing.assert_array_equal(stacked[k], left[k] @ np.conj(right[k]).T)
+
+
+def test_stacked_solve_equals_per_matrix(complex_pair):
+    # Stacked MMSE weights: one solve over (items, subcarriers, n, n).
+    a, b = complex_pair
+    gram = a[:4000].reshape(-1, 5, 4, 4) + 4.0 * np.eye(4)
+    rhs = b[:4000].reshape(-1, 5, 4, 4)
+    stacked = np.linalg.solve(gram, rhs)
+    for index in np.ndindex(gram.shape[:2]):
+        np.testing.assert_array_equal(stacked[index], np.linalg.solve(gram[index], rhs[index]))
+
+
+def test_burst_stacked_einsum_equals_per_burst(complex_pair):
+    # Stacked detection: one einsum over (items, ...) against the per-burst one.
+    a, b = complex_pair
+    weights = a[:3 * 64 * 4].reshape(3, 64, 2, 2)
+    received = b[:3 * 2 * 16 * 64].reshape(3, 2, 16, 64)
+    stacked = np.einsum("mkij,mjnk->mink", weights, received)
+    for item in range(3):
+        np.testing.assert_array_equal(
+            stacked[item], np.einsum("kij,jnk->ink", weights[item], received[item])
+        )

@@ -422,6 +422,26 @@ class TestSweepRunner:
 
 
 class TestDecodeFailureAccounting:
+    def test_late_sync_lock_with_cfo_counts_as_lost_frames(self):
+        # Regression: deep in the noise the synchroniser can lock within
+        # the last LTS span of the burst, and the CFO estimator's
+        # SynchronizationError used to escape the engine and kill the
+        # sweep at burst 0.  It is a DecodingError now: a lost frame.
+        spec = SweepSpec(
+            snr_db=(-20.0,),
+            modulations=("qpsk",),
+            stream_counts=(2,),
+            channels=("flat_rayleigh",),
+            impairments=(ImpairmentSpec(cfo_normalized=1e-3),),
+            n_info_bits=48,
+            n_bursts=1,
+            target_errors=None,
+            base_seed=3,
+        )
+        result = SweepRunner(spec, n_workers=1, cache=False).run()
+        assert result.points[0].decode_failures > 0
+        assert result.points[0].packet_error_rate == 1.0
+
     def test_truncated_window_counts_as_lost_frames(self, monkeypatch):
         # Regression: a mis-synchronised burst whose FFT window starts before
         # sample zero now raises DecodingError (instead of clamping to a
@@ -447,7 +467,8 @@ class TestDecodeFailureAccounting:
 
         def one_singular_subcarrier(*args, **kwargs):
             matrices = real_estimate(*args, **kwargs)
-            matrices[1] = 1.0  # rank one
+            # Subcarrier 1 of every stacked burst's estimate: rank one.
+            matrices[..., 1, :, :] = 1.0
             return matrices
 
         monkeypatch.setattr(estimation, "estimate_channel_from_lts", one_singular_subcarrier)

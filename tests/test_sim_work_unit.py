@@ -1,12 +1,14 @@
 """The sweep engine's work unit: several same-config points, one trellis.
 
 :func:`repro.sim.engine.simulate_batch` advances the items of a unit in
-lockstep, running one burst of every live item through the receive front
-end and decoding all their code blocks together.  These tests pin the
-contract that makes that invisible: every item reports exactly what it
-reports when run on its own, an item that reaches ``target_errors`` stops
-simulating, the runner's results do not depend on queue backend or batch
-size, and a unit larger than one decode slice still decodes bit-exactly.
+lockstep, running one burst of every live item through one stacked
+receive front end and decoding all their code blocks together.  These
+tests pin the contract that makes that invisible: every item reports
+exactly what it reports when run on its own (also when the front end
+gives up on one item's burst mid-round), an item that reaches
+``target_errors`` stops simulating, the runner's results do not depend on
+queue backend or batch size, and a unit larger than one decode slice
+still decodes bit-exactly.
 """
 
 import pytest
@@ -14,7 +16,7 @@ import pytest
 import repro.coding.viterbi as viterbi_module
 from repro.core.transceiver import MimoTransceiver
 from repro.exceptions import ConfigurationError
-from repro.sim import SweepRunner, SweepSpec
+from repro.sim import ImpairmentSpec, SweepRunner, SweepSpec
 from repro.sim.engine import DECODE_SLICE, simulate_batch
 from repro.sim.queue import MultiprocessingQueue
 from repro.sim.runner import _pack_units
@@ -204,3 +206,33 @@ def test_runner_results_identical_across_queues_and_batch_sizes():
         ).run()
         assert _stats(pooled) == _stats(reference)
         assert pooled.n_bursts_simulated >= reference.n_bursts_simulated
+
+
+def test_mid_round_give_up_reports_each_item_as_if_run_alone():
+    # The -20 dB item sits between two clean ones.  With a CFO to estimate,
+    # its bursts are given up on (sync misses and late locks the CFO
+    # estimator rejects) inside the stacked front end, and only that
+    # item's frames are lost.
+    spec = SweepSpec(
+        snr_db=(30.0, -20.0, 25.0),
+        modulations=("qpsk",),
+        stream_counts=(2,),
+        channels=("flat_rayleigh",),
+        impairments=(ImpairmentSpec(cfo_normalized=1e-3),),
+        n_info_bits=48,
+        n_bursts=6,
+        target_errors=None,
+        base_seed=3,
+    )
+    items = [
+        {"point": point.to_dict(), "start_burst": 0, "n_bursts": 6, "batch_index": point.index}
+        for point in spec.points()
+    ]
+    reports = simulate_batch({"spec": spec.to_dict(), "items": items})
+
+    assert [_without_timing(r) for r in reports] == [
+        _without_timing(_alone(spec, item)) for item in items
+    ]
+    failures = [sum(burst["decode_failure"] for burst in r["bursts"]) for r in reports]
+    assert failures[0] == failures[2] == 0
+    assert failures[1] > 0
