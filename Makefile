@@ -6,7 +6,8 @@
 #   make lint              - repro_lint invariant gate over src/ tools/
 #                            examples/ tests/
 #   make test-store        - result-store tier: store/queue semantics, crash/
-#                            resume, concurrency, adaptive refinement, sharing gates
+#                            resume, concurrency, adaptive refinement, work-unit
+#                            packing of the shared scheduler, sharing gates
 #   make bench-smoke       - quick benchmark pass: every claim/table/ablation once
 #   make bench-impairments - front-end impairment grid smoke (CFO x word length x SNR)
 #   make bench-store       - per-point store gates: zero-burst warm re-run +
@@ -35,7 +36,7 @@ test-fast:
 	$(PYTHONPATH_PREFIX) $(PYTHON) -m pytest tests -q
 
 test-store:
-	$(PYTHONPATH_PREFIX) $(PYTHON) -m pytest tests/test_sim_store.py tests/test_sim_queue.py tests/test_sim_resume.py tests/test_sim_adaptive.py benchmarks/test_sweep_store.py -q
+	$(PYTHONPATH_PREFIX) $(PYTHON) -m pytest tests/test_sim_store.py tests/test_sim_queue.py tests/test_sim_resume.py tests/test_sim_adaptive.py tests/test_sim_work_unit.py benchmarks/test_sweep_store.py -q
 
 bench-smoke:
 	$(PYTHONPATH_PREFIX) $(PYTHON) -m pytest benchmarks -q

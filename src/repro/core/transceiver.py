@@ -8,10 +8,10 @@ and the BER-vs-SNR sweeps are built on.
 
 For whole grids (SNR x modulation x channel x detector) use the batched
 engine in :mod:`repro.sim` — worker pools, early stopping and result
-caching; see ``docs/simulation.md``.  ``simulate_link`` delegates to that
-engine's serial backbone (:func:`repro.sim.engine.simulate_point`), which
-runs the same burst physics but keeps the classic strict semantics: one
-RNG stream across bursts and decode failures raised, not counted.
+caching; see ``docs/simulation.md``.  The engine runs the same burst
+physics, while ``simulate_link`` keeps the classic strict semantics: one
+fixed channel, one RNG stream across bursts and decode failures raised,
+not counted.
 """
 
 from __future__ import annotations
@@ -199,11 +199,12 @@ def simulate_link(
 ) -> dict:
     """Run up to ``n_bursts`` bursts and aggregate BER/PER statistics.
 
-    A thin wrapper over the batched engine's serial backbone
-    (:func:`repro.sim.engine.simulate_point`) that keeps the classic
-    one-point API: a fixed channel, one RNG stream threaded through all
-    bursts.  For grids over SNR/modulation/channel/detector — with worker
-    pools, early stopping and caching — use :class:`repro.sim.SweepRunner`.
+    The classic one-point loop: a fixed channel, one RNG stream threaded
+    through all bursts, and a :class:`~repro.exceptions.DecodingError`
+    raised as in ``run_burst``.  For grids over
+    SNR/modulation/channel/detector — with worker pools, per-burst seeds,
+    lost frames counted instead of raised, early stopping and caching —
+    use :class:`repro.sim.SweepRunner`.
 
     Returns a dictionary with ``bit_error_rate``, ``packet_error_rate``,
     ``total_bits``, ``bit_errors``, ``frame_errors``, ``n_bursts`` (bursts
@@ -217,14 +218,30 @@ def simulate_link(
         observed (the estimate's accuracy depends on the error count, not
         the burst count); ``None`` always runs the full ``n_bursts``.
     """
-    from repro.sim.engine import simulate_point
-
     transceiver = MimoTransceiver(config=config, channel=channel)
-    return simulate_point(
-        transceiver,
-        n_info_bits=n_info_bits,
-        n_bursts=n_bursts,
-        rng=rng,
-        known_timing=known_timing,
-        target_errors=target_errors,
-    )
+    if n_bursts <= 0:
+        raise ValueError("n_bursts must be positive")
+    generator = make_rng(rng)
+    bit_errors = 0
+    total_bits = 0
+    frame_errors = 0
+    bursts_run = 0
+    early_stopped = False
+    for _ in range(n_bursts):
+        result = transceiver.run_burst(n_info_bits, rng=generator, known_timing=known_timing)
+        bit_errors += result.bit_errors
+        total_bits += result.total_bits
+        frame_errors += int(result.frame_error)
+        bursts_run += 1
+        if target_errors is not None and bit_errors >= target_errors:
+            early_stopped = bursts_run < n_bursts
+            break
+    return {
+        "bit_error_rate": bit_errors / total_bits if total_bits else 0.0,
+        "packet_error_rate": frame_errors / bursts_run if bursts_run else 0.0,
+        "total_bits": total_bits,
+        "bit_errors": bit_errors,
+        "frame_errors": frame_errors,
+        "n_bursts": bursts_run,
+        "early_stopped": early_stopped,
+    }

@@ -18,10 +18,11 @@ executes them efficiently:
   overlapping sweeps from it — simulating only the missing remainder;
 * :meth:`~repro.sim.runner.SweepRunner.run_adaptive` — adaptive refinement:
   extra bursts go to the points whose BER confidence intervals
-  (:mod:`repro.sim.stats`: Wilson / Clopper–Pearson) are widest;
-* :mod:`~repro.sim.engine` — the burst-level backbone shared with
-  ``simulate_link``, so the one-point and grid APIs run the exact same
-  physics.
+  (:mod:`repro.sim.stats`: Wilson / Clopper–Pearson) are widest, run
+  through the base sweep's scheduler and fold;
+* :mod:`~repro.sim.engine` — the burst-level engine: per-burst seeding,
+  the impairment wiring shared with the streaming scheduler, and the work
+  unit the runner fans out.
 
 Quick start::
 

@@ -1,10 +1,11 @@
-"""Burst-level simulation backbone shared by the runner and ``simulate_link``.
+"""Burst-level simulation engine behind the sweep runner.
 
 This module turns a :class:`~repro.sim.spec.SweepPoint` into actual link
 simulations: it builds the :class:`~repro.core.config.TransceiverConfig` and
-channel model a grid cell describes, runs batches of bursts with
-deterministic per-batch seed streams, and aggregates BER/PER counts with
-optional early stopping.  :func:`simulate_batch` is the unit of work the
+channel model a grid cell describes (the impairment wiring the streaming
+scheduler reuses), runs batches of bursts with deterministic per-burst
+seed streams, and reports per-burst BER/PER counts with optional early
+stopping.  :func:`simulate_batch` is the unit of work the
 :class:`~repro.sim.runner.SweepRunner` fans out over its worker pool — one
 batch of bursts for each of several points sharing a configuration, all
 run through one stacked front end and one trellis pass.  It is a
@@ -22,8 +23,9 @@ records between overlapping sweeps.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -35,7 +37,7 @@ from repro.core.transceiver import AirBurst, MimoTransceiver
 from repro.dsp.backend import default_backend
 from repro.exceptions import ConfigurationError, DecodingError
 from repro.sim.spec import CHANNEL_MODELS, ImpairmentSpec, SweepPoint, SweepSpec
-from repro.utils.rng import SeedLike, make_rng
+from repro.utils.rng import SeedLike
 
 #: Entropy tag appended to ``base_seed`` for the shared fading realisation
 #: used when ``fresh_fading_per_burst`` is off; keeps that stream disjoint
@@ -46,30 +48,65 @@ _FIXED_FADING_TAG = 0x0FAD
 def build_config(point: SweepPoint, spec: SweepSpec) -> TransceiverConfig:
     """Transceiver configuration for one grid cell.
 
-    The cell's front-end condition shapes the receiver: a CFO axis enables
-    the preamble-based estimator/corrector, and the RX quantisation formats
-    become the receiver's sample/multiplier word lengths.
+    The cell's modulation, coding, antenna count and detector, with its
+    front-end condition overlaid by :func:`impaired_config`.
     """
-    impairment = point.impairment or ImpairmentSpec()
-    return TransceiverConfig(
-        n_antennas=point.n_streams,
-        fft_size=spec.fft_size,
-        modulation=point.modulation,
-        code_rate=point.code_rate,
-        soft_decision=spec.soft_decision,
-        detector=point.detector,
-        correct_cfo=impairment.cfo_normalized != 0.0,
-        rx_sample_format=impairment.rx_format,
-        rx_multiplier_format=impairment.rx_multiplier_format,
+    return impaired_config(
+        TransceiverConfig(
+            n_antennas=point.n_streams,
+            fft_size=spec.fft_size,
+            modulation=point.modulation,
+            code_rate=point.code_rate,
+            soft_decision=spec.soft_decision,
+            detector=point.detector,
+        ),
+        point.impairment or ImpairmentSpec(),
+    )
+
+
+def impaired_config(base: TransceiverConfig, impairment: ImpairmentSpec) -> TransceiverConfig:
+    """``base`` with an impairment's receiver wiring overlaid.
+
+    A CFO on air enables the preamble-based estimator/corrector, and the RX
+    quantisation formats become the receiver's sample/multiplier word
+    lengths; whatever ``base`` already enables stays enabled.  The sweep
+    engine and the streaming scheduler both shape their receivers here.
+    """
+    return replace(
+        base,
+        correct_cfo=base.correct_cfo or impairment.cfo_normalized != 0.0,
+        rx_sample_format=impairment.rx_format or base.rx_sample_format,
+        rx_multiplier_format=impairment.rx_multiplier_format or base.rx_multiplier_format,
+    )
+
+
+def impaired_channel(
+    fading, snr_db: float, impairment: ImpairmentSpec, rng: SeedLike
+) -> MimoChannel:
+    """The air channel of one burst under an impairment.
+
+    ``fading`` and AWGN at ``snr_db``, plus the impairment's CFO, timing
+    delay, IQ imbalance and TX quantisation.  The sweep engine and the
+    streaming scheduler both build their channels here.
+    """
+    return MimoChannel(
+        fading=fading,
+        snr_db=snr_db,
+        cfo_normalized=impairment.cfo_normalized,
+        sample_delay=impairment.sample_delay,
+        iq_amplitude_db=impairment.iq_amplitude_db,
+        iq_phase_deg=impairment.iq_phase_deg,
+        tx_quantization=impairment.tx_format,
+        rng=rng,
     )
 
 
 def build_fading_model(channel: str, n_streams: int, rng: SeedLike):
     """Fading model instance by name (fresh realisation per call).
 
-    The name-keyed core of :func:`build_fading`, shared with callers that
-    have no :class:`SweepPoint` — the streaming scheduler builds per-frame
-    realisations from a channel name and antenna count directly.
+    Takes a channel name and antenna count rather than a
+    :class:`SweepPoint`, so the streaming scheduler, which has no point,
+    builds its per-frame realisations the same way as the sweep engine.
     """
     n = n_streams
     if channel == "ideal":
@@ -79,11 +116,6 @@ def build_fading_model(channel: str, n_streams: int, rng: SeedLike):
     if channel == "frequency_selective":
         return FrequencySelectiveChannel(n, n, rng=rng)
     raise ValueError(f"unknown channel model {channel!r}")
-
-
-def build_fading(point: SweepPoint, rng: SeedLike):
-    """Fading model instance for one grid cell (fresh realisation per call)."""
-    return build_fading_model(point.channel, point.n_streams, rng)
 
 
 def fixed_fading_seed(spec: SweepSpec, point: SweepPoint) -> np.random.SeedSequence:
@@ -121,73 +153,6 @@ def _transceiver_for(config: TransceiverConfig, backend_name: str) -> MimoTransc
         channel=MimoChannel(IdealChannel(n, n)),
         backend=backend_name,
     )
-
-
-def simulate_point(
-    transceiver: MimoTransceiver,
-    n_info_bits: int,
-    n_bursts: int,
-    rng: SeedLike = None,
-    known_timing: bool = False,
-    target_errors: Optional[int] = None,
-    channel_factory: Optional[Callable[[int], MimoChannel]] = None,
-) -> Dict[str, object]:
-    """Run up to ``n_bursts`` bursts and aggregate BER/PER statistics.
-
-    This is the serial backbone behind
-    :func:`repro.core.transceiver.simulate_link`: one RNG stream threaded
-    through all bursts, reproducing the classic fixed-channel loop
-    bit-for-bit when ``channel_factory`` and ``target_errors`` are left
-    unset.  The sweep engine's :func:`simulate_batch` runs the same
-    physics but differs deliberately in two ways: it seeds each burst
-    independently (so batching never changes results) and it tolerates
-    receiver give-ups, counting a :class:`~repro.exceptions.DecodingError`
-    burst as a fully errored frame, whereas this function — like
-    ``run_burst`` — lets the exception propagate.
-
-    Parameters
-    ----------
-    transceiver:
-        The transmit/receive chain; its current channel is used unless
-        ``channel_factory`` overrides it per burst.
-    channel_factory:
-        Called with the burst index to produce that burst's channel
-        (fresh-fading Monte-Carlo mode).
-    target_errors:
-        Stop simulating once this many bit errors have accumulated — the
-        BER estimate's accuracy is governed by the error *count*, so
-        error-rich points settle after a handful of bursts.
-    """
-    if n_bursts <= 0:
-        raise ValueError("n_bursts must be positive")
-    generator = make_rng(rng)
-    bit_errors = 0
-    total_bits = 0
-    frame_errors = 0
-    bursts_run = 0
-    early_stopped = False
-    for index in range(n_bursts):
-        if channel_factory is not None:
-            transceiver.set_channel(channel_factory(index))
-        result = transceiver.run_burst(
-            n_info_bits, rng=generator, known_timing=known_timing
-        )
-        bit_errors += result.bit_errors
-        total_bits += result.total_bits
-        frame_errors += int(result.frame_error)
-        bursts_run += 1
-        if target_errors is not None and bit_errors >= target_errors:
-            early_stopped = bursts_run < n_bursts
-            break
-    return {
-        "bit_error_rate": bit_errors / total_bits if total_bits else 0.0,
-        "packet_error_rate": frame_errors / bursts_run if bursts_run else 0.0,
-        "total_bits": total_bits,
-        "bit_errors": bit_errors,
-        "frame_errors": frame_errors,
-        "n_bursts": bursts_run,
-        "early_stopped": early_stopped,
-    }
 
 
 def burst_seed(spec: SweepSpec, point: SweepPoint, burst_index: int) -> np.random.SeedSequence:
@@ -297,7 +262,11 @@ def simulate_batch(task: dict) -> List[Dict[str, object]]:
     fixed_fadings = [
         None
         if spec.fresh_fading_per_burst
-        else build_fading(point, np.random.default_rng(fixed_fading_seed(spec, point)))
+        else build_fading_model(
+            point.channel,
+            point.n_streams,
+            np.random.default_rng(fixed_fading_seed(spec, point)),
+        )
         for point in points
     ]
 
@@ -414,19 +383,16 @@ def _transmit_burst(
     fading = (
         fixed_fading
         if fixed_fading is not None
-        else build_fading(point, np.random.default_rng(fading_seed))
+        else build_fading_model(
+            point.channel, point.n_streams, np.random.default_rng(fading_seed)
+        )
     )
-    impairment = point.impairment or ImpairmentSpec()
     transceiver.set_channel(
-        MimoChannel(
-            fading=fading,
-            snr_db=point.snr_db,
-            cfo_normalized=impairment.cfo_normalized,
-            sample_delay=impairment.sample_delay,
-            iq_amplitude_db=impairment.iq_amplitude_db,
-            iq_phase_deg=impairment.iq_phase_deg,
-            tx_quantization=impairment.tx_format,
-            rng=np.random.default_rng(noise_seed),
+        impaired_channel(
+            fading,
+            point.snr_db,
+            point.impairment or ImpairmentSpec(),
+            np.random.default_rng(noise_seed),
         )
     )
     return transceiver.transmit_burst(

@@ -25,9 +25,10 @@
 4. **Adaptive refinement** (:meth:`SweepRunner.run_adaptive`) — after the
    base sweep, extra bursts are allocated round by round to the points
    whose BER confidence intervals are widest (see :mod:`repro.sim.stats`),
-   extending each point's deterministic burst stream; refined records are
-   stored under budget-extended keys so a re-run replays the allocation
-   from the store without simulating.
+   extending each point's deterministic burst stream through the same
+   scheduler and fold as the base sweep; refined records are stored under
+   budget-extended keys so a re-run replays the allocation from the store
+   without simulating.
 
 Statistics never depend on the worker count, queue backend or batch size
 (which is why none of them participates in the point keys).
@@ -38,7 +39,7 @@ from __future__ import annotations
 import os
 import time
 from collections import Counter
-from typing import Dict, Hashable, List, Optional, Union
+from typing import Dict, Hashable, List, Optional, Tuple, Union
 
 from repro.sim.engine import build_config, simulate_batch
 from repro.sim.queue import QueueLike, make_queue
@@ -89,6 +90,13 @@ def _resolve_store(cache: StoreLike) -> Optional[ResultStore]:
     if isinstance(cache, ResultStore):
         return cache
     return ResultStore(cache)
+
+
+def _empty_result(point: SweepPoint) -> SweepPointResult:
+    """The zero-burst result a base point's simulation starts from."""
+    return SweepPointResult(
+        point, bit_errors=0, total_bits=0, frame_errors=0, n_bursts=0, early_stopped=False
+    )
 
 
 class SweepRunner:
@@ -143,36 +151,25 @@ class SweepRunner:
         self.queue_backend = queue
 
     # ------------------------------------------------------------------
-    def run(
-        self, use_cache: bool = True, resume: Optional[bool] = None
-    ) -> SweepResult:
-        """Run (or resume) the sweep and return its result.
-
-        ``resume=None`` defers to the runner's ``resume`` setting;
-        ``use_cache=False`` (or ``resume=False``) forces full
-        re-simulation while still committing fresh records.
-        """
-        effective_resume = self.resume if resume is None else bool(resume)
-        if not use_cache:
-            effective_resume = False
+    def run(self) -> SweepResult:
+        """Run (or resume) the sweep and return its result."""
         start = time.perf_counter()
         points = self.spec.points()
         loaded: Dict[int, SweepPointResult] = {}
-        if self.store is not None and effective_resume:
+        if self.store is not None and self.resume:
             loaded = self._load_finished(points)
-        pending = [point for point in points if point.index not in loaded]
-        simulated: Dict[int, SweepPointResult] = {}
-        computed = 0
-        if pending:
-            simulated, computed = self._simulate(pending, check_store=effective_resume)
+        jobs = {
+            point.index: (_empty_result(point), self.spec.n_bursts, 0)
+            for point in points
+            if point.index not in loaded
+        }
+        simulated, computed = self._simulate(jobs, self.spec)
+        results = {**loaded, **simulated}
         return SweepResult(
             spec=self.spec,
-            points=[
-                loaded[p.index] if p.index in loaded else simulated[p.index]
-                for p in points
-            ],
+            points=[results[p.index] for p in points],
             elapsed_s=time.perf_counter() - start,
-            from_cache=self.store is not None and not pending,
+            from_cache=self.store is not None and not jobs,
             n_bursts_simulated=computed,
         )
 
@@ -181,20 +178,22 @@ class SweepRunner:
     def _load_finished(self, points: List[SweepPoint]) -> Dict[int, SweepPointResult]:
         """Finished-point results already committed to the store."""
         by_key = {point.content_key(self.spec): point for point in points}
-        records = self.store.get_many(by_key)
         loaded = {}
-        for key, payload in records.items():
-            point = by_key[key]
-            result = self._result_from_record(point, payload)
+        for key, payload in self.store.get_many(by_key).items():
+            result = self._result_from_record(by_key[key], payload)
             if result is not None:
-                loaded[point.index] = result
+                loaded[result.point.index] = result
         return loaded
 
     @staticmethod
     def _result_from_record(
         point: SweepPoint, payload: dict
     ) -> Optional[SweepPointResult]:
-        """Rebuild one point result from its store record (None if corrupt)."""
+        """Rebuild one point result from its store record (None if corrupt).
+
+        The record is :meth:`SweepPointResult.to_dict` plus ``elapsed_s``;
+        records from before ``decode_failures`` existed read it as 0.
+        """
         try:
             return SweepPointResult(
                 point=point,
@@ -207,26 +206,6 @@ class SweepRunner:
             )
         except (KeyError, TypeError, ValueError):
             return None
-
-    def _commit(
-        self, result: SweepPointResult, elapsed_s: float, extra_bursts: int = 0
-    ) -> None:
-        """Commit one folded point to the store (atomic appended record)."""
-        if self.store is None:
-            return
-        self.store.put(
-            result.point.content_key(self.spec, extra_bursts=extra_bursts),
-            {
-                "bit_errors": result.bit_errors,
-                "total_bits": result.total_bits,
-                "frame_errors": result.frame_errors,
-                "n_bursts": result.n_bursts,
-                "early_stopped": result.early_stopped,
-                "decode_failures": result.decode_failures,
-                "elapsed_s": elapsed_s,
-                "point": result.point.to_dict(),
-            },
-        )
 
     # ------------------------------------------------------------------
     # Task building and folding
@@ -243,59 +222,62 @@ class SweepRunner:
             for batch_index, offset in enumerate(range(0, n_bursts, self.batch_size))
         ]
 
-    def _fold(self, point: SweepPoint, batch_stats: List[dict]) -> SweepPointResult:
-        """Accumulate the global burst sequence, stopping at the error target.
+    @staticmethod
+    def _fold(
+        start: SweepPointResult,
+        n_bursts: int,
+        batch_stats: List[dict],
+        target_errors: Optional[int],
+    ) -> SweepPointResult:
+        """Extend ``start`` by its next bursts, stopping at the error target.
 
         Batches report per-burst counts; folding them in batch order and
         truncating at the exact burst whose cumulative bit errors cross
         ``target_errors`` makes the reported statistics a pure function of
         the spec — independent of batch size, worker count and completion
         order.  (Parallel runs may have *computed* bursts past the crossing
-        point; they are discarded here.)
+        point; they are discarded here.)  The result is early-stopped when
+        it folded fewer than the ``n_bursts`` it was asked for.
         """
-        target = self.spec.target_errors
-        bit_errors = 0
-        total_bits = 0
-        frame_errors = 0
-        decode_failures = 0
-        n_bursts = 0
-        stopped = False
-        for stats in sorted(batch_stats, key=lambda s: s["batch_index"]):
-            for burst in stats["bursts"]:
-                bit_errors += burst["bit_errors"]
-                total_bits += burst["total_bits"]
-                frame_errors += burst["frame_error"]
-                decode_failures += burst["decode_failure"]
-                n_bursts += 1
-                if target is not None and bit_errors >= target:
-                    stopped = True
-                    break
-            if stopped:
+        bit_errors = start.bit_errors
+        total_bits = start.total_bits
+        frame_errors = start.frame_errors
+        decode_failures = start.decode_failures
+        folded = start.n_bursts
+        bursts = (
+            burst
+            for stats in sorted(batch_stats, key=lambda s: s["batch_index"])
+            for burst in stats["bursts"]
+        )
+        for burst in bursts:
+            bit_errors += burst["bit_errors"]
+            total_bits += burst["total_bits"]
+            frame_errors += burst["frame_error"]
+            decode_failures += burst["decode_failure"]
+            folded += 1
+            if target_errors is not None and bit_errors >= target_errors:
                 break
         return SweepPointResult(
-            point=point,
+            point=start.point,
             bit_errors=bit_errors,
             total_bits=total_bits,
             frame_errors=frame_errors,
-            n_bursts=n_bursts,
-            early_stopped=n_bursts < self.spec.n_bursts,
+            n_bursts=folded,
+            early_stopped=folded < start.n_bursts + n_bursts,
             decode_failures=decode_failures,
         )
 
-    def _target_reached(self, bit_errors: int) -> bool:
-        """Whether a running per-point error total crossed the stop target."""
-        target = self.spec.target_errors
-        return target is not None and bit_errors >= target
-
-    @staticmethod
-    def _batch_errors(stats: dict) -> int:
-        """Total bit errors of one batch report."""
-        return sum(burst["bit_errors"] for burst in stats["bursts"])
-
     # ------------------------------------------------------------------
     # Queue-driven execution
-    def _simulate(self, points: List[SweepPoint], check_store: bool = False):
-        """Drain the pending points through the work queue.
+    def _simulate(self, jobs: Dict[int, Tuple[SweepPointResult, int, int]], spec: SweepSpec):
+        """Drain the jobs through the work queue.
+
+        ``jobs`` maps a point index to ``(start, n_bursts, extra_bursts)``:
+        simulate the ``n_bursts`` bursts that follow ``start`` (an empty
+        result for a base point, the current refined result for an
+        extension), fold them onto it, and commit the result under
+        ``content_key(self.spec, extra_bursts=extra_bursts)``.  Workers run
+        ``spec``, whose ``target_errors`` also stops the fold.
 
         Returns ``(results_by_index, computed_bursts)`` where the second
         item counts every burst actually simulated — including any the
@@ -315,22 +297,28 @@ class SweepRunner:
         point is committed to the store the moment it folds, so an
         interrupted run keeps its finished points.
 
-        With ``check_store`` set, a point is re-checked against the store
-        right before its *first* batch is dispatched: a concurrent runner
-        that committed the point after this run's initial scan is honoured,
+        With ``resume`` set, a point is checked against the store right
+        before its *first* batch is dispatched: a record committed since
+        this run's initial scan (by a concurrent runner, or by an earlier
+        run of the same refinement) is adopted instead of simulated,
         bounding double simulation to the points genuinely in flight at the
         same moment.
         """
-        spec_payload = self.spec.to_dict()
+        if not jobs:
+            return {}, 0
+        spec_payload = spec.to_dict()
+        target = spec.target_errors
         tasks = {
-            point.index: self._items_for(point, 0, self.spec.n_bursts) for point in points
+            index: self._items_for(start.point, start.n_bursts, n_bursts)
+            for index, (start, n_bursts, _) in jobs.items()
         }
-        configs = {point.index: build_config(point, self.spec) for point in points}
-        cursors = {point.index: 0 for point in points}
-        in_flight = {point.index: 0 for point in points}
-        collected: Dict[int, List[dict]] = {point.index: [] for point in points}
-        errors = {point.index: 0 for point in points}
-        by_index = {point.index: point for point in points}
+        configs = {
+            index: build_config(start.point, spec) for index, (start, _, _) in jobs.items()
+        }
+        cursors = dict.fromkeys(jobs, 0)
+        in_flight = dict.fromkeys(jobs, 0)
+        collected: Dict[int, List[dict]] = {index: [] for index in jobs}
+        errors = {index: start.bit_errors for index, (start, _, _) in jobs.items()}
         results: Dict[int, SweepPointResult] = {}
         computed = 0
         queue = make_queue(self.queue_backend, self.n_workers)
@@ -339,45 +327,42 @@ class SweepRunner:
                 return (
                     index not in results
                     and cursors[index] < len(tasks[index])
-                    and not self._target_reached(errors[index])
+                    and (target is None or errors[index] < target)
                 )
 
             def maybe_finish(index: int) -> None:
-                if index in results or in_flight[index] > 0:
+                if index in results or in_flight[index] > 0 or wants_work(index):
                     return
-                if cursors[index] < len(tasks[index]) and not self._target_reached(
-                    errors[index]
-                ):
-                    return
-                result = self._fold(by_index[index], collected[index])
+                start, n_bursts, extra_bursts = jobs[index]
+                result = self._fold(start, n_bursts, collected[index], target)
                 results[index] = result
-                self._commit(
-                    result,
-                    sum(s.get("elapsed_s", 0.0) for s in collected[index]),
-                )
+                if self.store is not None:
+                    elapsed_s = sum(s.get("elapsed_s", 0.0) for s in collected[index])
+                    self.store.put(
+                        result.point.content_key(self.spec, extra_bursts=extra_bursts),
+                        {**result.to_dict(), "elapsed_s": elapsed_s},
+                    )
 
             def adopted(index: int) -> bool:
-                """Adopt a record a concurrent runner committed since our scan."""
-                if not (check_store and cursors[index] == 0 and self.store is not None):
+                """Adopt a record committed since this run's initial scan."""
+                if not (self.resume and cursors[index] == 0 and self.store is not None):
                     return False
-                record = self.store.get(by_index[index].content_key(self.spec))
-                loaded = (
-                    self._result_from_record(by_index[index], record)
-                    if record is not None
-                    else None
+                start, _, extra_bursts = jobs[index]
+                record = self.store.get(
+                    start.point.content_key(self.spec, extra_bursts=extra_bursts)
                 )
-                if loaded is None:
-                    return False
-                results[index] = loaded
-                return True
+                loaded = (
+                    None if record is None else self._result_from_record(start.point, record)
+                )
+                if loaded is not None:
+                    results[index] = loaded
+                return loaded is not None
 
             def order(index: int):
                 return (in_flight[index], cursors[index], index)
 
             def submit_next() -> bool:
-                candidates = sorted(
-                    (index for index in by_index if wants_work(index)), key=order
-                )
+                candidates = sorted((index for index in jobs if wants_work(index)), key=order)
                 while candidates:
                     packed = _pack_units(candidates, configs, cursors, queue.capacity)[0]
                     candidates = [i for i in candidates if i not in packed]
@@ -407,10 +392,10 @@ class SweepRunner:
                 for index, stats in zip(unit, reports):
                     in_flight[index] -= 1
                     collected[index].append(stats)
-                    errors[index] += self._batch_errors(stats)
+                    errors[index] += sum(burst["bit_errors"] for burst in stats["bursts"])
                     computed += len(stats["bursts"])
                     maybe_finish(index)
-            for index in by_index:
+            for index in jobs:
                 maybe_finish(index)
         finally:
             queue.close()
@@ -424,7 +409,6 @@ class SweepRunner:
         rounds: int = 4,
         confidence: float = 0.95,
         method: str = "wilson",
-        resume: Optional[bool] = None,
     ) -> SweepResult:
         """Run the base sweep, then spend ``extra_bursts`` where CIs are widest.
 
@@ -434,8 +418,9 @@ class SweepRunner:
         (``confidence``/``method``, see :mod:`repro.sim.stats`) are
         predicted widest.  Extension bursts continue each point's
         deterministic content-keyed stream right after its last folded
-        burst — no re-rolling, no early stopping — and the refined record
-        is committed under the point's budget-extended key
+        burst — no re-rolling, no early stopping — and run through the
+        same scheduler and fold as the base sweep; the refined record is
+        committed, in the same format, under the point's budget-extended key
         (``content_key(spec, extra_bursts=...)``).
 
         The allocation is a pure function of the base results, so a re-run
@@ -449,13 +434,13 @@ class SweepRunner:
         if rounds <= 0:
             raise ValueError("rounds must be positive")
         start = time.perf_counter()
-        base = self.run(resume=resume)
-        effective_resume = self.resume if resume is None else bool(resume)
+        base = self.run()
         current: Dict[int, SweepPointResult] = {
             result.point.index: result for result in base.points
         }
-        extras = {index: 0 for index in current}
+        extras = dict.fromkeys(current, 0)
         computed = base.n_bursts_simulated
+        refined_spec = self.spec.subset(target_errors=None)
         per_round = -(-extra_bursts // rounds)  # ceil
         remaining = extra_bursts
         while remaining > 0:
@@ -480,9 +465,16 @@ class SweepRunner:
             )
             if not allocation:
                 break
-            current, extended = self._extend_points(
-                current, extras, allocation, effective_resume
+            for index, count in allocation.items():
+                extras[index] += count
+            refined, extended = self._simulate(
+                {
+                    index: (current[index], count, extras[index])
+                    for index, count in allocation.items()
+                },
+                refined_spec,
             )
+            current.update(refined)
             computed += extended
         return SweepResult(
             spec=self.spec,
@@ -491,106 +483,6 @@ class SweepRunner:
             from_cache=self.store is not None and computed == 0,
             n_bursts_simulated=computed,
         )
-
-    def _extend_points(
-        self,
-        current: Dict[int, SweepPointResult],
-        extras: Dict[int, int],
-        allocation: Dict[int, int],
-        effective_resume: bool,
-    ):
-        """Simulate one refinement round's allocation; returns new results.
-
-        For every allocated point, the refined record (base + all
-        extensions so far) is first looked up in the store under the
-        extended-budget key; hits are adopted without simulating.  Misses
-        simulate the extension bursts through the work queue — seeded by
-        absolute burst index, they are the exact bursts an uninterrupted
-        run would have drawn — and commit the refined record.
-        """
-        refined_spec = self.spec.subset(target_errors=None)
-        spec_payload = refined_spec.to_dict()
-        pending: Dict[int, int] = {}
-        for index, count in allocation.items():
-            new_extra = extras[index] + count
-            if self.store is not None and effective_resume:
-                record = self.store.get(
-                    current[index].point.content_key(
-                        self.spec, extra_bursts=new_extra
-                    )
-                )
-                loaded = (
-                    self._result_from_record(current[index].point, record)
-                    if record is not None
-                    else None
-                )
-                if loaded is not None:
-                    current[index] = loaded
-                    extras[index] = new_extra
-                    continue
-            pending[index] = count
-        computed = 0
-        if not pending:
-            return current, computed
-
-        configs = {
-            index: build_config(current[index].point, self.spec) for index in pending
-        }
-        items = {
-            index: self._items_for(current[index].point, current[index].n_bursts, count)
-            for index, count in pending.items()
-        }
-        batches: Dict[int, List[dict]] = {index: [] for index in pending}
-        queue = make_queue(self.queue_backend, self.n_workers)
-        try:
-            for batch in range(max(len(batch_list) for batch_list in items.values())):
-                wanting = [index for index in sorted(pending) if batch < len(items[index])]
-                batch_of = dict.fromkeys(wanting, batch)
-                for unit in _pack_units(wanting, configs, batch_of, queue.capacity):
-                    queue.submit(
-                        simulate_batch,
-                        {
-                            "spec": spec_payload,
-                            "items": [items[index][batch] for index in unit],
-                        },
-                        tag=unit,
-                    )
-            while queue.pending() > 0:
-                unit, reports = queue.next_result()
-                for index, stats in zip(unit, reports):
-                    batches[index].append(stats)
-                    computed += len(stats["bursts"])
-        finally:
-            queue.close()
-
-        for index, stats_list in batches.items():
-            result = current[index]
-            bit_errors = result.bit_errors
-            total_bits = result.total_bits
-            frame_errors = result.frame_errors
-            decode_failures = result.decode_failures
-            n_bursts = result.n_bursts
-            elapsed = 0.0
-            for stats in sorted(stats_list, key=lambda s: s["batch_index"]):
-                elapsed += stats.get("elapsed_s", 0.0)
-                for burst in stats["bursts"]:
-                    bit_errors += burst["bit_errors"]
-                    total_bits += burst["total_bits"]
-                    frame_errors += burst["frame_error"]
-                    decode_failures += burst["decode_failure"]
-                    n_bursts += 1
-            extras[index] += pending[index]
-            current[index] = SweepPointResult(
-                point=result.point,
-                bit_errors=bit_errors,
-                total_bits=total_bits,
-                frame_errors=frame_errors,
-                n_bursts=n_bursts,
-                early_stopped=False,
-                decode_failures=decode_failures,
-            )
-            self._commit(current[index], elapsed, extra_bursts=extras[index])
-        return current, computed
 
 
 def run_sweep(spec: SweepSpec, **runner_kwargs) -> SweepResult:

@@ -24,7 +24,7 @@ re-running a single burst.
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -506,7 +506,7 @@ class SweepPointResult:
 
     def to_dict(self) -> dict:
         """Plain-JSON representation."""
-        payload = asdict(self)
+        payload = {item.name: getattr(self, item.name) for item in fields(self)}
         payload["point"] = self.point.to_dict()
         return payload
 

@@ -34,16 +34,20 @@ from __future__ import annotations
 import heapq
 import time
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.channel.model import MimoChannel
 from repro.core.config import TransceiverConfig
 from repro.core.receiver import MimoReceiver
 from repro.core.transmitter import MimoTransmitter
-from repro.sim.engine import build_fading_model, stream_frame_seed
+from repro.sim.engine import (
+    build_fading_model,
+    impaired_channel,
+    impaired_config,
+    stream_frame_seed,
+)
 from repro.sim.spec import ImpairmentSpec
 from repro.stream.metrics import LatencySummary, ServiceReport, UserStats
 from repro.stream.pipeline import DecodedFrame, StreamingReceiver
@@ -161,17 +165,8 @@ class DownlinkScheduler:
         self.sample_rate_hz = float(sample_rate_hz)
         self.noise_variance = float(noise_variance)
 
-        base = config if config is not None else TransceiverConfig()
-        # The same impairment-to-receiver wiring as the sweep engine's
-        # build_config: a CFO on air enables the estimator/corrector, and
-        # the RX formats become the receiver's word lengths.
-        self.config = replace(
-            base,
-            correct_cfo=base.correct_cfo or self.impairment.cfo_normalized != 0.0,
-            rx_sample_format=self.impairment.rx_format or base.rx_sample_format,
-            rx_multiplier_format=(
-                self.impairment.rx_multiplier_format or base.rx_multiplier_format
-            ),
+        self.config = impaired_config(
+            config if config is not None else TransceiverConfig(), self.impairment
         )
         self.transmitter = MimoTransmitter(self.config)
         self.pipeline = StreamingReceiver(
@@ -293,19 +288,15 @@ class DownlinkScheduler:
             burst = self.transmitter.transmit_random(
                 self.n_info_bits, rng=np.random.default_rng(payload_seed)
             )
-            channel = MimoChannel(
-                fading=build_fading_model(
+            channel = impaired_channel(
+                build_fading_model(
                     self.channel,
                     self.config.n_antennas,
                     np.random.default_rng(fading_seed),
                 ),
-                snr_db=self.snr_db,
-                cfo_normalized=self.impairment.cfo_normalized,
-                sample_delay=self.impairment.sample_delay,
-                iq_amplitude_db=self.impairment.iq_amplitude_db,
-                iq_phase_deg=self.impairment.iq_phase_deg,
-                tx_quantization=self.impairment.tx_format,
-                rng=np.random.default_rng(noise_seed),
+                self.snr_db,
+                self.impairment,
+                np.random.default_rng(noise_seed),
             )
             received = channel.transmit(burst.samples).samples
             duration_s = received.shape[1] / self.sample_rate_hz

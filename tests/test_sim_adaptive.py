@@ -191,6 +191,42 @@ class TestRunAdaptive:
                 match.total_bits,
             )
 
+    def test_refinement_extends_an_early_stopped_base(self):
+        # Both base points cross the error target in their first burst; the
+        # refinement rounds then run without a target, so every refined
+        # point equals a straight target-free run at its refined budget.
+        spec = SweepSpec(
+            snr_db=(4.0, 12.0),
+            modulations=("qpsk",),
+            stream_counts=(2,),
+            n_info_bits=64,
+            n_bursts=6,
+            target_errors=20,
+            base_seed=5,
+        )
+        runner = SweepRunner(spec, n_workers=1, batch_size=2, cache=None)
+        base = runner.run()
+        assert [(p.n_bursts, p.early_stopped) for p in base.points] == [(1, True)] * 2
+        refined = runner.run_adaptive(extra_bursts=6, rounds=2)
+        assert sum(p.n_bursts for p in refined.points) == 2 + 6
+        for point_result in refined.points:
+            assert not point_result.early_stopped
+            straight = SweepRunner(
+                spec.subset(n_bursts=point_result.n_bursts, target_errors=None),
+                n_workers=1,
+                cache=None,
+            ).run()
+            match = [
+                p
+                for p in straight.points
+                if p.point.snr_db == point_result.point.snr_db
+            ][0]
+            assert (
+                point_result.bit_errors,
+                point_result.total_bits,
+                point_result.frame_errors,
+            ) == (match.bit_errors, match.total_bits, match.frame_errors)
+
     def test_warm_adaptive_rerun_replays_from_the_store(self, tmp_path):
         spec = adaptive_spec()
         store = ResultStore(tmp_path / "points")

@@ -116,11 +116,62 @@ class TestCrashResume:
         fresh = SweepRunner(spec, n_workers=1, cache=store, resume=False).run()
         assert not fresh.from_cache
         assert fresh.n_bursts_simulated == spec.n_bursts
-        # Per-call override wins over the constructor setting.
-        warm = SweepRunner(spec, n_workers=1, cache=store, resume=False).run(
-            resume=True
-        )
+        # Resume is a constructor setting: a resuming runner over the same
+        # store loads the fresh records without simulating.
+        warm = SweepRunner(spec, n_workers=1, cache=store, resume=True).run()
         assert warm.from_cache and warm.n_bursts_simulated == 0
+
+
+class TestFieldLevelCorruption:
+    """Records that parse as JSON but cannot be a point result are re-simulated."""
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda record: record.pop("n_bursts"),
+            lambda record: record.update(bit_errors="many"),
+            lambda record: record.update(total_bits=None),
+        ],
+        ids=["missing-field", "non-numeric-field", "null-field"],
+    )
+    def test_bad_record_is_resimulated_and_recommitted(self, tmp_path, corrupt):
+        spec = small_spec()
+        store = ResultStore(tmp_path / "points")
+        reference = SweepRunner(spec, n_workers=1, cache=store).run()
+        keys = [point.content_key(spec) for point in spec.points()]
+        for key in keys[:2]:
+            record = store.get(key)
+            corrupt(record)
+            store.put(key, record)  # the newest record wins on read
+
+        resumed = SweepRunner(spec, n_workers=1, cache=store).run()
+        assert not resumed.from_cache
+        assert resumed.n_bursts_simulated == 2 * spec.n_bursts
+        assert stats(resumed) == stats(reference)
+        # The re-simulated points were committed again as good records.
+        for key, result in zip(keys[:2], reference.points):
+            record = store.get(key)
+            assert {name: record[name] for name in result.to_dict()} == result.to_dict()
+        warm = SweepRunner(spec, n_workers=1, cache=store).run()
+        assert warm.from_cache and warm.n_bursts_simulated == 0
+
+    def test_record_without_decode_failures_loads_as_zero(self, tmp_path):
+        spec = small_spec(snr_db=(30.0,))
+        store = ResultStore(tmp_path / "points")
+        key = spec.points()[0].content_key(spec)
+        legacy = {
+            "bit_errors": 3,
+            "total_bits": 256,
+            "frame_errors": 1,
+            "n_bursts": 2,
+            "early_stopped": False,
+            "elapsed_s": 0.01,
+            "point": spec.points()[0].to_dict(),
+        }
+        store.put(key, legacy)
+        warm = SweepRunner(spec, n_workers=1, cache=store).run()
+        assert warm.from_cache and warm.n_bursts_simulated == 0
+        assert stats(warm) == [(3, 256, 1, 2, 0)]
 
 
 class TestConcurrentRunners:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import repro.sim.engine as engine
+from repro.core.config import TransceiverConfig
 from repro.dsp.fixedpoint import (
     FixedPointFormat,
     MULTIPLIER_FORMAT_18BIT,
@@ -238,7 +239,9 @@ class TestEngine:
         spec = small_spec()
         for channel in ("ideal", "flat_rayleigh", "frequency_selective"):
             point = spec.subset(channels=(channel,)).points()[0]
-            fading = engine.build_fading(point, np.random.default_rng(0))
+            fading = engine.build_fading_model(
+                point.channel, point.n_streams, np.random.default_rng(0)
+            )
             assert fading.n_rx == fading.n_tx == point.n_streams
 
     def test_build_config_wires_the_impairment_into_the_receiver(self):
@@ -256,6 +259,19 @@ class TestEngine:
         assert not config.correct_cfo
         assert config.rx_sample_format is None
         assert config.rx_multiplier_format is None
+
+    def test_impaired_config_keeps_what_the_base_enables(self):
+        # The streaming scheduler overlays its impairment on a caller's
+        # config: an ideal front end leaves that config as it was, and an
+        # impairment only adds to it.
+        base = TransceiverConfig(correct_cfo=True, rx_sample_format=SAMPLE_FORMAT_16BIT)
+        assert engine.impaired_config(base, ImpairmentSpec()) == base
+        overlaid = engine.impaired_config(
+            base, ImpairmentSpec(rx_multiplier_format=MULTIPLIER_FORMAT_18BIT)
+        )
+        assert overlaid.correct_cfo
+        assert overlaid.rx_sample_format == SAMPLE_FORMAT_16BIT
+        assert overlaid.rx_multiplier_format == MULTIPLIER_FORMAT_18BIT
 
 
 class TestSweepRunner:
