@@ -440,8 +440,9 @@ class MimoReceiver:
         of :meth:`receive`; this is :meth:`front_end_stack` on one burst.
 
         Raises :class:`~repro.exceptions.DecodingError` when the burst
-        cannot be decoded at all (sync miss, truncated windows, a
-        rank-deficient estimate or a singular MMSE Gram matrix).
+        cannot be decoded at all (sync miss, truncated windows, a non-finite
+        sample in a window, a rank-deficient estimate or a singular MMSE
+        Gram matrix).
         """
         (outcome,) = self.front_end_stack(
             [samples], n_info_bits, [lts_start], [noise_variance]
@@ -484,8 +485,9 @@ class MimoReceiver:
         -------
         One entry per burst, in order: its :class:`FrontEndResult`, or the
         :class:`~repro.exceptions.DecodingError` that burst gave up with —
-        a sync miss, a truncated window, a rank-deficient estimate or a
-        singular MMSE Gram matrix drops only that burst.
+        a sync miss, a truncated window, a non-finite sample in a window, a
+        rank-deficient estimate or a singular MMSE Gram matrix drops only
+        that burst.
         """
         if n_info_bits <= 0:
             raise ConfigurationError("n_info_bits must be positive")
@@ -559,7 +561,9 @@ class MimoReceiver:
         n_symbols: int,
     ) -> _Burst:
         """One burst's per-burst work: quantise, synchronise, correct CFO and
-        gather its FFT windows (raising :class:`DecodingError` on a give-up)."""
+        gather its FFT windows (raising :class:`DecodingError` on a give-up,
+        including a window holding a non-finite sample, which hard
+        decisions would otherwise slice into silent garbage bits)."""
         streams = np.asarray(samples, dtype=np.complex128)
         if streams.ndim != 2 or streams.shape[0] != self.config.n_antennas:
             raise ConfigurationError(
@@ -580,13 +584,17 @@ class MimoReceiver:
         data_start = lts_start + self._data_offset
         if data_start + n_symbols * self.config.samples_per_symbol > streams.shape[1]:
             raise DecodingError("burst too short for the requested number of OFDM symbols")
+        lts_windows = self._lts_windows(streams, lts_start)
+        data_windows = self._data_windows(streams, data_start, n_symbols)
+        if not (np.isfinite(lts_windows).all() and np.isfinite(data_windows).all()):
+            raise DecodingError("received samples must be finite")
         return _Burst(
             index=index,
             lts_start=lts_start,
             estimated_cfo=estimated_cfo,
             noise_variance=noise_variance,
-            lts_windows=self._lts_windows(streams, lts_start),
-            data_windows=self._data_windows(streams, data_start, n_symbols),
+            lts_windows=lts_windows,
+            data_windows=data_windows,
         )
 
     def _stacked_detector(

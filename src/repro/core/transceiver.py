@@ -78,21 +78,16 @@ class AirBurst(NamedTuple):
 
 
 class MimoTransceiver:
-    """Transmitter + channel + receiver wired together.
-
-    ``backend`` names the :class:`~repro.dsp.backend.DspBackend` carrying
-    the transmitter's IFFT arithmetic.
-    """
+    """Transmitter + channel + receiver wired together."""
 
     def __init__(
         self,
         config: Optional[TransceiverConfig] = None,
         channel: Optional[MimoChannel] = None,
         sync_mode: str = "peak",
-        backend=None,
     ) -> None:
         self.config = config if config is not None else TransceiverConfig()
-        self.transmitter = MimoTransmitter(self.config, backend=backend)
+        self.transmitter = MimoTransmitter(self.config)
         self.receiver = MimoReceiver(self.config, sync_mode=sync_mode)
         self.channel = channel if channel is not None else MimoChannel()
         if self.channel.n_tx != self.config.n_antennas:

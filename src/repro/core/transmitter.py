@@ -12,9 +12,7 @@ the whole burst: all streams' coded bits are interleaved and LUT-mapped in
 one pass, scattered into one ``(n_streams, n_symbols, fft_size)``
 frequency-domain block, pilot-inserted with one
 :meth:`~repro.core.pilots.PilotProcessor.insert_block` pass, transformed by
-a single planned IFFT (through the configured
-:class:`~repro.dsp.backend.DspBackend`), and cyclic-prefixed with one
-indexed gather.
+a single planned IFFT, and cyclic-prefixed with one indexed gather.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ from repro.core.config import TransceiverConfig
 from repro.core.frame import TransmitBurst
 from repro.core.pilots import PilotProcessor
 from repro.core.preamble import PreambleGenerator
-from repro.dsp.backend import BackendLike, get_backend
+from repro.dsp.fft import ifft
 from repro.exceptions import ConfigurationError
 from repro.modulation.mapper import SymbolMapper
 from repro.types import BitArray, ComplexArray
@@ -46,19 +44,10 @@ class MimoTransmitter:
     config:
         Transceiver configuration; defaults to the paper's synthesised
         configuration (4x4, 16-QAM, 64-point OFDM, rate 1/2).
-    backend:
-        :class:`~repro.dsp.backend.DspBackend` (or registry name) carrying
-        the IFFT arithmetic.  The default is the complex128 numpy backend;
-        the ``"numpy32"`` backend runs the IFFTs in single precision.
     """
 
-    def __init__(
-        self,
-        config: Optional[TransceiverConfig] = None,
-        backend: BackendLike = None,
-    ) -> None:
+    def __init__(self, config: Optional[TransceiverConfig] = None) -> None:
         self.config = config if config is not None else TransceiverConfig()
-        self.backend = get_backend(backend)
         self.numerology = self.config.numerology
         self.preamble = PreambleGenerator(self.config.fft_size)
         self.pilots = PilotProcessor(self.numerology)
@@ -148,15 +137,15 @@ class MimoTransmitter:
         ``frequency_block`` has shape ``(n_streams, n_symbols, fft_size)``;
         the result is ``(n_streams, n_symbols * samples_per_symbol)`` time
         samples, value-identical to per-symbol
-        :func:`~repro.dsp.fft.ofdm_modulate` (the backend's batched IFFT
-        runs the same butterflies row by row, and the gather index copies
-        exactly the prefix + symbol concatenation).
+        :func:`~repro.dsp.fft.ofdm_modulate` (the batched IFFT runs the same
+        butterflies row by row, and the gather index copies exactly the
+        prefix + symbol concatenation).
         """
         n_streams, n_symbols, fft_size = frequency_block.shape
         cp = self.config.cyclic_prefix_length
         if n_symbols == 0:
-            return self.backend.zeros((n_streams, 0))
-        time_domain = self.backend.ifft(frequency_block)
+            return np.zeros((n_streams, 0), dtype=np.complex128)
+        time_domain = ifft(frequency_block)
         gather = np.concatenate(
             [np.arange(fft_size - cp, fft_size), np.arange(fft_size)]
         )
@@ -219,8 +208,6 @@ class MimoTransmitter:
         )
         burst[:, : layout.total_length] = preamble_waveform
         data_end = layout.total_length + data_length
-        # The burst is the complex128 air interface whatever the backend:
-        # payload precision was already decided in the backend's ifft.
         burst[:, layout.total_length : data_end] = self._modulate_block(
             frequency_symbols
         )

@@ -6,15 +6,6 @@ the hardware word length matters, a quantised form driven by
 :mod:`repro.dsp.fixedpoint`.
 """
 
-from repro.dsp.backend import (
-    DspBackend,
-    NumpyBackend,
-    SinglePrecisionBackend,
-    available_backends,
-    default_backend,
-    get_backend,
-    register_backend,
-)
 from repro.dsp.cordic import (
     Cordic,
     CordicResult,
@@ -38,13 +29,6 @@ from repro.dsp.fft import (
 from repro.dsp.fixedpoint import FixedPointFormat, quantize, quantize_complex
 
 __all__ = [
-    "DspBackend",
-    "NumpyBackend",
-    "SinglePrecisionBackend",
-    "available_backends",
-    "default_backend",
-    "get_backend",
-    "register_backend",
     "Cordic",
     "CordicResult",
     "cordic_gain",

@@ -1,191 +1,20 @@
-"""Pluggable DSP backend seam for the transform-heavy datapaths.
+"""The name of the simulator's one transform arithmetic.
 
-The whole-burst transmit and receive chains reduce to a handful of dense
-array primitives — batched FFT/IFFT over a ``(..., fft_size)`` block plus
-array creation in the backend's working dtype.  A :class:`DspBackend`
-captures exactly that surface, so future speedups (single precision,
-threaded/numba kernels, a GPU array library) are a backend choice rather
-than a rewrite of the transmitter or receiver.
-
-Two backends ship today:
-
-* :class:`NumpyBackend` (``"numpy"``, the default) — double-precision
-  complex128 arithmetic through the cached per-size
-  :class:`~repro.dsp.fft.FftPlan` tables.  This is the bit-exact reference
-  every agreement test pins down.
-* :class:`SinglePrecisionBackend` (``"numpy32"``) — the same planned
-  radix-2 butterflies run in complex64 with single-precision twiddle
-  tables.  Results agree with the double path to float32 round-off; it
-  exists to prove the seam carries a genuinely different arithmetic, and
-  halves the memory traffic of the transform stages.
-
-``REPRO_DSP_BACKEND`` selects the process-wide default consumed by the
-sweep engine (:func:`default_backend`); because a non-default backend
-changes the simulated arithmetic, the backend name participates in
-:meth:`repro.sim.SweepSpec.spec_hash` so cached results can never alias
-across backends.
+Every FFT and IFFT runs in complex128 through the cached
+:class:`~repro.dsp.fft.FftPlan` tables of :mod:`repro.dsp.fft`; word-length
+studies go through the fixed-point formats of ``ImpairmentSpec``.  This
+module holds only that arithmetic's name, which the sweep store keys carry
+as a constant so that stores written by earlier versions still resume.
 """
 
 from __future__ import annotations
 
-import os
-from functools import lru_cache
-from typing import Dict, Tuple, Union
+from types import SimpleNamespace
 
-import numpy as np
-import numpy.typing as npt
-
-from repro.dsp.fft import get_plan
-
-#: Any complex array a backend may produce (complex128 or complex64,
-#: depending on the backend's working dtype).
-ComplexArrayAny = npt.NDArray[np.complexfloating]
-
-#: Environment variable naming the process-wide default backend.
-_ENV_VAR = "REPRO_DSP_BACKEND"
+#: Arithmetic name carried by ``spec_hash`` and ``content_key`` payloads.
+DSP_ARITHMETIC = "numpy"
 
 
-class DspBackend:
-    """Interface every DSP backend implements.
-
-    A backend owns a complex working dtype and the batched transform
-    primitives of the burst datapaths.  All methods operate on the last
-    axis and batch over arbitrary leading axes, mirroring
-    :mod:`repro.dsp.fft`.
-    """
-
-    #: Registry name (also what ``REPRO_DSP_BACKEND`` selects).
-    name: str = "abstract"
-    #: Complex dtype of every array this backend produces.
-    complex_dtype: np.dtype = np.dtype(np.complex128)
-
-    def asarray(self, values: npt.ArrayLike) -> ComplexArrayAny:
-        """Coerce ``values`` into this backend's working dtype."""
-        return np.asarray(values, dtype=self.complex_dtype)
-
-    def zeros(self, shape: Union[int, Tuple[int, ...]]) -> ComplexArrayAny:
-        """Zero-filled array in the backend dtype."""
-        return np.zeros(shape, dtype=self.complex_dtype)
-
-    def fft(self, x: npt.ArrayLike) -> ComplexArrayAny:
-        """Forward FFT over the last axis (leading axes batched)."""
-        raise NotImplementedError
-
-    def ifft(self, x: npt.ArrayLike) -> ComplexArrayAny:
-        """Inverse FFT over the last axis (``1/N`` normalisation)."""
-        raise NotImplementedError
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<{type(self).__name__} name={self.name!r} dtype={self.complex_dtype}>"
-
-
-class NumpyBackend(DspBackend):
-    """Plan-cached complex128 numpy backend (the bit-exact default).
-
-    Routes through the shared :class:`~repro.dsp.fft.FftPlan` tables, so a
-    transform issued here is bit-identical to the module-level
-    :func:`repro.dsp.fft.fft`/:func:`repro.dsp.fft.ifft` calls the scalar
-    reference paths make.
-    """
-
-    name = "numpy"
-    complex_dtype = np.dtype(np.complex128)
-
-    def fft(self, x: npt.ArrayLike) -> ComplexArrayAny:
-        data = self.asarray(x)
-        return get_plan(data.shape[-1]).forward(data)
-
-    def ifft(self, x: npt.ArrayLike) -> ComplexArrayAny:
-        data = self.asarray(x)
-        return get_plan(data.shape[-1]).inverse(data)
-
-
-@lru_cache(maxsize=32)
-def _single_precision_tables(size: int) -> Tuple[np.ndarray, Tuple[np.ndarray, ...]]:
-    """Per-size bit-reverse permutation and complex64 twiddle tables.
-
-    Derived from the shared double-precision plan (so the two backends
-    always describe the same transform), then rounded once to float32.
-    """
-    plan = get_plan(size)
-    return (
-        plan.bit_reverse,
-        tuple(t.astype(np.complex64) for t in plan.forward_twiddles),
-    )
-
-
-class SinglePrecisionBackend(DspBackend):
-    """complex64 radix-2 backend behind the same API.
-
-    Runs the exact butterfly schedule of :class:`~repro.dsp.fft.FftPlan`
-    but keeps the datapath (and the twiddle tables) in single precision
-    throughout, so nothing is silently widened to double.
-    """
-
-    name = "numpy32"
-    complex_dtype = np.dtype(np.complex64)
-
-    def fft(self, x: npt.ArrayLike) -> ComplexArrayAny:
-        data = self.asarray(x)
-        n = data.shape[-1]
-        bit_reverse, twiddles = _single_precision_tables(n)
-        work = data[..., bit_reverse].copy()
-        for stage, stage_twiddles in enumerate(twiddles, start=1):
-            m = 1 << stage
-            half = m // 2
-            work = work.reshape(*work.shape[:-1], n // m, m)
-            upper = work[..., :half]
-            lower = work[..., half:] * stage_twiddles
-            work = np.concatenate([upper + lower, upper - lower], axis=-1)
-            work = work.reshape(*work.shape[:-2], n)
-        return work
-
-    def ifft(self, x: npt.ArrayLike) -> ComplexArrayAny:
-        data = self.asarray(x)
-        scale = np.float32(1.0 / data.shape[-1])
-        return np.conj(self.fft(np.conj(data))) * scale
-
-
-_BACKENDS: Dict[str, DspBackend] = {
-    backend.name: backend for backend in (NumpyBackend(), SinglePrecisionBackend())
-}
-
-BackendLike = Union[None, str, DspBackend]
-
-
-def available_backends() -> Tuple[str, ...]:
-    """Registered backend names, sorted."""
-    return tuple(sorted(_BACKENDS))
-
-
-def register_backend(backend: DspBackend) -> DspBackend:
-    """Add (or replace) a backend in the registry; returns it for chaining."""
-    if not isinstance(backend, DspBackend):
-        raise TypeError(f"expected a DspBackend, got {backend!r}")
-    _BACKENDS[backend.name] = backend
-    return backend
-
-
-def get_backend(spec: BackendLike = None) -> DspBackend:
-    """Resolve ``spec`` (None, a name, or an instance) into a backend.
-
-    ``None`` returns the default complex128 numpy backend — callers that
-    want the environment override use :func:`default_backend` instead.
-    """
-    if spec is None:
-        return _BACKENDS["numpy"]
-    if isinstance(spec, DspBackend):
-        return spec
-    if isinstance(spec, str):
-        try:
-            return _BACKENDS[spec]
-        except KeyError:
-            raise ValueError(
-                f"unknown DSP backend {spec!r}; available: {available_backends()}"
-            ) from None
-    raise TypeError(f"backend must be None, a name or a DspBackend, got {spec!r}")
-
-
-def default_backend() -> DspBackend:
-    """The process-wide default backend (``REPRO_DSP_BACKEND`` or numpy)."""
-    return get_backend(os.environ.get(_ENV_VAR) or "numpy")
+def default_backend() -> SimpleNamespace:
+    """The transform arithmetic, as an object whose ``name`` is recorded."""
+    return SimpleNamespace(name=DSP_ARITHMETIC)

@@ -34,7 +34,6 @@ from repro.channel.model import IdealChannel, MimoChannel
 from repro.core.config import TransceiverConfig
 from repro.core.frame import count_bit_errors
 from repro.core.transceiver import AirBurst, MimoTransceiver
-from repro.dsp.backend import default_backend
 from repro.exceptions import ConfigurationError, DecodingError
 from repro.sim.spec import CHANNEL_MODELS, ImpairmentSpec, SweepPoint, SweepSpec
 from repro.utils.rng import SeedLike
@@ -137,22 +136,15 @@ def fixed_fading_seed(spec: SweepSpec, point: SweepPoint) -> np.random.SeedSeque
 
 
 @lru_cache(maxsize=8)
-def _transceiver_for(config: TransceiverConfig, backend_name: str) -> MimoTransceiver:
-    """Reusable transceiver per (configuration, DSP backend).
+def _transceiver_for(config: TransceiverConfig) -> MimoTransceiver:
+    """Reusable transceiver per configuration.
 
     Building a :class:`MimoTransceiver` constructs the full trellis,
     constellation tables and preamble; reusing it across bursts and batches
-    (the channel is swapped per burst instead) keeps the hot loop hot.  The
-    backend name participates in the cache key so a process that switches
-    ``REPRO_DSP_BACKEND`` mid-run can never be served a transceiver built
-    for another backend's arithmetic.
+    (the channel is swapped per burst instead) keeps the hot loop hot.
     """
     n = config.n_antennas
-    return MimoTransceiver(
-        config=config,
-        channel=MimoChannel(IdealChannel(n, n)),
-        backend=backend_name,
-    )
+    return MimoTransceiver(config=config, channel=MimoChannel(IdealChannel(n, n)))
 
 
 def burst_seed(spec: SweepSpec, point: SweepPoint, burst_index: int) -> np.random.SeedSequence:
@@ -178,11 +170,9 @@ def burst_seed(spec: SweepSpec, point: SweepPoint, burst_index: int) -> np.rando
 def lost_frame_counts(n_info_bits: int, n_streams: int) -> Dict[str, int]:
     """Per-burst counts for a frame the receiver could not decode at all.
 
-    The shared loss-accounting convention: a sync miss, a lock outside the
-    buffer or a rank-deficient estimate loses *every* payload bit of the
-    burst.  Both the sweep engine's :func:`simulate_batch` and the
-    streaming pipeline count lost frames this way, so PER/loss-rate numbers
-    are comparable across the two workloads.
+    :func:`simulate_batch` counts a burst the receiver gives up on (a sync
+    miss, a truncated or non-finite window, a rank-deficient estimate) as
+    losing *every* payload bit, so BER and PER both see the lost frame.
     """
     lost_bits = n_info_bits * n_streams
     return {
@@ -257,7 +247,7 @@ def simulate_batch(task: dict) -> List[Dict[str, object]]:
     config = build_config(points[0], spec)
     if any(build_config(point, spec) != config for point in points[1:]):
         raise ConfigurationError("every item of a work unit must share one configuration")
-    transceiver = _transceiver_for(config, default_backend().name)
+    transceiver = _transceiver_for(config)
     receiver = transceiver.receiver
     fixed_fadings = [
         None

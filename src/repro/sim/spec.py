@@ -29,6 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.dsp.backend import DSP_ARITHMETIC
 from repro.dsp.fixedpoint import (
     FixedPointFormat,
     MULTIPLIER_FORMAT_18BIT,
@@ -343,19 +344,17 @@ class SweepSpec:
 
         Any field change — including the engine version — yields a new
         hash, so cached results can never leak across different sweeps.
-        The active DSP backend participates too: a sweep run under the
-        single-precision backend must never be served results simulated in
-        double precision, or vice versa.  (Runner knobs like batch size and
-        worker count are deliberately absent: they do not affect the
-        reported statistics.)
+        The payload also carries the constant transform-arithmetic name,
+        kept so that stores written by earlier versions still resume.
+        (Runner knobs like batch size and worker count are deliberately
+        absent: they do not affect the reported statistics.)
         """
-        from repro.dsp.backend import default_backend
         from repro.sim.cache import content_key
 
         return content_key(
             {
                 "engine_version": ENGINE_VERSION,
-                "dsp_backend": default_backend().name,
+                "dsp_backend": DSP_ARITHMETIC,
                 **self.to_dict(),
             }
         )
@@ -435,18 +434,18 @@ class SweepPoint:
         Extends :meth:`seed_payload` with everything else that determines
         the *reported statistics*: the receiver-side knobs (``detector``,
         ``soft_decision``), the budget contract (``n_bursts``,
-        ``target_errors``), the engine version and the active DSP backend.
+        ``target_errors``), the engine version and the constant
+        transform-arithmetic name (kept so that older stores resume).
         Two grids hashing a cell to the same key are guaranteed the same
         folded counts, so the record is shared; ``extra_bursts`` keys the
         refined records adaptive mode appends on top of the base budget.
         """
-        from repro.dsp.backend import default_backend
         from repro.sim.cache import content_key as _content_key
 
         payload = {
             "record": "sweep-point",
             "engine_version": ENGINE_VERSION,
-            "dsp_backend": default_backend().name,
+            "dsp_backend": DSP_ARITHMETIC,
             **self.seed_payload(spec),
             "detector": self.detector,
             "soft_decision": spec.soft_decision,

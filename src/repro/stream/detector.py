@@ -222,11 +222,6 @@ class StreamFrameDetector:
         """
         return self._advance(flush=True)
 
-    @property
-    def pending_samples(self) -> int:
-        """Samples buffered but not yet consumed by an emitted frame."""
-        return self._base + self._size - self._search_from
-
     # ------------------------------------------------------------------
     # ring buffer and tiled metric
     # ------------------------------------------------------------------

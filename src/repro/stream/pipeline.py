@@ -11,24 +11,23 @@ chunk-invariant and the window decode is the offline path verbatim, a
 stream fed in chunks of any size decodes bit-exactly like the one-shot
 burst loop.
 
-Loss accounting follows the sweep engine's convention
-(:func:`repro.sim.engine.lost_frame_counts`): a frame the receiver gives
-up on — sync refinement pointing outside the window, a rank-deficient
-channel estimate — loses every payload bit, so streaming loss rates are
-directly comparable to sweep PER numbers.
+A frame the receiver gives up on — sync refinement pointing outside the
+window, a non-finite sample, a rank-deficient channel estimate — comes back
+as a :class:`DecodedFrame` with ``ok=False`` and counts in
+``frames_lost``; the stream goes on.  The downlink scheduler counts losses
+per frame, so its loss rate is a frame error rate like sweep PER.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
 from repro.core.frame import ReceiveResult
 from repro.core.receiver import MimoReceiver
 from repro.exceptions import DecodingError
-from repro.sim.engine import lost_frame_counts
 from repro.stream.detector import FrameWindow, StreamFrameDetector
 
 
@@ -77,8 +76,6 @@ class StreamingReceiver:
         field instead).
     noise_variance:
         Noise variance forwarded to the soft demapper / MMSE weights.
-    min_metric / refine_span:
-        Detection tuning forwarded to :class:`StreamFrameDetector`.
     """
 
     def __init__(
@@ -86,8 +83,6 @@ class StreamingReceiver:
         receiver: Optional[MimoReceiver] = None,
         n_info_bits: int = 256,
         noise_variance: float = 1.0,
-        min_metric: float = 0.6,
-        refine_span: Optional[int] = None,
     ) -> None:
         self.receiver = receiver if receiver is not None else MimoReceiver()
         self.n_info_bits = int(n_info_bits)
@@ -99,8 +94,6 @@ class StreamingReceiver:
             n_rx=config.n_antennas,
             frame_length=self.frame_length,
             n_tx=config.n_antennas,
-            min_metric=min_metric,
-            refine_span=refine_span,
             synchronizer=self.receiver.synchronizer,
             # The burst datapath re-estimates CFO on the window when the
             # configuration asks for correction; a second coarse estimate
@@ -120,13 +113,6 @@ class StreamingReceiver:
         """End of stream: decode whatever the detector can still emit."""
         return [self._decode(w) for w in self.detector.flush()]
 
-    def lost_counts(self) -> Dict[str, int]:
-        """Sweep-convention loss counts for all lost frames so far."""
-        per_frame = lost_frame_counts(
-            self.n_info_bits, self.receiver.config.n_antennas
-        )
-        return {key: value * self.frames_lost for key, value in per_frame.items()}
-
     # ------------------------------------------------------------------
     def _decode(self, window: FrameWindow) -> DecodedFrame:
         self.frames_detected += 1
@@ -138,8 +124,7 @@ class StreamingReceiver:
                 noise_variance=self.noise_variance,
             )
         except DecodingError as error:
-            # Same convention as the sweep engine's batch loop: the
-            # receiver giving up loses the frame, the stream goes on.
+            # The receiver giving up loses the frame; the stream goes on.
             self.frames_lost += 1
             return DecodedFrame(
                 window=window, result=None, ok=False, error=str(error)

@@ -10,6 +10,12 @@ from repro.channel.model import MimoChannel
 from repro.core.config import TransceiverConfig
 
 
+def pytest_configure(config: pytest.Config) -> None:
+    config.addinivalue_line(
+        "markers", "slow: end-to-end example runs that take seconds each"
+    )
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     """Deterministic generator shared by tests that need randomness."""

@@ -1,4 +1,4 @@
-"""Fixture: transform arithmetic bypassing the DSP backend seam."""
+"""Fixture: transform arithmetic bypassing repro.dsp.fft."""
 
 import numpy as np
 from numpy.fft import ifft as np_ifft

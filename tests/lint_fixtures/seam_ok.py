@@ -1,9 +1,8 @@
-"""Fixture: the same transforms routed through the repro.dsp seam."""
+"""Fixture: the same transforms routed through repro.dsp.fft."""
 
 import numpy as np
 
-from repro.dsp.backend import get_backend
-from repro.dsp.fft import get_plan
+from repro.dsp.fft import get_plan, ifft
 
 
 def spectrum(taps, fft_size):
@@ -13,4 +12,4 @@ def spectrum(taps, fft_size):
 
 
 def waveform(symbols):
-    return get_backend().ifft(symbols)
+    return ifft(symbols)

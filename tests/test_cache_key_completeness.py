@@ -193,3 +193,32 @@ class TestContentKeyCompleteness:
         assert point.content_key(spec, extra_bursts=0) != point.content_key(
             spec, extra_bursts=50
         )
+
+
+class TestPinnedKeyFormat:
+    """Literal keys: any drift in the key payloads or their hashing fails here.
+
+    Stores written by earlier versions resume only while these literals
+    hold.  An ``ENGINE_VERSION`` bump must change all three of them (it is
+    meant to orphan every old record), so update them together with it.
+    """
+
+    SPEC = SweepSpec(
+        snr_db=(10.0, 20.0),
+        modulations=("qpsk",),
+        stream_counts=(2,),
+        n_info_bits=64,
+        n_bursts=4,
+        base_seed=7,
+    )
+
+    def test_spec_hash(self):
+        assert self.SPEC.spec_hash() == "584ec74e77d65e3ce603"
+
+    def test_point_content_key(self):
+        point = self.SPEC.points()[1]
+        assert point.content_key(self.SPEC) == "pt-a8aca9a79220ccf9c235"
+
+    def test_refined_point_content_key(self):
+        point = self.SPEC.points()[1]
+        assert point.content_key(self.SPEC, extra_bursts=6) == "pt-edf25049c0ea6aaa2f38"

@@ -14,6 +14,7 @@ from repro.dsp.fixedpoint import (
     SAMPLE_FORMAT_16BIT,
 )
 from repro.exceptions import ConfigurationError, DecodingError, SynchronizationError
+from repro.stream import StreamingReceiver
 
 
 def _loopback(config, channel=None, n_info_bits=200, seed=0, **receive_kwargs):
@@ -223,6 +224,53 @@ class TestKnownTimingAndValidation:
                 n_info_bits=120,
                 reference_bits=[np.zeros(60, dtype=np.uint8)] * 4,
             )
+
+
+class TestNonFiniteSamples:
+    """A non-finite sample in a burst's FFT windows gives that burst up.
+
+    Regression: hard decisions sliced a NaN into silent garbage bits,
+    while soft decisions only failed later, in the Viterbi.
+    """
+
+    N_INFO_BITS = 120
+
+    @pytest.fixture(params=[False, True], ids=["hard", "soft"])
+    def receiver(self, request):
+        return MimoReceiver(TransceiverConfig(soft_decision=request.param))
+
+    @pytest.fixture(params=[np.nan, np.inf, complex(np.nan, 1.0)], ids=["nan", "inf", "nan+1j"])
+    def bursts(self, receiver, request):
+        """One burst with a non-finite data sample on every antenna, two good ones."""
+        transmitter = MimoTransmitter(receiver.config)
+        bad, *good = [
+            transmitter.transmit_random(self.N_INFO_BITS, rng=np.random.default_rng(seed)).samples
+            for seed in (1, 2, 3)
+        ]
+        bad[:, 900] = request.param
+        return bad, good
+
+    def test_front_end_raises(self, receiver, bursts):
+        bad, _ = bursts
+        with pytest.raises(DecodingError, match="finite"):
+            receiver.front_end(bad, self.N_INFO_BITS, lts_start=160)
+
+    def test_front_end_stack_drops_only_the_bad_burst(self, receiver, bursts):
+        bad, good = bursts
+        outcomes = receiver.front_end_stack([bad, *good], self.N_INFO_BITS, [160] * 3)
+        assert isinstance(outcomes[0], DecodingError)
+        for samples, outcome in zip(good, outcomes[1:]):
+            alone = receiver.front_end(samples, self.N_INFO_BITS, lts_start=160)
+            np.testing.assert_array_equal(outcome.coded, alone.coded)
+            np.testing.assert_array_equal(outcome.equalized, alone.equalized)
+
+    def test_stream_reports_the_frame_lost(self, receiver, bursts):
+        bad, good = bursts
+        pipeline = StreamingReceiver(receiver, n_info_bits=self.N_INFO_BITS)
+        stream = np.concatenate([good[0], bad, good[1]], axis=1)
+        frames = pipeline.push(stream) + pipeline.flush()
+        assert [frame.ok for frame in frames] == [True, False, True]
+        assert pipeline.frames_lost == 1
 
 
 class TestRxQuantization:

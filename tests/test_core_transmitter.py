@@ -145,3 +145,18 @@ class TestScramblingAndCoding:
         burst = transmitter.transmit_random(216, rng=np.random.default_rng(14))
         assert transmitter.config.coded_bits_per_symbol == 288
         assert burst.n_ofdm_symbols == transmitter.symbols_for_info_bits(216)
+
+
+class TestAirInterfaceDtype:
+    @pytest.mark.parametrize("n_symbols", [0, 3])
+    def test_modulate_block_is_complex128(self, transmitter, n_symbols):
+        # The empty block must not fall back to another dtype either.
+        config = transmitter.config
+        block = np.ones((config.n_streams, n_symbols, config.fft_size), dtype=np.complex128)
+        samples = transmitter._modulate_block(block)
+        assert samples.dtype == np.complex128
+        assert samples.shape == (config.n_streams, n_symbols * config.samples_per_symbol)
+
+    def test_transmitted_burst_is_complex128(self, transmitter):
+        bits = [np.ones(96, dtype=np.uint8)] * transmitter.config.n_streams
+        assert transmitter.transmit(bits).samples.dtype == np.complex128

@@ -10,7 +10,7 @@ Two checks, run via ``make docs-check``:
    is linked from the README (a guide nobody can find is as good as
    missing), and contains the section headings ``REQUIRED_SECTIONS``
    promises for it (a page that silently drops its batched-datapath or
-   backend-seam section would leave the code undocumented while the
+   result-store section would leave the code undocumented while the
    gate stays green).
 """
 
@@ -35,7 +35,7 @@ REQUIRED_DOCS = (
 #: page text, so heading levels can move without breaking the gate).
 REQUIRED_SECTIONS: dict[str, tuple[str, ...]] = {
     "docs/simulation.md": (
-        "The batched transmit path and the DSP backend seam",
+        "The batched transmit path",
         "The per-point result store",
         "Adaptive refinement and confidence intervals",
     ),

@@ -2,14 +2,14 @@
 
 The repo's correctness rests on a handful of hand-enforced contracts:
 deterministic content-keyed seeding, ``ENGINE_VERSION`` bumps whenever
-simulation semantics change, all transform arithmetic routed through the
-``repro.dsp`` backend seam, and hot-path failures surfacing as
+simulation semantics change, all transform arithmetic routed through
+``repro.dsp.fft``, and hot-path failures surfacing as
 ``DecodingError`` so pooled sweeps count lost frames instead of dying.
 ``repro_lint`` machine-enforces those contracts as static-analysis rules:
 
 ========  ==============================================================
-SEAM001   no ``np.fft``/``scipy.fft`` outside ``repro/dsp`` — transforms
-          go through ``get_plan`` / the ``DspBackend`` seam
+SEAM001   no ``np.fft``/``scipy.fft`` outside ``repro/dsp`` — route the
+          transform through ``repro.dsp.fft``
 DET001    no global-state RNG (``np.random.<sampler>``, the ``random``
           module, unseeded ``default_rng()``) in engine/datapath code
 DET002    no wall-clock reads (``time.time``, ``datetime.now``) in
@@ -27,9 +27,9 @@ PARSE001  every linted file must parse as Python
 ========  ==============================================================
 
 Contracts that running code can check for itself (``@shaped`` shape
-contracts, backend dtypes, dB/linear units, cache-key completeness) are
-enforced by the runtime and tier-1 tests, not here; ``docs/linting.md``
-names the test behind each.
+contracts, the air-interface dtype, dB/linear units, cache-key
+completeness) are enforced by the runtime and tier-1 tests, not here;
+``docs/linting.md`` names the test behind each.
 
 Findings are suppressed per line with a justified comment::
 

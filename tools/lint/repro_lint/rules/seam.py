@@ -1,14 +1,13 @@
-"""SEAM001 — transform arithmetic must route through the DSP backend seam.
+"""SEAM001 — transform arithmetic must route through ``repro.dsp.fft``.
 
-PR 7 put every FFT/IFFT of the burst datapaths behind ``repro.dsp``
-(:func:`repro.dsp.fft.get_plan` and the :class:`repro.dsp.backend.DspBackend`
-registry) so precision and kernel choices are a backend decision, the
-backend name participates in ``spec_hash``, and cached results can never
-alias across arithmetics.  A direct ``np.fft``/``scipy.fft`` call anywhere
-else in ``src/repro/`` silently bypasses all of that: it always runs
-double-precision pocketfft no matter which backend the sweep declared it
-used.  This rule bans the bypass everywhere outside ``repro/dsp`` itself
-(the one package allowed to *implement* transforms).
+Every FFT/IFFT of the burst datapaths runs through the cached complex128
+:class:`repro.dsp.fft.FftPlan` tables (:func:`repro.dsp.fft.get_plan`,
+:func:`repro.dsp.fft.fft`, :func:`repro.dsp.fft.ifft`), so the simulator
+has exactly one transform implementation and every stage agrees with the
+per-symbol oracles bit for bit.  A direct ``np.fft``/``scipy.fft`` call
+anywhere else in ``src/repro/`` would silently run a second arithmetic
+(pocketfft) beside it.  This rule bans that bypass everywhere outside
+``repro/dsp`` itself (the one package allowed to *implement* transforms).
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from typing import List
 from repro_lint.core import FileContext, Rule, Violation, register
 from repro_lint.names import ImportMap, resolve
 
-#: Module prefixes that constitute going around the seam.
+#: Module prefixes that constitute going around ``repro.dsp.fft``.
 _FORBIDDEN_PREFIXES = (
     "numpy.fft",
     "scipy.fft",
@@ -32,8 +31,8 @@ class SeamPurityRule(Rule):
     rule_id = "SEAM001"
     name = "seam-purity"
     description = (
-        "no np.fft/scipy.fft outside repro/dsp — route transforms through "
-        "repro.dsp.fft.get_plan or the DspBackend seam"
+        "no np.fft/scipy.fft outside repro/dsp — route the transform "
+        "through repro.dsp.fft"
     )
 
     def applies_to(self, relpath: str) -> bool:
@@ -63,9 +62,9 @@ class SeamPurityRule(Rule):
                     self.violation(
                         ctx,
                         node,
-                        f"{canonical} bypasses the DSP backend seam; route "
-                        "the transform through repro.dsp (get_plan / "
-                        "DspBackend.fft/ifft)",
+                        f"{canonical} bypasses repro.dsp.fft; route the "
+                        "transform through repro.dsp.fft (get_plan / fft / "
+                        "ifft)",
                     )
                 )
         return _dedupe_chains(violations)
