@@ -36,9 +36,18 @@ from repro.utils.bits import BitArray
 
 _METRIC_INF = 1e18
 
-#: Trellis steps whose branch metrics are gathered at once; bounds the
-#: gathered block to ``_ACS_CHUNK * n_blocks * n_states * 2`` floats.
+#: Most trellis steps whose branch metrics are gathered at once.
 _ACS_CHUNK = 64
+
+#: Most block-steps (steps times blocks) one gather covers, so a tall stack
+#: gathers fewer steps at a time: the gathered block stays within
+#: ``_ACS_BLOCK_STEPS * n_states * 2`` floats for any stack height.
+_ACS_BLOCK_STEPS = 768
+
+
+def _gather_steps(n_blocks: int) -> int:
+    """Trellis steps per branch-metric gather for a stack of ``n_blocks``."""
+    return max(1, min(_ACS_CHUNK, _ACS_BLOCK_STEPS // max(n_blocks, 1)))
 
 
 class ViterbiDecoder:
@@ -252,11 +261,12 @@ class ViterbiDecoder:
         candidate = np.empty((2, 2, half, n_blocks))  # [p, b, j, block]
         even, odd = candidate[0], candidate[1]
         choices = np.empty((n_steps, 2, half, n_blocks), dtype=bool)
-        for start in range(0, n_steps, _ACS_CHUNK):
+        steps = _gather_steps(n_blocks)
+        for start in range(0, n_steps, steps):
             # Branch metrics of a bounded chunk of steps, [step, p, b, j, block].
-            chunk = label_metrics[start : start + _ACS_CHUNK]
+            chunk = label_metrics[start : start + steps]
             branches = np.take(chunk, self._branch_labels, axis=1)
-            for branch, choice in zip(branches, choices[start : start + _ACS_CHUNK]):
+            for branch, choice in zip(branches, choices[start : start + steps]):
                 np.add(predecessors, branch, out=candidate)
                 np.less(odd, even, out=choice)
                 np.minimum(even, odd, out=metrics)

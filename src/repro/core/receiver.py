@@ -24,10 +24,12 @@ up on drops out of the stack alone.
 Reception is two steps: :meth:`MimoReceiver.front_end_stack` carries
 bursts up to their recovered code blocks (:meth:`MimoReceiver.front_end`
 is its one-burst case), and :meth:`MimoReceiver.decode` Viterbi-decodes
-and descrambles any stack of code blocks in one trellis pass.
-:meth:`MimoReceiver.receive` chains the two for one burst; the sweep
-engine runs a whole lockstep round of bursts through one stacked front end
-and decodes all their blocks together.
+and descrambles any stack of code blocks, at most :data:`DECODE_SLICE`
+per trellis pass.  :meth:`MimoReceiver.receive_stack` chains the two for
+a stack of bursts (:meth:`MimoReceiver.receive` is its one-burst case);
+the streaming pipeline runs every frame window one push detects through
+it, and the sweep engine runs a whole lockstep round of bursts through
+one stacked front end and decodes all their blocks together.
 
 Finite word lengths are modelled at the paper's two RX interfaces when the
 configuration asks for them: the incoming sample stream is quantised to
@@ -66,6 +68,11 @@ from repro.modulation.demapper import SymbolDemapper
 from repro.sync.cfo import CfoEstimator
 from repro.sync.time_sync import TimeSynchronizer
 from repro.types import ComplexArray, FloatArray
+
+#: Most code blocks one trellis pass decodes: :meth:`MimoReceiver.decode`
+#: runs a taller stack in passes of this many rows, so the ACS buffers stay
+#: bounded however many bursts a caller stacks.
+DECODE_SLICE = 64
 
 
 @dataclass
@@ -168,21 +175,21 @@ class MimoReceiver:
         so different receive antennas see it with different channel gains).
 
         Raises :class:`~repro.exceptions.SynchronizationError` when no
-        antenna yields a finite correlation peak (e.g. NaN or infinite
-        samples).
+        antenna yields a positive correlation peak (e.g. every window holds
+        a NaN or infinite sample, whose metric reads 0.0).
         """
         streams = np.asarray(samples, dtype=np.complex128)
         if streams.ndim != 2:
             raise ConfigurationError("samples must have shape (n_rx, n_samples)")
         best_start = None
-        best_peak = -1.0
+        best_peak = 0.0
         for antenna in range(streams.shape[0]):
             result = self.synchronizer.search(streams[antenna])
-            if np.isfinite(result.peak_magnitude) and result.peak_magnitude > best_peak:
+            if result.peak_magnitude > best_peak:
                 best_peak = result.peak_magnitude
                 best_start = result.lts_start
         if best_start is None:
-            raise SynchronizationError("no receive antenna yielded a finite correlation peak")
+            raise SynchronizationError("no receive antenna yielded a correlation peak")
         return int(best_start)
 
     def estimate_channel(
@@ -255,12 +262,19 @@ class MimoReceiver:
         ``coded`` has shape ``(n_rows, coded_length)`` — the
         :attr:`~repro.core.frame.FrontEndResult.coded` rows of one burst
         or of many bursts of this configuration stacked together; the
-        result has shape ``(n_rows, n_info_bits)``.  Every row runs
-        through one trellis pass, like the paper's per-channel decoders
-        running side by side, and comes out exactly as decoding it on its
-        own would give.
+        result has shape ``(n_rows, n_info_bits)``.  The rows run through
+        the trellis side by side, like the paper's per-channel decoders,
+        in passes of at most :data:`DECODE_SLICE` rows so the trellis
+        buffers stay bounded for any stack height, and every row comes
+        out exactly as decoding it on its own would give.
         """
-        decoded = self.viterbi.decode(coded, n_info_bits=n_info_bits, terminated=True)
+        decoded = np.empty((coded.shape[0], n_info_bits), dtype=np.uint8)
+        for start in range(0, coded.shape[0], DECODE_SLICE):
+            decoded[start : start + DECODE_SLICE] = self.viterbi.decode(
+                coded[start : start + DECODE_SLICE],
+                n_info_bits=n_info_bits,
+                terminated=True,
+            )
         if self.config.scramble:
             decoded = self._scrambler.process(decoded, reset=True)
         return decoded
@@ -365,7 +379,7 @@ class MimoReceiver:
         return corrected[..., self._data_bins], diag.common_phase
 
     # ------------------------------------------------------------------
-    # externally-detected frame windows (streaming entry point)
+    # frame geometry
     # ------------------------------------------------------------------
     def frame_length(self, n_info_bits: int) -> int:
         """Burst length in samples for ``n_info_bits`` per spatial stream.
@@ -384,40 +398,6 @@ class MimoReceiver:
             layout.total_length
             + n_symbols * self.config.samples_per_symbol
             + self.config.cyclic_prefix_length
-        )
-
-    def receive_window(
-        self,
-        window: np.ndarray,
-        n_info_bits: int,
-        lts_offset: int,
-        noise_variance: float = 1.0,
-        reference_bits: Optional[Sequence[np.ndarray]] = None,
-    ) -> ReceiveResult:
-        """Decode one externally-detected frame window.
-
-        The streaming pipeline's entry point: a frame detector has already
-        located the burst in a continuous stream and cut out a complete
-        window (see :meth:`frame_length`), so time synchronisation is
-        skipped and ``lts_offset`` — the LTS start *relative to the
-        window* — is trusted.  Everything downstream (CFO, channel
-        estimation, equalisation, decoding) is the exact offline
-        :meth:`receive` datapath, which is what makes chunked streaming
-        decode bit-exact against the burst loop.
-        """
-        streams = np.asarray(window, dtype=np.complex128)
-        if streams.ndim != 2 or streams.shape[0] != self.config.n_antennas:
-            raise ConfigurationError(
-                f"window must have shape ({self.config.n_antennas}, n_samples)"
-            )
-        if not 0 <= int(lts_offset) < streams.shape[1]:
-            raise ConfigurationError("lts_offset must lie inside the window")
-        return self.receive(
-            streams,
-            n_info_bits,
-            lts_start=int(lts_offset),
-            noise_variance=noise_variance,
-            reference_bits=reference_bits,
         )
 
     # ------------------------------------------------------------------
@@ -636,7 +616,7 @@ class MimoReceiver:
         noise_variance: float = 1.0,
         reference_bits: Optional[Sequence[np.ndarray]] = None,
     ) -> ReceiveResult:
-        """Decode one burst: :meth:`front_end`, then :meth:`decode` its streams.
+        """Decode one burst: :meth:`receive_stack` on it alone.
 
         Parameters
         ----------
@@ -653,28 +633,64 @@ class MimoReceiver:
         reference_bits:
             When provided, per-stream BER is computed and attached to the
             result.
+
+        Raises :class:`~repro.exceptions.DecodingError` when the burst
+        cannot be decoded at all (see :meth:`front_end`).
         """
-        front = self.front_end(samples, n_info_bits, lts_start, noise_variance)
-        decoded_streams = self.decode(front.coded, n_info_bits)
-        results: List[StreamDecodeResult] = []
-        for stream, decoded in enumerate(decoded_streams):
-            bit_errors = None
-            ber = None
-            if reference_bits is not None:
-                bit_errors = count_bit_errors(decoded, reference_bits[stream])
-                ber = bit_errors / decoded.size
-            results.append(
+        (outcome,) = self.receive_stack(
+            [samples], n_info_bits, [lts_start], [noise_variance]
+        )
+        if isinstance(outcome, DecodingError):
+            raise outcome
+        if reference_bits is not None:
+            for stream in outcome.streams:
+                decoded = stream.decoded_bits
+                stream.bit_errors = count_bit_errors(decoded, reference_bits[stream.stream])
+                stream.bit_error_rate = stream.bit_errors / decoded.size
+        return outcome
+
+    def receive_stack(
+        self,
+        samples: Sequence[np.ndarray],
+        n_info_bits: int,
+        lts_starts: Optional[Sequence[Optional[int]]] = None,
+        noise_variances: Optional[Sequence[float]] = None,
+    ) -> List[Union[ReceiveResult, DecodingError]]:
+        """Decode a stack of bursts: one :meth:`front_end_stack`, one :meth:`decode`.
+
+        Parameters are those of :meth:`front_end_stack`.  Every surviving
+        burst's code blocks are stacked into one :meth:`decode` call, and
+        every burst comes out exactly as :meth:`receive` on it alone would
+        give.  Returns one entry per burst, in order: its
+        :class:`ReceiveResult`, or the :class:`DecodingError` that burst
+        gave up with.
+        """
+        outcomes: List[Union[FrontEndResult, DecodingError, ReceiveResult]] = list(
+            self.front_end_stack(samples, n_info_bits, lts_starts, noise_variances)
+        )
+        fronts = [front for front in outcomes if isinstance(front, FrontEndResult)]
+        if not fronts:
+            return outcomes
+        decoded = self.decode(
+            np.concatenate([front.coded for front in fronts]), n_info_bits
+        )
+        row = 0
+        for index, front in enumerate(outcomes):
+            if not isinstance(front, FrontEndResult):
+                continue
+            streams = [
                 StreamDecodeResult(
                     stream=stream,
-                    decoded_bits=decoded,
+                    decoded_bits=decoded[row + stream],
                     equalized_symbols=front.equalized[stream],
-                    bit_errors=bit_errors,
-                    bit_error_rate=ber,
                 )
+                for stream in range(front.coded.shape[0])
+            ]
+            row += len(streams)
+            outcomes[index] = ReceiveResult(
+                streams=streams,
+                lts_start=front.lts_start,
+                channel_estimate=front.channel_estimate,
+                diagnostics=front.diagnostics,
             )
-        return ReceiveResult(
-            streams=results,
-            lts_start=front.lts_start,
-            channel_estimate=front.channel_estimate,
-            diagnostics=front.diagnostics,
-        )
+        return outcomes

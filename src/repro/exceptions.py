@@ -18,7 +18,7 @@ class DecodingError(ReproError):
 class SynchronizationError(DecodingError):
     """Raised when the time synchroniser cannot locate the start of a burst.
 
-    A burst the receiver cannot lock onto — no finite correlation peak, or
+    A burst the receiver cannot lock onto — no correlation peak, or
     a lock so late that the preamble runs past the received samples —
     cannot be decoded, so this is a :class:`DecodingError`: the sweep
     engine and the streaming pipeline count it as a lost frame.

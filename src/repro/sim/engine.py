@@ -201,11 +201,6 @@ def stream_frame_seed(
     return np.random.SeedSequence([base_seed, _STREAM_TAG, user, frame_index])
 
 
-#: Most code blocks one trellis pass decodes; a work unit with more blocks
-#: is decoded in slices, so the ACS buffers stay bounded for any batch size.
-DECODE_SLICE = 64
-
-
 def simulate_batch(task: dict) -> List[Dict[str, object]]:
     """Simulate one work unit: a batch of bursts for each of several points.
 
@@ -222,15 +217,16 @@ def simulate_batch(task: dict) -> List[Dict[str, object]]:
     lockstep rounds: a round takes the next burst of every live item, runs
     all of them through one stacked receiver front end
     (:meth:`~repro.core.receiver.MimoReceiver.front_end_stack`) and
-    Viterbi-decodes all their code blocks together, up to
-    :data:`DECODE_SLICE` blocks per trellis pass.  Bursts are independent
-    in both stacks, so each burst's bits are exactly what receiving it
-    alone would give, and a burst the front end gives up on drops out
-    alone as a lost frame.  An item retires at the burst whose
-    item-local cumulative bit errors reach ``target_errors``, and its
-    later bursts are never simulated: the global cumulative count at any
-    burst is at least the item-local one, so the runner's fold would
-    discard them.
+    Viterbi-decodes all their code blocks together
+    (:meth:`~repro.core.receiver.MimoReceiver.decode` runs at most
+    :data:`~repro.core.receiver.DECODE_SLICE` blocks per trellis pass).
+    Bursts are independent in both stacks, so each burst's bits are
+    exactly what receiving it alone would give, and a burst the front end
+    gives up on drops out alone as a lost frame.  An item retires at the
+    burst whose item-local cumulative bit errors reach ``target_errors``,
+    and its later bursts are never simulated: the global cumulative count
+    at any burst is at least the item-local one, so the runner's fold
+    would discard them.
 
     Returns one report per item, in item order: ``{"batch_index",
     "bursts", "elapsed_s"}`` with *per-burst* counts, so the runner can
@@ -273,9 +269,8 @@ def simulate_batch(task: dict) -> List[Dict[str, object]]:
             [fixed_fadings[i] for i in live],
             [int(items[i]["start_burst"]) + offset for i in live],
         )
-        decoded = _decode_sliced(
-            receiver, [coded for _, coded in sent if coded is not None], spec.n_info_bits
-        )
+        blocks = [coded for _, coded in sent if coded is not None]
+        decoded = receiver.decode(np.concatenate(blocks), spec.n_info_bits) if blocks else None
 
         row = 0
         for i, (info_bits, coded) in zip(live, sent):
@@ -305,19 +300,6 @@ def simulate_batch(task: dict) -> List[Dict[str, object]]:
     for report in reports:
         report["elapsed_s"] = elapsed * len(report["bursts"]) / max(total_bursts, 1)
     return reports
-
-
-def _decode_sliced(receiver, blocks: List[np.ndarray], n_info_bits: int) -> np.ndarray:
-    """Decode the stacked code blocks, at most :data:`DECODE_SLICE` per pass."""
-    if not blocks:
-        return np.empty((0, n_info_bits), dtype=np.uint8)
-    coded = np.concatenate(blocks)
-    return np.concatenate(
-        [
-            receiver.decode(coded[start : start + DECODE_SLICE], n_info_bits)
-            for start in range(0, coded.shape[0], DECODE_SLICE)
-        ]
-    )
 
 
 def _front_end_round(

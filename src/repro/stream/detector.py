@@ -89,7 +89,8 @@ class FrameWindow:
 
     @property
     def lts_offset(self) -> int:
-        """LTS start relative to the window (what ``receive_window`` wants)."""
+        """LTS start relative to the window: the ``lts_starts`` entry
+        :meth:`~repro.core.receiver.MimoReceiver.receive_stack` trusts."""
         return self.lts_start - self.start
 
 

@@ -2,20 +2,20 @@
 
 :class:`StreamingReceiver` glues the rolling-buffer
 :class:`~repro.stream.detector.StreamFrameDetector` to the existing
-vectorised burst datapath: every detected frame window is handed to
-:meth:`~repro.core.receiver.MimoReceiver.receive_window`, which runs the
-exact offline receive chain (CFO correction, staggered-LTS channel
-estimation, :meth:`~repro.core.receiver.MimoReceiver.equalize_burst`,
-Viterbi decoding) on the cut-out window.  Because detection is
-chunk-invariant and the window decode is the offline path verbatim, a
-stream fed in chunks of any size decodes bit-exactly like the one-shot
-burst loop.
+vectorised burst datapath: every frame window the detector emits during
+one :meth:`~StreamingReceiver.push` goes through one
+:meth:`~repro.core.receiver.MimoReceiver.receive_stack` call with the
+detected LTS start trusted, so the whole push shares one stacked front end
+(CFO correction, staggered-LTS channel estimation, one FFT and detection
+pass) and one Viterbi trellis pass.  Because detection is chunk-invariant
+and every burst of a stack decodes exactly as it would alone, a stream fed
+in chunks of any size decodes bit-exactly like the one-shot burst loop.
 
-A frame the receiver gives up on — sync refinement pointing outside the
-window, a non-finite sample, a rank-deficient channel estimate — comes back
-as a :class:`DecodedFrame` with ``ok=False`` and counts in
-``frames_lost``; the stream goes on.  The downlink scheduler counts losses
-per frame, so its loss rate is a frame error rate like sweep PER.
+A frame the receiver gives up on — a non-finite sample, a rank-deficient
+channel estimate — comes back as a :class:`DecodedFrame` with
+``ok=False`` and counts in ``frames_lost``; the rest of its push and the
+stream go on.  The downlink scheduler counts losses per frame, so its loss
+rate is a frame error rate like sweep PER.
 """
 
 from __future__ import annotations
@@ -107,27 +107,31 @@ class StreamingReceiver:
     # ------------------------------------------------------------------
     def push(self, chunk: np.ndarray) -> List[DecodedFrame]:
         """Consume one stream chunk; decode and return any completed frames."""
-        return [self._decode(w) for w in self.detector.push(chunk)]
+        return self._decode(self.detector.push(chunk))
 
     def flush(self) -> List[DecodedFrame]:
         """End of stream: decode whatever the detector can still emit."""
-        return [self._decode(w) for w in self.detector.flush()]
+        return self._decode(self.detector.flush())
 
     # ------------------------------------------------------------------
-    def _decode(self, window: FrameWindow) -> DecodedFrame:
-        self.frames_detected += 1
-        try:
-            result = self.receiver.receive_window(
-                window.samples,
-                self.n_info_bits,
-                lts_offset=window.lts_offset,
-                noise_variance=self.noise_variance,
-            )
-        except DecodingError as error:
-            # The receiver giving up loses the frame; the stream goes on.
-            self.frames_lost += 1
-            return DecodedFrame(
-                window=window, result=None, ok=False, error=str(error)
-            )
-        self.frames_decoded += 1
-        return DecodedFrame(window=window, result=result, ok=True)
+    def _decode(self, windows: List[FrameWindow]) -> List[DecodedFrame]:
+        """Decode every window of one push through one stacked receive pass."""
+        outcomes = self.receiver.receive_stack(
+            [window.samples for window in windows],
+            self.n_info_bits,
+            [window.lts_offset for window in windows],
+            [self.noise_variance] * len(windows),
+        )
+        frames = []
+        for window, outcome in zip(windows, outcomes):
+            self.frames_detected += 1
+            if isinstance(outcome, DecodingError):
+                # The receiver giving up loses the frame; the stream goes on.
+                self.frames_lost += 1
+                frames.append(
+                    DecodedFrame(window=window, result=None, ok=False, error=str(outcome))
+                )
+            else:
+                self.frames_decoded += 1
+                frames.append(DecodedFrame(window=window, result=outcome, ok=True))
+        return frames

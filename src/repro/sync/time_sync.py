@@ -158,6 +158,10 @@ class TimeSynchronizer:
         When ``normalize`` is off this returns the raw magnitude, keeping
         :attr:`SyncResult.metric` meaningful in every configuration.
 
+        A window holding a NaN or infinite sample has no meaningful metric
+        and reads 0.0 (no correlation), so a corrupted sample can neither
+        win a peak search nor cross a detection threshold.
+
         ``magnitude`` lets callers that already computed the raw correlation
         trace (e.g. :meth:`search`) avoid a second correlator pass.
         """
@@ -165,16 +169,19 @@ class TimeSynchronizer:
         if magnitude is None:
             magnitude = self.correlate(stream)
         if not self.normalize:
-            return magnitude
+            return np.where(np.isfinite(magnitude), magnitude, 0.0)
         window_energy = np.convolve(
             np.abs(stream) ** 2,
             np.ones(self.window_length),
             mode="valid",
         )
         reference_energy = float(np.sum(np.abs(self.reference) ** 2))
-        return magnitude / np.sqrt(
-            np.maximum(window_energy * reference_energy, 1e-30)
-        )
+        with np.errstate(invalid="ignore", over="ignore"):
+            metric = magnitude / np.sqrt(
+                np.maximum(window_energy * reference_energy, 1e-30)
+            )
+        metric[~np.isfinite(metric)] = 0.0
+        return metric
 
     def search(self, samples: np.ndarray) -> SyncResult:
         """Search a sample stream for the STS-to-LTS transition.

@@ -14,6 +14,9 @@ def pytest_configure(config: pytest.Config) -> None:
     config.addinivalue_line(
         "markers", "slow: end-to-end example runs that take seconds each"
     )
+    # A stray numpy RuntimeWarning (NaN arithmetic, overflow) is a bug in
+    # the datapath, not noise: fail the test that raised it.
+    config.addinivalue_line("filterwarnings", "error::RuntimeWarning")
 
 
 @pytest.fixture

@@ -14,10 +14,11 @@ still decodes bit-exactly.
 import pytest
 
 import repro.coding.viterbi as viterbi_module
+from repro.core.receiver import DECODE_SLICE
 from repro.core.transceiver import MimoTransceiver
 from repro.exceptions import ConfigurationError
 from repro.sim import ImpairmentSpec, SweepRunner, SweepSpec
-from repro.sim.engine import DECODE_SLICE, simulate_batch
+from repro.sim.engine import simulate_batch
 from repro.sim.queue import MultiprocessingQueue
 from repro.sim.runner import _pack_units
 

@@ -4,9 +4,10 @@
 through one block-minor trellis pass and one table traceback.  Every row
 must decode exactly as ``tests/reference/coding.py::viterbi_decode_serial``
 decodes it alone, whatever the stack height (across ``DECODE_SLICE``), the
-block length (across ``_ACS_CHUNK`` steps), the decision mode, the code
-rate, termination, ties forced by zero LLRs, and the constraint length:
-K = 10 has 512 states and takes the ``uint16`` predecessor table.
+block length (across several branch-metric gathers, which cover fewer
+steps the taller the stack), the decision mode, the code rate,
+termination, ties forced by zero LLRs, and the constraint length: K = 10
+has 512 states and takes the ``uint16`` predecessor table.
 
 The serial oracle costs a Python loop over every state per step, so a stack
 is built from a small pool of distinct rows placed at random positions, and
@@ -23,8 +24,8 @@ from repro.coding.convolutional import (
     ConvolutionalCode,
     ConvolutionalEncoder,
 )
-from repro.coding.viterbi import _ACS_CHUNK, ViterbiDecoder
-from repro.sim.engine import DECODE_SLICE
+from repro.coding.viterbi import ViterbiDecoder, _gather_steps
+from repro.core.receiver import DECODE_SLICE
 from reference.coding import viterbi_decode_serial
 
 #: (constraint length, generators, most information bits per block).
@@ -37,7 +38,7 @@ CODES = [
 ]
 MAX_BLOCKS = 130
 
-assert MAX_BLOCKS > DECODE_SLICE and CODES[0][2] > _ACS_CHUNK
+assert MAX_BLOCKS > DECODE_SLICE and CODES[0][2] > _gather_steps(1)
 
 
 def _received_row(code, decision, n_bits, terminated, zero_fraction, rng):
