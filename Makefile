@@ -18,13 +18,15 @@
 #                            checks, then a 1 s seed-0 run of every workload
 #   make docs-check        - fail if any public module lacks a module docstring
 #                            and every required doc page is present + linked
+#   make corpus-pin        - pin the tier-1 golden corpus for the current
+#                            ENGINE_VERSION (refuses if it is already pinned)
 #   make clean-cache       - drop the repro.sim result store
 
 PYTHON ?= python
 PYTHONPATH_PREFIX := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH),)
-LINTPATH_PREFIX := PYTHONPATH=src:tools/lint$(if $(PYTHONPATH),:$(PYTHONPATH),)
+LINTPATH_PREFIX := PYTHONPATH=tools/lint$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
-.PHONY: test test-fast test-store lint bench-smoke bench-impairments bench-store bench-stream bench-perf docs-check clean-cache
+.PHONY: test test-fast test-store lint bench-smoke bench-impairments bench-store bench-stream bench-perf docs-check corpus-pin clean-cache
 
 test: lint
 	$(PYTHONPATH_PREFIX) $(PYTHON) -m pytest -x -q
@@ -61,6 +63,9 @@ bench-perf:
 
 docs-check:
 	$(PYTHON) tools/docs_check.py
+
+corpus-pin:
+	$(PYTHONPATH_PREFIX) $(PYTHON) tools/pin_golden_corpus.py
 
 clean-cache:
 	$(PYTHONPATH_PREFIX) $(PYTHON) -c "from repro.sim import ResultStore; print(ResultStore().clear(), 'point records removed')"

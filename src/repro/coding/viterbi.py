@@ -31,7 +31,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from repro.coding.convolutional import ConvolutionalCode
-from repro.exceptions import DecodingError
+from repro.exceptions import ConfigurationError, DecodingError
 from repro.utils.bits import BitArray
 
 _METRIC_INF = 1e18
@@ -123,11 +123,11 @@ class ViterbiDecoder:
         present = self.code.puncture_pattern[:, columns].T.astype(bool)
         consumed = int(np.count_nonzero(present))
         if stack.shape[1] < consumed:
-            raise ValueError(
+            raise ConfigurationError(
                 "received stream too short for the requested block length"
             )
         if stack.shape[1] > consumed:
-            raise ValueError(
+            raise ConfigurationError(
                 f"received stream has {stack.shape[1]} values but the block "
                 f"consumes {consumed}"
             )
@@ -202,6 +202,9 @@ class ViterbiDecoder:
         DecodingError
             If ``received`` has more than two dimensions or holds a NaN or
             infinite value.
+        ConfigurationError
+            If a row's length does not match the block ``n_info_bits``
+            asks for.
         """
         values = np.asarray(received, dtype=np.float64)
         if values.ndim > 2:

@@ -459,7 +459,8 @@ class MimoReceiver:
             (the default for every burst).
         noise_variances:
             Per burst, the noise variance for soft LLRs and MMSE weights
-            (default 1.0).
+            (default 1.0).  A non-finite or non-positive entry raises
+            :class:`~repro.exceptions.ConfigurationError`.
 
         Returns
         -------
@@ -480,6 +481,11 @@ class MimoReceiver:
             raise ConfigurationError(
                 "lts_starts and noise_variances need one entry per burst"
             )
+        for variance in noise_variances:
+            if not (np.isfinite(variance) and variance > 0):
+                raise ConfigurationError(
+                    f"noise variances must be finite and positive, got {variance!r}"
+                )
         coded_length = self._encoder.coded_length(n_info_bits, terminate=True)
         n_symbols = -(-coded_length // self.config.coded_bits_per_symbol)
 

@@ -7,8 +7,12 @@ class ReproError(Exception):
     """Base class for all library-specific errors."""
 
 
-class ConfigurationError(ReproError):
-    """Raised when a transceiver or block configuration is inconsistent."""
+class ConfigurationError(ReproError, ValueError):
+    """Raised when a transceiver or block configuration is inconsistent.
+
+    Also a :class:`ValueError`, so callers that guarded a check with
+    ``except ValueError`` before it raised this keep working.
+    """
 
 
 class DecodingError(ReproError):

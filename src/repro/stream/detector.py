@@ -42,6 +42,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.core.preamble import PreambleGenerator
+from repro.exceptions import ConfigurationError
 from repro.sync.cfo import CfoEstimator
 from repro.sync.time_sync import TimeSynchronizer
 
@@ -198,13 +199,14 @@ class StreamFrameDetector:
 
         ``chunk`` has shape ``(n_rx, n_samples)`` (a 1-D array is accepted
         for single-antenna streams).  Any ``n_samples >= 0`` works — the
-        detector buffers partial frames across calls.
+        detector buffers partial frames across calls.  A chunk of any other
+        shape raises :class:`~repro.exceptions.ConfigurationError`.
         """
         block = np.asarray(chunk, dtype=np.complex128)
         if block.ndim == 1:
             block = block[np.newaxis, :]
         if block.ndim != 2 or block.shape[0] != self.n_rx:
-            raise ValueError(
+            raise ConfigurationError(
                 f"chunk must have shape ({self.n_rx}, n_samples), got {block.shape}"
             )
         self._append(block)

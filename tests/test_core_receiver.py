@@ -226,6 +226,42 @@ class TestKnownTimingAndValidation:
             )
 
 
+class TestNoiseVarianceValidation:
+    """A noise variance the receiver cannot scale by is a caller error.
+
+    Regression: soft ZF at 30 dB with ``inf`` silently decoded garbage
+    bits, ``0`` and negative values escaped as bare ``ValueError`` from the
+    demapper or the MMSE path, and soft MMSE with ``inf`` raised a numpy
+    ``RuntimeWarning``.
+    """
+
+    @pytest.mark.parametrize("detector", ["zf", "mmse"])
+    @pytest.mark.parametrize("variance", [0.0, -1e-3, np.inf, np.nan])
+    def test_non_finite_or_non_positive_variance_raises(self, detector, variance):
+        config = TransceiverConfig(detector=detector, soft_decision=True)
+        channel = MimoChannel(FlatRayleighChannel(rng=1), snr_db=30.0, rng=2)
+        burst = MimoTransmitter(config).transmit_random(96, rng=np.random.default_rng(3))
+        samples = channel.transmit(burst.samples).samples
+        receiver = MimoReceiver(config)
+        with pytest.raises(ConfigurationError, match="noise variances"):
+            receiver.receive_stack([samples, samples], 96, noise_variances=[1.0, variance])
+        with pytest.raises(ConfigurationError, match="noise variances"):
+            receiver.receive(samples, 96, noise_variance=variance)
+
+
+class TestTypedCallerErrors:
+    def test_code_rows_of_the_wrong_length_raise_configuration_error(self, paper_config):
+        receiver = MimoReceiver(paper_config)
+        coded = np.zeros((4, 500), dtype=np.float64)
+        with pytest.raises(ConfigurationError, match="values but the block consumes"):
+            receiver.decode(coded, n_info_bits=120)
+
+    def test_stream_chunk_of_the_wrong_shape_raises_configuration_error(self, paper_config):
+        pipeline = StreamingReceiver(MimoReceiver(paper_config), n_info_bits=120)
+        with pytest.raises(ConfigurationError, match="chunk must have shape"):
+            pipeline.push(np.zeros((3, 64), dtype=complex))
+
+
 class TestNonFiniteSamples:
     """A non-finite sample in a burst's FFT windows gives that burst up.
 

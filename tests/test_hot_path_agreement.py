@@ -745,7 +745,8 @@ class TestStackedFrontEndAgreement:
     def test_singular_mmse_gram_drops_only_its_burst(self, monkeypatch):
         # A Gram matrix that is singular without a singular R: every
         # estimate gets two identical columns on subcarrier 7, and only the
-        # burst with zero noise variance loses its regulariser.
+        # burst whose noise variance vanishes in rounding against the Gram
+        # diagonal (the receiver rejects an exact zero) loses its regulariser.
         config = TransceiverConfig(n_antennas=2, modulation="qpsk", detector="mmse")
         receiver = MimoReceiver(config)
         estimate = receiver.channel_estimator.estimate
@@ -758,7 +759,7 @@ class TestStackedFrontEndAgreement:
 
         monkeypatch.setattr(receiver.channel_estimator, "estimate", duplicate_columns)
         bursts = self._mixed_stack(config, seed=950)[:3]
-        bursts[1] = bursts[1][:2] + (0.0,)
+        bursts[1] = bursts[1][:2] + (1e-300,)
         stacked = self._run(receiver, bursts, known_timing=[True, True, True])
         assert isinstance(stacked[1], DecodingError)
         assert "subcarrier 7 " in str(stacked[1])

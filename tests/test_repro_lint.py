@@ -1,6 +1,6 @@
 """Tests for ``repro_lint`` — every shipped rule proven to fire and to stay
-quiet, suppression handling, the engine-version drift gate, and the
-tree-is-clean integration gate that makes ``make lint`` part of tier-1."""
+quiet, suppression handling, and the tree-is-clean integration gate that
+makes ``make lint`` part of tier-1."""
 
 from __future__ import annotations
 
@@ -15,15 +15,8 @@ import pytest
 REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "tools" / "lint"))
 
-from repro_lint import lint_project, lint_source  # noqa: E402
+from repro_lint import lint_source  # noqa: E402
 from repro_lint.core import parse_suppressions  # noqa: E402
-from repro_lint.rules.engine_version import (  # noqa: E402
-    build_manifest,
-    check_manifest,
-    current_digests,
-    load_manifest,
-    module_digest,
-)
 
 FIXTURES = REPO_ROOT / "tests" / "lint_fixtures"
 
@@ -105,7 +98,7 @@ def test_parse_error_reported_as_parse001():
 def test_suppression_for_unselected_rule_is_not_flagged_useless():
     """A rule-subset run must not call other rules' suppressions useless.
 
-    With ``--select VER001`` the DET001 suppressions in the tree never get
+    With ``--select SEAM001`` the DET001 suppressions in the tree never get
     a chance to fire; flagging them LINT002 would make every subset run
     red.  Only a suppression whose *executed* rules all stayed silent is
     a dead comment.
@@ -148,68 +141,13 @@ def test_suppression_of_an_unknown_rule_is_lint002():
 
 
 # ----------------------------------------------------------------------
-# VER001 — engine-version drift
-# ----------------------------------------------------------------------
-
-def test_ver001_simulated_semantics_edit_without_bump_fails():
-    digests = {"src/repro/sim/engine.py": module_digest("X = 1\n")}
-    manifest = build_manifest(digests, engine_version=4)
-    assert check_manifest(manifest, digests, engine_version=4) == []
-
-    edited = {"src/repro/sim/engine.py": module_digest("X = 2\n")}
-    problems = check_manifest(manifest, edited, engine_version=4)
-    assert len(problems) == 1
-    assert "without an ENGINE_VERSION bump" in problems[0]
-    assert "src/repro/sim/engine.py" in problems[0]
-
-
-def test_ver001_bump_requires_manifest_refresh_then_passes():
-    digests = {"src/repro/sim/spec.py": module_digest("ENGINE_VERSION = 4\n")}
-    manifest = build_manifest(digests, engine_version=4)
-
-    bumped = {"src/repro/sim/spec.py": module_digest("ENGINE_VERSION = 5\n")}
-    problems = check_manifest(manifest, bumped, engine_version=5)
-    assert len(problems) == 1
-    assert "manifest records" in problems[0]
-
-    refreshed = build_manifest(bumped, engine_version=5)
-    assert check_manifest(refreshed, bumped, engine_version=5) == []
-
-
-def test_ver001_missing_manifest_is_a_finding():
-    problems = check_manifest(None, {}, engine_version=4)
-    assert problems and "missing" in problems[0]
-
-
-def test_ver001_fingerprint_ignores_comments_and_docstrings():
-    assert module_digest("X = 1\n") == module_digest("X = 1  # a comment\n")
-    assert module_digest("X = 1\n") == module_digest('"""Docstring."""\nX = 1\n')
-    assert module_digest("X = 1\n") != module_digest("X = 2\n")
-
-
-def test_ver001_real_manifest_matches_tree_and_detects_edits():
-    manifest = load_manifest(REPO_ROOT / "tools" / "lint" / "engine_manifest.json")
-    assert manifest is not None, "engine manifest must be committed"
-    digests = current_digests(REPO_ROOT)
-    from repro.sim.spec import ENGINE_VERSION
-
-    assert check_manifest(manifest, digests, ENGINE_VERSION) == []
-
-    # Simulate editing the sweep engine without bumping the version.
-    edited = dict(digests)
-    edited["src/repro/sim/engine.py"] = module_digest("X_TAMPERED = 1\n")
-    problems = check_manifest(manifest, edited, ENGINE_VERSION)
-    assert problems and "src/repro/sim/engine.py" in problems[0]
-
-
-# ----------------------------------------------------------------------
 # Integration: the tree is lint-clean (this is the tier-1 gate)
 # ----------------------------------------------------------------------
 
 def _lint_cli(*args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        [str(REPO_ROOT / "src"), str(REPO_ROOT / "tools" / "lint")]
+        [str(REPO_ROOT / "tools" / "lint")]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     return subprocess.run(
@@ -229,7 +167,7 @@ def test_tree_is_lint_clean():
 
 
 def test_cli_json_report_shape():
-    result = _lint_cli("--format", "json", "--no-project-rules", "src")
+    result = _lint_cli("--format", "json", "src")
     payload = json.loads(result.stdout)
     assert payload["summary"]["ok"] is True
     assert payload["summary"]["n_files"] > 40
@@ -239,7 +177,7 @@ def test_cli_json_report_shape():
 def test_cli_exit_code_on_violation(tmp_path):
     bad = tmp_path / "bad.py"
     bad.write_text("try:\n    pass\nexcept:\n    pass\n", encoding="utf-8")
-    result = _lint_cli("--no-project-rules", str(bad))
+    result = _lint_cli(str(bad))
     assert result.returncode == 1
     assert "EXC001" in result.stdout
 
@@ -256,11 +194,6 @@ def test_cli_lists_exactly_the_shipped_rules():
     assert result.returncode == 0
     listed = {line.split()[0] for line in result.stdout.splitlines() if line[:1].isupper()}
     assert listed == {
-        "SEAM001", "DET001", "DET002", "EXC001", "EXC002", "VER001",
+        "SEAM001", "DET001", "DET002", "EXC001", "EXC002",
         "LINT001", "LINT002", "PARSE001",
     }
-
-
-def test_project_rules_clean_via_api():
-    violations = lint_project(REPO_ROOT)
-    assert violations == [], [v.format() for v in violations]

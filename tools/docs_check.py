@@ -45,7 +45,7 @@ REQUIRED_SECTIONS: dict[str, tuple[str, ...]] = {
     "docs/linting.md": (
         "Rule catalog",
         "Suppressing a finding",
-        "Refreshing the engine-version manifest",
+        "Pinning the golden corpus",
         "Runtime contracts",
         "The `@shaped` grammar",
     ),

@@ -1,9 +1,8 @@
 """reprolint — an AST-based invariant checker for the repro engine.
 
 The repo's correctness rests on a handful of hand-enforced contracts:
-deterministic content-keyed seeding, ``ENGINE_VERSION`` bumps whenever
-simulation semantics change, all transform arithmetic routed through
-``repro.dsp.fft``, and hot-path failures surfacing as
+deterministic content-keyed seeding, all transform arithmetic routed
+through ``repro.dsp.fft``, and hot-path failures surfacing as
 ``DecodingError`` so pooled sweeps count lost frames instead of dying.
 ``repro_lint`` machine-enforces those contracts as static-analysis rules:
 
@@ -14,9 +13,6 @@ DET001    no global-state RNG (``np.random.<sampler>``, the ``random``
           module, unseeded ``default_rng()``) in engine/datapath code
 DET002    no wall-clock reads (``time.time``, ``datetime.now``) in
           engine/datapath code
-VER001    the semantics-bearing modules are fingerprinted into a
-          committed manifest; changing them without an ``ENGINE_VERSION``
-          bump or a manifest refresh fails the gate
 EXC001    no bare ``except:`` and no silently-swallowed ``Exception``
 EXC002    raising ``np.linalg`` solvers in datapath code must translate
           ``LinAlgError`` into ``DecodingError``
@@ -29,30 +25,26 @@ PARSE001  every linted file must parse as Python
 Contracts that running code can check for itself (``@shaped`` shape
 contracts, the air-interface dtype, dB/linear units, cache-key
 completeness) are enforced by the runtime and tier-1 tests, not here;
-``docs/linting.md`` names the test behind each.
+``docs/linting.md`` names the test behind each.  Drift of the simulated
+results is caught by the tier-1 golden corpus
+(``tests/test_golden_corpus.py``), not by fingerprinting source.
 
 Findings are suppressed per line with a justified comment::
 
     y = np.fft.fft(x)  # reprolint: disable=SEAM001 -- ground truth only
 
 Run it as ``python -m repro_lint src tools examples tests`` (or ``make lint``);
-see ``docs/linting.md`` for the full catalog and the manifest-refresh
-workflow.
+see ``docs/linting.md`` for the full catalog.
 """
 
 from __future__ import annotations
 
 from repro_lint.core import (
     FileContext,
-    ProjectContext,
-    ProjectRule,
     Rule,
     Violation,
     all_rules,
-    file_rules,
-    lint_project,
     lint_source,
-    project_rules,
     register,
 )
 
@@ -61,14 +53,9 @@ from repro_lint import rules as _rules  # noqa: F401  (import-for-side-effect)
 
 __all__ = [
     "FileContext",
-    "ProjectContext",
-    "ProjectRule",
     "Rule",
     "Violation",
     "all_rules",
-    "file_rules",
-    "lint_project",
     "lint_source",
-    "project_rules",
     "register",
 ]

@@ -1,11 +1,10 @@
-"""Command-line front end: discovery, reporting, manifest refresh.
+"""Command-line front end: discovery and reporting.
 
 Usage (also wired as ``make lint``)::
 
     python -m repro_lint src tools examples tests  # text report, exit 1 on findings
     python -m repro_lint --format json src          # machine-readable report
     python -m repro_lint --list-rules               # rule catalog
-    python -m repro_lint --refresh-manifest         # rewrite the engine manifest
 
 Exit codes: 0 clean, 1 violations found, 2 usage/internal error.
 """
@@ -20,18 +19,10 @@ from typing import List, Optional, Sequence, Set
 
 from repro_lint import core
 from repro_lint.core import META_RULES, Violation
-from repro_lint.rules.engine_version import MANIFEST_RELPATH, refresh_manifest
 
 #: Repo root inferred from this file's location
 #: (``tools/lint/repro_lint/cli.py`` -> three parents up).
 DEFAULT_ROOT = Path(__file__).resolve().parents[3]
-
-
-def _ensure_repro_importable(root: Path) -> None:
-    """Put ``<root>/src`` on ``sys.path`` for the project-wide rules."""
-    src = str(root / "src")
-    if src not in sys.path:
-        sys.path.insert(0, src)
 
 
 def _selected_ids(selected: Optional[str]) -> Optional[Set[str]]:
@@ -78,8 +69,7 @@ def _report_json(violations: List[Violation], n_files: int) -> None:
 
 def _list_rules() -> None:
     for rule in core.all_rules():
-        kind = "project" if isinstance(rule, core.ProjectRule) else "file"
-        print(f"{rule.rule_id}  [{kind}]  {rule.name}")
+        print(f"{rule.rule_id}  [file]  {rule.name}")
         print(f"    {rule.description}")
     for rule_id, description in sorted(META_RULES.items()):
         print(f"{rule_id}  [meta]  {description}")
@@ -99,7 +89,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--root",
         type=Path,
         default=DEFAULT_ROOT,
-        help="repository root used for rule scoping and the manifest",
+        help="repository root used for rule scoping",
     )
     parser.add_argument(
         "--format", choices=("text", "json"), default="text", dest="fmt"
@@ -109,21 +99,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="comma-separated rule ids to run (default: all)",
     )
     parser.add_argument(
-        "--manifest",
-        type=Path,
-        help=f"engine-version manifest path (default: <root>/{MANIFEST_RELPATH})",
-    )
-    parser.add_argument(
-        "--no-project-rules",
-        action="store_true",
-        help="skip the repository-wide rule (VER001)",
-    )
-    parser.add_argument(
-        "--refresh-manifest",
-        action="store_true",
-        help="rewrite the engine-version manifest from the current tree",
-    )
-    parser.add_argument(
         "--list-rules", action="store_true", help="print the rule catalog"
     )
     args = parser.parse_args(argv)
@@ -131,12 +106,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     root = args.root.resolve()
     if args.list_rules:
         _list_rules()
-        return 0
-
-    _ensure_repro_importable(root)
-    if args.refresh_manifest:
-        target = refresh_manifest(root, args.manifest)
-        print(f"repro_lint: manifest refreshed at {target}")
         return 0
 
     wanted = _selected_ids(args.select)
@@ -159,18 +128,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
 
     files = core.discover_files(targets)
-    violations = core.lint_files(
-        root, files, rules=_select(core.file_rules(), wanted)
-    )
-    if not args.no_project_rules:
-        options = {}
-        if args.manifest:
-            options["manifest"] = args.manifest
-        violations.extend(
-            core.lint_project(
-                root, options, rules=_select(core.project_rules(), wanted)
-            )
-        )
+    violations = core.lint_files(root, files, rules=_select(core.all_rules(), wanted))
     violations.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
     if args.fmt == "json":
         _report_json(violations, len(files))

@@ -1,10 +1,7 @@
 """Rule framework: violations, registry, suppressions, lint drivers.
 
-A *file rule* (:class:`Rule`) sees one parsed module at a time through a
-:class:`FileContext` and reports :class:`Violation` objects.  A *project
-rule* (:class:`ProjectRule`) sees the whole repository through a
-:class:`ProjectContext` and enforces cross-file contracts (the
-engine-version manifest).
+A rule (:class:`Rule`) sees one parsed module at a time through a
+:class:`FileContext` and reports :class:`Violation` objects.
 
 Rules register themselves with the :func:`register` decorator; the CLI and
 the test suite both consume the same registry.  Per-line suppressions are
@@ -24,7 +21,7 @@ import ast
 import io
 import re
 import tokenize
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -98,17 +95,8 @@ class FileContext:
         return self.relpath.startswith("src/repro/dsp/")
 
 
-@dataclass
-class ProjectContext:
-    """Repository handle for project-wide rules."""
-
-    root: Path
-    #: Extra options forwarded from the CLI (e.g. manifest path override).
-    options: Dict[str, object] = field(default_factory=dict)
-
-
 class Rule:
-    """Base class of per-file AST rules."""
+    """Base class of the AST rules: each checks one module at a time."""
 
     rule_id: str = "RULE000"
     name: str = "abstract"
@@ -134,46 +122,21 @@ class Rule:
         )
 
 
-class ProjectRule:
-    """Base class of repository-wide rules."""
-
-    rule_id: str = "RULE000"
-    name: str = "abstract"
-    description: str = ""
-
-    def check(self, project: ProjectContext) -> List[Violation]:
-        raise NotImplementedError
-
-
-_FILE_RULES: Dict[str, Rule] = {}
-_PROJECT_RULES: Dict[str, ProjectRule] = {}
+_RULES: Dict[str, Rule] = {}
 
 
 def register(rule_cls):
     """Class decorator adding a rule to the registry (instantiates it)."""
+    if not issubclass(rule_cls, Rule):
+        raise TypeError(f"{rule_cls!r} is not a Rule")
     instance = rule_cls()
-    if issubclass(rule_cls, Rule):
-        _FILE_RULES[instance.rule_id] = instance
-    elif issubclass(rule_cls, ProjectRule):
-        _PROJECT_RULES[instance.rule_id] = instance
-    else:
-        raise TypeError(f"{rule_cls!r} is neither a Rule nor a ProjectRule")
+    _RULES[instance.rule_id] = instance
     return rule_cls
 
 
-def file_rules() -> Tuple[Rule, ...]:
-    """Registered per-file rules, ordered by rule id."""
-    return tuple(_FILE_RULES[k] for k in sorted(_FILE_RULES))
-
-
-def project_rules() -> Tuple[ProjectRule, ...]:
-    """Registered project-wide rules, ordered by rule id."""
-    return tuple(_PROJECT_RULES[k] for k in sorted(_PROJECT_RULES))
-
-
-def all_rules() -> Tuple[object, ...]:
-    """Every registered rule, file rules first."""
-    return file_rules() + project_rules()
+def all_rules() -> Tuple[Rule, ...]:
+    """Every registered rule, ordered by rule id."""
+    return tuple(_RULES[k] for k in sorted(_RULES))
 
 
 # ----------------------------------------------------------------------
@@ -329,7 +292,7 @@ def lint_source(
             )
         ]
     ctx = FileContext(relpath=relpath, source=source, tree=tree)
-    selected = file_rules() if rules is None else tuple(rules)
+    selected = all_rules() if rules is None else tuple(rules)
     raw: List[Violation] = []
     active = set()
     for rule in selected:
@@ -356,19 +319,6 @@ def lint_files(
             relpath = path.as_posix()
         source = path.read_text(encoding="utf-8")
         violations.extend(lint_source(source, relpath, rules=rules))
-    return violations
-
-
-def lint_project(
-    root: Path,
-    options: Optional[Dict[str, object]] = None,
-    rules: Optional[Sequence[ProjectRule]] = None,
-) -> List[Violation]:
-    """Run every project-wide rule against the repository at ``root``."""
-    ctx = ProjectContext(root=root, options=dict(options or {}))
-    violations: List[Violation] = []
-    for rule in project_rules() if rules is None else tuple(rules):
-        violations.extend(rule.check(ctx))
     return violations
 
 

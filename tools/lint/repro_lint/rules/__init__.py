@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from repro_lint.rules import (  # noqa: F401  (import-for-side-effect)
     determinism,
-    engine_version,
     exceptions,
     seam,
 )
