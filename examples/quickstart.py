@@ -58,10 +58,10 @@ def main() -> None:
     print(f"  total payload       : {result.total_bits} bits")
     print(f"  bit errors          : {result.bit_errors}")
     print(f"  bit error rate      : {result.bit_error_rate:.2e}")
-    for stream in result.receive_result.streams:
+    for stream, ber in zip(result.receive_result.streams, result.stream_bit_error_rates):
         mean_error = np.mean(np.abs(stream.equalized_symbols)) if stream.equalized_symbols.size else 0
         print(
-            f"    stream {stream.stream}: BER {stream.bit_error_rate:.2e}, "
+            f"    stream {stream.stream}: BER {ber:.2e}, "
             f"mean equalised magnitude {mean_error:.2f}"
         )
 

@@ -9,6 +9,7 @@ import numpy as np
 
 from repro.core.config import TransceiverConfig
 from repro.core.preamble import PreambleLayout
+from repro.utils.bits import count_bit_errors
 
 
 @dataclass
@@ -74,8 +75,6 @@ class StreamDecodeResult:
     stream: int
     decoded_bits: np.ndarray
     equalized_symbols: np.ndarray
-    bit_errors: Optional[int] = None
-    bit_error_rate: Optional[float] = None
 
 
 @dataclass
@@ -133,23 +132,16 @@ class ReceiveResult:
         return [stream.decoded_bits for stream in self.streams]
 
     def total_bit_errors(self, reference: List[np.ndarray]) -> int:
-        """Total bit errors versus the transmitted information bits."""
+        """Total bit errors versus the transmitted information bits.
+
+        The burst score of every link path: ``run_burst``, the sweep
+        engine and the streaming scheduler all count a decoded burst here,
+        one :func:`~repro.utils.bits.count_bit_errors` per stream.
+        """
         if len(reference) != len(self.streams):
             raise ValueError("reference must have one bit array per stream")
         return sum(
-            count_bit_errors(stream_result.decoded_bits, ref)
+            count_bit_errors(ref, stream_result.decoded_bits)
             for stream_result, ref in zip(self.streams, reference)
         )
 
-
-def count_bit_errors(decoded: np.ndarray, reference) -> int:
-    """Bit errors of decoded bits versus the transmitted ones.
-
-    The one error count of the link: :meth:`ReceiveResult.total_bit_errors`
-    (and so ``run_burst``) counts each stream with it, the sweep engine a
-    whole burst's ``(n_streams, n_info_bits)`` rows at once.
-    """
-    ref = np.asarray(reference, dtype=np.uint8)
-    if np.shape(decoded) != ref.shape:
-        raise ValueError("decoded and reference bit lengths differ")
-    return int(np.count_nonzero(decoded != ref))

@@ -52,12 +52,7 @@ from repro.coding.scrambler import Scrambler
 from repro.coding.viterbi import ViterbiDecoder
 from repro.contracts import shaped
 from repro.core.config import TransceiverConfig
-from repro.core.frame import (
-    FrontEndResult,
-    ReceiveResult,
-    StreamDecodeResult,
-    count_bit_errors,
-)
+from repro.core.frame import FrontEndResult, ReceiveResult, StreamDecodeResult
 from repro.core.pilots import PilotProcessor
 from repro.core.preamble import PreambleGenerator
 from repro.dsp.fft import fft
@@ -91,13 +86,13 @@ class _Burst:
 class MimoReceiver:
     """MIMO-OFDM burst receiver.
 
+    Time synchronisation runs the :class:`~repro.sync.time_sync.TimeSynchronizer`
+    in its robust ``"peak"`` mode.
+
     Parameters
     ----------
     config:
         Transceiver configuration (must match the transmitter's).
-    sync_mode:
-        ``"peak"`` (robust, default) or ``"threshold"`` (hardware behaviour)
-        for the time synchroniser.
     timing_advance:
         Samples by which every FFT window (LTS and data) is advanced into
         the cyclic prefix.  Because the same advance is applied to the
@@ -110,7 +105,6 @@ class MimoReceiver:
     def __init__(
         self,
         config: Optional[TransceiverConfig] = None,
-        sync_mode: str = "peak",
         timing_advance: int = 2,
     ) -> None:
         self.config = config if config is not None else TransceiverConfig()
@@ -131,7 +125,6 @@ class MimoReceiver:
         self.synchronizer = TimeSynchronizer(
             sts_time=self.preamble.sts_time(),
             lts_time=self.preamble.lts_time(),
-            mode=sync_mode,
         )
         self.cfo_estimator = (
             CfoEstimator(self.config.fft_size) if self.config.correct_cfo else None
@@ -620,7 +613,6 @@ class MimoReceiver:
         n_info_bits: int,
         lts_start: Optional[int] = None,
         noise_variance: float = 1.0,
-        reference_bits: Optional[Sequence[np.ndarray]] = None,
     ) -> ReceiveResult:
         """Decode one burst: :meth:`receive_stack` on it alone.
 
@@ -636,9 +628,6 @@ class MimoReceiver:
             (useful for isolating other blocks in tests).
         noise_variance:
             Noise variance used to scale soft-decision LLRs.
-        reference_bits:
-            When provided, per-stream BER is computed and attached to the
-            result.
 
         Raises :class:`~repro.exceptions.DecodingError` when the burst
         cannot be decoded at all (see :meth:`front_end`).
@@ -648,11 +637,6 @@ class MimoReceiver:
         )
         if isinstance(outcome, DecodingError):
             raise outcome
-        if reference_bits is not None:
-            for stream in outcome.streams:
-                decoded = stream.decoded_bits
-                stream.bit_errors = count_bit_errors(decoded, reference_bits[stream.stream])
-                stream.bit_error_rate = stream.bit_errors / decoded.size
         return outcome
 
     def receive_stack(

@@ -1,15 +1,22 @@
 """End-to-end link simulation: transmitter -> channel -> receiver.
 
+:func:`transmit_burst` is the one on-air step of every link: it transmits
+a burst of random data through a
+:class:`~repro.channel.model.MimoChannel` and returns the received samples
+with what the receiver may know about them (:class:`AirBurst`).
 :class:`MimoTransceiver` wires a :class:`~repro.core.transmitter.MimoTransmitter`
-and a :class:`~repro.core.receiver.MimoReceiver` around a
-:class:`~repro.channel.model.MimoChannel`; :func:`simulate_link` runs a
-complete burst and reports BER/PER, which is what the link-level benchmarks
-and the BER-vs-SNR sweeps are built on.
+and a :class:`~repro.core.receiver.MimoReceiver` around one fixed channel;
+its :meth:`~MimoTransceiver.run_burst` decodes a :func:`transmit_burst`
+and scores it with :meth:`~repro.core.frame.ReceiveResult.total_bit_errors`,
+and :func:`simulate_link` aggregates bursts into BER/PER, which is what
+the link-level benchmarks are built on.
 
 For whole grids (SNR x modulation x channel x detector) use the batched
 engine in :mod:`repro.sim` — worker pools, early stopping and result
-caching; see ``docs/simulation.md``.  The engine runs the same burst
-physics, while ``simulate_link`` keeps the classic strict semantics: one
+caching; see ``docs/simulation.md``.  The engine and the streaming
+scheduler put their bursts on air through the same :func:`transmit_burst`
+(via :func:`repro.sim.engine.air_burst`, which seeds a fresh channel per
+burst), while ``simulate_link`` keeps the classic strict semantics: one
 fixed channel, one RNG stream across bursts and decode failures raised,
 not counted.
 """
@@ -27,6 +34,8 @@ from repro.core.config import TransceiverConfig
 from repro.core.frame import ReceiveResult, TransmitBurst
 from repro.core.receiver import MimoReceiver
 from repro.core.transmitter import MimoTransmitter
+from repro.exceptions import ConfigurationError
+from repro.utils.bits import count_bit_errors
 from repro.utils.rng import SeedLike, make_rng
 
 
@@ -77,6 +86,54 @@ class AirBurst(NamedTuple):
     noise_variance: float
 
 
+def transmit_burst(
+    transmitter: MimoTransmitter,
+    channel: MimoChannel,
+    n_info_bits: int,
+    rng: SeedLike = None,
+    known_timing: bool = False,
+) -> AirBurst:
+    """Transmit one burst of random data and propagate it to the receiver.
+
+    The transmit half of every link: :meth:`MimoTransceiver.run_burst`
+    receives the result itself, and the sweep engine and the streaming
+    scheduler reach it through :func:`repro.sim.engine.air_burst`, which
+    builds a fresh seeded channel per burst.
+
+    Parameters
+    ----------
+    n_info_bits:
+        Information bits per spatial stream.
+    rng:
+        Seed or generator for the payload bits (channel noise uses the
+        channel's own generator).
+    known_timing:
+        Report the true LTS position in :attr:`AirBurst.lts_start`, so the
+        receiver can bypass the time synchroniser (isolates
+        detection/decoding from sync errors).
+    """
+    burst = transmitter.transmit_random(n_info_bits, rng=make_rng(rng))
+    output = channel.transmit(burst.samples)
+
+    lts_start = None
+    if known_timing:
+        lts_start = burst.layout.sts_length + channel.sample_delay
+
+    # The channel reports the exact variance it injected (calibrated
+    # against the occupied-sample signal power); fall back to measuring
+    # the noisy output only for duck-typed channels that do not.
+    noise_variance = getattr(output, "noise_variance", None)
+    if not noise_variance:
+        if channel.snr_db is not None:
+            signal_power = float(np.mean(np.abs(output.samples) ** 2))
+            noise_variance = noise_variance_for_snr(
+                channel.snr_db, max(signal_power, 1e-12)
+            )
+        else:
+            noise_variance = 1.0
+    return AirBurst(burst, output.samples, lts_start, noise_variance)
+
+
 class MimoTransceiver:
     """Transmitter + channel + receiver wired together."""
 
@@ -84,59 +141,15 @@ class MimoTransceiver:
         self,
         config: Optional[TransceiverConfig] = None,
         channel: Optional[MimoChannel] = None,
-        sync_mode: str = "peak",
     ) -> None:
         self.config = config if config is not None else TransceiverConfig()
         self.transmitter = MimoTransmitter(self.config)
-        self.receiver = MimoReceiver(self.config, sync_mode=sync_mode)
+        self.receiver = MimoReceiver(self.config)
         self.channel = channel if channel is not None else MimoChannel()
         if self.channel.n_tx != self.config.n_antennas:
-            raise ValueError("channel antenna count does not match the configuration")
-
-    def set_channel(self, channel: MimoChannel) -> None:
-        """Swap the channel model between bursts.
-
-        The sweep engine reuses one transceiver (trellis, constellation and
-        preamble tables are expensive to rebuild) while giving every burst
-        a fresh fading realisation through this hook.
-        """
-        if channel.n_tx != self.config.n_antennas:
-            raise ValueError("channel antenna count does not match the configuration")
-        self.channel = channel
-
-    def transmit_burst(
-        self,
-        n_info_bits: int,
-        rng: SeedLike = None,
-        known_timing: bool = False,
-    ) -> AirBurst:
-        """Transmit one burst of random data and propagate it to the receiver.
-
-        The transmit half of :meth:`run_burst`, shared with callers that
-        run the receiver themselves (the sweep engine decodes many bursts
-        in one trellis pass).  Parameters are those of :meth:`run_burst`.
-        """
-        generator = make_rng(rng)
-        burst = self.transmitter.transmit_random(n_info_bits, rng=generator)
-        output = self.channel.transmit(burst.samples)
-
-        lts_start = None
-        if known_timing:
-            lts_start = burst.layout.sts_length + self.channel.sample_delay
-
-        # The channel reports the exact variance it injected (calibrated
-        # against the occupied-sample signal power); fall back to measuring
-        # the noisy output only for duck-typed channels that do not.
-        noise_variance = getattr(output, "noise_variance", None)
-        if not noise_variance:
-            if self.channel.snr_db is not None:
-                signal_power = float(np.mean(np.abs(output.samples) ** 2))
-                noise_variance = noise_variance_for_snr(
-                    self.channel.snr_db, max(signal_power, 1e-12)
-                )
-            else:
-                noise_variance = 1.0
-        return AirBurst(burst, output.samples, lts_start, noise_variance)
+            raise ConfigurationError(
+                "channel antenna count does not match the configuration"
+            )
 
     def run_burst(
         self,
@@ -146,38 +159,29 @@ class MimoTransceiver:
     ) -> LinkSimulationResult:
         """Transmit, propagate and decode one burst of random data.
 
-        Parameters
-        ----------
-        n_info_bits:
-            Information bits per spatial stream.
-        rng:
-            Seed or generator for the payload bits (channel noise uses the
-            channel's own generator).
-        known_timing:
-            Bypass the time synchroniser and hand the receiver the true LTS
-            position (isolates detection/decoding from sync errors).
+        Parameters are those of :func:`transmit_burst`; ``known_timing``
+        hands the receiver the true LTS position.
         """
-        air = self.transmit_burst(n_info_bits, rng=rng, known_timing=known_timing)
+        air = transmit_burst(
+            self.transmitter, self.channel, n_info_bits, rng=rng, known_timing=known_timing
+        )
         burst = air.burst
         result = self.receiver.receive(
             air.samples,
             n_info_bits=n_info_bits,
             lts_start=air.lts_start,
             noise_variance=air.noise_variance,
-            reference_bits=burst.info_bits,
         )
-
-        stream_bers = [
-            stream.bit_error_rate if stream.bit_error_rate is not None else 0.0
-            for stream in result.streams
-        ]
         bit_errors = result.total_bit_errors(burst.info_bits)
         total_bits = burst.payload_bits
         return LinkSimulationResult(
             bit_errors=bit_errors,
             total_bits=total_bits,
             bit_error_rate=bit_errors / total_bits,
-            stream_bit_error_rates=stream_bers,
+            stream_bit_error_rates=[
+                count_bit_errors(bits, decoded) / bits.size
+                for bits, decoded in zip(burst.info_bits, result.decoded_bits)
+            ],
             burst=burst,
             receive_result=result,
         )
@@ -213,9 +217,9 @@ def simulate_link(
         observed (the estimate's accuracy depends on the error count, not
         the burst count); ``None`` always runs the full ``n_bursts``.
     """
-    transceiver = MimoTransceiver(config=config, channel=channel)
     if n_bursts <= 0:
-        raise ValueError("n_bursts must be positive")
+        raise ConfigurationError("n_bursts must be positive")
+    transceiver = MimoTransceiver(config=config, channel=channel)
     generator = make_rng(rng)
     bit_errors = 0
     total_bits = 0

@@ -25,15 +25,15 @@ from __future__ import annotations
 import time
 from dataclasses import replace
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.channel.fading import FlatRayleighChannel, FrequencySelectiveChannel
 from repro.channel.model import IdealChannel, MimoChannel
 from repro.core.config import TransceiverConfig
-from repro.core.frame import count_bit_errors
-from repro.core.transceiver import AirBurst, MimoTransceiver
+from repro.core.transceiver import AirBurst, MimoTransceiver, transmit_burst
+from repro.core.transmitter import MimoTransmitter
 from repro.exceptions import ConfigurationError, DecodingError
 from repro.sim.spec import CHANNEL_MODELS, ImpairmentSpec, SweepPoint, SweepSpec
 from repro.utils.rng import SeedLike
@@ -140,8 +140,10 @@ def _transceiver_for(config: TransceiverConfig) -> MimoTransceiver:
     """Reusable transceiver per configuration.
 
     Building a :class:`MimoTransceiver` constructs the full trellis,
-    constellation tables and preamble; reusing it across bursts and batches
-    (the channel is swapped per burst instead) keeps the hot loop hot.
+    constellation tables and preamble; reusing its transmitter and receiver
+    across bursts and batches keeps the hot loop hot.  Every burst goes on
+    air through its own channel (:func:`air_burst`), so the cached
+    transceiver, channel included, is never mutated.
     """
     n = config.n_antennas
     return MimoTransceiver(config=config, channel=MimoChannel(IdealChannel(n, n)))
@@ -201,6 +203,42 @@ def stream_frame_seed(
     return np.random.SeedSequence([base_seed, _STREAM_TAG, user, frame_index])
 
 
+def air_burst(
+    transmitter: MimoTransmitter,
+    seed: np.random.SeedSequence,
+    channel: str,
+    snr_db: Optional[float],
+    impairment: ImpairmentSpec,
+    n_info_bits: int,
+    known_timing: bool = False,
+    fixed_fading=None,
+) -> AirBurst:
+    """Put one seeded burst on air: the sweep's and the stream's one TX path.
+
+    ``seed`` (a :func:`burst_seed` or :func:`stream_frame_seed`) spawns the
+    payload, fading and noise generators, in that order.  The burst crosses
+    a fresh :func:`impaired_channel` over a fresh ``channel`` fading
+    realisation, or over ``fixed_fading`` when the caller keeps one
+    realisation fixed (its fading generator then goes unused), through
+    :func:`~repro.core.transceiver.transmit_burst`.
+    """
+    payload_seed, fading_seed, noise_seed = seed.spawn(3)
+    fading = (
+        fixed_fading
+        if fixed_fading is not None
+        else build_fading_model(
+            channel, transmitter.config.n_antennas, np.random.default_rng(fading_seed)
+        )
+    )
+    return transmit_burst(
+        transmitter,
+        impaired_channel(fading, snr_db, impairment, np.random.default_rng(noise_seed)),
+        n_info_bits,
+        rng=np.random.default_rng(payload_seed),
+        known_timing=known_timing,
+    )
+
+
 def simulate_batch(task: dict) -> List[Dict[str, object]]:
     """Simulate one work unit: a batch of bursts for each of several points.
 
@@ -212,17 +250,18 @@ def simulate_batch(task: dict) -> List[Dict[str, object]]:
 
     Every item's point must share one :func:`build_config`.  Each burst in
     an item's ``[start_burst, start_burst + n_bursts)`` derives payload,
-    fading and noise generators from its own :func:`burst_seed` and runs
-    through transmitter and channel.  The unit advances its items in
-    lockstep rounds: a round takes the next burst of every live item, runs
-    all of them through one stacked receiver front end
-    (:meth:`~repro.core.receiver.MimoReceiver.front_end_stack`) and
-    Viterbi-decodes all their code blocks together
-    (:meth:`~repro.core.receiver.MimoReceiver.decode` runs at most
-    :data:`~repro.core.receiver.DECODE_SLICE` blocks per trellis pass).
-    Bursts are independent in both stacks, so each burst's bits are
-    exactly what receiving it alone would give, and a burst the front end
-    gives up on drops out alone as a lost frame.  An item retires at the
+    fading and noise generators from its own :func:`burst_seed` and goes on
+    air through :func:`air_burst`.  The unit advances its items in
+    lockstep rounds: a round takes the next burst of every live item and
+    receives all of them in one
+    :meth:`~repro.core.receiver.MimoReceiver.receive_stack` call (one
+    stacked front end, and one decode that runs at most
+    :data:`~repro.core.receiver.DECODE_SLICE` blocks per trellis pass),
+    then scores each with
+    :meth:`~repro.core.frame.ReceiveResult.total_bit_errors`.  Bursts are
+    independent in both stacks, so each burst's bits are exactly what
+    receiving it alone would give, and a burst the receiver gives up on
+    drops out alone as a lost frame.  An item retires at the
     burst whose item-local cumulative bit errors reach ``target_errors``,
     and its later bursts are never simulated: the global cumulative count
     at any burst is at least the item-local one, so the runner's fold
@@ -262,27 +301,41 @@ def simulate_batch(task: dict) -> List[Dict[str, object]]:
     errors = [0] * len(items)
     live = list(range(len(items)))
     for offset in range(max(int(item["n_bursts"]) for item in items)):
-        sent = _front_end_round(
-            transceiver,
-            spec,
-            [points[i] for i in live],
-            [fixed_fadings[i] for i in live],
-            [int(items[i]["start_burst"]) + offset for i in live],
+        sent = [
+            air_burst(
+                transceiver.transmitter,
+                burst_seed(spec, points[i], int(items[i]["start_burst"]) + offset),
+                points[i].channel,
+                points[i].snr_db,
+                points[i].impairment or ImpairmentSpec(),
+                spec.n_info_bits,
+                known_timing=spec.known_timing,
+                fixed_fading=fixed_fadings[i],
+            )
+            for i in live
+        ]
+        references = [air.burst.info_bits for air in sent]
+        samples = [air.samples for air in sent]
+        lts_starts = [air.lts_start for air in sent]
+        noise_variances = [air.noise_variance for air in sent]
+        del sent  # the transmitted bursts need not outlive the receive pass
+        # Deep in the noise the receiver gives up on a burst: the time
+        # synchroniser misses it or locks too late for its preamble, a
+        # window starts before the first received sample, or a
+        # rank-deficient estimate stops the channel inversion or the MMSE
+        # solve.  That burst alone comes back as a DecodingError, counted
+        # as a fully errored frame (every payload bit lost).
+        outcomes = receiver.receive_stack(
+            samples, spec.n_info_bits, lts_starts, noise_variances
         )
-        blocks = [coded for _, coded in sent if coded is not None]
-        decoded = receiver.decode(np.concatenate(blocks), spec.n_info_bits) if blocks else None
-
-        row = 0
-        for i, (info_bits, coded) in zip(live, sent):
-            if coded is None:
+        for i, reference, outcome in zip(live, references, outcomes):
+            if isinstance(outcome, DecodingError):
                 burst = lost_frame_counts(spec.n_info_bits, points[i].n_streams)
             else:
-                n_rows = info_bits.shape[0]
-                bit_errors = count_bit_errors(decoded[row : row + n_rows], info_bits)
-                row += n_rows
+                bit_errors = outcome.total_bit_errors(reference)
                 burst = {
                     "bit_errors": bit_errors,
-                    "total_bits": int(info_bits.size),
+                    "total_bits": spec.n_info_bits * points[i].n_streams,
                     "frame_error": int(bit_errors > 0),
                     "decode_failure": 0,
                 }
@@ -300,75 +353,3 @@ def simulate_batch(task: dict) -> List[Dict[str, object]]:
     for report in reports:
         report["elapsed_s"] = elapsed * len(report["bursts"]) / max(total_bursts, 1)
     return reports
-
-
-def _front_end_round(
-    transceiver: MimoTransceiver,
-    spec: SweepSpec,
-    points: List[SweepPoint],
-    fixed_fadings: list,
-    burst_indices: List[int],
-) -> List[Tuple[np.ndarray, Optional[np.ndarray]]]:
-    """Transmit one burst per item and run them all through one stacked front end.
-
-    Returns, per item, the transmitted bits ``(n_streams, n_info_bits)``
-    and the recovered code blocks, or ``None`` in place of the blocks when
-    the receiver gave up on the burst.  Only those outlive the round's
-    decode: the transmitted bursts, the air samples and the other
-    front-end outputs are dropped here.
-    """
-    info_bits, samples, lts_starts, noise_variances = [], [], [], []
-    for point, fading, index in zip(points, fixed_fadings, burst_indices):
-        air = _transmit_burst(transceiver, spec, point, fading, index)
-        info_bits.append(np.asarray(air.burst.info_bits, dtype=np.uint8))
-        samples.append(air.samples)
-        lts_starts.append(air.lts_start)
-        noise_variances.append(air.noise_variance)
-    # Deep in the noise the receiver gives up on a burst: the time
-    # synchroniser misses it or locks too late for its preamble, a window
-    # starts before the first received sample, or a rank-deficient
-    # estimate stops the channel inversion or the MMSE solve.  The stacked
-    # front end drops just that burst, and the caller counts it as a fully
-    # errored frame (every payload bit lost).
-    fronts = transceiver.receiver.front_end_stack(
-        samples, spec.n_info_bits, lts_starts, noise_variances
-    )
-    return [
-        (bits, None if isinstance(front, DecodingError) else front.coded)
-        for bits, front in zip(info_bits, fronts)
-    ]
-
-
-def _transmit_burst(
-    transceiver: MimoTransceiver,
-    spec: SweepSpec,
-    point: SweepPoint,
-    fixed_fading,
-    burst_index: int,
-) -> AirBurst:
-    """Transmit one burst of a point through its channel realisation.
-
-    ``fixed_fading`` is the point's fading realisation when the spec keeps
-    one fixed, else ``None``.
-    """
-    payload_seed, fading_seed, noise_seed = burst_seed(spec, point, burst_index).spawn(3)
-    fading = (
-        fixed_fading
-        if fixed_fading is not None
-        else build_fading_model(
-            point.channel, point.n_streams, np.random.default_rng(fading_seed)
-        )
-    )
-    transceiver.set_channel(
-        impaired_channel(
-            fading,
-            point.snr_db,
-            point.impairment or ImpairmentSpec(),
-            np.random.default_rng(noise_seed),
-        )
-    )
-    return transceiver.transmit_burst(
-        spec.n_info_bits,
-        rng=np.random.default_rng(payload_seed),
-        known_timing=spec.known_timing,
-    )

@@ -43,7 +43,6 @@ import numpy as np
 
 from repro.core.preamble import PreambleGenerator
 from repro.exceptions import ConfigurationError
-from repro.sync.cfo import CfoEstimator
 from repro.sync.time_sync import TimeSynchronizer
 
 #: Metric tile width in window positions.  Tiles are aligned to absolute
@@ -76,9 +75,9 @@ class FrameWindow:
         Normalised detection metric at the locking window (~1.0 clean).
     antenna:
         Receive antenna whose correlation won the lock.
-    cfo_coarse:
-        Coarse CFO estimate from the window's short training section
-        (cycles/sample), when the detector carries a CFO estimator.
+
+    The window carries no CFO estimate: the burst receiver estimates and
+    corrects the CFO of every window it decodes.
     """
 
     samples: np.ndarray
@@ -86,7 +85,6 @@ class FrameWindow:
     lts_start: int
     peak_metric: float
     antenna: int
-    cfo_coarse: Optional[float] = None
 
     @property
     def lts_offset(self) -> int:
@@ -127,9 +125,10 @@ class StreamFrameDetector:
     synchronizer:
         Optional pre-built :class:`TimeSynchronizer` (e.g. the burst
         receiver's, so both paths share one reference and normalisation).
-    estimate_cfo:
-        Attach a coarse CFO estimate from each frame's STS section
-        (:class:`~repro.sync.cfo.CfoEstimator`, reused across frames).
+
+    Raises :class:`~repro.exceptions.ConfigurationError` on a non-positive
+    antenna count, threshold or refinement span, and on a frame shorter
+    than the preamble.
     """
 
     def __init__(
@@ -141,10 +140,9 @@ class StreamFrameDetector:
         min_metric: float = 0.6,
         refine_span: Optional[int] = None,
         synchronizer: Optional[TimeSynchronizer] = None,
-        estimate_cfo: bool = True,
     ) -> None:
         if n_rx <= 0:
-            raise ValueError("n_rx must be positive")
+            raise ConfigurationError("n_rx must be positive")
         self.preamble = preamble
         self.n_rx = n_rx
         self.synchronizer = (
@@ -157,24 +155,21 @@ class StreamFrameDetector:
         self.sts_length = preamble.sts_time().size
         layout = preamble.layout(n_tx if n_tx is not None else n_rx)
         if frame_length < layout.total_length:
-            raise ValueError("frame_length shorter than the preamble")
+            raise ConfigurationError("frame_length shorter than the preamble")
         self.frame_length = int(frame_length)
         if not 0.0 < min_metric:
-            raise ValueError("min_metric must be positive")
+            raise ConfigurationError("min_metric must be positive")
         self.min_metric = float(min_metric)
         window = self.synchronizer.window_length
         if refine_span is None:
             refine_span = max(layout.lts_slot_length - window, 2 * window)
         if refine_span <= 0:
-            raise ValueError("refine_span must be positive")
+            raise ConfigurationError("refine_span must be positive")
         self.refine_span = int(refine_span)
         #: Samples kept behind the search position so a freshly-detected
         #: frame's start (sts_length - window_sts before the peak) is still
         #: buffered.
         self.keep_margin = self.sts_length
-        self.cfo_estimator = (
-            CfoEstimator(preamble.fft_size) if estimate_cfo else None
-        )
         self.reset()
 
     # ------------------------------------------------------------------
@@ -355,9 +350,6 @@ class StreamFrameDetector:
             samples = self._buffer[
                 :, frame_start - self._base : frame_end - self._base
             ].copy()
-            cfo = None
-            if self.cfo_estimator is not None:
-                cfo = float(self.cfo_estimator.coarse(samples, sts_start=0))
             emitted.append(
                 FrameWindow(
                     samples=samples,
@@ -365,7 +357,6 @@ class StreamFrameDetector:
                     lts_start=lts_start,
                     peak_metric=float(region[antenna, offset]),
                     antenna=int(antenna),
-                    cfo_coarse=cfo,
                 )
             )
             self.frames_emitted += 1

@@ -95,10 +95,6 @@ class StreamingReceiver:
             frame_length=self.frame_length,
             n_tx=config.n_antennas,
             synchronizer=self.receiver.synchronizer,
-            # The burst datapath re-estimates CFO on the window when the
-            # configuration asks for correction; a second coarse estimate
-            # per detection would be redundant here.
-            estimate_cfo=False,
         )
         self.frames_detected = 0
         self.frames_decoded = 0

@@ -5,7 +5,8 @@ per-user frame queues are filled by a traffic model
 (:mod:`repro.stream.traffic`), a scheduling discipline (pure round-robin
 or smooth weighted round-robin) picks which queue transmits next, and each
 served frame travels the full physical layer — transmit burst, fading
-channel with optional front-end impairments, AWGN — into the
+channel with optional front-end impairments, AWGN, through the sweep
+engine's own :func:`~repro.sim.engine.air_burst` — into the
 chunk-invariant :class:`~repro.stream.pipeline.StreamingReceiver`, whose
 detected-and-decoded frames are matched back to the frames that went on
 air.
@@ -26,7 +27,9 @@ groups of :data:`FRAMES_PER_PUSH` served frames, so the receiver decodes
 each group's frames in one stacked pass.
 
 Determinism: every (user, frame) derives payload, fading and noise streams
-from :func:`repro.sim.engine.stream_frame_seed`, and every user's arrival
+from :func:`repro.sim.engine.stream_frame_seed`, split by
+:func:`~repro.sim.engine.air_burst` exactly as a sweep burst's seed is,
+and every user's arrival
 process from its own seed, so a thousand-user run is bit-reproducible
 regardless of scheduling order or traffic model.
 """
@@ -44,12 +47,8 @@ import numpy as np
 from repro.core.config import TransceiverConfig
 from repro.core.receiver import MimoReceiver
 from repro.core.transmitter import MimoTransmitter
-from repro.sim.engine import (
-    build_fading_model,
-    impaired_channel,
-    impaired_config,
-    stream_frame_seed,
-)
+from repro.exceptions import ConfigurationError
+from repro.sim.engine import air_burst, impaired_config, stream_frame_seed
 from repro.sim.spec import ImpairmentSpec
 from repro.stream.metrics import LatencySummary, ServiceReport, UserStats
 from repro.stream.pipeline import DecodedFrame, StreamingReceiver
@@ -145,13 +144,13 @@ class DownlinkScheduler:
         noise_variance: float = 1.0,
     ) -> None:
         if n_users <= 0:
-            raise ValueError("n_users must be positive")
+            raise ConfigurationError("n_users must be positive")
         if frames_per_user < 0:
-            raise ValueError("frames_per_user must be non-negative")
+            raise ConfigurationError("frames_per_user must be non-negative")
         if mode not in ("round_robin", "weighted"):
-            raise ValueError("mode must be 'round_robin' or 'weighted'")
+            raise ConfigurationError("mode must be 'round_robin' or 'weighted'")
         if sample_rate_hz <= 0:
-            raise ValueError("sample_rate_hz must be positive")
+            raise ConfigurationError("sample_rate_hz must be positive")
         self.n_users = int(n_users)
         self.frames_per_user = int(frames_per_user)
         self.mode = mode
@@ -160,9 +159,9 @@ class DownlinkScheduler:
         else:
             self.weights = np.asarray(weights, dtype=np.float64)
             if self.weights.shape != (self.n_users,):
-                raise ValueError("weights must have one entry per user")
+                raise ConfigurationError("weights must have one entry per user")
             if np.any(self.weights <= 0):
-                raise ValueError("weights must be positive")
+                raise ConfigurationError("weights must be positive")
         if traffic is None:
             traffic = PoissonTraffic(100.0)
         self._traffic_for = traffic if callable(traffic) else (lambda user: traffic)
@@ -255,11 +254,7 @@ class DownlinkScheduler:
                     if frame.ok:
                         stats.latency_samples.append(entry.done_s - entry.arrival_s)
                         references = entry.reference_bits
-                        decoded_bits = frame.decoded_bits()
-                        errors = sum(
-                            int(np.count_nonzero(ref != bits))
-                            for ref, bits in zip(references, decoded_bits)
-                        )
+                        errors = frame.result.total_bit_errors(references)
                         stats.bit_errors += errors
                         if errors == 0:
                             total = sum(ref.size for ref in references)
@@ -292,23 +287,15 @@ class DownlinkScheduler:
             arrival_s, frame_index = queues[user].popleft()
             qlen[user] -= 1
 
-            payload_seed, fading_seed, noise_seed = stream_frame_seed(
-                self.base_seed, user, frame_index
-            ).spawn(3)
-            burst = self.transmitter.transmit_random(
-                self.n_info_bits, rng=np.random.default_rng(payload_seed)
-            )
-            channel = impaired_channel(
-                build_fading_model(
-                    self.channel,
-                    self.config.n_antennas,
-                    np.random.default_rng(fading_seed),
-                ),
+            air = air_burst(
+                self.transmitter,
+                stream_frame_seed(self.base_seed, user, frame_index),
+                self.channel,
                 self.snr_db,
                 self.impairment,
-                np.random.default_rng(noise_seed),
+                self.n_info_bits,
             )
-            received = channel.transmit(burst.samples).samples
+            received = air.samples
             duration_s = received.shape[1] / self.sample_rate_hz
             done_s = air_s + duration_s
             in_flight.append(
@@ -318,7 +305,7 @@ class DownlinkScheduler:
                     arrival_s=float(arrival_s),
                     done_s=done_s,
                     expected_start=stream_cursor + self.impairment.sample_delay,
-                    reference_bits=burst.info_bits,
+                    reference_bits=air.burst.info_bits,
                 )
             )
             users[user].frames_served += 1

@@ -124,11 +124,19 @@ def count_bit_errors(
     reference: Union[Sequence[int], np.ndarray],
     received: Union[Sequence[int], np.ndarray],
 ) -> int:
-    """Count positions where two equal-length bit arrays differ."""
-    ref = _as_bit_array(reference)
-    rec = _as_bit_array(received)
-    if ref.size != rec.size:
+    """Count positions where two equal-shape bit arrays differ.
+
+    The one bit-error count of the link:
+    :meth:`~repro.core.frame.ReceiveResult.total_bit_errors` scores every
+    decoded burst with it, one stream at a time.  Arrays of different
+    shapes, or holding anything but 0s and 1s, raise ``ValueError``.
+    """
+    ref = np.asarray(reference, dtype=np.uint8)
+    rec = np.asarray(received, dtype=np.uint8)
+    if ref.shape != rec.shape:
         raise ValueError(
-            f"bit arrays have different lengths ({ref.size} vs {rec.size})"
+            f"bit arrays have different shapes ({ref.shape} vs {rec.shape})"
         )
+    if ref.max(initial=0) > 1 or rec.max(initial=0) > 1:
+        raise ValueError("bit array may only contain 0s and 1s")
     return int(np.count_nonzero(ref != rec))

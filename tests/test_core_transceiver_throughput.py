@@ -26,6 +26,12 @@ class TestMimoTransceiver:
         result = transceiver.run_burst(200, rng=1)
         assert result.bit_error_rate <= 0.01
 
+    def test_stream_error_rates_average_to_the_burst_rate(self, paper_config):
+        channel = MimoChannel(FlatRayleighChannel(rng=30), snr_db=2.0, rng=31)
+        result = MimoTransceiver(paper_config, channel=channel).run_burst(100, rng=6)
+        assert result.bit_errors > 0
+        assert np.mean(result.stream_bit_error_rates) == pytest.approx(result.bit_error_rate)
+
     def test_known_timing_mode(self, paper_config):
         channel = MimoChannel(sample_delay=40)
         transceiver = MimoTransceiver(paper_config, channel=channel)
@@ -69,11 +75,9 @@ class TestFrameContainers:
             stream=2,
             decoded_bits=np.array([1, 0, 1], dtype=np.uint8),
             equalized_symbols=np.zeros((1, 48), dtype=complex),
-            bit_errors=1,
-            bit_error_rate=1 / 3,
         )
         assert result.stream == 2
-        assert result.bit_errors == 1
+        assert result.decoded_bits.size == 3
 
     def test_receive_result_error_counting(self):
         streams = [

@@ -23,6 +23,8 @@ from repro.exceptions import (
 )
 from repro.sync.time_sync import TimeSynchronizer
 from repro.core.preamble import PreambleGenerator
+from repro.core.transceiver import MimoTransceiver, simulate_link
+from repro.stream import DownlinkScheduler, StreamFrameDetector
 
 
 @pytest.fixture
@@ -126,6 +128,51 @@ class TestConfigurationMismatches:
             MimoReceiver(paper_config, timing_advance=100)
         with pytest.raises(ConfigurationError):
             MimoReceiver(paper_config, timing_advance=-1)
+
+
+def _detector(**overrides):
+    preamble = PreambleGenerator(64)
+    kwargs = dict(preamble=preamble, n_rx=4, frame_length=2000)
+    kwargs.update(overrides)
+    return StreamFrameDetector(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: MimoTransceiver(
+            TransceiverConfig(), MimoChannel(FlatRayleighChannel(n_rx=2, n_tx=2, rng=3))
+        ),
+        lambda: simulate_link(TransceiverConfig(), n_bursts=0),
+        lambda: DownlinkScheduler(n_users=0),
+        lambda: DownlinkScheduler(n_users=2, frames_per_user=-1),
+        lambda: DownlinkScheduler(n_users=2, mode="fifo"),
+        lambda: DownlinkScheduler(n_users=2, sample_rate_hz=0.0),
+        lambda: DownlinkScheduler(n_users=2, mode="weighted", weights=[1.0]),
+        lambda: DownlinkScheduler(n_users=2, mode="weighted", weights=[1.0, 0.0]),
+        lambda: _detector(n_rx=0),
+        lambda: _detector(frame_length=100),
+        lambda: _detector(min_metric=0.0),
+        lambda: _detector(refine_span=0),
+    ],
+    ids=[
+        "transceiver-antenna-mismatch",
+        "simulate-link-no-bursts",
+        "scheduler-no-users",
+        "scheduler-negative-frames",
+        "scheduler-unknown-mode",
+        "scheduler-zero-sample-rate",
+        "scheduler-weights-shape",
+        "scheduler-zero-weight",
+        "detector-no-antennas",
+        "detector-frame-shorter-than-preamble",
+        "detector-zero-threshold",
+        "detector-zero-refine-span",
+    ],
+)
+def test_inconsistent_construction_raises_configuration_error(build):
+    with pytest.raises(ConfigurationError):
+        build()
 
 
 class TestSynchronizerFailureModes:

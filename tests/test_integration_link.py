@@ -88,7 +88,7 @@ class TestEvmAndDetectors:
         burst = transmitter.transmit_random(200, rng=np.random.default_rng(200))
         channel = MimoChannel(FlatRayleighChannel(rng=201), snr_db=35.0, rng=202)
         received = channel.transmit(burst.samples).samples
-        result = receiver.receive(received, n_info_bits=200, reference_bits=burst.info_bits)
+        result = receiver.receive(received, n_info_bits=200)
         data_bins = list(receiver.numerology.data_bins)
         for stream in range(4):
             reference = burst.frequency_symbols[stream][:, data_bins]
@@ -127,5 +127,5 @@ class TestJesdInterfaceIntegration:
         quantised = framer.unpack(framed)[:, : burst.samples.shape[1]]
         channel = MimoChannel(FlatRayleighChannel(rng=301), snr_db=35.0, rng=302)
         received = channel.transmit(quantised).samples
-        result = receiver.receive(received, n_info_bits=150, reference_bits=burst.info_bits)
+        result = receiver.receive(received, n_info_bits=150)
         assert result.total_bit_errors(burst.info_bits) == 0

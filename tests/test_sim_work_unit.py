@@ -14,11 +14,11 @@ still decodes bit-exactly.
 import pytest
 
 import repro.coding.viterbi as viterbi_module
-from repro.core.receiver import DECODE_SLICE
-from repro.core.transceiver import MimoTransceiver
+import repro.sim.engine as engine_module
+from repro.core.receiver import DECODE_SLICE, MimoReceiver
 from repro.exceptions import ConfigurationError
 from repro.sim import ImpairmentSpec, SweepRunner, SweepSpec
-from repro.sim.engine import simulate_batch
+from repro.sim.engine import build_config, simulate_batch
 from repro.sim.queue import MultiprocessingQueue
 from repro.sim.runner import _pack_units
 
@@ -85,14 +85,26 @@ def _counting(monkeypatch, cls, name):
     original = getattr(cls, name)
 
     def counted(self, first, *args, **kwargs):
-        calls.append(len(first) if name == "decode" else 1)
+        calls.append(len(first))
         return original(self, first, *args, **kwargs)
 
     monkeypatch.setattr(cls, name, counted)
     return calls
 
 
-def test_item_past_its_error_target_stops_simulating(monkeypatch):
+def _counting_air_bursts(monkeypatch):
+    calls = []
+    original = engine_module.air_burst
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(engine_module, "air_burst", counted)
+    return calls
+
+
+def _early_stop_spec():
     # At 0 dB every burst errs, so the 0 dB item crosses target_errors=1 at
     # its first burst; the 30 dB item decodes clean and runs all four.
     spec = SweepSpec(
@@ -106,7 +118,12 @@ def test_item_past_its_error_target_stops_simulating(monkeypatch):
     )
     items = _items(spec, start_burst=0, n_bursts=4)
     items[1]["n_bursts"] = 4
-    transmitted = _counting(monkeypatch, MimoTransceiver, "transmit_burst")
+    return spec, items
+
+
+def test_item_past_its_error_target_stops_simulating(monkeypatch):
+    spec, items = _early_stop_spec()
+    transmitted = _counting_air_bursts(monkeypatch)
     decoded = _counting(monkeypatch, viterbi_module.ViterbiDecoder, "decode")
     reports = simulate_batch({"spec": spec.to_dict(), "items": items})
 
@@ -114,6 +131,23 @@ def test_item_past_its_error_target_stops_simulating(monkeypatch):
     assert len(transmitted) == 5
     # One trellis pass per lockstep round: both items, then the clean one.
     assert decoded == [4, 2, 2, 2]
+
+
+def test_each_lockstep_round_is_one_receive_stack_call(monkeypatch):
+    spec, items = _early_stop_spec()
+    received = _counting(monkeypatch, MimoReceiver, "receive_stack")
+    simulate_batch({"spec": spec.to_dict(), "items": items})
+    # Round one receives both items' bursts, rounds two to four the clean one.
+    assert received == [2, 1, 1, 1]
+
+
+def test_batch_never_swaps_the_cached_transceivers_channel():
+    spec, items = _early_stop_spec()
+    transceiver = engine_module._transceiver_for(build_config(spec.points()[0], spec))
+    channel = transceiver.channel
+    simulate_batch({"spec": spec.to_dict(), "items": items})
+    assert engine_module._transceiver_for(build_config(spec.points()[0], spec)) is transceiver
+    assert transceiver.channel is channel
 
 
 def test_pack_units_groups_equal_config_and_batch_in_priority_order():

@@ -32,7 +32,6 @@ def _detector(preamble, frame_length, **kwargs):
         preamble=preamble,
         n_rx=4,
         frame_length=frame_length,
-        estimate_cfo=False,
         **kwargs,
     )
 
@@ -111,17 +110,6 @@ class TestDetection:
         assert detector.samples_in == 0
         assert detector.push(bursts[1])[0].start == 0
 
-    def test_coarse_cfo_attached_when_requested(self, preamble, clean_frames):
-        bursts, frame_length = clean_frames
-        cfo = 2e-4
-        rotation = np.exp(2j * np.pi * cfo * np.arange(frame_length))
-        detector = StreamFrameDetector(
-            preamble=preamble, n_rx=4, frame_length=frame_length
-        )
-        windows = detector.push(bursts[0] * rotation)
-        assert len(windows) == 1
-        assert windows[0].cfo_coarse == pytest.approx(cfo, abs=2e-5)
-
 
 class TestValidation:
     def test_chunk_shape_mismatch_rejected(self, preamble, clean_frames):
@@ -141,7 +129,6 @@ class TestValidation:
             n_rx=1,
             n_tx=1,
             frame_length=layout_length + 80,
-            estimate_cfo=False,
         )
         samples = np.concatenate(
             [preamble.mimo_preamble(1)[0], np.zeros(200, dtype=complex)]

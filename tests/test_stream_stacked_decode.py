@@ -86,18 +86,16 @@ def test_receive_stack_matches_receive_alone(monkeypatch, soft):
             )
 
 
-def test_receive_reports_ber_against_reference_bits():
+def test_received_burst_scores_against_reference_bits():
     config = TransceiverConfig()
     burst = MimoTransmitter(config).transmit_random(
         N_INFO_BITS, rng=np.random.default_rng(5)
     )
     reference = [bits.copy() for bits in burst.info_bits]
     reference[1][:3] ^= 1
-    result = MimoReceiver(config).receive(
-        burst.samples, N_INFO_BITS, reference_bits=reference
-    )
-    assert [stream.bit_errors for stream in result.streams] == [0, 3, 0, 0]
-    assert result.streams[1].bit_error_rate == 3 / N_INFO_BITS
+    result = MimoReceiver(config).receive(burst.samples, N_INFO_BITS)
+    assert result.total_bit_errors(burst.info_bits) == 0
+    assert result.total_bit_errors(reference) == 3
     with pytest.raises(DecodingError):
         MimoReceiver(config).receive(burst.samples[:, :600], N_INFO_BITS)
 

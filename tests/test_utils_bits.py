@@ -110,3 +110,7 @@ class TestCountBitErrors:
     def test_rejects_non_binary(self):
         with pytest.raises(ValueError):
             count_bit_errors([2, 0], [1, 0])
+
+    def test_shape_mismatch_rejected_at_equal_size(self):
+        with pytest.raises(ValueError):
+            count_bit_errors(np.zeros((2, 3), dtype=np.uint8), np.zeros(6, dtype=np.uint8))
