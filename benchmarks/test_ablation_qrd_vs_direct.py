@@ -13,7 +13,7 @@ cycles) versus an idealised direct inversion with no such structure.
 import numpy as np
 import pytest
 
-from repro.mimo.channel_estimation import invert_channel_matrices
+from repro.mimo.channel_estimation import invert_channel_stack
 from repro.mimo.matrix import frobenius_error
 from repro.rtl.systolic_qrd import SystolicQrdArray
 
@@ -27,7 +27,8 @@ def _random_channels(seed=500):
 
 def test_ablation_qrd_vs_direct_accuracy(table_printer):
     channels = _random_channels()
-    qrd_inverses = invert_channel_matrices(channels)
+    qrd_inverses, singular = invert_channel_stack(channels)
+    assert not singular.any()
     direct_inverses = np.array([np.linalg.inv(channels[k]) for k in range(N_SUBCARRIERS)])
 
     errors = [
@@ -36,7 +37,10 @@ def test_ablation_qrd_vs_direct_accuracy(table_printer):
     identity_errors = [
         frobenius_error(qrd_inverses[k] @ channels[k], np.eye(4)) for k in range(N_SUBCARRIERS)
     ]
-    cordic_inverses = invert_channel_matrices(channels[:8], use_cordic=True, cordic_iterations=16)
+    cordic_inverses, singular = invert_channel_stack(
+        channels[:8], use_cordic=True, cordic_iterations=16
+    )
+    assert not singular.any()
     cordic_errors = [
         frobenius_error(cordic_inverses[k] @ channels[k], np.eye(4)) for k in range(8)
     ]

@@ -54,7 +54,8 @@ def test_fig2_preamble_schedule(table_printer):
     channel = MimoChannel(fading)
     received = channel.transmit(burst.samples).samples
     receiver = MimoReceiver(TransceiverConfig(), timing_advance=0)
-    estimate = receiver.estimate_channel(received, lts_start=layout.sts_length)
+    (front,) = receiver.front_end_stack([received], 96, [layout.sts_length])
+    estimate = front.channel_estimate
     active_subcarriers = np.nonzero(estimate.active_mask)[0]
     for k in active_subcarriers[::13]:
         np.testing.assert_allclose(estimate.matrices[k], fading.matrix, atol=1e-6)

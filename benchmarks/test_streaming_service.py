@@ -55,7 +55,7 @@ def service_report():
 def test_streaming_service_levels(service_report, table_printer):
     scheduler, report = service_report
 
-    frame_us = 1e6 * scheduler.frame_length / scheduler.sample_rate_hz
+    frame_us = 1e6 * scheduler.frame_length / scheduler.config.clock_hz
     table_printer(
         f"streaming downlink service — {report.n_users} concurrent user streams "
         "(4x4, 64-pt, 16-QAM r1/2, flat Rayleigh @ 30 dB)",

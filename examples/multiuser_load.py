@@ -54,7 +54,7 @@ def main() -> None:
         snr_db=args.snr,
         base_seed=args.seed,
     )
-    frame_duration_s = scheduler.frame_length / scheduler.sample_rate_hz
+    frame_duration_s = scheduler.frame_length / scheduler.config.clock_hz
     capacity_fps = 1.0 / frame_duration_s
     offered_fps = args.users * args.rate
     print(f"users                 : {args.users} ({args.mode} scheduling)")

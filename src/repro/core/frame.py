@@ -9,6 +9,7 @@ import numpy as np
 
 from repro.core.config import TransceiverConfig
 from repro.core.preamble import PreambleLayout
+from repro.exceptions import ConfigurationError
 from repro.utils.bits import count_bit_errors
 
 
@@ -139,7 +140,7 @@ class ReceiveResult:
         one :func:`~repro.utils.bits.count_bit_errors` per stream.
         """
         if len(reference) != len(self.streams):
-            raise ValueError("reference must have one bit array per stream")
+            raise ConfigurationError("reference must have one bit array per stream")
         return sum(
             count_bit_errors(ref, stream_result.decoded_bits)
             for stream_result, ref in zip(self.streams, reference)

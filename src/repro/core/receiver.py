@@ -21,15 +21,17 @@ stacked MMSE solve), pilot-corrects with one
 and de-interleaves every stream in one pass.  A burst the receiver gives
 up on drops out of the stack alone.
 
-Reception is two steps: :meth:`MimoReceiver.front_end_stack` carries
-bursts up to their recovered code blocks (:meth:`MimoReceiver.front_end`
-is its one-burst case), and :meth:`MimoReceiver.decode` Viterbi-decodes
-and descrambles any stack of code blocks, at most :data:`DECODE_SLICE`
-per trellis pass.  :meth:`MimoReceiver.receive_stack` chains the two for
-a stack of bursts (:meth:`MimoReceiver.receive` is its one-burst case);
-the streaming pipeline runs every frame window one push detects through
-it, and the sweep engine runs a whole lockstep round of bursts through
-one stacked front end and decodes all their blocks together.
+Reception is two steps, and every stage takes a stack of bursts:
+:meth:`MimoReceiver.front_end_stack` carries bursts up to their recovered
+code blocks, and :meth:`MimoReceiver.decode` Viterbi-decodes and
+descrambles any stack of code blocks, at most :data:`DECODE_SLICE` per
+trellis pass.  :meth:`MimoReceiver.receive_stack` chains the two; the
+streaming pipeline runs every frame window one push detects through it,
+and the sweep engine runs a whole lockstep round of bursts through it.
+A burst that gives up comes back as its own
+:class:`~repro.exceptions.DecodingError` slot.
+:meth:`MimoReceiver.receive` is the one-burst call, and the only one that
+raises that error instead.
 
 Finite word lengths are modelled at the paper's two RX interfaces when the
 configuration asks for them: the incoming sample stream is quantised to
@@ -50,7 +52,6 @@ from repro.coding.convolutional import ConvolutionalCode, ConvolutionalEncoder
 from repro.coding.interleaver import deinterleave
 from repro.coding.scrambler import Scrambler
 from repro.coding.viterbi import ViterbiDecoder
-from repro.contracts import shaped
 from repro.core.config import TransceiverConfig
 from repro.core.frame import FrontEndResult, ReceiveResult, StreamDecodeResult
 from repro.core.pilots import PilotProcessor
@@ -185,33 +186,19 @@ class MimoReceiver:
             raise SynchronizationError("no receive antenna yielded a correlation peak")
         return int(best_start)
 
-    def estimate_channel(
-        self, samples: np.ndarray, lts_start: int
-    ) -> ChannelEstimate:
-        """Estimate the channel from the staggered LTS slots of a burst.
-
-        Raises :class:`~repro.exceptions.DecodingError` when any LTS FFT
-        window falls outside the received samples — a window that starts
-        before sample zero is truncated and would only yield a garbage
-        estimate (the sweep engine counts that burst as a lost frame) — and
-        :class:`~repro.exceptions.ChannelEstimationError` when the estimate
-        is rank deficient.
-        """
-        streams = np.asarray(samples, dtype=np.complex128)
-        return self.channel_estimator.estimate(
-            self._lts_spectra(self._lts_windows(streams, int(lts_start)))
-        )
-
     def _lts_windows(self, streams: np.ndarray, lts_start: int) -> ComplexArray:
-        """Every (slot, repetition) LTS window of a burst: ``(n_rx, n_tx, 2, fft_size)``."""
+        """Every (slot, repetition) LTS window of a burst: ``(n_rx, n_tx, 2, fft_size)``.
+
+        The windows end before the data does, so a burst :meth:`_prepare`
+        has found long enough for its data holds them all; only a window
+        starting before sample zero is left to refuse.
+        """
         window = lts_start + self._lts_offsets
         if window[0, 0, 0] < 0:
             raise DecodingError(
                 f"LTS FFT window starts {-int(window[0, 0, 0])} samples before the "
                 "burst (lts_start too small); refusing to decode a truncated window"
             )
-        if window[-1, -1, -1] >= streams.shape[1]:
-            raise DecodingError("burst too short to contain the full LTS preamble")
         return streams[:, window]
 
     def _lts_spectra(self, windows: np.ndarray) -> ComplexArray:
@@ -275,76 +262,21 @@ class MimoReceiver:
     # ------------------------------------------------------------------
     # post-sync datapath: FFT windows -> MIMO detection -> pilot correction
     # ------------------------------------------------------------------
-    @shaped(streams="(n_rx, n_samples)")
-    def equalize_burst(
-        self,
-        streams: ComplexArray,
-        estimate: ChannelEstimate,
-        data_start: int,
-        n_symbols: int,
-        noise_variance: float = 1.0,
-    ) -> Tuple[ComplexArray, FloatArray]:
-        """Equalise every data OFDM symbol of a synchronised burst.
-
-        This is the paper's Fig. 5 inner datapath: per-antenna FFT of each
-        data window, per-subcarrier MIMO detection (ZF or MMSE per the
-        configuration), and pilot phase/timing correction — with the
-        ``rx_multiplier_format`` quantisation applied to every FFT output.
-        The whole burst runs as one strided gather, one planned FFT over
-        ``(n_rx, n_symbols, fft_size)``, one detection einsum and one
-        batched pilot pass — the one-burst case of the stacked pass
-        :meth:`front_end_stack` runs.
-
-        Parameters
-        ----------
-        streams:
-            Received samples, shape ``(n_rx, n_samples)`` (already CFO
-            corrected / sample-quantised as applicable).
-        estimate:
-            Channel estimate driving the detector.
-        data_start:
-            Sample index of the first data OFDM symbol.
-        n_symbols:
-            Number of data OFDM symbols to equalise.
-        noise_variance:
-            Noise variance for the MMSE detector weights.
-
-        Returns
-        -------
-        (equalized, pilot_phases)
-            ``equalized`` has shape ``(n_tx, n_symbols, n_data_subcarriers)``;
-            ``pilot_phases`` holds each symbol's common pilot phase in
-            (symbol, stream) order.
-        """
-        windows = self._data_windows(streams, data_start, n_symbols)
-        equalized, common_phase = self._equalize(
-            windows, self._detector(estimate, noise_variance)
-        )
-        # (symbol, stream) order fixes the summation order of the
-        # mean-pilot-phase diagnostic.
-        return equalized, common_phase.T.ravel()
-
     def _data_windows(
         self, streams: np.ndarray, data_start: int, n_symbols: int
     ) -> ComplexArray:
-        """Every data FFT window of a burst: ``(n_rx, n_symbols, fft_size)``."""
-        fft_size = self.config.fft_size
+        """Every data FFT window of a burst: ``(n_rx, n_symbols, fft_size)``.
+
+        :meth:`_prepare` has checked both ends: the data follows an LTS
+        that starts inside the burst, and ends inside it.
+        """
         starts = (
             data_start
             + np.arange(n_symbols) * self.config.samples_per_symbol
             + self.config.cyclic_prefix_length
             - self.timing_advance
         )
-        if n_symbols and starts[0] < 0:
-            raise DecodingError(
-                f"data FFT window starts {-int(starts[0])} samples before the "
-                "burst (data_start too small); refusing to decode a truncated window"
-            )
-        if n_symbols and int(starts[-1]) + fft_size > streams.shape[1]:
-            raise DecodingError(
-                "burst too short for the requested number of OFDM symbols"
-            )
-        return streams[:, starts[:, None] + np.arange(fft_size)]
+        return streams[:, starts[:, None] + np.arange(self.config.fft_size)]
 
     def _detector(
         self, estimate: ChannelEstimate, noise_variance: Union[float, np.ndarray]
@@ -396,34 +328,6 @@ class MimoReceiver:
     # ------------------------------------------------------------------
     # full burst reception
     # ------------------------------------------------------------------
-    def front_end(
-        self,
-        samples: np.ndarray,
-        n_info_bits: int,
-        lts_start: Optional[int] = None,
-        noise_variance: float = 1.0,
-    ) -> FrontEndResult:
-        """Recover one burst's coded values: everything before the decoder.
-
-        Runs sample quantisation, time synchronisation, CFO correction,
-        channel estimation, equalisation, demapping and de-interleaving,
-        and returns each stream's ``(n_streams, coded_length)`` code block
-        for :meth:`decode`.  Splitting here lets a caller stack the code
-        blocks of many bursts into one trellis pass.  Parameters are those
-        of :meth:`receive`; this is :meth:`front_end_stack` on one burst.
-
-        Raises :class:`~repro.exceptions.DecodingError` when the burst
-        cannot be decoded at all (sync miss, truncated windows, a non-finite
-        sample in a window, a rank-deficient estimate or a singular MMSE
-        Gram matrix).
-        """
-        (outcome,) = self.front_end_stack(
-            [samples], n_info_bits, [lts_start], [noise_variance]
-        )
-        if isinstance(outcome, DecodingError):
-            raise outcome
-        return outcome
-
     def front_end_stack(
         self,
         samples: Sequence[np.ndarray],
@@ -439,7 +343,7 @@ class MimoReceiver:
         estimate (one stacked QR and R^-1), and the data windows through
         one FFT, one detection einsum (or one stacked MMSE solve), one
         pilot pass, one demap and one de-interleave.  Every burst comes
-        out exactly as :meth:`front_end` on it alone would give.
+        out exactly as a stack of it alone would give.
 
         Parameters
         ----------
@@ -630,7 +534,10 @@ class MimoReceiver:
             Noise variance used to scale soft-decision LLRs.
 
         Raises :class:`~repro.exceptions.DecodingError` when the burst
-        cannot be decoded at all (see :meth:`front_end`).
+        cannot be decoded at all: a sync miss, a truncated window, a
+        non-finite sample in a window, a rank-deficient estimate or a
+        singular MMSE Gram matrix (the give-ups :meth:`front_end_stack`
+        slots).
         """
         (outcome,) = self.receive_stack(
             [samples], n_info_bits, [lts_start], [noise_variance]

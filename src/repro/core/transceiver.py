@@ -193,29 +193,19 @@ def simulate_link(
     n_info_bits: int = 512,
     n_bursts: int = 1,
     rng: SeedLike = None,
-    known_timing: bool = False,
-    target_errors: Optional[int] = None,
 ) -> dict:
-    """Run up to ``n_bursts`` bursts and aggregate BER/PER statistics.
+    """Run ``n_bursts`` bursts and aggregate BER/PER statistics.
 
     The classic one-point loop: a fixed channel, one RNG stream threaded
-    through all bursts, and a :class:`~repro.exceptions.DecodingError`
-    raised as in ``run_burst``.  For grids over
-    SNR/modulation/channel/detector — with worker pools, per-burst seeds,
-    lost frames counted instead of raised, early stopping and caching —
-    use :class:`repro.sim.SweepRunner`.
+    through all bursts, time synchronisation on every burst, and a
+    :class:`~repro.exceptions.DecodingError` raised as in ``run_burst``.
+    For grids over SNR/modulation/channel/detector — with worker pools,
+    per-burst seeds, known timing, lost frames counted instead of raised,
+    early stopping and caching — use :class:`repro.sim.SweepRunner`.
 
     Returns a dictionary with ``bit_error_rate``, ``packet_error_rate``,
-    ``total_bits``, ``bit_errors``, ``frame_errors``, ``n_bursts`` (bursts
-    actually run) and ``early_stopped`` keys, which the benchmarks print as
-    the rows of their tables.
-
-    Parameters
-    ----------
-    target_errors:
-        When set, stop simulating once this many bit errors have been
-        observed (the estimate's accuracy depends on the error count, not
-        the burst count); ``None`` always runs the full ``n_bursts``.
+    ``total_bits``, ``bit_errors``, ``frame_errors`` and ``n_bursts``
+    keys, which the benchmarks print as the rows of their tables.
     """
     if n_bursts <= 0:
         raise ConfigurationError("n_bursts must be positive")
@@ -224,23 +214,16 @@ def simulate_link(
     bit_errors = 0
     total_bits = 0
     frame_errors = 0
-    bursts_run = 0
-    early_stopped = False
     for _ in range(n_bursts):
-        result = transceiver.run_burst(n_info_bits, rng=generator, known_timing=known_timing)
+        result = transceiver.run_burst(n_info_bits, rng=generator)
         bit_errors += result.bit_errors
         total_bits += result.total_bits
         frame_errors += int(result.frame_error)
-        bursts_run += 1
-        if target_errors is not None and bit_errors >= target_errors:
-            early_stopped = bursts_run < n_bursts
-            break
     return {
         "bit_error_rate": bit_errors / total_bits if total_bits else 0.0,
-        "packet_error_rate": frame_errors / bursts_run if bursts_run else 0.0,
+        "packet_error_rate": frame_errors / n_bursts,
         "total_bits": total_bits,
         "bit_errors": bit_errors,
         "frame_errors": frame_errors,
-        "n_bursts": bursts_run,
-        "early_stopped": early_stopped,
+        "n_bursts": n_bursts,
     }

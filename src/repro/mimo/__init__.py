@@ -5,9 +5,9 @@ from repro.mimo.channel_estimation import (
     ChannelEstimate,
     ChannelEstimator,
     estimate_channel_from_lts,
-    invert_channel_matrices,
+    invert_channel_stack,
 )
-from repro.mimo.detector import MmseDetector, ZeroForcingDetector, zf_detect
+from repro.mimo.detector import MmseDetector, zf_detect
 from repro.mimo.matrix import (
     frobenius_error,
     hermitian,
@@ -22,9 +22,8 @@ __all__ = [
     "ChannelEstimate",
     "ChannelEstimator",
     "estimate_channel_from_lts",
-    "invert_channel_matrices",
+    "invert_channel_stack",
     "MmseDetector",
-    "ZeroForcingDetector",
     "zf_detect",
     "frobenius_error",
     "hermitian",

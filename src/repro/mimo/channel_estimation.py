@@ -7,8 +7,12 @@ The estimated matrices are then inverted — QR decomposition, back
 substitution of R, and the ``R^-1 Q^H`` multiply — and the inverses stored in
 the channel-estimate memories used by the MIMO detector.
 
-:class:`ChannelEstimator` packages the whole process; the lower-level
-functions are exposed for tests and benchmarks.
+:class:`ChannelEstimator` packages the whole process for a stack of
+bursts, side by side like the paper's per-subcarrier QRD arrays: one
+estimate or one :class:`~repro.exceptions.ChannelEstimationError` per
+burst.  The lower-level functions are exposed for tests and benchmarks;
+:func:`invert_channel_stack` flags a singular matrix in its mask rather
+than raising.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import numpy as np
 import numpy.typing as npt
 
 from repro.types import ComplexArray
-from repro.exceptions import ChannelEstimationError
+from repro.exceptions import ChannelEstimationError, ConfigurationError
 from repro.mimo.matrix import hermitian
 from repro.mimo.qr import CordicQrDecomposer, qr_decompose_givens
 from repro.mimo.rinv import invert_upper_triangular, singular_mask
@@ -81,12 +85,12 @@ def estimate_channel_from_lts(
     return estimate
 
 
-def invert_channel_matrices(
+def invert_channel_stack(
     channel: npt.ArrayLike,
     active_mask: Optional[npt.NDArray[np.bool_]] = None,
     use_cordic: bool = False,
     cordic_iterations: int = 16,
-) -> ComplexArray:
+) -> Tuple[ComplexArray, npt.NDArray[np.bool_]]:
     """Invert per-subcarrier channel matrices via QR decomposition.
 
     Implements the paper's pipeline: ``H = Q R``; ``H^-1 = R^-1 Q^H``.
@@ -104,34 +108,10 @@ def invert_channel_matrices(
     cordic_iterations:
         CORDIC micro-rotation count when ``use_cordic`` is set.
 
-    Raises :class:`~repro.exceptions.ChannelEstimationError` when any
-    active matrix is rank deficient.
-    """
-    inverses, singular = invert_channel_stack(
-        channel, active_mask, use_cordic, cordic_iterations
-    )
-    if np.any(singular):
-        raise _rank_deficient(np.argwhere(singular)[0][-1])
-    return inverses
-
-
-def _rank_deficient(subcarrier: int) -> ChannelEstimationError:
-    return ChannelEstimationError(
-        f"channel matrix on subcarrier {subcarrier} is rank deficient; "
-        "zero-forcing equalisation is impossible"
-    )
-
-
-def invert_channel_stack(
-    channel: npt.ArrayLike,
-    active_mask: Optional[npt.NDArray[np.bool_]] = None,
-    use_cordic: bool = False,
-    cordic_iterations: int = 16,
-) -> Tuple[ComplexArray, npt.NDArray[np.bool_]]:
-    """:func:`invert_channel_matrices` that flags rank deficiency instead.
-
-    Returns ``(inverses, singular)``: ``singular`` has the shape of the
-    stack without its matrix axes and marks every active matrix whose R is
+    Returns
+    -------
+    ``(inverses, singular)``: ``singular`` has the shape of the stack
+    without its matrix axes and marks every active matrix whose R is
     singular; those inverses are left zero.  Every other matrix is
     inverted exactly as on its own, so one bad burst of a stacked receive
     pass cannot sink the rest.
@@ -250,23 +230,21 @@ class ChannelEstimator:
 
     def estimate(
         self, received_lts: np.ndarray
-    ) -> Union[ChannelEstimate, List[Union[ChannelEstimate, ChannelEstimationError]]]:
-        """Estimate and invert the channel from staggered LTS observations.
+    ) -> List[Union[ChannelEstimate, ChannelEstimationError]]:
+        """Estimate and invert the channel of a stack of bursts.
 
-        ``received_lts`` of one burst, shape ``(n_tx, n_rx, fft_size)``,
-        gives its :class:`ChannelEstimate` and raises
-        :class:`~repro.exceptions.ChannelEstimationError` when the estimate
-        is rank deficient.  A stack of bursts, shape ``(n_items, n_tx,
-        n_rx, fft_size)``, runs through one estimate and one stacked
-        QR/R^-1 and gives one entry per burst: its estimate, or the error
-        the one-burst call would raise — so a rank-deficient burst drops
-        out alone.
+        ``received_lts`` holds each burst's staggered LTS observations,
+        shape ``(n_items, n_tx, n_rx, fft_size)``.  The whole stack runs
+        through one estimate and one stacked QR/R^-1 and gives one entry
+        per burst: its :class:`ChannelEstimate`, or the
+        :class:`~repro.exceptions.ChannelEstimationError` naming its first
+        rank-deficient subcarrier — so a rank-deficient burst drops out
+        alone.
         """
         received = np.asarray(received_lts, dtype=np.complex128)
-        if received.ndim not in (3, 4):
-            raise ValueError(
-                "received_lts must have shape (n_tx, n_rx, fft_size) "
-                "or (n_items, n_tx, n_rx, fft_size)"
+        if received.ndim != 4:
+            raise ConfigurationError(
+                "received_lts must have shape (n_items, n_tx, n_rx, fft_size)"
             )
         matrices = estimate_channel_from_lts(
             received, self.reference_lts, self.active_mask
@@ -277,11 +255,6 @@ class ChannelEstimator:
             use_cordic=self.use_cordic,
             cordic_iterations=self.cordic_iterations,
         )
-        if received.ndim == 3:
-            outcome = self._outcome(matrices, inverses, singular)
-            if isinstance(outcome, ChannelEstimationError):
-                raise outcome
-            return outcome
         return [
             self._outcome(*item) for item in zip(matrices, inverses, singular)
         ]
@@ -291,7 +264,10 @@ class ChannelEstimator:
     ) -> Union[ChannelEstimate, ChannelEstimationError]:
         """One burst's estimate, or the error naming its first singular subcarrier."""
         if np.any(singular):
-            return _rank_deficient(np.flatnonzero(singular)[0])
+            return ChannelEstimationError(
+                f"channel matrix on subcarrier {np.flatnonzero(singular)[0]} is rank "
+                "deficient; zero-forcing equalisation is impossible"
+            )
         return ChannelEstimate(
             matrices=matrices, inverses=inverses, active_mask=self.active_mask.copy()
         )

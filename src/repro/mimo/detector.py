@@ -2,10 +2,11 @@
 
 The paper's MIMO decoder multiplies each received frequency-domain vector by
 the pre-computed inverse channel matrix for its subcarrier — zero-forcing
-(ZF) detection.  :class:`ZeroForcingDetector` reproduces that behaviour from
-a :class:`~repro.mimo.channel_estimation.ChannelEstimate`;
+(ZF) detection.  :func:`zf_detect` is that detector, applied to the
+``inverses`` of a :class:`~repro.mimo.channel_estimation.ChannelEstimate`;
 :class:`MmseDetector` is the textbook baseline used by the ablation
-benchmarks to quantify what the ZF choice costs at low SNR.
+benchmarks to quantify what the ZF choice costs at low SNR.  Both take one
+OFDM symbol, one burst or a stack of bursts.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from repro.contracts import shaped
 from repro.exceptions import DecodingError
 from repro.mimo.channel_estimation import ChannelEstimate
 from repro.mimo.matrix import hermitian
-from repro.types import ComplexArray, FloatArray
+from repro.types import ComplexArray
 
 
 def _apply_per_subcarrier(weights: ComplexArray, received: npt.ArrayLike) -> ComplexArray:
@@ -88,32 +89,6 @@ def zf_detect(received: npt.ArrayLike, channel_inverses: npt.ArrayLike) -> Compl
             "or (n_items, fft_size, n_tx, n_rx)"
         )
     return _apply_per_subcarrier(inv, received)
-
-
-class ZeroForcingDetector:
-    """Per-subcarrier ZF detector driven by a channel estimate."""
-
-    def __init__(self, estimate: ChannelEstimate) -> None:
-        self.estimate = estimate
-
-    def detect(self, received: npt.ArrayLike) -> ComplexArray:
-        """Equalise ``received`` of shape ``(n_rx, fft_size)``."""
-        return zf_detect(received, self.estimate.inverses)
-
-    def noise_enhancement(self) -> FloatArray:
-        """Per-subcarrier noise-enhancement factor of ZF equalisation.
-
-        For each active subcarrier this is ``trace(inv @ inv^H) / n_tx`` —
-        the factor by which white noise power is amplified, which explains
-        the BER gap to MMSE at low SNR in the ablation benchmark.
-        """
-        inv = self.estimate.inverses
-        active = self.estimate.active_mask
-        enhancement = np.zeros(inv.shape[0])
-        for k in np.nonzero(active)[0]:
-            gram = inv[k] @ hermitian(inv[k])
-            enhancement[k] = float(np.real(np.trace(gram))) / inv.shape[1]
-        return enhancement
 
 
 class MmseDetector:

@@ -114,7 +114,7 @@ def build_fading_model(channel: str, n_streams: int, rng: SeedLike):
         return FlatRayleighChannel(n, n, rng=rng)
     if channel == "frequency_selective":
         return FrequencySelectiveChannel(n, n, rng=rng)
-    raise ValueError(f"unknown channel model {channel!r}")
+    raise ConfigurationError(f"unknown channel model {channel!r}")
 
 
 def fixed_fading_seed(spec: SweepSpec, point: SweepPoint) -> np.random.SeedSequence:

@@ -30,6 +30,8 @@ import queue as _thread_queue
 from collections import deque
 from typing import Any, Callable, Optional, Tuple, Union
 
+from repro.exceptions import ConfigurationError
+
 
 class WorkQueue:
     """Interface every queue backend implements (see the module docstring)."""
@@ -103,9 +105,9 @@ class MultiprocessingQueue(WorkQueue):
 
     def __init__(self, n_workers: int, lookahead: int = 2) -> None:
         if n_workers <= 0:
-            raise ValueError("n_workers must be positive")
+            raise ConfigurationError("n_workers must be positive")
         if lookahead <= 0:
-            raise ValueError("lookahead must be positive")
+            raise ConfigurationError("lookahead must be positive")
         context = multiprocessing.get_context()
         self._pool = context.Pool(processes=n_workers)
         #: Keep more work in flight than workers so none ever idles waiting
@@ -168,7 +170,7 @@ def make_queue(backend: QueueLike = "auto", n_workers: int = 1) -> WorkQueue:
         return InProcessQueue()
     if backend == "process":
         return MultiprocessingQueue(n_workers)
-    raise ValueError(
+    raise ConfigurationError(
         f"unknown queue backend {backend!r}; expected 'auto', 'serial', "
         "'process', a WorkQueue or a factory"
     )

@@ -41,6 +41,7 @@ import time
 from collections import Counter
 from typing import Dict, Hashable, List, Optional, Tuple, Union
 
+from repro.exceptions import ConfigurationError
 from repro.sim.engine import build_config, simulate_batch
 from repro.sim.queue import QueueLike, make_queue
 from repro.sim.spec import SweepPoint, SweepPointResult, SweepResult, SweepSpec
@@ -109,7 +110,8 @@ class SweepRunner:
     n_workers:
         Pool size; ``None`` uses every CPU.  ``1`` runs inline with no pool
         (no fork overhead — the right choice on single-core hosts and under
-        benchmarks).  Zero or negative raises :class:`ValueError`.
+        benchmarks).  Zero or negative raises
+        :class:`~repro.exceptions.ConfigurationError`.
     batch_size:
         Bursts per work unit.  Smaller batches give early stopping a finer
         trigger; larger batches amortise task overhead.  The default of 10
@@ -118,11 +120,9 @@ class SweepRunner:
         ``True`` (default) for the shared per-point store, ``False``/``None``
         to disable persistence, or a directory /
         :class:`~repro.sim.store.ResultStore` selecting a specific store.
-    resume:
-        When True (default), finished points found in the store are loaded
-        instead of simulated — re-running an interrupted or overlapping
-        sweep costs only the missing remainder.  ``False`` re-simulates
-        everything (fresh records are still committed).
+        Finished points found in the store are loaded instead of
+        simulated, so re-running an interrupted or overlapping sweep costs
+        only the missing remainder.
     queue:
         Execution backend: ``"auto"`` (default; in-process for one worker,
         a ``multiprocessing`` pool otherwise), ``"serial"``, ``"process"``,
@@ -136,18 +136,16 @@ class SweepRunner:
         n_workers: Optional[int] = None,
         batch_size: Optional[int] = None,
         cache: StoreLike = True,
-        resume: bool = True,
         queue: QueueLike = "auto",
     ) -> None:
         self.spec = spec
         if n_workers is not None and n_workers <= 0:
-            raise ValueError("n_workers must be positive or None")
+            raise ConfigurationError("n_workers must be positive or None")
         self.n_workers = n_workers if n_workers is not None else (os.cpu_count() or 1)
         if batch_size is not None and batch_size <= 0:
-            raise ValueError("batch_size must be positive")
+            raise ConfigurationError("batch_size must be positive")
         self.batch_size = min(batch_size or 10, spec.n_bursts)
         self.store = _resolve_store(cache)
-        self.resume = bool(resume)
         self.queue_backend = queue
 
     # ------------------------------------------------------------------
@@ -156,7 +154,7 @@ class SweepRunner:
         start = time.perf_counter()
         points = self.spec.points()
         loaded: Dict[int, SweepPointResult] = {}
-        if self.store is not None and self.resume:
+        if self.store is not None:
             loaded = self._load_finished(points)
         jobs = {
             point.index: (_empty_result(point), self.spec.n_bursts, 0)
@@ -297,12 +295,11 @@ class SweepRunner:
         point is committed to the store the moment it folds, so an
         interrupted run keeps its finished points.
 
-        With ``resume`` set, a point is checked against the store right
-        before its *first* batch is dispatched: a record committed since
-        this run's initial scan (by a concurrent runner, or by an earlier
-        run of the same refinement) is adopted instead of simulated,
-        bounding double simulation to the points genuinely in flight at the
-        same moment.
+        With a store, a point is checked against it right before its
+        *first* batch is dispatched: a record committed since this run's
+        initial scan (by a concurrent runner, or by an earlier run of the
+        same refinement) is adopted instead of simulated, bounding double
+        simulation to the points genuinely in flight at the same moment.
         """
         if not jobs:
             return {}, 0
@@ -345,7 +342,7 @@ class SweepRunner:
 
             def adopted(index: int) -> bool:
                 """Adopt a record committed since this run's initial scan."""
-                if not (self.resume and cursors[index] == 0 and self.store is not None):
+                if not (cursors[index] == 0 and self.store is not None):
                     return False
                 start, _, extra_bursts = jobs[index]
                 record = self.store.get(
@@ -430,9 +427,9 @@ class SweepRunner:
         refined budget).
         """
         if extra_bursts <= 0:
-            raise ValueError("extra_bursts must be positive")
+            raise ConfigurationError("extra_bursts must be positive")
         if rounds <= 0:
-            raise ValueError("rounds must be positive")
+            raise ConfigurationError("rounds must be positive")
         start = time.perf_counter()
         base = self.run()
         current: Dict[int, SweepPointResult] = {

@@ -35,6 +35,7 @@ from repro.dsp.fixedpoint import (
     MULTIPLIER_FORMAT_18BIT,
     SAMPLE_FORMAT_16BIT,
 )
+from repro.exceptions import ConfigurationError
 
 #: Bumped whenever the engine's statistics change meaning, so stale cache
 #: entries from an older engine can never be mistaken for fresh results.
@@ -85,6 +86,11 @@ class ImpairmentSpec:
         synchroniser's search.
     iq_amplitude_db / iq_phase_deg:
         Receive-mixer IQ amplitude (dB) and phase (degrees) imbalance.
+
+    ``cfo_normalized``, ``iq_amplitude_db`` and ``iq_phase_deg`` must be
+    finite: a NaN or infinite value raises
+    :class:`~repro.exceptions.ConfigurationError` here rather than
+    turning every burst of the sweep into a decode failure.
     tx_format:
         Optional :class:`~repro.dsp.fixedpoint.FixedPointFormat` quantising
         the transmit samples (the DAC word length).
@@ -111,8 +117,12 @@ class ImpairmentSpec:
         object.__setattr__(self, "sample_delay", int(self.sample_delay))
         object.__setattr__(self, "iq_amplitude_db", float(self.iq_amplitude_db))
         object.__setattr__(self, "iq_phase_deg", float(self.iq_phase_deg))
+        for name in ("cfo_normalized", "iq_amplitude_db", "iq_phase_deg"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value}")
         if self.sample_delay < 0:
-            raise ValueError("sample_delay must be non-negative")
+            raise ConfigurationError("sample_delay must be non-negative")
         for name in ("tx_format", "rx_format", "rx_multiplier_format"):
             object.__setattr__(
                 self, name, FixedPointFormat.coerce(getattr(self, name), name)
@@ -176,8 +186,8 @@ class SweepSpec:
     Cartesian product):
 
     snr_db:
-        SNR points in dB.  ``None`` entries are not allowed — use a very
-        high SNR for a quasi-noiseless point.
+        SNR points in dB, each finite: ``None``, NaN and infinity are not
+        allowed — use a very high SNR for a quasi-noiseless point.
     modulations:
         Constellations, e.g. ``("bpsk", "qpsk", "16qam", "64qam")``.
     code_rates:
@@ -254,26 +264,28 @@ class SweepSpec:
         )
         for channel in self.channels:
             if channel not in CHANNEL_MODELS:
-                raise ValueError(
+                raise ConfigurationError(
                     f"unknown channel model {channel!r}; expected one of {CHANNEL_MODELS}"
                 )
         for detector in self.detectors:
             if detector not in DETECTORS:
-                raise ValueError(
+                raise ConfigurationError(
                     f"unknown detector {detector!r}; expected one of {DETECTORS}"
                 )
         if not self.snr_db:
-            raise ValueError("the sweep needs at least one SNR point")
+            raise ConfigurationError("the sweep needs at least one SNR point")
+        if not np.all(np.isfinite(self.snr_db)):
+            raise ConfigurationError(f"SNR points must be finite, got {self.snr_db}")
         if not self.impairments:
-            raise ValueError(
+            raise ConfigurationError(
                 "the sweep needs at least one impairment entry (None = ideal)"
             )
         if self.n_info_bits <= 0:
-            raise ValueError("n_info_bits must be positive")
+            raise ConfigurationError("n_info_bits must be positive")
         if self.n_bursts <= 0:
-            raise ValueError("n_bursts must be positive")
+            raise ConfigurationError("n_bursts must be positive")
         if self.target_errors is not None and self.target_errors <= 0:
-            raise ValueError("target_errors must be positive or None")
+            raise ConfigurationError("target_errors must be positive or None")
 
     # ------------------------------------------------------------------
     @property

@@ -74,19 +74,18 @@ class StreamingReceiver:
         Information bits per spatial stream per frame (fixes the frame
         length the detector cuts; a real system would decode a SIGNAL
         field instead).
-    noise_variance:
-        Noise variance forwarded to the soft demapper / MMSE weights.
+
+    Every frame decodes with noise variance 1.0 for the soft demapper and
+    the MMSE weights, the receiver's default.
     """
 
     def __init__(
         self,
         receiver: Optional[MimoReceiver] = None,
         n_info_bits: int = 256,
-        noise_variance: float = 1.0,
     ) -> None:
         self.receiver = receiver if receiver is not None else MimoReceiver()
         self.n_info_bits = int(n_info_bits)
-        self.noise_variance = float(noise_variance)
         self.frame_length = self.receiver.frame_length(self.n_info_bits)
         config = self.receiver.config
         self.detector = StreamFrameDetector(
@@ -116,7 +115,6 @@ class StreamingReceiver:
             [window.samples for window in windows],
             self.n_info_bits,
             [window.lts_offset for window in windows],
-            [self.noise_variance] * len(windows),
         )
         frames = []
         for window, outcome in zip(windows, outcomes):

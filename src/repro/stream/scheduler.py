@@ -13,8 +13,9 @@ air.
 
 Two clocks run side by side and must not be confused:
 
-* **simulated air time** advances by each frame's duration at the sample
-  rate (the paper's 100 MHz baseband clock); enqueue→decode *latency* —
+* **simulated air time** advances by each frame's duration at the
+  configuration's ``clock_hz`` (the paper's 100 MHz baseband clock);
+  enqueue→decode *latency* —
   queueing delay plus transmission time — lives on this clock;
 * **wall-clock time** measures how fast the software pipeline ran;
   *sustained frames/sec* lives on this clock.
@@ -57,9 +58,6 @@ from repro.stream.traffic import PoissonTraffic, arrival_times
 #: Entropy tag for per-user arrival-process seeds; disjoint from the
 #: per-(user, frame) physics tree (which uses a four-element seed list).
 _ARRIVAL_TAG = 0xA221
-
-#: Paper baseband sample clock: 100 MHz.
-DEFAULT_SAMPLE_RATE_HZ = 100e6
 
 #: Served frames whose received samples go into the receive stream as one
 #: chunk: the receiver decodes a push's frames in one stacked pass, so a
@@ -110,7 +108,8 @@ class DownlinkScheduler:
         ``"frequency_selective"``) — a fresh realisation per frame, the
         sweep engine's fresh-fading convention.
     snr_db:
-        AWGN level (``None`` disables noise).
+        AWGN level (``None`` disables noise); a NaN or infinite level
+        raises :class:`~repro.exceptions.ConfigurationError`.
     impairment:
         Optional front-end :class:`~repro.sim.spec.ImpairmentSpec` (CFO,
         sample delay, IQ imbalance, fixed-point formats), wired into both
@@ -118,13 +117,10 @@ class DownlinkScheduler:
     config:
         Base transceiver configuration (default: the paper's 4x4/64-point
         build).  Impairment-driven receiver settings (CFO correction, RX
-        formats) are applied on top.
+        formats) are applied on top; its ``clock_hz`` converts frame
+        lengths into air time.
     base_seed:
         Root of the deterministic seed tree.
-    sample_rate_hz:
-        Baseband sample rate that converts frame lengths into air time.
-    noise_variance:
-        Forwarded to the soft demapper / MMSE detector weights.
     """
 
     def __init__(
@@ -140,8 +136,6 @@ class DownlinkScheduler:
         impairment: Optional[ImpairmentSpec] = None,
         config: Optional[TransceiverConfig] = None,
         base_seed: int = 0,
-        sample_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ,
-        noise_variance: float = 1.0,
     ) -> None:
         if n_users <= 0:
             raise ConfigurationError("n_users must be positive")
@@ -149,8 +143,8 @@ class DownlinkScheduler:
             raise ConfigurationError("frames_per_user must be non-negative")
         if mode not in ("round_robin", "weighted"):
             raise ConfigurationError("mode must be 'round_robin' or 'weighted'")
-        if sample_rate_hz <= 0:
-            raise ConfigurationError("sample_rate_hz must be positive")
+        if snr_db is not None and not np.isfinite(snr_db):
+            raise ConfigurationError(f"snr_db must be finite or None, got {snr_db}")
         self.n_users = int(n_users)
         self.frames_per_user = int(frames_per_user)
         self.mode = mode
@@ -170,17 +164,13 @@ class DownlinkScheduler:
         self.snr_db = snr_db
         self.impairment = impairment if impairment is not None else ImpairmentSpec()
         self.base_seed = int(base_seed)
-        self.sample_rate_hz = float(sample_rate_hz)
-        self.noise_variance = float(noise_variance)
 
         self.config = impaired_config(
             config if config is not None else TransceiverConfig(), self.impairment
         )
         self.transmitter = MimoTransmitter(self.config)
         self.pipeline = StreamingReceiver(
-            receiver=MimoReceiver(self.config),
-            n_info_bits=self.n_info_bits,
-            noise_variance=self.noise_variance,
+            receiver=MimoReceiver(self.config), n_info_bits=self.n_info_bits
         )
         self.frame_length = self.pipeline.frame_length
 
@@ -296,7 +286,7 @@ class DownlinkScheduler:
                 self.n_info_bits,
             )
             received = air.samples
-            duration_s = received.shape[1] / self.sample_rate_hz
+            duration_s = received.shape[1] / self.config.clock_hz
             done_s = air_s + duration_s
             in_flight.append(
                 _InFlight(

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.exceptions import ConfigurationError
 from repro.types import FloatArray
 from repro.utils.rng import SeedLike, make_rng
 
@@ -32,10 +33,10 @@ class CbrTraffic:
     """
 
     def __init__(self, rate_fps: float, phase_s: float = 0.0) -> None:
-        if rate_fps <= 0:
-            raise ValueError("rate_fps must be positive")
-        if phase_s < 0:
-            raise ValueError("phase_s must be non-negative")
+        if not rate_fps > 0:
+            raise ConfigurationError("rate_fps must be positive")
+        if not phase_s >= 0:
+            raise ConfigurationError("phase_s must be non-negative")
         self.rate_fps = float(rate_fps)
         self.phase_s = float(phase_s)
 
@@ -58,8 +59,8 @@ class PoissonTraffic:
     """
 
     def __init__(self, rate_fps: float) -> None:
-        if rate_fps <= 0:
-            raise ValueError("rate_fps must be positive")
+        if not rate_fps > 0:
+            raise ConfigurationError("rate_fps must be positive")
         self.rate_fps = float(rate_fps)
 
     def intervals(self, n_frames: int, rng: SeedLike = None) -> FloatArray:

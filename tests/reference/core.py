@@ -26,6 +26,7 @@ from repro.core.pilots import PilotProcessor
 from repro.core.receiver import MimoReceiver
 from repro.core.transmitter import MimoTransmitter
 from repro.dsp.fft import fft, ofdm_modulate
+from repro.exceptions import ChannelEstimationError
 from repro.mimo.channel_estimation import ChannelEstimate
 from repro.mimo.detector import MmseDetector, zf_detect
 
@@ -153,7 +154,10 @@ def estimate_channel_serial(
                 receiver, fft(streams[rx, start + fft_size : start + 2 * fft_size])
             )
             received_lts[slot, rx] = (first + second) / 2.0
-    return receiver.channel_estimator.estimate(received_lts)
+    (outcome,) = receiver.channel_estimator.estimate(received_lts[None])
+    if isinstance(outcome, ChannelEstimationError):
+        raise outcome
+    return outcome
 
 
 def equalize_burst_serial(

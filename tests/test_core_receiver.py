@@ -170,27 +170,27 @@ class TestKnownTimingAndValidation:
         with pytest.raises(DecodingError):
             receiver.receive(burst.samples, n_info_bits=120, lts_start=-200)
 
-    def test_equalize_burst_past_end_raises(self, paper_config):
-        # Direct callers of equalize_burst get the same DecodingError as
-        # receive() when the windows run past the received samples, not a
-        # raw IndexError from the gather.
+    def test_data_past_end_gets_its_slot(self, paper_config):
+        # The whole LTS fits but the data runs past the received samples:
+        # the burst's slot holds the DecodingError, not a raw IndexError
+        # from the gather.
         transmitter = MimoTransmitter(paper_config)
         receiver = MimoReceiver(paper_config)
         burst = transmitter.transmit_random(120, rng=np.random.default_rng(11))
-        estimate = receiver.estimate_channel(burst.samples, 160)
         layout = receiver.preamble.layout(paper_config.n_antennas)
         data_start = 160 + paper_config.n_antennas * layout.lts_slot_length
-        with pytest.raises(DecodingError):
-            receiver.equalize_burst(
-                burst.samples, estimate, data_start, n_symbols=10_000
-            )
+        truncated = burst.samples[:, : data_start + 1]
+        (outcome,) = receiver.front_end_stack([truncated], 120, [160])
+        assert isinstance(outcome, DecodingError)
+        assert "too short for the requested number of OFDM symbols" in str(outcome)
 
-    def test_lts_window_before_burst_start_raises(self, paper_config):
+    def test_lts_window_before_burst_start_gets_its_slot(self, paper_config):
         transmitter = MimoTransmitter(paper_config)
         receiver = MimoReceiver(paper_config)
         burst = transmitter.transmit_random(120, rng=np.random.default_rng(11))
-        with pytest.raises(DecodingError):
-            receiver.estimate_channel(burst.samples, lts_start=-64)
+        (outcome,) = receiver.front_end_stack([burst.samples], 120, [-64])
+        assert isinstance(outcome, DecodingError)
+        assert "lts_start too small" in str(outcome)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(np.nan, 1.0)])
     def test_non_finite_samples_raise_synchronization_error(self, paper_config, value):
@@ -280,17 +280,17 @@ class TestNonFiniteSamples:
         bad[:, 900] = request.param
         return bad, good
 
-    def test_front_end_raises(self, receiver, bursts):
+    def test_receive_raises(self, receiver, bursts):
         bad, _ = bursts
         with pytest.raises(DecodingError, match="finite"):
-            receiver.front_end(bad, self.N_INFO_BITS, lts_start=160)
+            receiver.receive(bad, self.N_INFO_BITS, lts_start=160)
 
     def test_front_end_stack_drops_only_the_bad_burst(self, receiver, bursts):
         bad, good = bursts
         outcomes = receiver.front_end_stack([bad, *good], self.N_INFO_BITS, [160] * 3)
         assert isinstance(outcomes[0], DecodingError)
         for samples, outcome in zip(good, outcomes[1:]):
-            alone = receiver.front_end(samples, self.N_INFO_BITS, lts_start=160)
+            (alone,) = receiver.front_end_stack([samples], self.N_INFO_BITS, [160])
             np.testing.assert_array_equal(outcome.coded, alone.coded)
             np.testing.assert_array_equal(outcome.equalized, alone.equalized)
 

@@ -23,8 +23,12 @@ from repro.exceptions import (
 )
 from repro.sync.time_sync import TimeSynchronizer
 from repro.core.preamble import PreambleGenerator
+from repro.core.frame import ReceiveResult
 from repro.core.transceiver import MimoTransceiver, simulate_link
-from repro.stream import DownlinkScheduler, StreamFrameDetector
+from repro.sim import ImpairmentSpec, SweepRunner, SweepSpec
+from repro.sim.engine import build_fading_model
+from repro.sim.queue import MultiprocessingQueue, make_queue
+from repro.stream import CbrTraffic, DownlinkScheduler, PoissonTraffic, StreamFrameDetector
 
 
 @pytest.fixture
@@ -147,13 +151,34 @@ def _detector(**overrides):
         lambda: DownlinkScheduler(n_users=0),
         lambda: DownlinkScheduler(n_users=2, frames_per_user=-1),
         lambda: DownlinkScheduler(n_users=2, mode="fifo"),
-        lambda: DownlinkScheduler(n_users=2, sample_rate_hz=0.0),
+        lambda: DownlinkScheduler(n_users=2, snr_db=float("nan")),
         lambda: DownlinkScheduler(n_users=2, mode="weighted", weights=[1.0]),
         lambda: DownlinkScheduler(n_users=2, mode="weighted", weights=[1.0, 0.0]),
         lambda: _detector(n_rx=0),
         lambda: _detector(frame_length=100),
         lambda: _detector(min_metric=0.0),
         lambda: _detector(refine_span=0),
+        lambda: SweepSpec(snr_db=(float("nan"),)),
+        lambda: SweepSpec(snr_db=(20.0, float("inf"))),
+        lambda: SweepSpec(channels=("rician",)),
+        lambda: SweepSpec(n_bursts=0),
+        lambda: ImpairmentSpec(cfo_normalized=float("nan")),
+        lambda: ImpairmentSpec(iq_amplitude_db=float("inf")),
+        lambda: ImpairmentSpec(iq_phase_deg=float("nan")),
+        lambda: ImpairmentSpec(sample_delay=-1),
+        lambda: SweepRunner(SweepSpec(), n_workers=0, cache=False),
+        lambda: SweepRunner(SweepSpec(), batch_size=0, cache=False),
+        lambda: SweepRunner(SweepSpec(), n_workers=1, cache=False).run_adaptive(0),
+        lambda: SweepRunner(SweepSpec(), n_workers=1, cache=False).run_adaptive(8, rounds=0),
+        lambda: make_queue("cluster"),
+        lambda: MultiprocessingQueue(0),
+        lambda: build_fading_model("rician", 4, rng=0),
+        lambda: CbrTraffic(0.0),
+        lambda: CbrTraffic(10.0, phase_s=-1.0),
+        lambda: PoissonTraffic(float("nan")),
+        lambda: ReceiveResult(streams=[], lts_start=0, channel_estimate=None).total_bit_errors(
+            [np.zeros(8, dtype=np.uint8)]
+        ),
     ],
     ids=[
         "transceiver-antenna-mismatch",
@@ -161,13 +186,32 @@ def _detector(**overrides):
         "scheduler-no-users",
         "scheduler-negative-frames",
         "scheduler-unknown-mode",
-        "scheduler-zero-sample-rate",
+        "scheduler-nan-snr",
         "scheduler-weights-shape",
         "scheduler-zero-weight",
         "detector-no-antennas",
         "detector-frame-shorter-than-preamble",
         "detector-zero-threshold",
         "detector-zero-refine-span",
+        "sweep-nan-snr",
+        "sweep-infinite-snr",
+        "sweep-unknown-channel",
+        "sweep-no-bursts",
+        "impairment-nan-cfo",
+        "impairment-infinite-iq-amplitude",
+        "impairment-nan-iq-phase",
+        "impairment-negative-delay",
+        "runner-no-workers",
+        "runner-zero-batch",
+        "adaptive-no-extra-bursts",
+        "adaptive-no-rounds",
+        "queue-unknown-backend",
+        "process-queue-no-workers",
+        "fading-unknown-model",
+        "cbr-zero-rate",
+        "cbr-negative-phase",
+        "poisson-nan-rate",
+        "receive-result-stream-count-mismatch",
     ],
 )
 def test_inconsistent_construction_raises_configuration_error(build):

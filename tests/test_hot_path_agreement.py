@@ -51,9 +51,9 @@ from repro.exceptions import (
 from repro.mimo.channel_estimation import (
     ChannelEstimate,
     estimate_channel_from_lts,
-    invert_channel_matrices,
+    invert_channel_stack,
 )
-from repro.mimo.detector import MmseDetector
+from repro.mimo.detector import MmseDetector, zf_detect
 from repro.mimo.qr import qr_decompose_givens
 from repro.mimo.rinv import invert_upper_triangular
 from repro.modulation.constellations import Modulation
@@ -299,20 +299,21 @@ class TestStackedQrAgreement:
         channel = _random_stack(64, 4, rng)
         active = np.ones(64, dtype=bool)
         active[[0, 27, 28, 29]] = False
-        inverses = invert_channel_matrices(channel, active)
+        inverses, singular = invert_channel_stack(channel, active)
+        assert not singular.any()
         for k in range(64):
             expected = invert_channel_serial(channel[k]) if active[k] else np.zeros((4, 4))
             np.testing.assert_array_equal(inverses[k], expected)
 
-    def test_one_singular_subcarrier_raises_typed_error(self):
+    def test_one_singular_subcarrier_is_flagged_alone(self):
         rng = np.random.default_rng(91)
         channel = _random_stack(52, 4, rng)
         channel[17] = np.ones((4, 4))  # rank one
-        with pytest.raises(ChannelEstimationError):
-            invert_channel_matrices(channel)
+        _, singular = invert_channel_stack(channel)
+        assert np.flatnonzero(singular).tolist() == [17]
         channel[17] = np.nan
-        with pytest.raises(ChannelEstimationError):
-            invert_channel_matrices(channel)
+        _, singular = invert_channel_stack(channel)
+        assert np.flatnonzero(singular).tolist() == [17]
 
 
 class TestReceiverDecodeAgreement:
@@ -538,7 +539,8 @@ class TestReceiverBatchAgreement:
         samples = channel.transmit(burst.samples).samples
         receiver = MimoReceiver(config)
         lts_start = receiver.synchronize(samples)
-        est_b = receiver.estimate_channel(samples, lts_start)
+        (front,) = receiver.front_end_stack([samples], 120, [lts_start])
+        est_b = front.channel_estimate
         est_s = estimate_channel_serial(receiver, samples, lts_start)
         np.testing.assert_array_equal(est_b.matrices, est_s.matrices)
         np.testing.assert_array_equal(est_b.inverses, est_s.inverses)
@@ -659,14 +661,14 @@ STACK_CONFIGS = {
 
 
 class TestStackedFrontEndAgreement:
-    """``front_end_stack`` vs :meth:`MimoReceiver.front_end` on each burst alone.
+    """``front_end_stack`` vs a stack of each burst alone.
 
     One stack mixes ideal, flat and frequency-selective channels, SNRs,
     sample delays and (with CFO correction on) carrier offsets, with some
     bursts synchronised and some handed their LTS start; every burst must
     come out bit for bit as it does on its own, and a burst the receiver
     gives up on must drop out alone, mid-stack, with the error its
-    one-burst call raises.
+    one-burst stack slots.
     """
 
     @staticmethod
@@ -699,16 +701,19 @@ class TestStackedFrontEndAgreement:
         variances = [burst[2] for burst in bursts]
         stacked = receiver.front_end_stack(samples, 96, lts_starts, variances)
         assert len(stacked) == len(bursts)
-        for outcome, args in zip(stacked, zip(samples, lts_starts, variances)):
+        for outcome, (burst, lts_start, variance) in zip(
+            stacked, zip(samples, lts_starts, variances)
+        ):
+            (alone,) = receiver.front_end_stack([burst], 96, [lts_start], [variance])
             if isinstance(outcome, DecodingError):
-                with pytest.raises(type(outcome), match=re.escape(str(outcome))):
-                    receiver.front_end(args[0], 96, *args[1:])
+                assert type(alone) is type(outcome)
+                assert str(alone) == str(outcome)
             else:
-                _assert_front_ends_identical(outcome, receiver.front_end(args[0], 96, *args[1:]))
+                _assert_front_ends_identical(outcome, alone)
         return stacked
 
     @pytest.mark.parametrize("name", list(STACK_CONFIGS))
-    def test_every_burst_equals_its_one_burst_front_end(self, name):
+    def test_every_burst_equals_its_one_burst_stack(self, name):
         config = TransceiverConfig(**STACK_CONFIGS[name])
         receiver = MimoReceiver(config)
         bursts = self._mixed_stack(config, seed=500 + 20 * list(STACK_CONFIGS).index(name))
@@ -1028,9 +1033,10 @@ class TestShapeContractsOnTheHotPath:
     rather than in a sweep.
     """
 
-    def test_equalize_burst_declares_its_burst_layout(self):
-        contract = MimoReceiver.equalize_burst.__shape_contract__
-        assert "streams" in contract
+    def test_zf_detect_declares_its_burst_layout(self):
+        contract = zf_detect.__shape_contract__
+        assert contract["received"][-1] == ("n_items", "n_rx", "n_symbols", "fft_size")
+        assert contract["channel_inverses"][-1] == ("n_items", "fft_size", "n_tx", "n_rx")
 
     def test_block_tx_path_declares_its_block_layout(self):
         assert "return" in MimoTransmitter._map_block.__shape_contract__
@@ -1039,19 +1045,16 @@ class TestShapeContractsOnTheHotPath:
             in MimoTransmitter._modulate_block.__shape_contract__
         )
 
-    def test_equalize_burst_rejects_a_transposed_burst(self, paper_config):
-        receiver = MimoReceiver(paper_config)
+    def test_zf_detect_rejects_a_transposed_burst(self):
         from repro.contracts import ShapeContractError
 
-        with pytest.raises(ShapeContractError):
-            # rank-3 where the contract demands (n_rx, n_samples); the
-            # contract rejects the burst before the body ever runs, so
-            # the placeholder estimate is never touched.
-            receiver.equalize_burst(
-                np.zeros((4, 2, 64), dtype=np.complex128),
-                estimate=None,
-                data_start=0,
-                n_symbols=1,
+        with pytest.raises(ShapeContractError, match="'fft_size' already bound"):
+            # (n_rx, fft_size, n_symbols) where the contract demands
+            # (n_rx, n_symbols, fft_size): the subcarrier axis no longer
+            # matches the inverses' (fft_size, n_tx, n_rx).
+            zf_detect(
+                np.zeros((4, 64, 6), dtype=np.complex128),
+                np.zeros((64, 4, 4), dtype=np.complex128),
             )
 
     def test_modulate_block_rejects_a_flattened_block(self, paper_config):

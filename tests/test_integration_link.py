@@ -102,7 +102,8 @@ class TestEvmAndDetectors:
         burst = transmitter.transmit_random(100, rng=np.random.default_rng(203))
         channel = MimoChannel(FlatRayleighChannel(rng=204), snr_db=25.0, rng=205)
         received = channel.transmit(burst.samples).samples
-        estimate = receiver.estimate_channel(received, lts_start=160)
+        (front,) = receiver.front_end_stack([received], 100, [160])
+        estimate = front.channel_estimate
         detector = MmseDetector(estimate, noise_variance=1e-2)
         # Equalise the first data symbol and confirm finite, bounded output.
         from repro.dsp.fft import fft

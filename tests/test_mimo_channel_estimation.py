@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.exceptions import ChannelEstimationError
+from repro.exceptions import ChannelEstimationError, ConfigurationError
 from repro.mimo.channel_estimation import (
     ChannelEstimator,
     estimate_channel_from_lts,
-    invert_channel_matrices,
+    invert_channel_stack,
 )
 
 
@@ -22,7 +22,7 @@ def _reference_lts(fft_size=64, n_active=52, rng_seed=0):
 
 
 def _received_from_channel(channel, lts):
-    """Synthesize the staggered-LTS observations for a known channel."""
+    """Synthesize one burst's staggered-LTS observations for a known channel."""
     fft_size, n_rx, n_tx = channel.shape
     received = np.zeros((n_tx, n_rx, fft_size), dtype=np.complex128)
     for k in range(fft_size):
@@ -65,12 +65,19 @@ class TestEstimateFromLts:
             estimate_channel_from_lts(np.ones((4, 4, 64), dtype=complex), lts, mask)
 
 
-class TestInvertChannelMatrices:
+def _invert(channel, *args, **kwargs):
+    """Inverses of a stack that must hold no singular matrix."""
+    inverses, singular = invert_channel_stack(channel, *args, **kwargs)
+    assert not singular.any()
+    return inverses
+
+
+class TestInvertChannelStack:
     def test_inverses_are_correct(self):
         rng = np.random.default_rng(2)
         channel = np.zeros((16, 4, 4), dtype=np.complex128)
         channel[:] = rng.normal(size=(16, 4, 4)) + 1j * rng.normal(size=(16, 4, 4))
-        inverses = invert_channel_matrices(channel)
+        inverses = _invert(channel)
         for k in range(16):
             np.testing.assert_allclose(inverses[k] @ channel[k], np.eye(4), atol=1e-9)
 
@@ -79,22 +86,22 @@ class TestInvertChannelMatrices:
         channel = rng.normal(size=(8, 4, 4)) + 1j * rng.normal(size=(8, 4, 4))
         mask = np.zeros(8, dtype=bool)
         mask[2] = True
-        inverses = invert_channel_matrices(channel, mask)
+        inverses = _invert(channel, mask)
         assert np.all(inverses[0] == 0)
         np.testing.assert_allclose(inverses[2] @ channel[2], np.eye(4), atol=1e-9)
 
     def test_cordic_path_close_to_float(self):
         rng = np.random.default_rng(4)
         channel = rng.normal(size=(4, 4, 4)) + 1j * rng.normal(size=(4, 4, 4))
-        float_inv = invert_channel_matrices(channel)
-        cordic_inv = invert_channel_matrices(channel, use_cordic=True, cordic_iterations=20)
+        float_inv = _invert(channel)
+        cordic_inv = _invert(channel, use_cordic=True, cordic_iterations=20)
         np.testing.assert_allclose(cordic_inv, float_inv, atol=1e-3)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            invert_channel_matrices(np.zeros((4, 4, 3)))
+            invert_channel_stack(np.zeros((4, 4, 3)))
         with pytest.raises(ValueError):
-            invert_channel_matrices(np.zeros((4, 4, 4)), np.ones(3, dtype=bool))
+            invert_channel_stack(np.zeros((4, 4, 4)), np.ones(3, dtype=bool))
 
 
 class TestChannelEstimator:
@@ -107,7 +114,7 @@ class TestChannelEstimator:
             rng.normal(size=(active.sum(), 4, 4)) + 1j * rng.normal(size=(active.sum(), 4, 4))
         )
         estimator = ChannelEstimator(lts)
-        estimate = estimator.estimate(_received_from_channel(true_channel, lts))
+        (estimate,) = estimator.estimate(_received_from_channel(true_channel, lts)[None])
         assert estimate.fft_size == 64
         assert estimate.n_rx == 4 and estimate.n_tx == 4
         assert estimate.estimation_error(true_channel) < 1e-12
@@ -128,7 +135,7 @@ class TestChannelEstimator:
         received += 0.01 * (
             rng.normal(size=received.shape) + 1j * rng.normal(size=received.shape)
         )
-        estimate = ChannelEstimator(lts).estimate(received)
+        (estimate,) = ChannelEstimator(lts).estimate(received[None])
         error = estimate.estimation_error(true_channel)
         assert 0 < error < 0.05
 
@@ -141,12 +148,18 @@ class TestChannelEstimator:
         estimator = ChannelEstimator(lts)
         # Identity channel: every receive antenna hears its own transmitter.
         identity_channel = np.broadcast_to(np.eye(4, dtype=complex), (64, 4, 4)).copy()
-        estimate = estimator.estimate(_received_from_channel(identity_channel, lts))
+        (estimate,) = estimator.estimate(_received_from_channel(identity_channel, lts)[None])
         with pytest.raises(ValueError):
             estimate.estimation_error(np.zeros((32, 4, 4)))
 
-    def test_singular_channel_raises(self):
+    def test_singular_channel_gets_its_slot(self):
         lts = _reference_lts()
         estimator = ChannelEstimator(lts)
-        with pytest.raises(ChannelEstimationError):
-            estimator.estimate(np.zeros((4, 4, 64), dtype=complex))
+        (outcome,) = estimator.estimate(np.zeros((1, 4, 4, 64), dtype=complex))
+        assert isinstance(outcome, ChannelEstimationError)
+
+    @pytest.mark.parametrize("shape", [(4, 4, 64), (1, 1, 4, 4, 64)])
+    def test_anything_but_a_stack_is_rejected(self, shape):
+        estimator = ChannelEstimator(_reference_lts())
+        with pytest.raises(ConfigurationError, match="n_items, n_tx, n_rx, fft_size"):
+            estimator.estimate(np.zeros(shape, dtype=complex))

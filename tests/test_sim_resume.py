@@ -109,18 +109,6 @@ class TestCrashResume:
         assert warm.n_bursts_simulated == 0
         assert stats(warm) == stats(reference)
 
-    def test_resume_knob_forces_fresh_simulation(self, tmp_path):
-        spec = small_spec(snr_db=(30.0,))
-        store = ResultStore(tmp_path / "points")
-        SweepRunner(spec, n_workers=1, cache=store).run()
-        fresh = SweepRunner(spec, n_workers=1, cache=store, resume=False).run()
-        assert not fresh.from_cache
-        assert fresh.n_bursts_simulated == spec.n_bursts
-        # Resume is a constructor setting: a resuming runner over the same
-        # store loads the fresh records without simulating.
-        warm = SweepRunner(spec, n_workers=1, cache=store, resume=True).run()
-        assert warm.from_cache and warm.n_bursts_simulated == 0
-
 
 class TestFieldLevelCorruption:
     """Records that parse as JSON but cannot be a point result are re-simulated."""
