@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import numpy.typing as npt
 
+from repro.exceptions import ConfigurationError
 from repro.types import ComplexArray
 from repro.utils.rng import SeedLike, make_rng
 from repro.utils.units import db_to_linear
@@ -22,9 +23,13 @@ def awgn_noise(
     variance: float,
     rng: SeedLike = None,
 ) -> ComplexArray:
-    """Circularly-symmetric complex Gaussian noise with total variance ``variance``."""
-    if variance < 0:
-        raise ValueError("variance must be non-negative")
+    """Circularly-symmetric complex Gaussian noise with total variance ``variance``.
+
+    Raises :class:`~repro.exceptions.ConfigurationError` unless ``variance``
+    is finite and non-negative.
+    """
+    if not np.isfinite(variance) or variance < 0:
+        raise ConfigurationError(f"variance must be finite and >= 0, got {variance}")
     generator = make_rng(rng)
     scale = np.sqrt(variance / 2.0)
     real = generator.normal(0.0, 1.0, size=shape)

@@ -34,6 +34,7 @@ from repro.channel.impairments import (
     apply_iq_imbalance,
 )
 from repro.dsp.fixedpoint import FixedPointFormat
+from repro.exceptions import ConfigurationError
 from repro.utils.rng import SeedLike, make_rng
 
 
@@ -121,6 +122,10 @@ class MimoChannel:
     rng:
         Seed or generator used for the noise (fading randomness is owned by
         the fading object itself).
+
+    Raises :class:`~repro.exceptions.ConfigurationError` on a
+    ``sample_delay`` that is not a non-negative integer, an ``snr_db`` that
+    is neither ``None`` nor finite, and a non-finite CFO or IQ imbalance.
     """
 
     def __init__(
@@ -135,6 +140,14 @@ class MimoChannel:
         rx_quantization: Optional[FixedPointFormat] = None,
         rng: SeedLike = None,
     ) -> None:
+        if not isinstance(sample_delay, (int, np.integer)) or sample_delay < 0:
+            raise ConfigurationError(
+                f"sample_delay must be a non-negative integer, got {sample_delay!r}"
+            )
+        if snr_db is not None and not np.isfinite(snr_db):
+            raise ConfigurationError(f"snr_db must be finite or None, got {snr_db}")
+        if not np.all(np.isfinite([cfo_normalized, iq_amplitude_db, iq_phase_deg])):
+            raise ConfigurationError("the CFO and IQ imbalance must be finite")
         self.fading = fading if fading is not None else IdealChannel()
         self.snr_db = snr_db
         self.cfo_normalized = cfo_normalized

@@ -57,7 +57,7 @@ from repro.core.frame import FrontEndResult, ReceiveResult, StreamDecodeResult
 from repro.core.pilots import PilotProcessor
 from repro.core.preamble import PreambleGenerator
 from repro.dsp.fft import fft
-from repro.exceptions import ConfigurationError, DecodingError, SynchronizationError
+from repro.exceptions import ConfigurationError, DecodingError
 from repro.mimo.channel_estimation import ChannelEstimate, ChannelEstimator
 from repro.mimo.detector import MmseDetector, zf_detect
 from repro.modulation.demapper import SymbolDemapper
@@ -86,9 +86,6 @@ class _Burst:
 
 class MimoReceiver:
     """MIMO-OFDM burst receiver.
-
-    Time synchronisation runs the :class:`~repro.sync.time_sync.TimeSynchronizer`
-    in its robust ``"peak"`` mode.
 
     Parameters
     ----------
@@ -164,27 +161,21 @@ class MimoReceiver:
     def synchronize(self, samples: np.ndarray) -> int:
         """Locate the LTS start across all receive antennas.
 
-        Every antenna's stream is searched; the antenna with the strongest
-        correlation peak wins (the STS is transmitted from antenna 0 only,
-        so different receive antennas see it with different channel gains).
+        The strongest (antenna, window) of the synchroniser's metric wins
+        (see :meth:`~repro.sync.time_sync.TimeSynchronizer.locate`).
 
-        Raises :class:`~repro.exceptions.SynchronizationError` when no
-        antenna yields a positive correlation peak (e.g. every window holds
-        a NaN or infinite sample, whose metric reads 0.0).
+        Raises :class:`~repro.exceptions.ConfigurationError` unless
+        ``samples`` has shape ``(n_antennas, n_samples)``, and
+        :class:`~repro.exceptions.SynchronizationError` when the burst is
+        shorter than the correlator window or no window scores above 0
+        (e.g. every window is silent or holds a NaN or infinite sample).
         """
         streams = np.asarray(samples, dtype=np.complex128)
-        if streams.ndim != 2:
-            raise ConfigurationError("samples must have shape (n_rx, n_samples)")
-        best_start = None
-        best_peak = 0.0
-        for antenna in range(streams.shape[0]):
-            result = self.synchronizer.search(streams[antenna])
-            if result.peak_magnitude > best_peak:
-                best_peak = result.peak_magnitude
-                best_start = result.lts_start
-        if best_start is None:
-            raise SynchronizationError("no receive antenna yielded a correlation peak")
-        return int(best_start)
+        if streams.ndim != 2 or streams.shape[0] != self.config.n_antennas:
+            raise ConfigurationError(
+                f"samples must have shape ({self.config.n_antennas}, n_samples)"
+            )
+        return self.synchronizer.locate(streams)
 
     def _lts_windows(self, streams: np.ndarray, lts_start: int) -> ComplexArray:
         """Every (slot, repetition) LTS window of a burst: ``(n_rx, n_tx, 2, fft_size)``.

@@ -18,19 +18,18 @@ import numpy as np
 
 from repro.core.config import TransceiverConfig
 from repro.core.preamble import PreambleGenerator
-from repro.exceptions import SynchronizationError
+from repro.exceptions import ConfigurationError
 from repro.hardware.memory import CircularBuffer
 from repro.sync.time_sync import TimeSynchronizer
 
 
 @dataclass
 class RxFrontEndReport:
-    """Result of streaming a burst into the front end."""
+    """Result of streaming a burst into the front end and locking on it."""
 
     lts_start: int
     samples_consumed: int
     buffer_depth: int
-    locked: bool
 
 
 class RxFrontEnd:
@@ -60,9 +59,7 @@ class RxFrontEnd:
             for _ in range(self.config.n_antennas)
         ]
         self.synchronizer = TimeSynchronizer(
-            sts_time=self.preamble.sts_time(),
-            lts_time=self.preamble.lts_time(),
-            mode="peak",
+            self.preamble.sts_time(), self.preamble.lts_time()
         )
         self.layout = layout
 
@@ -74,33 +71,24 @@ class RxFrontEnd:
         ----------
         samples:
             Received samples, shape ``(n_rx, n_samples)``.
+
+        Raises :class:`~repro.exceptions.ConfigurationError` on any other
+        shape and :class:`~repro.exceptions.SynchronizationError` when the
+        synchroniser finds no lock (see
+        :meth:`~repro.sync.time_sync.TimeSynchronizer.locate`).
         """
         streams = np.asarray(samples, dtype=np.complex128)
         if streams.ndim != 2 or streams.shape[0] != self.config.n_antennas:
-            raise ValueError(
+            raise ConfigurationError(
                 f"expected shape ({self.config.n_antennas}, n_samples), got {streams.shape}"
             )
-        n_samples = streams.shape[1]
         for antenna, buffer in enumerate(self.buffers):
             buffer.push_many(streams[antenna])
-
-        best: Optional[int] = None
-        best_metric = -1.0
-        for antenna in range(streams.shape[0]):
-            try:
-                result = self.synchronizer.search(streams[antenna])
-            except SynchronizationError:
-                continue
-            if result.peak_magnitude > best_metric:
-                best_metric = result.peak_magnitude
-                best = result.lts_start
-        if best is None:
-            raise SynchronizationError("no antenna produced a synchronisation lock")
+        lts_start = self.synchronizer.locate(streams)
         return RxFrontEndReport(
-            lts_start=int(best),
-            samples_consumed=n_samples,
+            lts_start=lts_start,
+            samples_consumed=streams.shape[1],
             buffer_depth=self.buffers[0].depth,
-            locked=True,
         )
 
     # ------------------------------------------------------------------
@@ -118,14 +106,14 @@ class RxFrontEnd:
         lts_length = n_slots * slot_len
         end_index = report.lts_start + lts_length
         if end_index > total_ingested:
-            raise ValueError("the LTS section has not been fully ingested yet")
+            raise ConfigurationError("the LTS section has not been fully ingested yet")
         newest_needed = total_ingested - report.lts_start
         replayed = np.zeros(
             (self.config.n_antennas, lts_length), dtype=np.complex128
         )
         for antenna, buffer in enumerate(self.buffers):
             if newest_needed > len(buffer):
-                raise ValueError("circular buffer too shallow to replay the LTS")
+                raise ConfigurationError("circular buffer too shallow to replay the LTS")
             window = buffer.latest(newest_needed)
             replayed[antenna] = window[:lts_length]
         return replayed

@@ -24,26 +24,32 @@ sample position, never of how the content arrived:
   is buffered — until then the detector simply waits, and re-derives the
   same pending decision from the same content on the next chunk.
 
-The acceptance test is the single normalised-metric threshold the
-synchroniser now reports in both of its modes: a window position is a
-candidate when any antenna's metric crosses ``min_metric``, and the lock is
-refined to the strongest (antenna, position) within ``refine_span``
-positions — mirroring the offline receiver's best-antenna peak search.
-``refine_span`` defaults to one LTS slot minus the correlator window,
-which covers every short-training sidelobe before the true peak while
-excluding the structural sidelobe at the next LTS slot boundary.
+The metric of every antenna comes from one
+:meth:`~repro.sync.time_sync.TimeSynchronizer.metric` call per tile.  A
+window position is a candidate when any antenna's metric crosses
+:data:`MIN_METRIC`, and the lock is the strongest (antenna, position)
+within the refinement span — the burst receiver's lock rule applied to
+that span.  The span is one LTS slot minus the correlator window, which
+covers every short-training sidelobe before the true peak while excluding
+the structural sidelobe at the next LTS slot boundary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
 from repro.core.preamble import PreambleGenerator
 from repro.exceptions import ConfigurationError
 from repro.sync.time_sync import TimeSynchronizer
+
+#: Acceptance threshold on the normalised detection metric.  The
+#: clean-transition metric is ~1.0 and the worst structural sidelobe of the
+#: paper's preamble is ~0.67, so 0.6 detects through deep per-antenna fades
+#: while never firing on data.
+MIN_METRIC = 0.6
 
 #: Metric tile width in window positions.  Tiles are aligned to absolute
 #: stream positions, so the same stream yields bit-identical metric values
@@ -108,64 +114,31 @@ class StreamFrameDetector:
         Frame size in samples (see
         :meth:`~repro.core.receiver.MimoReceiver.frame_length`); the
         detector emits exactly this many samples per frame.
-    n_tx:
-        Transmit antenna count of the frames being detected (sets the
-        preamble layout used for the refinement span); defaults to
-        ``n_rx``.
-    min_metric:
-        Acceptance threshold on the normalised detection metric.  The
-        clean-transition metric is ~1.0 and the worst structural sidelobe
-        of the paper's preamble is ~0.67, so the default 0.6 detects
-        through deep per-antenna fades while never firing on data.
-    refine_span:
-        Window positions after the first crossing searched for the true
-        peak.  Defaults to ``lts_slot_length - correlator_window`` (128
-        for the 64-point build), clamped to at least two correlator
-        windows.
-    synchronizer:
-        Optional pre-built :class:`TimeSynchronizer` (e.g. the burst
-        receiver's, so both paths share one reference and normalisation).
+
+    The frames carry one stream per receive antenna, and the detector
+    builds the burst receiver's :class:`TimeSynchronizer` from ``preamble``.
 
     Raises :class:`~repro.exceptions.ConfigurationError` on a non-positive
-    antenna count, threshold or refinement span, and on a frame shorter
-    than the preamble.
+    antenna count and on a frame shorter than the preamble.
     """
 
-    def __init__(
-        self,
-        preamble: PreambleGenerator,
-        n_rx: int,
-        frame_length: int,
-        n_tx: Optional[int] = None,
-        min_metric: float = 0.6,
-        refine_span: Optional[int] = None,
-        synchronizer: Optional[TimeSynchronizer] = None,
-    ) -> None:
+    def __init__(self, preamble: PreambleGenerator, n_rx: int, frame_length: int) -> None:
         if n_rx <= 0:
             raise ConfigurationError("n_rx must be positive")
-        self.preamble = preamble
         self.n_rx = n_rx
-        self.synchronizer = (
-            synchronizer
-            if synchronizer is not None
-            else TimeSynchronizer(
-                sts_time=preamble.sts_time(), lts_time=preamble.lts_time()
-            )
+        self.synchronizer = TimeSynchronizer(
+            sts_time=preamble.sts_time(), lts_time=preamble.lts_time()
         )
         self.sts_length = preamble.sts_time().size
-        layout = preamble.layout(n_tx if n_tx is not None else n_rx)
+        layout = preamble.layout(n_rx)
         if frame_length < layout.total_length:
             raise ConfigurationError("frame_length shorter than the preamble")
         self.frame_length = int(frame_length)
-        if not 0.0 < min_metric:
-            raise ConfigurationError("min_metric must be positive")
-        self.min_metric = float(min_metric)
         window = self.synchronizer.window_length
-        if refine_span is None:
-            refine_span = max(layout.lts_slot_length - window, 2 * window)
-        if refine_span <= 0:
-            raise ConfigurationError("refine_span must be positive")
-        self.refine_span = int(refine_span)
+        #: Window positions after the first crossing searched for the true
+        #: peak: one LTS slot minus the correlator window (128 for the
+        #: 64-point build), at least two correlator windows.
+        self.refine_span = max(layout.lts_slot_length - window, 2 * window)
         #: Samples kept behind the search position so a freshly-detected
         #: frame's start (sts_length - window_sts before the peak) is still
         #: buffered.
@@ -267,12 +240,7 @@ class StreamFrameDetector:
             segment = self._buffer[
                 :, start - self._base : end - self._base + window - 1
             ]
-            rows = np.empty((self.n_rx, end - start), dtype=np.float64)
-            for antenna in range(self.n_rx):
-                rows[antenna] = self.synchronizer.normalized_metric(
-                    segment[antenna]
-                )
-            self._append_metric(rows)
+            self._append_metric(self.synchronizer.metric(segment))
             if end < tile_end:
                 break  # flushed a partial tile; the stream is exhausted
 
@@ -316,7 +284,7 @@ class StreamFrameDetector:
                 break
             tail = self._metric[:, rel_from : self._metric_size]
             combined = tail.max(axis=0)
-            crossings = np.nonzero(combined >= self.min_metric)[0]
+            crossings = np.nonzero(combined >= MIN_METRIC)[0]
             if crossings.size == 0:
                 # Nothing detectable in everything computed so far.
                 self._search_from = self._metric_next

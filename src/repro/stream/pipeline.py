@@ -10,6 +10,10 @@ detected LTS start trusted, so the whole push shares one stacked front end
 pass) and one Viterbi trellis pass.  Because detection is chunk-invariant
 and every burst of a stack decodes exactly as it would alone, a stream fed
 in chunks of any size decodes bit-exactly like the one-shot burst loop.
+The detector builds its :class:`~repro.sync.time_sync.TimeSynchronizer`
+from the receiver's preamble, so the stream and burst paths share one
+detection metric, and the receiver trusts the detector's lock instead of
+synchronising each window again.
 
 A frame the receiver gives up on — a non-finite sample, a rank-deficient
 channel estimate — comes back as a :class:`DecodedFrame` with
@@ -67,9 +71,9 @@ class StreamingReceiver:
     Parameters
     ----------
     receiver:
-        The burst receiver to decode detected windows with; its preamble
-        and time synchroniser are shared with the frame detector so both
-        stages agree on the reference waveform and metric normalisation.
+        The burst receiver to decode detected windows with; the frame
+        detector builds its time synchroniser from the receiver's preamble,
+        so both stages lock with the same metric.
     n_info_bits:
         Information bits per spatial stream per frame (fixes the frame
         length the detector cuts; a real system would decode a SIGNAL
@@ -87,13 +91,10 @@ class StreamingReceiver:
         self.receiver = receiver if receiver is not None else MimoReceiver()
         self.n_info_bits = int(n_info_bits)
         self.frame_length = self.receiver.frame_length(self.n_info_bits)
-        config = self.receiver.config
         self.detector = StreamFrameDetector(
             preamble=self.receiver.preamble,
-            n_rx=config.n_antennas,
+            n_rx=self.receiver.config.n_antennas,
             frame_length=self.frame_length,
-            n_tx=config.n_antennas,
-            synchronizer=self.receiver.synchronizer,
         )
         self.frames_detected = 0
         self.frames_decoded = 0

@@ -50,7 +50,7 @@ from repro.core.receiver import MimoReceiver
 from repro.core.transmitter import MimoTransmitter
 from repro.exceptions import ConfigurationError
 from repro.sim.engine import air_burst, impaired_config, stream_frame_seed
-from repro.sim.spec import ImpairmentSpec
+from repro.sim.spec import CHANNEL_MODELS, ImpairmentSpec
 from repro.stream.metrics import LatencySummary, ServiceReport, UserStats
 from repro.stream.pipeline import DecodedFrame, StreamingReceiver
 from repro.stream.traffic import PoissonTraffic, arrival_times
@@ -106,7 +106,8 @@ class DownlinkScheduler:
     channel:
         Fading model name (``"ideal"``, ``"flat_rayleigh"``,
         ``"frequency_selective"``) — a fresh realisation per frame, the
-        sweep engine's fresh-fading convention.
+        sweep engine's fresh-fading convention.  Any other name raises
+        :class:`~repro.exceptions.ConfigurationError`.
     snr_db:
         AWGN level (``None`` disables noise); a NaN or infinite level
         raises :class:`~repro.exceptions.ConfigurationError`.
@@ -145,6 +146,10 @@ class DownlinkScheduler:
             raise ConfigurationError("mode must be 'round_robin' or 'weighted'")
         if snr_db is not None and not np.isfinite(snr_db):
             raise ConfigurationError(f"snr_db must be finite or None, got {snr_db}")
+        if channel not in CHANNEL_MODELS:
+            raise ConfigurationError(
+                f"unknown channel model {channel!r}; expected one of {CHANNEL_MODELS}"
+            )
         self.n_users = int(n_users)
         self.frames_per_user = int(frames_per_user)
         self.mode = mode

@@ -43,7 +43,7 @@ class CbrTraffic:
     def intervals(self, n_frames: int, rng: SeedLike = None) -> FloatArray:
         """Deterministic gaps; the ``rng`` is accepted but unused."""
         if n_frames < 0:
-            raise ValueError("n_frames must be non-negative")
+            raise ConfigurationError("n_frames must be non-negative")
         gaps = np.full(n_frames, 1.0 / self.rate_fps, dtype=np.float64)
         if n_frames:
             gaps[0] = self.phase_s
@@ -66,7 +66,7 @@ class PoissonTraffic:
     def intervals(self, n_frames: int, rng: SeedLike = None) -> FloatArray:
         """Exponential inter-arrival gaps in seconds."""
         if n_frames < 0:
-            raise ValueError("n_frames must be non-negative")
+            raise ConfigurationError("n_frames must be non-negative")
         generator = make_rng(rng)
         return generator.exponential(1.0 / self.rate_fps, size=n_frames)
 
@@ -77,5 +77,5 @@ def arrival_times(
     """Absolute arrival instants (seconds) for one user's frame sequence."""
     gaps = np.asarray(traffic.intervals(n_frames, rng=rng), dtype=np.float64)
     if np.any(gaps < 0):
-        raise ValueError("traffic model produced a negative inter-arrival gap")
+        raise ConfigurationError("traffic model produced a negative inter-arrival gap")
     return np.cumsum(gaps)

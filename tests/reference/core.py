@@ -1,13 +1,14 @@
-"""Per-symbol transceiver references: map/modulate, LTS FFTs, equalise, pilots.
+"""Per-symbol transceiver references: sync, map/modulate, LTS FFTs, equalise, pilots.
 
-These are the one-symbol-at-a-time transmit and receive loops the
+These are the one-unit-at-a-time transmit and receive loops the
 production :class:`~repro.core.transmitter.MimoTransmitter` and
 :class:`~repro.core.receiver.MimoReceiver` replaced with whole-burst
-gathers, one planned FFT/IFFT and block pilot passes.  They reuse the
-production objects only for stages that have a single implementation
-(FFT, quantiser, interleaver, mapper, pilot insertion, channel estimator,
-detectors, synchroniser, CFO estimator); every batched stage is
-recomputed here one unit at a time, down to the serial demapper, Viterbi
+gathers, one planned FFT/IFFT, block pilot passes and one flat
+(antenna, window) synchroniser argmax.  They reuse the production objects
+only for stages that have a single implementation (FFT, quantiser,
+interleaver, mapper, pilot insertion, channel estimator, detectors, CFO
+estimator); every batched stage is recomputed here one unit at a time,
+down to the per-antenna synchroniser search, serial demapper, Viterbi
 decoder, encoder and scrambler.
 """
 
@@ -26,7 +27,7 @@ from repro.core.pilots import PilotProcessor
 from repro.core.receiver import MimoReceiver
 from repro.core.transmitter import MimoTransmitter
 from repro.dsp.fft import fft, ofdm_modulate
-from repro.exceptions import ChannelEstimationError
+from repro.exceptions import ChannelEstimationError, SynchronizationError
 from repro.mimo.channel_estimation import ChannelEstimate
 from repro.mimo.detector import MmseDetector, zf_detect
 
@@ -126,6 +127,43 @@ def transmit_serial(
     return samples, frequency_symbols, padded
 
 
+def normalized_metric_serial(reference: np.ndarray, samples: np.ndarray) -> np.ndarray:
+    """One antenna's energy-normalised correlation metric per window."""
+    stream = np.asarray(samples, dtype=np.complex128).ravel()
+    magnitude = np.abs(np.correlate(stream, np.conj(reference), mode="valid"))
+    window_energy = np.convolve(
+        np.abs(stream) ** 2,
+        np.ones(reference.size),
+        mode="valid",
+    )
+    reference_energy = float(np.sum(np.abs(reference) ** 2))
+    with np.errstate(invalid="ignore", over="ignore"):
+        metric = magnitude / np.sqrt(
+            np.maximum(window_energy * reference_energy, 1e-30)
+        )
+    metric[~np.isfinite(metric)] = 0.0
+    return metric
+
+
+def synchronize_serial(receiver: MimoReceiver, samples: np.ndarray) -> int:
+    """LTS start from a per-antenna peak search; the strictly strongest antenna wins."""
+    synchronizer = receiver.synchronizer
+    streams = np.asarray(samples, dtype=np.complex128)
+    best_start = None
+    best_peak = 0.0
+    for antenna in range(streams.shape[0]):
+        if streams.shape[1] < synchronizer.window_length:
+            raise SynchronizationError("sample stream shorter than the correlator window")
+        metric = normalized_metric_serial(synchronizer.reference, streams[antenna])
+        peak_index = int(np.argmax(metric))
+        if metric[peak_index] > best_peak:
+            best_peak = metric[peak_index]
+            best_start = peak_index + synchronizer.window_sts
+    if best_start is None:
+        raise SynchronizationError("no receive antenna yielded a correlation peak")
+    return int(best_start)
+
+
 def _quantize_multiplier(receiver: MimoReceiver, values: np.ndarray) -> np.ndarray:
     fmt = receiver.config.rx_multiplier_format
     return fmt.quantize_complex(values) if fmt is not None else values
@@ -211,7 +249,7 @@ def receive_serial(
     streams = np.asarray(samples, dtype=np.complex128)
     if config.rx_sample_format is not None:
         streams = config.rx_sample_format.quantize_complex(streams)
-    lts_start = receiver.synchronize(streams)
+    lts_start = synchronize_serial(receiver, streams)
     estimated_cfo = 0.0
     if receiver.cfo_estimator is not None:
         cfo = receiver.cfo_estimator.estimate(streams, lts_start)

@@ -1,0 +1,28 @@
+"""The documentation gate of ``tools/docs_check.py`` holds on the tree.
+
+``make docs-check`` runs the same gate from the command line; this test
+keeps it in the tier-1 suite, so a module without a docstring or a
+required doc page that loses its section fails the tests.
+"""
+
+import importlib.util
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "docs_check.py"
+
+
+def _docs_check():
+    spec = importlib.util.spec_from_file_location("docs_check", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_public_module_has_a_docstring():
+    docs_check = _docs_check()
+    modules = docs_check.public_modules(docs_check.PACKAGE_ROOT)
+    assert docs_check.missing_docstrings(modules) == []
+
+
+def test_required_doc_pages_are_present_and_linked():
+    assert _docs_check().missing_required_docs() == []

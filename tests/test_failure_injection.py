@@ -10,6 +10,7 @@ degrade into bit errors — never return silently-wrong "successful" results.
 import numpy as np
 import pytest
 
+from repro.channel.awgn import awgn_noise
 from repro.channel.fading import FlatRayleighChannel
 from repro.channel.model import MimoChannel
 from repro.core.config import TransceiverConfig
@@ -21,6 +22,7 @@ from repro.exceptions import (
     DecodingError,
     SynchronizationError,
 )
+from repro.rtl.rx_datapath import RxFrontEnd, RxFrontEndReport
 from repro.sync.time_sync import TimeSynchronizer
 from repro.core.preamble import PreambleGenerator
 from repro.core.frame import ReceiveResult
@@ -29,6 +31,7 @@ from repro.sim import ImpairmentSpec, SweepRunner, SweepSpec
 from repro.sim.engine import build_fading_model
 from repro.sim.queue import MultiprocessingQueue, make_queue
 from repro.stream import CbrTraffic, DownlinkScheduler, PoissonTraffic, StreamFrameDetector
+from repro.stream.traffic import arrival_times
 
 
 @pytest.fixture
@@ -141,6 +144,13 @@ def _detector(**overrides):
     return StreamFrameDetector(**kwargs)
 
 
+class _BackwardsTraffic:
+    """A traffic model whose frames arrive before the previous one."""
+
+    def intervals(self, n_frames, rng=None):
+        return -np.ones(n_frames)
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -156,8 +166,6 @@ def _detector(**overrides):
         lambda: DownlinkScheduler(n_users=2, mode="weighted", weights=[1.0, 0.0]),
         lambda: _detector(n_rx=0),
         lambda: _detector(frame_length=100),
-        lambda: _detector(min_metric=0.0),
-        lambda: _detector(refine_span=0),
         lambda: SweepSpec(snr_db=(float("nan"),)),
         lambda: SweepSpec(snr_db=(20.0, float("inf"))),
         lambda: SweepSpec(channels=("rician",)),
@@ -179,6 +187,21 @@ def _detector(**overrides):
         lambda: ReceiveResult(streams=[], lts_start=0, channel_estimate=None).total_bit_errors(
             [np.zeros(8, dtype=np.uint8)]
         ),
+        lambda: MimoChannel(sample_delay=-1),
+        lambda: MimoChannel(sample_delay=2.5),
+        lambda: MimoChannel(snr_db=float("nan")),
+        lambda: MimoChannel(snr_db=float("inf")),
+        lambda: MimoChannel(cfo_normalized=float("nan")),
+        lambda: MimoChannel(iq_amplitude_db=float("inf")),
+        lambda: MimoChannel(iq_phase_deg=float("nan")),
+        lambda: awgn_noise(8, float("nan")),
+        lambda: DownlinkScheduler(n_users=1, channel="rician"),
+        lambda: CbrTraffic(10.0).intervals(-1),
+        lambda: PoissonTraffic(10.0).intervals(-1),
+        lambda: arrival_times(_BackwardsTraffic(), 2),
+        lambda: RxFrontEnd().ingest(np.zeros((2, 100), dtype=complex)),
+        lambda: RxFrontEnd().replay_lts(RxFrontEndReport(160, 0, 0), total_ingested=0),
+        lambda: RxFrontEnd().replay_lts(RxFrontEndReport(0, 0, 0), total_ingested=2000),
     ],
     ids=[
         "transceiver-antenna-mismatch",
@@ -191,8 +214,6 @@ def _detector(**overrides):
         "scheduler-zero-weight",
         "detector-no-antennas",
         "detector-frame-shorter-than-preamble",
-        "detector-zero-threshold",
-        "detector-zero-refine-span",
         "sweep-nan-snr",
         "sweep-infinite-snr",
         "sweep-unknown-channel",
@@ -212,6 +233,21 @@ def _detector(**overrides):
         "cbr-negative-phase",
         "poisson-nan-rate",
         "receive-result-stream-count-mismatch",
+        "channel-negative-delay",
+        "channel-fractional-delay",
+        "channel-nan-snr",
+        "channel-infinite-snr",
+        "channel-nan-cfo",
+        "channel-infinite-iq-amplitude",
+        "channel-nan-iq-phase",
+        "awgn-nan-variance",
+        "scheduler-unknown-channel",
+        "cbr-negative-frames",
+        "poisson-negative-frames",
+        "arrivals-negative-gap",
+        "front-end-antenna-mismatch",
+        "front-end-replay-before-ingest",
+        "front-end-replay-past-buffer",
     ],
 )
 def test_inconsistent_construction_raises_configuration_error(build):
@@ -220,22 +256,19 @@ def test_inconsistent_construction_raises_configuration_error(build):
 
 
 class TestSynchronizerFailureModes:
-    def test_threshold_mode_reports_failure_cleanly(self):
-        preamble = PreambleGenerator(64)
-        synchronizer = TimeSynchronizer(
-            sts_time=preamble.sts_time(),
-            lts_time=preamble.lts_time(),
-            mode="threshold",
-        )
-        rng = np.random.default_rng(10)
-        noise = 0.001 * (rng.normal(size=500) + 1j * rng.normal(size=500))
-        with pytest.raises(SynchronizationError):
-            synchronizer.search(noise)
-
     def test_empty_stream_rejected(self):
         preamble = PreambleGenerator(64)
         synchronizer = TimeSynchronizer(
             sts_time=preamble.sts_time(), lts_time=preamble.lts_time()
         )
         with pytest.raises(SynchronizationError):
-            synchronizer.search(np.zeros(0, dtype=complex))
+            synchronizer.locate(np.zeros(0, dtype=complex))
+
+    def test_front_end_does_not_lock_on_a_silent_burst(self):
+        # The RTL front end follows the receiver's lock rule: no window
+        # scoring above zero means no lock.
+        silent = np.zeros((4, 1000), dtype=complex)
+        with pytest.raises(SynchronizationError):
+            RxFrontEnd().ingest(silent)
+        with pytest.raises(SynchronizationError):
+            MimoReceiver().synchronize(silent)

@@ -65,7 +65,6 @@ class TestRxFrontEnd:
         front_end = RxFrontEnd(paper_config)
         report = front_end.ingest(burst.samples)
         assert report.lts_start == burst.layout.sts_length
-        assert report.locked
         replayed = front_end.replay_lts(report, burst.samples.shape[1])
         direct = burst.samples[:, report.lts_start : report.lts_start + replayed.shape[1]]
         np.testing.assert_allclose(replayed, direct, atol=1e-12)
@@ -83,8 +82,8 @@ class TestRxFrontEnd:
         front_end = RxFrontEnd(paper_config)
         rng = np.random.default_rng(3)
         noise = 1e-6 * (rng.normal(size=(4, 1000)) + 1j * rng.normal(size=(4, 1000)))
-        # Peak mode always finds *some* peak; but replay must fail if the
-        # "LTS" has not been fully ingested (peak near the stream end).
+        # Noise always has *some* peak above zero, so the front end locks;
+        # but replay must fail if the "LTS" has not been fully ingested.
         report = front_end.ingest(noise)
         with pytest.raises(ValueError):
             front_end.replay_lts(report, total_ingested=report.lts_start + 10)

@@ -27,13 +27,8 @@ def clean_frames(preamble):
     return bursts, bursts[0].shape[1]
 
 
-def _detector(preamble, frame_length, **kwargs):
-    return StreamFrameDetector(
-        preamble=preamble,
-        n_rx=4,
-        frame_length=frame_length,
-        **kwargs,
-    )
+def _detector(preamble, frame_length):
+    return StreamFrameDetector(preamble=preamble, n_rx=4, frame_length=frame_length)
 
 
 class TestDetection:
@@ -127,7 +122,6 @@ class TestValidation:
         detector = StreamFrameDetector(
             preamble=preamble,
             n_rx=1,
-            n_tx=1,
             frame_length=layout_length + 80,
         )
         samples = np.concatenate(

@@ -4,9 +4,15 @@ import numpy as np
 import pytest
 
 from repro.channel.awgn import add_awgn
+from repro.core.config import TransceiverConfig
 from repro.core.preamble import PreambleGenerator
-from repro.exceptions import SynchronizationError
+from repro.core.receiver import MimoReceiver
+from repro.core.transmitter import MimoTransmitter
+from repro.exceptions import ConfigurationError, SynchronizationError
+from repro.sim.engine import air_burst
+from repro.sim.spec import CHANNEL_MODELS, ImpairmentSpec
 from repro.sync.time_sync import TimeSynchronizer
+from reference.core import normalized_metric_serial, synchronize_serial
 
 
 @pytest.fixture
@@ -14,10 +20,8 @@ def preamble() -> PreambleGenerator:
     return PreambleGenerator(64)
 
 
-def _synchronizer(preamble, **kwargs) -> TimeSynchronizer:
-    return TimeSynchronizer(
-        sts_time=preamble.sts_time(), lts_time=preamble.lts_time(), **kwargs
-    )
+def _synchronizer(preamble) -> TimeSynchronizer:
+    return TimeSynchronizer(sts_time=preamble.sts_time(), lts_time=preamble.lts_time())
 
 
 def _clean_burst(preamble, delay=0, n_data=200, rng_seed=0):
@@ -29,144 +33,87 @@ def _clean_burst(preamble, delay=0, n_data=200, rng_seed=0):
 
 
 class TestConstruction:
-    def test_window_length_default_is_32(self, preamble):
-        assert _synchronizer(preamble).window_length == 32
-
-    def test_threshold_defaults_to_half_clean_peak(self, preamble):
+    def test_window_length_is_32(self, preamble):
         sync = _synchronizer(preamble)
-        assert sync.threshold == pytest.approx(0.5 * sync.clean_peak)
+        assert sync.window_length == 32
+        assert sync.window_sts == 16
 
-    def test_invalid_mode(self, preamble):
-        with pytest.raises(ValueError):
-            _synchronizer(preamble, mode="magic")
+    def test_preamble_shorter_than_window_rejected(self, preamble):
+        with pytest.raises(ConfigurationError):
+            TimeSynchronizer(sts_time=preamble.sts_time()[:8], lts_time=preamble.lts_time())
 
-    def test_window_longer_than_preamble_rejected(self, preamble):
-        with pytest.raises(ValueError):
-            TimeSynchronizer(
-                sts_time=preamble.sts_time()[:8], lts_time=preamble.lts_time(), window_sts=16
+
+class TestMetric:
+    def test_one_row_per_antenna_one_value_per_window(self, preamble):
+        burst = _clean_burst(preamble)
+        streams = np.stack([burst, 0.5 * burst, np.roll(burst, 3)])
+        metric = _synchronizer(preamble).metric(streams)
+        assert metric.shape == (3, burst.size - 32 + 1)
+
+    def test_one_dimensional_stream_is_one_antenna(self, preamble):
+        burst = _clean_burst(preamble, delay=5)
+        sync = _synchronizer(preamble)
+        np.testing.assert_array_equal(sync.metric(burst), sync.metric(burst[None, :]))
+
+    def test_clean_transition_scores_one(self, preamble):
+        metric = _synchronizer(preamble).metric(_clean_burst(preamble))
+        assert metric.max() == pytest.approx(1.0, abs=1e-9)
+
+    def test_rows_match_the_serial_metric_bit_exactly(self, preamble):
+        sync = _synchronizer(preamble)
+        rng = np.random.default_rng(4)
+        streams = rng.normal(size=(4, 400)) + 1j * rng.normal(size=(4, 400))
+        streams[1, 100] = np.nan
+        streams[2, :200] = 0.0
+        metric = sync.metric(streams)
+        for antenna in range(4):
+            np.testing.assert_array_equal(
+                metric[antenna], normalized_metric_serial(sync.reference, streams[antenna])
             )
 
-
-class TestDetection:
-    def test_exact_position_no_delay(self, preamble):
+    def test_stream_shorter_than_window_rejected(self, preamble):
         sync = _synchronizer(preamble)
-        result = sync.search(_clean_burst(preamble))
-        assert result.lts_start == preamble.sts_time().size
+        for short in (np.zeros(10, dtype=complex), np.zeros((4, 31), dtype=complex)):
+            with pytest.raises(SynchronizationError):
+                sync.metric(short)
+            with pytest.raises(SynchronizationError):
+                sync.locate(short)
+
+    @pytest.mark.parametrize("shape", [(), (2, 3, 40), (0, 40)])
+    def test_other_ranks_rejected(self, preamble, shape):
+        with pytest.raises(ConfigurationError):
+            _synchronizer(preamble).metric(np.zeros(shape, dtype=complex))
+
+
+class TestLocate:
+    def test_exact_position_no_delay(self, preamble):
+        assert _synchronizer(preamble).locate(_clean_burst(preamble)) == 160
 
     @pytest.mark.parametrize("delay", [1, 13, 77, 200])
     def test_exact_position_with_delay(self, preamble, delay):
         sync = _synchronizer(preamble)
-        result = sync.search(_clean_burst(preamble, delay=delay))
-        assert result.lts_start == preamble.sts_time().size + delay
+        assert sync.locate(_clean_burst(preamble, delay=delay)) == 160 + delay
 
     def test_detection_with_noise(self, preamble):
-        sync = _synchronizer(preamble)
         noisy = add_awgn(_clean_burst(preamble, delay=50), snr_db=15.0, rng=1)
-        result = sync.search(noisy)
-        assert abs(result.lts_start - (160 + 50)) <= 1
+        assert abs(_synchronizer(preamble).locate(noisy) - (160 + 50)) <= 1
 
     def test_detection_with_complex_channel_gain(self, preamble):
-        sync = _synchronizer(preamble)
         gain = 0.3 * np.exp(1j * 1.1)
-        result = sync.search(gain * _clean_burst(preamble, delay=20))
-        assert result.lts_start == 180
+        assert _synchronizer(preamble).locate(gain * _clean_burst(preamble, delay=20)) == 180
 
-    def test_threshold_mode_finds_first_crossing(self, preamble):
-        # A threshold tuned close to the clean transition peak (as the
-        # hardware's pre-computed value is) locks on the exact transition.
-        reference_peak = _synchronizer(preamble).clean_peak
-        sync = _synchronizer(preamble, mode="threshold", threshold=0.9 * reference_peak)
-        result = sync.search(_clean_burst(preamble))
-        assert result.lts_start == 160
-
-    def test_threshold_mode_raises_when_signal_too_weak(self, preamble):
-        sync = _synchronizer(preamble, mode="threshold")
-        weak = 0.01 * _clean_burst(preamble)
-        with pytest.raises(SynchronizationError):
-            sync.search(weak)
-
-    def test_stream_shorter_than_window_rejected(self, preamble):
-        with pytest.raises(SynchronizationError):
-            _synchronizer(preamble).search(np.zeros(10, dtype=complex))
-
-    def test_correlation_trace_returned(self, preamble):
+    def test_strongest_antenna_wins(self, preamble):
+        # Antenna 1 hears a cleaner copy of a differently delayed burst.
         sync = _synchronizer(preamble)
-        burst = _clean_burst(preamble)
-        result = sync.search(burst)
-        assert result.correlation_magnitude.size == burst.size - 32 + 1
-        assert result.locked
+        noisy = add_awgn(_clean_burst(preamble, delay=0, n_data=260), snr_db=0.0, rng=2)
+        clean = _clean_burst(preamble, delay=60)
+        assert sync.locate(np.stack([noisy, clean])) == 160 + 60
 
-    def test_cordic_magnitude_mode(self, preamble):
-        sync = _synchronizer(preamble, use_cordic_magnitude=True, normalize=False)
-        # Use a shorter stream to keep the CORDIC loop fast.
-        burst = _clean_burst(preamble, n_data=20)
-        result = sync.search(burst)
-        assert abs(result.lts_start - 160) <= 1
-
-
-class TestStructuredResult:
-    """Both detection modes report the same result shape and quantities."""
-
-    def test_both_modes_return_both_traces(self, preamble):
-        burst = _clean_burst(preamble)
-        for mode in ("peak", "threshold"):
-            result = _synchronizer(preamble, mode=mode).search(burst)
-            assert result.correlation_magnitude.size == burst.size - 32 + 1
-            assert result.metric.shape == result.correlation_magnitude.shape
-
-    def test_peak_magnitude_is_metric_at_peak_in_both_modes(self, preamble):
-        burst = _clean_burst(preamble, delay=9)
-        for mode in ("peak", "threshold"):
-            result = _synchronizer(preamble, mode=mode).search(burst)
-            assert result.peak_magnitude == result.metric[result.peak_index]
-
-    def test_modes_report_comparable_metric(self, preamble):
-        # The historical inconsistency: threshold mode reported the raw
-        # correlation sum, peak mode the normalised metric.  Both now report
-        # the normalised metric (~1.0 at a clean transition) so a single
-        # acceptance test works across modes.
-        burst = _clean_burst(preamble)
-        peak = _synchronizer(preamble, mode="peak").search(burst)
-        # A threshold tuned close to the clean transition peak (the
-        # hardware's pre-computed value) locks on the same window.
-        threshold = _synchronizer(
-            preamble,
-            mode="threshold",
-            threshold=0.9 * _synchronizer(preamble).clean_peak,
-        ).search(burst)
-        assert peak.peak_magnitude == pytest.approx(1.0, abs=0.05)
-        assert threshold.peak_index == peak.peak_index
-        assert threshold.peak_magnitude == pytest.approx(
-            peak.peak_magnitude, abs=0.05
-        )
-
-    def test_raw_trace_is_unnormalized_in_both_modes(self, preamble):
-        gain = 5.0
-        burst = _clean_burst(preamble)
-        for mode in ("peak", "threshold"):
-            sync = _synchronizer(preamble, mode=mode)
-            small = sync.search(burst)
-            large = sync.search(gain * burst)
-            # Raw correlation scales with the signal; the metric does not.
-            ratio = large.correlation_magnitude.max() / small.correlation_magnitude.max()
-            assert ratio == pytest.approx(gain, rel=1e-9)
-            assert large.peak_magnitude == pytest.approx(
-                small.peak_magnitude, rel=1e-9
-            )
-
-    def test_normalized_metric_matches_search_trace(self, preamble):
-        sync = _synchronizer(preamble)
-        burst = _clean_burst(preamble)
-        np.testing.assert_allclose(
-            sync.normalized_metric(burst), sync.search(burst).metric
-        )
-
-    def test_normalized_metric_without_normalization_is_raw(self, preamble):
-        sync = _synchronizer(preamble, normalize=False)
-        burst = _clean_burst(preamble, n_data=50)
-        np.testing.assert_array_equal(
-            sync.normalized_metric(burst), sync.correlate(burst)
-        )
+    @pytest.mark.parametrize("fill", [0.0, np.nan, np.inf])
+    def test_no_lock_on_silent_or_corrupted_streams(self, preamble, fill):
+        streams = np.full((4, 400), fill, dtype=complex)
+        with pytest.raises(SynchronizationError):
+            _synchronizer(preamble).locate(streams)
 
 
 class TestMimoPreambleDetection:
@@ -175,5 +122,35 @@ class TestMimoPreambleDetection:
         # the detector locks on the slot-0 boundary even in the 4-antenna
         # staggered preamble.
         waveform = preamble.mimo_preamble(4)[0]
-        result = _synchronizer(preamble).search(waveform)
-        assert result.lts_start == preamble.layout(4).lts_slot_start(0)
+        assert _synchronizer(preamble).locate(waveform) == preamble.layout(4).lts_slot_start(0)
+
+
+class TestSerialOracle:
+    """``locate`` equals the per-antenna peak search it replaced."""
+
+    @pytest.mark.parametrize("channel", CHANNEL_MODELS)
+    @pytest.mark.parametrize("n_antennas", [1, 2, 4])
+    def test_locate_matches_the_per_antenna_search(self, n_antennas, channel):
+        config = TransceiverConfig(n_antennas=n_antennas)
+        transmitter = MimoTransmitter(config)
+        receiver = MimoReceiver(config)
+        for snr_db in (-5.0, 0.0, 10.0, 20.0, 30.0):
+            for delay in (0, 7, 50):
+                seed = np.random.SeedSequence(
+                    [n_antennas, CHANNEL_MODELS.index(channel), int(snr_db) + 5, delay]
+                )
+                air = air_burst(
+                    transmitter, seed, channel, snr_db, ImpairmentSpec(sample_delay=delay), 48
+                )
+                assert receiver.synchronizer.locate(air.samples) == synchronize_serial(
+                    receiver, air.samples
+                )
+
+    @pytest.mark.parametrize("fill", [0.0, np.nan])
+    def test_both_raise_on_silent_and_nan_streams(self, fill):
+        receiver = MimoReceiver()
+        streams = np.full((4, 500), fill, dtype=complex)
+        with pytest.raises(SynchronizationError):
+            receiver.synchronize(streams)
+        with pytest.raises(SynchronizationError):
+            synchronize_serial(receiver, streams)
