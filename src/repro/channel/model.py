@@ -125,7 +125,8 @@ class MimoChannel:
 
     Raises :class:`~repro.exceptions.ConfigurationError` on a
     ``sample_delay`` that is not a non-negative integer, an ``snr_db`` that
-    is neither ``None`` nor finite, and a non-finite CFO or IQ imbalance.
+    is neither ``None`` nor finite, a non-finite CFO or IQ imbalance, and
+    (in :meth:`transmit`) a burst that is not ``(n_tx, n_samples)``.
     """
 
     def __init__(
@@ -183,7 +184,9 @@ class MimoChannel:
         """
         x = np.asarray(tx_samples, dtype=np.complex128)
         if x.ndim != 2 or x.shape[0] != self.n_tx:
-            raise ValueError(f"expected shape ({self.n_tx}, n_samples), got {x.shape}")
+            raise ConfigurationError(
+                f"expected shape ({self.n_tx}, n_samples), got {x.shape}"
+            )
 
         if self.tx_quantization is not None:
             x = self.tx_quantization.quantize_complex(x)

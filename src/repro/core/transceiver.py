@@ -28,7 +28,6 @@ from typing import List, NamedTuple, Optional
 
 import numpy as np
 
-from repro.channel.awgn import noise_variance_for_snr
 from repro.channel.model import MimoChannel
 from repro.core.config import TransceiverConfig
 from repro.core.frame import ReceiveResult, TransmitBurst
@@ -120,17 +119,9 @@ def transmit_burst(
         lts_start = burst.layout.sts_length + channel.sample_delay
 
     # The channel reports the exact variance it injected (calibrated
-    # against the occupied-sample signal power); fall back to measuring
-    # the noisy output only for duck-typed channels that do not.
-    noise_variance = getattr(output, "noise_variance", None)
-    if not noise_variance:
-        if channel.snr_db is not None:
-            signal_power = float(np.mean(np.abs(output.samples) ** 2))
-            noise_variance = noise_variance_for_snr(
-                channel.snr_db, max(signal_power, 1e-12)
-            )
-        else:
-            noise_variance = 1.0
+    # against the occupied-sample signal power); a channel that injects
+    # none leaves the receiver at its default of 1.0.
+    noise_variance = output.noise_variance or 1.0
     return AirBurst(burst, output.samples, lts_start, noise_variance)
 
 

@@ -17,14 +17,13 @@ a single planned IFFT, and cyclic-prefixed with one indexed gather.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.coding.convolutional import ConvolutionalCode, ConvolutionalEncoder
 from repro.coding.interleaver import interleave
 from repro.coding.scrambler import Scrambler
-from repro.contracts import shaped
 from repro.core.config import TransceiverConfig
 from repro.core.frame import TransmitBurst
 from repro.core.pilots import PilotProcessor
@@ -90,21 +89,16 @@ class MimoTransmitter:
     # per-stream datapath
     # ------------------------------------------------------------------
     def _encode_stream(self, bits: np.ndarray) -> tuple[np.ndarray, int]:
-        """Scramble + encode + pad one stream; returns (padded coded bits, n_symbols)."""
+        """Scramble + encode one stream; returns (coded bits, n_symbols)."""
         info = _as_bit_array(bits)
         if self.config.scramble:
             info = self._scrambler.process(info, reset=True)
         coded = self._encoder.encode(info, terminate=True, reset=True)
-        n_cbps = self.config.coded_bits_per_symbol
-        n_symbols = -(-coded.size // n_cbps)
-        padded = np.zeros(n_symbols * n_cbps, dtype=np.uint8)
-        padded[: coded.size] = coded
-        return padded, n_symbols
+        return coded, -(-coded.size // self.config.coded_bits_per_symbol)
 
     # ------------------------------------------------------------------
     # whole-burst datapath
     # ------------------------------------------------------------------
-    @shaped("(n_streams, n_symbols, fft_size)", padded_bits="(n_streams, n_bits)")
     def _map_block(self, padded_bits: BitArray, n_symbols: int) -> ComplexArray:
         """Interleave, map and pilot-insert every stream's burst in one pass.
 
@@ -127,10 +121,6 @@ class MimoTransmitter:
         block[..., data_bins] = points.reshape(n_streams, n_symbols, len(data_bins))
         return self.pilots.insert_block(block)
 
-    @shaped(
-        "(n_streams, n_time_samples)",
-        frequency_block="(n_streams, n_symbols, fft_size)",
-    )
     def _modulate_block(self, frequency_block: ComplexArray) -> ComplexArray:
         """One planned IFFT + one strided CP gather for the whole burst.
 
@@ -177,22 +167,15 @@ class MimoTransmitter:
             if bits.size == 0:
                 raise ConfigurationError("every stream must carry at least one bit")
 
-        encoded: List[np.ndarray] = []
-        symbol_counts: List[int] = []
-        for bits in info_bits:
-            coded, n_symbols = self._encode_stream(bits)
-            encoded.append(coded)
-            symbol_counts.append(n_symbols)
-
+        encoded, symbol_counts = zip(*(self._encode_stream(bits) for bits in info_bits))
         n_symbols = max(symbol_counts)
-        n_cbps = self.config.coded_bits_per_symbol
-        padded = []
-        for coded in encoded:
-            full = np.zeros(n_symbols * n_cbps, dtype=np.uint8)
-            full[: coded.size] = coded
-            padded.append(full)
+        padded = np.zeros(
+            (n_streams, n_symbols * self.config.coded_bits_per_symbol), dtype=np.uint8
+        )
+        for row, coded in zip(padded, encoded):
+            row[: coded.size] = coded
 
-        frequency_symbols = self._map_block(np.stack(padded), n_symbols)
+        frequency_symbols = self._map_block(padded, n_symbols)
 
         preamble_waveform = self.preamble.mimo_preamble(n_streams)
         layout = self.preamble.layout(n_streams)
@@ -215,7 +198,7 @@ class MimoTransmitter:
         return TransmitBurst(
             samples=burst,
             info_bits=info_bits,
-            coded_bits=padded,
+            coded_bits=list(padded),
             n_ofdm_symbols=n_symbols,
             layout=layout,
             config=self.config,

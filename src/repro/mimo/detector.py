@@ -16,14 +16,21 @@ from typing import Union
 import numpy as np
 import numpy.typing as npt
 
-from repro.contracts import shaped
-from repro.exceptions import DecodingError
+from repro.exceptions import ConfigurationError, DecodingError
 from repro.mimo.channel_estimation import ChannelEstimate
 from repro.mimo.matrix import hermitian
 from repro.types import ComplexArray
 
 
-def _apply_per_subcarrier(weights: ComplexArray, received: npt.ArrayLike) -> ComplexArray:
+#: ``einsum`` subscripts per received rank: one symbol, one burst, a stack.
+_CONTRACTIONS = {
+    2: "kij,jk->ik",  # x_hat[:, k] = W[k] @ y[:, k]
+    3: "kij,jnk->ink",  # x_hat[:, n, k] = W[k] @ y[:, n, k]
+    4: "mkij,mjnk->mink",  # x_hat[m, :, n, k] = W[m, k] @ y[m, :, n, k]
+}
+
+
+def _apply_per_subcarrier(weights: npt.ArrayLike, received: npt.ArrayLike) -> ComplexArray:
     """Multiply per-subcarrier weight matrices into received vectors.
 
     ``weights`` has shape ``(fft_size, n_out, n_rx)``.  ``received`` is either
@@ -34,34 +41,34 @@ def _apply_per_subcarrier(weights: ComplexArray, received: npt.ArrayLike) -> Com
     fft_size, n_out, n_rx)``.  Every form contracts the antenna axis in the
     same index order, so the batched products are bit-identical to applying
     the 2-D form symbol by symbol.
+
+    This is the one shape check of both detectors: a rank pairing, stack
+    count, FFT size or antenna count that does not match raises
+    :class:`~repro.exceptions.ConfigurationError`.
     """
+    w = np.asarray(weights, dtype=np.complex128)
     y = np.asarray(received, dtype=np.complex128)
-    if y.ndim == 2:
-        if weights.shape[0] != y.shape[1]:
-            raise ValueError("weights and received disagree on the FFT size")
-        # einsum over subcarriers: x_hat[:, k] = W[k] @ y[:, k]
-        return np.einsum("kij,jk->ik", weights, y)
-    if y.ndim == 3:
-        if weights.shape[0] != y.shape[2]:
-            raise ValueError("weights and received disagree on the FFT size")
-        # one contraction for the whole burst: x_hat[:, n, k] = W[k] @ y[:, n, k]
-        return np.einsum("kij,jnk->ink", weights, y)
-    if y.ndim == 4:
-        if weights.shape[:2] != (y.shape[0], y.shape[3]):
-            raise ValueError("weights and received disagree on the stack or FFT size")
-        # one contraction for every burst: x_hat[m, :, n, k] = W[m, k] @ y[m, :, n, k]
-        return np.einsum("mkij,mjnk->mink", weights, y)
-    raise ValueError(
-        "received must have shape (n_rx, fft_size), (n_rx, n_symbols, fft_size) "
-        "or (n_items, n_rx, n_symbols, fft_size)"
-    )
+    if (w.ndim, y.ndim) not in ((3, 2), (3, 3), (4, 4)):
+        raise ConfigurationError(
+            f"received {y.shape} does not pair with weights {w.shape}: expected "
+            "(n_rx, fft_size) or (n_rx, n_symbols, fft_size) with "
+            "(fft_size, n_out, n_rx), or (n_items, n_rx, n_symbols, fft_size) "
+            "with (n_items, fft_size, n_out, n_rx)"
+        )
+    rx_axis = w.ndim - 3  # 1 behind the stack axis, else 0
+    for axis, w_size, y_size in (
+        ("stack", w.shape[:rx_axis], y.shape[:rx_axis]),
+        ("FFT", w.shape[-3], y.shape[-1]),
+        ("antenna", w.shape[-1], y.shape[rx_axis]),
+    ):
+        if w_size != y_size:
+            raise ConfigurationError(
+                f"weights {w.shape} and received {y.shape} disagree on the "
+                f"{axis} axis ({w_size} != {y_size})"
+            )
+    return np.einsum(_CONTRACTIONS[y.ndim], w, y)
 
 
-@shaped(
-    received="(n_rx, fft_size) | (n_rx, n_symbols, fft_size)"
-    " | (n_items, n_rx, n_symbols, fft_size)",
-    channel_inverses="(fft_size, n_tx, n_rx) | (n_items, fft_size, n_tx, n_rx)",
-)
 def zf_detect(received: npt.ArrayLike, channel_inverses: npt.ArrayLike) -> ComplexArray:
     """Zero-forcing detection: multiply by the stored ``H^-1`` per subcarrier.
 
@@ -80,15 +87,10 @@ def zf_detect(received: npt.ArrayLike, channel_inverses: npt.ArrayLike) -> Compl
     Returns
     -------
     Equalised transmit-stream estimates, shaped like ``received`` with
-    ``n_tx`` replacing ``n_rx``.
+    ``n_tx`` replacing ``n_rx``.  Mismatched shapes raise
+    :class:`~repro.exceptions.ConfigurationError`.
     """
-    inv = np.asarray(channel_inverses, dtype=np.complex128)
-    if inv.ndim not in (3, 4):
-        raise ValueError(
-            "channel_inverses must have shape (fft_size, n_tx, n_rx) "
-            "or (n_items, fft_size, n_tx, n_rx)"
-        )
-    return _apply_per_subcarrier(inv, received)
+    return _apply_per_subcarrier(channel_inverses, received)
 
 
 class MmseDetector:
@@ -105,7 +107,7 @@ class MmseDetector:
         self, estimate: ChannelEstimate, noise_variance: Union[float, npt.ArrayLike]
     ) -> None:
         if np.any(np.asarray(noise_variance) < 0):
-            raise ValueError("noise_variance cannot be negative")
+            raise ConfigurationError("noise_variance cannot be negative")
         self.estimate = estimate
         self.noise_variance = noise_variance
         self._weights = self._compute_weights()
@@ -138,7 +140,8 @@ class MmseDetector:
     def detect(self, received: npt.ArrayLike) -> ComplexArray:
         """Equalise one symbol ``(n_rx, fft_size)``, a burst ``(n_rx,
         n_symbols, fft_size)`` or, for a stacked estimate, the stacked
-        bursts ``(n_items, n_rx, n_symbols, fft_size)``."""
+        bursts ``(n_items, n_rx, n_symbols, fft_size)``; any other shape
+        raises :class:`~repro.exceptions.ConfigurationError`."""
         return _apply_per_subcarrier(self._weights, received)
 
 

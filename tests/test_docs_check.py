@@ -2,13 +2,16 @@
 
 ``make docs-check`` runs the same gate from the command line; this test
 keeps it in the tier-1 suite, so a module without a docstring or a
-required doc page that loses its section fails the tests.
+required doc page that loses its section fails the tests.  The PEP 561
+marker that publishes the package's annotations is checked here too.
 """
 
 import importlib.util
+import tomllib
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "docs_check.py"
+REPO_ROOT = Path(__file__).resolve().parents[1]
+TOOL = REPO_ROOT / "tools" / "docs_check.py"
 
 
 def _docs_check():
@@ -26,3 +29,12 @@ def test_every_public_module_has_a_docstring():
 
 def test_required_doc_pages_are_present_and_linked():
     assert _docs_check().missing_required_docs() == []
+
+
+def test_py_typed_marker_ships_with_the_package():
+    # The annotations are only visible to downstream checkers when the
+    # PEP 561 marker is packaged.
+    assert (REPO_ROOT / "src" / "repro" / "py.typed").exists()
+    pyproject = tomllib.loads((REPO_ROOT / "pyproject.toml").read_text())
+    package_data = pyproject["tool"]["setuptools"]["package-data"]
+    assert "py.typed" in package_data["repro"]

@@ -27,6 +27,8 @@ from repro.sync.time_sync import TimeSynchronizer
 from repro.core.preamble import PreambleGenerator
 from repro.core.frame import ReceiveResult
 from repro.core.transceiver import MimoTransceiver, simulate_link
+from repro.mimo.channel_estimation import ChannelEstimate
+from repro.mimo.detector import MmseDetector
 from repro.sim import ImpairmentSpec, SweepRunner, SweepSpec
 from repro.sim.engine import build_fading_model
 from repro.sim.queue import MultiprocessingQueue, make_queue
@@ -144,6 +146,13 @@ def _detector(**overrides):
     return StreamFrameDetector(**kwargs)
 
 
+def _identity_estimate(fft_size=64):
+    eye = np.broadcast_to(np.eye(4, dtype=complex), (fft_size, 4, 4)).copy()
+    return ChannelEstimate(
+        matrices=eye, inverses=eye, active_mask=np.ones(fft_size, dtype=bool)
+    )
+
+
 class _BackwardsTraffic:
     """A traffic model whose frames arrive before the previous one."""
 
@@ -202,6 +211,8 @@ class _BackwardsTraffic:
         lambda: RxFrontEnd().ingest(np.zeros((2, 100), dtype=complex)),
         lambda: RxFrontEnd().replay_lts(RxFrontEndReport(160, 0, 0), total_ingested=0),
         lambda: RxFrontEnd().replay_lts(RxFrontEndReport(0, 0, 0), total_ingested=2000),
+        lambda: MimoChannel().transmit(np.zeros((3, 100), dtype=complex)),
+        lambda: MmseDetector(_identity_estimate(), noise_variance=-1.0),
     ],
     ids=[
         "transceiver-antenna-mismatch",
@@ -248,6 +259,8 @@ class _BackwardsTraffic:
         "front-end-antenna-mismatch",
         "front-end-replay-before-ingest",
         "front-end-replay-past-buffer",
+        "channel-burst-antenna-mismatch",
+        "mmse-negative-noise-variance",
     ],
 )
 def test_inconsistent_construction_raises_configuration_error(build):

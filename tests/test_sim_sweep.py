@@ -436,6 +436,32 @@ class TestSweepRunner:
         curve = result.ber_curve(modulation="qpsk")
         assert curve[35.0] <= curve[5.0]
 
+    def test_per_curve_is_sorted_by_snr_and_rejects_ambiguous_filters(self):
+        spec = small_spec(snr_db=(30.0, 8.0), detectors=("zf", "mmse"), n_bursts=4)
+        result = SweepResult(
+            spec=spec,
+            points=[
+                SweepPointResult(
+                    point=point,
+                    bit_errors=index,
+                    total_bits=320,
+                    frame_errors=index,
+                    n_bursts=4,
+                    early_stopped=False,
+                )
+                for index, point in enumerate(spec.points())
+            ],
+        )
+        per = {
+            (p.point.detector, p.point.snr_db): p.packet_error_rate
+            for p in result.points
+        }
+        curve = result.per_curve(detector="mmse")
+        assert list(curve) == [8.0, 30.0]
+        assert curve == {8.0: per["mmse", 8.0], 30.0: per["mmse", 30.0]}
+        with pytest.raises(ValueError, match="more than one point per SNR"):
+            result.per_curve(modulation="qpsk")
+
 
 class TestDecodeFailureAccounting:
     def test_late_sync_lock_with_cfo_counts_as_lost_frames(self):

@@ -47,7 +47,6 @@ REQUIRED_SECTIONS: dict[str, tuple[str, ...]] = {
         "Suppressing a finding",
         "Pinning the golden corpus",
         "Runtime contracts",
-        "The `@shaped` grammar",
     ),
 }
 

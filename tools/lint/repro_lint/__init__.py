@@ -22,8 +22,8 @@ LINT002   suppression comments must name a registered rule and
 PARSE001  every linted file must parse as Python
 ========  ==============================================================
 
-Contracts that running code can check for itself (``@shaped`` shape
-contracts, the air-interface dtype, dB/linear units, cache-key
+Contracts that running code can check for itself (each stage's own
+shape check, the air-interface dtype, dB/linear units, cache-key
 completeness) are enforced by the runtime and tier-1 tests, not here;
 ``docs/linting.md`` names the test behind each.  Drift of the simulated
 results is caught by the tier-1 golden corpus
