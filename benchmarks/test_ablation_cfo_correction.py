@@ -12,7 +12,9 @@ collapses and the extension keeps the link closed.
 from repro.channel.fading import FlatRayleighChannel
 from repro.channel.model import MimoChannel
 from repro.core.config import TransceiverConfig
-from repro.core.transceiver import simulate_link
+from repro.core.receiver import MimoReceiver
+from repro.core.transceiver import transmit_burst
+from repro.core.transmitter import MimoTransmitter
 
 CFO_POINTS = [0.0, 1e-3, 3e-3, 6e-3]
 N_INFO_BITS = 200
@@ -23,8 +25,11 @@ def _ber(correct_cfo: bool, cfo: float) -> float:
     channel = MimoChannel(
         FlatRayleighChannel(rng=26), snr_db=35.0, rng=27, cfo_normalized=cfo
     )
-    stats = simulate_link(config, channel, n_info_bits=N_INFO_BITS, n_bursts=1, rng=1)
-    return stats["bit_error_rate"]
+    air = transmit_burst(MimoTransmitter(config), channel, N_INFO_BITS, rng=1)
+    (result,) = MimoReceiver(config).receive_stack(
+        [air.samples], N_INFO_BITS, [air.lts_start], [air.noise_variance]
+    )
+    return result.total_bit_errors(air.burst.info_bits) / air.burst.payload_bits
 
 
 def _sweep():

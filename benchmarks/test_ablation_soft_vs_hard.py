@@ -4,29 +4,36 @@ The paper's demapper "can be set up to perform hard or soft symbol
 demapping" and the de-interleaver is sized to carry soft values.  This
 ablation measures what the soft option buys: coded BER of the full 4x4 link
 with hard-decision and soft-decision (LLR) demapping at the same SNR points.
+
+Each demapper runs one :class:`repro.sim.SweepSpec` grid.  The demapping
+mode is not part of a burst's seed, so hard and soft decode the very same
+bursts: same payloads, fading draws and noise.
 """
 
-from repro.channel.fading import FlatRayleighChannel
-from repro.channel.model import MimoChannel
-from repro.core.config import TransceiverConfig
-from repro.core.transceiver import simulate_link
+from repro.sim import SweepRunner, SweepSpec
 
-SNR_POINTS_DB = [16.0, 20.0, 24.0]
+SNR_POINTS_DB = (16.0, 20.0, 24.0)
 N_INFO_BITS = 300
 N_BURSTS = 2
+BASE_SEED = 702
 
 
-def _ber(soft: bool, snr_db: float) -> float:
-    config = TransceiverConfig(soft_decision=soft)
-    channel = MimoChannel(FlatRayleighChannel(rng=25), snr_db=snr_db, rng=701)
-    stats = simulate_link(config, channel, n_info_bits=N_INFO_BITS, n_bursts=N_BURSTS, rng=702)
-    return stats["bit_error_rate"]
+def _curve(soft: bool) -> dict:
+    spec = SweepSpec(
+        snr_db=SNR_POINTS_DB,
+        channels=("flat_rayleigh",),
+        n_info_bits=N_INFO_BITS,
+        n_bursts=N_BURSTS,
+        target_errors=None,
+        base_seed=BASE_SEED,
+        soft_decision=soft,
+    )
+    return SweepRunner(spec, n_workers=1, cache=False).run().ber_curve()
 
 
 def _sweep():
-    return {
-        snr: {"hard": _ber(False, snr), "soft": _ber(True, snr)} for snr in SNR_POINTS_DB
-    }
+    hard, soft = _curve(False), _curve(True)
+    return {snr: {"hard": hard[snr], "soft": soft[snr]} for snr in SNR_POINTS_DB}
 
 
 def test_ablation_soft_vs_hard(table_printer):

@@ -3,8 +3,8 @@
 The ROADMAP's scale goal needs BER grids to be cheap.  This benchmark runs
 the same SNR grid twice over identical physics:
 
-* the *serial baseline* — a plain per-point ``simulate_link`` loop running
-  every burst, the pattern the benchmarks used before the engine existed;
+* the *serial baseline* — the same spec with early stopping off
+  (``target_errors=None``), running every burst of every point;
 * the *engine* — :class:`repro.sim.SweepRunner` with early stopping, which
   abandons each grid point as soon as its bit-error target is met.
 
@@ -20,11 +20,8 @@ larger ratios; ``docs/simulation.md`` shows the full-scale command.
 """
 
 import time
+from dataclasses import replace
 
-from repro.channel.fading import FlatRayleighChannel
-from repro.channel.model import MimoChannel
-from repro.core.config import TransceiverConfig
-from repro.core.transceiver import simulate_link
 from repro.sim import SweepRunner, SweepSpec
 
 SNR_POINTS_DB = (4.0, 6.0, 8.0, 10.0, 12.0, 14.0, 16.0, 18.0, 20.0, 22.0)
@@ -34,34 +31,24 @@ TARGET_ERRORS = 60
 BASE_SEED = 1234
 
 
+SPEC = SweepSpec(
+    snr_db=SNR_POINTS_DB,
+    modulations=("16qam",),
+    channels=("flat_rayleigh",),
+    n_info_bits=N_INFO_BITS,
+    n_bursts=N_BURSTS,
+    target_errors=TARGET_ERRORS,
+    base_seed=BASE_SEED,
+)
+
+
 def _engine_sweep(cache) -> "SweepRunner":
-    spec = SweepSpec(
-        snr_db=SNR_POINTS_DB,
-        modulations=("16qam",),
-        channels=("flat_rayleigh",),
-        n_info_bits=N_INFO_BITS,
-        n_bursts=N_BURSTS,
-        target_errors=TARGET_ERRORS,
-        base_seed=BASE_SEED,
-    )
-    return SweepRunner(spec, n_workers=1, batch_size=2, cache=cache).run()
+    return SweepRunner(SPEC, n_workers=1, batch_size=2, cache=cache).run()
 
 
 def _serial_baseline() -> dict:
-    curve = {}
-    for index, snr_db in enumerate(SNR_POINTS_DB):
-        channel = MimoChannel(
-            FlatRayleighChannel(rng=BASE_SEED + index), snr_db=snr_db, rng=BASE_SEED
-        )
-        stats = simulate_link(
-            TransceiverConfig(),
-            channel,
-            n_info_bits=N_INFO_BITS,
-            n_bursts=N_BURSTS,
-            rng=BASE_SEED,
-        )
-        curve[snr_db] = stats["bit_error_rate"]
-    return curve
+    spec = replace(SPEC, target_errors=None)
+    return SweepRunner(spec, n_workers=1, cache=False).run().ber_curve(modulation="16qam")
 
 
 def test_engine_early_stopping_beats_serial_loop(table_printer, tmp_path):

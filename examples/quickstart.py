@@ -20,9 +20,11 @@ import numpy as np
 
 import _bootstrap  # noqa: F401 -- makes the in-tree repro package importable
 
-from repro import MimoChannel, MimoTransceiver, TransceiverConfig
+from repro import MimoChannel, MimoReceiver, MimoTransmitter, TransceiverConfig
 from repro.channel import FlatRayleighChannel
 from repro.core.throughput import throughput_for_config
+from repro.core.transceiver import transmit_burst
+from repro.utils.bits import count_bit_errors
 
 
 def main() -> None:
@@ -44,28 +46,32 @@ def main() -> None:
         sample_delay=25,
         rng=2,
     )
-    transceiver = MimoTransceiver(config, channel=channel)
 
     print("\nRunning one burst of 512 information bits per stream ...")
-    result = transceiver.run_burst(n_info_bits=512, rng=3)
+    air = transmit_burst(MimoTransmitter(config), channel, n_info_bits=512, rng=3)
+    (result,) = MimoReceiver(config).receive_stack(
+        [air.samples], 512, [air.lts_start], [air.noise_variance]
+    )
 
-    burst = result.burst
+    burst = air.burst
+    bit_errors = result.total_bit_errors(burst.info_bits)
     print(f"  burst length        : {burst.n_samples} samples "
           f"({burst.duration_s * 1e6:.1f} us)")
     print(f"  OFDM data symbols   : {burst.n_ofdm_symbols}")
-    print(f"  LTS located at      : sample {result.receive_result.lts_start} "
+    print(f"  LTS located at      : sample {result.lts_start} "
           f"(transmitted at {burst.layout.sts_length + channel.sample_delay})")
-    print(f"  total payload       : {result.total_bits} bits")
-    print(f"  bit errors          : {result.bit_errors}")
-    print(f"  bit error rate      : {result.bit_error_rate:.2e}")
-    for stream, ber in zip(result.receive_result.streams, result.stream_bit_error_rates):
+    print(f"  total payload       : {burst.payload_bits} bits")
+    print(f"  bit errors          : {bit_errors}")
+    print(f"  bit error rate      : {bit_errors / burst.payload_bits:.2e}")
+    for stream, bits in zip(result.streams, burst.info_bits):
+        ber = count_bit_errors(bits, stream.decoded_bits) / bits.size
         mean_error = np.mean(np.abs(stream.equalized_symbols)) if stream.equalized_symbols.size else 0
         print(
             f"    stream {stream.stream}: BER {ber:.2e}, "
             f"mean equalised magnitude {mean_error:.2f}"
         )
 
-    if result.bit_errors == 0:
+    if bit_errors == 0:
         print("\nAll four spatial streams decoded without error.")
     else:
         print("\nResidual errors remain — try a higher SNR or a lower-order modulation.")

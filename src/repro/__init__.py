@@ -8,13 +8,10 @@ used in place of the paper's synthesis toolchain.
 
 Quick start::
 
-    from repro import TransceiverConfig, MimoChannel, simulate_link
-    from repro.channel import FlatRayleighChannel
+    from repro import SweepSpec, run_sweep
 
-    config = TransceiverConfig.paper_default()
-    channel = MimoChannel(FlatRayleighChannel(rng=1), snr_db=30, rng=2)
-    stats = simulate_link(config, channel, n_info_bits=512, n_bursts=5, rng=3)
-    print(stats["bit_error_rate"])
+    spec = SweepSpec(snr_db=30.0, n_info_bits=512, n_bursts=5, base_seed=3)
+    print(run_sweep(spec, cache=False).points[0].bit_error_rate)
 """
 
 from repro.coding.convolutional import CodeRate
@@ -23,7 +20,6 @@ from repro.core.config import OfdmNumerology, TransceiverConfig
 from repro.core.frame import ReceiveResult, TransmitBurst
 from repro.core.receiver import MimoReceiver
 from repro.core.throughput import throughput_for_config, throughput_report
-from repro.core.transceiver import LinkSimulationResult, MimoTransceiver, simulate_link
 from repro.core.transmitter import MimoTransmitter
 from repro.hardware.estimator import ReceiverResourceModel, TransmitterResourceModel
 from repro.modulation.constellations import Modulation
@@ -41,9 +37,6 @@ __all__ = [
     "ReceiveResult",
     "MimoTransmitter",
     "MimoReceiver",
-    "MimoTransceiver",
-    "LinkSimulationResult",
-    "simulate_link",
     "ImpairmentSpec",
     "SweepSpec",
     "SweepResult",

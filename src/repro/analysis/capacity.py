@@ -12,23 +12,21 @@ These helpers quantify that argument for the reproduced system:
   actually delivers (information rate over the occupied sample rate);
 * :func:`required_snr_for_rate` — the SNR at which the ergodic capacity
   first reaches a target spectral efficiency, i.e. where the 1 Gbps
-  operating point becomes information-theoretically feasible;
-* :func:`ergodic_capacity_curve` — a whole capacity-vs-SNR curve, batched
-  over realizations (one stacked ``slogdet`` instead of a Python loop) and
-  memoised point by point through the same sharded result store the
-  :mod:`repro.sim` sweep engine uses, so analysis notebooks re-plot for
-  free and denser grids reuse every previously computed SNR.
+  operating point becomes information-theoretically feasible.
+
+Malformed input raises :class:`~repro.exceptions.ConfigurationError`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Union
+from typing import Optional
 
 import numpy as np
 import numpy.typing as npt
 
 from repro.core.config import TransceiverConfig
 from repro.core.throughput import throughput_for_config
+from repro.exceptions import ConfigurationError
 from repro.mimo.matrix import hermitian
 from repro.utils.rng import SeedLike, make_rng
 from repro.utils.units import db_to_linear
@@ -42,13 +40,13 @@ def mimo_capacity(channel_matrix: npt.ArrayLike, snr_db: float) -> float:
     """
     h = np.asarray(channel_matrix, dtype=np.complex128)
     if h.ndim != 2:
-        raise ValueError("channel matrix must be 2-D")
+        raise ConfigurationError("channel matrix must be 2-D")
     n_rx, n_tx = h.shape
     snr_linear = db_to_linear(snr_db)
     gram = np.eye(n_rx) + (snr_linear / n_tx) * (h @ hermitian(h))
     sign, logdet = np.linalg.slogdet(gram)
     if sign <= 0:
-        raise ValueError("capacity computation produced a non-positive determinant")
+        raise ConfigurationError("capacity computation produced a non-positive determinant")
     return float(logdet / np.log(2.0))
 
 
@@ -66,7 +64,7 @@ def ergodic_mimo_capacity(
     the per-draw Python loop.
     """
     if n_realizations <= 0:
-        raise ValueError("n_realizations must be positive")
+        raise ConfigurationError("n_realizations must be positive")
     generator = make_rng(rng)
     h = (
         generator.normal(size=(n_realizations, n_rx, n_tx))
@@ -77,7 +75,7 @@ def ergodic_mimo_capacity(
     gram = np.eye(n_rx)[None] + (snr_linear / n_tx) * (h @ h_conj)
     signs, logdets = np.linalg.slogdet(gram)
     if np.any(signs <= 0):
-        raise ValueError("capacity computation produced a non-positive determinant")
+        raise ConfigurationError("capacity computation produced a non-positive determinant")
     return float(logdets.mean() / np.log(2.0))
 
 
@@ -93,75 +91,6 @@ def spectral_efficiency(config: Optional[TransceiverConfig] = None) -> float:
     return model.info_bit_rate_bps / cfg.clock_hz
 
 
-def ergodic_capacity_curve(
-    snr_grid_db: Sequence[float],
-    n_rx: int = 4,
-    n_tx: int = 4,
-    n_realizations: int = 200,
-    rng: int = 0,
-    cache: Union[None, bool, str] = True,
-) -> Dict[float, float]:
-    """Ergodic capacity (bits/s/Hz) at every SNR of a grid, memoised per point.
-
-    Each SNR point is an independent record in the sharded
-    :class:`~repro.sim.store.ResultStore` the sweep engine uses, keyed by
-    the point's parameters alone — not the grid it appeared in.  The
-    channel draw behind each point is seeded from that same content key, so
-    a denser or re-ordered grid reuses every previously computed point
-    verbatim and only the new SNRs cost a ``slogdet`` batch.  ``rng`` must
-    be an integer seed (not a generator) — the record key has to determine
-    the draw.
-
-    Parameters
-    ----------
-    cache:
-        ``True`` (default) uses the shared store directory; a string/path
-        selects a specific directory; ``None``/``False`` disables
-        memoisation.
-    """
-    grid = tuple(float(snr) for snr in snr_grid_db)
-    store = None
-    keys: Dict[float, str] = {}
-    curve: Dict[float, float] = {}
-
-    def point_payload(snr: float) -> dict:
-        return {
-            "record": "ergodic-capacity",
-            "n_rx": n_rx,
-            "n_tx": n_tx,
-            "n_realizations": n_realizations,
-            "rng": rng,
-            "snr_db": snr,
-        }
-
-    if cache:
-        from repro.sim.cache import content_key
-        from repro.sim.store import ResultStore
-
-        store = ResultStore(None if cache is True else cache)
-        keys = {snr: content_key(point_payload(snr), prefix="cap-") for snr in grid}
-        found = store.get_many(keys.values())
-        for snr in grid:
-            payload = found.get(keys[snr])
-            if payload is not None and isinstance(payload.get("capacity"), float):
-                curve[snr] = payload["capacity"]
-
-    for snr in grid:
-        if snr in curve:
-            continue
-        from repro.sim.cache import content_key
-
-        # Seed from the point's own content so the draw is a pure function
-        # of the point — grids of any shape agree on every shared SNR.
-        entropy = int(content_key(point_payload(snr)), 16)
-        generator = make_rng(np.random.SeedSequence(entropy))
-        capacity = ergodic_mimo_capacity(n_rx, n_tx, snr, n_realizations, rng=generator)
-        curve[snr] = capacity
-        if store is not None:
-            store.put(keys[snr], {**point_payload(snr), "capacity": capacity})
-    return {snr: curve[snr] for snr in grid}
-
-
 def required_snr_for_rate(
     target_bits_per_hz: float,
     n_rx: int = 4,
@@ -175,7 +104,7 @@ def required_snr_for_rate(
     Returns ``inf`` when no grid point reaches the target.
     """
     if target_bits_per_hz <= 0:
-        raise ValueError("target_bits_per_hz must be positive")
+        raise ConfigurationError("target_bits_per_hz must be positive")
     grid = (
         np.asarray(snr_grid_db, dtype=np.float64)
         if snr_grid_db is not None

@@ -22,6 +22,7 @@ import numpy.typing as npt
 
 from repro.types import ComplexArray, FloatArray
 from repro.dsp.fft import get_plan
+from repro.exceptions import ConfigurationError
 from repro.utils.rng import SeedLike, make_rng
 
 
@@ -35,7 +36,7 @@ def rayleigh_matrix(
     ``n_tx``.
     """
     if n_rx <= 0 or n_tx <= 0:
-        raise ValueError("antenna counts must be positive")
+        raise ConfigurationError("antenna counts must be positive")
     generator = make_rng(rng)
     h = generator.normal(size=(n_rx, n_tx)) + 1j * generator.normal(size=(n_rx, n_tx))
     if normalize:
@@ -46,9 +47,9 @@ def rayleigh_matrix(
 def exponential_power_delay_profile(n_taps: int, decay: float = 1.0) -> FloatArray:
     """Exponentially decaying tap powers, normalised to sum to one."""
     if n_taps <= 0:
-        raise ValueError("n_taps must be positive")
+        raise ConfigurationError("n_taps must be positive")
     if decay <= 0:
-        raise ValueError("decay must be positive")
+        raise ConfigurationError("decay must be positive")
     powers = np.exp(-np.arange(n_taps) / decay)
     return powers / powers.sum()
 
@@ -72,7 +73,7 @@ class FlatRayleighChannel:
         if matrix is not None:
             h = np.asarray(matrix, dtype=np.complex128)
             if h.shape != (n_rx, n_tx):
-                raise ValueError(f"matrix must have shape ({n_rx}, {n_tx})")
+                raise ConfigurationError(f"matrix must have shape ({n_rx}, {n_tx})")
             self.matrix = h
         else:
             self.matrix = rayleigh_matrix(n_rx, n_tx, rng)
@@ -81,7 +82,7 @@ class FlatRayleighChannel:
         """Apply the channel to ``tx_samples`` of shape ``(n_tx, n_samples)``."""
         x = np.asarray(tx_samples, dtype=np.complex128)
         if x.ndim != 2 or x.shape[0] != self.n_tx:
-            raise ValueError(f"expected shape ({self.n_tx}, n_samples), got {x.shape}")
+            raise ConfigurationError(f"expected shape ({self.n_tx}, n_samples), got {x.shape}")
         return self.matrix @ x
 
     def frequency_response(self, fft_size: int) -> ComplexArray:
@@ -111,14 +112,14 @@ class FrequencySelectiveChannel:
         taps: Optional[np.ndarray] = None,
     ) -> None:
         if n_taps <= 0:
-            raise ValueError("n_taps must be positive")
+            raise ConfigurationError("n_taps must be positive")
         self.n_rx = n_rx
         self.n_tx = n_tx
         self.n_taps = n_taps
         if taps is not None:
             t = np.asarray(taps, dtype=np.complex128)
             if t.shape != (n_rx, n_tx, n_taps):
-                raise ValueError(f"taps must have shape ({n_rx}, {n_tx}, {n_taps})")
+                raise ConfigurationError(f"taps must have shape ({n_rx}, {n_tx}, {n_taps})")
             self.taps = t
         else:
             generator = make_rng(rng)
@@ -133,7 +134,7 @@ class FrequencySelectiveChannel:
         """Convolve ``tx_samples`` of shape ``(n_tx, n_samples)`` with the taps."""
         x = np.asarray(tx_samples, dtype=np.complex128)
         if x.ndim != 2 or x.shape[0] != self.n_tx:
-            raise ValueError(f"expected shape ({self.n_tx}, n_samples), got {x.shape}")
+            raise ConfigurationError(f"expected shape ({self.n_tx}, n_samples), got {x.shape}")
         n_samples = x.shape[1]
         y = np.zeros((self.n_rx, n_samples), dtype=np.complex128)
         for rx in range(self.n_rx):
@@ -151,7 +152,7 @@ class FrequencySelectiveChannel:
         a power of two, like everywhere else in the chain.
         """
         if fft_size < self.n_taps:
-            raise ValueError("fft_size must be at least the number of taps")
+            raise ConfigurationError("fft_size must be at least the number of taps")
         padded = np.zeros((self.n_rx, self.n_tx, fft_size), dtype=np.complex128)
         padded[:, :, : self.n_taps] = self.taps
         response = get_plan(fft_size).forward(padded)

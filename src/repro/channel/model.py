@@ -2,18 +2,18 @@
 
 :class:`MimoChannel` chains transmit-side DAC quantisation, a fading model
 (ideal / flat Rayleigh / frequency selective), front-end impairments (CFO,
-sample delay), AWGN, the receive-mixer IQ imbalance and receive-side ADC
-quantisation into a single object with one :meth:`MimoChannel.transmit`
-call, and exposes the ground-truth per-subcarrier channel matrices so
-experiments can compare the receiver's estimates against the real channel.
+sample delay), AWGN and the receive-mixer IQ imbalance into a single object
+with one :meth:`MimoChannel.transmit` call, and exposes the ground-truth
+per-subcarrier channel matrices so experiments can compare the receiver's
+estimates against the real channel.  The receive-side ADC quantisation is
+the receiver's first stage (``TransceiverConfig.rx_sample_format``).
 
 Stage order is physical: the IQ imbalance models the *receive* mixer, so it
-distorts signal and antenna noise alike — it runs after the AWGN stage, and
-only the ADC quantisation follows it.  Noise is calibrated against the
-signal power over *occupied* sample instants (see
-:func:`repro.channel.awgn.occupied_power`), so the delivered SNR does not
-depend on how much zero padding a timing delay prepends or how long the
-idle tail runs; the exact variance used is reported on the output.
+distorts signal and antenna noise alike — it runs after the AWGN stage.
+Noise is calibrated against the signal power over *occupied* sample
+instants (see :func:`repro.channel.awgn.occupied_power`), so the delivered
+SNR does not depend on how much zero padding a timing delay prepends or how
+long the idle tail runs; the exact variance used is reported on the output.
 
 Every stage runs on the whole burst at once; the CFO, noise and IQ stages
 are the public helpers of :mod:`repro.channel.awgn` and
@@ -43,7 +43,7 @@ class IdealChannel:
 
     def __init__(self, n_rx: int = 4, n_tx: int = 4) -> None:
         if n_rx != n_tx:
-            raise ValueError("the ideal channel requires n_rx == n_tx")
+            raise ConfigurationError("the ideal channel requires n_rx == n_tx")
         self.n_rx = n_rx
         self.n_tx = n_tx
         self.matrix = np.eye(n_rx, dtype=np.complex128)
@@ -52,7 +52,9 @@ class IdealChannel:
         """Pass the transmit streams straight through."""
         x = np.asarray(tx_samples, dtype=np.complex128)
         if x.ndim != 2 or x.shape[0] != self.n_tx:
-            raise ValueError(f"expected shape ({self.n_tx}, n_samples), got {x.shape}")
+            raise ConfigurationError(
+                f"expected shape ({self.n_tx}, n_samples), got {x.shape}"
+            )
         return x.copy()
 
     def frequency_response(self, fft_size: int) -> np.ndarray:
@@ -113,12 +115,8 @@ class MimoChannel:
     tx_quantization:
         Optional :class:`~repro.dsp.fixedpoint.FixedPointFormat` applied to
         the transmit samples before the channel — the DAC word length on
-        the paper's 16-bit sample interface.
-    rx_quantization:
-        Optional format applied to the received samples after the noise —
-        the ADC word length.  (The receiver-side insertion point used by the
-        sweep engine is ``TransceiverConfig.rx_sample_format``; this hook
-        exists for standalone channel experiments.)
+        the paper's 16-bit sample interface.  The ADC word length is the
+        receiver's: ``TransceiverConfig.rx_sample_format``.
     rng:
         Seed or generator used for the noise (fading randomness is owned by
         the fading object itself).
@@ -138,7 +136,6 @@ class MimoChannel:
         iq_amplitude_db: float = 0.0,
         iq_phase_deg: float = 0.0,
         tx_quantization: Optional[FixedPointFormat] = None,
-        rx_quantization: Optional[FixedPointFormat] = None,
         rng: SeedLike = None,
     ) -> None:
         if not isinstance(sample_delay, (int, np.integer)) or sample_delay < 0:
@@ -156,7 +153,6 @@ class MimoChannel:
         self.iq_amplitude_db = iq_amplitude_db
         self.iq_phase_deg = iq_phase_deg
         self.tx_quantization = tx_quantization
-        self.rx_quantization = rx_quantization
         self.rng = make_rng(rng)
 
     @property
@@ -205,8 +201,6 @@ class MimoChannel:
             y = y + awgn_noise(y.shape, noise_variance, self.rng)
         if self.iq_amplitude_db or self.iq_phase_deg:
             y = apply_iq_imbalance(y, self.iq_amplitude_db, self.iq_phase_deg)
-        if self.rx_quantization is not None:
-            y = self.rx_quantization.quantize_complex(y)
 
         response = None
         if fft_size is not None:

@@ -2,10 +2,10 @@
 
 This package ties the substrates together into the system the paper
 describes: :class:`~repro.core.transmitter.MimoTransmitter` (Fig. 1),
-:class:`~repro.core.receiver.MimoReceiver` (Fig. 5) and
-:class:`~repro.core.transceiver.MimoTransceiver` / :func:`simulate_link` for
-end-to-end link simulation, plus the throughput model behind the 1 Gbps
-claim.
+:class:`~repro.core.receiver.MimoReceiver` (Fig. 5),
+:func:`~repro.core.transceiver.transmit_burst` (the on-air step between
+them) and the throughput model behind the 1 Gbps claim.  BER/PER over many
+bursts is measured by the sweep engine in :mod:`repro.sim`.
 """
 
 from repro.core.config import OfdmNumerology, TransceiverConfig
@@ -14,7 +14,6 @@ from repro.core.pilots import PilotProcessor
 from repro.core.preamble import PreambleGenerator
 from repro.core.receiver import MimoReceiver
 from repro.core.throughput import throughput_for_config, throughput_report
-from repro.core.transceiver import LinkSimulationResult, MimoTransceiver, simulate_link
 from repro.core.transmitter import MimoTransmitter
 
 __all__ = [
@@ -27,9 +26,6 @@ __all__ = [
     "PreambleGenerator",
     "MimoTransmitter",
     "MimoReceiver",
-    "MimoTransceiver",
-    "LinkSimulationResult",
-    "simulate_link",
     "throughput_for_config",
     "throughput_report",
 ]

@@ -135,9 +135,9 @@ class ReceiveResult:
     def total_bit_errors(self, reference: List[np.ndarray]) -> int:
         """Total bit errors versus the transmitted information bits.
 
-        The burst score of every link path: ``run_burst``, the sweep
-        engine and the streaming scheduler all count a decoded burst here,
-        one :func:`~repro.utils.bits.count_bit_errors` per stream.
+        The burst score of every link path: the sweep engine and the
+        streaming scheduler both count a decoded burst here, one
+        :func:`~repro.utils.bits.count_bit_errors` per stream.
         """
         if len(reference) != len(self.streams):
             raise ConfigurationError("reference must have one bit array per stream")

@@ -1,9 +1,11 @@
 """Batched link-simulation engine: typed sweeps, work queues, result store.
 
-``repro.sim`` is the scale layer of the reproduction.  Where
-:func:`repro.core.transceiver.simulate_link` runs one operating point burst
-by burst, this package describes whole experiment grids declaratively and
-executes them efficiently:
+``repro.sim`` is the scale layer of the reproduction and the one way to
+measure BER/PER: every burst goes on air through
+:func:`repro.core.transceiver.transmit_burst` and comes back through
+:meth:`repro.core.receiver.MimoReceiver.receive_stack`, and this package
+describes whole experiment grids — one operating point is a grid of one —
+declaratively and executes them efficiently:
 
 * :class:`~repro.sim.spec.SweepSpec` / :class:`~repro.sim.spec.SweepResult`
   — typed, JSON-round-trippable descriptions of a sweep over SNR,

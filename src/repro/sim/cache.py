@@ -1,8 +1,7 @@
 """Content-hash keys and the result-cache directory.
 
 :func:`content_key` is the one canonical hash of a JSON-serialisable
-payload, shared by sweep specs, sweep points and the ergodic-capacity
-curves in :mod:`repro.analysis.capacity`.  :func:`default_cache_dir` is
+payload, shared by sweep specs and sweep points.  :func:`default_cache_dir` is
 the root under which :class:`~repro.sim.store.ResultStore` keeps its
 records: ``~/.cache/repro-sim`` unless the ``REPRO_SIM_CACHE_DIR``
 environment variable overrides it.
@@ -23,7 +22,7 @@ def content_key(payload: dict, prefix: str = "") -> str:
 
     The single canonicalisation recipe (sorted keys, compact separators,
     SHA-256, 20 hex chars) shared by every cache user —
-    :meth:`repro.sim.spec.SweepSpec.spec_hash`, the capacity curves, and
+    :meth:`repro.sim.spec.SweepSpec.spec_hash`, the sweep points, and
     whatever future experiment wants memoisation — so keying behaviour can
     never drift between them.
     """

@@ -25,14 +25,15 @@ from __future__ import annotations
 import time
 from dataclasses import replace
 from functools import lru_cache
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.channel.fading import FlatRayleighChannel, FrequencySelectiveChannel
 from repro.channel.model import IdealChannel, MimoChannel
 from repro.core.config import TransceiverConfig
-from repro.core.transceiver import AirBurst, MimoTransceiver, transmit_burst
+from repro.core.receiver import MimoReceiver
+from repro.core.transceiver import AirBurst, transmit_burst
 from repro.core.transmitter import MimoTransmitter
 from repro.exceptions import ConfigurationError, DecodingError
 from repro.sim.spec import CHANNEL_MODELS, ImpairmentSpec, SweepPoint, SweepSpec
@@ -136,17 +137,15 @@ def fixed_fading_seed(spec: SweepSpec, point: SweepPoint) -> np.random.SeedSeque
 
 
 @lru_cache(maxsize=8)
-def _transceiver_for(config: TransceiverConfig) -> MimoTransceiver:
-    """Reusable transceiver per configuration.
+def _transceiver_for(config: TransceiverConfig) -> Tuple[MimoTransmitter, MimoReceiver]:
+    """Reusable transmitter and receiver per configuration.
 
-    Building a :class:`MimoTransceiver` constructs the full trellis,
-    constellation tables and preamble; reusing its transmitter and receiver
-    across bursts and batches keeps the hot loop hot.  Every burst goes on
-    air through its own channel (:func:`air_burst`), so the cached
-    transceiver, channel included, is never mutated.
+    Building them constructs the full trellis, constellation tables and
+    preamble; reusing them across bursts and batches keeps the hot loop
+    hot.  Every burst goes on air through its own channel
+    (:func:`air_burst`).
     """
-    n = config.n_antennas
-    return MimoTransceiver(config=config, channel=MimoChannel(IdealChannel(n, n)))
+    return MimoTransmitter(config), MimoReceiver(config)
 
 
 def burst_seed(spec: SweepSpec, point: SweepPoint, burst_index: int) -> np.random.SeedSequence:
@@ -282,8 +281,7 @@ def simulate_batch(task: dict) -> List[Dict[str, object]]:
     config = build_config(points[0], spec)
     if any(build_config(point, spec) != config for point in points[1:]):
         raise ConfigurationError("every item of a work unit must share one configuration")
-    transceiver = _transceiver_for(config)
-    receiver = transceiver.receiver
+    transmitter, receiver = _transceiver_for(config)
     fixed_fadings = [
         None
         if spec.fresh_fading_per_burst
@@ -303,7 +301,7 @@ def simulate_batch(task: dict) -> List[Dict[str, object]]:
     for offset in range(max(int(item["n_bursts"]) for item in items)):
         sent = [
             air_burst(
-                transceiver.transmitter,
+                transmitter,
                 burst_seed(spec, points[i], int(items[i]["start_burst"]) + offset),
                 points[i].channel,
                 points[i].snr_db,

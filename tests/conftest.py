@@ -8,6 +8,9 @@ import pytest
 from repro.channel.fading import FlatRayleighChannel
 from repro.channel.model import MimoChannel
 from repro.core.config import TransceiverConfig
+from repro.core.receiver import MimoReceiver
+from repro.core.transceiver import transmit_burst
+from repro.core.transmitter import MimoTransmitter
 
 
 def pytest_configure(config: pytest.Config) -> None:
@@ -47,3 +50,25 @@ def random_channel_matrix(rng: np.random.Generator) -> np.ndarray:
 def flat_fading_channel() -> MimoChannel:
     """A reproducible flat-Rayleigh channel with 35 dB SNR."""
     return MimoChannel(FlatRayleighChannel(rng=11), snr_db=35.0, rng=12)
+
+
+@pytest.fixture
+def link_burst():
+    """One burst over a link: ``transmit_burst`` then ``receive_stack``.
+
+    Returns ``run(config, channel, n_info_bits, rng, known_timing=False)``,
+    which gives ``(air, outcome)``: the :class:`~repro.core.transceiver.AirBurst`
+    and the receiver's :class:`~repro.core.frame.ReceiveResult` (or the
+    :class:`~repro.exceptions.DecodingError` it gave up with).
+    """
+
+    def run(config, channel, n_info_bits, rng, known_timing=False):
+        air = transmit_burst(
+            MimoTransmitter(config), channel, n_info_bits, rng=rng, known_timing=known_timing
+        )
+        (outcome,) = MimoReceiver(config).receive_stack(
+            [air.samples], n_info_bits, [air.lts_start], [air.noise_variance]
+        )
+        return air, outcome
+
+    return run

@@ -7,7 +7,6 @@ from repro.channel.fading import FrequencySelectiveChannel
 from repro.channel.model import MimoChannel
 from repro.core.config import TransceiverConfig
 from repro.core.preamble import PreambleGenerator
-from repro.core.transceiver import simulate_link
 from repro.core.transmitter import MimoTransmitter
 from repro.core.throughput import throughput_for_config
 from repro.dsp.fft import fft
@@ -47,15 +46,15 @@ class TestNumerologyAndPreamble512:
 
 
 class TestLink512:
-    def test_frequency_selective_loopback(self, config512):
+    def test_frequency_selective_loopback(self, link_burst, config512):
         channel = MimoChannel(FrequencySelectiveChannel(n_taps=8, rng=1), snr_db=35.0, rng=2)
-        stats = simulate_link(config512, channel, n_info_bits=500, n_bursts=1, rng=3)
-        assert stats["bit_error_rate"] == 0.0
+        air, outcome = link_burst(config512, channel, 500, rng=3)
+        assert outcome.total_bit_errors(air.burst.info_bits) == 0
 
-    def test_ideal_loopback_64qam(self):
+    def test_ideal_loopback_64qam(self, link_burst):
         config = TransceiverConfig(fft_size=512, modulation="64qam", code_rate="3/4")
-        stats = simulate_link(config, MimoChannel(), n_info_bits=600, n_bursts=1, rng=4)
-        assert stats["bit_error_rate"] == 0.0
+        air, outcome = link_burst(config, MimoChannel(), 600, rng=4)
+        assert outcome.total_bit_errors(air.burst.info_bits) == 0
 
     def test_gigabit_rate_sustained(self):
         config = TransceiverConfig(fft_size=512, modulation="64qam", code_rate="3/4")

@@ -13,7 +13,6 @@ from repro.channel.fading import FlatRayleighChannel
 from repro.channel.model import IdealChannel, MimoChannel
 from repro.core.config import TransceiverConfig
 from repro.core.receiver import MimoReceiver
-from repro.core.transceiver import simulate_link
 from repro.core.transmitter import MimoTransmitter
 from repro.core.throughput import throughput_for_config
 from repro.hardware.estimator import ResourceModelConfig, TransmitterResourceModel
@@ -29,17 +28,17 @@ class TestSisoMode:
         assert burst.layout.total_length == 160 + 160
         assert burst.samples.shape[0] == 1
 
-    def test_siso_ideal_loopback(self):
+    def test_siso_ideal_loopback(self, link_burst):
         config = TransceiverConfig(n_antennas=1)
         channel = MimoChannel(IdealChannel(1, 1), snr_db=30.0, rng=1)
-        stats = simulate_link(config, channel, n_info_bits=300, n_bursts=1, rng=2)
-        assert stats["bit_error_rate"] == 0.0
+        air, outcome = link_burst(config, channel, 300, rng=2)
+        assert outcome.total_bit_errors(air.burst.info_bits) == 0
 
-    def test_siso_fading_loopback(self):
+    def test_siso_fading_loopback(self, link_burst):
         config = TransceiverConfig(n_antennas=1)
         channel = MimoChannel(FlatRayleighChannel(n_rx=1, n_tx=1, rng=3), snr_db=30.0, rng=4)
-        stats = simulate_link(config, channel, n_info_bits=300, n_bursts=1, rng=5)
-        assert stats["bit_error_rate"] == 0.0
+        air, outcome = link_burst(config, channel, 300, rng=5)
+        assert outcome.total_bit_errors(air.burst.info_bits) == 0
 
     def test_siso_channel_estimate_is_scalar_per_subcarrier(self):
         config = TransceiverConfig(n_antennas=1)
@@ -56,11 +55,11 @@ class TestSisoMode:
 
 
 class TestTwoByTwoMode:
-    def test_2x2_fading_loopback(self):
+    def test_2x2_fading_loopback(self, link_burst):
         config = TransceiverConfig(n_antennas=2)
         channel = MimoChannel(FlatRayleighChannel(n_rx=2, n_tx=2, rng=7), snr_db=32.0, rng=8)
-        stats = simulate_link(config, channel, n_info_bits=200, n_bursts=1, rng=9)
-        assert stats["bit_error_rate"] == 0.0
+        air, outcome = link_burst(config, channel, 200, rng=9)
+        assert outcome.total_bit_errors(air.burst.info_bits) == 0
 
     def test_2x2_preamble_has_two_lts_slots(self):
         config = TransceiverConfig(n_antennas=2)

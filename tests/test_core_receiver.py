@@ -320,6 +320,24 @@ class TestRxQuantization:
         burst, result = _loopback(config, channel=channel, seed=13)
         assert result.total_bit_errors(burst.info_bits) == 0
 
+    def test_sample_format_quantizes_the_receiver_input(self):
+        # The ADC word length is the receiver's first stage: a 16-bit
+        # receiver decodes noisy samples exactly as a floating-point one
+        # decodes the same samples rounded onto the 16-bit grid.
+        burst = MimoTransmitter(TransceiverConfig()).transmit_random(
+            200, rng=np.random.default_rng(8)
+        )
+        samples = MimoChannel(snr_db=20.0, rng=7).transmit(burst.samples).samples
+        (quantized,) = MimoReceiver(
+            TransceiverConfig(rx_sample_format=SAMPLE_FORMAT_16BIT)
+        ).receive_stack([samples], 200)
+        (rounded,) = MimoReceiver(TransceiverConfig()).receive_stack(
+            [SAMPLE_FORMAT_16BIT.quantize_complex(samples)], 200
+        )
+        for ours, theirs in zip(quantized.streams, rounded.streams):
+            np.testing.assert_array_equal(ours.equalized_symbols, theirs.equalized_symbols)
+            np.testing.assert_array_equal(ours.decoded_bits, theirs.decoded_bits)
+
     def test_coarse_sample_format_destroys_the_link(self):
         # Five bits per I/Q sample leaves the ~0.1-RMS baseband only a few
         # effective levels: the decoded payload must be garbage.

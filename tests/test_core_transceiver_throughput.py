@@ -1,72 +1,11 @@
-"""Tests for repro.core.transceiver, repro.core.throughput and repro.core.frame."""
+"""Tests for repro.core.throughput and repro.core.frame."""
 
 import numpy as np
 import pytest
 
-from repro.channel.fading import FlatRayleighChannel
-from repro.channel.model import MimoChannel
 from repro.core.config import TransceiverConfig
 from repro.core.frame import ReceiveResult, StreamDecodeResult
 from repro.core.throughput import throughput_for_config, throughput_report
-from repro.core.transceiver import MimoTransceiver, simulate_link
-
-
-class TestMimoTransceiver:
-    def test_ideal_channel_burst(self, paper_config):
-        transceiver = MimoTransceiver(paper_config)
-        result = transceiver.run_burst(200, rng=0)
-        assert result.bit_errors == 0
-        assert result.total_bits == 800
-        assert result.bit_error_rate == 0.0
-        assert not result.frame_error
-        assert len(result.stream_bit_error_rates) == 4
-
-    def test_fading_channel_burst(self, paper_config, flat_fading_channel):
-        transceiver = MimoTransceiver(paper_config, channel=flat_fading_channel)
-        result = transceiver.run_burst(200, rng=1)
-        assert result.bit_error_rate <= 0.01
-
-    def test_stream_error_rates_average_to_the_burst_rate(self, paper_config):
-        channel = MimoChannel(FlatRayleighChannel(rng=30), snr_db=2.0, rng=31)
-        result = MimoTransceiver(paper_config, channel=channel).run_burst(100, rng=6)
-        assert result.bit_errors > 0
-        assert np.mean(result.stream_bit_error_rates) == pytest.approx(result.bit_error_rate)
-
-    def test_known_timing_mode(self, paper_config):
-        channel = MimoChannel(sample_delay=40)
-        transceiver = MimoTransceiver(paper_config, channel=channel)
-        result = transceiver.run_burst(150, rng=2, known_timing=True)
-        assert result.bit_errors == 0
-
-    def test_channel_antenna_mismatch_rejected(self, paper_config):
-        channel = MimoChannel(FlatRayleighChannel(n_rx=2, n_tx=2, rng=3))
-        with pytest.raises(ValueError):
-            MimoTransceiver(paper_config, channel=channel)
-
-    def test_burst_object_attached(self, paper_config):
-        transceiver = MimoTransceiver(paper_config)
-        result = transceiver.run_burst(100, rng=4)
-        assert result.burst.payload_bits == 400
-        assert isinstance(result.receive_result, ReceiveResult)
-
-
-class TestSimulateLink:
-    def test_aggregates_multiple_bursts(self, paper_config):
-        stats = simulate_link(paper_config, n_info_bits=100, n_bursts=3, rng=5)
-        assert stats["n_bursts"] == 3
-        assert stats["total_bits"] == 3 * 4 * 100
-        assert stats["bit_error_rate"] == 0.0
-        assert stats["packet_error_rate"] == 0.0
-
-    def test_noisy_link_reports_errors(self, paper_config):
-        channel = MimoChannel(FlatRayleighChannel(rng=30), snr_db=2.0, rng=31)
-        stats = simulate_link(paper_config, channel, n_info_bits=100, n_bursts=2, rng=6)
-        assert stats["bit_errors"] > 0
-        assert stats["packet_error_rate"] > 0
-
-    def test_invalid_burst_count(self, paper_config):
-        with pytest.raises(ValueError):
-            simulate_link(paper_config, n_bursts=0)
 
 
 class TestFrameContainers:

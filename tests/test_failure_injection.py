@@ -10,9 +10,10 @@ degrade into bit errors — never return silently-wrong "successful" results.
 import numpy as np
 import pytest
 
+from repro.analysis.capacity import ergodic_mimo_capacity, mimo_capacity, required_snr_for_rate
 from repro.channel.awgn import awgn_noise
-from repro.channel.fading import FlatRayleighChannel
-from repro.channel.model import MimoChannel
+from repro.channel.fading import FlatRayleighChannel, FrequencySelectiveChannel
+from repro.channel.model import IdealChannel, MimoChannel
 from repro.core.config import TransceiverConfig
 from repro.core.receiver import MimoReceiver
 from repro.core.transmitter import MimoTransmitter
@@ -26,7 +27,6 @@ from repro.rtl.rx_datapath import RxFrontEnd, RxFrontEndReport
 from repro.sync.time_sync import TimeSynchronizer
 from repro.core.preamble import PreambleGenerator
 from repro.core.frame import ReceiveResult
-from repro.core.transceiver import MimoTransceiver, simulate_link
 from repro.mimo.channel_estimation import ChannelEstimate
 from repro.mimo.detector import MmseDetector
 from repro.sim import ImpairmentSpec, SweepRunner, SweepSpec
@@ -163,10 +163,11 @@ class _BackwardsTraffic:
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: MimoTransceiver(
-            TransceiverConfig(), MimoChannel(FlatRayleighChannel(n_rx=2, n_tx=2, rng=3))
+        lambda: MimoChannel(FlatRayleighChannel(n_rx=2, n_tx=2, rng=3)).transmit(
+            MimoTransmitter(TransceiverConfig())
+            .transmit_random(96, np.random.default_rng(0))
+            .samples
         ),
-        lambda: simulate_link(TransceiverConfig(), n_bursts=0),
         lambda: DownlinkScheduler(n_users=0),
         lambda: DownlinkScheduler(n_users=2, frames_per_user=-1),
         lambda: DownlinkScheduler(n_users=2, mode="fifo"),
@@ -213,10 +214,22 @@ class _BackwardsTraffic:
         lambda: RxFrontEnd().replay_lts(RxFrontEndReport(0, 0, 0), total_ingested=2000),
         lambda: MimoChannel().transmit(np.zeros((3, 100), dtype=complex)),
         lambda: MmseDetector(_identity_estimate(), noise_variance=-1.0),
+        lambda: IdealChannel(n_rx=2, n_tx=4),
+        lambda: IdealChannel().apply(np.zeros((3, 100), dtype=complex)),
+        lambda: FlatRayleighChannel(n_rx=0, rng=0),
+        lambda: FlatRayleighChannel(n_rx=2, n_tx=2, matrix=np.eye(4)),
+        lambda: FlatRayleighChannel(rng=0).apply(np.zeros((3, 100), dtype=complex)),
+        lambda: FrequencySelectiveChannel(n_taps=0),
+        lambda: FrequencySelectiveChannel(decay=0.0, rng=0),
+        lambda: FrequencySelectiveChannel(n_taps=2, taps=np.ones((4, 4, 3))),
+        lambda: FrequencySelectiveChannel(rng=0).apply(np.zeros((3, 100), dtype=complex)),
+        lambda: FrequencySelectiveChannel(n_taps=8, rng=0).frequency_response(4),
+        lambda: mimo_capacity(np.ones((2, 2, 2)), snr_db=10.0),
+        lambda: ergodic_mimo_capacity(n_realizations=0),
+        lambda: required_snr_for_rate(0.0),
     ],
     ids=[
-        "transceiver-antenna-mismatch",
-        "simulate-link-no-bursts",
+        "channel-2x2-with-4-antenna-burst",
         "scheduler-no-users",
         "scheduler-negative-frames",
         "scheduler-unknown-mode",
@@ -261,6 +274,19 @@ class _BackwardsTraffic:
         "front-end-replay-past-buffer",
         "channel-burst-antenna-mismatch",
         "mmse-negative-noise-variance",
+        "ideal-channel-not-square",
+        "ideal-channel-burst-antenna-mismatch",
+        "flat-fading-no-antennas",
+        "flat-fading-matrix-shape",
+        "flat-fading-burst-antenna-mismatch",
+        "selective-fading-no-taps",
+        "selective-fading-zero-decay",
+        "selective-fading-taps-shape",
+        "selective-fading-burst-antenna-mismatch",
+        "selective-fading-fft-shorter-than-taps",
+        "capacity-matrix-not-2d",
+        "ergodic-capacity-no-realizations",
+        "required-snr-non-positive-target",
     ],
 )
 def test_inconsistent_construction_raises_configuration_error(build):

@@ -34,7 +34,9 @@ import pytest
 from repro.channel.fading import FlatRayleighChannel
 from repro.channel.model import MimoChannel
 from repro.core.config import TransceiverConfig
-from repro.core.transceiver import MimoTransceiver
+from repro.core.receiver import MimoReceiver
+from repro.core.transceiver import transmit_burst
+from repro.core.transmitter import MimoTransmitter
 from repro.sim import ENGINE_VERSION, ImpairmentSpec, SweepRunner, SweepSpec
 from repro.stream.pipeline import DecodedFrame
 from repro.stream.scheduler import DownlinkScheduler
@@ -137,16 +139,17 @@ def sweep_results() -> Dict[str, list]:
 
 def cordic_burst() -> dict:
     """One burst through the CORDIC channel inversion."""
-    transceiver = MimoTransceiver(
-        TransceiverConfig(use_cordic_channel_inversion=True),
+    config = TransceiverConfig(use_cordic_channel_inversion=True)
+    air = transmit_burst(
+        MimoTransmitter(config),
         MimoChannel(FlatRayleighChannel(rng=37), snr_db=20.0, rng=32),
+        192,
+        rng=33,
     )
-    result = transceiver.run_burst(192, rng=33)
-    return {
-        "bits_sha256": _bits_sha256(
-            [stream.decoded_bits for stream in result.receive_result.streams]
-        )
-    }
+    (result,) = MimoReceiver(config).receive_stack(
+        [air.samples], 192, [air.lts_start], [air.noise_variance]
+    )
+    return {"bits_sha256": _bits_sha256(result.decoded_bits)}
 
 
 class _RecordingPipeline:

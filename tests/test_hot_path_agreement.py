@@ -919,8 +919,8 @@ def _channel_stage_by_stage(channel, x, rng):
     """The documented stage order of :class:`MimoChannel`, one helper per stage.
 
     DAC, fading, delay padding, CFO, AWGN calibrated on the occupied
-    samples, receive-mixer IQ imbalance, ADC; a zero parameter disables
-    its stage.
+    samples, receive-mixer IQ imbalance; a zero parameter disables its
+    stage.
     """
     y = channel.tx_quantization.quantize_complex(x)
     y = channel.fading.apply(y)
@@ -933,7 +933,7 @@ def _channel_stage_by_stage(channel, x, rng):
         y = y + awgn_noise(y.shape, noise_variance, rng)
     if channel.iq_amplitude_db or channel.iq_phase_deg:
         y = apply_iq_imbalance(y, channel.iq_amplitude_db, channel.iq_phase_deg)
-    return channel.rx_quantization.quantize_complex(y), noise_variance
+    return y, noise_variance
 
 
 class TestChannelStageComposition:
@@ -958,7 +958,6 @@ class TestChannelStageComposition:
         channel = MimoChannel(
             model,
             tx_quantization=SAMPLE_FORMAT_16BIT,
-            rx_quantization=SAMPLE_FORMAT_16BIT,
             rng=np.random.default_rng(5002),
             **case,
         )

@@ -12,10 +12,10 @@ from repro.channel.fading import FlatRayleighChannel, FrequencySelectiveChannel
 from repro.channel.model import MimoChannel
 from repro.core.config import TransceiverConfig
 from repro.core.receiver import MimoReceiver
-from repro.core.transceiver import MimoTransceiver, simulate_link
 from repro.core.transmitter import MimoTransmitter
 from repro.hardware.jesd204 import Jesd204Framer
 from repro.mimo.detector import MmseDetector
+from repro.sim import SweepRunner, SweepSpec
 from repro.utils.metrics import error_vector_magnitude
 
 
@@ -24,60 +24,71 @@ class TestEndToEndConfigurations:
         "modulation,code_rate",
         [("bpsk", "1/2"), ("qpsk", "3/4"), ("16qam", "2/3"), ("64qam", "3/4")],
     )
-    def test_modulation_rate_matrix_over_fading(self, modulation, code_rate):
+    def test_modulation_rate_matrix_over_fading(self, link_burst, modulation, code_rate):
         config = TransceiverConfig(modulation=modulation, code_rate=code_rate)
         channel = MimoChannel(FlatRayleighChannel(rng=100), snr_db=40.0, rng=101)
-        stats = simulate_link(config, channel, n_info_bits=150, n_bursts=1, rng=102)
-        assert stats["bit_error_rate"] == 0.0
+        air, outcome = link_burst(config, channel, 150, rng=102)
+        assert outcome.total_bit_errors(air.burst.info_bits) == 0
 
-    def test_soft_decision_link_over_fading(self):
+    def test_soft_decision_link_over_fading(self, link_burst):
         config = TransceiverConfig(soft_decision=True)
         channel = MimoChannel(FlatRayleighChannel(rng=103), snr_db=30.0, rng=104)
-        stats = simulate_link(config, channel, n_info_bits=150, n_bursts=1, rng=105)
-        assert stats["bit_error_rate"] == 0.0
+        air, outcome = link_burst(config, channel, 150, rng=105)
+        assert outcome.total_bit_errors(air.burst.info_bits) == 0
 
-    def test_multiple_bursts_independent_payloads(self):
+    def test_multiple_bursts_independent_payloads(self, link_burst):
         config = TransceiverConfig()
-        transceiver = MimoTransceiver(config)
-        first = transceiver.run_burst(100, rng=1)
-        second = transceiver.run_burst(100, rng=2)
+        first, first_outcome = link_burst(config, MimoChannel(), 100, rng=1)
+        second, second_outcome = link_burst(config, MimoChannel(), 100, rng=2)
         assert not np.array_equal(first.burst.info_bits[0], second.burst.info_bits[0])
-        assert first.bit_errors == 0 and second.bit_errors == 0
+        assert first_outcome.total_bit_errors(first.burst.info_bits) == 0
+        assert second_outcome.total_bit_errors(second.burst.info_bits) == 0
 
-    def test_cordic_channel_inversion_end_to_end(self):
+    def test_cordic_channel_inversion_end_to_end(self, link_burst):
         config = TransceiverConfig(use_cordic_channel_inversion=True)
         channel = MimoChannel(FlatRayleighChannel(rng=106), snr_db=35.0, rng=107)
-        stats = simulate_link(config, channel, n_info_bits=100, n_bursts=1, rng=108)
-        assert stats["bit_error_rate"] == 0.0
+        air, outcome = link_burst(config, channel, 100, rng=108)
+        assert outcome.total_bit_errors(air.burst.info_bits) == 0
 
 
 class TestImpairments:
-    def test_combined_delay_and_fading(self):
+    def test_combined_delay_and_fading(self, link_burst):
         config = TransceiverConfig()
         channel = MimoChannel(
             FrequencySelectiveChannel(n_taps=3, rng=110), snr_db=35.0, rng=111, sample_delay=29
         )
-        stats = simulate_link(config, channel, n_info_bits=150, n_bursts=1, rng=112)
-        assert stats["bit_error_rate"] == 0.0
+        air, outcome = link_burst(config, channel, 150, rng=112)
+        assert outcome.total_bit_errors(air.burst.info_bits) == 0
 
-    def test_small_cfo_tolerated(self):
+    def test_known_timing_bypasses_sync_over_a_delay(self, link_burst):
+        channel = MimoChannel(sample_delay=40)
+        air, outcome = link_burst(TransceiverConfig(), channel, 150, rng=2, known_timing=True)
+        assert air.lts_start == air.burst.layout.sts_length + 40
+        assert outcome.lts_start == air.lts_start
+        assert outcome.total_bit_errors(air.burst.info_bits) == 0
+
+    def test_small_cfo_tolerated(self, link_burst):
         # A small residual CFO is absorbed by the per-symbol pilot phase
         # correction.
         config = TransceiverConfig()
         channel = MimoChannel(snr_db=35.0, rng=113, cfo_normalized=2e-5)
-        stats = simulate_link(config, channel, n_info_bits=150, n_bursts=1, rng=114)
-        assert stats["bit_error_rate"] == 0.0
+        air, outcome = link_burst(config, channel, 150, rng=114)
+        assert outcome.total_bit_errors(air.burst.info_bits) == 0
 
     def test_snr_degradation_monotone(self):
-        # BER must not improve as SNR drops (coarse sanity of the whole chain).
-        config = TransceiverConfig()
-        bers = []
-        for snr in (25.0, 10.0, 3.0):
-            channel = MimoChannel(FlatRayleighChannel(rng=115), snr_db=snr, rng=116)
-            stats = simulate_link(config, channel, n_info_bits=200, n_bursts=2, rng=117)
-            bers.append(stats["bit_error_rate"])
-        assert bers[0] <= bers[1] <= bers[2]
-        assert bers[2] > 0
+        # BER must not improve as SNR drops (coarse sanity of the whole
+        # chain), over one shared fading draw.
+        spec = SweepSpec(
+            snr_db=(25.0, 10.0, 3.0),
+            n_info_bits=200,
+            n_bursts=2,
+            target_errors=None,
+            fresh_fading_per_burst=False,
+            base_seed=117,
+        )
+        ber = SweepRunner(spec, n_workers=1, cache=False).run().ber_curve()
+        assert ber[25.0] <= ber[10.0] <= ber[3.0]
+        assert ber[3.0] > 0
 
 
 class TestEvmAndDetectors:

@@ -141,13 +141,14 @@ def test_each_lockstep_round_is_one_receive_stack_call(monkeypatch):
     assert received == [2, 1, 1, 1]
 
 
-def test_batch_never_swaps_the_cached_transceivers_channel():
+def test_batch_reuses_the_cached_transmitter_and_receiver():
     spec, items = _early_stop_spec()
-    transceiver = engine_module._transceiver_for(build_config(spec.points()[0], spec))
-    channel = transceiver.channel
+    config = build_config(spec.points()[0], spec)
+    transmitter, receiver = engine_module._transceiver_for(config)
     simulate_batch({"spec": spec.to_dict(), "items": items})
-    assert engine_module._transceiver_for(build_config(spec.points()[0], spec)) is transceiver
-    assert transceiver.channel is channel
+    cached_transmitter, cached_receiver = engine_module._transceiver_for(config)
+    assert cached_transmitter is transmitter
+    assert cached_receiver is receiver
 
 
 def test_pack_units_groups_equal_config_and_batch_in_priority_order():

@@ -3,7 +3,7 @@
 The acceptance test of `repro.stream`: a concatenated multi-frame stream
 fed through ``StreamFrameDetector`` + ``StreamingReceiver`` in chunks of
 1, 7 and 4096 samples must decode the *identical* payload bits as the
-offline ``MimoTransceiver`` receive path — every frame, bit for bit,
+offline ``MimoReceiver.receive_stack`` path — every frame, bit for bit,
 including the frames that straddle chunk boundaries (at chunk size 1,
 every frame straddles ~1056 of them).
 """
@@ -13,7 +13,9 @@ import pytest
 
 from repro.channel.fading import FlatRayleighChannel
 from repro.channel.model import MimoChannel
-from repro.core.transceiver import MimoTransceiver
+from repro.core.config import TransceiverConfig
+from repro.core.receiver import MimoReceiver
+from repro.core.transmitter import MimoTransmitter
 from repro.stream import StreamingReceiver
 
 N_INFO_BITS = 256
@@ -24,13 +26,13 @@ SNR_DB = 30.0
 @pytest.fixture(scope="module")
 def stream_and_reference():
     """A 3-frame continuous stream plus the offline receive-path decodes."""
-    transceiver = MimoTransceiver()
-    config = transceiver.config
+    config = TransceiverConfig()
+    transmitter = MimoTransmitter(config)
     frames = []
     references = []
     rng = np.random.default_rng(1234)
-    for index in range(N_FRAMES):
-        burst = transceiver.transmitter.transmit_random(N_INFO_BITS, rng=rng)
+    for _ in range(N_FRAMES):
+        burst = transmitter.transmit_random(N_INFO_BITS, rng=rng)
         channel = MimoChannel(
             fading=FlatRayleighChannel(
                 config.n_antennas, config.n_antennas, rng=rng.integers(0, 2**31)
@@ -42,10 +44,10 @@ def stream_and_reference():
         references.append(burst.info_bits)
     stream = np.concatenate(frames, axis=1)
 
-    offline = []
-    for received in frames:
-        result = transceiver.receiver.receive(received, N_INFO_BITS)
-        offline.append([s.decoded_bits for s in result.streams])
+    offline = [
+        result.decoded_bits
+        for result in MimoReceiver(config).receive_stack(frames, N_INFO_BITS)
+    ]
     return stream, frames, offline, references
 
 

@@ -7,7 +7,6 @@ from repro.channel.awgn import add_awgn
 from repro.channel.impairments import apply_carrier_frequency_offset
 from repro.core.config import TransceiverConfig
 from repro.core.preamble import PreambleGenerator
-from repro.core.transceiver import simulate_link
 from repro.channel.fading import FlatRayleighChannel
 from repro.channel.model import MimoChannel
 from repro.dsp.fixedpoint import SAMPLE_FORMAT_16BIT
@@ -128,34 +127,27 @@ class TestCfoEstimator:
 
 
 class TestReceiverIntegration:
-    def test_large_cfo_breaks_uncorrected_link(self):
+    def test_large_cfo_breaks_uncorrected_link(self, link_burst):
         channel = MimoChannel(
             FlatRayleighChannel(rng=26), snr_db=35.0, rng=27, cfo_normalized=5e-3
         )
-        stats = simulate_link(
-            TransceiverConfig(correct_cfo=False), channel, n_info_bits=200, n_bursts=1, rng=1
-        )
-        assert stats["bit_error_rate"] > 0.1
+        air, outcome = link_burst(TransceiverConfig(correct_cfo=False), channel, 200, rng=1)
+        assert outcome.total_bit_errors(air.burst.info_bits) > 0.1 * air.burst.payload_bits
 
-    def test_cfo_correction_repairs_the_link(self):
+    def test_cfo_correction_repairs_the_link(self, link_burst):
         channel = MimoChannel(
             FlatRayleighChannel(rng=26), snr_db=35.0, rng=27, cfo_normalized=5e-3
         )
-        stats = simulate_link(
-            TransceiverConfig(correct_cfo=True), channel, n_info_bits=200, n_bursts=1, rng=1
-        )
-        assert stats["bit_error_rate"] == 0.0
+        air, outcome = link_burst(TransceiverConfig(correct_cfo=True), channel, 200, rng=1)
+        assert outcome.total_bit_errors(air.burst.info_bits) == 0
 
-    def test_estimated_cfo_reported_in_diagnostics(self):
-        from repro.core.transceiver import MimoTransceiver
-
+    def test_estimated_cfo_reported_in_diagnostics(self, link_burst):
         channel = MimoChannel(snr_db=35.0, rng=28, cfo_normalized=3e-3)
-        transceiver = MimoTransceiver(TransceiverConfig(correct_cfo=True), channel=channel)
-        result = transceiver.run_burst(150, rng=2)
-        assert result.receive_result.diagnostics["estimated_cfo"] == pytest.approx(3e-3, abs=2e-4)
-        assert result.bit_errors == 0
+        air, outcome = link_burst(TransceiverConfig(correct_cfo=True), channel, 150, rng=2)
+        assert outcome.diagnostics["estimated_cfo"] == pytest.approx(3e-3, abs=2e-4)
+        assert outcome.total_bit_errors(air.burst.info_bits) == 0
 
-    def test_burst_recovery_with_cfo_iq_and_quantization_together(self):
+    def test_burst_recovery_with_cfo_iq_and_quantization_together(self, link_burst):
         # The paper's front-end conditions combined: CFO, mixer IQ
         # imbalance and 16-bit DAC/ADC quantisation on a faded link.  The
         # CFO estimator runs on already-quantised samples and the link must
@@ -172,5 +164,5 @@ class TestReceiverIntegration:
         config = TransceiverConfig(
             correct_cfo=True, rx_sample_format=SAMPLE_FORMAT_16BIT
         )
-        stats = simulate_link(config, channel, n_info_bits=200, n_bursts=1, rng=1)
-        assert stats["bit_error_rate"] == 0.0
+        air, outcome = link_burst(config, channel, 200, rng=1)
+        assert outcome.total_bit_errors(air.burst.info_bits) == 0
