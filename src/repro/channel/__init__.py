@@ -9,7 +9,6 @@ estimation, detection, decoding — is exercised end to end.
 """
 
 from repro.channel.awgn import (
-    add_awgn,
     awgn_noise,
     noise_variance_for_snr,
     occupied_power,
@@ -28,7 +27,6 @@ from repro.channel.impairments import (
 from repro.channel.model import ChannelOutput, IdealChannel, MimoChannel
 
 __all__ = [
-    "add_awgn",
     "awgn_noise",
     "noise_variance_for_snr",
     "occupied_power",

@@ -65,44 +65,3 @@ def occupied_power(signal: npt.ArrayLike) -> float:
         return 0.0
     return float(np.mean(power[..., occupied]))
 
-
-def add_awgn(
-    signal: npt.ArrayLike,
-    snr_db: float,
-    rng: SeedLike = None,
-    measure_power: bool = True,
-    signal_power: float | None = None,
-) -> ComplexArray:
-    """Add AWGN to ``signal`` at the requested SNR.
-
-    Parameters
-    ----------
-    signal:
-        Complex baseband samples (any shape).
-    snr_db:
-        Desired signal-to-noise ratio in dB.
-    rng:
-        Seed or generator for reproducibility.
-    measure_power:
-        When True the signal power is measured from ``signal`` over the
-        occupied sample instants (see :func:`occupied_power` — zero padding
-        and idle tails must not dilute the measurement); when False unit
-        signal power is assumed.
-    signal_power:
-        Explicit signal power overriding the measurement entirely — the
-        hook :class:`~repro.channel.model.MimoChannel` uses to calibrate
-        noise against the power it measured before later stages.
-    """
-    samples = np.asarray(signal, dtype=np.complex128)
-    if samples.size == 0:
-        return samples.copy()
-    if signal_power is not None:
-        power = float(signal_power)
-    elif measure_power:
-        power = occupied_power(samples)
-    else:
-        power = 1.0
-    if power == 0.0:
-        return samples.copy()
-    variance = noise_variance_for_snr(snr_db, power)
-    return samples + awgn_noise(samples.shape, variance, rng)

@@ -19,6 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.exceptions import ConfigurationError
 from repro.utils.bits import BitArray, _as_bit_array
 
 
@@ -28,6 +29,11 @@ class CodeRate(str, Enum):
     RATE_1_2 = "1/2"
     RATE_2_3 = "2/3"
     RATE_3_4 = "3/4"
+
+    @classmethod
+    def _missing_(cls, value: object) -> "CodeRate":
+        rates = tuple(rate.value for rate in cls)
+        raise ConfigurationError(f"unknown code rate {value!r}; expected one of {rates}")
 
     @property
     def fraction(self) -> float:

@@ -175,8 +175,7 @@ class TransceiverConfig:
     def __post_init__(self) -> None:
         if self.n_antennas <= 0:
             raise ConfigurationError("n_antennas must be positive")
-        if self.fft_size < 16 or self.fft_size & (self.fft_size - 1):
-            raise ConfigurationError("fft_size must be a power of two >= 16")
+        OfdmNumerology.for_fft_size(self.fft_size)
         if not 0 <= self.cyclic_prefix_ratio < 1:
             raise ConfigurationError("cyclic_prefix_ratio must be in [0, 1)")
         if self.clock_hz <= 0:
@@ -188,11 +187,9 @@ class TransceiverConfig:
         if self.detector not in ("zf", "mmse"):
             raise ConfigurationError("detector must be 'zf' or 'mmse'")
         for name in ("rx_sample_format", "rx_multiplier_format"):
-            try:
-                coerced = FixedPointFormat.coerce(getattr(self, name), name)
-            except TypeError as error:
-                raise ConfigurationError(str(error)) from None
-            object.__setattr__(self, name, coerced)
+            object.__setattr__(
+                self, name, FixedPointFormat.coerce(getattr(self, name), name)
+            )
 
     # ------------------------------------------------------------------
     @classmethod

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from types import SimpleNamespace
 
-#: Arithmetic name carried by ``spec_hash`` and ``content_key`` payloads.
+#: Arithmetic name carried by ``SweepPoint.content_key`` payloads.
 DSP_ARITHMETIC = "numpy"
 
 

@@ -4,7 +4,8 @@ The paper's receiver uses CORDIC blocks in two places:
 
 * the **time synchroniser** uses a CORDIC to compute the magnitude of the
   sliding-window correlation (Fig. 4) because it is cheaper than a square
-  root;
+  root (the model takes ``np.abs`` and counts the CORDIC's latency in
+  :class:`~repro.hardware.latency.LatencyModel`);
 * the **QR decomposition** systolic array is built from CORDIC cells working
   in *vectoring* mode (boundary cells) and *rotation* mode (internal cells),
   implementing the three-angle complex rotation algorithm (Figs. 6-7).
@@ -20,8 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
-
-import numpy as np
 
 from repro.dsp.fixedpoint import FixedPointFormat
 
@@ -191,48 +190,3 @@ class Cordic:
             iterations=self.iterations,
             latency_cycles=self.latency_cycles,
         )
-
-    def magnitude(self, value: complex) -> float:
-        """Magnitude of a complex number via vectoring mode."""
-        return self.vector(value.real, value.imag).magnitude
-
-    def rotate_complex(self, value: complex, angle: float) -> complex:
-        """Rotate a complex number by ``angle`` radians via rotation mode."""
-        result = self.rotate(value.real, value.imag, angle)
-        return complex(result.x, result.y)
-
-
-# ----------------------------------------------------------------------
-# convenience functional wrappers (reference CORDIC with default settings)
-# ----------------------------------------------------------------------
-_DEFAULT_CORDIC = Cordic()
-
-
-def cordic_vector(x: float, y: float, iterations: int = DEFAULT_ITERATIONS) -> CordicResult:
-    """Vectoring-mode CORDIC with ``iterations`` micro-rotations."""
-    engine = _DEFAULT_CORDIC if iterations == DEFAULT_ITERATIONS else Cordic(iterations)
-    return engine.vector(x, y)
-
-
-def cordic_rotate(
-    x: float, y: float, angle: float, iterations: int = DEFAULT_ITERATIONS
-) -> CordicResult:
-    """Rotation-mode CORDIC with ``iterations`` micro-rotations."""
-    engine = _DEFAULT_CORDIC if iterations == DEFAULT_ITERATIONS else Cordic(iterations)
-    return engine.rotate(x, y, angle)
-
-
-def cordic_magnitude(values: np.ndarray, iterations: int = DEFAULT_ITERATIONS) -> np.ndarray:
-    """Vectorised complex magnitude computed element-wise with CORDIC.
-
-    The time synchroniser uses this instead of a square root; for arrays this
-    helper loops in Python (array sizes there are one value per clock cycle in
-    hardware, and modest in simulation).
-    """
-    engine = _DEFAULT_CORDIC if iterations == DEFAULT_ITERATIONS else Cordic(iterations)
-    arr = np.asarray(values, dtype=np.complex128)
-    flat = arr.ravel()
-    out = np.empty(flat.shape, dtype=np.float64)
-    for i, v in enumerate(flat):
-        out[i] = engine.vector(v.real, v.imag).magnitude
-    return out.reshape(arr.shape)

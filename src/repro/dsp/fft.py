@@ -1,4 +1,4 @@
-"""Radix-2 FFT/IFFT and OFDM (de)modulation.
+"""Radix-2 FFT/IFFT and OFDM modulation.
 
 The paper's transmitter converts mapped symbols to the time domain with an
 IFFT per antenna and the receiver converts back with an FFT per antenna
@@ -12,26 +12,22 @@ in Section V).  This module provides:
   decimation-in-time implementation (mirroring a streaming hardware core) so
   the reproduction does not silently depend on ``numpy.fft`` for its core
   datapath; both batch over arbitrary leading axes;
-* :func:`fixed_point_fft` — the same butterflies with per-stage quantisation
-  and per-stage scaling, modelling the finite word length of an FPGA FFT
-  core; batches over leading axes exactly like the float path;
-* :class:`Fft` — an object wrapper that also reports the pipeline latency and
-  feeds the hardware resource model;
-* :func:`ofdm_modulate` / :func:`ofdm_demodulate` — the IFFT + cyclic prefix
-  and FFT + prefix-removal steps used by the transmitter and receiver.
+* :func:`ofdm_modulate` — the IFFT + cyclic-prefix step for one OFDM symbol.
+
+There is one transform arithmetic: the receiver models its fixed-point
+datapath by quantising the FFT output (``rx_multiplier_format``), not with a
+second, quantised butterfly core.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 import numpy.typing as npt
 
 from repro.types import ComplexArray, IntArray
-
-from repro.dsp.fixedpoint import FixedPointFormat
 
 
 def _validate_power_of_two(n: int) -> None:
@@ -54,8 +50,8 @@ class FftPlan:
     """Precomputed radix-2 transform data for one FFT size.
 
     A plan owns everything about the transform that depends only on its
-    size — the bit-reverse input permutation and one twiddle table per
-    butterfly stage, for both transform directions.  The batched receive
+    size — the bit-reverse input permutation and one forward twiddle table
+    per butterfly stage; the inverse reuses them through the conjugate trick.  The batched receive
     chain runs thousands of transforms per burst; computing these tables
     once per size (see :func:`get_plan`) instead of once per call is what
     makes the FFT itself disappear from the profile.
@@ -71,15 +67,10 @@ class FftPlan:
         self.stages = size.bit_length() - 1
         self.bit_reverse = bit_reverse_indices(size)
         self.forward_twiddles: List[np.ndarray] = []
-        self.inverse_twiddles: List[np.ndarray] = []
         for stage in range(1, self.stages + 1):
             m = 1 << stage
             half = m // 2
             self.forward_twiddles.append(np.exp(-2j * np.pi * np.arange(half) / m))
-            self.inverse_twiddles.append(np.exp(2j * np.pi * np.arange(half) / m))
-
-    def _twiddles(self, inverse: bool) -> List[np.ndarray]:
-        return self.inverse_twiddles if inverse else self.forward_twiddles
 
     # ------------------------------------------------------------------
     def forward(self, x: npt.ArrayLike) -> ComplexArray:
@@ -104,35 +95,6 @@ class FftPlan:
         data = np.asarray(x, dtype=np.complex128)
         return np.conj(self.forward(np.conj(data))) / self.size
 
-    def fixed_point(
-        self,
-        x: npt.ArrayLike,
-        fmt: FixedPointFormat,
-        inverse: bool = False,
-        scale_per_stage: bool = True,
-    ) -> ComplexArray:
-        """Quantised transform over the last axis (any leading batch axes).
-
-        Shares the plan's tables with the float path; see
-        :func:`fixed_point_fft` for the scaling semantics.
-        """
-        n = self.size
-        data = np.asarray(x, dtype=np.complex128)
-        if data.shape[-1] != n:
-            raise ValueError(f"expected last axis of {n} samples, got {data.shape[-1]}")
-        work = fmt.quantize_complex(data[..., self.bit_reverse])
-        for stage, twiddles in enumerate(self._twiddles(inverse), start=1):
-            m = 1 << stage
-            half = m // 2
-            work = work.reshape(*work.shape[:-1], n // m, m)
-            upper = work[..., :half]
-            lower = work[..., half:] * twiddles
-            combined = np.concatenate([upper + lower, upper - lower], axis=-1)
-            if scale_per_stage:
-                combined = combined / 2.0
-            work = fmt.quantize_complex(combined).reshape(*combined.shape[:-2], n)
-        return work
-
 
 @lru_cache(maxsize=32)
 def get_plan(size: int) -> FftPlan:
@@ -144,10 +106,10 @@ def fft(x: npt.ArrayLike) -> ComplexArray:
     """Iterative radix-2 decimation-in-time FFT.
 
     Matches ``numpy.fft.fft`` to floating-point precision; implemented
-    explicitly so the butterfly structure mirrors the streaming hardware core
-    and so the fixed-point variant can share the same code path.  Batches
-    over arbitrary leading axes, transforming the last axis; the permutation
-    and twiddles come from the cached per-size :class:`FftPlan`.
+    explicitly so the butterfly structure mirrors the streaming hardware
+    core.  Batches over arbitrary leading axes, transforming the last axis;
+    the permutation and twiddles come from the cached per-size
+    :class:`FftPlan`.
     """
     data = np.asarray(x, dtype=np.complex128)
     return get_plan(data.shape[-1]).forward(data)
@@ -157,87 +119,6 @@ def ifft(x: npt.ArrayLike) -> ComplexArray:
     """Inverse FFT matching ``numpy.fft.ifft`` (1/N normalisation)."""
     data = np.asarray(x, dtype=np.complex128)
     return get_plan(data.shape[-1]).inverse(data)
-
-
-def fixed_point_fft(
-    x: npt.ArrayLike,
-    fmt: FixedPointFormat,
-    inverse: bool = False,
-    scale_per_stage: bool = True,
-) -> ComplexArray:
-    """Radix-2 FFT with per-stage quantisation, modelling a hardware core.
-
-    Parameters
-    ----------
-    x:
-        Input samples; the last axis is transformed and any leading axes are
-        batched over, exactly like the float :func:`fft` path.
-    fmt:
-        Fixed-point format applied to the datapath after every butterfly
-        stage.
-    inverse:
-        Compute the IFFT instead of the FFT.
-    scale_per_stage:
-        Divide by two after every stage (the standard block-floating
-        alternative used in FPGA cores to avoid overflow).  The overall
-        scaling then equals ``1/N`` — the natural IFFT normalisation — for
-        both directions; callers that need an unscaled FFT can multiply by
-        ``N`` afterwards.
-    """
-    data = np.asarray(x, dtype=np.complex128)
-    return get_plan(data.shape[-1]).fixed_point(
-        data, fmt, inverse=inverse, scale_per_stage=scale_per_stage
-    )
-
-
-class Fft:
-    """FFT/IFFT engine with optional fixed-point datapath and latency model.
-
-    The latency model reflects a streaming pipelined radix-2 core: the core
-    must ingest all ``n`` samples and then flushes its ``log2(n)`` butterfly
-    stages, each of which is itself pipelined a few registers deep.
-    """
-
-    #: Pipeline registers per butterfly stage assumed by the latency model.
-    PIPELINE_DEPTH_PER_STAGE = 4
-
-    def __init__(
-        self,
-        size: int,
-        fixed_format: Optional[FixedPointFormat] = None,
-    ) -> None:
-        _validate_power_of_two(size)
-        self.size = size
-        self.fixed_format = fixed_format
-        self.plan = get_plan(size)
-
-    @property
-    def stages(self) -> int:
-        """Number of radix-2 butterfly stages (``log2(size)``)."""
-        return self.size.bit_length() - 1
-
-    @property
-    def latency_cycles(self) -> int:
-        """Clock cycles from first sample in to first sample out."""
-        return self.size + self.stages * self.PIPELINE_DEPTH_PER_STAGE
-
-    def forward(self, x: npt.ArrayLike) -> ComplexArray:
-        """Forward FFT of length-``size`` blocks (leading axes batched)."""
-        data = np.asarray(x, dtype=np.complex128)
-        if data.shape[-1] != self.size:
-            raise ValueError(f"expected block of {self.size} samples, got {data.shape[-1]}")
-        if self.fixed_format is None:
-            return self.plan.forward(data)
-        return self.plan.fixed_point(data, self.fixed_format, inverse=False) * self.size
-
-    def inverse(self, x: npt.ArrayLike) -> ComplexArray:
-        """Inverse FFT of length-``size`` blocks (leading axes batched)."""
-        data = np.asarray(x, dtype=np.complex128)
-        if data.shape[-1] != self.size:
-            raise ValueError(f"expected block of {self.size} samples, got {data.shape[-1]}")
-        if self.fixed_format is None:
-            return self.plan.inverse(data)
-        return self.plan.fixed_point(data, self.fixed_format, inverse=True)
 
 
 def ofdm_modulate(
@@ -261,19 +142,3 @@ def ofdm_modulate(
     prefix = time_domain[..., n - cyclic_prefix_length:]
     return np.concatenate([prefix, time_domain], axis=-1)
 
-
-def ofdm_demodulate(
-    time_domain: npt.ArrayLike,
-    fft_size: int,
-    cyclic_prefix_length: int,
-) -> ComplexArray:
-    """Cyclic-prefix removal + FFT for one OFDM symbol."""
-    samples = np.asarray(time_domain, dtype=np.complex128)
-    expected = fft_size + cyclic_prefix_length
-    if samples.shape[-1] != expected:
-        raise ValueError(
-            f"expected {expected} samples (fft {fft_size} + CP {cyclic_prefix_length}), "
-            f"got {samples.shape[-1]}"
-        )
-    useful = samples[..., cyclic_prefix_length:]
-    return fft(useful)

@@ -20,6 +20,8 @@ from typing import Optional, Union
 
 import numpy as np
 
+from repro.exceptions import ConfigurationError
+
 ArrayLike = Union[float, complex, np.ndarray]
 
 
@@ -143,14 +145,15 @@ class FixedPointFormat:
 
         The single coercion rule shared by every config/spec field that
         round-trips formats through JSON (``TransceiverConfig``,
-        ``repro.sim.ImpairmentSpec``).  Raises :class:`TypeError` for
-        anything else, naming ``field_name``.
+        ``repro.sim.ImpairmentSpec``).  Raises
+        :class:`~repro.exceptions.ConfigurationError` for anything else,
+        naming ``field_name``.
         """
         if value is None or isinstance(value, cls):
             return value
         if isinstance(value, dict):
             return cls.from_dict(value)
-        raise TypeError(
+        raise ConfigurationError(
             f"{field_name} must be a FixedPointFormat, a dict or None, got {value!r}"
         )
 

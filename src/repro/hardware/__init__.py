@@ -14,10 +14,8 @@ package provides the substitute substrate:
 * :mod:`repro.hardware.clock` — clocking/throughput model behind the 1 Gbps
   claim;
 * :mod:`repro.hardware.memory` — behavioural models of the memory structures
-  the architecture relies on (ROM, dual-port RAM, FIFO, ping-pong buffer,
-  circular buffer);
-* :mod:`repro.hardware.fsm` — a small finite-state-machine base used by the
-  structural datapath models;
+  the architecture relies on (ROM, dual-port RAM, ping-pong buffer, circular
+  buffer);
 * :mod:`repro.hardware.jesd204` — the JESD204A-style converter interface
   framing model.
 """
@@ -32,13 +30,11 @@ from repro.hardware.estimator import (
     TransmitterResourceModel,
     qrd_cordic_cell_count,
 )
-from repro.hardware.fsm import FiniteStateMachine
 from repro.hardware.jesd204 import Jesd204Framer
 from repro.hardware.latency import LatencyModel, ReceiverLatencyBreakdown
 from repro.hardware.memory import (
     CircularBuffer,
     DualPortRam,
-    Fifo,
     PingPongBuffer,
     Rom,
 )
@@ -54,13 +50,11 @@ __all__ = [
     "TransmitterResourceModel",
     "ReceiverResourceModel",
     "qrd_cordic_cell_count",
-    "FiniteStateMachine",
     "Jesd204Framer",
     "LatencyModel",
     "ReceiverLatencyBreakdown",
     "CircularBuffer",
     "DualPortRam",
-    "Fifo",
     "PingPongBuffer",
     "Rom",
     "ResourceReport",

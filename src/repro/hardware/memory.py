@@ -8,7 +8,6 @@ The paper's datapaths are organised around a handful of memory idioms:
   memories);
 * ping-pong (double-buffer) memories (the block interleaver's "Mem A /
   Mem B" pair);
-* FIFOs (OFDM data buffering while channel estimation completes);
 * circular buffers (receiver input buffering to cover time-synchroniser
   latency).
 
@@ -19,8 +18,7 @@ behaviours) and report their size in memory bits for the resource model.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Generic, Iterable, List, Optional, Sequence, TypeVar
+from typing import Generic, Iterable, List, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -134,56 +132,6 @@ class PingPongBuffer:
     def memory_bits(self) -> int:
         """Total storage of both memories in bits."""
         return 2 * self.block_size * self.word_bits
-
-
-class Fifo:
-    """First-in first-out buffer with a bounded depth."""
-
-    def __init__(self, depth: int, word_bits: int = 32) -> None:
-        if depth <= 0:
-            raise ValueError("depth must be positive")
-        self.depth = depth
-        self.word_bits = word_bits
-        self._queue: Deque[complex] = deque()
-
-    def __len__(self) -> int:
-        return len(self._queue)
-
-    @property
-    def full(self) -> bool:
-        """True when another push would overflow."""
-        return len(self._queue) >= self.depth
-
-    @property
-    def empty(self) -> bool:
-        """True when there is nothing to pop."""
-        return not self._queue
-
-    def push(self, value: complex) -> None:
-        """Append one word; raises ``OverflowError`` when full."""
-        if self.full:
-            raise OverflowError("FIFO overflow")
-        self._queue.append(value)
-
-    def push_many(self, values: Iterable[complex]) -> None:
-        """Append many words."""
-        for value in values:
-            self.push(value)
-
-    def pop(self) -> complex:
-        """Remove and return the oldest word; raises when empty."""
-        if self.empty:
-            raise IndexError("FIFO underflow")
-        return self._queue.popleft()
-
-    def pop_many(self, count: int) -> List[complex]:
-        """Pop ``count`` words."""
-        return [self.pop() for _ in range(count)]
-
-    @property
-    def memory_bits(self) -> int:
-        """Total storage in bits."""
-        return self.depth * self.word_bits
 
 
 class CircularBuffer:

@@ -13,7 +13,6 @@ from repro.mimo.matrix import (
     hermitian,
     is_unitary,
     is_upper_triangular,
-    matrix_inverse_via_qr,
 )
 from repro.mimo.qr import CordicQrDecomposer, GivensRotation, qr_decompose_givens
 from repro.mimo.rinv import invert_upper_triangular, r_inverse_4x4_paper_equations
@@ -29,7 +28,6 @@ __all__ = [
     "hermitian",
     "is_unitary",
     "is_upper_triangular",
-    "matrix_inverse_via_qr",
     "CordicQrDecomposer",
     "GivensRotation",
     "qr_decompose_givens",

@@ -42,15 +42,3 @@ def frobenius_error(a: npt.ArrayLike, b: npt.ArrayLike) -> float:
         return float(np.linalg.norm(a_arr))
     return float(np.linalg.norm(a_arr - b_arr) / denom)
 
-
-def matrix_inverse_via_qr(matrix: npt.ArrayLike) -> ComplexArray:
-    """Reference matrix inverse through NumPy's QR (float baseline).
-
-    Used by the ablation benchmark that compares the paper's CORDIC/Givens
-    pipeline against a straightforward floating-point implementation.
-    """
-    h = np.asarray(matrix, dtype=np.complex128)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError("expected a square matrix")
-    q, r = np.linalg.qr(h)  # reprolint: disable=EXC002 -- offline float reference for ablation benchmarks; never pooled by the sweep engine
-    return np.linalg.solve(r, hermitian(q))  # reprolint: disable=EXC002 -- same: callers are benchmarks/tests that want the raw LinAlgError

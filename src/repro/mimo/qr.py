@@ -167,16 +167,14 @@ class CordicQrDecomposer:
         self.cordic = cordic if cordic is not None else Cordic(iterations=iterations)
 
     # ------------------------------------------------------------------
-    def _rotate_complex(self, value: complex, angle: float) -> complex:
-        result = self.cordic.rotate(value.real, value.imag, angle)
-        return complex(result.x, result.y)
-
     def _apply_rotation(self, matrix: np.ndarray, rotation: GivensRotation) -> None:
         col, row = rotation.col, rotation.row
         n = matrix.shape[1]
         # Phase removal on the annihilated row (one rotation CORDIC per element).
         for k in range(n):
-            matrix[row, k] = self._rotate_complex(matrix[row, k], -rotation.theta_b)
+            value = matrix[row, k]
+            phase = self.cordic.rotate(value.real, value.imag, -rotation.theta_b)
+            matrix[row, k] = complex(phase.x, phase.y)
         # Real rotation applied jointly to the pivot row and the annihilated
         # row: one CORDIC for the real parts, one for the imaginary parts.
         for k in range(n):
@@ -230,9 +228,3 @@ class CordicQrDecomposer:
         q = hermitian(q_hermitian)
         return q, r, rotations
 
-    def decompose_r_and_q_hermitian(
-        self, matrix: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Return ``(r, q_hermitian)`` — what the hardware arrays actually output."""
-        q, r, _rotations = self.decompose(matrix)
-        return r, hermitian(q)

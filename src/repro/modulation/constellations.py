@@ -16,6 +16,8 @@ from typing import Dict
 
 import numpy as np
 
+from repro.exceptions import ConfigurationError
+
 
 class Modulation(str, Enum):
     """Supported modulation schemes and their LUT address widths."""
@@ -50,7 +52,7 @@ class Modulation(str, Enum):
             "qam64": cls.QAM64,
         }
         if normalized not in aliases:
-            raise ValueError(f"unknown modulation scheme: {value!r}")
+            raise ConfigurationError(f"unknown modulation scheme: {value!r}")
         return aliases[normalized]
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from repro.coding.interleaver import interleaver_permutation
 from repro.core.config import TransceiverConfig
 from repro.core.pilots import PilotProcessor
-from repro.dsp.fft import Fft
+from repro.dsp.fft import get_plan
 from repro.hardware.memory import DualPortRam, PingPongBuffer, Rom
 from repro.modulation.mapper import SymbolMapper
 from repro.utils.bits import _as_bit_array, pack_bits
@@ -57,7 +57,7 @@ class TxStreamDatapath:
         mapper = SymbolMapper(self.config.modulation)
         self.mapper_rom = Rom(list(mapper.lut_contents()), word_bits=32)
         self.pilots = PilotProcessor(self.numerology)
-        self.fft_engine = Fft(self.config.fft_size)
+        self.fft_plan = get_plan(self.config.fft_size)
         # The CP memory is twice the OFDM symbol so one half can fill while
         # the other is read out (Fig. 3); 32-bit words hold the I/Q pair.
         self.cp_memory = DualPortRam(depth=2 * self.config.fft_size, word_bits=32)
@@ -90,7 +90,7 @@ class TxStreamDatapath:
         frequency = np.zeros(fft_size, dtype=np.complex128)
         frequency[list(self.numerology.data_bins)] = data_symbols
         frequency = self.pilots.insert(frequency, self._symbol_index)
-        time_domain = self.fft_engine.inverse(frequency)
+        time_domain = self.fft_plan.inverse(frequency)
         # Model the CP double buffer: write the symbol into one half of the
         # memory, then read the tail followed by the body out of it.
         half = self._symbol_index % 2

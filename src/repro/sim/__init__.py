@@ -7,11 +7,12 @@ measure BER/PER: every burst goes on air through
 describes whole experiment grids — one operating point is a grid of one —
 declaratively and executes them efficiently:
 
-* :class:`~repro.sim.spec.SweepSpec` / :class:`~repro.sim.spec.SweepResult`
-  — typed, JSON-round-trippable descriptions of a sweep over SNR,
-  modulation, code rate, stream count, channel model, detector and
-  front-end impairment (:class:`~repro.sim.spec.ImpairmentSpec`: CFO,
-  timing delay, IQ imbalance, fixed-point word lengths);
+* :class:`~repro.sim.spec.SweepSpec` — a typed, JSON-round-trippable
+  description of a sweep over SNR, modulation, code rate, stream count,
+  channel model, detector and front-end impairment
+  (:class:`~repro.sim.spec.ImpairmentSpec`: CFO, timing delay, IQ
+  imbalance, fixed-point word lengths), and
+  :class:`~repro.sim.spec.SweepResult`, its per-point outcome;
 * :class:`~repro.sim.runner.SweepRunner` — drains deterministically seeded
   burst batches through a pluggable work queue (:mod:`repro.sim.queue`),
   stops each grid point early once its bit-error target is reached, commits
@@ -66,7 +67,7 @@ from repro.sim.stats import (
     clopper_pearson_interval,
     wilson_interval,
 )
-from repro.sim.store import ResultStore, commit_json_file, default_store_dir
+from repro.sim.store import ResultStore, default_store_dir
 
 __all__ = [
     "ENGINE_VERSION",
@@ -83,7 +84,6 @@ __all__ = [
     "allocate_bursts",
     "ber_interval",
     "clopper_pearson_interval",
-    "commit_json_file",
     "content_key",
     "default_cache_dir",
     "default_store_dir",

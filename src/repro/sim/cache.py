@@ -1,7 +1,7 @@
 """Content-hash keys and the result-cache directory.
 
 :func:`content_key` is the one canonical hash of a JSON-serialisable
-payload, shared by sweep specs and sweep points.  :func:`default_cache_dir` is
+payload; the result store keys every sweep point with it.  :func:`default_cache_dir` is
 the root under which :class:`~repro.sim.store.ResultStore` keeps its
 records: ``~/.cache/repro-sim`` unless the ``REPRO_SIM_CACHE_DIR``
 environment variable overrides it.
@@ -21,10 +21,8 @@ def content_key(payload: dict, prefix: str = "") -> str:
     """Content hash of a JSON-serialisable payload, usable as a cache key.
 
     The single canonicalisation recipe (sorted keys, compact separators,
-    SHA-256, 20 hex chars) shared by every cache user —
-    :meth:`repro.sim.spec.SweepSpec.spec_hash`, the sweep points, and
-    whatever future experiment wants memoisation — so keying behaviour can
-    never drift between them.
+    SHA-256, 20 hex chars) behind :meth:`repro.sim.spec.SweepPoint.content_key`,
+    so keying behaviour has one definition.
     """
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return prefix + hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:20]

@@ -14,11 +14,12 @@ quantisation — so the paper's "survives real front-end conditions" claims
 (BER vs CFO, BER vs word length) are sweepable exactly like SNR or
 modulation; ``None`` on the axis is the ideal front end.
 
-Everything here is a plain frozen dataclass with loss-free ``to_dict`` /
-``from_dict`` round-trips, which is what makes the JSON result cache
-(:mod:`repro.sim.cache`) and the multiprocessing workers possible: a spec is
-hashed from its canonical JSON form, and a cached result is rebuilt without
-re-running a single burst.
+Specs, points and point results are plain frozen dataclasses with
+loss-free ``to_dict`` / ``from_dict`` round-trips, which is what the
+multiprocessing workers and the per-point result store
+(:mod:`repro.sim.store`) rely on: a point's store key is the hash of its
+canonical JSON form (:meth:`SweepPoint.content_key`), and a stored point
+result is rebuilt without re-running a single burst.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.coding.convolutional import CodeRate
+from repro.core.config import OfdmNumerology
 from repro.dsp.backend import DSP_ARITHMETIC
 from repro.dsp.fixedpoint import (
     FixedPointFormat,
@@ -36,6 +39,7 @@ from repro.dsp.fixedpoint import (
     SAMPLE_FORMAT_16BIT,
 )
 from repro.exceptions import ConfigurationError
+from repro.modulation.constellations import Modulation
 
 #: Bumped whenever the engine's statistics change meaning, so stale cache
 #: entries from an older engine can never be mistaken for fresh results.
@@ -173,7 +177,7 @@ def _as_impairment(value) -> Optional[ImpairmentSpec]:
         return value
     if isinstance(value, dict):
         return ImpairmentSpec.from_dict(value)
-    raise TypeError(
+    raise ConfigurationError(
         f"impairments entries must be ImpairmentSpec, dict or None, got {value!r}"
     )
 
@@ -262,6 +266,13 @@ class SweepSpec:
         object.__setattr__(
             self, "impairments", _as_tuple(self.impairments, _as_impairment)
         )
+        # Parse the axes the worker parses, but keep the strings as given:
+        # they are part of every point's store key.
+        for modulation in self.modulations:
+            Modulation.from_any(modulation)
+        for code_rate in self.code_rates:
+            CodeRate(code_rate)
+        OfdmNumerology.for_fft_size(self.fft_size)
         for channel in self.channels:
             if channel not in CHANNEL_MODELS:
                 raise ConfigurationError(
@@ -280,8 +291,10 @@ class SweepSpec:
             raise ConfigurationError(
                 "the sweep needs at least one impairment entry (None = ideal)"
             )
-        if self.n_info_bits <= 0:
-            raise ConfigurationError("n_info_bits must be positive")
+        if not isinstance(self.n_info_bits, (int, np.integer)) or self.n_info_bits <= 0:
+            raise ConfigurationError(
+                f"n_info_bits must be a positive integer, got {self.n_info_bits!r}"
+            )
         if self.n_bursts <= 0:
             raise ConfigurationError("n_bursts must be positive")
         if self.target_errors is not None and self.target_errors <= 0:
@@ -350,26 +363,6 @@ class SweepSpec:
     def from_dict(cls, payload: dict) -> "SweepSpec":
         """Rebuild a spec from :meth:`to_dict` output."""
         return cls(**payload)
-
-    def spec_hash(self) -> str:
-        """Stable content hash of the spec (cache key).
-
-        Any field change — including the engine version — yields a new
-        hash, so cached results can never leak across different sweeps.
-        The payload also carries the constant transform-arithmetic name,
-        kept so that stores written by earlier versions still resume.
-        (Runner knobs like batch size and worker count are deliberately
-        absent: they do not affect the reported statistics.)
-        """
-        from repro.sim.cache import content_key
-
-        return content_key(
-            {
-                "engine_version": ENGINE_VERSION,
-                "dsp_backend": DSP_ARITHMETIC,
-                **self.to_dict(),
-            }
-        )
 
     def subset(self, **changes) -> "SweepSpec":
         """A copy of the spec with some fields replaced."""
@@ -531,7 +524,7 @@ class SweepPointResult:
 
 @dataclass
 class SweepResult:
-    """Outcome of a whole sweep, cache-round-trippable.
+    """Outcome of a whole sweep.
 
     Attributes
     ----------
@@ -599,27 +592,3 @@ class SweepResult:
             ):
                 matched.append(result)
         return matched
-
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        """Plain-JSON representation."""
-        return {
-            "engine_version": ENGINE_VERSION,
-            "spec": self.spec.to_dict(),
-            "spec_hash": self.spec.spec_hash(),
-            "points": [point.to_dict() for point in self.points],
-            "elapsed_s": self.elapsed_s,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict, from_cache: bool = False) -> "SweepResult":
-        """Rebuild a result from :meth:`to_dict` output."""
-        return cls(
-            spec=SweepSpec.from_dict(payload["spec"]),
-            points=[SweepPointResult.from_dict(p) for p in payload["points"]],
-            elapsed_s=float(payload.get("elapsed_s", 0.0)),
-            from_cache=from_cache,
-            n_bursts_simulated=0 if from_cache else sum(
-                p["n_bursts"] for p in payload["points"]
-            ),
-        )

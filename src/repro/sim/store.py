@@ -21,10 +21,6 @@ The store is append-only: a re-put of an existing key appends a newer
 record and readers take the last one (the engine is deterministic, so
 duplicate records for a key carry identical payloads).  ``clear()`` or an
 occasional directory wipe is the only compaction it needs.
-
-:func:`commit_json_file` is the one atomic whole-file commit recipe
-(temp file in the target directory, ``fsync``, ``os.replace``, directory
-``fsync``): a crash mid-write can never leave a destination file torn.
 """
 
 from __future__ import annotations
@@ -32,7 +28,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 import threading
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, Optional, Tuple, Union
@@ -57,50 +52,6 @@ def default_store_dir() -> Path:
     its ``*.jsonl`` shards never mix with other files in the cache root.
     """
     return default_cache_dir() / "points"
-
-
-def _fsync_directory(directory: Path) -> None:
-    """Flush a directory entry so a just-committed file survives a crash."""
-    try:
-        fd = os.open(directory, os.O_RDONLY)
-    except OSError:  # pragma: no cover - e.g. platforms without dir fds
-        return
-    try:
-        os.fsync(fd)
-    except OSError:  # pragma: no cover - fsync on dirs unsupported
-        pass
-    finally:
-        os.close(fd)
-
-
-def commit_json_file(path: Path, payload: dict) -> Path:
-    """Atomically replace ``path`` with the JSON serialisation of ``payload``.
-
-    The payload is written to a temp file *in the destination directory*,
-    flushed and ``fsync``-ed before the ``os.replace``, and the directory
-    entry is flushed after it.  Dying at any instant leaves either the old
-    destination (or no file) or the complete new one — never a torn write:
-    the rename is only issued once the temp file's bytes are durable.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, temp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(temp_name, path)
-        _fsync_directory(path.parent)
-    except BaseException:
-        try:
-            os.unlink(temp_name)
-        except OSError:
-            pass
-        raise
-    return path
 
 
 class ResultStore:

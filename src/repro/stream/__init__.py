@@ -1,7 +1,9 @@
-"""Streaming multi-user downlink service (ROADMAP item 1).
+"""Streaming multi-user downlink service.
 
-The offline loops elsewhere in the repo decode one pre-cut burst at a
-time; this package makes *live traffic* a supported workload:
+The sweep engine decodes stacks of bursts it cut itself; this package
+makes *live traffic* a supported workload: frames are found in a
+continuous sample stream and decoded through the same
+:meth:`~repro.core.receiver.MimoReceiver.receive_stack` datapath.
 
 * :mod:`repro.stream.detector` — chunk-invariant rolling-buffer frame
   detection over a continuous multi-antenna stream;

@@ -1,15 +1,13 @@
-"""Receiver synchronisation: input buffering, burst time synchronisation and
-(as an extension beyond the paper) preamble-based CFO estimation.
+"""Receiver synchronisation: burst time synchronisation and (as an
+extension beyond the paper) preamble-based CFO estimation.
 
 :class:`TimeSynchronizer` is the one time-sync stage: its ``metric`` is the
 detection metric and its ``locate`` the lock rule of every receive path."""
 
-from repro.hardware.memory import CircularBuffer
 from repro.sync.cfo import CfoEstimate, CfoEstimator, apply_cfo_correction, estimate_cfo_from_repetition
 from repro.sync.time_sync import TimeSynchronizer
 
 __all__ = [
-    "CircularBuffer",
     "TimeSynchronizer",
     "CfoEstimate",
     "CfoEstimator",

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.dsp.correlation import cross_correlate
 from repro.exceptions import ConfigurationError, SynchronizationError
 
 #: Trailing STS samples in the stored correlator reference (Fig. 4).
@@ -60,6 +59,9 @@ class TimeSynchronizer:
         # when the window lines up with the clean waveform.
         expected = np.concatenate([sts[-WINDOW_STS:], lts[:WINDOW_LTS]])
         self.reference = np.conj(expected)
+        # np.correlate conjugates its second argument, so handing it the
+        # expected samples multiplies every window by the stored reference.
+        self._expected = expected
         self._reference_energy = float(np.sum(np.abs(self.reference) ** 2))
         self._ones = np.ones(self.window_length)
 
@@ -93,7 +95,7 @@ class TimeSynchronizer:
         with np.errstate(invalid="ignore", over="ignore"):
             power = np.abs(x) ** 2
             for antenna in range(x.shape[0]):
-                correlation = cross_correlate(x[antenna], self.reference)
+                correlation = np.correlate(x[antenna], self._expected, mode="valid")
                 magnitude[antenna] = np.abs(correlation)
                 energy[antenna] = np.convolve(power[antenna], self._ones, mode="valid")
             metric = magnitude / np.sqrt(

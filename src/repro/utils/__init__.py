@@ -1,4 +1,4 @@
-"""Shared utilities: bit manipulation, link-quality metrics and RNG helpers."""
+"""Shared utilities: bit manipulation and RNG helpers."""
 
 from repro.utils.bits import (
     bits_to_bytes,
@@ -9,13 +9,6 @@ from repro.utils.bits import (
     pack_bits,
     random_bits,
     unpack_bits,
-)
-from repro.utils.metrics import (
-    bit_error_rate,
-    error_vector_magnitude,
-    packet_error_rate,
-    signal_to_noise_ratio_db,
-    symbol_error_rate,
 )
 from repro.utils.rng import make_rng
 
@@ -28,10 +21,5 @@ __all__ = [
     "pack_bits",
     "random_bits",
     "unpack_bits",
-    "bit_error_rate",
-    "error_vector_magnitude",
-    "packet_error_rate",
-    "signal_to_noise_ratio_db",
-    "symbol_error_rate",
     "make_rng",
 ]

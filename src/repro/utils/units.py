@@ -6,8 +6,8 @@ miscalibration fixed in the occupied-power calibration work was exactly
 that bug.  The repo's convention is that the *name* carries the domain
 (``*_db`` vs ``*_linear`` / ``noise_variance`` / ``signal_power``) and
 that every conversion goes through one of the three helpers below.  The
-call sites that cross domains (AWGN calibration, IQ imbalance, capacity,
-the SNR estimate) are each pinned by a closed-form test.
+call sites that cross domains (AWGN calibration, IQ imbalance, capacity)
+are each pinned by a closed-form test.
 
 The implementations are bit-identical to the inline idioms they replace
 (same operations in the same order), so routing existing call sites

@@ -4,7 +4,7 @@ Enumerates ``dataclasses.fields`` of :class:`SweepSpec`,
 :class:`ImpairmentSpec` and :class:`SweepPoint` and asserts the caching
 contracts hold at runtime: every field round-trips through
 ``to_dict``/``from_dict``, every field perturbs the serialization it is
-supposed to reach (``spec_hash``, ``seed_payload``, ``content_key``), and
+supposed to reach (``seed_payload``, ``content_key``), and
 the deliberately-absent fields stay absent.  A spec field that could
 silently alias cached points fails here.  ``TestTheCheckerItself`` proves
 the perturbation helpers catch a forgotten field.
@@ -43,6 +43,8 @@ def perturb(name: str, value):
         return tuple(value) + (ImpairmentSpec(sample_delay=3),)
     if name == "impairment":
         return ImpairmentSpec(sample_delay=3)
+    if name == "fft_size":
+        return value * 2
     if name in {"tx_format", "rx_format", "rx_multiplier_format"}:
         return SAMPLE_FORMAT_16BIT if value is None else None
     if isinstance(value, tuple):
@@ -88,10 +90,10 @@ class TestTheCheckerItself:
             snr_db: float = 0.0
             new_axis: int = 0
 
-            def spec_hash(self):
-                return f"hash-{self.snr_db}"  # forgot new_axis
+            def key(self):
+                return f"key-{self.snr_db}"  # forgot new_axis
 
-        assert unmoved_fields(ToySpec, ToySpec(), ToySpec.spec_hash) == ["new_axis"]
+        assert unmoved_fields(ToySpec, ToySpec(), ToySpec.key) == ["new_axis"]
 
     def test_a_serializer_that_drops_fft_size_is_caught(self):
         def without_fft_size(spec):
@@ -130,15 +132,6 @@ class TestRoundTrips:
         payload = point.to_dict()
         assert set(payload) == {f.name for f in dataclasses.fields(SweepPoint)}
         assert SweepPoint.from_dict(payload) == point
-
-
-class TestSpecHashCompleteness:
-    def test_every_spec_field_perturbs_spec_hash(self):
-        missing = unmoved_fields(SweepSpec, SweepSpec(), SweepSpec.spec_hash)
-        assert missing == [], (
-            f"SweepSpec fields {missing} do not reach spec_hash(); two "
-            "different sweeps would alias one cache entry"
-        )
 
 
 class TestSeedPayloadContract:
@@ -199,7 +192,7 @@ class TestPinnedKeyFormat:
     """Literal keys: any drift in the key payloads or their hashing fails here.
 
     Stores written by earlier versions resume only while these literals
-    hold.  An ``ENGINE_VERSION`` bump must change all three of them (it is
+    hold.  An ``ENGINE_VERSION`` bump must change both of them (it is
     meant to orphan every old record), so update them together with it.
     """
 
@@ -211,9 +204,6 @@ class TestPinnedKeyFormat:
         n_bursts=4,
         base_seed=7,
     )
-
-    def test_spec_hash(self):
-        assert self.SPEC.spec_hash() == "584ec74e77d65e3ce603"
 
     def test_point_content_key(self):
         point = self.SPEC.points()[1]

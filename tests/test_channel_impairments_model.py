@@ -223,6 +223,29 @@ class TestNoiseCalibration:
         achieved = 10 * np.log10(1.0 / measured_delayed)
         assert achieved == pytest.approx(10.0, abs=0.2)
 
+    def test_silent_window_gets_no_noise(self):
+        silent = np.zeros((4, 64), dtype=complex)
+        output = MimoChannel(snr_db=10.0, rng=36).transmit(silent)
+        assert output.noise_variance == 0.0
+        np.testing.assert_array_equal(output.samples, silent)
+
+    def test_same_seed_draws_the_same_noise(self):
+        x = np.ones((4, 256), dtype=complex)
+        first = MimoChannel(snr_db=10.0, rng=37).transmit(x).samples
+        np.testing.assert_array_equal(MimoChannel(snr_db=10.0, rng=37).transmit(x).samples, first)
+        assert not np.array_equal(MimoChannel(snr_db=10.0, rng=38).transmit(x).samples, first)
+
+    @pytest.mark.parametrize("amplitude", [0.1, 2.0])
+    def test_noise_variance_tracks_the_signal_power(self, amplitude):
+        x = np.full((4, 100), amplitude, dtype=complex)
+        output = MimoChannel(snr_db=20.0, rng=39).transmit(x)
+        assert output.noise_variance == pytest.approx(0.01 * amplitude**2)
+
+    def test_empty_window_stays_empty(self):
+        output = MimoChannel(snr_db=10.0, rng=40).transmit(np.zeros((4, 0), dtype=complex))
+        assert output.samples.shape == (4, 0)
+        assert output.noise_variance == 0.0
+
     def test_iq_imbalance_distorts_the_noise_too(self):
         # The IQ imbalance models the *receive* mixer, so it must run after
         # noise injection: the output equals noise-then-IQ, not IQ-then-noise.

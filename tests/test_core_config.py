@@ -104,12 +104,18 @@ class TestTransceiverConfig:
             TransceiverConfig(n_antennas=0)
         with pytest.raises(ConfigurationError):
             TransceiverConfig(fft_size=100)
+        # A power of two with no OFDM numerology is rejected at construction,
+        # not on the first ``numerology`` access.
+        with pytest.raises(ConfigurationError):
+            TransceiverConfig(fft_size=32)
         with pytest.raises(ConfigurationError):
             TransceiverConfig(cyclic_prefix_ratio=1.5)
         with pytest.raises(ConfigurationError):
             TransceiverConfig(clock_hz=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             TransceiverConfig(modulation="1024qam")
+        with pytest.raises(ConfigurationError):
+            TransceiverConfig(code_rate="5/6")
 
     def test_frozen(self):
         config = TransceiverConfig()

@@ -1,8 +1,9 @@
 """The documentation gate of ``tools/docs_check.py`` holds on the tree.
 
 ``make docs-check`` runs the same gate from the command line; this test
-keeps it in the tier-1 suite, so a module without a docstring or a
-required doc page that loses its section fails the tests.  The PEP 561
+keeps it in the tier-1 suite, so a module without a docstring, a
+required doc page that loses its section or a doc citing a ``repro`` name
+that no longer resolves fails the tests.  The PEP 561
 marker that publishes the package's annotations is checked here too.
 """
 
@@ -29,6 +30,25 @@ def test_every_public_module_has_a_docstring():
 
 def test_required_doc_pages_are_present_and_linked():
     assert _docs_check().missing_required_docs() == []
+
+
+def test_every_cited_repro_name_resolves():
+    docs_check = _docs_check()
+    assert docs_check.unresolved_names(docs_check.doc_pages()) == []
+
+
+def test_a_page_citing_a_missing_name_is_caught(tmp_path):
+    page = tmp_path / "page.md"
+    page.write_text(
+        "Live: `repro.sim.SweepSpec`, `repro.dsp.fft`, "
+        "`repro.sim.engine.air_burst(spec, point)`.\n"
+        "Gone: `repro.sim.no_such_name`, `repro.no_such_module.thing`.\n",
+        encoding="utf-8",
+    )
+    assert _docs_check().unresolved_names([page]) == [
+        "page.md: repro.sim.no_such_name",
+        "page.md: repro.no_such_module.thing",
+    ]
 
 
 def test_py_typed_marker_ships_with_the_package():

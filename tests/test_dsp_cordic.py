@@ -9,9 +9,6 @@ from repro.dsp.cordic import (
     CORDIC_PIPELINE_LATENCY,
     Cordic,
     cordic_gain,
-    cordic_magnitude,
-    cordic_rotate,
-    cordic_vector,
 )
 from repro.dsp.fixedpoint import FixedPointFormat
 
@@ -35,39 +32,63 @@ class TestVectoringMode:
         [(1.0, 0.0), (0.5, 0.5), (0.0, 1.0), (-0.3, 0.7), (-0.5, -0.5), (0.9, -0.1)],
     )
     def test_magnitude_and_angle(self, x, y):
-        result = cordic_vector(x, y)
+        result = Cordic().vector(x, y)
         assert result.magnitude == pytest.approx(math.hypot(x, y), abs=1e-4)
         assert result.angle == pytest.approx(math.atan2(y, x), abs=1e-4)
 
     def test_y_driven_to_zero(self):
-        result = cordic_vector(0.6, 0.8)
+        result = Cordic().vector(0.6, 0.8)
         assert abs(result.y) < 1e-4
 
     def test_latency_reported(self):
-        assert cordic_vector(1.0, 1.0).latency_cycles == CORDIC_PIPELINE_LATENCY
+        assert Cordic().vector(1.0, 1.0).latency_cycles == CORDIC_PIPELINE_LATENCY
+
+    @pytest.mark.parametrize("iterations,tolerance", [(12, 1e-6), (16, 1e-8), (20, 1e-10)])
+    def test_magnitude_matches_abs_over_the_unit_square(self, iterations, tolerance):
+        engine = Cordic(iterations)
+        rng = np.random.default_rng(iterations)
+        for x, y in rng.uniform(-1.0, 1.0, size=(50, 2)):
+            assert engine.vector(x, y).magnitude == pytest.approx(math.hypot(x, y), abs=tolerance)
+
+    @pytest.mark.parametrize("scale", [0.25, 2.0, 10.0])
+    def test_magnitude_scales_and_angle_does_not(self, scale):
+        base = Cordic().vector(0.3, -0.4)
+        scaled = Cordic().vector(0.3 * scale, -0.4 * scale)
+        assert scaled.magnitude == pytest.approx(scale * base.magnitude, rel=1e-6)
+        assert scaled.angle == pytest.approx(base.angle, abs=1e-6)
+
+    def test_negative_real_axis(self):
+        result = Cordic().vector(-1.0, 0.0)
+        assert result.magnitude == pytest.approx(1.0, abs=1e-6)
+        assert abs(result.angle) == pytest.approx(math.pi, abs=1e-4)
 
 
 class TestRotationMode:
     @pytest.mark.parametrize("angle", [-2.5, -1.0, -0.1, 0.0, 0.3, 1.2, 2.9])
     def test_matches_complex_rotation(self, angle):
         value = 0.4 - 0.6j
-        result = cordic_rotate(value.real, value.imag, angle)
+        result = Cordic().rotate(value.real, value.imag, angle)
         expected = value * np.exp(1j * angle)
         assert result.x == pytest.approx(expected.real, abs=1e-4)
         assert result.y == pytest.approx(expected.imag, abs=1e-4)
 
-    def test_rotate_complex_helper(self):
-        engine = Cordic()
-        rotated = engine.rotate_complex(1.0 + 0j, math.pi / 2)
-        assert rotated.real == pytest.approx(0.0, abs=1e-4)
-        assert rotated.imag == pytest.approx(1.0, abs=1e-4)
+    @pytest.mark.parametrize("angle", [-3.0, 1.5, 3.1])
+    def test_rotation_preserves_magnitude(self, angle):
+        result = Cordic().rotate(0.6, 0.8, angle)
+        assert math.hypot(result.x, result.y) == pytest.approx(1.0, abs=1e-4)
+
+    def test_vectoring_undoes_a_rotation(self):
+        rotated = Cordic().rotate(0.5, 0.0, 0.9)
+        result = Cordic().vector(rotated.x, rotated.y)
+        assert result.magnitude == pytest.approx(0.5, abs=1e-4)
+        assert result.angle == pytest.approx(0.9, abs=1e-4)
 
 
 class TestAccuracyScaling:
     def test_more_iterations_more_accuracy(self):
         errors = []
         for iterations in (6, 10, 16, 24):
-            result = cordic_vector(0.3, 0.9, iterations=iterations)
+            result = Cordic(iterations).vector(0.3, 0.9)
             errors.append(abs(result.magnitude - math.hypot(0.3, 0.9)))
         assert errors[0] > errors[-1]
         assert errors[-1] < 1e-5
@@ -91,13 +112,3 @@ class TestFixedPointDatapath:
         with pytest.raises(ValueError):
             Cordic(latency_cycles=0)
 
-
-class TestCordicMagnitudeArray:
-    def test_matches_abs(self):
-        rng = np.random.default_rng(2)
-        values = rng.normal(size=20) + 1j * rng.normal(size=20)
-        np.testing.assert_allclose(cordic_magnitude(values), np.abs(values), atol=1e-3)
-
-    def test_preserves_shape(self):
-        values = np.ones((3, 4), dtype=complex)
-        assert cordic_magnitude(values).shape == (3, 4)

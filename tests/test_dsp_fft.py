@@ -4,17 +4,13 @@ import numpy as np
 import pytest
 
 from repro.dsp.fft import (
-    Fft,
     FftPlan,
     bit_reverse_indices,
     fft,
-    fixed_point_fft,
     get_plan,
     ifft,
-    ofdm_demodulate,
     ofdm_modulate,
 )
-from repro.dsp.fixedpoint import FixedPointFormat
 
 
 class TestBitReverse:
@@ -67,51 +63,6 @@ class TestFftCorrectness:
         assert np.sum(np.abs(x) ** 2) == pytest.approx(np.sum(np.abs(freq) ** 2) / 128)
 
 
-class TestFixedPointFft:
-    def test_close_to_float_reference(self):
-        fmt = FixedPointFormat(word_length=16, frac_bits=14)
-        rng = np.random.default_rng(12)
-        x = (rng.normal(size=64) + 1j * rng.normal(size=64)) * 0.05
-        fixed = fixed_point_fft(x, fmt) * 64
-        np.testing.assert_allclose(fixed, np.fft.fft(x), atol=2e-2)
-
-    def test_inverse_mode(self):
-        fmt = FixedPointFormat(word_length=18, frac_bits=16)
-        rng = np.random.default_rng(13)
-        x = (rng.normal(size=64) + 1j * rng.normal(size=64)) * 0.05
-        fixed = fixed_point_fft(x, fmt, inverse=True)
-        np.testing.assert_allclose(fixed, np.fft.ifft(x), atol=1e-3)
-
-    def test_batched_input_matches_per_row_calls(self):
-        # Regression: the fixed-point path used to crash with ValueError on
-        # batched input while the float path accepted it; both now batch
-        # over leading axes identically.
-        fmt = FixedPointFormat(word_length=16, frac_bits=14)
-        rng = np.random.default_rng(21)
-        block = (rng.normal(size=(3, 5, 64)) + 1j * rng.normal(size=(3, 5, 64))) * 0.05
-        for inverse in (False, True):
-            batched = fixed_point_fft(block, fmt, inverse=inverse)
-            assert batched.shape == block.shape
-            for i in range(3):
-                for j in range(5):
-                    np.testing.assert_array_equal(
-                        batched[i, j], fixed_point_fft(block[i, j], fmt, inverse=inverse)
-                    )
-
-    def test_batched_fixed_point_engine_matches_float_shapes(self):
-        fmt = FixedPointFormat(word_length=18, frac_bits=16)
-        engine = Fft(64, fixed_format=fmt)
-        rng = np.random.default_rng(22)
-        block = (rng.normal(size=(4, 7, 64)) + 1j * rng.normal(size=(4, 7, 64))) * 0.05
-        assert engine.forward(block).shape == block.shape
-        assert engine.inverse(block).shape == block.shape
-
-    def test_rejects_non_power_of_two(self):
-        fmt = FixedPointFormat(word_length=16, frac_bits=14)
-        with pytest.raises(ValueError):
-            fixed_point_fft(np.ones(10, dtype=complex), fmt)
-
-
 class TestFftPlan:
     def test_get_plan_is_cached_per_size(self):
         assert get_plan(64) is get_plan(64)
@@ -121,7 +72,6 @@ class TestFftPlan:
         plan = get_plan(64)
         assert plan.stages == 6
         assert len(plan.forward_twiddles) == 6
-        assert len(plan.inverse_twiddles) == 6
         for stage, twiddles in enumerate(plan.forward_twiddles, start=1):
             assert twiddles.size == (1 << stage) // 2
         np.testing.assert_array_equal(plan.bit_reverse, bit_reverse_indices(64))
@@ -138,33 +88,21 @@ class TestFftPlan:
         with pytest.raises(ValueError):
             FftPlan(12)
 
-
-class TestFftEngine:
-    def test_forward_inverse_roundtrip(self):
-        engine = Fft(64)
-        rng = np.random.default_rng(14)
-        x = rng.normal(size=64) + 1j * rng.normal(size=64)
-        np.testing.assert_allclose(engine.inverse(engine.forward(x)), x, atol=1e-9)
-
-    def test_stage_count_and_latency(self):
-        engine = Fft(64)
-        assert engine.stages == 6
-        assert engine.latency_cycles == 64 + 6 * Fft.PIPELINE_DEPTH_PER_STAGE
-
-    def test_512_point_latency_larger(self):
-        assert Fft(512).latency_cycles > Fft(64).latency_cycles
-
-    def test_wrong_block_length_rejected(self):
-        engine = Fft(64)
+    def test_inverse_rejects_wrong_length(self):
         with pytest.raises(ValueError):
-            engine.forward(np.ones(32, dtype=complex))
+            get_plan(64).inverse(np.ones(128, dtype=complex))
 
-    def test_fixed_point_engine(self):
-        fmt = FixedPointFormat(word_length=16, frac_bits=14)
-        engine = Fft(64, fixed_format=fmt)
-        rng = np.random.default_rng(15)
-        x = (rng.normal(size=64) + 1j * rng.normal(size=64)) * 0.05
-        np.testing.assert_allclose(engine.forward(x), np.fft.fft(x), atol=2e-2)
+    @pytest.mark.parametrize("n,stages", [(8, 3), (64, 6), (512, 9)])
+    def test_one_radix_2_stage_per_bit(self, n, stages):
+        plan = get_plan(n)
+        assert plan.stages == stages
+        assert len(plan.forward_twiddles) == stages
+
+    def test_plan_round_trip_on_an_antenna_stack(self):
+        rng = np.random.default_rng(24)
+        x = rng.normal(size=(4, 512)) + 1j * rng.normal(size=(4, 512))
+        plan = get_plan(512)
+        np.testing.assert_allclose(plan.inverse(plan.forward(x)), x, atol=1e-9)
 
 
 class TestOfdmModulation:
@@ -179,7 +117,7 @@ class TestOfdmModulation:
         rng = np.random.default_rng(17)
         freq = rng.normal(size=64) + 1j * rng.normal(size=64)
         symbol = ofdm_modulate(freq, 16)
-        np.testing.assert_allclose(ofdm_demodulate(symbol, 64, 16), freq, atol=1e-9)
+        np.testing.assert_allclose(fft(symbol[16:]), freq, atol=1e-9)
 
     def test_zero_prefix(self):
         freq = np.ones(64, dtype=complex)
@@ -189,6 +127,3 @@ class TestOfdmModulation:
         with pytest.raises(ValueError):
             ofdm_modulate(np.ones(64, dtype=complex), 65)
 
-    def test_demodulate_length_check(self):
-        with pytest.raises(ValueError):
-            ofdm_demodulate(np.ones(70, dtype=complex), 64, 16)

@@ -30,6 +30,7 @@ from repro.core.frame import ReceiveResult
 from repro.mimo.channel_estimation import ChannelEstimate
 from repro.mimo.detector import MmseDetector
 from repro.sim import ImpairmentSpec, SweepRunner, SweepSpec
+from repro.sim.spec import SweepPoint
 from repro.sim.engine import build_fading_model
 from repro.sim.queue import MultiprocessingQueue, make_queue
 from repro.stream import CbrTraffic, DownlinkScheduler, PoissonTraffic, StreamFrameDetector
@@ -180,6 +181,26 @@ class _BackwardsTraffic:
         lambda: SweepSpec(snr_db=(20.0, float("inf"))),
         lambda: SweepSpec(channels=("rician",)),
         lambda: SweepSpec(n_bursts=0),
+        lambda: SweepSpec(modulations=("256qam",)),
+        lambda: SweepSpec(code_rates=("5/6",)),
+        lambda: SweepSpec(n_info_bits=0.5),
+        lambda: SweepSpec(fft_size=48),
+        lambda: SweepSpec(modulations=("qpsk", "8psk")),
+        lambda: SweepSpec(code_rates=("1/2", "7/8")),
+        lambda: SweepSpec(n_info_bits=0),
+        lambda: SweepSpec(n_info_bits=-96),
+        lambda: SweepSpec(n_info_bits="96"),
+        lambda: SweepSpec(fft_size=32),
+        lambda: SweepSpec(impairments=("bad",)),
+        lambda: SweepPoint(0, "qpsk", "1/2", 4, "ideal", "zf", 10.0, impairment="bad"),
+        lambda: ImpairmentSpec(tx_format="16bit"),
+        lambda: ImpairmentSpec(rx_format=16),
+        lambda: ImpairmentSpec(rx_multiplier_format=(18, 16)),
+        lambda: TransceiverConfig(fft_size=16),
+        lambda: TransceiverConfig(fft_size=32),
+        lambda: TransceiverConfig(modulation="256qam"),
+        lambda: TransceiverConfig(code_rate="5/6"),
+        lambda: TransceiverConfig(rx_sample_format="16bit"),
         lambda: ImpairmentSpec(cfo_normalized=float("nan")),
         lambda: ImpairmentSpec(iq_amplitude_db=float("inf")),
         lambda: ImpairmentSpec(iq_phase_deg=float("nan")),
@@ -242,6 +263,26 @@ class _BackwardsTraffic:
         "sweep-infinite-snr",
         "sweep-unknown-channel",
         "sweep-no-bursts",
+        "sweep-unknown-modulation",
+        "sweep-unknown-code-rate",
+        "sweep-fractional-info-bits",
+        "sweep-fft-size-not-a-power-of-two",
+        "sweep-second-modulation-unknown",
+        "sweep-second-code-rate-unknown",
+        "sweep-zero-info-bits",
+        "sweep-negative-info-bits",
+        "sweep-string-info-bits",
+        "sweep-fft-size-without-numerology",
+        "sweep-impairment-not-a-spec",
+        "point-impairment-not-a-spec",
+        "impairment-string-tx-format",
+        "impairment-int-rx-format",
+        "impairment-tuple-multiplier-format",
+        "config-fft-size-16",
+        "config-fft-size-32",
+        "config-unknown-modulation",
+        "config-unknown-code-rate",
+        "config-string-sample-format",
         "impairment-nan-cfo",
         "impairment-infinite-iq-amplitude",
         "impairment-nan-iq-phase",

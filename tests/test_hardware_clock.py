@@ -1,56 +1,8 @@
-"""Tests for repro.hardware.fsm and repro.hardware.clock."""
+"""Tests for repro.hardware.clock."""
 
 import pytest
 
 from repro.hardware.clock import ClockDomain, PAPER_CLOCK_HZ, ThroughputModel
-from repro.hardware.fsm import FiniteStateMachine
-
-
-class TestFiniteStateMachine:
-    def _fsm(self) -> FiniteStateMachine:
-        return FiniteStateMachine(
-            states=["idle", "preamble", "data"],
-            initial="idle",
-            transitions={
-                ("idle", "start"): "preamble",
-                ("preamble", "preamble_done"): "data",
-                ("data", "burst_done"): "idle",
-            },
-        )
-
-    def test_initial_state(self):
-        assert self._fsm().state == "idle"
-
-    def test_fire_walks_transitions(self):
-        fsm = self._fsm()
-        fsm.fire("start")
-        fsm.fire("preamble_done")
-        assert fsm.state == "data"
-        assert fsm.history == ["idle", "preamble", "data"]
-
-    def test_undefined_transition_raises(self):
-        with pytest.raises(ValueError):
-            self._fsm().fire("burst_done")
-
-    def test_fire_if_possible(self):
-        fsm = self._fsm()
-        assert fsm.fire_if_possible("burst_done") is None
-        assert fsm.fire_if_possible("start") == "preamble"
-
-    def test_reset(self):
-        fsm = self._fsm()
-        fsm.fire("start")
-        fsm.reset()
-        assert fsm.state == "idle"
-        assert fsm.history == ["idle"]
-
-    def test_unknown_initial_state_rejected(self):
-        with pytest.raises(ValueError):
-            FiniteStateMachine(["a"], "b", {})
-
-    def test_unknown_transition_state_rejected(self):
-        with pytest.raises(ValueError):
-            FiniteStateMachine(["a"], "a", {("a", "go"): "b"})
 
 
 class TestClockDomain:

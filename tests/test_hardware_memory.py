@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.hardware.memory import CircularBuffer, DualPortRam, Fifo, PingPongBuffer, Rom
+from repro.hardware.memory import CircularBuffer, DualPortRam, PingPongBuffer, Rom
 
 
 class TestRom:
@@ -80,33 +80,6 @@ class TestPingPongBuffer:
             PingPongBuffer(0)
 
 
-class TestFifo:
-    def test_fifo_order(self):
-        fifo = Fifo(depth=8)
-        fifo.push_many([1, 2, 3])
-        assert fifo.pop_many(3) == [1, 2, 3]
-
-    def test_overflow(self):
-        fifo = Fifo(depth=2)
-        fifo.push_many([1, 2])
-        assert fifo.full
-        with pytest.raises(OverflowError):
-            fifo.push(3)
-
-    def test_underflow(self):
-        with pytest.raises(IndexError):
-            Fifo(2).pop()
-
-    def test_len_and_empty(self):
-        fifo = Fifo(4)
-        assert fifo.empty
-        fifo.push(1)
-        assert len(fifo) == 1
-
-    def test_memory_bits(self):
-        assert Fifo(depth=1024, word_bits=32).memory_bits == 32768
-
-
 class TestCircularBuffer:
     def test_latest_returns_most_recent(self):
         buffer = CircularBuffer(depth=8)
@@ -131,3 +104,27 @@ class TestCircularBuffer:
 
     def test_memory_bits(self):
         assert CircularBuffer(depth=800, word_bits=32).memory_bits == 25600
+
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_invalid_depth(self, depth):
+        with pytest.raises(ValueError):
+            CircularBuffer(depth)
+
+    def test_push_many_equals_single_pushes(self):
+        one, many = CircularBuffer(depth=5), CircularBuffer(depth=5)
+        for value in range(12):
+            one.push(value + 1j)
+        many.push_many(np.arange(12) + 1j)
+        np.testing.assert_array_equal(one.latest(5), many.latest(5))
+
+    def test_latest_after_an_exact_fill(self):
+        buffer = CircularBuffer(depth=4)
+        buffer.push_many([1, 2, 3, 4])
+        np.testing.assert_allclose(buffer.latest(4), [1, 2, 3, 4])
+        np.testing.assert_allclose(buffer.latest(2), [3, 4])
+
+    def test_partial_fill_keeps_length(self):
+        buffer = CircularBuffer(depth=8)
+        buffer.push_many([5, 6])
+        assert len(buffer) == 2
+        np.testing.assert_allclose(buffer.latest(2), [5, 6])

@@ -9,7 +9,6 @@ from repro.mimo.matrix import (
     hermitian,
     is_unitary,
     is_upper_triangular,
-    matrix_inverse_via_qr,
 )
 from repro.mimo.rinv import invert_upper_triangular, r_inverse_4x4_paper_equations
 
@@ -50,12 +49,6 @@ class TestMatrixHelpers:
     def test_frobenius_error_shape_check(self):
         with pytest.raises(ValueError):
             frobenius_error(np.eye(2), np.eye(3))
-
-    def test_matrix_inverse_via_qr(self):
-        rng = np.random.default_rng(1)
-        h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        inv = matrix_inverse_via_qr(h)
-        np.testing.assert_allclose(inv @ h, np.eye(4), atol=1e-10)
 
 
 class TestUpperTriangularInverse:

@@ -134,7 +134,7 @@ class TestDspProperties:
         st.floats(-0.99, 0.99, allow_nan=False),
         st.floats(-0.99, 0.99, allow_nan=False),
     )
-    def test_cordic_vectoring_magnitude(self, x, y):
+    def test_vectoring_mode_matches_hypot(self, x, y):
         result = Cordic(iterations=20).vector(x, y)
         assert result.magnitude == pytest.approx(np.hypot(x, y), abs=1e-4)
 

@@ -60,6 +60,24 @@ class TestTxStreamDatapath:
         np.testing.assert_allclose(samples, functional[: samples.size], atol=1e-9)
 
 
+    @pytest.mark.parametrize("fft_size", [128, 256, 512])
+    def test_waveform_matches_functional_transmitter_at_larger_fft_sizes(self, fft_size):
+        config = TransceiverConfig(fft_size=fft_size)
+        burst = MimoTransmitter(config).transmit_random(400, rng=np.random.default_rng(fft_size))
+        samples, report = TxStreamDatapath(config).stream(burst.coded_bits[1])
+        functional = burst.samples[1, burst.layout.total_length :]
+        assert samples.size == report.ofdm_symbols * config.samples_per_symbol > 0
+        np.testing.assert_allclose(samples, functional[: samples.size], atol=1e-9)
+        assert report.ofdm_symbols == burst.n_ofdm_symbols
+
+    def test_cycle_accounting_at_512_points(self):
+        config = TransceiverConfig(fft_size=512)
+        _, report = TxStreamDatapath(config).stream(
+            np.zeros(config.coded_bits_per_symbol, dtype=np.uint8)
+        )
+        assert report.cycles_consumed == config.coded_bits_per_symbol + 640
+
+
 class TestRxFrontEnd:
     def test_sync_and_replay_match_direct_slicing(self, paper_config, burst):
         front_end = RxFrontEnd(paper_config)

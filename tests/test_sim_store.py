@@ -1,17 +1,12 @@
-"""Tests for repro.sim.store: sharded per-point records, atomic commits."""
+"""Tests for repro.sim.store: sharded per-point records, atomic appends."""
 
-import json
 import os
 import threading
 
 import pytest
 
 from repro.sim.cache import default_cache_dir
-from repro.sim.store import (
-    ResultStore,
-    commit_json_file,
-    default_store_dir,
-)
+from repro.sim.store import ResultStore, default_store_dir
 
 
 class TestLayout:
@@ -171,7 +166,7 @@ class TestCorruptionTolerance:
     @pytest.mark.parametrize("payload", ["[1, 2, 3]", '"a string"', "42", "null"])
     def test_non_dict_payload_is_a_miss(self, tmp_path, payload):
         # put() only ever stores dicts; a record parsing to anything else
-        # would crash SweepResult.from_dict downstream, so it is a miss.
+        # would crash SweepPointResult.from_dict downstream, so it is a miss.
         store = ResultStore(tmp_path)
         shard = store.shard_path("odd")
         shard.parent.mkdir(parents=True, exist_ok=True)
@@ -220,45 +215,3 @@ class TestCorruptionTolerance:
         assert store.keys() == set()
         assert len(store) == 0
 
-
-class TestCommitJsonFile:
-    def test_writes_and_replaces(self, tmp_path):
-        path = tmp_path / "entry.json"
-        commit_json_file(path, {"value": 1})
-        assert json.loads(path.read_text()) == {"value": 1}
-        commit_json_file(path, {"value": 2})
-        assert json.loads(path.read_text()) == {"value": 2}
-
-    def test_interrupted_commit_preserves_the_old_file(self, tmp_path, monkeypatch):
-        # The torn-write guarantee: dying between the temp write and the
-        # rename leaves the previous contents fully intact — and no temp
-        # file behind.
-        path = tmp_path / "entry.json"
-        commit_json_file(path, {"value": "old"})
-
-        def boom(src, dst):
-            raise KeyboardInterrupt
-
-        monkeypatch.setattr("repro.sim.store.os.replace", boom)
-        with pytest.raises(KeyboardInterrupt):
-            commit_json_file(path, {"value": "new"})
-        monkeypatch.undo()
-        assert json.loads(path.read_text()) == {"value": "old"}
-        assert list(tmp_path.glob(".*.tmp")) == []
-
-    def test_fsyncs_temp_before_replace(self, tmp_path, monkeypatch):
-        # Ordering is the crux of the crash guarantee: the rename must only
-        # be issued once the temp file's bytes are durable.
-        events = []
-        real_fsync, real_replace = os.fsync, os.replace
-        monkeypatch.setattr(
-            "repro.sim.store.os.fsync",
-            lambda fd: (events.append("fsync"), real_fsync(fd))[1],
-        )
-        monkeypatch.setattr(
-            "repro.sim.store.os.replace",
-            lambda s, d: (events.append("replace"), real_replace(s, d))[1],
-        )
-        commit_json_file(tmp_path / "entry.json", {"value": 1})
-        assert "fsync" in events and "replace" in events
-        assert events.index("fsync") < events.index("replace")

@@ -12,6 +12,7 @@ from repro.dsp.fixedpoint import (
     MULTIPLIER_FORMAT_18BIT,
     SAMPLE_FORMAT_16BIT,
 )
+from repro.exceptions import ConfigurationError
 from repro.sim import ImpairmentSpec, SweepRunner, SweepSpec, run_sweep
 from repro.sim.spec import SweepPoint, SweepPointResult, SweepResult
 
@@ -55,7 +56,7 @@ class TestImpairmentSpec:
             ImpairmentSpec(sample_delay=-1)
 
     def test_bad_format_type_rejected(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(ConfigurationError):
             ImpairmentSpec(tx_format="16bit")
 
     def test_quantized_helper_keeps_full_scale_range(self):
@@ -103,23 +104,10 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             SweepSpec(target_errors=0)
 
-    def test_dict_round_trip_and_hash_stability(self):
+    def test_dict_round_trip_through_json(self):
         spec = small_spec()
         clone = SweepSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert clone == spec
-        assert clone.spec_hash() == spec.spec_hash()
-
-    def test_hash_changes_with_any_field(self):
-        spec = small_spec()
-        assert spec.spec_hash() != spec.subset(base_seed=4).spec_hash()
-        assert spec.spec_hash() != spec.subset(n_bursts=4).spec_hash()
-        assert spec.spec_hash() != spec.subset(snr_db=(8.0, 31.0)).spec_hash()
-        assert (
-            spec.spec_hash()
-            != spec.subset(
-                impairments=(ImpairmentSpec(cfo_normalized=1e-3),)
-            ).spec_hash()
-        )
 
     def test_impairment_axis_normalisation(self):
         # Scalars, dict payloads and None all normalise onto the axis.
@@ -135,7 +123,7 @@ class TestSweepSpec:
             ImpairmentSpec(cfo_normalized=1e-3),
             ImpairmentSpec.quantized(8),
         )
-        with pytest.raises(TypeError):
+        with pytest.raises(ConfigurationError):
             SweepSpec(impairments=("bad",))
         with pytest.raises(ValueError):
             SweepSpec(impairments=())
@@ -158,34 +146,7 @@ class TestSweepSpec:
         )
         clone = SweepSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert clone == spec
-        assert clone.spec_hash() == spec.spec_hash()
         assert clone.points()[2].impairment == spec.impairments[1]
-
-    def test_result_round_trip(self):
-        spec = small_spec()
-        point = spec.points()[0]
-        result = SweepResult(
-            spec=spec,
-            points=[
-                SweepPointResult(
-                    point=point,
-                    bit_errors=5,
-                    total_bits=100,
-                    frame_errors=1,
-                    n_bursts=2,
-                    early_stopped=False,
-                )
-            ],
-            elapsed_s=1.5,
-        )
-        rebuilt = SweepResult.from_dict(
-            json.loads(json.dumps(result.to_dict())), from_cache=True
-        )
-        assert rebuilt.spec == spec
-        assert rebuilt.from_cache
-        assert rebuilt.n_bursts_simulated == 0
-        assert rebuilt.points[0].bit_error_rate == pytest.approx(0.05)
-        assert rebuilt.points[0].point == point
 
 
 class TestEngine:

@@ -5,18 +5,14 @@ conversion, the delivered noise variance would be wrong by orders of
 magnitude, and every assertion here is chosen so that the most likely
 wrong formulas (``power / snr_db``, ``power * snr_db``, ``10 ** snr_db``)
 fail loudly.  The other call sites that cross domains have closed-form
-tests next to their modules: ``test_analysis_capacity.py``,
-``test_utils_metrics.py`` and ``test_channel_impairments_model.py``.
+tests next to their modules: ``test_analysis_capacity.py`` and
+``test_channel_impairments_model.py``.
 """
 
 import numpy as np
 import pytest
 
-from repro.channel.awgn import (
-    add_awgn,
-    noise_variance_for_snr,
-    occupied_power,
-)
+from repro.channel.awgn import noise_variance_for_snr, occupied_power
 from repro.channel.model import IdealChannel, MimoChannel
 from repro.utils.units import amplitude_db_to_gain, db_to_linear, linear_to_db
 
@@ -93,11 +89,11 @@ def test_noise_variance_scales_linearly_with_signal_power():
 # End-to-end: the delivered SNR matches the requested one
 # ----------------------------------------------------------------------
 
-def test_add_awgn_delivers_the_requested_snr():
+def test_channel_delivers_the_requested_snr():
     rng = np.random.default_rng(7)
-    signal = np.exp(2j * np.pi * rng.random(200_000))  # unit power
+    signal = np.exp(2j * np.pi * rng.random((4, 50_000)))  # unit power
     for snr_db in (0.0, 10.0, 20.0):
-        noisy = add_awgn(signal, snr_db, rng=rng)
+        noisy = MimoChannel(IdealChannel(), snr_db=snr_db, rng=rng).transmit(signal).samples
         measured = float(np.mean(np.abs(noisy - signal) ** 2))
         expected = db_to_linear(-snr_db)  # unit signal power
         assert measured == pytest.approx(expected, rel=0.05)

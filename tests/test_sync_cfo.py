@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.channel.awgn import add_awgn
+from repro.channel.awgn import awgn_noise, noise_variance_for_snr, occupied_power
 from repro.channel.impairments import apply_carrier_frequency_offset
 from repro.core.config import TransceiverConfig
 from repro.core.preamble import PreambleGenerator
@@ -62,7 +62,9 @@ class TestCfoEstimator:
     def test_accuracy_with_noise(self, preamble_waveform):
         estimator = CfoEstimator(64)
         shifted = apply_carrier_frequency_offset(preamble_waveform, 2e-3)
-        noisy = add_awgn(shifted, 20.0, rng=1)
+        noisy = shifted + awgn_noise(
+            shifted.shape, noise_variance_for_snr(20.0, occupied_power(shifted)), rng=1
+        )
         estimate = estimator.estimate(noisy, lts_start=160)
         assert estimate.combined == pytest.approx(2e-3, abs=2e-4)
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.channel.awgn import add_awgn
+from repro.channel.awgn import awgn_noise, noise_variance_for_snr, occupied_power
 from repro.core.config import TransceiverConfig
 from repro.core.preamble import PreambleGenerator
 from repro.core.receiver import MimoReceiver
@@ -85,6 +85,58 @@ class TestMetric:
             _synchronizer(preamble).metric(np.zeros(shape, dtype=complex))
 
 
+class TestCorrelatorWindow:
+    """The sliding 32-sample correlator window of Fig. 4."""
+
+    def test_reference_is_the_conjugated_sts_tail_and_lts_head(self, preamble):
+        expected = np.concatenate([preamble.sts_time()[-16:], preamble.lts_time()[:16]])
+        np.testing.assert_array_equal(_synchronizer(preamble).reference, np.conj(expected))
+
+    @pytest.mark.parametrize("n_samples", [32, 33, 64, 401])
+    def test_no_window_before_the_window_is_full(self, preamble, n_samples):
+        streams = np.ones((2, n_samples), dtype=complex)
+        assert _synchronizer(preamble).metric(streams).shape == (2, n_samples - 31)
+
+    @pytest.mark.parametrize("chunk", [32, 45, 100, 256])
+    def test_overlapping_chunks_match_the_whole_stream(self, preamble, chunk):
+        # A streaming receiver sees the samples in chunks; carrying the last
+        # 31 samples over reproduces the whole-stream metric bit for bit.
+        sync = _synchronizer(preamble)
+        rng = np.random.default_rng(chunk)
+        streams = rng.normal(size=(2, 600)) + 1j * rng.normal(size=(2, 600))
+        parts = [
+            sync.metric(streams[:, start : start + chunk + 31])
+            for start in range(0, 600 - 31, chunk)
+        ]
+        np.testing.assert_array_equal(np.concatenate(parts, axis=1), sync.metric(streams))
+
+    @pytest.mark.parametrize("gain", [0.01, 3.0, 0.5 * np.exp(2j)])
+    def test_metric_ignores_the_channel_gain(self, preamble, gain):
+        sync = _synchronizer(preamble)
+        burst = _clean_burst(preamble, delay=30)
+        np.testing.assert_allclose(sync.metric(gain * burst), sync.metric(burst), atol=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_metric_is_bounded_by_one(self, preamble, seed):
+        # Cauchy-Schwarz: no window correlates better than the reference itself.
+        rng = np.random.default_rng(seed)
+        streams = rng.normal(size=(4, 500)) + 1j * rng.normal(size=(4, 500))
+        metric = _synchronizer(preamble).metric(streams)
+        assert np.all(metric >= 0.0)
+        assert np.all(metric <= 1.0 + 1e-12)
+
+    def test_silent_windows_score_zero(self, preamble):
+        burst = _clean_burst(preamble, delay=100)
+        metric = _synchronizer(preamble).metric(burst)
+        np.testing.assert_array_equal(metric[0, : 100 - 31], 0.0)
+        assert metric[0, 100 - 31 + 1] > 0.0
+
+    def test_noise_alone_never_looks_like_a_transition(self, preamble):
+        rng = np.random.default_rng(8)
+        noise = rng.normal(size=(4, 2000)) + 1j * rng.normal(size=(4, 2000))
+        assert _synchronizer(preamble).metric(noise).max() < 0.8
+
+
 class TestLocate:
     def test_exact_position_no_delay(self, preamble):
         assert _synchronizer(preamble).locate(_clean_burst(preamble)) == 160
@@ -95,7 +147,10 @@ class TestLocate:
         assert sync.locate(_clean_burst(preamble, delay=delay)) == 160 + delay
 
     def test_detection_with_noise(self, preamble):
-        noisy = add_awgn(_clean_burst(preamble, delay=50), snr_db=15.0, rng=1)
+        burst = _clean_burst(preamble, delay=50)
+        noisy = burst + awgn_noise(
+            burst.shape, noise_variance_for_snr(15.0, occupied_power(burst)), rng=1
+        )
         assert abs(_synchronizer(preamble).locate(noisy) - (160 + 50)) <= 1
 
     def test_detection_with_complex_channel_gain(self, preamble):
@@ -105,7 +160,10 @@ class TestLocate:
     def test_strongest_antenna_wins(self, preamble):
         # Antenna 1 hears a cleaner copy of a differently delayed burst.
         sync = _synchronizer(preamble)
-        noisy = add_awgn(_clean_burst(preamble, delay=0, n_data=260), snr_db=0.0, rng=2)
+        burst = _clean_burst(preamble, delay=0, n_data=260)
+        noisy = burst + awgn_noise(
+            burst.shape, noise_variance_for_snr(0.0, occupied_power(burst)), rng=2
+        )
         clean = _clean_burst(preamble, delay=60)
         assert sync.locate(np.stack([noisy, clean])) == 160 + 60
 

@@ -111,6 +111,16 @@ class TestCountBitErrors:
         with pytest.raises(ValueError):
             count_bit_errors([2, 0], [1, 0])
 
+    def test_every_bit_flipped(self):
+        bits = random_bits(40, np.random.default_rng(3))
+        assert count_bit_errors(bits, 1 - bits) == 40
+
+    def test_counts_over_equal_shape_stacks(self):
+        reference = np.zeros((4, 10), dtype=np.uint8)
+        received = reference.copy()
+        received[1, 3] = received[3, ::2] = 1
+        assert count_bit_errors(reference, received) == 6
+
     def test_shape_mismatch_rejected_at_equal_size(self):
         with pytest.raises(ValueError):
             count_bit_errors(np.zeros((2, 3), dtype=np.uint8), np.zeros(6, dtype=np.uint8))

@@ -1,7 +1,8 @@
 #!/usr/bin/env python
-"""Documentation gate: module docstrings plus the required doc pages.
+"""Documentation gate: module docstrings, the required doc pages and the
+qualified names the docs cite.
 
-Two checks, run via ``make docs-check``:
+Three checks, run via ``make docs-check``:
 
 1. every public module in ``src/repro`` carries a non-empty module
    docstring (the tree is walked and AST-parsed; files whose name or
@@ -11,12 +12,17 @@ Two checks, run via ``make docs-check``:
    missing), and contains the section headings ``REQUIRED_SECTIONS``
    promises for it (a page that silently drops its batched-datapath or
    result-store section would leave the code undocumented while the
-   gate stays green).
+   gate stays green);
+3. every backticked, fully qualified ``repro.…`` name in ``README.md`` and
+   ``docs/*.md`` imports and resolves (a page that names a deleted
+   function sends its reader to code that no longer exists).
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
+import re
 import sys
 from pathlib import Path
 
@@ -49,6 +55,12 @@ REQUIRED_SECTIONS: dict[str, tuple[str, ...]] = {
         "Runtime contracts",
     ),
 }
+
+
+#: A backticked, fully qualified name such as ``repro.sim.SweepSpec``; a
+#: trailing argument list, as in ``repro.sim.engine.air_burst(...)``, is
+#: allowed and ignored.
+QUALIFIED_NAME = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)(?:\([^`]*\))?`")
 
 
 def public_modules(root: Path) -> list[Path]:
@@ -101,6 +113,40 @@ def missing_required_docs() -> list[str]:
     return problems
 
 
+def resolves(name: str) -> bool:
+    """True when ``name`` is an importable module or an attribute chain on one."""
+    parts = name.split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:split]))
+        except ImportError:
+            continue
+        for attribute in parts[split:]:
+            if not hasattr(target, attribute):
+                return False
+            target = getattr(target, attribute)
+        return True
+    return False
+
+
+def unresolved_names(pages: list[Path]) -> list[str]:
+    """``page: name`` for every cited ``repro.…`` name that does not resolve."""
+    source = str(PACKAGE_ROOT.parent)
+    if source not in sys.path:
+        sys.path.insert(0, source)
+    problems = []
+    for page in pages:
+        for name in QUALIFIED_NAME.findall(page.read_text(encoding="utf-8")):
+            if not resolves(name):
+                problems.append(f"{page.name}: {name}")
+    return problems
+
+
+def doc_pages() -> list[Path]:
+    """The pages whose qualified names are checked: the README and ``docs/``."""
+    return [REPO_ROOT / "README.md", *sorted((REPO_ROOT / "docs").glob("*.md"))]
+
+
 def main() -> int:
     if not PACKAGE_ROOT.is_dir():
         print(f"docs-check: package root {PACKAGE_ROOT} not found", file=sys.stderr)
@@ -118,9 +164,16 @@ def main() -> int:
         for problem in doc_problems:
             print(f"  {problem}", file=sys.stderr)
         return 1
+    unresolved = unresolved_names(doc_pages())
+    if unresolved:
+        print("docs-check: docs cite names that do not resolve:", file=sys.stderr)
+        for problem in unresolved:
+            print(f"  {problem}", file=sys.stderr)
+        return 1
     print(
         f"docs-check: OK ({len(modules)} public modules documented, "
-        f"{len(REQUIRED_DOCS)} required doc pages present and linked)"
+        f"{len(REQUIRED_DOCS)} required doc pages present and linked, "
+        "every cited repro name resolves)"
     )
     return 0
 
