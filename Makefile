@@ -16,6 +16,11 @@
 #                            streams, sustained frames/sec + latency percentiles
 #   make bench-perf        - repository benchmark golden pins: perfbench smoke
 #                            checks, then a 1 s seed-0 run of every workload
+#   make bench-json BENCH_N=<n>
+#                          - BENCH_<n>.json ledger of this tree and
+#                            BENCH_<n-1>.json of BENCH_PARENT (default HEAD):
+#                            every workload over alternating parent/change pairs;
+#                            compare with tools/bench_ledger.py --compare A B
 #   make docs-check        - fail if any public module lacks a module docstring
 #                            and every required doc page is present + linked
 #   make corpus-pin        - pin the tier-1 golden corpus for the current
@@ -26,7 +31,7 @@ PYTHON ?= python
 PYTHONPATH_PREFIX := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 LINTPATH_PREFIX := PYTHONPATH=tools/lint$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
-.PHONY: test test-fast test-store lint bench-smoke bench-impairments bench-store bench-stream bench-perf docs-check corpus-pin clean-cache
+.PHONY: test test-fast test-store lint bench-smoke bench-impairments bench-store bench-stream bench-perf bench-json docs-check corpus-pin clean-cache
 
 test: lint
 	$(PYTHONPATH_PREFIX) $(PYTHON) -m pytest -x -q
@@ -60,6 +65,12 @@ bench-perf:
 		echo "perfbench: $$workload"; \
 		$(PYTHONPATH_PREFIX) $(PYTHON) perfbench/run.py --workload $$workload --seconds 1 --seed 0; \
 	done
+
+BENCH_PARENT ?= HEAD
+
+bench-json:
+	$(if $(BENCH_N),,$(error set BENCH_N, e.g. make bench-json BENCH_N=28))
+	$(PYTHON) tools/bench_ledger.py --number $(BENCH_N) --parent $(BENCH_PARENT)
 
 docs-check:
 	$(PYTHON) tools/docs_check.py

@@ -12,7 +12,7 @@ points and scaling it proportionally for other transform lengths.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 
 import numpy as np
@@ -201,6 +201,18 @@ class TransceiverConfig:
     def gigabit(cls) -> "TransceiverConfig":
         """The configuration achieving the 1 Gbps headline (64-QAM, rate 3/4)."""
         return cls(modulation=Modulation.QAM64, code_rate=CodeRate.RATE_3_4)
+
+    def air_group(self) -> "TransceiverConfig":
+        """Everything of this configuration but the MIMO detector (normalised
+        to ``"zf"``).
+
+        Configurations with one air group put bursts on air alike and share
+        the receive front end up to the detector; their detectors are the
+        group's *receive variants*.  The sweep engine packs its work units
+        by this, and :meth:`repro.core.receiver.MimoReceiver.detect_stack`
+        reads only the shared stage of its own air group.
+        """
+        return self if self.detector == "zf" else replace(self, detector="zf")
 
     # ------------------------------------------------------------------
     @property

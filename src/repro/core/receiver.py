@@ -9,27 +9,34 @@ feed-forward timing correction, symbol demapping (hard or soft, batched
 over the whole burst), block de-interleaving, Viterbi decoding and
 descrambling.
 
-The post-sync chain is vectorised over a whole stack of bursts:
-:meth:`MimoReceiver.front_end_stack` synchronises and CFO-corrects each
-burst on its own, then gathers every burst's LTS and data FFT windows into
-one ``(n_items, n_rx, ...)`` stack per window kind, pushes each through a
-single planned FFT call (:mod:`repro.dsp.fft`'s cached
-:class:`~repro.dsp.fft.FftPlan`), estimates and inverts every burst's
-channel in one stacked QR, detects with one per-subcarrier einsum (or one
-stacked MMSE solve), pilot-corrects with one
-:meth:`~repro.core.pilots.PilotProcessor.correct_block` pass and demaps
-and de-interleaves every stream in one pass.  A burst the receiver gives
-up on drops out of the stack alone.
+The post-sync chain is vectorised over a whole stack of bursts, and the
+front end splits at the MIMO detector into two stages:
 
-Reception is two steps, and every stage takes a stack of bursts:
-:meth:`MimoReceiver.front_end_stack` carries bursts up to their recovered
-code blocks, and :meth:`MimoReceiver.decode` Viterbi-decodes and
+* the shared stage, :meth:`MimoReceiver.demodulate_stack`, synchronises
+  and CFO-corrects each burst on its own, then gathers every burst's LTS
+  and data FFT windows into one ``(n_items, n_rx, ...)`` stack per window
+  kind, pushes each through a single planned FFT call (:mod:`repro.dsp.fft`'s
+  cached :class:`~repro.dsp.fft.FftPlan`) and estimates and inverts every
+  burst's channel in one stacked QR.  Its :class:`DemodulatedStack`
+  depends on no detector;
+* the detector stage, :meth:`MimoReceiver.detect_stack`, takes any rows
+  of a shared result, detects with one per-subcarrier einsum (or one
+  stacked MMSE solve), pilot-corrects with one
+  :meth:`~repro.core.pilots.PilotProcessor.correct_block` pass and demaps
+  and de-interleaves every stream in one pass.  Receivers that differ
+  only in the detector read the same shared result, which is how the
+  sweep engine detects each burst of a round once per detector.
+
+:meth:`MimoReceiver.front_end_stack` is the two stages composed.  A burst
+the receiver gives up on drops out of the stack alone.
+
+Reception ends in :meth:`MimoReceiver.decode`, which Viterbi-decodes and
 descrambles any stack of code blocks, at most :data:`DECODE_SLICE` per
-trellis pass.  :meth:`MimoReceiver.receive_stack` chains the two; the
-streaming pipeline runs every frame window one push detects through it,
-and the sweep engine runs a whole lockstep round of bursts through it.
-A burst that gives up comes back as its own
-:class:`~repro.exceptions.DecodingError` slot.
+trellis pass; :meth:`MimoReceiver.decode_stack` decodes the blocks of a
+list of front-end outcomes in one call.  :meth:`MimoReceiver.receive_stack`
+is ``decode_stack`` over ``front_end_stack``: the streaming pipeline runs
+every frame window one push detects through it.  A burst that gives up
+comes back as its own :class:`~repro.exceptions.DecodingError` slot.
 :meth:`MimoReceiver.receive` is the one-burst call, and the only one that
 raises that error instead.
 
@@ -63,7 +70,7 @@ from repro.mimo.detector import MmseDetector, zf_detect
 from repro.modulation.demapper import SymbolDemapper
 from repro.sync.cfo import CfoEstimator
 from repro.sync.time_sync import TimeSynchronizer
-from repro.types import ComplexArray, FloatArray
+from repro.types import ComplexArray
 
 #: Most code blocks one trellis pass decodes: :meth:`MimoReceiver.decode`
 #: runs a taller stack in passes of this many rows, so the ACS buffers stay
@@ -73,15 +80,36 @@ DECODE_SLICE = 64
 
 @dataclass
 class _Burst:
-    """One burst of a stacked front-end pass, between its stages."""
+    """One burst that came through the shared stage: what a detector stage reads."""
 
-    index: int
     lts_start: int
     estimated_cfo: float
     noise_variance: float
-    lts_windows: ComplexArray
-    data_windows: ComplexArray
-    estimate: Optional[ChannelEstimate] = None
+    estimate: ChannelEstimate
+    row: int  # its row of DemodulatedStack.frequency
+
+
+@dataclass
+class DemodulatedStack:
+    """A stack of bursts after the shared front-end stage, before detection.
+
+    :meth:`MimoReceiver.demodulate_stack` builds it once;
+    :meth:`MimoReceiver.detect_stack` of every receiver of its
+    ``air_group`` (:meth:`~repro.core.config.TransceiverConfig.air_group`)
+    reads it, as often as it likes.
+
+    ``bursts`` has one entry per input burst: the burst's sync position,
+    CFO, noise variance and channel estimate, or the
+    :class:`~repro.exceptions.DecodingError` it gave up with.
+    ``frequency`` stacks the data FFT outputs of the bursts that came
+    through, ``(n_live, n_rx, n_symbols, fft_size)``, already quantised to
+    the air group's ``rx_multiplier_format``.
+    """
+
+    air_group: TransceiverConfig
+    n_info_bits: int
+    bursts: List[Union[_Burst, DecodingError]]
+    frequency: Optional[ComplexArray]
 
 
 class MimoReceiver:
@@ -106,6 +134,7 @@ class MimoReceiver:
         timing_advance: int = 2,
     ) -> None:
         self.config = config if config is not None else TransceiverConfig()
+        self._air_group = self.config.air_group()
         if timing_advance < 0 or timing_advance > self.config.cyclic_prefix_length:
             raise ConfigurationError(
                 "timing_advance must lie within the cyclic prefix"
@@ -283,17 +312,6 @@ class MimoReceiver:
 
         return detect
 
-    def _equalize(
-        self, windows: np.ndarray, detect: Callable[[np.ndarray], np.ndarray]
-    ) -> Tuple[ComplexArray, FloatArray]:
-        """FFT, detect and pilot-correct data windows ``(..., n_rx, n_symbols,
-        fft_size)``: returns the data subcarriers ``(..., n_tx, n_symbols,
-        n_data_subcarriers)`` and each symbol's common pilot phase ``(...,
-        n_tx, n_symbols)``."""
-        frequency = self._quantize_multiplier(fft(windows))
-        corrected, diag = self.pilots.correct_block(detect(frequency))
-        return corrected[..., self._data_bins], diag.common_phase
-
     # ------------------------------------------------------------------
     # frame geometry
     # ------------------------------------------------------------------
@@ -326,15 +344,40 @@ class MimoReceiver:
         lts_starts: Optional[Sequence[Optional[int]]] = None,
         noise_variances: Optional[Sequence[float]] = None,
     ) -> List[Union[FrontEndResult, DecodingError]]:
-        """Run the front end over a stack of bursts in one pass.
+        """Run the front end over a stack of bursts: the shared stage
+        (:meth:`demodulate_stack`), then this receiver's detector stage
+        (:meth:`detect_stack`).
+
+        Parameters are those of :meth:`demodulate_stack`.  Every burst comes
+        out exactly as a stack of it alone would give.
+
+        Returns
+        -------
+        One entry per burst, in order: its :class:`FrontEndResult`, or the
+        :class:`~repro.exceptions.DecodingError` that burst gave up with —
+        a sync miss, a truncated window, a non-finite sample in a window, a
+        rank-deficient estimate or a singular MMSE Gram matrix drops only
+        that burst.
+        """
+        return self.detect_stack(
+            self.demodulate_stack(samples, n_info_bits, lts_starts, noise_variances)
+        )
+
+    def demodulate_stack(
+        self,
+        samples: Sequence[np.ndarray],
+        n_info_bits: int,
+        lts_starts: Optional[Sequence[Optional[int]]] = None,
+        noise_variances: Optional[Sequence[float]] = None,
+    ) -> DemodulatedStack:
+        """The shared front-end stage: everything before the MIMO detector.
 
         Each burst is quantised, synchronised and CFO-corrected on its own,
         and its FFT windows are checked against its samples.  Then the LTS
-        windows of every burst go through one FFT and one channel
-        estimate (one stacked QR and R^-1), and the data windows through
-        one FFT, one detection einsum (or one stacked MMSE solve), one
-        pilot pass, one demap and one de-interleave.  Every burst comes
-        out exactly as a stack of it alone would give.
+        windows of every burst go through one FFT and one channel estimate
+        (one stacked QR and R^-1), and the data windows of the bursts with
+        an estimate through one FFT.  None of it depends on the detector,
+        so one result serves the :meth:`detect_stack` of every detector.
 
         Parameters
         ----------
@@ -350,13 +393,9 @@ class MimoReceiver:
             (default 1.0).  A non-finite or non-positive entry raises
             :class:`~repro.exceptions.ConfigurationError`.
 
-        Returns
-        -------
-        One entry per burst, in order: its :class:`FrontEndResult`, or the
-        :class:`~repro.exceptions.DecodingError` that burst gave up with —
-        a sync miss, a truncated window, a non-finite sample in a window, a
-        rank-deficient estimate or a singular MMSE Gram matrix drops only
-        that burst.
+        A sync miss, a truncated window, a non-finite sample in a window or
+        a rank-deficient estimate slots that burst's
+        :class:`~repro.exceptions.DecodingError`.
         """
         if n_info_bits <= 0:
             raise ConfigurationError("n_info_bits must be positive")
@@ -377,67 +416,93 @@ class MimoReceiver:
         coded_length = self._encoder.coded_length(n_info_bits, terminate=True)
         n_symbols = -(-coded_length // self.config.coded_bits_per_symbol)
 
-        outcomes: List[Union[FrontEndResult, DecodingError, None]] = [None] * n_items
-        live: List[_Burst] = []
-        for index, (burst, lts_start, noise_variance) in enumerate(
-            zip(samples, lts_starts, noise_variances)
-        ):
+        bursts: List[Union[_Burst, DecodingError, None]] = [None] * n_items
+        prepared = []
+        for index, (burst, lts_start) in enumerate(zip(samples, lts_starts)):
             try:
-                live.append(
-                    self._prepare(index, burst, lts_start, noise_variance, n_symbols)
-                )
+                prepared.append((index, *self._prepare(burst, lts_start, n_symbols)))
             except DecodingError as error:
                 # Kept without its traceback, whose frames would hold this
-                # whole stack's samples in a reference cycle with ``outcomes``.
-                outcomes[index] = error.with_traceback(None)
+                # whole stack's samples in a reference cycle with ``bursts``.
+                bursts[index] = error.with_traceback(None)
 
-        if live:
-            spectra = self._lts_spectra(np.stack([burst.lts_windows for burst in live]))
-            estimates = self.channel_estimator.estimate(spectra)
-            for burst, estimate in zip(live, estimates):
+        frequency = None
+        if prepared:
+            lts_windows = np.stack([lts for _, _, _, lts, _ in prepared])
+            estimates = self.channel_estimator.estimate(self._lts_spectra(lts_windows))
+            data_windows = []
+            for (index, lts_start, cfo, _, windows), estimate in zip(prepared, estimates):
                 if isinstance(estimate, DecodingError):
-                    outcomes[burst.index] = estimate
-                else:
-                    burst.estimate = estimate
-            live = [burst for burst in live if burst.estimate is not None]
+                    bursts[index] = estimate
+                    continue
+                bursts[index] = _Burst(
+                    lts_start, cfo, noise_variances[index], estimate, row=len(data_windows)
+                )
+                data_windows.append(windows)
+            if data_windows:
+                frequency = self._quantize_multiplier(fft(np.stack(data_windows)))
+        return DemodulatedStack(self._air_group, n_info_bits, bursts, frequency)
+
+    def detect_stack(
+        self, demodulated: DemodulatedStack, rows: Optional[Sequence[int]] = None
+    ) -> List[Union[FrontEndResult, DecodingError]]:
+        """The detector stage: detect, pilot-correct, demap and de-interleave.
+
+        Takes the ``rows`` of a :meth:`demodulate_stack` result (default:
+        every burst, in order) of a receiver of this one's
+        :meth:`~repro.core.config.TransceiverConfig.air_group`; any other raises
+        :class:`~repro.exceptions.ConfigurationError`.  The bursts that came
+        through the shared stage go through one detection einsum (or one
+        stacked MMSE solve), one pilot pass, one demap and one
+        de-interleave.  Returns one entry per row: its
+        :class:`FrontEndResult`, or the :class:`DecodingError` it gave up
+        with — in the shared stage, or on a singular MMSE Gram matrix.
+        """
+        if demodulated.air_group != self._air_group:
+            raise ConfigurationError(
+                "a detector stage reads only the shared stage of its own air group"
+            )
+        bursts = demodulated.bursts if rows is None else [demodulated.bursts[row] for row in rows]
+        outcomes: List[Union[FrontEndResult, DecodingError, _Burst]] = list(bursts)
+        live = [
+            (position, burst) for position, burst in enumerate(bursts) if isinstance(burst, _Burst)
+        ]
         if live:
             live, detect = self._stacked_detector(live, outcomes)
-        if live:
-            equalized, common_phase = self._equalize(
-                np.stack([burst.data_windows for burst in live]), detect
+        if not live:
+            return outcomes
+        frequency = demodulated.frequency[[burst.row for _, burst in live]]
+        corrected, diag = self.pilots.correct_block(detect(frequency))
+        equalized = corrected[..., self._data_bins]
+        coded_length = self._encoder.coded_length(demodulated.n_info_bits, terminate=True)
+        variances = np.array([burst.noise_variance for _, burst in live])
+        coded = self._coded_values(equalized, coded_length, variances)
+        for row, (position, burst) in enumerate(live):
+            # (symbol, stream) order fixes the summation order of the
+            # mean-pilot-phase diagnostic.
+            pilot_phases = diag.common_phase[row].T.ravel()
+            outcomes[position] = FrontEndResult(
+                coded=coded[row],
+                equalized=equalized[row],
+                lts_start=burst.lts_start,
+                channel_estimate=burst.estimate,
+                diagnostics={
+                    "lts_start": float(burst.lts_start),
+                    "n_ofdm_symbols": float(frequency.shape[2]),
+                    "mean_pilot_phase": float(np.mean(pilot_phases)),
+                    "estimated_cfo": burst.estimated_cfo,
+                },
             )
-            variances = np.array([burst.noise_variance for burst in live])
-            coded = self._coded_values(equalized, coded_length, variances)
-            for row, burst in enumerate(live):
-                # (symbol, stream) order fixes the summation order of the
-                # mean-pilot-phase diagnostic.
-                pilot_phases = common_phase[row].T.ravel()
-                outcomes[burst.index] = FrontEndResult(
-                    coded=coded[row],
-                    equalized=equalized[row],
-                    lts_start=burst.lts_start,
-                    channel_estimate=burst.estimate,
-                    diagnostics={
-                        "lts_start": float(burst.lts_start),
-                        "n_ofdm_symbols": float(n_symbols),
-                        "mean_pilot_phase": float(np.mean(pilot_phases)),
-                        "estimated_cfo": burst.estimated_cfo,
-                    },
-                )
         return outcomes
 
     def _prepare(
-        self,
-        index: int,
-        samples: np.ndarray,
-        lts_start: Optional[int],
-        noise_variance: float,
-        n_symbols: int,
-    ) -> _Burst:
+        self, samples: np.ndarray, lts_start: Optional[int], n_symbols: int
+    ) -> Tuple[int, float, ComplexArray, ComplexArray]:
         """One burst's per-burst work: quantise, synchronise, correct CFO and
-        gather its FFT windows (raising :class:`DecodingError` on a give-up,
-        including a window holding a non-finite sample, which hard
-        decisions would otherwise slice into silent garbage bits)."""
+        gather its FFT windows.  Returns its LTS start, estimated CFO, LTS
+        windows and data windows, or raises :class:`DecodingError` on a
+        give-up, including a window holding a non-finite sample, which hard
+        decisions would otherwise slice into silent garbage bits."""
         streams = np.asarray(samples, dtype=np.complex128)
         if streams.ndim != 2 or streams.shape[0] != self.config.n_antennas:
             raise ConfigurationError(
@@ -462,42 +527,36 @@ class MimoReceiver:
         data_windows = self._data_windows(streams, data_start, n_symbols)
         if not (np.isfinite(lts_windows).all() and np.isfinite(data_windows).all()):
             raise DecodingError("received samples must be finite")
-        return _Burst(
-            index=index,
-            lts_start=lts_start,
-            estimated_cfo=estimated_cfo,
-            noise_variance=noise_variance,
-            lts_windows=lts_windows,
-            data_windows=data_windows,
-        )
+        return lts_start, estimated_cfo, lts_windows, data_windows
 
     def _stacked_detector(
-        self, live: List[_Burst], outcomes: list
-    ) -> Tuple[List[_Burst], Optional[Callable[[np.ndarray], np.ndarray]]]:
-        """One detector over every live burst's stacked estimate.
+        self, live: List[Tuple[int, _Burst]], outcomes: list
+    ) -> Tuple[List[Tuple[int, _Burst]], Optional[Callable[[np.ndarray], np.ndarray]]]:
+        """One detector over the stacked estimate of every live
+        ``(position, burst)``.
 
         A singular MMSE Gram matrix sinks the stacked solve, so the bursts
         are then solved one at a time to find the ones that give up
-        (recorded in ``outcomes``) and the rest are solved again.  Returns
-        the surviving bursts and their detector.
+        (recorded at their position in ``outcomes``) and the rest are
+        solved again.  Returns the surviving bursts and their detector.
         """
         estimate = ChannelEstimate(
-            matrices=np.stack([burst.estimate.matrices for burst in live]),
-            inverses=np.stack([burst.estimate.inverses for burst in live]),
+            matrices=np.stack([burst.estimate.matrices for _, burst in live]),
+            inverses=np.stack([burst.estimate.inverses for _, burst in live]),
             active_mask=self.channel_estimator.active_mask,
         )
-        variances = np.array([burst.noise_variance for burst in live])
+        variances = np.array([burst.noise_variance for _, burst in live])
         try:
             return live, self._detector(estimate, variances)
         except DecodingError:
             survivors = []
-            for burst in live:
+            for position, burst in live:
                 try:
                     self._detector(burst.estimate, burst.noise_variance)
                 except DecodingError as error:
-                    outcomes[burst.index] = error.with_traceback(None)
+                    outcomes[position] = error.with_traceback(None)
                 else:
-                    survivors.append(burst)
+                    survivors.append((position, burst))
             if not survivors:
                 return [], None
             return self._stacked_detector(survivors, outcomes)
@@ -553,14 +612,27 @@ class MimoReceiver:
         :class:`ReceiveResult`, or the :class:`DecodingError` that burst
         gave up with.
         """
-        outcomes: List[Union[FrontEndResult, DecodingError, ReceiveResult]] = list(
-            self.front_end_stack(samples, n_info_bits, lts_starts, noise_variances)
+        return self.decode_stack(
+            self.front_end_stack(samples, n_info_bits, lts_starts, noise_variances),
+            n_info_bits,
         )
-        fronts = [front for front in outcomes if isinstance(front, FrontEndResult)]
-        if not fronts:
+
+    def decode_stack(
+        self,
+        fronts: Sequence[Union[FrontEndResult, DecodingError]],
+        n_info_bits: int,
+    ) -> List[Union[ReceiveResult, DecodingError]]:
+        """Decode front-end outcomes: one :meth:`decode` over the code blocks
+        of every :class:`FrontEndResult`, which may come from the detector
+        stages of several receivers sharing this one's code and decision
+        type.  A :class:`DecodingError` entry passes through; every other
+        becomes its burst's :class:`ReceiveResult`."""
+        outcomes: List[Union[FrontEndResult, DecodingError, ReceiveResult]] = list(fronts)
+        decodable = [front for front in outcomes if isinstance(front, FrontEndResult)]
+        if not decodable:
             return outcomes
         decoded = self.decode(
-            np.concatenate([front.coded for front in fronts]), n_info_bits
+            np.concatenate([front.coded for front in decodable]), n_info_bits
         )
         row = 0
         for index, front in enumerate(outcomes):

@@ -15,7 +15,7 @@ range).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Union
 
 import numpy as np
@@ -130,7 +130,7 @@ class FixedPointFormat:
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
         """Plain-JSON representation (used by the sweep-spec cache hash)."""
-        return asdict(self)
+        return {item.name: getattr(self, item.name) for item in fields(self)}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "FixedPointFormat":

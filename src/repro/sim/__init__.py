@@ -3,7 +3,9 @@
 ``repro.sim`` is the scale layer of the reproduction and the one way to
 measure BER/PER: every burst goes on air through
 :func:`repro.core.transceiver.transmit_burst` and comes back through
-:meth:`repro.core.receiver.MimoReceiver.receive_stack`, and this package
+the receiver's shared stage
+(:meth:`repro.core.receiver.MimoReceiver.demodulate_stack`), its
+detector stage and one decode, and this package
 describes whole experiment grids — one operating point is a grid of one —
 declaratively and executes them efficiently:
 

@@ -7,9 +7,11 @@ scheduler reuses), runs batches of bursts with deterministic per-burst
 seed streams, and reports per-burst BER/PER counts with optional early
 stopping.  :func:`simulate_batch` is the unit of work the
 :class:`~repro.sim.runner.SweepRunner` fans out over its worker pool — one
-batch of bursts for each of several points sharing a configuration, all
-run through one stacked front end and one trellis pass.  It is a
-module-level function taking one picklable payload so it crosses process
+batch of bursts for each of several points of one air group
+(:meth:`~repro.core.config.TransceiverConfig.air_group`), each distinct
+burst put on air and through the shared receive stage once, detected once
+per detector, and all decoded in one trellis pass.  It is a module-level
+function taking one picklable payload so it crosses process
 boundaries untouched.
 
 Seeding contract: every burst derives its RNG streams from
@@ -36,6 +38,7 @@ from repro.core.receiver import MimoReceiver
 from repro.core.transceiver import AirBurst, transmit_burst
 from repro.core.transmitter import MimoTransmitter
 from repro.exceptions import ConfigurationError, DecodingError
+from repro.sim.cache import content_key
 from repro.sim.spec import CHANNEL_MODELS, ImpairmentSpec, SweepPoint, SweepSpec
 from repro.utils.rng import SeedLike
 
@@ -62,6 +65,17 @@ def build_config(point: SweepPoint, spec: SweepSpec) -> TransceiverConfig:
         ),
         point.impairment or ImpairmentSpec(),
     )
+
+
+def air_key(point: SweepPoint, spec: SweepSpec) -> str:
+    """Content hash of a cell's :meth:`~repro.sim.spec.SweepPoint.seed_payload`,
+    the entropy of its :func:`burst_seed`.
+
+    Cells with equal keys — *twins*, which differ only in the receive
+    half (the detector) — draw the same payload, fading and noise at every
+    burst index, so a work unit puts each of their bursts on air once.
+    """
+    return content_key(point.seed_payload(spec))
 
 
 def impaired_config(base: TransceiverConfig, impairment: ImpairmentSpec) -> TransceiverConfig:
@@ -148,8 +162,9 @@ def _transceiver_for(config: TransceiverConfig) -> Tuple[MimoTransmitter, MimoRe
     return MimoTransmitter(config), MimoReceiver(config)
 
 
-def burst_seed(spec: SweepSpec, point: SweepPoint, burst_index: int) -> np.random.SeedSequence:
-    """Deterministic seed of one (point, burst) cell of the seed tree.
+def burst_seed(key: str, burst_index: int) -> np.random.SeedSequence:
+    """Deterministic seed of one (point, burst) cell of the seed tree, from
+    the point's :func:`air_key`.
 
     Seeding at burst granularity — not per batch or per worker — makes the
     simulated physics a pure function of the spec: re-batching the sweep or
@@ -162,10 +177,7 @@ def burst_seed(spec: SweepSpec, point: SweepPoint, burst_index: int) -> np.rando
     sharing rests on — and a bigger burst budget extends the stream instead
     of re-rolling it.
     """
-    from repro.sim.cache import content_key
-
-    entropy = int(content_key(point.seed_payload(spec)), 16)
-    return np.random.SeedSequence([entropy, int(burst_index)])
+    return np.random.SeedSequence([int(key, 16), int(burst_index)])
 
 
 def lost_frame_counts(n_info_bits: int, n_streams: int) -> Dict[str, int]:
@@ -247,24 +259,30 @@ def simulate_batch(task: dict) -> List[Dict[str, object]]:
          "items": [{"point": SweepPoint.to_dict(), "start_burst": int,
                     "n_bursts": int, "batch_index": int}, ...]}
 
-    Every item's point must share one :func:`build_config`.  Each burst in
-    an item's ``[start_burst, start_burst + n_bursts)`` derives payload,
-    fading and noise generators from its own :func:`burst_seed` and goes on
-    air through :func:`air_burst`.  The unit advances its items in
-    lockstep rounds: a round takes the next burst of every live item and
-    receives all of them in one
-    :meth:`~repro.core.receiver.MimoReceiver.receive_stack` call (one
-    stacked front end, and one decode that runs at most
-    :data:`~repro.core.receiver.DECODE_SLICE` blocks per trellis pass),
-    then scores each with
+    Every item's point must share one
+    :meth:`~repro.core.config.TransceiverConfig.air_group`; their detectors
+    may differ.  Each burst in an item's ``[start_burst, start_burst +
+    n_bursts)`` derives payload, fading and noise generators from its own
+    :func:`burst_seed`.  The unit advances its items in lockstep rounds.  A
+    round takes the next burst of every live item and puts each distinct
+    ``(air_key, burst index)`` on air once through :func:`air_burst`, so
+    twins (items differing only in the detector) receive the very same
+    samples.  The distinct bursts go through one shared receive stage
+    (:meth:`~repro.core.receiver.MimoReceiver.demodulate_stack`: sync,
+    CFO, FFTs and channel estimate), each detector's items through their
+    receiver's :meth:`~repro.core.receiver.MimoReceiver.detect_stack`, and
+    every item's code blocks through one
+    :meth:`~repro.core.receiver.MimoReceiver.decode_stack` (one decode
+    that runs at most :data:`~repro.core.receiver.DECODE_SLICE` blocks per
+    trellis pass).  Each is then scored with
     :meth:`~repro.core.frame.ReceiveResult.total_bit_errors`.  Bursts are
-    independent in both stacks, so each burst's bits are exactly what
+    independent in every stack, so each burst's bits are exactly what
     receiving it alone would give, and a burst the receiver gives up on
-    drops out alone as a lost frame.  An item retires at the
-    burst whose item-local cumulative bit errors reach ``target_errors``,
-    and its later bursts are never simulated: the global cumulative count
-    at any burst is at least the item-local one, so the runner's fold
-    would discard them.
+    drops out alone as a lost frame.  An item retires at the burst whose
+    item-local cumulative bit errors reach ``target_errors``, and its later
+    bursts are never simulated (a twin still live goes on air alone): the
+    global cumulative count at any burst is at least the item-local one,
+    so the runner's fold would discard them.
 
     Returns one report per item, in item order: ``{"batch_index",
     "bursts", "elapsed_s"}`` with *per-burst* counts, so the runner can
@@ -278,20 +296,25 @@ def simulate_batch(task: dict) -> List[Dict[str, object]]:
     points = [SweepPoint.from_dict(item["point"]) for item in items]
     unit_start = time.perf_counter()
 
-    config = build_config(points[0], spec)
-    if any(build_config(point, spec) != config for point in points[1:]):
-        raise ConfigurationError("every item of a work unit must share one configuration")
-    transmitter, receiver = _transceiver_for(config)
-    fixed_fadings = [
-        None
+    configs = [build_config(point, spec) for point in points]
+    if len({config.air_group() for config in set(configs)}) > 1:
+        raise ConfigurationError("every item of a work unit must share one air group")
+    # The first item's receiver runs the shared stage and the decode; each
+    # detector's receiver runs its items' detector stage.
+    transmitter, receiver = _transceiver_for(configs[0])
+    detectors = {config: _transceiver_for(config)[1] for config in dict.fromkeys(configs)}
+    keys = [air_key(point, spec) for point in points]
+    # One fixed fading realisation per air cell: twins share it.
+    fixed_fadings = {
+        key: None
         if spec.fresh_fading_per_burst
         else build_fading_model(
             point.channel,
             point.n_streams,
             np.random.default_rng(fixed_fading_seed(spec, point)),
         )
-        for point in points
-    ]
+        for key, point in dict(zip(keys, points)).items()
+    }
 
     reports: List[Dict[str, object]] = [
         {"batch_index": int(item["batch_index"]), "bursts": []} for item in items
@@ -299,38 +322,52 @@ def simulate_batch(task: dict) -> List[Dict[str, object]]:
     errors = [0] * len(items)
     live = list(range(len(items)))
     for offset in range(max(int(item["n_bursts"]) for item in items)):
+        cells: Dict[Tuple[str, int], List[int]] = {}
+        for i in live:
+            cells.setdefault((keys[i], int(items[i]["start_burst"]) + offset), []).append(i)
+        row_of = {i: row for row, members in enumerate(cells.values()) for i in members}
         sent = [
             air_burst(
                 transmitter,
-                burst_seed(spec, points[i], int(items[i]["start_burst"]) + offset),
+                burst_seed(key, burst),
                 points[i].channel,
                 points[i].snr_db,
                 points[i].impairment or ImpairmentSpec(),
                 spec.n_info_bits,
                 known_timing=spec.known_timing,
-                fixed_fading=fixed_fadings[i],
+                fixed_fading=fixed_fadings[key],
             )
-            for i in live
+            for (key, burst), (i, *_) in cells.items()
         ]
         references = [air.burst.info_bits for air in sent]
-        samples = [air.samples for air in sent]
-        lts_starts = [air.lts_start for air in sent]
-        noise_variances = [air.noise_variance for air in sent]
-        del sent  # the transmitted bursts need not outlive the receive pass
+        demodulated = receiver.demodulate_stack(
+            [air.samples for air in sent],
+            spec.n_info_bits,
+            [air.lts_start for air in sent],
+            [air.noise_variance for air in sent],
+        )
+        del sent  # the transmitted bursts need not outlive the shared stage
+        variants: Dict[TransceiverConfig, List[int]] = {}
+        for i in live:
+            variants.setdefault(configs[i], []).append(i)
+        fronts = {}
+        for config, members in variants.items():
+            detected = detectors[config].detect_stack(
+                demodulated, [row_of[i] for i in members]
+            )
+            fronts.update(zip(members, detected))
         # Deep in the noise the receiver gives up on a burst: the time
         # synchroniser misses it or locks too late for its preamble, a
         # window starts before the first received sample, or a
         # rank-deficient estimate stops the channel inversion or the MMSE
         # solve.  That burst alone comes back as a DecodingError, counted
         # as a fully errored frame (every payload bit lost).
-        outcomes = receiver.receive_stack(
-            samples, spec.n_info_bits, lts_starts, noise_variances
-        )
-        for i, reference, outcome in zip(live, references, outcomes):
+        outcomes = receiver.decode_stack([fronts[i] for i in live], spec.n_info_bits)
+        for i, outcome in zip(live, outcomes):
             if isinstance(outcome, DecodingError):
                 burst = lost_frame_counts(spec.n_info_bits, points[i].n_streams)
             else:
-                bit_errors = outcome.total_bit_errors(reference)
+                bit_errors = outcome.total_bit_errors(references[row_of[i]])
                 burst = {
                     "bit_errors": bit_errors,
                     "total_bits": spec.n_info_bits * points[i].n_streams,

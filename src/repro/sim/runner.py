@@ -42,7 +42,7 @@ from collections import Counter
 from typing import Dict, Hashable, List, Optional, Tuple, Union
 
 from repro.exceptions import ConfigurationError
-from repro.sim.engine import build_config, simulate_batch
+from repro.sim.engine import air_key, build_config, simulate_batch
 from repro.sim.queue import QueueLike, make_queue
 from repro.sim.spec import SweepPoint, SweepPointResult, SweepResult, SweepSpec
 from repro.sim.stats import allocate_bursts
@@ -53,31 +53,40 @@ StoreLike = Union[None, bool, str, "os.PathLike[str]", ResultStore]
 
 def _pack_units(
     wanting: List[int],
-    configs: Dict[int, Hashable],
+    groups: Dict[int, Hashable],
+    twins: Dict[int, Hashable],
     batch_of: Dict[int, int],
     capacity: int,
 ) -> List[List[int]]:
     """Pack the points that want a batch into work units, in priority order.
 
-    ``wanting`` lists point indices, most urgent first; ``configs`` maps
-    each to its :func:`~repro.sim.engine.build_config` and ``batch_of`` to
-    the batch number it wants next.  A unit opens at the most urgent
-    unpacked point and takes along the following points with an equal
-    configuration and batch number, up to ``ceil(n_same_config /
-    capacity)`` points, where ``n_same_config`` counts the wanting points
-    of that configuration — so the serial queue (capacity 1) packs them
-    all into one unit while a pool still gets at least ``capacity`` units
-    to spread over its workers.  Units come out ordered by their first
-    point.
+    ``wanting`` lists point indices, most urgent first; ``groups`` maps
+    each to its :meth:`~repro.core.config.TransceiverConfig.air_group`,
+    ``twins`` to its :func:`~repro.sim.engine.air_key` and ``batch_of`` to
+    the batch number it wants next.  Points of one air group and batch number go together,
+    in *cells* of equal air key: twins, which put the same bursts on air,
+    always share a unit.  A unit opens at the most urgent unpacked point
+    and takes along the following cells, up to ``ceil(n_cells /
+    capacity)`` cells, where ``n_cells`` counts the wanting cells of that
+    air group — so the serial queue (capacity 1) packs them all into one
+    unit while a pool still gets at least ``capacity`` units to spread over
+    its workers.  Units come out ordered by their first point.
     """
-    same_config = Counter(configs[index] for index in wanting)
-    groups: Dict[tuple, List[int]] = {}
+    bins: Dict[tuple, Dict[Hashable, List[int]]] = {}
     for index in wanting:
-        groups.setdefault((configs[index], batch_of[index]), []).append(index)
+        cells = bins.setdefault((groups[index], batch_of[index]), {})
+        cells.setdefault(twins[index], []).append(index)
+    n_cells = Counter()
+    for (group, _), cells in bins.items():
+        n_cells[group] += len(cells)
     units = []
-    for (config, _), members in groups.items():
-        limit = -(-same_config[config] // capacity)
-        units.extend(members[start : start + limit] for start in range(0, len(members), limit))
+    for (group, _), cells in bins.items():
+        members = list(cells.values())
+        limit = -(-n_cells[group] // capacity)
+        units.extend(
+            [index for cell in members[start : start + limit] for index in cell]
+            for start in range(0, len(members), limit)
+        )
     position = {index: rank for rank, index in enumerate(wanting)}
     return sorted(units, key=lambda unit: position[unit[0]])
 
@@ -287,9 +296,11 @@ class SweepRunner:
         frontier across every unfinished point — the pool stays saturated
         even when early stopping collapses most points to a single batch.
         The picked batch takes along the same-numbered batch of other
-        wanting points with an equal :func:`~repro.sim.engine.build_config`
-        (in the same round-robin order, by :func:`_pack_units`), so one
-        work unit decodes their bursts together.
+        wanting points of its
+        :meth:`~repro.core.config.TransceiverConfig.air_group` (in the
+        same round-robin order, twins kept together, by
+        :func:`_pack_units`), so one work unit transmits each shared burst
+        once and decodes all their bursts together.
         A point whose running error total crosses the target stops
         submitting; its in-flight surplus is discarded by the fold.  Every
         point is committed to the store the moment it folds, so an
@@ -312,6 +323,9 @@ class SweepRunner:
         configs = {
             index: build_config(start.point, spec) for index, (start, _, _) in jobs.items()
         }
+        group_of = {config: config.air_group() for config in set(configs.values())}
+        groups = {index: group_of[config] for index, config in configs.items()}
+        twins = {index: air_key(start.point, spec) for index, (start, _, _) in jobs.items()}
         cursors = dict.fromkeys(jobs, 0)
         in_flight = dict.fromkeys(jobs, 0)
         collected: Dict[int, List[dict]] = {index: [] for index in jobs}
@@ -361,7 +375,7 @@ class SweepRunner:
             def submit_next() -> bool:
                 candidates = sorted((index for index in jobs if wants_work(index)), key=order)
                 while candidates:
-                    packed = _pack_units(candidates, configs, cursors, queue.capacity)[0]
+                    packed = _pack_units(candidates, groups, twins, cursors, queue.capacity)[0]
                     candidates = [i for i in candidates if i not in packed]
                     unit = [i for i in packed if not adopted(i)]
                     if not unit:

@@ -25,7 +25,7 @@ result is rebuilt without re-running a single burst.
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -60,6 +60,16 @@ CHANNEL_MODELS = ("ideal", "flat_rayleigh", "frequency_selective")
 
 #: Detector choices, matching ``TransceiverConfig.detector``.
 DETECTORS = ("zf", "mmse")
+
+
+def _field_values(instance) -> dict:
+    """Every dataclass field of ``instance`` by name, one level deep.
+
+    The record path's ``to_dict`` methods build on this and convert their
+    own nested dataclasses, which is what ``dataclasses.asdict`` gives
+    without its recursive walk and deep copies.
+    """
+    return {item.name: getattr(instance, item.name) for item in fields(instance)}
 
 
 def _as_tuple(value, caster) -> tuple:
@@ -163,7 +173,11 @@ class ImpairmentSpec:
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
         """Plain-JSON representation (nested formats become dicts)."""
-        return asdict(self)
+        payload = _field_values(self)
+        for name in ("tx_format", "rx_format", "rx_multiplier_format"):
+            if payload[name] is not None:
+                payload[name] = payload[name].to_dict()
+        return payload
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ImpairmentSpec":
@@ -356,8 +370,13 @@ class SweepSpec:
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
-        """Plain-JSON representation (tuples become lists)."""
-        return asdict(self)
+        """Plain representation: axes stay tuples, impairments become dicts."""
+        payload = _field_values(self)
+        payload["impairments"] = tuple(
+            None if impairment is None else impairment.to_dict()
+            for impairment in self.impairments
+        )
+        return payload
 
     @classmethod
     def from_dict(cls, payload: dict) -> "SweepSpec":
@@ -387,7 +406,10 @@ class SweepPoint:
 
     def to_dict(self) -> dict:
         """Plain-JSON representation."""
-        return asdict(self)
+        payload = _field_values(self)
+        if self.impairment is not None:
+            payload["impairment"] = self.impairment.to_dict()
+        return payload
 
     @classmethod
     def from_dict(cls, payload: dict) -> "SweepPoint":
@@ -414,10 +436,15 @@ class SweepPoint:
         * budget knobs (``n_bursts``, ``target_errors``) — a bigger budget
           extends the same burst stream instead of re-rolling it, which is
           what lets adaptive refinement append bursts to a stored point;
-        * ``detector`` and ``soft_decision`` — they change how the receiver
-          *processes* a burst, not which random burst is drawn, so ZF and
-          MMSE (or hard and soft decoding) are compared over identical
-          noise realisations.
+        * ``detector`` and ``soft_decision`` — the receive half.  Points
+          that differ only there share this payload, and so every burst:
+          the same payload bits, fading and noise, so ZF and MMSE (or hard
+          and soft decoding) are compared over identical noise
+          realisations.  ZF and MMSE twins also share an air group
+          (:meth:`repro.core.config.TransceiverConfig.air_group`): the
+          engine's work unit puts each of their bursts on air and through
+          the shared receive stage once, then detects it once per
+          detector.
         """
         return {
             "base_seed": spec.base_seed,
@@ -510,7 +537,7 @@ class SweepPointResult:
 
     def to_dict(self) -> dict:
         """Plain-JSON representation."""
-        payload = {item.name: getattr(self, item.name) for item in fields(self)}
+        payload = _field_values(self)
         payload["point"] = self.point.to_dict()
         return payload
 

@@ -15,9 +15,10 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.dsp.fixedpoint import SAMPLE_FORMAT_16BIT
-from repro.sim.spec import ImpairmentSpec, SweepPoint, SweepSpec
+from repro.dsp.fixedpoint import SAMPLE_FORMAT_16BIT, FixedPointFormat
+from repro.sim.spec import CHANNEL_MODELS, DETECTORS, ImpairmentSpec, SweepPoint, SweepSpec
 
 #: SweepPoint fields contractually absent from the physics identity.
 POINT_SEED_EXEMPT = {"index", "detector"}
@@ -132,6 +133,62 @@ class TestRoundTrips:
         payload = point.to_dict()
         assert set(payload) == {f.name for f in dataclasses.fields(SweepPoint)}
         assert SweepPoint.from_dict(payload) == point
+
+
+formats = st.none() | st.builds(
+    FixedPointFormat,
+    word_length=st.integers(4, 24),
+    frac_bits=st.integers(0, 3),
+    rounding=st.sampled_from(["round", "truncate"]),
+    overflow=st.sampled_from(["saturate", "wrap"]),
+)
+finite = st.floats(-1e3, 1e3, allow_nan=False)
+impairment_specs = st.builds(
+    ImpairmentSpec,
+    cfo_normalized=finite,
+    sample_delay=st.integers(0, 64),
+    iq_amplitude_db=finite,
+    iq_phase_deg=finite,
+    tx_format=formats,
+    rx_format=formats,
+    rx_multiplier_format=formats,
+)
+impairments = st.none() | impairment_specs
+specs = st.builds(
+    SweepSpec,
+    snr_db=st.lists(finite, min_size=1, max_size=3).map(tuple),
+    modulations=st.lists(st.sampled_from(["bpsk", "qpsk", "16qam", "64qam"]), min_size=1, max_size=2).map(tuple),
+    code_rates=st.lists(st.sampled_from(["1/2", "2/3", "3/4"]), min_size=1, max_size=2).map(tuple),
+    stream_counts=st.lists(st.integers(1, 4), min_size=1, max_size=2).map(tuple),
+    channels=st.lists(st.sampled_from(CHANNEL_MODELS), min_size=1, max_size=2).map(tuple),
+    detectors=st.lists(st.sampled_from(DETECTORS), min_size=1, max_size=2).map(tuple),
+    impairments=st.lists(impairments, min_size=1, max_size=2).map(tuple),
+    n_info_bits=st.integers(1, 4096),
+    n_bursts=st.integers(1, 1000),
+    target_errors=st.none() | st.integers(1, 1000),
+    base_seed=st.integers(0, 2**32),
+    fresh_fading_per_burst=st.booleans(),
+    known_timing=st.booleans(),
+    fft_size=st.sampled_from([64, 128, 256, 512]),
+    soft_decision=st.booleans(),
+)
+
+
+class TestToDictMatchesAsdict:
+    """The record path's ``to_dict`` methods give what ``dataclasses.asdict``
+    gives, nested :class:`FixedPointFormat` and impairment dicts included."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(specs)
+    def test_spec_and_every_point(self, spec):
+        assert spec.to_dict() == dataclasses.asdict(spec)
+        for point in spec.points():
+            assert point.to_dict() == dataclasses.asdict(point)
+
+    @settings(max_examples=60, deadline=None)
+    @given(impairment_specs)
+    def test_impairment(self, impairment):
+        assert impairment.to_dict() == dataclasses.asdict(impairment)
 
 
 class TestSeedPayloadContract:

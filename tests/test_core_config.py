@@ -5,6 +5,7 @@ import pytest
 
 from repro.coding.convolutional import CodeRate
 from repro.core.config import OfdmNumerology, TransceiverConfig
+from repro.dsp.fixedpoint import MULTIPLIER_FORMAT_18BIT
 from repro.exceptions import ConfigurationError
 from repro.modulation.constellations import Modulation
 
@@ -121,3 +122,17 @@ class TestTransceiverConfig:
         config = TransceiverConfig()
         with pytest.raises(AttributeError):
             config.fft_size = 128
+
+    def test_air_group_is_everything_but_the_detector(self):
+        zf = TransceiverConfig(n_antennas=2, soft_decision=True)
+        mmse = TransceiverConfig(n_antennas=2, soft_decision=True, detector="mmse")
+        assert zf.air_group() is zf
+        assert mmse.air_group() == zf
+        assert TransceiverConfig(n_antennas=2).air_group() != zf.air_group()
+        fixed = TransceiverConfig(
+            n_antennas=2,
+            soft_decision=True,
+            detector="mmse",
+            rx_multiplier_format=MULTIPLIER_FORMAT_18BIT,
+        )
+        assert fixed.air_group() != zf

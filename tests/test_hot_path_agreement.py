@@ -23,6 +23,7 @@ in physical order.
 """
 
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -778,6 +779,60 @@ class TestStackedFrontEndAgreement:
             receiver.front_end_stack([np.zeros((2, 2000))], 96, lts_starts=[None, None])
         with pytest.raises(ConfigurationError):
             receiver.front_end_stack([np.zeros((3, 2000))], 96)
+
+
+class TestSharedStageAndDetectorStages:
+    """``demodulate_stack`` once, ``detect_stack`` by every detector.
+
+    The shared stage (sync, CFO, FFTs, channel estimate) knows nothing of
+    the detector, so each detector's stage over rows of one shared result
+    — in any order, repeated or not — must give exactly that detector's
+    own ``front_end_stack``, give-ups included.
+    """
+
+    BASE = TransceiverConfig(n_antennas=2, modulation="qpsk", correct_cfo=True, soft_decision=True)
+
+    def _stack(self):
+        good = TestStackedFrontEndAgreement._mixed_stack(self.BASE, seed=1200)
+        samples, _, variance = good[1]
+        silent_antenna = samples.copy()
+        silent_antenna[1] = 0.0  # rank-deficient estimate
+        bursts = good + [(samples[:, :600], None, variance), (silent_antenna, None, variance)]
+        return [burst[0] for burst in bursts], [burst[2] for burst in bursts]
+
+    @pytest.mark.parametrize("detector", ["zf", "mmse"])
+    def test_every_detector_reads_one_shared_stage(self, detector):
+        samples, variances = self._stack()
+        shared = MimoReceiver(self.BASE).demodulate_stack(samples, 96, None, variances)
+        receiver = MimoReceiver(replace(self.BASE, detector=detector))
+        own = receiver.front_end_stack(samples, 96, None, variances)
+        rows = [5, 3, 0, 0, 2, 4, 1]
+        detected = receiver.detect_stack(shared, rows)
+        assert len(detected) == len(rows)
+        for row, outcome in zip(rows, detected):
+            if isinstance(own[row], DecodingError):
+                assert type(outcome) is type(own[row])
+                assert str(outcome) == str(own[row])
+            else:
+                _assert_front_ends_identical(outcome, own[row])
+        assert sum(isinstance(outcome, FrontEndResult) for outcome in own) == 4
+        # Reading it leaves the shared result as it was.
+        again = receiver.detect_stack(shared)
+        for outcome, alone in zip(again, own):
+            if isinstance(alone, FrontEndResult):
+                _assert_front_ends_identical(outcome, alone)
+
+    @pytest.mark.parametrize(
+        "changes",
+        [{"modulation": "16qam"}, {"code_rate": "3/4"}, {"rx_multiplier_format": MULTIPLIER_FORMAT_18BIT}],
+        ids=["modulation", "code-rate", "multiplier-format"],
+    )
+    def test_a_receiver_configured_otherwise_is_refused(self, changes):
+        samples, variances = self._stack()
+        shared = MimoReceiver(self.BASE).demodulate_stack(samples[:1], 96, None, variances[:1])
+        other = MimoReceiver(replace(self.BASE, detector="mmse", **changes))
+        with pytest.raises(ConfigurationError):
+            other.detect_stack(shared)
 
 
 class TestTransmitterBatchAgreement:

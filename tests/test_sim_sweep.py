@@ -171,10 +171,10 @@ class TestEngine:
     def test_burst_seed_is_deterministic(self):
         spec = small_spec()
         low, high = spec.points()
-        a = engine.burst_seed(spec, high, 2).generate_state(4)
-        b = engine.burst_seed(spec, high, 2).generate_state(4)
-        c = engine.burst_seed(spec, high, 3).generate_state(4)
-        d = engine.burst_seed(spec, low, 2).generate_state(4)
+        a = engine.burst_seed(engine.air_key(high, spec), 2).generate_state(4)
+        b = engine.burst_seed(engine.air_key(high, spec), 2).generate_state(4)
+        c = engine.burst_seed(engine.air_key(high, spec), 3).generate_state(4)
+        d = engine.burst_seed(engine.air_key(low, spec), 2).generate_state(4)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
         assert not np.array_equal(a, d)
@@ -187,12 +187,12 @@ class TestEngine:
         solo_spec = spec.subset(snr_db=(30.0,))
         solo = solo_spec.points()[0]
         assert solo.index != high.index or solo.index == 0
-        a = engine.burst_seed(spec, high, 5).generate_state(4)
-        b = engine.burst_seed(solo_spec, solo, 5).generate_state(4)
+        a = engine.burst_seed(engine.air_key(high, spec), 5).generate_state(4)
+        b = engine.burst_seed(engine.air_key(solo, solo_spec), 5).generate_state(4)
         assert np.array_equal(a, b)
         # Budget knobs do not reroll the stream: a bigger budget extends it.
         c = engine.burst_seed(
-            spec.subset(n_bursts=50, target_errors=None), high, 5
+            engine.air_key(high, spec.subset(n_bursts=50, target_errors=None)), 5
         ).generate_state(4)
         assert np.array_equal(a, c)
 

@@ -1,14 +1,18 @@
-"""The sweep engine's work unit: several same-config points, one trellis.
+"""The sweep engine's work unit: the points of one air group, one trellis.
 
 :func:`repro.sim.engine.simulate_batch` advances the items of a unit in
-lockstep, running one burst of every live item through one stacked
-receive front end and decoding all their code blocks together.  These
-tests pin the contract that makes that invisible: every item reports
-exactly what it reports when run on its own (also when the front end
-gives up on one item's burst mid-round), an item that reaches
-``target_errors`` stops simulating, the runner's results do not depend on
-queue backend or batch size, and a unit larger than one decode slice
-still decodes bit-exactly.
+lockstep.  A round puts every distinct burst of the live items on air
+once — twins, items that differ only in the detector, share it — runs
+the distinct bursts through one shared receive stage, each detector's
+items through their detector stage, and decodes all their code blocks
+together.  These tests pin the contract that makes that invisible: every
+item reports exactly what it reports when run on its own (also when the
+front end gives up on one item's burst mid-round, when twins retire at
+different bursts, when only the MMSE twin gives up, and when a twin was
+adopted from the store), an item that reaches ``target_errors`` stops
+simulating, the runner's results do not depend on queue backend, pool
+size or batch size, and a unit larger than one decode slice still
+decodes bit-exactly.
 """
 
 import pytest
@@ -17,7 +21,8 @@ import repro.coding.viterbi as viterbi_module
 import repro.sim.engine as engine_module
 from repro.core.receiver import DECODE_SLICE, MimoReceiver
 from repro.exceptions import ConfigurationError
-from repro.sim import ImpairmentSpec, SweepRunner, SweepSpec
+from repro.mimo.channel_estimation import ChannelEstimator
+from repro.sim import ImpairmentSpec, ResultStore, SweepRunner, SweepSpec
 from repro.sim.engine import build_config, simulate_batch
 from repro.sim.queue import MultiprocessingQueue
 from repro.sim.runner import _pack_units
@@ -133,12 +138,166 @@ def test_item_past_its_error_target_stops_simulating(monkeypatch):
     assert decoded == [4, 2, 2, 2]
 
 
-def test_each_lockstep_round_is_one_receive_stack_call(monkeypatch):
+def test_each_lockstep_round_is_one_shared_stage_and_one_decode(monkeypatch):
     spec, items = _early_stop_spec()
-    received = _counting(monkeypatch, MimoReceiver, "receive_stack")
+    demodulated = _counting(monkeypatch, MimoReceiver, "demodulate_stack")
+    decoded = _counting(monkeypatch, MimoReceiver, "decode")
     simulate_batch({"spec": spec.to_dict(), "items": items})
-    # Round one receives both items' bursts, rounds two to four the clean one.
-    assert received == [2, 1, 1, 1]
+    # Round one takes both items' bursts, rounds two to four the clean one.
+    assert demodulated == [2, 1, 1, 1]
+    assert decoded == [4, 2, 2, 2]
+
+
+def _twin_spec(**changes):
+    # ZF and MMSE twins of two air cells: at 4 dB ZF crosses 40 bit errors
+    # at its first burst and MMSE at its second; at 20 dB both run clean.
+    fields = dict(
+        snr_db=(4.0, 20.0),
+        modulations=("16qam",),
+        stream_counts=(2,),
+        detectors=("zf", "mmse"),
+        n_info_bits=64,
+        n_bursts=4,
+        target_errors=40,
+        base_seed=11,
+    )
+    fields.update(changes)
+    spec = SweepSpec(**fields)
+    items = [
+        {"point": point.to_dict(), "start_burst": 0, "n_bursts": 4, "batch_index": point.index}
+        for point in spec.points()
+    ]
+    return spec, items
+
+
+def _assert_each_item_as_if_run_alone(spec, items):
+    reports = simulate_batch({"spec": spec.to_dict(), "items": items})
+    assert [_without_timing(r) for r in reports] == [
+        _without_timing(_alone(spec, item)) for item in items
+    ]
+    return reports
+
+
+def _capturing_samples(monkeypatch):
+    captured = []
+    original = MimoReceiver.demodulate_stack
+
+    def capture(self, samples, *args, **kwargs):
+        captured.append([burst.tobytes() for burst in samples])
+        return original(self, samples, *args, **kwargs)
+
+    monkeypatch.setattr(MimoReceiver, "demodulate_stack", capture)
+    return captured
+
+
+def test_twins_receive_byte_identical_samples(monkeypatch):
+    spec, items = _twin_spec(snr_db=(20.0,), target_errors=None)
+    zf, mmse = items
+    captured = _capturing_samples(monkeypatch)
+    _alone(spec, zf)
+    zf_alone = captured[:]
+    captured.clear()
+    _alone(spec, mmse)
+    assert captured == zf_alone
+    captured.clear()
+    simulate_batch({"spec": spec.to_dict(), "items": items})
+    # One shared burst per round, the very bytes either twin gets alone.
+    assert captured == zf_alone
+    assert [len(round_) for round_ in captured] == [1] * 4
+
+
+def test_mixed_detector_unit_transmits_once_per_air_cell_and_burst(monkeypatch):
+    spec, items = _twin_spec(target_errors=None)
+    transmitted = []
+    original = engine_module.transmit_burst
+
+    def counted(*args, **kwargs):
+        transmitted.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(engine_module, "transmit_burst", counted)
+    _assert_each_item_as_if_run_alone(spec, items)
+    transmitted.clear()
+    simulate_batch({"spec": spec.to_dict(), "items": items})
+    # Two air cells x four bursts, not four items x four bursts.
+    assert len(transmitted) == 2 * 4
+    # Twins one burst apart share no burst index in a round: each goes on air.
+    shifted = [dict(items[0], n_bursts=2), dict(items[2], start_burst=1, n_bursts=2)]
+    _assert_each_item_as_if_run_alone(spec, shifted)
+    transmitted.clear()
+    simulate_batch({"spec": spec.to_dict(), "items": shifted})
+    assert len(transmitted) == 4
+
+
+def test_twins_retiring_at_different_bursts_report_as_if_run_alone(monkeypatch):
+    spec, items = _twin_spec()
+    transmitted = _counting_air_bursts(monkeypatch)
+    reports = _assert_each_item_as_if_run_alone(spec, items)
+    points = spec.points()
+    lengths = {(p.detector, p.snr_db): len(r["bursts"]) for p, r in zip(points, reports)}
+    assert lengths == {("zf", 4.0): 1, ("mmse", 4.0): 2, ("zf", 20.0): 4, ("mmse", 20.0): 4}
+    transmitted.clear()
+    simulate_batch({"spec": spec.to_dict(), "items": items})
+    # 4 dB: the shared first burst, then the MMSE twin's second alone.
+    assert len(transmitted) == 2 + 4
+
+
+def test_mmse_only_give_up_leaves_the_zf_twin_decoding(monkeypatch):
+    # Two identical columns on subcarrier 7 of every estimate leave the ZF
+    # inverses (already computed) alone, and at 300 dB the noise variance
+    # vanishes in rounding against the Gram diagonal: only MMSE gives up.
+    estimate = ChannelEstimator.estimate
+
+    def duplicate_columns(self, received):
+        outcomes = estimate(self, received)
+        for outcome in outcomes:
+            outcome.matrices[7, :, 1] = outcome.matrices[7, :, 0]
+        return outcomes
+
+    monkeypatch.setattr(ChannelEstimator, "estimate", duplicate_columns)
+    spec, items = _twin_spec(snr_db=(300.0,), channels=("ideal",), target_errors=None)
+    reports = _assert_each_item_as_if_run_alone(spec, items)
+    zf, mmse = ([burst["decode_failure"] for burst in r["bursts"]] for r in reports)
+    assert zf == [0] * 4
+    assert mmse == [1] * 4
+
+
+def test_shared_stage_give_up_sinks_both_twins():
+    # At -20 dB the synchroniser misses bursts before any detector runs.
+    spec, items = _twin_spec(snr_db=(-20.0, 20.0), target_errors=None)
+    reports = _assert_each_item_as_if_run_alone(spec, items)
+    failures = {
+        (p.detector, p.snr_db): [burst["decode_failure"] for burst in r["bursts"]]
+        for p, r in zip(spec.points(), reports)
+    }
+    assert failures[("zf", -20.0)] == failures[("mmse", -20.0)]
+    assert any(failures[("zf", -20.0)])
+    assert not any(failures[("zf", 20.0)] + failures[("mmse", 20.0)])
+
+
+def test_unit_with_an_adopted_twin_simulates_the_other_alone(tmp_path, monkeypatch):
+    spec, _ = _twin_spec(target_errors=None)
+    store = ResultStore(tmp_path / "points")
+    SweepRunner(spec.subset(detectors=("zf",)), n_workers=1, cache=store).run()
+    # Hide the ZF records from the initial scan, so the runner adopts each
+    # one right before dispatching its unit.
+    monkeypatch.setattr(ResultStore, "get_many", lambda self, keys: {})
+    transmitted = _counting_air_bursts(monkeypatch)
+    result = SweepRunner(spec, n_workers=1, cache=store).run()
+    # Only the MMSE twins simulate: two air cells x four bursts.
+    assert result.n_bursts_simulated == len(transmitted) == 2 * 4
+    monkeypatch.undo()
+    assert _stats(result) == _stats(SweepRunner(spec, n_workers=1, cache=None).run())
+
+
+def test_pool_run_of_twins_matches_the_serial_run():
+    spec, _ = _twin_spec(
+        snr_db=(4.0, 12.0, 20.0), target_errors=None, channels=("ideal", "flat_rayleigh")
+    )
+    serial = SweepRunner(spec, n_workers=1, cache=None, queue="serial").run()
+    pooled = SweepRunner(spec, n_workers=2, batch_size=2, cache=None, queue="process").run()
+    assert _stats(pooled) == _stats(serial)
+    assert pooled.n_bursts_simulated == serial.n_bursts_simulated
 
 
 def test_batch_reuses_the_cached_transmitter_and_receiver():
@@ -151,21 +310,45 @@ def test_batch_reuses_the_cached_transmitter_and_receiver():
     assert cached_receiver is receiver
 
 
-def test_pack_units_groups_equal_config_and_batch_in_priority_order():
+def test_pack_units_groups_equal_air_group_and_batch_in_priority_order():
     wanting = [4, 0, 3, 1, 2, 5]
-    configs = {0: "a", 1: "a", 2: "b", 3: "a", 4: "a", 5: "b"}
+    groups = {0: "a", 1: "a", 2: "b", 3: "a", 4: "a", 5: "b"}
+    no_twins = {index: index for index in wanting}
     batch_of = {0: 0, 1: 0, 2: 0, 3: 1, 4: 0, 5: 0}
-    assert _pack_units(wanting, configs, batch_of, 1) == [[4, 0, 1], [3], [2, 5]]
+    assert _pack_units(wanting, groups, no_twins, batch_of, 1) == [[4, 0, 1], [3], [2, 5]]
     # Four "a" points over capacity 2: at most two per unit.
-    assert _pack_units(wanting, configs, batch_of, 2) == [[4, 0], [3], [1], [2], [5]]
+    assert _pack_units(wanting, groups, no_twins, batch_of, 2) == [[4, 0], [3], [1], [2], [5]]
 
 
-def test_unit_rejects_items_of_different_configurations():
+def test_pack_units_keeps_twins_in_one_unit():
+    wanting = [0, 1, 2, 3, 4, 5]
+    groups = dict.fromkeys(wanting, "a")
+    twins = {0: "x", 1: "y", 2: "z", 3: "x", 4: "y", 5: "z"}
+    batch_of = dict.fromkeys(wanting, 0)
+    assert _pack_units(wanting, groups, twins, batch_of, 1) == [[0, 3, 1, 4, 2, 5]]
+    # A pool splits the group by cells, never between twins.
+    assert _pack_units(wanting, groups, twins, batch_of, 2) == [[0, 3, 1, 4], [2, 5]]
+    assert _pack_units(wanting, groups, twins, batch_of, 3) == [[0, 3], [1, 4], [2, 5]]
+
+
+def test_unit_rejects_items_of_different_air_groups():
     spec = SweepSpec(
         snr_db=(20.0,), modulations=("qpsk", "16qam"), stream_counts=(2,), n_info_bits=48
     )
     with pytest.raises(ConfigurationError):
         simulate_batch({"spec": spec.to_dict(), "items": _items(spec, 0, 1)})
+
+
+def test_unit_accepts_items_of_different_detectors():
+    spec = SweepSpec(
+        snr_db=(20.0,), detectors=("zf", "mmse"), stream_counts=(2,), n_info_bits=48
+    )
+    items = [
+        {"point": point.to_dict(), "start_burst": 0, "n_bursts": 1, "batch_index": 0}
+        for point in spec.points()
+    ]
+    reports = simulate_batch({"spec": spec.to_dict(), "items": items})
+    assert [len(report["bursts"]) for report in reports] == [1, 1]
 
 
 def test_unit_above_one_decode_slice_decodes_bit_exactly(monkeypatch):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import TransceiverConfig
-from repro.sim.engine import burst_seed, stream_frame_seed
+from repro.sim.engine import air_key, burst_seed, stream_frame_seed
 from repro.sim.spec import SweepSpec
 from repro.stream import (
     CbrTraffic,
@@ -74,7 +74,7 @@ class TestLatencySummary:
 class TestSeeding:
     def test_stream_seeds_disjoint_from_sweep_seeds(self):
         spec = SweepSpec(base_seed=11)
-        sweep = burst_seed(spec, spec.points()[0], 1).generate_state(4)
+        sweep = burst_seed(air_key(spec.points()[0], spec), 1).generate_state(4)
         stream = stream_frame_seed(11, 0, 1).generate_state(4)
         assert not np.array_equal(sweep, stream)
 
