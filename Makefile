@@ -18,7 +18,7 @@
 #                            checks, then a 1 s seed-0 run of every workload
 #   make bench-json BENCH_N=<n>
 #                          - BENCH_<n>.json ledger of this tree and
-#                            BENCH_<n-1>.json of BENCH_PARENT (default HEAD):
+#                            BENCH_<n>.parent.json of BENCH_PARENT (default HEAD):
 #                            every workload over alternating parent/change pairs;
 #                            compare with tools/bench_ledger.py --compare A B
 #   make docs-check        - fail if any public module lacks a module docstring

@@ -22,7 +22,6 @@ from repro.channel.fading import (
 from repro.channel.impairments import (
     apply_carrier_frequency_offset,
     apply_iq_imbalance,
-    apply_sample_delay,
 )
 from repro.channel.model import ChannelOutput, IdealChannel, MimoChannel
 
@@ -36,7 +35,6 @@ __all__ = [
     "rayleigh_matrix",
     "apply_carrier_frequency_offset",
     "apply_iq_imbalance",
-    "apply_sample_delay",
     "ChannelOutput",
     "IdealChannel",
     "MimoChannel",

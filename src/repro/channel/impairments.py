@@ -28,27 +28,6 @@ def apply_carrier_frequency_offset(
     return x * rotation
 
 
-def apply_sample_delay(samples: np.ndarray, delay: int) -> np.ndarray:
-    """Delay a sample stream by an integer number of samples (zero padded).
-
-    A positive delay prepends zeros (the burst arrives later), exercising the
-    time synchroniser's search; the stream length is preserved, so the last
-    ``delay`` samples fall off the end of the observation window.  Callers
-    that must not lose the burst tail grow the window instead — e.g.
-    :meth:`repro.channel.model.MimoChannel.transmit` prepends ``delay``
-    idle samples directly.
-    """
-    x = np.asarray(samples, dtype=np.complex128)
-    if delay == 0:
-        return x.copy()
-    if delay < 0:
-        raise ValueError("delay must be non-negative")
-    n = x.shape[-1]
-    pad_shape = x.shape[:-1] + (delay,)
-    padded = np.concatenate([np.zeros(pad_shape, dtype=np.complex128), x], axis=-1)
-    return padded[..., :n]
-
-
 def apply_iq_imbalance(
     samples: np.ndarray, amplitude_imbalance_db: float = 0.0, phase_imbalance_deg: float = 0.0
 ) -> np.ndarray:

@@ -3,8 +3,9 @@
 :class:`MimoChannel` chains transmit-side DAC quantisation, a fading model
 (ideal / flat Rayleigh / frequency selective), front-end impairments (CFO,
 sample delay), AWGN and the receive-mixer IQ imbalance into a single object
-with one :meth:`MimoChannel.transmit` call, and exposes the ground-truth
-per-subcarrier channel matrices so experiments can compare the receiver's
+with one :meth:`MimoChannel.transmit` call.  The fading models expose
+their ground-truth per-subcarrier channel matrices
+(``frequency_response``) so experiments can compare the receiver's
 estimates against the real channel.  The receive-side ADC quantisation is
 the receiver's first stage (``TransceiverConfig.rx_sample_format``).
 
@@ -22,7 +23,7 @@ are the public helpers of :mod:`repro.channel.awgn` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -79,15 +80,11 @@ class ChannelOutput:
         the occupied-sample signal power, so receivers (MMSE weights, soft
         LLR scaling) can use the true value instead of re-measuring it from
         the noisy output.  ``None`` for a noiseless run.
-    true_frequency_response:
-        Ground-truth channel matrix per subcarrier (``None`` until requested
-        via :meth:`MimoChannel.transmit` with ``fft_size``).
     """
 
     samples: np.ndarray
     snr_db: Optional[float] = None
     noise_variance: Optional[float] = None
-    true_frequency_response: Optional[np.ndarray] = None
 
 
 class MimoChannel:
@@ -97,8 +94,8 @@ class MimoChannel:
     ----------
     fading:
         One of :class:`IdealChannel`, :class:`FlatRayleighChannel`,
-        :class:`FrequencySelectiveChannel` or any object with ``apply`` and
-        ``frequency_response`` methods and ``n_rx``/``n_tx`` attributes.
+        :class:`FrequencySelectiveChannel` or any object with an ``apply``
+        method and ``n_rx``/``n_tx`` attributes.
     snr_db:
         SNR of the added AWGN; ``None`` disables noise.
     cfo_normalized:
@@ -165,19 +162,9 @@ class MimoChannel:
         """Number of transmit antennas."""
         return self.fading.n_tx
 
-    def transmit(
-        self, tx_samples: np.ndarray, fft_size: Optional[int] = None
-    ) -> ChannelOutput:
-        """Push a transmit burst through fading, impairments and noise.
-
-        Parameters
-        ----------
-        tx_samples:
-            Transmit samples per antenna, shape ``(n_tx, n_samples)``.
-        fft_size:
-            When given, the ground-truth per-subcarrier frequency response is
-            attached to the output for estimator-accuracy experiments.
-        """
+    def transmit(self, tx_samples: np.ndarray) -> ChannelOutput:
+        """Push a transmit burst, ``(n_tx, n_samples)``, through fading,
+        impairments and noise."""
         x = np.asarray(tx_samples, dtype=np.complex128)
         if x.ndim != 2 or x.shape[0] != self.n_tx:
             raise ConfigurationError(
@@ -190,8 +177,7 @@ class MimoChannel:
         if self.sample_delay:
             # The receiver keeps listening while the burst arrives late:
             # the observation window grows by the delay and every
-            # transmitted sample survives the shift.  (The length-preserving
-            # apply_sample_delay alone would truncate the burst tail.)
+            # transmitted sample survives the shift.
             pad = np.zeros(y.shape[:-1] + (self.sample_delay,), dtype=np.complex128)
             y = np.concatenate([pad, y], axis=-1)
         if self.cfo_normalized:
@@ -201,16 +187,7 @@ class MimoChannel:
             y = y + awgn_noise(y.shape, noise_variance, self.rng)
         if self.iq_amplitude_db or self.iq_phase_deg:
             y = apply_iq_imbalance(y, self.iq_amplitude_db, self.iq_phase_deg)
-
-        response = None
-        if fft_size is not None:
-            response = self.fading.frequency_response(fft_size)
-        return ChannelOutput(
-            samples=y,
-            snr_db=self.snr_db,
-            noise_variance=noise_variance,
-            true_frequency_response=response,
-        )
+        return ChannelOutput(samples=y, snr_db=self.snr_db, noise_variance=noise_variance)
 
     def _noise_variance_for(self, y: np.ndarray) -> Optional[float]:
         """Noise variance delivering ``snr_db`` over the occupied samples.

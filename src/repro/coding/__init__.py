@@ -7,7 +7,7 @@ from repro.coding.convolutional import (
     ConvolutionalEncoder,
     PUNCTURE_PATTERNS,
 )
-from repro.coding.interleaver import BlockDeinterleaver, BlockInterleaver, interleave, deinterleave
+from repro.coding.interleaver import interleave, deinterleave
 from repro.coding.scrambler import Scrambler, pilot_polarity_sequence
 from repro.coding.viterbi import ViterbiDecoder
 
@@ -16,8 +16,6 @@ __all__ = [
     "ConvolutionalCode",
     "ConvolutionalEncoder",
     "PUNCTURE_PATTERNS",
-    "BlockInterleaver",
-    "BlockDeinterleaver",
     "interleave",
     "deinterleave",
     "Scrambler",

@@ -7,15 +7,17 @@ industry-standard code: constraint length 7, generator polynomials 133/171
 (octal), mother rate 1/2, optionally punctured to 2/3 or 3/4.
 
 :class:`ConvolutionalCode` captures the code definition (polynomials and
-puncture pattern); :class:`ConvolutionalEncoder` is the streaming encoder.
-The matching decoder lives in :mod:`repro.coding.viterbi`.
+puncture pattern) and the coded length of a block;
+:class:`ConvolutionalEncoder` encodes one terminated block per call, as
+the hardware does once per OFDM burst.  The matching decoder lives in
+:mod:`repro.coding.viterbi`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -76,22 +78,22 @@ class ConvolutionalCode:
 
     def __post_init__(self) -> None:
         if self.constraint_length < 2:
-            raise ValueError("constraint_length must be at least 2")
+            raise ConfigurationError("constraint_length must be at least 2")
         if len(self.generators) < 2:
-            raise ValueError("at least two generator polynomials are required")
+            raise ConfigurationError("at least two generator polynomials are required")
         limit = 1 << self.constraint_length
         for g in self.generators:
             if not 0 < g < limit:
-                raise ValueError(
+                raise ConfigurationError(
                     f"generator {oct(g)} does not fit constraint length {self.constraint_length}"
                 )
         pattern = np.asarray(self.puncture_pattern, dtype=np.uint8)
         if pattern.ndim != 2 or pattern.shape[0] != len(self.generators):
-            raise ValueError(
+            raise ConfigurationError(
                 "puncture pattern must have one row per generator polynomial"
             )
         if pattern.size and not np.any(pattern):
-            raise ValueError("puncture pattern deletes every coded bit")
+            raise ConfigurationError("puncture pattern deletes every coded bit")
         object.__setattr__(self, "puncture_pattern", pattern)
 
     # ------------------------------------------------------------------
@@ -130,6 +132,13 @@ class ConvolutionalCode:
         kept = int(self.puncture_pattern.sum())
         return self.puncture_period / kept
 
+    def coded_length(self, n_info_bits: int) -> int:
+        """Coded bits of one terminated block of ``n_info_bits`` information bits."""
+        total_in = n_info_bits + self.memory
+        per_period = int(self.puncture_pattern.sum())
+        full, rem = divmod(total_in, self.puncture_period)
+        return full * per_period + int(self.puncture_pattern[:, :rem].sum())
+
     def output_bits(self, state: int, input_bit: int) -> Tuple[int, ...]:
         """Mother-code output bits for ``input_bit`` entering ``state``.
 
@@ -167,76 +176,31 @@ class ConvolutionalCode:
 
 
 class ConvolutionalEncoder:
-    """Streaming convolutional encoder with optional puncturing and tailing.
+    """Convolutional encoder with puncturing and tailing.
 
-    The hardware encoder is a shift register plus XOR trees; this model keeps
-    the same state semantics so the Viterbi decoder and the encoder agree on
-    the trellis.  :meth:`encode_bit` steps the register one bit at a time;
-    :meth:`encode` computes a whole block as one GF(2) convolution per
-    generator and leaves the register and puncture phase exactly where the
-    bit-serial walk would.
+    The hardware encoder is a shift register plus XOR trees, reset for
+    every OFDM burst; :meth:`encode` computes one such block as one GF(2)
+    convolution per generator, on the same trellis the Viterbi decoder
+    walks.
     """
 
     def __init__(self, code: Optional[ConvolutionalCode] = None) -> None:
         self.code = code if code is not None else ConvolutionalCode.ieee80211a()
-        self._state = 0
-        self._puncture_phase = 0
 
-    @property
-    def state(self) -> int:
-        """Current shift-register state."""
-        return self._state
+    def encode(self, bits: Sequence[int] | np.ndarray) -> BitArray:
+        """Encode one independent block of information bits.
 
-    def reset(self) -> None:
-        """Return the shift register and puncture phase to the all-zero state."""
-        self._state = 0
-        self._puncture_phase = 0
-
-    def encode_bit(self, bit: int) -> List[int]:
-        """Encode one input bit, returning the surviving (punctured) coded bits."""
-        if bit not in (0, 1):
-            raise ValueError("input bit must be 0 or 1")
-        outputs = self.code.output_bits(self._state, bit)
-        self._state = self.code.next_state(self._state, bit)
-        column = self._puncture_phase % self.code.puncture_period
-        kept = [
-            int(out)
-            for row, out in enumerate(outputs)
-            if self.code.puncture_pattern[row, column]
-        ]
-        self._puncture_phase = (self._puncture_phase + 1) % self.code.puncture_period
-        return kept
-
-    def encode(
-        self,
-        bits: Sequence[int] | np.ndarray,
-        terminate: bool = True,
-        reset: bool = True,
-    ) -> BitArray:
-        """Encode a bit array.
-
-        Parameters
-        ----------
-        bits:
-            Information bits.
-        terminate:
-            Append ``constraint_length - 1`` zero tail bits so the decoder
-            trellis ends in the all-zero state (what the 802.11a tail bits
-            do).
-        reset:
-            Reset the encoder state before encoding (default) so each call is
-            an independent code block, matching the per-OFDM-burst operation
-            of the hardware.
+        The shift register starts all-zero and the puncture pattern at its
+        first column; ``constraint_length - 1`` zero tail bits end the
+        block, so the decoder trellis ends in the all-zero state (what the
+        802.11a tail bits do).  The result has
+        :meth:`ConvolutionalCode.coded_length` bits.
         """
         data = _as_bit_array(bits)
-        if reset:
-            self.reset()
         memory = self.code.memory
-        # The shift register's contents (oldest bit first) then the input.
-        history = (self._state >> np.arange(memory)) & 1
-        stream = np.concatenate(
-            [history, data, np.zeros(memory if terminate else 0, dtype=np.int64)]
-        )
+        tail = np.zeros(memory, dtype=np.int64)
+        # The all-zero register (oldest bit first), the input, the tail.
+        stream = np.concatenate([tail, data, tail])
         n_steps = stream.size - memory
         # Output g at step t is the GF(2) convolution of the input with g's
         # taps, tap i weighting the bit entered i steps earlier.
@@ -248,21 +212,6 @@ class ConvolutionalEncoder:
             ],
             axis=1,
         )
-        period = self.code.puncture_period
-        columns = (self._puncture_phase + np.arange(n_steps)) % period
+        columns = np.arange(n_steps) % self.code.puncture_period
         kept = self.code.puncture_pattern[:, columns].T.astype(bool)
-        self._state = int(np.dot(stream[n_steps:], 1 << np.arange(memory)))
-        self._puncture_phase = (self._puncture_phase + n_steps) % period
         return mother[kept].astype(np.uint8)
-
-    def coded_length(self, n_info_bits: int, terminate: bool = True) -> int:
-        """Number of coded bits produced for ``n_info_bits`` information bits."""
-        total_in = n_info_bits + (self.code.memory if terminate else 0)
-        pattern = self.code.puncture_pattern
-        period = self.code.puncture_period
-        per_period = int(pattern.sum())
-        full, rem = divmod(total_in, period)
-        count = full * per_period
-        if rem:
-            count += int(pattern[:, :rem].sum())
-        return count

@@ -16,62 +16,44 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.utils.bits import BitArray, _as_bit_array
+from repro.exceptions import ConfigurationError
 from repro.types import FloatArray
+from repro.utils.bits import BitArray, _as_bit_array
 
 
 class Scrambler:
     """Self-synchronising 802.11a frame scrambler (x^7 + x^4 + 1).
 
     Scrambling and descrambling are the same XOR operation, so a single
-    ``process`` method serves both directions.
+    ``process`` method serves both directions.  Every call starts the
+    LFSR from ``seed``: one burst is one scrambled block.
     """
 
     def __init__(self, seed: int = 0b1011101) -> None:
         if not 0 < seed < 128:
-            raise ValueError("seed must be a non-zero 7-bit value")
+            raise ConfigurationError("seed must be a non-zero 7-bit value")
         self.seed = seed
-        self._state = seed
-
-    def reset(self, seed: int | None = None) -> None:
-        """Reset the LFSR, optionally with a new seed."""
-        if seed is not None:
-            if not 0 < seed < 128:
-                raise ValueError("seed must be a non-zero 7-bit value")
-            self.seed = seed
-        self._state = self.seed
-
-    def next_bit(self) -> int:
-        """Advance the LFSR one step and return the generated scrambler bit."""
-        x7 = (self._state >> 6) & 1
-        x4 = (self._state >> 3) & 1
-        feedback = x7 ^ x4
-        self._state = ((self._state << 1) & 0x7F) | feedback
-        return feedback
 
     def sequence(self, length: int) -> BitArray:
-        """Generate ``length`` scrambler bits without consuming input data.
+        """The first ``length`` scrambler bits the LFSR generates from ``seed``.
 
         The LFSR visits all 127 non-zero states in one cycle, so the bits
-        are read off the cached cycle starting at the current state.
+        are read off the cached cycle starting at the seed.
         """
-        bits, states, position = _lfsr_cycle()
-        start = position[self._state]
-        self._state = int(states[(start + length) % _PERIOD])
+        bits, position = _lfsr_cycle()
+        start = position[self.seed]
         return np.take(bits, np.arange(start, start + length), mode="wrap")
 
-    def process(self, bits: np.ndarray, reset: bool = True) -> BitArray:
+    def process(self, bits: np.ndarray) -> BitArray:
         """Scramble (or descramble) a bit stream.
 
         A 2-D ``(n_blocks, n_bits)`` stack scrambles every row with the same
-        keystream, as if each row started from the same LFSR state.
+        keystream, as if each row started from the seed.
         """
         data = np.asarray(bits, dtype=np.uint8)
         flat = _as_bit_array(data)
         if data.ndim != 2:
             data = flat
-        if reset:
-            self.reset()
         return data ^ self.sequence(data.shape[-1])
 
 
@@ -80,24 +62,23 @@ _PERIOD = 127
 
 
 @functools.lru_cache(maxsize=None)
-def _lfsr_cycle() -> Tuple[BitArray, np.ndarray, np.ndarray]:
-    """One full LFSR cycle: ``(bits, states, position)``.
+def _lfsr_cycle() -> Tuple[BitArray, np.ndarray]:
+    """One full LFSR cycle: ``(bits, position)``.
 
-    ``states[k]`` is the register after ``k`` steps from state 1,
-    ``bits[k]`` the bit produced by the step leaving ``states[k]``, and
-    ``position[s]`` the index of state ``s`` in the cycle.
+    Stepping the register from state 1, ``bits[k]`` is the feedback bit
+    the ``k``-th step shifts in, and ``position[s]`` the step at which the
+    register holds state ``s``.
     """
-    lfsr = Scrambler(seed=1)
     bits = np.zeros(_PERIOD, dtype=np.uint8)
-    states = np.zeros(_PERIOD, dtype=np.int64)
-    for k in range(_PERIOD):
-        states[k] = lfsr._state
-        bits[k] = lfsr.next_bit()
     position = np.zeros(128, dtype=np.int64)
-    position[states] = np.arange(_PERIOD)
-    for table in (bits, states, position):
+    state = 1
+    for k in range(_PERIOD):
+        position[state] = k
+        bits[k] = ((state >> 6) ^ (state >> 3)) & 1
+        state = ((state << 1) & 0x7F) | int(bits[k])
+    for table in (bits, position):
         table.setflags(write=False)  # shared by every caller
-    return bits, states, position
+    return bits, position
 
 
 def pilot_polarity_sequence(length: int = 127) -> FloatArray:
@@ -107,7 +88,7 @@ def pilot_polarity_sequence(length: int = 127) -> FloatArray:
     0 -> +1 and 1 -> -1, repeating with period 127 for longer bursts.
     """
     if length <= 0:
-        raise ValueError("length must be positive")
+        raise ConfigurationError("length must be positive")
     scrambler = Scrambler(seed=0b1111111)
     base = scrambler.sequence(127)
     polarity = 1.0 - 2.0 * base.astype(np.float64)

@@ -71,7 +71,7 @@ class ViterbiDecoder:
         decision: str = "hard",
     ) -> None:
         if decision not in ("hard", "soft"):
-            raise ValueError("decision must be 'hard' or 'soft'")
+            raise ConfigurationError("decision must be 'hard' or 'soft'")
         self.code = code if code is not None else ConvolutionalCode.ieee80211a()
         self.decision = decision
         n = self.code.n_outputs
@@ -169,13 +169,13 @@ class ViterbiDecoder:
     # ------------------------------------------------------------------
     # decoding
     # ------------------------------------------------------------------
-    def decode(
-        self,
-        received: Sequence[float] | np.ndarray,
-        n_info_bits: Optional[int] = None,
-        terminated: bool = True,
-    ) -> BitArray:
+    def decode(self, received: Sequence[float] | np.ndarray, n_info_bits: int) -> BitArray:
         """Decode one received block, or a stack of blocks, back to information bits.
+
+        Every block is one terminated code block, as
+        :meth:`~repro.coding.convolutional.ConvolutionalEncoder.encode`
+        emits it: the trellis starts and ends in the all-zero state, and
+        the tail steps are stripped from the output.
 
         Parameters
         ----------
@@ -184,13 +184,7 @@ class ViterbiDecoder:
             one block ``(n_coded,)`` or a stack ``(n_blocks, n_coded)`` of
             equally long blocks decoded in one trellis pass.
         n_info_bits:
-            Number of information bits to return per block.  Required when
-            puncturing makes the count ambiguous; when omitted it is inferred
-            assuming an unpunctured, terminated block.
-        terminated:
-            Whether the encoder appended tail bits forcing the final state to
-            zero; when True the decoder both exploits that and strips the
-            tail from its output.
+            Number of information bits to return per block.
 
         Returns
         -------
@@ -203,8 +197,8 @@ class ViterbiDecoder:
             If ``received`` has more than two dimensions or holds a NaN or
             infinite value.
         ConfigurationError
-            If a row's length does not match the block ``n_info_bits``
-            asks for.
+            If ``n_info_bits`` is negative, or a row's length does not match
+            the block ``n_info_bits`` asks for.
         """
         values = np.asarray(received, dtype=np.float64)
         if values.ndim > 2:
@@ -213,42 +207,23 @@ class ViterbiDecoder:
             )
         if not np.isfinite(values).all():
             raise DecodingError("received values must be finite")
+        if n_info_bits < 0:
+            raise ConfigurationError("n_info_bits must be non-negative")
         stacked = values.ndim == 2
         if not stacked:
             values = values.reshape(1, -1)
-        tail = self.code.memory if terminated else 0
-        if n_info_bits is None:
-            pattern_sum = int(self.code.puncture_pattern.sum())
-            period = self.code.puncture_period
-            if values.shape[1] * period % pattern_sum != 0:
-                raise ValueError(
-                    "cannot infer block length; pass n_info_bits explicitly"
-                )
-            n_info_bits = values.shape[1] * period // pattern_sum - tail
-        if n_info_bits < 0:
-            raise ValueError("n_info_bits must be non-negative")
-        n_steps = n_info_bits + tail
-        if n_steps == 0:
-            empty = np.zeros((values.shape[0], 0), dtype=np.uint8)
-            return empty if stacked else empty[0]
-
-        observations, mask = self.depuncture(values, n_steps)
-        metrics, choices = self._acs(self._label_metrics(observations, mask))
-        if terminated:
-            end_states = [0] * values.shape[0]
-        else:
-            end_states = np.argmin(metrics, axis=0).tolist()
-        decoded = self._traceback(choices, end_states)[:, :n_info_bits]
+        observations, mask = self.depuncture(values, n_info_bits + self.code.memory)
+        choices = self._acs(self._label_metrics(observations, mask))
+        decoded = self._traceback(choices)[:, :n_info_bits]
         return decoded if stacked else decoded[0]
 
     # ------------------------------------------------------------------
     # add-compare-select and traceback
     # ------------------------------------------------------------------
-    def _acs(self, label_metrics: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    def _acs(self, label_metrics: np.ndarray) -> np.ndarray:
         """Butterfly add-compare-select over every block at once.
 
-        Returns the final ``(n_states, n_blocks)`` path metrics and the
-        ``(n_steps, n_states, n_blocks)`` choice bits: ``True`` where the
+        Returns the ``(n_steps, n_states, n_blocks)`` choice bits: ``True`` where the
         survivor into a state came from the odd predecessor ``2j + 1``.
         Candidates are the same ``metric + branch`` sums a per-branch
         decoder forms, and ``c1 < c0`` keeps the even predecessor on a tie.
@@ -273,10 +248,10 @@ class ViterbiDecoder:
                 np.add(predecessors, branch, out=candidate)
                 np.less(odd, even, out=choice)
                 np.minimum(even, odd, out=metrics)
-        return metrics.reshape(n_states, n_blocks), choices.reshape(n_steps, n_states, n_blocks)
+        return choices.reshape(n_steps, n_states, n_blocks)
 
-    def _traceback(self, choices: np.ndarray, end_states: Sequence[int]) -> np.ndarray:
-        """Walk every block's survivor path back from its end state.
+    def _traceback(self, choices: np.ndarray) -> np.ndarray:
+        """Walk every block's survivor path back from the all-zero end state.
 
         The choice bits become per-step predecessor tables, ``table[step,
         state] = ((state & (half - 1)) << 1) | choice``, written over the
@@ -293,7 +268,8 @@ class ViterbiDecoder:
         table |= (low << 1).astype(table.dtype)[:, None]
         offsets = range((n_steps - 1) * n_states, -1, -n_states)
         states = np.empty((n_blocks, n_steps), dtype=np.int64)
-        for block, state in enumerate(end_states):
+        for block in range(n_blocks):
+            state = 0
             path = table[:, :, block].tobytes()
             if table.itemsize > 1:
                 path = memoryview(path).cast(table.dtype.char)

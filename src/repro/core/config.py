@@ -1,9 +1,11 @@
 """Transceiver configuration and OFDM numerology.
 
 The paper's evaluated build is a 4x4 system with 64-point OFDM, 16-QAM and a
-rate-1/2 convolutional code, clocked at 100 MHz; Section V also discusses a
-512-point variant and the abstract's 1 Gbps point uses 64-QAM with a higher
-code rate.  :class:`TransceiverConfig` captures all of those knobs;
+rate-1/2 convolutional code; Section V also discusses a 512-point variant and
+the abstract's 1 Gbps point uses 64-QAM with a higher code rate.
+:class:`TransceiverConfig` captures those knobs.  The burst format is fixed,
+as in the hardware: a 100 MHz clock, a cyclic prefix of a quarter of the FFT
+length and a scrambled payload, so those are constants, not fields.
 :class:`OfdmNumerology` derives the subcarrier allocation (data, pilot,
 guard) from the FFT length, reproducing the 802.11a allocation exactly at 64
 points and scaling it proportionally for other transform lengths.
@@ -12,7 +14,7 @@ points and scaling it proportionally for other transform lengths.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 import numpy as np
@@ -20,6 +22,7 @@ import numpy as np
 from repro.coding.convolutional import CodeRate
 from repro.dsp.fixedpoint import FixedPointFormat
 from repro.exceptions import ConfigurationError
+from repro.hardware.clock import PAPER_CLOCK_HZ
 from repro.modulation.constellations import Modulation
 from repro.types import DetectorName
 
@@ -134,7 +137,8 @@ class TransceiverConfig:
     """Complete configuration of the MIMO-OFDM transceiver.
 
     The defaults are the paper's synthesised configuration (4x4, 16-QAM,
-    64-point OFDM, rate-1/2 coding, 25 % cyclic prefix, 100 MHz clock).
+    64-point OFDM, rate-1/2 coding); every configuration runs the paper's
+    burst format (25 % cyclic prefix, 100 MHz clock, scrambled payload).
     ``gigabit()`` returns the configuration behind the 1 Gbps headline
     (64-QAM, rate 3/4).
 
@@ -160,13 +164,10 @@ class TransceiverConfig:
 
     n_antennas: int = 4
     fft_size: int = 64
-    cyclic_prefix_ratio: float = 0.25
     modulation: Modulation = Modulation.QAM16
     code_rate: CodeRate = CodeRate.RATE_1_2
-    clock_hz: float = 100e6
     soft_decision: bool = False
     use_cordic_channel_inversion: bool = False
-    scramble: bool = True
     correct_cfo: bool = False
     detector: DetectorName = "zf"
     rx_sample_format: Optional[FixedPointFormat] = None
@@ -176,10 +177,6 @@ class TransceiverConfig:
         if self.n_antennas <= 0:
             raise ConfigurationError("n_antennas must be positive")
         OfdmNumerology.for_fft_size(self.fft_size)
-        if not 0 <= self.cyclic_prefix_ratio < 1:
-            raise ConfigurationError("cyclic_prefix_ratio must be in [0, 1)")
-        if self.clock_hz <= 0:
-            raise ConfigurationError("clock_hz must be positive")
         # Normalise enum-ish fields so strings are accepted.
         object.__setattr__(self, "modulation", Modulation.from_any(self.modulation))
         object.__setattr__(self, "code_rate", CodeRate(self.code_rate))
@@ -221,9 +218,14 @@ class TransceiverConfig:
         return OfdmNumerology.for_fft_size(self.fft_size)
 
     @property
+    def clock_hz(self) -> float:
+        """Sample/processing clock: the paper's 100 MHz."""
+        return PAPER_CLOCK_HZ
+
+    @property
     def cyclic_prefix_length(self) -> int:
         """Cyclic-prefix samples per OFDM symbol (25 % of the FFT length)."""
-        return int(self.fft_size * self.cyclic_prefix_ratio)
+        return self.fft_size // 4
 
     @property
     def samples_per_symbol(self) -> int:

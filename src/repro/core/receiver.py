@@ -55,7 +55,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.coding.convolutional import ConvolutionalCode, ConvolutionalEncoder
+from repro.coding.convolutional import ConvolutionalCode
 from repro.coding.interleaver import deinterleave
 from repro.coding.scrambler import Scrambler
 from repro.coding.viterbi import ViterbiDecoder
@@ -145,7 +145,6 @@ class MimoReceiver:
         self.pilots = PilotProcessor(self.numerology)
         self.demapper = SymbolDemapper(self.config.modulation)
         self.code = ConvolutionalCode.ieee80211a(self.config.code_rate)
-        self._encoder = ConvolutionalEncoder(self.code)
         decision = "soft" if self.config.soft_decision else "hard"
         self.viterbi = ViterbiDecoder(self.code, decision=decision)
         self._scrambler = Scrambler()
@@ -273,11 +272,8 @@ class MimoReceiver:
             decoded[start : start + DECODE_SLICE] = self.viterbi.decode(
                 coded[start : start + DECODE_SLICE],
                 n_info_bits=n_info_bits,
-                terminated=True,
             )
-        if self.config.scramble:
-            decoded = self._scrambler.process(decoded, reset=True)
-        return decoded
+        return self._scrambler.process(decoded)
 
     # ------------------------------------------------------------------
     # post-sync datapath: FFT windows -> MIMO detection -> pilot correction
@@ -325,7 +321,7 @@ class MimoReceiver:
         """
         if n_info_bits <= 0:
             raise ConfigurationError("n_info_bits must be positive")
-        coded_length = self._encoder.coded_length(n_info_bits, terminate=True)
+        coded_length = self.code.coded_length(n_info_bits)
         n_symbols = -(-coded_length // self.config.coded_bits_per_symbol)
         layout = self.preamble.layout(self.config.n_antennas)
         return (
@@ -413,7 +409,7 @@ class MimoReceiver:
                 raise ConfigurationError(
                     f"noise variances must be finite and positive, got {variance!r}"
                 )
-        coded_length = self._encoder.coded_length(n_info_bits, terminate=True)
+        coded_length = self.code.coded_length(n_info_bits)
         n_symbols = -(-coded_length // self.config.coded_bits_per_symbol)
 
         bursts: List[Union[_Burst, DecodingError, None]] = [None] * n_items
@@ -474,7 +470,7 @@ class MimoReceiver:
         frequency = demodulated.frequency[[burst.row for _, burst in live]]
         corrected, diag = self.pilots.correct_block(detect(frequency))
         equalized = corrected[..., self._data_bins]
-        coded_length = self._encoder.coded_length(demodulated.n_info_bits, terminate=True)
+        coded_length = self.code.coded_length(demodulated.n_info_bits)
         variances = np.array([burst.noise_variance for _, burst in live])
         coded = self._coded_values(equalized, coded_length, variances)
         for row, (position, burst) in enumerate(live):

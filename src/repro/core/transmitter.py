@@ -1,6 +1,6 @@
 """4x4 MIMO-OFDM transmitter (Fig. 1).
 
-The transmit datapath per spatial stream is: (scramble) -> convolutional
+The transmit datapath per spatial stream is: scramble -> convolutional
 encoder -> block interleaver -> LUT symbol mapper -> pilot insertion -> IFFT
 -> cyclic prefix.  The burst control path prepends the staggered MIMO
 preamble (STS from antenna 0 only, one LTS slot per antenna) before the data
@@ -58,15 +58,11 @@ class MimoTransmitter:
     # ------------------------------------------------------------------
     # sizing helpers
     # ------------------------------------------------------------------
-    def coded_length(self, n_info_bits: int) -> int:
-        """Coded bits produced for ``n_info_bits`` information bits (with tail)."""
-        return self._encoder.coded_length(n_info_bits, terminate=True)
-
     def symbols_for_info_bits(self, n_info_bits: int) -> int:
         """Number of OFDM symbols needed to carry ``n_info_bits`` per stream."""
         if n_info_bits <= 0:
             raise ConfigurationError("n_info_bits must be positive")
-        coded = self.coded_length(n_info_bits)
+        coded = self.code.coded_length(n_info_bits)
         n_cbps = self.config.coded_bits_per_symbol
         return -(-coded // n_cbps)
 
@@ -76,10 +72,10 @@ class MimoTransmitter:
             raise ConfigurationError("n_ofdm_symbols must be positive")
         capacity = n_ofdm_symbols * self.config.coded_bits_per_symbol
         rate = self.config.code_rate.fraction
-        # Invert coded_length: coded = ceil((info + tail)/rate); search down
+        # Invert the coded length: coded = ceil((info + tail)/rate); search down
         # from the continuous estimate to stay within capacity.
         estimate = int(capacity * rate) - self.code.memory
-        while estimate > 0 and self.coded_length(estimate) > capacity:
+        while estimate > 0 and self.code.coded_length(estimate) > capacity:
             estimate -= 1
         if estimate <= 0:
             raise ConfigurationError("burst too short to carry any information bits")
@@ -90,10 +86,7 @@ class MimoTransmitter:
     # ------------------------------------------------------------------
     def _encode_stream(self, bits: np.ndarray) -> tuple[np.ndarray, int]:
         """Scramble + encode one stream; returns (coded bits, n_symbols)."""
-        info = _as_bit_array(bits)
-        if self.config.scramble:
-            info = self._scrambler.process(info, reset=True)
-        coded = self._encoder.encode(info, terminate=True, reset=True)
+        coded = self._encoder.encode(self._scrambler.process(bits))
         return coded, -(-coded.size // self.config.coded_bits_per_symbol)
 
     # ------------------------------------------------------------------

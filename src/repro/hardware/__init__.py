@@ -11,8 +11,7 @@ package provides the substitute substrate:
   calibrated to the paper's figures and scaling claims (Tables 1-4);
 * :mod:`repro.hardware.latency` — cycle-latency models (CORDIC 20 cycles,
   QRD 440 cycles, channel-estimation latency, burst latency);
-* :mod:`repro.hardware.clock` — clocking/throughput model behind the 1 Gbps
-  claim;
+* :mod:`repro.hardware.clock` — the paper's 100 MHz clock domain;
 * :mod:`repro.hardware.memory` — behavioural models of the memory structures
   the architecture relies on (ROM, dual-port RAM, ping-pong buffer, circular
   buffer);
@@ -20,7 +19,7 @@ package provides the substitute substrate:
   framing model.
 """
 
-from repro.hardware.clock import ClockDomain, ThroughputModel
+from repro.hardware.clock import ClockDomain
 from repro.hardware.estimator import (
     FpgaDevice,
     PAPER_CONFIG,
@@ -42,7 +41,6 @@ from repro.hardware.resources import ResourceReport, ResourceUsage
 
 __all__ = [
     "ClockDomain",
-    "ThroughputModel",
     "FpgaDevice",
     "PAPER_CONFIG",
     "ResourceModelConfig",

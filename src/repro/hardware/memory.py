@@ -22,6 +22,8 @@ from typing import Generic, Iterable, List, Optional, Sequence, TypeVar
 
 import numpy as np
 
+from repro.exceptions import ConfigurationError
+
 T = TypeVar("T")
 
 
@@ -166,9 +168,19 @@ class CircularBuffer:
         return self._count
 
     def latest(self, count: int) -> np.ndarray:
-        """The most recent ``count`` samples, oldest first."""
+        """The most recent ``count`` samples, oldest first (none for ``0``).
+
+        Raises :class:`~repro.exceptions.ConfigurationError` on a negative
+        ``count`` or one past the samples held.
+        """
+        if count < 0:
+            raise ConfigurationError(f"count must be non-negative, got {count}")
         if count > self._count:
-            raise ValueError(f"only {self._count} samples available, asked for {count}")
+            raise ConfigurationError(
+                f"only {self._count} samples available, asked for {count}"
+            )
+        if count == 0:
+            return np.zeros(0, dtype=np.complex128)
         end = self._write_index
         start = (end - count) % self.depth
         if start < end:

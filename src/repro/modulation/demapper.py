@@ -23,6 +23,7 @@ import numpy as np
 
 import numpy.typing as npt
 
+from repro.exceptions import ConfigurationError
 from repro.types import BitArray, IntArray
 from repro.modulation.constellations import Constellation, Modulation, get_constellation
 from repro.utils.bits import unpack_bits
@@ -110,7 +111,7 @@ class SymbolDemapper:
         """
         variance = np.asarray(noise_variance, dtype=np.float64)
         if np.any(variance <= 0):
-            raise ValueError("noise_variance must be positive")
+            raise ConfigurationError("noise_variance must be positive")
         if variance.ndim:
             variance = np.broadcast_to(variance, np.shape(symbols)).reshape(-1)
         received = np.asarray(symbols, dtype=np.complex128).ravel()

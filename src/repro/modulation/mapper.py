@@ -13,6 +13,7 @@ import numpy as np
 
 import numpy.typing as npt
 
+from repro.exceptions import ConfigurationError
 from repro.types import ComplexArray
 from repro.modulation.constellations import Constellation, Modulation, get_constellation
 from repro.utils.bits import pack_bits
@@ -48,7 +49,7 @@ class SymbolMapper:
         """Map pre-grouped LUT addresses directly to symbols."""
         idx = np.asarray(addresses, dtype=np.int64)
         if idx.size and (idx.min() < 0 or idx.max() >= self.constellation.size):
-            raise ValueError("address out of range for the constellation LUT")
+            raise ConfigurationError("address out of range for the constellation LUT")
         return self.constellation.points[idx]
 
     def lut_contents(self) -> ComplexArray:

@@ -1,41 +1,51 @@
-"""Serial coding references: bit-by-bit encoder and scrambler, per-branch Viterbi."""
+"""Serial coding references: bit-by-bit encoder and scrambler, per-branch Viterbi.
+
+Each works on one independent block, as the production coding stages do:
+the encoder and the scrambler start from their reset state and the
+decoder's trellis starts and ends in the all-zero state.
+"""
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
-from repro.coding.convolutional import ConvolutionalCode, ConvolutionalEncoder
+from repro.coding.convolutional import ConvolutionalCode
 from repro.coding.scrambler import Scrambler
 
 _METRIC_INF = 1e18
 
 
-def encode_serial(
-    encoder: ConvolutionalEncoder,
-    bits: np.ndarray,
-    terminate: bool = True,
-    reset: bool = True,
-) -> np.ndarray:
-    """Encode one bit at a time through the streaming ``encode_bit``."""
-    if reset:
-        encoder.reset()
+def encode_serial(code: ConvolutionalCode, bits: np.ndarray) -> np.ndarray:
+    """Encode one terminated block one bit at a time through a shift register.
+
+    The register starts all-zero and the puncture phase at the pattern's
+    first column; ``code.memory`` zero tail bits end the block.
+    """
     stream = [int(bit) for bit in np.asarray(bits, dtype=np.uint8).ravel()]
-    if terminate:
-        stream.extend([0] * encoder.code.memory)
+    stream.extend([0] * code.memory)
+    state = 0
     coded: List[int] = []
-    for bit in stream:
-        coded.extend(encoder.encode_bit(bit))
+    for step, bit in enumerate(stream):
+        outputs = code.output_bits(state, bit)
+        state = code.next_state(state, bit)
+        column = step % code.puncture_period
+        coded.extend(
+            out for row, out in enumerate(outputs) if code.puncture_pattern[row, column]
+        )
     return np.array(coded, dtype=np.uint8)
 
 
-def scramble_serial(scrambler: Scrambler, bits: np.ndarray, reset: bool = True) -> np.ndarray:
-    """XOR the data with LFSR bits drawn one ``next_bit`` at a time."""
-    if reset:
-        scrambler.reset()
+def scramble_serial(scrambler: Scrambler, bits: np.ndarray) -> np.ndarray:
+    """XOR the data with x^7 + x^4 + 1 LFSR bits stepped one at a time from the seed."""
     data = np.asarray(bits, dtype=np.uint8).ravel()
-    keystream = np.array([scrambler.next_bit() for _ in range(data.size)], dtype=np.uint8)
+    state = scrambler.seed
+    keystream = np.zeros(data.size, dtype=np.uint8)
+    for k in range(data.size):
+        feedback = ((state >> 6) & 1) ^ ((state >> 3) & 1)
+        state = ((state << 1) & 0x7F) | feedback
+        keystream[k] = feedback
     return data ^ keystream
 
 
@@ -43,24 +53,18 @@ def viterbi_decode_serial(
     code: ConvolutionalCode,
     decision: str,
     received: np.ndarray,
-    n_info_bits: Optional[int] = None,
-    terminated: bool = True,
+    n_info_bits: int,
 ) -> np.ndarray:
-    """Decode one block with the per-branch add-compare-select.
+    """Decode one terminated block with the per-branch add-compare-select.
 
     Every step sorts all ``(state, bit)`` candidates stably and lets the
     first one reaching each next state win, so a tie goes to the smaller
     flat index ``state * 2 + bit``.
     """
     values = np.asarray(received, dtype=np.float64).ravel()
-    tail = code.memory if terminated else 0
     pattern = code.puncture_pattern
     period = code.puncture_period
-    if n_info_bits is None:
-        n_info_bits = values.size * period // int(pattern.sum()) - tail
-    n_steps = n_info_bits + tail
-    if n_steps == 0:
-        return np.zeros(0, dtype=np.uint8)
+    n_steps = n_info_bits + code.memory
 
     # Depuncture by walking the pattern bit by bit.
     n_out = code.n_outputs
@@ -107,7 +111,7 @@ def viterbi_decode_serial(
                 break
         metrics = new_metrics
 
-    state = 0 if terminated else int(np.argmin(metrics))
+    state = 0
     decoded = np.zeros(n_steps, dtype=np.uint8)
     for step in range(n_steps - 1, -1, -1):
         decoded[step] = survivor_bits[step, state]

@@ -19,7 +19,6 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.coding.convolutional import ConvolutionalEncoder
 from repro.coding.interleaver import deinterleave, interleave
 from repro.coding.scrambler import Scrambler
 from repro.core.frame import ReceiveResult, StreamDecodeResult
@@ -98,10 +97,8 @@ def transmit_serial(
 
     coded = []
     for bits in stream_bits:
-        info = np.asarray(bits, dtype=np.uint8)
-        if config.scramble:
-            info = scramble_serial(Scrambler(), info)
-        coded.append(encode_serial(ConvolutionalEncoder(transmitter.code), info))
+        info = scramble_serial(Scrambler(), np.asarray(bits, dtype=np.uint8))
+        coded.append(encode_serial(transmitter.code, info))
     n_symbols = max(-(-bits.size // n_cbps) for bits in coded)
     padded = []
     for bits in coded:
@@ -259,7 +256,7 @@ def receive_serial(
     estimate = estimate_channel_serial(receiver, streams, lts_start)
     n_tx = config.n_antennas
     data_start = lts_start + n_tx * receiver.preamble.layout(n_tx).lts_slot_length
-    coded_length = ConvolutionalEncoder(receiver.code).coded_length(n_info_bits, terminate=True)
+    coded_length = encode_serial(receiver.code, np.zeros(n_info_bits, dtype=np.uint8)).size
     n_symbols = -(-coded_length // config.coded_bits_per_symbol)
     equalized, phases = equalize_burst_serial(
         receiver, streams, estimate, data_start, n_symbols, noise_variance
@@ -280,8 +277,7 @@ def receive_serial(
         decoded = viterbi_decode_serial(
             receiver.code, decision, received[:coded_length], n_info_bits
         )
-        if config.scramble:
-            decoded = scramble_serial(Scrambler(), decoded)
+        decoded = scramble_serial(Scrambler(), decoded)
         results.append(
             StreamDecodeResult(
                 stream=stream, decoded_bits=decoded, equalized_symbols=equalized[stream]

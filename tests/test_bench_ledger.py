@@ -3,8 +3,9 @@
 The comparison pairs runs by workload and seed, counts the pairs the new
 ledger won, and flags a metric whose median moves the wrong way past its
 ``BENCHMARK.json`` bound, or a run that was not correct.  It refuses
-ledgers that are not one paired recording.  Nothing here runs the
-benchmark.
+ledgers that are not one paired recording.  Recording writes the parent
+run next to the change's ledger and overwrites nothing.  Nothing here
+runs the benchmark.
 """
 
 import importlib.util
@@ -141,8 +142,63 @@ def test_compare_exit_code(ledger, tmp_path, capsys):
 
 def test_record_never_overwrites_a_ledger(ledger, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(ledger, "REPO_ROOT", tmp_path)
-    (tmp_path / "BENCH_27.json").write_text("{}")
+    (tmp_path / "BENCH_28.parent.json").write_text("{}")
     assert ledger.main(["--number", "28"]) == 2
-    assert "refusing to overwrite BENCH_27.json" in capsys.readouterr().err
-    assert (tmp_path / "BENCH_27.json").read_text() == "{}"
+    assert "refusing to overwrite BENCH_28.parent.json" in capsys.readouterr().err
+    assert (tmp_path / "BENCH_28.parent.json").read_text() == "{}"
     assert not (tmp_path / "BENCH_28.json").exists()
+
+
+def test_record_keeps_the_previous_change_ledger(ledger, tmp_path, monkeypatch):
+    # The parent run goes to BENCH_<n>.parent.json, so the ledger the
+    # previous change committed as BENCH_<n-1>.json neither blocks the
+    # recording nor is overwritten by it.
+    monkeypatch.setattr(ledger, "REPO_ROOT", tmp_path)
+    previous = tmp_path / "BENCH_28.json"
+    previous.write_text("{}")
+    recorded = {}
+
+    def fake_run(checkout, command, workload, seed, seconds):
+        recorded.setdefault(checkout == tmp_path, []).append((workload, seed))
+        return {"seed": seed, "correct": True, "failed": 0, "metrics": {"points_per_s": 1.0}}
+
+    monkeypatch.setattr(ledger, "run_once", fake_run)
+    monkeypatch.setattr(ledger, "_git", lambda *args, **kwargs: "0" * 40)
+    monkeypatch.setattr(ledger, "_trees", lambda revision, paths: {})
+    monkeypatch.setattr(ledger.tarfile, "open", _EmptyTar)
+    benchmark = tmp_path / "BENCHMARK.json"
+    benchmark.write_text(
+        json.dumps(
+            {
+                "command": ["true"],
+                "paths": ["perfbench"],
+                "run_seconds": 16,
+                "workloads": [{"name": "sweep_wide"}],
+                "end_to_end": END_TO_END,
+            }
+        )
+    )
+    assert ledger.main(["--number", "29", "--benchmark", str(benchmark)]) == 0
+    assert previous.read_text() == "{}"
+    assert sorted(recorded) == [False, True]  # both checkouts ran
+    parent = json.loads((tmp_path / "BENCH_29.parent.json").read_text())
+    change = json.loads((tmp_path / "BENCH_29.json").read_text())
+    assert len(parent["workloads"]["sweep_wide"]["runs"]) == ledger.PAIRS
+    assert len(change["workloads"]["sweep_wide"]["runs"]) == ledger.PAIRS
+    assert ledger.unpaired(parent, change) == []
+
+
+class _EmptyTar:
+    """Stands in for the parent's ``git archive``: extracts nothing."""
+
+    def __init__(self, *args, **kwargs):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def extractall(self, path):
+        pass

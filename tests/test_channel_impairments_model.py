@@ -7,7 +7,6 @@ from repro.channel.fading import FlatRayleighChannel
 from repro.channel.impairments import (
     apply_carrier_frequency_offset,
     apply_iq_imbalance,
-    apply_sample_delay,
 )
 from repro.channel.model import ChannelOutput, IdealChannel, MimoChannel
 from repro.dsp.fixedpoint import SAMPLE_FORMAT_16BIT, FixedPointFormat
@@ -34,39 +33,6 @@ class TestCarrierFrequencyOffset:
         whole = apply_carrier_frequency_offset(x, 0.1)
         second_half = apply_carrier_frequency_offset(x[4:], 0.1, start_index=4)
         np.testing.assert_allclose(whole[4:], second_half)
-
-
-class TestSampleDelay:
-    def test_prepends_zeros(self):
-        x = np.arange(1, 6, dtype=complex)
-        delayed = apply_sample_delay(x, 3)
-        np.testing.assert_allclose(delayed[:3], 0)
-        np.testing.assert_allclose(delayed[3:], x[:2])
-
-    def test_zero_delay(self):
-        x = np.arange(5, dtype=complex)
-        np.testing.assert_allclose(apply_sample_delay(x, 0), x)
-
-    def test_negative_delay_rejected(self):
-        with pytest.raises(ValueError):
-            apply_sample_delay(np.ones(4, dtype=complex), -1)
-
-    @pytest.mark.parametrize("delay", [0, 1, 5, 10, 17])
-    def test_length_preserved(self, delay):
-        # Regression: the delay used to grow the stream by `delay` samples,
-        # breaking the docstring's length-preservation promise.
-        x = np.arange(1, 11, dtype=complex)
-        delayed = apply_sample_delay(x, delay)
-        assert delayed.shape == x.shape
-        np.testing.assert_allclose(delayed[:min(delay, x.size)], 0)
-        np.testing.assert_allclose(delayed[delay:], x[: max(x.size - delay, 0)])
-
-    def test_multi_antenna(self):
-        x = np.ones((4, 10), dtype=complex)
-        delayed = apply_sample_delay(x, 5)
-        assert delayed.shape == (4, 10)
-        np.testing.assert_allclose(delayed[:, :5], 0)
-        np.testing.assert_allclose(delayed[:, 5:], 1)
 
 
 class TestIqImbalance:
@@ -174,13 +140,6 @@ class TestMimoChannel:
         x = np.random.default_rng(9).normal(size=(4, 128)) * 0.1 + 0j
         output = channel.transmit(x)
         assert np.max(np.abs(output.samples - x)) <= SAMPLE_FORMAT_16BIT.resolution
-
-    def test_frequency_response_attached_when_requested(self):
-        fading = FlatRayleighChannel(rng=4)
-        channel = MimoChannel(fading)
-        output = channel.transmit(np.ones((4, 10), dtype=complex), fft_size=64)
-        assert output.true_frequency_response.shape == (64, 4, 4)
-        np.testing.assert_allclose(output.true_frequency_response[0], fading.matrix)
 
     def test_shape_validation(self):
         channel = MimoChannel()

@@ -9,6 +9,7 @@ from repro.coding.convolutional import (
     ConvolutionalEncoder,
     PUNCTURE_PATTERNS,
 )
+from repro.exceptions import ConfigurationError
 from repro.utils.bits import random_bits
 
 
@@ -39,19 +40,19 @@ class TestCodeDefinition:
         assert code.puncture_period / code.puncture_pattern.sum() == pytest.approx(0.75)
 
     def test_invalid_constraint_length(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             ConvolutionalCode(constraint_length=1, generators=(0o3, 0o1))
 
     def test_generator_must_fit_constraint_length(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             ConvolutionalCode(constraint_length=3, generators=(0o7, 0o17))
 
     def test_puncture_pattern_shape_checked(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             ConvolutionalCode(puncture_pattern=np.array([[1, 1]]))
 
     def test_all_zero_puncture_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             ConvolutionalCode(puncture_pattern=np.zeros((2, 2), dtype=np.uint8))
 
     def test_trellis_tables_shapes(self):
@@ -71,10 +72,9 @@ class TestCodeDefinition:
 
 class TestEncoder:
     def test_known_impulse_response(self):
-        # A single 1 followed by zeros produces the generator polynomials'
-        # coefficients on the two outputs.
-        encoder = ConvolutionalEncoder()
-        coded = encoder.encode([1, 0, 0, 0, 0, 0, 0], terminate=False)
+        # A single 1 (followed by the six zero tail bits) produces the
+        # generator polynomials' coefficients on the two outputs.
+        coded = ConvolutionalEncoder().encode([1])
         output_a = coded[0::2]
         output_b = coded[1::2]
         # g0 = 133 octal = 1011011, g1 = 171 octal = 1111001 (MSB = current bit).
@@ -83,32 +83,38 @@ class TestEncoder:
 
     def test_rate_half_output_length(self):
         encoder = ConvolutionalEncoder()
-        coded = encoder.encode(random_bits(100, np.random.default_rng(0)), terminate=False)
-        assert coded.size == 200
+        coded = encoder.encode(random_bits(100, np.random.default_rng(0)))
+        assert coded.size == 2 * (100 + 6)
 
-    def test_termination_appends_tail(self):
+    def test_termination_appends_six_zero_tail_bits(self):
+        # The tail is six zeros shifted in after the data: a block that
+        # already ends in them starts with exactly the shorter block.
         encoder = ConvolutionalEncoder()
-        coded = encoder.encode(random_bits(10, np.random.default_rng(1)), terminate=True)
+        bits = random_bits(10, np.random.default_rng(1))
+        coded = encoder.encode(bits)
         assert coded.size == 2 * (10 + 6)
-        assert encoder.state == 0
+        padded = encoder.encode(np.concatenate([bits, np.zeros(6, dtype=np.uint8)]))
+        np.testing.assert_array_equal(padded[: coded.size], coded)
+        assert not padded[coded.size :].any()
 
     def test_punctured_lengths(self):
         for rate, expected in [
-            (CodeRate.RATE_1_2, 240),
-            (CodeRate.RATE_2_3, 180),
-            (CodeRate.RATE_3_4, 160),
+            (CodeRate.RATE_1_2, 252),
+            (CodeRate.RATE_2_3, 189),
+            (CodeRate.RATE_3_4, 168),
         ]:
             encoder = ConvolutionalEncoder(ConvolutionalCode.ieee80211a(rate))
-            coded = encoder.encode(random_bits(120, np.random.default_rng(2)), terminate=False)
+            coded = encoder.encode(random_bits(120, np.random.default_rng(2)))
             assert coded.size == expected
 
-    def test_coded_length_helper_matches_actual(self):
+    def test_coded_length_matches_actual(self):
         rng = np.random.default_rng(3)
         for rate in CodeRate:
-            encoder = ConvolutionalEncoder(ConvolutionalCode.ieee80211a(rate))
-            for n in (1, 7, 53, 100):
-                coded = encoder.encode(random_bits(n, rng), terminate=True)
-                assert coded.size == encoder.coded_length(n, terminate=True)
+            code = ConvolutionalCode.ieee80211a(rate)
+            encoder = ConvolutionalEncoder(code)
+            for n in (0, 1, 7, 53, 100):
+                coded = encoder.encode(random_bits(n, rng))
+                assert coded.size == code.coded_length(n)
 
     def test_linearity_of_code(self):
         # Convolutional codes are linear: enc(a xor b) == enc(a) xor enc(b).
@@ -116,27 +122,14 @@ class TestEncoder:
         encoder = ConvolutionalEncoder()
         a = random_bits(64, rng)
         b = random_bits(64, rng)
-        coded_a = encoder.encode(a, terminate=False)
-        coded_b = encoder.encode(b, terminate=False)
-        coded_xor = encoder.encode(a ^ b, terminate=False)
+        coded_a = encoder.encode(a)
+        coded_b = encoder.encode(b)
+        coded_xor = encoder.encode(a ^ b)
         np.testing.assert_array_equal(coded_xor, coded_a ^ coded_b)
 
-    def test_encode_bit_rejects_non_binary(self):
-        encoder = ConvolutionalEncoder()
-        with pytest.raises(ValueError):
-            encoder.encode_bit(2)
-
-    def test_reset_between_blocks(self):
-        encoder = ConvolutionalEncoder()
+    def test_every_call_is_an_independent_block(self):
+        encoder = ConvolutionalEncoder(ConvolutionalCode.ieee80211a(CodeRate.RATE_3_4))
         bits = random_bits(32, np.random.default_rng(5))
-        first = encoder.encode(bits, terminate=False, reset=True)
-        second = encoder.encode(bits, terminate=False, reset=True)
-        np.testing.assert_array_equal(first, second)
-
-    def test_no_reset_continues_state(self):
-        encoder = ConvolutionalEncoder()
-        bits = np.array([1, 1, 0, 1], dtype=np.uint8)
-        encoder.encode(bits, terminate=False, reset=True)
-        continued = encoder.encode(bits, terminate=False, reset=False)
-        fresh = ConvolutionalEncoder().encode(bits, terminate=False)
-        assert not np.array_equal(continued, fresh)
+        first = encoder.encode(bits)
+        encoder.encode(np.array([1, 1, 0, 1], dtype=np.uint8))
+        np.testing.assert_array_equal(encoder.encode(bits), first)

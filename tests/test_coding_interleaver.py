@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from repro.coding.interleaver import (
-    BlockDeinterleaver,
-    BlockInterleaver,
     deinterleave,
     deinterleaver_permutation,
     interleave,
@@ -85,49 +83,3 @@ class TestBatchInterleaving:
         out = interleave(bits, 96, 2)
         assert sorted(out.tolist()) == sorted(bits.tolist())
         assert not np.array_equal(out, bits)
-
-
-class TestStreamingInterleaver:
-    def test_streaming_matches_batch(self):
-        rng = np.random.default_rng(3)
-        bits = random_bits(192 * 2, rng)
-        interleaver = BlockInterleaver(192, 4)
-        blocks = interleaver.push_block(bits)
-        assert len(blocks) == 2
-        batch = interleave(bits, 192, 4).reshape(2, 192)
-        np.testing.assert_array_equal(np.vstack(blocks), batch)
-
-    def test_no_output_until_block_full(self):
-        interleaver = BlockInterleaver(48, 1)
-        for _ in range(47):
-            assert interleaver.push(1) is None
-        assert interleaver.push(0) is not None
-        assert interleaver.blocks_processed == 1
-
-    def test_fill_level_and_reset(self):
-        interleaver = BlockInterleaver(48, 1)
-        interleaver.push_block(np.ones(30, dtype=np.uint8))
-        assert interleaver.fill_level == 30
-        interleaver.reset()
-        assert interleaver.fill_level == 0
-
-    def test_rejects_non_binary_input(self):
-        with pytest.raises(ValueError):
-            BlockInterleaver(48, 1).push(3)
-
-    def test_streaming_deinterleaver_roundtrip(self):
-        rng = np.random.default_rng(4)
-        bits = random_bits(192, rng)
-        interleaved = interleave(bits, 192, 4)
-        deinterleaver = BlockDeinterleaver(192, 4)
-        blocks = deinterleaver.push_block(interleaved.astype(np.float64))
-        assert len(blocks) == 1
-        np.testing.assert_array_equal(blocks[0].astype(np.uint8), bits)
-
-    def test_deinterleaver_handles_soft_values(self):
-        rng = np.random.default_rng(5)
-        llrs = rng.normal(size=192)
-        interleaved = interleave(llrs, 192, 4)
-        deinterleaver = BlockDeinterleaver(192, 4)
-        blocks = deinterleaver.push_block(interleaved)
-        np.testing.assert_allclose(blocks[0], llrs)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.coding.scrambler import Scrambler, pilot_polarity_sequence
+from repro.exceptions import ConfigurationError
 from repro.utils.bits import random_bits
 
 
@@ -38,12 +39,17 @@ class TestScrambler:
         assert not np.array_equal(a, b)
 
     def test_invalid_seed_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             Scrambler(seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             Scrambler(seed=200)
-        with pytest.raises(ValueError):
-            Scrambler().reset(seed=0)
+
+    def test_every_call_starts_from_the_seed(self):
+        bits = random_bits(300, np.random.default_rng(1))
+        scrambler = Scrambler()
+        first = scrambler.process(bits)
+        np.testing.assert_array_equal(scrambler.process(bits), first)
+        np.testing.assert_array_equal(scrambler.sequence(40), scrambler.sequence(40))
 
     def test_known_80211a_prefix(self):
         # With the all-ones seed the 802.11a scrambler starts 0000111011110010...
@@ -67,5 +73,5 @@ class TestPilotPolarity:
         np.testing.assert_array_equal(long_sequence[:127], long_sequence[127:254])
 
     def test_invalid_length(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             pilot_polarity_sequence(0)

@@ -5,13 +5,13 @@ import pytest
 
 from repro.coding.convolutional import CodeRate, ConvolutionalCode, ConvolutionalEncoder
 from repro.coding.viterbi import ViterbiDecoder
-from repro.exceptions import DecodingError, ReproError
+from repro.exceptions import ConfigurationError, DecodingError, ReproError
 from repro.utils.bits import count_bit_errors, random_bits
 
 
 def _encode(bits, rate=CodeRate.RATE_1_2):
     encoder = ConvolutionalEncoder(ConvolutionalCode.ieee80211a(rate))
-    return encoder.encode(bits, terminate=True)
+    return encoder.encode(bits)
 
 
 class TestHardDecisionDecoding:
@@ -50,21 +50,16 @@ class TestHardDecisionDecoding:
         decoded = ViterbiDecoder().decode(corrupted, n_info_bits=100)
         assert count_bit_errors(decoded, bits) > 0
 
-    def test_length_inference_for_unpunctured(self):
-        rng = np.random.default_rng(3)
-        bits = random_bits(64, rng)
-        decoded = ViterbiDecoder().decode(_encode(bits))
-        np.testing.assert_array_equal(decoded, bits)
-
-    def test_unterminated_block(self):
-        rng = np.random.default_rng(4)
-        bits = random_bits(80, rng)
-        encoder = ConvolutionalEncoder()
-        coded = encoder.encode(bits, terminate=False)
-        decoded = ViterbiDecoder().decode(coded, n_info_bits=80, terminated=False)
-        # The tail of an unterminated block is weakly protected; allow a few
-        # errors at the very end but require the bulk to be correct.
-        np.testing.assert_array_equal(decoded[:70], bits[:70])
+    def test_block_length_comes_from_n_info_bits(self):
+        # No length is inferred: a block read as one bit shorter or longer
+        # than it was encoded does not match its coded length.
+        coded = _encode(random_bits(64, np.random.default_rng(3)))
+        decoder = ViterbiDecoder()
+        for wrong in (63, 65):
+            with pytest.raises(ConfigurationError):
+                decoder.decode(coded, n_info_bits=wrong)
+        with pytest.raises(ConfigurationError):
+            decoder.decode(coded, n_info_bits=-1)
 
     def test_empty_block(self):
         decoded = ViterbiDecoder().decode(np.zeros(12), n_info_bits=0)
@@ -98,7 +93,7 @@ class TestPuncturedDecoding:
         decoder = ViterbiDecoder(code)
         encoder = ConvolutionalEncoder(code)
         bits = random_bits(30, np.random.default_rng(7))
-        coded = encoder.encode(bits, terminate=True)
+        coded = encoder.encode(bits)
         full, mask = decoder.depuncture(coded, n_input_bits=36)
         assert full.shape == (36, 2)
         assert mask.shape == (36, 2)
@@ -136,7 +131,7 @@ class TestSoftDecisionDecoding:
         assert soft_errors <= hard_errors
 
     def test_invalid_decision_mode(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             ViterbiDecoder(decision="fuzzy")
 
 

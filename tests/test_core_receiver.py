@@ -83,11 +83,6 @@ class TestModulationAndRateSweep:
         burst, result = _loopback(config, n_info_bits=150, seed=3)
         assert result.total_bit_errors(burst.info_bits) == 0
 
-    def test_no_scrambling_mode(self):
-        config = TransceiverConfig(scramble=False)
-        burst, result = _loopback(config, n_info_bits=150, seed=4)
-        assert result.total_bit_errors(burst.info_bits) == 0
-
 
 class TestFadingLoopback:
     def test_flat_rayleigh_high_snr_error_free(self, paper_config):

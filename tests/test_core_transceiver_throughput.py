@@ -6,6 +6,7 @@ import pytest
 from repro.core.config import TransceiverConfig
 from repro.core.frame import ReceiveResult, StreamDecodeResult
 from repro.core.throughput import throughput_for_config, throughput_report
+from repro.exceptions import ConfigurationError
 
 
 class TestFrameContainers:
@@ -62,6 +63,29 @@ class TestThroughput:
         config = TransceiverConfig(fft_size=512, modulation="64qam", code_rate="3/4")
         model = throughput_for_config(config)
         assert model.info_bit_rate_bps >= 1e9
+
+    def test_rates_are_read_from_the_config(self, gigabit_config):
+        # 4 streams x 48 carriers x 6 bits per 80-sample symbol at 100 MHz.
+        model = throughput_for_config(gigabit_config)
+        assert model.config is gigabit_config
+        assert model.samples_per_symbol == 80
+        assert model.symbol_duration_s == pytest.approx(800e-9)
+        assert model.coded_bits_per_symbol == 4 * 48 * 6
+        assert model.coded_bit_rate_bps == pytest.approx(1.44e9)
+        assert model.info_bit_rate_bps == pytest.approx(model.coded_bit_rate_bps * 0.75)
+
+    def test_preamble_overhead_formula(self, gigabit_config):
+        model = throughput_for_config(gigabit_config)
+        with_preamble = model.info_bit_rate_with_preamble_bps(
+            symbols_per_burst=100, preamble_samples=800
+        )
+        assert with_preamble == pytest.approx(
+            model.info_bit_rate_bps * (100 * 80) / (100 * 80 + 800)
+        )
+        with pytest.raises(ConfigurationError):
+            model.info_bit_rate_with_preamble_bps(symbols_per_burst=0, preamble_samples=800)
+        with pytest.raises(ConfigurationError):
+            model.info_bit_rate_with_preamble_bps(symbols_per_burst=10, preamble_samples=-1)
 
     def test_report_covers_all_modulation_rate_pairs(self):
         rows = throughput_report()

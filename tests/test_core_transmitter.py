@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.config import TransceiverConfig
+from repro.coding.convolutional import ConvolutionalEncoder
+from repro.coding.scrambler import Scrambler
 from repro.core.transmitter import MimoTransmitter
 from repro.dsp.fft import fft
 from repro.exceptions import ConfigurationError
@@ -18,7 +19,7 @@ def transmitter(paper_config) -> MimoTransmitter:
 
 class TestSizingHelpers:
     def test_coded_length_rate_half(self, transmitter):
-        assert transmitter.coded_length(90) == 2 * (90 + 6)
+        assert transmitter.code.coded_length(90) == 2 * (90 + 6)
 
     def test_symbols_for_info_bits(self, transmitter):
         # 96 info bits -> 204 coded bits -> 2 symbols of 192 coded bits.
@@ -125,15 +126,14 @@ class TestSpectralStructure:
 
 
 class TestScramblingAndCoding:
-    def test_scrambling_changes_coded_stream(self, paper_config):
+    def test_payload_is_scrambled_before_encoding(self, transmitter):
         bits = np.zeros(96, dtype=np.uint8)
-        scrambled_tx = MimoTransmitter(paper_config)
-        unscrambled_tx = MimoTransmitter(
-            TransceiverConfig(scramble=False)
-        )
-        a = scrambled_tx.transmit([bits] * 4)
-        b = unscrambled_tx.transmit([bits] * 4)
-        assert not np.allclose(a.samples[:, 800:], b.samples[:, 800:])
+        burst = transmitter.transmit([bits] * 4)
+        encoder = ConvolutionalEncoder(transmitter.code)
+        scrambled = encoder.encode(Scrambler().process(bits))
+        for coded in burst.coded_bits:
+            np.testing.assert_array_equal(coded[: scrambled.size], scrambled)
+        assert not np.array_equal(scrambled, encoder.encode(bits))
 
     def test_coded_bits_length_is_whole_symbols(self, transmitter):
         burst = transmitter.transmit_random(123, rng=np.random.default_rng(13))

@@ -2,8 +2,9 @@
 
 ``make docs-check`` runs the same gate from the command line; this test
 keeps it in the tier-1 suite, so a module without a docstring, a
-required doc page that loses its section or a doc citing a ``repro`` name
-that no longer resolves fails the tests.  The PEP 561
+required doc page that loses its section, a doc citing a ``repro`` name
+that no longer resolves or a docstring cross-referencing one fails the
+tests.  The PEP 561
 marker that publishes the package's annotations is checked here too.
 """
 
@@ -48,6 +49,28 @@ def test_a_page_citing_a_missing_name_is_caught(tmp_path):
     assert _docs_check().unresolved_names([page]) == [
         "page.md: repro.sim.no_such_name",
         "page.md: repro.no_such_module.thing",
+    ]
+
+
+def test_every_docstring_cross_reference_resolves():
+    docs_check = _docs_check()
+    sources = sorted(docs_check.PACKAGE_ROOT.rglob("*.py"))
+    assert docs_check.unresolved_cross_references(sources) == []
+
+
+def test_a_docstring_cross_referencing_a_missing_name_is_caught(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        '"""Live: :class:`repro.sim.SweepSpec`, :mod:`repro.dsp.fft`,\n'
+        ":meth:`~repro.core.receiver.MimoReceiver.decode`,\n"
+        ":attr:`~repro.core.frame.FrontEndResult.coded`.\n"
+        "Gone: :func:`~repro.channel.impairments.apply_sample_delay`,\n"
+        ':class:`repro.hardware.clock.ThroughputModel`.\n"""\n',
+        encoding="utf-8",
+    )
+    assert _docs_check().unresolved_cross_references([module]) == [
+        "module.py: repro.channel.impairments.apply_sample_delay",
+        "module.py: repro.hardware.clock.ThroughputModel",
     ]
 
 

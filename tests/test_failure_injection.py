@@ -14,6 +14,10 @@ from repro.analysis.capacity import ergodic_mimo_capacity, mimo_capacity, requir
 from repro.channel.awgn import awgn_noise
 from repro.channel.fading import FlatRayleighChannel, FrequencySelectiveChannel
 from repro.channel.model import IdealChannel, MimoChannel
+from repro.coding.convolutional import ConvolutionalCode
+from repro.coding.interleaver import deinterleave, interleave, interleaver_permutation
+from repro.coding.scrambler import Scrambler, pilot_polarity_sequence
+from repro.coding.viterbi import ViterbiDecoder
 from repro.core.config import TransceiverConfig
 from repro.core.receiver import MimoReceiver
 from repro.core.transmitter import MimoTransmitter
@@ -29,6 +33,8 @@ from repro.core.preamble import PreambleGenerator
 from repro.core.frame import ReceiveResult
 from repro.mimo.channel_estimation import ChannelEstimate
 from repro.mimo.detector import MmseDetector
+from repro.modulation.demapper import SymbolDemapper
+from repro.modulation.mapper import SymbolMapper
 from repro.sim import ImpairmentSpec, SweepRunner, SweepSpec
 from repro.sim.spec import SweepPoint
 from repro.sim.engine import build_fading_model
@@ -248,6 +254,20 @@ class _BackwardsTraffic:
         lambda: mimo_capacity(np.ones((2, 2, 2)), snr_db=10.0),
         lambda: ergodic_mimo_capacity(n_realizations=0),
         lambda: required_snr_for_rate(0.0),
+        lambda: ConvolutionalCode(constraint_length=1, generators=(0o3, 0o1)),
+        lambda: ConvolutionalCode(constraint_length=3, generators=(0o7, 0o17)),
+        lambda: ConvolutionalCode(puncture_pattern=np.array([[1, 1]])),
+        lambda: ConvolutionalCode(puncture_pattern=np.zeros((2, 2), dtype=np.uint8)),
+        lambda: interleaver_permutation(50, 1),
+        lambda: interleaver_permutation(48, 0),
+        lambda: interleave(np.zeros(100), 192, 4),
+        lambda: deinterleave(np.zeros(100), 192, 4),
+        lambda: Scrambler(seed=0),
+        lambda: pilot_polarity_sequence(0),
+        lambda: ViterbiDecoder(decision="fuzzy"),
+        lambda: ViterbiDecoder().decode(np.zeros(12), n_info_bits=-1),
+        lambda: SymbolDemapper("16qam").demap(np.zeros(4, dtype=complex), soft=True, noise_variance=0.0),
+        lambda: SymbolMapper("16qam").map_addresses([16]),
     ],
     ids=[
         "channel-2x2-with-4-antenna-burst",
@@ -328,6 +348,20 @@ class _BackwardsTraffic:
         "capacity-matrix-not-2d",
         "ergodic-capacity-no-realizations",
         "required-snr-non-positive-target",
+        "code-constraint-length-1",
+        "code-generator-too-wide",
+        "code-puncture-pattern-shape",
+        "code-puncture-pattern-deletes-everything",
+        "interleaver-block-not-multiple-of-16",
+        "interleaver-no-bits-per-subcarrier",
+        "interleave-partial-block",
+        "deinterleave-partial-block",
+        "scrambler-zero-seed",
+        "pilot-polarity-empty",
+        "viterbi-unknown-decision",
+        "viterbi-negative-info-bits",
+        "demapper-zero-noise-variance",
+        "mapper-address-out-of-range",
     ],
 )
 def test_inconsistent_construction_raises_configuration_error(build):

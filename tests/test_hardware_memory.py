@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.exceptions import ConfigurationError
 from repro.hardware.memory import CircularBuffer, DualPortRam, PingPongBuffer, Rom
 
 
@@ -96,6 +97,26 @@ class TestCircularBuffer:
         buffer.push(1)
         with pytest.raises(ValueError):
             buffer.latest(2)
+
+    def test_latest_zero_is_empty(self):
+        # A depth-8 buffer holding 3 samples used to hand back all 8 slots.
+        buffer = CircularBuffer(depth=8)
+        buffer.push_many([1, 2, 3])
+        assert buffer.latest(0).shape == (0,)
+        assert CircularBuffer(depth=8).latest(0).shape == (0,)
+
+    @pytest.mark.parametrize("count", [-1, -8])
+    def test_negative_count_raises(self, count):
+        # ``latest(-1)`` used to return 7 of the 8 slots.
+        buffer = CircularBuffer(depth=8)
+        buffer.push_many([1, 2, 3])
+        with pytest.raises(ConfigurationError):
+            buffer.latest(count)
+
+    def test_latest_whole_wrapped_buffer(self):
+        buffer = CircularBuffer(depth=4)
+        buffer.push_many(range(1, 8))
+        np.testing.assert_allclose(buffer.latest(len(buffer)), [4, 5, 6, 7])
 
     def test_len_saturates_at_depth(self):
         buffer = CircularBuffer(depth=3)

@@ -33,7 +33,12 @@ from repro.channel.awgn import awgn_noise, noise_variance_for_snr, occupied_powe
 from repro.channel.fading import FlatRayleighChannel, FrequencySelectiveChannel
 from repro.channel.impairments import apply_carrier_frequency_offset, apply_iq_imbalance
 from repro.channel.model import IdealChannel, MimoChannel
-from repro.coding.convolutional import CodeRate, ConvolutionalCode, ConvolutionalEncoder
+from repro.coding.convolutional import (
+    PUNCTURE_PATTERNS,
+    CodeRate,
+    ConvolutionalCode,
+    ConvolutionalEncoder,
+)
 from repro.coding.interleaver import deinterleave
 from repro.coding.scrambler import Scrambler
 from repro.coding.viterbi import ViterbiDecoder
@@ -84,16 +89,21 @@ ALL_MODULATIONS = [
 ]
 
 
+#: Information bits per block: ``short`` blocks reach the empty block, whose
+#: trellis is the tail alone; ``long`` ones run several ACS gather chunks.
+BLOCK_LENGTHS = {"short": (0, 16), "long": (16, 240)}
+
+
 class TestViterbiAcsAgreement:
     """Batched butterfly add-compare-select vs the per-branch reference."""
 
     @staticmethod
-    def _received_stack(code, decision, n_blocks, n_bits, terminated, rng):
+    def _received_stack(code, decision, n_blocks, n_bits, rng):
         encoder = ConvolutionalEncoder(code)
         rows = []
         for _ in range(n_blocks):
             info = rng.integers(0, 2, n_bits).astype(np.uint8)
-            coded = encoder.encode(info, terminate=terminated).astype(np.float64)
+            coded = encoder.encode(info).astype(np.float64)
             if decision == "hard":
                 # Flip a random fraction of the coded bits.
                 flips = rng.random(coded.size) < rng.uniform(0.0, 0.12)
@@ -106,25 +116,26 @@ class TestViterbiAcsAgreement:
         return np.array(rows)
 
     @pytest.mark.parametrize("n_blocks", [1, 2, 4])
-    @pytest.mark.parametrize("terminated", [True, False])
+    @pytest.mark.parametrize("length", sorted(BLOCK_LENGTHS))
     @pytest.mark.parametrize("decision", ["hard", "soft"])
     @pytest.mark.parametrize("rate", ALL_RATES)
-    def test_stack_decodes_like_each_row_alone(self, rate, decision, terminated, n_blocks):
-        seed = 10 * ALL_RATES.index(rate) + 4 * (decision == "soft") + 2 * terminated + n_blocks
+    def test_stack_decodes_like_each_row_alone(self, rate, decision, length, n_blocks):
+        seed = (
+            10 * ALL_RATES.index(rate) + 4 * (decision == "soft") + 2 * (length == "long")
+            + n_blocks
+        )
         rng = np.random.default_rng(seed)
         code = ConvolutionalCode.ieee80211a(rate)
         decoder = ViterbiDecoder(code, decision=decision)
         for _ in range(3):
-            n_bits = int(rng.integers(4, 240))
-            stack = self._received_stack(code, decision, n_blocks, n_bits, terminated, rng)
-            decoded = decoder.decode(stack, n_info_bits=n_bits, terminated=terminated)
+            n_bits = int(rng.integers(*BLOCK_LENGTHS[length]))
+            stack = self._received_stack(code, decision, n_blocks, n_bits, rng)
+            decoded = decoder.decode(stack, n_info_bits=n_bits)
             assert decoded.shape == (n_blocks, n_bits)
             for row, bits in zip(stack, decoded):
-                expected = viterbi_decode_serial(code, decision, row, n_bits, terminated)
+                expected = viterbi_decode_serial(code, decision, row, n_bits)
                 np.testing.assert_array_equal(bits, expected)
-                np.testing.assert_array_equal(
-                    decoder.decode(row, n_info_bits=n_bits, terminated=terminated), expected
-                )
+                np.testing.assert_array_equal(decoder.decode(row, n_info_bits=n_bits), expected)
 
     @pytest.mark.parametrize("decision", ["hard", "soft"])
     def test_tie_break_matches_on_degenerate_input(self, decision):
@@ -134,8 +145,8 @@ class TestViterbiAcsAgreement:
         code = ConvolutionalCode.ieee80211a()
         decoder = ViterbiDecoder(code, decision=decision)
         stack = np.zeros((3, 2 * 40), dtype=np.float64)
-        expected = viterbi_decode_serial(code, decision, stack[0], 34, True)
-        for bits in decoder.decode(stack, n_info_bits=34, terminated=True):
+        expected = viterbi_decode_serial(code, decision, stack[0], 34)
+        for bits in decoder.decode(stack, n_info_bits=34):
             np.testing.assert_array_equal(bits, expected)
 
     def test_non_802_11a_code_decodes_like_the_reference(self):
@@ -143,7 +154,7 @@ class TestViterbiAcsAgreement:
         code = ConvolutionalCode(constraint_length=3, generators=(0o5, 0o7))
         rng = np.random.default_rng(12)
         decoder = ViterbiDecoder(code)
-        stack = self._received_stack(code, "hard", 2, 50, True, rng)
+        stack = self._received_stack(code, "hard", 2, 50, rng)
         for row, bits in zip(stack, decoder.decode(stack, n_info_bits=50)):
             np.testing.assert_array_equal(bits, viterbi_decode_serial(code, "hard", row, 50))
 
@@ -153,12 +164,12 @@ class TestViterbiAcsAgreement:
         code = ConvolutionalCode(constraint_length=8, generators=(0o247, 0o371))
         rng = np.random.default_rng(13)
         decoder = ViterbiDecoder(code, decision=decision)
-        for terminated in (True, False):
-            stack = self._received_stack(code, decision, 3, 40, terminated, rng)
-            decoded = decoder.decode(stack, n_info_bits=40, terminated=terminated)
+        for n_bits in (40, 3):
+            stack = self._received_stack(code, decision, 3, n_bits, rng)
+            decoded = decoder.decode(stack, n_info_bits=n_bits)
             for row, bits in zip(stack, decoded):
                 np.testing.assert_array_equal(
-                    bits, viterbi_decode_serial(code, decision, row, 40, terminated)
+                    bits, viterbi_decode_serial(code, decision, row, n_bits)
                 )
 
     @pytest.mark.parametrize("rate", ALL_RATES)
@@ -196,40 +207,36 @@ class TestViterbiAcsAgreement:
 CODING_LENGTHS = [0, 1, 126, 127, 128, 1000]
 
 
+#: Mother codes the encoder is checked on: the 802.11a K=7 (133, 171) code
+#: and a K=3 (5, 7) one, each under every 802.11a puncture pattern.
+ENCODER_CODES = {"ieee80211a": (7, (0o133, 0o171)), "k3": (3, (0o5, 0o7))}
+
+
 class TestEncoderScramblerAgreement:
     """GF(2)-convolution encoder and cached-keystream scrambler vs serial loops."""
 
-    @pytest.mark.parametrize("terminate", [True, False])
+    @pytest.mark.parametrize("mother", sorted(ENCODER_CODES))
     @pytest.mark.parametrize("rate", ALL_RATES)
-    def test_encoder_matches_serial_loop(self, rate, terminate):
+    def test_encoder_matches_serial_loop(self, rate, mother):
         rng = np.random.default_rng(30 + ALL_RATES.index(rate))
-        code = ConvolutionalCode.ieee80211a(rate)
+        constraint_length, generators = ENCODER_CODES[mother]
+        code = ConvolutionalCode(constraint_length, generators, PUNCTURE_PATTERNS[rate])
         for length in CODING_LENGTHS:
             bits = rng.integers(0, 2, length).astype(np.uint8)
-            fast, serial = ConvolutionalEncoder(code), ConvolutionalEncoder(code)
-            np.testing.assert_array_equal(
-                fast.encode(bits, terminate=terminate),
-                encode_serial(serial, bits, terminate=terminate),
-            )
-            assert fast.state == serial.state
+            coded = ConvolutionalEncoder(code).encode(bits)
+            np.testing.assert_array_equal(coded, encode_serial(code, bits))
+            assert coded.size == code.coded_length(length)
 
     @pytest.mark.parametrize("rate", ALL_RATES)
-    def test_encoder_continuation_matches_serial_loop(self, rate):
-        # reset=False carries the shift register and the puncture phase
-        # across calls, including through empty and odd-length chunks.
+    def test_every_encode_call_is_one_independent_block(self, rate):
+        # One encoder, many calls, odd and empty lengths among them: each
+        # call starts from the zero state and the first puncture column.
         rng = np.random.default_rng(40 + ALL_RATES.index(rate))
         code = ConvolutionalCode.ieee80211a(rate)
-        fast, serial = ConvolutionalEncoder(code), ConvolutionalEncoder(code)
-        for index, length in enumerate(CODING_LENGTHS):
+        encoder = ConvolutionalEncoder(code)
+        for length in CODING_LENGTHS:
             bits = rng.integers(0, 2, length).astype(np.uint8)
-            reset = index == 0
-            np.testing.assert_array_equal(
-                fast.encode(bits, terminate=False, reset=reset),
-                encode_serial(serial, bits, terminate=False, reset=reset),
-            )
-            assert fast.state == serial.state
-        # Streaming encode_bit picks up where the block encoder stopped.
-        assert fast.encode_bit(1) == serial.encode_bit(1)
+            np.testing.assert_array_equal(encoder.encode(bits), encode_serial(code, bits))
 
     @pytest.mark.parametrize("seed", [0b1011101, 0b0000001, 0b1111111])
     def test_scrambler_matches_serial_lfsr(self, seed):
@@ -240,16 +247,14 @@ class TestEncoderScramblerAgreement:
                 Scrambler(seed).process(bits), scramble_serial(Scrambler(seed), bits)
             )
 
-    def test_scrambler_continuation_matches_serial_lfsr(self):
+    def test_every_process_call_starts_from_the_seed(self):
         rng = np.random.default_rng(50)
-        fast, serial = Scrambler(), Scrambler()
-        for index, length in enumerate(CODING_LENGTHS):
+        scrambler = Scrambler()
+        for length in CODING_LENGTHS:
             bits = rng.integers(0, 2, length).astype(np.uint8)
-            reset = index == 0
             np.testing.assert_array_equal(
-                fast.process(bits, reset=reset), scramble_serial(serial, bits, reset=reset)
+                scrambler.process(bits), scramble_serial(Scrambler(), bits)
             )
-        assert fast.next_bit() == serial.next_bit()
 
     def test_scrambler_stack_scrambles_every_row_from_the_seed(self):
         rng = np.random.default_rng(51)
@@ -331,7 +336,7 @@ class TestReceiverDecodeAgreement:
         receiver = MimoReceiver(config)
         result = receiver.receive(output.samples, 300, noise_variance=output.noise_variance)
         code = ConvolutionalCode.ieee80211a(rate)
-        coded_length = ConvolutionalEncoder(code).coded_length(300)
+        coded_length = code.coded_length(300)
         for stream in result.streams:
             demapped = receiver.demapper.demap(
                 stream.equalized_symbols,

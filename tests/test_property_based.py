@@ -77,7 +77,7 @@ class TestCodingProperties:
     def test_encode_decode_roundtrip_error_free(self, bits, rate):
         data = np.array(bits, dtype=np.uint8)
         code = ConvolutionalCode.ieee80211a(rate)
-        coded = ConvolutionalEncoder(code).encode(data, terminate=True)
+        coded = ConvolutionalEncoder(code).encode(data)
         decoded = ViterbiDecoder(code).decode(coded, n_info_bits=data.size)
         np.testing.assert_array_equal(decoded, data)
 
@@ -85,7 +85,7 @@ class TestCodingProperties:
     @given(small_bit_lists)
     def test_single_coded_bit_error_always_corrected(self, bits):
         data = np.array(bits, dtype=np.uint8)
-        coded = ConvolutionalEncoder().encode(data, terminate=True)
+        coded = ConvolutionalEncoder().encode(data)
         corrupted = coded.copy()
         corrupted[len(corrupted) // 2] ^= 1
         decoded = ViterbiDecoder().decode(corrupted, n_info_bits=data.size)
@@ -95,8 +95,8 @@ class TestCodingProperties:
     def test_coded_length_formula(self, bits):
         data = np.array(bits, dtype=np.uint8)
         encoder = ConvolutionalEncoder()
-        coded = encoder.encode(data, terminate=True)
-        assert coded.size == encoder.coded_length(data.size, terminate=True)
+        coded = encoder.encode(data)
+        assert coded.size == encoder.code.coded_length(data.size)
 
 
 class TestModulationProperties:

@@ -3,7 +3,7 @@
 
 Record (``make bench-json BENCH_N=<n>``)::
 
-    python tools/bench_ledger.py --number 28 --parent HEAD
+    python tools/bench_ledger.py --number 29 --parent HEAD
 
 runs the unmodified ``perfbench/run.py --trace 0`` for every workload of
 ``BENCHMARK.json``, for its ``run_seconds``, over :data:`PAIRS`
@@ -11,8 +11,9 @@ alternating parent/change pairs — one seed per pair, from
 :data:`FIRST_SEED`, the run order flipping from pair to pair so slow
 drift of the host hits both sides alike — and writes two ledgers:
 ``BENCH_<n>.json`` for this checkout's working tree and
-``BENCH_<n-1>.json`` for the parent revision, which runs from a ``git
-archive`` copy in a temporary directory.  It never overwrites a ledger:
+``BENCH_<n>.parent.json`` for the parent revision, which runs from a
+``git archive`` copy in a temporary directory (so the previous change's
+own ``BENCH_<n-1>.json`` stays as it was).  It never overwrites a ledger:
 it refuses to start when either file exists.  Each ledger holds the
 commit it starts from (``sha``, with ``dirty`` set for uncommitted
 changes), the git tree id of ``src`` and of every benchmark path as
@@ -23,7 +24,7 @@ median and quartiles.
 
 Compare::
 
-    python tools/bench_ledger.py --compare BENCH_27.json BENCH_28.json
+    python tools/bench_ledger.py --compare BENCH_29.parent.json BENCH_29.json
 
 pairs the two ledgers' runs by workload and seed, reports per metric the
 median move, the parent's interquartile range and the pairs the second
@@ -128,7 +129,7 @@ def _trees(revision: str, paths: List[str]) -> Dict[str, str]:
 def record(number: int, parent: str, benchmark_path: Path) -> int:
     benchmark = _benchmark(benchmark_path)
     paths = {
-        "parent": REPO_ROOT / f"BENCH_{number - 1}.json",
+        "parent": REPO_ROOT / f"BENCH_{number}.parent.json",
         "change": REPO_ROOT / f"BENCH_{number}.json",
     }
     existing = [path.name for path in paths.values() if path.exists()]
@@ -304,7 +305,9 @@ def main(argv: List[str]) -> int:
     parser.add_argument(
         "--benchmark", type=Path, default=BENCHMARK, help="BENCHMARK.json to run and bound by"
     )
-    parser.add_argument("--number", type=int, help="write BENCH_<n>.json and BENCH_<n-1>.json")
+    parser.add_argument(
+        "--number", type=int, help="write BENCH_<n>.json and BENCH_<n>.parent.json"
+    )
     parser.add_argument("--parent", default="HEAD", help="parent revision (default HEAD)")
     args = parser.parse_args(argv)
     if args.compare:

@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Documentation gate: module docstrings, the required doc pages and the
-qualified names the docs cite.
+qualified names the docs and docstrings cite.
 
-Three checks, run via ``make docs-check``:
+Four checks, run via ``make docs-check``:
 
 1. every public module in ``src/repro`` carries a non-empty module
    docstring (the tree is walked and AST-parsed; files whose name or
@@ -15,7 +15,11 @@ Three checks, run via ``make docs-check``:
    gate stays green);
 3. every backticked, fully qualified ``repro.…`` name in ``README.md`` and
    ``docs/*.md`` imports and resolves (a page that names a deleted
-   function sends its reader to code that no longer exists).
+   function sends its reader to code that no longer exists);
+4. every Sphinx cross-reference to a ``repro.…`` target in the sources
+   of ``src/repro`` (the ``:class:``, ``:meth:``, ``:func:``, ``:data:``,
+   ``:attr:`` and ``:mod:`` roles, with or without the ``~`` prefix)
+   resolves, so a deletion cannot leave a docstring pointing at it.
 """
 
 from __future__ import annotations
@@ -61,6 +65,12 @@ REQUIRED_SECTIONS: dict[str, tuple[str, ...]] = {
 #: trailing argument list, as in ``repro.sim.engine.air_burst(...)``, is
 #: allowed and ignored.
 QUALIFIED_NAME = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)(?:\([^`]*\))?`")
+
+#: A Sphinx cross-reference role whose target is a ``repro.…`` name, such
+#: as ``:meth:`~repro.core.receiver.MimoReceiver.decode```.
+CROSS_REFERENCE = re.compile(
+    r":(?:class|meth|func|data|attr|mod):`~?(repro(?:\.[A-Za-z_]\w*)+)`"
+)
 
 
 def public_modules(root: Path) -> list[Path]:
@@ -122,9 +132,13 @@ def resolves(name: str) -> bool:
         except ImportError:
             continue
         for attribute in parts[split:]:
-            if not hasattr(target, attribute):
+            if hasattr(target, attribute):
+                target = getattr(target, attribute)
+            elif attribute in getattr(target, "__dataclass_fields__", {}):
+                # A dataclass field without a default is no class attribute.
+                target = None
+            else:
                 return False
-            target = getattr(target, attribute)
         return True
     return False
 
@@ -139,6 +153,20 @@ def unresolved_names(pages: list[Path]) -> list[str]:
         for name in QUALIFIED_NAME.findall(page.read_text(encoding="utf-8")):
             if not resolves(name):
                 problems.append(f"{page.name}: {name}")
+    return problems
+
+
+def unresolved_cross_references(sources: list[Path]) -> list[str]:
+    """``file: name`` for every ``repro.…`` role target in ``sources`` that
+    does not resolve."""
+    source = str(PACKAGE_ROOT.parent)
+    if source not in sys.path:
+        sys.path.insert(0, source)
+    problems = []
+    for path in sources:
+        for name in CROSS_REFERENCE.findall(path.read_text(encoding="utf-8")):
+            if not resolves(name):
+                problems.append(f"{path.name}: {name}")
     return problems
 
 
@@ -170,10 +198,16 @@ def main() -> int:
         for problem in unresolved:
             print(f"  {problem}", file=sys.stderr)
         return 1
+    stale = unresolved_cross_references(sorted(PACKAGE_ROOT.rglob("*.py")))
+    if stale:
+        print("docs-check: docstrings cross-reference names that do not resolve:", file=sys.stderr)
+        for problem in stale:
+            print(f"  {problem}", file=sys.stderr)
+        return 1
     print(
         f"docs-check: OK ({len(modules)} public modules documented, "
         f"{len(REQUIRED_DOCS)} required doc pages present and linked, "
-        "every cited repro name resolves)"
+        "every cited repro name and docstring cross-reference resolves)"
     )
     return 0
 
