@@ -19,7 +19,8 @@
 #   make bench-json BENCH_N=<n>
 #                          - BENCH_<n>.json ledger of this tree and
 #                            BENCH_<n>.parent.json of BENCH_PARENT (default HEAD):
-#                            every workload over alternating parent/change pairs;
+#                            every workload over alternating parent/change pairs,
+#                            then one timed tier-1 run per side;
 #                            compare with tools/bench_ledger.py --compare A B
 #   make docs-check        - fail if any public module lacks a module docstring
 #                            and every required doc page is present + linked

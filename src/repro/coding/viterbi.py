@@ -22,10 +22,40 @@ metrics, and a tie keeps the lower predecessor.  The traceback turns the
 choices, in place, into per-step predecessor tables and walks each block
 back with one table lookup per step.  The frozen per-branch reference in
 ``tests/reference`` checks the result bit for bit.
+
+Two exact shortcuts cut the hard-decision trellis work:
+
+* **Codeword fast path** (hard decision, unpunctured rate 1/2).  A block
+  whose hard bits already form a codeword of the terminated code skips the
+  trellis.  That codeword is at Hamming distance 0 and every other
+  terminated path is at distance at least the free distance (10 for the
+  802.11a code), so it is the unique maximum-likelihood decode and the tie
+  rule never matters.  The test inverts the code with its feedforward
+  inverse ``(a0, a1)``, ``a0 g0 + a1 g1 = 1`` over GF(2)[D] (extended
+  Euclid, once per code per process): ``a0 y0 + a1 y1`` recovers the
+  information bits of any codeword, and re-encoding those candidate bits
+  with the zero tail reproduces every received bit exactly when the block
+  is a codeword.  Only the other blocks run the trellis.  A code whose
+  generators share a factor (a catastrophic code, no feedforward inverse)
+  and the punctured rates always run the trellis.
+* **Integer hard metrics.**  Hard input must be 0/1 bits, so a hard branch
+  metric is a Hamming distance over the kept positions (an erasure adds 0)
+  and every path metric is an exact integer of at most ``n_outputs *
+  n_steps``.  The hard trellis therefore runs in ``int32`` with an
+  unreachable-state metric of ``n_outputs * n_steps + 1``, above every
+  reachable path and far from overflow.  Every comparison between
+  reachable candidates is the same integer comparison the ``float64``
+  sums made, and a reachable candidate beats an unreachable one in both
+  arithmetics; only the choices at still-unreachable states can differ
+  (``1e18 + x`` rounds to a tie in floats, not in integers).  The
+  traceback never reads those: it starts from the zero end state, which
+  is reachable, and a reachable state's survivor comes from a reachable
+  predecessor.  Soft decisions stay ``float64``.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -34,6 +64,7 @@ from repro.coding.convolutional import ConvolutionalCode
 from repro.exceptions import ConfigurationError, DecodingError
 from repro.utils.bits import BitArray
 
+#: Unreachable-state metric of the soft (``float64``) trellis.
 _METRIC_INF = 1e18
 
 #: Most trellis steps whose branch metrics are gathered at once.
@@ -48,6 +79,63 @@ _ACS_BLOCK_STEPS = 768
 def _gather_steps(n_blocks: int) -> int:
     """Trellis steps per branch-metric gather for a stack of ``n_blocks``."""
     return max(1, min(_ACS_CHUNK, _ACS_BLOCK_STEPS // max(n_blocks, 1)))
+
+
+def _gf2_multiply(a: int, b: int) -> int:
+    """Product of two GF(2)[D] polynomials held as ints (bit i is D**i)."""
+    product = 0
+    while b:
+        if b & 1:
+            product ^= a
+        a <<= 1
+        b >>= 1
+    return product
+
+
+def _gf2_divmod(a: int, b: int) -> Tuple[int, int]:
+    """Quotient and remainder of GF(2)[D] polynomial division."""
+    quotient = 0
+    while a.bit_length() >= b.bit_length():
+        shift = a.bit_length() - b.bit_length()
+        quotient ^= 1 << shift
+        a ^= b << shift
+    return quotient, a
+
+
+def _polynomial(generator: int, memory: int) -> int:
+    """A generator as a GF(2)[D] polynomial held as an int (bit i is D**i).
+
+    The generator's most significant bit is the current-input tap, ``D**0``.
+    """
+    return sum((generator >> (memory - i) & 1) << i for i in range(memory + 1))
+
+
+def _taps(polynomial: int) -> Tuple[int, ...]:
+    """Delays of a GF(2)[D] polynomial's nonzero coefficients."""
+    return tuple(i for i in range(polynomial.bit_length()) if polynomial >> i & 1)
+
+
+@lru_cache(maxsize=None)
+def _feedforward_inverse(
+    constraint_length: int, generators: Tuple[int, ...]
+) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+    """Tap delays of ``(a0, a1)`` with ``a0 g0 + a1 g1 = 1``, or ``None``.
+
+    Extended Euclid over GF(2)[D]; ``None`` means the generators share a
+    factor (a catastrophic code) or there are not exactly two of them.
+    """
+    if len(generators) != 2:
+        return None
+    g0, g1 = (_polynomial(g, constraint_length - 1) for g in generators)
+    # Both rows keep r = s * g0 + t * g1.
+    r0, s0, t0 = g0, 1, 0
+    r1, s1, t1 = g1, 0, 1
+    while r1:
+        quotient, remainder = _gf2_divmod(r0, r1)
+        r0, r1 = r1, remainder
+        s0, s1 = s1, s0 ^ _gf2_multiply(quotient, s1)
+        t0, t1 = t1, t0 ^ _gf2_multiply(quotient, t1)
+    return (_taps(s0), _taps(t0)) if r0 == 1 else None
 
 
 class ViterbiDecoder:
@@ -86,6 +174,15 @@ class ViterbiDecoder:
         b = np.arange(2)[None, :, None]
         j = np.arange(half)[None, None, :]
         self._branch_labels = outputs[2 * j + p, b]
+        # Codeword fast path: hard, unpunctured rate 1/2, invertible code.
+        self._generator_taps = [
+            _taps(_polynomial(g, self.code.memory)) for g in self.code.generators
+        ]
+        self._inverse = None
+        if decision == "hard" and self.code.puncture_pattern.all():
+            self._inverse = _feedforward_inverse(
+                self.code.constraint_length, tuple(self.code.generators)
+            )
 
     # ------------------------------------------------------------------
     # depuncturing
@@ -143,15 +240,16 @@ class ViterbiDecoder:
 
         ``observations`` has shape ``(n_steps, n_outputs, n_blocks)`` and
         ``mask`` ``(n_steps, n_outputs)``; the result is a contiguous
-        ``(n_steps, 2 ** n_outputs, n_blocks)`` array.  A branch's metric is
-        its label's: the sum over outputs, in output order, of that output's
+        ``(n_steps, 2 ** n_outputs, n_blocks)`` array, ``int32`` for hard
+        decisions and ``float64`` for soft ones.  A branch's metric is its
+        label's: the sum over outputs, in output order, of that output's
         term for the label's bit.
         """
         erasures = mask[:, :, None, None]
         bit_values = np.array([[0.0], [1.0]])
         if self.decision == "hard":
-            # Hamming distance over non-erased positions.
-            terms = np.abs(bit_values - observations[:, :, None, :]) * erasures
+            # Hamming distance over non-erased positions, in exact integers.
+            terms = (np.abs(bit_values - observations[:, :, None, :]) * erasures).astype(np.int32)
         else:
             # Soft decision: LLR convention is positive => bit 0 more likely.
             # Metric = -(sum over outputs of (bit ? -LLR : +LLR)), lower better.
@@ -194,28 +292,70 @@ class ViterbiDecoder:
         Raises
         ------
         DecodingError
-            If ``received`` has more than two dimensions or holds a NaN or
-            infinite value.
+            If ``received`` has more than two dimensions, is complex, holds
+            a NaN or infinite value, or (hard decision) holds a value other
+            than 0 or 1.
         ConfigurationError
-            If ``n_info_bits`` is negative, or a row's length does not match
-            the block ``n_info_bits`` asks for.
+            If ``n_info_bits`` is not a non-negative integer, or a row's
+            length does not match the block ``n_info_bits`` asks for.
         """
-        values = np.asarray(received, dtype=np.float64)
+        raw = np.asarray(received)
+        if np.iscomplexobj(raw):
+            raise DecodingError("received values must be real, got complex input")
+        values = np.asarray(raw, dtype=np.float64)
         if values.ndim > 2:
             raise DecodingError(
                 f"received must be one block or a 2-D stack, got {values.ndim} dimensions"
             )
         if not np.isfinite(values).all():
             raise DecodingError("received values must be finite")
-        if n_info_bits < 0:
-            raise ConfigurationError("n_info_bits must be non-negative")
+        if self.decision == "hard" and not ((values == 0.0) | (values == 1.0)).all():
+            raise DecodingError("hard-decision input must be bits (0 or 1)")
+        if not isinstance(n_info_bits, (int, np.integer)) or n_info_bits < 0:
+            raise ConfigurationError(
+                f"n_info_bits must be a non-negative integer, got {n_info_bits!r}"
+            )
         stacked = values.ndim == 2
         if not stacked:
             values = values.reshape(1, -1)
+        if self._inverse is not None and values.shape[1] == 2 * (n_info_bits + self.code.memory):
+            decoded, is_codeword = self._codewords(values, n_info_bits)
+            rows = np.flatnonzero(~is_codeword)
+            if rows.size:
+                decoded[rows] = self._trellis(values[rows], n_info_bits)
+        else:
+            decoded = self._trellis(values, n_info_bits)
+        return decoded if stacked else decoded[0]
+
+    def _trellis(self, values: np.ndarray, n_info_bits: int) -> np.ndarray:
+        """Decode a ``(n_blocks, n_coded)`` stack through the trellis."""
         observations, mask = self.depuncture(values, n_info_bits + self.code.memory)
         choices = self._acs(self._label_metrics(observations, mask))
-        decoded = self._traceback(choices)[:, :n_info_bits]
-        return decoded if stacked else decoded[0]
+        return self._traceback(choices)[:, :n_info_bits]
+
+    def _codewords(self, values: np.ndarray, n_info_bits: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Candidate information bits of a rate-1/2 hard stack, and which rows are codewords.
+
+        The candidate is the first ``n_info_bits`` coefficients of ``a0 y0 +
+        a1 y1``; a row is a codeword exactly when re-encoding its candidate
+        with the zero tail gives back every received bit, and then the
+        candidate is its decode.
+        """
+        n_steps = n_info_bits + self.code.memory
+        # Received bits as (output, block, step) rows.
+        received = np.moveaxis(values.reshape(len(values), n_steps, 2), 2, 0).astype(
+            np.uint8, order="C"
+        )
+        info = np.zeros((len(values), n_info_bits), dtype=np.uint8)
+        for stream, taps in zip(received, self._inverse):
+            for delay in taps:
+                if delay < n_info_bits:
+                    info[:, delay:] ^= stream[:, : n_info_bits - delay]
+        coded = np.zeros_like(received)
+        for output, taps in zip(coded, self._generator_taps):
+            for delay in taps:
+                output[:, delay : delay + n_info_bits] ^= info
+        return info, (coded == received).all(axis=(0, 2))
 
     # ------------------------------------------------------------------
     # add-compare-select and traceback
@@ -227,16 +367,21 @@ class ViterbiDecoder:
         survivor into a state came from the odd predecessor ``2j + 1``.
         Candidates are the same ``metric + branch`` sums a per-branch
         decoder forms, and ``c1 < c0`` keeps the even predecessor on a tie.
+        Path metrics take the label metrics' dtype; an integer trellis
+        starts its unreachable states one above the largest possible
+        Hamming distance of a block.
         """
         n_steps, _, n_blocks = label_metrics.shape
         n_states = self.code.n_states
         half = n_states // 2
+        dtype = label_metrics.dtype
+        unreachable = _METRIC_INF if dtype.kind == "f" else self.code.n_outputs * n_steps + 1
         # Metrics of next state b * half + j live at [b, j]; the same buffer
         # seen as [p, 1, j] is the metric of predecessor 2j + p.
-        metrics = np.full((2, half, n_blocks), _METRIC_INF)
-        metrics[0, 0] = 0.0
+        metrics = np.full((2, half, n_blocks), unreachable, dtype=dtype)
+        metrics[0, 0] = 0
         predecessors = metrics.reshape(half, 2, n_blocks).transpose(1, 0, 2)[:, None]
-        candidate = np.empty((2, 2, half, n_blocks))  # [p, b, j, block]
+        candidate = np.empty((2, 2, half, n_blocks), dtype=dtype)  # [p, b, j, block]
         even, odd = candidate[0], candidate[1]
         choices = np.empty((n_steps, 2, half, n_blocks), dtype=bool)
         steps = _gather_steps(n_blocks)

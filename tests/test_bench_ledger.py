@@ -3,9 +3,10 @@
 The comparison pairs runs by workload and seed, counts the pairs the new
 ledger won, and flags a metric whose median moves the wrong way past its
 ``BENCHMARK.json`` bound, or a run that was not correct.  It refuses
-ledgers that are not one paired recording.  Recording writes the parent
-run next to the change's ledger and overwrites nothing.  Nothing here
-runs the benchmark.
+ledgers that are not one paired recording.  It prints each ledger's
+tier-1 run and never flags it.  Recording writes the parent run next to
+the change's ledger, with each side's tier-1 run, and overwrites nothing.
+Nothing here runs the benchmark or the tier-1 suite.
 """
 
 import importlib.util
@@ -163,6 +164,11 @@ def test_record_keeps_the_previous_change_ledger(ledger, tmp_path, monkeypatch):
         return {"seed": seed, "correct": True, "failed": 0, "metrics": {"points_per_s": 1.0}}
 
     monkeypatch.setattr(ledger, "run_once", fake_run)
+    monkeypatch.setattr(
+        ledger,
+        "run_tier1",
+        lambda checkout: {"seconds": 50.0, "passed": 1400 + (checkout == tmp_path)},
+    )
     monkeypatch.setattr(ledger, "_git", lambda *args, **kwargs: "0" * 40)
     monkeypatch.setattr(ledger, "_trees", lambda revision, paths: {})
     monkeypatch.setattr(ledger.tarfile, "open", _EmptyTar)
@@ -186,6 +192,33 @@ def test_record_keeps_the_previous_change_ledger(ledger, tmp_path, monkeypatch):
     assert len(parent["workloads"]["sweep_wide"]["runs"]) == ledger.PAIRS
     assert len(change["workloads"]["sweep_wide"]["runs"]) == ledger.PAIRS
     assert ledger.unpaired(parent, change) == []
+    assert parent["tier1"] == {"seconds": 50.0, "passed": 1400}
+    assert change["tier1"] == {"seconds": 50.0, "passed": 1401}
+
+
+def test_compare_prints_tier1_and_never_flags_it(ledger, tmp_path, capsys):
+    benchmark = tmp_path / "BENCHMARK.json"
+    benchmark.write_text(json.dumps({"end_to_end": END_TO_END}))
+    base = _ledger([700.0] * 10)
+    paths = {}
+    for name, content in {
+        "old": base,
+        "fast": {**base, "tier1": {"seconds": 48.0, "passed": 1453}},
+        "slow": {**base, "tier1": {"seconds": 480.0, "passed": 1453}},
+    }.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(content))
+    compare = ["--benchmark", str(benchmark), "--compare"]
+    # Ledgers recorded before the field existed compare as before.
+    assert ledger.main(compare + [str(paths["old"]), str(paths["old"])]) == 0
+    assert "tier-1" not in capsys.readouterr().out
+    assert ledger.main(compare + [str(paths["old"]), str(paths["fast"])]) == 0
+    assert "tier-1 (not bounded): not recorded -> 1453 passed in 48.0 s" in capsys.readouterr().out
+    # Ten times slower is reported, not flagged.
+    assert ledger.main(compare + [str(paths["fast"]), str(paths["slow"])]) == 0
+    out = capsys.readouterr().out
+    assert "1453 passed in 48.0 s -> 1453 passed in 480.0 s" in out
+    assert "FLAGGED" not in out
 
 
 class _EmptyTar:

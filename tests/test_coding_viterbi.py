@@ -1,5 +1,7 @@
 """Tests for repro.coding.viterbi."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,26 @@ class TestMalformedInput:
             decoder.decode(stack, n_info_bits=20)
         with pytest.raises(DecodingError, match="finite"):
             decoder.decode(stack[1], n_info_bits=20)
+
+    @pytest.mark.parametrize("bad", [2.0, -1.0, 0.5])
+    def test_hard_decision_non_bit_raises_decoding_error(self, bad):
+        stack = np.stack([_encode(np.zeros(20, dtype=np.uint8))] * 2).astype(np.float64)
+        stack[1, 7] = bad
+        decoder = ViterbiDecoder()
+        with pytest.raises(DecodingError, match="bits"):
+            decoder.decode(stack, n_info_bits=20)
+        with pytest.raises(DecodingError, match="bits"):
+            decoder.decode(np.full(32, bad), n_info_bits=10)
+        # The same values are ordinary LLRs for a soft decoder.
+        assert ViterbiDecoder(decision="soft").decode(stack, n_info_bits=20).shape == (2, 20)
+
+    @pytest.mark.parametrize("decision", ["hard", "soft"])
+    def test_complex_input_raises_decoding_error_without_a_cast(self, decision):
+        coded = _encode(np.zeros(20, dtype=np.uint8)).astype(np.complex128)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DecodingError, match="real"):
+                ViterbiDecoder(decision=decision).decode(coded, n_info_bits=20)
 
     def test_three_dimensional_input_raises_decoding_error(self):
         coded = _encode(np.zeros(20, dtype=np.uint8))

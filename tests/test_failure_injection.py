@@ -266,6 +266,7 @@ class _BackwardsTraffic:
         lambda: pilot_polarity_sequence(0),
         lambda: ViterbiDecoder(decision="fuzzy"),
         lambda: ViterbiDecoder().decode(np.zeros(12), n_info_bits=-1),
+        lambda: ViterbiDecoder().decode(np.zeros(32), n_info_bits=10.0),
         lambda: SymbolDemapper("16qam").demap(np.zeros(4, dtype=complex), soft=True, noise_variance=0.0),
         lambda: SymbolMapper("16qam").map_addresses([16]),
     ],
@@ -360,6 +361,7 @@ class _BackwardsTraffic:
         "pilot-polarity-empty",
         "viterbi-unknown-decision",
         "viterbi-negative-info-bits",
+        "viterbi-fractional-info-bits",
         "demapper-zero-noise-variance",
         "mapper-address-out-of-range",
     ],

@@ -18,9 +18,10 @@ it refuses to start when either file exists.  Each ledger holds the
 commit it starts from (``sha``, with ``dirty`` set for uncommitted
 changes), the git tree id of ``src`` and of every benchmark path as
 measured (``trees``; after a commit, ``git rev-parse HEAD:src`` names
-the same tree), ``nproc``, the numpy and python versions, the run length
-and, per workload, every run's end-to-end metrics plus each metric's
-median and quartiles.
+the same tree), ``nproc``, the numpy and python versions, the run length,
+the wall time and passed-test count of one tier-1 run (``pytest -x -q``)
+after the pairs (``tier1``) and, per workload, every run's end-to-end
+metrics plus each metric's median and quartiles.
 
 Compare::
 
@@ -30,7 +31,9 @@ pairs the two ledgers' runs by workload and seed, reports per metric the
 median move, the parent's interquartile range and the pairs the second
 ledger won, and flags every metric whose median moves the wrong way by
 more than its ``BENCHMARK.json`` bound, and every run that was not
-correct.  It refuses to compare ledgers that are not one paired
+correct.  It prints both tier-1 runs, which no bound covers and which
+are never flagged (ledgers recorded before the field existed have none).
+It refuses to compare ledgers that are not one paired
 recording: different workloads or seeds, fewer than :data:`PAIRS` pairs
 of a workload, or a different run length, ``nproc``, numpy or python.
 The exit code is 1 when anything is flagged or refused.
@@ -41,11 +44,13 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 from typing import Dict, List
 
@@ -111,6 +116,22 @@ def run_once(checkout: Path, command: List[str], workload: str, seed: int, secon
     }
 
 
+def run_tier1(checkout: Path) -> dict:
+    """One tier-1 run (``pytest -x -q``) in ``checkout``: wall seconds and tests passed."""
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    start = time.perf_counter()
+    completed = subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q"],
+        cwd=checkout,
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    seconds = time.perf_counter() - start
+    passed = re.search(r"(\d+) passed", completed.stdout)
+    return {"seconds": round(seconds, 2), "passed": int(passed.group(1)) if passed else 0}
+
+
 def _environment() -> dict:
     numpy_version = subprocess.run(
         [sys.executable, "-c", "import numpy; print(numpy.__version__)"],
@@ -172,12 +193,17 @@ def record(number: int, parent: str, benchmark_path: Path) -> int:
                     )
                     runs[side].setdefault(workload, []).append(outcome)
                     print(f"{workload} seed={seed} {side}: {json.dumps(outcome)}", flush=True)
+        tier1 = {}
+        for side, checkout in checkouts.items():
+            tier1[side] = run_tier1(checkout)
+            print(f"tier-1 {side}: {json.dumps(tier1[side])}", flush=True)
     for side, path in paths.items():
         ledger = {
             "ledger": LEDGER_VERSION,
             **identity[side],
             **env,
             "seconds": seconds,
+            "tier1": tier1[side],
             "workloads": {
                 workload: {
                     "runs": entries,
@@ -274,6 +300,14 @@ def unpaired(old: dict, new: dict) -> List[str]:
     return problems
 
 
+def tier1_summary(ledger: dict) -> str:
+    """A ledger's tier-1 run in words (``not recorded`` before the field existed)."""
+    entry = ledger.get("tier1")
+    if entry is None:
+        return "not recorded"
+    return f"{entry['passed']} passed in {entry['seconds']:.1f} s"
+
+
 def _compare_main(old_path: Path, new_path: Path, benchmark: Path) -> int:
     old = json.loads(old_path.read_text(encoding="utf-8"))
     new = json.loads(new_path.read_text(encoding="utf-8"))
@@ -286,6 +320,8 @@ def _compare_main(old_path: Path, new_path: Path, benchmark: Path) -> int:
             f"{row['workload']:16s} {row['metric']:13s} {row['old']:11.4g} {row['new']:11.4g} "
             f"{row['gain']:+8.1%} {row['spread']:8.1%} {row['won']}/{row['pairs']}{mark}"
         )
+    if "tier1" in old or "tier1" in new:
+        print(f"tier-1 (not bounded): {tier1_summary(old)} -> {tier1_summary(new)}")
     problems = [f"not correct in {old_path.name}: {run}" for run in incorrect_runs(old)]
     problems += [f"not correct in {new_path.name}: {run}" for run in incorrect_runs(new)]
     refusals = [f"not paired: {reason}" for reason in unpaired(old, new)]
