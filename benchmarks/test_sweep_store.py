@@ -84,9 +84,9 @@ def test_overlapping_grids_share_their_intersection(table_printer, tmp_path, mon
 
     simulated_snrs = set()
 
-    def counting(task):
-        simulated_snrs.update(item["point"]["snr_db"] for item in task["items"])
-        return simulate_batch(task)
+    def counting(unit):
+        simulated_snrs.update(item.point.snr_db for item in unit.items)
+        return simulate_batch(unit)
 
     monkeypatch.setattr("repro.sim.runner.simulate_batch", counting)
     shared_b = _run(GRID_B_DB, store)

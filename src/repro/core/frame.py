@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Union
 
 import numpy as np
 
 from repro.core.config import TransceiverConfig
 from repro.core.preamble import PreambleLayout
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, DecodingError
 from repro.utils.bits import count_bit_errors
 
 
@@ -133,16 +133,53 @@ class ReceiveResult:
         return [stream.decoded_bits for stream in self.streams]
 
     def total_bit_errors(self, reference: List[np.ndarray]) -> int:
-        """Total bit errors versus the transmitted information bits.
-
-        The burst score of every link path: the sweep engine and the
-        streaming scheduler both count a decoded burst here, one
-        :func:`~repro.utils.bits.count_bit_errors` per stream.
-        """
+        """Total bit errors versus the transmitted information bits, one
+        :func:`~repro.utils.bits.count_bit_errors` per stream."""
         if len(reference) != len(self.streams):
             raise ConfigurationError("reference must have one bit array per stream")
         return sum(
             count_bit_errors(ref, stream_result.decoded_bits)
             for stream_result, ref in zip(self.streams, reference)
         )
+
+
+@dataclass(frozen=True)
+class BurstOutcome:
+    """What one received burst did, scored against the bits that went on air.
+
+    The per-burst record of every link path, built by :meth:`score`: the
+    sweep runner folds it into a point's BER/PER counts, the streaming
+    scheduler settles each matched frame with it.  ``bit_errors`` are the
+    residual errors of a decoded burst, or every one of its
+    ``payload_bits`` (all streams) when the receiver gave up; ``cause`` is
+    ``None`` for a decoded burst, else the
+    :class:`~repro.exceptions.DecodingError` message it gave up with.
+    """
+
+    bit_errors: int
+    payload_bits: int
+    cause: Optional[str] = None
+
+    @property
+    def decode_failure(self) -> bool:
+        """True when the receiver gave up on the burst."""
+        return self.cause is not None
+
+    @property
+    def frame_error(self) -> bool:
+        """True when the burst was given up on or decoded with bit errors."""
+        return self.bit_errors > 0 or self.cause is not None
+
+    @classmethod
+    def score(
+        cls, received: Union[ReceiveResult, DecodingError], reference: List[np.ndarray]
+    ) -> "BurstOutcome":
+        """Score a burst's slot of :meth:`~repro.core.receiver.MimoReceiver.decode_stack`
+        against the transmitted information bits.  A burst the receiver gave
+        up on (a sync miss, a truncated or non-finite window, a rank-deficient
+        estimate) loses every payload bit, so BER and PER both see it."""
+        payload_bits = sum(bits.size for bits in reference)
+        if isinstance(received, DecodingError):
+            return cls(payload_bits, payload_bits, str(received))
+        return cls(received.total_bit_errors(reference), payload_bits)
 

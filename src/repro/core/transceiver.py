@@ -5,7 +5,7 @@
 with what the receiver may know about them (:class:`AirBurst`).  A link
 then decodes them with
 :meth:`~repro.core.receiver.MimoReceiver.receive_stack` and scores the
-result with :meth:`~repro.core.frame.ReceiveResult.total_bit_errors`.
+outcome with :meth:`~repro.core.frame.BurstOutcome.score`.
 
 BER/PER over many bursts is the batched engine's job: the sweep engine in
 :mod:`repro.sim` (worker pools, early stopping, result caching; see

@@ -1,18 +1,14 @@
 """Burst-level simulation engine behind the sweep runner.
 
-This module turns a :class:`~repro.sim.spec.SweepPoint` into actual link
+This module turns a :class:`~repro.sim.spec.SweepPoint` into link
 simulations: it builds the :class:`~repro.core.config.TransceiverConfig` and
 channel model a grid cell describes (the impairment wiring the streaming
-scheduler reuses), runs batches of bursts with deterministic per-burst
-seed streams, and reports per-burst BER/PER counts with optional early
-stopping.  :func:`simulate_batch` is the unit of work the
-:class:`~repro.sim.runner.SweepRunner` fans out over its worker pool — one
-batch of bursts for each of several points of one air group
-(:meth:`~repro.core.config.TransceiverConfig.air_group`), each distinct
-burst put on air and through the shared receive stage once, detected once
-per detector, and all decoded in one trellis pass.  It is a module-level
-function taking one picklable payload so it crosses process
-boundaries untouched.
+scheduler reuses) and puts seeded bursts on air.  :func:`simulate_batch`
+runs the :class:`WorkUnit` the :class:`~repro.sim.runner.SweepRunner` fans
+out over its worker pool — a :class:`BatchItem` of bursts for each of
+several points of one air group — and answers one :class:`BatchReport` of
+burst outcomes per item.  Units and reports are frozen dataclasses, so
+they cross process boundaries by pickling.
 
 Seeding contract: every burst derives its RNG streams from
 ``SeedSequence([content_hash(point.seed_payload(spec)), burst_index])``, so
@@ -25,7 +21,7 @@ records between overlapping sweeps.
 from __future__ import annotations
 
 import time
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
@@ -34,10 +30,11 @@ import numpy as np
 from repro.channel.fading import FlatRayleighChannel, FrequencySelectiveChannel
 from repro.channel.model import IdealChannel, MimoChannel
 from repro.core.config import TransceiverConfig
+from repro.core.frame import BurstOutcome
 from repro.core.receiver import MimoReceiver
 from repro.core.transceiver import AirBurst, transmit_burst
 from repro.core.transmitter import MimoTransmitter
-from repro.exceptions import ConfigurationError, DecodingError
+from repro.exceptions import ConfigurationError
 from repro.sim.cache import content_key
 from repro.sim.spec import CHANNEL_MODELS, ImpairmentSpec, SweepPoint, SweepSpec
 from repro.utils.rng import SeedLike
@@ -180,22 +177,6 @@ def burst_seed(key: str, burst_index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence([int(key, 16), int(burst_index)])
 
 
-def lost_frame_counts(n_info_bits: int, n_streams: int) -> Dict[str, int]:
-    """Per-burst counts for a frame the receiver could not decode at all.
-
-    :func:`simulate_batch` counts a burst the receiver gives up on (a sync
-    miss, a truncated or non-finite window, a rank-deficient estimate) as
-    losing *every* payload bit, so BER and PER both see the lost frame.
-    """
-    lost_bits = n_info_bits * n_streams
-    return {
-        "bit_errors": lost_bits,
-        "total_bits": lost_bits,
-        "frame_error": 1,
-        "decode_failure": 1,
-    }
-
-
 #: Entropy tag for streaming per-(user, frame) seeds; disjoint from the
 #: sweep's per-(point, burst) tree and the fixed-fading stream.
 _STREAM_TAG = 0x57EA
@@ -250,60 +231,69 @@ def air_burst(
     )
 
 
-def simulate_batch(task: dict) -> List[Dict[str, object]]:
-    """Simulate one work unit: a batch of bursts for each of several points.
+@dataclass(frozen=True)
+class BatchItem:
+    """One point's bursts ``[start_burst, start_burst + n_bursts)`` in a
+    :class:`WorkUnit`, with the point's :func:`build_config` and
+    :func:`air_key` as the runner worked them out; ``batch_index`` orders
+    the item's report in the runner's fold."""
 
-    ``task`` is a plain-JSON payload::
+    point: SweepPoint
+    config: TransceiverConfig
+    air_key: str
+    start_burst: int
+    n_bursts: int
+    batch_index: int
 
-        {"spec": SweepSpec.to_dict(),
-         "items": [{"point": SweepPoint.to_dict(), "start_burst": int,
-                    "n_bursts": int, "batch_index": int}, ...]}
 
-    Every item's point must share one
-    :meth:`~repro.core.config.TransceiverConfig.air_group`; their detectors
-    may differ.  Each burst in an item's ``[start_burst, start_burst +
-    n_bursts)`` derives payload, fading and noise generators from its own
-    :func:`burst_seed`.  The unit advances its items in lockstep rounds.  A
-    round takes the next burst of every live item and puts each distinct
-    ``(air_key, burst index)`` on air once through :func:`air_burst`, so
-    twins (items differing only in the detector) receive the very same
-    samples.  The distinct bursts go through one shared receive stage
-    (:meth:`~repro.core.receiver.MimoReceiver.demodulate_stack`: sync,
-    CFO, FFTs and channel estimate), each detector's items through their
-    receiver's :meth:`~repro.core.receiver.MimoReceiver.detect_stack`, and
-    every item's code blocks through one
-    :meth:`~repro.core.receiver.MimoReceiver.decode_stack` (one decode
-    that runs at most :data:`~repro.core.receiver.DECODE_SLICE` blocks per
-    trellis pass).  Each is then scored with
-    :meth:`~repro.core.frame.ReceiveResult.total_bit_errors`.  Bursts are
-    independent in every stack, so each burst's bits are exactly what
-    receiving it alone would give, and a burst the receiver gives up on
-    drops out alone as a lost frame.  An item retires at the burst whose
-    item-local cumulative bit errors reach ``target_errors``, and its later
-    bursts are never simulated (a twin still live goes on air alone): the
-    global cumulative count at any burst is at least the item-local one,
-    so the runner's fold would discard them.
+@dataclass(frozen=True)
+class WorkUnit:
+    """The task :func:`simulate_batch` runs: items of one air group under one spec."""
 
-    Returns one report per item, in item order: ``{"batch_index",
-    "bursts", "elapsed_s"}`` with *per-burst* counts, so the runner can
-    fold the global burst sequence and apply ``target_errors`` at burst
-    granularity — the reported sweep statistics are a pure function of the
-    spec, independent of batching, grouping and pool size.  ``elapsed_s``
-    splits the unit's wall time over its items by burst count.
+    spec: SweepSpec
+    items: Tuple[BatchItem, ...]
+
+
+@dataclass(frozen=True)
+class BatchReport:
+    """What :func:`simulate_batch` did with one :class:`BatchItem`: one
+    :class:`~repro.core.frame.BurstOutcome` per simulated burst, in burst
+    order, and the item's share of the unit's wall time by burst count."""
+
+    batch_index: int
+    outcomes: Tuple[BurstOutcome, ...]
+    elapsed_s: float
+
+
+def simulate_batch(unit: WorkUnit) -> List[BatchReport]:
+    """Simulate one work unit; one :class:`BatchReport` per item, in order.
+
+    The items share one :meth:`~repro.core.config.TransceiverConfig.air_group`
+    (their detectors may differ) and advance in lockstep rounds.  A round
+    puts each distinct ``(air_key, burst index)`` of its live items on air
+    once (:func:`air_burst` seeded by :func:`burst_seed`), so twins receive
+    the very same samples; runs the distinct bursts through one
+    :meth:`~repro.core.receiver.MimoReceiver.demodulate_stack`, each
+    detector's items through its
+    :meth:`~repro.core.receiver.MimoReceiver.detect_stack` and every item
+    through one :meth:`~repro.core.receiver.MimoReceiver.decode_stack`; and
+    scores each with :meth:`~repro.core.frame.BurstOutcome.score`.  Bursts
+    are independent in every stack, so each outcome is what receiving the
+    burst alone gives.  An item retires at the burst whose item-local
+    cumulative bit errors reach ``target_errors``: its later bursts would
+    be discarded by the runner's fold, as the global count is at least the
+    item-local one.
     """
-    spec = SweepSpec.from_dict(task["spec"])
-    items = task["items"]
-    points = [SweepPoint.from_dict(item["point"]) for item in items]
+    spec, items = unit.spec, unit.items
     unit_start = time.perf_counter()
 
-    configs = [build_config(point, spec) for point in points]
-    if len({config.air_group() for config in set(configs)}) > 1:
+    configs = dict.fromkeys(item.config for item in items)
+    if len({config.air_group() for config in configs}) > 1:
         raise ConfigurationError("every item of a work unit must share one air group")
     # The first item's receiver runs the shared stage and the decode; each
     # detector's receiver runs its items' detector stage.
-    transmitter, receiver = _transceiver_for(configs[0])
-    detectors = {config: _transceiver_for(config)[1] for config in dict.fromkeys(configs)}
-    keys = [air_key(point, spec) for point in points]
+    transmitter, receiver = _transceiver_for(items[0].config)
+    detectors = {config: _transceiver_for(config)[1] for config in configs}
     # One fixed fading realisation per air cell: twins share it.
     fixed_fadings = {
         key: None
@@ -313,26 +303,24 @@ def simulate_batch(task: dict) -> List[Dict[str, object]]:
             point.n_streams,
             np.random.default_rng(fixed_fading_seed(spec, point)),
         )
-        for key, point in dict(zip(keys, points)).items()
+        for key, point in {item.air_key: item.point for item in items}.items()
     }
 
-    reports: List[Dict[str, object]] = [
-        {"batch_index": int(item["batch_index"]), "bursts": []} for item in items
-    ]
+    outcomes: List[List[BurstOutcome]] = [[] for _ in items]
     errors = [0] * len(items)
     live = list(range(len(items)))
-    for offset in range(max(int(item["n_bursts"]) for item in items)):
+    for offset in range(max(item.n_bursts for item in items)):
         cells: Dict[Tuple[str, int], List[int]] = {}
         for i in live:
-            cells.setdefault((keys[i], int(items[i]["start_burst"]) + offset), []).append(i)
+            cells.setdefault((items[i].air_key, items[i].start_burst + offset), []).append(i)
         row_of = {i: row for row, members in enumerate(cells.values()) for i in members}
         sent = [
             air_burst(
                 transmitter,
                 burst_seed(key, burst),
-                points[i].channel,
-                points[i].snr_db,
-                points[i].impairment or ImpairmentSpec(),
+                items[i].point.channel,
+                items[i].point.snr_db,
+                items[i].point.impairment or ImpairmentSpec(),
                 spec.n_info_bits,
                 known_timing=spec.known_timing,
                 fixed_fading=fixed_fadings[key],
@@ -349,42 +337,32 @@ def simulate_batch(task: dict) -> List[Dict[str, object]]:
         del sent  # the transmitted bursts need not outlive the shared stage
         variants: Dict[TransceiverConfig, List[int]] = {}
         for i in live:
-            variants.setdefault(configs[i], []).append(i)
+            variants.setdefault(items[i].config, []).append(i)
         fronts = {}
         for config, members in variants.items():
             detected = detectors[config].detect_stack(
                 demodulated, [row_of[i] for i in members]
             )
             fronts.update(zip(members, detected))
-        # Deep in the noise the receiver gives up on a burst: the time
-        # synchroniser misses it or locks too late for its preamble, a
-        # window starts before the first received sample, or a
-        # rank-deficient estimate stops the channel inversion or the MMSE
-        # solve.  That burst alone comes back as a DecodingError, counted
-        # as a fully errored frame (every payload bit lost).
-        outcomes = receiver.decode_stack([fronts[i] for i in live], spec.n_info_bits)
-        for i, outcome in zip(live, outcomes):
-            if isinstance(outcome, DecodingError):
-                burst = lost_frame_counts(spec.n_info_bits, points[i].n_streams)
-            else:
-                bit_errors = outcome.total_bit_errors(references[row_of[i]])
-                burst = {
-                    "bit_errors": bit_errors,
-                    "total_bits": spec.n_info_bits * points[i].n_streams,
-                    "frame_error": int(bit_errors > 0),
-                    "decode_failure": 0,
-                }
-            reports[i]["bursts"].append(burst)
-            errors[i] += burst["bit_errors"]
+        # Deep in the noise the receiver gives up on a burst (a sync miss or
+        # late lock, a window before the first sample, a rank-deficient
+        # estimate): that burst alone comes back as a DecodingError, scored
+        # as a lost frame.
+        received = receiver.decode_stack([fronts[i] for i in live], spec.n_info_bits)
+        for i, result in zip(live, received):
+            outcome = BurstOutcome.score(result, references[row_of[i]])
+            outcomes[i].append(outcome)
+            errors[i] += outcome.bit_errors
         live = [
             i
             for i in live
-            if offset + 1 < int(items[i]["n_bursts"])
+            if offset + 1 < items[i].n_bursts
             and (spec.target_errors is None or errors[i] < spec.target_errors)
         ]
 
     elapsed = time.perf_counter() - unit_start
-    total_bursts = sum(len(report["bursts"]) for report in reports)
-    for report in reports:
-        report["elapsed_s"] = elapsed * len(report["bursts"]) / max(total_bursts, 1)
-    return reports
+    total_bursts = max(sum(len(bursts) for bursts in outcomes), 1)
+    return [
+        BatchReport(item.batch_index, tuple(bursts), elapsed * len(bursts) / total_bursts)
+        for item, bursts in zip(items, outcomes)
+    ]

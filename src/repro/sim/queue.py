@@ -9,7 +9,8 @@ touching the runner's scheduling, early-stopping or folding logic.
 The contract is deliberately tiny:
 
 * :meth:`WorkQueue.submit` enqueues ``func(payload)`` tagged with an opaque
-  ``tag`` (the runner uses the grid-point index);
+  ``tag`` (the runner's payload is a :class:`~repro.sim.engine.WorkUnit`,
+  its tag the unit's point indices);
 * :meth:`WorkQueue.next_result` blocks for the next completion and returns
   ``(tag, result)``, re-raising a worker's exception in the caller;
 * :attr:`WorkQueue.capacity` tells the producer how much work to keep in
@@ -18,9 +19,9 @@ The contract is deliberately tiny:
   fold makes the reported statistics independent of completion order, so
   any backend that executes each payload exactly once is correct.
 
-``func`` must be importable by reference (a module-level function) for the
-multiprocessing backend, which ships it to worker processes by name; the
-in-process backend accepts any callable.
+``func`` must be a module-level function and ``payload`` picklable for the
+multiprocessing backend, which ships the function to worker processes by
+name and the payload by pickling; the in-process backend takes any of both.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ class WorkQueue:
     #: How much submitted-but-unfinished work the backend wants in flight.
     capacity: int = 1
 
-    def submit(self, func: Callable[[dict], Any], payload: dict, tag: Any = None) -> None:
+    def submit(self, func: Callable[[Any], Any], payload: Any, tag: Any = None) -> None:
         """Enqueue one unit of work."""
         raise NotImplementedError
 
@@ -76,7 +77,7 @@ class InProcessQueue(WorkQueue):
     def __init__(self) -> None:
         self._fifo: deque = deque()
 
-    def submit(self, func: Callable[[dict], Any], payload: dict, tag: Any = None) -> None:
+    def submit(self, func: Callable[[Any], Any], payload: Any, tag: Any = None) -> None:
         self._fifo.append((func, payload, tag))
 
     def next_result(self) -> Tuple[Any, Any]:
@@ -116,7 +117,7 @@ class MultiprocessingQueue(WorkQueue):
         self._results: _thread_queue.Queue = _thread_queue.Queue()
         self._pending = 0
 
-    def submit(self, func: Callable[[dict], Any], payload: dict, tag: Any = None) -> None:
+    def submit(self, func: Callable[[Any], Any], payload: Any, tag: Any = None) -> None:
         results = self._results
 
         def on_done(value: Any, tag: Any = tag) -> None:

@@ -16,8 +16,9 @@
    RNG stream seeded by the point's content and the burst index, so the
    simulated physics is bit-identical for any backend, batch size or
    completion order.
-3. **Early stopping + atomic commits** — batches report per-burst counts
-   and the runner folds each point's burst sequence in order, truncating
+3. **Early stopping + atomic commits** — batches report each burst's
+   :class:`~repro.core.frame.BurstOutcome` and the runner folds each
+   point's burst sequence in order, truncating
    at the exact burst whose cumulative bit errors cross
    ``spec.target_errors``.  The moment a point folds, its record is
    committed to the store (one atomic appended line), so a crash loses at
@@ -41,10 +42,9 @@ import time
 from collections import Counter
 from typing import Dict, Hashable, List, Optional, Tuple, Union
 
-from repro.exceptions import ConfigurationError
-from repro.sim.engine import air_key, build_config, simulate_batch
+from repro.sim.engine import BatchItem, BatchReport, WorkUnit, air_key, build_config, simulate_batch
 from repro.sim.queue import QueueLike, make_queue
-from repro.sim.spec import SweepPoint, SweepPointResult, SweepResult, SweepSpec
+from repro.sim.spec import SweepPoint, SweepPointResult, SweepResult, SweepSpec, integer_at_least
 from repro.sim.stats import allocate_bursts
 from repro.sim.store import ResultStore
 
@@ -119,12 +119,13 @@ class SweepRunner:
     n_workers:
         Pool size; ``None`` uses every CPU.  ``1`` runs inline with no pool
         (no fork overhead — the right choice on single-core hosts and under
-        benchmarks).  Zero or negative raises
-        :class:`~repro.exceptions.ConfigurationError`.
+        benchmarks).
     batch_size:
         Bursts per work unit.  Smaller batches give early stopping a finer
         trigger; larger batches amortise task overhead.  The default of 10
-        (clamped to the burst budget) works well for both.
+        (clamped to the burst budget) works well for both.  Like
+        ``n_workers``, anything but ``None`` or a positive integer raises
+        :class:`~repro.exceptions.ConfigurationError`.
     cache:
         ``True`` (default) for the shared per-point store, ``False``/``None``
         to disable persistence, or a directory /
@@ -148,12 +149,11 @@ class SweepRunner:
         queue: QueueLike = "auto",
     ) -> None:
         self.spec = spec
-        if n_workers is not None and n_workers <= 0:
-            raise ConfigurationError("n_workers must be positive or None")
-        self.n_workers = n_workers if n_workers is not None else (os.cpu_count() or 1)
-        if batch_size is not None and batch_size <= 0:
-            raise ConfigurationError("batch_size must be positive")
-        self.batch_size = min(batch_size or 10, spec.n_bursts)
+        if n_workers is None:
+            n_workers = os.cpu_count() or 1
+        self.n_workers = integer_at_least("n_workers", n_workers, 1)
+        batch_size = integer_at_least("batch_size", 10 if batch_size is None else batch_size, 1)
+        self.batch_size = min(batch_size, spec.n_bursts)
         self.store = _resolve_store(cache)
         self.queue_backend = queue
 
@@ -162,11 +162,12 @@ class SweepRunner:
         """Run (or resume) the sweep and return its result."""
         start = time.perf_counter()
         points = self.spec.points()
+        keys = {point.index: self._store_key(point) for point in points}
         loaded: Dict[int, SweepPointResult] = {}
         if self.store is not None:
-            loaded = self._load_finished(points)
+            loaded = self._load_finished(points, keys)
         jobs = {
-            point.index: (_empty_result(point), self.spec.n_bursts, 0)
+            point.index: (_empty_result(point), self.spec.n_bursts, keys[point.index])
             for point in points
             if point.index not in loaded
         }
@@ -182,9 +183,17 @@ class SweepRunner:
 
     # ------------------------------------------------------------------
     # Store round-trips
-    def _load_finished(self, points: List[SweepPoint]) -> Dict[int, SweepPointResult]:
+    def _store_key(self, point: SweepPoint, extra_bursts: int = 0) -> Optional[str]:
+        """A job's store key, ``None`` without a store."""
+        if self.store is not None:
+            return point.content_key(self.spec, extra_bursts=extra_bursts)
+        return None
+
+    def _load_finished(
+        self, points: List[SweepPoint], keys: Dict[int, str]
+    ) -> Dict[int, SweepPointResult]:
         """Finished-point results already committed to the store."""
-        by_key = {point.content_key(self.spec): point for point in points}
+        by_key = {keys[point.index]: point for point in points}
         loaded = {}
         for key, payload in self.store.get_many(by_key).items():
             result = self._result_from_record(by_key[key], payload)
@@ -199,7 +208,7 @@ class SweepRunner:
         """Rebuild one point result from its store record (None if corrupt).
 
         The record is :meth:`SweepPointResult.to_dict` plus ``elapsed_s``;
-        records from before ``decode_failures`` existed read it as 0.
+        one missing a field is corrupt and gets re-simulated.
         """
         try:
             return SweepPointResult(
@@ -209,82 +218,67 @@ class SweepRunner:
                 frame_errors=int(payload["frame_errors"]),
                 n_bursts=int(payload["n_bursts"]),
                 early_stopped=bool(payload["early_stopped"]),
-                decode_failures=int(payload.get("decode_failures", 0)),
+                decode_failures=int(payload["decode_failures"]),
             )
         except (KeyError, TypeError, ValueError):
             return None
 
     # ------------------------------------------------------------------
-    # Task building and folding
-    def _items_for(self, point: SweepPoint, start_burst: int, n_bursts: int) -> List[dict]:
-        """Batch items covering ``n_bursts`` of one point from ``start_burst``."""
-        point_payload = point.to_dict()
-        return [
-            {
-                "point": point_payload,
-                "start_burst": start_burst + offset,
-                "n_bursts": min(self.batch_size, n_bursts - offset),
-                "batch_index": batch_index,
-            }
-            for batch_index, offset in enumerate(range(0, n_bursts, self.batch_size))
-        ]
-
+    # Folding
     @staticmethod
     def _fold(
         start: SweepPointResult,
         n_bursts: int,
-        batch_stats: List[dict],
+        reports: List[BatchReport],
         target_errors: Optional[int],
     ) -> SweepPointResult:
         """Extend ``start`` by its next bursts, stopping at the error target.
 
-        Batches report per-burst counts; folding them in batch order and
-        truncating at the exact burst whose cumulative bit errors cross
+        Folding the reports' burst outcomes in batch order and truncating
+        at the exact burst whose cumulative bit errors cross
         ``target_errors`` makes the reported statistics a pure function of
         the spec — independent of batch size, worker count and completion
         order.  (Parallel runs may have *computed* bursts past the crossing
         point; they are discarded here.)  The result is early-stopped when
         it folded fewer than the ``n_bursts`` it was asked for.
         """
+        folded = []
         bit_errors = start.bit_errors
-        total_bits = start.total_bits
-        frame_errors = start.frame_errors
-        decode_failures = start.decode_failures
-        folded = start.n_bursts
-        bursts = (
-            burst
-            for stats in sorted(batch_stats, key=lambda s: s["batch_index"])
-            for burst in stats["bursts"]
+        outcomes = (
+            outcome
+            for report in sorted(reports, key=lambda report: report.batch_index)
+            for outcome in report.outcomes
         )
-        for burst in bursts:
-            bit_errors += burst["bit_errors"]
-            total_bits += burst["total_bits"]
-            frame_errors += burst["frame_error"]
-            decode_failures += burst["decode_failure"]
-            folded += 1
+        for outcome in outcomes:
+            folded.append(outcome)
+            bit_errors += outcome.bit_errors
             if target_errors is not None and bit_errors >= target_errors:
                 break
         return SweepPointResult(
             point=start.point,
             bit_errors=bit_errors,
-            total_bits=total_bits,
-            frame_errors=frame_errors,
-            n_bursts=folded,
-            early_stopped=folded < start.n_bursts + n_bursts,
-            decode_failures=decode_failures,
+            total_bits=start.total_bits + sum(outcome.payload_bits for outcome in folded),
+            frame_errors=start.frame_errors + sum(outcome.frame_error for outcome in folded),
+            n_bursts=start.n_bursts + len(folded),
+            early_stopped=len(folded) < n_bursts,
+            decode_failures=start.decode_failures
+            + sum(outcome.decode_failure for outcome in folded),
         )
 
     # ------------------------------------------------------------------
     # Queue-driven execution
-    def _simulate(self, jobs: Dict[int, Tuple[SweepPointResult, int, int]], spec: SweepSpec):
+    def _simulate(
+        self, jobs: Dict[int, Tuple[SweepPointResult, int, Optional[str]]], spec: SweepSpec
+    ):
         """Drain the jobs through the work queue.
 
-        ``jobs`` maps a point index to ``(start, n_bursts, extra_bursts)``:
+        ``jobs`` maps a point index to ``(start, n_bursts, store_key)``:
         simulate the ``n_bursts`` bursts that follow ``start`` (an empty
         result for a base point, the current refined result for an
         extension), fold them onto it, and commit the result under
-        ``content_key(self.spec, extra_bursts=extra_bursts)``.  Workers run
-        ``spec``, whose ``target_errors`` also stops the fold.
+        ``store_key``.  Workers run ``spec``, whose ``target_errors`` also
+        stops the fold.  Each point's configuration and air key are worked
+        out once, here, for every :class:`~repro.sim.engine.BatchItem` of it.
 
         Returns ``(results_by_index, computed_bursts)`` where the second
         item counts every burst actually simulated — including any the
@@ -314,21 +308,28 @@ class SweepRunner:
         """
         if not jobs:
             return {}, 0
-        spec_payload = spec.to_dict()
         target = spec.target_errors
-        tasks = {
-            index: self._items_for(start.point, start.n_bursts, n_bursts)
-            for index, (start, n_bursts, _) in jobs.items()
-        }
-        configs = {
-            index: build_config(start.point, spec) for index, (start, _, _) in jobs.items()
-        }
+        tasks: Dict[int, List[BatchItem]] = {}
+        configs, twins = {}, {}
+        for index, (start, n_bursts, _) in jobs.items():
+            configs[index] = build_config(start.point, spec)
+            twins[index] = air_key(start.point, spec)
+            tasks[index] = [
+                BatchItem(
+                    point=start.point,
+                    config=configs[index],
+                    air_key=twins[index],
+                    start_burst=start.n_bursts + offset,
+                    n_bursts=min(self.batch_size, n_bursts - offset),
+                    batch_index=batch_index,
+                )
+                for batch_index, offset in enumerate(range(0, n_bursts, self.batch_size))
+            ]
         group_of = {config: config.air_group() for config in set(configs.values())}
         groups = {index: group_of[config] for index, config in configs.items()}
-        twins = {index: air_key(start.point, spec) for index, (start, _, _) in jobs.items()}
         cursors = dict.fromkeys(jobs, 0)
         in_flight = dict.fromkeys(jobs, 0)
-        collected: Dict[int, List[dict]] = {index: [] for index in jobs}
+        collected: Dict[int, List[BatchReport]] = {index: [] for index in jobs}
         errors = {index: start.bit_errors for index, (start, _, _) in jobs.items()}
         results: Dict[int, SweepPointResult] = {}
         computed = 0
@@ -344,24 +345,19 @@ class SweepRunner:
             def maybe_finish(index: int) -> None:
                 if index in results or in_flight[index] > 0 or wants_work(index):
                     return
-                start, n_bursts, extra_bursts = jobs[index]
+                start, n_bursts, key = jobs[index]
                 result = self._fold(start, n_bursts, collected[index], target)
                 results[index] = result
                 if self.store is not None:
-                    elapsed_s = sum(s.get("elapsed_s", 0.0) for s in collected[index])
-                    self.store.put(
-                        result.point.content_key(self.spec, extra_bursts=extra_bursts),
-                        {**result.to_dict(), "elapsed_s": elapsed_s},
-                    )
+                    elapsed_s = sum(report.elapsed_s for report in collected[index])
+                    self.store.put(key, {**result.to_dict(), "elapsed_s": elapsed_s})
 
             def adopted(index: int) -> bool:
                 """Adopt a record committed since this run's initial scan."""
                 if not (cursors[index] == 0 and self.store is not None):
                     return False
-                start, _, extra_bursts = jobs[index]
-                record = self.store.get(
-                    start.point.content_key(self.spec, extra_bursts=extra_bursts)
-                )
+                start, _, key = jobs[index]
+                record = self.store.get(key)
                 loaded = (
                     None if record is None else self._result_from_record(start.point, record)
                 )
@@ -382,10 +378,7 @@ class SweepRunner:
                         continue
                     queue.submit(
                         simulate_batch,
-                        {
-                            "spec": spec_payload,
-                            "items": [tasks[i][cursors[i]] for i in unit],
-                        },
+                        WorkUnit(spec, tuple(tasks[i][cursors[i]] for i in unit)),
                         tag=unit,
                     )
                     for i in unit:
@@ -400,11 +393,11 @@ class SweepRunner:
                 if queue.pending() == 0:
                     break
                 unit, reports = queue.next_result()
-                for index, stats in zip(unit, reports):
+                for index, report in zip(unit, reports):
                     in_flight[index] -= 1
-                    collected[index].append(stats)
-                    errors[index] += sum(burst["bit_errors"] for burst in stats["bursts"])
-                    computed += len(stats["bursts"])
+                    collected[index].append(report)
+                    errors[index] += sum(outcome.bit_errors for outcome in report.outcomes)
+                    computed += len(report.outcomes)
                     maybe_finish(index)
             for index in jobs:
                 maybe_finish(index)
@@ -440,10 +433,8 @@ class SweepRunner:
         ``early_stopped`` is False for every refined point (it ran its full
         refined budget).
         """
-        if extra_bursts <= 0:
-            raise ConfigurationError("extra_bursts must be positive")
-        if rounds <= 0:
-            raise ConfigurationError("rounds must be positive")
+        extra_bursts = integer_at_least("extra_bursts", extra_bursts, 1)
+        rounds = integer_at_least("rounds", rounds, 1)
         start = time.perf_counter()
         base = self.run()
         current: Dict[int, SweepPointResult] = {
@@ -476,15 +467,12 @@ class SweepRunner:
             )
             if not allocation:
                 break
+            jobs = {}
             for index, count in allocation.items():
                 extras[index] += count
-            refined, extended = self._simulate(
-                {
-                    index: (current[index], count, extras[index])
-                    for index, count in allocation.items()
-                },
-                refined_spec,
-            )
+                key = self._store_key(current[index].point, extras[index])
+                jobs[index] = (current[index], count, key)
+            refined, extended = self._simulate(jobs, refined_spec)
             current.update(refined)
             computed += extended
         return SweepResult(

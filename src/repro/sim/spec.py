@@ -14,12 +14,11 @@ quantisation — so the paper's "survives real front-end conditions" claims
 (BER vs CFO, BER vs word length) are sweepable exactly like SNR or
 modulation; ``None`` on the axis is the ideal front end.
 
-Specs, points and point results are plain frozen dataclasses with
-loss-free ``to_dict`` / ``from_dict`` round-trips, which is what the
-multiprocessing workers and the per-point result store
-(:mod:`repro.sim.store`) rely on: a point's store key is the hash of its
-canonical JSON form (:meth:`SweepPoint.content_key`), and a stored point
-result is rebuilt without re-running a single burst.
+Specs, points and point results are frozen dataclasses: they pickle into
+the multiprocessing workers as they are, and the per-point result store
+(:mod:`repro.sim.store`) keys and records their ``to_dict`` forms — a
+point's store key hashes its canonical JSON (:meth:`SweepPoint.content_key`),
+and a stored point result is rebuilt without re-running a single burst.
 """
 
 from __future__ import annotations
@@ -70,6 +69,15 @@ def _field_values(instance) -> dict:
     without its recursive walk and deep copies.
     """
     return {item.name: getattr(instance, item.name) for item in fields(instance)}
+
+
+def integer_at_least(name: str, value, minimum: int) -> int:
+    """``value``, a Python or numpy integer of at least ``minimum``, as an
+    ``int`` (so no equal value of another type hashes to another key);
+    anything else raises :class:`~repro.exceptions.ConfigurationError`."""
+    if not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ConfigurationError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
 
 
 def _as_tuple(value, caster) -> tuple:
@@ -252,6 +260,9 @@ class SweepSpec:
         position (isolates detection/decoding from sync errors).
     fft_size / soft_decision:
         Forwarded to :class:`~repro.core.config.TransceiverConfig`.
+
+    The integer fields must be positive integers (``base_seed`` may be 0),
+    as :func:`integer_at_least` checks.
     """
 
     snr_db: Tuple[float, ...] = (20.0,)
@@ -280,6 +291,11 @@ class SweepSpec:
         object.__setattr__(
             self, "impairments", _as_tuple(self.impairments, _as_impairment)
         )
+        for name in ("n_info_bits", "n_bursts", "target_errors", "base_seed", "fft_size"):
+            value = getattr(self, name)
+            if value is not None or name != "target_errors":
+                minimum = 0 if name == "base_seed" else 1
+                object.__setattr__(self, name, integer_at_least(name, value, minimum))
         # Parse the axes the worker parses, but keep the strings as given:
         # they are part of every point's store key.
         for modulation in self.modulations:
@@ -305,14 +321,6 @@ class SweepSpec:
             raise ConfigurationError(
                 "the sweep needs at least one impairment entry (None = ideal)"
             )
-        if not isinstance(self.n_info_bits, (int, np.integer)) or self.n_info_bits <= 0:
-            raise ConfigurationError(
-                f"n_info_bits must be a positive integer, got {self.n_info_bits!r}"
-            )
-        if self.n_bursts <= 0:
-            raise ConfigurationError("n_bursts must be positive")
-        if self.target_errors is not None and self.target_errors <= 0:
-            raise ConfigurationError("target_errors must be positive or None")
 
     # ------------------------------------------------------------------
     @property
@@ -410,16 +418,6 @@ class SweepPoint:
         if self.impairment is not None:
             payload["impairment"] = self.impairment.to_dict()
         return payload
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "SweepPoint":
-        """Rebuild a point from :meth:`to_dict` output.
-
-        ``__post_init__`` turns a serialised impairment dict back into an
-        :class:`ImpairmentSpec`, so cached results filter and compare
-        exactly like freshly simulated ones.
-        """
-        return cls(**payload)
 
     # ------------------------------------------------------------------
     def seed_payload(self, spec: "SweepSpec") -> dict:
@@ -540,13 +538,6 @@ class SweepPointResult:
         payload = _field_values(self)
         payload["point"] = self.point.to_dict()
         return payload
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "SweepPointResult":
-        """Rebuild a point result from :meth:`to_dict` output."""
-        data = dict(payload)
-        data["point"] = SweepPoint.from_dict(data["point"])
-        return cls(**data)
 
 
 @dataclass

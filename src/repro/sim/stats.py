@@ -36,6 +36,8 @@ from __future__ import annotations
 import math
 from typing import Dict, Literal, Tuple
 
+from repro.exceptions import ConfigurationError
+
 #: Interval methods the dispatching :func:`ber_interval` understands.
 INTERVAL_METHODS = ("wilson", "clopper-pearson")
 
@@ -146,7 +148,7 @@ def ber_interval(
         return wilson_interval(errors, trials, confidence)
     if method == "clopper-pearson":
         return clopper_pearson_interval(errors, trials, confidence)
-    raise ValueError(
+    raise ConfigurationError(
         f"unknown interval method {method!r}; expected one of {INTERVAL_METHODS}"
     )
 

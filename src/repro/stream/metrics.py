@@ -67,6 +67,10 @@ class UserStats:
     ``latency_samples`` holds the enqueue→decode latency of every frame
     that was served *and* decoded for this user; :meth:`latency` summarises
     them on demand.
+
+    ``bit_errors`` counts the residual bit errors of *decoded* frames only:
+    a frame given up on or never detected adds to ``frames_lost``, not to
+    ``bit_errors`` (a lost sweep burst counts every payload bit).
     """
 
     user: int

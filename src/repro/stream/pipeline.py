@@ -16,16 +16,17 @@ detection metric, and the receiver trusts the detector's lock instead of
 synchronising each window again.
 
 A frame the receiver gives up on — a non-finite sample, a rank-deficient
-channel estimate — comes back as a :class:`DecodedFrame` with
-``ok=False`` and counts in ``frames_lost``; the rest of its push and the
-stream go on.  The downlink scheduler counts losses per frame, so its loss
-rate is a frame error rate like sweep PER.
+channel estimate — comes back as a :class:`DecodedFrame` that is not
+``ok`` and counts in ``frames_lost``; the rest of its push and the stream
+go on.  The downlink scheduler scores frames with the sweep's per-burst
+rule (:meth:`~repro.core.frame.BurstOutcome.score`), so its loss rate is
+a frame error rate like sweep PER.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Union
 
 import numpy as np
 
@@ -43,26 +44,24 @@ class DecodedFrame:
     ----------
     window:
         The detected frame window (absolute stream position, lock metric).
-    result:
-        The full burst :class:`~repro.core.frame.ReceiveResult` when
-        decoding succeeded, ``None`` when the receiver gave up.
-    ok:
-        True when the burst decoded (which says nothing about residual bit
-        errors — compare against reference bits for that).
-    error:
-        The :class:`~repro.exceptions.DecodingError` message on give-up.
+    outcome:
+        What the receiver returned in the frame's slot: the full burst
+        :class:`~repro.core.frame.ReceiveResult`, or the
+        :class:`~repro.exceptions.DecodingError` it gave up with.
     """
 
     window: FrameWindow
-    result: Optional[ReceiveResult]
-    ok: bool
-    error: Optional[str] = None
+    outcome: Union[ReceiveResult, DecodingError]
+
+    @property
+    def ok(self) -> bool:
+        """True when the burst decoded (which says nothing about residual bit
+        errors — :meth:`~repro.core.frame.BurstOutcome.score` tells those)."""
+        return not isinstance(self.outcome, DecodingError)
 
     def decoded_bits(self) -> Optional[List[np.ndarray]]:
         """Per-stream decoded payload bits (``None`` for a lost frame)."""
-        if self.result is None:
-            return None
-        return [stream.decoded_bits for stream in self.result.streams]
+        return self.outcome.decoded_bits if self.ok else None
 
 
 class StreamingReceiver:
@@ -117,16 +116,13 @@ class StreamingReceiver:
             self.n_info_bits,
             [window.lts_offset for window in windows],
         )
-        frames = []
-        for window, outcome in zip(windows, outcomes):
-            self.frames_detected += 1
-            if isinstance(outcome, DecodingError):
-                # The receiver giving up loses the frame; the stream goes on.
-                self.frames_lost += 1
-                frames.append(
-                    DecodedFrame(window=window, result=None, ok=False, error=str(outcome))
-                )
-            else:
-                self.frames_decoded += 1
-                frames.append(DecodedFrame(window=window, result=outcome, ok=True))
+        frames = [
+            DecodedFrame(window=window, outcome=outcome)
+            for window, outcome in zip(windows, outcomes)
+        ]
+        # The receiver giving up loses the frame; the stream goes on.
+        decoded = sum(frame.ok for frame in frames)
+        self.frames_detected += len(frames)
+        self.frames_decoded += decoded
+        self.frames_lost += len(frames) - decoded
         return frames

@@ -46,6 +46,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from repro.core.config import TransceiverConfig
+from repro.core.frame import BurstOutcome
 from repro.core.receiver import MimoReceiver
 from repro.core.transmitter import MimoTransmitter
 from repro.exceptions import ConfigurationError
@@ -246,23 +247,20 @@ class DownlinkScheduler:
                 if in_flight and abs(start - in_flight[0].expected_start) <= half_frame:
                     entry = in_flight.popleft()
                     stats = users[entry.user]
-                    if frame.ok:
+                    outcome = BurstOutcome.score(frame.outcome, entry.reference_bits)
+                    if not outcome.decode_failure:
+                        # Only a decoded frame has a latency and residual
+                        # errors; a give-up is a loss and nothing more.
                         stats.latency_samples.append(entry.done_s - entry.arrival_s)
-                        references = entry.reference_bits
-                        errors = frame.result.total_bit_errors(references)
-                        stats.bit_errors += errors
-                        if errors == 0:
-                            total = sum(ref.size for ref in references)
-                            stats.frames_delivered += 1
-                            stats.bits_delivered += total
-                            bits_delivered += total
-                            delivered += 1
-                        else:
-                            stats.frames_lost += 1
-                            lost += 1
-                    else:
+                        stats.bit_errors += outcome.bit_errors
+                    if outcome.frame_error:
                         stats.frames_lost += 1
                         lost += 1
+                    else:
+                        stats.frames_delivered += 1
+                        stats.bits_delivered += outcome.payload_bits
+                        bits_delivered += outcome.payload_bits
+                        delivered += 1
                 else:
                     # A detection that matches nothing on air.
                     spurious += 1

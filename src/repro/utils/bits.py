@@ -127,8 +127,8 @@ def count_bit_errors(
     """Count positions where two equal-shape bit arrays differ.
 
     The one bit-error count of the link:
-    :meth:`~repro.core.frame.ReceiveResult.total_bit_errors` scores every
-    decoded burst with it, one stream at a time.  Arrays of different
+    :meth:`~repro.core.frame.BurstOutcome.score` scores every decoded
+    burst with it, one stream at a time.  Arrays of different
     shapes, or holding anything but 0s and 1s, raise ``ValueError``.
     """
     ref = np.asarray(reference, dtype=np.uint8)

@@ -2,10 +2,13 @@
 
 The comparison pairs runs by workload and seed, counts the pairs the new
 ledger won, and flags a metric whose median moves the wrong way past its
-``BENCHMARK.json`` bound, or a run that was not correct.  It refuses
-ledgers that are not one paired recording.  It prints each ledger's
-tier-1 run and never flags it.  Recording writes the parent run next to
-the change's ledger, with each side's tier-1 run, and overwrites nothing.
+``BENCHMARK.json`` bound, or a run that was not correct.  It prints a
+workload's identical metric series as one row.  It refuses ledgers that
+are not one paired recording, including two stamped with different
+recording ids, and notes when neither is stamped.  It prints each
+ledger's tier-1 run and never flags it.  Recording writes the parent run
+next to the change's ledger, both stamped with one recording id, with
+each side's tier-1 run, and overwrites nothing.
 Nothing here runs the benchmark or the tier-1 suite.
 """
 
@@ -192,6 +195,8 @@ def test_record_keeps_the_previous_change_ledger(ledger, tmp_path, monkeypatch):
     assert len(parent["workloads"]["sweep_wide"]["runs"]) == ledger.PAIRS
     assert len(change["workloads"]["sweep_wide"]["runs"]) == ledger.PAIRS
     assert ledger.unpaired(parent, change) == []
+    assert parent["recording"] == change["recording"]
+    assert isinstance(change["recording"], str) and change["recording"]
     assert parent["tier1"] == {"seconds": 50.0, "passed": 1400}
     assert change["tier1"] == {"seconds": 50.0, "passed": 1401}
 
@@ -235,3 +240,69 @@ class _EmptyTar:
 
     def extractall(self, path):
         pass
+
+
+def test_ledgers_of_different_recordings_are_refused(ledger):
+    first = {**_ledger([700.0] * 10), "recording": "a1"}
+    second = {**_ledger([700.0] * 10), "recording": "b2"}
+    assert ledger.unpaired(first, {**second, "recording": "a1"}) == []
+    assert ledger.unpaired(first, second) == ["recording differs: 'a1' vs 'b2'"]
+    # A stamped ledger never pairs with one from before the id existed.
+    assert ledger.unpaired(_ledger([700.0] * 10), second) == [
+        "recording differs: None vs 'b2'"
+    ]
+    assert ledger.unpaired(_ledger([700.0] * 10), _ledger([720.0] * 10)) == []
+
+
+def test_unstamped_ledgers_compare_with_a_note(ledger, tmp_path, capsys):
+    benchmark = tmp_path / "BENCHMARK.json"
+    benchmark.write_text(json.dumps({"end_to_end": END_TO_END}))
+    paths = {}
+    for name, content in {
+        "old": _ledger([700.0] * 10),
+        "new": _ledger([720.0] * 10),
+        "stamped_old": {**_ledger([700.0] * 10), "recording": "a1"},
+        "stamped_new": {**_ledger([720.0] * 10), "recording": "a1"},
+        "other": {**_ledger([720.0] * 10), "recording": "b2"},
+    }.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(content))
+    compare = ["--benchmark", str(benchmark), "--compare"]
+    assert ledger.main(compare + [str(paths["old"]), str(paths["new"])]) == 0
+    assert "not stamped" in capsys.readouterr().out
+    assert ledger.main(compare + [str(paths["stamped_old"]), str(paths["stamped_new"])]) == 0
+    assert "not stamped" not in capsys.readouterr().out
+    assert ledger.main(compare + [str(paths["stamped_old"]), str(paths["other"])]) == 1
+    assert "not paired: recording differs: 'a1' vs 'b2'" in capsys.readouterr().out
+
+
+def test_identical_metric_series_print_as_one_row(ledger, tmp_path, capsys):
+    end_to_end = [
+        {"name": "bursts_per_s", "unit": "1/s", "better": "higher", "bound": 0.2},
+        {"name": "points_per_s", "unit": "1/s", "better": "higher", "bound": 0.2},
+        {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25},
+    ]
+
+    def throughput_ledger(rates):
+        base = _ledger(rates, setups=[0.2 + 0.01 * k for k in range(len(rates))])
+        for run in base["workloads"]["sweep_wide"]["runs"]:
+            run["metrics"]["bursts_per_s"] = run["metrics"]["points_per_s"]
+        return base
+
+    old, slow = throughput_ledger([700.0] * 10), throughput_ledger([500.0] * 10)
+    rows = ledger.compare(old, slow, end_to_end)
+    # Flags stay per metric; printing merges the identical series.
+    assert [row["metric"] for row in rows if row["flagged"]] == ["bursts_per_s", "points_per_s"]
+    printed = ledger.merge_identical(rows)
+    assert [row["metric"] for row in printed] == ["bursts_per_s=points_per_s", "setup_s"]
+    assert printed[0]["flagged"]
+    benchmark = tmp_path / "BENCHMARK.json"
+    benchmark.write_text(json.dumps({"end_to_end": end_to_end}))
+    for name, content in {"old": old, "slow": slow}.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(content))
+    compare = ["--benchmark", str(benchmark), "--compare"]
+    assert ledger.main(compare + [str(tmp_path / "old.json"), str(tmp_path / "slow.json")]) == 1
+    out = capsys.readouterr().out
+    assert out.count("bursts_per_s") == 1
+    assert "bursts_per_s=points_per_s" in out and "FLAGGED" in out
+    assert "2 metric(s) past their bound" in out

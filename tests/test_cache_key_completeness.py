@@ -132,7 +132,9 @@ class TestRoundTrips:
         point = SweepSpec(impairments=(ImpairmentSpec(sample_delay=2),)).points()[0]
         payload = point.to_dict()
         assert set(payload) == {f.name for f in dataclasses.fields(SweepPoint)}
-        assert SweepPoint.from_dict(payload) == point
+        # The constructor turns the serialised impairment dict back into
+        # an ImpairmentSpec.
+        assert SweepPoint(**payload) == point
 
 
 formats = st.none() | st.builds(

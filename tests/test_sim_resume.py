@@ -43,13 +43,13 @@ def stats(result):
 
 #: Module-level so the multiprocessing backend can pickle it by reference
 #: (the pool is forked after the monkeypatch, so workers see this function).
-def _fail_highest_snr_batch(task):
-    if any(item["point"]["snr_db"] == 30.0 for item in task["items"]):
+def _fail_highest_snr_batch(unit):
+    if any(item.point.snr_db == 30.0 for item in unit.items):
         # Give the other workers time to finish their points first, so the
         # crash reliably happens *mid-grid* — some points committed, some not.
         time.sleep(0.3)
         raise RuntimeError("injected worker crash")
-    return simulate_batch(task)
+    return simulate_batch(unit)
 
 
 class TestCrashResume:
@@ -85,9 +85,9 @@ class TestCrashResume:
         # --- resume: only the missing points are simulated -----------------
         simulated = []
 
-        def counting(task):
-            simulated.extend(item["point"]["index"] for item in task["items"])
-            return simulate_batch(task)
+        def counting(unit):
+            simulated.extend(item.point.index for item in unit.items)
+            return simulate_batch(unit)
 
         # (Serial queue here: the counting closure runs in-process, where a
         # forked pool would need a picklable module-level function.)
@@ -143,23 +143,23 @@ class TestFieldLevelCorruption:
         warm = SweepRunner(spec, n_workers=1, cache=store).run()
         assert warm.from_cache and warm.n_bursts_simulated == 0
 
-    def test_record_without_decode_failures_loads_as_zero(self, tmp_path):
+    def test_record_without_decode_failures_is_resimulated(self, tmp_path):
+        # Every record of this engine version carries decode_failures, so
+        # one without it is corrupt: re-simulated and committed again.
         spec = small_spec(snr_db=(30.0,))
         store = ResultStore(tmp_path / "points")
         key = spec.points()[0].content_key(spec)
-        legacy = {
-            "bit_errors": 3,
-            "total_bits": 256,
-            "frame_errors": 1,
-            "n_bursts": 2,
-            "early_stopped": False,
-            "elapsed_s": 0.01,
-            "point": spec.points()[0].to_dict(),
-        }
-        store.put(key, legacy)
+        reference = SweepRunner(spec, n_workers=1, cache=None).run()
+        record = {**reference.points[0].to_dict(), "elapsed_s": 0.01}
+        del record["decode_failures"]
+        store.put(key, record)
+        resumed = SweepRunner(spec, n_workers=1, cache=store).run()
+        assert not resumed.from_cache
+        assert resumed.n_bursts_simulated == spec.n_bursts
+        assert stats(resumed) == stats(reference)
+        assert store.get(key)["decode_failures"] == reference.points[0].decode_failures
         warm = SweepRunner(spec, n_workers=1, cache=store).run()
         assert warm.from_cache and warm.n_bursts_simulated == 0
-        assert stats(warm) == [(3, 256, 1, 2, 0)]
 
 
 class TestConcurrentRunners:
@@ -175,11 +175,11 @@ class TestConcurrentRunners:
         store_dir = tmp_path / "points"
         simulated = {"A": [], "B": []}
 
-        def counting(task):
+        def counting(unit):
             simulated[threading.current_thread().name].extend(
-                (item["point"]["snr_db"], item["start_burst"]) for item in task["items"]
+                (item.point.snr_db, item.start_burst) for item in unit.items
             )
-            return simulate_batch(task)
+            return simulate_batch(unit)
 
         monkeypatch.setattr("repro.sim.runner.simulate_batch", counting)
 

@@ -166,7 +166,8 @@ class TestCorruptionTolerance:
     @pytest.mark.parametrize("payload", ["[1, 2, 3]", '"a string"', "42", "null"])
     def test_non_dict_payload_is_a_miss(self, tmp_path, payload):
         # put() only ever stores dicts; a record parsing to anything else
-        # would crash SweepPointResult.from_dict downstream, so it is a miss.
+        # cannot be a point record (SweepRunner._result_from_record reads
+        # named fields), so it is a miss.
         store = ResultStore(tmp_path)
         shard = store.shard_path("odd")
         shard.parent.mkdir(parents=True, exist_ok=True)

@@ -15,6 +15,7 @@ from repro.dsp.fixedpoint import (
 from repro.exceptions import ConfigurationError
 from repro.sim import ImpairmentSpec, SweepRunner, SweepSpec, run_sweep
 from repro.sim.spec import SweepPoint, SweepPointResult, SweepResult
+from repro.sim.stats import ber_interval
 
 
 def small_spec(**overrides) -> SweepSpec:
@@ -103,6 +104,51 @@ class TestSweepSpec:
             SweepSpec(n_bursts=0)
         with pytest.raises(ValueError):
             SweepSpec(target_errors=0)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: SweepSpec(fft_size=64.0),
+            lambda: SweepSpec(target_errors=100.0),
+            lambda: SweepSpec(base_seed=-1, fresh_fading_per_burst=False),
+            lambda: SweepSpec(n_bursts=2.5),
+            lambda: SweepRunner(small_spec(), n_workers=1.5, cache=None),
+            lambda: SweepRunner(small_spec(), batch_size="3", cache=None),
+            lambda: SweepRunner(small_spec(), n_workers=1, cache=None).run_adaptive(
+                extra_bursts=2.5
+            ),
+            lambda: SweepRunner(small_spec(), n_workers=1, cache=None).run_adaptive(
+                extra_bursts=2, rounds=1.5
+            ),
+            lambda: ber_interval(1, 10, method="bogus"),
+        ],
+        ids=[
+            "fft_size-float",
+            "target_errors-float",
+            "base_seed-negative",
+            "n_bursts-float",
+            "n_workers-float",
+            "batch_size-str",
+            "extra_bursts-float",
+            "rounds-float",
+            "interval-method",
+        ],
+    )
+    def test_malformed_sweep_arguments_raise_configuration_error(self, call):
+        with pytest.raises(ConfigurationError):
+            call()
+
+    def test_numpy_integers_key_like_python_integers(self):
+        spec = SweepSpec(
+            n_info_bits=np.int64(64),
+            n_bursts=np.int32(3),
+            target_errors=np.int64(10),
+            base_seed=np.uint8(5),
+            fft_size=np.int16(64),
+        )
+        plain = SweepSpec(n_info_bits=64, n_bursts=3, target_errors=10, base_seed=5)
+        assert spec == plain
+        assert spec.points()[0].content_key(spec) == plain.points()[0].content_key(plain)
 
     def test_dict_round_trip_through_json(self):
         spec = small_spec()
@@ -317,9 +363,9 @@ class TestSweepRunner:
         calls = []
         original = engine.simulate_batch
 
-        def counting(task):
-            calls.append(task)
-            return original(task)
+        def counting(unit):
+            calls.append(unit)
+            return original(unit)
 
         monkeypatch.setattr("repro.sim.runner.simulate_batch", counting)
         second = SweepRunner(spec, n_workers=1, cache=tmp_path).run()

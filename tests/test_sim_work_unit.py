@@ -9,44 +9,70 @@ together.  These tests pin the contract that makes that invisible: every
 item reports exactly what it reports when run on its own (also when the
 front end gives up on one item's burst mid-round, when twins retire at
 different bursts, when only the MMSE twin gives up, and when a twin was
-adopted from the store), an item that reaches ``target_errors`` stops
-simulating, the runner's results do not depend on queue backend, pool
-size or batch size, and a unit larger than one decode slice still
-decodes bit-exactly.
+adopted from the store), each burst's outcome, give-up cause included,
+is what receiving that burst alone gives, an item that reaches
+``target_errors`` stops simulating, the runner's results do not depend
+on queue backend, pool size or batch size, a unit larger than one decode
+slice still decodes bit-exactly, and the runner keys and configures each
+point once.
 """
+
+from dataclasses import replace
 
 import pytest
 
 import repro.coding.viterbi as viterbi_module
+import repro.sim.cache as cache_module
 import repro.sim.engine as engine_module
+import repro.sim.runner as runner_module
+from repro.core.frame import BurstOutcome
 from repro.core.receiver import DECODE_SLICE, MimoReceiver
+from repro.core.transmitter import MimoTransmitter
 from repro.exceptions import ConfigurationError
 from repro.mimo.channel_estimation import ChannelEstimator
 from repro.sim import ImpairmentSpec, ResultStore, SweepRunner, SweepSpec
-from repro.sim.engine import build_config, simulate_batch
+from repro.sim.engine import (
+    BatchItem,
+    WorkUnit,
+    air_burst,
+    air_key,
+    build_config,
+    burst_seed,
+    simulate_batch,
+)
 from repro.sim.queue import MultiprocessingQueue
 from repro.sim.runner import _pack_units
 
 
+def _item(spec, point, start_burst, n_bursts, batch_index=0):
+    return BatchItem(
+        point=point,
+        config=build_config(point, spec),
+        air_key=air_key(point, spec),
+        start_burst=start_burst,
+        n_bursts=n_bursts,
+        batch_index=batch_index,
+    )
+
+
 def _items(spec, start_burst, n_bursts):
     return [
-        {
-            "point": point.to_dict(),
-            "start_burst": start_burst,
-            "n_bursts": n_bursts - point.index % 2,
-            "batch_index": point.index,
-        }
+        _item(spec, point, start_burst, n_bursts - point.index % 2, point.index)
         for point in spec.points()
     ]
 
 
+def _run(spec, items):
+    return simulate_batch(WorkUnit(spec, tuple(items)))
+
+
 def _alone(spec, item):
-    (report,) = simulate_batch({"spec": spec.to_dict(), "items": [item]})
+    (report,) = _run(spec, [item])
     return report
 
 
 def _without_timing(report):
-    return {key: value for key, value in report.items() if key != "elapsed_s"}
+    return (report.batch_index, report.outcomes)
 
 
 @pytest.mark.parametrize("target_errors", [None, 100])
@@ -71,18 +97,18 @@ def test_unit_reports_each_item_as_if_run_alone(soft, detector, rate, target_err
         base_seed=21,
     )
     items = _items(spec, start_burst=1, n_bursts=4)
-    reports = simulate_batch({"spec": spec.to_dict(), "items": items})
+    reports = _run(spec, items)
 
     assert [_without_timing(r) for r in reports] == [
         _without_timing(_alone(spec, item)) for item in items
     ]
-    bursts = [burst for report in reports for burst in report["bursts"]]
-    assert any(burst["decode_failure"] for burst in bursts)
-    assert any(burst["bit_errors"] and not burst["decode_failure"] for burst in bursts)
+    bursts = [outcome for report in reports for outcome in report.outcomes]
+    assert any(outcome.decode_failure for outcome in bursts)
+    assert any(outcome.bit_errors and not outcome.decode_failure for outcome in bursts)
     if target_errors is None:
-        assert [len(r["bursts"]) for r in reports] == [item["n_bursts"] for item in items]
+        assert [len(r.outcomes) for r in reports] == [item.n_bursts for item in items]
     else:
-        assert any(len(r["bursts"]) < item["n_bursts"] for r, item in zip(reports, items))
+        assert any(len(r.outcomes) < item.n_bursts for r, item in zip(reports, items))
 
 
 def _counting(monkeypatch, cls, name):
@@ -122,7 +148,7 @@ def _early_stop_spec():
         base_seed=5,
     )
     items = _items(spec, start_burst=0, n_bursts=4)
-    items[1]["n_bursts"] = 4
+    items[1] = replace(items[1], n_bursts=4)
     return spec, items
 
 
@@ -130,9 +156,9 @@ def test_item_past_its_error_target_stops_simulating(monkeypatch):
     spec, items = _early_stop_spec()
     transmitted = _counting_air_bursts(monkeypatch)
     decoded = _counting(monkeypatch, viterbi_module.ViterbiDecoder, "decode")
-    reports = simulate_batch({"spec": spec.to_dict(), "items": items})
+    reports = _run(spec, items)
 
-    assert [len(report["bursts"]) for report in reports] == [1, 4]
+    assert [len(report.outcomes) for report in reports] == [1, 4]
     assert len(transmitted) == 5
     # One trellis pass per lockstep round: both items, then the clean one.
     assert decoded == [4, 2, 2, 2]
@@ -142,7 +168,7 @@ def test_each_lockstep_round_is_one_shared_stage_and_one_decode(monkeypatch):
     spec, items = _early_stop_spec()
     demodulated = _counting(monkeypatch, MimoReceiver, "demodulate_stack")
     decoded = _counting(monkeypatch, MimoReceiver, "decode")
-    simulate_batch({"spec": spec.to_dict(), "items": items})
+    _run(spec, items)
     # Round one takes both items' bursts, rounds two to four the clean one.
     assert demodulated == [2, 1, 1, 1]
     assert decoded == [4, 2, 2, 2]
@@ -163,15 +189,12 @@ def _twin_spec(**changes):
     )
     fields.update(changes)
     spec = SweepSpec(**fields)
-    items = [
-        {"point": point.to_dict(), "start_burst": 0, "n_bursts": 4, "batch_index": point.index}
-        for point in spec.points()
-    ]
+    items = [_item(spec, point, 0, 4, point.index) for point in spec.points()]
     return spec, items
 
 
 def _assert_each_item_as_if_run_alone(spec, items):
-    reports = simulate_batch({"spec": spec.to_dict(), "items": items})
+    reports = _run(spec, items)
     assert [_without_timing(r) for r in reports] == [
         _without_timing(_alone(spec, item)) for item in items
     ]
@@ -200,7 +223,7 @@ def test_twins_receive_byte_identical_samples(monkeypatch):
     _alone(spec, mmse)
     assert captured == zf_alone
     captured.clear()
-    simulate_batch({"spec": spec.to_dict(), "items": items})
+    _run(spec, items)
     # One shared burst per round, the very bytes either twin gets alone.
     assert captured == zf_alone
     assert [len(round_) for round_ in captured] == [1] * 4
@@ -218,14 +241,14 @@ def test_mixed_detector_unit_transmits_once_per_air_cell_and_burst(monkeypatch):
     monkeypatch.setattr(engine_module, "transmit_burst", counted)
     _assert_each_item_as_if_run_alone(spec, items)
     transmitted.clear()
-    simulate_batch({"spec": spec.to_dict(), "items": items})
+    _run(spec, items)
     # Two air cells x four bursts, not four items x four bursts.
     assert len(transmitted) == 2 * 4
     # Twins one burst apart share no burst index in a round: each goes on air.
-    shifted = [dict(items[0], n_bursts=2), dict(items[2], start_burst=1, n_bursts=2)]
+    shifted = [replace(items[0], n_bursts=2), replace(items[2], start_burst=1, n_bursts=2)]
     _assert_each_item_as_if_run_alone(spec, shifted)
     transmitted.clear()
-    simulate_batch({"spec": spec.to_dict(), "items": shifted})
+    _run(spec, shifted)
     assert len(transmitted) == 4
 
 
@@ -234,10 +257,10 @@ def test_twins_retiring_at_different_bursts_report_as_if_run_alone(monkeypatch):
     transmitted = _counting_air_bursts(monkeypatch)
     reports = _assert_each_item_as_if_run_alone(spec, items)
     points = spec.points()
-    lengths = {(p.detector, p.snr_db): len(r["bursts"]) for p, r in zip(points, reports)}
+    lengths = {(p.detector, p.snr_db): len(r.outcomes) for p, r in zip(points, reports)}
     assert lengths == {("zf", 4.0): 1, ("mmse", 4.0): 2, ("zf", 20.0): 4, ("mmse", 20.0): 4}
     transmitted.clear()
-    simulate_batch({"spec": spec.to_dict(), "items": items})
+    _run(spec, items)
     # 4 dB: the shared first burst, then the MMSE twin's second alone.
     assert len(transmitted) == 2 + 4
 
@@ -257,9 +280,53 @@ def test_mmse_only_give_up_leaves_the_zf_twin_decoding(monkeypatch):
     monkeypatch.setattr(ChannelEstimator, "estimate", duplicate_columns)
     spec, items = _twin_spec(snr_db=(300.0,), channels=("ideal",), target_errors=None)
     reports = _assert_each_item_as_if_run_alone(spec, items)
-    zf, mmse = ([burst["decode_failure"] for burst in r["bursts"]] for r in reports)
-    assert zf == [0] * 4
-    assert mmse == [1] * 4
+    zf, mmse = ([outcome.decode_failure for outcome in r.outcomes] for r in reports)
+    assert zf == [False] * 4
+    assert mmse == [True] * 4
+
+
+def _received_alone(spec, item, burst):
+    """One burst of an item, put on air and received by a fresh transceiver."""
+    receiver = MimoReceiver(item.config)
+    air = air_burst(
+        MimoTransmitter(item.config),
+        burst_seed(item.air_key, burst),
+        item.point.channel,
+        item.point.snr_db,
+        item.point.impairment or ImpairmentSpec(),
+        spec.n_info_bits,
+        known_timing=spec.known_timing,
+    )
+    (received,) = receiver.receive_stack(
+        [air.samples], spec.n_info_bits, [air.lts_start], [air.noise_variance]
+    )
+    return BurstOutcome.score(received, air.burst.info_bits)
+
+
+def test_mixed_unit_outcomes_equal_each_burst_received_alone():
+    # At -20 dB the receiver gives up on some bursts and the ZF and MMSE
+    # twins reach target_errors=200 at different bursts; 4 and 20 dB run
+    # all four.
+    spec, items = _twin_spec(snr_db=(-20.0, 4.0, 20.0), target_errors=200)
+    reports = _run(spec, items)
+    for item, report in zip(items, reports):
+        expected = []
+        for burst in range(item.start_burst, item.start_burst + item.n_bursts):
+            expected.append(_received_alone(spec, item, burst))
+            if sum(outcome.bit_errors for outcome in expected) >= spec.target_errors:
+                break
+        assert report.outcomes == tuple(expected)
+    outcomes = [outcome for report in reports for outcome in report.outcomes]
+    assert any(outcome.cause for outcome in outcomes)
+    assert all(
+        outcome.bit_errors == outcome.payload_bits for outcome in outcomes if outcome.cause
+    )
+    lengths = {
+        (item.point.detector, item.point.snr_db): len(report.outcomes)
+        for item, report in zip(items, reports)
+    }
+    assert lengths[("zf", -20.0)] != lengths[("mmse", -20.0)]
+    assert min(lengths.values()) < 4 == max(lengths.values())
 
 
 def test_shared_stage_give_up_sinks_both_twins():
@@ -267,7 +334,7 @@ def test_shared_stage_give_up_sinks_both_twins():
     spec, items = _twin_spec(snr_db=(-20.0, 20.0), target_errors=None)
     reports = _assert_each_item_as_if_run_alone(spec, items)
     failures = {
-        (p.detector, p.snr_db): [burst["decode_failure"] for burst in r["bursts"]]
+        (p.detector, p.snr_db): [outcome.decode_failure for outcome in r.outcomes]
         for p, r in zip(spec.points(), reports)
     }
     assert failures[("zf", -20.0)] == failures[("mmse", -20.0)]
@@ -304,7 +371,7 @@ def test_batch_reuses_the_cached_transmitter_and_receiver():
     spec, items = _early_stop_spec()
     config = build_config(spec.points()[0], spec)
     transmitter, receiver = engine_module._transceiver_for(config)
-    simulate_batch({"spec": spec.to_dict(), "items": items})
+    _run(spec, items)
     cached_transmitter, cached_receiver = engine_module._transceiver_for(config)
     assert cached_transmitter is transmitter
     assert cached_receiver is receiver
@@ -336,19 +403,16 @@ def test_unit_rejects_items_of_different_air_groups():
         snr_db=(20.0,), modulations=("qpsk", "16qam"), stream_counts=(2,), n_info_bits=48
     )
     with pytest.raises(ConfigurationError):
-        simulate_batch({"spec": spec.to_dict(), "items": _items(spec, 0, 1)})
+        _run(spec, _items(spec, 0, 1))
 
 
 def test_unit_accepts_items_of_different_detectors():
     spec = SweepSpec(
         snr_db=(20.0,), detectors=("zf", "mmse"), stream_counts=(2,), n_info_bits=48
     )
-    items = [
-        {"point": point.to_dict(), "start_burst": 0, "n_bursts": 1, "batch_index": 0}
-        for point in spec.points()
-    ]
-    reports = simulate_batch({"spec": spec.to_dict(), "items": items})
-    assert [len(report["bursts"]) for report in reports] == [1, 1]
+    items = [_item(spec, point, 0, 1) for point in spec.points()]
+    reports = _run(spec, items)
+    assert [len(report.outcomes) for report in reports] == [1, 1]
 
 
 def test_unit_above_one_decode_slice_decodes_bit_exactly(monkeypatch):
@@ -362,22 +426,19 @@ def test_unit_above_one_decode_slice_decodes_bit_exactly(monkeypatch):
         target_errors=None,
         base_seed=4,
     )
-    items = [
-        {"point": point.to_dict(), "start_burst": 0, "n_bursts": 2, "batch_index": 0}
-        for point in spec.points()
-    ]
+    items = [_item(spec, point, 0, 2) for point in spec.points()]
     decoded = _counting(monkeypatch, viterbi_module.ViterbiDecoder, "decode")
-    reports = simulate_batch({"spec": spec.to_dict(), "items": items})
+    reports = _run(spec, items)
     assert len(items) * 4 == DECODE_SLICE + 4
     assert decoded == [DECODE_SLICE, 4] * 2
 
     for item, report in zip(items, reports):
-        alone = [
-            _alone(spec, dict(item, start_burst=burst, n_bursts=1))["bursts"][0]
+        alone = tuple(
+            _alone(spec, replace(item, start_burst=burst, n_bursts=1)).outcomes[0]
             for burst in range(2)
-        ]
-        assert report["bursts"] == alone
-    assert any(burst["bit_errors"] for report in reports for burst in report["bursts"])
+        )
+        assert report.outcomes == alone
+    assert any(outcome.bit_errors for report in reports for outcome in report.outcomes)
 
 
 def _one_slot_pool(n_workers):
@@ -443,15 +504,47 @@ def test_mid_round_give_up_reports_each_item_as_if_run_alone():
         target_errors=None,
         base_seed=3,
     )
-    items = [
-        {"point": point.to_dict(), "start_burst": 0, "n_bursts": 6, "batch_index": point.index}
-        for point in spec.points()
-    ]
-    reports = simulate_batch({"spec": spec.to_dict(), "items": items})
+    items = [_item(spec, point, 0, 6, point.index) for point in spec.points()]
+    reports = _run(spec, items)
 
     assert [_without_timing(r) for r in reports] == [
         _without_timing(_alone(spec, item)) for item in items
     ]
-    failures = [sum(burst["decode_failure"] for burst in r["bursts"]) for r in reports]
+    failures = [sum(outcome.decode_failure for outcome in r.outcomes) for r in reports]
     assert failures[0] == failures[2] == 0
     assert failures[1] > 0
+
+
+def _counting_calls(monkeypatch, function, *modules):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return function(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, function.__name__, counted)
+    return calls
+
+
+def test_cold_serial_run_keys_and_configures_each_point_once(tmp_path, monkeypatch):
+    # Per point: one store key (SweepPoint.content_key) and one air key,
+    # both content hashes, and one build_config -- however many batches
+    # and units the point's bursts take.
+    spec = SweepSpec(
+        snr_db=(10.0, 20.0, 30.0),
+        modulations=("qpsk",),
+        detectors=("zf", "mmse"),
+        stream_counts=(2,),
+        n_info_bits=48,
+        n_bursts=2,
+        target_errors=None,
+    )
+    hashes = _counting_calls(monkeypatch, cache_module.content_key, cache_module, engine_module)
+    configs = _counting_calls(monkeypatch, engine_module.build_config, engine_module, runner_module)
+    result = SweepRunner(
+        spec, n_workers=1, batch_size=1, cache=ResultStore(tmp_path), queue="serial"
+    ).run()
+    assert result.n_bursts_simulated == spec.n_points * spec.n_bursts
+    assert len(hashes) == 2 * spec.n_points
+    assert len(configs) == spec.n_points

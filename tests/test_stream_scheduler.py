@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.stream.scheduler as scheduler_module
 from repro.core.config import TransceiverConfig
 from repro.sim.engine import air_key, burst_seed, stream_frame_seed
 from repro.sim.spec import SweepSpec
@@ -197,3 +198,61 @@ class TestScheduler:
             _scheduler(weights=[1.0])
         with pytest.raises(ValueError):
             _scheduler(mode="weighted", weights=[1.0, 1.0, 1.0, 0.0])
+
+
+class _GiveUpPipeline:
+    """Passes the receive stream through, keeping every decoded frame, with
+    a run of non-finite samples (longer than a cyclic prefix) in the data
+    of the second frame on air."""
+
+    def __init__(self, pipeline, position):
+        self.pipeline = pipeline
+        self.position = position
+        self.frames = []
+
+    def push(self, chunk):
+        if self.position is not None:
+            chunk = chunk.copy()
+            chunk[:, self.position : self.position + 20] = np.nan
+            self.position = None
+        return self._keep(self.pipeline.push(chunk))
+
+    def flush(self):
+        return self._keep(self.pipeline.flush())
+
+    def _keep(self, frames):
+        self.frames.extend(frames)
+        return frames
+
+
+class TestBitErrorAccounting:
+    def test_bit_errors_count_decoded_frames_only(self, monkeypatch):
+        # UserStats.bit_errors sums the residual errors of decoded frames;
+        # a given-up frame is a loss and adds no bit errors.
+        sent = []
+        original = scheduler_module.air_burst
+
+        def recording(*args, **kwargs):
+            air = original(*args, **kwargs)
+            sent.append(air.burst.info_bits)
+            return air
+
+        monkeypatch.setattr(scheduler_module, "air_burst", recording)
+        scheduler = _scheduler(n_users=3, frames_per_user=2, snr_db=14.0, base_seed=5)
+        recorder = _GiveUpPipeline(
+            scheduler.pipeline, scheduler.frame_length * 7 // 4
+        )
+        scheduler.pipeline = recorder
+        report = scheduler.run()
+
+        frames = recorder.frames
+        assert len(frames) == len(sent) == report.frames_served  # every frame detected
+        assert [frame.ok for frame in frames].count(False) == 1
+        decoded_errors = [
+            frame.outcome.total_bit_errors(reference)
+            for frame, reference in zip(frames, sent)
+            if frame.ok
+        ]
+        assert any(decoded_errors)
+        assert sum(stats.bit_errors for stats in report.users.values()) == sum(decoded_errors)
+        assert report.frames_lost == 1 + sum(errors > 0 for errors in decoded_errors)

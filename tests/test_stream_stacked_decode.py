@@ -105,8 +105,8 @@ def _frame_summary(frames):
         (
             frame.window.start,
             frame.ok,
-            frame.error,
-            None if frame.result is None else np.stack(frame.decoded_bits()).tolist(),
+            None if frame.ok else str(frame.outcome),
+            np.stack(frame.decoded_bits()).tolist() if frame.ok else None,
         )
         for frame in frames
     ]

@@ -14,7 +14,8 @@ drift of the host hits both sides alike — and writes two ledgers:
 ``BENCH_<n>.parent.json`` for the parent revision, which runs from a
 ``git archive`` copy in a temporary directory (so the previous change's
 own ``BENCH_<n-1>.json`` stays as it was).  It never overwrites a ledger:
-it refuses to start when either file exists.  Each ledger holds the
+it refuses to start when either file exists.  Both ledgers of one
+recording carry the same random ``recording`` id.  Each ledger holds the
 commit it starts from (``sha``, with ``dirty`` set for uncommitted
 changes), the git tree id of ``src`` and of every benchmark path as
 measured (``trees``; after a commit, ``git rev-parse HEAD:src`` names
@@ -31,12 +32,17 @@ pairs the two ledgers' runs by workload and seed, reports per metric the
 median move, the parent's interquartile range and the pairs the second
 ledger won, and flags every metric whose median moves the wrong way by
 more than its ``BENCHMARK.json`` bound, and every run that was not
-correct.  It prints both tier-1 runs, which no bound covers and which
-are never flagged (ledgers recorded before the field existed have none).
-It refuses to compare ledgers that are not one paired
-recording: different workloads or seeds, fewer than :data:`PAIRS` pairs
-of a workload, or a different run length, ``nproc``, numpy or python.
-The exit code is 1 when anything is flagged or refused.
+correct.  Metrics of a workload whose series are identical (its
+throughputs are one figure under three names) print as one row naming
+each of them; each is still flagged on its own bound.  It prints both
+tier-1 runs, which no bound covers and which are never flagged (ledgers
+recorded before the field existed have none).  It refuses to compare
+ledgers that are not one paired recording: other ``recording`` ids,
+different workloads or seeds, fewer than :data:`PAIRS` pairs of a
+workload, or a different run length, ``nproc``, numpy or python.  Two
+ledgers that both predate the id compare with a "not stamped" note, as
+only their seeds and host fields show they were paired.  The exit code is
+1 when anything is flagged or refused.
 """
 
 from __future__ import annotations
@@ -51,6 +57,7 @@ import sys
 import tarfile
 import tempfile
 import time
+import uuid
 from pathlib import Path
 from typing import Dict, List
 
@@ -175,6 +182,7 @@ def record(number: int, parent: str, benchmark_path: Path) -> int:
         },
     }
     env = _environment()
+    recording = uuid.uuid4().hex
     runs: Dict[str, Dict[str, List[dict]]] = {"parent": {}, "change": {}}
     with tempfile.TemporaryDirectory(prefix="bench-ledger-") as workdir:
         parent_dir = Path(workdir) / "parent"
@@ -200,6 +208,7 @@ def record(number: int, parent: str, benchmark_path: Path) -> int:
     for side, path in paths.items():
         ledger = {
             "ledger": LEDGER_VERSION,
+            "recording": recording,
             **identity[side],
             **env,
             "seconds": seconds,
@@ -223,8 +232,9 @@ def compare(old: dict, new: dict, end_to_end: List[dict]) -> List[dict]:
     A row carries both medians, the relative move of the median in the
     metric's better direction (``gain``, negative when worse), the old
     ledger's interquartile range relative to its median, the pairs (runs
-    of equal seed) the new ledger won out of those compared, and
-    ``flagged``: the median moved the wrong way by more than the bound.
+    of equal seed) the new ledger won out of those compared,
+    ``flagged``: the median moved the wrong way by more than the bound, and
+    ``series``: the compared values, old then new, in seed order.
     """
     rows = []
     for workload in sorted(set(old["workloads"]) & set(new["workloads"])):
@@ -264,9 +274,25 @@ def compare(old: dict, new: dict, end_to_end: List[dict]) -> List[dict]:
                     "won": won,
                     "pairs": len(seeds),
                     "flagged": -gain > metric["bound"],
+                    "series": (tuple(old_values), tuple(new_values)),
                 }
             )
     return rows
+
+
+def merge_identical(rows: List[dict]) -> List[dict]:
+    """The rows to print: a workload's metrics with identical ``series``
+    share one row, named ``a=b=...`` and flagged when any of them is."""
+    merged: Dict[tuple, dict] = {}
+    for row in rows:
+        key = (row["workload"], row["series"])
+        first = merged.get(key)
+        merged[key] = row if first is None else {
+            **first,
+            "metric": f"{first['metric']}={row['metric']}",
+            "flagged": first["flagged"] or row["flagged"],
+        }
+    return list(merged.values())
 
 
 def incorrect_runs(ledger: dict) -> List[str]:
@@ -283,7 +309,7 @@ def unpaired(old: dict, new: dict) -> List[str]:
     """Why two ledgers are not one paired recording (empty when they are)."""
     problems = [
         f"{field} differs: {old.get(field)!r} vs {new.get(field)!r}"
-        for field in SAME_HOST_FIELDS
+        for field in ("recording", *SAME_HOST_FIELDS)
         if old.get(field) != new.get(field)
     ]
     if set(old["workloads"]) != set(new["workloads"]):
@@ -313,12 +339,19 @@ def _compare_main(old_path: Path, new_path: Path, benchmark: Path) -> int:
     new = json.loads(new_path.read_text(encoding="utf-8"))
     end_to_end = _benchmark(benchmark)["end_to_end"]
     rows = compare(old, new, end_to_end)
-    print(f"{'workload':16s} {'metric':13s} {'old':>11s} {'new':>11s} {'gain':>8s} {'old IQR':>8s} won")
-    for row in rows:
+    printed = merge_identical(rows)
+    width = max([len("metric"), *(len(row["metric"]) for row in printed)])
+    print(f"{'workload':16s} {'metric':{width}s} {'old':>11s} {'new':>11s} {'gain':>8s} {'old IQR':>8s} won")
+    for row in printed:
         mark = "  FLAGGED" if row["flagged"] else ""
         print(
-            f"{row['workload']:16s} {row['metric']:13s} {row['old']:11.4g} {row['new']:11.4g} "
+            f"{row['workload']:16s} {row['metric']:{width}s} {row['old']:11.4g} {row['new']:11.4g} "
             f"{row['gain']:+8.1%} {row['spread']:8.1%} {row['won']}/{row['pairs']}{mark}"
+        )
+    if old.get("recording") is None and new.get("recording") is None:
+        print(
+            "not stamped: neither ledger has a recording id, so only their seeds "
+            "and host fields show they are one recording"
         )
     if "tier1" in old or "tier1" in new:
         print(f"tier-1 (not bounded): {tier1_summary(old)} -> {tier1_summary(new)}")
