@@ -13,7 +13,7 @@ from repro.channel.fading import FlatRayleighChannel
 from repro.channel.model import MimoChannel
 from repro.core.config import TransceiverConfig
 from repro.core.receiver import MimoReceiver
-from repro.core.transceiver import transmit_burst
+from repro.core.transceiver import transmit_bursts
 from repro.core.transmitter import MimoTransmitter
 
 CFO_POINTS = [0.0, 1e-3, 3e-3, 6e-3]
@@ -25,7 +25,7 @@ def _ber(correct_cfo: bool, cfo: float) -> float:
     channel = MimoChannel(
         FlatRayleighChannel(rng=26), snr_db=35.0, rng=27, cfo_normalized=cfo
     )
-    air = transmit_burst(MimoTransmitter(config), channel, N_INFO_BITS, rng=1)
+    (air,) = transmit_bursts(MimoTransmitter(config), [channel], N_INFO_BITS, rngs=[1])
     (result,) = MimoReceiver(config).receive_stack(
         [air.samples], N_INFO_BITS, [air.lts_start], [air.noise_variance]
     )

@@ -23,7 +23,7 @@ import _bootstrap  # noqa: F401 -- makes the in-tree repro package importable
 from repro import MimoChannel, MimoReceiver, MimoTransmitter, TransceiverConfig
 from repro.channel import FlatRayleighChannel
 from repro.core.throughput import throughput_for_config
-from repro.core.transceiver import transmit_burst
+from repro.core.transceiver import transmit_bursts
 from repro.utils.bits import count_bit_errors
 
 
@@ -48,7 +48,7 @@ def main() -> None:
     )
 
     print("\nRunning one burst of 512 information bits per stream ...")
-    air = transmit_burst(MimoTransmitter(config), channel, n_info_bits=512, rng=3)
+    (air,) = transmit_bursts(MimoTransmitter(config), [channel], 512, rngs=[3])
     (result,) = MimoReceiver(config).receive_stack(
         [air.samples], 512, [air.lts_start], [air.noise_variance]
     )

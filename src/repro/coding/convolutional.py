@@ -8,9 +8,9 @@ industry-standard code: constraint length 7, generator polynomials 133/171
 
 :class:`ConvolutionalCode` captures the code definition (polynomials and
 puncture pattern) and the coded length of a block;
-:class:`ConvolutionalEncoder` encodes one terminated block per call, as
-the hardware does once per OFDM burst.  The matching decoder lives in
-:mod:`repro.coding.viterbi`.
+:class:`ConvolutionalEncoder` encodes terminated blocks, one per burst
+stream as the hardware does, a whole stack of them per call.  The
+matching decoder lives in :mod:`repro.coding.viterbi`.
 """
 
 from __future__ import annotations
@@ -179,39 +179,50 @@ class ConvolutionalEncoder:
     """Convolutional encoder with puncturing and tailing.
 
     The hardware encoder is a shift register plus XOR trees, reset for
-    every OFDM burst; :meth:`encode` computes one such block as one GF(2)
-    convolution per generator, on the same trellis the Viterbi decoder
-    walks.
+    every OFDM burst; :meth:`encode` computes such blocks as one GF(2)
+    shift-XOR per generator tap, on the same trellis the Viterbi decoder
+    walks, over a whole stack of blocks at once.
     """
 
     def __init__(self, code: Optional[ConvolutionalCode] = None) -> None:
         self.code = code if code is not None else ConvolutionalCode.ieee80211a()
 
     def encode(self, bits: Sequence[int] | np.ndarray) -> BitArray:
-        """Encode one independent block of information bits.
+        """Encode one block ``(n,)`` or a stack of equal blocks ``(n_blocks, n)``.
 
-        The shift register starts all-zero and the puncture pattern at its
-        first column; ``constraint_length - 1`` zero tail bits end the
-        block, so the decoder trellis ends in the all-zero state (what the
-        802.11a tail bits do).  The result has
-        :meth:`ConvolutionalCode.coded_length` bits.
+        Every block is independent: the shift register starts all-zero and
+        the puncture pattern at its first column; ``constraint_length - 1``
+        zero tail bits end the block, so the decoder trellis ends in the
+        all-zero state (what the 802.11a tail bits do).  A block's result
+        has :meth:`ConvolutionalCode.coded_length` bits, and a stack's has
+        one such row per block.
         """
-        data = _as_bit_array(bits)
+        data = np.asarray(bits, dtype=np.uint8)
+        if data.ndim not in (1, 2):
+            raise ConfigurationError(
+                f"encode takes one block (n,) or a stack (n_blocks, n), got shape {data.shape}"
+            )
+        _as_bit_array(data)  # only 0s and 1s
+        rows = np.atleast_2d(data)
         memory = self.code.memory
-        tail = np.zeros(memory, dtype=np.int64)
+        n_steps = rows.shape[1] + memory
         # The all-zero register (oldest bit first), the input, the tail.
-        stream = np.concatenate([tail, data, tail])
-        n_steps = stream.size - memory
-        # Output g at step t is the GF(2) convolution of the input with g's
-        # taps, tap i weighting the bit entered i steps earlier.
-        taps = np.arange(memory, -1, -1)
-        mother = np.stack(
-            [
-                np.convolve(stream, (g >> taps) & 1)[memory : memory + n_steps] & 1
-                for g in self.code.generators
-            ],
-            axis=1,
-        )
-        columns = np.arange(n_steps) % self.code.puncture_period
-        kept = self.code.puncture_pattern[:, columns].T.astype(bool)
-        return mother[kept].astype(np.uint8)
+        stream = np.zeros((rows.shape[0], n_steps + memory), dtype=np.uint8)
+        stream[:, memory : memory + rows.shape[1]] = rows
+        # Output g at step t XORs the bits g's taps select: bit
+        # ``memory - d`` of g weights the bit entered d steps earlier.
+        outputs = []
+        for g in self.code.generators:
+            out = np.zeros((rows.shape[0], n_steps), dtype=np.uint8)
+            for delay in range(memory + 1):
+                if (g >> (memory - delay)) & 1:
+                    out ^= stream[:, memory - delay : memory - delay + n_steps]
+            outputs.append(out)
+        # Step-major mother code, each step's outputs in generator order;
+        # the puncture pattern repeats every ``period`` of these slots.
+        mother = np.stack(outputs, axis=-1).reshape(rows.shape[0], -1)
+        period = self.code.puncture_period * self.code.n_outputs
+        kept = np.flatnonzero(self.code.puncture_pattern.T)
+        slots = (np.arange(-(-mother.shape[1] // period))[:, None] * period + kept).ravel()
+        coded = np.take(mother, slots[slots < mother.shape[1]], axis=1)
+        return coded[0] if data.ndim == 1 else coded

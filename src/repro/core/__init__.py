@@ -3,7 +3,7 @@
 This package ties the substrates together into the system the paper
 describes: :class:`~repro.core.transmitter.MimoTransmitter` (Fig. 1),
 :class:`~repro.core.receiver.MimoReceiver` (Fig. 5),
-:func:`~repro.core.transceiver.transmit_burst` (the on-air step between
+:func:`~repro.core.transceiver.transmit_bursts` (the on-air step between
 them) and the throughput model behind the 1 Gbps claim.  BER/PER over many
 bursts is measured by the sweep engine in :mod:`repro.sim`.
 """

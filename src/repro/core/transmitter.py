@@ -7,17 +7,19 @@ preamble (STS from antenna 0 only, one LTS slot per antenna) before the data
 OFDM symbols, exactly as Fig. 2 requires for receiver-side channel
 estimation.
 
-Mirroring the receive chain, the post-encoding datapath is vectorised over
-the whole burst: all streams' coded bits are interleaved and LUT-mapped in
-one pass, scattered into one ``(n_streams, n_symbols, fft_size)``
-frequency-domain block, pilot-inserted with one
-:meth:`~repro.core.pilots.PilotProcessor.insert_block` pass, transformed by
-a single planned IFFT, and cyclic-prefixed with one indexed gather.
+Mirroring the receive chain, the datapath runs over a whole stack of
+bursts: every stream of every burst is scrambled, encoded, interleaved
+and LUT-mapped as one ``(n_bursts * n_streams, ...)`` stack, scattered
+into one frequency-domain block, pilot-inserted with one
+:meth:`~repro.core.pilots.PilotProcessor.insert_block` pass, transformed
+by a single planned IFFT, and cyclic-prefixed with one indexed gather.
+Every row crosses the same arithmetic, so a burst's samples do not
+depend on the stack it went on air in.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -29,10 +31,9 @@ from repro.core.frame import TransmitBurst
 from repro.core.pilots import PilotProcessor
 from repro.core.preamble import PreambleGenerator
 from repro.dsp.fft import ifft
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, integer_at_least
 from repro.modulation.mapper import SymbolMapper
 from repro.types import BitArray, ComplexArray
-from repro.utils.bits import _as_bit_array
 
 
 class MimoTransmitter:
@@ -60,16 +61,14 @@ class MimoTransmitter:
     # ------------------------------------------------------------------
     def symbols_for_info_bits(self, n_info_bits: int) -> int:
         """Number of OFDM symbols needed to carry ``n_info_bits`` per stream."""
-        if n_info_bits <= 0:
-            raise ConfigurationError("n_info_bits must be positive")
+        n_info_bits = integer_at_least("n_info_bits", n_info_bits, 1)
         coded = self.code.coded_length(n_info_bits)
         n_cbps = self.config.coded_bits_per_symbol
         return -(-coded // n_cbps)
 
     def max_info_bits(self, n_ofdm_symbols: int) -> int:
         """Largest number of information bits that fit in ``n_ofdm_symbols``."""
-        if n_ofdm_symbols <= 0:
-            raise ConfigurationError("n_ofdm_symbols must be positive")
+        n_ofdm_symbols = integer_at_least("n_ofdm_symbols", n_ofdm_symbols, 1)
         capacity = n_ofdm_symbols * self.config.coded_bits_per_symbol
         rate = self.config.code_rate.fraction
         # Invert the coded length: coded = ceil((info + tail)/rate); search down
@@ -82,120 +81,175 @@ class MimoTransmitter:
         return estimate
 
     # ------------------------------------------------------------------
-    # per-stream datapath
-    # ------------------------------------------------------------------
-    def _encode_stream(self, bits: np.ndarray) -> tuple[np.ndarray, int]:
-        """Scramble + encode one stream; returns (coded bits, n_symbols)."""
-        coded = self._encoder.encode(self._scrambler.process(bits))
-        return coded, -(-coded.size // self.config.coded_bits_per_symbol)
-
-    # ------------------------------------------------------------------
-    # whole-burst datapath
+    # stacked datapath
     # ------------------------------------------------------------------
     def _map_block(self, padded_bits: BitArray, n_symbols: int) -> ComplexArray:
-        """Interleave, map and pilot-insert every stream's burst in one pass.
+        """Interleave, map and pilot-insert every row's burst in one pass.
 
-        ``padded_bits`` has shape ``(n_streams, n_symbols * n_cbps)``; the
-        result is the ``(n_streams, n_symbols, fft_size)`` frequency-domain
-        block (the interleaver permutes all blocks with one fancy index, the
-        LUT mapper packs every symbol's address in one reshape, and the
-        pilots land with one
-        :meth:`~repro.core.pilots.PilotProcessor.insert_block` pass).
+        ``padded_bits`` has shape ``(n_rows, n_symbols * n_cbps)``, one row
+        per stream of every burst; the result is the
+        ``(n_rows, n_symbols, fft_size)`` frequency-domain block (the
+        interleaver permutes all blocks with one fancy index, the LUT
+        mapper packs every symbol's address in one reshape, and the pilots
+        land with one :meth:`~repro.core.pilots.PilotProcessor.insert_block`
+        pass).
         """
         n_cbps = self.config.coded_bits_per_symbol
         n_bpsc = self.config.bits_per_subcarrier
         fft_size = self.config.fft_size
-        n_streams = padded_bits.shape[0]
+        n_rows = padded_bits.shape[0]
         data_bins = list(self.numerology.data_bins)
 
         interleaved = interleave(padded_bits, n_cbps, n_bpsc)
         points = self.mapper.map_bits(interleaved)
-        block = np.zeros((n_streams, n_symbols, fft_size), dtype=np.complex128)
-        block[..., data_bins] = points.reshape(n_streams, n_symbols, len(data_bins))
+        block = np.zeros((n_rows, n_symbols, fft_size), dtype=np.complex128)
+        block[..., data_bins] = points.reshape(n_rows, n_symbols, len(data_bins))
         return self.pilots.insert_block(block)
 
     def _modulate_block(self, frequency_block: ComplexArray) -> ComplexArray:
-        """One planned IFFT + one strided CP gather for the whole burst.
+        """One planned IFFT + one strided CP gather for the whole stack.
 
-        ``frequency_block`` has shape ``(n_streams, n_symbols, fft_size)``;
-        the result is ``(n_streams, n_symbols * samples_per_symbol)`` time
+        ``frequency_block`` has shape ``(n_rows, n_symbols, fft_size)``;
+        the result is ``(n_rows, n_symbols * samples_per_symbol)`` time
         samples, value-identical to per-symbol
         :func:`~repro.dsp.fft.ofdm_modulate` (the batched IFFT runs the same
         butterflies row by row, and the gather index copies exactly the
         prefix + symbol concatenation).
         """
-        n_streams, n_symbols, fft_size = frequency_block.shape
+        n_rows, n_symbols, fft_size = frequency_block.shape
         cp = self.config.cyclic_prefix_length
         if n_symbols == 0:
-            return np.zeros((n_streams, 0), dtype=np.complex128)
+            return np.zeros((n_rows, 0), dtype=np.complex128)
         time_domain = ifft(frequency_block)
         gather = np.concatenate(
             [np.arange(fft_size - cp, fft_size), np.arange(fft_size)]
         )
-        return time_domain[..., gather].reshape(n_streams, -1)
+        return time_domain[..., gather].reshape(n_rows, -1)
 
     # ------------------------------------------------------------------
     # burst assembly
     # ------------------------------------------------------------------
-    def transmit(self, stream_bits: Sequence[np.ndarray]) -> TransmitBurst:
-        """Build a complete burst from per-stream information bits.
+    def transmit(
+        self, stream_bits: Union[Sequence[np.ndarray], np.ndarray]
+    ) -> Union[TransmitBurst, List[TransmitBurst]]:
+        """Build complete bursts from their per-stream information bits.
 
         Parameters
         ----------
         stream_bits:
-            One bit array per spatial stream (``n_antennas`` arrays).  All
-            streams are padded to the same number of OFDM symbols.
+            Either one burst — one 1-D bit array per spatial stream
+            (``n_streams`` of them, lengths may differ; all streams are
+            padded to the same number of OFDM symbols) — or a stack of
+            bursts, an array of shape ``(n_bursts, n_streams,
+            n_info_bits)``, all of which go through the datapath in one
+            pass.  Bits must be exactly 0 or 1; anything else raises
+            :class:`~repro.exceptions.ConfigurationError`.
 
         Returns
         -------
-        :class:`~repro.core.frame.TransmitBurst` with per-antenna samples.
+        One :class:`~repro.core.frame.TransmitBurst` with per-antenna
+        samples, or a list of one per burst of a stack (their arrays are
+        views of the stack's).
         """
         n_streams = self.config.n_streams
+        if isinstance(stream_bits, np.ndarray) and stream_bits.ndim == 3:
+            stack = _checked_bits(stream_bits)
+            if 0 in stack.shape or stack.shape[1] != n_streams:
+                raise ConfigurationError(
+                    f"a burst stack must have shape (n_bursts, {n_streams}, n_info_bits) "
+                    f"with at least one burst and bit, got {stack.shape}"
+                )
+            return self._transmit_rows(
+                stack.reshape(-1, stack.shape[2]), [list(burst) for burst in stack]
+            )
+
+        if isinstance(stream_bits, np.ndarray) and stream_bits.ndim != 2:
+            raise ConfigurationError(
+                f"one burst is (n_streams, n_info_bits) bits, got shape {stream_bits.shape}"
+            )
         if len(stream_bits) != n_streams:
             raise ConfigurationError(
                 f"expected {n_streams} bit streams, got {len(stream_bits)}"
             )
-        info_bits = [_as_bit_array(bits) for bits in stream_bits]
-        for bits in info_bits:
-            if bits.size == 0:
-                raise ConfigurationError("every stream must carry at least one bit")
+        info_bits = [_checked_bits(bits) for bits in stream_bits]
+        if any(bits.ndim != 1 for bits in info_bits):
+            raise ConfigurationError("every stream must be a 1-D bit array")
+        lengths = np.array([bits.size for bits in info_bits])
+        if not lengths.all():
+            raise ConfigurationError("every stream must carry at least one bit")
+        rows = np.zeros((n_streams, lengths.max()), dtype=np.uint8)
+        for row, bits in zip(rows, info_bits):
+            row[: bits.size] = bits
+        (burst,) = self._transmit_rows(rows, [info_bits], lengths)
+        return burst
 
-        encoded, symbol_counts = zip(*(self._encode_stream(bits) for bits in info_bits))
-        n_symbols = max(symbol_counts)
-        padded = np.zeros(
-            (n_streams, n_symbols * self.config.coded_bits_per_symbol), dtype=np.uint8
-        )
-        for row, coded in zip(padded, encoded):
-            row[: coded.size] = coded
+    def _transmit_rows(
+        self,
+        rows: BitArray,
+        info_bits: List[List[np.ndarray]],
+        lengths: Optional[np.ndarray] = None,
+    ) -> List[TransmitBurst]:
+        """The stacked datapath: ``rows`` holds every stream of every burst,
+        burst-major, each zero-padded past its own ``lengths`` entry (all
+        rows are full when ``lengths`` is ``None``)."""
+        n_streams = self.config.n_streams
+        n_bursts = rows.shape[0] // n_streams
+        n_cbps = self.config.coded_bits_per_symbol
+
+        scrambled = self._scrambler.process(rows)
+        if lengths is not None:
+            # Pad after scrambling: a terminated block's code is a prefix of
+            # the code of the block plus zeros, and the zeros past it encode
+            # to zeros, so every row is its own block's code, zero-padded.
+            scrambled[np.arange(rows.shape[1]) >= lengths[:, None]] = 0
+        coded = self._encoder.encode(scrambled)
+        n_symbols = -(-coded.shape[1] // n_cbps)
+        padded = np.zeros((rows.shape[0], n_symbols * n_cbps), dtype=np.uint8)
+        padded[:, : coded.shape[1]] = coded
 
         frequency_symbols = self._map_block(padded, n_symbols)
 
-        preamble_waveform = self.preamble.mimo_preamble(n_streams)
         layout = self.preamble.layout(n_streams)
-        data_length = n_symbols * self.config.samples_per_symbol
+        data_end = layout.total_length + n_symbols * self.config.samples_per_symbol
         # A short idle tail (one cyclic-prefix length of zeros) ends the
         # burst; it models the transmitter returning to idle and gives the
         # receiver timing margin when the synchroniser locks a sample or two
         # late on dispersive channels.
         tail_length = self.config.cyclic_prefix_length
-        burst = np.zeros(
-            (n_streams, layout.total_length + data_length + tail_length),
-            dtype=np.complex128,
+        samples = np.zeros(
+            (n_bursts, n_streams, data_end + tail_length), dtype=np.complex128
         )
-        burst[:, : layout.total_length] = preamble_waveform
-        data_end = layout.total_length + data_length
-        burst[:, layout.total_length : data_end] = self._modulate_block(
+        samples[..., : layout.total_length] = self.preamble.mimo_preamble(n_streams)
+        samples[..., layout.total_length : data_end] = self._modulate_block(
             frequency_symbols
-        )
+        ).reshape(n_bursts, n_streams, -1)
 
-        return TransmitBurst(
-            samples=burst,
-            info_bits=info_bits,
-            coded_bits=list(padded),
-            n_ofdm_symbols=n_symbols,
-            layout=layout,
-            config=self.config,
-            frequency_symbols=frequency_symbols,
+        frequency_symbols = frequency_symbols.reshape(
+            n_bursts, n_streams, *frequency_symbols.shape[1:]
+        )
+        padded = padded.reshape(n_bursts, n_streams, -1)
+        return [
+            TransmitBurst(
+                samples=samples[burst],
+                info_bits=info_bits[burst],
+                coded_bits=list(padded[burst]),
+                n_ofdm_symbols=n_symbols,
+                layout=layout,
+                config=self.config,
+                frequency_symbols=frequency_symbols[burst],
+            )
+            for burst in range(n_bursts)
+        ]
+
+    def random_payload(self, n_info_bits: int, rng: np.random.Generator) -> BitArray:
+        """``(n_streams, n_info_bits)`` random bits: one draw per stream, in
+        stream order — the payload rule of every random burst."""
+        n_info_bits = integer_at_least("n_info_bits", n_info_bits, 1)
+        return np.stack(
+            [
+                rng.integers(0, 2, size=n_info_bits, dtype=np.uint8)
+                for _ in range(self.config.n_streams)
+            ]
         )
 
     def transmit_random(
@@ -203,8 +257,14 @@ class MimoTransmitter:
     ) -> TransmitBurst:
         """Convenience: transmit ``n_info_bits`` random bits on every stream."""
         generator = rng if rng is not None else np.random.default_rng()  # reprolint: disable=DET001 -- opt-in convenience for interactive use; every engine path injects a seeded generator
-        streams = [
-            generator.integers(0, 2, size=n_info_bits, dtype=np.uint8)
-            for _ in range(self.config.n_streams)
-        ]
-        return self.transmit(streams)
+        return self.transmit(self.random_payload(n_info_bits, generator))
+
+
+def _checked_bits(values) -> BitArray:
+    """``values`` as ``uint8`` bits; anything but finite, exact 0s and 1s
+    (a fraction, NaN, 2, a complex or a string) raises
+    :class:`~repro.exceptions.ConfigurationError` instead of being cast."""
+    array = np.asarray(values)
+    if array.dtype.kind not in "biuf" or not np.all((array == 0) | (array == 1)):
+        raise ConfigurationError("information bits must be exactly 0 or 1")
+    return array.astype(np.uint8, copy=False)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numbers
+
 
 class ReproError(Exception):
     """Base class for all library-specific errors."""
@@ -36,3 +38,15 @@ class ChannelEstimationError(DecodingError):
     a :class:`DecodingError`: the sweep engine and the streaming pipeline
     count it as a lost frame like every other receiver give-up.
     """
+
+
+def integer_at_least(name: str, value, minimum: int) -> int:
+    """``value``, a Python or numpy integer of at least ``minimum``, as an
+    ``int`` (so no equal value of another type hashes to another key);
+    anything else raises :class:`ConfigurationError`.
+
+    The one count rule of every front door: sweep specs, the runner and
+    the transmitter's sizing."""
+    if not isinstance(value, numbers.Integral) or value < minimum:
+        raise ConfigurationError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)

@@ -2,7 +2,8 @@
 
 ``repro.sim`` is the scale layer of the reproduction and the one way to
 measure BER/PER: every burst goes on air through
-:func:`repro.core.transceiver.transmit_burst` and comes back through
+:func:`repro.core.transceiver.transmit_bursts` (a lockstep round's bursts
+in one stacked transmit pass) and comes back through
 the receiver's shared stage
 (:meth:`repro.core.receiver.MimoReceiver.demodulate_stack`), its
 detector stage and one decode, and this package

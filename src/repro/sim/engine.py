@@ -3,11 +3,12 @@
 This module turns a :class:`~repro.sim.spec.SweepPoint` into link
 simulations: it builds the :class:`~repro.core.config.TransceiverConfig` and
 channel model a grid cell describes (the impairment wiring the streaming
-scheduler reuses) and puts seeded bursts on air.  :func:`simulate_batch`
-runs the :class:`WorkUnit` the :class:`~repro.sim.runner.SweepRunner` fans
-out over its worker pool — a :class:`BatchItem` of bursts for each of
-several points of one air group — and answers one :class:`BatchReport` of
-burst outcomes per item.  Units and reports are frozen dataclasses, so
+scheduler reuses) and puts seeded bursts on air, a round at a time
+(:func:`air_round`: one stacked transmit pass, a channel per burst).
+:func:`simulate_batch` runs the :class:`WorkUnit` the
+:class:`~repro.sim.runner.SweepRunner` fans out over its worker pool — a
+:class:`BatchItem` of bursts for each of several points of one air group
+— and answers one :class:`BatchReport` of burst outcomes per item.  Units and reports are frozen dataclasses, so
 they cross process boundaries by pickling.
 
 Seeding contract: every burst derives its RNG streams from
@@ -23,7 +24,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from repro.channel.model import IdealChannel, MimoChannel
 from repro.core.config import TransceiverConfig
 from repro.core.frame import BurstOutcome
 from repro.core.receiver import MimoReceiver
-from repro.core.transceiver import AirBurst, transmit_burst
+from repro.core.transceiver import AirBurst, transmit_bursts
 from repro.core.transmitter import MimoTransmitter
 from repro.exceptions import ConfigurationError
 from repro.sim.cache import content_key
@@ -153,8 +154,8 @@ def _transceiver_for(config: TransceiverConfig) -> Tuple[MimoTransmitter, MimoRe
 
     Building them constructs the full trellis, constellation tables and
     preamble; reusing them across bursts and batches keeps the hot loop
-    hot.  Every burst goes on air through its own channel
-    (:func:`air_burst`).
+    hot.  A round's bursts share one transmit pass and each crosses its
+    own channel (:func:`air_round`).
     """
     return MimoTransmitter(config), MimoReceiver(config)
 
@@ -195,39 +196,57 @@ def stream_frame_seed(
     return np.random.SeedSequence([base_seed, _STREAM_TAG, user, frame_index])
 
 
-def air_burst(
+class AirCell(NamedTuple):
+    """One seeded burst of an :func:`air_round`: its seed (a fresh
+    :func:`burst_seed` or :func:`stream_frame_seed`; spawning advances a
+    ``SeedSequence``, so a seed goes on air once), the channel it crosses,
+    and ``fixed_fading`` when the caller keeps one fading realisation
+    fixed."""
+
+    seed: np.random.SeedSequence
+    channel: str
+    snr_db: Optional[float]
+    impairment: ImpairmentSpec
+    fixed_fading: object = None
+
+
+def air_round(
     transmitter: MimoTransmitter,
-    seed: np.random.SeedSequence,
-    channel: str,
-    snr_db: Optional[float],
-    impairment: ImpairmentSpec,
+    cells: Sequence[AirCell],
     n_info_bits: int,
     known_timing: bool = False,
-    fixed_fading=None,
-) -> AirBurst:
-    """Put one seeded burst on air: the sweep's and the stream's one TX path.
+) -> List[AirBurst]:
+    """Put a round of seeded bursts on air: the sweep's and the stream's
+    one TX path, one :class:`~repro.core.transceiver.AirBurst` per cell.
 
-    ``seed`` (a :func:`burst_seed` or :func:`stream_frame_seed`) spawns the
-    payload, fading and noise generators, in that order.  The burst crosses
-    a fresh :func:`impaired_channel` over a fresh ``channel`` fading
-    realisation, or over ``fixed_fading`` when the caller keeps one
-    realisation fixed (its fading generator then goes unused), through
-    :func:`~repro.core.transceiver.transmit_burst`.
+    Each cell's seed spawns its payload, fading and noise generators, in
+    that order.  Its burst crosses a fresh :func:`impaired_channel` over a
+    fresh fading realisation of its channel kind, or over its
+    ``fixed_fading`` (its fading generator then goes unused).  Every
+    burst goes through one stacked transmit pass,
+    :func:`~repro.core.transceiver.transmit_bursts`; the channels stay per
+    burst, so a round may mix channel kinds and impairments.
     """
-    payload_seed, fading_seed, noise_seed = seed.spawn(3)
-    fading = (
-        fixed_fading
-        if fixed_fading is not None
-        else build_fading_model(
-            channel, transmitter.config.n_antennas, np.random.default_rng(fading_seed)
+    payloads, channels = [], []
+    for cell in cells:
+        payload_seed, fading_seed, noise_seed = cell.seed.spawn(3)
+        fading = (
+            cell.fixed_fading
+            if cell.fixed_fading is not None
+            else build_fading_model(
+                cell.channel,
+                transmitter.config.n_antennas,
+                np.random.default_rng(fading_seed),
+            )
         )
-    )
-    return transmit_burst(
-        transmitter,
-        impaired_channel(fading, snr_db, impairment, np.random.default_rng(noise_seed)),
-        n_info_bits,
-        rng=np.random.default_rng(payload_seed),
-        known_timing=known_timing,
+        channels.append(
+            impaired_channel(
+                fading, cell.snr_db, cell.impairment, np.random.default_rng(noise_seed)
+            )
+        )
+        payloads.append(np.random.default_rng(payload_seed))
+    return transmit_bursts(
+        transmitter, channels, n_info_bits, payloads, known_timing=known_timing
     )
 
 
@@ -271,8 +290,9 @@ def simulate_batch(unit: WorkUnit) -> List[BatchReport]:
     The items share one :meth:`~repro.core.config.TransceiverConfig.air_group`
     (their detectors may differ) and advance in lockstep rounds.  A round
     puts each distinct ``(air_key, burst index)`` of its live items on air
-    once (:func:`air_burst` seeded by :func:`burst_seed`), so twins receive
-    the very same samples; runs the distinct bursts through one
+    once, all of them in one :func:`air_round` seeded by
+    :func:`burst_seed`, so twins receive the very same samples; runs the
+    distinct bursts through one
     :meth:`~repro.core.receiver.MimoReceiver.demodulate_stack`, each
     detector's items through its
     :meth:`~repro.core.receiver.MimoReceiver.detect_stack` and every item
@@ -309,24 +329,27 @@ def simulate_batch(unit: WorkUnit) -> List[BatchReport]:
     outcomes: List[List[BurstOutcome]] = [[] for _ in items]
     errors = [0] * len(items)
     live = list(range(len(items)))
-    for offset in range(max(item.n_bursts for item in items)):
+    offset = 0
+    while live:
         cells: Dict[Tuple[str, int], List[int]] = {}
         for i in live:
             cells.setdefault((items[i].air_key, items[i].start_burst + offset), []).append(i)
         row_of = {i: row for row, members in enumerate(cells.values()) for i in members}
-        sent = [
-            air_burst(
-                transmitter,
-                burst_seed(key, burst),
-                items[i].point.channel,
-                items[i].point.snr_db,
-                items[i].point.impairment or ImpairmentSpec(),
-                spec.n_info_bits,
-                known_timing=spec.known_timing,
-                fixed_fading=fixed_fadings[key],
-            )
-            for (key, burst), (i, *_) in cells.items()
-        ]
+        sent = air_round(
+            transmitter,
+            [
+                AirCell(
+                    burst_seed(key, burst),
+                    items[i].point.channel,
+                    items[i].point.snr_db,
+                    items[i].point.impairment or ImpairmentSpec(),
+                    fixed_fadings[key],
+                )
+                for (key, burst), (i, *_) in cells.items()
+            ],
+            spec.n_info_bits,
+            known_timing=spec.known_timing,
+        )
         references = [air.burst.info_bits for air in sent]
         demodulated = receiver.demodulate_stack(
             [air.samples for air in sent],
@@ -359,6 +382,7 @@ def simulate_batch(unit: WorkUnit) -> List[BatchReport]:
             if offset + 1 < items[i].n_bursts
             and (spec.target_errors is None or errors[i] < spec.target_errors)
         ]
+        offset += 1
 
     elapsed = time.perf_counter() - unit_start
     total_bursts = max(sum(len(bursts) for bursts in outcomes), 1)

@@ -44,7 +44,8 @@ from typing import Dict, Hashable, List, Optional, Tuple, Union
 
 from repro.sim.engine import BatchItem, BatchReport, WorkUnit, air_key, build_config, simulate_batch
 from repro.sim.queue import QueueLike, make_queue
-from repro.sim.spec import SweepPoint, SweepPointResult, SweepResult, SweepSpec, integer_at_least
+from repro.exceptions import integer_at_least
+from repro.sim.spec import SweepPoint, SweepPointResult, SweepResult, SweepSpec
 from repro.sim.stats import allocate_bursts
 from repro.sim.store import ResultStore
 

@@ -37,7 +37,7 @@ from repro.dsp.fixedpoint import (
     MULTIPLIER_FORMAT_18BIT,
     SAMPLE_FORMAT_16BIT,
 )
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, integer_at_least
 from repro.modulation.constellations import Modulation
 
 #: Bumped whenever the engine's statistics change meaning, so stale cache
@@ -69,15 +69,6 @@ def _field_values(instance) -> dict:
     without its recursive walk and deep copies.
     """
     return {item.name: getattr(instance, item.name) for item in fields(instance)}
-
-
-def integer_at_least(name: str, value, minimum: int) -> int:
-    """``value``, a Python or numpy integer of at least ``minimum``, as an
-    ``int`` (so no equal value of another type hashes to another key);
-    anything else raises :class:`~repro.exceptions.ConfigurationError`."""
-    if not isinstance(value, (int, np.integer)) or value < minimum:
-        raise ConfigurationError(f"{name} must be an integer >= {minimum}, got {value!r}")
-    return int(value)
 
 
 def _as_tuple(value, caster) -> tuple:
@@ -262,7 +253,7 @@ class SweepSpec:
         Forwarded to :class:`~repro.core.config.TransceiverConfig`.
 
     The integer fields must be positive integers (``base_seed`` may be 0),
-    as :func:`integer_at_least` checks.
+    as :func:`~repro.exceptions.integer_at_least` checks.
     """
 
     snr_db: Tuple[float, ...] = (20.0,)

@@ -6,7 +6,7 @@ per-user frame queues are filled by a traffic model
 or smooth weighted round-robin) picks which queue transmits next, and each
 served frame travels the full physical layer — transmit burst, fading
 channel with optional front-end impairments, AWGN, through the sweep
-engine's own :func:`~repro.sim.engine.air_burst` — into the
+engine's own :func:`~repro.sim.engine.air_round` — into the
 chunk-invariant :class:`~repro.stream.pipeline.StreamingReceiver`, whose
 detected-and-decoded frames are matched back to the frames that went on
 air.
@@ -23,16 +23,19 @@ Two clocks run side by side and must not be confused:
 Idle air (every queue empty) advances the simulated clock without
 generating samples — the receiver's stream is the back-to-back
 concatenation of transmitted frames, so detector throughput is spent on
-frames, not on noise between them.  The scheduler pushes that stream in
-groups of :data:`FRAMES_PER_PUSH` served frames, so the receiver decodes
-each group's frames in one stacked pass.
+frames, not on noise between them.  The scheduler serves frames in
+groups of :data:`FRAMES_PER_PUSH`: the air clock needs only each frame's
+length (``frame_length`` plus the impairment's ``sample_delay``), so a
+frame's timing is settled when it is served, and the whole group goes on
+air in one stacked transmit pass when it is pushed, after which the
+receiver decodes the group's frames in one stacked pass.
 
 Determinism: every (user, frame) derives payload, fading and noise streams
 from :func:`repro.sim.engine.stream_frame_seed`, split by
-:func:`~repro.sim.engine.air_burst` exactly as a sweep burst's seed is,
+:func:`~repro.sim.engine.air_round` exactly as a sweep burst's seed is,
 and every user's arrival
 process from its own seed, so a thousand-user run is bit-reproducible
-regardless of scheduling order or traffic model.
+regardless of scheduling order, push grouping or traffic model.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ import heapq
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -50,7 +53,7 @@ from repro.core.frame import BurstOutcome
 from repro.core.receiver import MimoReceiver
 from repro.core.transmitter import MimoTransmitter
 from repro.exceptions import ConfigurationError
-from repro.sim.engine import air_burst, impaired_config, stream_frame_seed
+from repro.sim.engine import AirCell, air_round, impaired_config, stream_frame_seed
 from repro.sim.spec import CHANNEL_MODELS, ImpairmentSpec
 from repro.stream.metrics import LatencySummary, ServiceReport, UserStats
 from repro.stream.pipeline import DecodedFrame, StreamingReceiver
@@ -60,24 +63,26 @@ from repro.stream.traffic import PoissonTraffic, arrival_times
 #: per-(user, frame) physics tree (which uses a four-element seed list).
 _ARRIVAL_TAG = 0xA221
 
-#: Served frames whose received samples go into the receive stream as one
-#: chunk: the receiver decodes a push's frames in one stacked pass, so a
-#: group amortises its per-pass cost while keeping the buffered samples
-#: bounded.  The detector is chunk-invariant and latency lives on the air
-#: clock, so the grouping changes no report field but the wall-clock ones.
+#: Served frames that go on air in one stacked transmit pass and into the
+#: receive stream as one chunk: the receiver decodes a push's frames in one
+#: stacked pass, so a group amortises both passes' per-call cost while
+#: keeping the buffered samples bounded.  The detector is chunk-invariant
+#: and latency lives on the air clock, so the grouping changes no report
+#: field but the wall-clock ones.
 FRAMES_PER_PUSH = 4
 
 
 @dataclass
 class _InFlight:
-    """One served frame awaiting its detected window in the receive stream."""
+    """One served frame awaiting its detected window in the receive stream;
+    its reference bits arrive when its push group goes on air."""
 
     user: int
     frame_index: int
     arrival_s: float
     done_s: float
     expected_start: int
-    reference_bits: List[np.ndarray]
+    reference_bits: Optional[List[np.ndarray]] = None
 
 
 class DownlinkScheduler:
@@ -222,7 +227,7 @@ class DownlinkScheduler:
         credit = np.zeros(self.n_users, dtype=np.float64)
         rr_next = 0
         in_flight: deque = deque()
-        group: List[np.ndarray] = []  # received samples not yet pushed
+        group: List[Tuple[_InFlight, AirCell]] = []  # served, not yet on air
         air_s = 0.0      # simulated clock
         busy_s = 0.0     # air-interface occupancy
         stream_cursor = 0
@@ -232,6 +237,9 @@ class DownlinkScheduler:
         lost = 0
         bits_delivered = 0
         half_frame = self.frame_length // 2
+        # Every frame occupies the same air: the burst plus the timing delay.
+        frame_on_air = self.frame_length + self.impairment.sample_delay
+        duration_s = frame_on_air / self.config.clock_hz
 
         def settle(decoded: Sequence[DecodedFrame]) -> None:
             """Match decoded windows back to the frames that went on air."""
@@ -265,6 +273,16 @@ class DownlinkScheduler:
                     # A detection that matches nothing on air.
                     spurious += 1
 
+        def push() -> None:
+            """Put the group on air in one round and receive it as one chunk."""
+            sent = air_round(
+                self.transmitter, [cell for _, cell in group], self.n_info_bits
+            )
+            for (entry, _), air in zip(group, sent):
+                entry.reference_bits = air.burst.info_bits
+            group.clear()
+            settle(self.pipeline.push(np.concatenate([air.samples for air in sent], axis=1)))
+
         total_frames = self.n_users * self.frames_per_user
         while served < total_frames:
             while arrivals and arrivals[0][0] <= air_s:
@@ -280,39 +298,36 @@ class DownlinkScheduler:
             arrival_s, frame_index = queues[user].popleft()
             qlen[user] -= 1
 
-            air = air_burst(
-                self.transmitter,
-                stream_frame_seed(self.base_seed, user, frame_index),
-                self.channel,
-                self.snr_db,
-                self.impairment,
-                self.n_info_bits,
-            )
-            received = air.samples
-            duration_s = received.shape[1] / self.config.clock_hz
             done_s = air_s + duration_s
-            in_flight.append(
-                _InFlight(
-                    user=user,
-                    frame_index=frame_index,
-                    arrival_s=float(arrival_s),
-                    done_s=done_s,
-                    expected_start=stream_cursor + self.impairment.sample_delay,
-                    reference_bits=air.burst.info_bits,
+            entry = _InFlight(
+                user=user,
+                frame_index=frame_index,
+                arrival_s=float(arrival_s),
+                done_s=done_s,
+                expected_start=stream_cursor + self.impairment.sample_delay,
+            )
+            in_flight.append(entry)
+            group.append(
+                (
+                    entry,
+                    AirCell(
+                        stream_frame_seed(self.base_seed, user, frame_index),
+                        self.channel,
+                        self.snr_db,
+                        self.impairment,
+                    ),
                 )
             )
             users[user].frames_served += 1
             served += 1
-            stream_cursor += received.shape[1]
+            stream_cursor += frame_on_air
             air_s = done_s
             busy_s += duration_s
-            group.append(received)
             if len(group) == FRAMES_PER_PUSH:
-                settle(self.pipeline.push(np.concatenate(group, axis=1)))
-                group.clear()
+                push()
 
         if group:
-            settle(self.pipeline.push(np.concatenate(group, axis=1)))
+            push()
         settle(self.pipeline.flush())
         while in_flight:
             missed = in_flight.popleft()

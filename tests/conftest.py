@@ -9,7 +9,7 @@ from repro.channel.fading import FlatRayleighChannel
 from repro.channel.model import MimoChannel
 from repro.core.config import TransceiverConfig
 from repro.core.receiver import MimoReceiver
-from repro.core.transceiver import transmit_burst
+from repro.core.transceiver import transmit_bursts
 from repro.core.transmitter import MimoTransmitter
 
 
@@ -54,7 +54,8 @@ def flat_fading_channel() -> MimoChannel:
 
 @pytest.fixture
 def link_burst():
-    """One burst over a link: ``transmit_burst`` then ``receive_stack``.
+    """One burst over a link: a round of one through ``transmit_bursts``, then
+    ``receive_stack``.
 
     Returns ``run(config, channel, n_info_bits, rng, known_timing=False)``,
     which gives ``(air, outcome)``: the :class:`~repro.core.transceiver.AirBurst`
@@ -63,8 +64,8 @@ def link_burst():
     """
 
     def run(config, channel, n_info_bits, rng, known_timing=False):
-        air = transmit_burst(
-            MimoTransmitter(config), channel, n_info_bits, rng=rng, known_timing=known_timing
+        (air,) = transmit_bursts(
+            MimoTransmitter(config), [channel], n_info_bits, [rng], known_timing=known_timing
         )
         (outcome,) = MimoReceiver(config).receive_stack(
             [air.samples], n_info_bits, [air.lts_start], [air.noise_variance]

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.coding.convolutional import (
     CodeRate,
@@ -11,6 +12,11 @@ from repro.coding.convolutional import (
 )
 from repro.exceptions import ConfigurationError
 from repro.utils.bits import random_bits
+from reference.coding import encode_serial
+
+#: (constraint length, generators) of the codes the stacked encoder is
+#: checked on: a small code, the 802.11a code and a K = 9 code.
+STACK_CODES = [(3, (0o5, 0o7)), (7, (0o133, 0o171)), (9, (0o561, 0o753))]
 
 
 class TestCodeRate:
@@ -133,3 +139,40 @@ class TestEncoder:
         first = encoder.encode(bits)
         encoder.encode(np.array([1, 1, 0, 1], dtype=np.uint8))
         np.testing.assert_array_equal(encoder.encode(bits), first)
+
+
+class TestStackedEncoder:
+    """``encode`` on an ``(n_blocks, n)`` stack encodes every row as its own block."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        code=st.sampled_from(STACK_CODES),
+        rate=st.sampled_from(list(CodeRate)),
+        n_bits=st.integers(0, 300),
+        n_blocks=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(code=STACK_CODES[1], rate=CodeRate.RATE_3_4, n_bits=7, n_blocks=3, seed=0)
+    @example(code=STACK_CODES[1], rate=CodeRate.RATE_2_3, n_bits=0, n_blocks=2, seed=0)
+    @example(code=STACK_CODES[2], rate=CodeRate.RATE_2_3, n_bits=300, n_blocks=1, seed=1)
+    def test_each_row_matches_the_serial_encoder(self, code, rate, n_bits, n_blocks, seed):
+        constraint_length, generators = code
+        definition = ConvolutionalCode(constraint_length, generators, PUNCTURE_PATTERNS[rate])
+        stack = np.random.default_rng(seed).integers(
+            0, 2, size=(n_blocks, n_bits), dtype=np.uint8
+        )
+        coded = ConvolutionalEncoder(definition).encode(stack)
+        assert coded.shape == (n_blocks, definition.coded_length(n_bits))
+        for row, bits in zip(coded, stack):
+            np.testing.assert_array_equal(row, encode_serial(definition, bits))
+
+    def test_one_block_is_a_stack_of_one(self):
+        encoder = ConvolutionalEncoder(ConvolutionalCode.ieee80211a(CodeRate.RATE_3_4))
+        bits = random_bits(53, np.random.default_rng(6))
+        single = encoder.encode(bits)
+        assert single.ndim == 1
+        np.testing.assert_array_equal(encoder.encode(bits[None, :]), single[None, :])
+
+    def test_more_than_two_dimensions_rejected(self):
+        with pytest.raises(ConfigurationError):
+            ConvolutionalEncoder().encode(np.zeros((2, 2, 5), dtype=np.uint8))

@@ -92,6 +92,28 @@ class TestBurstStructure:
         assert burst.n_ofdm_symbols == transmitter.symbols_for_info_bits(300)
 
 
+class TestPayloadRule:
+    @pytest.mark.parametrize("n_info_bits", [7, 48])
+    def test_one_draw_per_stream_in_stream_order(self, transmitter, n_info_bits):
+        # One (n_streams, n) draw is another bit stream when n % 4 != 0.
+        payload = transmitter.random_payload(n_info_bits, np.random.default_rng(3))
+        rng = np.random.default_rng(3)
+        expected = [rng.integers(0, 2, size=n_info_bits, dtype=np.uint8) for _ in range(4)]
+        np.testing.assert_array_equal(payload, expected)
+
+    def test_transmit_random_sends_the_payload_rule(self, transmitter):
+        burst = transmitter.transmit_random(7, rng=np.random.default_rng(4))
+        payload = transmitter.random_payload(7, np.random.default_rng(4))
+        np.testing.assert_array_equal(np.array(burst.info_bits), payload)
+
+    def test_a_stack_returns_one_burst_per_row(self, transmitter):
+        stack = np.random.default_rng(5).integers(0, 2, size=(3, 4, 40), dtype=np.uint8)
+        bursts = transmitter.transmit(stack)
+        assert [burst.payload_bits for burst in bursts] == [4 * 40] * 3
+        for burst, bits in zip(bursts, stack):
+            np.testing.assert_array_equal(np.array(burst.info_bits), bits)
+
+
 class TestSpectralStructure:
     def test_data_symbols_only_occupy_active_subcarriers(self, transmitter):
         burst = transmitter.transmit_random(96, rng=np.random.default_rng(9))

@@ -14,12 +14,13 @@ from repro.analysis.capacity import ergodic_mimo_capacity, mimo_capacity, requir
 from repro.channel.awgn import awgn_noise
 from repro.channel.fading import FlatRayleighChannel, FrequencySelectiveChannel
 from repro.channel.model import IdealChannel, MimoChannel
-from repro.coding.convolutional import ConvolutionalCode
+from repro.coding.convolutional import ConvolutionalCode, ConvolutionalEncoder
 from repro.coding.interleaver import deinterleave, interleave, interleaver_permutation
 from repro.coding.scrambler import Scrambler, pilot_polarity_sequence
 from repro.coding.viterbi import ViterbiDecoder
 from repro.core.config import TransceiverConfig
 from repro.core.receiver import MimoReceiver
+from repro.core.transceiver import transmit_bursts
 from repro.core.transmitter import MimoTransmitter
 from repro.exceptions import (
     ChannelEstimationError,
@@ -269,6 +270,19 @@ class _BackwardsTraffic:
         lambda: ViterbiDecoder().decode(np.zeros(32), n_info_bits=10.0),
         lambda: SymbolDemapper("16qam").demap(np.zeros(4, dtype=complex), soft=True, noise_variance=0.0),
         lambda: SymbolMapper("16qam").map_addresses([16]),
+        lambda: MimoTransmitter().transmit([np.array([0.5, 0, 1, 1])] * 4),
+        lambda: MimoTransmitter().transmit([np.array([np.nan, 0, 1, 1])] * 4),
+        lambda: MimoTransmitter().transmit([np.array([1 + 1j, 0, 1, 1])] * 4),
+        lambda: MimoTransmitter().transmit([np.array([2, 0, 1, 1])] * 4),
+        lambda: MimoTransmitter().transmit([np.zeros((2, 8), dtype=np.uint8)] * 4),
+        lambda: MimoTransmitter().transmit(np.zeros((4, 3, 8), dtype=np.uint8)),
+        lambda: MimoTransmitter().transmit(np.full((4, 4, 8), 2, dtype=np.uint8)),
+        lambda: MimoTransmitter().transmit_random(-5, np.random.default_rng(0)),
+        lambda: MimoTransmitter().transmit_random(2.5, np.random.default_rng(0)),
+        lambda: MimoTransmitter().symbols_for_info_bits(2.5),
+        lambda: MimoTransmitter().max_info_bits(1.5),
+        lambda: ConvolutionalEncoder().encode(np.zeros((2, 2, 5), dtype=np.uint8)),
+        lambda: transmit_bursts(MimoTransmitter(), [MimoChannel()], 96, [1, 2]),
     ],
     ids=[
         "channel-2x2-with-4-antenna-burst",
@@ -364,6 +378,19 @@ class _BackwardsTraffic:
         "viterbi-fractional-info-bits",
         "demapper-zero-noise-variance",
         "mapper-address-out-of-range",
+        "transmit-fractional-bit",
+        "transmit-nan-bit",
+        "transmit-complex-bit",
+        "transmit-bit-value-2",
+        "transmit-2d-stream",
+        "transmit-stack-stream-count",
+        "transmit-stack-bit-value-2",
+        "transmit-random-negative-bits",
+        "transmit-random-fractional-bits",
+        "symbols-for-fractional-info-bits",
+        "max-info-bits-fractional-symbols",
+        "encode-3d-stack",
+        "air-round-generator-count",
     ],
 )
 def test_inconsistent_construction_raises_configuration_error(build):

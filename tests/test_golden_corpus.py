@@ -35,7 +35,7 @@ from repro.channel.fading import FlatRayleighChannel
 from repro.channel.model import MimoChannel
 from repro.core.config import TransceiverConfig
 from repro.core.receiver import MimoReceiver
-from repro.core.transceiver import transmit_burst
+from repro.core.transceiver import transmit_bursts
 from repro.core.transmitter import MimoTransmitter
 from repro.sim import ENGINE_VERSION, ImpairmentSpec, SweepRunner, SweepSpec
 from repro.stream.pipeline import DecodedFrame
@@ -140,11 +140,11 @@ def sweep_results() -> Dict[str, list]:
 def cordic_burst() -> dict:
     """One burst through the CORDIC channel inversion."""
     config = TransceiverConfig(use_cordic_channel_inversion=True)
-    air = transmit_burst(
+    (air,) = transmit_bursts(
         MimoTransmitter(config),
-        MimoChannel(FlatRayleighChannel(rng=37), snr_db=20.0, rng=32),
+        [MimoChannel(FlatRayleighChannel(rng=37), snr_db=20.0, rng=32)],
         192,
-        rng=33,
+        rngs=[33],
     )
     (result,) = MimoReceiver(config).receive_stack(
         [air.samples], 192, [air.lts_start], [air.noise_variance]

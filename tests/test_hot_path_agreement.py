@@ -841,7 +841,7 @@ class TestSharedStageAndDetectorStages:
 
 
 class TestTransmitterBatchAgreement:
-    """Whole-burst transmit chain vs the per-symbol oracle."""
+    """Stacked transmit chain vs the per-symbol oracle and bursts sent alone."""
 
     @pytest.mark.parametrize("rate", ALL_RATES)
     @pytest.mark.parametrize("modulation", ALL_MODULATIONS)
@@ -939,6 +939,43 @@ class TestTransmitterBatchAgreement:
         batched = transmitter.transmit(bits)
         np.testing.assert_array_equal(batched.samples, samples)
         np.testing.assert_array_equal(batched.frequency_symbols, frequency_symbols)
+
+    @pytest.mark.parametrize("rate", ALL_RATES)
+    @pytest.mark.parametrize("modulation", ALL_MODULATIONS)
+    def test_a_stack_equals_each_burst_alone(self, modulation, rate):
+        # One to six bursts, at lengths that are and are not a multiple of
+        # the puncture period and of four.
+        config = TransceiverConfig(modulation=modulation, code_rate=rate)
+        index = 3 * ALL_MODULATIONS.index(modulation) + ALL_RATES.index(rate)
+        n_bits = (7, 48, 121, 256, 333, 700)[index % 6]
+        stack = np.random.default_rng(4000 + index).integers(
+            0, 2, size=(1 + index % 6, config.n_streams, n_bits), dtype=np.uint8
+        )
+        _assert_stack_equals_each_burst_alone(MimoTransmitter(config), stack)
+
+    def test_512_point_stack_equals_each_burst_alone(self):
+        config = TransceiverConfig(fft_size=512)
+        stack = np.random.default_rng(93).integers(0, 2, size=(3, 4, 2000), dtype=np.uint8)
+        _assert_stack_equals_each_burst_alone(MimoTransmitter(config), stack)
+
+
+def _assert_stack_equals_each_burst_alone(transmitter, stack):
+    """Every burst of one stacked ``transmit`` equals that burst transmitted
+    alone and the per-symbol oracle: samples, frequency symbols, coded bits."""
+    bursts = transmitter.transmit(stack)
+    assert len(bursts) == len(stack)
+    for burst, bits in zip(bursts, stack):
+        alone = transmitter.transmit(list(bits))
+        samples, frequency_symbols, coded_bits = transmit_serial(transmitter, bits)
+        for expected in (
+            (alone.samples, alone.frequency_symbols, alone.coded_bits),
+            (samples, frequency_symbols, coded_bits),
+        ):
+            np.testing.assert_array_equal(burst.samples, expected[0])
+            np.testing.assert_array_equal(burst.frequency_symbols, expected[1])
+            np.testing.assert_array_equal(np.array(burst.coded_bits), np.array(expected[2]))
+        np.testing.assert_array_equal(np.array(burst.info_bits), bits)
+        assert burst.n_ofdm_symbols == alone.n_ofdm_symbols
 
 
 class TestOracleLoopback:

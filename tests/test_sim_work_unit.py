@@ -19,12 +19,14 @@ point once.
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import repro.coding.viterbi as viterbi_module
 import repro.sim.cache as cache_module
 import repro.sim.engine as engine_module
 import repro.sim.runner as runner_module
+from repro.core.config import TransceiverConfig
 from repro.core.frame import BurstOutcome
 from repro.core.receiver import DECODE_SLICE, MimoReceiver
 from repro.core.transmitter import MimoTransmitter
@@ -34,9 +36,11 @@ from repro.sim import ImpairmentSpec, ResultStore, SweepRunner, SweepSpec
 from repro.sim.engine import (
     BatchItem,
     WorkUnit,
-    air_burst,
+    AirCell,
     air_key,
+    air_round,
     build_config,
+    build_fading_model,
     burst_seed,
     simulate_batch,
 )
@@ -124,15 +128,16 @@ def _counting(monkeypatch, cls, name):
 
 
 def _counting_air_bursts(monkeypatch):
-    calls = []
-    original = engine_module.air_burst
+    """Every cell each :func:`air_round` call puts on air, in order."""
+    cells = []
+    original = engine_module.air_round
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counted(transmitter, round_cells, *args, **kwargs):
+        cells.extend(round_cells)
+        return original(transmitter, round_cells, *args, **kwargs)
 
-    monkeypatch.setattr(engine_module, "air_burst", counted)
-    return calls
+    monkeypatch.setattr(engine_module, "air_round", counted)
+    return cells
 
 
 def _early_stop_spec():
@@ -166,10 +171,13 @@ def test_item_past_its_error_target_stops_simulating(monkeypatch):
 
 def test_each_lockstep_round_is_one_shared_stage_and_one_decode(monkeypatch):
     spec, items = _early_stop_spec()
+    transmitted = _counting(monkeypatch, MimoTransmitter, "transmit")
     demodulated = _counting(monkeypatch, MimoReceiver, "demodulate_stack")
     decoded = _counting(monkeypatch, MimoReceiver, "decode")
     _run(spec, items)
-    # Round one takes both items' bursts, rounds two to four the clean one.
+    # Round one takes both items' bursts, rounds two to four the clean one:
+    # one stacked transmit call per round, with one burst per air cell.
+    assert transmitted == [2, 1, 1, 1]
     assert demodulated == [2, 1, 1, 1]
     assert decoded == [4, 2, 2, 2]
 
@@ -232,13 +240,13 @@ def test_twins_receive_byte_identical_samples(monkeypatch):
 def test_mixed_detector_unit_transmits_once_per_air_cell_and_burst(monkeypatch):
     spec, items = _twin_spec(target_errors=None)
     transmitted = []
-    original = engine_module.transmit_burst
+    original = engine_module.transmit_bursts
 
-    def counted(*args, **kwargs):
-        transmitted.append(1)
-        return original(*args, **kwargs)
+    def counted(transmitter, channels, *args, **kwargs):
+        transmitted.extend(channels)
+        return original(transmitter, channels, *args, **kwargs)
 
-    monkeypatch.setattr(engine_module, "transmit_burst", counted)
+    monkeypatch.setattr(engine_module, "transmit_bursts", counted)
     _assert_each_item_as_if_run_alone(spec, items)
     transmitted.clear()
     _run(spec, items)
@@ -288,12 +296,16 @@ def test_mmse_only_give_up_leaves_the_zf_twin_decoding(monkeypatch):
 def _received_alone(spec, item, burst):
     """One burst of an item, put on air and received by a fresh transceiver."""
     receiver = MimoReceiver(item.config)
-    air = air_burst(
+    (air,) = air_round(
         MimoTransmitter(item.config),
-        burst_seed(item.air_key, burst),
-        item.point.channel,
-        item.point.snr_db,
-        item.point.impairment or ImpairmentSpec(),
+        [
+            AirCell(
+                burst_seed(item.air_key, burst),
+                item.point.channel,
+                item.point.snr_db,
+                item.point.impairment or ImpairmentSpec(),
+            )
+        ],
         spec.n_info_bits,
         known_timing=spec.known_timing,
     )
@@ -301,6 +313,44 @@ def _received_alone(spec, item, burst):
         [air.samples], spec.n_info_bits, [air.lts_start], [air.noise_variance]
     )
     return BurstOutcome.score(received, air.burst.info_bits)
+
+
+@pytest.mark.parametrize("known_timing", [False, True])
+def test_a_round_puts_each_cell_on_air_as_if_alone(known_timing):
+    # Ideal, flat and frequency-selective channels, timing delays, a CFO,
+    # noiseless and noisy cells and a fixed fading realisation in one
+    # round; 57 bits is not a multiple of four (the payload rule).
+    config = TransceiverConfig(n_antennas=2, modulation="qpsk")
+    fixed = build_fading_model("flat_rayleigh", 2, np.random.default_rng(5))
+    impairments = [
+        ("ideal", None, ImpairmentSpec(), None),
+        ("flat_rayleigh", 12.0, ImpairmentSpec(sample_delay=9), None),
+        ("frequency_selective", 25.0, ImpairmentSpec(cfo_normalized=1e-4, sample_delay=3), None),
+        ("flat_rayleigh", 18.0, ImpairmentSpec(), fixed),
+        ("ideal", 30.0, ImpairmentSpec(sample_delay=20), None),
+    ]
+
+    def cell(index):
+        # A fresh seed per call: spawning advances a SeedSequence.
+        channel, snr_db, impairment, fading = impairments[index]
+        return AirCell(np.random.SeedSequence([7, index]), channel, snr_db, impairment, fading)
+
+    indices = range(len(impairments))
+    together = air_round(
+        MimoTransmitter(config), [cell(i) for i in indices], 57, known_timing=known_timing
+    )
+    assert len(together) == len(impairments)
+    for index, air in zip(indices, together):
+        (alone,) = air_round(MimoTransmitter(config), [cell(index)], 57, known_timing=known_timing)
+        assert air.samples.tobytes() == alone.samples.tobytes()
+        np.testing.assert_array_equal(np.array(air.burst.info_bits), np.array(alone.burst.info_bits))
+        assert air.lts_start == alone.lts_start
+        assert air.noise_variance == alone.noise_variance
+        if known_timing:
+            delay = impairments[index][2].sample_delay
+            assert air.lts_start == air.burst.layout.sts_length + delay
+        else:
+            assert air.lts_start is None
 
 
 def test_mixed_unit_outcomes_equal_each_burst_received_alone():

@@ -5,8 +5,9 @@ import pytest
 
 import repro.stream.scheduler as scheduler_module
 from repro.core.config import TransceiverConfig
+from repro.core.transmitter import MimoTransmitter
 from repro.sim.engine import air_key, burst_seed, stream_frame_seed
-from repro.sim.spec import SweepSpec
+from repro.sim.spec import ImpairmentSpec, SweepSpec
 from repro.stream import (
     CbrTraffic,
     DownlinkScheduler,
@@ -230,14 +231,14 @@ class TestBitErrorAccounting:
         # UserStats.bit_errors sums the residual errors of decoded frames;
         # a given-up frame is a loss and adds no bit errors.
         sent = []
-        original = scheduler_module.air_burst
+        original = scheduler_module.air_round
 
         def recording(*args, **kwargs):
-            air = original(*args, **kwargs)
-            sent.append(air.burst.info_bits)
-            return air
+            bursts = original(*args, **kwargs)
+            sent.extend(air.burst.info_bits for air in bursts)
+            return bursts
 
-        monkeypatch.setattr(scheduler_module, "air_burst", recording)
+        monkeypatch.setattr(scheduler_module, "air_round", recording)
         scheduler = _scheduler(n_users=3, frames_per_user=2, snr_db=14.0, base_seed=5)
         recorder = _GiveUpPipeline(
             scheduler.pipeline, scheduler.frame_length * 7 // 4
@@ -256,3 +257,45 @@ class TestBitErrorAccounting:
         assert any(decoded_errors)
         assert sum(stats.bit_errors for stats in report.users.values()) == sum(decoded_errors)
         assert report.frames_lost == 1 + sum(errors > 0 for errors in decoded_errors)
+
+
+class TestPushGroups:
+    def test_each_push_group_is_one_transmit_call(self, monkeypatch):
+        calls = []
+        original = MimoTransmitter.transmit
+
+        def counted(self, stream_bits):
+            calls.append(len(stream_bits))
+            return original(self, stream_bits)
+
+        monkeypatch.setattr(MimoTransmitter, "transmit", counted)
+        report = _scheduler(n_users=3, frames_per_user=3).run()
+        assert report.frames_served == 9
+        # Two full groups of FRAMES_PER_PUSH frames, then the remainder.
+        assert calls == [4, 4, 1]
+
+    @pytest.mark.parametrize("delay", [0, 13])
+    @pytest.mark.parametrize("channel", ["ideal", "frequency_selective"])
+    def test_every_frame_occupies_frame_length_plus_delay(self, monkeypatch, channel, delay):
+        # The air clock counts frame_length + sample_delay per frame
+        # without looking at the samples: each frame on air must be that long.
+        lengths = []
+        original = scheduler_module.air_round
+
+        def recording(*args, **kwargs):
+            bursts = original(*args, **kwargs)
+            lengths.extend(air.samples.shape[1] for air in bursts)
+            return bursts
+
+        monkeypatch.setattr(scheduler_module, "air_round", recording)
+        scheduler = _scheduler(
+            n_users=2, channel=channel, impairment=ImpairmentSpec(sample_delay=delay)
+        )
+        report = scheduler.run()
+        assert lengths == [scheduler.frame_length + delay] * report.frames_served
+        # Every detection lands where the clock expects its frame.
+        assert report.spurious_detections == 0
+        if channel == "ideal":
+            assert report.frames_delivered == report.frames_served
+        frame_s = (scheduler.frame_length + delay) / scheduler.config.clock_hz
+        assert report.air_time_s == pytest.approx(report.frames_served * frame_s)

@@ -21,7 +21,7 @@ from repro.core.config import TransceiverConfig
 from repro.core.receiver import MimoReceiver
 from repro.core.transmitter import MimoTransmitter
 from repro.exceptions import ReproError
-from repro.sim.engine import air_burst
+from repro.sim.engine import AirCell, air_round
 from repro.sim.spec import ImpairmentSpec
 from repro.stream import StreamingReceiver
 
@@ -111,12 +111,9 @@ def _faded_burst(index):
     """A seeded noisy 4x4 burst over a fresh fading realisation."""
     channel = ("flat_rayleigh", "frequency_selective")[index % 2]
     snr_db = (10.0, 20.0, 30.0)[index % 3]
-    air = air_burst(
+    (air,) = air_round(
         MimoTransmitter(),
-        np.random.SeedSequence([24, index]),
-        channel,
-        snr_db,
-        ImpairmentSpec(),
+        [AirCell(np.random.SeedSequence([24, index]), channel, snr_db, ImpairmentSpec())],
         48,
     )
     return air.samples

@@ -9,7 +9,7 @@ from repro.core.preamble import PreambleGenerator
 from repro.core.receiver import MimoReceiver
 from repro.core.transmitter import MimoTransmitter
 from repro.exceptions import ConfigurationError, SynchronizationError
-from repro.sim.engine import air_burst
+from repro.sim.engine import AirCell, air_round
 from repro.sim.spec import CHANNEL_MODELS, ImpairmentSpec
 from repro.sync.time_sync import TimeSynchronizer
 from reference.core import normalized_metric_serial, synchronize_serial
@@ -197,8 +197,10 @@ class TestSerialOracle:
                 seed = np.random.SeedSequence(
                     [n_antennas, CHANNEL_MODELS.index(channel), int(snr_db) + 5, delay]
                 )
-                air = air_burst(
-                    transmitter, seed, channel, snr_db, ImpairmentSpec(sample_delay=delay), 48
+                (air,) = air_round(
+                    transmitter,
+                    [AirCell(seed, channel, snr_db, ImpairmentSpec(sample_delay=delay))],
+                    48,
                 )
                 assert receiver.synchronizer.locate(air.samples) == synchronize_serial(
                     receiver, air.samples
