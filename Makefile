@@ -9,6 +9,9 @@
 #                            resume, concurrency, adaptive refinement, work-unit
 #                            packing of the shared scheduler, sharing gates
 #   make bench-smoke       - quick benchmark pass: every claim/table/ablation once
+#   make tables            - print the paper's Tables 1-4 and its Section V
+#                            hardware claims (512-point scaling, QRD latency,
+#                            MIMO vs SISO) from the resource/latency models
 #   make bench-impairments - front-end impairment grid smoke (CFO x word length x SNR)
 #   make bench-store       - per-point store gates: zero-burst warm re-run +
 #                            overlapping grids sharing their intersection
@@ -32,7 +35,7 @@ PYTHON ?= python
 PYTHONPATH_PREFIX := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 LINTPATH_PREFIX := PYTHONPATH=tools/lint$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
-.PHONY: test test-fast test-store lint bench-smoke bench-impairments bench-store bench-stream bench-perf bench-json docs-check corpus-pin clean-cache
+.PHONY: test test-fast test-store lint tables bench-smoke bench-impairments bench-store bench-stream bench-perf bench-json docs-check corpus-pin clean-cache
 
 test: lint
 	$(PYTHONPATH_PREFIX) $(PYTHON) -m pytest -x -q
@@ -48,6 +51,14 @@ test-store:
 
 bench-smoke:
 	$(PYTHONPATH_PREFIX) $(PYTHON) -m pytest benchmarks -q
+
+TABLE_BENCHMARKS := $(wildcard benchmarks/test_table[1-4]_*.py) \
+	benchmarks/test_claim_512pt_scaling.py \
+	benchmarks/test_claim_qrd_latency.py \
+	benchmarks/test_ablation_mimo_vs_siso.py
+
+tables:
+	$(PYTHONPATH_PREFIX) $(PYTHON) -m pytest $(TABLE_BENCHMARKS) -q -s
 
 bench-impairments:
 	$(PYTHONPATH_PREFIX) $(PYTHON) -m pytest benchmarks/test_impairment_sweep.py -q

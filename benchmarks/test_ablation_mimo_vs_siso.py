@@ -15,7 +15,6 @@ from repro.core.config import TransceiverConfig
 from repro.core.throughput import throughput_for_config
 from repro.hardware.estimator import (
     ReceiverResourceModel,
-    ResourceModelConfig,
     TransmitterResourceModel,
 )
 
@@ -25,9 +24,10 @@ CHANNEL_COUNTS = [1, 2, 4]
 def _generate_comparison():
     rows = []
     for n in CHANNEL_COUNTS:
-        throughput = throughput_for_config(TransceiverConfig(n_antennas=n))
-        tx = TransmitterResourceModel(ResourceModelConfig(n_channels=n, n_rx=n, n_tx=n))
-        rx = ReceiverResourceModel(ResourceModelConfig(n_channels=n, n_rx=n, n_tx=n))
+        config = TransceiverConfig(n_antennas=n)
+        throughput = throughput_for_config(config)
+        tx = TransmitterResourceModel(config)
+        rx = ReceiverResourceModel(config)
         estimation_aluts = sum(
             rx.entity_usage(entity).aluts
             for entity in ReceiverResourceModel.CHANNEL_ESTIMATION_ENTITIES

@@ -12,14 +12,14 @@ build:
 
 import pytest
 
+from repro.core.config import TransceiverConfig
 from repro.hardware.estimator import (
     ReceiverResourceModel,
-    ResourceModelConfig,
     STRATIX_IV_DEVICE,
     TransmitterResourceModel,
 )
 
-CONFIG_512 = ResourceModelConfig(fft_size=512, n_data_subcarriers=384, bits_per_subcarrier=4)
+CONFIG_512 = TransceiverConfig(fft_size=512)
 
 
 def _generate_scaling():

@@ -95,7 +95,7 @@ def main() -> None:
 
     print("\n=== Receive pipeline latency (why OFDM data is buffered in FIFOs) ===")
     latency = LatencyModel()
-    for name, value in latency.breakdown().as_dict().items():
+    for name, value in latency.breakdown().items():
         print(f"{name:<28s}: {value} cycles")
     print(f"{'required data FIFO depth':<28s}: {latency.required_data_fifo_depth()} samples")
     print(f"{'total latency':<28s}: {latency.latency_seconds() * 1e6:.1f} us at 100 MHz")

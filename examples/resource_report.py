@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import _bootstrap  # noqa: F401 -- makes the in-tree repro package importable
 
+from repro import TransceiverConfig
 from repro.hardware.estimator import (
     ReceiverResourceModel,
-    ResourceModelConfig,
     STRATIX_IV_DEVICE,
     TransmitterResourceModel,
 )
@@ -88,7 +88,7 @@ def main() -> None:
     print("\n" + "=" * 70)
     print("Projection for the 512-point OFDM variant discussed in Section V")
     print("=" * 70)
-    config512 = ResourceModelConfig(fft_size=512, n_data_subcarriers=384, bits_per_subcarrier=4)
+    config512 = TransceiverConfig(fft_size=512)
     tx512 = TransmitterResourceModel(config512)
     rx512 = ReceiverResourceModel(config512)
     print(

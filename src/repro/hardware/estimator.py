@@ -13,10 +13,9 @@ OFDM build on a large Altera FPGA:
   of the DSP multipliers.
 
 We have no FPGA toolchain, so the substitute is a *calibrated parametric
-model*: each entity's cost is expressed as the paper's reported value scaled
-by how its dominant size driver changes relative to the paper's
-configuration (number of channels, coded bits per OFDM symbol, FFT length,
-correlator window, antenna count, number of CORDIC cells, ...).  At the
+model* of a :class:`~repro.core.config.TransceiverConfig`: each entity's
+cost is the paper's reported value scaled by how its dominant size driver
+changes relative to the paper's build, ``TransceiverConfig()``.  At the
 paper's configuration the model reproduces the tables exactly; away from it,
 it scales the way Section V argues (e.g. IFFT/interleaver resources and
 buffer memory grow ~8x for 512-point OFDM while the channel-estimation
@@ -31,22 +30,32 @@ conv encoder              number of channels
 block (de)interleaver     channels x coded bits per OFDM symbol
 IFFT / FFT                channels x FFT length
 cyclic prefix             number of channels
-time synchroniser         correlator window length
-Viterbi decoder           channels x trellis states (vs. 64)
+time synchroniser         none: the transceiver's fixed 32-tap correlator
+Viterbi decoder           number of channels (the trellis is the fixed
+                          K=7 code's 64 states)
 R matrix inverse          antenna count squared (vs. 16)
-MIMO decoder              n_rx x n_tx products
+MIMO decoder              antenna count squared
 QR decomposition          CORDIC cell count of the systolic arrays
 QR multiplier             antenna count squared
-buffers / ROMs (memory)   channels x FFT length x sample width
+glue logic                number of channels
+glue memory (buffers)     channels x FFT length (of 16-bit samples)
 ========================  =============================================
+
+The glue is the paper's table total minus the sum of its entities.  It is
+negative for the receiver's ALUTs: Table 4's entities sum above Table 3's
+total.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
+from repro.exceptions import ConfigurationError
 from repro.hardware.resources import ResourceReport, ResourceUsage
+
+if TYPE_CHECKING:
+    from repro.core.config import TransceiverConfig
 
 
 @dataclass(frozen=True)
@@ -70,55 +79,6 @@ STRATIX_IV_DEVICE = FpgaDevice(
 )
 
 
-@dataclass(frozen=True)
-class ResourceModelConfig:
-    """Configuration knobs that drive the resource scaling.
-
-    The defaults are the paper's evaluated configuration (4 channels,
-    16-QAM, 64-point OFDM with 48 data subcarriers, 32-sample correlator,
-    K=7 Viterbi, 16-bit samples).
-    """
-
-    n_channels: int = 4
-    n_rx: int = 4
-    n_tx: int = 4
-    fft_size: int = 64
-    n_data_subcarriers: int = 48
-    bits_per_subcarrier: int = 4
-    correlator_window: int = 32
-    viterbi_constraint_length: int = 7
-    sample_width_bits: int = 16
-    soft_decision_bits: int = 4
-
-    def __post_init__(self) -> None:
-        if self.n_channels <= 0 or self.n_rx <= 0 or self.n_tx <= 0:
-            raise ValueError("channel/antenna counts must be positive")
-        if self.fft_size <= 0 or self.fft_size & (self.fft_size - 1):
-            raise ValueError("fft_size must be a power of two")
-        if not 0 < self.n_data_subcarriers <= self.fft_size:
-            raise ValueError("n_data_subcarriers must be in (0, fft_size]")
-        if self.bits_per_subcarrier <= 0:
-            raise ValueError("bits_per_subcarrier must be positive")
-        if self.correlator_window <= 0:
-            raise ValueError("correlator_window must be positive")
-        if self.viterbi_constraint_length < 2:
-            raise ValueError("viterbi_constraint_length must be >= 2")
-
-    @property
-    def coded_bits_per_symbol(self) -> int:
-        """Coded bits per OFDM symbol per channel (the interleaver block size)."""
-        return self.n_data_subcarriers * self.bits_per_subcarrier
-
-    @property
-    def trellis_states(self) -> int:
-        """Number of Viterbi trellis states."""
-        return 1 << (self.viterbi_constraint_length - 1)
-
-
-#: Paper (reference) configuration all entity figures are calibrated against.
-PAPER_CONFIG = ResourceModelConfig()
-
-
 def qrd_cordic_cell_count(n_antennas: int) -> int:
     """Total CORDIC count of the R and Q systolic arrays for an NxN matrix.
 
@@ -127,124 +87,125 @@ def qrd_cordic_cell_count(n_antennas: int) -> int:
     ``n x n`` grid of 3-CORDIC internal cells.
     """
     if n_antennas <= 0:
-        raise ValueError("n_antennas must be positive")
+        raise ConfigurationError("n_antennas must be positive")
     boundary = 2 * n_antennas
     r_internal = 3 * (n_antennas * (n_antennas - 1) // 2)
     q_internal = 3 * n_antennas * n_antennas
     return boundary + r_internal + q_internal
 
 
-def _scaled(value: int, numerator: float, denominator: float) -> int:
-    """Scale a calibrated value by ``numerator/denominator`` and round."""
-    if denominator == 0:
-        raise ValueError("scaling denominator cannot be zero")
-    return int(round(value * (numerator / denominator)))
+def config_or_paper_build(config: Optional[TransceiverConfig]) -> TransceiverConfig:
+    """``config``, or the paper's synthesised build when it is ``None``.
+
+    Imported on use: :mod:`repro.core.config` reads
+    :mod:`repro.hardware.clock`, so importing it while this package loads
+    would be circular.
+    """
+    from repro.core.config import TransceiverConfig
+
+    return TransceiverConfig() if config is None else config
 
 
-def _scale_usage(
-    reference: Tuple[int, int, int, int], ratio: float
-) -> ResourceUsage:
-    aluts, registers, memory_bits, dsp = reference
-    return ResourceUsage(
-        aluts=int(round(aluts * ratio)),
-        registers=int(round(registers * ratio)),
-        memory_bits=int(round(memory_bits * ratio)),
-        dsp_blocks=int(round(dsp * ratio)),
-    )
+class _CalibratedModel:
+    """The scaling routine of both models: paper figures times driver ratios.
+
+    A subclass gives the paper's per-entity figures, each entity's driver (a
+    key of :meth:`_driver_ratios`) and the table totals.
+    """
+
+    NAME: str
+    #: Per-entity (ALUTs, registers, memory bits, DSP) at the paper's build.
+    REFERENCE_ENTITIES: Dict[str, Tuple[int, int, int, int]]
+    ENTITY_DRIVERS: Dict[str, str]
+    REFERENCE_TOTALS: ResourceUsage
+
+    def __init__(self, config: Optional[TransceiverConfig] = None) -> None:
+        self.config = config_or_paper_build(config)
+        self._ratios = self._driver_ratios(self.config, config_or_paper_build(None))
+
+    @staticmethod
+    def _driver_ratios(config: TransceiverConfig, paper: TransceiverConfig) -> Dict[str, float]:
+        """Each size driver at ``config`` over its value at ``paper``."""
+        channels = config.n_antennas / paper.n_antennas
+        return {
+            "fixed": 1.0,
+            "channels": channels,
+            "coded_bits": channels * (config.coded_bits_per_symbol / paper.coded_bits_per_symbol),
+            "fft_length": channels * (config.fft_size / paper.fft_size),
+            "antenna_pairs": config.n_antennas**2 / paper.n_antennas**2,
+            "qrd_cordics": (
+                qrd_cordic_cell_count(config.n_antennas)
+                / qrd_cordic_cell_count(paper.n_antennas)
+            ),
+        }
+
+    def entity_usage(self, entity: str) -> ResourceUsage:
+        """Estimated usage of one entity (all channels combined)."""
+        figures = self.REFERENCE_ENTITIES[entity]
+        ratio = self._ratios[self.ENTITY_DRIVERS[entity]]
+        return ResourceUsage(*(int(round(value * ratio)) for value in figures))
+
+    def entity_report(self) -> ResourceReport:
+        """Per-entity report (Table 2 or 4) whose total is Table 1 or 3.
+
+        The glue scales with the channel count for logic and with channels
+        x FFT length for memory, which reproduces the "approximately eight
+        times as many memory bits" claim for 512-point OFDM.
+        """
+        reference_sum = sum(
+            (ResourceUsage(*figures) for figures in self.REFERENCE_ENTITIES.values()),
+            ResourceUsage(),
+        ).as_dict()
+        glue = {
+            resource: int(round(
+                (total - reference_sum[resource])
+                * self._ratios["fft_length" if resource == "memory_bits" else "channels"]
+            ))
+            for resource, total in self.REFERENCE_TOTALS.as_dict().items()
+        }
+        report = ResourceReport(name=self.NAME, glue=glue)
+        for entity in self.REFERENCE_ENTITIES:
+            report.add_entity(entity, self.entity_usage(entity))
+        return report
+
+    def system_totals(self) -> ResourceUsage:
+        """System totals (Table 1 or 3)."""
+        return self.entity_report().total()
+
+    def utilization(self, device: FpgaDevice = STRATIX_IV_DEVICE) -> Dict[str, float]:
+        """Percentage utilisation of the target device (Table 1/3 "% Used")."""
+        return self.entity_report().utilization(device)
 
 
-class TransmitterResourceModel:
-    """Resource model of the 4-channel MIMO transmitter (Tables 1 and 2)."""
+class TransmitterResourceModel(_CalibratedModel):
+    """Resource model of the MIMO transmitter (Tables 1 and 2)."""
 
-    #: Per-entity reference figures (ALUTs, registers, memory bits, DSP) at
-    #: the paper's configuration — Table 2.
-    REFERENCE_ENTITIES: Dict[str, Tuple[int, int, int, int]] = {
+    NAME = "MIMO transmitter"
+    #: Table 2.
+    REFERENCE_ENTITIES = {
         "conv_encoder": (32, 136, 0, 0),
         "block_interleaver": (28_016, 1_730, 0, 0),
         "ifft": (3_854, 9_152, 8_896, 32),
         "cyclic_prefix": (40, 128, 0, 0),
     }
-
-    #: Table 1 totals at the paper's configuration.
+    ENTITY_DRIVERS = {
+        "conv_encoder": "channels",
+        "block_interleaver": "coded_bits",
+        "ifft": "fft_length",
+        "cyclic_prefix": "channels",
+    }
+    #: Table 1.
     REFERENCE_TOTALS = ResourceUsage(
         aluts=33_423, registers=12_320, memory_bits=265_408, dsp_blocks=32
     )
 
-    def __init__(self, config: ResourceModelConfig | None = None) -> None:
-        self.config = config if config is not None else PAPER_CONFIG
 
-    # ------------------------------------------------------------------
-    def _entity_ratio(self, entity: str) -> float:
-        cfg, ref = self.config, PAPER_CONFIG
-        channel_ratio = cfg.n_channels / ref.n_channels
-        if entity == "conv_encoder":
-            return channel_ratio
-        if entity == "block_interleaver":
-            return channel_ratio * (cfg.coded_bits_per_symbol / ref.coded_bits_per_symbol)
-        if entity == "ifft":
-            return channel_ratio * (cfg.fft_size / ref.fft_size)
-        if entity == "cyclic_prefix":
-            return channel_ratio
-        raise KeyError(f"unknown transmitter entity: {entity}")
+class ReceiverResourceModel(_CalibratedModel):
+    """Resource model of the MIMO receiver (Tables 3 and 4)."""
 
-    def entity_usage(self, entity: str) -> ResourceUsage:
-        """Estimated usage of one transmitter entity (all channels combined)."""
-        reference = self.REFERENCE_ENTITIES[entity]
-        return _scale_usage(reference, self._entity_ratio(entity))
-
-    def entity_report(self) -> ResourceReport:
-        """Per-entity report corresponding to Table 2."""
-        report = ResourceReport(name="MIMO transmitter")
-        for entity in self.REFERENCE_ENTITIES:
-            report.add_entity(entity, self.entity_usage(entity))
-        report.overhead = self._overhead_usage()
-        return report
-
-    # ------------------------------------------------------------------
-    def _overhead_usage(self) -> ResourceUsage:
-        """Control path, preamble ROMs, mapper LUTs, CP buffers and FIFOs.
-
-        These are the resources present in the Table 1 totals but not broken
-        out in Table 2.  Logic overhead (control FSMs, muxes, JESD interface)
-        is held constant; memory overhead scales with channels x FFT length
-        x sample width, which reproduces the "approximately eight times as
-        many memory bits" claim for 512-point OFDM.
-        """
-        cfg, ref = self.config, PAPER_CONFIG
-        reference_entity_totals = ResourceUsage()
-        for entity_ref in self.REFERENCE_ENTITIES.values():
-            reference_entity_totals = reference_entity_totals + ResourceUsage(*entity_ref)
-        glue_aluts = self.REFERENCE_TOTALS.aluts - reference_entity_totals.aluts
-        glue_registers = self.REFERENCE_TOTALS.registers - reference_entity_totals.registers
-        glue_memory = self.REFERENCE_TOTALS.memory_bits - reference_entity_totals.memory_bits
-        glue_dsp = self.REFERENCE_TOTALS.dsp_blocks - reference_entity_totals.dsp_blocks
-
-        memory_ratio = (
-            (cfg.n_channels * cfg.fft_size * cfg.sample_width_bits)
-            / (ref.n_channels * ref.fft_size * ref.sample_width_bits)
-        )
-        channel_ratio = cfg.n_channels / ref.n_channels
-        return ResourceUsage(
-            aluts=int(round(glue_aluts * channel_ratio)),
-            registers=int(round(glue_registers * channel_ratio)),
-            memory_bits=int(round(glue_memory * memory_ratio)),
-            dsp_blocks=int(round(glue_dsp * channel_ratio)),
-        )
-
-    def system_totals(self) -> ResourceUsage:
-        """System totals corresponding to Table 1."""
-        return self.entity_report().total()
-
-    def utilization(self, device: FpgaDevice = STRATIX_IV_DEVICE) -> Dict[str, float]:
-        """Percentage utilisation of the target device (Table 1 "% Used")."""
-        return self.entity_report().utilization(device)
-
-
-class ReceiverResourceModel:
-    """Resource model of the 4-channel MIMO receiver (Tables 3 and 4)."""
-
-    #: Per-entity reference figures at the paper's configuration — Table 4.
-    REFERENCE_ENTITIES: Dict[str, Tuple[int, int, int, int]] = {
+    NAME = "MIMO receiver"
+    #: Table 4.
+    REFERENCE_ENTITIES = {
         "block_deinterleaver": (13_772, 1_772, 0, 0),
         "fft": (3_196, 9_650, 10_736, 64),
         "time_synchroniser": (3_557, 8_983, 0, 128),
@@ -254,8 +215,17 @@ class ReceiverResourceModel:
         "qr_decomposition": (101_697, 109_447, 322, 248),
         "qr_multiplier": (1_368, 1_169, 0, 256),
     }
-
-    #: Table 3 totals at the paper's configuration.
+    ENTITY_DRIVERS = {
+        "block_deinterleaver": "coded_bits",
+        "fft": "fft_length",
+        "time_synchroniser": "fixed",
+        "viterbi_decoder": "channels",
+        "r_matrix_inverse": "antenna_pairs",
+        "mimo_decoder": "antenna_pairs",
+        "qr_decomposition": "qrd_cordics",
+        "qr_multiplier": "antenna_pairs",
+    }
+    #: Table 3.
     REFERENCE_TOTALS = ResourceUsage(
         aluts=183_957, registers=173_335, memory_bits=367_060, dsp_blocks=896
     )
@@ -268,124 +238,8 @@ class ReceiverResourceModel:
         "qr_multiplier",
     )
 
-    def __init__(self, config: ResourceModelConfig | None = None) -> None:
-        self.config = config if config is not None else PAPER_CONFIG
-
-    # ------------------------------------------------------------------
-    def _entity_ratio(self, entity: str) -> float:
-        cfg, ref = self.config, PAPER_CONFIG
-        channel_ratio = cfg.n_channels / ref.n_channels
-        if entity == "block_deinterleaver":
-            return channel_ratio * (cfg.coded_bits_per_symbol / ref.coded_bits_per_symbol)
-        if entity == "fft":
-            return channel_ratio * (cfg.fft_size / ref.fft_size)
-        if entity == "time_synchroniser":
-            return cfg.correlator_window / ref.correlator_window
-        if entity == "viterbi_decoder":
-            return channel_ratio * (cfg.trellis_states / ref.trellis_states)
-        if entity == "r_matrix_inverse":
-            return (cfg.n_rx * cfg.n_tx) / (ref.n_rx * ref.n_tx)
-        if entity == "mimo_decoder":
-            return (cfg.n_rx * cfg.n_tx) / (ref.n_rx * ref.n_tx)
-        if entity == "qr_decomposition":
-            return qrd_cordic_cell_count(cfg.n_rx) / qrd_cordic_cell_count(ref.n_rx)
-        if entity == "qr_multiplier":
-            return (cfg.n_rx * cfg.n_tx) / (ref.n_rx * ref.n_tx)
-        raise KeyError(f"unknown receiver entity: {entity}")
-
-    def entity_usage(self, entity: str) -> ResourceUsage:
-        """Estimated usage of one receiver entity (all channels combined)."""
-        reference = self.REFERENCE_ENTITIES[entity]
-        return _scale_usage(reference, self._entity_ratio(entity))
-
-    def entity_report(self) -> ResourceReport:
-        """Per-entity report corresponding to Table 4."""
-        report = ResourceReport(name="MIMO receiver")
-        for entity in self.REFERENCE_ENTITIES:
-            report.add_entity(entity, self.entity_usage(entity))
-        return report
-
     def channel_estimation_share(self) -> Dict[str, float]:
-        """Fraction of each resource used by channel estimation/equalisation.
-
-        Computed against the system totals, reproducing the paper's "86 % of
-        the ALUTs and 77 % of the DSP multipliers" observation.
-        """
-        selected = ResourceUsage()
-        for entity in self.CHANNEL_ESTIMATION_ENTITIES:
-            selected = selected + self.entity_usage(entity)
-        totals = self.system_totals()
-        return {
-            "aluts": selected.aluts / totals.aluts if totals.aluts else 0.0,
-            "registers": selected.registers / totals.registers if totals.registers else 0.0,
-            "memory_bits": (
-                selected.memory_bits / totals.memory_bits if totals.memory_bits else 0.0
-            ),
-            "dsp_blocks": (
-                selected.dsp_blocks / totals.dsp_blocks if totals.dsp_blocks else 0.0
-            ),
-        }
-
-    # ------------------------------------------------------------------
-    def _system_adjustment(self) -> Dict[str, int]:
-        """Difference between the Table 3 totals and the Table 4 entity sum.
-
-        In the paper the Table 4 entity ALUT count slightly exceeds the
-        Table 3 system total (cross-entity synthesis optimisation), while
-        registers, memory and DSPs have additional unattributed usage (input
-        circular buffers, LTS/channel-estimate memories, data FIFOs,
-        equalisation glue).  The logic adjustments are held constant and the
-        memory adjustment scales with channels x FFT length x sample width,
-        which yields the paper's ~8x memory growth for 512-point OFDM while
-        the estimation logic stays constant.
-        """
-        reference_entity_totals = ResourceUsage()
-        for entity_ref in self.REFERENCE_ENTITIES.values():
-            reference_entity_totals = reference_entity_totals + ResourceUsage(*entity_ref)
-        return {
-            "aluts": self.REFERENCE_TOTALS.aluts - reference_entity_totals.aluts,
-            "registers": self.REFERENCE_TOTALS.registers - reference_entity_totals.registers,
-            "memory_bits": self.REFERENCE_TOTALS.memory_bits
-            - reference_entity_totals.memory_bits,
-            "dsp_blocks": self.REFERENCE_TOTALS.dsp_blocks
-            - reference_entity_totals.dsp_blocks,
-        }
-
-    def system_totals(self) -> ResourceUsage:
-        """System totals corresponding to Table 3."""
-        cfg, ref = self.config, PAPER_CONFIG
-        entity_sum = ResourceUsage()
-        for entity in self.REFERENCE_ENTITIES:
-            entity_sum = entity_sum + self.entity_usage(entity)
-        adjustment = self._system_adjustment()
-        memory_ratio = (
-            (cfg.n_channels * cfg.fft_size * cfg.sample_width_bits)
-            / (ref.n_channels * ref.fft_size * ref.sample_width_bits)
-        )
-        channel_ratio = cfg.n_channels / ref.n_channels
-        totals = {
-            "aluts": entity_sum.aluts + int(round(adjustment["aluts"] * channel_ratio)),
-            "registers": entity_sum.registers
-            + int(round(adjustment["registers"] * channel_ratio)),
-            "memory_bits": entity_sum.memory_bits
-            + int(round(adjustment["memory_bits"] * memory_ratio)),
-            "dsp_blocks": entity_sum.dsp_blocks
-            + int(round(adjustment["dsp_blocks"] * channel_ratio)),
-        }
-        clipped = {key: max(0, value) for key, value in totals.items()}
-        return ResourceUsage(
-            aluts=clipped["aluts"],
-            registers=clipped["registers"],
-            memory_bits=clipped["memory_bits"],
-            dsp_blocks=clipped["dsp_blocks"],
-        )
-
-    def utilization(self, device: FpgaDevice = STRATIX_IV_DEVICE) -> Dict[str, float]:
-        """Percentage utilisation of the target device (Table 3 "% Used")."""
-        totals = self.system_totals()
-        return {
-            "aluts": 100.0 * totals.aluts / device.aluts,
-            "registers": 100.0 * totals.registers / device.registers,
-            "memory_bits": 100.0 * totals.memory_bits / device.memory_bits,
-            "dsp_blocks": 100.0 * totals.dsp_blocks / device.dsp_blocks,
-        }
+        """Fraction of each system total used by channel estimation and
+        equalisation: the paper's "86 % of the ALUTs and 77 % of the DSP
+        multipliers"."""
+        return self.entity_report().entity_share(self.CHANNEL_ESTIMATION_ENTITIES)

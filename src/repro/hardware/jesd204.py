@@ -16,6 +16,7 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.dsp.fixedpoint import FixedPointFormat
+from repro.exceptions import ConfigurationError
 
 
 @dataclass(frozen=True)
@@ -49,9 +50,9 @@ class Jesd204Framer:
         octets_per_frame: int = 32,
     ) -> None:
         if n_lanes <= 0:
-            raise ValueError("n_lanes must be positive")
+            raise ConfigurationError("n_lanes must be positive")
         if octets_per_frame <= 0 or octets_per_frame % 4 != 0:
-            raise ValueError("octets_per_frame must be a positive multiple of 4")
+            raise ConfigurationError("octets_per_frame must be a positive multiple of 4")
         self.n_lanes = n_lanes
         self.sample_format = (
             sample_format
@@ -59,7 +60,7 @@ class Jesd204Framer:
             else FixedPointFormat(word_length=16, frac_bits=14)
         )
         if self.sample_format.word_length != 16:
-            raise ValueError("the JESD204A model packs 16-bit converter words")
+            raise ConfigurationError("the JESD204A model packs 16-bit converter words")
         self.octets_per_frame = octets_per_frame
         self.samples_per_frame = octets_per_frame // 4  # 2 octets I + 2 octets Q
 
@@ -79,7 +80,9 @@ class Jesd204Framer:
         """
         x = np.asarray(samples, dtype=np.complex128)
         if x.ndim != 2 or x.shape[0] != self.n_lanes:
-            raise ValueError(f"expected shape ({self.n_lanes}, n_samples), got {x.shape}")
+            raise ConfigurationError(
+                f"expected shape ({self.n_lanes}, n_samples), got {x.shape}"
+            )
         n_samples = x.shape[1]
         per_frame = self.samples_per_frame
         n_frames = -(-n_samples // per_frame) if n_samples else 0
@@ -107,18 +110,18 @@ class Jesd204Framer:
     def unpack(self, framed: List[List[Jesd204Frame]]) -> np.ndarray:
         """Reverse :meth:`pack`, returning quantised complex samples per lane."""
         if len(framed) != self.n_lanes:
-            raise ValueError(f"expected {self.n_lanes} lanes, got {len(framed)}")
+            raise ConfigurationError(f"expected {self.n_lanes} lanes, got {len(framed)}")
         n_frames = len(framed[0]) if framed[0] else 0
         for lane_frames in framed:
             if len(lane_frames) != n_frames:
-                raise ValueError("all lanes must carry the same number of frames")
+                raise ConfigurationError("all lanes must carry the same number of frames")
         per_frame = self.samples_per_frame
         out = np.zeros((self.n_lanes, n_frames * per_frame), dtype=np.complex128)
         resolution = self.sample_format.resolution
         for lane, lane_frames in enumerate(framed):
             for f, frame in enumerate(lane_frames):
                 if len(frame.octets) != self.octets_per_frame:
-                    raise ValueError("frame has the wrong number of octets")
+                    raise ConfigurationError("frame has the wrong number of octets")
                 for s in range(per_frame):
                     offset = s * 4
                     i_raw = int.from_bytes(frame.octets[offset:offset + 2], "big")
@@ -135,5 +138,5 @@ class Jesd204Framer:
     def line_rate_bps(self, sample_rate_hz: float, encoding_overhead: float = 1.25) -> float:
         """Serial line rate per lane (16-bit I + 16-bit Q per sample, 8b/10b)."""
         if sample_rate_hz <= 0:
-            raise ValueError("sample_rate_hz must be positive")
+            raise ConfigurationError("sample_rate_hz must be positive")
         return sample_rate_hz * 32 * encoding_overhead

@@ -5,19 +5,30 @@ The paper gives two hard latency numbers — every CORDIC element is pipelined
 of 440 cycles — and describes qualitatively that "the entire channel
 estimation process has a massive latency", which is why OFDM data frames are
 buffered in FIFOs until the channel estimates are ready.  This module turns
-those statements into a parametric model so the buffering requirements and
-processing delays can be computed for any configuration.
+those statements into a model of a
+:class:`~repro.core.config.TransceiverConfig`, so the buffering requirements
+and processing delays can be computed for any configuration.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.dsp.cordic import CORDIC_PIPELINE_LATENCY
-from repro.hardware.clock import ClockDomain
+from repro.exceptions import ConfigurationError
+from repro.hardware.estimator import config_or_paper_build
+
+if TYPE_CHECKING:
+    from repro.core.config import TransceiverConfig
 
 #: QRD datapath latency reported in the paper for the 4x4 array (cycles).
 PAPER_QRD_LATENCY_CYCLES = 440
+
+#: Pipeline registers per FFT butterfly stage.
+FFT_PIPELINE_PER_STAGE = 4
+
+#: Pipeline depth of the back-substitution R-inverse block.
+R_INVERSE_PIPELINE = 24
 
 
 def qrd_critical_path_cordics(n_antennas: int) -> int:
@@ -30,95 +41,55 @@ def qrd_critical_path_cordics(n_antennas: int) -> int:
     reported 440 cycles at 20 cycles per CORDIC.
     """
     if n_antennas <= 0:
-        raise ValueError("n_antennas must be positive")
+        raise ConfigurationError("n_antennas must be positive")
     return 5 * n_antennas + 2
 
 
-@dataclass(frozen=True)
-class ReceiverLatencyBreakdown:
-    """Latency (in clock cycles) of each stage of the receive pipeline."""
-
-    time_sync_cycles: int
-    fft_cycles: int
-    qrd_cycles: int
-    r_inverse_cycles: int
-    matrix_multiply_cycles: int
-    channel_estimation_cycles: int
-    total_cycles: int
-
-    def as_dict(self) -> dict:
-        """Dictionary form for reporting."""
-        return {
-            "time_sync_cycles": self.time_sync_cycles,
-            "fft_cycles": self.fft_cycles,
-            "qrd_cycles": self.qrd_cycles,
-            "r_inverse_cycles": self.r_inverse_cycles,
-            "matrix_multiply_cycles": self.matrix_multiply_cycles,
-            "channel_estimation_cycles": self.channel_estimation_cycles,
-            "total_cycles": self.total_cycles,
-        }
-
-
-@dataclass(frozen=True)
 class LatencyModel:
-    """Parametric latency model of the MIMO receiver.
+    """Latency model of the MIMO receiver of ``config``.
 
-    Parameters
-    ----------
-    n_antennas:
-        MIMO order (4 in the paper).
-    fft_size:
-        OFDM transform length (64 in the evaluated build, 512 discussed).
-    cyclic_prefix_length:
-        Cyclic-prefix samples per OFDM symbol.
-    correlator_window:
-        Sliding-window length of the time synchroniser (32 in the paper).
-    cordic_latency:
-        Pipeline depth of a single CORDIC element (20 in the paper).
-    fft_pipeline_per_stage:
-        Extra pipeline registers per FFT butterfly stage.
-    r_inverse_pipeline:
-        Pipeline depth of the back-substitution R-inverse block.
+    The antenna count, FFT length, cyclic prefix and clock come from
+    ``config`` (the paper's build by default); the correlator window is
+    :attr:`repro.sync.time_sync.TimeSynchronizer.window_length` and every
+    CORDIC is :data:`repro.dsp.cordic.CORDIC_PIPELINE_LATENCY` cycles deep.
     """
 
-    n_antennas: int = 4
-    fft_size: int = 64
-    cyclic_prefix_length: int = 16
-    correlator_window: int = 32
-    cordic_latency: int = CORDIC_PIPELINE_LATENCY
-    fft_pipeline_per_stage: int = 4
-    r_inverse_pipeline: int = 24
-    clock: ClockDomain = field(default_factory=ClockDomain)
+    def __init__(self, config: Optional[TransceiverConfig] = None) -> None:
+        self.config = config_or_paper_build(config)
 
-    # ------------------------------------------------------------------
     @property
     def time_sync_cycles(self) -> int:
         """Correlator window fill + adder tree + CORDIC magnitude + compare."""
-        adder_tree = max(1, (self.correlator_window - 1).bit_length())
-        return self.correlator_window + adder_tree + self.cordic_latency + 1
+        # Imported on use for the reason given in config_or_paper_build.
+        from repro.sync.time_sync import TimeSynchronizer
+
+        window = TimeSynchronizer.window_length
+        adder_tree = max(1, (window - 1).bit_length())
+        return window + adder_tree + CORDIC_PIPELINE_LATENCY + 1
 
     @property
     def fft_cycles(self) -> int:
         """Streaming FFT latency: ingest the symbol then flush the stages."""
-        stages = self.fft_size.bit_length() - 1
-        return self.fft_size + stages * self.fft_pipeline_per_stage
+        fft_size = self.config.fft_size
+        stages = fft_size.bit_length() - 1
+        return fft_size + stages * FFT_PIPELINE_PER_STAGE
 
     @property
     def qrd_cycles(self) -> int:
         """QR decomposition datapath latency (440 cycles for the 4x4 array)."""
-        return qrd_critical_path_cordics(self.n_antennas) * self.cordic_latency
+        return qrd_critical_path_cordics(self.config.n_antennas) * CORDIC_PIPELINE_LATENCY
 
     @property
     def r_inverse_cycles(self) -> int:
         """Back-substitution pipeline latency."""
         # Each column of R^-1 beyond the diagonal needs the previous column's
         # results; the pipeline is therefore traversed once per column.
-        return self.n_antennas * self.r_inverse_pipeline
+        return self.config.n_antennas * R_INVERSE_PIPELINE
 
     @property
     def matrix_multiply_cycles(self) -> int:
         """Q^T x R^-1 multiply latency for one subcarrier."""
-        return self.n_antennas * self.n_antennas + self.cordic_latency // 2
+        return self.config.n_antennas**2 + CORDIC_PIPELINE_LATENCY // 2
 
     @property
     def channel_estimation_cycles(self) -> int:
@@ -128,7 +99,7 @@ class LatencyModel:
         matrix entry per cycle (``fft_size * n²`` reads), then the pipeline
         flushes through the QRD, R-inverse and matrix-multiply stages.
         """
-        streaming = self.fft_size * self.n_antennas * self.n_antennas
+        streaming = self.config.fft_size * self.config.n_antennas**2
         return (
             streaming
             + self.qrd_cycles
@@ -139,7 +110,7 @@ class LatencyModel:
     @property
     def total_cycles(self) -> int:
         """Latency from burst arrival to the first equalised OFDM symbol."""
-        lts_ingest = 2 * self.fft_size + self.cyclic_prefix_length
+        lts_ingest = 2 * self.config.fft_size + self.config.cyclic_prefix_length
         return (
             self.time_sync_cycles
             + lts_ingest
@@ -147,18 +118,17 @@ class LatencyModel:
             + self.channel_estimation_cycles
         )
 
-    # ------------------------------------------------------------------
-    def breakdown(self) -> ReceiverLatencyBreakdown:
-        """Full latency breakdown."""
-        return ReceiverLatencyBreakdown(
-            time_sync_cycles=self.time_sync_cycles,
-            fft_cycles=self.fft_cycles,
-            qrd_cycles=self.qrd_cycles,
-            r_inverse_cycles=self.r_inverse_cycles,
-            matrix_multiply_cycles=self.matrix_multiply_cycles,
-            channel_estimation_cycles=self.channel_estimation_cycles,
-            total_cycles=self.total_cycles,
-        )
+    def breakdown(self) -> Dict[str, int]:
+        """Latency (clock cycles) of each stage of the receive pipeline."""
+        return {
+            "time_sync_cycles": self.time_sync_cycles,
+            "fft_cycles": self.fft_cycles,
+            "qrd_cycles": self.qrd_cycles,
+            "r_inverse_cycles": self.r_inverse_cycles,
+            "matrix_multiply_cycles": self.matrix_multiply_cycles,
+            "channel_estimation_cycles": self.channel_estimation_cycles,
+            "total_cycles": self.total_cycles,
+        }
 
     def required_data_fifo_depth(self) -> int:
         """OFDM data samples that must be buffered while estimation completes.
@@ -170,5 +140,5 @@ class LatencyModel:
         return self.channel_estimation_cycles
 
     def latency_seconds(self) -> float:
-        """Total receive-pipeline latency in seconds at the configured clock."""
-        return self.clock.cycles_to_seconds(self.total_cycles)
+        """Total receive-pipeline latency in seconds at the config's clock."""
+        return self.total_cycles / self.config.clock_hz

@@ -32,7 +32,7 @@ class Rom(Generic[T]):
 
     def __init__(self, contents: Sequence[T], word_bits: int) -> None:
         if word_bits <= 0:
-            raise ValueError("word_bits must be positive")
+            raise ConfigurationError("word_bits must be positive")
         self._contents: List[T] = list(contents)
         self.word_bits = word_bits
 
@@ -56,7 +56,7 @@ class DualPortRam:
 
     def __init__(self, depth: int, word_bits: int) -> None:
         if depth <= 0 or word_bits <= 0:
-            raise ValueError("depth and word_bits must be positive")
+            raise ConfigurationError("depth and word_bits must be positive")
         self.depth = depth
         self.word_bits = word_bits
         self._data: List[complex] = [0j] * depth
@@ -90,7 +90,7 @@ class PingPongBuffer:
 
     def __init__(self, block_size: int, word_bits: int = 1) -> None:
         if block_size <= 0:
-            raise ValueError("block_size must be positive")
+            raise ConfigurationError("block_size must be positive")
         self.block_size = block_size
         self.word_bits = word_bits
         self._write_memory: List[float] = []
@@ -146,7 +146,7 @@ class CircularBuffer:
 
     def __init__(self, depth: int, word_bits: int = 32) -> None:
         if depth <= 0:
-            raise ValueError("depth must be positive")
+            raise ConfigurationError("depth must be positive")
         self.depth = depth
         self.word_bits = word_bits
         self._data = np.zeros(depth, dtype=np.complex128)

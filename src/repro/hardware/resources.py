@@ -8,8 +8,13 @@ into the tables published in the paper (Tables 1-4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Optional
+from dataclasses import asdict, dataclass, field
+from typing import TYPE_CHECKING, Dict, Iterable
+
+from repro.exceptions import ConfigurationError
+
+if TYPE_CHECKING:
+    from repro.hardware.estimator import FpgaDevice
 
 
 @dataclass(frozen=True)
@@ -27,9 +32,9 @@ class ResourceUsage:
     dsp_blocks: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("aluts", "registers", "memory_bits", "dsp_blocks"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} cannot be negative")
+        for name, value in self.as_dict().items():
+            if value < 0:
+                raise ConfigurationError(f"{name} cannot be negative")
 
     def __add__(self, other: "ResourceUsage") -> "ResourceUsage":
         if not isinstance(other, ResourceUsage):
@@ -41,28 +46,9 @@ class ResourceUsage:
             dsp_blocks=self.dsp_blocks + other.dsp_blocks,
         )
 
-    def scale(self, factor: int) -> "ResourceUsage":
-        """Replicate this entity ``factor`` times (e.g. one per channel)."""
-        if factor < 0:
-            raise ValueError("factor cannot be negative")
-        return ResourceUsage(
-            aluts=self.aluts * factor,
-            registers=self.registers * factor,
-            memory_bits=self.memory_bits * factor,
-            dsp_blocks=self.dsp_blocks * factor,
-        )
-
     def as_dict(self) -> Dict[str, int]:
         """Dictionary form, keyed like the paper's table columns."""
-        return {
-            "aluts": self.aluts,
-            "registers": self.registers,
-            "memory_bits": self.memory_bits,
-            "dsp_blocks": self.dsp_blocks,
-        }
-
-
-ZERO_USAGE = ResourceUsage()
+        return asdict(self)
 
 
 @dataclass
@@ -70,13 +56,15 @@ class ResourceReport:
     """Aggregated per-entity resource usage for one subsystem (TX or RX).
 
     ``entities`` maps entity name (as used in Tables 2 and 4) to its usage;
-    ``overhead`` captures control-path/glue logic not attributed to a named
-    entity so the totals can match the paper's system-level tables.
+    ``glue`` is the signed usage per resource column that no named entity
+    accounts for (control path, buffers, FIFOs; negative where synthesis
+    merged logic across entities), so the totals can match the paper's
+    system-level tables.
     """
 
     name: str
     entities: Dict[str, ResourceUsage] = field(default_factory=dict)
-    overhead: ResourceUsage = field(default_factory=ResourceUsage)
+    glue: Dict[str, int] = field(default_factory=dict)
 
     def add_entity(self, entity_name: str, usage: ResourceUsage) -> None:
         """Add (or accumulate into) a named entity."""
@@ -86,20 +74,20 @@ class ResourceReport:
             self.entities[entity_name] = usage
 
     def total(self) -> ResourceUsage:
-        """Total usage including the unattributed overhead."""
-        total = self.overhead
-        for usage in self.entities.values():
-            total = total + usage
-        return total
+        """Entity sum plus the glue, each resource clipped at zero."""
+        entity_sum = sum(self.entities.values(), ResourceUsage()).as_dict()
+        return ResourceUsage(
+            **{
+                resource: max(0, used + self.glue.get(resource, 0))
+                for resource, used in entity_sum.items()
+            }
+        )
 
-    def utilization(self, device: "FpgaDeviceLike") -> Dict[str, float]:
+    def utilization(self, device: "FpgaDevice") -> Dict[str, float]:
         """Percentage utilisation against a device's available resources."""
-        total = self.total()
         return {
-            "aluts": 100.0 * total.aluts / device.aluts,
-            "registers": 100.0 * total.registers / device.registers,
-            "memory_bits": 100.0 * total.memory_bits / device.memory_bits,
-            "dsp_blocks": 100.0 * total.dsp_blocks / device.dsp_blocks,
+            resource: 100.0 * used / getattr(device, resource)
+            for resource, used in self.total().as_dict().items()
         }
 
     def entity_share(self, entity_names: Iterable[str]) -> Dict[str, float]:
@@ -109,28 +97,13 @@ class ResourceReport:
         equalisation blocks account for 86 % of receiver ALUTs and 77 % of
         DSP multipliers.
         """
-        selected = ZERO_USAGE
+        selected = ResourceUsage()
         for name in entity_names:
             if name not in self.entities:
                 raise KeyError(f"unknown entity: {name}")
             selected = selected + self.entities[name]
-        total = self.total()
-        shares = {}
-        for resource in ("aluts", "registers", "memory_bits", "dsp_blocks"):
-            denominator = getattr(total, resource)
-            numerator = getattr(selected, resource)
-            shares[resource] = (numerator / denominator) if denominator else 0.0
-        return shares
-
-    def as_table(self) -> Dict[str, Dict[str, int]]:
-        """Entity table in dictionary form (one row per entity)."""
-        return {name: usage.as_dict() for name, usage in self.entities.items()}
-
-
-class FpgaDeviceLike:
-    """Protocol-ish base: anything with alut/register/memory/dsp capacities."""
-
-    aluts: int
-    registers: int
-    memory_bits: int
-    dsp_blocks: int
+        total = self.total().as_dict()
+        return {
+            resource: (used / total[resource]) if total[resource] else 0.0
+            for resource, used in selected.as_dict().items()
+        }

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
 from repro.dsp.cordic import CORDIC_PIPELINE_LATENCY
+from repro.exceptions import ConfigurationError
 
 
 @dataclass(frozen=True)
@@ -73,7 +74,7 @@ class ChannelMatrixScheduler:
         burst_length: int = CORDIC_PIPELINE_LATENCY,
     ) -> None:
         if n_antennas <= 0 or n_subcarriers <= 0 or burst_length <= 0:
-            raise ValueError("all scheduler parameters must be positive")
+            raise ConfigurationError("all scheduler parameters must be positive")
         self.n_antennas = n_antennas
         self.n_subcarriers = n_subcarriers
         self.burst_length = burst_length
@@ -112,7 +113,7 @@ class ChannelMatrixScheduler:
         subcarriers at a time.
         """
         if not 0 <= column < self.n_antennas:
-            raise ValueError(f"column {column} out of range")
+            raise ConfigurationError(f"column {column} out of range")
         cycle = column * self.column_start_offset
         for pass_index in range(self._passes_per_column()):
             base_subcarrier = pass_index * self.burst_length

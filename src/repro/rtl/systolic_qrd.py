@@ -21,14 +21,14 @@ checked), and accounts for latency per cell and for the whole array.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.dsp.cordic import CORDIC_PIPELINE_LATENCY, Cordic
+from repro.exceptions import ConfigurationError
 from repro.hardware.latency import qrd_critical_path_cordics
 from repro.mimo.matrix import hermitian
 
@@ -73,20 +73,15 @@ class SystolicQrdArray:
         Matrix dimension (4 in the paper).
     cordic_iterations:
         Micro-rotations per CORDIC used for the numerical result.
-    cordic_latency:
-        Pipeline depth of each CORDIC element (20 cycles in the paper).
+
+    Every CORDIC element is :data:`~repro.dsp.cordic.CORDIC_PIPELINE_LATENCY`
+    (20) cycles deep.
     """
 
-    def __init__(
-        self,
-        n: int = 4,
-        cordic_iterations: int = 16,
-        cordic_latency: int = CORDIC_PIPELINE_LATENCY,
-    ) -> None:
+    def __init__(self, n: int = 4, cordic_iterations: int = 16) -> None:
         if n <= 0:
-            raise ValueError("matrix dimension must be positive")
+            raise ConfigurationError("matrix dimension must be positive")
         self.n = n
-        self.cordic_latency = cordic_latency
         self.cordic = Cordic(iterations=cordic_iterations)
         self.cells = self._build_cells()
 
@@ -165,7 +160,7 @@ class SystolicQrdArray:
         per-CORDIC pipeline depth — 22 x 20 = 440 cycles for the 4x4 array,
         the figure the paper reports.
         """
-        return qrd_critical_path_cordics(self.n) * self.cordic_latency
+        return qrd_critical_path_cordics(self.n) * CORDIC_PIPELINE_LATENCY
 
     def throughput_matrices_per_cycle(self) -> float:
         """Matrices the pipelined array can accept per clock cycle.
@@ -209,7 +204,7 @@ class SystolicQrdArray:
         """
         h = np.asarray(channel_matrix, dtype=np.complex128)
         if h.shape != (self.n, self.n):
-            raise ValueError(f"expected a {self.n}x{self.n} matrix")
+            raise ConfigurationError(f"expected a {self.n}x{self.n} matrix")
         n = self.n
         # Cell state: R-array boundary cells store a real magnitude, internal
         # cells store a complex value; Q-array internal cells store complex.

@@ -15,7 +15,7 @@ from repro.core.config import TransceiverConfig
 from repro.core.receiver import MimoReceiver
 from repro.core.transmitter import MimoTransmitter
 from repro.core.throughput import throughput_for_config
-from repro.hardware.estimator import ResourceModelConfig, TransmitterResourceModel
+from repro.hardware.estimator import TransmitterResourceModel
 
 
 class TestSisoMode:
@@ -72,8 +72,8 @@ class TestResourceReplicationClaim:
     def test_per_channel_entities_scale_linearly_with_channels(self):
         # "The greater resources required are simply due to replication for
         #  the four channels" — per-channel TX entities are 4x the SISO cost.
-        siso = TransmitterResourceModel(ResourceModelConfig(n_channels=1))
-        mimo = TransmitterResourceModel(ResourceModelConfig(n_channels=4))
+        siso = TransmitterResourceModel(TransceiverConfig(n_antennas=1))
+        mimo = TransmitterResourceModel(TransceiverConfig(n_antennas=4))
         for entity in ("conv_encoder", "block_interleaver", "ifft", "cyclic_prefix"):
             assert mimo.entity_usage(entity).aluts == pytest.approx(
                 4 * siso.entity_usage(entity).aluts, rel=0.01

@@ -28,7 +28,14 @@ from repro.exceptions import (
     DecodingError,
     SynchronizationError,
 )
+from repro.hardware.estimator import qrd_cordic_cell_count
+from repro.hardware.jesd204 import Jesd204Framer
+from repro.hardware.latency import qrd_critical_path_cordics
+from repro.hardware.memory import CircularBuffer, PingPongBuffer
+from repro.hardware.resources import ResourceUsage
 from repro.rtl.rx_datapath import RxFrontEnd, RxFrontEndReport
+from repro.rtl.scheduler import ChannelMatrixScheduler
+from repro.rtl.systolic_qrd import SystolicQrdArray
 from repro.sync.time_sync import TimeSynchronizer
 from repro.core.preamble import PreambleGenerator
 from repro.core.frame import ReceiveResult
@@ -283,6 +290,15 @@ class _BackwardsTraffic:
         lambda: MimoTransmitter().max_info_bits(1.5),
         lambda: ConvolutionalEncoder().encode(np.zeros((2, 2, 5), dtype=np.uint8)),
         lambda: transmit_bursts(MimoTransmitter(), [MimoChannel()], 96, [1, 2]),
+        lambda: Jesd204Framer(octets_per_frame=10),
+        lambda: Jesd204Framer().line_rate_bps(0),
+        lambda: ChannelMatrixScheduler(n_antennas=0),
+        lambda: SystolicQrdArray(n=0),
+        lambda: ResourceUsage(aluts=-1),
+        lambda: qrd_critical_path_cordics(0),
+        lambda: qrd_cordic_cell_count(0),
+        lambda: PingPongBuffer(block_size=0),
+        lambda: CircularBuffer(depth=0),
     ],
     ids=[
         "channel-2x2-with-4-antenna-burst",
@@ -391,6 +407,15 @@ class _BackwardsTraffic:
         "max-info-bits-fractional-symbols",
         "encode-3d-stack",
         "air-round-generator-count",
+        "jesd204-frame-not-multiple-of-4",
+        "jesd204-zero-sample-rate",
+        "qrd-scheduler-no-antennas",
+        "systolic-qrd-empty",
+        "resource-usage-negative",
+        "qrd-critical-path-empty",
+        "qrd-cordic-count-empty",
+        "ping-pong-empty-block",
+        "circular-buffer-empty",
     ],
 )
 def test_inconsistent_construction_raises_configuration_error(build):

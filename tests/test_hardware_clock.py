@@ -1,25 +1,10 @@
 """Tests for repro.hardware.clock."""
 
-import pytest
+from repro.core.config import TransceiverConfig
+from repro.hardware.clock import PAPER_CLOCK_HZ
 
-from repro.hardware.clock import ClockDomain, PAPER_CLOCK_HZ
 
-
-class TestClockDomain:
-    def test_paper_clock(self):
-        clock = ClockDomain()
-        assert clock.frequency_hz == PAPER_CLOCK_HZ
-        assert clock.period_s == pytest.approx(10e-9)
-
-    def test_cycle_time_conversion(self):
-        clock = ClockDomain(100e6)
-        assert clock.cycles_to_seconds(440) == pytest.approx(4.4e-6)
-        assert clock.seconds_to_cycles(1e-6) == 100
-
-    def test_invalid_frequency(self):
-        with pytest.raises(ValueError):
-            ClockDomain(0)
-
-    def test_negative_cycles_rejected(self):
-        with pytest.raises(ValueError):
-            ClockDomain().cycles_to_seconds(-1)
+def test_every_config_runs_at_the_paper_clock():
+    assert PAPER_CLOCK_HZ == 100e6
+    assert TransceiverConfig().clock_hz == PAPER_CLOCK_HZ
+    assert TransceiverConfig(fft_size=512, n_antennas=2).clock_hz == PAPER_CLOCK_HZ

@@ -2,35 +2,43 @@
 
 import pytest
 
+from repro.core.config import TransceiverConfig
+from repro.exceptions import ConfigurationError
 from repro.hardware.estimator import (
-    PAPER_CONFIG,
     ReceiverResourceModel,
-    ResourceModelConfig,
     STRATIX_IV_DEVICE,
     TransmitterResourceModel,
     qrd_cordic_cell_count,
 )
 
+CONFIG_512 = TransceiverConfig(fft_size=512)
+
+
+def _models(config):
+    return TransmitterResourceModel(config), ReceiverResourceModel(config)
+
 
 class TestConfigValidation:
     def test_defaults_are_paper_configuration(self):
-        assert PAPER_CONFIG.n_channels == 4
-        assert PAPER_CONFIG.fft_size == 64
-        assert PAPER_CONFIG.bits_per_subcarrier == 4
-        assert PAPER_CONFIG.coded_bits_per_symbol == 192
-        assert PAPER_CONFIG.trellis_states == 64
+        for model in _models(None):
+            config = model.config
+            assert config == TransceiverConfig()
+            assert config.n_antennas == 4
+            assert config.fft_size == 64
+            assert config.bits_per_subcarrier == 4
+            assert config.coded_bits_per_symbol == 192
 
     def test_invalid_values_rejected(self):
-        with pytest.raises(ValueError):
-            ResourceModelConfig(n_channels=0)
-        with pytest.raises(ValueError):
-            ResourceModelConfig(fft_size=100)
-        with pytest.raises(ValueError):
-            ResourceModelConfig(n_data_subcarriers=0)
-        with pytest.raises(ValueError):
-            ResourceModelConfig(correlator_window=0)
-        with pytest.raises(ValueError):
-            ResourceModelConfig(viterbi_constraint_length=1)
+        # The models take the link's TransceiverConfig, which rejects the
+        # inconsistent sizes a model could otherwise be asked to cost.
+        with pytest.raises(ConfigurationError):
+            TransmitterResourceModel(TransceiverConfig(n_antennas=0))
+        with pytest.raises(ConfigurationError):
+            ReceiverResourceModel(TransceiverConfig(fft_size=100))
+        with pytest.raises(ConfigurationError):
+            ReceiverResourceModel(TransceiverConfig(fft_size=32))
+        with pytest.raises(ConfigurationError):
+            ReceiverResourceModel(TransceiverConfig(modulation="8psk"))
 
 
 class TestQrdCellCount:
@@ -82,10 +90,7 @@ class TestTransmitterTable2:
 
 class TestTransmitterScaling:
     def test_512_point_ifft_and_interleaver_grow_8x(self):
-        config = ResourceModelConfig(
-            fft_size=512, n_data_subcarriers=384, bits_per_subcarrier=4
-        )
-        model = TransmitterResourceModel(config)
+        model = TransmitterResourceModel(CONFIG_512)
         reference = TransmitterResourceModel()
         assert model.entity_usage("ifft").aluts == 8 * reference.entity_usage("ifft").aluts
         assert (
@@ -94,21 +99,18 @@ class TestTransmitterScaling:
         )
 
     def test_512_point_memory_grows_about_8x(self):
-        config = ResourceModelConfig(
-            fft_size=512, n_data_subcarriers=384, bits_per_subcarrier=4
-        )
         ratio = (
-            TransmitterResourceModel(config).system_totals().memory_bits
+            TransmitterResourceModel(CONFIG_512).system_totals().memory_bits
             / TransmitterResourceModel().system_totals().memory_bits
         )
         assert ratio == pytest.approx(8.0, rel=0.05)
 
     def test_single_channel_encoder_quarter_size(self):
-        config = ResourceModelConfig(n_channels=1)
+        config = TransceiverConfig(n_antennas=1)
         assert TransmitterResourceModel(config).entity_usage("conv_encoder").aluts == 8
 
     def test_64qam_interleaver_grows_with_block_size(self):
-        config = ResourceModelConfig(bits_per_subcarrier=6)
+        config = TransceiverConfig(modulation="64qam")
         model = TransmitterResourceModel(config)
         assert (
             model.entity_usage("block_interleaver").aluts
@@ -168,31 +170,20 @@ class TestReceiverTable4:
 
 class TestReceiverScaling:
     def test_channel_estimation_constant_with_fft_size(self):
-        config = ResourceModelConfig(
-            fft_size=512, n_data_subcarriers=384, bits_per_subcarrier=4
-        )
-        model = ReceiverResourceModel(config)
+        model = ReceiverResourceModel(CONFIG_512)
         reference = ReceiverResourceModel()
         for entity in ReceiverResourceModel.CHANNEL_ESTIMATION_ENTITIES:
             assert model.entity_usage(entity) == reference.entity_usage(entity)
 
     def test_512_point_memory_grows_roughly_8x(self):
-        config = ResourceModelConfig(
-            fft_size=512, n_data_subcarriers=384, bits_per_subcarrier=4
-        )
         ratio = (
-            ReceiverResourceModel(config).system_totals().memory_bits
+            ReceiverResourceModel(CONFIG_512).system_totals().memory_bits
             / ReceiverResourceModel().system_totals().memory_bits
         )
         assert 7.0 <= ratio <= 8.5
 
-    def test_wider_correlator_costs_more_multipliers(self):
-        config = ResourceModelConfig(correlator_window=64)
-        assert ReceiverResourceModel(config).entity_usage("time_synchroniser").dsp_blocks == 256
-
     def test_2x2_system_needs_fewer_qrd_resources(self):
-        config = ResourceModelConfig(n_rx=2, n_tx=2, n_channels=2)
-        model = ReceiverResourceModel(config)
+        model = ReceiverResourceModel(TransceiverConfig(n_antennas=2))
         assert (
             model.entity_usage("qr_decomposition").aluts
             < ReceiverResourceModel().entity_usage("qr_decomposition").aluts
@@ -200,8 +191,58 @@ class TestReceiverScaling:
 
     def test_rx_fits_on_device_even_at_512(self):
         # The paper argues there is plenty of memory for the 512-point system.
-        config = ResourceModelConfig(
-            fft_size=512, n_data_subcarriers=384, bits_per_subcarrier=4
-        )
-        utilization = ReceiverResourceModel(config).utilization(STRATIX_IV_DEVICE)
+        utilization = ReceiverResourceModel(CONFIG_512).utilization(STRATIX_IV_DEVICE)
         assert utilization["memory_bits"] < 100.0
+
+
+#: System totals (ALUTs, registers, memory bits, DSP blocks) of the
+#: transmitter and the receiver, and the receiver's channel-estimation ALUTs,
+#: per transceiver configuration.  Only the 4x4 64-point row is in the paper;
+#: the rest pin the model's scaling.
+PINNED_TOTALS = [
+    (
+        {},
+        (33_423, 12_320, 265_408, 32),
+        (183_957, 173_335, 367_060, 896),
+        159_532,
+    ),
+    (
+        {"fft_size": 512},
+        (256_513, 88_494, 2_123_264, 256),
+        (302_733, 253_289, 2_761_424, 1_344),
+        159_532,
+    ),
+    (
+        {"n_antennas": 1},
+        (8_356, 3_080, 66_352, 8),
+        (19_260, 23_795, 90_539, 193),
+        10_486,
+    ),
+    (
+        {"n_antennas": 2},
+        (16_711, 6_160, 132_704, 16),
+        (54_561, 56_125, 181_895, 342),
+        40_570,
+    ),
+    (
+        {"modulation": "64qam"},
+        (47_431, 13_185, 265_408, 32),
+        (190_843, 174_221, 367_060, 896),
+        159_532,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "overrides, tx_totals, rx_totals, estimation_aluts",
+    PINNED_TOTALS,
+    ids=["4x4-64pt", "4x4-512pt", "1x1-64pt", "2x2-64pt", "4x4-64qam"],
+)
+def test_system_totals_pinned(overrides, tx_totals, rx_totals, estimation_aluts):
+    tx, rx = _models(TransceiverConfig(**overrides))
+    assert tuple(tx.system_totals().as_dict().values()) == tx_totals
+    assert tuple(rx.system_totals().as_dict().values()) == rx_totals
+    assert (
+        sum(rx.entity_usage(e).aluts for e in ReceiverResourceModel.CHANNEL_ESTIMATION_ENTITIES)
+        == estimation_aluts
+    )

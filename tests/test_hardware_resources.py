@@ -13,17 +13,9 @@ class TestResourceUsage:
         )
         assert total == ResourceUsage(aluts=15, registers=20, memory_bits=100, dsp_blocks=2)
 
-    def test_scale(self):
-        scaled = ResourceUsage(aluts=3, registers=4, memory_bits=5, dsp_blocks=6).scale(4)
-        assert scaled == ResourceUsage(aluts=12, registers=16, memory_bits=20, dsp_blocks=24)
-
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             ResourceUsage(aluts=-1)
-
-    def test_negative_scale_rejected(self):
-        with pytest.raises(ValueError):
-            ResourceUsage(aluts=1).scale(-1)
 
     def test_as_dict(self):
         usage = ResourceUsage(aluts=1, registers=2, memory_bits=3, dsp_blocks=4)
@@ -40,11 +32,16 @@ class TestResourceReport:
         report = ResourceReport(name="test")
         report.add_entity("fft", ResourceUsage(aluts=100, dsp_blocks=8))
         report.add_entity("viterbi", ResourceUsage(aluts=50, memory_bits=1000))
-        report.overhead = ResourceUsage(aluts=10)
+        report.glue = {"aluts": 10}
         return report
 
-    def test_total_includes_overhead(self):
+    def test_total_includes_glue(self):
         assert self._report().total().aluts == 160
+
+    def test_negative_glue_clips_at_zero(self):
+        report = self._report()
+        report.glue = {"aluts": -40, "memory_bits": -5_000}
+        assert report.total() == ResourceUsage(aluts=110, memory_bits=0, dsp_blocks=8)
 
     def test_add_entity_accumulates(self):
         report = self._report()
@@ -65,8 +62,3 @@ class TestResourceReport:
     def test_entity_share_unknown_entity(self):
         with pytest.raises(KeyError):
             self._report().entity_share(["unknown"])
-
-    def test_as_table(self):
-        table = self._report().as_table()
-        assert set(table.keys()) == {"fft", "viterbi"}
-        assert table["viterbi"]["memory_bits"] == 1000
