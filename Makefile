@@ -12,6 +12,9 @@
 #   make tables            - print the paper's Tables 1-4 and its Section V
 #                            hardware claims (512-point scaling, QRD latency,
 #                            MIMO vs SISO) from the resource/latency models
+#   make ablations         - print the ablation tables (QRD vs direct inversion,
+#                            CORDIC iterations/word length, soft vs hard, CFO
+#                            correction, MIMO vs SISO)
 #   make bench-impairments - front-end impairment grid smoke (CFO x word length x SNR)
 #   make bench-store       - per-point store gates: zero-burst warm re-run +
 #                            overlapping grids sharing their intersection
@@ -35,7 +38,7 @@ PYTHON ?= python
 PYTHONPATH_PREFIX := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 LINTPATH_PREFIX := PYTHONPATH=tools/lint$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
-.PHONY: test test-fast test-store lint tables bench-smoke bench-impairments bench-store bench-stream bench-perf bench-json docs-check corpus-pin clean-cache
+.PHONY: test test-fast test-store lint tables ablations bench-smoke bench-impairments bench-store bench-stream bench-perf bench-json docs-check corpus-pin clean-cache
 
 test: lint
 	$(PYTHONPATH_PREFIX) $(PYTHON) -m pytest -x -q
@@ -59,6 +62,9 @@ TABLE_BENCHMARKS := $(wildcard benchmarks/test_table[1-4]_*.py) \
 
 tables:
 	$(PYTHONPATH_PREFIX) $(PYTHON) -m pytest $(TABLE_BENCHMARKS) -q -s
+
+ablations:
+	$(PYTHONPATH_PREFIX) $(PYTHON) -m pytest $(wildcard benchmarks/test_ablation_*.py) -q -s
 
 bench-impairments:
 	$(PYTHONPATH_PREFIX) $(PYTHON) -m pytest benchmarks/test_impairment_sweep.py -q

@@ -12,7 +12,7 @@ import numpy as np
 from repro.dsp.cordic import Cordic
 from repro.dsp.fixedpoint import FixedPointFormat
 from repro.mimo.matrix import frobenius_error
-from repro.mimo.qr import CordicQrDecomposer
+from repro.mimo.qr import qr_decompose_givens
 
 ITERATION_SWEEP = [6, 8, 10, 12, 16, 20, 24]
 WORD_LENGTH_SWEEP = [10, 12, 14, 16, 18, 22]
@@ -20,23 +20,28 @@ WORD_LENGTH_SWEEP = [10, 12, 14, 16, 18, 22]
 
 def _test_matrices(count=6, seed=600):
     rng = np.random.default_rng(seed)
-    return [
-        (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))) / np.sqrt(2)
-        for _ in range(count)
-    ]
+    return np.stack(
+        [
+            (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))) / np.sqrt(2)
+            for _ in range(count)
+        ]
+    )
+
+
+def _mean_error(matrices, cordic):
+    """Mean reconstruction error of one stacked CORDIC QR of ``matrices``."""
+    q, r = qr_decompose_givens(matrices, cordic=cordic)
+    return float(
+        np.mean([frobenius_error(q[k] @ r[k], h) for k, h in enumerate(matrices)])
+    )
 
 
 def _iteration_errors():
     matrices = _test_matrices()
-    errors = {}
-    for iterations in ITERATION_SWEEP:
-        decomposer = CordicQrDecomposer(iterations=iterations)
-        errs = []
-        for h in matrices:
-            q, r, _ = decomposer.decompose(h)
-            errs.append(frobenius_error(q @ r, h))
-        errors[iterations] = float(np.mean(errs))
-    return errors
+    return {
+        iterations: _mean_error(matrices, Cordic(iterations=iterations))
+        for iterations in ITERATION_SWEEP
+    }
 
 
 def test_ablation_cordic_iterations(table_printer):
@@ -59,12 +64,7 @@ def _word_length_errors():
     errors = {}
     for word_length in WORD_LENGTH_SWEEP:
         fmt = FixedPointFormat(word_length=word_length, frac_bits=word_length - 4)
-        decomposer = CordicQrDecomposer(cordic=Cordic(iterations=16, fixed_format=fmt))
-        errs = []
-        for h in matrices:
-            q, r, _ = decomposer.decompose(h)
-            errs.append(frobenius_error(q @ r, h))
-        errors[word_length] = float(np.mean(errs))
+        errors[word_length] = _mean_error(matrices, Cordic(iterations=16, fixed_format=fmt))
     return errors
 
 

@@ -13,6 +13,7 @@ cycles) versus an idealised direct inversion with no such structure.
 import numpy as np
 import pytest
 
+from repro.dsp.cordic import Cordic
 from repro.mimo.channel_estimation import invert_channel_stack
 from repro.mimo.matrix import frobenius_error
 from repro.rtl.systolic_qrd import SystolicQrdArray
@@ -37,9 +38,7 @@ def test_ablation_qrd_vs_direct_accuracy(table_printer):
     identity_errors = [
         frobenius_error(qrd_inverses[k] @ channels[k], np.eye(4)) for k in range(N_SUBCARRIERS)
     ]
-    cordic_inverses, singular = invert_channel_stack(
-        channels[:8], use_cordic=True, cordic_iterations=16
-    )
+    cordic_inverses, singular = invert_channel_stack(channels[:8], cordic=Cordic(16))
     assert not singular.any()
     cordic_errors = [
         frobenius_error(cordic_inverses[k] @ channels[k], np.eye(4)) for k in range(8)

@@ -63,6 +63,7 @@ from repro.core.config import TransceiverConfig
 from repro.core.frame import FrontEndResult, ReceiveResult, StreamDecodeResult
 from repro.core.pilots import PilotProcessor
 from repro.core.preamble import PreambleGenerator
+from repro.dsp.cordic import Cordic
 from repro.dsp.fft import fft
 from repro.exceptions import ConfigurationError, DecodingError
 from repro.mimo.channel_estimation import ChannelEstimate, ChannelEstimator
@@ -157,7 +158,7 @@ class MimoReceiver:
         )
         self.channel_estimator = ChannelEstimator(
             reference_lts=self.preamble.lts_frequency,
-            use_cordic=self.config.use_cordic_channel_inversion,
+            cordic=Cordic() if self.config.use_cordic_channel_inversion else None,
         )
         # Every (slot, repetition) LTS FFT window relative to the LTS start,
         # shape (n_tx, 2, fft_size), and the data start relative to it.

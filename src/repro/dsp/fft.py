@@ -27,12 +27,13 @@ from typing import List
 import numpy as np
 import numpy.typing as npt
 
+from repro.exceptions import ConfigurationError
 from repro.types import ComplexArray, IntArray
 
 
 def _validate_power_of_two(n: int) -> None:
     if n < 2 or (n & (n - 1)) != 0:
-        raise ValueError(f"FFT size must be a power of two >= 2, got {n}")
+        raise ConfigurationError(f"FFT size must be a power of two >= 2, got {n}")
 
 
 def bit_reverse_indices(n: int) -> IntArray:
@@ -78,7 +79,7 @@ class FftPlan:
         n = self.size
         data = np.asarray(x, dtype=np.complex128)
         if data.shape[-1] != n:
-            raise ValueError(f"expected last axis of {n} samples, got {data.shape[-1]}")
+            raise ConfigurationError(f"expected last axis of {n} samples, got {data.shape[-1]}")
         work = data[..., self.bit_reverse].copy()
         for stage, twiddles in enumerate(self.forward_twiddles, start=1):
             m = 1 << stage
@@ -135,7 +136,7 @@ def ofdm_modulate(
     n = freq.shape[-1]
     _validate_power_of_two(n)
     if not 0 <= cyclic_prefix_length <= n:
-        raise ValueError("cyclic prefix length must be between 0 and the FFT size")
+        raise ConfigurationError("cyclic prefix length must be between 0 and the FFT size")
     time_domain = ifft(freq)
     if cyclic_prefix_length == 0:
         return time_domain

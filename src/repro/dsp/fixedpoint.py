@@ -53,15 +53,15 @@ class FixedPointFormat:
 
     def __post_init__(self) -> None:
         if self.word_length < 2:
-            raise ValueError("word_length must be at least 2 (sign bit + 1)")
+            raise ConfigurationError("word_length must be at least 2 (sign bit + 1)")
         if self.frac_bits < 0:
-            raise ValueError("frac_bits must be non-negative")
+            raise ConfigurationError("frac_bits must be non-negative")
         if self.frac_bits > self.word_length - 1:
-            raise ValueError("frac_bits cannot exceed word_length - 1")
+            raise ConfigurationError("frac_bits cannot exceed word_length - 1")
         if self.rounding not in ("round", "truncate"):
-            raise ValueError(f"unknown rounding mode: {self.rounding!r}")
+            raise ConfigurationError(f"unknown rounding mode: {self.rounding!r}")
         if self.overflow not in ("saturate", "wrap"):
-            raise ValueError(f"unknown overflow mode: {self.overflow!r}")
+            raise ConfigurationError(f"unknown overflow mode: {self.overflow!r}")
 
     @property
     def resolution(self) -> float:
@@ -120,7 +120,7 @@ class FixedPointFormat:
         ints = np.asarray(raw, dtype=np.int64)
         lo, hi = self.integer_range
         if ints.size and (ints.min() < lo or ints.max() > hi):
-            raise ValueError("raw integers outside representable range")
+            raise ConfigurationError("raw integers outside representable range")
         return ints.astype(np.float64) * self.resolution
 
     def quantization_noise_power(self) -> float:

@@ -14,7 +14,7 @@ from repro.mimo.matrix import (
     is_unitary,
     is_upper_triangular,
 )
-from repro.mimo.qr import CordicQrDecomposer, GivensRotation, qr_decompose_givens
+from repro.mimo.qr import qr_decompose_givens
 from repro.mimo.rinv import invert_upper_triangular, r_inverse_4x4_paper_equations
 
 __all__ = [
@@ -28,8 +28,6 @@ __all__ = [
     "hermitian",
     "is_unitary",
     "is_upper_triangular",
-    "CordicQrDecomposer",
-    "GivensRotation",
     "qr_decompose_givens",
     "invert_upper_triangular",
     "r_inverse_4x4_paper_equations",

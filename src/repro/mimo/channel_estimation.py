@@ -24,10 +24,11 @@ import numpy as np
 
 import numpy.typing as npt
 
+from repro.dsp.cordic import Cordic
 from repro.types import ComplexArray
 from repro.exceptions import ChannelEstimationError, ConfigurationError
 from repro.mimo.matrix import hermitian
-from repro.mimo.qr import CordicQrDecomposer, qr_decompose_givens
+from repro.mimo.qr import qr_decompose_givens
 from repro.mimo.rinv import invert_upper_triangular, singular_mask
 
 
@@ -61,16 +62,16 @@ def estimate_channel_from_lts(
     rx = np.asarray(received_lts, dtype=np.complex128)
     ref = np.asarray(reference_lts, dtype=np.complex128).ravel()
     if rx.ndim < 3:
-        raise ValueError("received_lts must have shape (..., n_tx, n_rx, fft_size)")
+        raise ConfigurationError("received_lts must have shape (..., n_tx, n_rx, fft_size)")
     n_tx, n_rx, fft_size = rx.shape[-3:]
     if ref.size != fft_size:
-        raise ValueError("reference_lts length must equal the FFT size")
+        raise ConfigurationError("reference_lts length must equal the FFT size")
     if active_mask is None:
         active_mask = np.abs(ref) > 0
     else:
         active_mask = np.asarray(active_mask, dtype=bool).ravel()
         if active_mask.size != fft_size:
-            raise ValueError("active_mask length must equal the FFT size")
+            raise ConfigurationError("active_mask length must equal the FFT size")
 
     active = np.flatnonzero(active_mask)
     zero = active[ref[active] == 0]
@@ -88,8 +89,7 @@ def estimate_channel_from_lts(
 def invert_channel_stack(
     channel: npt.ArrayLike,
     active_mask: Optional[npt.NDArray[np.bool_]] = None,
-    use_cordic: bool = False,
-    cordic_iterations: int = 16,
+    cordic: Optional[Cordic] = None,
 ) -> Tuple[ComplexArray, npt.NDArray[np.bool_]]:
     """Invert per-subcarrier channel matrices via QR decomposition.
 
@@ -102,11 +102,10 @@ def invert_channel_stack(
         ``n_rx == n_tx``.
     active_mask:
         Subcarriers to invert (defaults to those whose matrix is non-zero).
-    use_cordic:
-        Route every rotation through the CORDIC engine instead of
-        floating-point trigonometry.
-    cordic_iterations:
-        CORDIC micro-rotation count when ``use_cordic`` is set.
+    cordic:
+        When given, every angle and rotation of the QR decomposition is
+        evaluated by this CORDIC engine instead of floating-point
+        trigonometry.
 
     Returns
     -------
@@ -118,14 +117,14 @@ def invert_channel_stack(
     """
     h = np.asarray(channel, dtype=np.complex128)
     if h.ndim < 3 or h.shape[-1] != h.shape[-2]:
-        raise ValueError("channel must have shape (..., fft_size, n, n)")
+        raise ConfigurationError("channel must have shape (..., fft_size, n, n)")
     fft_size = h.shape[-3]
     if active_mask is None:
         active = np.any(h != 0, axis=(-2, -1))
     else:
         active_mask = np.asarray(active_mask, dtype=bool).ravel()
         if active_mask.size != fft_size:
-            raise ValueError("active_mask length must equal the FFT size")
+            raise ConfigurationError("active_mask length must equal the FFT size")
         active = np.broadcast_to(active_mask, h.shape[:-2])
 
     inverses = np.zeros_like(h)
@@ -133,15 +132,9 @@ def invert_channel_stack(
     selected = h[active]
     if not selected.size:
         return inverses, singular
-    if use_cordic:
-        decomposer = CordicQrDecomposer(iterations=cordic_iterations)
-        factors = [decomposer.decompose(matrix) for matrix in selected]
-        q = np.stack([factor[0] for factor in factors])
-        r = np.stack([factor[1] for factor in factors])
-    else:
-        # Every active subcarrier of every stacked estimate in one QR and
-        # one R^-1, like the paper's per-subcarrier arrays side by side.
-        q, r, _ = qr_decompose_givens(selected)
+    # Every active subcarrier of every stacked estimate in one QR and one
+    # R^-1, like the paper's per-subcarrier arrays side by side.
+    q, r = qr_decompose_givens(selected, cordic=cordic)
     bad = singular_mask(r)
     good = ~bad
     selected_inverses = np.zeros_like(selected)
@@ -192,7 +185,7 @@ class ChannelEstimate:
         """RMS relative error of the estimate versus a ground-truth channel."""
         truth = np.asarray(true_channel, dtype=np.complex128)
         if truth.shape != self.matrices.shape:
-            raise ValueError("true channel must match the estimate's shape")
+            raise ConfigurationError("true channel must match the estimate's shape")
         active = self.active_mask
         diff = self.matrices[..., active, :, :] - truth[..., active, :, :]
         denom = np.linalg.norm(truth[..., active, :, :])
@@ -208,24 +201,19 @@ class ChannelEstimator:
     ----------
     reference_lts:
         Known frequency-domain LTS values per subcarrier.
-    use_cordic:
-        Route the QR decomposition through CORDIC arithmetic (slower but
-        hardware-faithful word-length behaviour).
-    cordic_iterations:
-        CORDIC micro-rotation count when ``use_cordic`` is set.
+    cordic:
+        When given, the QR decomposition runs in this CORDIC engine's
+        arithmetic (hardware-faithful iteration and word-length behaviour)
+        instead of floating point.
     """
 
     def __init__(
-        self,
-        reference_lts: np.ndarray,
-        use_cordic: bool = False,
-        cordic_iterations: int = 16,
+        self, reference_lts: np.ndarray, cordic: Optional[Cordic] = None
     ) -> None:
         self.reference_lts = np.asarray(reference_lts, dtype=np.complex128).ravel()
         if self.reference_lts.size == 0:
-            raise ValueError("reference_lts must not be empty")
-        self.use_cordic = use_cordic
-        self.cordic_iterations = cordic_iterations
+            raise ConfigurationError("reference_lts must not be empty")
+        self.cordic = cordic
         self.active_mask = np.abs(self.reference_lts) > 0
 
     def estimate(
@@ -250,10 +238,7 @@ class ChannelEstimator:
             received, self.reference_lts, self.active_mask
         )
         inverses, singular = invert_channel_stack(
-            matrices,
-            self.active_mask,
-            use_cordic=self.use_cordic,
-            cordic_iterations=self.cordic_iterations,
+            matrices, self.active_mask, cordic=self.cordic
         )
         return [
             self._outcome(*item) for item in zip(matrices, inverses, singular)

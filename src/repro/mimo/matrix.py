@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import numpy.typing as npt
 
+from repro.exceptions import ConfigurationError
 from repro.types import ComplexArray
 
 
@@ -17,7 +18,7 @@ def is_upper_triangular(matrix: npt.ArrayLike, tolerance: float = 1e-9) -> bool:
     """True when everything below the main diagonal is (numerically) zero."""
     m = np.asarray(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("expected a square matrix")
+        raise ConfigurationError("expected a square matrix")
     lower = np.tril(m, k=-1)
     return bool(np.all(np.abs(lower) <= tolerance))
 
@@ -26,7 +27,7 @@ def is_unitary(matrix: npt.ArrayLike, tolerance: float = 1e-8) -> bool:
     """True when ``Q^H Q`` is (numerically) the identity."""
     q = np.asarray(matrix, dtype=np.complex128)
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
-        raise ValueError("expected a square matrix")
+        raise ConfigurationError("expected a square matrix")
     identity = np.eye(q.shape[0])
     return bool(np.allclose(hermitian(q) @ q, identity, atol=tolerance))
 
@@ -36,7 +37,7 @@ def frobenius_error(a: npt.ArrayLike, b: npt.ArrayLike) -> float:
     a_arr = np.asarray(a, dtype=np.complex128)
     b_arr = np.asarray(b, dtype=np.complex128)
     if a_arr.shape != b_arr.shape:
-        raise ValueError("matrices must have the same shape")
+        raise ConfigurationError("matrices must have the same shape")
     denom = np.linalg.norm(b_arr)
     if denom == 0:
         return float(np.linalg.norm(a_arr))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.exceptions import ChannelEstimationError
+from repro.exceptions import ChannelEstimationError, ConfigurationError
 
 
 def singular_mask(r: np.ndarray, tolerance: float = 1e-12) -> np.ndarray:
@@ -49,12 +49,12 @@ def invert_upper_triangular(r: np.ndarray, tolerance: float = 1e-12) -> np.ndarr
     """
     matrix = np.asarray(r, dtype=np.complex128)
     if matrix.ndim not in (2, 3) or matrix.shape[-1] != matrix.shape[-2]:
-        raise ValueError("expected a square matrix or a stack of them")
+        raise ConfigurationError("expected a square matrix or a stack of them")
     stack = matrix.reshape((-1,) + matrix.shape[-2:])
     n = stack.shape[-1]
     scale = np.maximum(1.0, np.abs(stack).max(axis=(1, 2), initial=0.0))
     if np.any(np.abs(np.tril(stack, k=-1)) > 1e-9 * scale[:, None, None]):
-        raise ValueError("matrix is not upper triangular")
+        raise ConfigurationError("matrix is not upper triangular")
     if np.any(singular_mask(stack, tolerance)):
         raise ChannelEstimationError("upper-triangular matrix is singular")
 
@@ -86,7 +86,7 @@ def r_inverse_4x4_paper_equations(r: np.ndarray) -> np.ndarray:
     """
     matrix = np.asarray(r, dtype=np.complex128)
     if matrix.shape != (4, 4):
-        raise ValueError("the paper's explicit equations are for 4x4 matrices")
+        raise ConfigurationError("the paper's explicit equations are for 4x4 matrices")
     diag = np.diagonal(matrix)
     if np.any(np.abs(diag) == 0):
         raise ChannelEstimationError("upper-triangular matrix is singular")

@@ -6,7 +6,9 @@ claims can be checked:
 
 * :mod:`repro.rtl.systolic_qrd` — the triangular R array and square Q array
   of CORDIC cells (Figs. 6-8), with per-cell latency accounting that
-  reproduces the 440-cycle QRD datapath latency;
+  reproduces the 440-cycle QRD datapath latency; the array models
+  structure and latency, and its numbers come from
+  :func:`repro.mimo.qr.qr_decompose_givens` in CORDIC arithmetic;
 * :mod:`repro.rtl.scheduler` — the channel-matrix memory read scheduler that
   staggers subcarriers into the array 20 addresses at a time;
 * :mod:`repro.rtl.tx_datapath` — the streaming transmit pipeline built from

@@ -13,10 +13,11 @@ systolic arrays:
 Each CORDIC element is pipelined 20 clock cycles deep, and the paper reports
 a total QRD datapath latency of 440 cycles for the 4x4 array.
 
-:class:`SystolicQrdArray` models the array at the cell level: it enumerates
-the cells, computes the numerical result with the same per-cell operations as
-the functional model in :mod:`repro.mimo.qr` (so results can be cross
-checked), and accounts for latency per cell and for the whole array.
+:class:`SystolicQrdArray` models the array's structure and timing: it
+enumerates the cells and their CORDIC counts and accounts for latency per
+cell and for the whole array.  Its numbers come from the one Givens QR,
+:func:`repro.mimo.qr.qr_decompose_givens`, run in the array's CORDIC
+arithmetic.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from repro.dsp.cordic import CORDIC_PIPELINE_LATENCY, Cordic
 from repro.exceptions import ConfigurationError
 from repro.hardware.latency import qrd_critical_path_cordics
 from repro.mimo.matrix import hermitian
+from repro.mimo.qr import qr_decompose_givens
 
 
 class QrdCellKind(str, Enum):
@@ -171,98 +173,23 @@ class SystolicQrdArray:
         return 1.0 / self.n
 
     # ------------------------------------------------------------------
-    # numerical behaviour (cross-checked against repro.mimo.qr)
+    # numerical behaviour (the one Givens QR of repro.mimo.qr)
     # ------------------------------------------------------------------
-    def _boundary_cell(self, stored: float, incoming: complex) -> Tuple[float, float, float]:
-        """Boundary cell: vectoring CORDICs produce theta_b, theta_1 and |r'|."""
-        vec_b = self.cordic.vector(incoming.real, incoming.imag)
-        theta_b = vec_b.angle
-        magnitude = vec_b.magnitude
-        vec_1 = self.cordic.vector(stored, magnitude)
-        theta_1 = vec_1.angle
-        new_stored = vec_1.magnitude
-        return new_stored, theta_b, theta_1
-
-    def _internal_cell(
-        self, stored: complex, incoming: complex, theta_b: float, theta_1: float
-    ) -> Tuple[complex, complex]:
-        """Internal cell: de-phase the input then rotate it against the store."""
-        rot = self.cordic.rotate(incoming.real, incoming.imag, -theta_b)
-        dephased = complex(rot.x, rot.y)
-        real = self.cordic.rotate(stored.real, dephased.real, -theta_1)
-        imag = self.cordic.rotate(stored.imag, dephased.imag, -theta_1)
-        new_stored = complex(real.x, imag.x)
-        output = complex(real.y, imag.y)
-        return new_stored, output
-
     def process(self, channel_matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Run one channel matrix through the array.
 
-        Returns ``(r, q_hermitian)`` — exactly what the hardware's R and Q
-        arrays hold after the matrix (and the identity) have been streamed
-        through: ``channel_matrix ~= hermitian(q_hermitian) @ r``.
+        Returns ``(r, q_hermitian)`` — what the hardware's R and Q arrays
+        hold after the matrix (and the identity) have been streamed
+        through: ``channel_matrix ~= hermitian(q_hermitian) @ r``.  The
+        numbers are :func:`~repro.mimo.qr.qr_decompose_givens` in this
+        array's CORDIC arithmetic, which applies the cells' rotations in
+        column-sweep order.
         """
         h = np.asarray(channel_matrix, dtype=np.complex128)
         if h.shape != (self.n, self.n):
             raise ConfigurationError(f"expected a {self.n}x{self.n} matrix")
-        n = self.n
-        # Cell state: R-array boundary cells store a real magnitude, internal
-        # cells store a complex value; Q-array internal cells store complex.
-        r_boundary = np.zeros(n, dtype=np.float64)
-        r_internal = np.zeros((n, n), dtype=np.complex128)
-        q_internal = np.zeros((n, n), dtype=np.complex128)
-
-        # Rows of H enter from the top, one row at a time, followed by the
-        # rows of the identity matrix into the Q array.
-        for source_row in range(n):
-            h_row = h[source_row].copy()
-            identity_row = np.eye(n, dtype=np.complex128)[source_row].copy()
-            for stage in range(n):
-                if stage > source_row:
-                    break
-                incoming = h_row[stage]
-                if stage == source_row:
-                    # The row reaches the diagonal: it initialises the cells.
-                    new_stored, theta_b, theta_1 = self._boundary_cell(0.0, incoming)
-                    # Initialising a zeroed boundary cell is a pure phase
-                    # annihilation: store the magnitude directly.
-                    r_boundary[stage] = new_stored
-                    for col in range(stage + 1, n):
-                        rot = self.cordic.rotate(
-                            h_row[col].real, h_row[col].imag, -theta_b
-                        )
-                        r_internal[stage, col] = complex(rot.x, rot.y)
-                    for col in range(n):
-                        rot = self.cordic.rotate(
-                            identity_row[col].real, identity_row[col].imag, -theta_b
-                        )
-                        q_internal[stage, col] = complex(rot.x, rot.y)
-                    break
-                # Annihilate this row's element against the stage's cells.
-                new_stored, theta_b, theta_1 = self._boundary_cell(
-                    r_boundary[stage], h_row[stage]
-                )
-                r_boundary[stage] = new_stored
-                for col in range(stage + 1, n):
-                    new_cell, passed = self._internal_cell(
-                        r_internal[stage, col], h_row[col], theta_b, theta_1
-                    )
-                    r_internal[stage, col] = new_cell
-                    h_row[col] = passed
-                for col in range(n):
-                    new_cell, passed = self._internal_cell(
-                        q_internal[stage, col], identity_row[col], theta_b, theta_1
-                    )
-                    q_internal[stage, col] = new_cell
-                    identity_row[col] = passed
-
-        r = np.zeros((n, n), dtype=np.complex128)
-        for i in range(n):
-            r[i, i] = r_boundary[i]
-            for j in range(i + 1, n):
-                r[i, j] = r_internal[i, j]
-        q_hermitian = q_internal
-        return r, q_hermitian
+        q, r = qr_decompose_givens(h, cordic=self.cordic)
+        return r, hermitian(q)
 
     def reconstruct(self, channel_matrix: np.ndarray) -> np.ndarray:
         """Reconstruct the channel matrix from the array outputs (for tests)."""

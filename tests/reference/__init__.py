@@ -5,8 +5,11 @@ stage, exactly as it ran before the production code batched it:
 
 * ``coding`` — the per-branch Viterbi add-compare-select and the
   bit-serial convolutional encoder and scrambler;
-* ``mimo`` — the per-matrix Givens QR and back substitution, the
-  per-subcarrier LTS division and the per-subcarrier MMSE solve;
+* ``dsp`` — the scalar CORDIC engine, one Python-float micro-rotation at
+  a time;
+* ``mimo`` — the per-matrix float and CORDIC Givens QR and back
+  substitution, the per-subcarrier LTS division and the per-subcarrier
+  MMSE solve;
 * ``modulation`` — the per-symbol hard and soft demapper;
 * ``core`` — the per-symbol transmit loop (map, pilot insertion, IFFT),
   the per-slot LTS FFTs, the per-symbol FFT/detect/pilot equalise loop,

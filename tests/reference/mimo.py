@@ -1,5 +1,6 @@
-"""Per-matrix MIMO references: Givens QR, back substitution, channel
-inversion, per-subcarrier LTS division and per-subcarrier MMSE solve."""
+"""Per-matrix MIMO references: float and CORDIC Givens QR, back
+substitution, channel inversion, per-subcarrier LTS division and
+per-subcarrier MMSE solve."""
 
 from __future__ import annotations
 
@@ -39,6 +40,54 @@ def qr_givens_serial(matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
             theta_1 = math.atan2(abs(element), r[col, col].real)
             _rotate(r, col, row, theta_b, theta_1)
             _rotate(q_hermitian, col, row, theta_b, theta_1)
+    r[np.tril_indices(n, k=-1)] = 0.0
+    return np.conj(q_hermitian).T, r
+
+
+def _rotate_cordic(
+    cordic, matrix: np.ndarray, col: int, row: int, theta_b: float, theta_1: float
+) -> None:
+    n = matrix.shape[1]
+    # Phase removal on the annihilated row (one rotation CORDIC per element).
+    for k in range(n):
+        value = matrix[row, k]
+        phase = cordic.rotate(value.real, value.imag, -theta_b)
+        matrix[row, k] = complex(phase.x, phase.y)
+    # Real rotation applied jointly to the pivot row and the annihilated
+    # row: one CORDIC for the real parts, one for the imaginary parts.
+    for k in range(n):
+        upper = matrix[col, k]
+        lower = matrix[row, k]
+        real = cordic.rotate(upper.real, lower.real, -theta_1)
+        imag = cordic.rotate(upper.imag, lower.imag, -theta_1)
+        matrix[col, k] = complex(real.x, imag.x)
+        matrix[row, k] = complex(real.y, imag.y)
+
+
+def qr_cordic_serial(matrix: np.ndarray, cordic) -> Tuple[np.ndarray, np.ndarray]:
+    """``(q, r)`` of one square matrix, every angle and rotation one scalar
+    ``cordic`` call (a :class:`reference.dsp.Cordic`) per element."""
+    h = np.asarray(matrix, dtype=np.complex128)
+    n = h.shape[0]
+    r = h.copy()
+    q_hermitian = np.eye(n, dtype=np.complex128)
+    for col in range(n):
+        diag = r[col, col]
+        diag_vec = cordic.vector(diag.real, diag.imag)
+        _rotate_cordic(cordic, r, col, col, diag_vec.angle, 0.0)
+        _rotate_cordic(cordic, q_hermitian, col, col, diag_vec.angle, 0.0)
+        for row in range(col + 1, n):
+            element = r[row, col]
+            # Boundary cell, first vectoring CORDIC: phase + magnitude of b.
+            vec_b = cordic.vector(element.real, element.imag)
+            theta_b = vec_b.angle
+            magnitude = vec_b.magnitude
+            # Boundary cell, second vectoring CORDIC: rotation of (|a|, |b|).
+            pivot = r[col, col].real
+            vec_1 = cordic.vector(pivot, magnitude)
+            theta_1 = vec_1.angle
+            _rotate_cordic(cordic, r, col, row, theta_b, theta_1)
+            _rotate_cordic(cordic, q_hermitian, col, row, theta_b, theta_1)
     r[np.tril_indices(n, k=-1)] = 0.0
     return np.conj(q_hermitian).T, r
 

@@ -5,11 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.dsp.cordic import (
-    CORDIC_PIPELINE_LATENCY,
-    Cordic,
-    cordic_gain,
-)
+from repro.dsp.cordic import Cordic, cordic_gain
 from repro.dsp.fixedpoint import FixedPointFormat
 
 
@@ -39,9 +35,6 @@ class TestVectoringMode:
     def test_y_driven_to_zero(self):
         result = Cordic().vector(0.6, 0.8)
         assert abs(result.y) < 1e-4
-
-    def test_latency_reported(self):
-        assert Cordic().vector(1.0, 1.0).latency_cycles == CORDIC_PIPELINE_LATENCY
 
     @pytest.mark.parametrize("iterations,tolerance", [(12, 1e-6), (16, 1e-8), (20, 1e-10)])
     def test_magnitude_matches_abs_over_the_unit_square(self, iterations, tolerance):
@@ -93,11 +86,6 @@ class TestAccuracyScaling:
         assert errors[0] > errors[-1]
         assert errors[-1] < 1e-5
 
-    def test_uncompensated_gain(self):
-        engine = Cordic(iterations=16, compensate_gain=False)
-        result = engine.vector(1.0, 0.0)
-        assert result.magnitude == pytest.approx(cordic_gain(16), abs=1e-3)
-
 
 class TestFixedPointDatapath:
     def test_quantised_engine_still_reasonable(self):
@@ -109,6 +97,4 @@ class TestFixedPointDatapath:
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
             Cordic(iterations=0)
-        with pytest.raises(ValueError):
-            Cordic(latency_cycles=0)
 

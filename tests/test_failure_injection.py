@@ -39,7 +39,12 @@ from repro.rtl.systolic_qrd import SystolicQrdArray
 from repro.sync.time_sync import TimeSynchronizer
 from repro.core.preamble import PreambleGenerator
 from repro.core.frame import ReceiveResult
-from repro.mimo.channel_estimation import ChannelEstimate
+from repro.dsp.cordic import Cordic
+from repro.dsp.fft import fft
+from repro.dsp.fixedpoint import FixedPointFormat
+from repro.mimo.channel_estimation import ChannelEstimate, ChannelEstimator, invert_channel_stack
+from repro.mimo.qr import qr_decompose_givens
+from repro.mimo.rinv import invert_upper_triangular, r_inverse_4x4_paper_equations
 from repro.mimo.detector import MmseDetector
 from repro.modulation.demapper import SymbolDemapper
 from repro.modulation.mapper import SymbolMapper
@@ -299,6 +304,15 @@ class _BackwardsTraffic:
         lambda: qrd_cordic_cell_count(0),
         lambda: PingPongBuffer(block_size=0),
         lambda: CircularBuffer(depth=0),
+        lambda: FixedPointFormat(1, 0),
+        lambda: FixedPointFormat(16, 14, rounding="nearest"),
+        lambda: Cordic(iterations=0),
+        lambda: fft(np.zeros(48)),
+        lambda: qr_decompose_givens(np.ones((3, 4))),
+        lambda: invert_upper_triangular(np.ones((4, 4))),
+        lambda: r_inverse_4x4_paper_equations(np.eye(3)),
+        lambda: invert_channel_stack(np.zeros((4, 4, 3))),
+        lambda: ChannelEstimator(np.array([])),
     ],
     ids=[
         "channel-2x2-with-4-antenna-burst",
@@ -416,6 +430,15 @@ class _BackwardsTraffic:
         "qrd-cordic-count-empty",
         "ping-pong-empty-block",
         "circular-buffer-empty",
+        "fixed-point-one-bit-word",
+        "fixed-point-unknown-rounding",
+        "cordic-no-iterations",
+        "fft-size-not-a-power-of-two",
+        "qr-not-square",
+        "r-inverse-not-triangular",
+        "r-inverse-paper-equations-not-4x4",
+        "channel-inversion-not-square",
+        "channel-estimator-empty-lts",
     ],
 )
 def test_inconsistent_construction_raises_configuration_error(build):

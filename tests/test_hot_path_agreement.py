@@ -10,10 +10,11 @@ ZF/MMSE detection and block pilot correction) and the whole-burst transmit
 chain in :mod:`repro.core.transmitter` (block interleave/map, block pilot
 insertion, one planned IFFT, strided cyclic-prefix gather).  Each is
 checked against a frozen one-unit-at-a-time oracle in ``tests/reference``:
-``coding`` (serial encoder, scrambler, per-branch Viterbi), ``mimo``
-(per-matrix QR, back substitution), ``modulation`` (per-symbol hard and
-soft demapper) and ``core`` (per-symbol transmit loop, per-slot LTS FFTs,
-per-symbol equalise loop, one-symbol pilot correction, fully serial
+``coding`` (serial encoder, scrambler, per-branch Viterbi), ``dsp``
+(scalar CORDIC engine), ``mimo`` (per-matrix float and CORDIC QR, back
+substitution), ``modulation`` (per-symbol hard and soft demapper) and
+``core`` (per-symbol transmit loop, per-slot LTS FFTs, per-symbol
+equalise loop, one-symbol pilot correction, fully serial
 receive).  These property-style tests assert exact equality across random
 codewords, constellations, noise levels, puncturing patterns, antenna
 counts, channel impairments and full transceiver configurations.  The
@@ -28,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.channel.awgn import awgn_noise, noise_variance_for_snr, occupied_power
 from repro.channel.fading import FlatRayleighChannel, FrequencySelectiveChannel
@@ -47,7 +49,12 @@ from repro.core.frame import FrontEndResult
 from repro.core.pilots import PilotProcessor
 from repro.core.receiver import MimoReceiver
 from repro.core.transmitter import MimoTransmitter
-from repro.dsp.fixedpoint import MULTIPLIER_FORMAT_18BIT, SAMPLE_FORMAT_16BIT
+from repro.dsp.cordic import Cordic
+from repro.dsp.fixedpoint import (
+    MULTIPLIER_FORMAT_18BIT,
+    SAMPLE_FORMAT_16BIT,
+    FixedPointFormat,
+)
 from repro.exceptions import (
     ChannelEstimationError,
     ConfigurationError,
@@ -71,11 +78,13 @@ from reference.core import (
     receive_serial,
     transmit_serial,
 )
+from reference.dsp import Cordic as CordicSerial
 from reference.mimo import (
     estimate_channel_from_lts_serial,
     invert_channel_serial,
     invert_upper_triangular_serial,
     mmse_weights_serial,
+    qr_cordic_serial,
     qr_givens_serial,
 )
 from reference.modulation import hard_decisions_serial, soft_decisions_serial
@@ -276,8 +285,7 @@ class TestStackedQrAgreement:
     def test_stacked_qr_equals_per_matrix_reference(self, n):
         rng = np.random.default_rng(60 + n)
         stack = _random_stack(200, n, rng)
-        q, r, rotations = qr_decompose_givens(stack)
-        assert len(rotations) == n + n * (n - 1) // 2
+        q, r = qr_decompose_givens(stack)
         for k in range(stack.shape[0]):
             q_ref, r_ref = qr_givens_serial(stack[k])
             np.testing.assert_array_equal(q[k], q_ref)
@@ -286,16 +294,15 @@ class TestStackedQrAgreement:
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_single_matrix_equals_reference(self, n):
         matrix = _random_stack(1, n, np.random.default_rng(70 + n))[0]
-        q, r, rotations = qr_decompose_givens(matrix)
+        q, r = qr_decompose_givens(matrix)
         q_ref, r_ref = qr_givens_serial(matrix)
         np.testing.assert_array_equal(q, q_ref)
         np.testing.assert_array_equal(r, r_ref)
-        assert all(isinstance(rot.theta_b, float) for rot in rotations)
 
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_stacked_r_inverse_equals_per_matrix_reference(self, n):
         rng = np.random.default_rng(80 + n)
-        _, r, _ = qr_decompose_givens(_random_stack(200, n, rng))
+        _, r = qr_decompose_givens(_random_stack(200, n, rng))
         inverse = invert_upper_triangular(r)
         for k in range(r.shape[0]):
             np.testing.assert_array_equal(inverse[k], invert_upper_triangular_serial(r[k]))
@@ -320,6 +327,96 @@ class TestStackedQrAgreement:
         channel[17] = np.nan
         _, singular = invert_channel_stack(channel)
         assert np.flatnonzero(singular).tolist() == [17]
+
+
+CORDIC_ITERATIONS = [6, 16, 24]
+CORDIC_FORMATS = [None, FixedPointFormat(18, 14), FixedPointFormat(10, 6)]
+_coordinate = st.one_of(st.sampled_from([0.0, -0.0, -2.0, 2.0]), st.floats(-2.0, 2.0))
+_turn = st.one_of(
+    st.sampled_from([0.0, -0.0, np.pi, -np.pi, np.pi / 2, -np.pi / 2]),
+    st.floats(-np.pi, np.pi),
+)
+
+
+def _bits(values):
+    """The float64 bit patterns of real or complex ``values``."""
+    array = np.ascontiguousarray(values)
+    if np.iscomplexobj(array):
+        array = array.view(np.float64)
+    return np.asarray(array, dtype=np.float64).view(np.uint64)
+
+
+def _assert_same_bits(actual, expected):
+    """Equal bit patterns, so -0.0 and +0.0 differ."""
+    np.testing.assert_array_equal(_bits(actual), _bits(expected))
+
+
+def _cordic_edge_stack(n, rng):
+    """Random matrices plus a negative or imaginary diagonal, a zero first
+    column and the identity."""
+    mixed_diagonal = _random_stack(1, n, rng)[0]
+    mixed_diagonal[np.diag_indices(n)] = [(-2.0, 1.5j)[i % 2] for i in range(n)]
+    zero_column = _random_stack(1, n, rng)[0]
+    zero_column[:, 0] = 0.0
+    return np.stack(
+        [_random_stack(1, n, rng)[0], mixed_diagonal, zero_column, np.eye(n)]
+    )
+
+
+class TestStackedCordicAgreement:
+    """Array CORDIC engine and stacked CORDIC QR vs the scalar references."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        st.lists(st.tuples(_coordinate, _coordinate, _turn), min_size=1, max_size=30),
+        st.sampled_from(CORDIC_ITERATIONS),
+        st.sampled_from(CORDIC_FORMATS),
+    )
+    def test_array_engine_equals_scalar_engine(self, triples, iterations, fmt):
+        x, y, angle = (np.array(column) for column in zip(*triples))
+        engine = Cordic(iterations, fixed_format=fmt)
+        reference = CordicSerial(iterations, fixed_format=fmt)
+        vectored = engine.vector(x, y)
+        rotated = engine.rotate(x, y, angle)
+        for k in range(len(triples)):
+            expected = reference.vector(x[k], y[k])
+            _assert_same_bits(
+                [vectored.x[k], vectored.y[k], vectored.angle[k]],
+                [expected.x, expected.y, expected.angle],
+            )
+            expected = reference.rotate(x[k], y[k], angle[k])
+            _assert_same_bits(
+                [rotated.x[k], rotated.y[k], rotated.angle[k]],
+                [expected.x, expected.y, expected.angle],
+            )
+
+    @pytest.mark.parametrize("fmt", CORDIC_FORMATS)
+    @pytest.mark.parametrize("iterations", CORDIC_ITERATIONS)
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_stacked_qr_equals_per_matrix_reference(self, n, iterations, fmt):
+        stack = _cordic_edge_stack(n, np.random.default_rng(110 + n))
+        q, r = qr_decompose_givens(stack, cordic=Cordic(iterations, fixed_format=fmt))
+        for k in range(stack.shape[0]):
+            q_ref, r_ref = qr_cordic_serial(
+                stack[k], CordicSerial(iterations, fixed_format=fmt)
+            )
+            _assert_same_bits(q[k], q_ref)
+            _assert_same_bits(r[k], r_ref)
+
+    def test_channel_inversion_equals_per_subcarrier_reference(self):
+        rng = np.random.default_rng(120)
+        channel = _random_stack(64, 4, rng)
+        channel[9, :, 1] = 0.0  # rank deficient: R[1, 1] comes out exactly zero
+        active = np.ones(64, dtype=bool)
+        active[[0, 27, 28, 29]] = False
+        inverses, singular = invert_channel_stack(channel, active, cordic=Cordic())
+        assert np.flatnonzero(singular).tolist() == [9]
+        for k in range(64):
+            expected = np.zeros((4, 4), dtype=np.complex128)
+            if active[k] and k != 9:
+                q, r = qr_cordic_serial(channel[k], CordicSerial())
+                expected = invert_upper_triangular_serial(r) @ np.conj(q).T
+            _assert_same_bits(inverses[k], expected)
 
 
 class TestReceiverDecodeAgreement:
@@ -353,7 +450,7 @@ class TestReceiverDecodeAgreement:
             )
 
 
-REFERENCE_MODULES = ["coding", "core", "mimo", "modulation"]
+REFERENCE_MODULES = ["coding", "core", "dsp", "mimo", "modulation"]
 
 
 def test_src_never_imports_the_reference_oracles():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.dsp.cordic import Cordic
 from repro.exceptions import ChannelEstimationError, ConfigurationError
 from repro.mimo.channel_estimation import (
     ChannelEstimator,
@@ -94,7 +95,7 @@ class TestInvertChannelStack:
         rng = np.random.default_rng(4)
         channel = rng.normal(size=(4, 4, 4)) + 1j * rng.normal(size=(4, 4, 4))
         float_inv = _invert(channel)
-        cordic_inv = _invert(channel, use_cordic=True, cordic_iterations=20)
+        cordic_inv = _invert(channel, cordic=Cordic(iterations=20))
         np.testing.assert_allclose(cordic_inv, float_inv, atol=1e-3)
 
     def test_shape_validation(self):

@@ -299,7 +299,7 @@ class TestQrProperties:
     def test_qr_invariants(self, seed, n):
         rng = np.random.default_rng(seed)
         h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        q, r, _ = qr_decompose_givens(h)
+        q, r = qr_decompose_givens(h)
         assert frobenius_error(q @ r, h) < 1e-9
         assert is_upper_triangular(r, tolerance=1e-9)
         np.testing.assert_allclose(hermitian(q) @ q, np.eye(n), atol=1e-9)

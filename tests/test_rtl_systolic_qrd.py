@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.dsp.cordic import Cordic
 from repro.mimo.matrix import frobenius_error, hermitian, is_unitary, is_upper_triangular
 from repro.mimo.qr import qr_decompose_givens
 from repro.mimo.rinv import invert_upper_triangular
@@ -73,9 +74,16 @@ class TestArrayNumerics:
     def test_agrees_with_functional_givens_qr(self, array):
         h = _random_matrix(4, 11)
         r_structural, qh_structural = array.process(h)
-        q_functional, r_functional, _ = qr_decompose_givens(h)
+        q_functional, r_functional = qr_decompose_givens(h)
         assert frobenius_error(r_structural, r_functional) < 1e-4
         assert frobenius_error(hermitian(qh_structural), q_functional) < 1e-4
+
+    def test_numbers_are_the_cordic_givens_qr(self, array):
+        h = _random_matrix(4, 13)
+        r, q_hermitian = array.process(h)
+        q_sweep, r_sweep = qr_decompose_givens(h, cordic=Cordic(iterations=24))
+        np.testing.assert_array_equal(r, r_sweep)
+        np.testing.assert_array_equal(q_hermitian, hermitian(q_sweep))
 
     def test_feeds_matrix_inversion(self, array):
         h = _random_matrix(4, 12)
