@@ -111,16 +111,17 @@ def test_old_engine_version_cache_entry_is_not_reused(tmp_path, monkeypatch):
     monkeypatch.undo()
     assert stale_key != point.content_key(spec)
     store.put(
-        stale_key,
         {
-            "bit_errors": 10**9,
-            "total_bits": 10**9,
-            "frame_errors": N_BURSTS,
-            "n_bursts": N_BURSTS,
-            "early_stopped": False,
-            "decode_failures": 0,
-            "point": point.to_dict(),
-        },
+            stale_key: {
+                "bit_errors": 10**9,
+                "total_bits": 10**9,
+                "frame_errors": N_BURSTS,
+                "n_bursts": N_BURSTS,
+                "early_stopped": False,
+                "decode_failures": 0,
+                "point": point.to_dict(),
+            }
+        }
     )
 
     fresh = SweepRunner(spec, n_workers=1, cache=store).run()

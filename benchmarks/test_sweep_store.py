@@ -1,6 +1,6 @@
 """Per-point result store — warm re-runs and cross-sweep sharing gates.
 
-The sharded :class:`~repro.sim.store.ResultStore` replaced the per-spec
+The append-only :class:`~repro.sim.store.ResultStore` log replaced the per-spec
 JSON cache so that *points*, not whole sweeps, are the unit of reuse.  Two
 gates keep that property honest:
 

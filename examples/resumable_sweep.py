@@ -2,8 +2,10 @@
 """Resumable sweeps and adaptive refinement over the per-point result store.
 
 Demonstrates: the scale-out workflow behind every BER figure in the
-reproduction.  Grid points are content-addressed records in a sharded
-result store (:class:`repro.sim.ResultStore`), so
+reproduction.  Grid points are content-addressed records in an
+append-only result store (:class:`repro.sim.ResultStore`): one JSONL log,
+to which the runner commits the points that finish in each drain step
+with one ``write`` + ``fsync``, so
 
 1. an *interrupted* sweep resumes where it stopped — only the missing
    points simulate (simulated here by running a partial grid first);
@@ -69,7 +71,7 @@ def main() -> None:
         partial = make_spec(SNR_POINTS_DB[:3], args.bursts, args.bits)
         SweepRunner(partial, n_workers=1, cache=store).run()
         print(f"interrupted sweep committed {len(store)} of "
-              f"{len(SNR_POINTS_DB)} points to the store")
+              f"{len(SNR_POINTS_DB)} points to the store's {store.log_path.name}")
 
         full = make_spec(SNR_POINTS_DB, args.bursts, args.bits)
         resumed = SweepRunner(full, n_workers=1, cache=store).run()

@@ -19,7 +19,8 @@ declaratively and executes them efficiently:
 * :class:`~repro.sim.runner.SweepRunner` — drains deterministically seeded
   burst batches through a pluggable work queue (:mod:`repro.sim.queue`),
   stops each grid point early once its bit-error target is reached, commits
-  every finished point atomically to the sharded per-point
+  the points that finish in each drain step atomically (one ``write`` +
+  ``fsync``) to the append-only per-point
   :class:`~repro.sim.store.ResultStore`, and resumes interrupted or
   overlapping sweeps from it — simulating only the missing remainder;
 * :meth:`~repro.sim.runner.SweepRunner.run_adaptive` — adaptive refinement:

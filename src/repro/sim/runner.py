@@ -5,7 +5,7 @@
 
 1. **Resume first** — every grid point hashes to a stable
    :meth:`~repro.sim.spec.SweepPoint.content_key`; points with a finished
-   record in the sharded :class:`~repro.sim.store.ResultStore` are loaded
+   record in the append-only :class:`~repro.sim.store.ResultStore` are loaded
    without simulating a burst.  An interrupted sweep therefore re-runs
    only its missing remainder, and overlapping grids share their
    intersection.
@@ -20,8 +20,9 @@
    :class:`~repro.core.frame.BurstOutcome` and the runner folds each
    point's burst sequence in order, truncating
    at the exact burst whose cumulative bit errors cross
-   ``spec.target_errors``.  The moment a point folds, its record is
-   committed to the store (one atomic appended line), so a crash loses at
+   ``spec.target_errors``.  The points that fold while the runner handles
+   one completed work unit are committed together before it takes the
+   next (one ``write`` + ``fsync`` per drain step), so a crash loses at
    most the in-flight points.
 4. **Adaptive refinement** (:meth:`SweepRunner.run_adaptive`) — after the
    base sweep, extra bursts are allocated round by round to the points
@@ -43,8 +44,8 @@ from collections import Counter
 from typing import Dict, Hashable, List, Optional, Tuple, Union
 
 from repro.sim.engine import BatchItem, BatchReport, WorkUnit, air_key, build_config, simulate_batch
-from repro.sim.queue import QueueLike, make_queue
-from repro.exceptions import integer_at_least
+from repro.sim.queue import QueueLike, WorkQueue, make_queue
+from repro.exceptions import ConfigurationError, integer_at_least
 from repro.sim.spec import SweepPoint, SweepPointResult, SweepResult, SweepSpec
 from repro.sim.stats import allocate_bursts
 from repro.sim.store import ResultStore
@@ -138,7 +139,8 @@ class SweepRunner:
         Execution backend: ``"auto"`` (default; in-process for one worker,
         a ``multiprocessing`` pool otherwise), ``"serial"``, ``"process"``,
         a :class:`~repro.sim.queue.WorkQueue` instance or a factory
-        ``n_workers -> WorkQueue``.
+        ``n_workers -> WorkQueue``.  The runner closes the queues it
+        builds; an instance stays open for its caller to reuse and close.
     """
 
     def __init__(
@@ -297,15 +299,25 @@ class SweepRunner:
         :func:`_pack_units`), so one work unit transmits each shared burst
         once and decodes all their bursts together.
         A point whose running error total crosses the target stops
-        submitting; its in-flight surplus is discarded by the fold.  Every
-        point is committed to the store the moment it folds, so an
-        interrupted run keeps its finished points.
+        submitting; its in-flight surplus is discarded by the fold.  The
+        points that fold while one result is handled are committed to the
+        store in one :meth:`~repro.sim.store.ResultStore.put` before the
+        next result is taken, and the ones already folded are committed
+        also when the run raises, so an interrupted run keeps its finished
+        points.
 
         With a store, a point is checked against it right before its
         *first* batch is dispatched: a record committed since this run's
         initial scan (by a concurrent runner, or by an earlier run of the
         same refinement) is adopted instead of simulated, bounding double
         simulation to the points genuinely in flight at the same moment.
+        The check reads the store's incremental index, which costs one
+        ``stat`` while the log is unchanged.
+
+        A queue built here from a name or a factory is closed on return; a
+        :class:`~repro.sim.queue.WorkQueue` instance stays open, owned by
+        the caller; one still holding work of an earlier run that raised
+        is refused.
         """
         if not jobs:
             return {}, 0
@@ -333,9 +345,26 @@ class SweepRunner:
         collected: Dict[int, List[BatchReport]] = {index: [] for index in jobs}
         errors = {index: start.bit_errors for index, (start, _, _) in jobs.items()}
         results: Dict[int, SweepPointResult] = {}
+        finished: Dict[str, dict] = {}
+
+        def commit() -> None:
+            """Commit every point folded since the last commit, in one put."""
+            if finished:
+                batch = dict(finished)
+                finished.clear()
+                self.store.put(batch)
+
         computed = 0
+        # A WorkQueue instance passed in stays owned by the caller.
+        owned = not isinstance(self.queue_backend, WorkQueue)
         queue = make_queue(self.queue_backend, self.n_workers)
         try:
+            if queue.pending():
+                # Results of a run that raised would be folded into this one.
+                raise ConfigurationError(
+                    f"the work queue still holds {queue.pending()} units of an earlier run"
+                )
+
             def wants_work(index: int) -> bool:
                 return (
                     index not in results
@@ -351,7 +380,7 @@ class SweepRunner:
                 results[index] = result
                 if self.store is not None:
                     elapsed_s = sum(report.elapsed_s for report in collected[index])
-                    self.store.put(key, {**result.to_dict(), "elapsed_s": elapsed_s})
+                    finished[key] = {**result.to_dict(), "elapsed_s": elapsed_s}
 
             def adopted(index: int) -> bool:
                 """Adopt a record committed since this run's initial scan."""
@@ -400,10 +429,16 @@ class SweepRunner:
                     errors[index] += sum(outcome.bit_errors for outcome in report.outcomes)
                     computed += len(report.outcomes)
                     maybe_finish(index)
+                commit()
             for index in jobs:
                 maybe_finish(index)
         finally:
-            queue.close()
+            # The points that folded before a raise are complete: keep them.
+            try:
+                commit()
+            finally:
+                if owned:
+                    queue.close()
         return results, computed
 
     # ------------------------------------------------------------------
@@ -430,9 +465,10 @@ class SweepRunner:
 
         The allocation is a pure function of the base results, so a re-run
         of the same adaptive call replays it exactly and is served entirely
-        from the store.  Returned points carry heterogeneous burst counts;
-        ``early_stopped`` is False for every refined point (it ran its full
-        refined budget).
+        from the store: like :meth:`run`, each round first loads its
+        committed refinements in one read.  Returned points carry
+        heterogeneous burst counts; ``early_stopped`` is False for every
+        refined point (it ran its full refined budget).
         """
         extra_bursts = integer_at_least("extra_bursts", extra_bursts, 1)
         rounds = integer_at_least("rounds", rounds, 1)
@@ -473,6 +509,14 @@ class SweepRunner:
                 extras[index] += count
                 key = self._store_key(current[index].point, extras[index])
                 jobs[index] = (current[index], count, key)
+            if self.store is not None:
+                # Resume first, as in run(): one read loads the committed refinements.
+                loaded = self._load_finished(
+                    [current[index].point for index in jobs],
+                    {index: job[2] for index, job in jobs.items()},
+                )
+                current.update(loaded)
+                jobs = {index: job for index, job in jobs.items() if index not in loaded}
             refined, extended = self._simulate(jobs, refined_spec)
             current.update(refined)
             computed += extended

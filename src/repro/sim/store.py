@@ -1,21 +1,35 @@
-"""Sharded, append-friendly per-point result store.
+"""Append-only, content-keyed per-point result store.
 
 Rather than one opaque file per whole :class:`~repro.sim.spec.SweepSpec`,
 this store keeps one *record* per ``(engine_version, point_key)`` — the content hash a
 :meth:`~repro.sim.spec.SweepPoint.content_key` computes from the cell's
-physics and budget.  Records live in 256 hash-sharded JSONL files, each
-appended to with an atomic per-record commit, which buys three properties
-the scale-out sweep layer needs:
+physics and budget.  Records live in one append-only JSONL log per store
+directory (``records.jsonl``), and a commit appends a whole batch of them
+with one ``write`` + ``fsync``, which buys three properties the scale-out
+sweep layer needs:
 
 * **sharing** — two overlapping grids hash their common cells to the same
   keys, so the intersection is simulated once and read twice;
-* **resumability** — every finished point is durable the moment its record
-  is committed; an interrupted sweep re-run loads the finished points and
+* **resumability** — every record is durable the moment its commit
+  returns; the runner commits the points that finished in each drain
+  step, so an interrupted sweep re-run loads the finished points and
   simulates only the remainder;
-* **concurrency** — appends take an exclusive ``flock`` on the shard, a
-  record is written with a single ``write`` + ``fsync``, and the reader
-  skips torn or foreign lines, so multiple runners can share one store
+* **concurrency** — commits take an exclusive ``flock`` on the log, write
+  their lines with a single ``write`` + ``fsync``, and the reader skips
+  torn or foreign lines, so multiple runners can share one store
   directory without corrupting it.
+
+Reads are incremental: each :class:`ResultStore` keeps an in-memory index
+holding the raw line of the latest record of every key asked for so far,
+together with the log's inode and the offset of its last complete line,
+and a read indexes only the bytes appended since the previous one — a
+read of an unchanged log costs one ``stat``.  Lines of keys never asked
+for are passed over unparsed, so a small grid resumes from a large shared
+store without holding it in memory; asking for a new key re-reads the log
+once (``keys()`` and ``len()`` cover every key).  The 256 hash-sharded
+``xx.jsonl`` files of earlier versions are read into the index with the
+log (whose records win over theirs), so stores written by them keep
+resuming.
 
 The store is append-only: a re-put of an existing key appends a newer
 record and readers take the last one (the engine is deterministic, so
@@ -25,23 +39,25 @@ occasional directory wipe is the only compaction it needs.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import threading
+import weakref
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, Optional, Tuple, Union
+from typing import BinaryIO, Callable, Dict, Iterable, Iterator, Mapping, Optional, Set, Union
 
-try:  # POSIX shard locking; other platforms fall back to the thread lock.
+try:  # POSIX log locking; other platforms fall back to the thread lock.
     import fcntl
 except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None  # type: ignore[assignment]
 
 from repro.sim.cache import default_cache_dir
 
-#: Number of hex characters of the key hash that select a shard (two chars
-#: = 256 shards, plenty for millions of point-sized records).
-_SHARD_CHARS = 2
+#: File name of the append-only record log inside the store directory.
+LOG_NAME = "records.jsonl"
+
+#: Start of every line ``put`` writes: ``sort_keys`` puts ``"key"`` first.
+_KEY_PREFIX = b'{"key":"'
 
 
 def default_store_dir() -> Path:
@@ -49,126 +65,198 @@ def default_store_dir() -> Path:
 
     Lives inside the :func:`~repro.sim.cache.default_cache_dir` tree (and
     therefore honours ``REPRO_SIM_CACHE_DIR``) in its own subdirectory, so
-    its ``*.jsonl`` shards never mix with other files in the cache root.
+    its ``*.jsonl`` files never mix with other files in the cache root.
     """
     return default_cache_dir() / "points"
 
 
-class ResultStore:
-    """Content-keyed record store over hash-sharded JSONL files.
+def _record_key(line: bytes) -> Optional[str]:
+    """Key of one intact record line, or ``None`` for anything else.
 
-    Every record is one JSON line ``{"key": ..., "payload": {...}}``; the
-    shard a key lives in is derived from a hash of the key string, so the
-    key's own format (prefixes included) never skews the distribution.
+    Torn lines (a writer died mid-``write``), foreign lines, undecodable
+    bytes and records without the expected shape are skipped, never
+    raised: corruption in an append-only store means "this record is
+    missing", not "the sweep crashes".
+    """
+    try:
+        record = json.loads(line)
+    except ValueError:  # UnicodeDecodeError included
+        return None
+    if (
+        isinstance(record, dict)
+        and isinstance(record.get("key"), str)
+        and isinstance(record.get("payload"), dict)
+    ):
+        return record["key"]
+    return None
+
+
+class ResultStore:
+    """Content-keyed record store over one append-only JSONL log.
+
+    Every record is one JSON line ``{"key": ..., "payload": {...}}``.
 
     Parameters
     ----------
     directory:
-        Shard directory; defaults to :func:`default_store_dir`.
+        Store directory; defaults to :func:`default_store_dir`.
     """
 
     def __init__(self, directory: Union[None, str, Path] = None) -> None:
         self.directory = (
             Path(directory) if directory is not None else default_store_dir()
         )
+        self.log_path = self.directory / LOG_NAME
         self._lock = threading.Lock()
+        #: Keys the index covers: every key asked for so far (``None``:
+        #: every key in the store).
+        self._wanted: Optional[Set[str]] = set()
+        #: Raw line of each covered key's latest intact record; ``None``
+        #: until the next read rebuilds it.
+        self._lines: Optional[Dict[str, bytes]] = None
+        #: The indexed log, opened for reading, its inode (``None``: no log
+        #: yet) and the offset just past its last indexed line.  Holding
+        #: the file open keeps the inode from being reused by a re-created
+        #: log.
+        self._file: Optional[BinaryIO] = None
+        self._close: Callable[[], object] = lambda: None
+        self._inode: Optional[int] = None
+        self._offset = 0
 
-    # -- layout --------------------------------------------------------
-    def shard_path(self, key: str) -> Path:
-        """Shard file holding ``key``'s records."""
-        shard = hashlib.sha256(key.encode("utf-8")).hexdigest()[:_SHARD_CHARS]
-        return self.directory / f"{shard}.jsonl"
+    # -- index ---------------------------------------------------------
+    def _index(self, lines: Iterable[bytes]) -> None:
+        """Index the intact record lines of covered keys; later lines win.
 
-    @staticmethod
-    def _iter_shard(path: Path) -> Iterator[Tuple[str, dict]]:
-        """Yield ``(key, payload)`` for every intact record of one shard.
-
-        Torn lines (a writer died mid-``write``), foreign files and records
-        without the expected shape are skipped, never raised: corruption in
-        an append-only store means "this record is missing", not "the sweep
-        crashes".
+        A line ``put`` wrote starts with its key, so the lines of keys the
+        index does not cover are passed over without being parsed.
         """
+        wanted = self._wanted
+        for line in lines:
+            if wanted is not None and line.startswith(_KEY_PREFIX):
+                end = line.find(b'"', len(_KEY_PREFIX))
+                claimed = line[len(_KEY_PREFIX) : end]
+                if (
+                    end > 0
+                    and claimed.isascii()
+                    and b"\\" not in claimed
+                    and claimed.decode("ascii") not in wanted
+                ):
+                    continue
+            key = _record_key(line)
+            if key is not None and (wanted is None or key in wanted):
+                self._lines[key] = line
+
+    def _appended_lines(self) -> Iterator[bytes]:
+        """The log's complete lines past the indexed offset, advancing it.
+
+        A partly written last line is left for a read after an append
+        completes it.
+        """
+        self._file.seek(self._offset)
+        for line in self._file:
+            if not line.endswith(b"\n"):
+                return
+            self._offset += len(line)
+            yield line
+
+    def _refresh(self, keys: Optional[Iterable[str]] = None) -> Dict[str, bytes]:
+        """Bring the index up to date for ``keys`` (``None``: every key).
+
+        Reads only the bytes appended since the last call, so a call on an
+        unchanged log costs one ``stat``.  The index is rebuilt from
+        scratch — legacy shards first, then the whole log — on the first
+        call, when it must cover a key it did not cover so far, when the
+        log's inode changes (it was deleted and re-created) and when the
+        log shrinks.  Call with ``self._lock`` held.
+        """
+        if self._wanted is not None:
+            if keys is None:
+                self._wanted, self._lines = None, None
+            elif not self._wanted.issuperset(keys):
+                self._wanted.update(keys)
+                self._lines = None
         try:
-            # Records are ASCII JSON; undecodable bytes can only belong to
-            # foreign or damaged lines, which then fail to parse below.
-            text = path.read_text(encoding="utf-8", errors="replace")
+            stat = os.stat(self.log_path)
+            inode, size = stat.st_ino, stat.st_size
         except OSError:
-            return
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
+            inode, size = None, 0
+        if self._lines is None or inode != self._inode or size < self._offset:
+            self._lines = {}
+            for shard in sorted(self.directory.glob("*.jsonl")):
+                if shard.name != LOG_NAME:
+                    try:
+                        with shard.open("rb") as lines:
+                            self._index(lines)
+                    except OSError:
+                        pass
+            self._close()
+            self._file, self._inode, self._offset = None, None, 0
+            if inode is None:
+                return self._lines
             try:
-                record = json.loads(line)
-            except ValueError:
-                continue
-            if (
-                isinstance(record, dict)
-                and isinstance(record.get("key"), str)
-                and isinstance(record.get("payload"), dict)
-            ):
-                yield record["key"], record["payload"]
+                self._file = open(self.log_path, "rb")
+            except OSError:
+                return self._lines
+            self._close = weakref.finalize(self, self._file.close)
+            self._inode = os.fstat(self._file.fileno()).st_ino
+        if size > self._offset:
+            self._index(self._appended_lines())
+        return self._lines
 
     # -- reads ---------------------------------------------------------
     def get(self, key: str) -> Optional[dict]:
         """Latest payload stored under ``key``, or ``None``."""
-        found = None
-        for record_key, payload in self._iter_shard(self.shard_path(key)):
-            if record_key == key:
-                found = payload
-        return found
+        with self._lock:
+            line = self._refresh([key]).get(key)
+        return None if line is None else json.loads(line)["payload"]
 
     def get_many(self, keys: Iterable[str]) -> Dict[str, dict]:
-        """Latest payloads for every present key, reading each shard once.
+        """Latest payloads for every present key, in one index refresh.
 
-        This is the resume fast path: a whole grid's worth of keys usually
-        maps onto a handful of shards, so a warm re-run costs a few file
-        reads instead of one per point.
+        This is the resume fast path: a warm re-run of a whole grid costs
+        one read of the log's new bytes instead of one per point.
         """
-        wanted = set(keys)
-        by_shard: Dict[Path, set] = {}
-        for key in wanted:
-            by_shard.setdefault(self.shard_path(key), set()).add(key)
-        found: Dict[str, dict] = {}
-        for shard, shard_keys in by_shard.items():
-            for record_key, payload in self._iter_shard(shard):
-                if record_key in shard_keys:
-                    found[record_key] = payload
-        return found
+        keys = set(keys)
+        with self._lock:
+            index = self._refresh(keys)
+            lines = {key: index[key] for key in keys if key in index}
+        return {key: json.loads(line)["payload"] for key, line in lines.items()}
 
     def __contains__(self, key: str) -> bool:
-        return self.get(key) is not None
+        with self._lock:
+            return key in self._refresh([key])
 
     def keys(self) -> set:
         """Every distinct key with at least one intact record."""
-        found = set()
-        if self.directory.is_dir():
-            for shard in sorted(self.directory.glob("*.jsonl")):
-                for key, _ in self._iter_shard(shard):
-                    found.add(key)
-        return found
+        with self._lock:
+            return set(self._refresh())
 
     def __len__(self) -> int:
-        return len(self.keys())
+        with self._lock:
+            return len(self._refresh())
 
     # -- writes --------------------------------------------------------
-    def put(self, key: str, payload: dict) -> Path:
-        """Append one record atomically; returns the shard path.
+    def put(self, records: Mapping[str, dict]) -> Path:
+        """Commit ``{key: payload}`` records atomically; returns the log path.
 
-        The commit is a single ``write`` of the full line under an
-        exclusive shard lock, followed by ``fsync``.  If a previous writer
-        died mid-line (the shard's last byte is not a newline), a newline
-        is appended first so the torn tail can never concatenate with — and
-        corrupt — this record.
+        The commit is a single ``write`` of every record's line under an
+        exclusive lock on the log, followed by one ``fsync``.  If a
+        previous writer died mid-line (the log's last byte is not a
+        newline), the write starts with a newline so the torn tail can
+        never concatenate with — and corrupt — the first record.
         """
-        line = json.dumps(
-            {"key": key, "payload": payload}, sort_keys=True, separators=(",", ":")
+        if not records:
+            return self.log_path
+        data = b"".join(
+            json.dumps(
+                {"key": key, "payload": payload}, sort_keys=True, separators=(",", ":")
+            ).encode("utf-8")
+            + b"\n"
+            for key, payload in records.items()
         )
-        data = (line + "\n").encode("utf-8")
-        path = self.shard_path(key)
         with self._lock:
             self.directory.mkdir(parents=True, exist_ok=True)
-            fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644)
+            fd = os.open(self.log_path, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644)
             try:
                 if fcntl is not None:
                     fcntl.flock(fd, fcntl.LOCK_EX)
@@ -177,7 +265,7 @@ class ResultStore:
                     if size > 0:
                         os.lseek(fd, size - 1, os.SEEK_SET)
                         if os.read(fd, 1) != b"\n":
-                            os.write(fd, b"\n")
+                            data = b"\n" + data
                     os.write(fd, data)
                     os.fsync(fd)
                 finally:
@@ -185,17 +273,17 @@ class ResultStore:
                         fcntl.flock(fd, fcntl.LOCK_UN)
             finally:
                 os.close(fd)
-        return path
+        return self.log_path
 
     def clear(self) -> int:
-        """Delete every shard; returns the number of intact records removed."""
-        removed = 0
-        if not self.directory.is_dir():
-            return removed
-        for shard in self.directory.glob("*.jsonl"):
-            removed += sum(1 for _ in self._iter_shard(shard))
-            try:
-                shard.unlink()
-            except OSError:
-                pass
+        """Delete the log and any legacy shards; returns the number of keys removed."""
+        with self._lock:
+            removed = len(self._refresh())
+            for path in self.directory.glob("*.jsonl"):
+                try:
+                    path.unlink()
+                except OSError:
+                    pass
+            self._close()
+            self._lines, self._wanted = None, set()
         return removed

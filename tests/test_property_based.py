@@ -180,7 +180,7 @@ class TestResultStoreProperties:
 
         store = ResultStore(tmp_path_factory.mktemp("store"))
         for key, payload in records.items():
-            store.put(key, payload)
+            store.put({key: payload})
         assert store.keys() == set(records)
         for key, payload in records.items():
             assert store.get(key) == payload
@@ -202,7 +202,7 @@ class TestResultStoreProperties:
         rnd.shuffle(puts)
         final = {}
         for key, payload in puts:
-            store.put(key, payload)
+            store.put({key: payload})
             final[key] = payload
         for key, payload in final.items():
             assert store.get(key) == payload

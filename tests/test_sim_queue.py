@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.sim import SweepRunner, SweepSpec
 from repro.sim.queue import (
     InProcessQueue,
     MultiprocessingQueue,
@@ -129,3 +130,55 @@ class TestMakeQueue:
             queue.submit(double, {})
         with pytest.raises(NotImplementedError):
             queue.next_result()
+
+
+class TestRunnerOwnership:
+    """The runner closes the queues it builds and leaves a passed-in one open."""
+
+    def test_passed_in_pool_survives_the_runs_that_use_it(self):
+        spec = SweepSpec(
+            snr_db=(10.0, 30.0),
+            modulations=("qpsk",),
+            stream_counts=(2,),
+            n_info_bits=48,
+            n_bursts=2,
+            target_errors=None,
+        )
+        serial = SweepRunner(spec, n_workers=1, cache=None).run_adaptive(4, rounds=2)
+        with MultiprocessingQueue(n_workers=2) as queue:
+            runner = SweepRunner(spec, n_workers=2, cache=None, queue=queue)
+            adaptive = runner.run_adaptive(4, rounds=2)  # three drains, one pool
+            again = runner.run()
+            assert queue.pending() == 0
+            queue.submit(double, {"x": 4}, tag="still open")
+            assert queue.next_result() == ("still open", 8)
+        assert [p.to_dict() for p in adaptive.points] == [p.to_dict() for p in serial.points]
+        assert again.n_bursts_simulated == spec.n_points * spec.n_bursts
+
+    def test_a_queue_holding_earlier_work_is_refused(self):
+        # A run that raised leaves its in-flight units in a caller-owned
+        # queue; folding them into the next run would corrupt its points.
+        spec = SweepSpec(snr_db=(30.0,), stream_counts=(2,), n_info_bits=48, n_bursts=1)
+        queue = InProcessQueue()
+        queue.submit(double, {"x": 1}, tag=[0])
+        with pytest.raises(ValueError, match="earlier run"):
+            SweepRunner(spec, n_workers=1, cache=None, queue=queue).run()
+        assert queue.pending() == 1
+
+    def test_queues_built_from_a_factory_are_closed(self):
+        built = []
+
+        class Recording(InProcessQueue):
+            closed = False
+
+            def close(self):
+                self.closed = True
+                super().close()
+
+        def factory(n_workers):
+            built.append(Recording())
+            return built[-1]
+
+        spec = SweepSpec(snr_db=(30.0,), stream_counts=(2,), n_info_bits=48, n_bursts=1)
+        SweepRunner(spec, n_workers=1, cache=None, queue=factory).run()
+        assert len(built) == 1 and built[0].closed

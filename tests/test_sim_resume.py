@@ -5,11 +5,16 @@ The scenarios the per-point result store exists for:
 * a pooled sweep dies mid-grid — the re-run must load every committed
   point and simulate only the missing remainder, and the folded result
   must be bit-identical to an uninterrupted run;
-* two runners share one store directory concurrently — shards must stay
+* two runners share one store directory concurrently — the log must stay
   intact and a runner must not re-simulate points the other had already
-  committed before it dispatched them.
+  committed before it dispatched them;
+* a store written in the earlier 256-shard layout keeps resuming, and the
+  runner commits once per drain step, not once per point.
 """
 
+import hashlib
+import json
+import os
 import threading
 import time
 
@@ -130,7 +135,7 @@ class TestFieldLevelCorruption:
         for key in keys[:2]:
             record = store.get(key)
             corrupt(record)
-            store.put(key, record)  # the newest record wins on read
+            store.put({key: record})  # the newest record wins on read
 
         resumed = SweepRunner(spec, n_workers=1, cache=store).run()
         assert not resumed.from_cache
@@ -152,7 +157,7 @@ class TestFieldLevelCorruption:
         reference = SweepRunner(spec, n_workers=1, cache=None).run()
         record = {**reference.points[0].to_dict(), "elapsed_s": 0.01}
         del record["decode_failures"]
-        store.put(key, record)
+        store.put({key: record})
         resumed = SweepRunner(spec, n_workers=1, cache=store).run()
         assert not resumed.from_cache
         assert resumed.n_bursts_simulated == spec.n_bursts
@@ -168,7 +173,7 @@ class TestConcurrentRunners:
     ):
         # Runner A sweeps the full grid; once its first points are durable,
         # runner B starts on an overlapping subset.  B must adopt every
-        # point A committed before B dispatched it, and the shared shards
+        # point A committed before B dispatched it, and the shared log
         # must stay intact under the concurrent appends.
         spec_a = small_spec()
         spec_b = small_spec(snr_db=(6.0, 12.0, 24.0))
@@ -225,7 +230,7 @@ class TestConcurrentRunners:
         assert stats(results["A"]) == stats(clean_a)
         assert stats(results["B"]) == stats(clean_b)
 
-        # No shard was corrupted: every record parses, the union of both
+        # The log was not corrupted: every record parses, the union of both
         # grids is present, and warm re-runs of either spec cost nothing.
         union_keys = {p.content_key(spec_a) for p in spec_a.points()} | {
             p.content_key(spec_b) for p in spec_b.points()
@@ -237,3 +242,84 @@ class TestConcurrentRunners:
         warm_b = SweepRunner(spec_b, n_workers=1, cache=ResultStore(store_dir)).run()
         assert warm_a.from_cache and warm_a.n_bursts_simulated == 0
         assert warm_b.from_cache and warm_b.n_bursts_simulated == 0
+
+
+class TestLegacyShardedStore:
+    def test_sharded_store_resumes_without_simulating(self, tmp_path):
+        # The layout earlier versions wrote: one JSON line per record, in
+        # the shard named by the first two hex digits of the key's SHA-256.
+        spec = small_spec()
+        reference = SweepRunner(spec, n_workers=1, cache=None).run()
+        directory = tmp_path / "points"
+        directory.mkdir()
+        for point, result in zip(spec.points(), reference.points):
+            key = point.content_key(spec)
+            record = {"key": key, "payload": {**result.to_dict(), "elapsed_s": 0.01}}
+            shard = hashlib.sha256(key.encode("utf-8")).hexdigest()[:2]
+            with (directory / f"{shard}.jsonl").open("a") as handle:
+                handle.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
+        assert len(list(directory.glob("*.jsonl"))) > 1
+
+        store = ResultStore(directory)
+        resumed = SweepRunner(spec, n_workers=1, cache=store).run()
+        assert resumed.from_cache and resumed.n_bursts_simulated == 0
+        assert stats(resumed) == stats(reference)
+
+        # A later commit wins over the sharded record, for every reader.
+        key = spec.points()[0].content_key(spec)
+        newer = {**store.get(key), "elapsed_s": 2.0}
+        store.put({key: newer})
+        assert store.get(key) == newer
+        assert ResultStore(directory).get(key) == newer
+        assert ResultStore(directory).clear() == spec.n_points
+        assert list(directory.glob("*.jsonl")) == []
+
+
+class TestCommitPerDrainStep:
+    def test_cold_serial_run_makes_one_fsync_per_work_unit(self, tmp_path, monkeypatch):
+        # One-burst points fold in the unit that simulates them, so every
+        # unit's points make exactly one commit.
+        spec = small_spec(
+            n_bursts=1, modulations=("qpsk", "16qam"), detectors=("zf", "mmse")
+        )
+        units, fsyncs = [], []
+
+        def counting(unit):
+            units.append(len(unit.items))
+            return simulate_batch(unit)
+
+        real_fsync = os.fsync
+        monkeypatch.setattr("repro.sim.runner.simulate_batch", counting)
+        monkeypatch.setattr(
+            "repro.sim.store.os.fsync", lambda fd: (fsyncs.append(fd), real_fsync(fd))[1]
+        )
+        cold = SweepRunner(spec, n_workers=1, cache=ResultStore(tmp_path)).run()
+        assert sum(units) == spec.n_points
+        assert 1 < len(units) < spec.n_points
+        assert len(fsyncs) == len(units)
+        assert cold.n_bursts_simulated == spec.n_points
+        warm = SweepRunner(spec, n_workers=1, cache=ResultStore(tmp_path)).run()
+        assert warm.from_cache and stats(warm) == stats(cold)
+
+    def test_points_folded_before_a_raise_are_committed(self, tmp_path, monkeypatch):
+        # The zf and mmse twins of one cell share a unit and fold in the
+        # same drain step; a fold that raises for the second must not lose
+        # the first.
+        spec = small_spec(n_bursts=1, snr_db=(12.0,), detectors=("zf", "mmse"))
+        folds = []
+        real_fold = SweepRunner._fold
+
+        def failing_second(start, n_bursts, reports, target):
+            folds.append(start.point.index)
+            if len(folds) == 2:
+                raise RuntimeError("injected fold failure")
+            return real_fold(start, n_bursts, reports, target)
+
+        monkeypatch.setattr(SweepRunner, "_fold", staticmethod(failing_second))
+        store = ResultStore(tmp_path)
+        with pytest.raises(RuntimeError, match="injected fold failure"):
+            SweepRunner(spec, n_workers=1, cache=store, queue="serial").run()
+        assert len(store) == 1
+        monkeypatch.undo()
+        resumed = SweepRunner(spec, n_workers=1, cache=ResultStore(tmp_path)).run()
+        assert resumed.n_bursts_simulated == 1
