@@ -14,7 +14,7 @@ from repro.utils.units import db_to_linear
 def noise_variance_for_snr(snr_db: float, signal_power: float = 1.0) -> float:
     """Complex noise variance achieving ``snr_db`` for the given signal power."""
     if signal_power <= 0:
-        raise ValueError("signal_power must be positive")
+        raise ConfigurationError("signal_power must be positive")
     return signal_power / db_to_linear(snr_db)
 
 

@@ -9,7 +9,8 @@ which is why the entity is so ALUT-hungry in Table 2.)
 This module provides the permutation itself: :func:`interleave` /
 :func:`deinterleave` permute whole blocks, one or many per call, and the
 index helpers build the permutation.  The ping-pong memory pair itself is
-modelled by :class:`repro.hardware.memory.PingPongBuffer`.
+not modelled; its cost is the ``block_interleaver`` entity of
+:class:`repro.hardware.estimator.TransmitterResourceModel` (Table 2).
 """
 
 from __future__ import annotations

@@ -154,10 +154,11 @@ class TransceiverConfig:
     ``rx_sample_format`` / ``rx_multiplier_format`` model the receiver's
     finite word lengths (Section IV: 16-bit I/Q samples on the antenna
     interface, 18-bit embedded-multiplier operands).  When set, the receiver
-    quantises the incoming sample stream (``rx_sample_format``, the ADC /
-    JESD204 interface) and every FFT output entering the channel estimator
-    and MIMO detector (``rx_multiplier_format``).  ``None`` (the default)
-    keeps the floating-point datapath.  The paper's formats are
+    quantises the incoming sample stream (``rx_sample_format``, the 16-bit
+    converter words the paper carries over JESD204) and every FFT output
+    entering the channel estimator and MIMO detector
+    (``rx_multiplier_format``).  ``None`` (the default) keeps the
+    floating-point datapath.  The paper's formats are
     :data:`repro.dsp.fixedpoint.SAMPLE_FORMAT_16BIT` and
     :data:`repro.dsp.fixedpoint.MULTIPLIER_FORMAT_18BIT`.
     """

@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.coding.scrambler import pilot_polarity_sequence
 from repro.core.config import OfdmNumerology
+from repro.exceptions import ConfigurationError
 
 
 @dataclass(frozen=True)
@@ -52,16 +53,8 @@ class PilotProcessor:
         base = np.array(self.numerology.pilot_values, dtype=np.complex128)
         return base * self.polarity(symbol_index)
 
-    def insert(self, frequency_domain: np.ndarray, symbol_index: int) -> np.ndarray:
-        """Write the pilots of symbol ``symbol_index`` into a frequency-domain symbol."""
-        symbol = np.asarray(frequency_domain, dtype=np.complex128).copy()
-        if symbol.size != self.numerology.fft_size:
-            raise ValueError("frequency-domain symbol has the wrong length")
-        symbol[list(self.numerology.pilot_bins)] = self.pilot_values(symbol_index)
-        return symbol
-
     def insert_block(self, block: np.ndarray, start_index: int = 0) -> np.ndarray:
-        """Vectorised :meth:`insert` across a whole block of OFDM symbols.
+        """Write the pilots into a whole block of OFDM symbols.
 
         Parameters
         ----------
@@ -76,14 +69,14 @@ class PilotProcessor:
 
         Returns
         -------
-        A copy of ``block`` whose pilot bins hold exactly the values
-        :meth:`insert` writes for symbol index ``start_index + n``.
+        A copy of ``block`` whose pilot bins along symbol ``n`` hold
+        :meth:`pilot_values` of symbol index ``start_index + n``.
         """
         symbols = np.asarray(block, dtype=np.complex128).copy()
         if symbols.ndim < 2:
-            raise ValueError("block must have shape (..., n_symbols, fft_size)")
+            raise ConfigurationError("block must have shape (..., n_symbols, fft_size)")
         if symbols.shape[-1] != self.numerology.fft_size:
-            raise ValueError("frequency-domain symbols have the wrong length")
+            raise ConfigurationError("frequency-domain symbols have the wrong length")
         n_symbols = symbols.shape[-2]
         base = np.array(self.numerology.pilot_values, dtype=np.complex128)
         polarity = self._polarity[
@@ -129,9 +122,9 @@ class PilotProcessor:
         # differ from the one-symbol-at-a-time reduction in the last ULP.
         symbols = np.ascontiguousarray(block, dtype=np.complex128)
         if symbols.ndim < 2:
-            raise ValueError("block must have shape (..., n_symbols, fft_size)")
+            raise ConfigurationError("block must have shape (..., n_symbols, fft_size)")
         if symbols.shape[-1] != self.numerology.fft_size:
-            raise ValueError("frequency-domain symbols have the wrong length")
+            raise ConfigurationError("frequency-domain symbols have the wrong length")
         n_symbols = symbols.shape[-2]
         pilot_bins = list(self.numerology.pilot_bins)
 

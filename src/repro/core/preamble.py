@@ -72,7 +72,7 @@ class PreambleLayout:
     def lts_slot_start(self, slot: int) -> int:
         """Start sample of LTS slot ``slot`` (0-based) within the burst."""
         if not 0 <= slot < self.n_lts_slots:
-            raise ValueError(f"slot {slot} out of range")
+            raise ConfigurationError(f"slot {slot} out of range")
         return self.sts_length + slot * self.lts_slot_length
 
     @property

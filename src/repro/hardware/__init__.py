@@ -12,12 +12,7 @@ package provides the substitute substrate:
 * :mod:`repro.hardware.latency` — cycle-latency models (CORDIC 20 cycles,
   QRD 440 cycles, channel-estimation latency, burst latency);
 * :mod:`repro.hardware.clock` — the paper's 100 MHz clock rate, which every
-  :class:`~repro.core.config.TransceiverConfig` runs at;
-* :mod:`repro.hardware.memory` — behavioural models of the memory structures
-  the architecture relies on (ROM, dual-port RAM, ping-pong buffer, circular
-  buffer);
-* :mod:`repro.hardware.jesd204` — the JESD204A-style converter interface
-  framing model.
+  :class:`~repro.core.config.TransceiverConfig` runs at.
 
 The resource and latency models take the
 :class:`~repro.core.config.TransceiverConfig` the link runs (the paper's
@@ -31,14 +26,7 @@ from repro.hardware.estimator import (
     TransmitterResourceModel,
     qrd_cordic_cell_count,
 )
-from repro.hardware.jesd204 import Jesd204Framer
 from repro.hardware.latency import LatencyModel
-from repro.hardware.memory import (
-    CircularBuffer,
-    DualPortRam,
-    PingPongBuffer,
-    Rom,
-)
 from repro.hardware.resources import ResourceReport, ResourceUsage
 
 __all__ = [
@@ -47,12 +35,7 @@ __all__ = [
     "TransmitterResourceModel",
     "ReceiverResourceModel",
     "qrd_cordic_cell_count",
-    "Jesd204Framer",
     "LatencyModel",
-    "CircularBuffer",
-    "DualPortRam",
-    "PingPongBuffer",
-    "Rom",
     "ResourceReport",
     "ResourceUsage",
 ]

@@ -132,14 +132,12 @@ def _build_constellation(modulation: Modulation) -> Constellation:
             i_bits = (address >> 2) & 0b11
             q_bits = address & 0b11
             points[address] = complex(_PAM4[i_bits], _PAM4[q_bits]) * norm
-    elif modulation is Modulation.QAM64:
+    else:  # Modulation.QAM64: the enum is exhaustive
         norm = 1.0 / math.sqrt(42.0)
         for address in range(size):
             i_bits = (address >> 3) & 0b111
             q_bits = address & 0b111
             points[address] = complex(_PAM8[i_bits], _PAM8[q_bits]) * norm
-    else:  # pragma: no cover - enum is exhaustive
-        raise ValueError(f"unsupported modulation: {modulation}")
     return Constellation(modulation=modulation, points=points, normalization=norm)
 
 

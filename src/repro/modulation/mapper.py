@@ -3,8 +3,8 @@
 In the hardware, the block-interleaver output forms the address of a ROM
 whose contents are the constellation I/Q values; the dual-port nature of the
 FPGA memory lets two physical ROMs serve all four transmit channels.  The
-software mapper reproduces the same address/LUT semantics and exposes the
-ROM contents for the memory-initialisation-file workflow mentioned in Fig. 1.
+software mapper reproduces the same address/LUT semantics; the ROM contents
+are :attr:`repro.modulation.constellations.Constellation.points`.
 """
 
 from __future__ import annotations
@@ -51,7 +51,3 @@ class SymbolMapper:
         if idx.size and (idx.min() < 0 or idx.max() >= self.constellation.size):
             raise ConfigurationError("address out of range for the constellation LUT")
         return self.constellation.points[idx]
-
-    def lut_contents(self) -> ComplexArray:
-        """The ROM contents (I/Q per address) for memory-initialisation files."""
-        return self.constellation.points.copy()

@@ -566,7 +566,7 @@ class SweepResult:
         for result in self.filter(**filters):
             snr = result.point.snr_db
             if snr in curve:
-                raise ValueError(
+                raise ConfigurationError(
                     f"{metric} curve filters leave more than one point per "
                     "SNR; add more filters"
                 )

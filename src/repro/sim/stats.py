@@ -52,7 +52,7 @@ def _normal_quantile(p: float) -> float:
     intervals summarise — and keeps the default Wilson path dependency-free.
     """
     if not 0.0 < p < 1.0:
-        raise ValueError("quantile argument must lie strictly inside (0, 1)")
+        raise ConfigurationError("quantile argument must lie strictly inside (0, 1)")
     a = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
          1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
     b = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
@@ -90,9 +90,9 @@ def wilson_interval(
     does not mean "error rate is zero".
     """
     if not 0.0 < confidence < 1.0:
-        raise ValueError("confidence must lie strictly inside (0, 1)")
+        raise ConfigurationError("confidence must lie strictly inside (0, 1)")
     if trials < 0 or errors < 0 or errors > trials:
-        raise ValueError("need 0 <= errors <= trials")
+        raise ConfigurationError("need 0 <= errors <= trials")
     if trials == 0:
         return (0.0, 1.0)
     z = _normal_quantile(0.5 + confidence / 2.0)
@@ -116,9 +116,9 @@ def clopper_pearson_interval(
     ``lower = 0`` at ``k = 0`` and ``upper = 1`` at ``k = n``.
     """
     if not 0.0 < confidence < 1.0:
-        raise ValueError("confidence must lie strictly inside (0, 1)")
+        raise ConfigurationError("confidence must lie strictly inside (0, 1)")
     if trials < 0 or errors < 0 or errors > trials:
-        raise ValueError("need 0 <= errors <= trials")
+        raise ConfigurationError("need 0 <= errors <= trials")
     if trials == 0:
         return (0.0, 1.0)
     try:
@@ -180,9 +180,9 @@ def allocate_bursts(
     inputs.  Returns only the non-zero entries.
     """
     if budget < 0:
-        raise ValueError("budget must be non-negative")
+        raise ConfigurationError("budget must be non-negative")
     if set(widths) != set(observations) or set(widths) != set(per_burst):
-        raise ValueError("widths, observations and per_burst must share keys")
+        raise ConfigurationError("widths, observations and per_burst must share keys")
     allocation = {index: 0 for index in widths}
 
     def predicted(index: int) -> float:

@@ -30,7 +30,7 @@ import numpy.typing as npt
 
 from repro.types import ComplexArray
 from repro.core.preamble import PreambleGenerator
-from repro.exceptions import SynchronizationError
+from repro.exceptions import ConfigurationError, SynchronizationError
 
 
 def estimate_cfo_from_repetition(
@@ -46,7 +46,7 @@ def estimate_cfo_from_repetition(
     """
     x = np.atleast_2d(np.asarray(samples, dtype=np.complex128))
     if period <= 0 or n_periods < 2:
-        raise ValueError("period must be positive and n_periods at least 2")
+        raise ConfigurationError("period must be positive and n_periods at least 2")
     span = (n_periods - 1) * period
     if start < 0 or start + span + period > x.shape[1]:
         raise SynchronizationError("repetitive section extends past the sample stream")

@@ -13,6 +13,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
+from repro.exceptions import ConfigurationError
 from repro.types import BitArray, IntArray
 
 __all__ = [
@@ -34,7 +35,7 @@ def _as_bit_array(bits: Union[Sequence[int], np.ndarray]) -> BitArray:
     if arr.ndim != 1:
         arr = arr.ravel()
     if arr.size and arr.max(initial=0) > 1:
-        raise ValueError("bit array may only contain 0s and 1s")
+        raise ConfigurationError("bit array may only contain 0s and 1s")
     return arr
 
 
@@ -50,7 +51,7 @@ def random_bits(n: int, rng: np.random.Generator | None = None) -> BitArray:
         omitted so results are non-deterministic.
     """
     if n < 0:
-        raise ValueError(f"cannot generate a negative number of bits: {n}")
+        raise ConfigurationError(f"cannot generate a negative number of bits: {n}")
     generator = rng if rng is not None else np.random.default_rng()  # reprolint: disable=DET001 -- documented opt-in: omitting rng is the caller asking for non-determinism; engine paths always pass one
     return generator.integers(0, 2, size=n, dtype=np.uint8)
 
@@ -58,11 +59,11 @@ def random_bits(n: int, rng: np.random.Generator | None = None) -> BitArray:
 def int_to_bits(value: int, width: int) -> BitArray:
     """Convert a non-negative integer to ``width`` bits, MSB first."""
     if width < 0:
-        raise ValueError("width must be non-negative")
+        raise ConfigurationError("width must be non-negative")
     if value < 0:
-        raise ValueError("value must be non-negative")
+        raise ConfigurationError("value must be non-negative")
     if width and value >= (1 << width):
-        raise ValueError(f"value {value} does not fit in {width} bits")
+        raise ConfigurationError(f"value {value} does not fit in {width} bits")
     return np.array([(value >> (width - 1 - i)) & 1 for i in range(width)], dtype=np.uint8)
 
 
@@ -84,9 +85,9 @@ def pack_bits(bits: Union[Sequence[int], np.ndarray], group: int) -> IntArray:
     """
     arr = _as_bit_array(bits)
     if group <= 0:
-        raise ValueError("group size must be positive")
+        raise ConfigurationError("group size must be positive")
     if arr.size % group != 0:
-        raise ValueError(
+        raise ConfigurationError(
             f"bit stream length {arr.size} is not a multiple of group size {group}"
         )
     reshaped = arr.reshape(-1, group)
@@ -97,10 +98,10 @@ def pack_bits(bits: Union[Sequence[int], np.ndarray], group: int) -> IntArray:
 def unpack_bits(values: Union[Sequence[int], np.ndarray], group: int) -> BitArray:
     """Expand integers back into an MSB-first bit stream of ``group`` bits each."""
     if group <= 0:
-        raise ValueError("group size must be positive")
+        raise ConfigurationError("group size must be positive")
     vals = np.asarray(values, dtype=np.int64).ravel()
     if vals.size and (vals.min(initial=0) < 0 or vals.max(initial=0) >= (1 << group)):
-        raise ValueError(f"values do not fit in {group} bits")
+        raise ConfigurationError(f"values do not fit in {group} bits")
     shifts = np.arange(group - 1, -1, -1)
     bits = (vals[:, None] >> shifts) & 1
     return bits.astype(np.uint8).ravel()
@@ -116,7 +117,7 @@ def bits_to_bytes(bits: Union[Sequence[int], np.ndarray]) -> bytes:
     """Convert a bit array (length multiple of 8) back to bytes."""
     arr = _as_bit_array(bits)
     if arr.size % 8 != 0:
-        raise ValueError("bit stream length must be a multiple of 8 to form bytes")
+        raise ConfigurationError("bit stream length must be a multiple of 8 to form bytes")
     return np.packbits(arr).tobytes()
 
 
@@ -129,14 +130,15 @@ def count_bit_errors(
     The one bit-error count of the link:
     :meth:`~repro.core.frame.BurstOutcome.score` scores every decoded
     burst with it, one stream at a time.  Arrays of different
-    shapes, or holding anything but 0s and 1s, raise ``ValueError``.
+    shapes, or holding anything but 0s and 1s, raise
+    :class:`~repro.exceptions.ConfigurationError`.
     """
     ref = np.asarray(reference, dtype=np.uint8)
     rec = np.asarray(received, dtype=np.uint8)
     if ref.shape != rec.shape:
-        raise ValueError(
+        raise ConfigurationError(
             f"bit arrays have different shapes ({ref.shape} vs {rec.shape})"
         )
     if ref.max(initial=0) > 1 or rec.max(initial=0) > 1:
-        raise ValueError("bit array may only contain 0s and 1s")
+        raise ConfigurationError("bit array may only contain 0s and 1s")
     return int(np.count_nonzero(ref != rec))

@@ -6,10 +6,10 @@ production :class:`~repro.core.transmitter.MimoTransmitter` and
 gathers, one planned FFT/IFFT, block pilot passes and one flat
 (antenna, window) synchroniser argmax.  They reuse the production objects
 only for stages that have a single implementation (FFT, quantiser,
-interleaver, mapper, pilot insertion, channel estimator, detectors, CFO
-estimator); every batched stage is recomputed here one unit at a time,
-down to the per-antenna synchroniser search, serial demapper, Viterbi
-decoder, encoder and scrambler.
+interleaver, mapper, channel estimator, detectors, CFO estimator); every
+batched stage is recomputed here one unit at a time, down to the
+per-antenna synchroniser search, per-symbol pilot insertion, serial
+demapper, Viterbi decoder, encoder and scrambler.
 """
 
 from __future__ import annotations
@@ -47,6 +47,17 @@ def _logical_indices(fft_size: int) -> np.ndarray:
     logical = np.arange(fft_size, dtype=np.float64)
     logical[logical > fft_size / 2] -= fft_size
     return logical
+
+
+def insert_pilots_serial(
+    processor: PilotProcessor, frequency_domain: np.ndarray, symbol_index: int
+) -> np.ndarray:
+    """Write the pilots of symbol ``symbol_index`` into one frequency-domain symbol."""
+    symbol = np.asarray(frequency_domain, dtype=np.complex128).copy()
+    if symbol.size != processor.numerology.fft_size:
+        raise ValueError("frequency-domain symbol has the wrong length")
+    symbol[list(processor.numerology.pilot_bins)] = processor.pilot_values(symbol_index)
+    return symbol
 
 
 def correct_pilots_serial(
@@ -117,7 +128,9 @@ def transmit_serial(
             block = interleave(bits[n * n_cbps : (n + 1) * n_cbps], n_cbps, n_bpsc)
             frequency = np.zeros(fft_size, dtype=np.complex128)
             frequency[data_bins] = transmitter.mapper.map_bits(block)
-            frequency_symbols[stream, n] = transmitter.pilots.insert(frequency, n)
+            frequency_symbols[stream, n] = insert_pilots_serial(
+                transmitter.pilots, frequency, n
+            )
         samples[stream, layout.total_length : data_end] = np.concatenate(
             [ofdm_modulate(symbol, cp) for symbol in frequency_symbols[stream]]
         )

@@ -19,7 +19,7 @@ def _symbol_with_pilots(processor, symbol_index=0):
     symbol = np.zeros(64, dtype=np.complex128)
     data_bins = list(processor.numerology.data_bins)
     symbol[data_bins] = np.exp(1j * rng.uniform(0, 2 * np.pi, len(data_bins)))
-    return processor.insert(symbol, symbol_index)
+    return processor.insert_block(symbol[None, :], start_index=symbol_index)[0]
 
 
 def _correct(processor, symbol, symbol_index):
@@ -35,19 +35,19 @@ class TestPilotInsertion:
             assert processor.polarity(n) == polarity[n]
 
     def test_insert_writes_pilot_bins(self, processor):
-        symbol = processor.insert(np.zeros(64, dtype=complex), 0)
+        symbol = processor.insert_block(np.zeros((1, 64), dtype=complex))[0]
         pilots = symbol[list(processor.numerology.pilot_bins)]
         np.testing.assert_allclose(np.abs(pilots), 1.0)
 
     def test_insert_preserves_data_bins(self, processor):
         symbol = np.zeros(64, dtype=complex)
         symbol[1] = 0.5 + 0.5j
-        inserted = processor.insert(symbol, 0)
+        inserted = processor.insert_block(symbol[None, :])[0]
         assert inserted[1] == 0.5 + 0.5j
 
     def test_insert_length_check(self, processor):
         with pytest.raises(ValueError):
-            processor.insert(np.zeros(32, dtype=complex), 0)
+            processor.insert_block(np.zeros((1, 32), dtype=complex))
 
     def test_extract_reads_pilot_bins(self, processor):
         symbol = _symbol_with_pilots(processor, 3)

@@ -10,15 +10,14 @@ degrade into bit errors — never return silently-wrong "successful" results.
 import numpy as np
 import pytest
 
-from repro.analysis.capacity import ergodic_mimo_capacity, mimo_capacity, required_snr_for_rate
-from repro.channel.awgn import awgn_noise
+from repro.channel.awgn import awgn_noise, noise_variance_for_snr
 from repro.channel.fading import FlatRayleighChannel, FrequencySelectiveChannel
 from repro.channel.model import IdealChannel, MimoChannel
 from repro.coding.convolutional import ConvolutionalCode, ConvolutionalEncoder
 from repro.coding.interleaver import deinterleave, interleave, interleaver_permutation
 from repro.coding.scrambler import Scrambler, pilot_polarity_sequence
 from repro.coding.viterbi import ViterbiDecoder
-from repro.core.config import TransceiverConfig
+from repro.core.config import OfdmNumerology, TransceiverConfig
 from repro.core.receiver import MimoReceiver
 from repro.core.transceiver import transmit_bursts
 from repro.core.transmitter import MimoTransmitter
@@ -29,13 +28,11 @@ from repro.exceptions import (
     SynchronizationError,
 )
 from repro.hardware.estimator import qrd_cordic_cell_count
-from repro.hardware.jesd204 import Jesd204Framer
 from repro.hardware.latency import qrd_critical_path_cordics
-from repro.hardware.memory import CircularBuffer, PingPongBuffer
 from repro.hardware.resources import ResourceUsage
-from repro.rtl.rx_datapath import RxFrontEnd, RxFrontEndReport
-from repro.rtl.scheduler import ChannelMatrixScheduler
 from repro.rtl.systolic_qrd import SystolicQrdArray
+from repro.core.pilots import PilotProcessor
+from repro.sync.cfo import estimate_cfo_from_repetition
 from repro.sync.time_sync import TimeSynchronizer
 from repro.core.preamble import PreambleGenerator
 from repro.core.frame import ReceiveResult
@@ -49,11 +46,26 @@ from repro.mimo.detector import MmseDetector
 from repro.modulation.demapper import SymbolDemapper
 from repro.modulation.mapper import SymbolMapper
 from repro.sim import ImpairmentSpec, SweepRunner, SweepSpec
-from repro.sim.spec import SweepPoint
+from repro.sim.spec import SweepPoint, SweepPointResult, SweepResult
+from repro.sim.stats import (
+    _normal_quantile,
+    allocate_bursts,
+    clopper_pearson_interval,
+    wilson_interval,
+)
 from repro.sim.engine import build_fading_model
 from repro.sim.queue import MultiprocessingQueue, make_queue
 from repro.stream import CbrTraffic, DownlinkScheduler, PoissonTraffic, StreamFrameDetector
 from repro.stream.traffic import arrival_times
+from repro.utils.bits import (
+    bits_to_bytes,
+    bits_to_int,
+    count_bit_errors,
+    int_to_bits,
+    pack_bits,
+    random_bits,
+    unpack_bits,
+)
 
 
 @pytest.fixture
@@ -173,6 +185,18 @@ def _identity_estimate(fft_size=64):
     )
 
 
+def _pilots():
+    return PilotProcessor(OfdmNumerology.for_fft_size(64))
+
+
+def _two_points_per_snr():
+    spec = SweepSpec(snr_db=(10.0,), detectors=("zf", "mmse"))
+    return SweepResult(
+        spec=spec,
+        points=[SweepPointResult(point, 0, 64, 0, 1, False) for point in spec.points()],
+    )
+
+
 class _BackwardsTraffic:
     """A traffic model whose frames arrive before the previous one."""
 
@@ -249,9 +273,6 @@ class _BackwardsTraffic:
         lambda: CbrTraffic(10.0).intervals(-1),
         lambda: PoissonTraffic(10.0).intervals(-1),
         lambda: arrival_times(_BackwardsTraffic(), 2),
-        lambda: RxFrontEnd().ingest(np.zeros((2, 100), dtype=complex)),
-        lambda: RxFrontEnd().replay_lts(RxFrontEndReport(160, 0, 0), total_ingested=0),
-        lambda: RxFrontEnd().replay_lts(RxFrontEndReport(0, 0, 0), total_ingested=2000),
         lambda: MimoChannel().transmit(np.zeros((3, 100), dtype=complex)),
         lambda: MmseDetector(_identity_estimate(), noise_variance=-1.0),
         lambda: IdealChannel(n_rx=2, n_tx=4),
@@ -264,9 +285,6 @@ class _BackwardsTraffic:
         lambda: FrequencySelectiveChannel(n_taps=2, taps=np.ones((4, 4, 3))),
         lambda: FrequencySelectiveChannel(rng=0).apply(np.zeros((3, 100), dtype=complex)),
         lambda: FrequencySelectiveChannel(n_taps=8, rng=0).frequency_response(4),
-        lambda: mimo_capacity(np.ones((2, 2, 2)), snr_db=10.0),
-        lambda: ergodic_mimo_capacity(n_realizations=0),
-        lambda: required_snr_for_rate(0.0),
         lambda: ConvolutionalCode(constraint_length=1, generators=(0o3, 0o1)),
         lambda: ConvolutionalCode(constraint_length=3, generators=(0o7, 0o17)),
         lambda: ConvolutionalCode(puncture_pattern=np.array([[1, 1]])),
@@ -295,15 +313,10 @@ class _BackwardsTraffic:
         lambda: MimoTransmitter().max_info_bits(1.5),
         lambda: ConvolutionalEncoder().encode(np.zeros((2, 2, 5), dtype=np.uint8)),
         lambda: transmit_bursts(MimoTransmitter(), [MimoChannel()], 96, [1, 2]),
-        lambda: Jesd204Framer(octets_per_frame=10),
-        lambda: Jesd204Framer().line_rate_bps(0),
-        lambda: ChannelMatrixScheduler(n_antennas=0),
         lambda: SystolicQrdArray(n=0),
         lambda: ResourceUsage(aluts=-1),
         lambda: qrd_critical_path_cordics(0),
         lambda: qrd_cordic_cell_count(0),
-        lambda: PingPongBuffer(block_size=0),
-        lambda: CircularBuffer(depth=0),
         lambda: FixedPointFormat(1, 0),
         lambda: FixedPointFormat(16, 14, rounding="nearest"),
         lambda: Cordic(iterations=0),
@@ -313,6 +326,33 @@ class _BackwardsTraffic:
         lambda: r_inverse_4x4_paper_equations(np.eye(3)),
         lambda: invert_channel_stack(np.zeros((4, 4, 3))),
         lambda: ChannelEstimator(np.array([])),
+        lambda: bits_to_int([0, 2, 1]),
+        lambda: random_bits(-1),
+        lambda: int_to_bits(1, -1),
+        lambda: int_to_bits(-1, 4),
+        lambda: int_to_bits(16, 4),
+        lambda: pack_bits([0, 1], 0),
+        lambda: pack_bits([0, 1, 1], 2),
+        lambda: unpack_bits([1], 0),
+        lambda: unpack_bits([4], 2),
+        lambda: bits_to_bytes([1] * 7),
+        lambda: count_bit_errors([0, 1], [0, 1, 1]),
+        lambda: count_bit_errors([0, 1], [0, 2]),
+        lambda: _normal_quantile(1.0),
+        lambda: wilson_interval(1, 10, confidence=1.0),
+        lambda: wilson_interval(11, 10),
+        lambda: clopper_pearson_interval(1, 10, confidence=0.0),
+        lambda: clopper_pearson_interval(-1, 10),
+        lambda: allocate_bursts({0: 0.1}, {0: 10}, {0: 10}, budget=-1),
+        lambda: allocate_bursts({0: 0.1}, {1: 10}, {0: 10}, budget=4),
+        lambda: _pilots().insert_block(np.zeros(64, dtype=complex)),
+        lambda: _pilots().insert_block(np.zeros((1, 32), dtype=complex)),
+        lambda: _pilots().correct_block(np.zeros(64, dtype=complex)),
+        lambda: _pilots().correct_block(np.zeros((1, 32), dtype=complex)),
+        lambda: estimate_cfo_from_repetition(np.zeros(64, dtype=complex), 0, 0, 2),
+        lambda: PreambleGenerator(64).layout(4).lts_slot_start(4),
+        lambda: noise_variance_for_snr(10.0, signal_power=0.0),
+        lambda: _two_points_per_snr().ber_curve(),
     ],
     ids=[
         "channel-2x2-with-4-antenna-burst",
@@ -375,9 +415,6 @@ class _BackwardsTraffic:
         "cbr-negative-frames",
         "poisson-negative-frames",
         "arrivals-negative-gap",
-        "front-end-antenna-mismatch",
-        "front-end-replay-before-ingest",
-        "front-end-replay-past-buffer",
         "channel-burst-antenna-mismatch",
         "mmse-negative-noise-variance",
         "ideal-channel-not-square",
@@ -390,9 +427,6 @@ class _BackwardsTraffic:
         "selective-fading-taps-shape",
         "selective-fading-burst-antenna-mismatch",
         "selective-fading-fft-shorter-than-taps",
-        "capacity-matrix-not-2d",
-        "ergodic-capacity-no-realizations",
-        "required-snr-non-positive-target",
         "code-constraint-length-1",
         "code-generator-too-wide",
         "code-puncture-pattern-shape",
@@ -421,15 +455,10 @@ class _BackwardsTraffic:
         "max-info-bits-fractional-symbols",
         "encode-3d-stack",
         "air-round-generator-count",
-        "jesd204-frame-not-multiple-of-4",
-        "jesd204-zero-sample-rate",
-        "qrd-scheduler-no-antennas",
         "systolic-qrd-empty",
         "resource-usage-negative",
         "qrd-critical-path-empty",
         "qrd-cordic-count-empty",
-        "ping-pong-empty-block",
-        "circular-buffer-empty",
         "fixed-point-one-bit-word",
         "fixed-point-unknown-rounding",
         "cordic-no-iterations",
@@ -439,6 +468,33 @@ class _BackwardsTraffic:
         "r-inverse-paper-equations-not-4x4",
         "channel-inversion-not-square",
         "channel-estimator-empty-lts",
+        "bits-value-2",
+        "random-bits-negative-count",
+        "int-to-bits-negative-width",
+        "int-to-bits-negative-value",
+        "int-to-bits-value-too-wide",
+        "pack-bits-zero-group",
+        "pack-bits-partial-group",
+        "unpack-bits-zero-group",
+        "unpack-bits-value-too-wide",
+        "bits-to-bytes-partial-byte",
+        "bit-errors-shape-mismatch",
+        "bit-errors-value-2",
+        "normal-quantile-at-one",
+        "wilson-confidence-one",
+        "wilson-more-errors-than-trials",
+        "clopper-pearson-confidence-zero",
+        "clopper-pearson-negative-errors",
+        "allocate-negative-budget",
+        "allocate-key-mismatch",
+        "pilot-insert-1d-block",
+        "pilot-insert-wrong-length",
+        "pilot-correct-1d-block",
+        "pilot-correct-wrong-length",
+        "cfo-repetition-zero-period",
+        "preamble-lts-slot-out-of-range",
+        "noise-variance-zero-signal-power",
+        "ber-curve-two-points-per-snr",
     ],
 )
 def test_inconsistent_construction_raises_configuration_error(build):
@@ -456,10 +512,7 @@ class TestSynchronizerFailureModes:
             synchronizer.locate(np.zeros(0, dtype=complex))
 
     def test_front_end_does_not_lock_on_a_silent_burst(self):
-        # The RTL front end follows the receiver's lock rule: no window
-        # scoring above zero means no lock.
+        # No window scoring above zero means no lock.
         silent = np.zeros((4, 1000), dtype=complex)
-        with pytest.raises(SynchronizationError):
-            RxFrontEnd().ingest(silent)
         with pytest.raises(SynchronizationError):
             MimoReceiver().synchronize(silent)

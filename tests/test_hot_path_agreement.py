@@ -75,6 +75,7 @@ from reference.coding import encode_serial, scramble_serial, viterbi_decode_seri
 from reference.core import (
     correct_pilots_serial,
     estimate_channel_serial,
+    insert_pilots_serial,
     receive_serial,
     transmit_serial,
 )
@@ -978,7 +979,8 @@ class TestTransmitterBatchAgreement:
         for stream in range(4):
             for n in range(7):
                 np.testing.assert_array_equal(
-                    inserted[stream, n], processor.insert(block[stream, n], 3 + n)
+                    inserted[stream, n],
+                    insert_pilots_serial(processor, block[stream, n], 3 + n),
                 )
 
     @pytest.mark.parametrize("detector", ["zf", "mmse"])
@@ -1027,8 +1029,9 @@ class TestTransmitterBatchAgreement:
             )
         _assert_results_identical(*results)
 
-    def test_512_point_numerology_agrees(self):
-        config = TransceiverConfig(fft_size=512)
+    @pytest.mark.parametrize("fft_size", [128, 256, 512, 1024])
+    def test_512_point_numerology_agrees(self, fft_size):
+        config = TransceiverConfig(fft_size=fft_size)
         rng = np.random.default_rng(92)
         bits = [rng.integers(0, 2, size=2000, dtype=np.uint8) for _ in range(4)]
         transmitter = MimoTransmitter(config)

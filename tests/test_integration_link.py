@@ -1,8 +1,7 @@
 """Integration tests: full transmit -> channel -> receive chains.
 
 These tests exercise the complete system the way the benchmarks do, across
-configurations and impairments, and cross-check the functional and
-structural models against each other.
+configurations and impairments.
 """
 
 import numpy as np
@@ -13,7 +12,7 @@ from repro.channel.model import MimoChannel
 from repro.core.config import TransceiverConfig
 from repro.core.receiver import MimoReceiver
 from repro.core.transmitter import MimoTransmitter
-from repro.hardware.jesd204 import Jesd204Framer
+from repro.dsp.fixedpoint import FixedPointFormat
 from repro.mimo.detector import MmseDetector
 from repro.sim import SweepRunner, SweepSpec
 
@@ -128,15 +127,14 @@ class TestEvmAndDetectors:
 
 class TestJesdInterfaceIntegration:
     def test_burst_survives_converter_framing(self):
-        # Pass the transmit burst through the JESD204A framing model (16-bit
-        # quantisation) before the channel; the link must still close.
+        # Quantise the transmit burst to the 16-bit converter words the
+        # paper carries over JESD204 before the channel; the link must
+        # still close.
         config = TransceiverConfig()
         transmitter = MimoTransmitter(config)
         receiver = MimoReceiver(config)
         burst = transmitter.transmit_random(150, rng=np.random.default_rng(300))
-        framer = Jesd204Framer(n_lanes=4)
-        framed = framer.pack(burst.samples)
-        quantised = framer.unpack(framed)[:, : burst.samples.shape[1]]
+        quantised = FixedPointFormat(16, 14).quantize_complex(burst.samples)
         channel = MimoChannel(FlatRayleighChannel(rng=301), snr_db=35.0, rng=302)
         received = channel.transmit(quantised).samples
         result = receiver.receive(received, n_info_bits=150)

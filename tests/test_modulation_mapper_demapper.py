@@ -34,12 +34,6 @@ class TestSymbolMapper:
         with pytest.raises(ValueError):
             mapper.map_addresses([2])
 
-    def test_lut_contents_is_copy(self):
-        mapper = SymbolMapper(Modulation.QAM16)
-        lut = mapper.lut_contents()
-        lut[0] = 999
-        assert mapper.constellation.points[0] != 999
-
     def test_output_power_near_unity(self):
         rng = np.random.default_rng(2)
         mapper = SymbolMapper(Modulation.QAM64)

@@ -47,6 +47,12 @@ FIXTURE_CASES = [
     ("exc_bare_ok.py", "examples/fixture.py", {}),
     ("exc_linalg_bad.py", "src/repro/mimo/fixture.py", {"EXC002": 3}),
     ("exc_linalg_ok.py", "src/repro/mimo/fixture.py", {}),
+    ("exc_builtin_bad.py", "src/repro/sim/fixture.py", {"EXC003": 6}),
+    ("exc_builtin_bad.py", "tools/fixture.py", {}),  # engine-scoped rule
+    ("exc_builtin_ok.py", "src/repro/sim/fixture.py", {}),
+    # The listed site passes only at its own path and in its own method.
+    ("exc_builtin_allowed.py", "src/repro/dsp/fixedpoint.py", {"EXC003": 2}),
+    ("exc_builtin_allowed.py", "src/repro/dsp/fixture.py", {"EXC003": 3}),
     ("suppressed_ok.py", "src/repro/channel/fixture.py", {}),
     ("suppressed_unjustified.py", "src/repro/channel/fixture.py", {"LINT001": 1}),
     ("suppressed_unused.py", "src/repro/channel/fixture.py", {"LINT002": 1}),
@@ -194,6 +200,6 @@ def test_cli_lists_exactly_the_shipped_rules():
     assert result.returncode == 0
     listed = {line.split()[0] for line in result.stdout.splitlines() if line[:1].isupper()}
     assert listed == {
-        "SEAM001", "DET001", "DET002", "EXC001", "EXC002",
+        "SEAM001", "DET001", "DET002", "EXC001", "EXC002", "EXC003",
         "LINT001", "LINT002", "PARSE001",
     }

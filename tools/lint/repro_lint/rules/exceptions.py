@@ -1,4 +1,4 @@
-"""EXC001/EXC002 — failure discipline of the pooled datapath.
+"""EXC001/EXC002/EXC003 — failure discipline of the pooled datapath.
 
 The sweep engine runs bursts in worker pools and *counts* receiver
 give-ups: a hot-path failure must surface as
@@ -12,7 +12,10 @@ accounting a lie.  EXC002 guards the raising end: the ``np.linalg``
 solvers that can throw ``LinAlgError`` (singular Gram matrices deep in
 the noise are a property of the burst, not a bug) must run inside a
 ``try`` that catches it — the established idiom translates it to
-``DecodingError`` (see ``repro/mimo/detector.py``).
+``DecodingError`` (see ``repro/mimo/detector.py``).  EXC003 types the
+argument checks: engine code raises ``ConfigurationError`` (itself a
+``ValueError``), never a bare builtin exception, apart from a short list
+of sites where the builtin type is the contract.
 """
 
 from __future__ import annotations
@@ -43,6 +46,28 @@ _RAISING_SOLVERS = {
 #: Exception names that count as handling ``LinAlgError`` when they appear
 #: in an ``except`` clause guarding a solver call.
 _HANDLING_NAMES = {"LinAlgError", "Exception", "BaseException"}
+
+
+#: Builtin exception classes engine code may not raise bare.
+_BANNED_BUILTINS = {
+    "ValueError",
+    "TypeError",
+    "KeyError",
+    "IndexError",
+    "RuntimeError",
+    "AssertionError",
+}
+
+#: The builtin raises that stay, as ``(path, enclosing qualname, class)``:
+#: ``quantize`` rejects complex input with numpy's own ``TypeError``, an
+#: unknown entity is a mapping miss, and asking an empty work queue for a
+#: result is a caller bug, not a configuration.
+_ALLOWED_BUILTIN_RAISES = {
+    ("src/repro/dsp/fixedpoint.py", "FixedPointFormat.quantize", "TypeError"),
+    ("src/repro/hardware/resources.py", "ResourceReport.entity_share", "KeyError"),
+    ("src/repro/sim/queue.py", "InProcessQueue.next_result", "RuntimeError"),
+    ("src/repro/sim/queue.py", "MultiprocessingQueue.next_result", "RuntimeError"),
+}
 
 
 def _handler_names(handler: ast.ExceptHandler) -> Set[str]:
@@ -172,3 +197,45 @@ class LinAlgEscapeRule(Rule):
                             )
         for child in ast.iter_child_nodes(node):
             self._walk(ctx, child, imports, protected, out)
+
+
+@register
+class BuiltinRaiseRule(Rule):
+    rule_id = "EXC003"
+    name = "no-bare-builtin-raise"
+    description = (
+        "engine code raises typed ReproErrors (ConfigurationError for an "
+        "argument check), never a bare ValueError/TypeError/KeyError/"
+        "IndexError/RuntimeError/AssertionError outside the listed sites"
+    )
+
+    def applies_to(self, relpath: str) -> bool:
+        return relpath.startswith("src/repro/")
+
+    def check(self, ctx: FileContext) -> List[Violation]:
+        violations: List[Violation] = []
+        self._walk(ctx, ctx.tree, (), violations)
+        return violations
+
+    def _walk(
+        self, ctx: FileContext, node: ast.AST, scope: tuple, out: List[Violation]
+    ) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                self._walk(ctx, child, scope + (child.name,), out)
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                if isinstance(exc, ast.Name) and exc.id in _BANNED_BUILTINS:
+                    site = (ctx.relpath, ".".join(scope), exc.id)
+                    if site not in _ALLOWED_BUILTIN_RAISES:
+                        out.append(
+                            self.violation(
+                                ctx,
+                                child,
+                                f"bare {exc.id} in engine code; raise "
+                                "ConfigurationError for an argument check "
+                                "(or another ReproError)",
+                            )
+                        )
+            self._walk(ctx, child, scope, out)
