@@ -129,6 +129,27 @@ class TestFadingLoopback:
         assert result.total_bit_errors(burst.info_bits) > 0
 
 
+class TestSynchronizationAcrossNumerologies:
+    """The front end locks on the LTS start of every numerology and antenna
+    count, wherever the burst begins in the stream, and the window it
+    locks on holds antenna 0's long training section sample for sample."""
+
+    @pytest.mark.parametrize("delay", [0, 29])
+    @pytest.mark.parametrize("n_antennas", [1, 2, 4])
+    @pytest.mark.parametrize("fft_size", [64, 128, 256, 512])
+    def test_synchronize_finds_the_lts_start(self, fft_size, n_antennas, delay):
+        config = TransceiverConfig(fft_size=fft_size, n_antennas=n_antennas)
+        burst = MimoTransmitter(config).transmit_random(
+            100, rng=np.random.default_rng(fft_size + n_antennas)
+        )
+        samples = np.pad(burst.samples, ((0, 0), (delay, 0)))
+        receiver = MimoReceiver(config)
+        lts_start = receiver.synchronize(samples)
+        assert lts_start == burst.layout.sts_length + delay
+        lts = receiver.preamble.lts_time()
+        np.testing.assert_array_equal(samples[0, lts_start : lts_start + lts.size], lts)
+
+
 class TestKnownTimingAndValidation:
     def test_known_lts_start_bypasses_sync(self, paper_config):
         transmitter = MimoTransmitter(paper_config)

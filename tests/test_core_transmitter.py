@@ -5,6 +5,7 @@ import pytest
 
 from repro.coding.convolutional import ConvolutionalEncoder
 from repro.coding.scrambler import Scrambler
+from repro.core.config import TransceiverConfig
 from repro.core.transmitter import MimoTransmitter
 from repro.dsp.fft import fft
 from repro.exceptions import ConfigurationError
@@ -112,6 +113,37 @@ class TestPayloadRule:
         assert [burst.payload_bits for burst in bursts] == [4 * 40] * 3
         for burst, bits in zip(bursts, stack):
             np.testing.assert_array_equal(np.array(burst.info_bits), bits)
+
+
+class TestBurstStructureAcrossFftSizes:
+    """The burst layout scales with the numerology: every data symbol is a
+    cyclic prefix of fft_size / 4 samples followed by fft_size samples that
+    occupy only the active subcarriers."""
+
+    @pytest.fixture(params=[64, 128, 256, 512, 1024])
+    def scaled(self, request):
+        transmitter = MimoTransmitter(TransceiverConfig(fft_size=request.param))
+        burst = transmitter.transmit_random(400, rng=np.random.default_rng(request.param))
+        return transmitter, burst
+
+    def test_cyclic_prefix_copies_every_symbol_tail(self, scaled):
+        transmitter, burst = scaled
+        config = transmitter.config
+        cp, sps = config.cyclic_prefix_length, config.samples_per_symbol
+        assert cp == config.fft_size // 4
+        start = burst.layout.total_length
+        data = burst.samples[:, start : start + burst.n_ofdm_symbols * sps]
+        symbols = data.reshape(4, burst.n_ofdm_symbols, sps)
+        np.testing.assert_allclose(symbols[..., :cp], symbols[..., -cp:], atol=1e-12)
+
+    def test_data_symbols_only_occupy_active_subcarriers(self, scaled):
+        transmitter, burst = scaled
+        config = transmitter.config
+        start = burst.layout.total_length + config.cyclic_prefix_length
+        frequency = fft(burst.samples[:, start : start + config.fft_size])
+        active = transmitter.numerology.active_mask()
+        np.testing.assert_allclose(frequency[:, ~active], 0, atol=1e-9)
+        assert np.all(np.abs(frequency[:, active]) > 1e-6)
 
 
 class TestSpectralStructure:

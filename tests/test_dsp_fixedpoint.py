@@ -100,6 +100,54 @@ class TestQuantization:
         assert quantize_complex(0.25 + 0.5j, fmt) == 0.25 + 0.5j
 
 
+SAMPLE_WORD_FORMATS = [
+    SAMPLE_FORMAT_16BIT,
+    MULTIPLIER_FORMAT_18BIT,
+    FixedPointFormat(word_length=16, frac_bits=14, rounding="truncate"),
+    FixedPointFormat(word_length=8, frac_bits=6),
+]
+SAMPLE_WORD_IDS = ["q16.14", "q18.16", "q16.14-truncate", "q8.6"]
+
+
+class TestIqSampleWords:
+    """I/Q samples carried as raw two's-complement words, as on the
+    converter interface: each part quantised on its own, and the raw codes
+    decode back to the quantised value exactly."""
+
+    @pytest.mark.parametrize("fmt", SAMPLE_WORD_FORMATS, ids=SAMPLE_WORD_IDS)
+    def test_iq_words_round_trip_through_raw_codes(self, fmt):
+        rng = np.random.default_rng(fmt.word_length)
+        samples = rng.uniform(-1.9, 1.9, 256) + 1j * rng.uniform(-1.9, 1.9, 256)
+        codes_i = fmt.to_integers(samples.real)
+        codes_q = fmt.to_integers(samples.imag)
+        lo, hi = fmt.integer_range
+        assert codes_i.min() >= lo and codes_i.max() <= hi
+        assert codes_q.min() >= lo and codes_q.max() <= hi
+        decoded = fmt.from_integers(codes_i) + 1j * fmt.from_integers(codes_q)
+        np.testing.assert_array_equal(decoded, fmt.quantize_complex(samples))
+
+    @pytest.mark.parametrize("fmt", SAMPLE_WORD_FORMATS, ids=SAMPLE_WORD_IDS)
+    def test_quantize_complex_is_idempotent(self, fmt):
+        rng = np.random.default_rng(7)
+        samples = 3.0 * (rng.normal(size=200) + 1j * rng.normal(size=200))
+        once = fmt.quantize_complex(samples)
+        np.testing.assert_array_equal(fmt.quantize_complex(once), once)
+
+    @pytest.mark.parametrize("fmt", SAMPLE_WORD_FORMATS, ids=SAMPLE_WORD_IDS)
+    def test_negative_values_survive(self, fmt):
+        sample = -0.75 - 0.25j
+        assert fmt.quantize_complex(sample) == sample
+        scale = 2**fmt.frac_bits
+        assert fmt.to_integers(sample.real) == -0.75 * scale
+        assert fmt.to_integers(sample.imag) == -0.25 * scale
+
+    @pytest.mark.parametrize("fmt", SAMPLE_WORD_FORMATS, ids=SAMPLE_WORD_IDS)
+    def test_full_scale_inputs_saturate_to_the_extreme_codes(self, fmt):
+        lo, hi = fmt.integer_range
+        np.testing.assert_array_equal(fmt.to_integers([1e3, -1e3]), [hi, lo])
+        assert fmt.quantize_complex(1e3 - 1e3j) == fmt.max_value + 1j * fmt.min_value
+
+
 class TestIntegerConversion:
     def test_roundtrip(self):
         fmt = FixedPointFormat(word_length=10, frac_bits=6)

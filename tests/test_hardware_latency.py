@@ -1,11 +1,13 @@
 """Tests for repro.hardware.latency."""
 
+import numpy as np
 import pytest
 
 from repro.core.config import TransceiverConfig
 from repro.dsp.cordic import CORDIC_PIPELINE_LATENCY
 from repro.hardware.estimator import qrd_cordic_cell_count
 from repro.hardware.latency import (
+    FFT_PIPELINE_PER_STAGE,
     LatencyModel,
     PAPER_QRD_LATENCY_CYCLES,
     qrd_critical_path_cordics,
@@ -86,6 +88,26 @@ class TestLatencyModel:
         d = LatencyModel().breakdown()
         assert d["qrd_cycles"] == 440
         assert set(d) >= {"time_sync_cycles", "fft_cycles", "total_cycles"}
+
+
+class TestLatencyAcrossConfigurations:
+    @pytest.mark.parametrize("fft_size", [64, 512])
+    @pytest.mark.parametrize("n_antennas", [1, 2, 4, 8])
+    def test_channel_estimation_streams_one_matrix_entry_per_cycle(
+        self, n_antennas, fft_size
+    ):
+        # fft_size subcarriers of n x n channel matrices are read once each,
+        # then the QRD, R-inverse and multiply pipelines flush.
+        model = LatencyModel(TransceiverConfig(n_antennas=n_antennas, fft_size=fft_size))
+        flush = model.qrd_cycles + model.r_inverse_cycles + model.matrix_multiply_cycles
+        assert model.channel_estimation_cycles - flush == fft_size * n_antennas**2
+        assert model.required_data_fifo_depth() == model.channel_estimation_cycles
+
+    @pytest.mark.parametrize("fft_size", [64, 128, 256, 512, 1024])
+    def test_fft_latency_is_ingest_plus_stage_flush(self, fft_size):
+        model = LatencyModel(TransceiverConfig(fft_size=fft_size))
+        stages = int(np.log2(fft_size))
+        assert model.fft_cycles == fft_size + stages * FFT_PIPELINE_PER_STAGE
 
 
 @pytest.mark.parametrize("n", range(1, 9))

@@ -1211,6 +1211,21 @@ class TestPilotBlockAgreement:
         assert diag.tau[0, 1] == expected_diag.tau == 0.0
         assert diag.pilot_magnitude[0, 1] == expected_diag.pilot_magnitude == 0.0
 
+    @pytest.mark.parametrize("fft_size", [64, 128, 256, 512, 1024])
+    def test_insert_block_matches_per_symbol_oracle_at_every_fft_size(self, fft_size):
+        # The pilot bins and polarity sequence both move with the numerology;
+        # the block writer must follow the oracle at every supported size.
+        processor = PilotProcessor(TransceiverConfig(fft_size=fft_size).numerology)
+        rng = np.random.default_rng(fft_size)
+        block = rng.normal(size=(2, 5, fft_size)) + 1j * rng.normal(size=(2, 5, fft_size))
+        inserted = processor.insert_block(block, start_index=126)
+        for stream in range(2):
+            for n in range(5):
+                np.testing.assert_array_equal(
+                    inserted[stream, n],
+                    insert_pilots_serial(processor, block[stream, n], 126 + n),
+                )
+
     def test_shape_validation(self):
         processor = PilotProcessor(TransceiverConfig().numerology)
         with pytest.raises(ValueError):
