@@ -12,7 +12,6 @@ receiver's QRD/inversion cost appears only in the MIMO builds.
 import pytest
 
 from repro.core.config import TransceiverConfig
-from repro.core.throughput import throughput_for_config
 from repro.hardware.estimator import (
     ReceiverResourceModel,
     TransmitterResourceModel,
@@ -25,7 +24,6 @@ def _generate_comparison():
     rows = []
     for n in CHANNEL_COUNTS:
         config = TransceiverConfig(n_antennas=n)
-        throughput = throughput_for_config(config)
         tx = TransmitterResourceModel(config)
         rx = ReceiverResourceModel(config)
         estimation_aluts = sum(
@@ -35,7 +33,7 @@ def _generate_comparison():
         rows.append(
             {
                 "channels": n,
-                "info_rate_mbps": throughput.info_bit_rate_bps / 1e6,
+                "info_rate_mbps": config.info_bit_rate_bps / 1e6,
                 "tx_aluts": tx.system_totals().aluts,
                 "rx_estimation_aluts": estimation_aluts,
             }

@@ -12,7 +12,7 @@ import pytest
 
 from repro.coding.convolutional import CodeRate
 from repro.core.config import TransceiverConfig
-from repro.core.throughput import throughput_for_config, throughput_report
+from repro.core.throughput import throughput_report
 from repro.modulation.constellations import Modulation
 from repro.sim import SweepSpec
 from repro.sim.engine import build_config
@@ -61,12 +61,11 @@ def test_claim_1gbps_throughput(table_printer):
     assert (gigabit[0]["modulation"], gigabit[0]["code_rate"]) == ("64qam", "3/4")
 
     # The synthesised configuration of Tables 1-4 runs at 480 Mbps.
-    synthesised = throughput_for_config(TransceiverConfig.paper_default())
-    assert synthesised.info_bit_rate_bps == pytest.approx(480e6)
+    assert TransceiverConfig.paper_default().info_bit_rate_bps == pytest.approx(480e6)
 
     # The 512-point variant discussed in Section V also sustains > 1 Gbps.
-    large = throughput_for_config(
-        TransceiverConfig(fft_size=512, modulation=Modulation.QAM64, code_rate=CodeRate.RATE_3_4)
+    large = TransceiverConfig(
+        fft_size=512, modulation=Modulation.QAM64, code_rate=CodeRate.RATE_3_4
     )
     assert large.info_bit_rate_bps >= 1e9
 
@@ -81,9 +80,7 @@ def test_claim_throughput_via_sweep_grid(table_printer):
 
     def _grid_rates():
         return {
-            (point.modulation, point.code_rate): throughput_for_config(
-                build_config(point, spec)
-            ).info_bit_rate_bps
+            (point.modulation, point.code_rate): build_config(point, spec).info_bit_rate_bps
             for point in spec.points()
         }
 

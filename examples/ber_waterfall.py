@@ -27,7 +27,6 @@ import argparse
 import _bootstrap  # noqa: F401 -- makes the in-tree repro package importable
 
 from repro import TransceiverConfig
-from repro.core.throughput import throughput_for_config
 from repro.sim import SweepRunner, SweepSpec
 
 MODULATIONS = ("bpsk", "qpsk", "16qam", "64qam")
@@ -65,7 +64,7 @@ def run_sweep(n_bursts: int, n_info_bits: int) -> None:
     print("\nPeak information rate of each modulation (rate 3/4, 100 MHz clock):")
     for modulation in MODULATIONS:
         config = TransceiverConfig(modulation=modulation, code_rate="3/4")
-        rate = throughput_for_config(config).info_bit_rate_bps
+        rate = config.info_bit_rate_bps
         marker = "  <-- 1 Gbps headline" if rate >= 1e9 else ""
         print(f"  {modulation:>6s}: {rate / 1e9:5.2f} Gbit/s{marker}")
 

@@ -5,8 +5,8 @@ Reproduces: the paper's CORDIC systolic QRD array with its 440-cycle
 latency, and why the receiver buffers OFDM data in FIFOs while channel
 estimation completes.
 
-* pushes one channel matrix through the CORDIC systolic QRD array and
-  reports the array composition and the 440-cycle latency;
+* reports the CORDIC systolic QRD array's composition and 440-cycle
+  latency, and decomposes one channel matrix in its CORDIC arithmetic;
 * prints the receive-pipeline latency breakdown and the FIFO depth needed
   to buffer data while channel estimation completes.
 
@@ -24,27 +24,28 @@ import numpy as np
 
 import _bootstrap  # noqa: F401 -- makes the in-tree repro package importable
 
+from repro.dsp.cordic import Cordic
 from repro.hardware.latency import LatencyModel
+from repro.hardware.qrd import QrdArray
 from repro.mimo.matrix import frobenius_error, hermitian
+from repro.mimo.qr import qr_decompose_givens
 from repro.mimo.rinv import invert_upper_triangular
-from repro.rtl.systolic_qrd import SystolicQrdArray
 
 
 def main() -> None:
     print("=== QR decomposition systolic array (Figs. 6-8) ===")
-    array = SystolicQrdArray(n=4, cordic_iterations=16)
+    array = QrdArray(n=4)
     rng = np.random.default_rng(11)
     channel_matrix = (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))) / np.sqrt(2)
-    r, q_hermitian = array.process(channel_matrix)
-    h_inverse = invert_upper_triangular(r) @ q_hermitian
-    print(f"boundary cells           : {array.boundary_cell_count} (2 vectoring CORDICs each)")
-    print(f"internal cells (R array) : {array.r_array_internal_cell_count} (3 rotation CORDICs each)")
-    print(f"internal cells (Q array) : {array.internal_cell_count - array.r_array_internal_cell_count}")
-    print(f"total CORDIC elements    : {array.total_cordic_count}")
-    print(f"datapath latency         : {array.datapath_latency_cycles} cycles "
-          f"({array.datapath_latency_cycles / 100e6 * 1e6:.1f} us at 100 MHz)")
-    print(f"reconstruction error     : "
-          f"{frobenius_error(hermitian(q_hermitian) @ r, channel_matrix):.2e}")
+    q, r = qr_decompose_givens(channel_matrix, cordic=Cordic(iterations=16))
+    h_inverse = invert_upper_triangular(r) @ hermitian(q)
+    print(f"boundary cells           : {array.boundary_cells} (2 vectoring CORDICs each)")
+    print(f"internal cells (R array) : {array.r_internal_cells} (3 rotation CORDICs each)")
+    print(f"internal cells (Q array) : {array.q_internal_cells}")
+    print(f"total CORDIC elements    : {array.cordic_count}")
+    print(f"datapath latency         : {array.latency_cycles} cycles "
+          f"({array.latency_cycles / 100e6 * 1e6:.1f} us at 100 MHz)")
+    print(f"reconstruction error     : {frobenius_error(q @ r, channel_matrix):.2e}")
     print(f"|H^-1 H - I|             : {frobenius_error(h_inverse @ channel_matrix, np.eye(4)):.2e}")
 
     print("\n=== Receive pipeline latency (why OFDM data is buffered in FIFOs) ===")

@@ -22,7 +22,6 @@ import _bootstrap  # noqa: F401 -- makes the in-tree repro package importable
 
 from repro import MimoChannel, MimoReceiver, MimoTransmitter, TransceiverConfig
 from repro.channel import FlatRayleighChannel
-from repro.core.throughput import throughput_for_config
 from repro.core.transceiver import transmit_bursts
 from repro.utils.bits import count_bit_errors
 
@@ -37,8 +36,7 @@ def main() -> None:
     print(f"  coded bits / symbol : {config.coded_bits_per_symbol} per stream")
     print(f"  clock               : {config.clock_hz / 1e6:.0f} MHz")
 
-    throughput = throughput_for_config(config)
-    print(f"  information rate    : {throughput.info_bit_rate_bps / 1e6:.0f} Mbit/s")
+    print(f"  information rate    : {config.info_bit_rate_bps / 1e6:.0f} Mbit/s")
 
     channel = MimoChannel(
         fading=FlatRayleighChannel(rng=26),

@@ -35,7 +35,6 @@ import _bootstrap  # noqa: F401 -- makes the in-tree repro package importable
 from repro import TransceiverConfig
 from repro.channel import FlatRayleighChannel, MimoChannel
 from repro.core.receiver import MimoReceiver
-from repro.core.throughput import throughput_for_config
 from repro.core.transmitter import MimoTransmitter
 from repro.sim import SweepRunner, SweepSpec
 from repro.stream import StreamingReceiver
@@ -167,7 +166,7 @@ def main() -> None:
         ("paper build (16-QAM, rate 1/2)", TransceiverConfig.paper_default()),
         ("gigabit build (64-QAM, rate 3/4)", TransceiverConfig.gigabit()),
     ]:
-        nominal = throughput_for_config(config).info_bit_rate_bps
+        nominal = config.info_bit_rate_bps
         per = expected_per(config, args.snr)
         print(f"\n=== {label} ===")
         print(f"payload               : {args.kilobytes} KiB ({payload_bits} bits)")

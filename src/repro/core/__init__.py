@@ -4,7 +4,7 @@ This package ties the substrates together into the system the paper
 describes: :class:`~repro.core.transmitter.MimoTransmitter` (Fig. 1),
 :class:`~repro.core.receiver.MimoReceiver` (Fig. 5),
 :func:`~repro.core.transceiver.transmit_bursts` (the on-air step between
-them) and the throughput model behind the 1 Gbps claim.  BER/PER over many
+them) and the throughput table behind the 1 Gbps claim.  BER/PER over many
 bursts is measured by the sweep engine in :mod:`repro.sim`.
 """
 
@@ -13,7 +13,7 @@ from repro.core.frame import ReceiveResult, StreamDecodeResult, TransmitBurst
 from repro.core.pilots import PilotProcessor
 from repro.core.preamble import PreambleGenerator
 from repro.core.receiver import MimoReceiver
-from repro.core.throughput import throughput_for_config, throughput_report
+from repro.core.throughput import throughput_report
 from repro.core.transmitter import MimoTransmitter
 
 __all__ = [
@@ -26,6 +26,5 @@ __all__ = [
     "PreambleGenerator",
     "MimoTransmitter",
     "MimoReceiver",
-    "throughput_for_config",
     "throughput_report",
 ]

@@ -256,3 +256,15 @@ class TransceiverConfig:
     def symbol_duration_s(self) -> float:
         """Duration of one OFDM symbol at the configured clock."""
         return self.samples_per_symbol / self.clock_hz
+
+    @property
+    def info_bit_rate_bps(self) -> float:
+        """Information bit rate over all spatial streams, in bits per second.
+
+        One OFDM symbol of :attr:`samples_per_symbol` samples (one per clock
+        cycle) carries :attr:`coded_bits_per_symbol` coded bits per stream,
+        of which ``code_rate`` are information bits: 480 Mbit/s for the
+        paper's build, 1.08 Gbit/s for :meth:`gigabit`.
+        """
+        info_bits = self.n_streams * self.coded_bits_per_symbol * self.code_rate.fraction
+        return info_bits / self.symbol_duration_s()

@@ -44,15 +44,6 @@ class PilotProcessor:
         self._polarity = pilot_polarity_sequence(max_symbols)
 
     # ------------------------------------------------------------------
-    def polarity(self, symbol_index: int) -> float:
-        """Pilot polarity ``p_n`` for OFDM symbol ``symbol_index``."""
-        return float(self._polarity[symbol_index % self._polarity.size])
-
-    def pilot_values(self, symbol_index: int) -> np.ndarray:
-        """Pilot tone values for one OFDM symbol (base values times polarity)."""
-        base = np.array(self.numerology.pilot_values, dtype=np.complex128)
-        return base * self.polarity(symbol_index)
-
     def insert_block(self, block: np.ndarray, start_index: int = 0) -> np.ndarray:
         """Write the pilots into a whole block of OFDM symbols.
 
@@ -69,8 +60,8 @@ class PilotProcessor:
 
         Returns
         -------
-        A copy of ``block`` whose pilot bins along symbol ``n`` hold
-        :meth:`pilot_values` of symbol index ``start_index + n``.
+        A copy of ``block`` whose pilot bins along symbol ``n`` hold the
+        base pilot values times the polarity of symbol ``start_index + n``.
         """
         symbols = np.asarray(block, dtype=np.complex128).copy()
         if symbols.ndim < 2:
@@ -82,15 +73,9 @@ class PilotProcessor:
         polarity = self._polarity[
             (start_index + np.arange(n_symbols)) % self._polarity.size
         ].astype(np.float64)
-        # (n_symbols, n_pilots) — row n is pilot_values(start_index + n).
+        # (n_symbols, n_pilots) — row n holds the pilots of symbol start_index + n.
         symbols[..., list(self.numerology.pilot_bins)] = base * polarity[:, None]
         return symbols
-
-    # ------------------------------------------------------------------
-    def extract(self, frequency_domain: np.ndarray) -> np.ndarray:
-        """Read the pilot subcarriers out of a frequency-domain symbol."""
-        symbol = np.asarray(frequency_domain, dtype=np.complex128)
-        return symbol[list(self.numerology.pilot_bins)]
 
     def correct_block(
         self, block: np.ndarray, start_index: int = 0
@@ -132,7 +117,7 @@ class PilotProcessor:
         polarity = self._polarity[
             (start_index + np.arange(n_symbols)) % self._polarity.size
         ].astype(np.float64)
-        # (n_symbols, n_pilots) — row n is pilot_values(start_index + n).
+        # (n_symbols, n_pilots) — row n holds the pilots of symbol start_index + n.
         expected = base * polarity[:, None]
 
         measured = symbols[..., pilot_bins]

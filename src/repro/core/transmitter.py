@@ -111,10 +111,9 @@ class MimoTransmitter:
 
         ``frequency_block`` has shape ``(n_rows, n_symbols, fft_size)``;
         the result is ``(n_rows, n_symbols * samples_per_symbol)`` time
-        samples, value-identical to per-symbol
-        :func:`~repro.dsp.fft.ofdm_modulate` (the batched IFFT runs the same
-        butterflies row by row, and the gather index copies exactly the
-        prefix + symbol concatenation).
+        samples, value-identical to one IFFT and cyclic-prefix copy per
+        symbol (the batched IFFT runs the same butterflies row by row, and
+        the gather index copies exactly the prefix + symbol concatenation).
         """
         n_rows, n_symbols, fft_size = frequency_block.shape
         cp = self.config.cyclic_prefix_length

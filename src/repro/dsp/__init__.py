@@ -14,9 +14,8 @@ from repro.dsp.fft import (
     fft,
     get_plan,
     ifft,
-    ofdm_modulate,
 )
-from repro.dsp.fixedpoint import FixedPointFormat, quantize, quantize_complex
+from repro.dsp.fixedpoint import FixedPointFormat
 
 __all__ = [
     "Cordic",
@@ -27,8 +26,5 @@ __all__ = [
     "fft",
     "get_plan",
     "ifft",
-    "ofdm_modulate",
     "FixedPointFormat",
-    "quantize",
-    "quantize_complex",
 ]

@@ -1,4 +1,4 @@
-"""Radix-2 FFT/IFFT and OFDM modulation.
+"""Radix-2 FFT/IFFT.
 
 The paper's transmitter converts mapped symbols to the time domain with an
 IFFT per antenna and the receiver converts back with an FFT per antenna
@@ -11,8 +11,7 @@ in Section V).  This module provides:
 * :func:`fft` / :func:`ifft` — an in-house iterative radix-2
   decimation-in-time implementation (mirroring a streaming hardware core) so
   the reproduction does not silently depend on ``numpy.fft`` for its core
-  datapath; both batch over arbitrary leading axes;
-* :func:`ofdm_modulate` — the IFFT + cyclic-prefix step for one OFDM symbol.
+  datapath; both batch over arbitrary leading axes.
 
 There is one transform arithmetic: the receiver models its fixed-point
 datapath by quantising the FFT output (``rx_multiplier_format``), not with a
@@ -120,26 +119,4 @@ def ifft(x: npt.ArrayLike) -> ComplexArray:
     """Inverse FFT matching ``numpy.fft.ifft`` (1/N normalisation)."""
     data = np.asarray(x, dtype=np.complex128)
     return get_plan(data.shape[-1]).inverse(data)
-
-
-def ofdm_modulate(
-    frequency_domain: npt.ArrayLike,
-    cyclic_prefix_length: int,
-) -> ComplexArray:
-    """IFFT + cyclic-prefix insertion for one OFDM symbol.
-
-    The paper's cyclic-prefix block copies the last 25 % of the time-domain
-    symbol in front of it; ``cyclic_prefix_length`` expresses that length in
-    samples so other ratios can be explored.
-    """
-    freq = np.asarray(frequency_domain, dtype=np.complex128)
-    n = freq.shape[-1]
-    _validate_power_of_two(n)
-    if not 0 <= cyclic_prefix_length <= n:
-        raise ConfigurationError("cyclic prefix length must be between 0 and the FFT size")
-    time_domain = ifft(freq)
-    if cyclic_prefix_length == 0:
-        return time_domain
-    prefix = time_domain[..., n - cyclic_prefix_length:]
-    return np.concatenate([prefix, time_domain], axis=-1)
 

@@ -86,8 +86,8 @@ class FixedPointFormat:
     def quantize(self, values: ArrayLike) -> np.ndarray:
         """Quantise real values to this format.
 
-        Complex inputs are rejected here; use :meth:`quantize_complex` (or the
-        module-level :func:`quantize_complex`) so the intent is explicit.
+        Complex inputs are rejected here; use :meth:`quantize_complex` so the
+        intent is explicit.
         """
         arr = np.asarray(values, dtype=np.float64)
         if np.iscomplexobj(values):
@@ -109,23 +109,6 @@ class FixedPointFormat:
         """Quantise the real and imaginary parts independently."""
         arr = np.asarray(values, dtype=np.complex128)
         return self.quantize(arr.real) + 1j * self.quantize(arr.imag)
-
-    def to_integers(self, values: ArrayLike) -> np.ndarray:
-        """Return the raw integer (LSB-unit) representation of real values."""
-        quantised = self.quantize(values)
-        return np.round(quantised / self.resolution).astype(np.int64)
-
-    def from_integers(self, raw: ArrayLike) -> np.ndarray:
-        """Convert raw integer (LSB-unit) words back to real values."""
-        ints = np.asarray(raw, dtype=np.int64)
-        lo, hi = self.integer_range
-        if ints.size and (ints.min() < lo or ints.max() > hi):
-            raise ConfigurationError("raw integers outside representable range")
-        return ints.astype(np.float64) * self.resolution
-
-    def quantization_noise_power(self) -> float:
-        """Theoretical quantisation-noise power (uniform model, LSB²/12)."""
-        return self.resolution ** 2 / 12.0
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
@@ -164,13 +147,3 @@ SAMPLE_FORMAT_16BIT = FixedPointFormat(word_length=16, frac_bits=14)
 
 MULTIPLIER_FORMAT_18BIT = FixedPointFormat(word_length=18, frac_bits=16)
 """18-bit operand format matching the FPGA's embedded DSP multipliers."""
-
-
-def quantize(values: ArrayLike, fmt: FixedPointFormat) -> np.ndarray:
-    """Functional form of :meth:`FixedPointFormat.quantize`."""
-    return fmt.quantize(values)
-
-
-def quantize_complex(values: ArrayLike, fmt: FixedPointFormat) -> np.ndarray:
-    """Functional form of :meth:`FixedPointFormat.quantize_complex`."""
-    return fmt.quantize_complex(values)

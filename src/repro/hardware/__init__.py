@@ -5,6 +5,10 @@ registers, memory bits and 18-bit DSP blocks per entity, a 100 MHz clock and
 pipeline latencies.  Because we have no FPGA or vendor toolchain, this
 package provides the substitute substrate:
 
+* :mod:`repro.hardware.qrd` — the CORDIC systolic QRD array of Figs. 6-8,
+  stated once: its R and Q cell counts, CORDIC total, ``5n+2``-stage
+  critical path (440 cycles at 4x4) and the rule that streams one
+  channel-matrix entry into it per clock;
 * :mod:`repro.hardware.resources` — report dataclasses (the "synthesis
   report" format);
 * :mod:`repro.hardware.estimator` — parametric per-entity resource models
@@ -24,9 +28,9 @@ from repro.hardware.estimator import (
     ReceiverResourceModel,
     STRATIX_IV_DEVICE,
     TransmitterResourceModel,
-    qrd_cordic_cell_count,
 )
 from repro.hardware.latency import LatencyModel
+from repro.hardware.qrd import QrdArray
 from repro.hardware.resources import ResourceReport, ResourceUsage
 
 __all__ = [
@@ -34,8 +38,8 @@ __all__ = [
     "STRATIX_IV_DEVICE",
     "TransmitterResourceModel",
     "ReceiverResourceModel",
-    "qrd_cordic_cell_count",
     "LatencyModel",
+    "QrdArray",
     "ResourceReport",
     "ResourceUsage",
 ]

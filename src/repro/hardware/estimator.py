@@ -35,7 +35,8 @@ Viterbi decoder           number of channels (the trellis is the fixed
                           K=7 code's 64 states)
 R matrix inverse          antenna count squared (vs. 16)
 MIMO decoder              antenna count squared
-QR decomposition          CORDIC cell count of the systolic arrays
+QR decomposition          CORDIC count of the systolic arrays
+                          (:class:`~repro.hardware.qrd.QrdArray`)
 QR multiplier             antenna count squared
 glue logic                number of channels
 glue memory (buffers)     channels x FFT length (of 16-bit samples)
@@ -51,7 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
-from repro.exceptions import ConfigurationError
+from repro.hardware.qrd import QrdArray
 from repro.hardware.resources import ResourceReport, ResourceUsage
 
 if TYPE_CHECKING:
@@ -77,21 +78,6 @@ STRATIX_IV_DEVICE = FpgaDevice(
     memory_bits=21_233_664,
     dsp_blocks=1_024,
 )
-
-
-def qrd_cordic_cell_count(n_antennas: int) -> int:
-    """Total CORDIC count of the R and Q systolic arrays for an NxN matrix.
-
-    The R array (Fig. 6) has ``n`` boundary cells of 2 CORDICs and
-    ``n (n-1) / 2`` internal cells of 3 CORDICs; the Q array (Fig. 7) is an
-    ``n x n`` grid of 3-CORDIC internal cells.
-    """
-    if n_antennas <= 0:
-        raise ConfigurationError("n_antennas must be positive")
-    boundary = 2 * n_antennas
-    r_internal = 3 * (n_antennas * (n_antennas - 1) // 2)
-    q_internal = 3 * n_antennas * n_antennas
-    return boundary + r_internal + q_internal
 
 
 def config_or_paper_build(config: Optional[TransceiverConfig]) -> TransceiverConfig:
@@ -134,8 +120,8 @@ class _CalibratedModel:
             "fft_length": channels * (config.fft_size / paper.fft_size),
             "antenna_pairs": config.n_antennas**2 / paper.n_antennas**2,
             "qrd_cordics": (
-                qrd_cordic_cell_count(config.n_antennas)
-                / qrd_cordic_cell_count(paper.n_antennas)
+                QrdArray(config.n_antennas).cordic_count
+                / QrdArray(paper.n_antennas).cordic_count
             ),
         }
 

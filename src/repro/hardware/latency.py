@@ -15,14 +15,11 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.dsp.cordic import CORDIC_PIPELINE_LATENCY
-from repro.exceptions import ConfigurationError
 from repro.hardware.estimator import config_or_paper_build
+from repro.hardware.qrd import QrdArray
 
 if TYPE_CHECKING:
     from repro.core.config import TransceiverConfig
-
-#: QRD datapath latency reported in the paper for the 4x4 array (cycles).
-PAPER_QRD_LATENCY_CYCLES = 440
 
 #: Pipeline registers per FFT butterfly stage.
 FFT_PIPELINE_PER_STAGE = 4
@@ -31,31 +28,19 @@ FFT_PIPELINE_PER_STAGE = 4
 R_INVERSE_PIPELINE = 24
 
 
-def qrd_critical_path_cordics(n_antennas: int) -> int:
-    """Number of CORDIC stages on the QRD array's critical path.
-
-    Calibrated to the paper: each of the ``n`` rows of the combined R/Q
-    systolic array contributes one boundary cell (2 CORDICs) and one internal
-    cell (3 CORDICs) to the critical path, plus a final 2-CORDIC output
-    stage, giving ``5 n + 2`` stages — 22 for the 4x4 array, i.e. the
-    reported 440 cycles at 20 cycles per CORDIC.
-    """
-    if n_antennas <= 0:
-        raise ConfigurationError("n_antennas must be positive")
-    return 5 * n_antennas + 2
-
-
 class LatencyModel:
     """Latency model of the MIMO receiver of ``config``.
 
     The antenna count, FFT length, cyclic prefix and clock come from
     ``config`` (the paper's build by default); the correlator window is
-    :attr:`repro.sync.time_sync.TimeSynchronizer.window_length` and every
-    CORDIC is :data:`repro.dsp.cordic.CORDIC_PIPELINE_LATENCY` cycles deep.
+    :attr:`repro.sync.time_sync.TimeSynchronizer.window_length`, every
+    CORDIC is :data:`repro.dsp.cordic.CORDIC_PIPELINE_LATENCY` cycles deep
+    and the QRD array is :class:`repro.hardware.qrd.QrdArray`.
     """
 
     def __init__(self, config: Optional[TransceiverConfig] = None) -> None:
         self.config = config_or_paper_build(config)
+        self.qrd = QrdArray(self.config.n_antennas)
 
     @property
     def time_sync_cycles(self) -> int:
@@ -77,7 +62,7 @@ class LatencyModel:
     @property
     def qrd_cycles(self) -> int:
         """QR decomposition datapath latency (440 cycles for the 4x4 array)."""
-        return qrd_critical_path_cordics(self.config.n_antennas) * CORDIC_PIPELINE_LATENCY
+        return self.qrd.latency_cycles
 
     @property
     def r_inverse_cycles(self) -> int:
@@ -95,13 +80,13 @@ class LatencyModel:
     def channel_estimation_cycles(self) -> int:
         """Latency from LTS reception to all subcarrier inverses stored.
 
-        The channel-matrix memories are streamed through the QRD array one
-        matrix entry per cycle (``fft_size * n²`` reads), then the pipeline
-        flushes through the QRD, R-inverse and matrix-multiply stages.
+        Every subcarrier's channel matrix is streamed into the QRD array
+        (:meth:`~repro.hardware.qrd.QrdArray.streaming_cycles`), then the
+        pipeline flushes through the QRD, R-inverse and matrix-multiply
+        stages.
         """
-        streaming = self.config.fft_size * self.config.n_antennas**2
         return (
-            streaming
+            self.qrd.streaming_cycles(self.config.fft_size)
             + self.qrd_cycles
             + self.r_inverse_cycles
             + self.matrix_multiply_cycles

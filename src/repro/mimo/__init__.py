@@ -15,7 +15,7 @@ from repro.mimo.matrix import (
     is_upper_triangular,
 )
 from repro.mimo.qr import qr_decompose_givens
-from repro.mimo.rinv import invert_upper_triangular, r_inverse_4x4_paper_equations
+from repro.mimo.rinv import invert_upper_triangular
 
 __all__ = [
     "ChannelEstimate",
@@ -30,5 +30,4 @@ __all__ = [
     "is_upper_triangular",
     "qr_decompose_givens",
     "invert_upper_triangular",
-    "r_inverse_4x4_paper_equations",
 ]

@@ -19,8 +19,8 @@ inversion ``H^-1 = R^-1 Q^H`` needs.
 a whole ``(k, n, n)`` stack of subcarrier matrices, in floating-point
 arithmetic or, given a :class:`repro.dsp.cordic.Cordic`, with every angle
 and rotation evaluated by CORDIC so word-length and iteration effects can
-be studied.  The structural model in :mod:`repro.rtl.systolic_qrd` takes
-its numbers from it.
+be studied.  The array's structure and timing are
+:class:`repro.hardware.qrd.QrdArray`.
 """
 
 from __future__ import annotations

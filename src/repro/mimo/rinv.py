@@ -2,10 +2,9 @@
 
 The paper lists the explicit back-substitution equations its pipelined
 hardware evaluates for the 4x4 case (Section IV.B).  This module implements
-both the general back-substitution (:func:`invert_upper_triangular`) and the
-literal 4x4 equations (:func:`r_inverse_4x4_paper_equations`); tests verify
-the two agree, and the benchmark uses the general routine for arbitrary
-matrix sizes.
+the general back substitution (:func:`invert_upper_triangular`) for any
+matrix size; the tests check it against a literal transcription of the
+paper's 4x4 equations.
 """
 
 from __future__ import annotations
@@ -76,32 +75,3 @@ def _multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     product.imag = a.real * b.imag + a.imag * b.real
     return product
 
-
-def r_inverse_4x4_paper_equations(r: np.ndarray) -> np.ndarray:
-    """The paper's explicit 4x4 R-inverse equations, transcribed literally.
-
-    The hardware evaluates these with a heavily pipelined datapath because
-    later terms depend on earlier ones (e.g. ``R^-1(2,3)`` needs
-    ``R^-1(3,3)``).
-    """
-    matrix = np.asarray(r, dtype=np.complex128)
-    if matrix.shape != (4, 4):
-        raise ConfigurationError("the paper's explicit equations are for 4x4 matrices")
-    diag = np.diagonal(matrix)
-    if np.any(np.abs(diag) == 0):
-        raise ChannelEstimationError("upper-triangular matrix is singular")
-
-    inv = np.zeros((4, 4), dtype=np.complex128)
-    inv[3, 3] = 1.0 / matrix[3, 3]
-    inv[2, 2] = 1.0 / matrix[2, 2]
-    inv[2, 3] = -matrix[2, 3] * inv[3, 3] / matrix[2, 2]
-    inv[1, 1] = 1.0 / matrix[1, 1]
-    inv[1, 2] = -matrix[1, 2] * inv[2, 2] / matrix[1, 1]
-    inv[1, 3] = -(matrix[1, 2] * inv[2, 3] + matrix[1, 3] * inv[3, 3]) / matrix[1, 1]
-    inv[0, 0] = 1.0 / matrix[0, 0]
-    inv[0, 1] = -matrix[0, 1] * inv[1, 1] / matrix[0, 0]
-    inv[0, 2] = -(matrix[0, 1] * inv[1, 2] + matrix[0, 2] * inv[2, 2]) / matrix[0, 0]
-    inv[0, 3] = -(
-        matrix[0, 1] * inv[1, 3] + matrix[0, 2] * inv[2, 3] + matrix[0, 3] * inv[3, 3]
-    ) / matrix[0, 0]
-    return inv

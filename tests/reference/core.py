@@ -25,12 +25,13 @@ from repro.core.frame import ReceiveResult, StreamDecodeResult
 from repro.core.pilots import PilotProcessor
 from repro.core.receiver import MimoReceiver
 from repro.core.transmitter import MimoTransmitter
-from repro.dsp.fft import fft, ofdm_modulate
+from repro.dsp.fft import fft
 from repro.exceptions import ChannelEstimationError, SynchronizationError
 from repro.mimo.channel_estimation import ChannelEstimate
 from repro.mimo.detector import MmseDetector, zf_detect
 
 from reference.coding import encode_serial, scramble_serial, viterbi_decode_serial
+from reference.dsp import ofdm_modulate
 from reference.modulation import demap_serial
 
 
@@ -41,6 +42,23 @@ class PilotCorrection:
     common_phase: float
     tau: float
     pilot_magnitude: float
+
+
+def pilot_polarity(processor: PilotProcessor, symbol_index: int) -> float:
+    """Pilot polarity ``p_n`` of OFDM symbol ``symbol_index``."""
+    return float(processor._polarity[symbol_index % processor._polarity.size])
+
+
+def pilot_values(processor: PilotProcessor, symbol_index: int) -> np.ndarray:
+    """Pilot tone values of one OFDM symbol (base values times polarity)."""
+    base = np.array(processor.numerology.pilot_values, dtype=np.complex128)
+    return base * pilot_polarity(processor, symbol_index)
+
+
+def extract_pilots(processor: PilotProcessor, frequency_domain: np.ndarray) -> np.ndarray:
+    """The pilot subcarriers of one frequency-domain symbol."""
+    symbol = np.asarray(frequency_domain, dtype=np.complex128)
+    return symbol[list(processor.numerology.pilot_bins)]
 
 
 def _logical_indices(fft_size: int) -> np.ndarray:
@@ -56,7 +74,7 @@ def insert_pilots_serial(
     symbol = np.asarray(frequency_domain, dtype=np.complex128).copy()
     if symbol.size != processor.numerology.fft_size:
         raise ValueError("frequency-domain symbol has the wrong length")
-    symbol[list(processor.numerology.pilot_bins)] = processor.pilot_values(symbol_index)
+    symbol[list(processor.numerology.pilot_bins)] = pilot_values(processor, symbol_index)
     return symbol
 
 
@@ -68,8 +86,8 @@ def correct_pilots_serial(
     symbol = np.asarray(frequency_domain, dtype=np.complex128).copy()
     if symbol.size != numerology.fft_size:
         raise ValueError("frequency-domain symbol has the wrong length")
-    expected = processor.pilot_values(symbol_index)
-    measured = processor.extract(symbol)
+    expected = pilot_values(processor, symbol_index)
+    measured = extract_pilots(processor, symbol)
 
     correlation = np.sum(measured * np.conj(expected))
     if np.abs(correlation) == 0:
@@ -77,7 +95,7 @@ def correct_pilots_serial(
     common_phase = float(np.angle(correlation))
     symbol = symbol * np.exp(-1j * common_phase)
 
-    measured = processor.extract(symbol)
+    measured = extract_pilots(processor, symbol)
     pilot_indices = np.array(numerology.pilot_logical, dtype=np.float64)
     phases = np.angle(measured * np.conj(expected))
     weights = np.abs(measured)

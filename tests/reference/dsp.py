@@ -1,9 +1,11 @@
-"""Scalar CORDIC reference: one Python-float micro-rotation at a time.
+"""Scalar CORDIC reference, raw fixed-point words and one-symbol OFDM modulation.
 
 The one-operation-at-a-time engine the production array engine in
 :mod:`repro.dsp.cordic` replaced, kept unchanged (gain-compensation
 switch and per-result latency included) as the oracle of its
-elementwise agreement test.
+elementwise agreement test.  Beside it: the raw two's-complement word view
+of a :class:`~repro.dsp.fixedpoint.FixedPointFormat` and the per-symbol
+IFFT + cyclic prefix the batched transmitter replaced.
 """
 
 from __future__ import annotations
@@ -12,7 +14,11 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+import numpy as np
+
+from repro.dsp.fft import ifft
 from repro.dsp.fixedpoint import FixedPointFormat
+from repro.exceptions import ConfigurationError
 
 #: Pipeline latency (clock cycles) of one hardware CORDIC element in the paper.
 CORDIC_PIPELINE_LATENCY = 20
@@ -180,3 +186,42 @@ class Cordic:
             iterations=self.iterations,
             latency_cycles=self.latency_cycles,
         )
+
+
+def to_integers(fmt: FixedPointFormat, values) -> np.ndarray:
+    """Raw integer (LSB-unit) words of real ``values`` quantised to ``fmt``."""
+    quantised = fmt.quantize(values)
+    return np.round(quantised / fmt.resolution).astype(np.int64)
+
+
+def from_integers(fmt: FixedPointFormat, raw) -> np.ndarray:
+    """Real values of raw integer (LSB-unit) words of ``fmt``."""
+    ints = np.asarray(raw, dtype=np.int64)
+    lo, hi = fmt.integer_range
+    if ints.size and (ints.min() < lo or ints.max() > hi):
+        raise ConfigurationError("raw integers outside representable range")
+    return ints.astype(np.float64) * fmt.resolution
+
+
+def quantization_noise_power(fmt: FixedPointFormat) -> float:
+    """Theoretical quantisation-noise power of ``fmt`` (uniform model, LSB²/12)."""
+    return fmt.resolution ** 2 / 12.0
+
+
+def ofdm_modulate(frequency_domain, cyclic_prefix_length: int) -> np.ndarray:
+    """IFFT + cyclic-prefix insertion for one OFDM symbol.
+
+    The paper's cyclic-prefix block copies the last 25 % of the time-domain
+    symbol in front of it; ``cyclic_prefix_length`` is that length in samples.
+    """
+    freq = np.asarray(frequency_domain, dtype=np.complex128)
+    n = freq.shape[-1]
+    if n < 2 or n & (n - 1):
+        raise ConfigurationError(f"FFT size must be a power of two >= 2, got {n}")
+    if not 0 <= cyclic_prefix_length <= n:
+        raise ConfigurationError("cyclic prefix length must be between 0 and the FFT size")
+    time_domain = ifft(freq)
+    if cyclic_prefix_length == 0:
+        return time_domain
+    prefix = time_domain[..., n - cyclic_prefix_length:]
+    return np.concatenate([prefix, time_domain], axis=-1)

@@ -1,6 +1,6 @@
 """Per-matrix MIMO references: float and CORDIC Givens QR, back
-substitution, channel inversion, per-subcarrier LTS division and
-per-subcarrier MMSE solve."""
+substitution, the paper's literal 4x4 R-inverse equations, channel
+inversion, per-subcarrier LTS division and per-subcarrier MMSE solve."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.exceptions import ChannelEstimationError, DecodingError
+from repro.exceptions import ChannelEstimationError, ConfigurationError, DecodingError
 
 
 def _rotate(matrix: np.ndarray, col: int, row: int, theta_b: float, theta_1: float) -> None:
@@ -151,3 +151,33 @@ def mmse_weights_serial(
                 f"MMSE Gram matrix is singular on subcarrier {k}"
             ) from error
     return weights
+
+
+def r_inverse_4x4_paper_equations(r: np.ndarray) -> np.ndarray:
+    """The paper's explicit 4x4 R-inverse equations, transcribed literally.
+
+    The hardware evaluates these with a heavily pipelined datapath because
+    later terms depend on earlier ones (e.g. ``R^-1(2,3)`` needs
+    ``R^-1(3,3)``).
+    """
+    matrix = np.asarray(r, dtype=np.complex128)
+    if matrix.shape != (4, 4):
+        raise ConfigurationError("the paper's explicit equations are for 4x4 matrices")
+    diag = np.diagonal(matrix)
+    if np.any(np.abs(diag) == 0):
+        raise ChannelEstimationError("upper-triangular matrix is singular")
+
+    inv = np.zeros((4, 4), dtype=np.complex128)
+    inv[3, 3] = 1.0 / matrix[3, 3]
+    inv[2, 2] = 1.0 / matrix[2, 2]
+    inv[2, 3] = -matrix[2, 3] * inv[3, 3] / matrix[2, 2]
+    inv[1, 1] = 1.0 / matrix[1, 1]
+    inv[1, 2] = -matrix[1, 2] * inv[2, 2] / matrix[1, 1]
+    inv[1, 3] = -(matrix[1, 2] * inv[2, 3] + matrix[1, 3] * inv[3, 3]) / matrix[1, 1]
+    inv[0, 0] = 1.0 / matrix[0, 0]
+    inv[0, 1] = -matrix[0, 1] * inv[1, 1] / matrix[0, 0]
+    inv[0, 2] = -(matrix[0, 1] * inv[1, 2] + matrix[0, 2] * inv[2, 2]) / matrix[0, 0]
+    inv[0, 3] = -(
+        matrix[0, 1] * inv[1, 3] + matrix[0, 2] * inv[2, 3] + matrix[0, 3] * inv[3, 3]
+    ) / matrix[0, 0]
+    return inv

@@ -14,7 +14,6 @@ from repro.channel.model import IdealChannel, MimoChannel
 from repro.core.config import TransceiverConfig
 from repro.core.receiver import MimoReceiver
 from repro.core.transmitter import MimoTransmitter
-from repro.core.throughput import throughput_for_config
 from repro.hardware.estimator import TransmitterResourceModel
 
 
@@ -49,8 +48,8 @@ class TestSisoMode:
         assert result.channel_estimate.matrices.shape == (64, 1, 1)
 
     def test_throughput_scales_with_streams(self):
-        siso = throughput_for_config(TransceiverConfig(n_antennas=1))
-        mimo = throughput_for_config(TransceiverConfig(n_antennas=4))
+        siso = TransceiverConfig(n_antennas=1)
+        mimo = TransceiverConfig(n_antennas=4)
         assert mimo.info_bit_rate_bps == pytest.approx(4 * siso.info_bit_rate_bps)
 
 

@@ -3,10 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.config import TransceiverConfig
 from repro.core.frame import ReceiveResult, StreamDecodeResult
-from repro.core.throughput import throughput_for_config, throughput_report
-from repro.exceptions import ConfigurationError
+from repro.core.throughput import throughput_report
 
 
 class TestFrameContainers:
@@ -50,57 +48,25 @@ class TestFrameContainers:
 
 class TestThroughput:
     def test_paper_synthesised_configuration_rate(self, paper_config):
-        model = throughput_for_config(paper_config)
-        assert model.info_bit_rate_bps == pytest.approx(480e6)
-        assert not model.meets_gigabit_target()
+        assert paper_config.info_bit_rate_bps == pytest.approx(480e6)
+        assert paper_config.info_bit_rate_bps < 1e9
 
     def test_gigabit_configuration_rate(self, gigabit_config):
-        model = throughput_for_config(gigabit_config)
-        assert model.info_bit_rate_bps == pytest.approx(1.08e9)
-        assert model.meets_gigabit_target()
+        assert gigabit_config.info_bit_rate_bps == pytest.approx(1.08e9)
 
-    def test_512_point_gigabit(self):
-        config = TransceiverConfig(fft_size=512, modulation="64qam", code_rate="3/4")
-        model = throughput_for_config(config)
-        assert model.info_bit_rate_bps >= 1e9
-
-    def test_rates_are_read_from_the_config(self, gigabit_config):
-        # 4 streams x 48 carriers x 6 bits per 80-sample symbol at 100 MHz.
-        model = throughput_for_config(gigabit_config)
-        assert model.config is gigabit_config
-        assert model.samples_per_symbol == 80
-        assert model.symbol_duration_s == pytest.approx(800e-9)
-        assert model.coded_bits_per_symbol == 4 * 48 * 6
-        assert model.coded_bit_rate_bps == pytest.approx(1.44e9)
-        assert model.info_bit_rate_bps == pytest.approx(model.coded_bit_rate_bps * 0.75)
-
-    def test_preamble_overhead_formula(self, gigabit_config):
-        model = throughput_for_config(gigabit_config)
-        with_preamble = model.info_bit_rate_with_preamble_bps(
-            symbols_per_burst=100, preamble_samples=800
-        )
-        assert with_preamble == pytest.approx(
-            model.info_bit_rate_bps * (100 * 80) / (100 * 80 + 800)
-        )
-        with pytest.raises(ConfigurationError):
-            model.info_bit_rate_with_preamble_bps(symbols_per_burst=0, preamble_samples=800)
-        with pytest.raises(ConfigurationError):
-            model.info_bit_rate_with_preamble_bps(symbols_per_burst=10, preamble_samples=-1)
+    def test_rate_counts_every_stream(self, gigabit_config):
+        # 4 streams x 48 carriers x 6 bits x 3/4 per 80-sample symbol at
+        # 100 MHz; coded_bits_per_symbol counts one stream.
+        assert gigabit_config.coded_bits_per_symbol == 48 * 6
+        assert gigabit_config.symbol_duration_s() == pytest.approx(800e-9)
+        assert gigabit_config.info_bit_rate_bps == pytest.approx(4 * 48 * 6 * 0.75 / 800e-9)
 
     def test_report_covers_all_modulation_rate_pairs(self):
         rows = throughput_report()
         assert len(rows) == 12
+        assert set(rows[0]) == {"modulation", "code_rate", "info_rate_gbps", "meets_1gbps"}
         gigabit_rows = [row for row in rows if row["meets_1gbps"]]
         assert len(gigabit_rows) == 1
         assert gigabit_rows[0]["modulation"] == "64qam"
         assert gigabit_rows[0]["code_rate"] == "3/4"
-
-    def test_preamble_overhead_reported(self):
-        rows = throughput_report(symbols_per_burst=50)
-        for row in rows:
-            assert row["info_rate_with_preamble_gbps"] < row["info_rate_gbps"]
-
-    def test_report_with_custom_configs(self, gigabit_config):
-        rows = throughput_report([gigabit_config])
-        assert len(rows) == 1
-        assert rows[0]["info_rate_gbps"] == pytest.approx(1.08)
+        assert gigabit_rows[0]["info_rate_gbps"] == pytest.approx(1.08)

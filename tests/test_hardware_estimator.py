@@ -8,8 +8,8 @@ from repro.hardware.estimator import (
     ReceiverResourceModel,
     STRATIX_IV_DEVICE,
     TransmitterResourceModel,
-    qrd_cordic_cell_count,
 )
+from repro.hardware.qrd import QrdArray
 
 CONFIG_512 = TransceiverConfig(fft_size=512)
 
@@ -43,11 +43,22 @@ class TestConfigValidation:
 
 class TestQrdCellCount:
     def test_paper_array_composition(self):
-        # 4 boundary cells x 2 CORDICs + 6 R internal x 3 + 16 Q internal x 3.
-        assert qrd_cordic_cell_count(4) == 8 + 18 + 48
+        # 4 boundary cells x 2 CORDICs + 6 R internal x 3 + 16 Q internal x 3;
+        # the paper build's QR-decomposition entity is Table 4's row.
+        assert QrdArray(4).cordic_count == 8 + 18 + 48
+        assert ReceiverResourceModel().entity_usage("qr_decomposition").as_dict() == {
+            "aluts": 101_697,
+            "registers": 109_447,
+            "memory_bits": 322,
+            "dsp_blocks": 248,
+        }
 
     def test_grows_quadratically(self):
-        assert qrd_cordic_cell_count(8) > 3 * qrd_cordic_cell_count(4)
+        # The QR-decomposition entity scales with the array's CORDIC count:
+        # 292 CORDICs at 8x8 against 74 at 4x4.
+        assert QrdArray(8).cordic_count > 3 * QrdArray(4).cordic_count
+        qrd_8x8 = ReceiverResourceModel(TransceiverConfig(n_antennas=8))
+        assert qrd_8x8.entity_usage("qr_decomposition").aluts == round(101_697 * 292 / 74)
 
 
 class TestTransmitterTable1:

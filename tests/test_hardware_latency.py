@@ -5,28 +5,21 @@ import pytest
 
 from repro.core.config import TransceiverConfig
 from repro.dsp.cordic import CORDIC_PIPELINE_LATENCY
-from repro.hardware.estimator import qrd_cordic_cell_count
-from repro.hardware.latency import (
-    FFT_PIPELINE_PER_STAGE,
-    LatencyModel,
-    PAPER_QRD_LATENCY_CYCLES,
-    qrd_critical_path_cordics,
-)
-from repro.rtl.systolic_qrd import SystolicQrdArray
+from repro.hardware.latency import FFT_PIPELINE_PER_STAGE, LatencyModel
 
 CONFIG_512 = TransceiverConfig(fft_size=512)
 
 
 class TestQrdCriticalPath:
     def test_paper_value_for_4x4(self):
-        assert qrd_critical_path_cordics(4) * CORDIC_PIPELINE_LATENCY == PAPER_QRD_LATENCY_CYCLES
+        # 5 n + 2 = 22 CORDIC stages of 20 cycles each.
+        model = LatencyModel()
+        assert model.qrd.critical_path_cordics == 22
+        assert model.qrd.critical_path_cordics * CORDIC_PIPELINE_LATENCY == model.qrd_cycles
 
     def test_grows_with_matrix_size(self):
-        assert qrd_critical_path_cordics(8) > qrd_critical_path_cordics(4)
-
-    def test_invalid_size(self):
-        with pytest.raises(ValueError):
-            qrd_critical_path_cordics(0)
+        qrd_8x8 = LatencyModel(TransceiverConfig(n_antennas=8)).qrd_cycles
+        assert qrd_8x8 > LatencyModel().qrd_cycles
 
 
 class TestLatencyModel:
@@ -109,12 +102,3 @@ class TestLatencyAcrossConfigurations:
         stages = int(np.log2(fft_size))
         assert model.fft_cycles == fft_size + stages * FFT_PIPELINE_PER_STAGE
 
-
-@pytest.mark.parametrize("n", range(1, 9))
-def test_structure_and_cost_views_agree(n):
-    array = SystolicQrdArray(n)
-    assert array.total_cordic_count == qrd_cordic_cell_count(n)
-    assert (
-        array.datapath_latency_cycles
-        == LatencyModel(TransceiverConfig(n_antennas=n)).qrd_cycles
-    )

@@ -10,7 +10,9 @@ from repro.mimo.matrix import (
     is_unitary,
     is_upper_triangular,
 )
-from repro.mimo.rinv import invert_upper_triangular, r_inverse_4x4_paper_equations
+from repro.mimo.rinv import invert_upper_triangular
+
+from reference.mimo import r_inverse_4x4_paper_equations
 
 
 def _random_upper_triangular(n, rng, min_diag=0.5):

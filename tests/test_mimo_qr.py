@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.dsp.cordic import Cordic
-from repro.mimo.matrix import frobenius_error, is_unitary, is_upper_triangular
+from repro.mimo.matrix import frobenius_error, hermitian, is_unitary, is_upper_triangular
 from repro.mimo.qr import qr_decompose_givens
+from repro.mimo.rinv import invert_upper_triangular
 
 
 def _random_matrix(n, seed):
@@ -81,3 +82,42 @@ class TestCordicQr:
         q_cordic, r_cordic = qr_decompose_givens(h, cordic=Cordic(iterations=24))
         assert frobenius_error(r_cordic, r_float) < 1e-4
         assert frobenius_error(q_cordic, q_float) < 1e-4
+
+
+class TestCordicQrAsTheHardwareArray:
+    """The 4x4 decomposition in 24-iteration CORDIC arithmetic: the numbers
+    the systolic array of Figs. 6-8 leaves in its R and Q cells."""
+
+    @staticmethod
+    def _decompose(h):
+        return qr_decompose_givens(h, cordic=Cordic(iterations=24))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_reconstruction(self, seed):
+        h = _random_matrix(4, seed)
+        q, r = self._decompose(h)
+        assert frobenius_error(q @ r, h) < 1e-5
+
+    # The array is stated for any n (repro.hardware.qrd); the 4x4 paper
+    # build and the sizes the latency model sweeps all decompose alike.
+    @pytest.mark.parametrize("n", [1, 2, 4, 8])
+    def test_unitary_q_and_real_non_negative_r_diagonal(self, n):
+        q, r = self._decompose(_random_matrix(n, 10))
+        assert is_upper_triangular(r, tolerance=1e-6)
+        assert is_unitary(q, tolerance=1e-4)
+        diag = np.diagonal(r)
+        assert np.all(np.abs(diag.imag) < 1e-6)
+        assert np.all(diag.real >= -1e-9)
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 8])
+    def test_feeds_matrix_inversion(self, n):
+        h = _random_matrix(n, 12)
+        q, r = self._decompose(h)
+        h_inverse = invert_upper_triangular(r) @ hermitian(q)
+        assert frobenius_error(h_inverse @ h, np.eye(n)) < 1e-4
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 8])
+    def test_identity_matrix(self, n):
+        q, r = self._decompose(np.eye(n, dtype=complex))
+        assert frobenius_error(r, np.eye(n)) < 1e-5
+        assert frobenius_error(q, np.eye(n)) < 1e-5
