@@ -12,7 +12,6 @@ import pytest
 
 from repro.coding.convolutional import CodeRate
 from repro.core.config import TransceiverConfig
-from repro.core.throughput import throughput_report
 from repro.modulation.constellations import Modulation
 from repro.sim import SweepSpec
 from repro.sim.engine import build_config
@@ -35,30 +34,31 @@ EXPECTED_RATES_GBPS = {
 
 
 def test_claim_1gbps_throughput(table_printer):
-    rows = throughput_report()
+    # Information rate of every modulation x code-rate pair at the paper's
+    # 4x4 / 64-point operating point.
+    rates = {
+        (config.modulation.value, config.code_rate.value): config.info_bit_rate_bps
+        for config in (
+            TransceiverConfig(modulation=modulation, code_rate=rate)
+            for modulation in Modulation
+            for rate in CodeRate
+        )
+    }
 
     table_printer(
         "Claim C1: information bit rate at 100 MHz (4 spatial streams, 64-pt OFDM)",
         ["modulation", "rate", "Gbps", "expected", ">= 1 Gbps"],
         [
-            (
-                row["modulation"],
-                row["code_rate"],
-                f"{row['info_rate_gbps']:.3f}",
-                EXPECTED_RATES_GBPS[(row["modulation"], row["code_rate"])],
-                row["meets_1gbps"],
-            )
-            for row in rows
+            (m, r, f"{bps / 1e9:.3f}", EXPECTED_RATES_GBPS[(m, r)], bps >= 1e9)
+            for (m, r), bps in rates.items()
         ],
     )
 
-    for row in rows:
-        expected = EXPECTED_RATES_GBPS[(row["modulation"], row["code_rate"])]
-        assert row["info_rate_gbps"] == pytest.approx(expected, rel=1e-9)
+    assert len(rates) == len(EXPECTED_RATES_GBPS)
+    for cell, bps in rates.items():
+        assert bps / 1e9 == pytest.approx(EXPECTED_RATES_GBPS[cell], rel=1e-9)
 
-    gigabit = [row for row in rows if row["meets_1gbps"]]
-    assert len(gigabit) == 1
-    assert (gigabit[0]["modulation"], gigabit[0]["code_rate"]) == ("64qam", "3/4")
+    assert [cell for cell, bps in rates.items() if bps >= 1e9] == [("64qam", "3/4")]
 
     # The synthesised configuration of Tables 1-4 runs at 480 Mbps.
     assert TransceiverConfig.paper_default().info_bit_rate_bps == pytest.approx(480e6)

@@ -54,7 +54,9 @@ def test_fig2_preamble_schedule(table_printer):
     channel = MimoChannel(fading)
     received = channel.transmit(burst.samples).samples
     receiver = MimoReceiver(TransceiverConfig(), timing_advance=0)
-    (front,) = receiver.front_end_stack([received], 96, [layout.sts_length])
+    (front,) = receiver.detect_stack(
+        receiver.demodulate_stack([received], 96, [layout.sts_length])
+    )
     estimate = front.channel_estimate
     active_subcarriers = np.nonzero(estimate.active_mask)[0]
     for k in active_subcarriers[::13]:

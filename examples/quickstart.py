@@ -61,11 +61,13 @@ def main() -> None:
     print(f"  total payload       : {burst.payload_bits} bits")
     print(f"  bit errors          : {bit_errors}")
     print(f"  bit error rate      : {bit_errors / burst.payload_bits:.2e}")
-    for stream, bits in zip(result.streams, burst.info_bits):
-        ber = count_bit_errors(bits, stream.decoded_bits) / bits.size
-        mean_error = np.mean(np.abs(stream.equalized_symbols)) if stream.equalized_symbols.size else 0
+    for stream, (bits, decoded, equalized) in enumerate(
+        zip(burst.info_bits, result.decoded_bits, result.equalized)
+    ):
+        ber = count_bit_errors(bits, decoded) / bits.size
+        mean_error = np.mean(np.abs(equalized)) if equalized.size else 0
         print(
-            f"    stream {stream.stream}: BER {ber:.2e}, "
+            f"    stream {stream}: BER {ber:.2e}, "
             f"mean equalised magnitude {mean_error:.2f}"
         )
 

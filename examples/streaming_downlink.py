@@ -127,7 +127,7 @@ def deliver_payload(
                 and all(
                     np.array_equal(reference, bits)
                     for reference, bits in zip(
-                        burst.info_bits, frame.decoded_bits()
+                        burst.info_bits, frame.outcome.decoded_bits
                     )
                 )
                 for frame in decoded

@@ -19,7 +19,6 @@ from repro.channel.model import MimoChannel
 from repro.core.config import OfdmNumerology, TransceiverConfig
 from repro.core.frame import ReceiveResult, TransmitBurst
 from repro.core.receiver import MimoReceiver
-from repro.core.throughput import throughput_report
 from repro.core.transmitter import MimoTransmitter
 from repro.hardware.estimator import ReceiverResourceModel, TransmitterResourceModel
 from repro.modulation.constellations import Modulation
@@ -42,7 +41,6 @@ __all__ = [
     "SweepResult",
     "SweepRunner",
     "run_sweep",
-    "throughput_report",
     "TransmitterResourceModel",
     "ReceiverResourceModel",
     "__version__",

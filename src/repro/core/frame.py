@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from dataclasses import dataclass
+from typing import List, Optional, Union
 
 import numpy as np
 
@@ -27,7 +27,7 @@ class TransmitBurst:
         stream).
     coded_bits:
         The coded, padded bit stream of each spatial stream (before
-        interleaving), retained for diagnostics and tests.
+        interleaving), retained for tests.
     n_ofdm_symbols:
         Number of data OFDM symbols in the burst.
     layout:
@@ -70,15 +70,6 @@ class TransmitBurst:
 
 
 @dataclass
-class StreamDecodeResult:
-    """Per-stream decoding outcome."""
-
-    stream: int
-    decoded_bits: np.ndarray
-    equalized_symbols: np.ndarray
-
-
-@dataclass
 class FrontEndResult:
     """What the receive front end recovered from one burst, before decoding.
 
@@ -95,51 +86,42 @@ class FrontEndResult:
         Sample index where the LTS section was found (after time sync).
     channel_estimate:
         The per-subcarrier channel estimate used for detection.
-    diagnostics:
-        Free-form numeric diagnostics (sync position, pilot phase, CFO).
+    estimated_cfo:
+        Carrier frequency offset, in cycles per sample, the receiver
+        estimated and removed (0.0 when CFO correction is off).
+    mean_pilot_phase:
+        Mean common pilot phase over every (symbol, stream), in radians.
     """
 
     coded: np.ndarray
     equalized: np.ndarray
     lts_start: int
     channel_estimate: object
-    diagnostics: Dict[str, float] = field(default_factory=dict)
+    estimated_cfo: float
+    mean_pilot_phase: float
 
 
 @dataclass
-class ReceiveResult:
-    """Everything the receiver recovered from one burst.
+class ReceiveResult(FrontEndResult):
+    """Everything the receiver recovered from one burst: its front-end
+    record and the decoded information bits.
 
     Attributes
     ----------
-    streams:
-        Per-stream decode results (bits + equalised constellation symbols).
-    lts_start:
-        Sample index where the LTS section was found (after time sync).
-    channel_estimate:
-        The per-subcarrier channel estimate used for detection.
-    diagnostics:
-        Free-form numeric diagnostics (sync peak, pilot corrections, ...).
+    decoded_bits:
+        Decoded information bits, shape ``(n_streams, n_info_bits)``: one
+        row per spatial stream.
     """
 
-    streams: List[StreamDecodeResult]
-    lts_start: int
-    channel_estimate: object
-    diagnostics: Dict[str, float] = field(default_factory=dict)
-
-    @property
-    def decoded_bits(self) -> List[np.ndarray]:
-        """Decoded information bits per stream."""
-        return [stream.decoded_bits for stream in self.streams]
+    decoded_bits: np.ndarray
 
     def total_bit_errors(self, reference: List[np.ndarray]) -> int:
         """Total bit errors versus the transmitted information bits, one
         :func:`~repro.utils.bits.count_bit_errors` per stream."""
-        if len(reference) != len(self.streams):
+        if len(reference) != len(self.decoded_bits):
             raise ConfigurationError("reference must have one bit array per stream")
         return sum(
-            count_bit_errors(ref, stream_result.decoded_bits)
-            for stream_result, ref in zip(self.streams, reference)
+            count_bit_errors(ref, bits) for bits, ref in zip(self.decoded_bits, reference)
         )
 
 

@@ -95,11 +95,11 @@ class PilotProcessor:
 
         Returns
         -------
-        (corrected_block, diagnostics)
+        (corrected_block, corrections)
             Every ``(..., n, :)`` slice is corrected with the pilots of
             symbol index ``start_index + n``.  Symbols whose pilot
             correlation is exactly zero are left untouched with zeroed
-            diagnostics.
+            corrections.
         """
         # A C-contiguous operand is required for bit-exactness, not speed:
         # numpy picks its pairwise-reduction strategy from the strides, so

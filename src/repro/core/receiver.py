@@ -27,16 +27,17 @@ front end splits at the MIMO detector into two stages:
   only in the detector read the same shared result, which is how the
   sweep engine detects each burst of a round once per detector.
 
-:meth:`MimoReceiver.front_end_stack` is the two stages composed.  A burst
-the receiver gives up on drops out of the stack alone.
+A burst the receiver gives up on drops out of the stack alone.
 
 Reception ends in :meth:`MimoReceiver.decode`, which Viterbi-decodes and
 descrambles any stack of code blocks, at most :data:`DECODE_SLICE` per
 trellis pass; :meth:`MimoReceiver.decode_stack` decodes the blocks of a
-list of front-end outcomes in one call.  :meth:`MimoReceiver.receive_stack`
-is ``decode_stack`` over ``front_end_stack``: the streaming pipeline runs
-every frame window one push detects through it.  A burst that gives up
-comes back as its own :class:`~repro.exceptions.DecodingError` slot.
+list of front-end outcomes in one call and extends each
+:class:`~repro.core.frame.FrontEndResult` to its
+:class:`~repro.core.frame.ReceiveResult`.  :meth:`MimoReceiver.receive_stack`
+composes the three stages: the streaming pipeline runs every frame window
+one push detects through it.  A burst that gives up comes back as its own
+:class:`~repro.exceptions.DecodingError` slot.
 :meth:`MimoReceiver.receive` is the one-burst call, and the only one that
 raises that error instead.
 
@@ -60,12 +61,12 @@ from repro.coding.interleaver import deinterleave
 from repro.coding.scrambler import Scrambler
 from repro.coding.viterbi import ViterbiDecoder
 from repro.core.config import TransceiverConfig
-from repro.core.frame import FrontEndResult, ReceiveResult, StreamDecodeResult
+from repro.core.frame import FrontEndResult, ReceiveResult
 from repro.core.pilots import PilotProcessor
 from repro.core.preamble import PreambleGenerator
 from repro.dsp.cordic import Cordic
 from repro.dsp.fft import fft
-from repro.exceptions import ConfigurationError, DecodingError
+from repro.exceptions import ConfigurationError, DecodingError, integer_at_least
 from repro.mimo.channel_estimation import ChannelEstimate, ChannelEstimator
 from repro.mimo.detector import MmseDetector, zf_detect
 from repro.modulation.demapper import SymbolDemapper
@@ -320,8 +321,7 @@ class MimoReceiver:
         frame detector uses this to know how many samples to cut around a
         detected preamble.
         """
-        if n_info_bits <= 0:
-            raise ConfigurationError("n_info_bits must be positive")
+        n_info_bits = integer_at_least("n_info_bits", n_info_bits, 1)
         coded_length = self.code.coded_length(n_info_bits)
         n_symbols = -(-coded_length // self.config.coded_bits_per_symbol)
         layout = self.preamble.layout(self.config.n_antennas)
@@ -334,32 +334,6 @@ class MimoReceiver:
     # ------------------------------------------------------------------
     # full burst reception
     # ------------------------------------------------------------------
-    def front_end_stack(
-        self,
-        samples: Sequence[np.ndarray],
-        n_info_bits: int,
-        lts_starts: Optional[Sequence[Optional[int]]] = None,
-        noise_variances: Optional[Sequence[float]] = None,
-    ) -> List[Union[FrontEndResult, DecodingError]]:
-        """Run the front end over a stack of bursts: the shared stage
-        (:meth:`demodulate_stack`), then this receiver's detector stage
-        (:meth:`detect_stack`).
-
-        Parameters are those of :meth:`demodulate_stack`.  Every burst comes
-        out exactly as a stack of it alone would give.
-
-        Returns
-        -------
-        One entry per burst, in order: its :class:`FrontEndResult`, or the
-        :class:`~repro.exceptions.DecodingError` that burst gave up with —
-        a sync miss, a truncated window, a non-finite sample in a window, a
-        rank-deficient estimate or a singular MMSE Gram matrix drops only
-        that burst.
-        """
-        return self.detect_stack(
-            self.demodulate_stack(samples, n_info_bits, lts_starts, noise_variances)
-        )
-
     def demodulate_stack(
         self,
         samples: Sequence[np.ndarray],
@@ -394,8 +368,7 @@ class MimoReceiver:
         a rank-deficient estimate slots that burst's
         :class:`~repro.exceptions.DecodingError`.
         """
-        if n_info_bits <= 0:
-            raise ConfigurationError("n_info_bits must be positive")
+        n_info_bits = integer_at_least("n_info_bits", n_info_bits, 1)
         n_items = len(samples)
         lts_starts = [None] * n_items if lts_starts is None else list(lts_starts)
         noise_variances = (
@@ -476,19 +449,15 @@ class MimoReceiver:
         coded = self._coded_values(equalized, coded_length, variances)
         for row, (position, burst) in enumerate(live):
             # (symbol, stream) order fixes the summation order of the
-            # mean-pilot-phase diagnostic.
+            # mean pilot phase.
             pilot_phases = diag.common_phase[row].T.ravel()
             outcomes[position] = FrontEndResult(
                 coded=coded[row],
                 equalized=equalized[row],
                 lts_start=burst.lts_start,
                 channel_estimate=burst.estimate,
-                diagnostics={
-                    "lts_start": float(burst.lts_start),
-                    "n_ofdm_symbols": float(frequency.shape[2]),
-                    "mean_pilot_phase": float(np.mean(pilot_phases)),
-                    "estimated_cfo": burst.estimated_cfo,
-                },
+                estimated_cfo=burst.estimated_cfo,
+                mean_pilot_phase=float(np.mean(pilot_phases)),
             )
         return outcomes
 
@@ -583,7 +552,7 @@ class MimoReceiver:
         Raises :class:`~repro.exceptions.DecodingError` when the burst
         cannot be decoded at all: a sync miss, a truncated window, a
         non-finite sample in a window, a rank-deficient estimate or a
-        singular MMSE Gram matrix (the give-ups :meth:`front_end_stack`
+        singular MMSE Gram matrix (the give-ups :meth:`receive_stack`
         slots).
         """
         (outcome,) = self.receive_stack(
@@ -600,19 +569,20 @@ class MimoReceiver:
         lts_starts: Optional[Sequence[Optional[int]]] = None,
         noise_variances: Optional[Sequence[float]] = None,
     ) -> List[Union[ReceiveResult, DecodingError]]:
-        """Decode a stack of bursts: one :meth:`front_end_stack`, one :meth:`decode`.
+        """Decode a stack of bursts: :meth:`demodulate_stack`, then
+        :meth:`detect_stack`, then :meth:`decode_stack`.
 
-        Parameters are those of :meth:`front_end_stack`.  Every surviving
+        Parameters are those of :meth:`demodulate_stack`.  Every surviving
         burst's code blocks are stacked into one :meth:`decode` call, and
         every burst comes out exactly as :meth:`receive` on it alone would
         give.  Returns one entry per burst, in order: its
         :class:`ReceiveResult`, or the :class:`DecodingError` that burst
-        gave up with.
+        gave up with — a sync miss, a truncated window, a non-finite sample
+        in a window, a rank-deficient estimate or a singular MMSE Gram
+        matrix drops only that burst.
         """
-        return self.decode_stack(
-            self.front_end_stack(samples, n_info_bits, lts_starts, noise_variances),
-            n_info_bits,
-        )
+        demodulated = self.demodulate_stack(samples, n_info_bits, lts_starts, noise_variances)
+        return self.decode_stack(self.detect_stack(demodulated), n_info_bits)
 
     def decode_stack(
         self,
@@ -623,7 +593,8 @@ class MimoReceiver:
         of every :class:`FrontEndResult`, which may come from the detector
         stages of several receivers sharing this one's code and decision
         type.  A :class:`DecodingError` entry passes through; every other
-        becomes its burst's :class:`ReceiveResult`."""
+        becomes its burst's :class:`ReceiveResult`, whose ``decoded_bits``
+        are that burst's rows of the one decode."""
         outcomes: List[Union[FrontEndResult, DecodingError, ReceiveResult]] = list(fronts)
         decodable = [front for front in outcomes if isinstance(front, FrontEndResult)]
         if not decodable:
@@ -633,21 +604,10 @@ class MimoReceiver:
         )
         row = 0
         for index, front in enumerate(outcomes):
-            if not isinstance(front, FrontEndResult):
-                continue
-            streams = [
-                StreamDecodeResult(
-                    stream=stream,
-                    decoded_bits=decoded[row + stream],
-                    equalized_symbols=front.equalized[stream],
+            if isinstance(front, FrontEndResult):
+                n_streams = front.coded.shape[0]
+                outcomes[index] = ReceiveResult(
+                    **vars(front), decoded_bits=decoded[row : row + n_streams]
                 )
-                for stream in range(front.coded.shape[0])
-            ]
-            row += len(streams)
-            outcomes[index] = ReceiveResult(
-                streams=streams,
-                lts_start=front.lts_start,
-                channel_estimate=front.channel_estimate,
-                diagnostics=front.diagnostics,
-            )
+                row += n_streams
         return outcomes

@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.core.frame import ReceiveResult
 from repro.core.receiver import MimoReceiver
-from repro.exceptions import DecodingError
+from repro.exceptions import DecodingError, integer_at_least
 from repro.stream.detector import FrameWindow, StreamFrameDetector
 
 
@@ -59,10 +59,6 @@ class DecodedFrame:
         errors — :meth:`~repro.core.frame.BurstOutcome.score` tells those)."""
         return not isinstance(self.outcome, DecodingError)
 
-    def decoded_bits(self) -> Optional[List[np.ndarray]]:
-        """Per-stream decoded payload bits (``None`` for a lost frame)."""
-        return self.outcome.decoded_bits if self.ok else None
-
 
 class StreamingReceiver:
     """Receive a continuous multi-antenna stream of fixed-size frames.
@@ -88,7 +84,7 @@ class StreamingReceiver:
         n_info_bits: int = 256,
     ) -> None:
         self.receiver = receiver if receiver is not None else MimoReceiver()
-        self.n_info_bits = int(n_info_bits)
+        self.n_info_bits = integer_at_least("n_info_bits", n_info_bits, 1)
         self.frame_length = self.receiver.frame_length(self.n_info_bits)
         self.detector = StreamFrameDetector(
             preamble=self.receiver.preamble,

@@ -52,7 +52,7 @@ from repro.core.config import TransceiverConfig
 from repro.core.frame import BurstOutcome
 from repro.core.receiver import MimoReceiver
 from repro.core.transmitter import MimoTransmitter
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, integer_at_least
 from repro.sim.engine import AirCell, air_round, impaired_config, stream_frame_seed
 from repro.sim.spec import CHANNEL_MODELS, ImpairmentSpec
 from repro.stream.metrics import LatencySummary, ServiceReport, UserStats
@@ -144,10 +144,10 @@ class DownlinkScheduler:
         config: Optional[TransceiverConfig] = None,
         base_seed: int = 0,
     ) -> None:
-        if n_users <= 0:
-            raise ConfigurationError("n_users must be positive")
-        if frames_per_user < 0:
-            raise ConfigurationError("frames_per_user must be non-negative")
+        self.n_users = integer_at_least("n_users", n_users, 1)
+        self.frames_per_user = integer_at_least("frames_per_user", frames_per_user, 0)
+        self.n_info_bits = integer_at_least("n_info_bits", n_info_bits, 1)
+        self.base_seed = integer_at_least("base_seed", base_seed, 0)
         if mode not in ("round_robin", "weighted"):
             raise ConfigurationError("mode must be 'round_robin' or 'weighted'")
         if snr_db is not None and not np.isfinite(snr_db):
@@ -156,8 +156,6 @@ class DownlinkScheduler:
             raise ConfigurationError(
                 f"unknown channel model {channel!r}; expected one of {CHANNEL_MODELS}"
             )
-        self.n_users = int(n_users)
-        self.frames_per_user = int(frames_per_user)
         self.mode = mode
         if weights is None:
             self.weights = np.ones(self.n_users, dtype=np.float64)
@@ -170,11 +168,9 @@ class DownlinkScheduler:
         if traffic is None:
             traffic = PoissonTraffic(100.0)
         self._traffic_for = traffic if callable(traffic) else (lambda user: traffic)
-        self.n_info_bits = int(n_info_bits)
         self.channel = channel
         self.snr_db = snr_db
         self.impairment = impairment if impairment is not None else ImpairmentSpec()
-        self.base_seed = int(base_seed)
 
         self.config = impaired_config(
             config if config is not None else TransceiverConfig(), self.impairment

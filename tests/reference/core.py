@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.coding.interleaver import deinterleave, interleave
 from repro.coding.scrambler import Scrambler
-from repro.core.frame import ReceiveResult, StreamDecodeResult
+from repro.core.frame import ReceiveResult
 from repro.core.pilots import PilotProcessor
 from repro.core.receiver import MimoReceiver
 from repro.core.transmitter import MimoTransmitter
@@ -294,7 +294,7 @@ def receive_serial(
     )
 
     decision = "soft" if config.soft_decision else "hard"
-    results = []
+    coded, decoded_bits = [], []
     for stream in range(n_tx):
         demapped = demap_serial(
             receiver.demapper,
@@ -305,24 +305,15 @@ def receive_serial(
         received = deinterleave(
             demapped, config.coded_bits_per_symbol, config.bits_per_subcarrier
         )
-        decoded = viterbi_decode_serial(
-            receiver.code, decision, received[:coded_length], n_info_bits
-        )
-        decoded = scramble_serial(Scrambler(), decoded)
-        results.append(
-            StreamDecodeResult(
-                stream=stream, decoded_bits=decoded, equalized_symbols=equalized[stream]
-            )
-        )
-    diagnostics = {
-        "lts_start": float(lts_start),
-        "n_ofdm_symbols": float(n_symbols),
-        "mean_pilot_phase": float(np.mean(phases)) if len(phases) else 0.0,
-        "estimated_cfo": estimated_cfo,
-    }
+        coded.append(received[:coded_length])
+        decoded = viterbi_decode_serial(receiver.code, decision, coded[-1], n_info_bits)
+        decoded_bits.append(scramble_serial(Scrambler(), decoded))
     return ReceiveResult(
-        streams=results,
+        coded=np.array(coded),
+        equalized=equalized,
         lts_start=int(lts_start),
         channel_estimate=estimate,
-        diagnostics=diagnostics,
+        estimated_cfo=estimated_cfo,
+        mean_pilot_phase=float(np.mean(phases)) if len(phases) else 0.0,
+        decoded_bits=np.array(decoded_bits),
     )

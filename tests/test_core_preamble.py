@@ -152,7 +152,7 @@ class TestCachedWaveforms:
 
         def one_burst(seed):
             burst = transmitter.transmit_random(120, rng=np.random.default_rng(seed))
-            receiver.front_end_stack([burst.samples], 120)
+            receiver.detect_stack(receiver.demodulate_stack([burst.samples], 120))
 
         one_burst(0)
         calls = []

@@ -3,8 +3,8 @@
 ``make docs-check`` runs the same gate from the command line; this test
 keeps it in the tier-1 suite, so a module without a docstring, a
 required doc page that loses its section, a doc citing a ``repro`` name
-that no longer resolves or a docstring cross-referencing one fails the
-tests.  The PEP 561
+or an exported class's member that no longer resolves, or a docstring
+cross-referencing one, fails the tests.  The PEP 561
 marker that publishes the package's annotations is checked here too.
 """
 
@@ -49,6 +49,21 @@ def test_a_page_citing_a_missing_name_is_caught(tmp_path):
     assert _docs_check().unresolved_names([page]) == [
         "page.md: repro.sim.no_such_name",
         "page.md: repro.no_such_module.thing",
+    ]
+
+
+def test_a_page_citing_a_missing_member_is_caught(tmp_path):
+    page = tmp_path / "page.md"
+    page.write_text(
+        "Live: `ReceiveResult.total_bit_errors`, `ReceiveResult.decoded_bits`, "
+        "`MimoReceiver.receive_stack(samples, n_info_bits)`, `np.sum`, "
+        "`frame.outcome.decoded_bits`.\n"
+        "Gone: `ReceiveResult.streams`, `MimoReceiver.front_end_stack(samples, 96)`.\n",
+        encoding="utf-8",
+    )
+    assert _docs_check().unresolved_names([page]) == [
+        "page.md: ReceiveResult.streams",
+        "page.md: MimoReceiver.front_end_stack",
     ]
 
 

@@ -53,7 +53,13 @@ from repro.sim.stats import (
 )
 from repro.sim.engine import build_fading_model
 from repro.sim.queue import MultiprocessingQueue, make_queue
-from repro.stream import CbrTraffic, DownlinkScheduler, PoissonTraffic, StreamFrameDetector
+from repro.stream import (
+    CbrTraffic,
+    DownlinkScheduler,
+    PoissonTraffic,
+    StreamFrameDetector,
+    StreamingReceiver,
+)
 from repro.stream.traffic import arrival_times
 from repro.utils.bits import (
     bits_to_bytes,
@@ -129,7 +135,7 @@ class TestCorruptedBursts:
             result = receiver.receive(noise, n_info_bits=100)
         except (DecodingError, ChannelEstimationError, SynchronizationError):
             return
-        assert all(stream.decoded_bits.size == 100 for stream in result.streams)
+        assert result.decoded_bits.shape == (4, 100)
 
     def test_claiming_more_bits_than_transmitted_raises(self, tx_rx):
         transmitter, receiver = tx_rx
@@ -149,11 +155,7 @@ class TestConfigurationMismatches:
         # burst-length error.
         burst = transmitter.transmit_random(42, rng=np.random.default_rng(8))
         result = receiver.receive(burst.samples, n_info_bits=42, lts_start=160)
-        errors = sum(
-            int(np.count_nonzero(stream.decoded_bits != burst.info_bits[i]))
-            for i, stream in enumerate(result.streams)
-        )
-        assert errors > 0
+        assert result.total_bit_errors(burst.info_bits) > 0
 
     def test_antenna_count_mismatch_rejected(self):
         transmitter = MimoTransmitter(TransceiverConfig(n_antennas=4))
@@ -187,6 +189,19 @@ def _pilots():
     return PilotProcessor(OfdmNumerology.for_fft_size(64))
 
 
+def _receive_result(n_streams):
+    """A decoded-burst record of ``n_streams`` empty streams."""
+    return ReceiveResult(
+        coded=np.zeros((n_streams, 0)),
+        equalized=np.zeros((n_streams, 0, 48), dtype=complex),
+        lts_start=0,
+        channel_estimate=None,
+        estimated_cfo=0.0,
+        mean_pilot_phase=0.0,
+        decoded_bits=np.zeros((n_streams, 0), dtype=np.uint8),
+    )
+
+
 def _two_points_per_snr():
     spec = SweepSpec(snr_db=(10.0,), detectors=("zf", "mmse"))
     return SweepResult(
@@ -211,7 +226,16 @@ class _BackwardsTraffic:
             .samples
         ),
         lambda: DownlinkScheduler(n_users=0),
+        lambda: DownlinkScheduler(n_users=2.5),
         lambda: DownlinkScheduler(n_users=2, frames_per_user=-1),
+        lambda: DownlinkScheduler(n_users=2, frames_per_user=2.5),
+        lambda: DownlinkScheduler(n_users=2, n_info_bits=96.7),
+        lambda: DownlinkScheduler(n_users=2, base_seed=-1),
+        lambda: StreamingReceiver(n_info_bits=96.7),
+        lambda: MimoReceiver().frame_length(96.0),
+        lambda: MimoReceiver().frame_length(96.5),
+        lambda: MimoReceiver().demodulate_stack([np.zeros((4, 2000))], 96.0),
+        lambda: MimoReceiver().receive_stack([np.zeros((4, 2000))], 96.5),
         lambda: DownlinkScheduler(n_users=2, mode="fifo"),
         lambda: DownlinkScheduler(n_users=2, snr_db=float("nan")),
         lambda: DownlinkScheduler(n_users=2, mode="weighted", weights=[1.0]),
@@ -256,9 +280,7 @@ class _BackwardsTraffic:
         lambda: CbrTraffic(0.0),
         lambda: CbrTraffic(10.0, phase_s=-1.0),
         lambda: PoissonTraffic(float("nan")),
-        lambda: ReceiveResult(streams=[], lts_start=0, channel_estimate=None).total_bit_errors(
-            [np.zeros(8, dtype=np.uint8)]
-        ),
+        lambda: _receive_result(n_streams=0).total_bit_errors([np.zeros(8, dtype=np.uint8)]),
         lambda: MimoChannel(sample_delay=-1),
         lambda: MimoChannel(sample_delay=2.5),
         lambda: MimoChannel(snr_db=float("nan")),
@@ -352,7 +374,16 @@ class _BackwardsTraffic:
     ids=[
         "channel-2x2-with-4-antenna-burst",
         "scheduler-no-users",
+        "scheduler-fractional-users",
         "scheduler-negative-frames",
+        "scheduler-fractional-frames",
+        "scheduler-fractional-info-bits",
+        "scheduler-negative-seed",
+        "streaming-receiver-fractional-info-bits",
+        "frame-length-float-info-bits",
+        "frame-length-fractional-info-bits",
+        "demodulate-float-info-bits",
+        "receive-stack-fractional-info-bits",
         "scheduler-unknown-mode",
         "scheduler-nan-snr",
         "scheduler-weights-shape",

@@ -185,7 +185,7 @@ def downlink_stream() -> dict:
                 bits
                 for frame in recorder.frames
                 if frame.ok
-                for bits in frame.decoded_bits()
+                for bits in frame.outcome.decoded_bits
             ]
         ),
     }

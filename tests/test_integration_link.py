@@ -101,7 +101,7 @@ class TestEvmAndDetectors:
         data_bins = list(receiver.numerology.data_bins)
         for stream in range(4):
             reference = burst.frequency_symbols[stream][:, data_bins]
-            error = result.streams[stream].equalized_symbols - reference
+            error = result.equalized[stream] - reference
             evm = np.sqrt(np.mean(np.abs(error) ** 2) / np.mean(np.abs(reference) ** 2))
             assert evm < 0.2
 
@@ -112,7 +112,7 @@ class TestEvmAndDetectors:
         burst = transmitter.transmit_random(100, rng=np.random.default_rng(203))
         channel = MimoChannel(FlatRayleighChannel(rng=204), snr_db=25.0, rng=205)
         received = channel.transmit(burst.samples).samples
-        (front,) = receiver.front_end_stack([received], 100, [160])
+        (front,) = receiver.detect_stack(receiver.demodulate_stack([received], 100, [160]))
         estimate = front.channel_estimate
         detector = MmseDetector(estimate, noise_variance=1e-2)
         # Equalise the first data symbol and confirm finite, bounded output.

@@ -76,7 +76,7 @@ def test_chunked_decode_is_bit_exact_against_offline(
         # Frames are back to back, so frame i starts exactly where the
         # offline burst i was placed in the stream.
         assert frame.window.start == index * frame_length
-        for stream_index, bits in enumerate(frame.decoded_bits()):
+        for stream_index, bits in enumerate(frame.outcome.decoded_bits):
             np.testing.assert_array_equal(bits, offline[index][stream_index])
 
 

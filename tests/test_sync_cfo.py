@@ -143,10 +143,10 @@ class TestReceiverIntegration:
         air, outcome = link_burst(TransceiverConfig(correct_cfo=True), channel, 200, rng=1)
         assert outcome.total_bit_errors(air.burst.info_bits) == 0
 
-    def test_estimated_cfo_reported_in_diagnostics(self, link_burst):
+    def test_estimated_cfo_reported(self, link_burst):
         channel = MimoChannel(snr_db=35.0, rng=28, cfo_normalized=3e-3)
         air, outcome = link_burst(TransceiverConfig(correct_cfo=True), channel, 150, rng=2)
-        assert outcome.diagnostics["estimated_cfo"] == pytest.approx(3e-3, abs=2e-4)
+        assert outcome.estimated_cfo == pytest.approx(3e-3, abs=2e-4)
         assert outcome.total_bit_errors(air.burst.info_bits) == 0
 
     def test_burst_recovery_with_cfo_iq_and_quantization_together(self, link_burst):

@@ -3,7 +3,7 @@
 The detection metric is a normalised correlation, so Cauchy–Schwarz bounds
 it to ``[0, 1]`` for any input, corrupted or not.  Every entry point that
 synchronises — ``TimeSynchronizer.locate``, ``MimoReceiver.synchronize``,
-``MimoReceiver.front_end_stack`` and ``StreamingReceiver.push`` — meets
+``MimoReceiver.receive_stack`` and ``StreamingReceiver.push`` — meets
 malformed input with a typed :class:`~repro.exceptions.ReproError` (raised
 or slotted), never a bare numpy error.  On noisy faded bursts the lock obeys
 three metamorphic relations: it ignores a complex gain, shifts with
@@ -70,7 +70,7 @@ def _stream_push(streams):
 ENTRY_POINTS = {
     "locate": SYNCHRONIZER.locate,
     "synchronize": RECEIVER.synchronize,
-    "front_end_stack": lambda streams: RECEIVER.front_end_stack([streams], 48),
+    "receive_stack": lambda streams: RECEIVER.receive_stack([streams], 48),
     "stream_push": _stream_push,
 }
 

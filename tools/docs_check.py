@@ -15,7 +15,10 @@ Four checks, run via ``make docs-check``:
    gate stays green);
 3. every backticked, fully qualified ``repro.…`` name in ``README.md`` and
    ``docs/*.md`` imports and resolves (a page that names a deleted
-   function sends its reader to code that no longer exists);
+   function sends its reader to code that no longer exists), and so does
+   every backticked short ``Name.member`` whose ``Name`` the ``repro``
+   package or the ``__all__`` of one of its subpackages exports (such as
+   ``ReceiveResult.total_bit_errors``);
 4. every Sphinx cross-reference to a ``repro.…`` target in the sources
    of ``src/repro`` (the ``:class:``, ``:meth:``, ``:func:``, ``:data:``,
    ``:attr:`` and ``:mod:`` roles, with or without the ``~`` prefix)
@@ -65,6 +68,11 @@ REQUIRED_SECTIONS: dict[str, tuple[str, ...]] = {
 #: trailing argument list, as in ``repro.sim.engine.air_round(...)``, is
 #: allowed and ignored.
 QUALIFIED_NAME = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)(?:\([^`]*\))?`")
+
+#: A backticked short citation such as ``ReceiveResult.total_bit_errors``
+#: or ``MimoReceiver.receive_stack(...)``; only those whose first name is
+#: an exported ``repro`` name are checked, so ``np.sum`` passes unread.
+SHORT_NAME = re.compile(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)(?:\([^`]*\))?`")
 
 #: A Sphinx cross-reference role whose target is a ``repro.…`` name, such
 #: as ``:meth:`~repro.core.receiver.MimoReceiver.decode```.
@@ -123,6 +131,19 @@ def missing_required_docs() -> list[str]:
     return problems
 
 
+def has_attributes(target: object, attributes: list[str]) -> bool:
+    """True when ``target`` carries the attribute chain ``attributes``."""
+    for attribute in attributes:
+        if hasattr(target, attribute):
+            target = getattr(target, attribute)
+        elif attribute in getattr(target, "__dataclass_fields__", {}):
+            # A dataclass field without a default is no class attribute.
+            target = None
+        else:
+            return False
+    return True
+
+
 def resolves(name: str) -> bool:
     """True when ``name`` is an importable module or an attribute chain on one."""
     parts = name.split(".")
@@ -131,27 +152,37 @@ def resolves(name: str) -> bool:
             target = importlib.import_module(".".join(parts[:split]))
         except ImportError:
             continue
-        for attribute in parts[split:]:
-            if hasattr(target, attribute):
-                target = getattr(target, attribute)
-            elif attribute in getattr(target, "__dataclass_fields__", {}):
-                # A dataclass field without a default is no class attribute.
-                target = None
-            else:
-                return False
-        return True
+        return has_attributes(target, parts[split:])
     return False
 
 
+def exported_names() -> dict[str, object]:
+    """Every name the ``repro`` package or a subpackage's ``__all__`` exports."""
+    exports: dict[str, object] = {}
+    for init in sorted(PACKAGE_ROOT.rglob("__init__.py")):
+        parts = init.parent.relative_to(PACKAGE_ROOT.parent).parts
+        package = importlib.import_module(".".join(parts))
+        for name in getattr(package, "__all__", ()):
+            exports[name] = getattr(package, name)
+    return exports
+
+
 def unresolved_names(pages: list[Path]) -> list[str]:
-    """``page: name`` for every cited ``repro.…`` name that does not resolve."""
+    """``page: name`` for every cited ``repro.…`` name, and every short
+    ``Name.member`` of an exported ``Name``, that does not resolve."""
     source = str(PACKAGE_ROOT.parent)
     if source not in sys.path:
         sys.path.insert(0, source)
+    exports = exported_names()
     problems = []
     for page in pages:
-        for name in QUALIFIED_NAME.findall(page.read_text(encoding="utf-8")):
+        text = page.read_text(encoding="utf-8")
+        for name in QUALIFIED_NAME.findall(text):
             if not resolves(name):
+                problems.append(f"{page.name}: {name}")
+        for name in SHORT_NAME.findall(text):
+            first, *members = name.split(".")
+            if first in exports and not has_attributes(exports[first], members):
                 problems.append(f"{page.name}: {name}")
     return problems
 
