@@ -8,10 +8,10 @@ used in place of the paper's synthesis toolchain.
 
 Quick start::
 
-    from repro import SweepSpec, run_sweep
+    from repro import SweepRunner, SweepSpec
 
     spec = SweepSpec(snr_db=30.0, n_info_bits=512, n_bursts=5, base_seed=3)
-    print(run_sweep(spec, cache=False).points[0].bit_error_rate)
+    print(SweepRunner(spec, cache=False).run().points[0].bit_error_rate)
 """
 
 from repro.coding.convolutional import CodeRate
@@ -22,7 +22,7 @@ from repro.core.receiver import MimoReceiver
 from repro.core.transmitter import MimoTransmitter
 from repro.hardware.estimator import ReceiverResourceModel, TransmitterResourceModel
 from repro.modulation.constellations import Modulation
-from repro.sim import ImpairmentSpec, SweepResult, SweepRunner, SweepSpec, run_sweep
+from repro.sim import ImpairmentSpec, SweepResult, SweepRunner, SweepSpec
 
 __version__ = "1.1.0"
 
@@ -40,7 +40,6 @@ __all__ = [
     "SweepSpec",
     "SweepResult",
     "SweepRunner",
-    "run_sweep",
     "TransmitterResourceModel",
     "ReceiverResourceModel",
     "__version__",

@@ -12,9 +12,7 @@ import numpy as np
 from repro.utils.units import amplitude_db_to_gain
 
 
-def apply_carrier_frequency_offset(
-    samples: np.ndarray, cfo_normalized: float, start_index: int = 0
-) -> np.ndarray:
+def apply_carrier_frequency_offset(samples: np.ndarray, cfo_normalized: float) -> np.ndarray:
     """Apply a carrier-frequency offset of ``cfo_normalized`` cycles/sample.
 
     ``samples`` may be a 1-D stream or ``(n_antennas, n_samples)``; the same
@@ -23,8 +21,7 @@ def apply_carrier_frequency_offset(
     """
     x = np.asarray(samples, dtype=np.complex128)
     n = x.shape[-1]
-    indices = np.arange(start_index, start_index + n)
-    rotation = np.exp(2j * np.pi * cfo_normalized * indices)
+    rotation = np.exp(2j * np.pi * cfo_normalized * np.arange(n))
     return x * rotation
 
 

@@ -8,7 +8,7 @@ which is why the entity is so ALUT-hungry in Table 2.)
 
 This module provides the permutation itself: :func:`interleave` /
 :func:`deinterleave` permute whole blocks, one or many per call, and the
-index helpers build the permutation.  The ping-pong memory pair itself is
+index helper builds the permutation.  The ping-pong memory pair itself is
 not modelled; its cost is the ``block_interleaver`` entity of
 :class:`repro.hardware.estimator.TransmitterResourceModel` (Table 2).
 """
@@ -55,14 +55,6 @@ def interleaver_permutation(n_cbps: int, n_bpsc: int) -> IntArray:
     perm[k] = j
     perm.flags.writeable = False
     return perm
-
-
-def deinterleaver_permutation(n_cbps: int, n_bpsc: int) -> IntArray:
-    """Inverse permutation: output position ``j`` receives input bit ``perm[j]``."""
-    perm = interleaver_permutation(n_cbps, n_bpsc)
-    inverse = np.empty_like(perm)
-    inverse[perm] = np.arange(perm.size)
-    return inverse
 
 
 def interleave(values: npt.ArrayLike, n_cbps: int, n_bpsc: int) -> np.ndarray:

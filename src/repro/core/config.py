@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.coding.convolutional import CodeRate
 from repro.dsp.fixedpoint import FixedPointFormat
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, boolean_flag, integer_at_least
 from repro.hardware.clock import PAPER_CLOCK_HZ
 from repro.modulation.constellations import Modulation
 from repro.types import DetectorName
@@ -175,9 +175,13 @@ class TransceiverConfig:
     rx_multiplier_format: Optional[FixedPointFormat] = None
 
     def __post_init__(self) -> None:
-        if self.n_antennas <= 0:
-            raise ConfigurationError("n_antennas must be positive")
+        object.__setattr__(
+            self, "n_antennas", integer_at_least("n_antennas", self.n_antennas, 1)
+        )
+        object.__setattr__(self, "fft_size", integer_at_least("fft_size", self.fft_size, 1))
         OfdmNumerology.for_fft_size(self.fft_size)
+        for name in ("soft_decision", "use_cordic_channel_inversion", "correct_cfo"):
+            object.__setattr__(self, name, boolean_flag(name, getattr(self, name)))
         # Normalise enum-ish fields so strings are accepted.
         object.__setattr__(self, "modulation", Modulation.from_any(self.modulation))
         object.__setattr__(self, "code_rate", CodeRate(self.code_rate))
@@ -242,11 +246,6 @@ class TransceiverConfig:
     def coded_bits_per_symbol(self) -> int:
         """Coded bits per OFDM symbol per spatial stream (N_CBPS)."""
         return self.numerology.n_data_subcarriers * self.bits_per_subcarrier
-
-    @property
-    def data_bits_per_symbol(self) -> int:
-        """Information bits per OFDM symbol per spatial stream (N_DBPS)."""
-        return int(round(self.coded_bits_per_symbol * self.code_rate.fraction))
 
     @property
     def n_streams(self) -> int:

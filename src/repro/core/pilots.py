@@ -42,9 +42,17 @@ class PilotProcessor:
     def __init__(self, numerology: OfdmNumerology, max_symbols: int = 4096) -> None:
         self.numerology = numerology
         self._polarity = pilot_polarity_sequence(max_symbols)
+        self._base = np.array(numerology.pilot_values, dtype=np.complex128)
+
+    def _pilots_of(self, n_symbols: int) -> np.ndarray:
+        """The per-symbol pilot table of a burst's first ``n_symbols``
+        symbols, ``(n_symbols, n_pilots)``: row ``n`` holds the base pilot
+        values times the polarity of symbol ``n``."""
+        polarity = self._polarity[np.arange(n_symbols) % self._polarity.size]
+        return self._base * polarity[:, None]
 
     # ------------------------------------------------------------------
-    def insert_block(self, block: np.ndarray, start_index: int = 0) -> np.ndarray:
+    def insert_block(self, block: np.ndarray) -> np.ndarray:
         """Write the pilots into a whole block of OFDM symbols.
 
         Parameters
@@ -54,32 +62,21 @@ class PilotProcessor:
             symbol axis second-to-last: shape ``(..., n_symbols, fft_size)``.
             Any further leading axes (spatial streams) share the same
             per-symbol pilot values.
-        start_index:
-            Burst index of the first symbol along the symbol axis (selects
-            the pilot polarities).
 
         Returns
         -------
         A copy of ``block`` whose pilot bins along symbol ``n`` hold the
-        base pilot values times the polarity of symbol ``start_index + n``.
+        base pilot values times the polarity of burst symbol ``n``.
         """
         symbols = np.asarray(block, dtype=np.complex128).copy()
         if symbols.ndim < 2:
             raise ConfigurationError("block must have shape (..., n_symbols, fft_size)")
         if symbols.shape[-1] != self.numerology.fft_size:
             raise ConfigurationError("frequency-domain symbols have the wrong length")
-        n_symbols = symbols.shape[-2]
-        base = np.array(self.numerology.pilot_values, dtype=np.complex128)
-        polarity = self._polarity[
-            (start_index + np.arange(n_symbols)) % self._polarity.size
-        ].astype(np.float64)
-        # (n_symbols, n_pilots) — row n holds the pilots of symbol start_index + n.
-        symbols[..., list(self.numerology.pilot_bins)] = base * polarity[:, None]
+        symbols[..., list(self.numerology.pilot_bins)] = self._pilots_of(symbols.shape[-2])
         return symbols
 
-    def correct_block(
-        self, block: np.ndarray, start_index: int = 0
-    ) -> tuple[np.ndarray, PilotBlockCorrection]:
+    def correct_block(self, block: np.ndarray) -> tuple[np.ndarray, PilotBlockCorrection]:
         """Apply common-phase and timing (tau) correction to every symbol.
 
         Parameters
@@ -89,15 +86,12 @@ class PilotProcessor:
             and the symbol axis second-to-last: shape ``(..., n_symbols,
             fft_size)``.  Any further leading axes (spatial streams) are
             corrected independently.
-        start_index:
-            Burst index of the first symbol along the symbol axis (selects
-            the pilot polarities).
 
         Returns
         -------
         (corrected_block, corrections)
             Every ``(..., n, :)`` slice is corrected with the pilots of
-            symbol index ``start_index + n``.  Symbols whose pilot
+            burst symbol ``n``.  Symbols whose pilot
             correlation is exactly zero are left untouched with zeroed
             corrections.
         """
@@ -110,15 +104,8 @@ class PilotProcessor:
             raise ConfigurationError("block must have shape (..., n_symbols, fft_size)")
         if symbols.shape[-1] != self.numerology.fft_size:
             raise ConfigurationError("frequency-domain symbols have the wrong length")
-        n_symbols = symbols.shape[-2]
         pilot_bins = list(self.numerology.pilot_bins)
-
-        base = np.array(self.numerology.pilot_values, dtype=np.complex128)
-        polarity = self._polarity[
-            (start_index + np.arange(n_symbols)) % self._polarity.size
-        ].astype(np.float64)
-        # (n_symbols, n_pilots) — row n holds the pilots of symbol start_index + n.
-        expected = base * polarity[:, None]
+        expected = self._pilots_of(symbols.shape[-2])
 
         measured = symbols[..., pilot_bins]
         correlation = np.sum(measured * np.conj(expected), axis=-1)

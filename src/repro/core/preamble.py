@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.core.config import OfdmNumerology, _logical_to_fft_bin
 from repro.dsp.fft import ifft
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, integer_at_least
 from repro.types import ComplexArray
 
 # 802.11a long training sequence on logical subcarriers -26..-1, +1..+26.
@@ -85,8 +85,7 @@ class PreambleGenerator:
     """Generate STS/LTS waveforms and the staggered MIMO preamble."""
 
     def __init__(self, fft_size: int = 64) -> None:
-        if fft_size < 64 or fft_size & (fft_size - 1):
-            raise ConfigurationError("fft_size must be a power of two >= 64")
+        fft_size = integer_at_least("fft_size", fft_size, 1)
         self.fft_size = fft_size
         self.numerology = OfdmNumerology.for_fft_size(fft_size)
         self.lts_frequency = self._build_lts_frequency()
@@ -97,11 +96,11 @@ class PreambleGenerator:
         self.short_symbol_length = fft_size // 4
         # The waveforms depend only on the FFT size, so each is built once
         # per generator and handed out read-only.
-        self._lts_symbol = _read_only(ifft(self.lts_frequency))
+        lts_symbol = ifft(self.lts_frequency)
         short_symbol = ifft(self.sts_frequency)[: self.short_symbol_length]
         self._sts = _read_only(np.tile(short_symbol, STS_REPETITIONS))
-        prefix = self._lts_symbol[-self.lts_cp_length:]
-        self._lts = _read_only(np.concatenate([prefix, self._lts_symbol, self._lts_symbol]))
+        prefix = lts_symbol[-self.lts_cp_length:]
+        self._lts = _read_only(np.concatenate([prefix, lts_symbol, lts_symbol]))
         self._layouts: Dict[int, PreambleLayout] = {}
         self._mimo_preambles: Dict[int, ComplexArray] = {}
 
@@ -149,10 +148,6 @@ class PreambleGenerator:
     def sts_time(self) -> ComplexArray:
         """Short training section: 10 repetitions of the short symbol (read-only)."""
         return self._sts
-
-    def lts_symbol_time(self) -> ComplexArray:
-        """One long-training OFDM symbol, no cyclic prefix (read-only)."""
-        return self._lts_symbol
 
     def lts_time(self) -> ComplexArray:
         """Long training section: long cyclic prefix + two LTS repetitions (read-only)."""

@@ -137,7 +137,8 @@ class MimoReceiver:
     ) -> None:
         self.config = config if config is not None else TransceiverConfig()
         self._air_group = self.config.air_group()
-        if timing_advance < 0 or timing_advance > self.config.cyclic_prefix_length:
+        timing_advance = integer_at_least("timing_advance", timing_advance, 0)
+        if timing_advance > self.config.cyclic_prefix_length:
             raise ConfigurationError(
                 "timing_advance must lie within the cyclic prefix"
             )

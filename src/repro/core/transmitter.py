@@ -57,30 +57,6 @@ class MimoTransmitter:
         self._scrambler = Scrambler()
 
     # ------------------------------------------------------------------
-    # sizing helpers
-    # ------------------------------------------------------------------
-    def symbols_for_info_bits(self, n_info_bits: int) -> int:
-        """Number of OFDM symbols needed to carry ``n_info_bits`` per stream."""
-        n_info_bits = integer_at_least("n_info_bits", n_info_bits, 1)
-        coded = self.code.coded_length(n_info_bits)
-        n_cbps = self.config.coded_bits_per_symbol
-        return -(-coded // n_cbps)
-
-    def max_info_bits(self, n_ofdm_symbols: int) -> int:
-        """Largest number of information bits that fit in ``n_ofdm_symbols``."""
-        n_ofdm_symbols = integer_at_least("n_ofdm_symbols", n_ofdm_symbols, 1)
-        capacity = n_ofdm_symbols * self.config.coded_bits_per_symbol
-        rate = self.config.code_rate.fraction
-        # Invert the coded length: coded = ceil((info + tail)/rate); search down
-        # from the continuous estimate to stay within capacity.
-        estimate = int(capacity * rate) - self.code.memory
-        while estimate > 0 and self.code.coded_length(estimate) > capacity:
-            estimate -= 1
-        if estimate <= 0:
-            raise ConfigurationError("burst too short to carry any information bits")
-        return estimate
-
-    # ------------------------------------------------------------------
     # stacked datapath
     # ------------------------------------------------------------------
     def _map_block(self, padded_bits: BitArray, n_symbols: int) -> ComplexArray:
@@ -136,13 +112,12 @@ class MimoTransmitter:
         Parameters
         ----------
         stream_bits:
-            Either one burst — one 1-D bit array per spatial stream
-            (``n_streams`` of them, lengths may differ; all streams are
-            padded to the same number of OFDM symbols) — or a stack of
-            bursts, an array of shape ``(n_bursts, n_streams,
-            n_info_bits)``, all of which go through the datapath in one
-            pass.  Bits must be exactly 0 or 1; anything else raises
-            :class:`~repro.exceptions.ConfigurationError`.
+            Either one burst — ``(n_streams, n_info_bits)`` bits, one
+            equal-length row per spatial stream — or a stack of bursts,
+            an array of shape ``(n_bursts, n_streams, n_info_bits)``, all
+            of which go through the datapath in one pass.  Bits must be
+            exactly 0 or 1; anything else, or streams of unequal length,
+            raises :class:`~repro.exceptions.ConfigurationError`.
 
         Returns
         -------
@@ -151,57 +126,33 @@ class MimoTransmitter:
         views of the stack's).
         """
         n_streams = self.config.n_streams
-        if isinstance(stream_bits, np.ndarray) and stream_bits.ndim == 3:
-            stack = _checked_bits(stream_bits)
-            if 0 in stack.shape or stack.shape[1] != n_streams:
-                raise ConfigurationError(
-                    f"a burst stack must have shape (n_bursts, {n_streams}, n_info_bits) "
-                    f"with at least one burst and bit, got {stack.shape}"
-                )
-            return self._transmit_rows(
-                stack.reshape(-1, stack.shape[2]), [list(burst) for burst in stack]
-            )
-
-        if isinstance(stream_bits, np.ndarray) and stream_bits.ndim != 2:
+        bits = _checked_bits(stream_bits)
+        if bits.ndim not in (2, 3):
             raise ConfigurationError(
-                f"one burst is (n_streams, n_info_bits) bits, got shape {stream_bits.shape}"
+                f"one burst is (n_streams, n_info_bits) bits and a stack is "
+                f"(n_bursts, n_streams, n_info_bits), got shape {bits.shape}"
             )
-        if len(stream_bits) != n_streams:
+        stack = bits if bits.ndim == 3 else bits[None]
+        if 0 in stack.shape or stack.shape[1] != n_streams:
             raise ConfigurationError(
-                f"expected {n_streams} bit streams, got {len(stream_bits)}"
+                f"expected {n_streams} bit streams of at least one bit per burst, "
+                f"got shape {bits.shape}"
             )
-        info_bits = [_checked_bits(bits) for bits in stream_bits]
-        if any(bits.ndim != 1 for bits in info_bits):
-            raise ConfigurationError("every stream must be a 1-D bit array")
-        lengths = np.array([bits.size for bits in info_bits])
-        if not lengths.all():
-            raise ConfigurationError("every stream must carry at least one bit")
-        rows = np.zeros((n_streams, lengths.max()), dtype=np.uint8)
-        for row, bits in zip(rows, info_bits):
-            row[: bits.size] = bits
-        (burst,) = self._transmit_rows(rows, [info_bits], lengths)
-        return burst
+        bursts = self._transmit_rows(
+            stack.reshape(-1, stack.shape[2]), [list(burst) for burst in stack]
+        )
+        return bursts if bits.ndim == 3 else bursts[0]
 
     def _transmit_rows(
-        self,
-        rows: BitArray,
-        info_bits: List[List[np.ndarray]],
-        lengths: Optional[np.ndarray] = None,
+        self, rows: BitArray, info_bits: List[List[np.ndarray]]
     ) -> List[TransmitBurst]:
         """The stacked datapath: ``rows`` holds every stream of every burst,
-        burst-major, each zero-padded past its own ``lengths`` entry (all
-        rows are full when ``lengths`` is ``None``)."""
+        burst-major."""
         n_streams = self.config.n_streams
         n_bursts = rows.shape[0] // n_streams
         n_cbps = self.config.coded_bits_per_symbol
 
-        scrambled = self._scrambler.process(rows)
-        if lengths is not None:
-            # Pad after scrambling: a terminated block's code is a prefix of
-            # the code of the block plus zeros, and the zeros past it encode
-            # to zeros, so every row is its own block's code, zero-padded.
-            scrambled[np.arange(rows.shape[1]) >= lengths[:, None]] = 0
-        coded = self._encoder.encode(scrambled)
+        coded = self._encoder.encode(self._scrambler.process(rows))
         n_symbols = -(-coded.shape[1] // n_cbps)
         padded = np.zeros((rows.shape[0], n_symbols * n_cbps), dtype=np.uint8)
         padded[:, : coded.shape[1]] = coded
@@ -261,9 +212,13 @@ class MimoTransmitter:
 
 def _checked_bits(values) -> BitArray:
     """``values`` as ``uint8`` bits; anything but finite, exact 0s and 1s
-    (a fraction, NaN, 2, a complex or a string) raises
-    :class:`~repro.exceptions.ConfigurationError` instead of being cast."""
-    array = np.asarray(values)
+    (a fraction, NaN, 2, a complex or a string), or streams of unequal
+    length, raises :class:`~repro.exceptions.ConfigurationError` instead
+    of being cast."""
+    try:
+        array = np.asarray(values)
+    except ValueError as exc:
+        raise ConfigurationError(f"bit streams must have equal lengths: {exc}") from exc
     if array.dtype.kind not in "biuf" or not np.all((array == 0) | (array == 1)):
         raise ConfigurationError("information bits must be exactly 0 or 1")
     return array.astype(np.uint8, copy=False)

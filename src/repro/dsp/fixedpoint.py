@@ -69,16 +69,6 @@ class FixedPointFormat:
         return 2.0 ** (-self.frac_bits)
 
     @property
-    def max_value(self) -> float:
-        """Largest representable value."""
-        return (2 ** (self.word_length - 1) - 1) * self.resolution
-
-    @property
-    def min_value(self) -> float:
-        """Smallest (most negative) representable value."""
-        return -(2 ** (self.word_length - 1)) * self.resolution
-
-    @property
     def integer_range(self) -> tuple[int, int]:
         """Representable range expressed in raw integer (LSB) units."""
         return -(2 ** (self.word_length - 1)), 2 ** (self.word_length - 1) - 1

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numbers
 
+import numpy as np
+
 
 class ReproError(Exception):
     """Base class for all library-specific errors."""
@@ -50,3 +52,15 @@ def integer_at_least(name: str, value, minimum: int) -> int:
     if not isinstance(value, numbers.Integral) or value < minimum:
         raise ConfigurationError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return int(value)
+
+
+def boolean_flag(name: str, value) -> bool:
+    """``value``, a Python or numpy boolean, as a ``bool`` (so ``0``,
+    ``"no"`` or ``np.True_`` never reach a seed payload in another form);
+    anything else raises :class:`ConfigurationError`.
+
+    The one flag rule of every front door: sweep specs and the
+    transceiver configuration."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ConfigurationError(f"{name} must be a boolean, got {value!r}")
+    return bool(value)

@@ -8,12 +8,7 @@ from repro.mimo.channel_estimation import (
     invert_channel_stack,
 )
 from repro.mimo.detector import MmseDetector, zf_detect
-from repro.mimo.matrix import (
-    frobenius_error,
-    hermitian,
-    is_unitary,
-    is_upper_triangular,
-)
+from repro.mimo.matrix import frobenius_error, hermitian
 from repro.mimo.qr import qr_decompose_givens
 from repro.mimo.rinv import invert_upper_triangular
 
@@ -26,8 +21,6 @@ __all__ = [
     "zf_detect",
     "frobenius_error",
     "hermitian",
-    "is_unitary",
-    "is_upper_triangular",
     "qr_decompose_givens",
     "invert_upper_triangular",
 ]

@@ -181,18 +181,6 @@ class ChannelEstimate:
         """Number of transmit antennas."""
         return self.matrices.shape[-1]
 
-    def estimation_error(self, true_channel: np.ndarray) -> float:
-        """RMS relative error of the estimate versus a ground-truth channel."""
-        truth = np.asarray(true_channel, dtype=np.complex128)
-        if truth.shape != self.matrices.shape:
-            raise ConfigurationError("true channel must match the estimate's shape")
-        active = self.active_mask
-        diff = self.matrices[..., active, :, :] - truth[..., active, :, :]
-        denom = np.linalg.norm(truth[..., active, :, :])
-        if denom == 0:
-            return float(np.linalg.norm(diff))
-        return float(np.linalg.norm(diff) / denom)
-
 
 class ChannelEstimator:
     """LTS-based channel estimator with QRD inversion.

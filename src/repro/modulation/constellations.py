@@ -100,10 +100,6 @@ class Constellation:
         """Number of constellation points."""
         return self.points.size
 
-    def average_power(self) -> float:
-        """Mean symbol energy (should be 1.0 after normalisation)."""
-        return float(np.mean(np.abs(self.points) ** 2))
-
     def bit_table(self) -> np.ndarray:
         """Bits of every LUT address, shape ``(size, bits_per_symbol)``, MSB first."""
         k = self.bits_per_symbol

@@ -9,11 +9,8 @@ are :attr:`repro.modulation.constellations.Constellation.points`.
 
 from __future__ import annotations
 
-import numpy as np
-
 import numpy.typing as npt
 
-from repro.exceptions import ConfigurationError
 from repro.types import ComplexArray
 from repro.modulation.constellations import Constellation, Modulation, get_constellation
 from repro.utils.bits import pack_bits
@@ -44,10 +41,3 @@ class SymbolMapper:
         """
         addresses = pack_bits(bits, self.bits_per_symbol)
         return self.constellation.points[addresses]
-
-    def map_addresses(self, addresses: npt.ArrayLike) -> ComplexArray:
-        """Map pre-grouped LUT addresses directly to symbols."""
-        idx = np.asarray(addresses, dtype=np.int64)
-        if idx.size and (idx.min() < 0 or idx.max() >= self.constellation.size):
-            raise ConfigurationError("address out of range for the constellation LUT")
-        return self.constellation.points[idx]

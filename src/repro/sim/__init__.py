@@ -33,7 +33,7 @@ declaratively and executes them efficiently:
 
 Quick start::
 
-    from repro.sim import SweepSpec, run_sweep
+    from repro.sim import SweepRunner, SweepSpec
 
     spec = SweepSpec(
         snr_db=(5, 10, 15, 20, 25, 30),
@@ -43,7 +43,7 @@ Quick start::
         target_errors=100,
         base_seed=7,
     )
-    result = run_sweep(spec)
+    result = SweepRunner(spec).run()
     print(result.ber_curve(modulation="16qam"))
 
 See ``docs/simulation.md`` for the full engine guide.
@@ -56,7 +56,7 @@ from repro.sim.queue import (
     WorkQueue,
     make_queue,
 )
-from repro.sim.runner import SweepRunner, run_sweep
+from repro.sim.runner import SweepRunner
 from repro.sim.spec import (
     ENGINE_VERSION,
     ImpairmentSpec,
@@ -92,6 +92,5 @@ __all__ = [
     "default_cache_dir",
     "default_store_dir",
     "make_queue",
-    "run_sweep",
     "wilson_interval",
 ]

@@ -21,7 +21,6 @@ records between overlapping sweeps.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -277,11 +276,10 @@ class WorkUnit:
 class BatchReport:
     """What :func:`simulate_batch` did with one :class:`BatchItem`: one
     :class:`~repro.core.frame.BurstOutcome` per simulated burst, in burst
-    order, and the item's share of the unit's wall time by burst count."""
+    order."""
 
     batch_index: int
     outcomes: Tuple[BurstOutcome, ...]
-    elapsed_s: float
 
 
 def simulate_batch(unit: WorkUnit) -> List[BatchReport]:
@@ -305,7 +303,6 @@ def simulate_batch(unit: WorkUnit) -> List[BatchReport]:
     item-local one.
     """
     spec, items = unit.spec, unit.items
-    unit_start = time.perf_counter()
 
     configs = dict.fromkeys(item.config for item in items)
     if len({config.air_group() for config in configs}) > 1:
@@ -384,9 +381,7 @@ def simulate_batch(unit: WorkUnit) -> List[BatchReport]:
         ]
         offset += 1
 
-    elapsed = time.perf_counter() - unit_start
-    total_bursts = max(sum(len(bursts) for bursts in outcomes), 1)
     return [
-        BatchReport(item.batch_index, tuple(bursts), elapsed * len(bursts) / total_bursts)
+        BatchReport(item.batch_index, tuple(bursts))
         for item, bursts in zip(items, outcomes)
     ]

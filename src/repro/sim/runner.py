@@ -52,6 +52,18 @@ from repro.sim.store import ResultStore
 
 StoreLike = Union[None, bool, str, "os.PathLike[str]", ResultStore]
 
+#: What a store record holds: a point result's six counts, each with the
+#: type it is read back as.  The grid cell is not stored; the grid that
+#: reads the record supplies it.
+_RECORD_FIELDS = {
+    "bit_errors": int,
+    "total_bits": int,
+    "frame_errors": int,
+    "n_bursts": int,
+    "early_stopped": bool,
+    "decode_failures": int,
+}
+
 
 def _pack_units(
     wanting: List[int],
@@ -210,21 +222,15 @@ class SweepRunner:
     ) -> Optional[SweepPointResult]:
         """Rebuild one point result from its store record (None if corrupt).
 
-        The record is :meth:`SweepPointResult.to_dict` plus ``elapsed_s``;
-        one missing a field is corrupt and gets re-simulated.
+        The record holds the :data:`_RECORD_FIELDS` counts (records of
+        earlier versions hold more, which is ignored); one missing a field
+        is corrupt and gets re-simulated.
         """
         try:
-            return SweepPointResult(
-                point=point,
-                bit_errors=int(payload["bit_errors"]),
-                total_bits=int(payload["total_bits"]),
-                frame_errors=int(payload["frame_errors"]),
-                n_bursts=int(payload["n_bursts"]),
-                early_stopped=bool(payload["early_stopped"]),
-                decode_failures=int(payload["decode_failures"]),
-            )
+            counts = {name: read(payload[name]) for name, read in _RECORD_FIELDS.items()}
         except (KeyError, TypeError, ValueError):
             return None
+        return SweepPointResult(point=point, **counts)
 
     # ------------------------------------------------------------------
     # Folding
@@ -379,8 +385,7 @@ class SweepRunner:
                 result = self._fold(start, n_bursts, collected[index], target)
                 results[index] = result
                 if self.store is not None:
-                    elapsed_s = sum(report.elapsed_s for report in collected[index])
-                    finished[key] = {**result.to_dict(), "elapsed_s": elapsed_s}
+                    finished[key] = {name: getattr(result, name) for name in _RECORD_FIELDS}
 
             def adopted(index: int) -> bool:
                 """Adopt a record committed since this run's initial scan."""
@@ -528,7 +533,3 @@ class SweepRunner:
             n_bursts_simulated=computed,
         )
 
-
-def run_sweep(spec: SweepSpec, **runner_kwargs) -> SweepResult:
-    """One-call convenience wrapper: ``SweepRunner(spec, **kwargs).run()``."""
-    return SweepRunner(spec, **runner_kwargs).run()

@@ -15,10 +15,10 @@ quantisation — so the paper's "survives real front-end conditions" claims
 modulation; ``None`` on the axis is the ideal front end.
 
 Specs, points and point results are frozen dataclasses: they pickle into
-the multiprocessing workers as they are, and the per-point result store
-(:mod:`repro.sim.store`) keys and records their ``to_dict`` forms — a
-point's store key hashes its canonical JSON (:meth:`SweepPoint.content_key`),
-and a stored point result is rebuilt without re-running a single burst.
+the multiprocessing workers as they are.  A point's key in the per-point
+result store (:mod:`repro.sim.store`) hashes its canonical JSON
+(:meth:`SweepPoint.content_key`), and a stored point result is rebuilt
+from its record's counts without re-running a single burst.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from repro.dsp.fixedpoint import (
     MULTIPLIER_FORMAT_18BIT,
     SAMPLE_FORMAT_16BIT,
 )
-from repro.exceptions import ConfigurationError, integer_at_least
+from repro.exceptions import ConfigurationError, boolean_flag, integer_at_least
 from repro.modulation.constellations import Modulation
 
 #: Bumped whenever the engine's statistics change meaning, so stale cache
@@ -95,8 +95,8 @@ class ImpairmentSpec:
         engine enable the receiver's preamble-based CFO estimator
         (``TransceiverConfig.correct_cfo``).
     sample_delay:
-        Integer sample-timing delay of the burst; exercises the time
-        synchroniser's search.
+        Non-negative integer sample-timing delay of the burst; exercises
+        the time synchroniser's search.
     iq_amplitude_db / iq_phase_deg:
         Receive-mixer IQ amplitude (dB) and phase (degrees) imbalance.
 
@@ -127,26 +127,21 @@ class ImpairmentSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "cfo_normalized", float(self.cfo_normalized))
-        object.__setattr__(self, "sample_delay", int(self.sample_delay))
+        object.__setattr__(
+            self, "sample_delay", integer_at_least("sample_delay", self.sample_delay, 0)
+        )
         object.__setattr__(self, "iq_amplitude_db", float(self.iq_amplitude_db))
         object.__setattr__(self, "iq_phase_deg", float(self.iq_phase_deg))
         for name in ("cfo_normalized", "iq_amplitude_db", "iq_phase_deg"):
             value = getattr(self, name)
             if not np.isfinite(value):
                 raise ConfigurationError(f"{name} must be finite, got {value}")
-        if self.sample_delay < 0:
-            raise ConfigurationError("sample_delay must be non-negative")
         for name in ("tx_format", "rx_format", "rx_multiplier_format"):
             object.__setattr__(
                 self, name, FixedPointFormat.coerce(getattr(self, name), name)
             )
 
     # ------------------------------------------------------------------
-    @property
-    def is_ideal(self) -> bool:
-        """True when every field sits at its ideal-front-end default."""
-        return self == ImpairmentSpec()
-
     @classmethod
     def quantized(cls, word_length: int, **changes) -> "ImpairmentSpec":
         """Symmetric TX/RX sample quantisation at ``word_length`` bits.
@@ -253,7 +248,8 @@ class SweepSpec:
         Forwarded to :class:`~repro.core.config.TransceiverConfig`.
 
     The integer fields must be positive integers (``base_seed`` may be 0),
-    as :func:`~repro.exceptions.integer_at_least` checks.
+    as :func:`~repro.exceptions.integer_at_least` checks, and the three
+    flags booleans, as :func:`~repro.exceptions.boolean_flag` checks.
     """
 
     snr_db: Tuple[float, ...] = (20.0,)
@@ -287,6 +283,8 @@ class SweepSpec:
             if value is not None or name != "target_errors":
                 minimum = 0 if name == "base_seed" else 1
                 object.__setattr__(self, name, integer_at_least(name, value, minimum))
+        for name in ("fresh_fading_per_burst", "known_timing", "soft_decision"):
+            object.__setattr__(self, name, boolean_flag(name, getattr(self, name)))
         # Parse the axes the worker parses, but keep the strings as given:
         # they are part of every point's store key.
         for modulation in self.modulations:

@@ -26,10 +26,7 @@ and a read indexes only the bytes appended since the previous one — a
 read of an unchanged log costs one ``stat``.  Lines of keys never asked
 for are passed over unparsed, so a small grid resumes from a large shared
 store without holding it in memory; asking for a new key re-reads the log
-once (``keys()`` and ``len()`` cover every key).  The 256 hash-sharded
-``xx.jsonl`` files of earlier versions are read into the index with the
-log (whose records win over theirs), so stores written by them keep
-resuming.
+once (``keys()`` and ``len()`` cover every key).
 
 The store is append-only: a re-put of an existing key appends a newer
 record and readers take the last one (the engine is deterministic, so
@@ -65,7 +62,7 @@ def default_store_dir() -> Path:
 
     Lives inside the :func:`~repro.sim.cache.default_cache_dir` tree (and
     therefore honours ``REPRO_SIM_CACHE_DIR``) in its own subdirectory, so
-    its ``*.jsonl`` files never mix with other files in the cache root.
+    its record log never mixes with other files in the cache root.
     """
     return default_cache_dir() / "points"
 
@@ -164,10 +161,10 @@ class ResultStore:
 
         Reads only the bytes appended since the last call, so a call on an
         unchanged log costs one ``stat``.  The index is rebuilt from
-        scratch — legacy shards first, then the whole log — on the first
-        call, when it must cover a key it did not cover so far, when the
-        log's inode changes (it was deleted and re-created) and when the
-        log shrinks.  Call with ``self._lock`` held.
+        scratch on the first call, when it must cover a key it did not
+        cover so far, when the log's inode changes (it was deleted and
+        re-created) and when the log shrinks.  Call with ``self._lock``
+        held.
         """
         if self._wanted is not None:
             if keys is None:
@@ -182,13 +179,6 @@ class ResultStore:
             inode, size = None, 0
         if self._lines is None or inode != self._inode or size < self._offset:
             self._lines = {}
-            for shard in sorted(self.directory.glob("*.jsonl")):
-                if shard.name != LOG_NAME:
-                    try:
-                        with shard.open("rb") as lines:
-                            self._index(lines)
-                    except OSError:
-                        pass
             self._close()
             self._file, self._inode, self._offset = None, None, 0
             if inode is None:
@@ -276,14 +266,13 @@ class ResultStore:
         return self.log_path
 
     def clear(self) -> int:
-        """Delete the log and any legacy shards; returns the number of keys removed."""
+        """Delete the log; returns the number of keys removed."""
         with self._lock:
             removed = len(self._refresh())
-            for path in self.directory.glob("*.jsonl"):
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
+            try:
+                self.log_path.unlink()
+            except OSError:
+                pass
             self._close()
             self._lines, self._wanted = None, set()
         return removed

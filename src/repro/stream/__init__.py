@@ -12,7 +12,7 @@ continuous sample stream and decoded through the same
 * :mod:`repro.stream.scheduler` / :mod:`repro.stream.traffic` — a
   downlink scheduler multiplexing N per-user queues (round-robin or
   smooth weighted round-robin) over one simulated air interface, fed by
-  Poisson/CBR traffic generators;
+  Poisson traffic generators;
 * :mod:`repro.stream.metrics` — per-user latency percentiles, sustained
   frames/sec, goodput and loss rate as plain dataclasses.
 """
@@ -21,7 +21,7 @@ from repro.stream.detector import FrameWindow, StreamFrameDetector
 from repro.stream.metrics import LatencySummary, ServiceReport, UserStats
 from repro.stream.pipeline import DecodedFrame, StreamingReceiver
 from repro.stream.scheduler import DownlinkScheduler
-from repro.stream.traffic import CbrTraffic, PoissonTraffic, arrival_times
+from repro.stream.traffic import PoissonTraffic, arrival_times
 
 __all__ = [
     "FrameWindow",
@@ -32,7 +32,6 @@ __all__ = [
     "DecodedFrame",
     "StreamingReceiver",
     "DownlinkScheduler",
-    "CbrTraffic",
     "PoissonTraffic",
     "arrival_times",
 ]

@@ -42,7 +42,7 @@ from typing import List
 import numpy as np
 
 from repro.core.preamble import PreambleGenerator
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, integer_at_least
 from repro.sync.time_sync import TimeSynchronizer
 
 #: Acceptance threshold on the normalised detection metric.  The
@@ -118,22 +118,21 @@ class StreamFrameDetector:
     The frames carry one stream per receive antenna, and the detector
     builds the burst receiver's :class:`TimeSynchronizer` from ``preamble``.
 
-    Raises :class:`~repro.exceptions.ConfigurationError` on a non-positive
-    antenna count and on a frame shorter than the preamble.
+    Raises :class:`~repro.exceptions.ConfigurationError` unless the
+    antenna count is a positive integer and the frame length an integer
+    no shorter than the preamble.
     """
 
     def __init__(self, preamble: PreambleGenerator, n_rx: int, frame_length: int) -> None:
-        if n_rx <= 0:
-            raise ConfigurationError("n_rx must be positive")
-        self.n_rx = n_rx
+        self.n_rx = integer_at_least("n_rx", n_rx, 1)
         self.synchronizer = TimeSynchronizer(
             sts_time=preamble.sts_time(), lts_time=preamble.lts_time()
         )
         self.sts_length = preamble.sts_time().size
-        layout = preamble.layout(n_rx)
-        if frame_length < layout.total_length:
-            raise ConfigurationError("frame_length shorter than the preamble")
-        self.frame_length = int(frame_length)
+        layout = preamble.layout(self.n_rx)
+        self.frame_length = integer_at_least(
+            "frame_length", frame_length, layout.total_length
+        )
         window = self.synchronizer.window_length
         #: Window positions after the first crossing searched for the true
         #: peak: one LTS slot minus the correlator window (128 for the

@@ -1,12 +1,8 @@
 """Per-user downlink traffic generators.
 
 A traffic model turns a frame budget into deterministic arrival times for
-one user's queue.  Two classic models are provided:
-
-* :class:`CbrTraffic` — constant bit rate: one frame every
-  ``1 / rate_fps`` seconds (a video stream, a sensor feed);
-* :class:`PoissonTraffic` — memoryless arrivals at a mean rate (bursty
-  web-style traffic).
+one user's queue.  :class:`PoissonTraffic` gives memoryless arrivals at a
+mean rate (bursty web-style traffic).
 
 Determinism matters more than realism here: the scheduler seeds every
 user's generator from the engine's :class:`numpy.random.SeedSequence`
@@ -23,31 +19,6 @@ import numpy as np
 from repro.exceptions import ConfigurationError
 from repro.types import FloatArray
 from repro.utils.rng import SeedLike, make_rng
-
-
-class CbrTraffic:
-    """Constant-rate arrivals: one frame every ``1 / rate_fps`` seconds.
-
-    ``phase_s`` offsets the first arrival, which lets a population of CBR
-    users be staggered instead of arriving in lockstep.
-    """
-
-    def __init__(self, rate_fps: float, phase_s: float = 0.0) -> None:
-        if not rate_fps > 0:
-            raise ConfigurationError("rate_fps must be positive")
-        if not phase_s >= 0:
-            raise ConfigurationError("phase_s must be non-negative")
-        self.rate_fps = float(rate_fps)
-        self.phase_s = float(phase_s)
-
-    def intervals(self, n_frames: int, rng: SeedLike = None) -> FloatArray:
-        """Deterministic gaps; the ``rng`` is accepted but unused."""
-        if n_frames < 0:
-            raise ConfigurationError("n_frames must be non-negative")
-        gaps = np.full(n_frames, 1.0 / self.rate_fps, dtype=np.float64)
-        if n_frames:
-            gaps[0] = self.phase_s
-        return gaps
 
 
 class PoissonTraffic:

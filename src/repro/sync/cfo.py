@@ -74,10 +74,6 @@ class CfoEstimate:
     fine: float
     combined: float
 
-    def in_hertz(self, sample_rate_hz: float) -> float:
-        """Convert the combined estimate to Hz at a given sample rate."""
-        return self.combined * sample_rate_hz
-
 
 class CfoEstimator:
     """Coarse + fine CFO estimation from the STS/LTS preamble.
@@ -94,16 +90,6 @@ class CfoEstimator:
         self.fft_size = fft_size
         self.sts_period = fft_size // 4
         self.lts_period = fft_size
-
-    @property
-    def coarse_range(self) -> float:
-        """Maximum unambiguous |CFO| of the coarse estimate (cycles/sample)."""
-        return 0.5 / self.sts_period
-
-    @property
-    def fine_range(self) -> float:
-        """Maximum unambiguous |CFO| of the fine estimate (cycles/sample)."""
-        return 0.5 / self.lts_period
 
     # ------------------------------------------------------------------
     def coarse(self, samples: npt.ArrayLike, sts_start: int) -> float:

@@ -9,7 +9,7 @@ conversions for the software model.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -18,13 +18,8 @@ from repro.types import BitArray, IntArray
 
 __all__ = [
     "BitArray",
-    "bits_to_bytes",
-    "bits_to_int",
-    "bytes_to_bits",
     "count_bit_errors",
-    "int_to_bits",
     "pack_bits",
-    "random_bits",
     "unpack_bits",
 ]
 
@@ -37,43 +32,6 @@ def _as_bit_array(bits: Union[Sequence[int], np.ndarray]) -> BitArray:
     if arr.size and arr.max(initial=0) > 1:
         raise ConfigurationError("bit array may only contain 0s and 1s")
     return arr
-
-
-def random_bits(n: int, rng: np.random.Generator | None = None) -> BitArray:
-    """Return ``n`` uniformly random bits as a uint8 array.
-
-    Parameters
-    ----------
-    n:
-        Number of bits to generate.  Must be non-negative.
-    rng:
-        Optional NumPy generator; a fresh default generator is used when
-        omitted so results are non-deterministic.
-    """
-    if n < 0:
-        raise ConfigurationError(f"cannot generate a negative number of bits: {n}")
-    generator = rng if rng is not None else np.random.default_rng()  # reprolint: disable=DET001 -- documented opt-in: omitting rng is the caller asking for non-determinism; engine paths always pass one
-    return generator.integers(0, 2, size=n, dtype=np.uint8)
-
-
-def int_to_bits(value: int, width: int) -> BitArray:
-    """Convert a non-negative integer to ``width`` bits, MSB first."""
-    if width < 0:
-        raise ConfigurationError("width must be non-negative")
-    if value < 0:
-        raise ConfigurationError("value must be non-negative")
-    if width and value >= (1 << width):
-        raise ConfigurationError(f"value {value} does not fit in {width} bits")
-    return np.array([(value >> (width - 1 - i)) & 1 for i in range(width)], dtype=np.uint8)
-
-
-def bits_to_int(bits: Union[Sequence[int], np.ndarray]) -> int:
-    """Convert an MSB-first bit array to the integer it represents."""
-    arr = _as_bit_array(bits)
-    result = 0
-    for bit in arr:
-        result = (result << 1) | int(bit)
-    return result
 
 
 def pack_bits(bits: Union[Sequence[int], np.ndarray], group: int) -> IntArray:
@@ -105,20 +63,6 @@ def unpack_bits(values: Union[Sequence[int], np.ndarray], group: int) -> BitArra
     shifts = np.arange(group - 1, -1, -1)
     bits = (vals[:, None] >> shifts) & 1
     return bits.astype(np.uint8).ravel()
-
-
-def bytes_to_bits(data: Union[bytes, bytearray, Iterable[int]]) -> BitArray:
-    """Convert a byte sequence to bits, MSB first within each byte."""
-    byte_arr = np.frombuffer(bytes(data), dtype=np.uint8)
-    return np.unpackbits(byte_arr)
-
-
-def bits_to_bytes(bits: Union[Sequence[int], np.ndarray]) -> bytes:
-    """Convert a bit array (length multiple of 8) back to bytes."""
-    arr = _as_bit_array(bits)
-    if arr.size % 8 != 0:
-        raise ConfigurationError("bit stream length must be a multiple of 8 to form bytes")
-    return np.packbits(arr).tobytes()
 
 
 def count_bit_errors(

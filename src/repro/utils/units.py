@@ -5,7 +5,7 @@ Both domains are plain floats, so nothing in the type system stops an
 miscalibration fixed in the occupied-power calibration work was exactly
 that bug.  The repo's convention is that the *name* carries the domain
 (``*_db`` vs ``*_linear`` / ``noise_variance`` / ``signal_power``) and
-that every conversion goes through one of the three helpers below.  The
+that every conversion goes through one of the two helpers below.  The
 call sites that cross domains (AWGN calibration, IQ imbalance, capacity)
 are each pinned by a closed-form test.
 
@@ -21,7 +21,7 @@ from typing import Union
 import numpy as np
 import numpy.typing as npt
 
-__all__ = ["amplitude_db_to_gain", "db_to_linear", "linear_to_db"]
+__all__ = ["amplitude_db_to_gain", "db_to_linear"]
 
 _FloatLike = Union[float, npt.NDArray[np.floating]]
 
@@ -33,11 +33,6 @@ def db_to_linear(value_db: _FloatLike) -> _FloatLike:
     by it yields the matching noise variance.
     """
     return 10.0 ** (value_db / 10.0)
-
-
-def linear_to_db(value_linear: _FloatLike) -> _FloatLike:
-    """Convert a linear power ratio to decibels (``10 * log10``)."""
-    return 10.0 * np.log10(value_linear)
 
 
 def amplitude_db_to_gain(value_db: _FloatLike) -> _FloatLike:

@@ -28,12 +28,6 @@ class TestCarrierFrequencyOffset:
         rotated = apply_carrier_frequency_offset(x, 0.01)
         np.testing.assert_allclose(np.abs(rotated), np.abs(x))
 
-    def test_start_index_continues_phase(self):
-        x = np.ones(8, dtype=complex)
-        whole = apply_carrier_frequency_offset(x, 0.1)
-        second_half = apply_carrier_frequency_offset(x[4:], 0.1, start_index=4)
-        np.testing.assert_allclose(whole[4:], second_half)
-
 
 class TestIqImbalance:
     def test_no_imbalance_is_identity(self):

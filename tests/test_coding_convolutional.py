@@ -11,7 +11,6 @@ from repro.coding.convolutional import (
     PUNCTURE_PATTERNS,
 )
 from repro.exceptions import ConfigurationError
-from repro.utils.bits import random_bits
 from reference.coding import encode_serial
 
 #: (constraint length, generators) of the codes the stacked encoder is
@@ -89,14 +88,14 @@ class TestEncoder:
 
     def test_rate_half_output_length(self):
         encoder = ConvolutionalEncoder()
-        coded = encoder.encode(random_bits(100, np.random.default_rng(0)))
+        coded = encoder.encode(np.random.default_rng(0).integers(0, 2, size=100, dtype=np.uint8))
         assert coded.size == 2 * (100 + 6)
 
     def test_termination_appends_six_zero_tail_bits(self):
         # The tail is six zeros shifted in after the data: a block that
         # already ends in them starts with exactly the shorter block.
         encoder = ConvolutionalEncoder()
-        bits = random_bits(10, np.random.default_rng(1))
+        bits = np.random.default_rng(1).integers(0, 2, size=10, dtype=np.uint8)
         coded = encoder.encode(bits)
         assert coded.size == 2 * (10 + 6)
         padded = encoder.encode(np.concatenate([bits, np.zeros(6, dtype=np.uint8)]))
@@ -110,7 +109,7 @@ class TestEncoder:
             (CodeRate.RATE_3_4, 168),
         ]:
             encoder = ConvolutionalEncoder(ConvolutionalCode.ieee80211a(rate))
-            coded = encoder.encode(random_bits(120, np.random.default_rng(2)))
+            coded = encoder.encode(np.random.default_rng(2).integers(0, 2, size=120, dtype=np.uint8))
             assert coded.size == expected
 
     def test_coded_length_matches_actual(self):
@@ -119,15 +118,15 @@ class TestEncoder:
             code = ConvolutionalCode.ieee80211a(rate)
             encoder = ConvolutionalEncoder(code)
             for n in (0, 1, 7, 53, 100):
-                coded = encoder.encode(random_bits(n, rng))
+                coded = encoder.encode(rng.integers(0, 2, size=n, dtype=np.uint8))
                 assert coded.size == code.coded_length(n)
 
     def test_linearity_of_code(self):
         # Convolutional codes are linear: enc(a xor b) == enc(a) xor enc(b).
         rng = np.random.default_rng(4)
         encoder = ConvolutionalEncoder()
-        a = random_bits(64, rng)
-        b = random_bits(64, rng)
+        a = rng.integers(0, 2, size=64, dtype=np.uint8)
+        b = rng.integers(0, 2, size=64, dtype=np.uint8)
         coded_a = encoder.encode(a)
         coded_b = encoder.encode(b)
         coded_xor = encoder.encode(a ^ b)
@@ -135,7 +134,7 @@ class TestEncoder:
 
     def test_every_call_is_an_independent_block(self):
         encoder = ConvolutionalEncoder(ConvolutionalCode.ieee80211a(CodeRate.RATE_3_4))
-        bits = random_bits(32, np.random.default_rng(5))
+        bits = np.random.default_rng(5).integers(0, 2, size=32, dtype=np.uint8)
         first = encoder.encode(bits)
         encoder.encode(np.array([1, 1, 0, 1], dtype=np.uint8))
         np.testing.assert_array_equal(encoder.encode(bits), first)
@@ -168,7 +167,7 @@ class TestStackedEncoder:
 
     def test_one_block_is_a_stack_of_one(self):
         encoder = ConvolutionalEncoder(ConvolutionalCode.ieee80211a(CodeRate.RATE_3_4))
-        bits = random_bits(53, np.random.default_rng(6))
+        bits = np.random.default_rng(6).integers(0, 2, size=53, dtype=np.uint8)
         single = encoder.encode(bits)
         assert single.ndim == 1
         np.testing.assert_array_equal(encoder.encode(bits[None, :]), single[None, :])

@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.coding.interleaver import (
-    deinterleave,
-    deinterleaver_permutation,
-    interleave,
-    interleaver_permutation,
-)
-from repro.utils.bits import random_bits
+from repro.coding.interleaver import deinterleave, interleave, interleaver_permutation
 
 
 class TestPermutation:
@@ -19,11 +13,6 @@ class TestPermutation:
     def test_is_a_permutation(self, n_cbps, n_bpsc):
         perm = interleaver_permutation(n_cbps, n_bpsc)
         assert sorted(perm.tolist()) == list(range(n_cbps))
-
-    def test_inverse_permutation(self):
-        perm = interleaver_permutation(192, 4)
-        inverse = deinterleaver_permutation(192, 4)
-        np.testing.assert_array_equal(perm[inverse], np.arange(192))
 
     def test_known_80211a_first_entries(self):
         # For N_CBPS=48, BPSK: bit k goes to position (3*(k mod 16) + k//16).
@@ -44,8 +33,6 @@ class TestPermutation:
         assert not perm.flags.writeable
         with pytest.raises(ValueError):
             perm[0] = 1
-        # Derived tables stay writable copies.
-        assert deinterleaver_permutation(192, 4).flags.writeable
 
     def test_rejects_bad_block_size(self):
         with pytest.raises(ValueError):
@@ -59,7 +46,7 @@ class TestPermutation:
 class TestBatchInterleaving:
     def test_roundtrip(self):
         rng = np.random.default_rng(0)
-        bits = random_bits(192 * 3, rng)
+        bits = rng.integers(0, 2, size=192 * 3, dtype=np.uint8)
         np.testing.assert_array_equal(
             deinterleave(interleave(bits, 192, 4), 192, 4), bits
         )
@@ -79,7 +66,7 @@ class TestBatchInterleaving:
 
     def test_single_block_is_permutation_of_input(self):
         rng = np.random.default_rng(2)
-        bits = random_bits(96, rng)
+        bits = rng.integers(0, 2, size=96, dtype=np.uint8)
         out = interleave(bits, 96, 2)
         assert sorted(out.tolist()) == sorted(bits.tolist())
         assert not np.array_equal(out, bits)

@@ -5,13 +5,12 @@ import pytest
 
 from repro.coding.scrambler import Scrambler, pilot_polarity_sequence
 from repro.exceptions import ConfigurationError
-from repro.utils.bits import random_bits
 
 
 class TestScrambler:
     def test_scramble_descramble_roundtrip(self):
         rng = np.random.default_rng(0)
-        bits = random_bits(500, rng)
+        bits = rng.integers(0, 2, size=500, dtype=np.uint8)
         scrambler = Scrambler()
         scrambled = scrambler.process(bits)
         descrambled = Scrambler().process(scrambled)
@@ -45,7 +44,7 @@ class TestScrambler:
             Scrambler(seed=200)
 
     def test_every_call_starts_from_the_seed(self):
-        bits = random_bits(300, np.random.default_rng(1))
+        bits = np.random.default_rng(1).integers(0, 2, size=300, dtype=np.uint8)
         scrambler = Scrambler()
         first = scrambler.process(bits)
         np.testing.assert_array_equal(scrambler.process(bits), first)

@@ -8,7 +8,7 @@ import pytest
 from repro.coding.convolutional import CodeRate, ConvolutionalCode, ConvolutionalEncoder
 from repro.coding.viterbi import ViterbiDecoder
 from repro.exceptions import ConfigurationError, DecodingError, ReproError
-from repro.utils.bits import count_bit_errors, random_bits
+from repro.utils.bits import count_bit_errors
 
 
 def _encode(bits, rate=CodeRate.RATE_1_2):
@@ -19,7 +19,7 @@ def _encode(bits, rate=CodeRate.RATE_1_2):
 class TestHardDecisionDecoding:
     def test_error_free_roundtrip(self):
         rng = np.random.default_rng(0)
-        bits = random_bits(120, rng)
+        bits = rng.integers(0, 2, size=120, dtype=np.uint8)
         decoded = ViterbiDecoder().decode(_encode(bits), n_info_bits=120)
         np.testing.assert_array_equal(decoded, bits)
 
@@ -32,7 +32,7 @@ class TestHardDecisionDecoding:
 
     def test_corrects_isolated_bit_errors(self):
         rng = np.random.default_rng(1)
-        bits = random_bits(200, rng)
+        bits = rng.integers(0, 2, size=200, dtype=np.uint8)
         coded = _encode(bits)
         corrupted = coded.copy()
         # Flip well-separated coded bits; K=7 corrects these easily.
@@ -45,7 +45,7 @@ class TestHardDecisionDecoding:
         # A long error burst exceeds the code's correction ability; the
         # decoder should NOT silently return the transmitted bits.
         rng = np.random.default_rng(2)
-        bits = random_bits(100, rng)
+        bits = rng.integers(0, 2, size=100, dtype=np.uint8)
         coded = _encode(bits)
         corrupted = coded.copy()
         corrupted[40:80] ^= 1
@@ -55,7 +55,7 @@ class TestHardDecisionDecoding:
     def test_block_length_comes_from_n_info_bits(self):
         # No length is inferred: a block read as one bit shorter or longer
         # than it was encoded does not match its coded length.
-        coded = _encode(random_bits(64, np.random.default_rng(3)))
+        coded = _encode(np.random.default_rng(3).integers(0, 2, size=64, dtype=np.uint8))
         decoder = ViterbiDecoder()
         for wrong in (63, 65):
             with pytest.raises(ConfigurationError):
@@ -72,7 +72,7 @@ class TestPuncturedDecoding:
     @pytest.mark.parametrize("rate", [CodeRate.RATE_2_3, CodeRate.RATE_3_4])
     def test_error_free_roundtrip(self, rate):
         rng = np.random.default_rng(5)
-        bits = random_bits(120, rng)
+        bits = rng.integers(0, 2, size=120, dtype=np.uint8)
         code = ConvolutionalCode.ieee80211a(rate)
         decoder = ViterbiDecoder(code)
         decoded = decoder.decode(_encode(bits, rate), n_info_bits=120)
@@ -81,7 +81,7 @@ class TestPuncturedDecoding:
     @pytest.mark.parametrize("rate", [CodeRate.RATE_2_3, CodeRate.RATE_3_4])
     def test_corrects_sparse_errors(self, rate):
         rng = np.random.default_rng(6)
-        bits = random_bits(150, rng)
+        bits = rng.integers(0, 2, size=150, dtype=np.uint8)
         code = ConvolutionalCode.ieee80211a(rate)
         coded = _encode(bits, rate)
         corrupted = coded.copy()
@@ -94,7 +94,7 @@ class TestPuncturedDecoding:
         code = ConvolutionalCode.ieee80211a(CodeRate.RATE_3_4)
         decoder = ViterbiDecoder(code)
         encoder = ConvolutionalEncoder(code)
-        bits = random_bits(30, np.random.default_rng(7))
+        bits = np.random.default_rng(7).integers(0, 2, size=30, dtype=np.uint8)
         coded = encoder.encode(bits)
         full, mask = decoder.depuncture(coded, n_input_bits=36)
         assert full.shape == (36, 2)
@@ -111,7 +111,7 @@ class TestPuncturedDecoding:
 class TestSoftDecisionDecoding:
     def test_error_free_roundtrip_with_llrs(self):
         rng = np.random.default_rng(8)
-        bits = random_bits(100, rng)
+        bits = rng.integers(0, 2, size=100, dtype=np.uint8)
         coded = _encode(bits).astype(np.float64)
         llrs = 4.0 * (1.0 - 2.0 * coded)  # bit 0 -> +4, bit 1 -> -4
         decoder = ViterbiDecoder(decision="soft")
@@ -121,7 +121,7 @@ class TestSoftDecisionDecoding:
     def test_soft_information_beats_hard_on_noisy_channel(self):
         rng = np.random.default_rng(9)
         n_info = 400
-        bits = random_bits(n_info, rng)
+        bits = rng.integers(0, 2, size=n_info, dtype=np.uint8)
         coded = _encode(bits).astype(np.float64)
         bpsk = 1.0 - 2.0 * coded
         noisy = bpsk + rng.normal(0.0, 0.9, size=bpsk.size)

@@ -80,14 +80,14 @@ class TestTransceiverConfig:
         assert config.cyclic_prefix_length == 16
         assert config.samples_per_symbol == 80
         assert config.coded_bits_per_symbol == 192
-        assert config.data_bits_per_symbol == 96
+        assert config.coded_bits_per_symbol * config.code_rate.fraction == 96
 
     def test_gigabit_configuration(self):
         config = TransceiverConfig.gigabit()
         assert config.modulation is Modulation.QAM64
         assert config.code_rate is CodeRate.RATE_3_4
         assert config.coded_bits_per_symbol == 288
-        assert config.data_bits_per_symbol == 216
+        assert config.coded_bits_per_symbol * config.code_rate.fraction == 216
 
     def test_string_arguments_accepted(self):
         config = TransceiverConfig(modulation="64qam", code_rate="3/4")

@@ -16,18 +16,21 @@ def processor() -> PilotProcessor:
 
 
 def _symbol_with_pilots(processor, symbol_index=0):
-    """A frequency-domain symbol carrying pilots and random data."""
+    """Burst symbol ``symbol_index``, carrying pilots and random data."""
     rng = np.random.default_rng(symbol_index + 1)
-    symbol = np.zeros(64, dtype=np.complex128)
+    block = np.zeros((symbol_index + 1, 64), dtype=np.complex128)
     data_bins = list(processor.numerology.data_bins)
-    symbol[data_bins] = np.exp(1j * rng.uniform(0, 2 * np.pi, len(data_bins)))
-    return processor.insert_block(symbol[None, :], start_index=symbol_index)[0]
+    block[-1, data_bins] = np.exp(1j * rng.uniform(0, 2 * np.pi, len(data_bins)))
+    return processor.insert_block(block)[-1]
 
 
 def _correct(processor, symbol, symbol_index):
-    """Correct one symbol as a one-symbol block; diagnostics as scalars."""
-    corrected, diag = processor.correct_block(symbol[None, :], start_index=symbol_index)
-    return corrected[0], (diag.common_phase[0], diag.tau[0], diag.pilot_magnitude[0])
+    """Correct ``symbol`` as burst symbol ``symbol_index`` (the last of a
+    block whose other symbols are silent); diagnostics as scalars."""
+    block = np.zeros((symbol_index + 1, 64), dtype=np.complex128)
+    block[-1] = symbol
+    corrected, diag = processor.correct_block(block)
+    return corrected[-1], (diag.common_phase[-1], diag.tau[-1], diag.pilot_magnitude[-1])
 
 
 class TestPilotInsertion:
@@ -46,6 +49,21 @@ class TestPilotInsertion:
         symbol[1] = 0.5 + 0.5j
         inserted = processor.insert_block(symbol[None, :])[0]
         assert inserted[1] == 0.5 + 0.5j
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the pilot table tiles the 127-periodic polarity sequence to "
+        "4,096 entries and wraps modulo 4,096, so symbols past 4,097 leave the "
+        "sequence; one 127-entry period indexed modulo 127 mends it",
+    )
+    def test_polarity_stays_127_periodic_past_the_pilot_table(self, processor):
+        n_symbols = 4350
+        inserted = processor.insert_block(np.zeros((n_symbols, 64), dtype=complex))
+        pilots = inserted[:, list(processor.numerology.pilot_bins)]
+        period = pilot_polarity_sequence(127)
+        base = np.array(processor.numerology.pilot_values)
+        expected = base * period[np.arange(n_symbols) % 127, None]
+        np.testing.assert_array_equal(pilots[4096:], expected[4096:])
 
     def test_insert_length_check(self, processor):
         with pytest.raises(ValueError):

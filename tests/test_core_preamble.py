@@ -59,7 +59,7 @@ class TestTimeDomainSections:
         np.testing.assert_allclose(lts[32:96], lts[96:160], atol=1e-12)
 
     def test_lts_symbol_transforms_back_to_frequency_sequence(self, preamble):
-        symbol = preamble.lts_symbol_time()
+        symbol = preamble.lts_time()[preamble.lts_cp_length :][:64]
         np.testing.assert_allclose(np.fft.fft(symbol), preamble.lts_frequency, atol=1e-9)
 
     def test_512_point_sections_scale(self):
@@ -125,7 +125,6 @@ class TestCachedWaveforms:
             start = 160 * (antenna + 1)
             mimo[antenna, start : start + 160] = lts
         for cached, fresh in (
-            (preamble.lts_symbol_time(), symbol),
             (preamble.lts_time(), lts),
             (preamble.sts_time(), sts),
             (preamble.mimo_preamble(4), mimo),

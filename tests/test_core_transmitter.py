@@ -10,7 +10,6 @@ from repro.core.transmitter import MimoTransmitter
 from repro.dsp.fft import fft
 from repro.exceptions import ConfigurationError
 from repro.modulation.demapper import SymbolDemapper
-from repro.utils.bits import random_bits
 
 from reference.core import pilot_values
 
@@ -20,34 +19,28 @@ def transmitter(paper_config) -> MimoTransmitter:
     return MimoTransmitter(paper_config)
 
 
+def _symbols_for(transmitter, n_info_bits):
+    """OFDM symbols a burst of ``n_info_bits`` per stream occupies."""
+    coded = transmitter.code.coded_length(n_info_bits)
+    return -(-coded // transmitter.config.coded_bits_per_symbol)
+
+
 class TestSizingHelpers:
     def test_coded_length_rate_half(self, transmitter):
         assert transmitter.code.coded_length(90) == 2 * (90 + 6)
 
-    def test_symbols_for_info_bits(self, transmitter):
+    @pytest.mark.parametrize("n_info_bits, n_symbols", [(90, 1), (96, 2), (500, 6)])
+    def test_burst_carries_whole_symbols(self, transmitter, n_info_bits, n_symbols):
         # 96 info bits -> 204 coded bits -> 2 symbols of 192 coded bits.
-        assert transmitter.symbols_for_info_bits(90) == 1
-        assert transmitter.symbols_for_info_bits(96) == 2
-        assert transmitter.symbols_for_info_bits(500) == 6
-
-    def test_max_info_bits_inverse_of_symbols(self, transmitter):
-        for n_symbols in (1, 2, 5, 10):
-            info = transmitter.max_info_bits(n_symbols)
-            assert transmitter.symbols_for_info_bits(info) == n_symbols
-            assert transmitter.symbols_for_info_bits(info + 1) == n_symbols + 1
-
-    def test_invalid_sizes(self, transmitter):
-        with pytest.raises(ConfigurationError):
-            transmitter.symbols_for_info_bits(0)
-        with pytest.raises(ConfigurationError):
-            transmitter.max_info_bits(0)
+        burst = transmitter.transmit_random(n_info_bits, rng=np.random.default_rng(0))
+        assert burst.n_ofdm_symbols == n_symbols
 
 
 class TestBurstStructure:
     def test_output_shape(self, transmitter):
         rng = np.random.default_rng(0)
         burst = transmitter.transmit_random(200, rng=rng)
-        n_symbols = transmitter.symbols_for_info_bits(200)
+        n_symbols = _symbols_for(transmitter, 200)
         # preamble + data symbols + one-CP idle tail
         expected = 800 + n_symbols * 80 + 16
         assert burst.samples.shape == (4, expected)
@@ -83,16 +76,6 @@ class TestBurstStructure:
     def test_empty_stream_rejected(self, transmitter):
         with pytest.raises(ConfigurationError):
             transmitter.transmit([np.array([], dtype=np.uint8)] * 4)
-
-    def test_unequal_streams_padded_to_same_symbols(self, transmitter):
-        streams = [
-            random_bits(50, np.random.default_rng(5)),
-            random_bits(300, np.random.default_rng(6)),
-            random_bits(10, np.random.default_rng(7)),
-            random_bits(100, np.random.default_rng(8)),
-        ]
-        burst = transmitter.transmit(streams)
-        assert burst.n_ofdm_symbols == transmitter.symbols_for_info_bits(300)
 
 
 class TestPayloadRule:
@@ -200,7 +183,7 @@ class TestScramblingAndCoding:
         transmitter = MimoTransmitter(gigabit_config)
         burst = transmitter.transmit_random(216, rng=np.random.default_rng(14))
         assert transmitter.config.coded_bits_per_symbol == 288
-        assert burst.n_ofdm_symbols == transmitter.symbols_for_info_bits(216)
+        assert burst.n_ofdm_symbols == _symbols_for(transmitter, 216)
 
 
 class TestAirInterfaceDtype:

@@ -39,11 +39,6 @@ class TestRangesAndResolution:
         fmt = FixedPointFormat(word_length=16, frac_bits=14)
         assert fmt.resolution == 2.0 ** -14
 
-    def test_min_max(self):
-        fmt = FixedPointFormat(word_length=8, frac_bits=4)
-        assert fmt.max_value == pytest.approx(127 / 16)
-        assert fmt.min_value == pytest.approx(-128 / 16)
-
     def test_paper_formats_exist(self):
         assert SAMPLE_FORMAT_16BIT.word_length == 16
         assert MULTIPLIER_FORMAT_18BIT.word_length == 18
@@ -67,8 +62,9 @@ class TestQuantization:
 
     def test_saturation(self):
         fmt = FixedPointFormat(word_length=4, frac_bits=2)
-        assert fmt.quantize(100.0) == fmt.max_value
-        assert fmt.quantize(-100.0) == fmt.min_value
+        # Q(4, 2) spans [-2.0, 1.75] in steps of 0.25.
+        assert fmt.quantize(100.0) == 1.75
+        assert fmt.quantize(-100.0) == -2.0
 
     def test_wrap_overflow(self):
         fmt = FixedPointFormat(word_length=4, frac_bits=0, overflow="wrap")
@@ -140,7 +136,7 @@ class TestIqSampleWords:
     def test_full_scale_inputs_saturate_to_the_extreme_codes(self, fmt):
         lo, hi = fmt.integer_range
         np.testing.assert_array_equal(to_integers(fmt, [1e3, -1e3]), [hi, lo])
-        assert fmt.quantize_complex(1e3 - 1e3j) == fmt.max_value + 1j * fmt.min_value
+        assert fmt.quantize_complex(1e3 - 1e3j) == (hi + 1j * lo) * fmt.resolution
 
 
 class TestIntegerConversion:

@@ -42,7 +42,6 @@ from repro.mimo.qr import qr_decompose_givens
 from repro.mimo.rinv import invert_upper_triangular
 from repro.mimo.detector import MmseDetector
 from repro.modulation.demapper import SymbolDemapper
-from repro.modulation.mapper import SymbolMapper
 from repro.sim import ImpairmentSpec, SweepRunner, SweepSpec
 from repro.sim.spec import SweepPoint, SweepPointResult, SweepResult
 from repro.sim.stats import (
@@ -54,22 +53,13 @@ from repro.sim.stats import (
 from repro.sim.engine import build_fading_model
 from repro.sim.queue import MultiprocessingQueue, make_queue
 from repro.stream import (
-    CbrTraffic,
     DownlinkScheduler,
     PoissonTraffic,
     StreamFrameDetector,
     StreamingReceiver,
 )
 from repro.stream.traffic import arrival_times
-from repro.utils.bits import (
-    bits_to_bytes,
-    bits_to_int,
-    count_bit_errors,
-    int_to_bits,
-    pack_bits,
-    random_bits,
-    unpack_bits,
-)
+from repro.utils.bits import count_bit_errors, pack_bits, unpack_bits
 
 
 @pytest.fixture
@@ -242,6 +232,8 @@ class _BackwardsTraffic:
         lambda: DownlinkScheduler(n_users=2, mode="weighted", weights=[1.0, 0.0]),
         lambda: _detector(n_rx=0),
         lambda: _detector(frame_length=100),
+        lambda: _detector(n_rx=2.5),
+        lambda: _detector(frame_length=2000.7),
         lambda: SweepSpec(snr_db=(float("nan"),)),
         lambda: SweepSpec(snr_db=(20.0, float("inf"))),
         lambda: SweepSpec(channels=("rician",)),
@@ -256,6 +248,9 @@ class _BackwardsTraffic:
         lambda: SweepSpec(n_info_bits=-96),
         lambda: SweepSpec(n_info_bits="96"),
         lambda: SweepSpec(fft_size=32),
+        lambda: SweepSpec(fresh_fading_per_burst=1),
+        lambda: SweepSpec(known_timing=0),
+        lambda: SweepSpec(soft_decision="no"),
         lambda: SweepSpec(impairments=("bad",)),
         lambda: SweepPoint(0, "qpsk", "1/2", 4, "ideal", "zf", 10.0, impairment="bad"),
         lambda: ImpairmentSpec(tx_format="16bit"),
@@ -266,10 +261,18 @@ class _BackwardsTraffic:
         lambda: TransceiverConfig(modulation="256qam"),
         lambda: TransceiverConfig(code_rate="5/6"),
         lambda: TransceiverConfig(rx_sample_format="16bit"),
+        lambda: TransceiverConfig(n_antennas=2.5),
+        lambda: TransceiverConfig(fft_size=64.0),
+        lambda: TransceiverConfig(soft_decision="no"),
+        lambda: TransceiverConfig(use_cordic_channel_inversion=1),
+        lambda: TransceiverConfig(correct_cfo="yes"),
+        lambda: MimoReceiver(timing_advance=1.5),
+        lambda: PreambleGenerator(64.0),
         lambda: ImpairmentSpec(cfo_normalized=float("nan")),
         lambda: ImpairmentSpec(iq_amplitude_db=float("inf")),
         lambda: ImpairmentSpec(iq_phase_deg=float("nan")),
         lambda: ImpairmentSpec(sample_delay=-1),
+        lambda: ImpairmentSpec(sample_delay=1.5),
         lambda: SweepRunner(SweepSpec(), n_workers=0, cache=False),
         lambda: SweepRunner(SweepSpec(), batch_size=0, cache=False),
         lambda: SweepRunner(SweepSpec(), n_workers=1, cache=False).run_adaptive(0),
@@ -277,8 +280,6 @@ class _BackwardsTraffic:
         lambda: make_queue("cluster"),
         lambda: MultiprocessingQueue(0),
         lambda: build_fading_model("rician", 4, rng=0),
-        lambda: CbrTraffic(0.0),
-        lambda: CbrTraffic(10.0, phase_s=-1.0),
         lambda: PoissonTraffic(float("nan")),
         lambda: _receive_result(n_streams=0).total_bit_errors([np.zeros(8, dtype=np.uint8)]),
         lambda: MimoChannel(sample_delay=-1),
@@ -290,7 +291,6 @@ class _BackwardsTraffic:
         lambda: MimoChannel(iq_phase_deg=float("nan")),
         lambda: awgn_noise(8, float("nan")),
         lambda: DownlinkScheduler(n_users=1, channel="rician"),
-        lambda: CbrTraffic(10.0).intervals(-1),
         lambda: PoissonTraffic(10.0).intervals(-1),
         lambda: arrival_times(_BackwardsTraffic(), 2),
         lambda: MimoChannel().transmit(np.zeros((3, 100), dtype=complex)),
@@ -319,7 +319,6 @@ class _BackwardsTraffic:
         lambda: ViterbiDecoder().decode(np.zeros(12), n_info_bits=-1),
         lambda: ViterbiDecoder().decode(np.zeros(32), n_info_bits=10.0),
         lambda: SymbolDemapper("16qam").demap(np.zeros(4, dtype=complex), soft=True, noise_variance=0.0),
-        lambda: SymbolMapper("16qam").map_addresses([16]),
         lambda: MimoTransmitter().transmit([np.array([0.5, 0, 1, 1])] * 4),
         lambda: MimoTransmitter().transmit([np.array([np.nan, 0, 1, 1])] * 4),
         lambda: MimoTransmitter().transmit([np.array([1 + 1j, 0, 1, 1])] * 4),
@@ -327,10 +326,9 @@ class _BackwardsTraffic:
         lambda: MimoTransmitter().transmit([np.zeros((2, 8), dtype=np.uint8)] * 4),
         lambda: MimoTransmitter().transmit(np.zeros((4, 3, 8), dtype=np.uint8)),
         lambda: MimoTransmitter().transmit(np.full((4, 4, 8), 2, dtype=np.uint8)),
+        lambda: MimoTransmitter().transmit([np.ones(8), np.ones(8), np.ones(8), np.ones(9)]),
         lambda: MimoTransmitter().transmit_random(-5, np.random.default_rng(0)),
         lambda: MimoTransmitter().transmit_random(2.5, np.random.default_rng(0)),
-        lambda: MimoTransmitter().symbols_for_info_bits(2.5),
-        lambda: MimoTransmitter().max_info_bits(1.5),
         lambda: ConvolutionalEncoder().encode(np.zeros((2, 2, 5), dtype=np.uint8)),
         lambda: transmit_bursts(MimoTransmitter(), [MimoChannel()], 96, [1, 2]),
         lambda: QrdArray(n=0),
@@ -343,16 +341,10 @@ class _BackwardsTraffic:
         lambda: invert_upper_triangular(np.ones((4, 4))),
         lambda: invert_channel_stack(np.zeros((4, 4, 3))),
         lambda: ChannelEstimator(np.array([])),
-        lambda: bits_to_int([0, 2, 1]),
-        lambda: random_bits(-1),
-        lambda: int_to_bits(1, -1),
-        lambda: int_to_bits(-1, 4),
-        lambda: int_to_bits(16, 4),
         lambda: pack_bits([0, 1], 0),
         lambda: pack_bits([0, 1, 1], 2),
         lambda: unpack_bits([1], 0),
         lambda: unpack_bits([4], 2),
-        lambda: bits_to_bytes([1] * 7),
         lambda: count_bit_errors([0, 1], [0, 1, 1]),
         lambda: count_bit_errors([0, 1], [0, 2]),
         lambda: _normal_quantile(1.0),
@@ -390,6 +382,8 @@ class _BackwardsTraffic:
         "scheduler-zero-weight",
         "detector-no-antennas",
         "detector-frame-shorter-than-preamble",
+        "detector-fractional-antennas",
+        "detector-fractional-frame-length",
         "sweep-nan-snr",
         "sweep-infinite-snr",
         "sweep-unknown-channel",
@@ -404,6 +398,9 @@ class _BackwardsTraffic:
         "sweep-negative-info-bits",
         "sweep-string-info-bits",
         "sweep-fft-size-without-numerology",
+        "sweep-int-fresh-fading-flag",
+        "sweep-int-known-timing-flag",
+        "sweep-string-soft-decision-flag",
         "sweep-impairment-not-a-spec",
         "point-impairment-not-a-spec",
         "impairment-string-tx-format",
@@ -414,10 +411,18 @@ class _BackwardsTraffic:
         "config-unknown-modulation",
         "config-unknown-code-rate",
         "config-string-sample-format",
+        "config-fractional-antennas",
+        "config-float-fft-size",
+        "config-string-soft-decision-flag",
+        "config-int-cordic-flag",
+        "config-string-cfo-flag",
+        "receiver-fractional-timing-advance",
+        "preamble-float-fft-size",
         "impairment-nan-cfo",
         "impairment-infinite-iq-amplitude",
         "impairment-nan-iq-phase",
         "impairment-negative-delay",
+        "impairment-fractional-delay",
         "runner-no-workers",
         "runner-zero-batch",
         "adaptive-no-extra-bursts",
@@ -425,8 +430,6 @@ class _BackwardsTraffic:
         "queue-unknown-backend",
         "process-queue-no-workers",
         "fading-unknown-model",
-        "cbr-zero-rate",
-        "cbr-negative-phase",
         "poisson-nan-rate",
         "receive-result-stream-count-mismatch",
         "channel-negative-delay",
@@ -438,7 +441,6 @@ class _BackwardsTraffic:
         "channel-nan-iq-phase",
         "awgn-nan-variance",
         "scheduler-unknown-channel",
-        "cbr-negative-frames",
         "poisson-negative-frames",
         "arrivals-negative-gap",
         "channel-burst-antenna-mismatch",
@@ -467,7 +469,6 @@ class _BackwardsTraffic:
         "viterbi-negative-info-bits",
         "viterbi-fractional-info-bits",
         "demapper-zero-noise-variance",
-        "mapper-address-out-of-range",
         "transmit-fractional-bit",
         "transmit-nan-bit",
         "transmit-complex-bit",
@@ -475,10 +476,9 @@ class _BackwardsTraffic:
         "transmit-2d-stream",
         "transmit-stack-stream-count",
         "transmit-stack-bit-value-2",
+        "transmit-ragged-streams",
         "transmit-random-negative-bits",
         "transmit-random-fractional-bits",
-        "symbols-for-fractional-info-bits",
-        "max-info-bits-fractional-symbols",
         "encode-3d-stack",
         "air-round-generator-count",
         "systolic-qrd-empty",
@@ -491,16 +491,10 @@ class _BackwardsTraffic:
         "r-inverse-not-triangular",
         "channel-inversion-not-square",
         "channel-estimator-empty-lts",
-        "bits-value-2",
-        "random-bits-negative-count",
-        "int-to-bits-negative-width",
-        "int-to-bits-negative-value",
-        "int-to-bits-value-too-wide",
         "pack-bits-zero-group",
         "pack-bits-partial-group",
         "unpack-bits-zero-group",
         "unpack-bits-value-too-wide",
-        "bits-to-bytes-partial-byte",
         "bit-errors-shape-mismatch",
         "bit-errors-value-2",
         "normal-quantile-at-one",

@@ -984,10 +984,8 @@ class TestTransmitterBatchAgreement:
         config = TransceiverConfig(modulation=modulation, code_rate=rate)
         seed = 1000 + 10 * modulation.bits_per_symbol + ALL_RATES.index(rate)
         rng = np.random.default_rng(seed)
-        bits = [
-            rng.integers(0, 2, size=int(rng.integers(40, 700)), dtype=np.uint8)
-            for _ in range(config.n_streams)
-        ]
+        n_info_bits = int(rng.integers(40, 700))
+        bits = rng.integers(0, 2, size=(config.n_streams, n_info_bits), dtype=np.uint8)
         transmitter = MimoTransmitter(config)
         batched = transmitter.transmit(bits)
         samples, frequency_symbols, coded_bits = transmit_serial(transmitter, bits)
@@ -1012,12 +1010,12 @@ class TestTransmitterBatchAgreement:
         processor = PilotProcessor(numerology)
         rng = np.random.default_rng(91)
         block = rng.normal(size=(4, 7, 64)) + 1j * rng.normal(size=(4, 7, 64))
-        inserted = processor.insert_block(block, start_index=3)
+        inserted = processor.insert_block(block)
         for stream in range(4):
             for n in range(7):
                 np.testing.assert_array_equal(
                     inserted[stream, n],
-                    insert_pilots_serial(processor, block[stream, n], 3 + n),
+                    insert_pilots_serial(processor, block[stream, n], n),
                 )
 
     @pytest.mark.parametrize("detector", ["zf", "mmse"])
@@ -1221,17 +1219,6 @@ class TestPilotBlockAgreement:
                 assert diag.tau[stream, n] == expected_diag.tau
                 assert diag.pilot_magnitude[stream, n] == expected_diag.pilot_magnitude
 
-    def test_start_index_selects_polarity(self):
-        numerology = TransceiverConfig().numerology
-        processor = PilotProcessor(numerology)
-        rng = np.random.default_rng(71)
-        block = rng.normal(size=(2, 3, 64)) + 1j * rng.normal(size=(2, 3, 64))
-        corrected, _ = processor.correct_block(block, start_index=5)
-        for stream in range(2):
-            for n in range(3):
-                expected, _ = correct_pilots_serial(processor, block[stream, n], 5 + n)
-                np.testing.assert_array_equal(corrected[stream, n], expected)
-
     def test_zero_pilot_symbol_left_untouched(self):
         # A symbol whose pilot correlation is exactly zero takes the
         # oracle's early return; the block path must reproduce it with zeroed
@@ -1251,16 +1238,18 @@ class TestPilotBlockAgreement:
     @pytest.mark.parametrize("fft_size", [64, 128, 256, 512, 1024])
     def test_insert_block_matches_per_symbol_oracle_at_every_fft_size(self, fft_size):
         # The pilot bins and polarity sequence both move with the numerology;
-        # the block writer must follow the oracle at every supported size.
+        # the block writer must follow the oracle at every supported size,
+        # across the 127-symbol period of the polarity sequence.
         processor = PilotProcessor(TransceiverConfig(fft_size=fft_size).numerology)
         rng = np.random.default_rng(fft_size)
-        block = rng.normal(size=(2, 5, fft_size)) + 1j * rng.normal(size=(2, 5, fft_size))
-        inserted = processor.insert_block(block, start_index=126)
+        shape = (2, 130, fft_size)
+        block = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        inserted = processor.insert_block(block)
         for stream in range(2):
-            for n in range(5):
+            for n in range(130):
                 np.testing.assert_array_equal(
                     inserted[stream, n],
-                    insert_pilots_serial(processor, block[stream, n], 126 + n),
+                    insert_pilots_serial(processor, block[stream, n], n),
                 )
 
     def test_shape_validation(self):

@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ChannelEstimationError
-from repro.mimo.matrix import (
-    frobenius_error,
-    hermitian,
-    is_unitary,
-    is_upper_triangular,
-)
+from repro.mimo.matrix import frobenius_error, hermitian
 from repro.mimo.rinv import invert_upper_triangular
 
 from reference.mimo import r_inverse_4x4_paper_equations
@@ -26,21 +21,6 @@ class TestMatrixHelpers:
     def test_hermitian(self):
         m = np.array([[1 + 1j, 2], [3j, 4 - 1j]])
         np.testing.assert_allclose(hermitian(m), np.conj(m).T)
-
-    def test_is_upper_triangular(self):
-        assert is_upper_triangular(np.triu(np.ones((3, 3))))
-        assert not is_upper_triangular(np.ones((3, 3)))
-
-    def test_is_upper_triangular_requires_square(self):
-        with pytest.raises(ValueError):
-            is_upper_triangular(np.ones((2, 3)))
-
-    def test_is_unitary(self):
-        rng = np.random.default_rng(0)
-        h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        q, _ = np.linalg.qr(h)
-        assert is_unitary(q)
-        assert not is_unitary(h)
 
     def test_frobenius_error(self):
         a = np.eye(3)
@@ -60,7 +40,7 @@ class TestUpperTriangularInverse:
         r = _random_upper_triangular(n, rng)
         inv = invert_upper_triangular(r)
         np.testing.assert_allclose(r @ inv, np.eye(n), atol=1e-10)
-        assert is_upper_triangular(inv, tolerance=1e-10)
+        np.testing.assert_allclose(np.tril(inv, k=-1), 0, atol=1e-10)
 
     def test_diagonal_matrix(self):
         r = np.diag([1.0, 2.0, 4.0]).astype(complex)

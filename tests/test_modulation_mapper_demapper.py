@@ -6,7 +6,6 @@ import pytest
 from repro.modulation.constellations import Modulation, get_constellation
 from repro.modulation.demapper import SymbolDemapper
 from repro.modulation.mapper import SymbolMapper
-from repro.utils.bits import random_bits
 
 
 class TestSymbolMapper:
@@ -15,7 +14,7 @@ class TestSymbolMapper:
         rng = np.random.default_rng(1)
         mapper = SymbolMapper(modulation)
         demapper = SymbolDemapper(modulation)
-        bits = random_bits(mapper.bits_per_symbol * 50, rng)
+        bits = rng.integers(0, 2, size=mapper.bits_per_symbol * 50, dtype=np.uint8)
         symbols = mapper.map_bits(bits)
         np.testing.assert_array_equal(demapper.hard_decisions(symbols), bits)
 
@@ -24,20 +23,10 @@ class TestSymbolMapper:
         with pytest.raises(ValueError):
             mapper.map_bits(np.ones(5, dtype=np.uint8))
 
-    def test_map_addresses(self):
-        mapper = SymbolMapper(Modulation.QPSK)
-        symbols = mapper.map_addresses([0, 1, 2, 3])
-        np.testing.assert_allclose(symbols, get_constellation(Modulation.QPSK).points)
-
-    def test_map_addresses_range_check(self):
-        mapper = SymbolMapper(Modulation.BPSK)
-        with pytest.raises(ValueError):
-            mapper.map_addresses([2])
-
     def test_output_power_near_unity(self):
         rng = np.random.default_rng(2)
         mapper = SymbolMapper(Modulation.QAM64)
-        bits = random_bits(6 * 4096, rng)
+        bits = rng.integers(0, 2, size=6 * 4096, dtype=np.uint8)
         symbols = mapper.map_bits(bits)
         assert np.mean(np.abs(symbols) ** 2) == pytest.approx(1.0, rel=0.05)
 
@@ -48,7 +37,7 @@ class TestHardDemapping:
         rng = np.random.default_rng(3)
         mapper = SymbolMapper(modulation)
         demapper = SymbolDemapper(modulation)
-        bits = random_bits(mapper.bits_per_symbol * 200, rng)
+        bits = rng.integers(0, 2, size=mapper.bits_per_symbol * 200, dtype=np.uint8)
         symbols = mapper.map_bits(bits)
         noisy = symbols + 0.01 * (
             rng.normal(size=symbols.size) + 1j * rng.normal(size=symbols.size)
@@ -66,7 +55,7 @@ class TestSoftDemapping:
         rng = np.random.default_rng(4)
         mapper = SymbolMapper(Modulation.QAM16)
         demapper = SymbolDemapper(Modulation.QAM16)
-        bits = random_bits(4 * 100, rng)
+        bits = rng.integers(0, 2, size=4 * 100, dtype=np.uint8)
         symbols = mapper.map_bits(bits)
         noisy = symbols + 0.05 * (
             rng.normal(size=symbols.size) + 1j * rng.normal(size=symbols.size)

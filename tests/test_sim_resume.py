@@ -8,12 +8,11 @@ The scenarios the per-point result store exists for:
 * two runners share one store directory concurrently — the log must stay
   intact and a runner must not re-simulate points the other had already
   committed before it dispatched them;
-* a store written in the earlier 256-shard layout keeps resuming, and the
-  runner commits once per drain step, not once per point.
+* a record holds only the six counts its reader reads, records of
+  earlier versions (which held more) keep resuming, and the runner
+  commits once per drain step, not once per point.
 """
 
-import hashlib
-import json
 import os
 import threading
 import time
@@ -23,6 +22,17 @@ import pytest
 import repro.sim.runner as runner_module
 from repro.sim import ResultStore, SweepRunner, SweepSpec
 from repro.sim.engine import simulate_batch
+
+
+#: The six counts of a point result a store record holds.
+RECORD_FIELDS = (
+    "bit_errors",
+    "total_bits",
+    "frame_errors",
+    "n_bursts",
+    "early_stopped",
+    "decode_failures",
+)
 
 
 def small_spec(**overrides) -> SweepSpec:
@@ -143,8 +153,7 @@ class TestFieldLevelCorruption:
         assert stats(resumed) == stats(reference)
         # The re-simulated points were committed again as good records.
         for key, result in zip(keys[:2], reference.points):
-            record = store.get(key)
-            assert {name: record[name] for name in result.to_dict()} == result.to_dict()
+            assert store.get(key) == {name: getattr(result, name) for name in RECORD_FIELDS}
         warm = SweepRunner(spec, n_workers=1, cache=store).run()
         assert warm.from_cache and warm.n_bursts_simulated == 0
 
@@ -244,35 +253,23 @@ class TestConcurrentRunners:
         assert warm_b.from_cache and warm_b.n_bursts_simulated == 0
 
 
-class TestLegacyShardedStore:
-    def test_sharded_store_resumes_without_simulating(self, tmp_path):
-        # The layout earlier versions wrote: one JSON line per record, in
-        # the shard named by the first two hex digits of the key's SHA-256.
+class TestEarlierRecordFormat:
+    def test_record_with_point_and_elapsed_time_resumes_without_simulating(self, tmp_path):
+        # Earlier versions committed the whole point result plus the wall
+        # time spent on it; the reader takes the six counts and ignores
+        # the rest.
         spec = small_spec()
         reference = SweepRunner(spec, n_workers=1, cache=None).run()
-        directory = tmp_path / "points"
-        directory.mkdir()
-        for point, result in zip(spec.points(), reference.points):
-            key = point.content_key(spec)
-            record = {"key": key, "payload": {**result.to_dict(), "elapsed_s": 0.01}}
-            shard = hashlib.sha256(key.encode("utf-8")).hexdigest()[:2]
-            with (directory / f"{shard}.jsonl").open("a") as handle:
-                handle.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
-        assert len(list(directory.glob("*.jsonl"))) > 1
-
-        store = ResultStore(directory)
+        store = ResultStore(tmp_path / "points")
+        store.put(
+            {
+                point.content_key(spec): {**result.to_dict(), "elapsed_s": 0.01}
+                for point, result in zip(spec.points(), reference.points)
+            }
+        )
         resumed = SweepRunner(spec, n_workers=1, cache=store).run()
         assert resumed.from_cache and resumed.n_bursts_simulated == 0
         assert stats(resumed) == stats(reference)
-
-        # A later commit wins over the sharded record, for every reader.
-        key = spec.points()[0].content_key(spec)
-        newer = {**store.get(key), "elapsed_s": 2.0}
-        store.put({key: newer})
-        assert store.get(key) == newer
-        assert ResultStore(directory).get(key) == newer
-        assert ResultStore(directory).clear() == spec.n_points
-        assert list(directory.glob("*.jsonl")) == []
 
 
 class TestCommitPerDrainStep:

@@ -14,7 +14,7 @@ import pytest
 
 from repro.channel.awgn import noise_variance_for_snr, occupied_power
 from repro.channel.model import IdealChannel, MimoChannel
-from repro.utils.units import amplitude_db_to_gain, db_to_linear, linear_to_db
+from repro.utils.units import amplitude_db_to_gain, db_to_linear
 
 
 # ----------------------------------------------------------------------
@@ -27,16 +27,9 @@ def test_converters_are_exact_inverses_at_reference_points():
     assert db_to_linear(10.0) == 10.0
     assert db_to_linear(20.0) == 100.0
     assert db_to_linear(-10.0) == pytest.approx(0.1)
-    assert linear_to_db(1.0) == 0.0
-    assert linear_to_db(100.0) == pytest.approx(20.0)
     # Amplitude domain: every 20 dB is a factor of 10 in gain.
     assert amplitude_db_to_gain(0.0) == 1.0
     assert amplitude_db_to_gain(20.0) == pytest.approx(10.0)
-
-
-def test_converters_round_trip():
-    for value_db in np.linspace(-40.0, 40.0, 17):
-        assert linear_to_db(db_to_linear(value_db)) == pytest.approx(value_db)
 
 
 def test_converters_match_the_inline_idiom_bit_for_bit():
@@ -45,7 +38,6 @@ def test_converters_match_the_inline_idiom_bit_for_bit():
     # they replaced.
     for value_db in (-35.0, -3.0, 0.0, 12.5, 35.0):
         assert db_to_linear(value_db) == 10.0 ** (value_db / 10.0)
-        assert linear_to_db(value_db + 50.0) == 10.0 * np.log10(value_db + 50.0)
         assert amplitude_db_to_gain(value_db) == 10.0 ** (value_db / 20.0)
 
 

@@ -9,7 +9,6 @@ from repro.core.transmitter import MimoTransmitter
 from repro.sim.engine import air_key, burst_seed, stream_frame_seed
 from repro.sim.spec import ImpairmentSpec, SweepSpec
 from repro.stream import (
-    CbrTraffic,
     DownlinkScheduler,
     LatencySummary,
     PoissonTraffic,
@@ -20,6 +19,18 @@ from repro.stream import (
 
 #: A small 2x2 build keeps the per-frame physics cheap in unit tests.
 SMALL_CONFIG = TransceiverConfig(n_antennas=2)
+
+
+class _ConstantRate:
+    """Traffic with one frame every ``1 / rate_fps`` seconds, the first at 0."""
+
+    def __init__(self, rate_fps):
+        self.rate_fps = rate_fps
+
+    def intervals(self, n_frames, rng=None):
+        gaps = np.full(n_frames, 1.0 / self.rate_fps)
+        gaps[:1] = 0.0
+        return gaps
 
 
 def _scheduler(**kwargs):
@@ -37,10 +48,6 @@ def _scheduler(**kwargs):
 
 
 class TestTrafficModels:
-    def test_cbr_gaps_are_constant(self):
-        gaps = CbrTraffic(100.0, phase_s=0.25).intervals(4)
-        np.testing.assert_allclose(gaps, [0.25, 0.01, 0.01, 0.01])
-
     def test_poisson_is_deterministic_per_seed(self):
         model = PoissonTraffic(100.0)
         first = model.intervals(16, rng=np.random.default_rng(5))
@@ -49,12 +56,10 @@ class TestTrafficModels:
         assert first.mean() == pytest.approx(0.01, rel=0.8)
 
     def test_arrival_times_are_cumulative(self):
-        times = arrival_times(CbrTraffic(10.0), 3)
+        times = arrival_times(_ConstantRate(10.0), 3)
         np.testing.assert_allclose(times, [0.0, 0.1, 0.2])
 
     def test_invalid_rates_rejected(self):
-        with pytest.raises(ValueError):
-            CbrTraffic(0.0)
         with pytest.raises(ValueError):
             PoissonTraffic(-1.0)
 
@@ -112,7 +117,7 @@ class TestScheduler:
             assert first.users[user].bit_errors == second.users[user].bit_errors
 
     def test_round_robin_serves_users_equally(self):
-        report = _scheduler(traffic=CbrTraffic(50000.0)).run()
+        report = _scheduler(traffic=_ConstantRate(50000.0)).run()
         assert {s.frames_served for s in report.users.values()} == {2}
 
     def test_weighted_mode_respects_weights(self):
@@ -121,7 +126,7 @@ class TestScheduler:
         report = _scheduler(
             n_users=2,
             frames_per_user=6,
-            traffic=CbrTraffic(1e6),
+            traffic=_ConstantRate(1e6),
             mode="weighted",
             weights=[2.0, 1.0],
         ).run()
@@ -134,10 +139,10 @@ class TestScheduler:
         )
 
     def test_latency_includes_queueing_delay(self):
-        # All 8 frames arrive at t~0 (CBR with an enormous rate), so frame k
+        # All 8 frames arrive at t~0 (an enormous constant rate), so frame k
         # in the service order waits k frame-durations: the latencies are
         # d, 2d, ..., 8d and the worst must sit well above the median.
-        report = _scheduler(traffic=CbrTraffic(1e9), channel="ideal", snr_db=None).run()
+        report = _scheduler(traffic=_ConstantRate(1e9), channel="ideal", snr_db=None).run()
         latency = report.latency
         assert latency.n == 8
         assert latency.worst > 1.5 * latency.p50

