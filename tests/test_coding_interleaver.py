@@ -14,6 +14,17 @@ class TestPermutation:
         perm = interleaver_permutation(n_cbps, n_bpsc)
         assert sorted(perm.tolist()) == list(range(n_cbps))
 
+    @pytest.mark.parametrize(
+        "n_cbps,n_bpsc", [(48, 1), (96, 2), (192, 4), (288, 6), (1536, 4)]
+    )
+    def test_deinterleave_undoes_the_permutation(self, n_cbps, n_bpsc):
+        # Bit k lands at perm[k], and deinterleaving brings it back to k.
+        perm = interleaver_permutation(n_cbps, n_bpsc)
+        positions = np.arange(n_cbps)
+        interleaved = interleave(positions, n_cbps, n_bpsc)
+        np.testing.assert_array_equal(interleaved[perm], positions)
+        np.testing.assert_array_equal(deinterleave(interleaved, n_cbps, n_bpsc), positions)
+
     def test_known_80211a_first_entries(self):
         # For N_CBPS=48, BPSK: bit k goes to position (3*(k mod 16) + k//16).
         perm = interleaver_permutation(48, 1)

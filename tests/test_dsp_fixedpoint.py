@@ -133,6 +133,15 @@ class TestIqSampleWords:
         assert to_integers(fmt, sample.imag) == -0.25 * scale
 
     @pytest.mark.parametrize("fmt", SAMPLE_WORD_FORMATS, ids=SAMPLE_WORD_IDS)
+    def test_extreme_codes_are_kept_and_one_lsb_past_them_saturates(self, fmt):
+        lo, hi = fmt.integer_range
+        largest, smallest = hi * fmt.resolution, lo * fmt.resolution
+        assert fmt.quantize(largest) == largest
+        assert fmt.quantize(smallest) == smallest
+        assert fmt.quantize(largest + fmt.resolution) == largest
+        assert fmt.quantize(smallest - fmt.resolution) == smallest
+
+    @pytest.mark.parametrize("fmt", SAMPLE_WORD_FORMATS, ids=SAMPLE_WORD_IDS)
     def test_full_scale_inputs_saturate_to_the_extreme_codes(self, fmt):
         lo, hi = fmt.integer_range
         np.testing.assert_array_equal(to_integers(fmt, [1e3, -1e3]), [hi, lo])

@@ -519,6 +519,63 @@ def test_inconsistent_construction_raises_configuration_error(build):
         build()
 
 
+@pytest.mark.parametrize(
+    "read_back, expected",
+    [
+        (lambda: ImpairmentSpec(sample_delay=np.int64(1)).sample_delay, 1),
+        (lambda: TransceiverConfig(n_antennas=np.int64(2)).n_antennas, 2),
+        (lambda: TransceiverConfig(fft_size=np.int64(64)).fft_size, 64),
+        (lambda: MimoReceiver(timing_advance=np.int64(1)).timing_advance, 1),
+        (lambda: PreambleGenerator(np.int64(64)).fft_size, 64),
+        (lambda: _detector(n_rx=np.int64(2)).n_rx, 2),
+        (lambda: _detector(frame_length=np.int64(2000)).frame_length, 2000),
+    ],
+    ids=[
+        "impairment-delay",
+        "config-antennas",
+        "config-fft-size",
+        "receiver-timing-advance",
+        "preamble-fft-size",
+        "detector-antennas",
+        "detector-frame-length",
+    ],
+)
+def test_integer_front_doors_store_numpy_integers_as_int(read_back, expected):
+    # The integer rule refuses fractions but keeps numpy integers, stored
+    # as ``int`` so no equal value of another type keys another cell.
+    value = read_back()
+    assert type(value) is int
+    assert value == expected
+
+
+@pytest.mark.parametrize("flag", [np.True_, np.False_], ids=["true", "false"])
+@pytest.mark.parametrize(
+    "owner, name",
+    [
+        (SweepSpec, "fresh_fading_per_burst"),
+        (SweepSpec, "known_timing"),
+        (SweepSpec, "soft_decision"),
+        (TransceiverConfig, "soft_decision"),
+        (TransceiverConfig, "use_cordic_channel_inversion"),
+        (TransceiverConfig, "correct_cfo"),
+    ],
+    ids=[
+        "sweep-fresh-fading",
+        "sweep-known-timing",
+        "sweep-soft-decision",
+        "config-soft-decision",
+        "config-cordic-inversion",
+        "config-correct-cfo",
+    ],
+)
+def test_flag_front_doors_store_numpy_booleans_as_bool(owner, name, flag):
+    # The flag rule refuses 0, 1 and strings but keeps numpy booleans,
+    # stored as ``bool`` so the object equals the one built from Python's.
+    built = owner(**{name: flag})
+    assert type(getattr(built, name)) is bool
+    assert built == owner(**{name: bool(flag)})
+
+
 class TestSynchronizerFailureModes:
     def test_empty_stream_rejected(self):
         preamble = PreambleGenerator(64)

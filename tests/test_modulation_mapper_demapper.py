@@ -18,6 +18,14 @@ class TestSymbolMapper:
         symbols = mapper.map_bits(bits)
         np.testing.assert_array_equal(demapper.hard_decisions(symbols), bits)
 
+    @pytest.mark.parametrize("modulation", list(Modulation))
+    def test_every_address_maps_to_its_lut_entry(self, modulation):
+        # The bits of LUT address a, MSB first, map to points[a].
+        mapper = SymbolMapper(modulation)
+        constellation = get_constellation(modulation)
+        symbols = mapper.map_bits(constellation.bit_table().ravel())
+        np.testing.assert_array_equal(symbols, constellation.points)
+
     def test_map_bits_length_check(self):
         mapper = SymbolMapper(Modulation.QAM16)
         with pytest.raises(ValueError):

@@ -107,6 +107,24 @@ class TestCfoEstimator:
         assert estimate.fine != pytest.approx(true_cfo, abs=1e-4)
         assert estimate.combined == pytest.approx(true_cfo, abs=1e-5)
 
+    @pytest.mark.parametrize("true_cfo", [-0.03, 0.03])
+    def test_coarse_estimate_resolves_offsets_near_its_range_edge(
+        self, preamble_waveform, true_cfo
+    ):
+        # The 16-sample STS period resolves |CFO| < 1/32 cycles/sample.
+        shifted = apply_carrier_frequency_offset(preamble_waveform, true_cfo)
+        assert CfoEstimator(64).coarse(shifted, sts_start=0) == pytest.approx(
+            true_cfo, abs=1e-6
+        )
+
+    def test_coarse_estimate_aliases_past_its_range(self, preamble_waveform):
+        # Past 1/32 cycles/sample the STS phase wraps: 0.035 reads as
+        # 0.035 - 1/16.
+        shifted = apply_carrier_frequency_offset(preamble_waveform, 0.035)
+        assert CfoEstimator(64).coarse(shifted, sts_start=0) == pytest.approx(
+            0.035 - 1 / 16, abs=1e-6
+        )
+
     def test_sts_start_negative_falls_back_to_fine_only(self, preamble_waveform):
         # When the stream starts mid-STS (lts_start < STS length) the coarse
         # stage has nothing to correlate and must drop out as 0.0 instead of
