@@ -10,6 +10,7 @@ collapses and the extension keeps the link closed.
 """
 
 from repro.channel.fading import FlatRayleighChannel
+from repro.channel.impairments import ImpairmentSpec
 from repro.channel.model import MimoChannel
 from repro.core.config import TransceiverConfig
 from repro.core.receiver import MimoReceiver
@@ -23,7 +24,10 @@ N_INFO_BITS = 200
 def _ber(correct_cfo: bool, cfo: float) -> float:
     config = TransceiverConfig(correct_cfo=correct_cfo)
     channel = MimoChannel(
-        FlatRayleighChannel(rng=26), snr_db=35.0, rng=27, cfo_normalized=cfo
+        FlatRayleighChannel(rng=26),
+        snr_db=35.0,
+        impairment=ImpairmentSpec(cfo_normalized=cfo),
+        rng=27,
     )
     (air,) = transmit_bursts(MimoTransmitter(config), [channel], N_INFO_BITS, rngs=[1])
     (result,) = MimoReceiver(config).receive_stack(

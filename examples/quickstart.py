@@ -20,7 +20,13 @@ import numpy as np
 
 import _bootstrap  # noqa: F401 -- makes the in-tree repro package importable
 
-from repro import MimoChannel, MimoReceiver, MimoTransmitter, TransceiverConfig
+from repro import (
+    ImpairmentSpec,
+    MimoChannel,
+    MimoReceiver,
+    MimoTransmitter,
+    TransceiverConfig,
+)
 from repro.channel import FlatRayleighChannel
 from repro.core.transceiver import transmit_bursts
 from repro.utils.bits import count_bit_errors
@@ -41,7 +47,7 @@ def main() -> None:
     channel = MimoChannel(
         fading=FlatRayleighChannel(rng=26),
         snr_db=30.0,
-        sample_delay=25,
+        impairment=ImpairmentSpec(sample_delay=25),
         rng=2,
     )
 
@@ -57,7 +63,7 @@ def main() -> None:
           f"({burst.duration_s * 1e6:.1f} us)")
     print(f"  OFDM data symbols   : {burst.n_ofdm_symbols}")
     print(f"  LTS located at      : sample {result.lts_start} "
-          f"(transmitted at {burst.layout.sts_length + channel.sample_delay})")
+          f"(transmitted at {burst.layout.sts_length + channel.impairment.sample_delay})")
     print(f"  total payload       : {burst.payload_bits} bits")
     print(f"  bit errors          : {bit_errors}")
     print(f"  bit error rate      : {bit_errors / burst.payload_bits:.2e}")

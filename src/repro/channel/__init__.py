@@ -4,7 +4,7 @@ The paper evaluates its transceiver on an FPGA connected to real converters;
 this package provides the synthetic stand-in: composable 4x4 MIMO channel
 models (ideal, AWGN, flat and frequency-selective Rayleigh fading) plus
 front-end impairments (carrier-frequency offset, sample timing offset,
-IQ imbalance) so the complete receive datapath — synchronisation, channel
+IQ imbalance, fixed-point word lengths; one :class:`ImpairmentSpec`) so the complete receive datapath — synchronisation, channel
 estimation, detection, decoding — is exercised end to end.
 """
 
@@ -20,6 +20,7 @@ from repro.channel.fading import (
     rayleigh_matrix,
 )
 from repro.channel.impairments import (
+    ImpairmentSpec,
     apply_carrier_frequency_offset,
     apply_iq_imbalance,
 )
@@ -33,6 +34,7 @@ __all__ = [
     "FrequencySelectiveChannel",
     "exponential_power_delay_profile",
     "rayleigh_matrix",
+    "ImpairmentSpec",
     "apply_carrier_frequency_offset",
     "apply_iq_imbalance",
     "ChannelOutput",

@@ -3,8 +3,9 @@
 :class:`MimoChannel` chains transmit-side DAC quantisation, a fading model
 (ideal / flat Rayleigh / frequency selective), front-end impairments (CFO,
 sample delay), AWGN and the receive-mixer IQ imbalance into a single object
-with one :meth:`MimoChannel.transmit` call.  The fading models expose
-their ground-truth per-subcarrier channel matrices
+with one :meth:`MimoChannel.transmit` call; the impairments are the air
+half of one :class:`~repro.channel.impairments.ImpairmentSpec`.  The
+fading models expose their ground-truth per-subcarrier channel matrices
 (``frequency_response``) so experiments can compare the receiver's
 estimates against the real channel.  The receive-side ADC quantisation is
 the receiver's first stage (``TransceiverConfig.rx_sample_format``).
@@ -31,10 +32,10 @@ import numpy as np
 from repro.channel.awgn import awgn_noise, noise_variance_for_snr, occupied_power
 from repro.channel.fading import FlatRayleighChannel, FrequencySelectiveChannel
 from repro.channel.impairments import (
+    ImpairmentSpec,
     apply_carrier_frequency_offset,
     apply_iq_imbalance,
 )
-from repro.dsp.fixedpoint import FixedPointFormat
 from repro.exceptions import ConfigurationError
 from repro.utils.rng import SeedLike, make_rng
 
@@ -73,8 +74,6 @@ class ChannelOutput:
     ----------
     samples:
         Received samples per antenna, shape ``(n_rx, n_samples)``.
-    snr_db:
-        The SNR at which noise was added (``None`` for a noiseless run).
     noise_variance:
         The complex noise variance actually injected — calibrated against
         the occupied-sample signal power, so receivers (MMSE weights, soft
@@ -83,8 +82,24 @@ class ChannelOutput:
     """
 
     samples: np.ndarray
-    snr_db: Optional[float] = None
     noise_variance: Optional[float] = None
+
+
+#: Fading models :func:`build_fading_model` builds by name.
+CHANNEL_MODELS = ("ideal", "flat_rayleigh", "frequency_selective")
+
+
+def build_fading_model(channel: str, n_streams: int, rng: SeedLike):
+    """Fading model instance by name: a realisation drawn from ``rng``,
+    so the same seed always builds the same one."""
+    n = n_streams
+    if channel == "ideal":
+        return IdealChannel(n, n)
+    if channel == "flat_rayleigh":
+        return FlatRayleighChannel(n, n, rng=rng)
+    if channel == "frequency_selective":
+        return FrequencySelectiveChannel(n, n, rng=rng)
+    raise ConfigurationError(f"unknown channel model {channel!r}")
 
 
 class MimoChannel:
@@ -98,58 +113,38 @@ class MimoChannel:
         method and ``n_rx``/``n_tx`` attributes.
     snr_db:
         SNR of the added AWGN; ``None`` disables noise.
-    cfo_normalized:
-        Carrier-frequency offset in cycles per sample (``0`` disables).
-    sample_delay:
-        Integer sample delay prepended to the burst, exercising time sync.
-        The observation window is extended by the delay so the burst tail
-        is never lost (the receiver keeps listening while the burst arrives
-        late).
-    iq_amplitude_db / iq_phase_deg:
-        Receive-mixer IQ amplitude (dB) and phase (degrees) imbalance
-        (``0`` disables).  As a receive-side impairment it runs *after*
-        noise injection — the mixer distorts antenna noise too.
-    tx_quantization:
-        Optional :class:`~repro.dsp.fixedpoint.FixedPointFormat` applied to
-        the transmit samples before the channel — the DAC word length on
-        the paper's 16-bit sample interface.  The ADC word length is the
-        receiver's: ``TransceiverConfig.rx_sample_format``.
+    impairment:
+        The front-end condition, an
+        :class:`~repro.channel.impairments.ImpairmentSpec` (``None`` is the
+        ideal front end), whose air half the channel applies: TX
+        quantisation, timing delay, CFO and IQ imbalance.
     rng:
         Seed or generator used for the noise (fading randomness is owned by
         the fading object itself).
 
-    Raises :class:`~repro.exceptions.ConfigurationError` on a
-    ``sample_delay`` that is not a non-negative integer, an ``snr_db`` that
-    is neither ``None`` nor finite, a non-finite CFO or IQ imbalance, and
-    (in :meth:`transmit`) a burst that is not ``(n_tx, n_samples)``.
+    Raises :class:`~repro.exceptions.ConfigurationError` on an
+    ``impairment`` that is neither an ``ImpairmentSpec`` nor ``None``
+    (the spec checks its own fields), an ``snr_db`` that is neither
+    ``None`` nor finite, and (in :meth:`transmit`) a burst that is not
+    ``(n_tx, n_samples)``.
     """
 
     def __init__(
         self,
         fading=None,
         snr_db: Optional[float] = None,
-        cfo_normalized: float = 0.0,
-        sample_delay: int = 0,
-        iq_amplitude_db: float = 0.0,
-        iq_phase_deg: float = 0.0,
-        tx_quantization: Optional[FixedPointFormat] = None,
+        impairment: Optional[ImpairmentSpec] = None,
         rng: SeedLike = None,
     ) -> None:
-        if not isinstance(sample_delay, (int, np.integer)) or sample_delay < 0:
+        if not isinstance(impairment, (ImpairmentSpec, type(None))):
             raise ConfigurationError(
-                f"sample_delay must be a non-negative integer, got {sample_delay!r}"
+                f"impairment must be an ImpairmentSpec or None, got {impairment!r}"
             )
         if snr_db is not None and not np.isfinite(snr_db):
             raise ConfigurationError(f"snr_db must be finite or None, got {snr_db}")
-        if not np.all(np.isfinite([cfo_normalized, iq_amplitude_db, iq_phase_deg])):
-            raise ConfigurationError("the CFO and IQ imbalance must be finite")
         self.fading = fading if fading is not None else IdealChannel()
         self.snr_db = snr_db
-        self.cfo_normalized = cfo_normalized
-        self.sample_delay = sample_delay
-        self.iq_amplitude_db = iq_amplitude_db
-        self.iq_phase_deg = iq_phase_deg
-        self.tx_quantization = tx_quantization
+        self.impairment = impairment or ImpairmentSpec()
         self.rng = make_rng(rng)
 
     @property
@@ -171,23 +166,24 @@ class MimoChannel:
                 f"expected shape ({self.n_tx}, n_samples), got {x.shape}"
             )
 
-        if self.tx_quantization is not None:
-            x = self.tx_quantization.quantize_complex(x)
+        impairment = self.impairment
+        if impairment.tx_format is not None:
+            x = impairment.tx_format.quantize_complex(x)
         y = self.fading.apply(x)
-        if self.sample_delay:
+        if impairment.sample_delay:
             # The receiver keeps listening while the burst arrives late:
             # the observation window grows by the delay and every
             # transmitted sample survives the shift.
-            pad = np.zeros(y.shape[:-1] + (self.sample_delay,), dtype=np.complex128)
+            pad = np.zeros(y.shape[:-1] + (impairment.sample_delay,), dtype=np.complex128)
             y = np.concatenate([pad, y], axis=-1)
-        if self.cfo_normalized:
-            y = apply_carrier_frequency_offset(y, self.cfo_normalized)
+        if impairment.cfo_normalized:
+            y = apply_carrier_frequency_offset(y, impairment.cfo_normalized)
         noise_variance = self._noise_variance_for(y)
         if noise_variance:
             y = y + awgn_noise(y.shape, noise_variance, self.rng)
-        if self.iq_amplitude_db or self.iq_phase_deg:
-            y = apply_iq_imbalance(y, self.iq_amplitude_db, self.iq_phase_deg)
-        return ChannelOutput(samples=y, snr_db=self.snr_db, noise_variance=noise_variance)
+        if impairment.iq_amplitude_db or impairment.iq_phase_deg:
+            y = apply_iq_imbalance(y, impairment.iq_amplitude_db, impairment.iq_phase_deg)
+        return ChannelOutput(samples=y, noise_variance=noise_variance)
 
     def _noise_variance_for(self, y: np.ndarray) -> Optional[float]:
         """Noise variance delivering ``snr_db`` over the occupied samples.

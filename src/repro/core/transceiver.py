@@ -9,20 +9,21 @@ A link then decodes them with
 :meth:`~repro.core.receiver.MimoReceiver.receive_stack` and scores the
 outcome with :meth:`~repro.core.frame.BurstOutcome.score`.
 
-BER/PER over many bursts is the batched engine's job: the sweep engine in
-:mod:`repro.sim` (worker pools, early stopping, result caching; see
-``docs/simulation.md``) and the streaming scheduler put their rounds on
-air through :func:`transmit_bursts` via :func:`repro.sim.engine.air_round`,
-which seeds a fresh channel per burst.
+:func:`air_round` is its seeded form, the one air path of the sweep engine
+(:mod:`repro.sim`) and the streaming scheduler (:mod:`repro.stream`), and
+:func:`impaired_config` shapes the receiver an impairment needs.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from repro.channel.model import MimoChannel
+from repro.channel.impairments import ImpairmentSpec
+from repro.channel.model import MimoChannel, build_fading_model
+from repro.core.config import TransceiverConfig
 from repro.core.frame import TransmitBurst
 from repro.core.transmitter import MimoTransmitter
 from repro.exceptions import ConfigurationError
@@ -54,9 +55,8 @@ def transmit_bursts(
     the receiver: one :class:`AirBurst` per channel, in order.
 
     The transmit half of every link: the sweep engine and the streaming
-    scheduler reach it through :func:`repro.sim.engine.air_round`, which
-    builds a fresh seeded channel per burst; a single burst is a round of
-    one.
+    scheduler reach it through :func:`air_round`, which builds a fresh
+    seeded channel per burst; a single burst is a round of one.
 
     Parameters
     ----------
@@ -85,10 +85,74 @@ def transmit_bursts(
         output = channel.transmit(burst.samples)
         lts_start = None
         if known_timing:
-            lts_start = burst.layout.sts_length + channel.sample_delay
+            lts_start = burst.layout.sts_length + channel.impairment.sample_delay
         # The channel reports the exact variance it injected (calibrated
         # against the occupied-sample signal power); a channel that injects
         # none leaves the receiver at its default of 1.0.
         noise_variance = output.noise_variance or 1.0
         sent.append(AirBurst(burst, output.samples, lts_start, noise_variance))
     return sent
+
+
+def impaired_config(base: TransceiverConfig, impairment: ImpairmentSpec) -> TransceiverConfig:
+    """``base`` with an impairment's receiver wiring overlaid.
+
+    A CFO on air enables the preamble-based estimator/corrector, and the RX
+    quantisation formats become the receiver's sample/multiplier word
+    lengths; whatever ``base`` already enables stays enabled.  The sweep
+    engine and the streaming scheduler both shape their receivers here.
+    """
+    return replace(
+        base,
+        correct_cfo=base.correct_cfo or impairment.cfo_normalized != 0.0,
+        rx_sample_format=impairment.rx_format or base.rx_sample_format,
+        rx_multiplier_format=impairment.rx_multiplier_format or base.rx_multiplier_format,
+    )
+
+
+class AirCell(NamedTuple):
+    """One seeded burst of an :func:`air_round`: its seed (spawning
+    advances a ``SeedSequence``, so a seed goes on air once), the channel
+    it crosses, and ``fading_seed`` when the caller keeps one fading
+    realisation fixed (the same seed always builds the same one)."""
+
+    seed: np.random.SeedSequence
+    channel: str
+    snr_db: Optional[float]
+    impairment: ImpairmentSpec
+    fading_seed: Optional[np.random.SeedSequence] = None
+
+
+def air_round(
+    transmitter: MimoTransmitter,
+    cells: Sequence[AirCell],
+    n_info_bits: int,
+    known_timing: bool = False,
+) -> List[AirBurst]:
+    """Put a round of seeded bursts on air: the sweep's and the stream's
+    one TX path, one :class:`AirBurst` per cell.
+
+    Each cell's seed spawns its payload, fading and noise generators, in
+    that order; a ``fading_seed`` replaces the fading generator's seed.
+    Its burst crosses a fresh :class:`~repro.channel.model.MimoChannel`
+    under its impairment.  Every burst goes through one stacked transmit
+    pass, :func:`transmit_bursts`; the channels stay per burst, so a round
+    may mix channel kinds and impairments.
+    """
+    payloads, channels = [], []
+    for cell in cells:
+        payload_seed, fading_seed, noise_seed = cell.seed.spawn(3)
+        if cell.fading_seed is not None:
+            fading_seed = cell.fading_seed
+        fading = build_fading_model(
+            cell.channel, transmitter.config.n_antennas, np.random.default_rng(fading_seed)
+        )
+        channels.append(
+            MimoChannel(
+                fading, cell.snr_db, cell.impairment, np.random.default_rng(noise_seed)
+            )
+        )
+        payloads.append(np.random.default_rng(payload_seed))
+    return transmit_bursts(
+        transmitter, channels, n_info_bits, payloads, known_timing=known_timing
+    )

@@ -13,8 +13,8 @@ declaratively and executes them efficiently:
 * :class:`~repro.sim.spec.SweepSpec` — a typed, JSON-round-trippable
   description of a sweep over SNR, modulation, code rate, stream count,
   channel model, detector and front-end impairment
-  (:class:`~repro.sim.spec.ImpairmentSpec`: CFO, timing delay, IQ
-  imbalance, fixed-point word lengths), and
+  (:class:`~repro.channel.impairments.ImpairmentSpec`: CFO, timing delay,
+  IQ imbalance, fixed-point word lengths), and
   :class:`~repro.sim.spec.SweepResult`, its per-point outcome;
 * :class:`~repro.sim.runner.SweepRunner` — drains deterministically seeded
   burst batches through a pluggable work queue (:mod:`repro.sim.queue`),
@@ -27,9 +27,10 @@ declaratively and executes them efficiently:
   extra bursts go to the points whose BER confidence intervals
   (:mod:`repro.sim.stats`: Wilson / Clopper–Pearson) are widest, run
   through the base sweep's scheduler and fold;
-* :mod:`~repro.sim.engine` — the burst-level engine: per-burst seeding,
-  the impairment wiring shared with the streaming scheduler, and the work
-  unit the runner fans out.
+* :mod:`~repro.sim.engine` — the burst-level engine: per-burst seeding
+  and the work unit the runner fans out, on air through
+  :func:`repro.core.transceiver.air_round`, the air path the streaming
+  scheduler shares.
 
 Quick start::
 

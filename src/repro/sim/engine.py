@@ -1,15 +1,16 @@
 """Burst-level simulation engine behind the sweep runner.
 
 This module turns a :class:`~repro.sim.spec.SweepPoint` into link
-simulations: it builds the :class:`~repro.core.config.TransceiverConfig` and
-channel model a grid cell describes (the impairment wiring the streaming
-scheduler reuses) and puts seeded bursts on air, a round at a time
-(:func:`air_round`: one stacked transmit pass, a channel per burst).
+simulations: it builds the :class:`~repro.core.config.TransceiverConfig` a
+grid cell describes and puts seeded bursts on air, a round at a time,
+through :func:`repro.core.transceiver.air_round` (one stacked transmit
+pass, a channel per burst), the air path the streaming scheduler shares.
 :func:`simulate_batch` runs the :class:`WorkUnit` the
 :class:`~repro.sim.runner.SweepRunner` fans out over its worker pool — a
 :class:`BatchItem` of bursts for each of several points of one air group
-— and answers one :class:`BatchReport` of burst outcomes per item.  Units and reports are frozen dataclasses, so
-they cross process boundaries by pickling.
+— and answers one :class:`BatchReport` of burst outcomes per item.  Units
+and reports are frozen dataclasses, so they cross process boundaries by
+pickling.
 
 Seeding contract: every burst derives its RNG streams from
 ``SeedSequence([content_hash(point.seed_payload(spec)), burst_index])``, so
@@ -21,23 +22,22 @@ records between overlapping sweeps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.channel.fading import FlatRayleighChannel, FrequencySelectiveChannel
-from repro.channel.model import IdealChannel, MimoChannel
+from repro.channel.impairments import ImpairmentSpec
+from repro.channel.model import CHANNEL_MODELS
 from repro.core.config import TransceiverConfig
 from repro.core.frame import BurstOutcome
 from repro.core.receiver import MimoReceiver
-from repro.core.transceiver import AirBurst, transmit_bursts
+from repro.core.transceiver import AirCell, air_round, impaired_config
 from repro.core.transmitter import MimoTransmitter
 from repro.exceptions import ConfigurationError
 from repro.sim.cache import content_key
-from repro.sim.spec import CHANNEL_MODELS, ImpairmentSpec, SweepPoint, SweepSpec
-from repro.utils.rng import SeedLike
+from repro.sim.spec import SweepPoint, SweepSpec
 
 #: Entropy tag appended to ``base_seed`` for the shared fading realisation
 #: used when ``fresh_fading_per_burst`` is off; keeps that stream disjoint
@@ -73,60 +73,6 @@ def air_key(point: SweepPoint, spec: SweepSpec) -> str:
     burst index, so a work unit puts each of their bursts on air once.
     """
     return content_key(point.seed_payload(spec))
-
-
-def impaired_config(base: TransceiverConfig, impairment: ImpairmentSpec) -> TransceiverConfig:
-    """``base`` with an impairment's receiver wiring overlaid.
-
-    A CFO on air enables the preamble-based estimator/corrector, and the RX
-    quantisation formats become the receiver's sample/multiplier word
-    lengths; whatever ``base`` already enables stays enabled.  The sweep
-    engine and the streaming scheduler both shape their receivers here.
-    """
-    return replace(
-        base,
-        correct_cfo=base.correct_cfo or impairment.cfo_normalized != 0.0,
-        rx_sample_format=impairment.rx_format or base.rx_sample_format,
-        rx_multiplier_format=impairment.rx_multiplier_format or base.rx_multiplier_format,
-    )
-
-
-def impaired_channel(
-    fading, snr_db: float, impairment: ImpairmentSpec, rng: SeedLike
-) -> MimoChannel:
-    """The air channel of one burst under an impairment.
-
-    ``fading`` and AWGN at ``snr_db``, plus the impairment's CFO, timing
-    delay, IQ imbalance and TX quantisation.  The sweep engine and the
-    streaming scheduler both build their channels here.
-    """
-    return MimoChannel(
-        fading=fading,
-        snr_db=snr_db,
-        cfo_normalized=impairment.cfo_normalized,
-        sample_delay=impairment.sample_delay,
-        iq_amplitude_db=impairment.iq_amplitude_db,
-        iq_phase_deg=impairment.iq_phase_deg,
-        tx_quantization=impairment.tx_format,
-        rng=rng,
-    )
-
-
-def build_fading_model(channel: str, n_streams: int, rng: SeedLike):
-    """Fading model instance by name (fresh realisation per call).
-
-    Takes a channel name and antenna count rather than a
-    :class:`SweepPoint`, so the streaming scheduler, which has no point,
-    builds its per-frame realisations the same way as the sweep engine.
-    """
-    n = n_streams
-    if channel == "ideal":
-        return IdealChannel(n, n)
-    if channel == "flat_rayleigh":
-        return FlatRayleighChannel(n, n, rng=rng)
-    if channel == "frequency_selective":
-        return FrequencySelectiveChannel(n, n, rng=rng)
-    raise ConfigurationError(f"unknown channel model {channel!r}")
 
 
 def fixed_fading_seed(spec: SweepSpec, point: SweepPoint) -> np.random.SeedSequence:
@@ -175,78 +121,6 @@ def burst_seed(key: str, burst_index: int) -> np.random.SeedSequence:
     of re-rolling it.
     """
     return np.random.SeedSequence([int(key, 16), int(burst_index)])
-
-
-#: Entropy tag for streaming per-(user, frame) seeds; disjoint from the
-#: sweep's per-(point, burst) tree and the fixed-fading stream.
-_STREAM_TAG = 0x57EA
-
-
-def stream_frame_seed(
-    base_seed: int, user: int, frame_index: int
-) -> np.random.SeedSequence:
-    """Deterministic seed of one (user, frame) cell of the streaming tree.
-
-    The streaming counterpart of :func:`burst_seed`: payload, fading and
-    noise generators for every user's every frame derive from this, so a
-    multi-user run is bit-reproducible for any scheduling order and never
-    collides with a sweep using the same base seed.
-    """
-    return np.random.SeedSequence([base_seed, _STREAM_TAG, user, frame_index])
-
-
-class AirCell(NamedTuple):
-    """One seeded burst of an :func:`air_round`: its seed (a fresh
-    :func:`burst_seed` or :func:`stream_frame_seed`; spawning advances a
-    ``SeedSequence``, so a seed goes on air once), the channel it crosses,
-    and ``fixed_fading`` when the caller keeps one fading realisation
-    fixed."""
-
-    seed: np.random.SeedSequence
-    channel: str
-    snr_db: Optional[float]
-    impairment: ImpairmentSpec
-    fixed_fading: object = None
-
-
-def air_round(
-    transmitter: MimoTransmitter,
-    cells: Sequence[AirCell],
-    n_info_bits: int,
-    known_timing: bool = False,
-) -> List[AirBurst]:
-    """Put a round of seeded bursts on air: the sweep's and the stream's
-    one TX path, one :class:`~repro.core.transceiver.AirBurst` per cell.
-
-    Each cell's seed spawns its payload, fading and noise generators, in
-    that order.  Its burst crosses a fresh :func:`impaired_channel` over a
-    fresh fading realisation of its channel kind, or over its
-    ``fixed_fading`` (its fading generator then goes unused).  Every
-    burst goes through one stacked transmit pass,
-    :func:`~repro.core.transceiver.transmit_bursts`; the channels stay per
-    burst, so a round may mix channel kinds and impairments.
-    """
-    payloads, channels = [], []
-    for cell in cells:
-        payload_seed, fading_seed, noise_seed = cell.seed.spawn(3)
-        fading = (
-            cell.fixed_fading
-            if cell.fixed_fading is not None
-            else build_fading_model(
-                cell.channel,
-                transmitter.config.n_antennas,
-                np.random.default_rng(fading_seed),
-            )
-        )
-        channels.append(
-            impaired_channel(
-                fading, cell.snr_db, cell.impairment, np.random.default_rng(noise_seed)
-            )
-        )
-        payloads.append(np.random.default_rng(payload_seed))
-    return transmit_bursts(
-        transmitter, channels, n_info_bits, payloads, known_timing=known_timing
-    )
 
 
 @dataclass(frozen=True)
@@ -311,17 +185,6 @@ def simulate_batch(unit: WorkUnit) -> List[BatchReport]:
     # detector's receiver runs its items' detector stage.
     transmitter, receiver = _transceiver_for(items[0].config)
     detectors = {config: _transceiver_for(config)[1] for config in configs}
-    # One fixed fading realisation per air cell: twins share it.
-    fixed_fadings = {
-        key: None
-        if spec.fresh_fading_per_burst
-        else build_fading_model(
-            point.channel,
-            point.n_streams,
-            np.random.default_rng(fixed_fading_seed(spec, point)),
-        )
-        for key, point in {item.air_key: item.point for item in items}.items()
-    }
 
     outcomes: List[List[BurstOutcome]] = [[] for _ in items]
     errors = [0] * len(items)
@@ -340,7 +203,9 @@ def simulate_batch(unit: WorkUnit) -> List[BatchReport]:
                     items[i].point.channel,
                     items[i].point.snr_db,
                     items[i].point.impairment or ImpairmentSpec(),
-                    fixed_fadings[key],
+                    None
+                    if spec.fresh_fading_per_burst
+                    else fixed_fading_seed(spec, items[i].point),
                 )
                 for (key, burst), (i, *_) in cells.items()
             ],

@@ -8,11 +8,12 @@ burst budget, the early-stopping error target and the base seed.
 the :class:`~repro.sim.runner.SweepRunner` simulates each cell into a
 :class:`SweepPointResult` and aggregates them into a :class:`SweepResult`.
 
-:class:`ImpairmentSpec` describes one front-end condition — carrier
-frequency offset, sample-timing delay, IQ imbalance and fixed-point
-quantisation — so the paper's "survives real front-end conditions" claims
-(BER vs CFO, BER vs word length) are sweepable exactly like SNR or
-modulation; ``None`` on the axis is the ideal front end.
+:class:`~repro.channel.impairments.ImpairmentSpec` (re-exported here)
+describes one front-end condition — carrier frequency offset,
+sample-timing delay, IQ imbalance and fixed-point quantisation — so the
+paper's "survives real front-end conditions" claims (BER vs CFO, BER vs
+word length) are sweepable exactly like SNR or modulation; ``None`` on the
+axis is the ideal front end.
 
 Specs, points and point results are frozen dataclasses: they pickle into
 the multiprocessing workers as they are.  A point's key in the per-point
@@ -29,14 +30,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.channel.impairments import ImpairmentSpec
+from repro.channel.model import CHANNEL_MODELS
 from repro.coding.convolutional import CodeRate
 from repro.core.config import OfdmNumerology
 from repro.dsp.backend import DSP_ARITHMETIC
-from repro.dsp.fixedpoint import (
-    FixedPointFormat,
-    MULTIPLIER_FORMAT_18BIT,
-    SAMPLE_FORMAT_16BIT,
-)
 from repro.exceptions import ConfigurationError, boolean_flag, integer_at_least
 from repro.modulation.constellations import Modulation
 
@@ -53,9 +51,6 @@ from repro.modulation.constellations import Modulation
 #: physical cell simulates identically in any grid — the property that lets
 #: overlapping sweeps share per-point records in the result store.
 ENGINE_VERSION = 4
-
-#: Channel models the engine knows how to build (see ``repro.sim.engine``).
-CHANNEL_MODELS = ("ideal", "flat_rayleigh", "frequency_selective")
 
 #: Detector choices, matching ``TransceiverConfig.detector``.
 DETECTORS = ("zf", "mmse")
@@ -80,105 +75,6 @@ def _as_tuple(value, caster) -> tuple:
     return tuple(caster(item) for item in value)
 
 
-@dataclass(frozen=True)
-class ImpairmentSpec:
-    """One front-end condition of the sweep's impairment axis.
-
-    All defaults describe the ideal front end, so partial specs read
-    naturally: ``ImpairmentSpec(cfo_normalized=1e-3)`` is "CFO only".
-
-    Parameters
-    ----------
-    cfo_normalized:
-        Carrier-frequency offset in cycles per sample (the paper's 100 MHz
-        clock makes ``1e-4`` a 10 kHz offset).  A non-zero value makes the
-        engine enable the receiver's preamble-based CFO estimator
-        (``TransceiverConfig.correct_cfo``).
-    sample_delay:
-        Non-negative integer sample-timing delay of the burst; exercises
-        the time synchroniser's search.
-    iq_amplitude_db / iq_phase_deg:
-        Receive-mixer IQ amplitude (dB) and phase (degrees) imbalance.
-
-    ``cfo_normalized``, ``iq_amplitude_db`` and ``iq_phase_deg`` must be
-    finite: a NaN or infinite value raises
-    :class:`~repro.exceptions.ConfigurationError` here rather than
-    turning every burst of the sweep into a decode failure.
-    tx_format:
-        Optional :class:`~repro.dsp.fixedpoint.FixedPointFormat` quantising
-        the transmit samples (the DAC word length).
-    rx_format:
-        Optional format quantising the received sample stream at the
-        receiver input (``TransceiverConfig.rx_sample_format`` — the
-        paper's 16-bit I/Q interface).
-    rx_multiplier_format:
-        Optional format quantising the receiver's FFT outputs
-        (``TransceiverConfig.rx_multiplier_format`` — the paper's 18-bit
-        embedded multipliers).
-    """
-
-    cfo_normalized: float = 0.0
-    sample_delay: int = 0
-    iq_amplitude_db: float = 0.0
-    iq_phase_deg: float = 0.0
-    tx_format: Optional[FixedPointFormat] = None
-    rx_format: Optional[FixedPointFormat] = None
-    rx_multiplier_format: Optional[FixedPointFormat] = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "cfo_normalized", float(self.cfo_normalized))
-        object.__setattr__(
-            self, "sample_delay", integer_at_least("sample_delay", self.sample_delay, 0)
-        )
-        object.__setattr__(self, "iq_amplitude_db", float(self.iq_amplitude_db))
-        object.__setattr__(self, "iq_phase_deg", float(self.iq_phase_deg))
-        for name in ("cfo_normalized", "iq_amplitude_db", "iq_phase_deg"):
-            value = getattr(self, name)
-            if not np.isfinite(value):
-                raise ConfigurationError(f"{name} must be finite, got {value}")
-        for name in ("tx_format", "rx_format", "rx_multiplier_format"):
-            object.__setattr__(
-                self, name, FixedPointFormat.coerce(getattr(self, name), name)
-            )
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def quantized(cls, word_length: int, **changes) -> "ImpairmentSpec":
-        """Symmetric TX/RX sample quantisation at ``word_length`` bits.
-
-        Uses ``Q(word_length, word_length - 2)`` — the paper's 16-bit
-        sample format shrunk bit by bit while keeping its ±2.0 full-scale
-        range — which is what a BER-vs-word-length sensitivity curve wants.
-        Extra keyword arguments set other impairment fields.
-        """
-        fmt = FixedPointFormat(word_length=word_length, frac_bits=word_length - 2)
-        return cls(tx_format=fmt, rx_format=fmt, **changes)
-
-    @classmethod
-    def paper_frontend(cls, **changes) -> "ImpairmentSpec":
-        """The paper's fixed-point interfaces: 16-bit samples, 18-bit multipliers."""
-        return cls(
-            tx_format=SAMPLE_FORMAT_16BIT,
-            rx_format=SAMPLE_FORMAT_16BIT,
-            rx_multiplier_format=MULTIPLIER_FORMAT_18BIT,
-            **changes,
-        )
-
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        """Plain-JSON representation (nested formats become dicts)."""
-        payload = _field_values(self)
-        for name in ("tx_format", "rx_format", "rx_multiplier_format"):
-            if payload[name] is not None:
-                payload[name] = payload[name].to_dict()
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ImpairmentSpec":
-        """Rebuild a spec from :meth:`to_dict` output (loss-free)."""
-        return cls(**payload)
-
-
 def _as_impairment(value) -> Optional[ImpairmentSpec]:
     """Normalise one impairment-axis entry (``None`` = ideal front end)."""
     if value is None or isinstance(value, ImpairmentSpec):
@@ -201,11 +97,14 @@ class SweepSpec:
         SNR points in dB, each finite: ``None``, NaN and infinity are not
         allowed — use a very high SNR for a quasi-noiseless point.
     modulations:
-        Constellations, e.g. ``("bpsk", "qpsk", "16qam", "64qam")``.
+        Constellations, e.g. ``("bpsk", "qpsk", "16qam", "64qam")``.  An
+        alias such as ``"QAM16"`` is stored as its canonical name, so it
+        keys and draws the same cell.
     code_rates:
         Convolutional code rates, e.g. ``("1/2", "2/3", "3/4")``.
     stream_counts:
-        Antenna/stream counts of the square MIMO system (4 is the paper's).
+        Antenna/stream counts of the square MIMO system (4 is the paper's),
+        each an integer of at least 1.
     channels:
         Channel models: ``"ideal"``, ``"flat_rayleigh"`` or
         ``"frequency_selective"``.
@@ -269,15 +168,16 @@ class SweepSpec:
     soft_decision: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "snr_db", _as_tuple(self.snr_db, float))
-        object.__setattr__(self, "modulations", _as_tuple(self.modulations, str))
-        object.__setattr__(self, "code_rates", _as_tuple(self.code_rates, str))
-        object.__setattr__(self, "stream_counts", _as_tuple(self.stream_counts, int))
-        object.__setattr__(self, "channels", _as_tuple(self.channels, str))
-        object.__setattr__(self, "detectors", _as_tuple(self.detectors, str))
-        object.__setattr__(
-            self, "impairments", _as_tuple(self.impairments, _as_impairment)
-        )
+        for name, caster in (
+            ("snr_db", float),
+            ("modulations", lambda value: Modulation.from_any(value).value),
+            ("code_rates", str),
+            ("stream_counts", lambda value: integer_at_least("stream_counts", value, 1)),
+            ("channels", str),
+            ("detectors", str),
+            ("impairments", _as_impairment),
+        ):
+            object.__setattr__(self, name, _as_tuple(getattr(self, name), caster))
         for name in ("n_info_bits", "n_bursts", "target_errors", "base_seed", "fft_size"):
             value = getattr(self, name)
             if value is not None or name != "target_errors":
@@ -285,10 +185,8 @@ class SweepSpec:
                 object.__setattr__(self, name, integer_at_least(name, value, minimum))
         for name in ("fresh_fading_per_burst", "known_timing", "soft_decision"):
             object.__setattr__(self, name, boolean_flag(name, getattr(self, name)))
-        # Parse the axes the worker parses, but keep the strings as given:
-        # they are part of every point's store key.
-        for modulation in self.modulations:
-            Modulation.from_any(modulation)
+        # Parse the axes the worker parses, but keep the code-rate strings
+        # as given: they are part of every point's store key.
         for code_rate in self.code_rates:
             CodeRate(code_rate)
         OfdmNumerology.for_fft_size(self.fft_size)

@@ -5,8 +5,8 @@ per-user frame queues are filled by a traffic model
 (:mod:`repro.stream.traffic`), a scheduling discipline (pure round-robin
 or smooth weighted round-robin) picks which queue transmits next, and each
 served frame travels the full physical layer — transmit burst, fading
-channel with optional front-end impairments, AWGN, through the sweep
-engine's own :func:`~repro.sim.engine.air_round` — into the
+channel with optional front-end impairments, AWGN, through the link's one
+air path, :func:`~repro.core.transceiver.air_round` — into the
 chunk-invariant :class:`~repro.stream.pipeline.StreamingReceiver`, whose
 detected-and-decoded frames are matched back to the frames that went on
 air.
@@ -23,19 +23,19 @@ Two clocks run side by side and must not be confused:
 Idle air (every queue empty) advances the simulated clock without
 generating samples — the receiver's stream is the back-to-back
 concatenation of transmitted frames, so detector throughput is spent on
-frames, not on noise between them.  The scheduler serves frames in
-groups of :data:`FRAMES_PER_PUSH`: the air clock needs only each frame's
-length (``frame_length`` plus the impairment's ``sample_delay``), so a
-frame's timing is settled when it is served, and the whole group goes on
-air in one stacked transmit pass when it is pushed, after which the
-receiver decodes the group's frames in one stacked pass.
+frames, not on noise between them.  The air clock needs only each
+frame's length (``frame_length`` plus the impairment's ``sample_delay``),
+so a run first plans every frame's slot on it without any physics, then
+puts the frames on air in groups of :data:`FRAMES_PER_PUSH`: one stacked
+transmit pass per group, after which the receiver decodes the group's
+frames in one stacked pass.
 
 Determinism: every (user, frame) derives payload, fading and noise streams
-from :func:`repro.sim.engine.stream_frame_seed`, split by
-:func:`~repro.sim.engine.air_round` exactly as a sweep burst's seed is,
-and every user's arrival
-process from its own seed, so a thousand-user run is bit-reproducible
-regardless of scheduling order, push grouping or traffic model.
+from :func:`stream_frame_seed`, split by
+:func:`~repro.core.transceiver.air_round` exactly as a sweep burst's seed
+is, and every user's arrival process from its own seed, so a
+thousand-user run is bit-reproducible regardless of scheduling order,
+push grouping or traffic model.
 """
 
 from __future__ import annotations
@@ -43,25 +43,29 @@ from __future__ import annotations
 import heapq
 import time
 from collections import deque
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.channel.impairments import ImpairmentSpec
+from repro.channel.model import CHANNEL_MODELS
 from repro.core.config import TransceiverConfig
 from repro.core.frame import BurstOutcome
 from repro.core.receiver import MimoReceiver
+from repro.core.transceiver import AirCell, air_round, impaired_config
 from repro.core.transmitter import MimoTransmitter
 from repro.exceptions import ConfigurationError, integer_at_least
-from repro.sim.engine import AirCell, air_round, impaired_config, stream_frame_seed
-from repro.sim.spec import CHANNEL_MODELS, ImpairmentSpec
 from repro.stream.metrics import LatencySummary, ServiceReport, UserStats
-from repro.stream.pipeline import DecodedFrame, StreamingReceiver
+from repro.stream.pipeline import StreamingReceiver
 from repro.stream.traffic import PoissonTraffic, arrival_times
 
 #: Entropy tag for per-user arrival-process seeds; disjoint from the
 #: per-(user, frame) physics tree (which uses a four-element seed list).
 _ARRIVAL_TAG = 0xA221
+
+#: Entropy tag for streaming per-(user, frame) seeds; disjoint from the
+#: sweep's per-(point, burst) tree and its fixed-fading stream.
+_STREAM_TAG = 0x57EA
 
 #: Served frames that go on air in one stacked transmit pass and into the
 #: receive stream as one chunk: the receiver decodes a push's frames in one
@@ -72,17 +76,25 @@ _ARRIVAL_TAG = 0xA221
 FRAMES_PER_PUSH = 4
 
 
-@dataclass
-class _InFlight:
-    """One served frame awaiting its detected window in the receive stream;
-    its reference bits arrive when its push group goes on air."""
+def stream_frame_seed(base_seed: int, user: int, frame_index: int) -> np.random.SeedSequence:
+    """Deterministic seed of one (user, frame) cell of the streaming tree.
+
+    The streaming counterpart of the sweep's
+    :func:`repro.sim.engine.burst_seed`: payload, fading and noise
+    generators for every user's every frame derive from this, so a
+    multi-user run is bit-reproducible for any scheduling order and never
+    collides with a sweep using the same base seed.
+    """
+    return np.random.SeedSequence([base_seed, _STREAM_TAG, user, frame_index])
+
+
+class _Slot(NamedTuple):
+    """One served frame: its arrival and the end of its air time."""
 
     user: int
     frame_index: int
     arrival_s: float
     done_s: float
-    expected_start: int
-    reference_bits: Optional[List[np.ndarray]] = None
 
 
 class DownlinkScheduler:
@@ -96,9 +108,10 @@ class DownlinkScheduler:
         Frames each user's traffic source offers (the run serves all of
         them; latency reflects any queueing backlog the load builds up).
     traffic:
-        Traffic model shared by every user, or a callable ``user -> model``
-        for heterogeneous populations.  Defaults to Poisson arrivals at
-        100 frames/sec per user.
+        Traffic model of every user (each user draws its own arrivals
+        from it, seeded per user), any object with
+        ``intervals(n_frames, rng)``.  Defaults to Poisson arrivals at 100
+        frames/sec per user.
     mode:
         ``"round_robin"`` — cycle over backlogged users; or ``"weighted"``
         — smooth weighted round-robin: every backlogged user's credit
@@ -118,7 +131,7 @@ class DownlinkScheduler:
         AWGN level (``None`` disables noise); a NaN or infinite level
         raises :class:`~repro.exceptions.ConfigurationError`.
     impairment:
-        Optional front-end :class:`~repro.sim.spec.ImpairmentSpec` (CFO,
+        Optional front-end :class:`~repro.channel.impairments.ImpairmentSpec` (CFO,
         sample delay, IQ imbalance, fixed-point formats), wired into both
         the channel and the receiver exactly like the sweep engine does.
     config:
@@ -134,7 +147,7 @@ class DownlinkScheduler:
         self,
         n_users: int,
         frames_per_user: int = 2,
-        traffic: Union[None, object, Callable[[int], object]] = None,
+        traffic=None,
         mode: str = "round_robin",
         weights: Optional[Sequence[float]] = None,
         n_info_bits: int = 256,
@@ -165,9 +178,7 @@ class DownlinkScheduler:
                 raise ConfigurationError("weights must have one entry per user")
             if np.any(self.weights <= 0):
                 raise ConfigurationError("weights must be positive")
-        if traffic is None:
-            traffic = PoissonTraffic(100.0)
-        self._traffic_for = traffic if callable(traffic) else (lambda user: traffic)
+        self.traffic = traffic if traffic is not None else PoissonTraffic(100.0)
         self.channel = channel
         self.snr_db = snr_db
         self.impairment = impairment if impairment is not None else ImpairmentSpec()
@@ -199,22 +210,15 @@ class DownlinkScheduler:
     # ------------------------------------------------------------------
     # the run
     # ------------------------------------------------------------------
-    def run(self) -> ServiceReport:
-        """Serve every offered frame; return the aggregate service report."""
-        started = time.perf_counter()
-
-        users: Dict[int, UserStats] = {
-            user: UserStats(user=user) for user in range(self.n_users)
-        }
+    def _serve(self) -> Tuple[List[_Slot], float]:
+        """Serve every offered frame on the air clock, without physics:
+        each frame's slot in service order, and the air occupancy."""
         arrivals: List[tuple] = []
         for user in range(self.n_users):
             seed = np.random.SeedSequence([self.base_seed, _ARRIVAL_TAG, user])
             times = arrival_times(
-                self._traffic_for(user),
-                self.frames_per_user,
-                rng=np.random.default_rng(seed),
+                self.traffic, self.frames_per_user, rng=np.random.default_rng(seed)
             )
-            users[user].frames_offered = int(times.size)
             for frame_index, instant in enumerate(times):
                 heapq.heappush(arrivals, (float(instant), user, frame_index))
 
@@ -222,123 +226,110 @@ class DownlinkScheduler:
         qlen = np.zeros(self.n_users, dtype=np.int64)
         credit = np.zeros(self.n_users, dtype=np.float64)
         rr_next = 0
-        in_flight: deque = deque()
-        group: List[Tuple[_InFlight, AirCell]] = []  # served, not yet on air
+        slots: List[_Slot] = []
         air_s = 0.0      # simulated clock
         busy_s = 0.0     # air-interface occupancy
-        stream_cursor = 0
-        served = 0
-        spurious = 0
-        delivered = 0
-        lost = 0
-        bits_delivered = 0
-        half_frame = self.frame_length // 2
-        # Every frame occupies the same air: the burst plus the timing delay.
-        frame_on_air = self.frame_length + self.impairment.sample_delay
-        duration_s = frame_on_air / self.config.clock_hz
-
-        def settle(decoded: Sequence[DecodedFrame]) -> None:
-            """Match decoded windows back to the frames that went on air."""
-            nonlocal spurious, delivered, lost, bits_delivered
-            for frame in decoded:
-                start = frame.window.start
-                # Served frames whose window is now behind the stream were
-                # never detected: the sync miss loses them.
-                while in_flight and in_flight[0].expected_start < start - half_frame:
-                    missed = in_flight.popleft()
-                    users[missed.user].frames_lost += 1
-                    lost += 1
-                if in_flight and abs(start - in_flight[0].expected_start) <= half_frame:
-                    entry = in_flight.popleft()
-                    stats = users[entry.user]
-                    outcome = BurstOutcome.score(frame.outcome, entry.reference_bits)
-                    if not outcome.decode_failure:
-                        # Only a decoded frame has a latency and residual
-                        # errors; a give-up is a loss and nothing more.
-                        stats.latency_samples.append(entry.done_s - entry.arrival_s)
-                        stats.bit_errors += outcome.bit_errors
-                    if outcome.frame_error:
-                        stats.frames_lost += 1
-                        lost += 1
-                    else:
-                        stats.frames_delivered += 1
-                        stats.bits_delivered += outcome.payload_bits
-                        bits_delivered += outcome.payload_bits
-                        delivered += 1
-                else:
-                    # A detection that matches nothing on air.
-                    spurious += 1
-
-        def push() -> None:
-            """Put the group on air in one round and receive it as one chunk."""
-            sent = air_round(
-                self.transmitter, [cell for _, cell in group], self.n_info_bits
-            )
-            for (entry, _), air in zip(group, sent):
-                entry.reference_bits = air.burst.info_bits
-            group.clear()
-            settle(self.pipeline.push(np.concatenate([air.samples for air in sent], axis=1)))
-
-        total_frames = self.n_users * self.frames_per_user
-        while served < total_frames:
+        duration_s = (self.frame_length + self.impairment.sample_delay) / self.config.clock_hz
+        while len(slots) < self.n_users * self.frames_per_user:
             while arrivals and arrivals[0][0] <= air_s:
                 instant, user, frame_index = heapq.heappop(arrivals)
                 queues[user].append((instant, frame_index))
                 qlen[user] += 1
             if not qlen.any():
-                # Idle air: jump to the next arrival (no samples generated).
-                air_s = arrivals[0][0]
+                air_s = arrivals[0][0]  # idle air: jump to the next arrival
                 continue
             user = self._pick_user(qlen, credit, rr_next)
             rr_next = (user + 1) % self.n_users
             arrival_s, frame_index = queues[user].popleft()
             qlen[user] -= 1
-
             done_s = air_s + duration_s
-            entry = _InFlight(
-                user=user,
-                frame_index=frame_index,
-                arrival_s=float(arrival_s),
-                done_s=done_s,
-                expected_start=stream_cursor + self.impairment.sample_delay,
-            )
-            in_flight.append(entry)
-            group.append(
-                (
-                    entry,
+            slots.append(_Slot(user, frame_index, float(arrival_s), done_s))
+            air_s = done_s
+            busy_s += duration_s
+        return slots, busy_s
+
+    def run(self) -> ServiceReport:
+        """Serve every offered frame; return the aggregate service report.
+
+        The frames go on air in their :meth:`_serve` order, a push group
+        at a time; the k-th frame's window is expected in the receive
+        stream at ``k * frame_on_air + sample_delay``.
+        """
+        started = time.perf_counter()
+        slots, busy_s = self._serve()
+        users: Dict[int, UserStats] = {
+            user: UserStats(user=user, frames_offered=self.frames_per_user)
+            for user in range(self.n_users)
+        }
+        for slot in slots:
+            users[slot.user].frames_served += 1
+
+        delay = self.impairment.sample_delay
+        frame_on_air = self.frame_length + delay
+        half_frame = self.frame_length // 2
+        references: deque = deque()  # reference bits of frames on air, not yet settled
+        settled = 0
+        spurious = 0
+
+        def settle(decoded) -> None:
+            """Match decoded windows back to the frames that went on air."""
+            nonlocal settled, spurious
+            for frame in decoded:
+                start = frame.window.start
+                # Frames whose window is now behind the stream were never
+                # detected: the sync miss loses them.
+                while references and settled * frame_on_air + delay < start - half_frame:
+                    references.popleft()
+                    users[slots[settled].user].frames_lost += 1
+                    settled += 1
+                if references and abs(start - (settled * frame_on_air + delay)) <= half_frame:
+                    slot = slots[settled]
+                    stats = users[slot.user]
+                    outcome = BurstOutcome.score(frame.outcome, references.popleft())
+                    settled += 1
+                    if not outcome.decode_failure:
+                        # Only a decoded frame has a latency and residual
+                        # errors; a give-up is a loss and nothing more.
+                        stats.latency_samples.append(slot.done_s - slot.arrival_s)
+                        stats.bit_errors += outcome.bit_errors
+                    if outcome.frame_error:
+                        stats.frames_lost += 1
+                    else:
+                        stats.frames_delivered += 1
+                        stats.bits_delivered += outcome.payload_bits
+                else:
+                    # A detection that matches nothing on air.
+                    spurious += 1
+
+        for first in range(0, len(slots), FRAMES_PER_PUSH):
+            sent = air_round(
+                self.transmitter,
+                [
                     AirCell(
-                        stream_frame_seed(self.base_seed, user, frame_index),
+                        stream_frame_seed(self.base_seed, slot.user, slot.frame_index),
                         self.channel,
                         self.snr_db,
                         self.impairment,
-                    ),
-                )
+                    )
+                    for slot in slots[first : first + FRAMES_PER_PUSH]
+                ],
+                self.n_info_bits,
             )
-            users[user].frames_served += 1
-            served += 1
-            stream_cursor += frame_on_air
-            air_s = done_s
-            busy_s += duration_s
-            if len(group) == FRAMES_PER_PUSH:
-                push()
-
-        if group:
-            push()
+            references.extend(air.burst.info_bits for air in sent)
+            settle(self.pipeline.push(np.concatenate([air.samples for air in sent], axis=1)))
         settle(self.pipeline.flush())
-        while in_flight:
-            missed = in_flight.popleft()
-            users[missed.user].frames_lost += 1
-            lost += 1
+        for slot in slots[settled:]:
+            users[slot.user].frames_lost += 1
 
         wall_s = time.perf_counter() - started
-        all_latencies: List[float] = []
-        for stats in users.values():
-            all_latencies.extend(stats.latency_samples)
+        served = len(slots)
+        lost = sum(stats.frames_lost for stats in users.values())
+        bits_delivered = sum(stats.bits_delivered for stats in users.values())
         return ServiceReport(
             n_users=self.n_users,
-            frames_offered=sum(s.frames_offered for s in users.values()),
+            frames_offered=sum(stats.frames_offered for stats in users.values()),
             frames_served=served,
-            frames_delivered=delivered,
+            frames_delivered=sum(stats.frames_delivered for stats in users.values()),
             frames_lost=lost,
             spurious_detections=spurious,
             air_time_s=busy_s,
@@ -346,6 +337,8 @@ class DownlinkScheduler:
             sustained_fps=served / wall_s if wall_s > 0 else 0.0,
             goodput_bps=bits_delivered / busy_s if busy_s > 0 else 0.0,
             loss_rate=lost / served if served else 0.0,
-            latency=LatencySummary.from_samples(all_latencies),
+            latency=LatencySummary.from_samples(
+                [s for stats in users.values() for s in stats.latency_samples]
+            ),
             users=users,
         )

@@ -11,7 +11,8 @@ Moose/Schmidl-Cox style estimators use.  This module provides that extension:
 * **fine** estimation from the two long-training repetitions, separated by
   ``fft_size`` samples — narrow range (±1/(2·fft_size) cycles/sample), high
   accuracy;
-* a combined estimate and a correction helper.
+* a combined estimate, removed by rotating the stream back with
+  :func:`repro.channel.impairments.apply_carrier_frequency_offset`.
 
 The estimator is optional on the receive path
 (:class:`repro.core.config.TransceiverConfig.correct_cfo`); it is an
@@ -29,6 +30,7 @@ import numpy as np
 import numpy.typing as npt
 
 from repro.types import ComplexArray
+from repro.channel.impairments import apply_carrier_frequency_offset
 from repro.core.preamble import PreambleGenerator
 from repro.exceptions import ConfigurationError, SynchronizationError
 
@@ -56,14 +58,6 @@ def estimate_cfo_from_repetition(
     if correlation == 0:
         return 0.0
     return float(np.angle(correlation) / (2.0 * np.pi * period))
-
-
-def apply_cfo_correction(samples: npt.ArrayLike, cfo_normalized: float) -> ComplexArray:
-    """Remove a normalised CFO from a sample stream (any leading shape)."""
-    x = np.asarray(samples, dtype=np.complex128)
-    n = x.shape[-1]
-    rotation = np.exp(-2j * np.pi * cfo_normalized * np.arange(n))
-    return x * rotation
 
 
 @dataclass(frozen=True)
@@ -131,4 +125,4 @@ class CfoEstimator:
 
     def correct(self, samples: npt.ArrayLike, estimate: CfoEstimate) -> ComplexArray:
         """Remove the combined CFO estimate from a sample stream."""
-        return apply_cfo_correction(samples, estimate.combined)
+        return apply_carrier_frequency_offset(samples, -estimate.combined)

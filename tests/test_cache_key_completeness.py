@@ -18,6 +18,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.dsp.fixedpoint import SAMPLE_FORMAT_16BIT, FixedPointFormat
+from repro.modulation.constellations import Modulation
+from repro.sim.engine import air_key
 from repro.sim.spec import CHANNEL_MODELS, DETECTORS, ImpairmentSpec, SweepPoint, SweepSpec
 
 #: SweepPoint fields contractually absent from the physics identity.
@@ -245,6 +247,31 @@ class TestContentKeyCompleteness:
         assert point.content_key(spec, extra_bursts=0) != point.content_key(
             spec, extra_bursts=50
         )
+
+    @pytest.mark.parametrize(
+        "alias, canonical",
+        [(m.upper(), m.value) for m in Modulation]
+        + [(f" {m.value}-", m.value) for m in Modulation]
+        + [(m, m.value) for m in Modulation]
+        + [
+            ("QAM16", "16qam"),
+            ("qam16", "16qam"),
+            ("16-QAM", "16qam"),
+            ("qam_16", "16qam"),
+            ("QAM64", "64qam"),
+            ("qam64", "64qam"),
+            ("64-QAM", "64qam"),
+        ],
+    )
+    def test_modulation_aliases_key_their_canonical_cell(self, alias, canonical):
+        # An alias is the same physical cell: the same bursts on air and
+        # the same store record as its canonical name.
+        spec = SweepSpec(modulations=(alias,))
+        reference = SweepSpec(modulations=(canonical,))
+        point, reference_point = spec.points()[0], reference.points()[0]
+        assert spec.modulations == (canonical,)
+        assert air_key(point, spec) == air_key(reference_point, reference)
+        assert point.content_key(spec) == reference_point.content_key(reference)
 
 
 class TestPinnedKeyFormat:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.channel.fading import FlatRayleighChannel
 from repro.channel.impairments import (
+    ImpairmentSpec,
     apply_carrier_frequency_offset,
     apply_iq_imbalance,
 )
@@ -92,7 +93,7 @@ class TestMimoChannel:
         assert noise_power == pytest.approx(0.01, rel=0.2)
 
     def test_delay_shifts_burst(self):
-        channel = MimoChannel(sample_delay=7)
+        channel = MimoChannel(impairment=ImpairmentSpec(sample_delay=7))
         x = np.ones((4, 10), dtype=complex)
         output = channel.transmit(x)
         np.testing.assert_allclose(output.samples[:, :7], 0)
@@ -101,14 +102,16 @@ class TestMimoChannel:
         # The channel models a receiver that keeps listening while the burst
         # arrives late: the observation window grows by the delay and every
         # transmitted sample survives the shift.
-        channel = MimoChannel(sample_delay=7)
+        channel = MimoChannel(impairment=ImpairmentSpec(sample_delay=7))
         x = np.arange(1, 41, dtype=complex).reshape(4, 10)
         output = channel.transmit(x)
         assert output.samples.shape == (4, 17)
         np.testing.assert_allclose(output.samples[:, 7:], x)
 
     def test_iq_imbalance_stage_applied(self):
-        channel = MimoChannel(iq_amplitude_db=1.0, iq_phase_deg=3.0)
+        channel = MimoChannel(
+            impairment=ImpairmentSpec(iq_amplitude_db=1.0, iq_phase_deg=3.0)
+        )
         x = np.exp(1j * np.linspace(0, 2 * np.pi, 64, endpoint=False))
         x = np.broadcast_to(x, (4, 64))
         output = channel.transmit(x)
@@ -118,7 +121,7 @@ class TestMimoChannel:
 
     def test_tx_quantization_stage_applied(self):
         fmt = FixedPointFormat(word_length=6, frac_bits=4)
-        channel = MimoChannel(tx_quantization=fmt)
+        channel = MimoChannel(impairment=ImpairmentSpec(tx_format=fmt))
         rng = np.random.default_rng(6)
         x = rng.normal(size=(4, 32)) * 0.1 + 1j * rng.normal(size=(4, 32)) * 0.1
         output = channel.transmit(x)
@@ -130,7 +133,7 @@ class TestMimoChannel:
         # baseband's ~0.1 RMS samples: quantisation error is bounded by half
         # an LSB and tiny against the signal.  (The ADC side is the
         # receiver's ``rx_sample_format``.)
-        channel = MimoChannel(tx_quantization=SAMPLE_FORMAT_16BIT)
+        channel = MimoChannel(impairment=ImpairmentSpec(tx_format=SAMPLE_FORMAT_16BIT))
         x = np.random.default_rng(9).normal(size=(4, 128)) * 0.1 + 0j
         output = channel.transmit(x)
         assert np.max(np.abs(output.samples - x)) <= SAMPLE_FORMAT_16BIT.resolution
@@ -164,7 +167,9 @@ class TestNoiseCalibration:
         x = np.exp(1j * rng.uniform(0, 2 * np.pi, (4, 20_000)))
 
         def run(delay):
-            channel = MimoChannel(snr_db=10.0, sample_delay=delay, rng=33)
+            channel = MimoChannel(
+                snr_db=10.0, impairment=ImpairmentSpec(sample_delay=delay), rng=33
+            )
             output = channel.transmit(x)
             noise = output.samples[:, delay:] - x
             return output.noise_variance, float(np.mean(np.abs(noise) ** 2))
@@ -206,8 +211,7 @@ class TestNoiseCalibration:
         x = np.exp(1j * rng.uniform(0, 2 * np.pi, (4, 5_000)))
         channel = MimoChannel(
             snr_db=15.0,
-            iq_amplitude_db=1.0,
-            iq_phase_deg=4.0,
+            impairment=ImpairmentSpec(iq_amplitude_db=1.0, iq_phase_deg=4.0),
             rng=35,
         )
         output = channel.transmit(x)

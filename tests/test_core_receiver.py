@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.channel.fading import FlatRayleighChannel, FrequencySelectiveChannel
+from repro.channel.impairments import ImpairmentSpec
 from repro.channel.model import MimoChannel
 from repro.core.config import TransceiverConfig
 from repro.core.receiver import MimoReceiver
@@ -122,7 +123,12 @@ class TestFadingLoopback:
         assert result.total_bit_errors(burst.info_bits) == 0
 
     def test_sample_delay_is_absorbed_by_time_sync(self, paper_config):
-        channel = MimoChannel(FlatRayleighChannel(rng=26), snr_db=35.0, rng=27, sample_delay=53)
+        channel = MimoChannel(
+            FlatRayleighChannel(rng=26),
+            snr_db=35.0,
+            impairment=ImpairmentSpec(sample_delay=53),
+            rng=27,
+        )
         burst, result = _loopback(paper_config, channel=channel, seed=8)
         assert result.lts_start == 160 + 53
         assert result.total_bit_errors(burst.info_bits) == 0

@@ -42,7 +42,7 @@ def test_a_page_citing_a_missing_name_is_caught(tmp_path):
     page = tmp_path / "page.md"
     page.write_text(
         "Live: `repro.sim.SweepSpec`, `repro.dsp.fft`, "
-        "`repro.sim.engine.air_round(transmitter, cells, n_info_bits)`.\n"
+        "`repro.core.transceiver.air_round(transmitter, cells, n_info_bits)`.\n"
         "Gone: `repro.sim.no_such_name`, `repro.no_such_module.thing`.\n",
         encoding="utf-8",
     )

@@ -12,7 +12,7 @@ import pytest
 
 from repro.channel.awgn import awgn_noise, noise_variance_for_snr
 from repro.channel.fading import FlatRayleighChannel, FrequencySelectiveChannel
-from repro.channel.model import IdealChannel, MimoChannel
+from repro.channel.model import IdealChannel, MimoChannel, build_fading_model
 from repro.coding.convolutional import ConvolutionalCode, ConvolutionalEncoder
 from repro.coding.interleaver import deinterleave, interleave, interleaver_permutation
 from repro.coding.scrambler import Scrambler, pilot_polarity_sequence
@@ -50,7 +50,6 @@ from repro.sim.stats import (
     clopper_pearson_interval,
     wilson_interval,
 )
-from repro.sim.engine import build_fading_model
 from repro.sim.queue import MultiprocessingQueue, make_queue
 from repro.stream import (
     DownlinkScheduler,
@@ -251,6 +250,8 @@ class _BackwardsTraffic:
         lambda: SweepSpec(fresh_fading_per_burst=1),
         lambda: SweepSpec(known_timing=0),
         lambda: SweepSpec(soft_decision="no"),
+        lambda: SweepSpec(stream_counts=(2.5,)),
+        lambda: SweepSpec(stream_counts=(0,)),
         lambda: SweepSpec(impairments=("bad",)),
         lambda: SweepPoint(0, "qpsk", "1/2", 4, "ideal", "zf", 10.0, impairment="bad"),
         lambda: ImpairmentSpec(tx_format="16bit"),
@@ -282,13 +283,9 @@ class _BackwardsTraffic:
         lambda: build_fading_model("rician", 4, rng=0),
         lambda: PoissonTraffic(float("nan")),
         lambda: _receive_result(n_streams=0).total_bit_errors([np.zeros(8, dtype=np.uint8)]),
-        lambda: MimoChannel(sample_delay=-1),
-        lambda: MimoChannel(sample_delay=2.5),
         lambda: MimoChannel(snr_db=float("nan")),
         lambda: MimoChannel(snr_db=float("inf")),
-        lambda: MimoChannel(cfo_normalized=float("nan")),
-        lambda: MimoChannel(iq_amplitude_db=float("inf")),
-        lambda: MimoChannel(iq_phase_deg=float("nan")),
+        lambda: MimoChannel(impairment={"sample_delay": 3}),
         lambda: awgn_noise(8, float("nan")),
         lambda: DownlinkScheduler(n_users=1, channel="rician"),
         lambda: PoissonTraffic(10.0).intervals(-1),
@@ -401,6 +398,8 @@ class _BackwardsTraffic:
         "sweep-int-fresh-fading-flag",
         "sweep-int-known-timing-flag",
         "sweep-string-soft-decision-flag",
+        "sweep-fractional-stream-count",
+        "sweep-zero-stream-count",
         "sweep-impairment-not-a-spec",
         "point-impairment-not-a-spec",
         "impairment-string-tx-format",
@@ -432,13 +431,9 @@ class _BackwardsTraffic:
         "fading-unknown-model",
         "poisson-nan-rate",
         "receive-result-stream-count-mismatch",
-        "channel-negative-delay",
-        "channel-fractional-delay",
         "channel-nan-snr",
         "channel-infinite-snr",
-        "channel-nan-cfo",
-        "channel-infinite-iq-amplitude",
-        "channel-nan-iq-phase",
+        "channel-impairment-not-a-spec",
         "awgn-nan-variance",
         "scheduler-unknown-channel",
         "poisson-negative-frames",
@@ -523,6 +518,7 @@ def test_inconsistent_construction_raises_configuration_error(build):
     "read_back, expected",
     [
         (lambda: ImpairmentSpec(sample_delay=np.int64(1)).sample_delay, 1),
+        (lambda: SweepSpec(stream_counts=(np.int64(2),)).stream_counts[0], 2),
         (lambda: TransceiverConfig(n_antennas=np.int64(2)).n_antennas, 2),
         (lambda: TransceiverConfig(fft_size=np.int64(64)).fft_size, 64),
         (lambda: MimoReceiver(timing_advance=np.int64(1)).timing_advance, 1),
@@ -532,6 +528,7 @@ def test_inconsistent_construction_raises_configuration_error(build):
     ],
     ids=[
         "impairment-delay",
+        "sweep-stream-count",
         "config-antennas",
         "config-fft-size",
         "receiver-timing-advance",

@@ -33,7 +33,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.channel.awgn import awgn_noise, noise_variance_for_snr, occupied_power
 from repro.channel.fading import FlatRayleighChannel, FrequencySelectiveChannel
-from repro.channel.impairments import apply_carrier_frequency_offset, apply_iq_imbalance
+from repro.channel.impairments import (
+    ImpairmentSpec,
+    apply_carrier_frequency_offset,
+    apply_iq_imbalance,
+)
 from repro.channel.model import IdealChannel, MimoChannel
 from repro.coding.convolutional import (
     PUNCTURE_PATTERNS,
@@ -565,6 +569,11 @@ def _assert_results_identical(batched, scalar, equalization=True):
         np.testing.assert_array_equal(batched.coded, scalar.coded)
 
 
+def _channel(fading, rng, snr_db=None, **impairment):
+    """A channel of one case dict: its ``snr_db`` and its impairment fields."""
+    return MimoChannel(fading, snr_db, ImpairmentSpec(**impairment), rng)
+
+
 RX_IMPAIRMENT_CASES = [
     {"snr_db": 20.0, "sample_delay": 37},
     {"snr_db": 20.0, "cfo_normalized": 3e-4},
@@ -639,7 +648,7 @@ class TestReceiverBatchAgreement:
             rx_sample_format=SAMPLE_FORMAT_16BIT,
         )
         seed = 700 + RX_IMPAIRMENT_CASES.index(case)
-        channel = MimoChannel(FlatRayleighChannel(rng=seed), rng=seed + 1, **case)
+        channel = _channel(FlatRayleighChannel(rng=seed), seed + 1, **case)
         batched, scalar, _ = _receive_both_ways(config, channel, seed=seed + 2)
         _assert_results_identical(batched, scalar, equalization=fft_size == 64)
 
@@ -755,7 +764,7 @@ def _front_end_input(config, fading, seed, n_info_bits=96, **channel):
     """``(samples, true LTS start, noise variance)`` of one received burst."""
     transmitter = MimoTransmitter(config)
     burst = transmitter.transmit_random(n_info_bits, rng=np.random.default_rng(seed))
-    output = MimoChannel(fading, rng=seed + 1, **channel).transmit(burst.samples)
+    output = _channel(fading, seed + 1, **channel).transmit(burst.samples)
     lts_start = burst.layout.sts_length + channel.get("sample_delay", 0)
     return output.samples, lts_start, output.noise_variance or 1.0
 
@@ -1154,17 +1163,18 @@ def _channel_stage_by_stage(channel, x, rng):
     samples, receive-mixer IQ imbalance; a zero parameter disables its
     stage.
     """
-    y = channel.tx_quantization.quantize_complex(x)
+    impairment = channel.impairment
+    y = impairment.tx_format.quantize_complex(x)
     y = channel.fading.apply(y)
-    y = np.pad(y, ((0, 0), (channel.sample_delay, 0)))
-    if channel.cfo_normalized:
-        y = apply_carrier_frequency_offset(y, channel.cfo_normalized)
+    y = np.pad(y, ((0, 0), (impairment.sample_delay, 0)))
+    if impairment.cfo_normalized:
+        y = apply_carrier_frequency_offset(y, impairment.cfo_normalized)
     noise_variance = None
     if channel.snr_db is not None:
         noise_variance = noise_variance_for_snr(channel.snr_db, occupied_power(y))
         y = y + awgn_noise(y.shape, noise_variance, rng)
-    if channel.iq_amplitude_db or channel.iq_phase_deg:
-        y = apply_iq_imbalance(y, channel.iq_amplitude_db, channel.iq_phase_deg)
+    if impairment.iq_amplitude_db or impairment.iq_phase_deg:
+        y = apply_iq_imbalance(y, impairment.iq_amplitude_db, impairment.iq_phase_deg)
     return y, noise_variance
 
 
@@ -1187,11 +1197,8 @@ class TestChannelStageComposition:
             model = FrequencySelectiveChannel(4, 4, rng=np.random.default_rng(5001))
         else:
             model = None
-        channel = MimoChannel(
-            model,
-            tx_quantization=SAMPLE_FORMAT_16BIT,
-            rng=np.random.default_rng(5002),
-            **case,
+        channel = _channel(
+            model, np.random.default_rng(5002), tx_format=SAMPLE_FORMAT_16BIT, **case
         )
         output = channel.transmit(x)
         expected, noise_variance = _channel_stage_by_stage(

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.channel.fading import FlatRayleighChannel, FrequencySelectiveChannel
+from repro.channel.impairments import ImpairmentSpec
 from repro.channel.model import MimoChannel
 from repro.core.config import TransceiverConfig
 from repro.core.receiver import MimoReceiver
@@ -53,13 +54,16 @@ class TestImpairments:
     def test_combined_delay_and_fading(self, link_burst):
         config = TransceiverConfig()
         channel = MimoChannel(
-            FrequencySelectiveChannel(n_taps=3, rng=110), snr_db=35.0, rng=111, sample_delay=29
+            FrequencySelectiveChannel(n_taps=3, rng=110),
+            snr_db=35.0,
+            impairment=ImpairmentSpec(sample_delay=29),
+            rng=111,
         )
         air, outcome = link_burst(config, channel, 150, rng=112)
         assert outcome.total_bit_errors(air.burst.info_bits) == 0
 
     def test_known_timing_bypasses_sync_over_a_delay(self, link_burst):
-        channel = MimoChannel(sample_delay=40)
+        channel = MimoChannel(impairment=ImpairmentSpec(sample_delay=40))
         air, outcome = link_burst(TransceiverConfig(), channel, 150, rng=2, known_timing=True)
         assert air.lts_start == air.burst.layout.sts_length + 40
         assert outcome.lts_start == air.lts_start
@@ -69,7 +73,9 @@ class TestImpairments:
         # A small residual CFO is absorbed by the per-symbol pilot phase
         # correction.
         config = TransceiverConfig()
-        channel = MimoChannel(snr_db=35.0, rng=113, cfo_normalized=2e-5)
+        channel = MimoChannel(
+            snr_db=35.0, impairment=ImpairmentSpec(cfo_normalized=2e-5), rng=113
+        )
         air, outcome = link_burst(config, channel, 150, rng=114)
         assert outcome.total_bit_errors(air.burst.info_bits) == 0
 

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import repro.sim.engine as engine
+from repro.channel.model import build_fading_model
 from repro.core.config import TransceiverConfig
+from repro.core.transceiver import impaired_config
 from repro.dsp.fixedpoint import (
     FixedPointFormat,
     MULTIPLIER_FORMAT_18BIT,
@@ -252,7 +254,7 @@ class TestEngine:
         spec = small_spec()
         for channel in ("ideal", "flat_rayleigh", "frequency_selective"):
             point = spec.subset(channels=(channel,)).points()[0]
-            fading = engine.build_fading_model(
+            fading = build_fading_model(
                 point.channel, point.n_streams, np.random.default_rng(0)
             )
             assert fading.n_rx == fading.n_tx == point.n_streams
@@ -278,8 +280,8 @@ class TestEngine:
         # config: an ideal front end leaves that config as it was, and an
         # impairment only adds to it.
         base = TransceiverConfig(correct_cfo=True, rx_sample_format=SAMPLE_FORMAT_16BIT)
-        assert engine.impaired_config(base, ImpairmentSpec()) == base
-        overlaid = engine.impaired_config(
+        assert impaired_config(base, ImpairmentSpec()) == base
+        overlaid = impaired_config(
             base, ImpairmentSpec(rx_multiplier_format=MULTIPLIER_FORMAT_18BIT)
         )
         assert overlaid.correct_cfo

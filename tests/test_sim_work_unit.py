@@ -23,12 +23,14 @@ import numpy as np
 import pytest
 
 import repro.coding.viterbi as viterbi_module
+import repro.core.transceiver as transceiver_module
 import repro.sim.cache as cache_module
 import repro.sim.engine as engine_module
 import repro.sim.runner as runner_module
 from repro.core.config import TransceiverConfig
 from repro.core.frame import BurstOutcome
 from repro.core.receiver import DECODE_SLICE, MimoReceiver
+from repro.core.transceiver import AirCell, air_round
 from repro.core.transmitter import MimoTransmitter
 from repro.exceptions import ConfigurationError
 from repro.mimo.channel_estimation import ChannelEstimator
@@ -36,11 +38,8 @@ from repro.sim import ImpairmentSpec, ResultStore, SweepRunner, SweepSpec
 from repro.sim.engine import (
     BatchItem,
     WorkUnit,
-    AirCell,
     air_key,
-    air_round,
     build_config,
-    build_fading_model,
     burst_seed,
     simulate_batch,
 )
@@ -240,13 +239,13 @@ def test_twins_receive_byte_identical_samples(monkeypatch):
 def test_mixed_detector_unit_transmits_once_per_air_cell_and_burst(monkeypatch):
     spec, items = _twin_spec(target_errors=None)
     transmitted = []
-    original = engine_module.transmit_bursts
+    original = transceiver_module.transmit_bursts
 
     def counted(transmitter, channels, *args, **kwargs):
         transmitted.extend(channels)
         return original(transmitter, channels, *args, **kwargs)
 
-    monkeypatch.setattr(engine_module, "transmit_bursts", counted)
+    monkeypatch.setattr(transceiver_module, "transmit_bursts", counted)
     _assert_each_item_as_if_run_alone(spec, items)
     transmitted.clear()
     _run(spec, items)
@@ -318,10 +317,10 @@ def _received_alone(spec, item, burst):
 @pytest.mark.parametrize("known_timing", [False, True])
 def test_a_round_puts_each_cell_on_air_as_if_alone(known_timing):
     # Ideal, flat and frequency-selective channels, timing delays, a CFO,
-    # noiseless and noisy cells and a fixed fading realisation in one
-    # round; 57 bits is not a multiple of four (the payload rule).
+    # noiseless and noisy cells and a fixed fading seed in one round; 57
+    # bits is not a multiple of four (the payload rule).
     config = TransceiverConfig(n_antennas=2, modulation="qpsk")
-    fixed = build_fading_model("flat_rayleigh", 2, np.random.default_rng(5))
+    fixed = np.random.SeedSequence(5)
     impairments = [
         ("ideal", None, ImpairmentSpec(), None),
         ("flat_rayleigh", 12.0, ImpairmentSpec(sample_delay=9), None),
@@ -332,8 +331,10 @@ def test_a_round_puts_each_cell_on_air_as_if_alone(known_timing):
 
     def cell(index):
         # A fresh seed per call: spawning advances a SeedSequence.
-        channel, snr_db, impairment, fading = impairments[index]
-        return AirCell(np.random.SeedSequence([7, index]), channel, snr_db, impairment, fading)
+        channel, snr_db, impairment, fading_seed = impairments[index]
+        return AirCell(
+            np.random.SeedSequence([7, index]), channel, snr_db, impairment, fading_seed
+        )
 
     indices = range(len(impairments))
     together = air_round(

@@ -6,8 +6,9 @@ import pytest
 import repro.stream.scheduler as scheduler_module
 from repro.core.config import TransceiverConfig
 from repro.core.transmitter import MimoTransmitter
-from repro.sim.engine import air_key, burst_seed, stream_frame_seed
-from repro.sim.spec import ImpairmentSpec, SweepSpec
+from repro.channel.impairments import ImpairmentSpec
+from repro.sim.engine import air_key, burst_seed
+from repro.sim.spec import SweepSpec
 from repro.stream import (
     DownlinkScheduler,
     LatencySummary,
@@ -16,6 +17,7 @@ from repro.stream import (
     UserStats,
     arrival_times,
 )
+from repro.stream.scheduler import stream_frame_seed
 
 #: A small 2x2 build keeps the per-frame physics cheap in unit tests.
 SMALL_CONFIG = TransceiverConfig(n_antennas=2)

@@ -4,18 +4,14 @@ import numpy as np
 import pytest
 
 from repro.channel.awgn import awgn_noise, noise_variance_for_snr, occupied_power
-from repro.channel.impairments import apply_carrier_frequency_offset
+from repro.channel.impairments import ImpairmentSpec, apply_carrier_frequency_offset
 from repro.core.config import TransceiverConfig
 from repro.core.preamble import PreambleGenerator
 from repro.channel.fading import FlatRayleighChannel
 from repro.channel.model import MimoChannel
 from repro.dsp.fixedpoint import SAMPLE_FORMAT_16BIT
 from repro.exceptions import SynchronizationError
-from repro.sync.cfo import (
-    CfoEstimator,
-    apply_cfo_correction,
-    estimate_cfo_from_repetition,
-)
+from repro.sync.cfo import CfoEstimator, estimate_cfo_from_repetition
 
 #: Largest |CFO| (cycles/sample) the 64-point LTS repetition resolves
 #: unambiguously: half a cycle over one 64-sample period.
@@ -79,11 +75,13 @@ class TestCfoEstimator:
         corrected = estimator.correct(shifted, estimate)
         np.testing.assert_allclose(corrected, preamble_waveform, atol=1e-6)
 
-    def test_apply_cfo_correction_inverse_of_impairment(self):
+    def test_negative_offset_inverts_the_impairment(self):
         rng = np.random.default_rng(2)
         samples = rng.normal(size=(4, 100)) + 1j * rng.normal(size=(4, 100))
         shifted = apply_carrier_frequency_offset(samples, 0.007)
-        np.testing.assert_allclose(apply_cfo_correction(shifted, 0.007), samples, atol=1e-12)
+        np.testing.assert_allclose(
+            apply_carrier_frequency_offset(shifted, -0.007), samples, atol=1e-12
+        )
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_fine_ambiguity_boundary_unwrapped_by_coarse(self, preamble_waveform, sign):
@@ -141,20 +139,28 @@ class TestCfoEstimator:
 class TestReceiverIntegration:
     def test_large_cfo_breaks_uncorrected_link(self, link_burst):
         channel = MimoChannel(
-            FlatRayleighChannel(rng=26), snr_db=35.0, rng=27, cfo_normalized=5e-3
+            FlatRayleighChannel(rng=26),
+            snr_db=35.0,
+            impairment=ImpairmentSpec(cfo_normalized=5e-3),
+            rng=27,
         )
         air, outcome = link_burst(TransceiverConfig(correct_cfo=False), channel, 200, rng=1)
         assert outcome.total_bit_errors(air.burst.info_bits) > 0.1 * air.burst.payload_bits
 
     def test_cfo_correction_repairs_the_link(self, link_burst):
         channel = MimoChannel(
-            FlatRayleighChannel(rng=26), snr_db=35.0, rng=27, cfo_normalized=5e-3
+            FlatRayleighChannel(rng=26),
+            snr_db=35.0,
+            impairment=ImpairmentSpec(cfo_normalized=5e-3),
+            rng=27,
         )
         air, outcome = link_burst(TransceiverConfig(correct_cfo=True), channel, 200, rng=1)
         assert outcome.total_bit_errors(air.burst.info_bits) == 0
 
     def test_estimated_cfo_reported(self, link_burst):
-        channel = MimoChannel(snr_db=35.0, rng=28, cfo_normalized=3e-3)
+        channel = MimoChannel(
+            snr_db=35.0, impairment=ImpairmentSpec(cfo_normalized=3e-3), rng=28
+        )
         air, outcome = link_burst(TransceiverConfig(correct_cfo=True), channel, 150, rng=2)
         assert outcome.estimated_cfo == pytest.approx(3e-3, abs=2e-4)
         assert outcome.total_bit_errors(air.burst.info_bits) == 0
@@ -167,11 +173,13 @@ class TestReceiverIntegration:
         channel = MimoChannel(
             FlatRayleighChannel(rng=26),
             snr_db=35.0,
+            impairment=ImpairmentSpec(
+                cfo_normalized=2e-3,
+                iq_amplitude_db=0.2,
+                iq_phase_deg=1.0,
+                tx_format=SAMPLE_FORMAT_16BIT,
+            ),
             rng=27,
-            cfo_normalized=2e-3,
-            iq_amplitude_db=0.2,
-            iq_phase_deg=1.0,
-            tx_quantization=SAMPLE_FORMAT_16BIT,
         )
         config = TransceiverConfig(
             correct_cfo=True, rx_sample_format=SAMPLE_FORMAT_16BIT

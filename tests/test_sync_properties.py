@@ -17,12 +17,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro.channel.impairments import ImpairmentSpec
 from repro.core.config import TransceiverConfig
 from repro.core.receiver import MimoReceiver
+from repro.core.transceiver import AirCell, air_round
 from repro.core.transmitter import MimoTransmitter
 from repro.exceptions import ReproError
-from repro.sim.engine import AirCell, air_round
-from repro.sim.spec import ImpairmentSpec
 from repro.stream import StreamingReceiver
 
 CONFIG = TransceiverConfig(n_antennas=2)

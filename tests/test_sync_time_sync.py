@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from repro.channel.awgn import awgn_noise, noise_variance_for_snr, occupied_power
+from repro.channel.impairments import ImpairmentSpec
+from repro.channel.model import CHANNEL_MODELS
 from repro.core.config import TransceiverConfig
 from repro.core.preamble import PreambleGenerator
 from repro.core.receiver import MimoReceiver
+from repro.core.transceiver import AirCell, air_round
 from repro.core.transmitter import MimoTransmitter
 from repro.exceptions import ConfigurationError, SynchronizationError
-from repro.sim.engine import AirCell, air_round
-from repro.sim.spec import CHANNEL_MODELS, ImpairmentSpec
 from repro.sync.time_sync import TimeSynchronizer
 from reference.core import normalized_metric_serial, synchronize_serial
 

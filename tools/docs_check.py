@@ -65,7 +65,7 @@ REQUIRED_SECTIONS: dict[str, tuple[str, ...]] = {
 
 
 #: A backticked, fully qualified name such as ``repro.sim.SweepSpec``; a
-#: trailing argument list, as in ``repro.sim.engine.air_round(...)``, is
+#: trailing argument list, as in ``repro.core.transceiver.air_round(...)``, is
 #: allowed and ignored.
 QUALIFIED_NAME = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)(?:\([^`]*\))?`")
 
