@@ -1,4 +1,4 @@
-"""Batched link-simulation engine: typed sweeps, work queues, result store.
+"""Batched link-simulation engine: typed sweeps, a sweep runner, result store.
 
 ``repro.sim`` is the scale layer of the reproduction and the one way to
 measure BER/PER: every burst goes on air through
@@ -17,16 +17,17 @@ declaratively and executes them efficiently:
   IQ imbalance, fixed-point word lengths), and
   :class:`~repro.sim.spec.SweepResult`, its per-point outcome;
 * :class:`~repro.sim.runner.SweepRunner` — drains deterministically seeded
-  burst batches through a pluggable work queue (:mod:`repro.sim.queue`),
-  stops each grid point early once its bit-error target is reached, commits
-  the points that finish in each drain step atomically (one ``write`` +
-  ``fsync``) to the append-only per-point
+  burst batches through one work queue per call (:mod:`repro.sim.queue`:
+  in-process or a process pool), stops each grid point early once its
+  bit-error target is reached (:meth:`~repro.sim.spec.SweepSpec.stops_at`),
+  commits the points that finish in each drain step atomically (one
+  ``write`` + ``fsync``) to the append-only per-point
   :class:`~repro.sim.store.ResultStore`, and resumes interrupted or
   overlapping sweeps from it — simulating only the missing remainder;
 * :meth:`~repro.sim.runner.SweepRunner.run_adaptive` — adaptive refinement:
-  extra bursts go to the points whose BER confidence intervals
-  (:mod:`repro.sim.stats`: Wilson / Clopper–Pearson) are widest, run
-  through the base sweep's scheduler and fold;
+  extra bursts go to the points whose 95% Wilson BER intervals
+  (:mod:`repro.sim.stats`) are widest, run through the base sweep's
+  scheduler, fold and work queue;
 * :mod:`~repro.sim.engine` — the burst-level engine: per-burst seeding
   and the work unit the runner fans out, on air through
   :func:`repro.core.transceiver.air_round`, the air path the streaming
@@ -51,12 +52,7 @@ See ``docs/simulation.md`` for the full engine guide.
 """
 
 from repro.sim.cache import content_key, default_cache_dir
-from repro.sim.queue import (
-    InProcessQueue,
-    MultiprocessingQueue,
-    WorkQueue,
-    make_queue,
-)
+from repro.sim.queue import InProcessQueue, MultiprocessingQueue
 from repro.sim.runner import SweepRunner
 from repro.sim.spec import (
     ENGINE_VERSION,
@@ -68,7 +64,6 @@ from repro.sim.spec import (
 )
 from repro.sim.stats import (
     allocate_bursts,
-    ber_interval,
     clopper_pearson_interval,
     wilson_interval,
 )
@@ -85,13 +80,10 @@ __all__ = [
     "SweepResult",
     "SweepRunner",
     "SweepSpec",
-    "WorkQueue",
     "allocate_bursts",
-    "ber_interval",
     "clopper_pearson_interval",
     "content_key",
     "default_cache_dir",
     "default_store_dir",
-    "make_queue",
     "wilson_interval",
 ]

@@ -172,9 +172,9 @@ def simulate_batch(unit: WorkUnit) -> List[BatchReport]:
     scores each with :meth:`~repro.core.frame.BurstOutcome.score`.  Bursts
     are independent in every stack, so each outcome is what receiving the
     burst alone gives.  An item retires at the burst whose item-local
-    cumulative bit errors reach ``target_errors``: its later bursts would
-    be discarded by the runner's fold, as the global count is at least the
-    item-local one.
+    cumulative bit errors stop it (:meth:`~repro.sim.spec.SweepSpec.stops_at`):
+    its later bursts would be discarded by the runner's fold, as the global
+    count is at least the item-local one.
     """
     spec, items = unit.spec, unit.items
 
@@ -242,7 +242,7 @@ def simulate_batch(unit: WorkUnit) -> List[BatchReport]:
             i
             for i in live
             if offset + 1 < items[i].n_bursts
-            and (spec.target_errors is None or errors[i] < spec.target_errors)
+            and not spec.stops_at(errors[i])
         ]
         offset += 1
 

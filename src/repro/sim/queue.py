@@ -1,27 +1,26 @@
-"""Work-queue abstraction the sweep runner drains.
+"""The two work queues the sweep runner drains.
 
-The :class:`~repro.sim.runner.SweepRunner` used to own a
-``multiprocessing.Pool`` and a wave scheduler; both are now behind one
-small interface so the execution substrate is pluggable — an in-process
-FIFO today, a process pool today, a multi-host queue tomorrow — without
-touching the runner's scheduling, early-stopping or folding logic.
+:class:`InProcessQueue` runs each task inline when its result is asked
+for; :class:`MultiprocessingQueue` runs tasks on a process pool.  Each
+:class:`~repro.sim.runner.SweepRunner` call builds one of them by name
+with :func:`make_queue` and closes it on return.  Both answer the same
+four calls:
 
-The contract is deliberately tiny:
-
-* :meth:`WorkQueue.submit` enqueues ``func(payload)`` tagged with an opaque
-  ``tag`` (the runner's payload is a :class:`~repro.sim.engine.WorkUnit`,
-  its tag the unit's point indices);
-* :meth:`WorkQueue.next_result` blocks for the next completion and returns
+* ``submit(func, payload, tag)`` enqueues ``func(payload)`` tagged with an
+  opaque ``tag`` (the runner's payload is a
+  :class:`~repro.sim.engine.WorkUnit`, its tag the unit's point indices);
+* ``next_result()`` blocks for the next completion and returns
   ``(tag, result)``, re-raising a worker's exception in the caller;
-* :attr:`WorkQueue.capacity` tells the producer how much work to keep in
-  flight — the runner submits until ``pending() >= capacity``;
-* results may complete out of submission order; the runner's burst-level
-  fold makes the reported statistics independent of completion order, so
-  any backend that executes each payload exactly once is correct.
+* ``capacity`` tells the producer how much work to keep in flight — the
+  runner submits until ``pending() >= capacity``;
+* ``close()`` releases the queue.
+
+Results may complete out of submission order; the runner's burst-level
+fold makes the reported statistics independent of completion order.
 
 ``func`` must be a module-level function and ``payload`` picklable for the
-multiprocessing backend, which ships the function to worker processes by
-name and the payload by pickling; the in-process backend takes any of both.
+process pool, which ships the function to worker processes by name and
+the payload by pickling; the in-process queue takes any of both.
 """
 
 from __future__ import annotations
@@ -29,41 +28,15 @@ from __future__ import annotations
 import multiprocessing
 import queue as _thread_queue
 from collections import deque
-from typing import Any, Callable, Optional, Tuple, Union
+from typing import Any, Callable, Tuple, Union
 
 from repro.exceptions import ConfigurationError
 
-
-class WorkQueue:
-    """Interface every queue backend implements (see the module docstring)."""
-
-    #: How much submitted-but-unfinished work the backend wants in flight.
-    capacity: int = 1
-
-    def submit(self, func: Callable[[Any], Any], payload: Any, tag: Any = None) -> None:
-        """Enqueue one unit of work."""
-        raise NotImplementedError
-
-    def next_result(self) -> Tuple[Any, Any]:
-        """Block for the next completion; ``(tag, result)`` or re-raise."""
-        raise NotImplementedError
-
-    def pending(self) -> int:
-        """Units submitted but not yet returned by :meth:`next_result`."""
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Release the backend's resources; pending work may be abandoned."""
-        raise NotImplementedError
-
-    def __enter__(self) -> "WorkQueue":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
+#: The names :func:`make_queue` and ``SweepRunner(queue=...)`` accept.
+QUEUE_BACKENDS = ("auto", "serial", "process")
 
 
-class InProcessQueue(WorkQueue):
+class InProcessQueue:
     """Lazy FIFO executing each task inline inside :meth:`next_result`.
 
     The serial backend: zero fork overhead, tasks run exactly when their
@@ -93,7 +66,7 @@ class InProcessQueue(WorkQueue):
         self._fifo.clear()
 
 
-class MultiprocessingQueue(WorkQueue):
+class MultiprocessingQueue:
     """Process-pool backend: completions stream back as workers finish.
 
     Tasks go out through ``Pool.apply_async`` and come back through a
@@ -104,16 +77,14 @@ class MultiprocessingQueue(WorkQueue):
     :meth:`next_result`, tagged result lost, pool left usable.
     """
 
-    def __init__(self, n_workers: int, lookahead: int = 2) -> None:
+    def __init__(self, n_workers: int) -> None:
         if n_workers <= 0:
             raise ConfigurationError("n_workers must be positive")
-        if lookahead <= 0:
-            raise ConfigurationError("lookahead must be positive")
         context = multiprocessing.get_context()
         self._pool = context.Pool(processes=n_workers)
-        #: Keep more work in flight than workers so none ever idles waiting
-        #: for the producer to notice a completion.
-        self.capacity = n_workers * lookahead
+        #: Two units in flight per worker, so none ever idles waiting for
+        #: the producer to notice a completion.
+        self.capacity = 2 * n_workers
         self._results: _thread_queue.Queue = _thread_queue.Queue()
         self._pending = 0
 
@@ -148,30 +119,21 @@ class MultiprocessingQueue(WorkQueue):
         self._pool.join()
 
 
-QueueLike = Union[str, WorkQueue, Callable[[int], WorkQueue]]
-
-
-def make_queue(backend: QueueLike = "auto", n_workers: int = 1) -> WorkQueue:
-    """Build a queue backend by name, instance or factory.
+def make_queue(
+    backend: str = "auto", n_workers: int = 1
+) -> Union[InProcessQueue, MultiprocessingQueue]:
+    """Build the queue a backend name (:data:`QUEUE_BACKENDS`) selects.
 
     ``"auto"`` picks :class:`InProcessQueue` for one worker and
     :class:`MultiprocessingQueue` otherwise; ``"serial"`` / ``"process"``
-    select explicitly.  A :class:`WorkQueue` instance is returned as-is
-    (the caller owns its lifetime); a callable is invoked with the worker
-    count — the injection point for test doubles and future remote
-    backends.
+    select explicitly.
     """
-    if isinstance(backend, WorkQueue):
-        return backend
-    if callable(backend):
-        return backend(n_workers)
+    if backend not in QUEUE_BACKENDS:
+        raise ConfigurationError(
+            f"unknown queue backend {backend!r}; expected one of {QUEUE_BACKENDS}"
+        )
     if backend == "auto":
         backend = "serial" if n_workers <= 1 else "process"
     if backend == "serial":
         return InProcessQueue()
-    if backend == "process":
-        return MultiprocessingQueue(n_workers)
-    raise ConfigurationError(
-        f"unknown queue backend {backend!r}; expected 'auto', 'serial', "
-        "'process', a WorkQueue or a factory"
-    )
+    return MultiprocessingQueue(n_workers)

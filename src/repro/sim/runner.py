@@ -1,4 +1,4 @@
-"""Resumable, store-backed sweep execution over pluggable work queues.
+"""Resumable, store-backed sweep execution.
 
 :class:`SweepRunner` turns a :class:`~repro.sim.spec.SweepSpec` into a
 :class:`~repro.sim.spec.SweepResult`:
@@ -10,20 +10,20 @@
    only its missing remainder, and overlapping grids share their
    intersection.
 2. **Batches over a work queue** — each pending point's burst budget is
-   split into fixed-size batches and drained through a
-   :class:`~repro.sim.queue.WorkQueue` (in-process FIFO for one worker, a
+   split into fixed-size batches and drained through the call's work
+   queue (:mod:`repro.sim.queue`: an in-process FIFO for one worker, a
    ``multiprocessing`` pool otherwise).  Every burst owns a deterministic
    RNG stream seeded by the point's content and the burst index, so the
-   simulated physics is bit-identical for any backend, batch size or
+   simulated physics is bit-identical for any queue, batch size or
    completion order.
 3. **Early stopping + atomic commits** — batches report each burst's
    :class:`~repro.core.frame.BurstOutcome` and the runner folds each
-   point's burst sequence in order, truncating
-   at the exact burst whose cumulative bit errors cross
-   ``spec.target_errors``.  The points that fold while the runner handles
-   one completed work unit are committed together before it takes the
-   next (one ``write`` + ``fsync`` per drain step), so a crash loses at
-   most the in-flight points.
+   point's burst sequence in order, truncating at the exact burst whose
+   cumulative bit errors stop the point
+   (:meth:`~repro.sim.spec.SweepSpec.stops_at`).  The points that fold
+   while the runner handles one completed work unit are committed together
+   before it takes the next (one ``write`` + ``fsync`` per drain step), so
+   a crash loses at most the in-flight points.
 4. **Adaptive refinement** (:meth:`SweepRunner.run_adaptive`) — after the
    base sweep, extra bursts are allocated round by round to the points
    whose BER confidence intervals are widest (see :mod:`repro.sim.stats`),
@@ -41,16 +41,18 @@ from __future__ import annotations
 import os
 import time
 from collections import Counter
-from typing import Dict, Hashable, List, Optional, Tuple, Union
+from contextlib import contextmanager
+from typing import Callable, Dict, Hashable, Iterator, List, Optional, Tuple, Union
 
 from repro.sim.engine import BatchItem, BatchReport, WorkUnit, air_key, build_config, simulate_batch
-from repro.sim.queue import QueueLike, WorkQueue, make_queue
+from repro.sim.queue import QUEUE_BACKENDS, InProcessQueue, MultiprocessingQueue, make_queue
 from repro.exceptions import ConfigurationError, integer_at_least
 from repro.sim.spec import SweepPoint, SweepPointResult, SweepResult, SweepSpec
 from repro.sim.stats import allocate_bursts
 from repro.sim.store import ResultStore
 
 StoreLike = Union[None, bool, str, "os.PathLike[str]", ResultStore]
+_Queue = Union[InProcessQueue, MultiprocessingQueue]
 
 #: What a store record holds: a point result's six counts, each with the
 #: type it is read back as.  The grid cell is not stored; the grid that
@@ -149,10 +151,11 @@ class SweepRunner:
         only the missing remainder.
     queue:
         Execution backend: ``"auto"`` (default; in-process for one worker,
-        a ``multiprocessing`` pool otherwise), ``"serial"``, ``"process"``,
-        a :class:`~repro.sim.queue.WorkQueue` instance or a factory
-        ``n_workers -> WorkQueue``.  The runner closes the queues it
-        builds; an instance stays open for its caller to reuse and close.
+        a ``multiprocessing`` pool otherwise), ``"serial"`` or
+        ``"process"``; any other value raises
+        :class:`~repro.exceptions.ConfigurationError`.  Each :meth:`run`
+        or :meth:`run_adaptive` call builds one queue on its first
+        dispatch and closes it when the call returns or raises.
     """
 
     def __init__(
@@ -161,7 +164,7 @@ class SweepRunner:
         n_workers: Optional[int] = None,
         batch_size: Optional[int] = None,
         cache: StoreLike = True,
-        queue: QueueLike = "auto",
+        queue: str = "auto",
     ) -> None:
         self.spec = spec
         if n_workers is None:
@@ -170,31 +173,37 @@ class SweepRunner:
         batch_size = integer_at_least("batch_size", 10 if batch_size is None else batch_size, 1)
         self.batch_size = min(batch_size, spec.n_bursts)
         self.store = _resolve_store(cache)
+        if queue not in QUEUE_BACKENDS:
+            raise ConfigurationError(
+                f"unknown queue backend {queue!r}; expected one of {QUEUE_BACKENDS}"
+            )
         self.queue_backend = queue
 
     # ------------------------------------------------------------------
     def run(self) -> SweepResult:
         """Run (or resume) the sweep and return its result."""
-        start = time.perf_counter()
-        points = self.spec.points()
-        keys = {point.index: self._store_key(point) for point in points}
-        loaded: Dict[int, SweepPointResult] = {}
-        if self.store is not None:
-            loaded = self._load_finished(points, keys)
-        jobs = {
-            point.index: (_empty_result(point), self.spec.n_bursts, keys[point.index])
-            for point in points
-            if point.index not in loaded
-        }
-        simulated, computed = self._simulate(jobs, self.spec)
-        results = {**loaded, **simulated}
-        return SweepResult(
-            spec=self.spec,
-            points=[results[p.index] for p in points],
-            elapsed_s=time.perf_counter() - start,
-            from_cache=self.store is not None and not jobs,
-            n_bursts_simulated=computed,
-        )
+        return self._execute(extra_bursts=0, rounds=1)
+
+    @contextmanager
+    def _work_queue(self) -> Iterator[Callable[[], _Queue]]:
+        """The one work queue of a :meth:`run` or :meth:`run_adaptive` call.
+
+        Yields a getter that builds the queue on its first use, the call's
+        first dispatch.  The queue is closed when the call returns or
+        raises, so no unit of a failed call outlives it.
+        """
+        built: List[_Queue] = []
+
+        def queue() -> _Queue:
+            if not built:
+                built.append(make_queue(self.queue_backend, self.n_workers))
+            return built[0]
+
+        try:
+            yield queue
+        finally:
+            for work in built:
+                work.close()
 
     # ------------------------------------------------------------------
     # Store round-trips
@@ -204,28 +213,19 @@ class SweepRunner:
             return point.content_key(self.spec, extra_bursts=extra_bursts)
         return None
 
-    def _load_finished(
-        self, points: List[SweepPoint], keys: Dict[int, str]
-    ) -> Dict[int, SweepPointResult]:
-        """Finished-point results already committed to the store."""
-        by_key = {keys[point.index]: point for point in points}
-        loaded = {}
-        for key, payload in self.store.get_many(by_key).items():
-            result = self._result_from_record(by_key[key], payload)
-            if result is not None:
-                loaded[result.point.index] = result
-        return loaded
-
     @staticmethod
     def _result_from_record(
-        point: SweepPoint, payload: dict
+        point: SweepPoint, payload: Optional[dict]
     ) -> Optional[SweepPointResult]:
-        """Rebuild one point result from its store record (None if corrupt).
+        """Rebuild one point result from its store record (None if absent
+        or corrupt).
 
         The record holds the :data:`_RECORD_FIELDS` counts (records of
         earlier versions hold more, which is ignored); one missing a field
         is corrupt and gets re-simulated.
         """
+        if payload is None:
+            return None
         try:
             counts = {name: read(payload[name]) for name, read in _RECORD_FIELDS.items()}
         except (KeyError, TypeError, ValueError):
@@ -239,17 +239,18 @@ class SweepRunner:
         start: SweepPointResult,
         n_bursts: int,
         reports: List[BatchReport],
-        target_errors: Optional[int],
+        spec: SweepSpec,
     ) -> SweepPointResult:
-        """Extend ``start`` by its next bursts, stopping at the error target.
+        """Extend ``start`` by its next bursts, stopping where ``spec`` stops.
 
         Folding the reports' burst outcomes in batch order and truncating
-        at the exact burst whose cumulative bit errors cross
-        ``target_errors`` makes the reported statistics a pure function of
-        the spec — independent of batch size, worker count and completion
-        order.  (Parallel runs may have *computed* bursts past the crossing
-        point; they are discarded here.)  The result is early-stopped when
-        it folded fewer than the ``n_bursts`` it was asked for.
+        at the first burst whose cumulative bit errors
+        :meth:`~repro.sim.spec.SweepSpec.stops_at` accepts makes the
+        reported statistics a pure function of the spec — independent of
+        batch size, worker count and completion order.  (Parallel runs may
+        have *computed* bursts past the crossing point; they are discarded
+        here.)  The result is early-stopped when it folded fewer than the
+        ``n_bursts`` it was asked for.
         """
         folded = []
         bit_errors = start.bit_errors
@@ -261,7 +262,7 @@ class SweepRunner:
         for outcome in outcomes:
             folded.append(outcome)
             bit_errors += outcome.bit_errors
-            if target_errors is not None and bit_errors >= target_errors:
+            if spec.stops_at(bit_errors):
                 break
         return SweepPointResult(
             point=start.point,
@@ -277,17 +278,25 @@ class SweepRunner:
     # ------------------------------------------------------------------
     # Queue-driven execution
     def _simulate(
-        self, jobs: Dict[int, Tuple[SweepPointResult, int, Optional[str]]], spec: SweepSpec
+        self,
+        jobs: Dict[int, Tuple[SweepPointResult, int, Optional[str]]],
+        spec: SweepSpec,
+        queue: Callable[[], _Queue],
     ):
-        """Drain the jobs through the work queue.
+        """Resume the jobs from the store, then drain the rest through the
+        call's work queue.
 
         ``jobs`` maps a point index to ``(start, n_bursts, store_key)``:
         simulate the ``n_bursts`` bursts that follow ``start`` (an empty
         result for a base point, the current refined result for an
         extension), fold them onto it, and commit the result under
-        ``store_key``.  Workers run ``spec``, whose ``target_errors`` also
-        stops the fold.  Each point's configuration and air key are worked
-        out once, here, for every :class:`~repro.sim.engine.BatchItem` of it.
+        ``store_key``.  Workers run ``spec``, whose
+        :meth:`~repro.sim.spec.SweepSpec.stops_at` also stops the fold.
+        Each point's configuration and air key are worked out once, here,
+        for every :class:`~repro.sim.engine.BatchItem` of it.
+
+        Resume first: with a store, one read loads every job whose record
+        is already committed, and only the others are simulated.
 
         Returns ``(results_by_index, computed_bursts)`` where the second
         item counts every burst actually simulated — including any the
@@ -304,30 +313,31 @@ class SweepRunner:
         same round-robin order, twins kept together, by
         :func:`_pack_units`), so one work unit transmits each shared burst
         once and decodes all their bursts together.
-        A point whose running error total crosses the target stops
-        submitting; its in-flight surplus is discarded by the fold.  The
-        points that fold while one result is handled are committed to the
-        store in one :meth:`~repro.sim.store.ResultStore.put` before the
-        next result is taken, and the ones already folded are committed
-        also when the run raises, so an interrupted run keeps its finished
-        points.
+        A point that stops submits no more batches; its in-flight surplus
+        is discarded by the fold.  The points that fold while one result is
+        handled are committed to the store in one
+        :meth:`~repro.sim.store.ResultStore.put` before the next result is
+        taken, and the ones already folded are committed also when the run
+        raises, so an interrupted run keeps its finished points.
 
         With a store, a point is checked against it right before its
-        *first* batch is dispatched: a record committed since this run's
-        initial scan (by a concurrent runner, or by an earlier run of the
+        *first* batch is dispatched: a record committed since the resume
+        read (by a concurrent runner, or by a previous call of the
         same refinement) is adopted instead of simulated, bounding double
         simulation to the points genuinely in flight at the same moment.
         The check reads the store's incremental index, which costs one
         ``stat`` while the log is unchanged.
-
-        A queue built here from a name or a factory is closed on return; a
-        :class:`~repro.sim.queue.WorkQueue` instance stays open, owned by
-        the caller; one still holding work of an earlier run that raised
-        is refused.
         """
+        results: Dict[int, SweepPointResult] = {}
+        if self.store is not None:
+            records = self.store.get_many([key for _, _, key in jobs.values()])
+            for index, (start, _, key) in jobs.items():
+                loaded = self._result_from_record(start.point, records.get(key))
+                if loaded is not None:
+                    results[index] = loaded
+            jobs = {index: job for index, job in jobs.items() if index not in results}
         if not jobs:
-            return {}, 0
-        target = spec.target_errors
+            return results, 0
         tasks: Dict[int, List[BatchItem]] = {}
         configs, twins = {}, {}
         for index, (start, n_bursts, _) in jobs.items():
@@ -350,8 +360,8 @@ class SweepRunner:
         in_flight = dict.fromkeys(jobs, 0)
         collected: Dict[int, List[BatchReport]] = {index: [] for index in jobs}
         errors = {index: start.bit_errors for index, (start, _, _) in jobs.items()}
-        results: Dict[int, SweepPointResult] = {}
         finished: Dict[str, dict] = {}
+        work = queue()
 
         def commit() -> None:
             """Commit every point folded since the last commit, in one put."""
@@ -360,74 +370,62 @@ class SweepRunner:
                 finished.clear()
                 self.store.put(batch)
 
-        computed = 0
-        # A WorkQueue instance passed in stays owned by the caller.
-        owned = not isinstance(self.queue_backend, WorkQueue)
-        queue = make_queue(self.queue_backend, self.n_workers)
-        try:
-            if queue.pending():
-                # Results of a run that raised would be folded into this one.
-                raise ConfigurationError(
-                    f"the work queue still holds {queue.pending()} units of an earlier run"
-                )
+        def wants_work(index: int) -> bool:
+            return (
+                index not in results
+                and cursors[index] < len(tasks[index])
+                and not spec.stops_at(errors[index])
+            )
 
-            def wants_work(index: int) -> bool:
-                return (
-                    index not in results
-                    and cursors[index] < len(tasks[index])
-                    and (target is None or errors[index] < target)
-                )
+        def maybe_finish(index: int) -> None:
+            if index in results or in_flight[index] > 0 or wants_work(index):
+                return
+            start, n_bursts, key = jobs[index]
+            result = self._fold(start, n_bursts, collected[index], spec)
+            results[index] = result
+            if self.store is not None:
+                finished[key] = {name: getattr(result, name) for name in _RECORD_FIELDS}
 
-            def maybe_finish(index: int) -> None:
-                if index in results or in_flight[index] > 0 or wants_work(index):
-                    return
-                start, n_bursts, key = jobs[index]
-                result = self._fold(start, n_bursts, collected[index], target)
-                results[index] = result
-                if self.store is not None:
-                    finished[key] = {name: getattr(result, name) for name in _RECORD_FIELDS}
-
-            def adopted(index: int) -> bool:
-                """Adopt a record committed since this run's initial scan."""
-                if not (cursors[index] == 0 and self.store is not None):
-                    return False
-                start, _, key = jobs[index]
-                record = self.store.get(key)
-                loaded = (
-                    None if record is None else self._result_from_record(start.point, record)
-                )
-                if loaded is not None:
-                    results[index] = loaded
-                return loaded is not None
-
-            def order(index: int):
-                return (in_flight[index], cursors[index], index)
-
-            def submit_next() -> bool:
-                candidates = sorted((index for index in jobs if wants_work(index)), key=order)
-                while candidates:
-                    packed = _pack_units(candidates, groups, twins, cursors, queue.capacity)[0]
-                    candidates = [i for i in candidates if i not in packed]
-                    unit = [i for i in packed if not adopted(i)]
-                    if not unit:
-                        continue
-                    queue.submit(
-                        simulate_batch,
-                        WorkUnit(spec, tuple(tasks[i][cursors[i]] for i in unit)),
-                        tag=unit,
-                    )
-                    for i in unit:
-                        cursors[i] += 1
-                        in_flight[i] += 1
-                    return True
+        def adopted(index: int) -> bool:
+            """Adopt a record committed since the resume read."""
+            if not (cursors[index] == 0 and self.store is not None):
                 return False
+            start, _, key = jobs[index]
+            loaded = self._result_from_record(start.point, self.store.get(key))
+            if loaded is not None:
+                results[index] = loaded
+            return loaded is not None
 
+        def order(index: int):
+            return (in_flight[index], cursors[index], index)
+
+        def submit_next() -> bool:
+            candidates = sorted((index for index in jobs if wants_work(index)), key=order)
+            while candidates:
+                packed = _pack_units(candidates, groups, twins, cursors, work.capacity)[0]
+                candidates = [i for i in candidates if i not in packed]
+                unit = [i for i in packed if not adopted(i)]
+                if not unit:
+                    continue
+                work.submit(
+                    simulate_batch,
+                    WorkUnit(spec, tuple(tasks[i][cursors[i]] for i in unit)),
+                    tag=unit,
+                )
+                for i in unit:
+                    cursors[i] += 1
+                    in_flight[i] += 1
+                return True
+            return False
+
+        computed = 0
+        try:
             while True:
-                while queue.pending() < queue.capacity and submit_next():
+                while work.pending() < work.capacity and submit_next():
                     pass
-                if queue.pending() == 0:
+                if work.pending() == 0:
                     break
-                unit, reports = queue.next_result()
+                unit, reports = work.next_result()
                 for index, report in zip(unit, reports):
                     in_flight[index] -= 1
                     collected[index].append(report)
@@ -439,97 +437,86 @@ class SweepRunner:
                 maybe_finish(index)
         finally:
             # The points that folded before a raise are complete: keep them.
-            try:
-                commit()
-            finally:
-                if owned:
-                    queue.close()
+            commit()
         return results, computed
 
     # ------------------------------------------------------------------
     # Adaptive refinement
-    def run_adaptive(
-        self,
-        extra_bursts: int,
-        rounds: int = 4,
-        confidence: float = 0.95,
-        method: str = "wilson",
-    ) -> SweepResult:
+    def run_adaptive(self, extra_bursts: int, rounds: int = 4) -> SweepResult:
         """Run the base sweep, then spend ``extra_bursts`` where CIs are widest.
 
         Each round allocates ``extra_bursts / rounds`` additional bursts
         across the grid with :func:`repro.sim.stats.allocate_bursts`:
-        greedily, to the points whose BER confidence intervals
-        (``confidence``/``method``, see :mod:`repro.sim.stats`) are
+        greedily, to the points whose 95% Wilson BER intervals
+        (:meth:`~repro.sim.spec.SweepPointResult.ber_interval_width`) are
         predicted widest.  Extension bursts continue each point's
         deterministic content-keyed stream right after its last folded
         burst — no re-rolling, no early stopping — and run through the
-        same scheduler and fold as the base sweep; the refined record is
-        committed, in the same format, under the point's budget-extended key
-        (``content_key(spec, extra_bursts=...)``).
+        same scheduler, fold and work queue as the base sweep; the refined
+        record is committed, in the same format, under the point's
+        budget-extended key (``content_key(spec, extra_bursts=...)``).
 
         The allocation is a pure function of the base results, so a re-run
         of the same adaptive call replays it exactly and is served entirely
-        from the store: like :meth:`run`, each round first loads its
+        from the store: like the base sweep, each round first loads its
         committed refinements in one read.  Returned points carry
         heterogeneous burst counts; ``early_stopped`` is False for every
         refined point (it ran its full refined budget).
         """
-        extra_bursts = integer_at_least("extra_bursts", extra_bursts, 1)
-        rounds = integer_at_least("rounds", rounds, 1)
+        return self._execute(
+            integer_at_least("extra_bursts", extra_bursts, 1),
+            integer_at_least("rounds", rounds, 1),
+        )
+
+    def _execute(self, extra_bursts: int, rounds: int) -> SweepResult:
+        """The base sweep, then ``extra_bursts`` refinement bursts over
+        ``rounds`` rounds, all through one work queue."""
         start = time.perf_counter()
-        base = self.run()
-        current: Dict[int, SweepPointResult] = {
-            result.point.index: result for result in base.points
+        points = self.spec.points()
+        base = {
+            point.index: (_empty_result(point), self.spec.n_bursts, self._store_key(point))
+            for point in points
         }
-        extras = dict.fromkeys(current, 0)
-        computed = base.n_bursts_simulated
-        refined_spec = self.spec.subset(target_errors=None)
-        per_round = -(-extra_bursts // rounds)  # ceil
-        remaining = extra_bursts
-        while remaining > 0:
-            budget = min(per_round, remaining)
-            remaining -= budget
-            allocation = allocate_bursts(
-                widths={
-                    index: result.ber_interval_width(confidence, method)
-                    for index, result in current.items()
-                },
-                observations={
-                    index: result.total_bits for index, result in current.items()
-                },
-                per_burst={
-                    index: max(
-                        result.total_bits // max(result.n_bursts, 1),
-                        self.spec.n_info_bits,
-                    )
-                    for index, result in current.items()
-                },
-                budget=budget,
-            )
-            if not allocation:
-                break
-            jobs = {}
-            for index, count in allocation.items():
-                extras[index] += count
-                key = self._store_key(current[index].point, extras[index])
-                jobs[index] = (current[index], count, key)
-            if self.store is not None:
-                # Resume first, as in run(): one read loads the committed refinements.
-                loaded = self._load_finished(
-                    [current[index].point for index in jobs],
-                    {index: job[2] for index, job in jobs.items()},
+        with self._work_queue() as queue:
+            current, computed = self._simulate(base, self.spec, queue)
+            extras = dict.fromkeys(current, 0)
+            refined_spec = self.spec.subset(target_errors=None)
+            per_round = -(-extra_bursts // rounds)  # ceil
+            remaining = extra_bursts
+            while remaining > 0:
+                budget = min(per_round, remaining)
+                remaining -= budget
+                allocation = allocate_bursts(
+                    widths={
+                        index: result.ber_interval_width()
+                        for index, result in current.items()
+                    },
+                    observations={
+                        index: result.total_bits for index, result in current.items()
+                    },
+                    per_burst={
+                        index: max(
+                            result.total_bits // max(result.n_bursts, 1),
+                            self.spec.n_info_bits,
+                        )
+                        for index, result in current.items()
+                    },
+                    budget=budget,
                 )
-                current.update(loaded)
-                jobs = {index: job for index, job in jobs.items() if index not in loaded}
-            refined, extended = self._simulate(jobs, refined_spec)
-            current.update(refined)
-            computed += extended
+                if not allocation:
+                    break
+                jobs = {}
+                for index, count in allocation.items():
+                    extras[index] += count
+                    key = self._store_key(current[index].point, extras[index])
+                    jobs[index] = (current[index], count, key)
+                refined, extended = self._simulate(jobs, refined_spec, queue)
+                current.update(refined)
+                computed += extended
         return SweepResult(
             spec=self.spec,
-            points=[current[index] for index in sorted(current)],
+            points=[current[point.index] for point in points],
             elapsed_s=time.perf_counter() - start,
             from_cache=self.store is not None and computed == 0,
             n_bursts_simulated=computed,
         )
-

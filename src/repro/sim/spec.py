@@ -37,6 +37,7 @@ from repro.core.config import OfdmNumerology
 from repro.dsp.backend import DSP_ARITHMETIC
 from repro.exceptions import ConfigurationError, boolean_flag, integer_at_least
 from repro.modulation.constellations import Modulation
+from repro.sim.stats import wilson_interval
 
 #: Bumped whenever the engine's statistics change meaning, so stale cache
 #: entries from an older engine can never be mistaken for fresh results.
@@ -101,7 +102,9 @@ class SweepSpec:
         alias such as ``"QAM16"`` is stored as its canonical name, so it
         keys and draws the same cell.
     code_rates:
-        Convolutional code rates, e.g. ``("1/2", "2/3", "3/4")``.
+        Convolutional code rates, e.g. ``("1/2", "2/3", "3/4")``; a
+        :class:`~repro.coding.convolutional.CodeRate` member is stored as
+        its string.
     stream_counts:
         Antenna/stream counts of the square MIMO system (4 is the paper's),
         each an integer of at least 1.
@@ -125,7 +128,8 @@ class SweepSpec:
     target_errors:
         Early-stopping threshold: once a point has accumulated this many
         bit errors its BER estimate is statistically settled and no more
-        bursts are simulated for it.  ``None`` disables early stopping.
+        bursts are simulated for it (:meth:`stops_at`).  ``None`` disables
+        early stopping.
 
     Reproducibility and physics knobs:
 
@@ -171,7 +175,7 @@ class SweepSpec:
         for name, caster in (
             ("snr_db", float),
             ("modulations", lambda value: Modulation.from_any(value).value),
-            ("code_rates", str),
+            ("code_rates", lambda value: CodeRate(value).value),
             ("stream_counts", lambda value: integer_at_least("stream_counts", value, 1)),
             ("channels", str),
             ("detectors", str),
@@ -185,10 +189,6 @@ class SweepSpec:
                 object.__setattr__(self, name, integer_at_least(name, value, minimum))
         for name in ("fresh_fading_per_burst", "known_timing", "soft_decision"):
             object.__setattr__(self, name, boolean_flag(name, getattr(self, name)))
-        # Parse the axes the worker parses, but keep the code-rate strings
-        # as given: they are part of every point's store key.
-        for code_rate in self.code_rates:
-            CodeRate(code_rate)
         OfdmNumerology.for_fft_size(self.fft_size)
         for channel in self.channels:
             if channel not in CHANNEL_MODELS:
@@ -281,6 +281,11 @@ class SweepSpec:
     def subset(self, **changes) -> "SweepSpec":
         """A copy of the spec with some fields replaced."""
         return replace(self, **changes)
+
+    def stops_at(self, bit_errors: int) -> bool:
+        """Whether a point stops at ``bit_errors`` cumulative bit errors:
+        the one early-stopping rule the runner and the work unit ask."""
+        return self.target_errors is not None and bit_errors >= self.target_errors
 
 
 @dataclass(frozen=True)
@@ -400,24 +405,13 @@ class SweepPointResult:
         """Fraction of simulated bursts with at least one bit error."""
         return self.frame_errors / self.n_bursts if self.n_bursts else 0.0
 
-    def ber_interval(
-        self, confidence: float = 0.95, method: str = "wilson"
-    ) -> Tuple[float, float]:
-        """Confidence interval on the point's BER (see :mod:`repro.sim.stats`).
+    def ber_interval(self) -> Tuple[float, float]:
+        """95% Wilson interval on the point's BER (see :mod:`repro.sim.stats`)."""
+        return wilson_interval(self.bit_errors, self.total_bits)
 
-        ``method`` is ``"wilson"`` (default) or ``"clopper-pearson"``.
-        Adaptive refinement allocates extra bursts where this interval is
-        widest.
-        """
-        from repro.sim.stats import ber_interval
-
-        return ber_interval(self.bit_errors, self.total_bits, confidence, method)
-
-    def ber_interval_width(
-        self, confidence: float = 0.95, method: str = "wilson"
-    ) -> float:
+    def ber_interval_width(self) -> float:
         """Width of :meth:`ber_interval` — the refinement mode's priority."""
-        low, high = self.ber_interval(confidence, method)
+        low, high = self.ber_interval()
         return high - low
 
     def to_dict(self) -> dict:

@@ -5,15 +5,18 @@ A Monte-Carlo BER estimate is a binomial proportion: ``k`` bit errors in
 confidence interval on that proportion to decide *where* additional bursts
 buy the most statistical precision, and two standard intervals are offered:
 
-* :func:`wilson_interval` — the Wilson score interval, the default.  It is
-  closed-form, never degenerates at ``k = 0`` or ``k = n`` (unlike the
-  naive Wald interval, whose width collapses to zero exactly where a BER
-  sweep needs it most — clean high-SNR points), and its coverage is close
-  to nominal even for small ``n``.
+* :func:`wilson_interval` — the Wilson score interval, the one
+  :meth:`~repro.sim.spec.SweepPointResult.ber_interval` reports (at 95%)
+  and the allocator reads.  It is closed-form, never degenerates at
+  ``k = 0`` or ``k = n`` (unlike the naive Wald interval, whose width
+  collapses to zero exactly where a BER sweep needs it most — clean
+  high-SNR points), and its coverage is close to nominal even for small
+  ``n``.
 * :func:`clopper_pearson_interval` — the exact (conservative) interval from
   Beta-distribution quantiles; guaranteed coverage at the cost of extra
-  width.  Requires ``scipy``; the caller gets a clear error when it is
-  missing rather than a silent fallback.
+  width, for a caller that calls it directly.  Requires ``scipy``; the
+  caller gets a clear error when it is missing rather than a silent
+  fallback.
 
 Both treat observed bits as independent Bernoulli trials.  Decoded bit
 errors are in truth burst-correlated (a frame error flips many bits at
@@ -34,15 +37,9 @@ allocation and be served entirely from the result store.
 from __future__ import annotations
 
 import math
-from typing import Dict, Literal, Tuple
+from typing import Dict, Tuple
 
 from repro.exceptions import ConfigurationError
-
-#: Interval methods the dispatching :func:`ber_interval` understands.
-INTERVAL_METHODS = ("wilson", "clopper-pearson")
-
-#: The binomial confidence-interval methods ``ber_interval`` accepts.
-IntervalMethod = Literal["wilson", "clopper-pearson"]
 
 
 def _normal_quantile(p: float) -> float:
@@ -125,7 +122,7 @@ def clopper_pearson_interval(
         from scipy.stats import beta
     except ImportError as error:  # pragma: no cover - scipy is in the image
         raise ImportError(
-            "clopper_pearson_interval requires scipy; use method='wilson'"
+            "clopper_pearson_interval requires scipy; use wilson_interval"
         ) from error
     alpha = 1.0 - confidence
     lower = 0.0 if errors == 0 else float(beta.ppf(alpha / 2.0, errors, trials - errors + 1))
@@ -135,22 +132,6 @@ def clopper_pearson_interval(
         else float(beta.ppf(1.0 - alpha / 2.0, errors + 1, trials - errors))
     )
     return (lower, upper)
-
-
-def ber_interval(
-    errors: int,
-    trials: int,
-    confidence: float = 0.95,
-    method: IntervalMethod = "wilson",
-) -> Tuple[float, float]:
-    """Dispatch to the named interval method (``INTERVAL_METHODS``)."""
-    if method == "wilson":
-        return wilson_interval(errors, trials, confidence)
-    if method == "clopper-pearson":
-        return clopper_pearson_interval(errors, trials, confidence)
-    raise ConfigurationError(
-        f"unknown interval method {method!r}; expected one of {INTERVAL_METHODS}"
-    )
 
 
 def allocate_bursts(

@@ -88,7 +88,7 @@ def stream_frame_seed(base_seed: int, user: int, frame_index: int) -> np.random.
     return np.random.SeedSequence([base_seed, _STREAM_TAG, user, frame_index])
 
 
-class _Slot(NamedTuple):
+class Slot(NamedTuple):
     """One served frame: its arrival and the end of its air time."""
 
     user: int
@@ -210,9 +210,14 @@ class DownlinkScheduler:
     # ------------------------------------------------------------------
     # the run
     # ------------------------------------------------------------------
-    def _serve(self) -> Tuple[List[_Slot], float]:
+    def plan(self) -> Tuple[List[Slot], float]:
         """Serve every offered frame on the air clock, without physics:
-        each frame's slot in service order, and the air occupancy."""
+        each frame's slot in service order, and the air occupancy.
+
+        A frame's sojourn time — queueing delay plus its own air time — is
+        ``done_s - arrival_s``; :meth:`run` puts the frames on air in this
+        order.
+        """
         arrivals: List[tuple] = []
         for user in range(self.n_users):
             seed = np.random.SeedSequence([self.base_seed, _ARRIVAL_TAG, user])
@@ -226,7 +231,7 @@ class DownlinkScheduler:
         qlen = np.zeros(self.n_users, dtype=np.int64)
         credit = np.zeros(self.n_users, dtype=np.float64)
         rr_next = 0
-        slots: List[_Slot] = []
+        slots: List[Slot] = []
         air_s = 0.0      # simulated clock
         busy_s = 0.0     # air-interface occupancy
         duration_s = (self.frame_length + self.impairment.sample_delay) / self.config.clock_hz
@@ -243,7 +248,7 @@ class DownlinkScheduler:
             arrival_s, frame_index = queues[user].popleft()
             qlen[user] -= 1
             done_s = air_s + duration_s
-            slots.append(_Slot(user, frame_index, float(arrival_s), done_s))
+            slots.append(Slot(user, frame_index, float(arrival_s), done_s))
             air_s = done_s
             busy_s += duration_s
         return slots, busy_s
@@ -251,12 +256,12 @@ class DownlinkScheduler:
     def run(self) -> ServiceReport:
         """Serve every offered frame; return the aggregate service report.
 
-        The frames go on air in their :meth:`_serve` order, a push group
+        The frames go on air in their :meth:`plan` order, a push group
         at a time; the k-th frame's window is expected in the receive
         stream at ``k * frame_on_air + sample_delay``.
         """
         started = time.perf_counter()
-        slots, busy_s = self._serve()
+        slots, busy_s = self.plan()
         users: Dict[int, UserStats] = {
             user: UserStats(user=user, frames_offered=self.frames_per_user)
             for user in range(self.n_users)

@@ -45,8 +45,19 @@ class PoissonTraffic:
 def arrival_times(
     traffic, n_frames: int, rng: SeedLike = None
 ) -> np.ndarray:
-    """Absolute arrival instants (seconds) for one user's frame sequence."""
+    """Absolute arrival instants (seconds) for one user's frame sequence.
+
+    The model must return exactly ``n_frames`` finite, non-negative gaps:
+    a missing gap would leave a frame without an arrival, and a NaN one
+    an arrival the air clock never reaches.
+    """
     gaps = np.asarray(traffic.intervals(n_frames, rng=rng), dtype=np.float64)
-    if np.any(gaps < 0):
-        raise ConfigurationError("traffic model produced a negative inter-arrival gap")
+    if gaps.shape != (n_frames,):
+        raise ConfigurationError(
+            f"traffic model returned gaps of shape {gaps.shape} for {n_frames} frames"
+        )
+    if not np.all(np.isfinite(gaps) & (gaps >= 0)):
+        raise ConfigurationError(
+            "traffic model produced a negative or non-finite inter-arrival gap"
+        )
     return np.cumsum(gaps)

@@ -13,7 +13,7 @@ import pytest
 from repro.channel.awgn import awgn_noise, noise_variance_for_snr
 from repro.channel.fading import FlatRayleighChannel, FrequencySelectiveChannel
 from repro.channel.model import IdealChannel, MimoChannel, build_fading_model
-from repro.coding.convolutional import ConvolutionalCode, ConvolutionalEncoder
+from repro.coding.convolutional import CodeRate, ConvolutionalCode, ConvolutionalEncoder
 from repro.coding.interleaver import deinterleave, interleave, interleaver_permutation
 from repro.coding.scrambler import Scrambler, pilot_polarity_sequence
 from repro.coding.viterbi import ViterbiDecoder
@@ -41,6 +41,7 @@ from repro.mimo.channel_estimation import ChannelEstimate, ChannelEstimator, inv
 from repro.mimo.qr import qr_decompose_givens
 from repro.mimo.rinv import invert_upper_triangular
 from repro.mimo.detector import MmseDetector
+from repro.modulation.constellations import Modulation
 from repro.modulation.demapper import SymbolDemapper
 from repro.sim import ImpairmentSpec, SweepRunner, SweepSpec
 from repro.sim.spec import SweepPoint, SweepPointResult, SweepResult
@@ -206,6 +207,20 @@ class _BackwardsTraffic:
         return -np.ones(n_frames)
 
 
+class _ShortTraffic:
+    """A traffic model that returns one gap too few."""
+
+    def intervals(self, n_frames, rng=None):
+        return np.ones(n_frames - 1)
+
+
+class _NanTraffic:
+    """A traffic model whose gaps are not numbers."""
+
+    def intervals(self, n_frames, rng=None):
+        return np.full(n_frames, np.nan)
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -279,6 +294,7 @@ class _BackwardsTraffic:
         lambda: SweepRunner(SweepSpec(), n_workers=1, cache=False).run_adaptive(0),
         lambda: SweepRunner(SweepSpec(), n_workers=1, cache=False).run_adaptive(8, rounds=0),
         lambda: make_queue("cluster"),
+        lambda: SweepRunner(SweepSpec(), n_workers=1, cache=False, queue="cluster"),
         lambda: MultiprocessingQueue(0),
         lambda: build_fading_model("rician", 4, rng=0),
         lambda: PoissonTraffic(float("nan")),
@@ -290,6 +306,8 @@ class _BackwardsTraffic:
         lambda: DownlinkScheduler(n_users=1, channel="rician"),
         lambda: PoissonTraffic(10.0).intervals(-1),
         lambda: arrival_times(_BackwardsTraffic(), 2),
+        lambda: arrival_times(_ShortTraffic(), 2),
+        lambda: arrival_times(_NanTraffic(), 2),
         lambda: MimoChannel().transmit(np.zeros((3, 100), dtype=complex)),
         lambda: MmseDetector(_identity_estimate(), noise_variance=-1.0),
         lambda: IdealChannel(n_rx=2, n_tx=4),
@@ -427,6 +445,7 @@ class _BackwardsTraffic:
         "adaptive-no-extra-bursts",
         "adaptive-no-rounds",
         "queue-unknown-backend",
+        "runner-unknown-queue-backend",
         "process-queue-no-workers",
         "fading-unknown-model",
         "poisson-nan-rate",
@@ -438,6 +457,8 @@ class _BackwardsTraffic:
         "scheduler-unknown-channel",
         "poisson-negative-frames",
         "arrivals-negative-gap",
+        "arrivals-one-gap-short",
+        "arrivals-nan-gap",
         "channel-burst-antenna-mismatch",
         "mmse-negative-noise-variance",
         "ideal-channel-not-square",
@@ -543,6 +564,23 @@ def test_integer_front_doors_store_numpy_integers_as_int(read_back, expected):
     value = read_back()
     assert type(value) is int
     assert value == expected
+
+
+@pytest.mark.parametrize(
+    "build, field, expected",
+    [
+        (lambda: SweepSpec(code_rates=(CodeRate.RATE_1_2, "3/4")), "code_rates", ("1/2", "3/4")),
+        (lambda: SweepSpec(code_rates=CodeRate.RATE_2_3), "code_rates", ("2/3",)),
+        (lambda: SweepSpec(modulations=(Modulation.QAM64,)), "modulations", ("64qam",)),
+    ],
+    ids=["sweep-code-rate-members", "sweep-code-rate-member", "sweep-modulation-member"],
+)
+def test_enum_front_doors_store_the_member_string(build, field, expected):
+    # An enum member keys and draws the same cell as its string.
+    spec = build()
+    assert getattr(spec, field) == expected
+    assert all(type(value) is str for value in getattr(spec, field))
+    assert spec == SweepSpec(**{field: expected})
 
 
 @pytest.mark.parametrize("flag", [np.True_, np.False_], ids=["true", "false"])

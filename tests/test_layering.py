@@ -6,6 +6,9 @@ service (``repro.stream``).  The stream reaches the air through
 ``repro.core.transceiver`` and may not import the sweep engine.  A
 runtime ``sys.modules`` check cannot show this, because ``import repro``
 already loads ``repro.sim``; parsing each module's imports can.
+
+The same parse keeps the sweep's early-stopping rule in one place: in
+``repro.sim`` only ``spec.py`` reads ``target_errors``.
 """
 
 import ast
@@ -53,5 +56,45 @@ def test_package_imports_no_higher_layer(package):
         for path in modules
         for name in imported_modules(path)
         if any(name == layer or name.startswith(layer + ".") for layer in FORBIDDEN[package])
+    ]
+    assert offending == []
+
+
+def target_errors_reads(path: Path) -> list:
+    """Line numbers where ``path`` reads a ``.target_errors`` attribute.
+
+    Keyword arguments (``subset(target_errors=None)``) and assignments are
+    not reads.
+    """
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute)
+        and node.attr == "target_errors"
+        and isinstance(node.ctx, ast.Load)
+    ]
+
+
+def test_target_errors_reads_skips_keywords_and_stores(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "spec.subset(target_errors=None)\n"
+        "spec.target_errors = 3\n"
+        "limit = spec.target_errors\n",
+        encoding="utf-8",
+    )
+    assert target_errors_reads(module) == [3]
+
+
+def test_only_the_spec_reads_the_stop_target():
+    # The early-stopping rule lives in SweepSpec.stops_at; the scheduler,
+    # the fold and the work unit ask it instead of restating it.
+    modules = sorted((PACKAGE / "sim").glob("*.py"))
+    assert modules
+    offending = [
+        f"{path.name}:{line}"
+        for path in modules
+        if path.name != "spec.py"
+        for line in target_errors_reads(path)
     ]
     assert offending == []

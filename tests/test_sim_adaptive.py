@@ -4,10 +4,9 @@ import math
 
 import pytest
 
-from repro.sim import ResultStore, SweepRunner, SweepSpec
+from repro.sim import ResultStore, SweepPointResult, SweepRunner, SweepSpec
 from repro.sim.stats import (
     allocate_bursts,
-    ber_interval,
     clopper_pearson_interval,
     wilson_interval,
 )
@@ -52,6 +51,12 @@ class TestWilsonInterval:
     def test_no_information(self):
         assert wilson_interval(0, 0) == (0.0, 1.0)
 
+    def test_point_interval_is_the_95_percent_wilson_interval(self):
+        result = SweepPointResult(SweepSpec().points()[0], 5, 100, 1, 1, False)
+        assert result.ber_interval() == wilson_interval(5, 100, confidence=0.95)
+        low, high = result.ber_interval()
+        assert result.ber_interval_width() == high - low
+
     def test_validation(self):
         with pytest.raises(ValueError):
             wilson_interval(5, 3)
@@ -78,14 +83,6 @@ class TestClopperPearson:
         assert low == 0.0 and 0.0 < high < 0.1
         low, high = clopper_pearson_interval(100, 100)
         assert 0.9 < low < 1.0 and high == 1.0
-
-    def test_dispatch(self):
-        assert ber_interval(5, 100, method="wilson") == wilson_interval(5, 100)
-        assert ber_interval(5, 100, method="clopper-pearson") == (
-            clopper_pearson_interval(5, 100)
-        )
-        with pytest.raises(ValueError):
-            ber_interval(5, 100, method="wald")
 
 
 class TestAllocateBursts:

@@ -2,13 +2,10 @@
 
 import pytest
 
+import repro.sim.queue as queue_module
+import repro.sim.runner as runner_module
 from repro.sim import SweepRunner, SweepSpec
-from repro.sim.queue import (
-    InProcessQueue,
-    MultiprocessingQueue,
-    WorkQueue,
-    make_queue,
-)
+from repro.sim.queue import InProcessQueue, MultiprocessingQueue, make_queue
 
 
 def double(payload):
@@ -56,35 +53,42 @@ class TestInProcessQueue:
 
 class TestMultiprocessingQueue:
     def test_results_come_back_tagged(self):
-        with MultiprocessingQueue(n_workers=2) as queue:
+        queue = MultiprocessingQueue(n_workers=2)
+        try:
             for x in range(4):
                 queue.submit(double, {"x": x}, tag=x)
             results = dict(queue.next_result() for _ in range(4))
+        finally:
+            queue.close()
         assert results == {0: 0, 1: 2, 2: 4, 3: 6}
 
-    def test_capacity_scales_with_workers(self):
-        with MultiprocessingQueue(n_workers=2, lookahead=3) as queue:
+    def test_capacity_is_two_units_per_worker(self):
+        queue = MultiprocessingQueue(n_workers=3)
+        try:
             assert queue.capacity == 6
+        finally:
+            queue.close()
 
     def test_worker_exception_reraises_in_caller(self):
-        with MultiprocessingQueue(n_workers=1) as queue:
+        queue = MultiprocessingQueue(n_workers=1)
+        outcomes = {}
+        try:
             queue.submit(explode, {"x": 3}, tag="bad")
             queue.submit(double, {"x": 5}, tag="good")
-            outcomes = {}
             for _ in range(2):
                 try:
                     tag, value = queue.next_result()
                     outcomes[tag] = value
                 except RuntimeError as error:
                     outcomes["error"] = str(error)
-            assert outcomes["error"] == "boom-3"
-            assert outcomes["good"] == 10  # the pool survives a failure
+        finally:
+            queue.close()
+        assert outcomes["error"] == "boom-3"
+        assert outcomes["good"] == 10  # the pool survives a failure
 
     def test_validation(self):
         with pytest.raises(ValueError):
             MultiprocessingQueue(n_workers=0)
-        with pytest.raises(ValueError):
-            MultiprocessingQueue(n_workers=1, lookahead=0)
 
 
 class TestMakeQueue:
@@ -105,80 +109,66 @@ class TestMakeQueue:
         finally:
             pooled.close()
 
-    def test_instance_passes_through(self):
-        queue = InProcessQueue()
-        assert make_queue(queue, n_workers=4) is queue
-
-    def test_factory_receives_worker_count(self):
-        seen = []
-
-        def factory(n_workers):
-            seen.append(n_workers)
-            return InProcessQueue()
-
-        queue = make_queue(factory, n_workers=5)
-        assert isinstance(queue, InProcessQueue)
-        assert seen == [5]
-
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
             make_queue("quantum", n_workers=1)
 
-    def test_interface_is_abstract(self):
-        queue = WorkQueue()
-        with pytest.raises(NotImplementedError):
-            queue.submit(double, {})
-        with pytest.raises(NotImplementedError):
-            queue.next_result()
 
+class TestRunnerOwnsItsQueue:
+    """Each run() or run_adaptive() call builds one queue and closes it."""
 
-class TestRunnerOwnership:
-    """The runner closes the queues it builds and leaves a passed-in one open."""
+    SPEC = SweepSpec(
+        snr_db=(10.0, 30.0),
+        modulations=("qpsk",),
+        stream_counts=(2,),
+        n_info_bits=48,
+        n_bursts=2,
+        target_errors=None,
+    )
 
-    def test_passed_in_pool_survives_the_runs_that_use_it(self):
-        spec = SweepSpec(
-            snr_db=(10.0, 30.0),
-            modulations=("qpsk",),
-            stream_counts=(2,),
-            n_info_bits=48,
-            n_bursts=2,
-            target_errors=None,
-        )
-        serial = SweepRunner(spec, n_workers=1, cache=None).run_adaptive(4, rounds=2)
-        with MultiprocessingQueue(n_workers=2) as queue:
-            runner = SweepRunner(spec, n_workers=2, cache=None, queue=queue)
-            adaptive = runner.run_adaptive(4, rounds=2)  # three drains, one pool
-            again = runner.run()
-            assert queue.pending() == 0
-            queue.submit(double, {"x": 4}, tag="still open")
-            assert queue.next_result() == ("still open", 8)
-        assert [p.to_dict() for p in adaptive.points] == [p.to_dict() for p in serial.points]
-        assert again.n_bursts_simulated == spec.n_points * spec.n_bursts
-
-    def test_a_queue_holding_earlier_work_is_refused(self):
-        # A run that raised leaves its in-flight units in a caller-owned
-        # queue; folding them into the next run would corrupt its points.
-        spec = SweepSpec(snr_db=(30.0,), stream_counts=(2,), n_info_bits=48, n_bursts=1)
-        queue = InProcessQueue()
-        queue.submit(double, {"x": 1}, tag=[0])
-        with pytest.raises(ValueError, match="earlier run"):
-            SweepRunner(spec, n_workers=1, cache=None, queue=queue).run()
-        assert queue.pending() == 1
-
-    def test_queues_built_from_a_factory_are_closed(self):
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Every queue the runner builds, each with its number of closes."""
         built = []
 
-        class Recording(InProcessQueue):
-            closed = False
+        def counted(base):
+            class Counted(base):
+                def __init__(self, *args):
+                    super().__init__(*args)
+                    self.closes = 0
+                    built.append(self)
 
-            def close(self):
-                self.closed = True
-                super().close()
+                def close(self):
+                    self.closes += 1
+                    super().close()
 
-        def factory(n_workers):
-            built.append(Recording())
-            return built[-1]
+            return Counted
 
-        spec = SweepSpec(snr_db=(30.0,), stream_counts=(2,), n_info_bits=48, n_bursts=1)
-        SweepRunner(spec, n_workers=1, cache=None, queue=factory).run()
-        assert len(built) == 1 and built[0].closed
+        for name in ("InProcessQueue", "MultiprocessingQueue"):
+            monkeypatch.setattr(queue_module, name, counted(getattr(queue_module, name)))
+        return built
+
+    def test_adaptive_call_builds_one_pool(self, built):
+        serial = SweepRunner(self.SPEC, n_workers=1, cache=None).run_adaptive(4, rounds=2)
+        built.clear()
+        pooled = SweepRunner(self.SPEC, n_workers=2, cache=None).run_adaptive(4, rounds=2)
+        assert len(built) == 1 and isinstance(built[0], MultiprocessingQueue)
+        assert built[0].closes == 1
+        assert [p.to_dict() for p in pooled.points] == [p.to_dict() for p in serial.points]
+
+    def test_a_call_that_raises_closes_its_queue(self, built, monkeypatch):
+        def fail(unit):
+            raise RuntimeError("unit failed")
+
+        monkeypatch.setattr(runner_module, "simulate_batch", fail)
+        with pytest.raises(RuntimeError, match="unit failed"):
+            SweepRunner(self.SPEC, n_workers=1, cache=None).run_adaptive(4, rounds=2)
+        assert len(built) == 1 and built[0].closes == 1
+
+    def test_a_call_served_from_the_store_builds_no_queue(self, built, tmp_path):
+        first = SweepRunner(self.SPEC, n_workers=2, cache=tmp_path).run_adaptive(4, rounds=2)
+        assert len(built) == 1
+        again = SweepRunner(self.SPEC, n_workers=2, cache=tmp_path).run_adaptive(4, rounds=2)
+        assert len(built) == 1
+        assert again.from_cache and again.n_bursts_simulated == 0
+        assert [p.to_dict() for p in again.points] == [p.to_dict() for p in first.points]

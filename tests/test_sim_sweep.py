@@ -17,7 +17,6 @@ from repro.dsp.fixedpoint import (
 from repro.exceptions import ConfigurationError
 from repro.sim import ImpairmentSpec, SweepRunner, SweepSpec
 from repro.sim.spec import SweepPoint, SweepPointResult, SweepResult
-from repro.sim.stats import ber_interval
 
 
 def small_spec(**overrides) -> SweepSpec:
@@ -119,7 +118,6 @@ class TestSweepSpec:
             lambda: SweepRunner(small_spec(), n_workers=1, cache=None).run_adaptive(
                 extra_bursts=2, rounds=1.5
             ),
-            lambda: ber_interval(1, 10, method="bogus"),
         ],
         ids=[
             "fft_size-float",
@@ -130,7 +128,6 @@ class TestSweepSpec:
             "batch_size-str",
             "extra_bursts-float",
             "rounds-float",
-            "interval-method",
         ],
     )
     def test_malformed_sweep_arguments_raise_configuration_error(self, call):

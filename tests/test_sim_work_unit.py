@@ -43,7 +43,6 @@ from repro.sim.engine import (
     burst_seed,
     simulate_batch,
 )
-from repro.sim.queue import MultiprocessingQueue
 from repro.sim.runner import _pack_units
 
 
@@ -492,12 +491,6 @@ def test_unit_above_one_decode_slice_decodes_bit_exactly(monkeypatch):
     assert any(outcome.bit_errors for report in reports for outcome in report.outcomes)
 
 
-def _one_slot_pool(n_workers):
-    # A real forked pool that keeps one unit in flight: the runner sees
-    # every completion before dispatching again, as with the serial queue.
-    return MultiprocessingQueue(1, lookahead=1)
-
-
 def _stats(result):
     return [
         (p.bit_errors, p.total_bits, p.frame_errors, p.n_bursts, p.early_stopped, p.decode_failures)
@@ -524,12 +517,11 @@ def test_runner_results_identical_across_queues_and_batch_sizes():
     assert not all(p.early_stopped for p in reference.points)
 
     for batch_size in (1, 3, 10):
-        for queue in ("serial", _one_slot_pool):
-            result = SweepRunner(
-                spec, n_workers=1, batch_size=batch_size, cache=None, queue=queue
-            ).run()
-            assert _stats(result) == _stats(reference)
-            assert result.n_bursts_simulated == reference.n_bursts_simulated
+        result = SweepRunner(
+            spec, n_workers=1, batch_size=batch_size, cache=None, queue="serial"
+        ).run()
+        assert _stats(result) == _stats(reference)
+        assert result.n_bursts_simulated == reference.n_bursts_simulated
         # A wider pool may simulate bursts past a point's stop (in flight
         # when it crossed); the fold discards them.
         pooled = SweepRunner(

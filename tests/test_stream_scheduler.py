@@ -306,3 +306,40 @@ class TestPushGroups:
             assert report.frames_delivered == report.frames_served
         frame_s = (scheduler.frame_length + delay) / scheduler.config.clock_hz
         assert report.air_time_s == pytest.approx(report.frames_served * frame_s)
+
+
+class TestQueueingTheory:
+    """The air clock against the M/D/1 queue it models.
+
+    Eight Poisson users at total load ``rho`` share one server whose
+    service time is one frame's air time ``D``.  Round-robin is work
+    conserving and every frame takes the same time, so the mean sojourn
+    time (queueing plus air time) over ``D`` is the Pollaczek–Khinchine
+    value ``1 + rho / (2 (1 - rho))`` whatever the service order.
+    """
+
+    N_USERS = 8
+    FRAMES_PER_USER = 500
+    SEEDS = range(5)
+
+    def _mean_sojourn(self, rho, seed):
+        probe = DownlinkScheduler(n_users=self.N_USERS, frames_per_user=0, n_info_bits=48)
+        air_s = probe.frame_length / probe.config.clock_hz
+        slots, _ = DownlinkScheduler(
+            n_users=self.N_USERS,
+            frames_per_user=self.FRAMES_PER_USER,
+            traffic=PoissonTraffic(rho / (self.N_USERS * air_s)),
+            n_info_bits=48,
+            base_seed=seed,
+        ).plan()
+        # Late in the run the users' fixed frame budgets thin the arrivals;
+        # the first three quarters of the service order see the full load.
+        kept = slots[: 3 * len(slots) // 4]
+        return np.mean([(slot.done_s - slot.arrival_s) / air_s for slot in kept])
+
+    @pytest.mark.parametrize("rho", [0.3, 0.7])
+    def test_mean_sojourn_matches_pollaczek_khinchine(self, rho):
+        means = [self._mean_sojourn(rho, seed) for seed in self.SEEDS]
+        standard_error = np.std(means, ddof=1) / np.sqrt(len(means))
+        expected = 1.0 + rho / (2.0 * (1.0 - rho))
+        assert abs(np.mean(means) - expected) < 4.0 * standard_error
