@@ -1,11 +1,13 @@
 """Per-point result store — warm re-runs and cross-sweep sharing gates.
 
 The append-only :class:`~repro.sim.store.ResultStore` log replaced the per-spec
-JSON cache so that *points*, not whole sweeps, are the unit of reuse.  Two
+JSON cache so that *points*, not whole sweeps, are the unit of reuse.  Three
 gates keep that property honest:
 
 * a repeated sweep must be a pure store read — zero bursts simulated,
   sub-second wall clock;
+* a small grid resuming from a large shared store must parse only its
+  own records, not every other grid's;
 * two overlapping grids sharing one store must simulate their
   intersection exactly once, cutting the second sweep's burst count by at
   least 30% versus the old per-spec behaviour (where any spec change —
@@ -14,6 +16,7 @@ gates keep that property honest:
 
 import time
 
+import repro.sim.store as store_module
 from repro.sim import ResultStore, SweepRunner, SweepSpec
 from repro.sim.engine import simulate_batch
 
@@ -30,6 +33,9 @@ BASE_SEED = 4321
 GRID_A_DB = (12.0, 14.0, 16.0, 18.0, 20.0, 22.0)
 GRID_B_DB = (6.0, 8.0, 10.0, 18.0, 20.0, 22.0)
 SHARED_DB = sorted(set(GRID_A_DB) & set(GRID_B_DB))
+
+#: Records of other grids in the shared store the small grid resumes from.
+N_FOREIGN = 20_000
 
 
 def _spec(snr_grid) -> SweepSpec:
@@ -72,6 +78,42 @@ def test_warm_rerun_is_a_pure_store_read(table_printer, tmp_path):
     assert warm.n_bursts_simulated == 0
     assert warm_elapsed < 1.0
     assert [p.bit_errors for p in warm.points] == [p.bit_errors for p in first.points]
+
+
+def test_small_grid_resumes_from_a_large_store_parsing_only_its_own_lines(
+    table_printer, tmp_path, monkeypatch
+):
+    store = ResultStore(tmp_path / "points")
+    grid = GRID_A_DB[:3]
+    # Records of other grids land before and after this grid's own.
+    foreign = {f"{i:064x}": {"bit_errors": i, "total_bits": 2 * i} for i in range(N_FOREIGN)}
+    keys = list(foreign)
+    store.put({key: foreign[key] for key in keys[: N_FOREIGN // 2]})
+    cold = _run(grid, store)
+    store.put({key: foreign[key] for key in keys[N_FOREIGN // 2 :]})
+
+    parsed = []
+    real_record_key = store_module._record_key
+
+    def counting(line):
+        parsed.append(line)
+        return real_record_key(line)
+
+    monkeypatch.setattr(store_module, "_record_key", counting)
+    start = time.perf_counter()
+    warm = _run(grid, store)
+    elapsed = time.perf_counter() - start
+    monkeypatch.undo()
+
+    table_printer(
+        f"Warm {len(grid)}-point resume from a store holding {N_FOREIGN:,} foreign records",
+        ["log records", "lines parsed", "bursts simulated", "wall clock"],
+        [(N_FOREIGN + len(grid), len(parsed), warm.n_bursts_simulated, f"{elapsed * 1e3:.1f} ms")],
+    )
+    # Gate: nothing is simulated and only the grid's own lines are parsed.
+    assert warm.from_cache and warm.n_bursts_simulated == 0
+    assert len(parsed) == len(grid)
+    assert [p.bit_errors for p in warm.points] == [p.bit_errors for p in cold.points]
 
 
 def test_overlapping_grids_share_their_intersection(table_printer, tmp_path, monkeypatch):

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import os
 import time
-from collections import Counter
 from contextlib import contextmanager
 from typing import Callable, Dict, Hashable, Iterator, List, Optional, Tuple, Union
 
@@ -55,7 +54,7 @@ StoreLike = Union[None, bool, str, "os.PathLike[str]", ResultStore]
 _Queue = Union[InProcessQueue, MultiprocessingQueue]
 
 #: What a store record holds: a point result's six counts, each with the
-#: type it is read back as.  The grid cell is not stored; the grid that
+#: type it must have.  The grid cell is not stored; the grid that
 #: reads the record supplies it.
 _RECORD_FIELDS = {
     "bit_errors": int,
@@ -67,44 +66,38 @@ _RECORD_FIELDS = {
 }
 
 
-def _pack_units(
+def _next_unit(
     wanting: List[int],
     groups: Dict[int, Hashable],
     twins: Dict[int, Hashable],
     batch_of: Dict[int, int],
     capacity: int,
-) -> List[List[int]]:
-    """Pack the points that want a batch into work units, in priority order.
+) -> List[int]:
+    """The work unit the most urgent point that wants a batch opens.
 
     ``wanting`` lists point indices, most urgent first; ``groups`` maps
     each to its :meth:`~repro.core.config.TransceiverConfig.air_group`,
     ``twins`` to its :func:`~repro.sim.engine.air_key` and ``batch_of`` to
-    the batch number it wants next.  Points of one air group and batch number go together,
-    in *cells* of equal air key: twins, which put the same bursts on air,
-    always share a unit.  A unit opens at the most urgent unpacked point
-    and takes along the following cells, up to ``ceil(n_cells /
-    capacity)`` cells, where ``n_cells`` counts the wanting cells of that
-    air group — so the serial queue (capacity 1) packs them all into one
-    unit while a pool still gets at least ``capacity`` units to spread over
-    its workers.  Units come out ordered by their first point.
+    the batch number it wants next.  The unit holds points of the first
+    point's air group and batch number, in *cells* of equal air key:
+    twins, which put the same bursts on air, always share a unit.  It
+    takes the first point's cell and the following cells, in priority
+    order, up to ``ceil(n_cells / capacity)`` cells, where ``n_cells``
+    counts the wanting cells of that air group over every batch number —
+    so the serial queue (capacity 1) packs them all into one unit while a
+    pool still gets at least ``capacity`` units to spread over its
+    workers.
     """
-    bins: Dict[tuple, Dict[Hashable, List[int]]] = {}
+    group, batch = groups[wanting[0]], batch_of[wanting[0]]
+    cells: Dict[Hashable, List[int]] = {}
+    group_cells = set()
     for index in wanting:
-        cells = bins.setdefault((groups[index], batch_of[index]), {})
-        cells.setdefault(twins[index], []).append(index)
-    n_cells = Counter()
-    for (group, _), cells in bins.items():
-        n_cells[group] += len(cells)
-    units = []
-    for (group, _), cells in bins.items():
-        members = list(cells.values())
-        limit = -(-n_cells[group] // capacity)
-        units.extend(
-            [index for cell in members[start : start + limit] for index in cell]
-            for start in range(0, len(members), limit)
-        )
-    position = {index: rank for rank, index in enumerate(wanting)}
-    return sorted(units, key=lambda unit: position[unit[0]])
+        if groups[index] == group:
+            group_cells.add((batch_of[index], twins[index]))
+            if batch_of[index] == batch:
+                cells.setdefault(twins[index], []).append(index)
+    limit = -(-len(group_cells) // capacity)
+    return [index for cell in list(cells.values())[:limit] for index in cell]
 
 
 def _resolve_store(cache: StoreLike) -> Optional[ResultStore]:
@@ -215,20 +208,30 @@ class SweepRunner:
 
     @staticmethod
     def _result_from_record(
-        point: SweepPoint, payload: Optional[dict]
+        point: SweepPoint, payload: Optional[dict], spec: SweepSpec
     ) -> Optional[SweepPointResult]:
         """Rebuild one point result from its store record (None if absent
         or corrupt).
 
         The record holds the :data:`_RECORD_FIELDS` counts (records of
-        earlier versions hold more, which is ignored); one missing a field
-        is corrupt and gets re-simulated.
+        earlier versions hold more, which is ignored).  It is a point
+        result only if each count has its type (an ``int`` is never a
+        ``bool``) and the counts agree as :meth:`_fold` makes them:
+        ``0 <= decode_failures <= frame_errors <= n_bursts`` and
+        ``0 <= bit_errors <= total_bits == n_bursts * n_streams *
+        n_info_bits``.  Any other record is corrupt and gets re-simulated.
         """
-        if payload is None:
+        if payload is None or any(
+            type(payload.get(name)) is not kind for name, kind in _RECORD_FIELDS.items()
+        ):
             return None
-        try:
-            counts = {name: read(payload[name]) for name, read in _RECORD_FIELDS.items()}
-        except (KeyError, TypeError, ValueError):
+        counts = {name: payload[name] for name in _RECORD_FIELDS}
+        burst_bits = point.n_streams * spec.n_info_bits
+        if not (
+            0 <= counts["decode_failures"] <= counts["frame_errors"] <= counts["n_bursts"]
+            and 0 <= counts["bit_errors"] <= counts["total_bits"]
+            and counts["total_bits"] == counts["n_bursts"] * burst_bits
+        ):
             return None
         return SweepPointResult(point=point, **counts)
 
@@ -311,7 +314,7 @@ class SweepRunner:
         wanting points of its
         :meth:`~repro.core.config.TransceiverConfig.air_group` (in the
         same round-robin order, twins kept together, by
-        :func:`_pack_units`), so one work unit transmits each shared burst
+        :func:`_next_unit`), so one work unit transmits each shared burst
         once and decodes all their bursts together.
         A point that stops submits no more batches; its in-flight surplus
         is discarded by the fold.  The points that fold while one result is
@@ -320,19 +323,16 @@ class SweepRunner:
         taken, and the ones already folded are committed also when the run
         raises, so an interrupted run keeps its finished points.
 
-        With a store, a point is checked against it right before its
-        *first* batch is dispatched: a record committed since the resume
-        read (by a concurrent runner, or by a previous call of the
-        same refinement) is adopted instead of simulated, bounding double
-        simulation to the points genuinely in flight at the same moment.
-        The check reads the store's incremental index, which costs one
-        ``stat`` while the log is unchanged.
+        With a store, the resume read is the call's only read of it: a
+        record another runner commits while this one drains is not looked
+        for, so two runners with the same point in flight may both simulate
+        it.  They commit identical records, and the last one wins.
         """
         results: Dict[int, SweepPointResult] = {}
         if self.store is not None:
             records = self.store.get_many([key for _, _, key in jobs.values()])
             for index, (start, _, key) in jobs.items():
-                loaded = self._result_from_record(start.point, records.get(key))
+                loaded = self._result_from_record(start.point, records.get(key), spec)
                 if loaded is not None:
                     results[index] = loaded
             jobs = {index: job for index, job in jobs.items() if index not in results}
@@ -371,11 +371,7 @@ class SweepRunner:
                 self.store.put(batch)
 
         def wants_work(index: int) -> bool:
-            return (
-                index not in results
-                and cursors[index] < len(tasks[index])
-                and not spec.stops_at(errors[index])
-            )
+            return cursors[index] < len(tasks[index]) and not spec.stops_at(errors[index])
 
         def maybe_finish(index: int) -> None:
             if index in results or in_flight[index] > 0 or wants_work(index):
@@ -386,37 +382,23 @@ class SweepRunner:
             if self.store is not None:
                 finished[key] = {name: getattr(result, name) for name in _RECORD_FIELDS}
 
-        def adopted(index: int) -> bool:
-            """Adopt a record committed since the resume read."""
-            if not (cursors[index] == 0 and self.store is not None):
-                return False
-            start, _, key = jobs[index]
-            loaded = self._result_from_record(start.point, self.store.get(key))
-            if loaded is not None:
-                results[index] = loaded
-            return loaded is not None
-
         def order(index: int):
             return (in_flight[index], cursors[index], index)
 
         def submit_next() -> bool:
-            candidates = sorted((index for index in jobs if wants_work(index)), key=order)
-            while candidates:
-                packed = _pack_units(candidates, groups, twins, cursors, work.capacity)[0]
-                candidates = [i for i in candidates if i not in packed]
-                unit = [i for i in packed if not adopted(i)]
-                if not unit:
-                    continue
-                work.submit(
-                    simulate_batch,
-                    WorkUnit(spec, tuple(tasks[i][cursors[i]] for i in unit)),
-                    tag=unit,
-                )
-                for i in unit:
-                    cursors[i] += 1
-                    in_flight[i] += 1
-                return True
-            return False
+            wanting = sorted((index for index in jobs if wants_work(index)), key=order)
+            if not wanting:
+                return False
+            unit = _next_unit(wanting, groups, twins, cursors, work.capacity)
+            work.submit(
+                simulate_batch,
+                WorkUnit(spec, tuple(tasks[i][cursors[i]] for i in unit)),
+                tag=unit,
+            )
+            for i in unit:
+                cursors[i] += 1
+                in_flight[i] += 1
+            return True
 
         computed = 0
         try:

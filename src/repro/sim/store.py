@@ -19,14 +19,12 @@ sweep layer needs:
   torn or foreign lines, so multiple runners can share one store
   directory without corrupting it.
 
-Reads are incremental: each :class:`ResultStore` keeps an in-memory index
-holding the raw line of the latest record of every key asked for so far,
-together with the log's inode and the offset of its last complete line,
-and a read indexes only the bytes appended since the previous one — a
-read of an unchanged log costs one ``stat``.  Lines of keys never asked
-for are passed over unparsed, so a small grid resumes from a large shared
-store without holding it in memory; asking for a new key re-reads the log
-once (``keys()`` and ``len()`` cover every key).
+Every read is one pass over the log's complete lines: nothing is kept
+between reads, so a read always sees every commit that returned before it
+started.  Lines of keys not asked for are passed over unparsed, so a small
+grid resumes from a large shared store without holding it in memory.  The
+price is that a large store is scanned again on each read (about 0.2 s at
+110,000 records); the runner reads once per drain, at its resume.
 
 The store is append-only: a re-put of an existing key appends a newer
 record and readers take the last one (the engine is deterministic, so
@@ -39,9 +37,8 @@ from __future__ import annotations
 import json
 import os
 import threading
-import weakref
 from pathlib import Path
-from typing import BinaryIO, Callable, Dict, Iterable, Iterator, Mapping, Optional, Set, Union
+from typing import Dict, Iterable, Mapping, Optional, Set, Union
 
 try:  # POSIX log locking; other platforms fall back to the thread lock.
     import fcntl
@@ -105,125 +102,63 @@ class ResultStore:
         )
         self.log_path = self.directory / LOG_NAME
         self._lock = threading.Lock()
-        #: Keys the index covers: every key asked for so far (``None``:
-        #: every key in the store).
-        self._wanted: Optional[Set[str]] = set()
-        #: Raw line of each covered key's latest intact record; ``None``
-        #: until the next read rebuilds it.
-        self._lines: Optional[Dict[str, bytes]] = None
-        #: The indexed log, opened for reading, its inode (``None``: no log
-        #: yet) and the offset just past its last indexed line.  Holding
-        #: the file open keeps the inode from being reused by a re-created
-        #: log.
-        self._file: Optional[BinaryIO] = None
-        self._close: Callable[[], object] = lambda: None
-        self._inode: Optional[int] = None
-        self._offset = 0
 
-    # -- index ---------------------------------------------------------
-    def _index(self, lines: Iterable[bytes]) -> None:
-        """Index the intact record lines of covered keys; later lines win.
+    def _scan(self, wanted: Optional[Set[str]] = None) -> Dict[str, bytes]:
+        """Raw line of the latest intact record of each ``wanted`` key
+        (``None``: every key), in one pass over the log.
 
-        A line ``put`` wrote starts with its key, so the lines of keys the
-        index does not cover are passed over without being parsed.
+        A line ``put`` wrote starts with its key, so the lines of other
+        keys are passed over without being parsed.  A partly written last
+        line is left for a read after an append completes it.
         """
-        wanted = self._wanted
-        for line in lines:
-            if wanted is not None and line.startswith(_KEY_PREFIX):
-                end = line.find(b'"', len(_KEY_PREFIX))
-                claimed = line[len(_KEY_PREFIX) : end]
-                if (
-                    end > 0
-                    and claimed.isascii()
-                    and b"\\" not in claimed
-                    and claimed.decode("ascii") not in wanted
-                ):
-                    continue
-            key = _record_key(line)
-            if key is not None and (wanted is None or key in wanted):
-                self._lines[key] = line
-
-    def _appended_lines(self) -> Iterator[bytes]:
-        """The log's complete lines past the indexed offset, advancing it.
-
-        A partly written last line is left for a read after an append
-        completes it.
-        """
-        self._file.seek(self._offset)
-        for line in self._file:
-            if not line.endswith(b"\n"):
-                return
-            self._offset += len(line)
-            yield line
-
-    def _refresh(self, keys: Optional[Iterable[str]] = None) -> Dict[str, bytes]:
-        """Bring the index up to date for ``keys`` (``None``: every key).
-
-        Reads only the bytes appended since the last call, so a call on an
-        unchanged log costs one ``stat``.  The index is rebuilt from
-        scratch on the first call, when it must cover a key it did not
-        cover so far, when the log's inode changes (it was deleted and
-        re-created) and when the log shrinks.  Call with ``self._lock``
-        held.
-        """
-        if self._wanted is not None:
-            if keys is None:
-                self._wanted, self._lines = None, None
-            elif not self._wanted.issuperset(keys):
-                self._wanted.update(keys)
-                self._lines = None
+        lines: Dict[str, bytes] = {}
         try:
-            stat = os.stat(self.log_path)
-            inode, size = stat.st_ino, stat.st_size
+            log = open(self.log_path, "rb")
         except OSError:
-            inode, size = None, 0
-        if self._lines is None or inode != self._inode or size < self._offset:
-            self._lines = {}
-            self._close()
-            self._file, self._inode, self._offset = None, None, 0
-            if inode is None:
-                return self._lines
-            try:
-                self._file = open(self.log_path, "rb")
-            except OSError:
-                return self._lines
-            self._close = weakref.finalize(self, self._file.close)
-            self._inode = os.fstat(self._file.fileno()).st_ino
-        if size > self._offset:
-            self._index(self._appended_lines())
-        return self._lines
+            return lines
+        with log:
+            for line in log:
+                if not line.endswith(b"\n"):
+                    break
+                if wanted is not None and line.startswith(_KEY_PREFIX):
+                    end = line.find(b'"', len(_KEY_PREFIX))
+                    claimed = line[len(_KEY_PREFIX) : end]
+                    if (
+                        end > 0
+                        and claimed.isascii()
+                        and b"\\" not in claimed
+                        and claimed.decode("ascii") not in wanted
+                    ):
+                        continue
+                key = _record_key(line)
+                if key is not None and (wanted is None or key in wanted):
+                    lines[key] = line
+        return lines
 
     # -- reads ---------------------------------------------------------
     def get(self, key: str) -> Optional[dict]:
         """Latest payload stored under ``key``, or ``None``."""
-        with self._lock:
-            line = self._refresh([key]).get(key)
+        line = self._scan({key}).get(key)
         return None if line is None else json.loads(line)["payload"]
 
     def get_many(self, keys: Iterable[str]) -> Dict[str, dict]:
-        """Latest payloads for every present key, in one index refresh.
+        """Latest payloads for every present key, in one pass over the log.
 
         This is the resume fast path: a warm re-run of a whole grid costs
-        one read of the log's new bytes instead of one per point.
+        one read of the log instead of one per point.
         """
-        keys = set(keys)
-        with self._lock:
-            index = self._refresh(keys)
-            lines = {key: index[key] for key in keys if key in index}
+        lines = self._scan(set(keys))
         return {key: json.loads(line)["payload"] for key, line in lines.items()}
 
     def __contains__(self, key: str) -> bool:
-        with self._lock:
-            return key in self._refresh([key])
+        return key in self._scan({key})
 
     def keys(self) -> set:
         """Every distinct key with at least one intact record."""
-        with self._lock:
-            return set(self._refresh())
+        return set(self._scan())
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._refresh())
+        return len(self._scan())
 
     # -- writes --------------------------------------------------------
     def put(self, records: Mapping[str, dict]) -> Path:
@@ -268,11 +203,9 @@ class ResultStore:
     def clear(self) -> int:
         """Delete the log; returns the number of keys removed."""
         with self._lock:
-            removed = len(self._refresh())
+            removed = len(self._scan())
             try:
                 self.log_path.unlink()
             except OSError:
                 pass
-            self._close()
-            self._lines, self._wanted = None, set()
         return removed

@@ -6,16 +6,20 @@ The scenarios the per-point result store exists for:
   point and simulate only the missing remainder, and the folded result
   must be bit-identical to an uninterrupted run;
 * two runners share one store directory concurrently — the log must stay
-  intact and a runner must not re-simulate points the other had already
-  committed before it dispatched them;
-* a record holds only the six counts its reader reads, records of
-  earlier versions (which held more) keep resuming, and the runner
-  commits once per drain step, not once per point.
+  intact, a runner must not re-simulate points the other had already
+  committed before its resume read, and a point both simulate is
+  committed twice with one payload;
+* a record holds only the six counts its reader reads, a record whose
+  counts cannot be a point result is simulated again, records of earlier
+  versions (which held more) keep resuming, the runner commits once per
+  drain step, not once per point, and reads the store once per drain.
 """
 
+import json
 import os
 import threading
 import time
+from collections import Counter
 
 import pytest
 
@@ -134,8 +138,30 @@ class TestFieldLevelCorruption:
             lambda record: record.pop("n_bursts"),
             lambda record: record.update(bit_errors="many"),
             lambda record: record.update(total_bits=None),
+            lambda record: record.update(bit_errors=2.75),
+            lambda record: record.update(frame_errors=False),
+            lambda record: record.update(early_stopped="no"),
+            lambda record: record.update(early_stopped=0),
+            lambda record: record.update(decode_failures=-1),
+            lambda record: record.update(bit_errors=record["total_bits"] + 1),
+            lambda record: record.update(total_bits=record["total_bits"] + 1),
+            lambda record: record.update(frame_errors=record["n_bursts"] + 1),
+            lambda record: record.update(decode_failures=record["frame_errors"] + 1),
         ],
-        ids=["missing-field", "non-numeric-field", "null-field"],
+        ids=[
+            "missing-field",
+            "non-numeric-field",
+            "null-field",
+            "fractional-count",
+            "bool-count",
+            "string-flag",
+            "int-flag",
+            "negative-count",
+            "more-errors-than-bits",
+            "bits-off-the-burst-budget",
+            "more-frame-errors-than-bursts",
+            "more-decode-failures-than-frame-errors",
+        ],
     )
     def test_bad_record_is_resimulated_and_recommitted(self, tmp_path, corrupt):
         spec = small_spec()
@@ -175,14 +201,66 @@ class TestFieldLevelCorruption:
         warm = SweepRunner(spec, n_workers=1, cache=store).run()
         assert warm.from_cache and warm.n_bursts_simulated == 0
 
+    def test_adaptive_run_resimulates_a_record_with_more_errors_than_bits(self, tmp_path):
+        # Loaded as it stands, the record would make the refinement's
+        # Wilson interval raise ConfigurationError.
+        spec = small_spec()
+        store = ResultStore(tmp_path / "points")
+        SweepRunner(spec, n_workers=1, cache=store).run()
+        key = spec.points()[0].content_key(spec)
+        record = store.get(key)
+        store.put({key: {**record, "bit_errors": record["total_bits"] + 5}})
+        refined = SweepRunner(spec, n_workers=1, cache=store).run_adaptive(4, rounds=2)
+        clean = SweepRunner(spec, n_workers=1, cache=None).run_adaptive(4, rounds=2)
+        assert stats(refined) == stats(clean)
+        assert refined.n_bursts_simulated > 0
+
+
+class TestOneReadPerDrain:
+    """The runner reads the store once per drain, with one ``get_many``."""
+
+    @staticmethod
+    def _count_reads(monkeypatch):
+        calls = Counter()
+        for name in ("get", "get_many"):
+            real = getattr(ResultStore, name)
+
+            def counting(self, *args, _name=name, _real=real):
+                calls[_name] += 1
+                return _real(self, *args)
+
+            monkeypatch.setattr(ResultStore, name, counting)
+        return calls
+
+    def test_cold_and_warm_runs_read_once(self, tmp_path, monkeypatch):
+        spec = small_spec(detectors=("zf", "mmse"))
+        calls = self._count_reads(monkeypatch)
+        cold = SweepRunner(spec, n_workers=1, batch_size=1, cache=ResultStore(tmp_path)).run()
+        assert cold.n_bursts_simulated > 0
+        assert calls == {"get_many": 1}
+        calls.clear()
+        warm = SweepRunner(spec, n_workers=1, cache=ResultStore(tmp_path)).run()
+        assert warm.from_cache
+        assert calls == {"get_many": 1}
+
+    def test_adaptive_run_reads_once_per_round(self, tmp_path, monkeypatch):
+        spec = small_spec()
+        calls = self._count_reads(monkeypatch)
+        refined = SweepRunner(spec, n_workers=1, cache=ResultStore(tmp_path)).run_adaptive(
+            8, rounds=2
+        )
+        assert refined.n_bursts_simulated > 0
+        assert calls["get"] == 0
+        assert 1 <= calls["get_many"] <= 3
+
 
 class TestConcurrentRunners:
     def test_two_runners_share_one_store_without_corruption(
         self, tmp_path, monkeypatch
     ):
         # Runner A sweeps the full grid; once its first points are durable,
-        # runner B starts on an overlapping subset.  B must adopt every
-        # point A committed before B dispatched it, and the shared log
+        # runner B starts on an overlapping subset.  B must load every
+        # point A committed before B's resume read, and the shared log
         # must stay intact under the concurrent appends.
         spec_a = small_spec()
         spec_b = small_spec(snr_db=(6.0, 12.0, 24.0))
@@ -226,7 +304,8 @@ class TestConcurrentRunners:
         assert not errors
         assert set(results) == {"A", "B"}
 
-        # B adopted A's committed points instead of re-simulating them.
+        # B loaded A's committed points at its resume read instead of
+        # re-simulating them.
         b_snrs = {snr for snr, _ in simulated["B"]}
         assert 6.0 not in b_snrs
         assert 12.0 not in b_snrs
@@ -251,6 +330,65 @@ class TestConcurrentRunners:
         warm_b = SweepRunner(spec_b, n_workers=1, cache=ResultStore(store_dir)).run()
         assert warm_a.from_cache and warm_a.n_bursts_simulated == 0
         assert warm_b.from_cache and warm_b.n_bursts_simulated == 0
+
+    def test_runners_that_start_together_commit_identical_duplicates(
+        self, tmp_path, monkeypatch
+    ):
+        # Both runners finish their resume read before either commits, so
+        # both simulate the points their grids share and each commits them.
+        spec_a = small_spec()
+        spec_b = small_spec(snr_db=(6.0, 12.0, 24.0))
+        store_dir = tmp_path / "points"
+        both_read = threading.Barrier(2)
+        real_get_many = ResultStore.get_many
+
+        def get_many_then_wait(self, keys):
+            records = real_get_many(self, keys)
+            both_read.wait(timeout=30)
+            return records
+
+        monkeypatch.setattr(ResultStore, "get_many", get_many_then_wait)
+        results, errors = {}, []
+
+        def run(name, spec):
+            try:
+                results[name] = SweepRunner(
+                    spec, n_workers=1, batch_size=1, cache=ResultStore(store_dir)
+                ).run()
+            except BaseException as error:  # surface thread failures
+                errors.append(error)
+
+        threads = [
+            threading.Thread(target=run, args=(name, spec))
+            for name, spec in (("A", spec_a), ("B", spec_b))
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+        assert not errors
+        assert set(results) == {"A", "B"}
+        monkeypatch.undo()
+
+        # No torn line, and every record of a key carries one payload.
+        raw = ResultStore(store_dir).log_path.read_bytes()
+        assert raw.endswith(b"\n")
+        payloads = {}
+        for line in raw.splitlines():
+            record = json.loads(line)
+            payloads.setdefault(record["key"], []).append(record["payload"])
+        shared = {p.content_key(spec_a) for p in spec_a.points()} & {
+            p.content_key(spec_b) for p in spec_b.points()
+        }
+        assert len(shared) == 2
+        assert all(len(payloads[key]) == 2 for key in shared)
+        for records in payloads.values():
+            assert all(record == records[0] for record in records)
+
+        # Both results are bit-identical to runs without a store.
+        assert stats(results["A"]) == stats(SweepRunner(spec_a, n_workers=1, cache=None).run())
+        assert stats(results["B"]) == stats(SweepRunner(spec_b, n_workers=1, cache=None).run())
 
 
 class TestEarlierRecordFormat:

@@ -1,4 +1,4 @@
-"""Tests for repro.sim.store: one append-only log, group commits, incremental reads."""
+"""Tests for repro.sim.store: one append-only log, group commits, one pass per read."""
 
 import json
 import multiprocessing
@@ -53,37 +53,6 @@ class TestRoundTrip:
         lines = store.log_path.read_text().splitlines()
         assert len(lines) == 2
 
-    def test_reads_index_only_the_bytes_appended_since_the_last_read(
-        self, tmp_path, monkeypatch
-    ):
-        writer = ResultStore(tmp_path)
-        keys = [f"key-{i}" for i in range(40)]
-        for key in keys:
-            writer.put({key: {"i": key}})
-        indexed = []
-        original = ResultStore._index
-
-        def counting(self, lines):
-            lines = list(lines)
-            indexed.append(b"".join(lines))
-            return original(self, lines)
-
-        monkeypatch.setattr(ResultStore, "_index", counting)
-        reader = ResultStore(tmp_path)
-        found = reader.get_many(keys + ["absent", "late"])
-        assert set(found) == set(keys)
-        assert indexed == [writer.log_path.read_bytes()]  # the whole log, once
-        indexed.clear()
-        assert reader.get_many(keys) == found
-        assert reader.get("key-3") == {"i": "key-3"}
-        assert indexed == []  # unchanged log: nothing read
-        before = writer.log_path.stat().st_size
-        writer.put({"late": {"i": 40}})
-        indexed.clear()
-        assert reader.get("late") == {"i": 40}
-        new_bytes = writer.log_path.read_bytes()[before:]
-        assert indexed == [new_bytes]  # the new line alone
-
     def test_a_cold_read_parses_only_the_lines_of_the_keys_asked_for(
         self, tmp_path, monkeypatch
     ):
@@ -107,8 +76,8 @@ class TestRoundTrip:
         }
         assert len(parsed) == 3  # key-3 and both records of key-7
         parsed.clear()
-        assert reader.get("key-150") == {"i": 150}  # a new key: one more pass
-        assert len(parsed) == 4
+        assert reader.get("key-150") == {"i": 150}  # each read is its own pass
+        assert len(parsed) == 1
         assert len(reader) == 200 and reader.get("key-7") == {"i": "again"}
 
     def test_get_many_last_record_wins(self, tmp_path):
@@ -192,10 +161,10 @@ class TestRoundTrip:
         assert store.keys() == set()
         store.put({"c": {"value": 3}})
         assert store.keys() == {"c"}
-        # ...and seen by another instance, whose index predates both.
+        # ...and seen by another instance, which read the log before both.
         assert other.get("a") is None
         assert other.keys() == {"c"}
-        # A re-created log longer than the one indexed is detected too.
+        # A re-created log longer than the one read before is read whole.
         other.clear()
         store.put({f"key-{i}": {"i": i} for i in range(10)})
         assert store.get("c") is None

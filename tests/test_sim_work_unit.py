@@ -8,13 +8,12 @@ items through their detector stage, and decodes all their code blocks
 together.  These tests pin the contract that makes that invisible: every
 item reports exactly what it reports when run on its own (also when the
 front end gives up on one item's burst mid-round, when twins retire at
-different bursts, when only the MMSE twin gives up, and when a twin was
-adopted from the store), each burst's outcome, give-up cause included,
-is what receiving that burst alone gives, an item that reaches
-``target_errors`` stops simulating, the runner's results do not depend
-on queue backend, pool size or batch size, a unit larger than one decode
-slice still decodes bit-exactly, and the runner keys and configures each
-point once.
+different bursts and when only the MMSE twin gives up), each burst's
+outcome, give-up cause included, is what receiving that burst alone
+gives, an item that reaches ``target_errors`` stops simulating, the
+runner's results do not depend on queue backend, pool size or batch
+size, a unit larger than one decode slice still decodes bit-exactly,
+and the runner keys and configures each point once.
 """
 
 from dataclasses import replace
@@ -43,7 +42,7 @@ from repro.sim.engine import (
     burst_seed,
     simulate_batch,
 )
-from repro.sim.runner import _pack_units
+from repro.sim.runner import _next_unit
 
 
 def _item(spec, point, start_burst, n_bursts, batch_index=0):
@@ -392,21 +391,6 @@ def test_shared_stage_give_up_sinks_both_twins():
     assert not any(failures[("zf", 20.0)] + failures[("mmse", 20.0)])
 
 
-def test_unit_with_an_adopted_twin_simulates_the_other_alone(tmp_path, monkeypatch):
-    spec, _ = _twin_spec(target_errors=None)
-    store = ResultStore(tmp_path / "points")
-    SweepRunner(spec.subset(detectors=("zf",)), n_workers=1, cache=store).run()
-    # Hide the ZF records from the initial scan, so the runner adopts each
-    # one right before dispatching its unit.
-    monkeypatch.setattr(ResultStore, "get_many", lambda self, keys: {})
-    transmitted = _counting_air_bursts(monkeypatch)
-    result = SweepRunner(spec, n_workers=1, cache=store).run()
-    # Only the MMSE twins simulate: two air cells x four bursts.
-    assert result.n_bursts_simulated == len(transmitted) == 2 * 4
-    monkeypatch.undo()
-    assert _stats(result) == _stats(SweepRunner(spec, n_workers=1, cache=None).run())
-
-
 def test_pool_run_of_twins_matches_the_serial_run():
     spec, _ = _twin_spec(
         snr_db=(4.0, 12.0, 20.0), target_errors=None, channels=("ideal", "flat_rayleigh")
@@ -427,25 +411,25 @@ def test_batch_reuses_the_cached_transmitter_and_receiver():
     assert cached_receiver is receiver
 
 
-def test_pack_units_groups_equal_air_group_and_batch_in_priority_order():
+def test_next_unit_groups_equal_air_group_and_batch_of_the_most_urgent_point():
     wanting = [4, 0, 3, 1, 2, 5]
     groups = {0: "a", 1: "a", 2: "b", 3: "a", 4: "a", 5: "b"}
     no_twins = {index: index for index in wanting}
     batch_of = {0: 0, 1: 0, 2: 0, 3: 1, 4: 0, 5: 0}
-    assert _pack_units(wanting, groups, no_twins, batch_of, 1) == [[4, 0, 1], [3], [2, 5]]
+    assert _next_unit(wanting, groups, no_twins, batch_of, 1) == [4, 0, 1]
     # Four "a" points over capacity 2: at most two per unit.
-    assert _pack_units(wanting, groups, no_twins, batch_of, 2) == [[4, 0], [3], [1], [2], [5]]
+    assert _next_unit(wanting, groups, no_twins, batch_of, 2) == [4, 0]
 
 
-def test_pack_units_keeps_twins_in_one_unit():
+def test_next_unit_keeps_twins_in_one_unit():
     wanting = [0, 1, 2, 3, 4, 5]
     groups = dict.fromkeys(wanting, "a")
     twins = {0: "x", 1: "y", 2: "z", 3: "x", 4: "y", 5: "z"}
     batch_of = dict.fromkeys(wanting, 0)
-    assert _pack_units(wanting, groups, twins, batch_of, 1) == [[0, 3, 1, 4, 2, 5]]
+    assert _next_unit(wanting, groups, twins, batch_of, 1) == [0, 3, 1, 4, 2, 5]
     # A pool splits the group by cells, never between twins.
-    assert _pack_units(wanting, groups, twins, batch_of, 2) == [[0, 3, 1, 4], [2, 5]]
-    assert _pack_units(wanting, groups, twins, batch_of, 3) == [[0, 3], [1, 4], [2, 5]]
+    assert _next_unit(wanting, groups, twins, batch_of, 2) == [0, 3, 1, 4]
+    assert _next_unit(wanting, groups, twins, batch_of, 3) == [0, 3]
 
 
 def test_unit_rejects_items_of_different_air_groups():
