@@ -15,29 +15,40 @@ every decision is a pure function of the stream *content* at an absolute
 sample position, never of how the content arrived:
 
 * the detection metric (the synchroniser's energy-normalised correlation)
-  is computed in fixed *tiles* aligned to absolute positions — each tile is
-  evaluated once, by an identically-shaped vector operation, as soon as its
-  samples are available, so floating-point summation order can never depend
-  on the chunking;
+  is computed in whole *tiles* aligned to absolute positions, each tile
+  once.  A position's value is its own correlator-window dot product and
+  energy sum, so it never depends on which call, or how long a run of
+  tiles, computed it;
+* the search drives the metric: a tile is computed only once the search
+  needs it and its samples are all buffered.  The search asks for
+  :attr:`~StreamFrameDetector.lookahead` positions past its position (a
+  frame starting there crosses within its STS and locks within one
+  refinement span), then for the refinement span past a crossing; when it
+  finds nothing it moves to the metric frontier and asks again.  An
+  emitted frame moves the search to its end and the metric frontier to
+  the tile holding that end, so no tile inside an emitted frame is ever
+  computed: a back-to-back frame that arrives in one push costs its
+  look-ahead rounded out to whole tiles, not ``frame_length`` positions;
 * a frame is declared only after the full refinement span past the first
   threshold crossing is available, and emitted only after its last sample
   is buffered — until then the detector simply waits, and re-derives the
   same pending decision from the same content on the next chunk.
 
 The metric of every antenna comes from one
-:meth:`~repro.sync.time_sync.TimeSynchronizer.metric` call per tile.  A
-window position is a candidate when any antenna's metric crosses
-:data:`MIN_METRIC`, and the lock is the strongest (antenna, position)
-within the refinement span — the burst receiver's lock rule applied to
-that span.  The span is one LTS slot minus the correlator window, which
-covers every short-training sidelobe before the true peak while excluding
-the structural sidelobe at the next LTS slot boundary.
+:meth:`~repro.sync.time_sync.TimeSynchronizer.metric` call per run of
+tiles the search asks for.  A window position is a candidate when any
+antenna's metric crosses :data:`MIN_METRIC`, and the lock is the strongest
+(antenna, position) within the refinement span — the burst receiver's
+lock rule applied to that span.  The span is one LTS slot minus the
+correlator window, which covers every short-training sidelobe before the
+true peak while excluding the structural sidelobe at the next LTS slot
+boundary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 
@@ -52,11 +63,12 @@ from repro.sync.time_sync import TimeSynchronizer
 MIN_METRIC = 0.6
 
 #: Metric tile width in window positions.  Tiles are aligned to absolute
-#: stream positions, so the same stream yields bit-identical metric values
-#: for every chunking.  256 keeps the detection lookahead (crossing +
-#: refinement + one tile + one correlator window) well inside the shortest
-#: legal frame.
-METRIC_TILE = 256
+#: stream positions, so the metric is computed in the same runs for every
+#: chunking.  A back-to-back frame's search reads its look-ahead (289
+#: positions for the 64-point build), which whole tiles round out at both
+#: ends: every position of that rounding is paid per frame, so the tile is
+#: small, at most 417 positions in all with 64-position tiles.
+METRIC_TILE = 64
 
 #: Compact the ring buffer / metric arrays once this many stale samples
 #: accumulate (amortises the copy so 1-sample chunks stay O(1) per push).
@@ -142,6 +154,10 @@ class StreamFrameDetector:
         #: frame's start (sts_length - window_sts before the peak) is still
         #: buffered.
         self.keep_margin = self.sts_length
+        #: Metric positions the search asks for past its position: a frame
+        #: starting there crosses within its STS and locks within one
+        #: refinement span of the crossing (289 for the 64-point build).
+        self.lookahead = self.sts_length + self.refine_span + 1
         self.reset()
 
     # ------------------------------------------------------------------
@@ -220,31 +236,37 @@ class StreamFrameDetector:
         """Next absolute window position whose metric is not yet computed."""
         return self._metric_base + self._metric_size
 
-    def _extend_metric(self, flush: bool) -> None:
-        """Compute metric tiles for every newly-computable window position.
+    def _extend_metric(self, upto: int, flush: bool) -> None:
+        """Compute the metric tiles that carry the frontier past ``upto - 1``.
 
-        Positions are evaluated in runs that always end on an absolute
-        ``METRIC_TILE`` boundary (or, under ``flush``, at the last
-        computable position), so each position's value comes from an
-        identically-shaped computation for every chunking of the stream.
+        The run of tiles is one ``metric`` call that ends on an absolute
+        ``METRIC_TILE`` boundary, or under ``flush`` at the last computable
+        position; a tile whose samples are not all buffered yet waits for
+        them.  Each position's value is its own correlator-window dot product
+        and energy sum, so it does not depend on how many tiles the call
+        covers, and every chunking of the stream computes the same values.
         """
         window = self.synchronizer.window_length
         last_possible = self._base + self._size - window + 1
-        while self._metric_next < last_possible:
-            start = self._metric_next
-            tile_end = (start // METRIC_TILE + 1) * METRIC_TILE
-            end = min(tile_end, last_possible)
-            if end < tile_end and not flush:
-                break  # wait until the tile's samples are all buffered
-            segment = self._buffer[
-                :, start - self._base : end - self._base + window - 1
-            ]
+        start = self._metric_next
+        end = -(-upto // METRIC_TILE) * METRIC_TILE
+        if end > last_possible:
+            end = last_possible if flush else last_possible // METRIC_TILE * METRIC_TILE
+        if end > start:
+            segment = self._buffer[:, start - self._base : end - self._base + window - 1]
             self._append_metric(self.synchronizer.metric(segment))
-            if end < tile_end:
-                break  # flushed a partial tile; the stream is exhausted
 
     def _trim(self) -> None:
-        """Amortised compaction of the stale buffer / metric prefixes."""
+        """Amortised compaction of the stale buffer / metric prefixes.
+
+        The buffer keeps ``keep_margin`` samples behind the search position,
+        and from the metric frontier on, which trails the search by up to a
+        tile after an emitted frame.  Either way ``_base`` never passes
+        ``_search_from - keep_margin``, and every lock starts its frame
+        after that, so the extra history changes no decision: the
+        ``frame_start < _base`` guard still fires only on a lock before the
+        stream's first sample.
+        """
         keep_samples = min(self._metric_next, self._search_from - self.keep_margin)
         cut = keep_samples - self._base
         if cut > _TRIM_SLACK:
@@ -260,36 +282,51 @@ class StreamFrameDetector:
             self._metric_base += cut
             self._metric_size = remaining.shape[1]
 
-    def _drop_metric_before(self, position: int) -> None:
-        """Restore metric contiguity after a frame consumed the stream."""
-        if position <= self._metric_base:
-            return
-        cut = min(position - self._metric_base, self._metric_size)
-        remaining = self._metric[:, cut : self._metric_size].copy()
-        self._metric[:, : remaining.shape[1]] = remaining
-        self._metric_base = position
-        self._metric_size = remaining.shape[1]
+    def _skip_metric_to(self, position: int) -> None:
+        """Drop the metric before ``position``, which an emitted frame consumed.
+
+        A frontier behind ``position`` jumps to the start of the tile
+        holding it, so no tile inside the frame is ever computed.
+        """
+        if position >= self._metric_next:
+            self._metric_base = max(self._metric_next, position // METRIC_TILE * METRIC_TILE)
+            self._metric_size = 0
+        elif position > self._metric_base:
+            cut = position - self._metric_base
+            remaining = self._metric[:, cut : self._metric_size].copy()
+            self._metric[:, : remaining.shape[1]] = remaining
+            self._metric_base = position
+            self._metric_size = remaining.shape[1]
 
     # ------------------------------------------------------------------
     # detection
     # ------------------------------------------------------------------
+    def _first_crossing(self) -> Optional[int]:
+        """First computed position from the search position on whose metric
+        crosses :data:`MIN_METRIC` on any antenna, if there is one."""
+        rel_from = self._search_from - self._metric_base
+        if rel_from >= self._metric_size:
+            return None
+        combined = self._metric[:, rel_from : self._metric_size].max(axis=0)
+        crossings = np.flatnonzero(combined >= MIN_METRIC)
+        return self._search_from + int(crossings[0]) if crossings.size else None
+
     def _advance(self, flush: bool) -> List[FrameWindow]:
-        self._extend_metric(flush)
         emitted: List[FrameWindow] = []
         window_sts = self.synchronizer.window_sts
         while True:
-            rel_from = self._search_from - self._metric_base
-            if rel_from >= self._metric_size:
-                break
-            tail = self._metric[:, rel_from : self._metric_size]
-            combined = tail.max(axis=0)
-            crossings = np.nonzero(combined >= MIN_METRIC)[0]
-            if crossings.size == 0:
-                # Nothing detectable in everything computed so far.
-                self._search_from = self._metric_next
-                break
-            crossing = self._search_from + int(crossings[0])
+            crossing = self._first_crossing()
+            if crossing is None:
+                # Nothing detectable in everything computed so far: search
+                # on past it.
+                self._search_from = max(self._search_from, self._metric_next)
+                frontier = self._metric_next
+                self._extend_metric(self._search_from + self.lookahead, flush)
+                if self._metric_next == frontier:
+                    break  # wait for the samples the search needs
+                continue
             refine_end = crossing + self.refine_span + 1
+            self._extend_metric(refine_end, flush)
             if self._metric_next < refine_end:
                 if not flush:
                     break  # wait for the refinement span to fill
@@ -312,7 +349,11 @@ class StreamFrameDetector:
                 if not flush:
                     break  # wait for the frame tail
                 self.truncated_frames += 1
-                self._search_from = self._metric_next
+                # The frame runs past the end of the stream, so the search
+                # ends at the last window the stream holds.
+                self._search_from = (
+                    self._base + self._size - self.synchronizer.window_length + 1
+                )
                 break
             samples = self._buffer[
                 :, frame_start - self._base : frame_end - self._base
@@ -328,6 +369,6 @@ class StreamFrameDetector:
             )
             self.frames_emitted += 1
             self._search_from = frame_end
-            self._drop_metric_before(frame_end)
+            self._skip_metric_to(frame_end)
         self._trim()
         return emitted

@@ -28,7 +28,9 @@ frame's length (``frame_length`` plus the impairment's ``sample_delay``),
 so a run first plans every frame's slot on it without any physics, then
 puts the frames on air in groups of :data:`FRAMES_PER_PUSH`: one stacked
 transmit pass per group, after which the receiver decodes the group's
-frames in one stacked pass.
+frames in one stacked pass: eight 4x4 frames per group make those
+passes 32 code blocks deep, which pays their per-call cost once per
+eight frames.
 
 Determinism: every (user, frame) derives payload, fading and noise streams
 from :func:`stream_frame_seed`, split by
@@ -70,10 +72,11 @@ _STREAM_TAG = 0x57EA
 #: Served frames that go on air in one stacked transmit pass and into the
 #: receive stream as one chunk: the receiver decodes a push's frames in one
 #: stacked pass, so a group amortises both passes' per-call cost while
-#: keeping the buffered samples bounded.  The detector is chunk-invariant
+#: keeping the buffered samples bounded.  Eight 4x4 frames make a 32-row
+#: trellis pass, half a ``DECODE_SLICE``.  The detector is chunk-invariant
 #: and latency lives on the air clock, so the grouping changes no report
 #: field but the wall-clock ones.
-FRAMES_PER_PUSH = 4
+FRAMES_PER_PUSH = 8
 
 
 def stream_frame_seed(base_seed: int, user: int, frame_index: int) -> np.random.SeedSequence:

@@ -2,10 +2,12 @@
 
 The acceptance test of `repro.stream`: a concatenated multi-frame stream
 fed through ``StreamFrameDetector`` + ``StreamingReceiver`` in chunks of
-1, 7 and 4096 samples must decode the *identical* payload bits as the
-offline ``MimoReceiver.receive_stack`` path — every frame, bit for bit,
-including the frames that straddle chunk boundaries (at chunk size 1,
-every frame straddles ~1056 of them).
+1, 7, either side of a metric tile, either side of a frame and 4096
+samples must decode the *identical* payload bits as the offline
+``MimoReceiver.receive_stack`` path — every frame, bit for bit, including
+the frames that straddle chunk boundaries (at chunk size 1, every frame
+straddles ~1056 of them).  A frame whose preamble is lost must cost only
+that frame: the search runs through its interior without a detection.
 """
 
 import numpy as np
@@ -17,10 +19,25 @@ from repro.core.config import TransceiverConfig
 from repro.core.receiver import MimoReceiver
 from repro.core.transmitter import MimoTransmitter
 from repro.stream import StreamingReceiver
+from repro.stream.detector import METRIC_TILE
 
 N_INFO_BITS = 256
 N_FRAMES = 3
 SNR_DB = 30.0
+FRAME_LENGTH = MimoReceiver(TransceiverConfig()).frame_length(N_INFO_BITS)
+CHUNK_SIZES = [
+    1,
+    7,
+    METRIC_TILE - 1,
+    METRIC_TILE,
+    METRIC_TILE + 1,
+    255,
+    256,
+    257,
+    FRAME_LENGTH,
+    FRAME_LENGTH + 1,
+    4096,
+]
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +77,7 @@ def _decode_in_chunks(stream, chunk_size):
     return decoded, pipeline
 
 
-@pytest.mark.parametrize("chunk_size", [1, 7, 4096])
+@pytest.mark.parametrize("chunk_size", CHUNK_SIZES)
 def test_chunked_decode_is_bit_exact_against_offline(
     stream_and_reference, chunk_size
 ):
@@ -82,14 +99,36 @@ def test_chunked_decode_is_bit_exact_against_offline(
 
 def test_all_chunkings_agree_with_each_other(stream_and_reference):
     stream, _, _, _ = stream_and_reference
-    outcomes = {}
-    for chunk_size in (1, 7, 4096):
+    outcomes = []
+    for chunk_size in CHUNK_SIZES:
         decoded, _ = _decode_in_chunks(stream, chunk_size)
-        outcomes[chunk_size] = [
-            (frame.window.start, frame.window.lts_start, frame.window.peak_metric)
-            for frame in decoded
-        ]
-    assert outcomes[1] == outcomes[7] == outcomes[4096]
+        outcomes.append(
+            [
+                (frame.window.start, frame.window.lts_start, frame.window.peak_metric)
+                for frame in decoded
+            ]
+        )
+    assert all(outcome == outcomes[0] for outcome in outcomes)
+
+
+@pytest.mark.parametrize("chunk_size", [1, 257, FRAME_LENGTH + 1, 4096])
+def test_a_frame_without_its_preamble_costs_only_that_frame(
+    stream_and_reference, chunk_size
+):
+    stream, frames, offline, _ = stream_and_reference
+    preamble_length = MimoReceiver(TransceiverConfig()).preamble.layout(4).total_length
+    damaged = stream.copy()
+    damaged[:, FRAME_LENGTH : FRAME_LENGTH + preamble_length] = 0.0
+    decoded, pipeline = _decode_in_chunks(damaged, chunk_size)
+
+    # The middle frame is never detected, nor is anything in its
+    # interior; the frames either side decode as the one-shot path does.
+    assert [frame.window.start for frame in decoded] == [0, 2 * FRAME_LENGTH]
+    assert pipeline.detector.discarded_detections == 0
+    assert pipeline.frames_lost == 0
+    for frame, index in zip(decoded, (0, 2)):
+        for bits, expected in zip(frame.outcome.decoded_bits, offline[index]):
+            np.testing.assert_array_equal(bits, expected)
 
 
 def test_clean_stream_payloads_roundtrip(stream_and_reference):

@@ -6,6 +6,7 @@ import pytest
 from repro.core.preamble import PreambleGenerator
 from repro.core.transmitter import MimoTransmitter
 from repro.stream import StreamFrameDetector
+from repro.stream.detector import METRIC_TILE
 
 N_INFO_BITS = 256
 
@@ -104,6 +105,55 @@ class TestDetection:
         detector.reset()
         assert detector.samples_in == 0
         assert detector.push(bursts[1])[0].start == 0
+
+
+class TestSearchDrivenMetric:
+    @pytest.mark.parametrize("chunk_size", [None, 1, 257, 4096])
+    def test_back_to_back_frames_compute_only_what_the_search_reads(
+        self, preamble, clean_frames, chunk_size
+    ):
+        bursts, frame_length = clean_frames
+        stream = np.concatenate(bursts * 3, axis=1)
+        detector = _detector(preamble, frame_length)
+        positions = []
+        metric = detector.synchronizer.metric
+
+        def counting(segment):
+            values = metric(segment)
+            positions.append(values.shape[1])
+            return values
+
+        detector.synchronizer.metric = counting
+        step = chunk_size or stream.shape[1]
+        windows = []
+        for offset in range(0, stream.shape[1], step):
+            windows.extend(detector.push(stream[:, offset : offset + step]))
+        windows.extend(detector.flush())
+
+        assert [w.start for w in windows] == [k * frame_length for k in range(6)]
+        # Each frame's search reads its look-ahead, rounded out to whole
+        # tiles at both ends; no position inside an emitted frame is
+        # computed (a metric over every position costs frame_length each).
+        assert sum(positions) <= len(windows) * (detector.lookahead + 2 * METRIC_TILE)
+        assert sum(positions) <= len(windows) * 3 * 256 < len(windows) * frame_length
+
+    def test_a_lock_before_the_first_sample_is_discarded(self, preamble, clean_frames):
+        bursts, frame_length = clean_frames
+        # The stream starts inside the first frame's STS, so that frame's
+        # lock points before sample 0 and is discarded, whatever the
+        # chunking and however much history the detector keeps.
+        stream = np.concatenate(bursts, axis=1)[:, 40:]
+        outcomes = []
+        for step in (1, 63, 300, stream.shape[1]):
+            detector = _detector(preamble, frame_length)
+            windows = []
+            for offset in range(0, stream.shape[1], step):
+                windows.extend(detector.push(stream[:, offset : offset + step]))
+            windows.extend(detector.flush())
+            assert detector.discarded_detections == 1
+            assert all(w.start >= 0 for w in windows)
+            outcomes.append([(w.start, w.lts_start, w.peak_metric) for w in windows])
+        assert all(outcome == outcomes[0] for outcome in outcomes)
 
 
 class TestValidation:

@@ -156,6 +156,20 @@ class TestScheduler:
         assert report.spurious_detections == 0
         assert report.goodput_bps > 0
 
+    def test_goodput_times_air_time_is_the_delivered_bits(self):
+        # With no noise on the ideal channel every served frame is
+        # delivered with all of its streams' information bits.
+        scheduler = _scheduler(n_users=5, frames_per_user=3, channel="ideal", snr_db=None)
+        report = scheduler.run()
+        assert report.frames_delivered == report.frames_served == 15
+        bits_delivered = sum(stats.bits_delivered for stats in report.users.values())
+        assert bits_delivered == (
+            report.frames_served * scheduler.config.n_antennas * scheduler.n_info_bits
+        )
+        assert report.goodput_bps * report.air_time_s == pytest.approx(
+            bits_delivered, rel=1e-12
+        )
+
     def test_per_user_percentile_distribution(self):
         report = _scheduler(channel="ideal", snr_db=None).run()
         spread = report.user_latency_percentiles(99.0)
@@ -276,10 +290,11 @@ class TestPushGroups:
             return original(self, stream_bits)
 
         monkeypatch.setattr(MimoTransmitter, "transmit", counted)
-        report = _scheduler(n_users=3, frames_per_user=3).run()
-        assert report.frames_served == 9
+        served = 2 * scheduler_module.FRAMES_PER_PUSH + 1
+        report = _scheduler(n_users=served, frames_per_user=1).run()
+        assert report.frames_served == served
         # Two full groups of FRAMES_PER_PUSH frames, then the remainder.
-        assert calls == [4, 4, 1]
+        assert calls == [scheduler_module.FRAMES_PER_PUSH] * 2 + [1]
 
     @pytest.mark.parametrize("delay", [0, 13])
     @pytest.mark.parametrize("channel", ["ideal", "frequency_selective"])

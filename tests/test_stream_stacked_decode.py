@@ -137,32 +137,40 @@ def _report_fields(report):
     return fields
 
 
-@pytest.mark.parametrize(
-    "impairment",
-    [
-        None,
-        ImpairmentSpec.paper_frontend(cfo_normalized=1e-3, sample_delay=3),
-    ],
-    ids=["flat_rayleigh", "cfo_delay_16bit"],
-)
-def test_scheduler_report_is_independent_of_the_push_group(monkeypatch, impairment):
-    def run():
-        return DownlinkScheduler(
-            n_users=40,
-            frames_per_user=1,
-            n_info_bits=N_INFO_BITS,
-            channel="flat_rayleigh",
-            snr_db=20.0,
-            impairment=impairment,
-            base_seed=3,
-        ).run()
+PUSH_GROUP_IMPAIRMENTS = {
+    "flat_rayleigh": None,
+    "cfo_delay_16bit": ImpairmentSpec.paper_frontend(cfo_normalized=1e-3, sample_delay=3),
+}
 
-    grouped = run()
-    monkeypatch.setattr(scheduler_module, "FRAMES_PER_PUSH", 1)
-    single = run()
 
-    assert scheduler_module.FRAMES_PER_PUSH == 1
-    assert _report_fields(grouped) == _report_fields(single)
+def _push_group_run(impairment):
+    return DownlinkScheduler(
+        n_users=40,
+        frames_per_user=1,
+        n_info_bits=N_INFO_BITS,
+        channel="flat_rayleigh",
+        snr_db=20.0,
+        impairment=impairment,
+        base_seed=3,
+    ).run()
+
+
+@pytest.fixture(scope="module")
+def default_push_group_reports():
+    """Each impairment's report at the default ``FRAMES_PER_PUSH``."""
+    return {name: _push_group_run(spec) for name, spec in PUSH_GROUP_IMPAIRMENTS.items()}
+
+
+@pytest.mark.parametrize("impairment", sorted(PUSH_GROUP_IMPAIRMENTS))
+@pytest.mark.parametrize("group", [1, 4, 8, 16])
+def test_scheduler_report_is_independent_of_the_push_group(
+    monkeypatch, default_push_group_reports, group, impairment
+):
+    grouped = default_push_group_reports[impairment]
+    monkeypatch.setattr(scheduler_module, "FRAMES_PER_PUSH", group)
+    regrouped = _push_group_run(PUSH_GROUP_IMPAIRMENTS[impairment])
+
+    assert _report_fields(regrouped) == _report_fields(grouped)
     # Both outcomes occur, so the equality covers delivered and lost frames.
     assert 0 < grouped.frames_delivered < grouped.frames_served
 

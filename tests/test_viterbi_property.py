@@ -1,14 +1,17 @@
 """Property test: the stacked Viterbi decoder against the per-branch oracle.
 
 :meth:`ViterbiDecoder.decode` runs a whole ``(n_blocks, n_coded)`` stack
-through one block-minor trellis pass and one table traceback.  Every row
+through one block-minor trellis pass and one table traceback, which walks
+a short stack block by block and a tall one all blocks at once.  Every row
 must decode exactly as ``tests/reference/coding.py::viterbi_decode_serial``
 decodes it alone, whatever the stack height (across ``DECODE_SLICE``), the
 block length (across several branch-metric gathers, which cover fewer
 steps the taller the stack, down to the empty block whose trellis is the
 tail alone), the decision mode, the code rate, ties forced by zero LLRs,
 and the constraint length: K = 10
-has 512 states and takes the ``uint16`` predecessor table.
+has 512 states and takes the ``uint16`` predecessor table.  A stream
+push's stack, above the walk crossover, is pinned at hard and soft
+decisions and rates 1/2 and 3/4.
 
 The serial oracle costs a Python loop over every state per step, so a stack
 is built from a small pool of distinct rows placed at random positions, and
@@ -34,6 +37,7 @@ from repro.coding.convolutional import (
     ConvolutionalCode,
     ConvolutionalEncoder,
 )
+import repro.coding.viterbi as viterbi_module
 from repro.coding.viterbi import ViterbiDecoder, _feedforward_inverse, _gather_steps
 from repro.core.receiver import DECODE_SLICE
 from reference.coding import viterbi_decode_serial
@@ -209,6 +213,38 @@ def test_codes_without_the_fast_path_run_the_integer_trellis(code, monkeypatch):
     assert calls == [np.dtype(np.int32)]
     for bits, row in zip(decoded, pool):
         np.testing.assert_array_equal(bits, viterbi_decode_serial(code, "hard", row, n_bits))
+
+
+@pytest.mark.parametrize("decision", ["hard", "soft"])
+@pytest.mark.parametrize(
+    "rate", [CodeRate.RATE_1_2, CodeRate.RATE_3_4], ids=["rate-1/2", "rate-3/4"]
+)
+def test_a_stack_above_the_walk_crossover_decodes_like_the_serial_oracle(
+    decision, rate, monkeypatch
+):
+    # A stream push of eight 4x4 frames: 32 blocks of 256 bits, above the
+    # height from which the traceback walks every block at once.
+    code = ConvolutionalCode.ieee80211a(rate)
+    n_bits, n_blocks = 256, 2 * viterbi_module._STEP_WALK_ROWS
+    rng = np.random.default_rng(21)
+    # Noisy rows: no hard rate-1/2 row is a codeword, so all run the trellis.
+    pool = [_received_row(code, decision, n_bits, 0.1, rng) for _ in range(3)]
+    rows = rng.integers(0, len(pool), n_blocks)
+    heights = []
+    walk_steps = viterbi_module._walk_steps
+
+    def recording(table):
+        heights.append(table.shape[2])
+        return walk_steps(table)
+
+    monkeypatch.setattr(viterbi_module, "_walk_steps", recording)
+    decoded = ViterbiDecoder(code, decision=decision).decode(
+        np.array([pool[row] for row in rows]), n_info_bits=n_bits
+    )
+    assert heights == [n_blocks]
+    expected = [viterbi_decode_serial(code, decision, row, n_bits) for row in pool]
+    for bits, row in zip(decoded, rows):
+        np.testing.assert_array_equal(bits, expected[row])
 
 
 def test_soft_decisions_keep_the_float_trellis(monkeypatch):
