@@ -85,6 +85,9 @@ class ChannelOutput:
     noise_variance: Optional[float] = None
 
 
+#: The ideal front end of a channel without an impairment.
+_IDEAL_FRONT_END = ImpairmentSpec()
+
 #: Fading models :func:`build_fading_model` builds by name.
 CHANNEL_MODELS = ("ideal", "flat_rayleigh", "frequency_selective")
 
@@ -144,7 +147,7 @@ class MimoChannel:
             raise ConfigurationError(f"snr_db must be finite or None, got {snr_db}")
         self.fading = fading if fading is not None else IdealChannel()
         self.snr_db = snr_db
-        self.impairment = impairment or ImpairmentSpec()
+        self.impairment = impairment or _IDEAL_FRONT_END
         self.rng = make_rng(rng)
 
     @property

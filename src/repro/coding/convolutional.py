@@ -160,19 +160,20 @@ class ConvolutionalCode:
 
         ``next_states[state, bit]`` is the successor state and
         ``outputs[state, bit]`` packs the mother-code output bits MSB-first
-        (output 0 in the MSB).
+        (output 0 in the MSB): :meth:`next_state` and :meth:`output_bits`
+        over every ``(state, bit)`` at once.
         """
-        next_states = np.zeros((self.n_states, 2), dtype=np.int64)
-        outputs = np.zeros((self.n_states, 2), dtype=np.int64)
-        for state in range(self.n_states):
-            for bit in (0, 1):
-                next_states[state, bit] = self.next_state(state, bit)
-                out_bits = self.output_bits(state, bit)
-                value = 0
-                for b in out_bits:
-                    value = (value << 1) | b
-                outputs[state, bit] = value
-        return next_states, outputs
+        states = np.arange(self.n_states, dtype=np.int64)[:, None]
+        bits = np.arange(2, dtype=np.int64)[None, :]
+        registers = (bits << self.memory) | states
+        outputs = np.zeros_like(registers)
+        for g in self.generators:
+            taps = registers & g
+            parity = np.zeros_like(taps)
+            for shift in range(self.constraint_length):
+                parity ^= taps >> shift
+            outputs = (outputs << 1) | (parity & 1)
+        return registers >> 1, outputs
 
 
 class ConvolutionalEncoder:

@@ -117,12 +117,12 @@ class ReceiveResult(FrontEndResult):
 
     def total_bit_errors(self, reference: List[np.ndarray]) -> int:
         """Total bit errors versus the transmitted information bits, one
-        :func:`~repro.utils.bits.count_bit_errors` per stream."""
+        :func:`~repro.utils.bits.count_bit_errors` over every stream."""
         if len(reference) != len(self.decoded_bits):
             raise ConfigurationError("reference must have one bit array per stream")
-        return sum(
-            count_bit_errors(ref, bits) for bits, ref in zip(self.decoded_bits, reference)
-        )
+        if len({np.shape(bits) for bits in reference}) > 1:
+            raise ConfigurationError("reference streams must have one length")
+        return count_bit_errors(reference, self.decoded_bits)
 
 
 @dataclass(frozen=True)

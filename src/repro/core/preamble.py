@@ -15,6 +15,7 @@ of the channel matrix.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -82,14 +83,19 @@ class PreambleLayout:
 
 
 class PreambleGenerator:
-    """Generate STS/LTS waveforms and the staggered MIMO preamble."""
+    """Generate STS/LTS waveforms and the staggered MIMO preamble.
+
+    Everything a generator holds depends only on the FFT size and is
+    handed out read-only, so one generator per size serves every
+    transmitter, receiver and CFO estimator: :meth:`for_fft_size`.
+    """
 
     def __init__(self, fft_size: int = 64) -> None:
         fft_size = integer_at_least("fft_size", fft_size, 1)
         self.fft_size = fft_size
         self.numerology = OfdmNumerology.for_fft_size(fft_size)
-        self.lts_frequency = self._build_lts_frequency()
-        self.sts_frequency = self._build_sts_frequency()
+        self.lts_frequency = _read_only(self._build_lts_frequency())
+        self.sts_frequency = _read_only(self._build_sts_frequency())
         #: Cyclic prefix of the long training section (twice the data CP).
         self.lts_cp_length = fft_size // 2
         #: Length of one short training repetition.
@@ -103,6 +109,16 @@ class PreambleGenerator:
         self._lts = _read_only(np.concatenate([prefix, lts_symbol, lts_symbol]))
         self._layouts: Dict[int, PreambleLayout] = {}
         self._mimo_preambles: Dict[int, ComplexArray] = {}
+
+    @classmethod
+    @functools.lru_cache(maxsize=None, typed=True)
+    def for_fft_size(cls, fft_size: int) -> "PreambleGenerator":
+        """The shared generator for ``fft_size`` (built once per process).
+
+        ``typed`` keeps a non-integer size such as ``64.0`` out of the
+        cached integer's slot, so it still reaches the constructor's check.
+        """
+        return cls(fft_size)
 
     # ------------------------------------------------------------------
     # frequency-domain sequences

@@ -144,7 +144,7 @@ class MimoReceiver:
             )
         self.timing_advance = timing_advance
         self.numerology = self.config.numerology
-        self.preamble = PreambleGenerator(self.config.fft_size)
+        self.preamble = PreambleGenerator.for_fft_size(self.config.fft_size)
         self.pilots = PilotProcessor(self.numerology)
         self.demapper = SymbolDemapper(self.config.modulation)
         self.code = ConvolutionalCode.ieee80211a(self.config.code_rate)

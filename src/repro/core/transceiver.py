@@ -144,9 +144,8 @@ def air_round(
         payload_seed, fading_seed, noise_seed = cell.seed.spawn(3)
         if cell.fading_seed is not None:
             fading_seed = cell.fading_seed
-        fading = build_fading_model(
-            cell.channel, transmitter.config.n_antennas, np.random.default_rng(fading_seed)
-        )
+        # The seed, not a generator: only a fading model that draws builds one.
+        fading = build_fading_model(cell.channel, transmitter.config.n_antennas, fading_seed)
         channels.append(
             MimoChannel(
                 fading, cell.snr_db, cell.impairment, np.random.default_rng(noise_seed)

@@ -49,7 +49,7 @@ class MimoTransmitter:
     def __init__(self, config: Optional[TransceiverConfig] = None) -> None:
         self.config = config if config is not None else TransceiverConfig()
         self.numerology = self.config.numerology
-        self.preamble = PreambleGenerator(self.config.fft_size)
+        self.preamble = PreambleGenerator.for_fft_size(self.config.fft_size)
         self.pilots = PilotProcessor(self.numerology)
         self.mapper = SymbolMapper(self.config.modulation)
         self.code = ConvolutionalCode.ieee80211a(self.config.code_rate)

@@ -74,26 +74,46 @@ class FftPlan:
 
     # ------------------------------------------------------------------
     def forward(self, x: npt.ArrayLike) -> ComplexArray:
-        """Forward FFT over the last axis (any leading batch axes)."""
+        """Forward FFT over the last axis (any leading batch axes).
+
+        Each butterfly stage reads one buffer and writes its sums and
+        differences straight into the halves of the other (a ping-pong
+        pair, as a streaming core alternates its stage memories).  The
+        twiddle products go to a contiguous buffer of their own: written
+        in place over its input, numpy's complex multiply can give a NaN
+        other sign or payload bits, and this layout keeps every value
+        byte-identical to concatenating each stage's halves.
+        """
         n = self.size
         data = np.asarray(x, dtype=np.complex128)
         if data.shape[-1] != n:
             raise ConfigurationError(f"expected last axis of {n} samples, got {data.shape[-1]}")
-        work = data[..., self.bit_reverse].copy()
+        lead = data.shape[:-1]
+        # Both buffers C-contiguous, so every reshape below is a view.
+        work = np.empty(data.shape, dtype=np.complex128)
+        np.take(data, self.bit_reverse, axis=-1, out=work, mode="clip")
+        spare = np.empty(data.shape, dtype=np.complex128)
+        twiddled = np.empty((*lead, n // 2), dtype=np.complex128)
         for stage, twiddles in enumerate(self.forward_twiddles, start=1):
             m = 1 << stage
             half = m // 2
-            work = work.reshape(*work.shape[:-1], n // m, m)
-            upper = work[..., :half]
-            lower = work[..., half:] * twiddles
-            work = np.concatenate([upper + lower, upper - lower], axis=-1)
-            work = work.reshape(*work.shape[:-2], n)
+            source = work.reshape(*lead, n // m, m)
+            target = spare.reshape(*lead, n // m, m)
+            upper = source[..., :half]
+            lower = twiddled.reshape(*lead, n // m, half)
+            np.multiply(source[..., half:], twiddles, out=lower)
+            np.add(upper, lower, out=target[..., :half])
+            np.subtract(upper, lower, out=target[..., half:])
+            work, spare = spare, work
         return work
 
     def inverse(self, x: npt.ArrayLike) -> ComplexArray:
         """Inverse FFT over the last axis (``1/N`` normalisation)."""
         data = np.asarray(x, dtype=np.complex128)
-        return np.conj(self.forward(np.conj(data))) / self.size
+        out = self.forward(np.conj(data))
+        np.conjugate(out, out=out)
+        out /= self.size
+        return out
 
 
 @lru_cache(maxsize=32)

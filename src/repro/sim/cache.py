@@ -16,6 +16,10 @@ from pathlib import Path
 
 _ENV_VAR = "REPRO_SIM_CACHE_DIR"
 
+#: The canonical form behind :func:`content_key`, built once: sorted keys,
+#: compact separators (what ``json.dumps`` with those arguments writes).
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
 
 def content_key(payload: dict, prefix: str = "") -> str:
     """Content hash of a JSON-serialisable payload, usable as a cache key.
@@ -24,7 +28,7 @@ def content_key(payload: dict, prefix: str = "") -> str:
     SHA-256, 20 hex chars) behind :meth:`repro.sim.spec.SweepPoint.content_key`,
     so keying behaviour has one definition.
     """
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    canonical = _CANONICAL.encode(payload)
     return prefix + hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:20]
 
 

@@ -142,8 +142,10 @@ class StreamFrameDetector:
         )
         self.sts_length = preamble.sts_time().size
         layout = preamble.layout(self.n_rx)
+        #: Samples of a frame's preamble, which a discarded lock skips.
+        self.preamble_length = layout.total_length
         self.frame_length = integer_at_least(
-            "frame_length", frame_length, layout.total_length
+            "frame_length", frame_length, self.preamble_length
         )
         window = self.synchronizer.window_length
         #: Window positions after the first crossing searched for the true
@@ -283,7 +285,8 @@ class StreamFrameDetector:
             self._metric_size = remaining.shape[1]
 
     def _skip_metric_to(self, position: int) -> None:
-        """Drop the metric before ``position``, which an emitted frame consumed.
+        """Drop the metric before ``position``, which an emitted frame or a
+        discarded lock's preamble consumed.
 
         A frontier behind ``position`` jumps to the start of the tile
         holding it, so no tile inside the frame is ever computed.
@@ -340,10 +343,13 @@ class StreamFrameDetector:
             frame_start = lts_start - self.sts_length
             frame_end = frame_start + self.frame_length
             if frame_start < self._base:
-                # The lock points before retained history (a spurious
-                # crossing right at the buffer edge): skip it.
+                # The lock points before retained history (a frame cut by
+                # the start of the stream): skip its whole preamble, whose
+                # later LTS slots would lock a spurious frame over the
+                # next real one.
                 self.discarded_detections += 1
-                self._search_from = peak + 1
+                self._search_from = frame_start + self.preamble_length
+                self._skip_metric_to(self._search_from)
                 continue
             if frame_end > self._base + self._size:
                 if not flush:

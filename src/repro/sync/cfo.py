@@ -80,7 +80,7 @@ class CfoEstimator:
     """
 
     def __init__(self, fft_size: int = 64) -> None:
-        self.preamble = PreambleGenerator(fft_size)
+        self.preamble = PreambleGenerator.for_fft_size(fft_size)
         self.fft_size = fft_size
         self.sts_period = fft_size // 4
         self.lts_period = fft_size

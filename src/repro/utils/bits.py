@@ -73,7 +73,7 @@ def count_bit_errors(
 
     The one bit-error count of the link:
     :meth:`~repro.core.frame.BurstOutcome.score` scores every decoded
-    burst with it, one stream at a time.  Arrays of different
+    burst with it, over all its streams at once.  Arrays of different
     shapes, or holding anything but 0s and 1s, raise
     :class:`~repro.exceptions.ConfigurationError`.
     """

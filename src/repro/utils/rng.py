@@ -11,7 +11,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-SeedLike = Union[None, int, np.random.Generator]
+SeedLike = Union[None, int, np.random.SeedSequence, np.random.Generator]
 
 
 def make_rng(seed: SeedLike = None) -> np.random.Generator:
@@ -19,7 +19,8 @@ def make_rng(seed: SeedLike = None) -> np.random.Generator:
 
     Passing an existing generator returns it unchanged so callers can thread
     a single stream through a whole simulation; passing an integer creates a
-    reproducible generator; passing ``None`` creates a fresh unseeded one.
+    reproducible generator, as does a ``numpy.random.SeedSequence``;
+    passing ``None`` creates a fresh unseeded one.
     """
     if isinstance(seed, np.random.Generator):
         return seed

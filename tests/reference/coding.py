@@ -1,4 +1,5 @@
-"""Serial coding references: bit-by-bit encoder and scrambler, per-branch Viterbi.
+"""Serial coding references: per-state trellis tables, bit-by-bit encoder
+and scrambler, per-branch Viterbi.
 
 Each works on one independent block, as the production coding stages do:
 the encoder and the scrambler start from their reset state and the
@@ -7,7 +8,7 @@ decoder's trellis starts and ends in the all-zero state.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
@@ -15,6 +16,27 @@ from repro.coding.convolutional import ConvolutionalCode
 from repro.coding.scrambler import Scrambler
 
 _METRIC_INF = 1e18
+
+
+def build_trellis_serial(code: ConvolutionalCode) -> Tuple[np.ndarray, np.ndarray]:
+    """``(next_states, outputs)`` of ``code`` built one ``(state, bit)`` at a time.
+
+    The shift register holds the newest bit in its MSB; each output is the
+    parity of the register's tapped bits, packed MSB-first (output 0 in
+    the MSB) -- the table layout of
+    :meth:`~repro.coding.convolutional.ConvolutionalCode.build_trellis`.
+    """
+    next_states = np.zeros((code.n_states, 2), dtype=np.int64)
+    outputs = np.zeros((code.n_states, 2), dtype=np.int64)
+    for state in range(code.n_states):
+        for bit in (0, 1):
+            register = (bit << code.memory) | state
+            next_states[state, bit] = register >> 1
+            value = 0
+            for g in code.generators:
+                value = (value << 1) | (bin(register & g).count("1") & 1)
+            outputs[state, bit] = value
+    return next_states, outputs
 
 
 def encode_serial(code: ConvolutionalCode, bits: np.ndarray) -> np.ndarray:
@@ -80,7 +102,7 @@ def viterbi_decode_serial(
     if position != values.size:
         raise ValueError("received length does not match the block")
 
-    next_states, outputs = code.build_trellis()
+    next_states, outputs = build_trellis_serial(code)
     shifts = np.arange(n_out - 1, -1, -1)
     output_bits = ((outputs[..., None] >> shifts) & 1).astype(np.float64)
     n_states = code.n_states

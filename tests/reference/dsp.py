@@ -1,10 +1,13 @@
-"""Scalar CORDIC reference, raw fixed-point words and one-symbol OFDM modulation.
+"""Scalar CORDIC reference, raw fixed-point words, concatenating FFT and
+one-symbol OFDM modulation.
 
 The one-operation-at-a-time engine the production array engine in
 :mod:`repro.dsp.cordic` replaced, kept unchanged (gain-compensation
 switch and per-result latency included) as the oracle of its
 elementwise agreement test.  Beside it: the raw two's-complement word view
-of a :class:`~repro.dsp.fixedpoint.FixedPointFormat` and the per-symbol
+of a :class:`~repro.dsp.fixedpoint.FixedPointFormat`, the radix-2
+transform that builds each stage's output by concatenation (the oracle of
+the in-place :class:`~repro.dsp.fft.FftPlan`), and the per-symbol
 IFFT + cyclic prefix the batched transmitter replaced.
 """
 
@@ -16,7 +19,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.dsp.fft import ifft
+from repro.dsp.fft import get_plan, ifft
 from repro.dsp.fixedpoint import FixedPointFormat
 from repro.exceptions import ConfigurationError
 
@@ -206,6 +209,30 @@ def from_integers(fmt: FixedPointFormat, raw) -> np.ndarray:
 def quantization_noise_power(fmt: FixedPointFormat) -> float:
     """Theoretical quantisation-noise power of ``fmt`` (uniform model, LSB²/12)."""
     return fmt.resolution ** 2 / 12.0
+
+
+def fft_concatenating(x) -> np.ndarray:
+    """Radix-2 DIT FFT over the last axis, each stage's sums and differences
+    joined by ``np.concatenate``; the plan's permutation and twiddles."""
+    data = np.asarray(x, dtype=np.complex128)
+    plan = get_plan(data.shape[-1])
+    n = plan.size
+    work = data[..., plan.bit_reverse].copy()
+    for stage, twiddles in enumerate(plan.forward_twiddles, start=1):
+        m = 1 << stage
+        half = m // 2
+        work = work.reshape(*work.shape[:-1], n // m, m)
+        upper = work[..., :half]
+        lower = work[..., half:] * twiddles
+        work = np.concatenate([upper + lower, upper - lower], axis=-1)
+        work = work.reshape(*work.shape[:-2], n)
+    return work
+
+
+def ifft_concatenating(x) -> np.ndarray:
+    """Inverse of :func:`fft_concatenating` (conjugate trick, ``1/N``)."""
+    data = np.asarray(x, dtype=np.complex128)
+    return np.conj(fft_concatenating(np.conj(data))) / data.shape[-1]
 
 
 def ofdm_modulate(frequency_domain, cyclic_prefix_length: int) -> np.ndarray:

@@ -11,7 +11,22 @@ from repro.coding.convolutional import (
     PUNCTURE_PATTERNS,
 )
 from repro.exceptions import ConfigurationError
-from reference.coding import encode_serial
+from reference.coding import build_trellis_serial, encode_serial
+
+#: Codes whose trellis tables are checked against the per-state oracle:
+#: a maximum-free-distance rate-1/2 code for every K = 3..9, a rate-1/3
+#: code and a catastrophic pair (1 + D and 1 + D**2 share 1 + D).
+TRELLIS_CODES = [
+    (3, (0o5, 0o7)),
+    (4, (0o15, 0o17)),
+    (5, (0o23, 0o35)),
+    (6, (0o53, 0o75)),
+    (7, (0o133, 0o171)),
+    (8, (0o247, 0o371)),
+    (9, (0o561, 0o753)),
+    (7, (0o133, 0o145, 0o175)),
+    (3, (0o6, 0o5)),
+]
 
 #: (constraint length, generators) of the codes the stacked encoder is
 #: checked on: a small code, the 802.11a code and a K = 9 code.
@@ -67,6 +82,27 @@ class TestCodeDefinition:
         assert outputs.shape == (64, 2)
         assert next_states.max() < 64
         assert outputs.max() < 4
+
+    @pytest.mark.parametrize(
+        "constraint_length, generators",
+        TRELLIS_CODES,
+        ids=[f"K{k}-{'-'.join(oct(g)[2:] for g in gens)}" for k, gens in TRELLIS_CODES],
+    )
+    def test_trellis_tables_match_the_per_state_oracle(self, constraint_length, generators):
+        code = ConvolutionalCode(
+            constraint_length=constraint_length,
+            generators=generators,
+            puncture_pattern=np.ones((len(generators), 1), dtype=np.uint8),
+        )
+        for got, expected in zip(code.build_trellis(), build_trellis_serial(code)):
+            assert got.dtype == expected.dtype
+            np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("rate", list(CodeRate))
+    def test_punctured_80211a_trellis_matches_the_oracle(self, rate):
+        code = ConvolutionalCode.ieee80211a(rate)
+        for got, expected in zip(code.build_trellis(), build_trellis_serial(code)):
+            np.testing.assert_array_equal(got, expected)
 
     def test_trellis_each_state_has_two_predecessors(self):
         code = ConvolutionalCode.ieee80211a()

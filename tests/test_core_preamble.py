@@ -164,3 +164,51 @@ class TestCachedWaveforms:
         monkeypatch.setattr(FftPlan, "forward", counted)
         one_burst(1)
         assert len(calls) <= 3
+
+
+class TestOneGeneratorPerSize:
+    def test_for_fft_size_is_shared_and_read_only(self):
+        shared = PreambleGenerator.for_fft_size(64)
+        assert PreambleGenerator.for_fft_size(64) is shared
+        assert PreambleGenerator.for_fft_size(128) is not shared
+        for table in (shared.lts_frequency, shared.sts_frequency, shared.sts_time()):
+            assert not table.flags.writeable
+
+    def test_for_fft_size_still_validates(self):
+        PreambleGenerator.for_fft_size(64)
+        with pytest.raises(ConfigurationError):
+            PreambleGenerator.for_fft_size(64.0)
+        with pytest.raises(ConfigurationError):
+            PreambleGenerator.for_fft_size(48)
+
+    def test_wide_sweep_transceivers_build_one_generator_per_size(self, monkeypatch):
+        # The 16 configurations of a 2-stream modulation x rate x detector
+        # grid, CFO correction on: transmitter, receiver and CFO estimator
+        # of every one share the size's generator.
+        built = []
+        init = PreambleGenerator.__init__
+
+        def counting(self, fft_size=64):
+            built.append(fft_size)
+            init(self, fft_size)
+
+        monkeypatch.setattr(PreambleGenerator, "__init__", counting)
+        generators = []
+        for modulation in ("bpsk", "qpsk", "16qam", "64qam"):
+            for code_rate in ("1/2", "3/4"):
+                for detector in ("zf", "mmse"):
+                    config = TransceiverConfig(
+                        n_antennas=2,
+                        modulation=modulation,
+                        code_rate=code_rate,
+                        detector=detector,
+                        correct_cfo=True,
+                    )
+                    receiver = MimoReceiver(config)
+                    generators.extend(
+                        owner.preamble
+                        for owner in (MimoTransmitter(config), receiver, receiver.cfo_estimator)
+                    )
+        assert built.count(64) <= 1
+        assert len(generators) == 48
+        assert all(generator is generators[0] for generator in generators)

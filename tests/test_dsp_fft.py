@@ -11,7 +11,7 @@ from repro.dsp.fft import (
     ifft,
 )
 
-from reference.dsp import ofdm_modulate
+from reference.dsp import fft_concatenating, ifft_concatenating, ofdm_modulate
 
 
 class TestBitReverse:
@@ -104,6 +104,58 @@ class TestFftPlan:
         x = rng.normal(size=(4, 512)) + 1j * rng.normal(size=(4, 512))
         plan = get_plan(512)
         np.testing.assert_allclose(plan.inverse(plan.forward(x)), x, atol=1e-9)
+
+
+def _with_special_values(shape, seed):
+    """Random complex samples with signed zeros, infinities and NaNs mixed in."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    flat = x.reshape(-1)
+    specials = [
+        complex(0.0, -0.0),
+        complex(-0.0, 0.0),
+        complex(-0.0, -0.0),
+        complex(np.inf, -np.inf),
+        complex(-np.inf, 1.0),
+        complex(np.nan, 0.0),
+        complex(2.0, -np.nan),
+    ]
+    picks = rng.choice(flat.size, size=min(flat.size, 3 * len(specials)), replace=False)
+    for slot, position in enumerate(picks):
+        flat[position] = specials[slot % len(specials)]
+    return x
+
+
+class TestInPlaceStages:
+    """The ping-pong stages against the concatenating oracle, bit for bit
+    (signed zeros and NaN payloads included)."""
+
+    @pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64, 128, 256, 512])
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3), (2, 1, 3)])
+    @pytest.mark.parametrize("special", [False, True], ids=["finite", "special"])
+    def test_transforms_are_byte_identical(self, n, lead, special):
+        shape = lead + (n,)
+        seed = n * 100 + len(lead)
+        if special:
+            x = _with_special_values(shape, seed)
+        else:
+            rng = np.random.default_rng(seed)
+            x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        with np.errstate(invalid="ignore"):
+            pairs = [(fft(x), fft_concatenating(x)), (ifft(x), ifft_concatenating(x))]
+        for got, expected in pairs:
+            assert got.shape == expected.shape
+            np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    def test_strided_input_is_left_untouched(self):
+        stack = _with_special_values((4, 3, 64), 7)
+        view = stack.transpose(1, 0, 2)
+        before = stack.copy()
+        with np.errstate(invalid="ignore"):
+            got = fft(view)
+            expected = fft_concatenating(view)
+        np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+        np.testing.assert_array_equal(stack.view(np.uint64), before.view(np.uint64))
 
 
 class TestOfdmModulation:

@@ -13,10 +13,15 @@ outcome, give-up cause included, is what receiving that burst alone
 gives, an item that reaches ``target_errors`` stops simulating, the
 runner's results do not depend on queue backend, pool size or batch
 size, a unit larger than one decode slice still decodes bit-exactly,
-and the runner keys and configures each point once.
+and the runner keys and configures each point once, validating each
+configuration only a handful of times per pass.
 """
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -575,3 +580,59 @@ def test_cold_serial_run_keys_and_configures_each_point_once(tmp_path, monkeypat
     assert result.n_bursts_simulated == spec.n_points * spec.n_bursts
     assert len(hashes) == 2 * spec.n_points
     assert len(configs) == spec.n_points
+
+
+#: A cold serial pass over a 320-point, 16-configuration grid (the shape
+#: of the repository benchmark's wide sweep), counting every
+#: TransceiverConfig validation by the configuration it produced.
+_CONFIG_COUNT_SCRIPT = """
+import collections, tempfile
+from repro.core.config import TransceiverConfig
+from repro.sim import ResultStore, SweepRunner, SweepSpec
+
+validated = collections.Counter()
+post_init = TransceiverConfig.__post_init__
+
+def counting(self):
+    post_init(self)
+    validated[self] += 1
+
+TransceiverConfig.__post_init__ = counting
+spec = SweepSpec(
+    snr_db=tuple(float(snr) for snr in range(0, 37, 4)),
+    modulations=("bpsk", "qpsk", "16qam", "64qam"),
+    code_rates=("1/2", "3/4"),
+    stream_counts=(2,),
+    channels=("ideal", "flat_rayleigh"),
+    detectors=("zf", "mmse"),
+    n_info_bits=48,
+    n_bursts=1,
+    target_errors=None,
+    base_seed=7,
+)
+with tempfile.TemporaryDirectory() as store:
+    result = SweepRunner(spec, n_workers=1, cache=ResultStore(store), queue="serial").run()
+print(spec.n_points, result.n_bursts_simulated, len(validated), sum(validated.values()))
+"""
+
+
+def test_a_cold_pass_validates_each_configuration_a_few_times():
+    # The cells of one configuration share one validated config: a fresh
+    # process's pass costs a handful of validations per configuration
+    # (its build, impairment overlay, air group and receiver), not two or
+    # more per point.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    output = subprocess.run(
+        [sys.executable, "-c", _CONFIG_COUNT_SCRIPT],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        check=True,
+        env=env,
+    ).stdout
+    n_points, simulated, n_configs, validations = map(int, output.split())
+    assert n_points == simulated == 320
+    assert n_configs == 16
+    assert validations <= 4 * n_configs

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.preamble import PreambleGenerator
+from repro.core.receiver import MimoReceiver
 from repro.core.transmitter import MimoTransmitter
 from repro.stream import StreamFrameDetector
 from repro.stream.detector import METRIC_TILE
@@ -141,8 +142,14 @@ class TestSearchDrivenMetric:
         bursts, frame_length = clean_frames
         # The stream starts inside the first frame's STS, so that frame's
         # lock points before sample 0 and is discarded, whatever the
-        # chunking and however much history the detector keeps.
-        stream = np.concatenate(bursts, axis=1)[:, 40:]
+        # chunking and however much history the detector keeps.  The search
+        # resumes past that frame's preamble, so no later LTS slot of it
+        # locks a spurious frame over the second one, which is emitted
+        # whole and decodes as the one-shot receive of that burst does.
+        cut = 40
+        stream = np.concatenate(bursts, axis=1)[:, cut:]
+        receiver = MimoReceiver()
+        expected = receiver.receive(bursts[1], N_INFO_BITS).decoded_bits
         outcomes = []
         for step in (1, 63, 300, stream.shape[1]):
             detector = _detector(preamble, frame_length)
@@ -151,7 +158,13 @@ class TestSearchDrivenMetric:
                 windows.extend(detector.push(stream[:, offset : offset + step]))
             windows.extend(detector.flush())
             assert detector.discarded_detections == 1
-            assert all(w.start >= 0 for w in windows)
+            assert detector.truncated_frames == 0
+            assert [w.start for w in windows] == [frame_length - cut]
+            np.testing.assert_array_equal(windows[0].samples, bursts[1])
+            decoded = receiver.receive(
+                windows[0].samples, N_INFO_BITS, lts_start=windows[0].lts_offset
+            ).decoded_bits
+            np.testing.assert_array_equal(decoded, expected)
             outcomes.append([(w.start, w.lts_start, w.peak_metric) for w in windows])
         assert all(outcome == outcomes[0] for outcome in outcomes)
 
