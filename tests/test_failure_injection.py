@@ -334,6 +334,8 @@ class _NanTraffic:
         lambda: ViterbiDecoder().decode(np.zeros(12), n_info_bits=-1),
         lambda: ViterbiDecoder().decode(np.zeros(32), n_info_bits=10.0),
         lambda: SymbolDemapper("16qam").demap(np.zeros(4, dtype=complex), soft=True, noise_variance=0.0),
+        lambda: SymbolDemapper("16qam").demap(np.zeros(4, dtype=complex), soft=True, noise_variance=float("nan")),
+        lambda: SymbolDemapper("16qam").demap(np.zeros(4, dtype=complex), soft=True, noise_variance=float("inf")),
         lambda: MimoTransmitter().transmit([np.array([0.5, 0, 1, 1])] * 4),
         lambda: MimoTransmitter().transmit([np.array([np.nan, 0, 1, 1])] * 4),
         lambda: MimoTransmitter().transmit([np.array([1 + 1j, 0, 1, 1])] * 4),
@@ -485,6 +487,8 @@ class _NanTraffic:
         "viterbi-negative-info-bits",
         "viterbi-fractional-info-bits",
         "demapper-zero-noise-variance",
+        "demapper-nan-noise-variance",
+        "demapper-inf-noise-variance",
         "transmit-fractional-bit",
         "transmit-nan-bit",
         "transmit-complex-bit",

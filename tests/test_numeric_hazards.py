@@ -18,7 +18,11 @@ host, over unit-normal inputs:
   ``@`` match their scalar or per-matrix forms;
 * the stacked receive front end also relies on a stacked
   ``np.linalg.solve`` matching the per-matrix solve and on the
-  burst-stacked detection einsum matching the per-burst one.
+  burst-stacked detection einsum matching the per-burst one;
+* the per-axis demapper (:mod:`repro.modulation.demapper`) relies on
+  complex ``np.abs`` being sign-symmetric, independent of an element's
+  array offset and stride, and within 4 eps of exact when squared — not
+  on it being monotone, which it is not to the last ulp.
 
 Each test below pins one fact the production code relies on, so a numpy
 upgrade or a new host that breaks one fails here, loudly, rather than
@@ -26,6 +30,7 @@ silently moving the benchmark pins.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -118,3 +123,59 @@ def test_burst_stacked_einsum_equals_per_burst(complex_pair):
         np.testing.assert_array_equal(
             stacked[item], np.einsum("kij,jnk->ink", weights[item], received[item])
         )
+
+
+@pytest.fixture
+def axis_offsets():
+    # Offsets the demapper feeds complex abs: spread over 20 decades, with
+    # exact zeros and equal-magnitude components mixed in.
+    rng = np.random.default_rng(47)
+    re = rng.normal(size=4000) * 10.0 ** rng.integers(-10, 10, size=4000)
+    im = rng.normal(size=4000) * 10.0 ** rng.integers(-10, 10, size=4000)
+    re[::50] = 0.0
+    im[1::50] = re[1::50]
+    return re, im
+
+
+def test_complex_abs_is_sign_symmetric(axis_offsets):
+    re, im = axis_offsets
+    expected = np.abs(re + 1j * im)
+    for flipped in (-re + 1j * im, re - 1j * im, -re - 1j * im, np.abs(re) + 1j * np.abs(im)):
+        np.testing.assert_array_equal(np.abs(flipped), expected)
+
+
+def test_complex_abs_ignores_offset_and_stride(axis_offsets):
+    # Any offset, length and positive stride takes one loop.  A negative
+    # stride takes another (``np.hypot``'s rounding on ~35% of inputs); the
+    # demapper never hands complex abs one.
+    re, im = axis_offsets
+    values = re + 1j * im
+    expected = np.abs(values)
+    for offset in range(1, 9):
+        padded = np.concatenate([np.zeros(offset, dtype=complex), values])
+        np.testing.assert_array_equal(np.abs(padded)[offset:], expected)
+        np.testing.assert_array_equal(np.abs(padded[offset:]), expected)
+    for stride in (2, 3, 7):
+        spread = np.zeros(values.size * stride, dtype=complex)
+        spread[::stride] = values
+        np.testing.assert_array_equal(np.abs(spread[::stride]), expected)
+    np.testing.assert_array_equal(np.abs(values.reshape(-1, 8).T).T.ravel(), expected)
+    np.testing.assert_array_equal(
+        np.abs(values.reshape(-1, 8).T.copy()).T.ravel(), expected
+    )
+    np.testing.assert_array_equal([np.abs(value) for value in values], expected)
+    np.testing.assert_array_equal(
+        np.concatenate([np.abs(values[i : i + 3]) for i in range(0, values.size, 3)]),
+        expected,
+    )
+
+
+def test_squared_complex_abs_is_within_4_eps(axis_offsets):
+    re, im = axis_offsets
+    squared = np.square(np.abs(re + 1j * im))
+    worst = Fraction(0)
+    for x, y, value in zip(re.tolist(), im.tolist(), squared.tolist()):
+        exact = Fraction(x) ** 2 + Fraction(y) ** 2
+        if exact:
+            worst = max(worst, abs(Fraction(value) - exact) / exact)
+    assert worst <= 4 * Fraction(np.finfo(np.float64).eps)
