@@ -61,7 +61,7 @@ def main() -> None:
     bit_errors = result.total_bit_errors(burst.info_bits)
     print(f"  burst length        : {burst.n_samples} samples "
           f"({burst.duration_s * 1e6:.1f} us)")
-    print(f"  OFDM data symbols   : {burst.n_ofdm_symbols}")
+    print(f"  OFDM data symbols   : {burst.layout.n_symbols}")
     print(f"  LTS located at      : sample {result.lts_start} "
           f"(transmitted at {burst.layout.sts_length + channel.impairment.sample_delay})")
     print(f"  total payload       : {burst.payload_bits} bits")

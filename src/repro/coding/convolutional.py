@@ -139,29 +139,15 @@ class ConvolutionalCode:
         full, rem = divmod(total_in, self.puncture_period)
         return full * per_period + int(self.puncture_pattern[:, :rem].sum())
 
-    def output_bits(self, state: int, input_bit: int) -> Tuple[int, ...]:
-        """Mother-code output bits for ``input_bit`` entering ``state``.
-
-        ``state`` holds the most recent input bit in its MSB, matching the
-        hardware shift register.
-        """
-        register = (input_bit << self.memory) | state
-        outputs = []
-        for g in self.generators:
-            outputs.append(bin(register & g).count("1") & 1)
-        return tuple(outputs)
-
-    def next_state(self, state: int, input_bit: int) -> int:
-        """Trellis successor state when ``input_bit`` is shifted in."""
-        return ((input_bit << self.memory) | state) >> 1
-
     def build_trellis(self) -> Tuple[np.ndarray, np.ndarray]:
         """Return ``(next_states, outputs)`` tables for the Viterbi decoder.
 
-        ``next_states[state, bit]`` is the successor state and
+        ``state`` holds the most recent input bit in its MSB, matching the
+        hardware shift register.  ``next_states[state, bit]`` is the
+        successor state when ``bit`` is shifted in, and
         ``outputs[state, bit]`` packs the mother-code output bits MSB-first
-        (output 0 in the MSB): :meth:`next_state` and :meth:`output_bits`
-        over every ``(state, bit)`` at once.
+        (output 0 in the MSB), each the parity of the register's tapped
+        bits.
         """
         states = np.arange(self.n_states, dtype=np.int64)[:, None]
         bits = np.arange(2, dtype=np.int64)[None, :]

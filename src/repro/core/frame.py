@@ -8,7 +8,7 @@ from typing import List, Optional, Union
 import numpy as np
 
 from repro.core.config import TransceiverConfig
-from repro.core.preamble import PreambleLayout
+from repro.core.preamble import BurstLayout
 from repro.exceptions import ConfigurationError, DecodingError
 from repro.utils.bits import count_bit_errors
 
@@ -28,10 +28,9 @@ class TransmitBurst:
     coded_bits:
         The coded, padded bit stream of each spatial stream (before
         interleaving), retained for tests.
-    n_ofdm_symbols:
-        Number of data OFDM symbols in the burst.
     layout:
-        Preamble layout (section offsets) used to build the burst.
+        The burst's sample geometry: preamble sections, data OFDM
+        symbols and idle tail.
     config:
         The transceiver configuration the burst was generated with.
     frequency_symbols:
@@ -43,8 +42,7 @@ class TransmitBurst:
     samples: np.ndarray
     info_bits: List[np.ndarray]
     coded_bits: List[np.ndarray]
-    n_ofdm_symbols: int
-    layout: PreambleLayout
+    layout: BurstLayout
     config: TransceiverConfig
     frequency_symbols: Optional[np.ndarray] = None
 

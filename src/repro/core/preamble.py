@@ -10,7 +10,10 @@ The MIMO schedule follows Fig. 2: the STS is transmitted from antenna 0
 only (it is used solely for time synchronisation, and a single transmitter
 keeps the signal clean), then each antenna in turn transmits the LTS while
 the others are silent, which is what lets the receiver estimate every column
-of the channel matrix.
+of the channel matrix.  The data OFDM symbols and a short idle tail follow;
+:func:`burst_layout` states that whole burst format once, as the
+:class:`BurstLayout` the transmitter, the receiver and the stream detector
+all read.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.core.config import OfdmNumerology, _logical_to_fft_bin
+from repro.coding.convolutional import ConvolutionalCode
+from repro.core.config import OfdmNumerology, TransceiverConfig, _logical_to_fft_bin
 from repro.dsp.fft import ifft
 from repro.exceptions import ConfigurationError, integer_at_least
 from repro.types import ComplexArray
@@ -48,8 +52,15 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class PreambleLayout:
-    """Sample offsets of the preamble sections within a burst.
+class BurstLayout:
+    """Sample geometry of one burst (Fig. 2): the one statement of the burst
+    format.
+
+    A burst is the STS (from antenna 0), one LTS slot per transmit antenna,
+    ``n_symbols`` data OFDM symbols and an idle tail of zeros.
+    :func:`burst_layout` builds it; the transmitter lays bursts out from it,
+    the receiver cuts its FFT windows from it and the stream detector cuts
+    frames of its :attr:`length`.
 
     Attributes
     ----------
@@ -59,14 +70,27 @@ class PreambleLayout:
         Length of one LTS slot (cyclic prefix + two LTS repetitions).
     n_lts_slots:
         Number of staggered LTS slots (one per transmit antenna).
+    n_symbols:
+        Number of data OFDM symbols.
+    samples_per_symbol:
+        Samples of one data OFDM symbol, cyclic prefix included.
+    tail_length:
+        Length of the idle tail that ends the burst.
+    coded_length:
+        Coded bits per spatial stream the data symbols carry; the rest of
+        their bits are zero padding.
     """
 
     sts_length: int
     lts_slot_length: int
     n_lts_slots: int
+    n_symbols: int
+    samples_per_symbol: int
+    tail_length: int
+    coded_length: int
 
     @property
-    def total_length(self) -> int:
+    def preamble_length(self) -> int:
         """Total preamble length in samples."""
         return self.sts_length + self.n_lts_slots * self.lts_slot_length
 
@@ -79,7 +103,43 @@ class PreambleLayout:
     @property
     def data_start(self) -> int:
         """Start sample of the first data OFDM symbol."""
-        return self.total_length
+        return self.preamble_length
+
+    @property
+    def length(self) -> int:
+        """Burst length in samples: preamble, data symbols and idle tail."""
+        return self.data_start + self.n_symbols * self.samples_per_symbol + self.tail_length
+
+
+def burst_layout(config: TransceiverConfig, n_info_bits: int) -> BurstLayout:
+    """The layout of a ``config`` burst carrying ``n_info_bits`` information
+    bits per spatial stream.
+
+    The section lengths come from the shared
+    :meth:`PreambleGenerator.for_fft_size` waveforms and the symbol count
+    from the terminated code block.  A count that is not an integer of at
+    least 1 raises :class:`~repro.exceptions.ConfigurationError`.  Every
+    call with one configuration and count returns the same record.
+    """
+    return _burst_layout(config, integer_at_least("n_info_bits", n_info_bits, 1))
+
+
+@functools.lru_cache(maxsize=256)
+def _burst_layout(config: TransceiverConfig, n_info_bits: int) -> BurstLayout:
+    preamble = PreambleGenerator.for_fft_size(config.fft_size)
+    coded_length = ConvolutionalCode.ieee80211a(config.code_rate).coded_length(n_info_bits)
+    return BurstLayout(
+        sts_length=preamble.sts_time().size,
+        lts_slot_length=preamble.lts_time().size,
+        n_lts_slots=config.n_antennas,
+        n_symbols=-(-coded_length // config.coded_bits_per_symbol),
+        samples_per_symbol=config.samples_per_symbol,
+        # One cyclic prefix of zeros models the transmitter returning to
+        # idle and gives the receiver timing margin when the synchroniser
+        # locks a sample or two late on dispersive channels.
+        tail_length=config.cyclic_prefix_length,
+        coded_length=coded_length,
+    )
 
 
 class PreambleGenerator:
@@ -107,7 +167,6 @@ class PreambleGenerator:
         self._sts = _read_only(np.tile(short_symbol, STS_REPETITIONS))
         prefix = lts_symbol[-self.lts_cp_length:]
         self._lts = _read_only(np.concatenate([prefix, lts_symbol, lts_symbol]))
-        self._layouts: Dict[int, PreambleLayout] = {}
         self._mimo_preambles: Dict[int, ComplexArray] = {}
 
     @classmethod
@@ -172,35 +231,23 @@ class PreambleGenerator:
     # ------------------------------------------------------------------
     # MIMO schedule (Fig. 2)
     # ------------------------------------------------------------------
-    def layout(self, n_antennas: int) -> PreambleLayout:
-        """Section offsets for an ``n_antennas``-stream burst."""
-        if n_antennas <= 0:
-            raise ConfigurationError("n_antennas must be positive")
-        layout = self._layouts.get(n_antennas)
-        if layout is None:
-            layout = self._layouts[n_antennas] = PreambleLayout(
-                sts_length=self._sts.size,
-                lts_slot_length=self._lts.size,
-                n_lts_slots=n_antennas,
-            )
-        return layout
-
     def mimo_preamble(self, n_antennas: int) -> ComplexArray:
-        """Per-antenna preamble waveforms, shape ``(n_antennas, total_length)``.
+        """Per-antenna preamble waveforms, shape ``(n_antennas, preamble_length)``.
 
         Antenna 0 transmits the STS; each antenna then transmits the LTS in
-        its own slot while the others stay silent.  Built once per antenna
-        count and returned read-only.
+        its own slot while the others stay silent, as
+        :meth:`transmission_schedule` lists.  Built once per antenna count
+        and returned read-only.
         """
         waveform = self._mimo_preambles.get(n_antennas)
         if waveform is not None:
             return waveform
-        layout = self.layout(n_antennas)
-        waveform = np.zeros((n_antennas, layout.total_length), dtype=np.complex128)
-        waveform[0, : layout.sts_length] = self._sts
-        for antenna in range(n_antennas):
-            start = layout.lts_slot_start(antenna)
-            waveform[antenna, start : start + layout.lts_slot_length] = self._lts
+        schedule = self.transmission_schedule(n_antennas)
+        _, _, last_start, last_length = schedule[-1]
+        waveform = np.zeros((n_antennas, last_start + last_length), dtype=np.complex128)
+        for section, antenna, start, length in schedule:
+            section_samples = self._sts if section == "STS" else self._lts
+            waveform[antenna, start : start + length] = section_samples
         self._mimo_preambles[n_antennas] = _read_only(waveform)
         return waveform
 
@@ -208,19 +255,12 @@ class PreambleGenerator:
         """Human-readable schedule: (section, antenna, start, length) tuples.
 
         Reproduces Fig. 2 as data, used by the preamble benchmark and the
-        documentation examples.
+        documentation examples.  A count that is not an integer of at
+        least 1 raises :class:`~repro.exceptions.ConfigurationError`.
         """
-        layout = self.layout(n_antennas)
-        schedule: List[Tuple[str, int, int, int]] = [
-            ("STS", 0, 0, layout.sts_length)
+        n_antennas = integer_at_least("n_antennas", n_antennas, 1)
+        sts_length, slot_length = self._sts.size, self._lts.size
+        return [("STS", 0, 0, sts_length)] + [
+            ("LTS", antenna, sts_length + antenna * slot_length, slot_length)
+            for antenna in range(n_antennas)
         ]
-        for antenna in range(n_antennas):
-            schedule.append(
-                (
-                    "LTS",
-                    antenna,
-                    layout.lts_slot_start(antenna),
-                    layout.lts_slot_length,
-                )
-            )
-        return schedule

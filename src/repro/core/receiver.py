@@ -52,7 +52,7 @@ and detection is quantised to ``TransceiverConfig.rx_multiplier_format``
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -63,7 +63,7 @@ from repro.coding.viterbi import ViterbiDecoder
 from repro.core.config import TransceiverConfig
 from repro.core.frame import FrontEndResult, ReceiveResult
 from repro.core.pilots import PilotProcessor
-from repro.core.preamble import PreambleGenerator
+from repro.core.preamble import BurstLayout, PreambleGenerator, burst_layout
 from repro.dsp.cordic import Cordic
 from repro.dsp.fft import fft
 from repro.exceptions import ConfigurationError, DecodingError, integer_at_least
@@ -100,7 +100,8 @@ class DemodulatedStack:
     ``air_group`` (:meth:`~repro.core.config.TransceiverConfig.air_group`)
     reads it, as often as it likes.
 
-    ``bursts`` has one entry per input burst: the burst's sync position,
+    ``layout`` is the geometry of every burst of the stack.  ``bursts`` has
+    one entry per input burst: the burst's sync position,
     CFO, noise variance and channel estimate, or the
     :class:`~repro.exceptions.DecodingError` it gave up with.
     ``frequency`` stacks the data FFT outputs of the bursts that came
@@ -109,7 +110,7 @@ class DemodulatedStack:
     """
 
     air_group: TransceiverConfig
-    n_info_bits: int
+    layout: BurstLayout
     bursts: List[Union[_Burst, DecodingError]]
     frequency: Optional[ComplexArray]
 
@@ -162,21 +163,8 @@ class MimoReceiver:
             reference_lts=self.preamble.lts_frequency,
             cordic=Cordic() if self.config.use_cordic_channel_inversion else None,
         )
-        # Every (slot, repetition) LTS FFT window relative to the LTS start,
-        # shape (n_tx, 2, fft_size), and the data start relative to it.
-        n_tx = self.config.n_antennas
-        fft_size = self.config.fft_size
-        slot_length = self.preamble.layout(n_tx).lts_slot_length
-        slot_starts = (
-            np.arange(n_tx) * slot_length + self.preamble.lts_cp_length - timing_advance
-        )
-        self._lts_offsets = (
-            slot_starts[:, None, None]
-            + np.arange(2)[None, :, None] * fft_size
-            + np.arange(fft_size)[None, None, :]
-        )
-        self._data_offset = n_tx * slot_length
         self._data_bins = list(self.numerology.data_bins)
+        self._offsets: Dict[BurstLayout, Tuple[np.ndarray, np.ndarray]] = {}
 
     # ------------------------------------------------------------------
     # fixed-point interfaces
@@ -208,20 +196,30 @@ class MimoReceiver:
             )
         return self.synchronizer.locate(streams)
 
-    def _lts_windows(self, streams: np.ndarray, lts_start: int) -> ComplexArray:
-        """Every (slot, repetition) LTS window of a burst: ``(n_rx, n_tx, 2, fft_size)``.
-
-        The windows end before the data does, so a burst :meth:`_prepare`
-        has found long enough for its data holds them all; only a window
-        starting before sample zero is left to refuse.
-        """
-        window = lts_start + self._lts_offsets
-        if window[0, 0, 0] < 0:
-            raise DecodingError(
-                f"LTS FFT window starts {-int(window[0, 0, 0])} samples before the "
-                "burst (lts_start too small); refusing to decode a truncated window"
-            )
-        return streams[:, window]
+    def _window_offsets(self, layout: BurstLayout) -> Tuple[np.ndarray, np.ndarray]:
+        """Every FFT window of a ``layout`` burst, as sample offsets from the
+        burst's first sample: the (slot, repetition) LTS windows, shape
+        ``(n_tx, 2, fft_size)``, and the data windows, shape ``(n_symbols,
+        fft_size)``.  Each window starts ``timing_advance`` samples into its
+        cyclic prefix.  Built once per layout."""
+        offsets = self._offsets.get(layout)
+        if offsets is not None:
+            return offsets
+        fft_size = self.config.fft_size
+        taps = np.arange(fft_size)
+        slots = np.array([layout.lts_slot_start(slot) for slot in range(layout.n_lts_slots)])
+        lts_starts = slots + self.preamble.lts_cp_length - self.timing_advance
+        data_starts = (
+            layout.data_start
+            + np.arange(layout.n_symbols) * layout.samples_per_symbol
+            + self.config.cyclic_prefix_length
+            - self.timing_advance
+        )
+        offsets = self._offsets[layout] = (
+            lts_starts[:, None, None] + np.arange(2)[:, None] * fft_size + taps,
+            data_starts[:, None] + taps,
+        )
+        return offsets
 
     def _lts_spectra(self, windows: np.ndarray) -> ComplexArray:
         """LTS windows ``(..., n_rx, n_tx, 2, fft_size)`` to the averaged
@@ -281,22 +279,6 @@ class MimoReceiver:
     # ------------------------------------------------------------------
     # post-sync datapath: FFT windows -> MIMO detection -> pilot correction
     # ------------------------------------------------------------------
-    def _data_windows(
-        self, streams: np.ndarray, data_start: int, n_symbols: int
-    ) -> ComplexArray:
-        """Every data FFT window of a burst: ``(n_rx, n_symbols, fft_size)``.
-
-        :meth:`_prepare` has checked both ends: the data follows an LTS
-        that starts inside the burst, and ends inside it.
-        """
-        starts = (
-            data_start
-            + np.arange(n_symbols) * self.config.samples_per_symbol
-            + self.config.cyclic_prefix_length
-            - self.timing_advance
-        )
-        return streams[:, starts[:, None] + np.arange(self.config.fft_size)]
-
     def _detector(
         self, estimate: ChannelEstimate, noise_variance: Union[float, np.ndarray]
     ) -> Callable[[np.ndarray], np.ndarray]:
@@ -312,29 +294,9 @@ class MimoReceiver:
         return detect
 
     # ------------------------------------------------------------------
-    # frame geometry
-    # ------------------------------------------------------------------
-    def frame_length(self, n_info_bits: int) -> int:
-        """Burst length in samples for ``n_info_bits`` per spatial stream.
-
-        Mirrors the transmitter's burst construction exactly: preamble +
-        data OFDM symbols + the one-cyclic-prefix idle tail.  A streaming
-        frame detector uses this to know how many samples to cut around a
-        detected preamble.
-        """
-        n_info_bits = integer_at_least("n_info_bits", n_info_bits, 1)
-        coded_length = self.code.coded_length(n_info_bits)
-        n_symbols = -(-coded_length // self.config.coded_bits_per_symbol)
-        layout = self.preamble.layout(self.config.n_antennas)
-        return (
-            layout.total_length
-            + n_symbols * self.config.samples_per_symbol
-            + self.config.cyclic_prefix_length
-        )
-
-    # ------------------------------------------------------------------
     # full burst reception
     # ------------------------------------------------------------------
+    @np.errstate(over="ignore", invalid="ignore")
     def demodulate_stack(
         self,
         samples: Sequence[np.ndarray],
@@ -367,9 +329,11 @@ class MimoReceiver:
 
         A sync miss, a truncated window, a non-finite sample in a window or
         a rank-deficient estimate slots that burst's
-        :class:`~repro.exceptions.DecodingError`.
+        :class:`~repro.exceptions.DecodingError`.  A window whose FFT
+        overflows comes through without a numpy warning; the detector
+        stage gives it up.
         """
-        n_info_bits = integer_at_least("n_info_bits", n_info_bits, 1)
+        layout = burst_layout(self.config, n_info_bits)
         n_items = len(samples)
         lts_starts = [None] * n_items if lts_starts is None else list(lts_starts)
         noise_variances = (
@@ -384,14 +348,12 @@ class MimoReceiver:
                 raise ConfigurationError(
                     f"noise variances must be finite and positive, got {variance!r}"
                 )
-        coded_length = self.code.coded_length(n_info_bits)
-        n_symbols = -(-coded_length // self.config.coded_bits_per_symbol)
-
+        offsets = self._window_offsets(layout)
         bursts: List[Union[_Burst, DecodingError, None]] = [None] * n_items
         prepared = []
         for index, (burst, lts_start) in enumerate(zip(samples, lts_starts)):
             try:
-                prepared.append((index, *self._prepare(burst, lts_start, n_symbols)))
+                prepared.append((index, *self._prepare(burst, lts_start, layout, offsets)))
             except DecodingError as error:
                 # Kept without its traceback, whose frames would hold this
                 # whole stack's samples in a reference cycle with ``bursts``.
@@ -412,8 +374,9 @@ class MimoReceiver:
                 data_windows.append(windows)
             if data_windows:
                 frequency = self._quantize_multiplier(fft(np.stack(data_windows)))
-        return DemodulatedStack(self._air_group, n_info_bits, bursts, frequency)
+        return DemodulatedStack(self._air_group, layout, bursts, frequency)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def detect_stack(
         self, demodulated: DemodulatedStack, rows: Optional[Sequence[int]] = None
     ) -> List[Union[FrontEndResult, DecodingError]]:
@@ -427,7 +390,9 @@ class MimoReceiver:
         stacked MMSE solve), one pilot pass, one demap and one
         de-interleave.  Returns one entry per row: its
         :class:`FrontEndResult`, or the :class:`DecodingError` it gave up
-        with — in the shared stage, or on a singular MMSE Gram matrix.
+        with — in the shared stage, on a singular MMSE Gram matrix or on
+        non-finite equalised symbols or coded values (an overflow, which
+        raises no numpy warning).
         """
         if demodulated.air_group != self._air_group:
             raise ConfigurationError(
@@ -445,10 +410,20 @@ class MimoReceiver:
         frequency = demodulated.frequency[[burst.row for _, burst in live]]
         corrected, diag = self.pilots.correct_block(detect(frequency))
         equalized = corrected[..., self._data_bins]
-        coded_length = self.code.coded_length(demodulated.n_info_bits)
         variances = np.array([burst.noise_variance for _, burst in live])
-        coded = self._coded_values(equalized, coded_length, variances)
+        coded = self._coded_values(equalized, demodulated.layout.coded_length, variances)
+        # Finite samples can still overflow: the data FFT or the detector
+        # into non-finite symbols, which hard decisions slice into silent
+        # garbage bits, or the soft demapper into infinite LLRs, which the
+        # decoder would refuse for the whole stack.  Such a burst gives up
+        # alone.
+        finite = np.isfinite(equalized).all(axis=(1, 2, 3)) & np.isfinite(coded).all(axis=(1, 2))
         for row, (position, burst) in enumerate(live):
+            if not finite[row]:
+                outcomes[position] = DecodingError(
+                    "equalised symbols and coded values must be finite"
+                )
+                continue
             # (symbol, stream) order fixes the summation order of the
             # mean pilot phase.
             pilot_phases = diag.common_phase[row].T.ravel()
@@ -463,13 +438,20 @@ class MimoReceiver:
         return outcomes
 
     def _prepare(
-        self, samples: np.ndarray, lts_start: Optional[int], n_symbols: int
+        self,
+        samples: np.ndarray,
+        lts_start: Optional[int],
+        layout: BurstLayout,
+        offsets: Tuple[np.ndarray, np.ndarray],
     ) -> Tuple[int, float, ComplexArray, ComplexArray]:
         """One burst's per-burst work: quantise, synchronise, correct CFO and
-        gather its FFT windows.  Returns its LTS start, estimated CFO, LTS
-        windows and data windows, or raises :class:`DecodingError` on a
-        give-up, including a window holding a non-finite sample, which hard
-        decisions would otherwise slice into silent garbage bits."""
+        gather its FFT windows (``offsets``, from :meth:`_window_offsets`).
+        Returns its LTS start, estimated CFO, LTS windows ``(n_rx, n_tx, 2,
+        fft_size)`` and data windows ``(n_rx, n_symbols, fft_size)``, or
+        raises :class:`DecodingError` on a give-up: a burst too short for
+        its data, an LTS window before sample zero, or a window holding a
+        non-finite sample, which hard decisions would otherwise slice into
+        silent garbage bits."""
         streams = np.asarray(samples, dtype=np.complex128)
         if streams.ndim != 2 or streams.shape[0] != self.config.n_antennas:
             raise ConfigurationError(
@@ -487,11 +469,19 @@ class MimoReceiver:
             streams = self.cfo_estimator.correct(streams, cfo)
             estimated_cfo = cfo.combined
 
-        data_start = lts_start + self._data_offset
-        if data_start + n_symbols * self.config.samples_per_symbol > streams.shape[1]:
+        first = lts_start - layout.sts_length  # the burst's first sample
+        if first + layout.length - layout.tail_length > streams.shape[1]:
             raise DecodingError("burst too short for the requested number of OFDM symbols")
-        lts_windows = self._lts_windows(streams, lts_start)
-        data_windows = self._data_windows(streams, data_start, n_symbols)
+        lts_offsets, data_offsets = offsets
+        # The LTS windows come first, so only they can start before sample 0.
+        if first + lts_offsets[0, 0, 0] < 0:
+            raise DecodingError(
+                f"LTS FFT window starts {-int(first + lts_offsets[0, 0, 0])} samples "
+                "before the burst (lts_start too small); refusing to decode a "
+                "truncated window"
+            )
+        lts_windows = streams[:, first + lts_offsets]
+        data_windows = streams[:, first + data_offsets]
         if not (np.isfinite(lts_windows).all() and np.isfinite(data_windows).all()):
             raise DecodingError("received samples must be finite")
         return lts_start, estimated_cfo, lts_windows, data_windows
@@ -552,9 +542,9 @@ class MimoReceiver:
 
         Raises :class:`~repro.exceptions.DecodingError` when the burst
         cannot be decoded at all: a sync miss, a truncated window, a
-        non-finite sample in a window, a rank-deficient estimate or a
-        singular MMSE Gram matrix (the give-ups :meth:`receive_stack`
-        slots).
+        non-finite sample in a window, a rank-deficient estimate, a
+        singular MMSE Gram matrix or non-finite equalised symbols or coded
+        values (the give-ups :meth:`receive_stack` slots).
         """
         (outcome,) = self.receive_stack(
             [samples], n_info_bits, [lts_start], [noise_variance]
@@ -579,8 +569,9 @@ class MimoReceiver:
         give.  Returns one entry per burst, in order: its
         :class:`ReceiveResult`, or the :class:`DecodingError` that burst
         gave up with — a sync miss, a truncated window, a non-finite sample
-        in a window, a rank-deficient estimate or a singular MMSE Gram
-        matrix drops only that burst.
+        in a window, a rank-deficient estimate, a singular MMSE Gram
+        matrix or non-finite equalised symbols or coded values drops only
+        that burst.
         """
         demodulated = self.demodulate_stack(samples, n_info_bits, lts_starts, noise_variances)
         return self.decode_stack(self.detect_stack(demodulated), n_info_bits)

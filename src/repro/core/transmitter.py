@@ -5,7 +5,7 @@ encoder -> block interleaver -> LUT symbol mapper -> pilot insertion -> IFFT
 -> cyclic prefix.  The burst control path prepends the staggered MIMO
 preamble (STS from antenna 0 only, one LTS slot per antenna) before the data
 OFDM symbols, exactly as Fig. 2 requires for receiver-side channel
-estimation.
+estimation; :func:`~repro.core.preamble.burst_layout` places every section.
 
 Mirroring the receive chain, the datapath runs over a whole stack of
 bursts: every stream of every burst is scrambled, encoded, interleaved
@@ -29,7 +29,7 @@ from repro.coding.scrambler import Scrambler
 from repro.core.config import TransceiverConfig
 from repro.core.frame import TransmitBurst
 from repro.core.pilots import PilotProcessor
-from repro.core.preamble import PreambleGenerator
+from repro.core.preamble import PreambleGenerator, burst_layout
 from repro.dsp.fft import ifft
 from repro.exceptions import ConfigurationError, integer_at_least
 from repro.modulation.mapper import SymbolMapper
@@ -151,28 +151,19 @@ class MimoTransmitter:
         n_streams = self.config.n_streams
         n_bursts = rows.shape[0] // n_streams
         n_cbps = self.config.coded_bits_per_symbol
+        layout = burst_layout(self.config, rows.shape[1])
 
         coded = self._encoder.encode(self._scrambler.process(rows))
-        n_symbols = -(-coded.shape[1] // n_cbps)
-        padded = np.zeros((rows.shape[0], n_symbols * n_cbps), dtype=np.uint8)
+        padded = np.zeros((rows.shape[0], layout.n_symbols * n_cbps), dtype=np.uint8)
         padded[:, : coded.shape[1]] = coded
 
-        frequency_symbols = self._map_block(padded, n_symbols)
+        frequency_symbols = self._map_block(padded, layout.n_symbols)
 
-        layout = self.preamble.layout(n_streams)
-        data_end = layout.total_length + n_symbols * self.config.samples_per_symbol
-        # A short idle tail (one cyclic-prefix length of zeros) ends the
-        # burst; it models the transmitter returning to idle and gives the
-        # receiver timing margin when the synchroniser locks a sample or two
-        # late on dispersive channels.
-        tail_length = self.config.cyclic_prefix_length
-        samples = np.zeros(
-            (n_bursts, n_streams, data_end + tail_length), dtype=np.complex128
+        samples = np.zeros((n_bursts, n_streams, layout.length), dtype=np.complex128)
+        samples[..., : layout.data_start] = self.preamble.mimo_preamble(n_streams)
+        samples[..., layout.data_start : layout.length - layout.tail_length] = (
+            self._modulate_block(frequency_symbols).reshape(n_bursts, n_streams, -1)
         )
-        samples[..., : layout.total_length] = self.preamble.mimo_preamble(n_streams)
-        samples[..., layout.total_length : data_end] = self._modulate_block(
-            frequency_symbols
-        ).reshape(n_bursts, n_streams, -1)
 
         frequency_symbols = frequency_symbols.reshape(
             n_bursts, n_streams, *frequency_symbols.shape[1:]
@@ -183,7 +174,6 @@ class MimoTransmitter:
                 samples=samples[burst],
                 info_bits=info_bits[burst],
                 coded_bits=list(padded[burst]),
-                n_ofdm_symbols=n_symbols,
                 layout=layout,
                 config=self.config,
                 frequency_symbols=frequency_symbols[burst],

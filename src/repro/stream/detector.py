@@ -28,7 +28,7 @@ sample position, never of how the content arrived:
   emitted frame moves the search to its end and the metric frontier to
   the tile holding that end, so no tile inside an emitted frame is ever
   computed: a back-to-back frame that arrives in one push costs its
-  look-ahead rounded out to whole tiles, not ``frame_length`` positions;
+  look-ahead rounded out to whole tiles, not a frame length of positions;
 * a frame is declared only after the full refinement span past the first
   threshold crossing is available, and emitted only after its last sample
   is buffered — until then the detector simply waits, and re-derives the
@@ -52,8 +52,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.core.preamble import PreambleGenerator
-from repro.exceptions import ConfigurationError, integer_at_least
+from repro.core.preamble import BurstLayout, PreambleGenerator
+from repro.exceptions import ConfigurationError
 from repro.sync.time_sync import TimeSynchronizer
 
 #: Acceptance threshold on the normalised detection metric.  The
@@ -82,7 +82,7 @@ class FrameWindow:
     Attributes
     ----------
     samples:
-        The frame's samples per antenna, shape ``(n_rx, frame_length)`` —
+        The frame's samples per antenna, shape ``(n_rx, layout.length)`` —
         exactly the block the offline receive path would see for this
         burst.
     start:
@@ -118,34 +118,23 @@ class StreamFrameDetector:
     ----------
     preamble:
         The preamble generator shared with the transmitter/receiver (sets
-        the correlator reference and the STS length that maps a lock back
-        to the frame start).
-    n_rx:
-        Number of receive antennas in the stream.
-    frame_length:
-        Frame size in samples (see
-        :meth:`~repro.core.receiver.MimoReceiver.frame_length`); the
-        detector emits exactly this many samples per frame.
+        the correlator reference).
+    layout:
+        The frames' :class:`~repro.core.preamble.BurstLayout` (see
+        :func:`~repro.core.preamble.burst_layout`): its STS length maps a
+        lock back to the frame start, and the detector emits exactly
+        ``layout.length`` samples per frame.
 
-    The frames carry one stream per receive antenna, and the detector
-    builds the burst receiver's :class:`TimeSynchronizer` from ``preamble``.
-
-    Raises :class:`~repro.exceptions.ConfigurationError` unless the
-    antenna count is a positive integer and the frame length an integer
-    no shorter than the preamble.
+    The stream carries one receive antenna per transmit antenna (the
+    layout's LTS slots), and the detector builds the burst receiver's
+    :class:`TimeSynchronizer` from ``preamble``.
     """
 
-    def __init__(self, preamble: PreambleGenerator, n_rx: int, frame_length: int) -> None:
-        self.n_rx = integer_at_least("n_rx", n_rx, 1)
+    def __init__(self, preamble: PreambleGenerator, layout: BurstLayout) -> None:
+        self.layout = layout
+        self.n_rx = layout.n_lts_slots
         self.synchronizer = TimeSynchronizer(
             sts_time=preamble.sts_time(), lts_time=preamble.lts_time()
-        )
-        self.sts_length = preamble.sts_time().size
-        layout = preamble.layout(self.n_rx)
-        #: Samples of a frame's preamble, which a discarded lock skips.
-        self.preamble_length = layout.total_length
-        self.frame_length = integer_at_least(
-            "frame_length", frame_length, self.preamble_length
         )
         window = self.synchronizer.window_length
         #: Window positions after the first crossing searched for the true
@@ -155,11 +144,11 @@ class StreamFrameDetector:
         #: Samples kept behind the search position so a freshly-detected
         #: frame's start (sts_length - window_sts before the peak) is still
         #: buffered.
-        self.keep_margin = self.sts_length
+        self.keep_margin = layout.sts_length
         #: Metric positions the search asks for past its position: a frame
         #: starting there crosses within its STS and locks within one
         #: refinement span of the crossing (289 for the 64-point build).
-        self.lookahead = self.sts_length + self.refine_span + 1
+        self.lookahead = layout.sts_length + self.refine_span + 1
         self.reset()
 
     # ------------------------------------------------------------------
@@ -340,15 +329,15 @@ class StreamFrameDetector:
             antenna, offset = divmod(int(np.argmax(region)), region.shape[1])
             peak = crossing + offset
             lts_start = peak + window_sts
-            frame_start = lts_start - self.sts_length
-            frame_end = frame_start + self.frame_length
+            frame_start = lts_start - self.layout.sts_length
+            frame_end = frame_start + self.layout.length
             if frame_start < self._base:
                 # The lock points before retained history (a frame cut by
                 # the start of the stream): skip its whole preamble, whose
                 # later LTS slots would lock a spurious frame over the
                 # next real one.
                 self.discarded_detections += 1
-                self._search_from = frame_start + self.preamble_length
+                self._search_from = frame_start + self.layout.preamble_length
                 self._skip_metric_to(self._search_from)
                 continue
             if frame_end > self._base + self._size:

@@ -31,6 +31,7 @@ from typing import List, Optional, Union
 import numpy as np
 
 from repro.core.frame import ReceiveResult
+from repro.core.preamble import burst_layout
 from repro.core.receiver import MimoReceiver
 from repro.exceptions import DecodingError, integer_at_least
 from repro.stream.detector import FrameWindow, StreamFrameDetector
@@ -71,8 +72,8 @@ class StreamingReceiver:
         so both stages lock with the same metric.
     n_info_bits:
         Information bits per spatial stream per frame (fixes the frame
-        length the detector cuts; a real system would decode a SIGNAL
-        field instead).
+        layout, so the length the detector cuts; a real system would
+        decode a SIGNAL field instead).
 
     Every frame decodes with noise variance 1.0 for the soft demapper and
     the MMSE weights, the receiver's default.
@@ -85,12 +86,9 @@ class StreamingReceiver:
     ) -> None:
         self.receiver = receiver if receiver is not None else MimoReceiver()
         self.n_info_bits = integer_at_least("n_info_bits", n_info_bits, 1)
-        self.frame_length = self.receiver.frame_length(self.n_info_bits)
-        self.detector = StreamFrameDetector(
-            preamble=self.receiver.preamble,
-            n_rx=self.receiver.config.n_antennas,
-            frame_length=self.frame_length,
-        )
+        #: The frames' geometry: the detector cuts ``layout.length`` samples.
+        self.layout = burst_layout(self.receiver.config, self.n_info_bits)
+        self.detector = StreamFrameDetector(self.receiver.preamble, self.layout)
         self.frames_detected = 0
         self.frames_decoded = 0
         self.frames_lost = 0

@@ -193,7 +193,7 @@ class DownlinkScheduler:
         self.pipeline = StreamingReceiver(
             receiver=MimoReceiver(self.config), n_info_bits=self.n_info_bits
         )
-        self.frame_length = self.pipeline.frame_length
+        self.frame_length = self.pipeline.layout.length
 
     # ------------------------------------------------------------------
     # scheduling disciplines

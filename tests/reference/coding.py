@@ -50,8 +50,11 @@ def encode_serial(code: ConvolutionalCode, bits: np.ndarray) -> np.ndarray:
     state = 0
     coded: List[int] = []
     for step, bit in enumerate(stream):
-        outputs = code.output_bits(state, bit)
-        state = code.next_state(state, bit)
+        # The newest bit enters the register's MSB; each output is the
+        # parity of the tapped bits, and the oldest bit drops out.
+        register = (bit << code.memory) | state
+        outputs = [bin(register & g).count("1") & 1 for g in code.generators]
+        state = register >> 1
         column = step % code.puncture_period
         coded.extend(
             out for row, out in enumerate(outputs) if code.puncture_pattern[row, column]

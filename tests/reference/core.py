@@ -137,10 +137,11 @@ def transmit_serial(
 
     n_streams = len(padded)
     frequency_symbols = np.zeros((n_streams, n_symbols, fft_size), dtype=np.complex128)
-    layout = transmitter.preamble.layout(n_streams)
-    data_end = layout.total_length + n_symbols * config.samples_per_symbol
+    preamble = transmitter.preamble.mimo_preamble(n_streams)
+    data_start = preamble.shape[1]
+    data_end = data_start + n_symbols * config.samples_per_symbol
     samples = np.zeros((n_streams, data_end + cp), dtype=np.complex128)
-    samples[:, : layout.total_length] = transmitter.preamble.mimo_preamble(n_streams)
+    samples[:, :data_start] = preamble
     for stream, bits in enumerate(padded):
         for n in range(n_symbols):
             block = interleave(bits[n * n_cbps : (n + 1) * n_cbps], n_cbps, n_bpsc)
@@ -149,7 +150,7 @@ def transmit_serial(
             frequency_symbols[stream, n] = insert_pilots_serial(
                 transmitter.pilots, frequency, n
             )
-        samples[stream, layout.total_length : data_end] = np.concatenate(
+        samples[stream, data_start:data_end] = np.concatenate(
             [ofdm_modulate(symbol, cp) for symbol in frequency_symbols[stream]]
         )
     return samples, frequency_symbols, padded
@@ -205,12 +206,12 @@ def estimate_channel_serial(
     n_rx = streams.shape[0]
     n_tx = receiver.config.n_antennas
     fft_size = receiver.config.fft_size
-    layout = receiver.preamble.layout(n_tx)
+    slot_length = receiver.preamble.lts_time().size
     received_lts = np.zeros((n_tx, n_rx, fft_size), dtype=np.complex128)
     for slot in range(n_tx):
         start = (
             lts_start
-            + slot * layout.lts_slot_length
+            + slot * slot_length
             + receiver.preamble.lts_cp_length
             - receiver.timing_advance
         )
@@ -286,7 +287,7 @@ def receive_serial(
 
     estimate = estimate_channel_serial(receiver, streams, lts_start)
     n_tx = config.n_antennas
-    data_start = lts_start + n_tx * receiver.preamble.layout(n_tx).lts_slot_length
+    data_start = lts_start + n_tx * receiver.preamble.lts_time().size
     coded_length = encode_serial(receiver.code, np.zeros(n_info_bits, dtype=np.uint8)).size
     n_symbols = -(-coded_length // config.coded_bits_per_symbol)
     equalized, phases = equalize_burst_serial(

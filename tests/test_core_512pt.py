@@ -6,7 +6,7 @@ import pytest
 from repro.channel.fading import FrequencySelectiveChannel
 from repro.channel.model import MimoChannel
 from repro.core.config import TransceiverConfig
-from repro.core.preamble import PreambleGenerator
+from repro.core.preamble import PreambleGenerator, burst_layout
 from repro.core.transmitter import MimoTransmitter
 from repro.dsp.fft import fft
 
@@ -23,11 +23,10 @@ class TestNumerologyAndPreamble512:
         assert config512.coded_bits_per_symbol == 384 * 4
 
     def test_preamble_lengths_scale(self):
-        preamble = PreambleGenerator(512)
-        layout = preamble.layout(4)
+        layout = burst_layout(TransceiverConfig(fft_size=512), 500)
         assert layout.sts_length == 10 * 128
         assert layout.lts_slot_length == 256 + 2 * 512
-        assert layout.total_length == 1280 + 4 * 1280
+        assert layout.preamble_length == 1280 + 4 * 1280
 
     def test_sts_remains_periodic(self):
         preamble = PreambleGenerator(512)

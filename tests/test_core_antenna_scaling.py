@@ -24,7 +24,7 @@ class TestSisoMode:
         burst = transmitter.transmit_random(96, rng=np.random.default_rng(0))
         # Preamble is STS + a single LTS slot.
         assert burst.layout.n_lts_slots == 1
-        assert burst.layout.total_length == 160 + 160
+        assert burst.layout.preamble_length == 160 + 160
         assert burst.samples.shape[0] == 1
 
     def test_siso_ideal_loopback(self, link_burst):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import TransceiverConfig
-from repro.core.preamble import PreambleGenerator, STS_REPETITIONS
+from repro.core.preamble import PreambleGenerator, STS_REPETITIONS, burst_layout
 from repro.core.receiver import MimoReceiver
 from repro.core.transmitter import MimoTransmitter
 from repro.dsp.fft import FftPlan, ifft
@@ -69,12 +69,15 @@ class TestTimeDomainSections:
 
 
 class TestMimoSchedule:
-    def test_layout_lengths(self, preamble):
-        layout = preamble.layout(4)
+    def test_layout_lengths(self):
+        # 96 info bits -> 204 coded bits -> 2 symbols of 192 coded bits.
+        layout = burst_layout(TransceiverConfig(), 96)
         assert layout.sts_length == 160
         assert layout.lts_slot_length == 160
-        assert layout.total_length == 160 + 4 * 160
+        assert layout.preamble_length == 160 + 4 * 160
         assert layout.data_start == 800
+        assert (layout.coded_length, layout.n_symbols) == (204, 2)
+        assert layout.length == 800 + 2 * 80 + 16
 
     def test_sts_only_from_antenna_zero(self, preamble):
         waveform = preamble.mimo_preamble(4)
@@ -84,7 +87,7 @@ class TestMimoSchedule:
 
     def test_lts_slots_are_staggered(self, preamble):
         waveform = preamble.mimo_preamble(4)
-        layout = preamble.layout(4)
+        layout = burst_layout(TransceiverConfig(), 96)
         for antenna in range(4):
             start = layout.lts_slot_start(antenna)
             slot = waveform[:, start : start + layout.lts_slot_length]
@@ -98,8 +101,8 @@ class TestMimoSchedule:
         assert schedule[1] == ("LTS", 0, 160, 160)
         assert schedule[4] == ("LTS", 3, 640, 160)
 
-    def test_lts_slot_start_bounds(self, preamble):
-        layout = preamble.layout(4)
+    def test_lts_slot_start_bounds(self):
+        layout = burst_layout(TransceiverConfig(), 96)
         with pytest.raises(ValueError):
             layout.lts_slot_start(4)
 
@@ -137,9 +140,10 @@ class TestCachedWaveforms:
     def test_repeated_calls_return_the_cached_objects(self, preamble):
         assert preamble.sts_time() is preamble.sts_time()
         assert preamble.lts_time() is preamble.lts_time()
-        assert preamble.layout(2) is preamble.layout(2)
+        config = TransceiverConfig(n_antennas=2)
+        assert burst_layout(config, 96) is burst_layout(config, 96)
         assert preamble.mimo_preamble(2) is preamble.mimo_preamble(2)
-        assert preamble.mimo_preamble(2).shape == (2, preamble.layout(2).total_length)
+        assert preamble.mimo_preamble(2).shape == (2, burst_layout(config, 96).preamble_length)
 
     def test_warm_burst_runs_at_most_three_forward_ffts(self, monkeypatch):
         # The data IFFT (one forward pass inside FftPlan.inverse), the

@@ -62,7 +62,7 @@ class TestIdealLoopback:
 
     def test_record_fields_populated(self, paper_config):
         burst, result = _loopback(paper_config)
-        assert result.equalized.shape[:2] == (4, burst.n_ofdm_symbols)
+        assert result.equalized.shape[:2] == (4, burst.layout.n_symbols)
         assert result.decoded_bits.shape == (4, burst.info_bits[0].size)
         # CFO correction is off in the paper build; an ideal link leaves
         # no common pilot phase to speak of.
@@ -203,9 +203,7 @@ class TestKnownTimingAndValidation:
         transmitter = MimoTransmitter(paper_config)
         receiver = MimoReceiver(paper_config)
         burst = transmitter.transmit_random(120, rng=np.random.default_rng(11))
-        layout = receiver.preamble.layout(paper_config.n_antennas)
-        data_start = 160 + paper_config.n_antennas * layout.lts_slot_length
-        truncated = burst.samples[:, : data_start + 1]
+        truncated = burst.samples[:, : burst.layout.data_start + 1]
         (outcome,) = receiver.detect_stack(receiver.demodulate_stack([truncated], 120, [160]))
         assert isinstance(outcome, DecodingError)
         assert "too short for the requested number of OFDM symbols" in str(outcome)

@@ -33,7 +33,7 @@ class TestSizingHelpers:
     def test_burst_carries_whole_symbols(self, transmitter, n_info_bits, n_symbols):
         # 96 info bits -> 204 coded bits -> 2 symbols of 192 coded bits.
         burst = transmitter.transmit_random(n_info_bits, rng=np.random.default_rng(0))
-        assert burst.n_ofdm_symbols == n_symbols
+        assert burst.layout.n_symbols == n_symbols
 
 
 class TestBurstStructure:
@@ -44,7 +44,7 @@ class TestBurstStructure:
         # preamble + data symbols + one-CP idle tail
         expected = 800 + n_symbols * 80 + 16
         assert burst.samples.shape == (4, expected)
-        assert burst.n_ofdm_symbols == n_symbols
+        assert burst.layout.n_symbols == n_symbols
         assert burst.payload_bits == 4 * 200
 
     def test_preamble_region_matches_generator(self, transmitter):
@@ -55,7 +55,7 @@ class TestBurstStructure:
     def test_cyclic_prefix_present_on_every_data_symbol(self, transmitter):
         burst = transmitter.transmit_random(150, rng=np.random.default_rng(2))
         sps = 80
-        for n in range(burst.n_ofdm_symbols):
+        for n in range(burst.layout.n_symbols):
             start = 800 + n * sps
             symbol = burst.samples[0, start : start + sps]
             np.testing.assert_allclose(symbol[:16], symbol[64:80], atol=1e-12)
@@ -116,15 +116,15 @@ class TestBurstStructureAcrossFftSizes:
         config = transmitter.config
         cp, sps = config.cyclic_prefix_length, config.samples_per_symbol
         assert cp == config.fft_size // 4
-        start = burst.layout.total_length
-        data = burst.samples[:, start : start + burst.n_ofdm_symbols * sps]
-        symbols = data.reshape(4, burst.n_ofdm_symbols, sps)
+        start = burst.layout.data_start
+        data = burst.samples[:, start : start + burst.layout.n_symbols * sps]
+        symbols = data.reshape(4, burst.layout.n_symbols, sps)
         np.testing.assert_allclose(symbols[..., :cp], symbols[..., -cp:], atol=1e-12)
 
     def test_data_symbols_only_occupy_active_subcarriers(self, scaled):
         transmitter, burst = scaled
         config = transmitter.config
-        start = burst.layout.total_length + config.cyclic_prefix_length
+        start = burst.layout.data_start + config.cyclic_prefix_length
         frequency = fft(burst.samples[:, start : start + config.fft_size])
         active = transmitter.numerology.active_mask()
         np.testing.assert_allclose(frequency[:, ~active], 0, atol=1e-9)
@@ -177,13 +177,13 @@ class TestScramblingAndCoding:
     def test_coded_bits_length_is_whole_symbols(self, transmitter):
         burst = transmitter.transmit_random(123, rng=np.random.default_rng(13))
         for coded in burst.coded_bits:
-            assert coded.size == burst.n_ofdm_symbols * 192
+            assert coded.size == burst.layout.n_symbols * 192
 
     def test_gigabit_config_uses_64qam(self, gigabit_config):
         transmitter = MimoTransmitter(gigabit_config)
         burst = transmitter.transmit_random(216, rng=np.random.default_rng(14))
         assert transmitter.config.coded_bits_per_symbol == 288
-        assert burst.n_ofdm_symbols == _symbols_for(transmitter, 216)
+        assert burst.layout.n_symbols == _symbols_for(transmitter, 216)
 
 
 class TestAirInterfaceDtype:

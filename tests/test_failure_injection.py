@@ -7,6 +7,8 @@ mis-timed synchronisation must either raise the documented exceptions or
 degrade into bit errors — never return silently-wrong "successful" results.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -32,7 +34,7 @@ from repro.hardware.resources import ResourceUsage
 from repro.core.pilots import PilotProcessor
 from repro.sync.cfo import estimate_cfo_from_repetition
 from repro.sync.time_sync import TimeSynchronizer
-from repro.core.preamble import PreambleGenerator
+from repro.core.preamble import PreambleGenerator, burst_layout
 from repro.core.frame import ReceiveResult
 from repro.dsp.cordic import Cordic
 from repro.dsp.fft import fft
@@ -55,7 +57,6 @@ from repro.sim.queue import MultiprocessingQueue, make_queue
 from repro.stream import (
     DownlinkScheduler,
     PoissonTraffic,
-    StreamFrameDetector,
     StreamingReceiver,
 )
 from repro.stream.traffic import arrival_times
@@ -133,6 +134,34 @@ class TestCorruptedBursts:
         with pytest.raises(DecodingError):
             receiver.receive(burst.samples, n_info_bits=5000, lts_start=160)
 
+    @pytest.mark.parametrize(
+        "soft, scale",
+        [(False, 1e307), (True, 1e307), (True, 1e200)],
+        ids=["hard-fft-overflow", "soft-fft-overflow", "soft-llr-overflow"],
+    )
+    def test_overflowing_data_section_gives_up_alone(self, soft, scale):
+        # Finite samples whose data FFT overflows leave non-finite equalised
+        # symbols: hard decisions sliced them into garbage bits, and the
+        # soft decoder's refusal sank every burst of the stack.  Smaller
+        # symbols still overflow the soft demapper's LLRs.
+        config = TransceiverConfig(soft_decision=soft)
+        transmitter, receiver = MimoTransmitter(config), MimoReceiver(config)
+        payload = np.stack(
+            [transmitter.random_payload(256, np.random.default_rng(seed)) for seed in (1, 2)]
+        )
+        bad, clean = transmitter.transmit(payload)
+        overflowing = bad.samples.copy()
+        overflowing[:, bad.layout.data_start :] *= scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            outcomes = receiver.receive_stack([overflowing, clean.samples], 256, [160, 160])
+        assert isinstance(outcomes[0], DecodingError)
+        assert "finite" in str(outcomes[0])
+        (alone,) = receiver.receive_stack([clean.samples], 256, [160])
+        np.testing.assert_array_equal(outcomes[1].coded, alone.coded)
+        np.testing.assert_array_equal(outcomes[1].decoded_bits, alone.decoded_bits)
+        assert outcomes[1].total_bit_errors(clean.info_bits) == 0
+
 
 class TestConfigurationMismatches:
     def test_modulation_mismatch_causes_bit_errors(self):
@@ -159,13 +188,6 @@ class TestConfigurationMismatches:
             MimoReceiver(paper_config, timing_advance=100)
         with pytest.raises(ConfigurationError):
             MimoReceiver(paper_config, timing_advance=-1)
-
-
-def _detector(**overrides):
-    preamble = PreambleGenerator(64)
-    kwargs = dict(preamble=preamble, n_rx=4, frame_length=2000)
-    kwargs.update(overrides)
-    return StreamFrameDetector(**kwargs)
 
 
 def _identity_estimate(fft_size=64):
@@ -236,18 +258,15 @@ class _NanTraffic:
         lambda: DownlinkScheduler(n_users=2, n_info_bits=96.7),
         lambda: DownlinkScheduler(n_users=2, base_seed=-1),
         lambda: StreamingReceiver(n_info_bits=96.7),
-        lambda: MimoReceiver().frame_length(96.0),
-        lambda: MimoReceiver().frame_length(96.5),
+        lambda: burst_layout(TransceiverConfig(), 96.0),
+        lambda: burst_layout(TransceiverConfig(), 96.5),
+        lambda: burst_layout(TransceiverConfig(), np.array([96])),
         lambda: MimoReceiver().demodulate_stack([np.zeros((4, 2000))], 96.0),
         lambda: MimoReceiver().receive_stack([np.zeros((4, 2000))], 96.5),
         lambda: DownlinkScheduler(n_users=2, mode="fifo"),
         lambda: DownlinkScheduler(n_users=2, snr_db=float("nan")),
         lambda: DownlinkScheduler(n_users=2, mode="weighted", weights=[1.0]),
         lambda: DownlinkScheduler(n_users=2, mode="weighted", weights=[1.0, 0.0]),
-        lambda: _detector(n_rx=0),
-        lambda: _detector(frame_length=100),
-        lambda: _detector(n_rx=2.5),
-        lambda: _detector(frame_length=2000.7),
         lambda: SweepSpec(snr_db=(float("nan"),)),
         lambda: SweepSpec(snr_db=(20.0, float("inf"))),
         lambda: SweepSpec(channels=("rician",)),
@@ -376,7 +395,7 @@ class _NanTraffic:
         lambda: _pilots().correct_block(np.zeros(64, dtype=complex)),
         lambda: _pilots().correct_block(np.zeros((1, 32), dtype=complex)),
         lambda: estimate_cfo_from_repetition(np.zeros(64, dtype=complex), 0, 0, 2),
-        lambda: PreambleGenerator(64).layout(4).lts_slot_start(4),
+        lambda: burst_layout(TransceiverConfig(), 96).lts_slot_start(4),
         lambda: noise_variance_for_snr(10.0, signal_power=0.0),
         lambda: _two_points_per_snr().ber_curve(),
     ],
@@ -389,18 +408,15 @@ class _NanTraffic:
         "scheduler-fractional-info-bits",
         "scheduler-negative-seed",
         "streaming-receiver-fractional-info-bits",
-        "frame-length-float-info-bits",
-        "frame-length-fractional-info-bits",
+        "burst-layout-float-info-bits",
+        "burst-layout-fractional-info-bits",
+        "burst-layout-array-info-bits",
         "demodulate-float-info-bits",
         "receive-stack-fractional-info-bits",
         "scheduler-unknown-mode",
         "scheduler-nan-snr",
         "scheduler-weights-shape",
         "scheduler-zero-weight",
-        "detector-no-antennas",
-        "detector-frame-shorter-than-preamble",
-        "detector-fractional-antennas",
-        "detector-fractional-frame-length",
         "sweep-nan-snr",
         "sweep-infinite-snr",
         "sweep-unknown-channel",
@@ -548,8 +564,6 @@ def test_inconsistent_construction_raises_configuration_error(build):
         (lambda: TransceiverConfig(fft_size=np.int64(64)).fft_size, 64),
         (lambda: MimoReceiver(timing_advance=np.int64(1)).timing_advance, 1),
         (lambda: PreambleGenerator(np.int64(64)).fft_size, 64),
-        (lambda: _detector(n_rx=np.int64(2)).n_rx, 2),
-        (lambda: _detector(frame_length=np.int64(2000)).frame_length, 2000),
     ],
     ids=[
         "impairment-delay",
@@ -558,8 +572,6 @@ def test_inconsistent_construction_raises_configuration_error(build):
         "config-fft-size",
         "receiver-timing-advance",
         "preamble-fft-size",
-        "detector-antennas",
-        "detector-frame-length",
     ],
 )
 def test_integer_front_doors_store_numpy_integers_as_int(read_back, expected):

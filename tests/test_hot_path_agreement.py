@@ -1119,7 +1119,7 @@ def _assert_stack_equals_each_burst_alone(transmitter, stack):
             np.testing.assert_array_equal(burst.frequency_symbols, expected[1])
             np.testing.assert_array_equal(np.array(burst.coded_bits), np.array(expected[2]))
         np.testing.assert_array_equal(np.array(burst.info_bits), bits)
-        assert burst.n_ofdm_symbols == alone.n_ofdm_symbols
+        assert burst.layout.n_symbols == alone.layout.n_symbols
 
 
 class TestOracleLoopback:

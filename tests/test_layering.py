@@ -8,7 +8,9 @@ runtime ``sys.modules`` check cannot show this, because ``import repro``
 already loads ``repro.sim``; parsing each module's imports can.
 
 The same parse keeps the sweep's early-stopping rule in one place: in
-``repro.sim`` only ``spec.py`` reads ``target_errors``.
+``repro.sim`` only ``spec.py`` reads ``target_errors``; and the burst
+format: in ``repro`` only ``core/preamble.py`` builds a ``BurstLayout`` or
+sizes a code block with ``coded_length``.
 """
 
 import ast
@@ -96,5 +98,47 @@ def test_only_the_spec_reads_the_stop_target():
         for path in modules
         if path.name != "spec.py"
         for line in target_errors_reads(path)
+    ]
+    assert offending == []
+
+
+def burst_format_calls(path: Path) -> list:
+    """Line numbers where ``path`` calls ``BurstLayout(...)`` or a
+    ``coded_length(...)``.
+
+    Reading a layout's ``coded_length`` field, or passing it as a keyword,
+    is not a call.
+    """
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None))
+        in ("BurstLayout", "coded_length")
+    ]
+
+
+def test_burst_format_calls_skips_reads_and_keywords(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "layout = preamble.BurstLayout(coded_length=4)\n"
+        "n = code.coded_length(96)\n"
+        "m = layout.coded_length\n"
+        "values(coded_length=m)\n",
+        encoding="utf-8",
+    )
+    assert burst_format_calls(module) == [1, 2]
+
+
+def test_only_the_preamble_module_sizes_a_burst():
+    # The burst format lives in burst_layout; the transmitter, the receiver
+    # and the stream detector read its record instead of restating it.
+    modules = sorted(PACKAGE.rglob("*.py"))
+    assert modules
+    offending = [
+        f"{path.relative_to(PACKAGE)}:{line}"
+        for path in modules
+        if path != PACKAGE / "core" / "preamble.py"
+        for line in burst_format_calls(path)
     ]
     assert offending == []

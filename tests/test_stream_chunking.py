@@ -16,6 +16,7 @@ import pytest
 from repro.channel.fading import FlatRayleighChannel
 from repro.channel.model import MimoChannel
 from repro.core.config import TransceiverConfig
+from repro.core.preamble import burst_layout
 from repro.core.receiver import MimoReceiver
 from repro.core.transmitter import MimoTransmitter
 from repro.stream import StreamingReceiver
@@ -24,7 +25,8 @@ from repro.stream.detector import METRIC_TILE
 N_INFO_BITS = 256
 N_FRAMES = 3
 SNR_DB = 30.0
-FRAME_LENGTH = MimoReceiver(TransceiverConfig()).frame_length(N_INFO_BITS)
+LAYOUT = burst_layout(TransceiverConfig(), N_INFO_BITS)
+FRAME_LENGTH = LAYOUT.length
 CHUNK_SIZES = [
     1,
     7,
@@ -116,7 +118,7 @@ def test_a_frame_without_its_preamble_costs_only_that_frame(
     stream_and_reference, chunk_size
 ):
     stream, frames, offline, _ = stream_and_reference
-    preamble_length = MimoReceiver(TransceiverConfig()).preamble.layout(4).total_length
+    preamble_length = LAYOUT.preamble_length
     damaged = stream.copy()
     damaged[:, FRAME_LENGTH : FRAME_LENGTH + preamble_length] = 0.0
     decoded, pipeline = _decode_in_chunks(damaged, chunk_size)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.preamble import PreambleGenerator
+from repro.core.config import TransceiverConfig
+from repro.core.preamble import PreambleGenerator, burst_layout
 from repro.core.receiver import MimoReceiver
 from repro.core.transmitter import MimoTransmitter
 from repro.stream import StreamFrameDetector
@@ -29,14 +30,14 @@ def clean_frames(preamble):
     return bursts, bursts[0].shape[1]
 
 
-def _detector(preamble, frame_length):
-    return StreamFrameDetector(preamble=preamble, n_rx=4, frame_length=frame_length)
+def _detector(preamble):
+    return StreamFrameDetector(preamble, burst_layout(TransceiverConfig(), N_INFO_BITS))
 
 
 class TestDetection:
     def test_single_frame_single_push(self, preamble, clean_frames):
         bursts, frame_length = clean_frames
-        detector = _detector(preamble, frame_length)
+        detector = _detector(preamble)
         windows = detector.push(bursts[0])
         assert len(windows) == 1
         window = windows[0]
@@ -50,7 +51,7 @@ class TestDetection:
     def test_frame_straddling_many_pushes(self, preamble, clean_frames):
         bursts, frame_length = clean_frames
         stream = np.concatenate(bursts, axis=1)
-        detector = _detector(preamble, frame_length)
+        detector = _detector(preamble)
         windows = []
         for offset in range(0, stream.shape[1], 100):
             windows.extend(detector.push(stream[:, offset : offset + 100]))
@@ -62,29 +63,28 @@ class TestDetection:
     def test_idle_gap_between_frames(self, preamble, clean_frames):
         bursts, frame_length = clean_frames
         gap = np.zeros((4, 500), dtype=np.complex128)
-        detector = _detector(preamble, frame_length)
+        detector = _detector(preamble)
         windows = detector.push(np.concatenate([bursts[0], gap, bursts[1]], axis=1))
         windows += detector.flush()
         assert [w.start for w in windows] == [0, frame_length + 500]
 
     def test_delayed_frame_start(self, preamble, clean_frames):
-        bursts, frame_length = clean_frames
+        bursts, _ = clean_frames
         delay = 777
         lead_in = np.zeros((4, delay), dtype=np.complex128)
-        detector = _detector(preamble, frame_length)
+        detector = _detector(preamble)
         windows = detector.push(np.concatenate([lead_in, bursts[0]], axis=1))
         windows += detector.flush()
         assert len(windows) == 1
         assert windows[0].start == delay
         np.testing.assert_array_equal(windows[0].samples, bursts[0])
 
-    def test_noise_only_stream_detects_nothing(self, preamble, clean_frames):
-        _, frame_length = clean_frames
+    def test_noise_only_stream_detects_nothing(self, preamble):
         rng = np.random.default_rng(3)
         noise = 0.1 * (
             rng.normal(size=(4, 6000)) + 1j * rng.normal(size=(4, 6000))
         )
-        detector = _detector(preamble, frame_length)
+        detector = _detector(preamble)
         assert detector.push(noise) == []
         assert detector.flush() == []
         assert detector.frames_emitted == 0
@@ -93,7 +93,7 @@ class TestDetection:
         self, preamble, clean_frames
     ):
         bursts, frame_length = clean_frames
-        detector = _detector(preamble, frame_length)
+        detector = _detector(preamble)
         windows = detector.push(bursts[0][:, : frame_length - 200])
         windows += detector.flush()
         assert windows == []
@@ -101,7 +101,7 @@ class TestDetection:
 
     def test_reset_restarts_stream_positions(self, preamble, clean_frames):
         bursts, frame_length = clean_frames
-        detector = _detector(preamble, frame_length)
+        detector = _detector(preamble)
         assert detector.push(bursts[0])[0].start == 0
         detector.reset()
         assert detector.samples_in == 0
@@ -115,7 +115,7 @@ class TestSearchDrivenMetric:
     ):
         bursts, frame_length = clean_frames
         stream = np.concatenate(bursts * 3, axis=1)
-        detector = _detector(preamble, frame_length)
+        detector = _detector(preamble)
         positions = []
         metric = detector.synchronizer.metric
 
@@ -152,7 +152,7 @@ class TestSearchDrivenMetric:
         expected = receiver.receive(bursts[1], N_INFO_BITS).decoded_bits
         outcomes = []
         for step in (1, 63, 300, stream.shape[1]):
-            detector = _detector(preamble, frame_length)
+            detector = _detector(preamble)
             windows = []
             for offset in range(0, stream.shape[1], step):
                 windows.extend(detector.push(stream[:, offset : offset + step]))
@@ -170,23 +170,16 @@ class TestSearchDrivenMetric:
 
 
 class TestValidation:
-    def test_chunk_shape_mismatch_rejected(self, preamble, clean_frames):
-        _, frame_length = clean_frames
-        detector = _detector(preamble, frame_length)
+    def test_chunk_shape_mismatch_rejected(self, preamble):
+        detector = _detector(preamble)
         with pytest.raises(ValueError):
             detector.push(np.zeros((3, 10), dtype=complex))
 
-    def test_frame_shorter_than_preamble_rejected(self, preamble):
-        with pytest.raises(ValueError):
-            _detector(preamble, frame_length=100)
-
     def test_single_antenna_accepts_1d_chunks(self, preamble):
-        layout_length = preamble.layout(1).total_length
-        detector = StreamFrameDetector(
-            preamble=preamble,
-            n_rx=1,
-            frame_length=layout_length + 80,
-        )
+        # One information bit: a 320-sample preamble and a 96-sample frame tail.
+        layout = burst_layout(TransceiverConfig(n_antennas=1), 1)
+        assert layout.length == layout.preamble_length + 96
+        detector = StreamFrameDetector(preamble, layout)
         samples = np.concatenate(
             [preamble.mimo_preamble(1)[0], np.zeros(200, dtype=complex)]
         )

@@ -181,7 +181,7 @@ class TestMimoPreambleDetection:
         # the detector locks on the slot-0 boundary even in the 4-antenna
         # staggered preamble.
         waveform = preamble.mimo_preamble(4)[0]
-        assert _synchronizer(preamble).locate(waveform) == preamble.layout(4).lts_slot_start(0)
+        assert _synchronizer(preamble).locate(waveform) == preamble.sts_time().size
 
 
 class TestSerialOracle:
