@@ -84,7 +84,8 @@ def deliver_payload(
     (re)transmission swaps in a fresh fading realisation — the block-fading
     assumption the per-burst preamble is designed for — and its received
     samples are pushed into the *continuous* stream the frame detector
-    watches.  A frame the detector never finds, a decode give-up, or a
+    watches, and the pipeline is drained after each push, so every frame's
+    verdict is in before the next transmission.  A frame the detector never finds, a decode give-up, or a
     decode with residual bit errors all trigger the same retransmission.
     """
     transmitter_rng = np.random.default_rng(seed)
@@ -121,7 +122,10 @@ def deliver_payload(
             # Every frame occupies the air for its full duration — including
             # frames the receiver fails to find.
             air_time_s += burst.duration_s
+            # Stop-and-wait: the verdict on this frame decides what goes on
+            # air next, so decode it now rather than wait for a full slice.
             decoded = pipeline.push(channel.transmit(burst.samples).samples)
+            decoded += pipeline.drain()
             delivered_ok = any(
                 frame.ok
                 and all(

@@ -133,7 +133,12 @@ class PilotProcessor:
 
         # Apply the incrementing per-subcarrier correction.
         logical = self._logical_index_vector()
-        symbols = symbols * np.exp(-1j * tau[..., None] * logical)
+        # Named, not a temporary: numpy reuses a temporary operand of 256 KiB
+        # or more as the output, which swaps this product's operands, and
+        # its complex multiply is not bitwise commutative, so a tall stack
+        # would round differently from each of its bursts alone.
+        rotation = np.exp(-1j * tau[..., None] * logical)
+        symbols = symbols * rotation
         magnitude = np.where(zero, 0.0, np.mean(np.abs(measured), axis=-1))
         return symbols, PilotBlockCorrection(
             common_phase=common_phase, tau=tau, pilot_magnitude=magnitude

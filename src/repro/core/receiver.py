@@ -35,9 +35,11 @@ trellis pass; :meth:`MimoReceiver.decode_stack` decodes the blocks of a
 list of front-end outcomes in one call and extends each
 :class:`~repro.core.frame.FrontEndResult` to its
 :class:`~repro.core.frame.ReceiveResult`.  :meth:`MimoReceiver.receive_stack`
-composes the three stages: the streaming pipeline runs every frame window
-one push detects through it.  A burst that gives up comes back as its own
-:class:`~repro.exceptions.DecodingError` slot.
+composes the three stages.  The streaming pipeline runs them at two
+heights: the front end over every frame window one push detects, and the
+decode over a full :data:`DECODE_SLICE` of queued frames.  A burst that
+gives up comes back as its own :class:`~repro.exceptions.DecodingError`
+slot.
 :meth:`MimoReceiver.receive` is the one-burst call, and the only one that
 raises that error instead.
 
@@ -76,7 +78,9 @@ from repro.types import ComplexArray
 
 #: Most code blocks one trellis pass decodes: :meth:`MimoReceiver.decode`
 #: runs a taller stack in passes of this many rows, so the ACS buffers stay
-#: bounded however many bursts a caller stacks.
+#: bounded however many bursts a caller stacks.  A pass costs per trellis
+#: step, not per row, so the streaming pipeline queues frames until they
+#: fill a slice (16 frames at 4x4); taller passes measured slower.
 DECODE_SLICE = 64
 
 

@@ -34,12 +34,10 @@ from repro.dsp.cordic import Cordic
 from repro.exceptions import ConfigurationError
 from repro.mimo.matrix import hermitian
 
-_atan2 = np.frompyfunc(math.atan2, 2, 1)
-
-
 def _angles(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Elementwise ``math.atan2`` (``np.arctan2`` rounds differently)."""
-    return _atan2(y, x).astype(np.float64)
+    """Elementwise ``math.atan2`` of two 1-D arrays (``np.arctan2`` rounds
+    differently)."""
+    return np.fromiter(map(math.atan2, y.tolist(), x.tolist()), np.float64, y.size)
 
 
 def _angle(cordic: Optional[Cordic], x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -61,45 +59,43 @@ def _polar(
 
 def _rotate(
     cordic: Optional[Cordic],
-    stack: np.ndarray,
+    work: np.ndarray,
     col: int,
     row: int,
     theta_b: np.ndarray,
     theta_1: np.ndarray,
 ) -> None:
-    """Internal cells: apply one Givens step to every matrix of ``stack`` in place.
+    """Internal cells: apply one Givens step to every matrix of ``work`` in place.
 
-    ``stack`` has shape ``(k, n, m)`` and the angles shape ``(k,)``: the
-    phase ``theta_b`` comes off row ``row``, then the real rotation
-    ``theta_1`` acts on rows ``col`` and ``row`` together.  With
-    ``col == row`` the row is rotated against itself and keeps the second
-    output.  In floating point the phase product stays a complex array
-    multiply: spelt out in real arithmetic it rounds differently.
+    ``work`` has shape ``(n, m, k)``, the matrix index innermost, and the
+    angles shape ``(k,)``: the phase ``theta_b`` comes off row ``row``,
+    then the real rotation ``theta_1`` acts on rows ``col`` and ``row``
+    together.  Each row operation is one contiguous pass over all ``k``
+    matrices.  With ``col == row`` the row is rotated against itself and
+    keeps the second output.  In floating point the phase product stays a
+    complex array multiply: spelt out in real arithmetic it rounds
+    differently.
     """
     if cordic is None:
-        phase = np.exp(-1j * theta_b)[:, None]
-        stack[:, row, :] = stack[:, row, :] * phase
-        c = np.cos(theta_1)[:, None]
-        s = np.sin(theta_1)[:, None]
-        upper = stack[:, col, :].copy()
-        lower = stack[:, row, :].copy()
-        stack[:, col, :] = c * upper + s * lower
-        stack[:, row, :] = -s * upper + c * lower
+        work[row] *= np.exp(-1j * theta_b)
+        c = np.cos(theta_1)
+        s = np.sin(theta_1)
+        upper, lower = work[col], work[row]
+        work[col], work[row] = c * upper + s * lower, -s * upper + c * lower
         return
     # Real and imaginary parts are written separately, like the scalar
     # ``complex(x, y)``: ``x + 1j * y`` can flip the sign of a zero.
-    lower = stack[:, row, :]
-    phase = cordic.rotate(lower.real, lower.imag, -theta_b[:, None])
-    stack.real[:, row, :] = phase.x
-    stack.imag[:, row, :] = phase.y
-    upper = stack[:, col, :]
-    lower = stack[:, row, :]
-    real = cordic.rotate(upper.real, lower.real, -theta_1[:, None])
-    imag = cordic.rotate(upper.imag, lower.imag, -theta_1[:, None])
-    stack.real[:, col, :] = real.x
-    stack.imag[:, col, :] = imag.x
-    stack.real[:, row, :] = real.y
-    stack.imag[:, row, :] = imag.y
+    lower = work[row]
+    phase = cordic.rotate(lower.real, lower.imag, -theta_b)
+    lower.real = phase.x
+    lower.imag = phase.y
+    upper = work[col]
+    real = cordic.rotate(upper.real, lower.real, -theta_1)
+    imag = cordic.rotate(upper.imag, lower.imag, -theta_1)
+    upper.real = real.x
+    upper.imag = imag.x
+    lower.real = real.y
+    lower.imag = imag.y
 
 
 def qr_decompose_givens(
@@ -126,27 +122,28 @@ def qr_decompose_givens(
         raise ConfigurationError("expected a square matrix or a stack of them")
     stack = h.reshape((-1,) + h.shape[-2:])
     k, n = stack.shape[0], stack.shape[-1]
-    # R and Q^H side by side: every rotation acts on the same rows of both.
-    work = np.concatenate(
-        [stack, np.broadcast_to(np.eye(n, dtype=np.complex128), stack.shape)], axis=2
-    )
+    # R and Q^H side by side, shape (n, 2n, k): every rotation acts on the
+    # same rows of both, and each row is one contiguous run over the stack.
+    work = np.empty((n, 2 * n, k), dtype=np.complex128)
+    work[:, :n] = stack.transpose(1, 2, 0)
+    work[:, n:] = np.eye(n)[:, :, None]
     no_rotation = np.zeros(k)
 
     for col in range(n):
         # First make the diagonal element real and non-negative: the boundary
         # cell's stored value is a magnitude.
-        diag = work[:, col, col]
+        diag = work[col, col]
         theta_diag = _angle(cordic, diag.real, diag.imag)
         _rotate(cordic, work, col, col, theta_diag, no_rotation)
         for row in range(col + 1, n):
-            element = work[:, row, col]
+            element = work[row, col]
             theta_b, magnitude = _polar(cordic, element.real, element.imag)
-            theta_1 = _angle(cordic, work[:, col, col].real, magnitude)
+            theta_1 = _angle(cordic, work[col, col].real, magnitude)
             _rotate(cordic, work, col, row, theta_b, theta_1)
-    r = work[:, :, :n]
     # Clean numerically-zero subdiagonal residue.
-    r[:, np.tril(np.ones((n, n), dtype=bool), k=-1)] = 0.0
-    q = hermitian(work[:, :, n:])
+    work[:, :n][np.tril(np.ones((n, n), dtype=bool), k=-1)] = 0.0
+    r = work[:, :n].transpose(2, 0, 1)
+    q = hermitian(work[:, n:].transpose(2, 0, 1))
     if h.ndim == 2:
         return q[0], r[0]
     return q, r

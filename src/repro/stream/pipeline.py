@@ -2,22 +2,39 @@
 
 :class:`StreamingReceiver` glues the rolling-buffer
 :class:`~repro.stream.detector.StreamFrameDetector` to the existing
-vectorised burst datapath: every frame window the detector emits during
-one :meth:`~StreamingReceiver.push` goes through one
-:meth:`~repro.core.receiver.MimoReceiver.receive_stack` call with the
-detected LTS start trusted, so the whole push shares one stacked front end
-(CFO correction, staggered-LTS channel estimation, one FFT and detection
-pass) and one Viterbi trellis pass.  Because detection is chunk-invariant
-and every burst of a stack decodes exactly as it would alone, a stream fed
-in chunks of any size decodes bit-exactly like the one-shot burst loop.
-The detector builds its :class:`~repro.sync.time_sync.TimeSynchronizer`
-from the receiver's preamble, so the stream and burst paths share one
-detection metric, and the receiver trusts the detector's lock instead of
-synchronising each window again.
+vectorised burst datapath in two stages of different height:
+
+* **front end, once per push.**  Every frame window the detector emits
+  during one :meth:`~StreamingReceiver.push` goes through one
+  :meth:`~repro.core.receiver.MimoReceiver.demodulate_stack` and one
+  :meth:`~repro.core.receiver.MimoReceiver.detect_stack` call with the
+  detected LTS start trusted: one stacked CFO correction, staggered-LTS
+  channel estimate, FFT, detection, demap and de-interleave pass.  Each
+  frame then waits in a queue with its front-end outcome.
+* **decode, once per full slice.**  A trellis pass costs per step, not
+  per row, so the queue decodes only when it holds
+  :data:`~repro.core.receiver.DECODE_SLICE` code-block rows (16 frames at
+  4x4): one :meth:`~repro.core.receiver.MimoReceiver.decode_stack` over
+  the longest in-order prefix of at most that many rows.  A frame the
+  front end gave up on has no rows and leaves with its neighbours.
+
+So :meth:`~StreamingReceiver.push` returns the frames decoded so far, in
+stream order, and may return a frame up to one slice after the push that
+completed it.  :meth:`~StreamingReceiver.drain` decodes the queue now, for
+stop-and-wait callers that need each frame's verdict before sending the
+next, and :meth:`~StreamingReceiver.flush` ends the stream: the detector's
+flush, then a drain.  Because detection is chunk-invariant and every
+burst of a stack decodes exactly as it would alone, a stream fed in chunks
+of any size, and drained at any points, decodes bit-exactly like the
+one-shot burst loop.  The detector builds its
+:class:`~repro.sync.time_sync.TimeSynchronizer` from the receiver's
+preamble, so the stream and burst paths share one detection metric, and
+the receiver trusts the detector's lock instead of synchronising each
+window again.
 
 A frame the receiver gives up on — a non-finite sample, a rank-deficient
 channel estimate — comes back as a :class:`DecodedFrame` that is not
-``ok`` and counts in ``frames_lost``; the rest of its push and the stream
+``ok`` and counts in ``frames_lost``; the rest of its slice and the stream
 go on.  The downlink scheduler scores frames with the sweep's per-burst
 rule (:meth:`~repro.core.frame.BurstOutcome.score`), so its loss rate is
 a frame error rate like sweep PER.
@@ -25,14 +42,15 @@ a frame error rate like sweep PER.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import List, Optional, Union
+from typing import Deque, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.frame import ReceiveResult
+from repro.core.frame import FrontEndResult, ReceiveResult
 from repro.core.preamble import burst_layout
-from repro.core.receiver import MimoReceiver
+from repro.core.receiver import DECODE_SLICE, MimoReceiver
 from repro.exceptions import DecodingError, integer_at_least
 from repro.stream.detector import FrameWindow, StreamFrameDetector
 
@@ -61,6 +79,11 @@ class DecodedFrame:
         return not isinstance(self.outcome, DecodingError)
 
 
+def _rows(front: Union[FrontEndResult, DecodingError]) -> int:
+    """Code-block rows a front-end outcome adds to a trellis pass."""
+    return front.coded.shape[0] if isinstance(front, FrontEndResult) else 0
+
+
 class StreamingReceiver:
     """Receive a continuous multi-antenna stream of fixed-size frames.
 
@@ -76,7 +99,9 @@ class StreamingReceiver:
         decode a SIGNAL field instead).
 
     Every frame decodes with noise variance 1.0 for the soft demapper and
-    the MMSE weights, the receiver's default.
+    the MMSE weights, the receiver's default.  ``frames_detected``,
+    ``frames_decoded`` and ``frames_lost`` count the frames :meth:`push`,
+    :meth:`drain` and :meth:`flush` have returned, not those still queued.
     """
 
     def __init__(
@@ -89,30 +114,78 @@ class StreamingReceiver:
         #: The frames' geometry: the detector cuts ``layout.length`` samples.
         self.layout = burst_layout(self.receiver.config, self.n_info_bits)
         self.detector = StreamFrameDetector(self.receiver.preamble, self.layout)
+        # Detected frames past the front end, waiting for a full trellis
+        # slice, and their code-block rows.
+        self._queue: Deque[Tuple[FrameWindow, Union[FrontEndResult, DecodingError]]] = deque()
+        self._queued_rows = 0
         self.frames_detected = 0
         self.frames_decoded = 0
         self.frames_lost = 0
 
     # ------------------------------------------------------------------
     def push(self, chunk: np.ndarray) -> List[DecodedFrame]:
-        """Consume one stream chunk; decode and return any completed frames."""
-        return self._decode(self.detector.push(chunk))
+        """Consume one stream chunk; return the frames decoded so far, in
+        stream order.
+
+        The chunk's completed frames go through the front end now; they
+        decode once the queue fills a :data:`DECODE_SLICE`, so a frame may
+        come back from a later push (or :meth:`drain`, or :meth:`flush`).
+        """
+        self._front_end(self.detector.push(chunk))
+        decoded: List[DecodedFrame] = []
+        while self._queued_rows >= DECODE_SLICE:
+            decoded += self._decode_slice()
+        return decoded
+
+    def drain(self) -> List[DecodedFrame]:
+        """Decode every queued frame now, without waiting for a full slice:
+        for a caller that needs a frame's verdict before it sends the next."""
+        decoded: List[DecodedFrame] = []
+        while self._queue:
+            decoded += self._decode_slice()
+        return decoded
 
     def flush(self) -> List[DecodedFrame]:
-        """End of stream: decode whatever the detector can still emit."""
-        return self._decode(self.detector.flush())
+        """End of stream: the detector's flush, then :meth:`drain`."""
+        self._front_end(self.detector.flush())
+        return self.drain()
 
     # ------------------------------------------------------------------
-    def _decode(self, windows: List[FrameWindow]) -> List[DecodedFrame]:
-        """Decode every window of one push through one stacked receive pass."""
-        outcomes = self.receiver.receive_stack(
+    def _front_end(self, windows: List[FrameWindow]) -> None:
+        """Queue every window of one push with its stacked front-end outcome."""
+        if not windows:
+            return
+        demodulated = self.receiver.demodulate_stack(
             [window.samples for window in windows],
             self.n_info_bits,
             [window.lts_offset for window in windows],
         )
+        for window, front in zip(windows, self.receiver.detect_stack(demodulated)):
+            self._queue.append((window, front))
+            self._queued_rows += _rows(front)
+
+    def _decode_slice(self) -> List[DecodedFrame]:
+        """Decode the longest queued prefix of at most :data:`DECODE_SLICE`
+        rows in one trellis pass; a give-up has no rows and leaves with its
+        neighbours."""
+        windows: List[FrameWindow] = []
+        fronts: List[Union[FrontEndResult, DecodingError]] = []
+        rows = 0
+        while self._queue:
+            window, front = self._queue[0]
+            height = _rows(front)
+            if rows and rows + height > DECODE_SLICE:
+                break  # (a frame taller than a slice would go alone)
+            self._queue.popleft()
+            windows.append(window)
+            fronts.append(front)
+            rows += height
+        self._queued_rows -= rows
         frames = [
             DecodedFrame(window=window, outcome=outcome)
-            for window, outcome in zip(windows, outcomes)
+            for window, outcome in zip(
+                windows, self.receiver.decode_stack(fronts, self.n_info_bits)
+            )
         ]
         # The receiver giving up loses the frame; the stream goes on.
         decoded = sum(frame.ok for frame in frames)

@@ -27,10 +27,12 @@ frames, not on noise between them.  The air clock needs only each
 frame's length (``frame_length`` plus the impairment's ``sample_delay``),
 so a run first plans every frame's slot on it without any physics, then
 puts the frames on air in groups of :data:`FRAMES_PER_PUSH`: one stacked
-transmit pass per group, after which the receiver decodes the group's
-frames in one stacked pass: eight 4x4 frames per group make those
-passes 32 code blocks deep, which pays their per-call cost once per
-eight frames.
+transmit pass per group, whose samples the receiver takes as one push.
+It runs the group's front end in one stacked pass and decodes two
+groups' frames per trellis pass (64 code blocks at 4x4), so a frame may
+come back from a later push than its own, and the final flush returns the
+rest.  Only the group's reference bits and its samples outlive the
+transmit pass: a push never holds the group's transmitted bursts.
 
 Determinism: every (user, frame) derives payload, fading and noise streams
 from :func:`stream_frame_seed`, split by
@@ -70,12 +72,13 @@ _ARRIVAL_TAG = 0xA221
 _STREAM_TAG = 0x57EA
 
 #: Served frames that go on air in one stacked transmit pass and into the
-#: receive stream as one chunk: the receiver decodes a push's frames in one
+#: receive stream as one chunk: the receiver runs a push's front end in one
 #: stacked pass, so a group amortises both passes' per-call cost while
-#: keeping the buffered samples bounded.  Eight 4x4 frames make a 32-row
-#: trellis pass, half a ``DECODE_SLICE``.  The detector is chunk-invariant
-#: and latency lives on the air clock, so the grouping changes no report
-#: field but the wall-clock ones.
+#: keeping the buffered samples bounded.  Eight 4x4 frames fill half a
+#: ``DECODE_SLICE``, so the receiver decodes every second push; 16-frame
+#: groups reach the same trellis height but raise peak memory.  The
+#: detector is chunk-invariant and latency lives on the air clock, so the
+#: grouping changes no report field but the wall-clock ones.
 FRAMES_PER_PUSH = 8
 
 
@@ -324,7 +327,12 @@ class DownlinkScheduler:
                 self.n_info_bits,
             )
             references.extend(air.burst.info_bits for air in sent)
-            settle(self.pipeline.push(np.concatenate([air.samples for air in sent], axis=1)))
+            chunk = np.concatenate([air.samples for air in sent], axis=1)
+            # The group's transmitted bursts and per-frame channel outputs
+            # need not outlive its chunk: the push would hold them through
+            # its decode.
+            del sent
+            settle(self.pipeline.push(chunk))
         settle(self.pipeline.flush())
         for slot in slots[settled:]:
             users[slot.user].frames_lost += 1

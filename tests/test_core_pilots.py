@@ -134,3 +134,15 @@ class TestPhaseCorrection:
         corrected, (common_phase, _, _) = _correct(processor, rotated, index)
         np.testing.assert_allclose(corrected, symbol, atol=1e-6)
         assert common_phase == pytest.approx(0.9, abs=1e-6)
+
+    def test_tall_stack_corrects_each_burst_as_alone(self, processor):
+        # 40 bursts of 4 streams x 3 symbols: 480 KiB, past the size from
+        # which numpy reuses a temporary operand as the output.
+        rng = np.random.default_rng(8)
+        shape = (40, 4, 3, 64)
+        stack = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        corrected, diag = processor.correct_block(stack)
+        for burst in (0, 17, 39):
+            alone, alone_diag = processor.correct_block(stack[burst : burst + 1])
+            np.testing.assert_array_equal(corrected[burst], alone[0])
+            np.testing.assert_array_equal(diag.tau[burst], alone_diag.tau[0])

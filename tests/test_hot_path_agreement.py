@@ -283,18 +283,62 @@ def _random_stack(k, n, rng):
     return scale * (rng.normal(size=(k, n, n)) + 1j * rng.normal(size=(k, n, n)))
 
 
+def _bits(values):
+    """The float64 bit patterns of real or complex ``values``."""
+    array = np.ascontiguousarray(values)
+    if np.iscomplexobj(array):
+        array = array.view(np.float64)
+    return np.asarray(array, dtype=np.float64).view(np.uint64)
+
+
+def _assert_same_bits(actual, expected):
+    """Equal bit patterns, so -0.0 and +0.0 differ."""
+    np.testing.assert_array_equal(_bits(actual), _bits(expected))
+
+
+def _signed_zeros(shape, rng):
+    """Zeros whose real and imaginary signs are drawn at random."""
+    zeros = np.empty(shape, dtype=np.complex128)
+    zeros.real = np.copysign(0.0, rng.choice([-1.0, 1.0], size=shape))
+    zeros.imag = np.copysign(0.0, rng.choice([-1.0, 1.0], size=shape))
+    return zeros
+
+
+def _zero_edge_stack(n, rng):
+    """Matrices whose angles meet zeros, where ``math.atan2(±0, ±0)`` picks
+    ``±0`` or ``±pi``: zeros of either sign, a random matrix with half its
+    entries such zeros, an upper-triangular matrix and the identity."""
+    sparse = _random_stack(1, n, rng)[0]
+    holes = rng.random((n, n)) < 0.5
+    sparse[holes] = _signed_zeros((n, n), rng)[holes]
+    return np.stack(
+        [
+            _signed_zeros((n, n), rng),
+            sparse,
+            np.triu(_random_stack(1, n, rng)[0]),
+            np.eye(n, dtype=np.complex128),
+        ]
+    )
+
+
+#: Matrices in one push of the stream's front end: eight frames of 52
+#: data and pilot subcarriers.
+STREAM_STACK = 416
+
+
 class TestStackedQrAgreement:
     """Stacked Givens QR and back substitution vs the per-matrix reference."""
 
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_stacked_qr_equals_per_matrix_reference(self, n):
         rng = np.random.default_rng(60 + n)
-        stack = _random_stack(200, n, rng)
+        edges = _zero_edge_stack(n, rng)
+        stack = np.concatenate([edges, _random_stack(STREAM_STACK - len(edges), n, rng)])
         q, r = qr_decompose_givens(stack)
         for k in range(stack.shape[0]):
             q_ref, r_ref = qr_givens_serial(stack[k])
-            np.testing.assert_array_equal(q[k], q_ref)
-            np.testing.assert_array_equal(r[k], r_ref)
+            _assert_same_bits(q[k], q_ref)
+            _assert_same_bits(r[k], r_ref)
 
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_single_matrix_equals_reference(self, n):
@@ -343,28 +387,18 @@ _turn = st.one_of(
 )
 
 
-def _bits(values):
-    """The float64 bit patterns of real or complex ``values``."""
-    array = np.ascontiguousarray(values)
-    if np.iscomplexobj(array):
-        array = array.view(np.float64)
-    return np.asarray(array, dtype=np.float64).view(np.uint64)
-
-
-def _assert_same_bits(actual, expected):
-    """Equal bit patterns, so -0.0 and +0.0 differ."""
-    np.testing.assert_array_equal(_bits(actual), _bits(expected))
-
-
 def _cordic_edge_stack(n, rng):
     """Random matrices plus a negative or imaginary diagonal, a zero first
-    column and the identity."""
+    column and the zero edge cases, the identity among them."""
     mixed_diagonal = _random_stack(1, n, rng)[0]
     mixed_diagonal[np.diag_indices(n)] = [(-2.0, 1.5j)[i % 2] for i in range(n)]
     zero_column = _random_stack(1, n, rng)[0]
     zero_column[:, 0] = 0.0
-    return np.stack(
-        [_random_stack(1, n, rng)[0], mixed_diagonal, zero_column, np.eye(n)]
+    return np.concatenate(
+        [
+            np.stack([_random_stack(1, n, rng)[0], mixed_diagonal, zero_column]),
+            _zero_edge_stack(n, rng),
+        ]
     )
 
 
@@ -399,12 +433,19 @@ class TestStackedCordicAgreement:
     @pytest.mark.parametrize("iterations", CORDIC_ITERATIONS)
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_stacked_qr_equals_per_matrix_reference(self, n, iterations, fmt):
-        stack = _cordic_edge_stack(n, np.random.default_rng(110 + n))
-        q, r = qr_decompose_givens(stack, cordic=Cordic(iterations, fixed_format=fmt))
-        for k in range(stack.shape[0]):
-            q_ref, r_ref = qr_cordic_serial(
-                stack[k], CordicSerial(iterations, fixed_format=fmt)
-            )
+        edges = _cordic_edge_stack(n, np.random.default_rng(110 + n))
+        # A stream-sized stack cycling through the edge cases: the scalar
+        # reference runs once per distinct matrix.
+        cycle = np.arange(STREAM_STACK) % len(edges)
+        q, r = qr_decompose_givens(
+            edges[cycle], cordic=Cordic(iterations, fixed_format=fmt)
+        )
+        reference = [
+            qr_cordic_serial(matrix, CordicSerial(iterations, fixed_format=fmt))
+            for matrix in edges
+        ]
+        for k, edge in enumerate(cycle):
+            q_ref, r_ref = reference[edge]
             _assert_same_bits(q[k], q_ref)
             _assert_same_bits(r[k], r_ref)
 

@@ -66,13 +66,15 @@ def test_real_arithmetic_product_equals_scalar_multiply(complex_pair):
 
 
 def test_broadcast_phase_multiply_equals_row_times_scalar(complex_pair):
-    # Stacked QR: rows (k, m) times one phase per matrix, against the
+    # Stacked QR: one row of every matrix, (m, k) with the matrix index
+    # innermost, times one phase per matrix in place, against the
     # per-matrix row times a numpy complex scalar.
     a, b = complex_pair
-    rows = a.reshape(-1, 8)
-    phases = b[: rows.shape[0]]
-    expected = np.array([row * phase for row, phase in zip(rows, phases)])
-    np.testing.assert_array_equal(rows * phases[:, None], expected)
+    rows = a.reshape(8, -1).copy()
+    phases = b[: rows.shape[1]]
+    expected = np.array([row * phase for row, phase in zip(rows.T, phases)]).T
+    rows *= phases
+    np.testing.assert_array_equal(rows, expected)
 
 
 def test_cos_and_sin_equal_math(complex_pair):

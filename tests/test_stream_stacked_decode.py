@@ -12,6 +12,7 @@ a lost frame, not a numpy warning or a NaN detection metric.
 
 import dataclasses
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ import repro.stream.scheduler as scheduler_module
 from repro.channel.fading import FlatRayleighChannel
 from repro.channel.model import MimoChannel
 from repro.core.config import TransceiverConfig
-from repro.core.receiver import MimoReceiver
+from repro.core.preamble import burst_layout
+from repro.core.receiver import DECODE_SLICE, MimoReceiver
 from repro.core.transmitter import MimoTransmitter
 from repro.exceptions import DecodingError
 from repro.sim.spec import ImpairmentSpec
@@ -105,6 +107,8 @@ def _frame_summary(frames):
             frame.ok,
             None if frame.ok else str(frame.outcome),
             frame.outcome.decoded_bits.tolist() if frame.ok else None,
+            frame.outcome.equalized.tobytes() if frame.ok else None,
+            frame.outcome.lts_start if frame.ok else None,
         )
         for frame in frames
     ]
@@ -129,6 +133,98 @@ def test_one_push_of_many_frames_equals_one_push_per_frame():
     assert [frame.ok for frame in together] == [True, True, False, True, True]
     assert _frame_summary(together) == _frame_summary(apart)
     assert (grouped.frames_decoded, grouped.frames_lost) == (4, 1)
+
+
+N_STREAM_FRAMES = 40
+
+
+@pytest.fixture(scope="module")
+def forty_frames():
+    """Forty back-to-back 4x4 frames: 160 code-block rows."""
+    return _received_frames(TransceiverConfig(), N_STREAM_FRAMES, seed=61)
+
+
+def _stream_in_pushes(frames, per_push):
+    """Push ``frames`` ``per_push`` at a time, then flush; every frame returned."""
+    pipeline = StreamingReceiver(MimoReceiver(TransceiverConfig()), n_info_bits=N_INFO_BITS)
+    decoded = []
+    for first in range(0, len(frames), per_push):
+        decoded += pipeline.push(np.concatenate(frames[first : first + per_push], axis=1))
+    return decoded + pipeline.flush(), pipeline
+
+
+def test_stream_decodes_in_full_height_trellis_passes(monkeypatch, forty_frames):
+    # Eight 4x4 frames fill half a slice, so pushes pair up into 64-row
+    # passes, and the flush decodes the 32 rows left.
+    calls = _count_decodes(monkeypatch)
+    decoded, pipeline = _stream_in_pushes(forty_frames, 8)
+    assert calls == [DECODE_SLICE, DECODE_SLICE, 32]
+    assert len(decoded) == N_STREAM_FRAMES
+    assert (pipeline.frames_detected, pipeline.frames_decoded) == (N_STREAM_FRAMES,) * 2
+
+
+def test_push_size_changes_no_frame(forty_frames):
+    summaries = [
+        _frame_summary(_stream_in_pushes(forty_frames, per_push)[0])
+        for per_push in (1, 8, N_STREAM_FRAMES)
+    ]
+    assert len(summaries[0]) == N_STREAM_FRAMES
+    assert summaries[1] == summaries[0]
+    assert summaries[2] == summaries[0]
+
+
+def test_frame_without_preamble_is_lost_alone(forty_frames):
+    layout = burst_layout(TransceiverConfig(), N_INFO_BITS)
+    frames = [frame.copy() for frame in forty_frames]
+    frames[21][:, : layout.preamble_length] = 0.0
+    clean = _frame_summary(_stream_in_pushes(forty_frames, 8)[0])
+    decoded, pipeline = _stream_in_pushes(frames, 8)
+    lost_start = 21 * layout.length
+    assert _frame_summary(decoded) == [frame for frame in clean if frame[0] != lost_start]
+    assert (pipeline.frames_detected, pipeline.frames_lost) == (N_STREAM_FRAMES - 1, 0)
+
+
+def test_drain_decodes_a_lone_frame_now():
+    # The stop-and-wait contract: a frame pushed alone waits for a full
+    # slice, and drain() hands it back decoded without one.
+    config = TransceiverConfig()
+    (frame,) = _received_frames(config, 1, seed=71, snr_db=30.0)
+    pipeline = StreamingReceiver(MimoReceiver(config), n_info_bits=N_INFO_BITS)
+    assert pipeline.push(frame) == []
+    assert pipeline.frames_detected == 0
+    (decoded,) = pipeline.drain()
+    assert decoded.ok and decoded.window.start == 0
+    expected = MimoReceiver(config).receive(frame, N_INFO_BITS, decoded.window.lts_offset)
+    np.testing.assert_array_equal(decoded.outcome.decoded_bits, expected.decoded_bits)
+    assert (pipeline.frames_detected, pipeline.frames_decoded) == (1, 1)
+    assert pipeline.drain() == [] and pipeline.flush() == []
+
+
+def test_push_group_bursts_are_released_before_the_push(monkeypatch):
+    # A push decodes with nothing of its group's air round alive but the
+    # chunk and the reference bits: no transmitted burst, no per-frame
+    # channel output.
+    groups = []
+    air_round = scheduler_module.air_round
+
+    def recording(*args, **kwargs):
+        sent = air_round(*args, **kwargs)
+        groups.append([weakref.ref(air.burst) for air in sent])
+        return sent
+
+    monkeypatch.setattr(scheduler_module, "air_round", recording)
+    scheduler = DownlinkScheduler(n_users=3, frames_per_user=7, snr_db=25.0, base_seed=9)
+    push = scheduler.pipeline.push
+    alive = []
+
+    def checking(chunk):
+        alive.append(sum(burst() is not None for burst in groups[-1]))
+        return push(chunk)
+
+    monkeypatch.setattr(scheduler.pipeline, "push", checking)
+    report = scheduler.run()
+    assert alive == [0, 0, 0]
+    assert report.frames_delivered > 0
 
 
 def _report_fields(report):

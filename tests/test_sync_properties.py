@@ -64,7 +64,8 @@ def _typed_or_returns(call):
 
 
 def _stream_push(streams):
-    return StreamingReceiver(RECEIVER, n_info_bits=48).push(streams)
+    pipeline = StreamingReceiver(RECEIVER, n_info_bits=48)
+    return pipeline.push(streams) + pipeline.drain()
 
 
 ENTRY_POINTS = {
