@@ -1,13 +1,15 @@
 """Stacked receive of the streaming downlink.
 
-The stream decodes every frame window one push detects through one
-``MimoReceiver.receive_stack`` call — one stacked front end and one trellis
-pass — and the downlink scheduler pushes groups of back-to-back frames.
-None of that may change a bit: every burst of a stack must come out exactly
-as receiving it alone gives, a push of many frames must return what one
-push per frame returns, and a scheduler run must report the same service
-statistics for any group size.  A non-finite sample in the stream must be
-a lost frame, not a numpy warning or a NaN detection metric.
+The stream runs every frame window one push detects through one stacked
+front end, queues the results and decodes them in full-height trellis
+passes of ``DECODE_SLICE`` code blocks (or at once on ``drain``/``flush``),
+and the downlink scheduler pushes groups of back-to-back frames, released
+from the transmit side before the push.  None of that may change a bit:
+every burst of a stack must come out exactly as receiving it alone gives,
+pushes of any size must return the same frames, and a scheduler run must
+report the same service statistics for any group size.  A non-finite
+sample in the stream must be a lost frame, not a numpy warning or a NaN
+detection metric.
 """
 
 import dataclasses
