@@ -13,7 +13,7 @@ import numpy as np
 from repro.channel.fading import FlatRayleighChannel
 from repro.channel.model import MimoChannel
 from repro.core.config import TransceiverConfig
-from repro.core.receiver import MimoReceiver
+from repro.core.receiver import TIMING_ADVANCE, MimoReceiver
 from repro.core.transmitter import MimoTransmitter
 
 
@@ -49,15 +49,18 @@ def test_fig2_preamble_schedule(table_printer):
     assert all(np.any(np.abs(data[a]) > 0) for a in range(4))
 
     # The staggering enables full channel estimation: a 4x4 flat channel is
-    # recovered column by column from the received preamble.
+    # recovered column by column from the received preamble, up to the
+    # phase ramp of the receiver's FFT windows starting TIMING_ADVANCE
+    # samples into their cyclic prefix.
     fading = FlatRayleighChannel(rng=8)
     channel = MimoChannel(fading)
     received = channel.transmit(burst.samples).samples
-    receiver = MimoReceiver(TransceiverConfig(), timing_advance=0)
+    receiver = MimoReceiver(TransceiverConfig())
     (front,) = receiver.detect_stack(
         receiver.demodulate_stack([received], 96, [layout.sts_length])
     )
     estimate = front.channel_estimate
     active_subcarriers = np.nonzero(estimate.active_mask)[0]
     for k in active_subcarriers[::13]:
-        np.testing.assert_allclose(estimate.matrices[k], fading.matrix, atol=1e-6)
+        ramp = np.exp(-2j * np.pi * k * TIMING_ADVANCE / 64)
+        np.testing.assert_allclose(estimate.matrices[k], ramp * fading.matrix, atol=1e-6)

@@ -26,31 +26,32 @@ from repro.exceptions import ConfigurationError
 from repro.utils.rng import SeedLike, make_rng
 
 
-def rayleigh_matrix(
-    n_rx: int, n_tx: int, rng: SeedLike = None, normalize: bool = True
-) -> np.ndarray:
+#: Taps per transmit/receive antenna pair of a drawn
+#: :class:`FrequencySelectiveChannel`.
+N_TAPS = 4
+
+#: Decay constant, in taps, of the exponential power-delay profile.
+TAP_DECAY = 2.0
+
+
+def rayleigh_matrix(n_rx: int, n_tx: int, rng: SeedLike = None) -> np.ndarray:
     """Draw an ``n_rx x n_tx`` i.i.d. Rayleigh (complex Gaussian) channel matrix.
 
-    With ``normalize`` the entries have unit average power, so the average
-    received power per antenna equals the transmitted power per antenna times
-    ``n_tx``.
+    The entries have unit average power, so the average received power per
+    antenna equals the transmitted power per antenna times ``n_tx``.
     """
     if n_rx <= 0 or n_tx <= 0:
         raise ConfigurationError("antenna counts must be positive")
     generator = make_rng(rng)
     h = generator.normal(size=(n_rx, n_tx)) + 1j * generator.normal(size=(n_rx, n_tx))
-    if normalize:
-        h /= np.sqrt(2.0)
+    h /= np.sqrt(2.0)
     return h
 
 
-def exponential_power_delay_profile(n_taps: int, decay: float = 1.0) -> FloatArray:
-    """Exponentially decaying tap powers, normalised to sum to one."""
-    if n_taps <= 0:
-        raise ConfigurationError("n_taps must be positive")
-    if decay <= 0:
-        raise ConfigurationError("decay must be positive")
-    powers = np.exp(-np.arange(n_taps) / decay)
+def exponential_power_delay_profile() -> FloatArray:
+    """Powers of the :data:`N_TAPS` taps, decaying by ``e`` every
+    :data:`TAP_DECAY` taps, normalised to sum to one."""
+    powers = np.exp(-np.arange(N_TAPS) / TAP_DECAY)
     return powers / powers.sum()
 
 
@@ -95,40 +96,38 @@ class FlatRayleighChannel:
 class FrequencySelectiveChannel:
     """Frequency-selective Rayleigh MIMO channel (tapped delay line).
 
-    Each transmit/receive antenna pair has ``n_taps`` independent complex
-    Gaussian taps drawn from an exponential power-delay profile.  The taps
-    are fixed at construction (block fading), matching the paper's assumption
-    that the channel is static across one burst so a single preamble-based
-    estimate serves the whole burst.
+    Each transmit/receive antenna pair has :data:`N_TAPS` independent
+    complex Gaussian taps drawn from the exponential power-delay profile
+    (:func:`exponential_power_delay_profile`), or the given ``taps``, an
+    ``(n_rx, n_tx, n_taps)`` array of any tap count.  The taps are fixed at
+    construction (block fading), matching the paper's assumption that the
+    channel is static across one burst so a single preamble-based estimate
+    serves the whole burst.
     """
 
     def __init__(
         self,
         n_rx: int = 4,
         n_tx: int = 4,
-        n_taps: int = 4,
-        decay: float = 2.0,
         rng: SeedLike = None,
         taps: Optional[np.ndarray] = None,
     ) -> None:
-        if n_taps <= 0:
-            raise ConfigurationError("n_taps must be positive")
         self.n_rx = n_rx
         self.n_tx = n_tx
-        self.n_taps = n_taps
         if taps is not None:
             t = np.asarray(taps, dtype=np.complex128)
-            if t.shape != (n_rx, n_tx, n_taps):
-                raise ConfigurationError(f"taps must have shape ({n_rx}, {n_tx}, {n_taps})")
+            if t.ndim != 3 or t.shape[:2] != (n_rx, n_tx) or t.shape[2] == 0:
+                raise ConfigurationError(f"taps must have shape ({n_rx}, {n_tx}, n_taps)")
             self.taps = t
         else:
             generator = make_rng(rng)
-            profile = exponential_power_delay_profile(n_taps, decay)
-            gains = generator.normal(size=(n_rx, n_tx, n_taps)) + 1j * generator.normal(
-                size=(n_rx, n_tx, n_taps)
+            profile = exponential_power_delay_profile()
+            gains = generator.normal(size=(n_rx, n_tx, N_TAPS)) + 1j * generator.normal(
+                size=(n_rx, n_tx, N_TAPS)
             )
             gains /= np.sqrt(2.0)
             self.taps = gains * np.sqrt(profile)[None, None, :]
+        self.n_taps = self.taps.shape[2]
 
     def apply(self, tx_samples: npt.ArrayLike) -> ComplexArray:
         """Convolve ``tx_samples`` of shape ``(n_tx, n_samples)`` with the taps."""

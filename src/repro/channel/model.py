@@ -41,14 +41,12 @@ from repro.utils.rng import SeedLike, make_rng
 
 
 class IdealChannel:
-    """Identity channel: each receive antenna hears exactly one transmit antenna."""
+    """Identity channel: each of ``n_antennas`` receive antennas hears
+    exactly its own transmit antenna."""
 
-    def __init__(self, n_rx: int = 4, n_tx: int = 4) -> None:
-        if n_rx != n_tx:
-            raise ConfigurationError("the ideal channel requires n_rx == n_tx")
-        self.n_rx = n_rx
-        self.n_tx = n_tx
-        self.matrix = np.eye(n_rx, dtype=np.complex128)
+    def __init__(self, n_antennas: int = 4) -> None:
+        self.n_rx = self.n_tx = n_antennas
+        self.matrix = np.eye(n_antennas, dtype=np.complex128)
 
     def apply(self, tx_samples: np.ndarray) -> np.ndarray:
         """Pass the transmit streams straight through."""
@@ -97,7 +95,7 @@ def build_fading_model(channel: str, n_streams: int, rng: SeedLike):
     so the same seed always builds the same one."""
     n = n_streams
     if channel == "ideal":
-        return IdealChannel(n, n)
+        return IdealChannel(n)
     if channel == "flat_rayleigh":
         return FlatRayleighChannel(n, n, rng=rng)
     if channel == "frequency_selective":

@@ -25,26 +25,17 @@ class TransmitBurst:
     info_bits:
         The information bits carried by each spatial stream (list indexed by
         stream).
-    coded_bits:
-        The coded, padded bit stream of each spatial stream (before
-        interleaving), retained for tests.
     layout:
         The burst's sample geometry: preamble sections, data OFDM
         symbols and idle tail.
     config:
         The transceiver configuration the burst was generated with.
-    frequency_symbols:
-        Frequency-domain data symbols per stream before the IFFT, shape
-        ``(n_streams, n_symbols, fft_size)`` (diagnostic; lets tests check
-        EVM without re-deriving the mapping).
     """
 
     samples: np.ndarray
     info_bits: List[np.ndarray]
-    coded_bits: List[np.ndarray]
     layout: BurstLayout
     config: TransceiverConfig
-    frequency_symbols: Optional[np.ndarray] = None
 
     @property
     def n_antennas(self) -> int:

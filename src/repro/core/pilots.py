@@ -20,6 +20,11 @@ from repro.coding.scrambler import pilot_polarity_sequence
 from repro.core.config import OfdmNumerology
 from repro.exceptions import ConfigurationError
 
+#: Rows of the pilot-polarity table, which symbol ``n`` reads modulo its
+#: length.  No multiple of the sequence's period (127): longer bursts
+#: leave the sequence (a strict xfail in ``tests/test_core_pilots.py``).
+POLARITY_TABLE_LENGTH = 4096
+
 
 @dataclass(frozen=True)
 class PilotBlockCorrection:
@@ -39,9 +44,9 @@ class PilotBlockCorrection:
 class PilotProcessor:
     """Insert pilots on the transmitter and correct phase/timing on the receiver."""
 
-    def __init__(self, numerology: OfdmNumerology, max_symbols: int = 4096) -> None:
+    def __init__(self, numerology: OfdmNumerology) -> None:
         self.numerology = numerology
-        self._polarity = pilot_polarity_sequence(max_symbols)
+        self._polarity = pilot_polarity_sequence(POLARITY_TABLE_LENGTH)
         self._base = np.array(numerology.pilot_values, dtype=np.complex128)
 
     def _pilots_of(self, n_symbols: int) -> np.ndarray:

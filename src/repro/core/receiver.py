@@ -68,7 +68,7 @@ from repro.core.pilots import PilotProcessor
 from repro.core.preamble import BurstLayout, PreambleGenerator, burst_layout
 from repro.dsp.cordic import Cordic
 from repro.dsp.fft import fft
-from repro.exceptions import ConfigurationError, DecodingError, integer_at_least
+from repro.exceptions import ConfigurationError, DecodingError
 from repro.mimo.channel_estimation import ChannelEstimate, ChannelEstimator
 from repro.mimo.detector import MmseDetector, zf_detect
 from repro.modulation.demapper import SymbolDemapper
@@ -82,6 +82,13 @@ from repro.types import ComplexArray
 #: step, not per row, so the streaming pipeline queues frames until they
 #: fill a slice (16 frames at 4x4); taller passes measured slower.
 DECODE_SLICE = 64
+
+#: Samples by which every FFT window (LTS and data) starts early, inside
+#: its cyclic prefix.  The channel-estimation and data windows move
+#: together, so the phase ramp this puts on each subcarrier cancels in
+#: equalisation; a late lock of the synchroniser lands in the cyclic
+#: prefix instead of in the next symbol.
+TIMING_ADVANCE = 2
 
 
 @dataclass
@@ -126,28 +133,11 @@ class MimoReceiver:
     ----------
     config:
         Transceiver configuration (must match the transmitter's).
-    timing_advance:
-        Samples by which every FFT window (LTS and data) is advanced into
-        the cyclic prefix.  Because the same advance is applied to the
-        channel-estimation windows and the data windows, the resulting phase
-        ramp cancels in equalisation; the advance simply moves any
-        late-timing error of the synchroniser into the cyclic prefix instead
-        of into the next symbol.
     """
 
-    def __init__(
-        self,
-        config: Optional[TransceiverConfig] = None,
-        timing_advance: int = 2,
-    ) -> None:
+    def __init__(self, config: Optional[TransceiverConfig] = None) -> None:
         self.config = config if config is not None else TransceiverConfig()
         self._air_group = self.config.air_group()
-        timing_advance = integer_at_least("timing_advance", timing_advance, 0)
-        if timing_advance > self.config.cyclic_prefix_length:
-            raise ConfigurationError(
-                "timing_advance must lie within the cyclic prefix"
-            )
-        self.timing_advance = timing_advance
         self.numerology = self.config.numerology
         self.preamble = PreambleGenerator.for_fft_size(self.config.fft_size)
         self.pilots = PilotProcessor(self.numerology)
@@ -204,7 +194,7 @@ class MimoReceiver:
         """Every FFT window of a ``layout`` burst, as sample offsets from the
         burst's first sample: the (slot, repetition) LTS windows, shape
         ``(n_tx, 2, fft_size)``, and the data windows, shape ``(n_symbols,
-        fft_size)``.  Each window starts ``timing_advance`` samples into its
+        fft_size)``.  Each window starts :data:`TIMING_ADVANCE` samples into its
         cyclic prefix.  Built once per layout."""
         offsets = self._offsets.get(layout)
         if offsets is not None:
@@ -212,12 +202,12 @@ class MimoReceiver:
         fft_size = self.config.fft_size
         taps = np.arange(fft_size)
         slots = np.array([layout.lts_slot_start(slot) for slot in range(layout.n_lts_slots)])
-        lts_starts = slots + self.preamble.lts_cp_length - self.timing_advance
+        lts_starts = slots + self.preamble.lts_cp_length - TIMING_ADVANCE
         data_starts = (
             layout.data_start
             + np.arange(layout.n_symbols) * layout.samples_per_symbol
             + self.config.cyclic_prefix_length
-            - self.timing_advance
+            - TIMING_ADVANCE
         )
         offsets = self._offsets[layout] = (
             lts_starts[:, None, None] + np.arange(2)[:, None] * fft_size + taps,

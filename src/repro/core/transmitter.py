@@ -164,19 +164,12 @@ class MimoTransmitter:
         samples[..., layout.data_start : layout.length - layout.tail_length] = (
             self._modulate_block(frequency_symbols).reshape(n_bursts, n_streams, -1)
         )
-
-        frequency_symbols = frequency_symbols.reshape(
-            n_bursts, n_streams, *frequency_symbols.shape[1:]
-        )
-        padded = padded.reshape(n_bursts, n_streams, -1)
         return [
             TransmitBurst(
                 samples=samples[burst],
                 info_bits=info_bits[burst],
-                coded_bits=list(padded[burst]),
                 layout=layout,
                 config=self.config,
-                frequency_symbols=frequency_symbols[burst],
             )
             for burst in range(n_bursts)
         ]

@@ -3,8 +3,8 @@
 The paper's datapaths carry 16-bit I/Q samples and use 18-bit hardware
 multipliers.  This module models those word lengths: a
 :class:`FixedPointFormat` describes a signed two's-complement format with a
-given total word length and number of fractional bits, and provides
-quantisation with configurable rounding and overflow behaviour.
+given total word length and number of fractional bits.  There is one
+quantiser: round half away from zero, then saturate.
 
 The quantised values are represented as ordinary floats/complexes whose
 values are exactly representable in the format; this keeps the rest of the
@@ -15,7 +15,7 @@ range).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -23,6 +23,10 @@ import numpy as np
 from repro.exceptions import ConfigurationError
 
 ArrayLike = Union[float, complex, np.ndarray]
+
+#: The one quantiser, as :meth:`FixedPointFormat.to_dict` names it: round
+#: half away from zero, then saturate.
+_QUANTISER = {"rounding": "round", "overflow": "saturate"}
 
 
 @dataclass(frozen=True)
@@ -37,19 +41,14 @@ class FixedPointFormat:
     frac_bits:
         Number of fractional bits.  ``word_length - frac_bits - 1`` integer
         bits remain for magnitude.
-    rounding:
-        ``"round"`` (round half away from zero, the common DSP behaviour) or
-        ``"truncate"`` (floor towards negative infinity, the cheapest
-        hardware option).
-    overflow:
-        ``"saturate"`` clips to the representable range (what well-designed
-        datapaths do); ``"wrap"`` emulates silent two's-complement wrap-around.
+
+    :meth:`quantize` rounds half away from zero (the common DSP behaviour)
+    and saturates to the representable range (what well-designed datapaths
+    do).
     """
 
     word_length: int
     frac_bits: int
-    rounding: str = "round"
-    overflow: str = "saturate"
 
     def __post_init__(self) -> None:
         if self.word_length < 2:
@@ -58,10 +57,6 @@ class FixedPointFormat:
             raise ConfigurationError("frac_bits must be non-negative")
         if self.frac_bits > self.word_length - 1:
             raise ConfigurationError("frac_bits cannot exceed word_length - 1")
-        if self.rounding not in ("round", "truncate"):
-            raise ConfigurationError(f"unknown rounding mode: {self.rounding!r}")
-        if self.overflow not in ("saturate", "wrap"):
-            raise ConfigurationError(f"unknown overflow mode: {self.overflow!r}")
 
     @property
     def resolution(self) -> float:
@@ -83,17 +78,9 @@ class FixedPointFormat:
         if np.iscomplexobj(values):
             raise TypeError("use quantize_complex for complex inputs")
         scaled = arr / self.resolution
-        if self.rounding == "round":
-            ints = np.sign(scaled) * np.floor(np.abs(scaled) + 0.5)
-        else:
-            ints = np.floor(scaled)
+        ints = np.sign(scaled) * np.floor(np.abs(scaled) + 0.5)
         lo, hi = self.integer_range
-        if self.overflow == "saturate":
-            ints = np.clip(ints, lo, hi)
-        else:
-            span = float(hi - lo + 1)
-            ints = ((ints - lo) % span) + lo
-        return ints * self.resolution
+        return np.clip(ints, lo, hi) * self.resolution
 
     def quantize_complex(self, values: ArrayLike) -> np.ndarray:
         """Quantise the real and imaginary parts independently."""
@@ -102,13 +89,30 @@ class FixedPointFormat:
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
-        """Plain-JSON representation (used by the sweep-spec cache hash)."""
-        return {item.name: getattr(self, item.name) for item in fields(self)}
+        """Plain-JSON representation (used by the sweep-spec cache hash).
+
+        It still names the quantiser (:data:`_QUANTISER`): the seed payload
+        and store key of every fixed-point sweep point hash these entries,
+        so they stay until the next ``ENGINE_VERSION`` bump.
+        """
+        return {
+            "word_length": self.word_length,
+            "frac_bits": self.frac_bits,
+            **_QUANTISER,
+        }
 
     @classmethod
     def from_dict(cls, payload: dict) -> "FixedPointFormat":
-        """Rebuild a format from :meth:`to_dict` output."""
-        return cls(**payload)
+        """Rebuild a format from :meth:`to_dict` output.
+
+        The :data:`_QUANTISER` entries may be left out; any other value for
+        them raises :class:`~repro.exceptions.ConfigurationError`.
+        """
+        fields = dict(payload)
+        for name, value in _QUANTISER.items():
+            if fields.pop(name, value) != value:
+                raise ConfigurationError(f"{name} must be {value!r}, got {payload[name]!r}")
+        return cls(**fields)
 
     @classmethod
     def coerce(

@@ -13,21 +13,25 @@ import numpy as np
 
 from repro.exceptions import ChannelEstimationError, ConfigurationError
 
+#: Diagonal magnitude at or below which a triangular matrix is singular.
+SINGULAR_TOLERANCE = 1e-12
 
-def singular_mask(r: np.ndarray, tolerance: float = 1e-12) -> np.ndarray:
+
+def singular_mask(r: np.ndarray) -> np.ndarray:
     """Which upper-triangular matrices of a ``(..., n, n)`` stack are singular.
 
-    A matrix is singular when any diagonal element is (numerically) zero or
-    not finite — the channel matrix it came from is rank deficient and
-    zero-forcing equalisation is impossible.  The result has the stack's
+    A matrix is singular when any diagonal element is at most
+    :data:`SINGULAR_TOLERANCE` in magnitude or not finite — the channel
+    matrix it came from is rank deficient and zero-forcing equalisation is
+    impossible.  The result has the stack's
     leading shape, so a caller can drop the bad matrices and invert the
     rest instead of losing the whole stack to one of them.
     """
     magnitude = np.abs(np.diagonal(np.asarray(r), axis1=-2, axis2=-1))
-    return ~np.all((magnitude > tolerance) & np.isfinite(magnitude), axis=-1)
+    return ~np.all((magnitude > SINGULAR_TOLERANCE) & np.isfinite(magnitude), axis=-1)
 
 
-def invert_upper_triangular(r: np.ndarray, tolerance: float = 1e-12) -> np.ndarray:
+def invert_upper_triangular(r: np.ndarray) -> np.ndarray:
     """Invert an upper-triangular matrix by back substitution.
 
     Implements the recurrence the paper's equations follow::
@@ -54,7 +58,7 @@ def invert_upper_triangular(r: np.ndarray, tolerance: float = 1e-12) -> np.ndarr
     scale = np.maximum(1.0, np.abs(stack).max(axis=(1, 2), initial=0.0))
     if np.any(np.abs(np.tril(stack, k=-1)) > 1e-9 * scale[:, None, None]):
         raise ConfigurationError("matrix is not upper triangular")
-    if np.any(singular_mask(stack, tolerance)):
+    if np.any(singular_mask(stack)):
         raise ChannelEstimationError("upper-triangular matrix is singular")
 
     inverse = np.zeros_like(stack)

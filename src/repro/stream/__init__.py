@@ -17,13 +17,14 @@ continuous sample stream and decoded through the same
   frames/sec, goodput and loss rate as plain dataclasses.
 """
 
-from repro.stream.detector import FrameWindow, StreamFrameDetector
+from repro.stream.detector import FrameLock, FrameWindow, StreamFrameDetector
 from repro.stream.metrics import LatencySummary, ServiceReport, UserStats
 from repro.stream.pipeline import DecodedFrame, StreamingReceiver
 from repro.stream.scheduler import DownlinkScheduler
 from repro.stream.traffic import PoissonTraffic, arrival_times
 
 __all__ = [
+    "FrameLock",
     "FrameWindow",
     "StreamFrameDetector",
     "LatencySummary",

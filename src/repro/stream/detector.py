@@ -76,17 +76,13 @@ _TRIM_SLACK = 8192
 
 
 @dataclass(frozen=True)
-class FrameWindow:
-    """One complete detected frame, cut out of the continuous stream.
+class FrameLock:
+    """Where one detected frame sits in the stream.
 
     Attributes
     ----------
-    samples:
-        The frame's samples per antenna, shape ``(n_rx, layout.length)`` —
-        exactly the block the offline receive path would see for this
-        burst.
     start:
-        Absolute stream index of the window's first sample.
+        Absolute stream index of the frame's first sample.
     lts_start:
         Absolute stream index of the detected LTS section start.
     peak_metric:
@@ -94,11 +90,10 @@ class FrameWindow:
     antenna:
         Receive antenna whose correlation won the lock.
 
-    The window carries no CFO estimate: the burst receiver estimates and
+    The lock carries no CFO estimate: the burst receiver estimates and
     corrects the CFO of every window it decodes.
     """
 
-    samples: np.ndarray
     start: int
     lts_start: int
     peak_metric: float
@@ -106,9 +101,24 @@ class FrameWindow:
 
     @property
     def lts_offset(self) -> int:
-        """LTS start relative to the window: the ``lts_starts`` entry
+        """LTS start relative to the frame: the ``lts_starts`` entry
         :meth:`~repro.core.receiver.MimoReceiver.receive_stack` trusts."""
         return self.lts_start - self.start
+
+
+@dataclass(frozen=True)
+class FrameWindow(FrameLock):
+    """One complete detected frame, cut out of the continuous stream: its
+    :class:`FrameLock` and ``samples``, the frame's samples per antenna,
+    shape ``(n_rx, layout.length)`` — exactly the block the offline
+    receive path would see for this burst."""
+
+    samples: np.ndarray
+
+    @property
+    def lock(self) -> FrameLock:
+        """The window without its samples, for keeping past the front end."""
+        return FrameLock(self.start, self.lts_start, self.peak_metric, self.antenna)
 
 
 class StreamFrameDetector:

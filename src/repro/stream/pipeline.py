@@ -10,7 +10,8 @@ vectorised burst datapath in two stages of different height:
   :meth:`~repro.core.receiver.MimoReceiver.detect_stack` call with the
   detected LTS start trusted: one stacked CFO correction, staggered-LTS
   channel estimate, FFT, detection, demap and de-interleave pass.  Each
-  frame then waits in a queue with its front-end outcome.
+  frame then waits in a queue with its front-end outcome and its
+  :class:`~repro.stream.detector.FrameLock`; its samples are dropped.
 * **decode, once per full slice.**  A trellis pass costs per step, not
   per row, so the queue decodes only when it holds
   :data:`~repro.core.receiver.DECODE_SLICE` code-block rows (16 frames at
@@ -52,7 +53,7 @@ from repro.core.frame import FrontEndResult, ReceiveResult
 from repro.core.preamble import burst_layout
 from repro.core.receiver import DECODE_SLICE, MimoReceiver
 from repro.exceptions import DecodingError, integer_at_least
-from repro.stream.detector import FrameWindow, StreamFrameDetector
+from repro.stream.detector import FrameLock, FrameWindow, StreamFrameDetector
 
 
 @dataclass(frozen=True)
@@ -62,14 +63,15 @@ class DecodedFrame:
     Attributes
     ----------
     window:
-        The detected frame window (absolute stream position, lock metric).
+        Where the frame was detected (absolute stream position, lock
+        metric); the window's samples are dropped after the front end.
     outcome:
         What the receiver returned in the frame's slot: the full burst
         :class:`~repro.core.frame.ReceiveResult`, or the
         :class:`~repro.exceptions.DecodingError` it gave up with.
     """
 
-    window: FrameWindow
+    window: FrameLock
     outcome: Union[ReceiveResult, DecodingError]
 
     @property
@@ -116,7 +118,7 @@ class StreamingReceiver:
         self.detector = StreamFrameDetector(self.receiver.preamble, self.layout)
         # Detected frames past the front end, waiting for a full trellis
         # slice, and their code-block rows.
-        self._queue: Deque[Tuple[FrameWindow, Union[FrontEndResult, DecodingError]]] = deque()
+        self._queue: Deque[Tuple[FrameLock, Union[FrontEndResult, DecodingError]]] = deque()
         self._queued_rows = 0
         self.frames_detected = 0
         self.frames_decoded = 0
@@ -152,7 +154,8 @@ class StreamingReceiver:
 
     # ------------------------------------------------------------------
     def _front_end(self, windows: List[FrameWindow]) -> None:
-        """Queue every window of one push with its stacked front-end outcome."""
+        """Queue the lock of every window of one push with its stacked
+        front-end outcome."""
         if not windows:
             return
         demodulated = self.receiver.demodulate_stack(
@@ -161,30 +164,30 @@ class StreamingReceiver:
             [window.lts_offset for window in windows],
         )
         for window, front in zip(windows, self.receiver.detect_stack(demodulated)):
-            self._queue.append((window, front))
+            self._queue.append((window.lock, front))
             self._queued_rows += _rows(front)
 
     def _decode_slice(self) -> List[DecodedFrame]:
         """Decode the longest queued prefix of at most :data:`DECODE_SLICE`
         rows in one trellis pass; a give-up has no rows and leaves with its
         neighbours."""
-        windows: List[FrameWindow] = []
+        locks: List[FrameLock] = []
         fronts: List[Union[FrontEndResult, DecodingError]] = []
         rows = 0
         while self._queue:
-            window, front = self._queue[0]
+            lock, front = self._queue[0]
             height = _rows(front)
             if rows and rows + height > DECODE_SLICE:
                 break  # (a frame taller than a slice would go alone)
             self._queue.popleft()
-            windows.append(window)
+            locks.append(lock)
             fronts.append(front)
             rows += height
         self._queued_rows -= rows
         frames = [
-            DecodedFrame(window=window, outcome=outcome)
-            for window, outcome in zip(
-                windows, self.receiver.decode_stack(fronts, self.n_info_bits)
+            DecodedFrame(window=lock, outcome=outcome)
+            for lock, outcome in zip(
+                locks, self.receiver.decode_stack(fronts, self.n_info_bits)
             )
         ]
         # The receiver giving up loses the frame; the stream goes on.

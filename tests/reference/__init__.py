@@ -12,6 +12,7 @@ stage, exactly as it ran before the production code batched it:
   substitution, the paper's literal 4x4 R-inverse equations, the
   per-subcarrier LTS division and the per-subcarrier MMSE solve;
 * ``modulation`` — the per-symbol hard and soft demapper;
+* ``channel`` — the tapped-delay-line draw at any tap count;
 * ``core`` — the per-symbol transmit loop (map, pilot insertion, IFFT),
   the per-slot LTS FFTs, the per-symbol FFT/detect/pilot equalise loop,
   one-symbol pilot values, extraction and correction and a fully serial

@@ -23,7 +23,7 @@ from repro.coding.interleaver import deinterleave, interleave
 from repro.coding.scrambler import Scrambler
 from repro.core.frame import ReceiveResult
 from repro.core.pilots import PilotProcessor
-from repro.core.receiver import MimoReceiver
+from repro.core.receiver import TIMING_ADVANCE, MimoReceiver
 from repro.core.transmitter import MimoTransmitter
 from repro.dsp.fft import fft
 from repro.exceptions import ChannelEstimationError, SynchronizationError
@@ -213,7 +213,7 @@ def estimate_channel_serial(
             lts_start
             + slot * slot_length
             + receiver.preamble.lts_cp_length
-            - receiver.timing_advance
+            - TIMING_ADVANCE
         )
         for rx in range(n_rx):
             first = _quantize_multiplier(receiver, fft(streams[rx, start : start + fft_size]))
@@ -256,7 +256,7 @@ def equalize_burst_serial(
             data_start
             + n * config.samples_per_symbol
             + config.cyclic_prefix_length
-            - receiver.timing_advance
+            - TIMING_ADVANCE
         )
         frequency = _quantize_multiplier(receiver, fft(streams[:, start : start + fft_size]))
         detected = detect(frequency)

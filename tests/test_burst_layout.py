@@ -15,7 +15,7 @@ from repro.core.config import TransceiverConfig
 from repro.core.preamble import burst_layout
 from repro.core.receiver import MimoReceiver
 from repro.core.transmitter import MimoTransmitter
-from repro.stream import StreamingReceiver
+from repro.stream import StreamFrameDetector, StreamingReceiver
 
 #: Odd, so a multiple of no N_CBPS: the last data symbol carries padding.
 N_INFO_BITS = 101
@@ -77,5 +77,9 @@ def test_stream_cuts_back_to_back_frames_at_the_layout_length(sent):
         k * layout.length for k in range(N_FRAMES)
     ]
     for frame, burst in zip(frames, bursts):
-        assert frame.window.samples.shape == (config.n_antennas, layout.length)
         assert frame.outcome.total_bit_errors(burst.info_bits) == 0
+    detector = StreamFrameDetector(pipeline.receiver.preamble, layout)
+    windows = detector.push(stream) + detector.flush()
+    assert [window.samples.shape for window in windows] == [
+        (config.n_antennas, layout.length)
+    ] * N_FRAMES

@@ -143,8 +143,6 @@ formats = st.none() | st.builds(
     FixedPointFormat,
     word_length=st.integers(4, 24),
     frac_bits=st.integers(0, 3),
-    rounding=st.sampled_from(["round", "truncate"]),
-    overflow=st.sampled_from(["saturate", "wrap"]),
 )
 finite = st.floats(-1e3, 1e3, allow_nan=False)
 impairment_specs = st.builds(
@@ -178,6 +176,19 @@ specs = st.builds(
 )
 
 
+def _asdict(instance) -> dict:
+    """``dataclasses.asdict``, plus the two constant quantiser entries that
+    every :meth:`FixedPointFormat.to_dict` writes as well."""
+
+    def factory(items) -> dict:
+        payload = dict(items)
+        if list(payload) == ["word_length", "frac_bits"]:
+            payload.update(rounding="round", overflow="saturate")
+        return payload
+
+    return dataclasses.asdict(instance, dict_factory=factory)
+
+
 class TestToDictMatchesAsdict:
     """The record path's ``to_dict`` methods give what ``dataclasses.asdict``
     gives, nested :class:`FixedPointFormat` and impairment dicts included."""
@@ -185,14 +196,14 @@ class TestToDictMatchesAsdict:
     @settings(max_examples=60, deadline=None)
     @given(specs)
     def test_spec_and_every_point(self, spec):
-        assert spec.to_dict() == dataclasses.asdict(spec)
+        assert spec.to_dict() == _asdict(spec)
         for point in spec.points():
-            assert point.to_dict() == dataclasses.asdict(point)
+            assert point.to_dict() == _asdict(point)
 
     @settings(max_examples=60, deadline=None)
     @given(impairment_specs)
     def test_impairment(self, impairment):
-        assert impairment.to_dict() == dataclasses.asdict(impairment)
+        assert impairment.to_dict() == _asdict(impairment)
 
 
 class TestSeedPayloadContract:
@@ -278,8 +289,10 @@ class TestPinnedKeyFormat:
     """Literal keys: any drift in the key payloads or their hashing fails here.
 
     Stores written by earlier versions resume only while these literals
-    hold.  An ``ENGINE_VERSION`` bump must change both of them (it is
-    meant to orphan every old record), so update them together with it.
+    hold.  An ``ENGINE_VERSION`` bump must change every one of them (it
+    is meant to orphan every old record), so update them together with it.
+    The fixed-point point hashes its formats' ``to_dict`` entries, so its
+    keys also pin that payload.
     """
 
     SPEC = SweepSpec(
@@ -298,3 +311,15 @@ class TestPinnedKeyFormat:
     def test_refined_point_content_key(self):
         point = self.SPEC.points()[1]
         assert point.content_key(self.SPEC, extra_bursts=6) == "pt-edf25049c0ea6aaa2f38"
+
+    FIXED_POINT_SPEC = dataclasses.replace(
+        SPEC, impairments=(ImpairmentSpec.paper_frontend(),)
+    )
+
+    def test_fixed_point_content_key(self):
+        point = self.FIXED_POINT_SPEC.points()[1]
+        assert point.content_key(self.FIXED_POINT_SPEC) == "pt-21580e87181003b0aa54"
+
+    def test_fixed_point_air_key(self):
+        point = self.FIXED_POINT_SPEC.points()[1]
+        assert air_key(point, self.FIXED_POINT_SPEC) == "a2c998e9cf48f268c4d5"

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from repro.channel.fading import (
+    N_TAPS,
     FlatRayleighChannel,
     FrequencySelectiveChannel,
     exponential_power_delay_profile,
     rayleigh_matrix,
 )
+
+from reference.channel import rayleigh_taps
 
 
 class TestRayleighMatrix:
@@ -25,45 +28,24 @@ class TestRayleighMatrix:
         with pytest.raises(ValueError):
             rayleigh_matrix(0, 4)
 
-    def test_power_convention(self):
-        # normalize=True draws CN(0, 1) entries (unit average power);
-        # normalize=False leaves the raw unit-variance-per-component draw,
-        # i.e. average entry power 2.  Pin both so the convention cannot
-        # drift silently.
-        rng = np.random.default_rng(11)
-        normalized = np.mean(
-            [np.mean(np.abs(rayleigh_matrix(4, 4, rng)) ** 2) for _ in range(400)]
-        )
-        raw = np.mean(
-            [
-                np.mean(np.abs(rayleigh_matrix(4, 4, rng, normalize=False)) ** 2)
-                for _ in range(400)
-            ]
-        )
-        assert normalized == pytest.approx(1.0, rel=0.05)
-        assert raw == pytest.approx(2.0, rel=0.05)
-
     def test_normalize_rescales_the_same_draw(self):
-        # Same seed -> same underlying Gaussian draw; the flag only scales.
+        # CN(0, 1) entries: the raw unit-variance-per-component draw over
+        # sqrt(2), so the convention cannot drift silently.
         a = rayleigh_matrix(3, 3, rng=np.random.default_rng(12))
-        b = rayleigh_matrix(3, 3, rng=np.random.default_rng(12), normalize=False)
-        np.testing.assert_allclose(b, a * np.sqrt(2.0))
+        generator = np.random.default_rng(12)
+        raw = generator.normal(size=(3, 3)) + 1j * generator.normal(size=(3, 3))
+        np.testing.assert_allclose(raw, a * np.sqrt(2.0))
 
 
 class TestPowerDelayProfile:
     def test_sums_to_one(self):
-        profile = exponential_power_delay_profile(8, decay=2.0)
+        profile = exponential_power_delay_profile()
         assert profile.sum() == pytest.approx(1.0)
 
     def test_monotonically_decaying(self):
-        profile = exponential_power_delay_profile(6, decay=1.5)
+        profile = exponential_power_delay_profile()
+        assert profile.shape == (N_TAPS,)
         assert np.all(np.diff(profile) < 0)
-
-    def test_invalid_args(self):
-        with pytest.raises(ValueError):
-            exponential_power_delay_profile(0)
-        with pytest.raises(ValueError):
-            exponential_power_delay_profile(4, decay=0.0)
 
 
 class TestFlatRayleighChannel:
@@ -91,7 +73,7 @@ class TestFlatRayleighChannel:
 
 class TestFrequencySelectiveChannel:
     def test_frequency_response_matches_fft_of_taps(self):
-        channel = FrequencySelectiveChannel(n_rx=2, n_tx=2, n_taps=3, rng=4)
+        channel = FrequencySelectiveChannel(n_rx=2, n_tx=2, taps=rayleigh_taps(2, 2, 3, rng=4))
         response = channel.frequency_response(64)
         manual = np.fft.fft(channel.taps[1, 0], 64)
         np.testing.assert_allclose(response[:, 1, 0], manual)
@@ -109,7 +91,7 @@ class TestFrequencySelectiveChannel:
         """
         from repro.dsp.fft import get_plan
 
-        channel = FrequencySelectiveChannel(n_rx=2, n_tx=3, n_taps=4, rng=11)
+        channel = FrequencySelectiveChannel(n_rx=2, n_tx=3, rng=11)
         response = channel.frequency_response(64)
 
         padded = np.zeros((2, 3, 64), dtype=np.complex128)
@@ -124,12 +106,12 @@ class TestFrequencySelectiveChannel:
         np.testing.assert_allclose(response, manual, atol=1e-12)
 
     def test_single_tap_reduces_to_flat(self):
-        channel = FrequencySelectiveChannel(n_rx=4, n_tx=4, n_taps=1, rng=5)
+        channel = FrequencySelectiveChannel(taps=rayleigh_taps(4, 4, 1, rng=5))
         response = channel.frequency_response(64)
         np.testing.assert_allclose(response[0], response[32])
 
     def test_apply_convolution_against_manual(self):
-        channel = FrequencySelectiveChannel(n_rx=1, n_tx=1, n_taps=4, rng=6)
+        channel = FrequencySelectiveChannel(n_rx=1, n_tx=1, rng=6)
         x = np.zeros((1, 16), dtype=complex)
         x[0, 0] = 1.0  # impulse reveals the taps
         y = channel.apply(x)
@@ -141,15 +123,27 @@ class TestFrequencySelectiveChannel:
         assert channel.apply(x).shape == (4, 100)
 
     def test_response_varies_across_subcarriers(self):
-        channel = FrequencySelectiveChannel(n_taps=6, rng=9)
+        channel = FrequencySelectiveChannel(taps=rayleigh_taps(4, 4, 6, rng=9))
         response = channel.frequency_response(64)
         assert not np.allclose(response[0], response[32])
 
     def test_taps_shape_validation(self):
         with pytest.raises(ValueError):
-            FrequencySelectiveChannel(n_rx=2, n_tx=2, n_taps=2, taps=np.zeros((2, 2, 3)))
+            FrequencySelectiveChannel(n_rx=2, n_tx=2, taps=np.zeros((2, 3, 3)))
+        with pytest.raises(ValueError):
+            FrequencySelectiveChannel(n_rx=2, n_tx=2, taps=np.zeros((2, 2, 0)))
+
+    def test_injected_taps_set_the_tap_count(self):
+        channel = FrequencySelectiveChannel(n_rx=2, n_tx=2, taps=np.ones((2, 2, 7)))
+        assert channel.n_taps == 7
+        assert FrequencySelectiveChannel(rng=0).n_taps == N_TAPS
+
+    def test_reference_draw_is_the_channel_draw(self):
+        np.testing.assert_array_equal(
+            FrequencySelectiveChannel(rng=12).taps, rayleigh_taps(4, 4, N_TAPS, rng=12)
+        )
 
     def test_fft_size_must_cover_taps(self):
-        channel = FrequencySelectiveChannel(n_taps=4, rng=10)
+        channel = FrequencySelectiveChannel(rng=10)
         with pytest.raises(ValueError):
             channel.frequency_response(2)

@@ -71,10 +71,6 @@ class TestIdealChannel:
         response = IdealChannel().frequency_response(64)
         np.testing.assert_allclose(response[10], np.eye(4))
 
-    def test_requires_square(self):
-        with pytest.raises(ValueError):
-            IdealChannel(n_rx=2, n_tx=4)
-
 
 class TestMimoChannel:
     def test_noiseless_ideal_is_identity(self):

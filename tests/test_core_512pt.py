@@ -10,6 +10,8 @@ from repro.core.preamble import PreambleGenerator, burst_layout
 from repro.core.transmitter import MimoTransmitter
 from repro.dsp.fft import fft
 
+from reference.channel import rayleigh_taps
+
 
 @pytest.fixture
 def config512() -> TransceiverConfig:
@@ -45,7 +47,8 @@ class TestNumerologyAndPreamble512:
 
 class TestLink512:
     def test_frequency_selective_loopback(self, link_burst, config512):
-        channel = MimoChannel(FrequencySelectiveChannel(n_taps=8, rng=1), snr_db=35.0, rng=2)
+        fading = FrequencySelectiveChannel(taps=rayleigh_taps(4, 4, 8, rng=1))
+        channel = MimoChannel(fading, snr_db=35.0, rng=2)
         air, outcome = link_burst(config512, channel, 500, rng=3)
         assert outcome.total_bit_errors(air.burst.info_bits) == 0
 

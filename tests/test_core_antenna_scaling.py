@@ -29,7 +29,7 @@ class TestSisoMode:
 
     def test_siso_ideal_loopback(self, link_burst):
         config = TransceiverConfig(n_antennas=1)
-        channel = MimoChannel(IdealChannel(1, 1), snr_db=30.0, rng=1)
+        channel = MimoChannel(IdealChannel(1), snr_db=30.0, rng=1)
         air, outcome = link_burst(config, channel, 300, rng=2)
         assert outcome.total_bit_errors(air.burst.info_bits) == 0
 

@@ -7,7 +7,8 @@ from repro.channel.fading import FlatRayleighChannel, FrequencySelectiveChannel
 from repro.channel.impairments import ImpairmentSpec
 from repro.channel.model import MimoChannel
 from repro.core.config import TransceiverConfig
-from repro.core.receiver import MimoReceiver
+from repro.core.preamble import PreambleGenerator
+from repro.core.receiver import TIMING_ADVANCE, MimoReceiver
 from repro.core.transmitter import MimoTransmitter
 from repro.dsp.fixedpoint import (
     FixedPointFormat,
@@ -47,12 +48,15 @@ class TestIdealLoopback:
         # corresponding per-subcarrier phase ramp.
         _, result = _loopback(paper_config)
         estimate = result.channel_estimate
-        receiver = MimoReceiver(paper_config)
-        advance = receiver.timing_advance
         active = np.nonzero(estimate.active_mask)[0]
         for k in active[:5]:
-            ramp = np.exp(-2j * np.pi * k * advance / 64)
+            ramp = np.exp(-2j * np.pi * k * TIMING_ADVANCE / 64)
             np.testing.assert_allclose(estimate.matrices[k], ramp * np.eye(4), atol=1e-6)
+
+    def test_timing_advance_lies_within_the_shortest_cyclic_prefix(self):
+        shortest = TransceiverConfig(fft_size=64)
+        assert 0 < TIMING_ADVANCE <= shortest.cyclic_prefix_length
+        assert TIMING_ADVANCE <= PreambleGenerator.for_fft_size(64).lts_cp_length
 
     def test_equalized_symbols_land_on_constellation(self, paper_config):
         _, result = _loopback(paper_config)
@@ -105,7 +109,7 @@ class TestFadingLoopback:
 
     def test_frequency_selective_high_snr_error_free(self, paper_config):
         channel = MimoChannel(
-            FrequencySelectiveChannel(n_taps=4, rng=23), snr_db=35.0, rng=24
+            FrequencySelectiveChannel(rng=23), snr_db=35.0, rng=24
         )
         burst, result = _loopback(paper_config, channel=channel, seed=6)
         assert result.total_bit_errors(burst.info_bits) == 0
@@ -115,10 +119,9 @@ class TestFadingLoopback:
         channel = MimoChannel(fading)
         burst, result = _loopback(paper_config, channel=channel, seed=7)
         estimate = result.channel_estimate
-        advance = MimoReceiver(paper_config).timing_advance
         active = np.nonzero(estimate.active_mask)[0]
         for k in active[::10]:
-            ramp = np.exp(-2j * np.pi * k * advance / 64)
+            ramp = np.exp(-2j * np.pi * k * TIMING_ADVANCE / 64)
             np.testing.assert_allclose(estimate.matrices[k], ramp * fading.matrix, atol=1e-6)
         assert result.total_bit_errors(burst.info_bits) == 0
 

@@ -11,7 +11,7 @@ from repro.dsp.fft import fft
 from repro.exceptions import ConfigurationError
 from repro.modulation.demapper import SymbolDemapper
 
-from reference.core import pilot_values
+from reference.core import pilot_values, transmit_serial
 
 
 @pytest.fixture
@@ -161,22 +161,26 @@ class TestSpectralStructure:
         burst = transmitter.transmit_random(96, rng=np.random.default_rng(12))
         start = 800 + 16
         frequency = fft(burst.samples[3, start : start + 64])
-        np.testing.assert_allclose(frequency, burst.frequency_symbols[3, 0], atol=1e-9)
+        _, frequency_symbols, _ = transmit_serial(transmitter, burst.info_bits)
+        np.testing.assert_allclose(frequency, frequency_symbols[3, 0], atol=1e-9)
 
 
 class TestScramblingAndCoding:
     def test_payload_is_scrambled_before_encoding(self, transmitter):
         bits = np.zeros(96, dtype=np.uint8)
         burst = transmitter.transmit([bits] * 4)
+        samples, _, coded_bits = transmit_serial(transmitter, burst.info_bits)
+        np.testing.assert_array_equal(burst.samples, samples)
         encoder = ConvolutionalEncoder(transmitter.code)
         scrambled = encoder.encode(Scrambler().process(bits))
-        for coded in burst.coded_bits:
+        for coded in coded_bits:
             np.testing.assert_array_equal(coded[: scrambled.size], scrambled)
         assert not np.array_equal(scrambled, encoder.encode(bits))
 
     def test_coded_bits_length_is_whole_symbols(self, transmitter):
         burst = transmitter.transmit_random(123, rng=np.random.default_rng(13))
-        for coded in burst.coded_bits:
+        _, _, coded_bits = transmit_serial(transmitter, burst.info_bits)
+        for coded in coded_bits:
             assert coded.size == burst.layout.n_symbols * 192
 
     def test_gigabit_config_uses_64qam(self, gigabit_config):

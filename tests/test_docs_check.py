@@ -96,3 +96,13 @@ def test_py_typed_marker_ships_with_the_package():
     pyproject = tomllib.loads((REPO_ROOT / "pyproject.toml").read_text())
     package_data = pyproject["tool"]["setuptools"]["package-data"]
     assert "py.typed" in package_data["repro"]
+
+
+def test_the_version_is_stated_once():
+    # The project metadata takes its version from ``repro.__version__``,
+    # so the two cannot disagree.
+    pyproject = tomllib.loads((REPO_ROOT / "pyproject.toml").read_text())
+    assert "version" not in pyproject["project"]
+    assert "version" in pyproject["project"]["dynamic"]
+    dynamic = pyproject["tool"]["setuptools"]["dynamic"]
+    assert dynamic["version"] == {"attr": "repro.__version__"}

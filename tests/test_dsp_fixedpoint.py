@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.exceptions import ConfigurationError
 from repro.dsp.fixedpoint import (
     FixedPointFormat,
     MULTIPLIER_FORMAT_18BIT,
@@ -25,13 +26,23 @@ class TestFormatValidation:
         with pytest.raises(ValueError):
             FixedPointFormat(word_length=8, frac_bits=8)
 
-    def test_rejects_unknown_rounding(self):
-        with pytest.raises(ValueError):
-            FixedPointFormat(word_length=8, frac_bits=4, rounding="nearest-even")
+    def test_payload_names_the_one_quantiser(self):
+        fmt = FixedPointFormat(word_length=8, frac_bits=4)
+        payload = fmt.to_dict()
+        assert payload == {
+            "word_length": 8,
+            "frac_bits": 4,
+            "rounding": "round",
+            "overflow": "saturate",
+        }
+        assert FixedPointFormat.from_dict(payload) == fmt
 
-    def test_rejects_unknown_overflow(self):
-        with pytest.raises(ValueError):
-            FixedPointFormat(word_length=8, frac_bits=4, overflow="clip")
+    @pytest.mark.parametrize(
+        "entry", [{"rounding": "truncate"}, {"overflow": "wrap"}], ids=["truncate", "wrap"]
+    )
+    def test_payload_with_another_quantiser_is_rejected(self, entry):
+        with pytest.raises(ConfigurationError):
+            FixedPointFormat.from_dict({"word_length": 8, "frac_bits": 4, **entry})
 
 
 class TestRangesAndResolution:
@@ -55,21 +66,17 @@ class TestQuantization:
         assert fmt.quantize(0.3) == pytest.approx(0.25)
         assert fmt.quantize(0.4) == pytest.approx(0.5)
 
-    def test_truncation_mode(self):
-        fmt = FixedPointFormat(word_length=8, frac_bits=2, rounding="truncate")
-        assert fmt.quantize(0.49) == pytest.approx(0.25)
-        assert fmt.quantize(-0.1) == pytest.approx(-0.25)
+    def test_halves_round_away_from_zero(self):
+        fmt = FixedPointFormat(word_length=8, frac_bits=2)
+        np.testing.assert_array_equal(
+            fmt.quantize([0.125, -0.125, 0.375, -0.375]), [0.25, -0.25, 0.5, -0.5]
+        )
 
     def test_saturation(self):
         fmt = FixedPointFormat(word_length=4, frac_bits=2)
         # Q(4, 2) spans [-2.0, 1.75] in steps of 0.25.
         assert fmt.quantize(100.0) == 1.75
         assert fmt.quantize(-100.0) == -2.0
-
-    def test_wrap_overflow(self):
-        fmt = FixedPointFormat(word_length=4, frac_bits=0, overflow="wrap")
-        # Range is [-8, 7]; 8 wraps to -8.
-        assert fmt.quantize(8.0) == -8.0
 
     def test_quantization_error_bounded_by_half_lsb(self):
         fmt = FixedPointFormat(word_length=12, frac_bits=10)
@@ -94,10 +101,9 @@ class TestQuantization:
 SAMPLE_WORD_FORMATS = [
     SAMPLE_FORMAT_16BIT,
     MULTIPLIER_FORMAT_18BIT,
-    FixedPointFormat(word_length=16, frac_bits=14, rounding="truncate"),
     FixedPointFormat(word_length=8, frac_bits=6),
 ]
-SAMPLE_WORD_IDS = ["q16.14", "q18.16", "q16.14-truncate", "q8.6"]
+SAMPLE_WORD_IDS = ["q16.14", "q18.16", "q8.6"]
 
 
 class TestIqSampleWords:

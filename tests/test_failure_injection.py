@@ -183,12 +183,6 @@ class TestConfigurationMismatches:
         with pytest.raises(ConfigurationError):
             receiver.receive(burst.samples, n_info_bits=96)
 
-    def test_invalid_timing_advance_rejected(self, paper_config):
-        with pytest.raises(ConfigurationError):
-            MimoReceiver(paper_config, timing_advance=100)
-        with pytest.raises(ConfigurationError):
-            MimoReceiver(paper_config, timing_advance=-1)
-
 
 def _identity_estimate(fft_size=64):
     eye = np.broadcast_to(np.eye(4, dtype=complex), (fft_size, 4, 4)).copy()
@@ -301,7 +295,6 @@ class _NanTraffic:
         lambda: TransceiverConfig(soft_decision="no"),
         lambda: TransceiverConfig(use_cordic_channel_inversion=1),
         lambda: TransceiverConfig(correct_cfo="yes"),
-        lambda: MimoReceiver(timing_advance=1.5),
         lambda: PreambleGenerator(64.0),
         lambda: ImpairmentSpec(cfo_normalized=float("nan")),
         lambda: ImpairmentSpec(iq_amplitude_db=float("inf")),
@@ -329,16 +322,13 @@ class _NanTraffic:
         lambda: arrival_times(_NanTraffic(), 2),
         lambda: MimoChannel().transmit(np.zeros((3, 100), dtype=complex)),
         lambda: MmseDetector(_identity_estimate(), noise_variance=-1.0),
-        lambda: IdealChannel(n_rx=2, n_tx=4),
         lambda: IdealChannel().apply(np.zeros((3, 100), dtype=complex)),
         lambda: FlatRayleighChannel(n_rx=0, rng=0),
         lambda: FlatRayleighChannel(n_rx=2, n_tx=2, matrix=np.eye(4)),
         lambda: FlatRayleighChannel(rng=0).apply(np.zeros((3, 100), dtype=complex)),
-        lambda: FrequencySelectiveChannel(n_taps=0),
-        lambda: FrequencySelectiveChannel(decay=0.0, rng=0),
-        lambda: FrequencySelectiveChannel(n_taps=2, taps=np.ones((4, 4, 3))),
+        lambda: FrequencySelectiveChannel(taps=np.ones((4, 3, 2))),
         lambda: FrequencySelectiveChannel(rng=0).apply(np.zeros((3, 100), dtype=complex)),
-        lambda: FrequencySelectiveChannel(n_taps=8, rng=0).frequency_response(4),
+        lambda: FrequencySelectiveChannel(taps=np.ones((4, 4, 8))).frequency_response(4),
         lambda: ConvolutionalCode(constraint_length=1, generators=(0o3, 0o1)),
         lambda: ConvolutionalCode(constraint_length=3, generators=(0o7, 0o17)),
         lambda: ConvolutionalCode(puncture_pattern=np.array([[1, 1]])),
@@ -370,7 +360,7 @@ class _NanTraffic:
         lambda: QrdArray(n=0),
         lambda: ResourceUsage(aluts=-1),
         lambda: FixedPointFormat(1, 0),
-        lambda: FixedPointFormat(16, 14, rounding="nearest"),
+        lambda: FixedPointFormat.from_dict({"word_length": 16, "frac_bits": 14, "rounding": "nearest"}),
         lambda: Cordic(iterations=0),
         lambda: fft(np.zeros(48)),
         lambda: qr_decompose_givens(np.ones((3, 4))),
@@ -451,7 +441,6 @@ class _NanTraffic:
         "config-string-soft-decision-flag",
         "config-int-cordic-flag",
         "config-string-cfo-flag",
-        "receiver-fractional-timing-advance",
         "preamble-float-fft-size",
         "impairment-nan-cfo",
         "impairment-infinite-iq-amplitude",
@@ -479,13 +468,10 @@ class _NanTraffic:
         "arrivals-nan-gap",
         "channel-burst-antenna-mismatch",
         "mmse-negative-noise-variance",
-        "ideal-channel-not-square",
         "ideal-channel-burst-antenna-mismatch",
         "flat-fading-no-antennas",
         "flat-fading-matrix-shape",
         "flat-fading-burst-antenna-mismatch",
-        "selective-fading-no-taps",
-        "selective-fading-zero-decay",
         "selective-fading-taps-shape",
         "selective-fading-burst-antenna-mismatch",
         "selective-fading-fft-shorter-than-taps",
@@ -562,7 +548,6 @@ def test_inconsistent_construction_raises_configuration_error(build):
         (lambda: SweepSpec(stream_counts=(np.int64(2),)).stream_counts[0], 2),
         (lambda: TransceiverConfig(n_antennas=np.int64(2)).n_antennas, 2),
         (lambda: TransceiverConfig(fft_size=np.int64(64)).fft_size, 64),
-        (lambda: MimoReceiver(timing_advance=np.int64(1)).timing_advance, 1),
         (lambda: PreambleGenerator(np.int64(64)).fft_size, 64),
     ],
     ids=[
@@ -570,7 +555,6 @@ def test_inconsistent_construction_raises_configuration_error(build):
         "sweep-stream-count",
         "config-antennas",
         "config-fft-size",
-        "receiver-timing-advance",
         "preamble-fft-size",
     ],
 )

@@ -494,7 +494,7 @@ class TestReceiverDecodeAgreement:
             np.testing.assert_array_equal(decoded_bits, scramble_serial(Scrambler(), decoded))
 
 
-REFERENCE_MODULES = ["coding", "core", "dsp", "mimo", "modulation"]
+REFERENCE_MODULES = ["channel", "coding", "core", "dsp", "mimo", "modulation"]
 
 
 def test_src_never_imports_the_reference_oracles():
@@ -667,7 +667,7 @@ class TestReceiverBatchAgreement:
     def test_frequency_selective_channel_agrees(self, fft_size):
         config = TransceiverConfig(fft_size=fft_size, soft_decision=True)
         channel = MimoChannel(
-            FrequencySelectiveChannel(n_taps=4, rng=50), snr_db=20.0, rng=51
+            FrequencySelectiveChannel(rng=50), snr_db=20.0, rng=51
         )
         batched, scalar, _ = _receive_both_ways(config, channel, seed=52)
         _assert_results_identical(batched, scalar, equalization=fft_size == 64)
@@ -867,10 +867,10 @@ class TestStackedFrontEndAgreement:
         n = config.n_antennas
         cfo = config.correct_cfo
         cases = [
-            (IdealChannel(n, n), {"snr_db": 30.0}),
+            (IdealChannel(n), {"snr_db": 30.0}),
             (FlatRayleighChannel(n, n, rng=seed), {"snr_db": 12.0, "sample_delay": 5}),
             (
-                FrequencySelectiveChannel(n, n, n_taps=4, rng=seed + 2),
+                FrequencySelectiveChannel(n, n, rng=seed + 2),
                 {"snr_db": 20.0, "sample_delay": 17, "cfo_normalized": 2e-4 if cfo else 0.0},
             ),
             (
@@ -1040,9 +1040,7 @@ class TestTransmitterBatchAgreement:
         batched = transmitter.transmit(bits)
         samples, frequency_symbols, coded_bits = transmit_serial(transmitter, bits)
         np.testing.assert_array_equal(batched.samples, samples)
-        np.testing.assert_array_equal(batched.frequency_symbols, frequency_symbols)
-        for coded_b, coded_s in zip(batched.coded_bits, coded_bits):
-            np.testing.assert_array_equal(coded_b, coded_s)
+        _assert_transmit_stages_agree(transmitter, bits, frequency_symbols, coded_bits)
 
     @pytest.mark.parametrize("n_streams", [1, 2, 3, 4])
     def test_antenna_counts_agree(self, n_streams):
@@ -1120,10 +1118,10 @@ class TestTransmitterBatchAgreement:
         rng = np.random.default_rng(92)
         bits = [rng.integers(0, 2, size=2000, dtype=np.uint8) for _ in range(4)]
         transmitter = MimoTransmitter(config)
-        samples, frequency_symbols, _ = transmit_serial(transmitter, bits)
+        samples, frequency_symbols, coded_bits = transmit_serial(transmitter, bits)
         batched = transmitter.transmit(bits)
         np.testing.assert_array_equal(batched.samples, samples)
-        np.testing.assert_array_equal(batched.frequency_symbols, frequency_symbols)
+        _assert_transmit_stages_agree(transmitter, bits, frequency_symbols, coded_bits)
 
     @pytest.mark.parametrize("rate", ALL_RATES)
     @pytest.mark.parametrize("modulation", ALL_MODULATIONS)
@@ -1144,21 +1142,30 @@ class TestTransmitterBatchAgreement:
         _assert_stack_equals_each_burst_alone(MimoTransmitter(config), stack)
 
 
+def _assert_transmit_stages_agree(transmitter, bits, frequency_symbols, coded_bits):
+    """The stacked scramble-and-encode and map stages of one burst's
+    ``(n_streams, n_info_bits)`` bits equal the per-symbol oracle's padded
+    coded bits and frequency symbols."""
+    padded = np.array(coded_bits)
+    coded = transmitter._encoder.encode(transmitter._scrambler.process(np.asarray(bits)))
+    np.testing.assert_array_equal(coded, padded[:, : coded.shape[1]])
+    assert not padded[:, coded.shape[1] :].any()
+    mapped = transmitter._map_block(padded, frequency_symbols.shape[1])
+    np.testing.assert_array_equal(mapped, frequency_symbols)
+
+
 def _assert_stack_equals_each_burst_alone(transmitter, stack):
     """Every burst of one stacked ``transmit`` equals that burst transmitted
-    alone and the per-symbol oracle: samples, frequency symbols, coded bits."""
+    alone and the per-symbol oracle, whose coded bits and frequency symbols
+    the stacked stages also reproduce."""
     bursts = transmitter.transmit(stack)
     assert len(bursts) == len(stack)
     for burst, bits in zip(bursts, stack):
         alone = transmitter.transmit(list(bits))
         samples, frequency_symbols, coded_bits = transmit_serial(transmitter, bits)
-        for expected in (
-            (alone.samples, alone.frequency_symbols, alone.coded_bits),
-            (samples, frequency_symbols, coded_bits),
-        ):
-            np.testing.assert_array_equal(burst.samples, expected[0])
-            np.testing.assert_array_equal(burst.frequency_symbols, expected[1])
-            np.testing.assert_array_equal(np.array(burst.coded_bits), np.array(expected[2]))
+        np.testing.assert_array_equal(burst.samples, alone.samples)
+        np.testing.assert_array_equal(burst.samples, samples)
+        _assert_transmit_stages_agree(transmitter, bits, frequency_symbols, coded_bits)
         np.testing.assert_array_equal(np.array(burst.info_bits), bits)
         assert burst.layout.n_symbols == alone.layout.n_symbols
 

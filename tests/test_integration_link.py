@@ -11,11 +11,14 @@ from repro.channel.fading import FlatRayleighChannel, FrequencySelectiveChannel
 from repro.channel.impairments import ImpairmentSpec
 from repro.channel.model import MimoChannel
 from repro.core.config import TransceiverConfig
-from repro.core.receiver import MimoReceiver
+from repro.core.receiver import TIMING_ADVANCE, MimoReceiver
 from repro.core.transmitter import MimoTransmitter
 from repro.dsp.fixedpoint import FixedPointFormat
 from repro.mimo.detector import MmseDetector
 from repro.sim import SweepRunner, SweepSpec
+
+from reference.channel import rayleigh_taps
+from reference.core import transmit_serial
 
 
 class TestEndToEndConfigurations:
@@ -54,7 +57,7 @@ class TestImpairments:
     def test_combined_delay_and_fading(self, link_burst):
         config = TransceiverConfig()
         channel = MimoChannel(
-            FrequencySelectiveChannel(n_taps=3, rng=110),
+            FrequencySelectiveChannel(taps=rayleigh_taps(4, 4, 3, rng=110)),
             snr_db=35.0,
             impairment=ImpairmentSpec(sample_delay=29),
             rng=111,
@@ -101,12 +104,13 @@ class TestEvmAndDetectors:
         transmitter = MimoTransmitter(config)
         receiver = MimoReceiver(config)
         burst = transmitter.transmit_random(200, rng=np.random.default_rng(200))
+        _, frequency_symbols, _ = transmit_serial(transmitter, burst.info_bits)
         channel = MimoChannel(FlatRayleighChannel(rng=201), snr_db=35.0, rng=202)
         received = channel.transmit(burst.samples).samples
         result = receiver.receive(received, n_info_bits=200)
         data_bins = list(receiver.numerology.data_bins)
         for stream in range(4):
-            reference = burst.frequency_symbols[stream][:, data_bins]
+            reference = frequency_symbols[stream][:, data_bins]
             error = result.equalized[stream] - reference
             evm = np.sqrt(np.mean(np.abs(error) ** 2) / np.mean(np.abs(reference) ** 2))
             assert evm < 0.2
@@ -124,7 +128,7 @@ class TestEvmAndDetectors:
         # Equalise the first data symbol and confirm finite, bounded output.
         from repro.dsp.fft import fft
 
-        start = 800 + 16 - receiver.timing_advance
+        start = 800 + 16 - TIMING_ADVANCE
         frequency = fft(received[:, start : start + 64])
         detected = detector.detect(frequency)
         assert detected.shape == (4, 64)

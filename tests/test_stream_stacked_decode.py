@@ -15,6 +15,7 @@ detection metric.
 import dataclasses
 import warnings
 import weakref
+from collections import deque
 
 import numpy as np
 import pytest
@@ -294,3 +295,53 @@ def test_non_finite_stream_sample_loses_at_most_its_frame(value, position):
     )
     assert all(np.isfinite(frame.window.peak_metric) for frame in decoded)
     assert pipeline.frames_detected == pipeline.frames_decoded + pipeline.frames_lost
+
+
+def _arrays_of_shape(obj, shape):
+    """Every array of ``shape`` reachable from ``obj`` through dataclass
+    fields, containers and array bases."""
+    found, stack, seen = [], [obj], set()
+    while stack:
+        item = stack.pop()
+        if id(item) in seen:
+            continue
+        seen.add(id(item))
+        if isinstance(item, np.ndarray):
+            if item.shape == shape:
+                found.append(item)
+            stack.append(item.base)
+        elif dataclasses.is_dataclass(item):
+            stack += [getattr(item, f.name) for f in dataclasses.fields(item)]
+        elif isinstance(item, (list, tuple, deque)):
+            stack += list(item)
+    return found
+
+
+def test_frames_hold_no_samples_past_the_front_end(forty_frames):
+    # The decode reads only front-end outcomes: neither a queued frame nor
+    # a returned one keeps its window's samples.
+    config = TransceiverConfig()
+    shape = (config.n_antennas, burst_layout(config, N_INFO_BITS).length)
+    pipeline = StreamingReceiver(MimoReceiver(config), n_info_bits=N_INFO_BITS)
+    decoded = pipeline.push(np.concatenate(forty_frames[:20], axis=1))
+    assert decoded and pipeline._queue
+    assert _arrays_of_shape(list(pipeline._queue), shape) == []
+    decoded += pipeline.drain() + pipeline.flush()
+    assert len(decoded) == 20 and not pipeline._queue
+    assert _arrays_of_shape(decoded, shape) == []
+
+
+#: (offered, served, delivered, lost, spurious) of each push-group run.
+PINNED_REPORT_COUNTS = {"flat_rayleigh": (40, 40, 16, 24, 0), "cfo_delay_16bit": (40, 40, 4, 36, 0)}
+
+
+@pytest.mark.parametrize("impairment", sorted(PINNED_REPORT_COUNTS))
+def test_scheduler_report_counts_are_pinned(default_push_group_reports, impairment):
+    report = default_push_group_reports[impairment]
+    assert (
+        report.frames_offered,
+        report.frames_served,
+        report.frames_delivered,
+        report.frames_lost,
+        report.spurious_detections,
+    ) == PINNED_REPORT_COUNTS[impairment]
