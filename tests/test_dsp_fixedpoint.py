@@ -102,8 +102,10 @@ SAMPLE_WORD_FORMATS = [
     SAMPLE_FORMAT_16BIT,
     MULTIPLIER_FORMAT_18BIT,
     FixedPointFormat(word_length=8, frac_bits=6),
+    # Q15: no integer bit, so the extreme codes are -1 and 1 - 2**-15.
+    FixedPointFormat(word_length=16, frac_bits=15),
 ]
-SAMPLE_WORD_IDS = ["q16.14", "q18.16", "q8.6"]
+SAMPLE_WORD_IDS = ["q16.14", "q18.16", "q8.6", "q16.15"]
 
 
 class TestIqSampleWords:
