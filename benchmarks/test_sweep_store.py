@@ -93,13 +93,13 @@ def test_small_grid_resumes_from_a_large_store_parsing_only_its_own_lines(
     store.put({key: foreign[key] for key in keys[N_FOREIGN // 2 :]})
 
     parsed = []
-    real_record_key = store_module._record_key
+    real_record = store_module._record
 
     def counting(line):
         parsed.append(line)
-        return real_record_key(line)
+        return real_record(line)
 
-    monkeypatch.setattr(store_module, "_record_key", counting)
+    monkeypatch.setattr(store_module, "_record", counting)
     start = time.perf_counter()
     warm = _run(grid, store)
     elapsed = time.perf_counter() - start

@@ -1,13 +1,16 @@
-"""Generic convolutional encoder with puncturing.
+"""The 802.11a convolutional code and its encoder, with puncturing.
 
 The paper's transmitter streams uncoded data into a "generic convolutional
 encoder" whose data-path width, code rate ``R`` and puncture pattern are
-synthesis-time parameters.  The evaluated configuration is the 802.11a
-industry-standard code: constraint length 7, generator polynomials 133/171
-(octal), mother rate 1/2, optionally punctured to 2/3 or 3/4.
+synthesis-time parameters.  The evaluated code is the 802.11a
+industry-standard one: constraint length 7, generator polynomials 133/171
+(octal), mother rate 1/2, punctured to 2/3 or 3/4.  So the mother code is
+fixed here (:data:`CONSTRAINT_LENGTH`, :data:`GENERATORS`, and the trellis
+tables :data:`NEXT_STATES`/:data:`OUTPUTS`, built once at import) and the
+rate is the one parameter.
 
-:class:`ConvolutionalCode` captures the code definition (polynomials and
-puncture pattern) and the coded length of a block;
+:class:`ConvolutionalCode` is that code at one :class:`CodeRate`: its
+puncture pattern and the coded length of a block;
 :class:`ConvolutionalEncoder` encodes terminated blocks, one per burst
 stream as the hardware does, a whole stack of them per call.  The
 matching decoder lives in :mod:`repro.coding.viterbi`.
@@ -15,7 +18,7 @@ matching decoder lives in :mod:`repro.coding.viterbi`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence, Tuple
 
@@ -44,122 +47,104 @@ class CodeRate(str, Enum):
         return int(num) / int(den)
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+#: Constraint length of the mother code: the current bit and six delay
+#: elements.
+CONSTRAINT_LENGTH = 7
+
+#: Shift-register delay elements, and the tail bits that end a block.
+MEMORY = CONSTRAINT_LENGTH - 1
+
+#: Trellis states.
+N_STATES = 1 << MEMORY
+
+#: Generator polynomials (octal), most-significant tap on the current
+#: input bit.
+GENERATORS = (0o133, 0o171)
+
+#: Tap delays of each generator: bit ``MEMORY - d`` of a generator weights
+#: the bit entered ``d`` steps earlier.
+GENERATOR_TAPS = tuple(
+    tuple(delay for delay in range(CONSTRAINT_LENGTH) if g >> (MEMORY - delay) & 1)
+    for g in GENERATORS
+)
+
 #: 802.11a puncture patterns, expressed over the mother-code output pairs
 #: (A, B) per input bit.  A ``1`` keeps the coded bit, ``0`` deletes it.
 PUNCTURE_PATTERNS = {
-    CodeRate.RATE_1_2: np.array([[1], [1]], dtype=np.uint8),
-    CodeRate.RATE_2_3: np.array([[1, 1], [1, 0]], dtype=np.uint8),
-    CodeRate.RATE_3_4: np.array([[1, 1, 0], [1, 0, 1]], dtype=np.uint8),
+    CodeRate.RATE_1_2: _read_only(np.array([[1], [1]], dtype=np.uint8)),
+    CodeRate.RATE_2_3: _read_only(np.array([[1, 1], [1, 0]], dtype=np.uint8)),
+    CodeRate.RATE_3_4: _read_only(np.array([[1, 1, 0], [1, 0, 1]], dtype=np.uint8)),
 }
+
+
+def _build_trellis() -> Tuple[np.ndarray, np.ndarray]:
+    """``(next_states, outputs)`` tables of the mother code.
+
+    ``state`` holds the most recent input bit in its MSB, matching the
+    hardware shift register.  ``next_states[state, bit]`` is the successor
+    state when ``bit`` is shifted in, and ``outputs[state, bit]`` packs the
+    mother-code output bits MSB-first (output 0 in the MSB), each the
+    parity of the register's tapped bits.
+    """
+    states = np.arange(N_STATES, dtype=np.int64)[:, None]
+    bits = np.arange(2, dtype=np.int64)[None, :]
+    registers = (bits << MEMORY) | states
+    outputs = np.zeros_like(registers)
+    for g in GENERATORS:
+        taps = registers & g
+        parity = np.zeros_like(taps)
+        for shift in range(CONSTRAINT_LENGTH):
+            parity ^= taps >> shift
+        outputs = (outputs << 1) | (parity & 1)
+    return _read_only(registers >> 1), _read_only(outputs)
+
+
+#: Trellis tables of the mother code, ``(N_STATES, 2)`` each (see
+#: :func:`_build_trellis`); every encoder and decoder shares them.
+NEXT_STATES, OUTPUTS = _build_trellis()
 
 
 @dataclass(frozen=True)
 class ConvolutionalCode:
-    """Definition of a rate-1/n convolutional mother code plus puncturing.
+    """The 802.11a K=7 (133, 171) mother code punctured to ``rate``.
 
     Parameters
     ----------
-    constraint_length:
-        Total memory + 1 (the 802.11a code uses 7).
-    generators:
-        Generator polynomials given as octal integers (e.g. ``(0o133, 0o171)``),
-        most-significant tap corresponding to the current input bit.
-    puncture_pattern:
-        Array of shape ``(n_outputs, period)`` of 0/1 flags; defaults to no
-        puncturing.  The 802.11a patterns are available in
-        :data:`PUNCTURE_PATTERNS`.
+    rate:
+        Effective code rate; its puncture pattern is
+        ``PUNCTURE_PATTERNS[rate]``.  A rate string such as ``"3/4"`` is
+        accepted and stored as its :class:`CodeRate` member.
     """
 
-    constraint_length: int = 7
-    generators: Tuple[int, ...] = (0o133, 0o171)
-    puncture_pattern: np.ndarray = field(
-        default_factory=lambda: PUNCTURE_PATTERNS[CodeRate.RATE_1_2]
-    )
+    rate: CodeRate = CodeRate.RATE_1_2
+
+    #: Tail bits of a block (:data:`MEMORY`), the same for every rate.
+    memory = MEMORY
 
     def __post_init__(self) -> None:
-        if self.constraint_length < 2:
-            raise ConfigurationError("constraint_length must be at least 2")
-        if len(self.generators) < 2:
-            raise ConfigurationError("at least two generator polynomials are required")
-        limit = 1 << self.constraint_length
-        for g in self.generators:
-            if not 0 < g < limit:
-                raise ConfigurationError(
-                    f"generator {oct(g)} does not fit constraint length {self.constraint_length}"
-                )
-        pattern = np.asarray(self.puncture_pattern, dtype=np.uint8)
-        if pattern.ndim != 2 or pattern.shape[0] != len(self.generators):
-            raise ConfigurationError(
-                "puncture pattern must have one row per generator polynomial"
-            )
-        if pattern.size and not np.any(pattern):
-            raise ConfigurationError("puncture pattern deletes every coded bit")
-        object.__setattr__(self, "puncture_pattern", pattern)
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def ieee80211a(cls, rate: CodeRate = CodeRate.RATE_1_2) -> "ConvolutionalCode":
-        """The 802.11a K=7 (133, 171) code at the requested punctured rate."""
-        return cls(
-            constraint_length=7,
-            generators=(0o133, 0o171),
-            puncture_pattern=PUNCTURE_PATTERNS[rate],
-        )
+        object.__setattr__(self, "rate", CodeRate(self.rate))
 
     @property
-    def n_outputs(self) -> int:
-        """Number of mother-code output bits per input bit."""
-        return len(self.generators)
-
-    @property
-    def memory(self) -> int:
-        """Number of shift-register delay elements."""
-        return self.constraint_length - 1
-
-    @property
-    def n_states(self) -> int:
-        """Number of trellis states."""
-        return 1 << self.memory
+    def puncture_pattern(self) -> np.ndarray:
+        """``(2, period)`` 0/1 flags of the coded bits kept (read-only)."""
+        return PUNCTURE_PATTERNS[self.rate]
 
     @property
     def puncture_period(self) -> int:
         """Number of input bits covered by one puncture-pattern period."""
         return self.puncture_pattern.shape[1]
 
-    @property
-    def rate(self) -> float:
-        """Effective code rate after puncturing."""
-        kept = int(self.puncture_pattern.sum())
-        return self.puncture_period / kept
-
     def coded_length(self, n_info_bits: int) -> int:
         """Coded bits of one terminated block of ``n_info_bits`` information bits."""
-        total_in = n_info_bits + self.memory
+        total_in = n_info_bits + MEMORY
         per_period = int(self.puncture_pattern.sum())
         full, rem = divmod(total_in, self.puncture_period)
         return full * per_period + int(self.puncture_pattern[:, :rem].sum())
-
-    def build_trellis(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Return ``(next_states, outputs)`` tables for the Viterbi decoder.
-
-        ``state`` holds the most recent input bit in its MSB, matching the
-        hardware shift register.  ``next_states[state, bit]`` is the
-        successor state when ``bit`` is shifted in, and
-        ``outputs[state, bit]`` packs the mother-code output bits MSB-first
-        (output 0 in the MSB), each the parity of the register's tapped
-        bits.
-        """
-        states = np.arange(self.n_states, dtype=np.int64)[:, None]
-        bits = np.arange(2, dtype=np.int64)[None, :]
-        registers = (bits << self.memory) | states
-        outputs = np.zeros_like(registers)
-        for g in self.generators:
-            taps = registers & g
-            parity = np.zeros_like(taps)
-            for shift in range(self.constraint_length):
-                parity ^= taps >> shift
-            outputs = (outputs << 1) | (parity & 1)
-        return registers >> 1, outputs
 
 
 class ConvolutionalEncoder:
@@ -172,17 +157,17 @@ class ConvolutionalEncoder:
     """
 
     def __init__(self, code: Optional[ConvolutionalCode] = None) -> None:
-        self.code = code if code is not None else ConvolutionalCode.ieee80211a()
+        self.code = code if code is not None else ConvolutionalCode()
 
     def encode(self, bits: Sequence[int] | np.ndarray) -> BitArray:
         """Encode one block ``(n,)`` or a stack of equal blocks ``(n_blocks, n)``.
 
         Every block is independent: the shift register starts all-zero and
-        the puncture pattern at its first column; ``constraint_length - 1``
-        zero tail bits end the block, so the decoder trellis ends in the
-        all-zero state (what the 802.11a tail bits do).  A block's result
-        has :meth:`ConvolutionalCode.coded_length` bits, and a stack's has
-        one such row per block.
+        the puncture pattern at its first column; :data:`MEMORY` zero tail
+        bits end the block, so the decoder trellis ends in the all-zero
+        state (what the 802.11a tail bits do).  A block's result has
+        :meth:`ConvolutionalCode.coded_length` bits, and a stack's has one
+        such row per block.
         """
         data = np.asarray(bits, dtype=np.uint8)
         if data.ndim not in (1, 2):
@@ -191,24 +176,21 @@ class ConvolutionalEncoder:
             )
         _as_bit_array(data)  # only 0s and 1s
         rows = np.atleast_2d(data)
-        memory = self.code.memory
-        n_steps = rows.shape[1] + memory
+        n_steps = rows.shape[1] + MEMORY
         # The all-zero register (oldest bit first), the input, the tail.
-        stream = np.zeros((rows.shape[0], n_steps + memory), dtype=np.uint8)
-        stream[:, memory : memory + rows.shape[1]] = rows
-        # Output g at step t XORs the bits g's taps select: bit
-        # ``memory - d`` of g weights the bit entered d steps earlier.
+        stream = np.zeros((rows.shape[0], n_steps + MEMORY), dtype=np.uint8)
+        stream[:, MEMORY : MEMORY + rows.shape[1]] = rows
+        # Output g at step t XORs the bits entered at g's tap delays.
         outputs = []
-        for g in self.code.generators:
+        for taps in GENERATOR_TAPS:
             out = np.zeros((rows.shape[0], n_steps), dtype=np.uint8)
-            for delay in range(memory + 1):
-                if (g >> (memory - delay)) & 1:
-                    out ^= stream[:, memory - delay : memory - delay + n_steps]
+            for delay in taps:
+                out ^= stream[:, MEMORY - delay : MEMORY - delay + n_steps]
             outputs.append(out)
         # Step-major mother code, each step's outputs in generator order;
         # the puncture pattern repeats every ``period`` of these slots.
         mother = np.stack(outputs, axis=-1).reshape(rows.shape[0], -1)
-        period = self.code.puncture_period * self.code.n_outputs
+        period = self.code.puncture_pattern.size
         kept = np.flatnonzero(self.code.puncture_pattern.T)
         slots = (np.arange(-(-mother.shape[1] // period))[:, None] * period + kept).ravel()
         coded = np.take(mother, slots[slots < mother.shape[1]], axis=1)

@@ -2,51 +2,52 @@
 
 The paper performs error correction with a Viterbi decoder per receive
 channel (Table 4 lists its resource cost), all of them running side by side.
-The decoder here supports the same generic
-:class:`~repro.coding.convolutional.ConvolutionalCode` the encoder uses,
-hard- or soft-decision branch metrics, and depuncturing of the 802.11a
-punctured rates.
+The decoder here decodes the one code the encoder emits, the 802.11a K=7
+(133, 171) code of :mod:`repro.coding.convolutional` at any of its
+punctured rates, with hard- or soft-decision branch metrics.  Its trellis
+tables are that module's, built once per process.
 
 Like the hardware's parallel decoders, :meth:`ViterbiDecoder.decode` takes a
 ``(n_blocks, n_coded)`` stack and runs every block through one
 add-compare-select loop, so the per-step Python cost is paid once per stack
 rather than once per stream.  Inside the trellis the block axis is the
-innermost, contiguous one: label metrics are ``(n_steps, 2 ** n_outputs,
-n_blocks)``, path metrics ``(2, n_states // 2, n_blocks)`` and survivor
-choices ``(n_steps, n_states, n_blocks)``, so every ufunc walks long
-unit-stride rows of blocks.  The trellis of a rate-1/n feed-forward code is
-a radix-2 butterfly: the two predecessors of next state ``ns`` are
-``2 * (ns % (n_states // 2)) + {0, 1}`` and its input bit is the top state
-bit.  Each step gathers its branch metrics from that step's per-label
-metrics, and a tie keeps the lower predecessor.  The traceback turns the
-choices, in place, into per-step predecessor tables and walks them back:
-a short stack block by block, one table lookup per step, and a tall one
-all blocks together, one gather per step.  The frozen per-branch
-reference in ``tests/reference`` checks the result bit for bit.
+innermost, contiguous one: label metrics are ``(n_steps, 4, n_blocks)``,
+path metrics ``(2, 32, n_blocks)`` and survivor choices ``(n_steps, 64,
+n_blocks)``, so every ufunc walks long unit-stride rows of blocks.  The
+trellis of a rate-1/2 feed-forward code is a radix-2 butterfly: the two
+predecessors of next state ``ns`` are ``2 * (ns % 32) + {0, 1}`` and its
+input bit is the top state bit.  Each step gathers its branch metrics from
+that step's per-label metrics, and a tie keeps the lower predecessor.  The
+traceback turns the choices, in place, into per-step one-byte predecessor
+tables and walks them back: a short stack block by block, one table lookup
+per step, and a tall one all blocks together, one gather per step.  The
+frozen per-branch reference in ``tests/reference`` checks the result bit
+for bit.
 
-Two exact shortcuts cut the hard-decision trellis work:
+Hard decisions stay bits: :meth:`ViterbiDecoder.decode` checks hard input
+once into ``uint8``, and the codeword test, the depuncturing and the label
+metrics all work on those bits.  Two exact shortcuts cut the hard-decision
+trellis work:
 
 * **Codeword fast path** (hard decision, unpunctured rate 1/2).  A block
   whose hard bits already form a codeword of the terminated code skips the
   trellis.  That codeword is at Hamming distance 0 and every other
-  terminated path is at distance at least the free distance (10 for the
-  802.11a code), so it is the unique maximum-likelihood decode and the tie
-  rule never matters.  The test inverts the code with its feedforward
-  inverse ``(a0, a1)``, ``a0 g0 + a1 g1 = 1`` over GF(2)[D] (extended
-  Euclid, once per code per process): ``a0 y0 + a1 y1`` recovers the
-  information bits of any codeword, and re-encoding those candidate bits
-  with the zero tail reproduces every received bit exactly when the block
-  is a codeword.  Only the other blocks run the trellis.  A code whose
-  generators share a factor (a catastrophic code, no feedforward inverse)
-  and the punctured rates always run the trellis.
-* **Integer hard metrics.**  Hard input must be 0/1 bits, so a hard branch
-  metric is a Hamming distance over the kept positions (an erasure adds 0)
-  and every path metric is an exact integer of at most ``n_outputs *
-  n_steps``.  The hard trellis therefore runs in ``int32`` with an
-  unreachable-state metric of ``n_outputs * n_steps + 1``, above every
-  reachable path and far from overflow.  Every comparison between
-  reachable candidates is the same integer comparison the ``float64``
-  sums made, and a reachable candidate beats an unreachable one in both
+  terminated path is at distance at least the free distance, 10, so it is
+  the unique maximum-likelihood decode and the tie rule never matters.  The
+  test inverts the code with its feedforward inverse ``(a0, a1)``, ``a0 g0
+  + a1 g1 = 1`` over GF(2)[D] (:data:`_INVERSE_TAPS`): ``a0 y0 + a1 y1``
+  recovers the information bits of any codeword, and re-encoding those
+  candidate bits with the zero tail reproduces every received bit exactly
+  when the block is a codeword.  Only the other blocks run the trellis.
+  The punctured rates always run the trellis.
+* **Integer hard metrics.**  A hard branch metric is a Hamming distance
+  over the kept positions (an erasure adds 0): label bit XOR received bit,
+  masked, in exact small integers.  Every path metric is then an exact
+  integer of at most ``2 * n_steps``, so the hard trellis runs in
+  ``int32`` with an unreachable-state metric of ``2 * n_steps + 1``, above
+  every reachable path and far from overflow.  Every comparison between
+  reachable candidates is the same integer comparison ``float64`` sums
+  would make, and a reachable candidate beats an unreachable one in both
   arithmetics; only the choices at still-unreachable states can differ
   (``1e18 + x`` rounds to a tie in floats, not in integers).  The
   traceback never reads those: it starts from the zero end state, which
@@ -56,12 +57,19 @@ Two exact shortcuts cut the hard-decision trellis work:
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.coding.convolutional import ConvolutionalCode
+from repro.coding.convolutional import (
+    GENERATOR_TAPS,
+    GENERATORS,
+    MEMORY,
+    N_STATES,
+    OUTPUTS,
+    CodeRate,
+    ConvolutionalCode,
+)
 from repro.exceptions import ConfigurationError, DecodingError
 from repro.utils.bits import BitArray
 
@@ -73,7 +81,7 @@ _ACS_CHUNK = 64
 
 #: Most block-steps (steps times blocks) one gather covers, so a tall stack
 #: gathers fewer steps at a time: the gathered block stays within
-#: ``_ACS_BLOCK_STEPS * n_states * 2`` floats for any stack height.
+#: ``_ACS_BLOCK_STEPS * N_STATES * 2`` floats for any stack height.
 _ACS_BLOCK_STEPS = 768
 
 
@@ -85,76 +93,52 @@ _ACS_BLOCK_STEPS = 768
 #: eight 4x4 frames) the gather walk takes 0.63 ms against 1.2.
 _STEP_WALK_ROWS = 16
 
+#: Mother-code outputs per trellis step.
+_N_OUTPUTS = len(GENERATORS)
+
+#: Half the states: the butterfly's width.
+_HALF = N_STATES // 2
+
+#: The two values of a label bit, ``[bit, 1]``: the hard metric XORs the
+#: received bit with them, and the soft metric signs the LLR by them (bit 0
+#: -> +1, bit 1 -> -1).
+_BIT_VALUES = np.array([[0], [1]], dtype=np.uint8)
+_BIT_SIGNS = np.array([[1.0], [-1.0]])
+
+#: Bits of every output label, MSB (output 0) first: ``(4, 2)``.
+_LABEL_BITS = (np.arange(1 << _N_OUTPUTS)[:, None] >> np.arange(_N_OUTPUTS - 1, -1, -1)) & 1
+
+#: Label of the branch from predecessor ``2j + p`` under input bit ``b``,
+#: indexed ``[p, b, j]``; that branch lands in next state ``b * 32 + j``.
+_BRANCH_LABELS = OUTPUTS[
+    2 * np.arange(_HALF)[None, None, :] + np.arange(2)[:, None, None],
+    np.arange(2)[None, :, None],
+]
+
+#: Tap delays of the feedforward inverse ``(a0, a1)`` of the generators:
+#: ``a0 = D**2 + D**4`` and ``a1 = 1 + D + D**2 + D**3 + D**4`` give
+#: ``a0 g0 + a1 g1 = 1`` over GF(2)[D] (extended Euclid; a tier-1 test
+#: derives it again and checks the identity).
+_INVERSE_TAPS = ((2, 4), (0, 1, 2, 3, 4))
+
+#: Predecessor-table base of each state, ``(state & 31) << 1``, as a
+#: ``(N_STATES, 1)`` column the choice bits are ORed into.
+_PREDECESSOR_BASE = ((np.arange(N_STATES) & (_HALF - 1)) << 1).astype(np.uint8)[:, None]
+
 
 def _gather_steps(n_blocks: int) -> int:
     """Trellis steps per branch-metric gather for a stack of ``n_blocks``."""
     return max(1, min(_ACS_CHUNK, _ACS_BLOCK_STEPS // max(n_blocks, 1)))
 
 
-def _gf2_multiply(a: int, b: int) -> int:
-    """Product of two GF(2)[D] polynomials held as ints (bit i is D**i)."""
-    product = 0
-    while b:
-        if b & 1:
-            product ^= a
-        a <<= 1
-        b >>= 1
-    return product
-
-
-def _gf2_divmod(a: int, b: int) -> Tuple[int, int]:
-    """Quotient and remainder of GF(2)[D] polynomial division."""
-    quotient = 0
-    while a.bit_length() >= b.bit_length():
-        shift = a.bit_length() - b.bit_length()
-        quotient ^= 1 << shift
-        a ^= b << shift
-    return quotient, a
-
-
-def _polynomial(generator: int, memory: int) -> int:
-    """A generator as a GF(2)[D] polynomial held as an int (bit i is D**i).
-
-    The generator's most significant bit is the current-input tap, ``D**0``.
-    """
-    return sum((generator >> (memory - i) & 1) << i for i in range(memory + 1))
-
-
-def _taps(polynomial: int) -> Tuple[int, ...]:
-    """Delays of a GF(2)[D] polynomial's nonzero coefficients."""
-    return tuple(i for i in range(polynomial.bit_length()) if polynomial >> i & 1)
-
-
-@lru_cache(maxsize=None)
-def _feedforward_inverse(
-    constraint_length: int, generators: Tuple[int, ...]
-) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
-    """Tap delays of ``(a0, a1)`` with ``a0 g0 + a1 g1 = 1``, or ``None``.
-
-    Extended Euclid over GF(2)[D]; ``None`` means the generators share a
-    factor (a catastrophic code) or there are not exactly two of them.
-    """
-    if len(generators) != 2:
-        return None
-    g0, g1 = (_polynomial(g, constraint_length - 1) for g in generators)
-    # Both rows keep r = s * g0 + t * g1.
-    r0, s0, t0 = g0, 1, 0
-    r1, s1, t1 = g1, 0, 1
-    while r1:
-        quotient, remainder = _gf2_divmod(r0, r1)
-        r0, r1 = r1, remainder
-        s0, s1 = s1, s0 ^ _gf2_multiply(quotient, s1)
-        t0, t1 = t1, t0 ^ _gf2_multiply(quotient, t1)
-    return (_taps(s0), _taps(t0)) if r0 == 1 else None
-
-
 class ViterbiDecoder:
-    """Maximum-likelihood sequence decoder for convolutional codes.
+    """Maximum-likelihood sequence decoder for the 802.11a code.
 
     Parameters
     ----------
     code:
-        Code definition shared with the encoder (defaults to 802.11a K=7).
+        The code shared with the encoder, which sets the punctured rate
+        (defaults to rate 1/2).
     decision:
         ``"hard"`` — the input is coded bits (0/1) and branch metrics are
         Hamming distances; ``"soft"`` — the input is log-likelihood ratios
@@ -170,29 +154,9 @@ class ViterbiDecoder:
     ) -> None:
         if decision not in ("hard", "soft"):
             raise ConfigurationError("decision must be 'hard' or 'soft'")
-        self.code = code if code is not None else ConvolutionalCode.ieee80211a()
+        self.code = code if code is not None else ConvolutionalCode()
         self.decision = decision
-        n = self.code.n_outputs
-        # Bits of every output label, MSB (output 0) first: (2**n, n).
-        shifts = np.arange(n - 1, -1, -1)
-        self._label_bits = (np.arange(1 << n)[:, None] >> shifts) & 1
-        # Label of the branch from predecessor 2j + p under input bit b,
-        # indexed [p, b, j]; that branch lands in next state b * half + j.
-        _, outputs = self.code.build_trellis()
-        half = self.code.n_states // 2
-        p = np.arange(2)[:, None, None]
-        b = np.arange(2)[None, :, None]
-        j = np.arange(half)[None, None, :]
-        self._branch_labels = outputs[2 * j + p, b]
-        # Codeword fast path: hard, unpunctured rate 1/2, invertible code.
-        self._generator_taps = [
-            _taps(_polynomial(g, self.code.memory)) for g in self.code.generators
-        ]
-        self._inverse = None
-        if decision == "hard" and self.code.puncture_pattern.all():
-            self._inverse = _feedforward_inverse(
-                self.code.constraint_length, tuple(self.code.generators)
-            )
+        self._codeword_test = decision == "hard" and self.code.rate is CodeRate.RATE_1_2
 
     # ------------------------------------------------------------------
     # depuncturing
@@ -214,13 +178,13 @@ class ViterbiDecoder:
         Returns
         -------
         (full_values, erasure_mask):
-            ``full_values`` has shape ``(n_input_bits, n_outputs)`` (with a
-            trailing ``n_blocks`` axis for a stack) and zeros in erased
-            positions; ``erasure_mask`` has shape ``(n_input_bits,
-            n_outputs)`` and is 1 where a real received value is present and
-            0 where the puncturer deleted the bit.
+            ``full_values`` has shape ``(n_input_bits, 2)`` (with a trailing
+            ``n_blocks`` axis for a stack), the dtype of ``values`` and
+            zeros in erased positions; ``erasure_mask`` is a ``uint8``
+            ``(n_input_bits, 2)`` array, 1 where a real received value is
+            present and 0 where the puncturer deleted the bit.
         """
-        received = np.asarray(values, dtype=np.float64)
+        received = np.asarray(values)
         stacked = received.ndim == 2
         stack = received if stacked else received.reshape(1, -1)
         # Tile the puncture pattern across trellis steps; filling the boolean
@@ -238,9 +202,9 @@ class ViterbiDecoder:
                 f"received stream has {stack.shape[1]} values but the block "
                 f"consumes {consumed}"
             )
-        full = np.zeros((n_input_bits, self.code.n_outputs, stack.shape[0]), dtype=np.float64)
+        full = np.zeros((n_input_bits, _N_OUTPUTS, stack.shape[0]), dtype=stack.dtype)
         full[present] = stack.T
-        return (full if stacked else full[..., 0]), present.astype(np.float64)
+        return (full if stacked else full[..., 0]), present.view(np.uint8)
 
     # ------------------------------------------------------------------
     # branch metrics
@@ -248,28 +212,27 @@ class ViterbiDecoder:
     def _label_metrics(self, observations: np.ndarray, mask: np.ndarray) -> np.ndarray:
         """Metric of every output label at every step, lower is better.
 
-        ``observations`` has shape ``(n_steps, n_outputs, n_blocks)`` and
-        ``mask`` ``(n_steps, n_outputs)``; the result is a contiguous
-        ``(n_steps, 2 ** n_outputs, n_blocks)`` array, ``int32`` for hard
-        decisions and ``float64`` for soft ones.  A branch's metric is its
-        label's: the sum over outputs, in output order, of that output's
-        term for the label's bit.
+        ``observations`` has shape ``(n_steps, 2, n_blocks)`` (``uint8``
+        bits for hard decisions, ``float64`` LLRs for soft ones) and
+        ``mask`` ``(n_steps, 2)``; the result is a contiguous ``(n_steps, 4,
+        n_blocks)`` array, ``int32`` for hard decisions and ``float64`` for
+        soft ones.  A branch's metric is its label's: the sum over outputs,
+        in output order, of that output's term for the label's bit.
         """
-        erasures = mask[:, :, None, None]
-        bit_values = np.array([[0.0], [1.0]])
         if self.decision == "hard":
-            # Hamming distance over non-erased positions, in exact integers.
-            terms = (np.abs(bit_values - observations[:, :, None, :]) * erasures).astype(np.int32)
+            # Hamming distance over the kept positions, in exact integers.
+            terms = (
+                (observations[:, :, None, :] ^ _BIT_VALUES) & mask[:, :, None, None]
+            ).astype(np.int32)
         else:
             # Soft decision: LLR convention is positive => bit 0 more likely.
-            # Metric = -(sum over outputs of (bit ? -LLR : +LLR)), lower better.
-            signs = 1.0 - 2.0 * bit_values  # bit0 -> +1, bit1 -> -1
-            terms = signs * (observations[:, :, None, :] * erasures)
+            # Metric = -(sum over outputs of (bit ? -LLR : +LLR)), lower
+            # better; an erased position already holds a zero LLR.
+            terms = _BIT_SIGNS * observations[:, :, None, :]
         # terms[step, output, bit, block]; gather each output's term per label
         # with ``take``, which (unlike fancy indexing) returns C order.
-        metrics = np.take(terms[:, 0], self._label_bits[:, 0], axis=1)
-        for output in range(1, self.code.n_outputs):
-            metrics += np.take(terms[:, output], self._label_bits[:, output], axis=1)
+        metrics = np.take(terms[:, 0], _LABEL_BITS[:, 0], axis=1)
+        metrics += np.take(terms[:, 1], _LABEL_BITS[:, 1], axis=1)
         if self.decision == "soft":
             np.negative(metrics, out=metrics)
         return metrics
@@ -290,7 +253,8 @@ class ViterbiDecoder:
         received:
             Hard bits or LLRs, in the (punctured) order the encoder emitted:
             one block ``(n_coded,)`` or a stack ``(n_blocks, n_coded)`` of
-            equally long blocks decoded in one trellis pass.
+            equally long blocks decoded in one trellis pass.  Hard bits may
+            come as any boolean, integer or float array of 0s and 1s.
         n_info_bits:
             Number of information bits to return per block.
 
@@ -302,25 +266,15 @@ class ViterbiDecoder:
         Raises
         ------
         DecodingError
-            If ``received`` has more than two dimensions, is complex, holds
-            a NaN or infinite value, or (hard decision) holds a value other
-            than 0 or 1.
+            If ``received`` is not one block or a 2-D stack, holds no
+            values, is not real (complex or non-numeric), holds a NaN or
+            infinite value, or (hard decision) holds a value other than 0
+            or 1.
         ConfigurationError
             If ``n_info_bits`` is not a non-negative integer, or a row's
             length does not match the block ``n_info_bits`` asks for.
         """
-        raw = np.asarray(received)
-        if np.iscomplexobj(raw):
-            raise DecodingError("received values must be real, got complex input")
-        values = np.asarray(raw, dtype=np.float64)
-        if values.ndim > 2:
-            raise DecodingError(
-                f"received must be one block or a 2-D stack, got {values.ndim} dimensions"
-            )
-        if not np.isfinite(values).all():
-            raise DecodingError("received values must be finite")
-        if self.decision == "hard" and not ((values == 0.0) | (values == 1.0)).all():
-            raise DecodingError("hard-decision input must be bits (0 or 1)")
+        values = self._checked(received)
         if not isinstance(n_info_bits, (int, np.integer)) or n_info_bits < 0:
             raise ConfigurationError(
                 f"n_info_bits must be a non-negative integer, got {n_info_bits!r}"
@@ -328,7 +282,7 @@ class ViterbiDecoder:
         stacked = values.ndim == 2
         if not stacked:
             values = values.reshape(1, -1)
-        if self._inverse is not None and values.shape[1] == 2 * (n_info_bits + self.code.memory):
+        if self._codeword_test and values.shape[1] == 2 * (n_info_bits + MEMORY):
             decoded, is_codeword = self._codewords(values, n_info_bits)
             rows = np.flatnonzero(~is_codeword)
             if rows.size:
@@ -337,13 +291,36 @@ class ViterbiDecoder:
             decoded = self._trellis(values, n_info_bits)
         return decoded if stacked else decoded[0]
 
+    def _checked(self, received: Sequence[float] | np.ndarray) -> np.ndarray:
+        """``received`` checked once: ``uint8`` bits for hard decisions,
+        ``float64`` LLRs for soft ones (see :meth:`decode` for what raises)."""
+        raw = np.asarray(received)
+        if raw.dtype.kind not in "biuf":
+            raise DecodingError(f"received values must be real numbers, got {raw.dtype} input")
+        if raw.ndim not in (1, 2):
+            raise DecodingError(
+                f"received must be one block or a 2-D stack, got {raw.ndim} dimensions"
+            )
+        if raw.size == 0:
+            raise DecodingError("received holds no coded values")
+        if self.decision == "soft":
+            values = np.asarray(raw, dtype=np.float64)
+            if not np.isfinite(values).all():
+                raise DecodingError("received values must be finite")
+            return values
+        if raw.dtype.kind != "b" and not ((raw == 0) | (raw == 1)).all():
+            if not np.isfinite(raw).all():
+                raise DecodingError("received values must be finite")
+            raise DecodingError("hard-decision input must be bits (0 or 1)")
+        return np.asarray(raw, dtype=np.uint8)
+
     def _trellis(self, values: np.ndarray, n_info_bits: int) -> np.ndarray:
         """Decode a ``(n_blocks, n_coded)`` stack through the trellis."""
-        observations, mask = self.depuncture(values, n_info_bits + self.code.memory)
+        observations, mask = self.depuncture(values, n_info_bits + MEMORY)
         choices = self._acs(self._label_metrics(observations, mask))
         return self._traceback(choices)[:, :n_info_bits]
 
-    def _codewords(self, values: np.ndarray, n_info_bits: int) -> Tuple[np.ndarray, np.ndarray]:
+    def _codewords(self, bits: np.ndarray, n_info_bits: int) -> Tuple[np.ndarray, np.ndarray]:
         """Candidate information bits of a rate-1/2 hard stack, and which rows are codewords.
 
         The candidate is the first ``n_info_bits`` coefficients of ``a0 y0 +
@@ -351,18 +328,16 @@ class ViterbiDecoder:
         with the zero tail gives back every received bit, and then the
         candidate is its decode.
         """
-        n_steps = n_info_bits + self.code.memory
+        n_steps = n_info_bits + MEMORY
         # Received bits as (output, block, step) rows.
-        received = np.moveaxis(values.reshape(len(values), n_steps, 2), 2, 0).astype(
-            np.uint8, order="C"
-        )
-        info = np.zeros((len(values), n_info_bits), dtype=np.uint8)
-        for stream, taps in zip(received, self._inverse):
+        received = np.ascontiguousarray(np.moveaxis(bits.reshape(len(bits), n_steps, 2), 2, 0))
+        info = np.zeros((len(bits), n_info_bits), dtype=np.uint8)
+        for stream, taps in zip(received, _INVERSE_TAPS):
             for delay in taps:
                 if delay < n_info_bits:
                     info[:, delay:] ^= stream[:, : n_info_bits - delay]
         coded = np.zeros_like(received)
-        for output, taps in zip(coded, self._generator_taps):
+        for output, taps in zip(coded, GENERATOR_TAPS):
             for delay in taps:
                 output[:, delay : delay + n_info_bits] ^= info
         return info, (coded == received).all(axis=(0, 2))
@@ -373,7 +348,7 @@ class ViterbiDecoder:
     def _acs(self, label_metrics: np.ndarray) -> np.ndarray:
         """Butterfly add-compare-select over every block at once.
 
-        Returns the ``(n_steps, n_states, n_blocks)`` choice bits: ``True`` where the
+        Returns the ``(n_steps, 64, n_blocks)`` choice bits: ``True`` where the
         survivor into a state came from the odd predecessor ``2j + 1``.
         Candidates are the same ``metric + branch`` sums a per-branch
         decoder forms, and ``c1 < c0`` keeps the even predecessor on a tie.
@@ -382,50 +357,42 @@ class ViterbiDecoder:
         Hamming distance of a block.
         """
         n_steps, _, n_blocks = label_metrics.shape
-        n_states = self.code.n_states
-        half = n_states // 2
         dtype = label_metrics.dtype
-        unreachable = _METRIC_INF if dtype.kind == "f" else self.code.n_outputs * n_steps + 1
+        unreachable = _METRIC_INF if dtype.kind == "f" else _N_OUTPUTS * n_steps + 1
         # Metrics of next state b * half + j live at [b, j]; the same buffer
         # seen as [p, 1, j] is the metric of predecessor 2j + p.
-        metrics = np.full((2, half, n_blocks), unreachable, dtype=dtype)
+        metrics = np.full((2, _HALF, n_blocks), unreachable, dtype=dtype)
         metrics[0, 0] = 0
-        predecessors = metrics.reshape(half, 2, n_blocks).transpose(1, 0, 2)[:, None]
-        candidate = np.empty((2, 2, half, n_blocks), dtype=dtype)  # [p, b, j, block]
+        predecessors = metrics.reshape(_HALF, 2, n_blocks).transpose(1, 0, 2)[:, None]
+        candidate = np.empty((2, 2, _HALF, n_blocks), dtype=dtype)  # [p, b, j, block]
         even, odd = candidate[0], candidate[1]
-        choices = np.empty((n_steps, 2, half, n_blocks), dtype=bool)
+        choices = np.empty((n_steps, 2, _HALF, n_blocks), dtype=bool)
         steps = _gather_steps(n_blocks)
         for start in range(0, n_steps, steps):
             # Branch metrics of a bounded chunk of steps, [step, p, b, j, block].
             chunk = label_metrics[start : start + steps]
-            branches = np.take(chunk, self._branch_labels, axis=1)
+            branches = np.take(chunk, _BRANCH_LABELS, axis=1)
             for branch, choice in zip(branches, choices[start : start + steps]):
                 np.add(predecessors, branch, out=candidate)
                 np.less(odd, even, out=choice)
                 np.minimum(even, odd, out=metrics)
-        return choices.reshape(n_steps, n_states, n_blocks)
+        return choices.reshape(n_steps, N_STATES, n_blocks)
 
     def _traceback(self, choices: np.ndarray) -> np.ndarray:
         """Walk every block's survivor path back from the all-zero end state.
 
-        The choice bits become per-step predecessor tables, ``table[step,
-        state] = ((state & (half - 1)) << 1) | choice``, written over the
-        choices' own bytes (codes over 256 states need a ``uint16`` table,
-        and so a copy).  A stack of fewer than :data:`_STEP_WALK_ROWS`
-        blocks walks each block's column of tables as one ``bytes`` string,
-        one lookup per step; a taller stack walks all blocks together, one
-        gather per step.
+        The choice bits become per-step one-byte predecessor tables,
+        ``table[step, state] = ((state & 31) << 1) | choice``, written over
+        the choices' own bytes.  A stack of fewer than
+        :data:`_STEP_WALK_ROWS` blocks walks each block's column of tables
+        as one ``bytes`` string, one lookup per step; a taller stack walks
+        all blocks together, one gather per step.
         """
-        n_steps, n_states, n_blocks = choices.shape
-        low = np.arange(n_states) & (n_states // 2 - 1)
-        if n_states <= 256:
-            table = choices.view(np.uint8)
-        else:
-            table = choices.astype(np.uint16)
-        table |= (low << 1).astype(table.dtype)[:, None]
-        walk = _walk_steps if n_blocks >= _STEP_WALK_ROWS else _walk_blocks
+        table = choices.view(np.uint8)
+        table |= _PREDECESSOR_BASE
+        walk = _walk_steps if table.shape[2] >= _STEP_WALK_ROWS else _walk_blocks
         # The input bit that entered a state is its top bit.
-        return (walk(table) >> (self.code.memory - 1)).astype(np.uint8)
+        return (walk(table) >> (MEMORY - 1)).astype(np.uint8)
 
 
 def _walk_blocks(table: np.ndarray) -> np.ndarray:
@@ -436,8 +403,6 @@ def _walk_blocks(table: np.ndarray) -> np.ndarray:
     for block in range(n_blocks):
         state = 0
         path = table[:, :, block].tobytes()
-        if table.itemsize > 1:
-            path = memoryview(path).cast(table.dtype.char)
         visited = []
         for offset in offsets:
             visited.append(state)

@@ -127,7 +127,7 @@ def burst_layout(config: TransceiverConfig, n_info_bits: int) -> BurstLayout:
 @functools.lru_cache(maxsize=256)
 def _burst_layout(config: TransceiverConfig, n_info_bits: int) -> BurstLayout:
     preamble = PreambleGenerator.for_fft_size(config.fft_size)
-    coded_length = ConvolutionalCode.ieee80211a(config.code_rate).coded_length(n_info_bits)
+    coded_length = ConvolutionalCode(config.code_rate).coded_length(n_info_bits)
     return BurstLayout(
         sts_length=preamble.sts_time().size,
         lts_slot_length=preamble.lts_time().size,

@@ -142,7 +142,7 @@ class MimoReceiver:
         self.preamble = PreambleGenerator.for_fft_size(self.config.fft_size)
         self.pilots = PilotProcessor(self.numerology)
         self.demapper = SymbolDemapper(self.config.modulation)
-        self.code = ConvolutionalCode.ieee80211a(self.config.code_rate)
+        self.code = ConvolutionalCode(self.config.code_rate)
         decision = "soft" if self.config.soft_decision else "hard"
         self.viterbi = ViterbiDecoder(self.code, decision=decision)
         self._scrambler = Scrambler()
@@ -261,13 +261,26 @@ class MimoReceiver:
         in passes of at most :data:`DECODE_SLICE` rows so the trellis
         buffers stay bounded for any stack height, and every row comes
         out exactly as decoding it on its own would give.
+
+        Raises :class:`~repro.exceptions.DecodingError` unless ``coded`` is
+        a 2-D stack of at least one row, and otherwise whatever
+        :meth:`~repro.coding.viterbi.ViterbiDecoder.decode` raises for its
+        values or ``n_info_bits``.
         """
-        decoded = np.empty((coded.shape[0], n_info_bits), dtype=np.uint8)
-        for start in range(0, coded.shape[0], DECODE_SLICE):
-            decoded[start : start + DECODE_SLICE] = self.viterbi.decode(
-                coded[start : start + DECODE_SLICE],
-                n_info_bits=n_info_bits,
+        stack = np.asarray(coded)
+        if stack.ndim != 2:
+            raise DecodingError(
+                f"coded must be a 2-D stack of code blocks, got {stack.ndim} dimensions"
             )
+        # A first pass also runs on an empty stack, so the decoder rejects it.
+        decoded = np.concatenate(
+            [
+                self.viterbi.decode(
+                    stack[start : start + DECODE_SLICE], n_info_bits=n_info_bits
+                )
+                for start in range(0, max(len(stack), 1), DECODE_SLICE)
+            ]
+        )
         return self._scrambler.process(decoded)
 
     # ------------------------------------------------------------------

@@ -52,7 +52,7 @@ class MimoTransmitter:
         self.preamble = PreambleGenerator.for_fft_size(self.config.fft_size)
         self.pilots = PilotProcessor(self.numerology)
         self.mapper = SymbolMapper(self.config.modulation)
-        self.code = ConvolutionalCode.ieee80211a(self.config.code_rate)
+        self.code = ConvolutionalCode(self.config.code_rate)
         self._encoder = ConvolutionalEncoder(self.code)
         self._scrambler = Scrambler()
 

@@ -20,7 +20,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, integer_at_least
 
 ArrayLike = Union[float, complex, np.ndarray]
 
@@ -42,6 +42,9 @@ class FixedPointFormat:
         Number of fractional bits.  ``word_length - frac_bits - 1`` integer
         bits remain for magnitude.
 
+    Both are Python or numpy integers, stored as ``int``; anything else
+    raises :class:`~repro.exceptions.ConfigurationError`.
+
     :meth:`quantize` rounds half away from zero (the common DSP behaviour)
     and saturates to the representable range (what well-designed datapaths
     do).
@@ -51,10 +54,12 @@ class FixedPointFormat:
     frac_bits: int
 
     def __post_init__(self) -> None:
-        if self.word_length < 2:
-            raise ConfigurationError("word_length must be at least 2 (sign bit + 1)")
-        if self.frac_bits < 0:
-            raise ConfigurationError("frac_bits must be non-negative")
+        # Integers only, stored as ``int``: an equal value of another type
+        # would key another sweep point (``to_dict`` is hashed).
+        object.__setattr__(
+            self, "word_length", integer_at_least("word_length", self.word_length, 2)
+        )
+        object.__setattr__(self, "frac_bits", integer_at_least("frac_bits", self.frac_bits, 0))
         if self.frac_bits > self.word_length - 1:
             raise ConfigurationError("frac_bits cannot exceed word_length - 1")
 

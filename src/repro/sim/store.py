@@ -38,7 +38,7 @@ import json
 import os
 import threading
 from pathlib import Path
-from typing import Dict, Iterable, Mapping, Optional, Set, Union
+from typing import Dict, Iterable, Iterator, Mapping, Optional, Set, Tuple, Union
 
 try:  # POSIX log locking; other platforms fall back to the thread lock.
     import fcntl
@@ -64,8 +64,8 @@ def default_store_dir() -> Path:
     return default_cache_dir() / "points"
 
 
-def _record_key(line: bytes) -> Optional[str]:
-    """Key of one intact record line, or ``None`` for anything else.
+def _record(line: bytes) -> Optional[Tuple[str, dict]]:
+    """``(key, payload)`` of one intact record line, or ``None`` for anything else.
 
     Torn lines (a writer died mid-``write``), foreign lines, undecodable
     bytes and records without the expected shape are skipped, never
@@ -81,7 +81,7 @@ def _record_key(line: bytes) -> Optional[str]:
         and isinstance(record.get("key"), str)
         and isinstance(record.get("payload"), dict)
     ):
-        return record["key"]
+        return record["key"], record["payload"]
     return None
 
 
@@ -103,19 +103,19 @@ class ResultStore:
         self.log_path = self.directory / LOG_NAME
         self._lock = threading.Lock()
 
-    def _scan(self, wanted: Optional[Set[str]] = None) -> Dict[str, bytes]:
-        """Raw line of the latest intact record of each ``wanted`` key
-        (``None``: every key), in one pass over the log.
+    def _scan(self, wanted: Optional[Set[str]] = None) -> Iterator[Tuple[str, dict]]:
+        """``(key, payload)`` of every intact record of a ``wanted`` key
+        (``None``: every key), in log order, in one pass over the log.
 
-        A line ``put`` wrote starts with its key, so the lines of other
-        keys are passed over without being parsed.  A partly written last
-        line is left for a read after an append completes it.
+        Each of those lines is parsed once.  A line ``put`` wrote starts
+        with its key, so the lines of other keys are passed over without
+        being parsed.  A partly written last line is left for a read after
+        an append completes it.
         """
-        lines: Dict[str, bytes] = {}
         try:
             log = open(self.log_path, "rb")
         except OSError:
-            return lines
+            return
         with log:
             for line in log:
                 if not line.endswith(b"\n"):
@@ -130,16 +130,14 @@ class ResultStore:
                         and claimed.decode("ascii") not in wanted
                     ):
                         continue
-                key = _record_key(line)
-                if key is not None and (wanted is None or key in wanted):
-                    lines[key] = line
-        return lines
+                record = _record(line)
+                if record is not None and (wanted is None or record[0] in wanted):
+                    yield record
 
     # -- reads ---------------------------------------------------------
     def get(self, key: str) -> Optional[dict]:
         """Latest payload stored under ``key``, or ``None``."""
-        line = self._scan({key}).get(key)
-        return None if line is None else json.loads(line)["payload"]
+        return dict(self._scan({key})).get(key)
 
     def get_many(self, keys: Iterable[str]) -> Dict[str, dict]:
         """Latest payloads for every present key, in one pass over the log.
@@ -147,18 +145,17 @@ class ResultStore:
         This is the resume fast path: a warm re-run of a whole grid costs
         one read of the log instead of one per point.
         """
-        lines = self._scan(set(keys))
-        return {key: json.loads(line)["payload"] for key, line in lines.items()}
+        return dict(self._scan(set(keys)))
 
     def __contains__(self, key: str) -> bool:
-        return key in self._scan({key})
+        return any(self._scan({key}))
 
     def keys(self) -> set:
         """Every distinct key with at least one intact record."""
-        return set(self._scan())
+        return {key for key, _ in self._scan()}
 
     def __len__(self) -> int:
-        return len(self._scan())
+        return len(self.keys())
 
     # -- writes --------------------------------------------------------
     def put(self, records: Mapping[str, dict]) -> Path:
@@ -203,7 +200,7 @@ class ResultStore:
     def clear(self) -> int:
         """Delete the log; returns the number of keys removed."""
         with self._lock:
-            removed = len(self._scan())
+            removed = len(self.keys())
             try:
                 self.log_path.unlink()
             except OSError:

@@ -12,7 +12,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.coding.convolutional import ConvolutionalCode
+from repro.coding.convolutional import GENERATORS, N_STATES, ConvolutionalCode
 from repro.coding.scrambler import Scrambler
 
 _METRIC_INF = 1e18
@@ -23,17 +23,18 @@ def build_trellis_serial(code: ConvolutionalCode) -> Tuple[np.ndarray, np.ndarra
 
     The shift register holds the newest bit in its MSB; each output is the
     parity of the register's tapped bits, packed MSB-first (output 0 in
-    the MSB) -- the table layout of
-    :meth:`~repro.coding.convolutional.ConvolutionalCode.build_trellis`.
+    the MSB) -- the layout of
+    :data:`~repro.coding.convolutional.NEXT_STATES` and
+    :data:`~repro.coding.convolutional.OUTPUTS`.
     """
-    next_states = np.zeros((code.n_states, 2), dtype=np.int64)
-    outputs = np.zeros((code.n_states, 2), dtype=np.int64)
-    for state in range(code.n_states):
+    next_states = np.zeros((N_STATES, 2), dtype=np.int64)
+    outputs = np.zeros((N_STATES, 2), dtype=np.int64)
+    for state in range(N_STATES):
         for bit in (0, 1):
             register = (bit << code.memory) | state
             next_states[state, bit] = register >> 1
             value = 0
-            for g in code.generators:
+            for g in GENERATORS:
                 value = (value << 1) | (bin(register & g).count("1") & 1)
             outputs[state, bit] = value
     return next_states, outputs
@@ -53,7 +54,7 @@ def encode_serial(code: ConvolutionalCode, bits: np.ndarray) -> np.ndarray:
         # The newest bit enters the register's MSB; each output is the
         # parity of the tapped bits, and the oldest bit drops out.
         register = (bit << code.memory) | state
-        outputs = [bin(register & g).count("1") & 1 for g in code.generators]
+        outputs = [bin(register & g).count("1") & 1 for g in GENERATORS]
         state = register >> 1
         column = step % code.puncture_period
         coded.extend(
@@ -92,7 +93,7 @@ def viterbi_decode_serial(
     n_steps = n_info_bits + code.memory
 
     # Depuncture by walking the pattern bit by bit.
-    n_out = code.n_outputs
+    n_out = len(GENERATORS)
     observations = np.zeros((n_steps, n_out))
     mask = np.zeros((n_steps, n_out))
     position = 0
@@ -108,7 +109,7 @@ def viterbi_decode_serial(
     next_states, outputs = build_trellis_serial(code)
     shifts = np.arange(n_out - 1, -1, -1)
     output_bits = ((outputs[..., None] >> shifts) & 1).astype(np.float64)
-    n_states = code.n_states
+    n_states = N_STATES
     metrics = np.full(n_states, _METRIC_INF)
     metrics[0] = 0.0
     survivors = np.zeros((n_steps, n_states), dtype=np.int64)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -323,3 +324,15 @@ class TestPinnedKeyFormat:
     def test_fixed_point_air_key(self):
         point = self.FIXED_POINT_SPEC.points()[1]
         assert air_key(point, self.FIXED_POINT_SPEC) == "a2c998e9cf48f268c4d5"
+
+    @pytest.mark.parametrize(
+        "word_length, frac_bits",
+        [(16, 14), (np.int64(16), np.int64(14)), (np.int16(16), 14)],
+        ids=["int", "int64", "int16"],
+    )
+    def test_a_format_keys_by_its_value_not_its_type(self, word_length, frac_bits):
+        # Formats are stored as Python ints, so equal formats key one point.
+        spec = SweepSpec(
+            impairments=(ImpairmentSpec(rx_format=FixedPointFormat(word_length, frac_bits)),)
+        )
+        assert spec.points()[0].content_key(spec) == "pt-2450d362a55478cc6e90"

@@ -5,6 +5,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.coding.convolutional import (
+    CONSTRAINT_LENGTH,
+    GENERATORS,
+    N_STATES,
+    NEXT_STATES,
+    OUTPUTS,
     CodeRate,
     ConvolutionalCode,
     ConvolutionalEncoder,
@@ -12,25 +17,6 @@ from repro.coding.convolutional import (
 )
 from repro.exceptions import ConfigurationError
 from reference.coding import build_trellis_serial, encode_serial
-
-#: Codes whose trellis tables are checked against the per-state oracle:
-#: a maximum-free-distance rate-1/2 code for every K = 3..9, a rate-1/3
-#: code and a catastrophic pair (1 + D and 1 + D**2 share 1 + D).
-TRELLIS_CODES = [
-    (3, (0o5, 0o7)),
-    (4, (0o15, 0o17)),
-    (5, (0o23, 0o35)),
-    (6, (0o53, 0o75)),
-    (7, (0o133, 0o171)),
-    (8, (0o247, 0o371)),
-    (9, (0o561, 0o753)),
-    (7, (0o133, 0o145, 0o175)),
-    (3, (0o6, 0o5)),
-]
-
-#: (constraint length, generators) of the codes the stacked encoder is
-#: checked on: a small code, the 802.11a code and a K = 9 code.
-STACK_CODES = [(3, (0o5, 0o7)), (7, (0o133, 0o171)), (9, (0o561, 0o753))]
 
 
 class TestCodeRate:
@@ -48,66 +34,49 @@ class TestCodeRate:
 
 class TestCodeDefinition:
     def test_defaults_are_80211a(self):
-        code = ConvolutionalCode.ieee80211a()
-        assert code.constraint_length == 7
-        assert code.generators == (0o133, 0o171)
-        assert code.n_states == 64
-        assert code.rate == pytest.approx(0.5)
+        code = ConvolutionalCode()
+        assert CONSTRAINT_LENGTH == 7
+        assert GENERATORS == (0o133, 0o171)
+        assert N_STATES == 64 and code.memory == 6
+        assert code.rate is CodeRate.RATE_1_2
 
     def test_rate_property_after_puncturing(self):
-        code = ConvolutionalCode.ieee80211a(CodeRate.RATE_3_4)
+        code = ConvolutionalCode(CodeRate.RATE_3_4)
         # 3 input bits -> 4 surviving coded bits.
         assert code.puncture_period / code.puncture_pattern.sum() == pytest.approx(0.75)
 
-    def test_invalid_constraint_length(self):
-        with pytest.raises(ConfigurationError):
-            ConvolutionalCode(constraint_length=1, generators=(0o3, 0o1))
+    def test_rate_string_is_stored_as_its_member(self):
+        code = ConvolutionalCode("3/4")
+        assert code.rate is CodeRate.RATE_3_4
+        assert code == ConvolutionalCode(CodeRate.RATE_3_4)
+        assert hash(code) == hash(ConvolutionalCode(CodeRate.RATE_3_4))
 
-    def test_generator_must_fit_constraint_length(self):
+    @pytest.mark.parametrize("rate", ["5/6", 0.5, None])
+    def test_unknown_rate_rejected(self, rate):
         with pytest.raises(ConfigurationError):
-            ConvolutionalCode(constraint_length=3, generators=(0o7, 0o17))
+            ConvolutionalCode(rate)
 
-    def test_puncture_pattern_shape_checked(self):
-        with pytest.raises(ConfigurationError):
-            ConvolutionalCode(puncture_pattern=np.array([[1, 1]]))
-
-    def test_all_zero_puncture_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ConvolutionalCode(puncture_pattern=np.zeros((2, 2), dtype=np.uint8))
+    def test_shared_tables_are_read_only(self):
+        for table in (NEXT_STATES, OUTPUTS, *PUNCTURE_PATTERNS.values()):
+            with pytest.raises(ValueError):
+                table[0, 0] = 1
 
     def test_trellis_tables_shapes(self):
-        code = ConvolutionalCode.ieee80211a()
-        next_states, outputs = code.build_trellis()
-        assert next_states.shape == (64, 2)
-        assert outputs.shape == (64, 2)
-        assert next_states.max() < 64
-        assert outputs.max() < 4
-
-    @pytest.mark.parametrize(
-        "constraint_length, generators",
-        TRELLIS_CODES,
-        ids=[f"K{k}-{'-'.join(oct(g)[2:] for g in gens)}" for k, gens in TRELLIS_CODES],
-    )
-    def test_trellis_tables_match_the_per_state_oracle(self, constraint_length, generators):
-        code = ConvolutionalCode(
-            constraint_length=constraint_length,
-            generators=generators,
-            puncture_pattern=np.ones((len(generators), 1), dtype=np.uint8),
-        )
-        for got, expected in zip(code.build_trellis(), build_trellis_serial(code)):
-            assert got.dtype == expected.dtype
-            np.testing.assert_array_equal(got, expected)
+        assert NEXT_STATES.shape == (64, 2)
+        assert OUTPUTS.shape == (64, 2)
+        assert NEXT_STATES.max() < 64
+        assert OUTPUTS.max() < 4
 
     @pytest.mark.parametrize("rate", list(CodeRate))
     def test_punctured_80211a_trellis_matches_the_oracle(self, rate):
-        code = ConvolutionalCode.ieee80211a(rate)
-        for got, expected in zip(code.build_trellis(), build_trellis_serial(code)):
+        # Puncturing leaves the mother code's trellis as it is.
+        code = ConvolutionalCode(rate)
+        for got, expected in zip((NEXT_STATES, OUTPUTS), build_trellis_serial(code)):
+            assert got.dtype == expected.dtype
             np.testing.assert_array_equal(got, expected)
 
     def test_trellis_each_state_has_two_predecessors(self):
-        code = ConvolutionalCode.ieee80211a()
-        next_states, _ = code.build_trellis()
-        counts = np.bincount(next_states.ravel(), minlength=code.n_states)
+        counts = np.bincount(NEXT_STATES.ravel(), minlength=N_STATES)
         assert np.all(counts == 2)
 
 
@@ -144,14 +113,14 @@ class TestEncoder:
             (CodeRate.RATE_2_3, 189),
             (CodeRate.RATE_3_4, 168),
         ]:
-            encoder = ConvolutionalEncoder(ConvolutionalCode.ieee80211a(rate))
+            encoder = ConvolutionalEncoder(ConvolutionalCode(rate))
             coded = encoder.encode(np.random.default_rng(2).integers(0, 2, size=120, dtype=np.uint8))
             assert coded.size == expected
 
     def test_coded_length_matches_actual(self):
         rng = np.random.default_rng(3)
         for rate in CodeRate:
-            code = ConvolutionalCode.ieee80211a(rate)
+            code = ConvolutionalCode(rate)
             encoder = ConvolutionalEncoder(code)
             for n in (0, 1, 7, 53, 100):
                 coded = encoder.encode(rng.integers(0, 2, size=n, dtype=np.uint8))
@@ -169,7 +138,7 @@ class TestEncoder:
         np.testing.assert_array_equal(coded_xor, coded_a ^ coded_b)
 
     def test_every_call_is_an_independent_block(self):
-        encoder = ConvolutionalEncoder(ConvolutionalCode.ieee80211a(CodeRate.RATE_3_4))
+        encoder = ConvolutionalEncoder(ConvolutionalCode(CodeRate.RATE_3_4))
         bits = np.random.default_rng(5).integers(0, 2, size=32, dtype=np.uint8)
         first = encoder.encode(bits)
         encoder.encode(np.array([1, 1, 0, 1], dtype=np.uint8))
@@ -181,28 +150,26 @@ class TestStackedEncoder:
 
     @settings(max_examples=40, deadline=None)
     @given(
-        code=st.sampled_from(STACK_CODES),
         rate=st.sampled_from(list(CodeRate)),
         n_bits=st.integers(0, 300),
         n_blocks=st.integers(1, 5),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(code=STACK_CODES[1], rate=CodeRate.RATE_3_4, n_bits=7, n_blocks=3, seed=0)
-    @example(code=STACK_CODES[1], rate=CodeRate.RATE_2_3, n_bits=0, n_blocks=2, seed=0)
-    @example(code=STACK_CODES[2], rate=CodeRate.RATE_2_3, n_bits=300, n_blocks=1, seed=1)
-    def test_each_row_matches_the_serial_encoder(self, code, rate, n_bits, n_blocks, seed):
-        constraint_length, generators = code
-        definition = ConvolutionalCode(constraint_length, generators, PUNCTURE_PATTERNS[rate])
+    @example(rate=CodeRate.RATE_3_4, n_bits=7, n_blocks=3, seed=0)
+    @example(rate=CodeRate.RATE_2_3, n_bits=0, n_blocks=2, seed=0)
+    @example(rate=CodeRate.RATE_2_3, n_bits=300, n_blocks=1, seed=1)
+    def test_each_row_matches_the_serial_encoder(self, rate, n_bits, n_blocks, seed):
+        code = ConvolutionalCode(rate)
         stack = np.random.default_rng(seed).integers(
             0, 2, size=(n_blocks, n_bits), dtype=np.uint8
         )
-        coded = ConvolutionalEncoder(definition).encode(stack)
-        assert coded.shape == (n_blocks, definition.coded_length(n_bits))
+        coded = ConvolutionalEncoder(code).encode(stack)
+        assert coded.shape == (n_blocks, code.coded_length(n_bits))
         for row, bits in zip(coded, stack):
-            np.testing.assert_array_equal(row, encode_serial(definition, bits))
+            np.testing.assert_array_equal(row, encode_serial(code, bits))
 
     def test_one_block_is_a_stack_of_one(self):
-        encoder = ConvolutionalEncoder(ConvolutionalCode.ieee80211a(CodeRate.RATE_3_4))
+        encoder = ConvolutionalEncoder(ConvolutionalCode(CodeRate.RATE_3_4))
         bits = np.random.default_rng(6).integers(0, 2, size=53, dtype=np.uint8)
         single = encoder.encode(bits)
         assert single.ndim == 1

@@ -7,12 +7,15 @@ import pytest
 
 from repro.coding.convolutional import CodeRate, ConvolutionalCode, ConvolutionalEncoder
 from repro.coding.viterbi import ViterbiDecoder
+from repro.core.config import TransceiverConfig
+from repro.core.frame import FrontEndResult
+from repro.core.receiver import MimoReceiver
 from repro.exceptions import ConfigurationError, DecodingError, ReproError
 from repro.utils.bits import count_bit_errors
 
 
 def _encode(bits, rate=CodeRate.RATE_1_2):
-    encoder = ConvolutionalEncoder(ConvolutionalCode.ieee80211a(rate))
+    encoder = ConvolutionalEncoder(ConvolutionalCode(rate))
     return encoder.encode(bits)
 
 
@@ -73,7 +76,7 @@ class TestPuncturedDecoding:
     def test_error_free_roundtrip(self, rate):
         rng = np.random.default_rng(5)
         bits = rng.integers(0, 2, size=120, dtype=np.uint8)
-        code = ConvolutionalCode.ieee80211a(rate)
+        code = ConvolutionalCode(rate)
         decoder = ViterbiDecoder(code)
         decoded = decoder.decode(_encode(bits, rate), n_info_bits=120)
         np.testing.assert_array_equal(decoded, bits)
@@ -82,7 +85,7 @@ class TestPuncturedDecoding:
     def test_corrects_sparse_errors(self, rate):
         rng = np.random.default_rng(6)
         bits = rng.integers(0, 2, size=150, dtype=np.uint8)
-        code = ConvolutionalCode.ieee80211a(rate)
+        code = ConvolutionalCode(rate)
         coded = _encode(bits, rate)
         corrupted = coded.copy()
         corrupted[15] ^= 1
@@ -91,7 +94,7 @@ class TestPuncturedDecoding:
         np.testing.assert_array_equal(decoded, bits)
 
     def test_depuncture_shapes(self):
-        code = ConvolutionalCode.ieee80211a(CodeRate.RATE_3_4)
+        code = ConvolutionalCode(CodeRate.RATE_3_4)
         decoder = ViterbiDecoder(code)
         encoder = ConvolutionalEncoder(code)
         bits = np.random.default_rng(7).integers(0, 2, size=30, dtype=np.uint8)
@@ -177,3 +180,77 @@ class TestMalformedInput:
 
     def test_decoding_error_is_a_repro_error(self):
         assert issubclass(DecodingError, ReproError)
+
+
+def _hard_stack(rate=CodeRate.RATE_1_2):
+    """A codeword row and a row one flip from a codeword, 20 bits each."""
+    rng = np.random.default_rng(10)
+    coded = _encode(rng.integers(0, 2, (2, 20)).astype(np.uint8), rate)
+    coded[1, 5] ^= 1
+    return coded
+
+
+def _front(coded):
+    return FrontEndResult(
+        coded=coded,
+        equalized=np.zeros((len(coded), 1, 1), dtype=complex),
+        lts_start=0,
+        channel_estimate=None,
+        estimated_cfo=0.0,
+        mean_pilot_phase=0.0,
+    )
+
+
+def _front_doors(stack, n_info_bits=20):
+    """Decode ``stack`` through both front doors, one call each."""
+    yield lambda: ViterbiDecoder().decode(stack, n_info_bits=n_info_bits)
+    yield lambda: MimoReceiver().decode_stack([_front(stack)], n_info_bits)
+
+
+class TestHardFrontDoor:
+    """``ViterbiDecoder.decode`` and ``MimoReceiver.decode_stack`` check hard
+    input once, whatever its dtype, before it becomes bits."""
+
+    @pytest.mark.parametrize(
+        "bad",
+        [2, 0.5, -1, np.nan, np.inf, -np.inf, 1j],
+        ids=["two", "half", "minus-one", "nan", "inf", "minus-inf", "complex"],
+    )
+    def test_non_bit_values_raise_decoding_error(self, bad):
+        stack = _hard_stack().astype(np.result_type(np.asarray(bad), np.uint8))
+        stack[1, 7] = bad
+        for decode in _front_doors(stack):
+            with pytest.raises(DecodingError):
+                decode()
+
+    @pytest.mark.parametrize(
+        "shape", [(2, 2, 52), (0, 52), (2, 0)], ids=["3-d", "no-rows", "no-values"]
+    )
+    def test_malformed_stacks_raise_decoding_error(self, shape):
+        for decode in _front_doors(np.zeros(shape, dtype=np.uint8)):
+            with pytest.raises(DecodingError):
+                decode()
+
+    @pytest.mark.parametrize(
+        "n_info_bits",
+        [20.0, 20.5, "20", np.float64(20), None],
+        ids=["float", "fractional", "string", "numpy-float", "none"],
+    )
+    def test_non_integer_block_length_raises_configuration_error(self, n_info_bits):
+        for decode in _front_doors(_hard_stack(), n_info_bits):
+            with pytest.raises(ConfigurationError):
+                decode()
+
+    @pytest.mark.parametrize("rate", [CodeRate.RATE_1_2, CodeRate.RATE_3_4])
+    def test_every_bit_dtype_decodes_to_identical_bits(self, rate):
+        stack = _hard_stack(rate)
+        decoder = ViterbiDecoder(ConvolutionalCode(rate))
+        receiver = MimoReceiver(TransceiverConfig(code_rate=rate))
+        expected = decoder.decode(stack, n_info_bits=20)
+        descrambled = receiver.decode_stack([_front(stack)], 20)[0].decoded_bits
+        for dtype in (np.uint8, bool, np.int64, np.float64):
+            bits = stack.astype(dtype)
+            np.testing.assert_array_equal(decoder.decode(bits, n_info_bits=20), expected)
+            np.testing.assert_array_equal(decoder.decode(bits[1], n_info_bits=20), expected[1])
+            result = receiver.decode_stack([_front(bits)], 20)[0]
+            np.testing.assert_array_equal(result.decoded_bits, descrambled)

@@ -26,6 +26,16 @@ class TestFormatValidation:
         with pytest.raises(ValueError):
             FixedPointFormat(word_length=8, frac_bits=8)
 
+    @pytest.mark.parametrize(
+        "word_length, frac_bits",
+        [(16, 14.0), ("16", 14), (np.float64(16), 14)],
+        ids=["float-frac", "string-word", "numpy-float-word"],
+    )
+    def test_rejects_non_integer_sizes(self, word_length, frac_bits):
+        # Float and fractional word lengths are rows of test_failure_injection.
+        with pytest.raises(ConfigurationError, match="must be an integer"):
+            FixedPointFormat(word_length, frac_bits)
+
     def test_payload_names_the_one_quantiser(self):
         fmt = FixedPointFormat(word_length=8, frac_bits=4)
         payload = fmt.to_dict()

@@ -329,10 +329,7 @@ class _NanTraffic:
         lambda: FrequencySelectiveChannel(taps=np.ones((4, 3, 2))),
         lambda: FrequencySelectiveChannel(rng=0).apply(np.zeros((3, 100), dtype=complex)),
         lambda: FrequencySelectiveChannel(taps=np.ones((4, 4, 8))).frequency_response(4),
-        lambda: ConvolutionalCode(constraint_length=1, generators=(0o3, 0o1)),
-        lambda: ConvolutionalCode(constraint_length=3, generators=(0o7, 0o17)),
-        lambda: ConvolutionalCode(puncture_pattern=np.array([[1, 1]])),
-        lambda: ConvolutionalCode(puncture_pattern=np.zeros((2, 2), dtype=np.uint8)),
+        lambda: ConvolutionalCode("5/6"),
         lambda: interleaver_permutation(50, 1),
         lambda: interleaver_permutation(48, 0),
         lambda: interleave(np.zeros(100), 192, 4),
@@ -360,6 +357,8 @@ class _NanTraffic:
         lambda: QrdArray(n=0),
         lambda: ResourceUsage(aluts=-1),
         lambda: FixedPointFormat(1, 0),
+        lambda: FixedPointFormat(16.0, 14),
+        lambda: FixedPointFormat(16.5, 14.5),
         lambda: FixedPointFormat.from_dict({"word_length": 16, "frac_bits": 14, "rounding": "nearest"}),
         lambda: Cordic(iterations=0),
         lambda: fft(np.zeros(48)),
@@ -475,10 +474,7 @@ class _NanTraffic:
         "selective-fading-taps-shape",
         "selective-fading-burst-antenna-mismatch",
         "selective-fading-fft-shorter-than-taps",
-        "code-constraint-length-1",
-        "code-generator-too-wide",
-        "code-puncture-pattern-shape",
-        "code-puncture-pattern-deletes-everything",
+        "code-unknown-rate",
         "interleaver-block-not-multiple-of-16",
         "interleaver-no-bits-per-subcarrier",
         "interleave-partial-block",
@@ -506,6 +502,8 @@ class _NanTraffic:
         "systolic-qrd-empty",
         "resource-usage-negative",
         "fixed-point-one-bit-word",
+        "fixed-point-float-word-length",
+        "fixed-point-fractional-format",
         "fixed-point-unknown-rounding",
         "cordic-no-iterations",
         "fft-size-not-a-power-of-two",
@@ -549,6 +547,8 @@ def test_inconsistent_construction_raises_configuration_error(build):
         (lambda: TransceiverConfig(n_antennas=np.int64(2)).n_antennas, 2),
         (lambda: TransceiverConfig(fft_size=np.int64(64)).fft_size, 64),
         (lambda: PreambleGenerator(np.int64(64)).fft_size, 64),
+        (lambda: FixedPointFormat(np.int64(16), 14).word_length, 16),
+        (lambda: FixedPointFormat(16, np.int64(14)).frac_bits, 14),
     ],
     ids=[
         "impairment-delay",
@@ -556,6 +556,8 @@ def test_inconsistent_construction_raises_configuration_error(build):
         "config-antennas",
         "config-fft-size",
         "preamble-fft-size",
+        "fixed-point-word-length",
+        "fixed-point-frac-bits",
     ],
 )
 def test_integer_front_doors_store_numpy_integers_as_int(read_back, expected):

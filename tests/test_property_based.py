@@ -71,7 +71,7 @@ class TestCodingProperties:
     @given(small_bit_lists, st.sampled_from(list(CodeRate)))
     def test_encode_decode_roundtrip_error_free(self, bits, rate):
         data = np.array(bits, dtype=np.uint8)
-        code = ConvolutionalCode.ieee80211a(rate)
+        code = ConvolutionalCode(rate)
         coded = ConvolutionalEncoder(code).encode(data)
         decoded = ViterbiDecoder(code).decode(coded, n_info_bits=data.size)
         np.testing.assert_array_equal(decoded, data)

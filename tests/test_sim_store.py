@@ -62,13 +62,13 @@ class TestRoundTrip:
         writer.put({f"key-{i}": {"i": i} for i in range(200)})
         writer.put({"key-7": {"i": "again"}})
         parsed = []
-        original = store_module._record_key
+        original = store_module._record
 
         def counting(line):
             parsed.append(line)
             return original(line)
 
-        monkeypatch.setattr(store_module, "_record_key", counting)
+        monkeypatch.setattr(store_module, "_record", counting)
         reader = ResultStore(tmp_path)
         assert reader.get_many(["key-3", "key-7", "absent"]) == {
             "key-3": {"i": 3},
@@ -79,6 +79,32 @@ class TestRoundTrip:
         assert reader.get("key-150") == {"i": 150}  # each read is its own pass
         assert len(parsed) == 1
         assert len(reader) == 200 and reader.get("key-7") == {"i": "again"}
+
+    def test_a_read_parses_each_wanted_line_once(self, tmp_path, monkeypatch):
+        # The line parsed to validate a record also yields its payload.
+        writer = ResultStore(tmp_path)
+        writer.put({f"key-{i}": {"i": i} for i in range(20)})
+        writer.put({"key-7": {"i": "again"}})
+        parsed = []
+        loads = json.loads
+
+        def counting(text, *args, **kwargs):
+            parsed.append(text)
+            return loads(text, *args, **kwargs)
+
+        monkeypatch.setattr(store_module.json, "loads", counting)
+        reader = ResultStore(tmp_path)
+        assert reader.get_many(["key-3", "key-7", "absent"]) == {
+            "key-3": {"i": 3},
+            "key-7": {"i": "again"},
+        }
+        assert len(parsed) == 3  # key-3 and both records of key-7
+        parsed.clear()
+        assert reader.get("key-7") == {"i": "again"}
+        assert len(parsed) == 2
+        parsed.clear()
+        # A key listing still validates every line: a torn line is no key.
+        assert len(reader) == 20 and len(parsed) == 21
 
     def test_get_many_last_record_wins(self, tmp_path):
         store = ResultStore(tmp_path)

@@ -7,52 +7,52 @@ must decode exactly as ``tests/reference/coding.py::viterbi_decode_serial``
 decodes it alone, whatever the stack height (across ``DECODE_SLICE``), the
 block length (across several branch-metric gathers, which cover fewer
 steps the taller the stack, down to the empty block whose trellis is the
-tail alone), the decision mode, the code rate, ties forced by zero LLRs,
-and the constraint length: K = 10
-has 512 states and takes the ``uint16`` predecessor table.  A stream
-push's stack, above the walk crossover, is pinned at hard and soft
-decisions and rates 1/2 and 3/4.
+tail alone), the decision mode, the code rate and ties forced by zero
+LLRs.  A stream push's stack, above the walk crossover, is pinned at hard
+and soft decisions and rates 1/2 and 3/4.
 
 The serial oracle costs a Python loop over every state per step, so a stack
 is built from a small pool of distinct rows placed at random positions, and
-the oracle runs once per pool row.  Longer blocks are drawn only for the
-smaller codes.
+the oracle runs once per pool row.
+
+Ties decide a decode only through the tie rule, so stacks built to tie
+exactly are pinned at every rate, hard and soft, on both sides of the walk
+crossover: received words halfway between two codewords, erased (zero-LLR)
+stretches in clean blocks and zero-LLR stretches in noisy ones.
 
 Hard rate-1/2 blocks that already form a codeword skip the trellis, so a
 second property mixes codewords with blocks one flip away from one (the
 flip also in the tail) and checks both the codeword test and the decode.
 The codeword test and the integer hard trellis are also pinned directly:
-an all-codeword stack never reaches add-compare-select, a catastrophic
-code (no feedforward inverse) and the punctured hard rates run the
-``int32`` trellis, and the inverse is computed once per code.
+an all-codeword stack never reaches add-compare-select, the punctured hard
+rates run the ``int32`` trellis, and the feedforward inverse the codeword
+test uses is the one extended Euclid derives.
 """
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import repro.coding.convolutional as convolutional_module
 from repro.coding.convolutional import (
-    PUNCTURE_PATTERNS,
+    CONSTRAINT_LENGTH,
+    GENERATOR_TAPS,
+    GENERATORS,
+    MEMORY,
     CodeRate,
     ConvolutionalCode,
     ConvolutionalEncoder,
 )
 import repro.coding.viterbi as viterbi_module
-from repro.coding.viterbi import ViterbiDecoder, _feedforward_inverse, _gather_steps
+from repro.coding.viterbi import ViterbiDecoder, _INVERSE_TAPS, _gather_steps
 from repro.core.receiver import DECODE_SLICE
 from reference.coding import viterbi_decode_serial
 
-#: (constraint length, generators, most information bits per block).
-CODES = [
-    (3, (0o5, 0o7), 90),
-    (7, (0o133, 0o171), 90),
-    (8, (0o247, 0o371), 24),
-    (9, (0o561, 0o753), 16),
-    (10, (0o1167, 0o1545), 10),
-]
+#: Most information bits per block.
+MAX_BITS = 90
 MAX_BLOCKS = 130
 
-assert MAX_BLOCKS > DECODE_SLICE and CODES[0][2] > _gather_steps(1)
+assert MAX_BLOCKS > DECODE_SLICE and MAX_BITS > _gather_steps(1)
 
 
 def _received_row(code, decision, n_bits, zero_fraction, rng):
@@ -74,10 +74,8 @@ _EXAMPLE = dict(
 
 
 @settings(deadline=None, max_examples=50)
-@example(code_index=1, **_EXAMPLE)  # the longest K = 7 blocks, the tallest stack
-@example(code_index=len(CODES) - 1, **_EXAMPLE)  # 512 states: the uint16 table
+@example(**_EXAMPLE)  # the longest blocks, the tallest stack
 @given(
-    code_index=st.integers(0, len(CODES) - 1),
     rate=st.sampled_from(list(CodeRate)),
     decision=st.sampled_from(["hard", "soft"]),
     n_blocks=st.integers(1, MAX_BLOCKS),
@@ -87,12 +85,11 @@ _EXAMPLE = dict(
     seed=st.integers(0, 2**32 - 1),
 )
 def test_stack_decodes_like_the_serial_oracle(
-    code_index, rate, decision, n_blocks, pool_size, bits_fraction, zero_fraction, seed
+    rate, decision, n_blocks, pool_size, bits_fraction, zero_fraction, seed
 ):
-    constraint_length, generators, max_bits = CODES[code_index]
-    code = ConvolutionalCode(constraint_length, generators, PUNCTURE_PATTERNS[rate])
+    code = ConvolutionalCode(rate)
     # Blocks of zero information bits still run the tail steps.
-    n_bits = int(round(bits_fraction * max_bits))
+    n_bits = int(round(bits_fraction * MAX_BITS))
     rng = np.random.default_rng(seed)
     pool = [
         _received_row(code, decision, n_bits, zero_fraction, rng)
@@ -111,6 +108,91 @@ def test_stack_decodes_like_the_serial_oracle(
     np.testing.assert_array_equal(decoder.decode(pool[0], n_info_bits=n_bits), expected[0])
 
 
+#: Information bits of a tie-built block.
+TIE_BITS = 48
+
+
+def _halfway_word(code, rng, n_events):
+    """Coded bits halfway between two codewords, and both codewords.
+
+    Each error event flips a short run of information bits whose punctured
+    codeword difference has an even weight ``w``; flipping ``w / 2`` of
+    those positions leaves the word at equal Hamming distance from both
+    codewords (5 of 10 for one flipped bit at rate 1/2).
+    """
+    encoder = ConvolutionalEncoder(code)
+    info = rng.integers(0, 2, TIE_BITS).astype(np.uint8)
+    first = encoder.encode(info)
+    received = first.copy()
+    other = info.copy()
+    for start in rng.permutation(np.arange(0, TIE_BITS - 3, 12))[:n_events]:
+        for event in ([1], [1, 1], [1, 0, 1], [1, 1, 1]):
+            flipped = info.copy()
+            flipped[start : start + len(event)] ^= np.array(event, dtype=np.uint8)
+            differ = np.flatnonzero(encoder.encode(flipped) != first)
+            if differ.size % 2 == 0:
+                break
+        assert differ.size % 2 == 0
+        received[rng.choice(differ, differ.size // 2, replace=False)] ^= 1
+        other[start : start + len(event)] ^= np.array(event, dtype=np.uint8)
+    return received, first, encoder.encode(other)
+
+
+def _tie_pool(code, decision, rng):
+    """Rows built to tie exactly: halfway words, and for soft decisions
+    erased stretches in clean blocks and zero-LLR stretches in noisy ones."""
+    pool = []
+    for n_events in (1, 2):
+        received, first, second = _halfway_word(code, rng, n_events)
+        assert np.count_nonzero(received != first) == np.count_nonzero(received != second)
+        # Bits become ±1 LLRs, whose correlations tie just as the distances do.
+        pool.append(received.astype(np.float64) if decision == "hard" else 1.0 - 2.0 * received)
+    if decision == "soft":
+        coded = ConvolutionalEncoder(code).encode(
+            rng.integers(0, 2, TIE_BITS).astype(np.uint8)
+        )
+        clean = 2.0 * (1.0 - 2.0 * coded)
+        erased = clean.copy()
+        erased[20:60] = 0.0  # every kept value of about 20 steps
+        noisy = clean + rng.normal(0.0, 1.0, coded.size)
+        noisy[10:40] = 0.0
+        noisy[70:80] = 0.0
+        pool += [erased, noisy]
+    return pool
+
+
+@pytest.mark.parametrize(
+    "n_blocks",
+    [viterbi_module._STEP_WALK_ROWS - 1, viterbi_module._STEP_WALK_ROWS],
+    ids=["walk-blocks", "walk-steps"],
+)
+@pytest.mark.parametrize("decision", ["hard", "soft"])
+@pytest.mark.parametrize("rate", list(CodeRate), ids=lambda rate: rate.value)
+def test_tied_stacks_decode_like_the_serial_oracle(rate, decision, n_blocks, monkeypatch):
+    code = ConvolutionalCode(rate)
+    rng = np.random.default_rng(60 + 2 * list(CodeRate).index(rate) + (decision == "soft"))
+    pool = _tie_pool(code, decision, rng)
+    rows = np.arange(n_blocks) % len(pool)
+    walks = []
+    for name in ("_walk_blocks", "_walk_steps"):
+        walk = getattr(viterbi_module, name)
+
+        def recording(table, walk=walk, name=name):
+            walks.append(name)
+            return walk(table)
+
+        monkeypatch.setattr(viterbi_module, name, recording)
+    decoded = ViterbiDecoder(code, decision=decision).decode(
+        np.array([pool[row] for row in rows]), n_info_bits=TIE_BITS
+    )
+    # No tie-built row is a codeword, so every row runs the trellis.
+    tall = n_blocks >= viterbi_module._STEP_WALK_ROWS
+    assert walks == ["_walk_steps" if tall else "_walk_blocks"]
+    expected = [viterbi_decode_serial(code, decision, row, TIE_BITS) for row in pool]
+    for bits, row in zip(decoded, rows):
+        np.testing.assert_array_equal(bits, expected[row])
+
+
 #: Row kinds of the fast-path property: a codeword, and one coded bit
 #: flipped anywhere or inside the tail steps.
 ROW_KINDS = ("codeword", "flip", "tail flip")
@@ -120,36 +202,32 @@ def _near_codeword_row(code, n_bits, kind, rng):
     info = rng.integers(0, 2, n_bits).astype(np.uint8)
     coded = ConvolutionalEncoder(code).encode(info).astype(np.float64)
     if kind != "codeword":
-        first = coded.size - code.n_outputs * code.memory if kind == "tail flip" else 0
+        first = coded.size - 2 * MEMORY if kind == "tail flip" else 0
         position = rng.integers(first, coded.size)
         coded[position] = 1.0 - coded[position]
     return coded
 
 
 @settings(deadline=None, max_examples=40)
-@example(code_index=1, n_blocks=MAX_BLOCKS, bits_fraction=1.0, kinds=list(ROW_KINDS), seed=3)
-@example(code_index=1, n_blocks=3, bits_fraction=0.0, kinds=["codeword", "tail flip"], seed=4)
-@example(code_index=0, n_blocks=DECODE_SLICE + 1, bits_fraction=0.5, kinds=["codeword"], seed=5)
+@example(n_blocks=MAX_BLOCKS, bits_fraction=1.0, kinds=list(ROW_KINDS), seed=3)
+@example(n_blocks=3, bits_fraction=0.0, kinds=["codeword", "tail flip"], seed=4)
+@example(n_blocks=DECODE_SLICE + 1, bits_fraction=0.5, kinds=["codeword"], seed=5)
 @given(
-    code_index=st.integers(0, 1),
     n_blocks=st.integers(1, MAX_BLOCKS),
     bits_fraction=st.floats(0.0, 1.0),
     kinds=st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=4),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_codeword_fast_path_decodes_like_the_serial_oracle(
-    code_index, n_blocks, bits_fraction, kinds, seed
-):
-    constraint_length, generators, max_bits = CODES[code_index]
-    code = ConvolutionalCode(constraint_length, generators)
-    n_bits = int(round(bits_fraction * max_bits))
+def test_codeword_fast_path_decodes_like_the_serial_oracle(n_blocks, bits_fraction, kinds, seed):
+    code = ConvolutionalCode()
+    n_bits = int(round(bits_fraction * MAX_BITS))
     rng = np.random.default_rng(seed)
     pool = [_near_codeword_row(code, n_bits, kind, rng) for kind in kinds]
     rows = rng.integers(0, len(pool), n_blocks)
     stack = np.array([pool[row] for row in rows])
 
     decoder = ViterbiDecoder(code)
-    _, is_codeword = decoder._codewords(stack, n_bits)
+    _, is_codeword = decoder._codewords(stack.astype(np.uint8), n_bits)
     # One flip from a codeword is never a codeword: distinct codewords
     # differ in at least the free distance.
     np.testing.assert_array_equal(is_codeword, [kinds[row] == "codeword" for row in rows])
@@ -173,7 +251,7 @@ def _count_acs_calls(decoder, monkeypatch):
 
 
 def test_an_all_codeword_stack_skips_the_trellis(monkeypatch):
-    code = ConvolutionalCode.ieee80211a()
+    code = ConvolutionalCode()
     rng = np.random.default_rng(11)
     info = rng.integers(0, 2, (DECODE_SLICE + 3, 60)).astype(np.uint8)
     stack = np.array([ConvolutionalEncoder(code).encode(row) for row in info])
@@ -192,13 +270,8 @@ def test_an_all_codeword_stack_skips_the_trellis(monkeypatch):
 
 @pytest.mark.parametrize(
     "code",
-    [
-        # K=3 (6, 5): 1 + D and 1 + D**2 share the factor 1 + D.
-        ConvolutionalCode(constraint_length=3, generators=(0o6, 0o5)),
-        ConvolutionalCode.ieee80211a(CodeRate.RATE_2_3),
-        ConvolutionalCode.ieee80211a(CodeRate.RATE_3_4),
-    ],
-    ids=["catastrophic-k3", "rate-2/3", "rate-3/4"],
+    [ConvolutionalCode(CodeRate.RATE_2_3), ConvolutionalCode(CodeRate.RATE_3_4)],
+    ids=["rate-2/3", "rate-3/4"],
 )
 def test_codes_without_the_fast_path_run_the_integer_trellis(code, monkeypatch):
     rng = np.random.default_rng(12)
@@ -224,7 +297,7 @@ def test_a_stack_above_the_walk_crossover_decodes_like_the_serial_oracle(
 ):
     # A stream push of eight 4x4 frames: 32 blocks of 256 bits, above the
     # height from which the traceback walks every block at once.
-    code = ConvolutionalCode.ieee80211a(rate)
+    code = ConvolutionalCode(rate)
     n_bits, n_blocks = 256, 2 * viterbi_module._STEP_WALK_ROWS
     rng = np.random.default_rng(21)
     # Noisy rows: no hard rate-1/2 row is a codeword, so all run the trellis.
@@ -248,7 +321,7 @@ def test_a_stack_above_the_walk_crossover_decodes_like_the_serial_oracle(
 
 
 def test_soft_decisions_keep_the_float_trellis(monkeypatch):
-    code = ConvolutionalCode.ieee80211a()
+    code = ConvolutionalCode()
     llrs = 1.0 - 2.0 * ConvolutionalEncoder(code).encode(np.zeros(20, dtype=np.uint8))
     decoder = ViterbiDecoder(code, decision="soft")
     calls = _count_acs_calls(decoder, monkeypatch)
@@ -256,29 +329,65 @@ def test_soft_decisions_keep_the_float_trellis(monkeypatch):
     assert calls == [np.dtype(np.float64)]
 
 
-def _gf2_product(a_taps, b_taps):
+def _gf2_multiply(a, b):
+    """Product of two GF(2)[D] polynomials held as ints (bit i is D**i)."""
     product = 0
-    for i in a_taps:
-        for j in b_taps:
-            product ^= 1 << (i + j)
+    while b:
+        if b & 1:
+            product ^= a
+        a <<= 1
+        b >>= 1
     return product
 
 
-@pytest.mark.parametrize("constraint_length, generators", [code[:2] for code in CODES])
-def test_feedforward_inverse_inverts_the_code(constraint_length, generators):
-    a0, a1 = _feedforward_inverse(constraint_length, generators)
+def _gf2_divmod(a, b):
+    """Quotient and remainder of GF(2)[D] polynomial division."""
+    quotient = 0
+    while a.bit_length() >= b.bit_length():
+        shift = a.bit_length() - b.bit_length()
+        quotient ^= 1 << shift
+        a ^= b << shift
+    return quotient, a
+
+
+def _polynomial(taps):
+    """Tap delays as a GF(2)[D] polynomial held as an int."""
+    return sum(1 << delay for delay in taps)
+
+
+def test_feedforward_inverse_inverts_the_code():
+    # Each generator as a polynomial in D: its MSB taps the current bit, D**0.
     g0, g1 = (
-        [i for i in range(constraint_length) if g >> (constraint_length - 1 - i) & 1]
-        for g in generators
+        sum((g >> (CONSTRAINT_LENGTH - 1 - i) & 1) << i for i in range(CONSTRAINT_LENGTH))
+        for g in GENERATORS
     )
-    assert _gf2_product(a0, g0) ^ _gf2_product(a1, g1) == 1
-    assert _feedforward_inverse(3, (0o6, 0o5)) is None
+    assert (g0, g1) == tuple(_polynomial(taps) for taps in GENERATOR_TAPS)
+    # Extended Euclid: both rows keep r = s * g0 + t * g1.
+    r0, s0, t0 = g0, 1, 0
+    r1, s1, t1 = g1, 0, 1
+    while r1:
+        quotient, remainder = _gf2_divmod(r0, r1)
+        r0, r1 = r1, remainder
+        s0, s1 = s1, s0 ^ _gf2_multiply(quotient, s1)
+        t0, t1 = t1, t0 ^ _gf2_multiply(quotient, t1)
+    assert r0 == 1  # the generators share no factor: the code is not catastrophic
+    assert (s0, t0) == tuple(_polynomial(taps) for taps in _INVERSE_TAPS)
+    a0, a1 = (_polynomial(taps) for taps in _INVERSE_TAPS)
+    assert _gf2_multiply(a0, g0) ^ _gf2_multiply(a1, g1) == 1
 
 
-def test_feedforward_inverse_is_computed_once_per_code():
-    ViterbiDecoder()
-    misses = _feedforward_inverse.cache_info().misses
-    for _ in range(3):
-        ViterbiDecoder()
-        ViterbiDecoder(ConvolutionalCode.ieee80211a())
-    assert _feedforward_inverse.cache_info().misses == misses
+def test_decoders_share_the_tables_built_once_per_process(monkeypatch):
+    # Building a code, an encoder or a decoder (as every transceiver
+    # rebuild does) never rebuilds the trellis tables.
+    def rebuilt():
+        raise AssertionError("the trellis tables were rebuilt")
+
+    monkeypatch.setattr(convolutional_module, "_build_trellis", rebuilt)
+    info = np.random.default_rng(13).integers(0, 2, (2, 40)).astype(np.uint8)
+    for rate in CodeRate:
+        code = ConvolutionalCode(rate)
+        coded = ConvolutionalEncoder(code).encode(info)
+        for decision, received in (("hard", coded), ("soft", 1.0 - 2.0 * coded)):
+            decoded = ViterbiDecoder(code, decision=decision).decode(received, n_info_bits=40)
+            np.testing.assert_array_equal(decoded, info)
+    assert ViterbiDecoder().code.memory == MEMORY
