@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
 from repro.core.config import TransceiverConfig
 from repro.core.preamble import BurstLayout
-from repro.exceptions import ConfigurationError, DecodingError
+from repro.exceptions import DecodingError
 from repro.utils.bits import count_bit_errors
 
 
@@ -23,8 +23,9 @@ class TransmitBurst:
         Time-domain baseband samples per antenna, shape
         ``(n_antennas, n_samples)``.
     info_bits:
-        The information bits carried by each spatial stream (list indexed by
-        stream).
+        The information bits carried by each spatial stream, shape
+        ``(n_streams, n_info_bits)``: the burst's row of the checked
+        payload stack.
     layout:
         The burst's sample geometry: preamble sections, data OFDM
         symbols and idle tail.
@@ -33,7 +34,7 @@ class TransmitBurst:
     """
 
     samples: np.ndarray
-    info_bits: List[np.ndarray]
+    info_bits: np.ndarray
     layout: BurstLayout
     config: TransceiverConfig
 
@@ -55,7 +56,7 @@ class TransmitBurst:
     @property
     def payload_bits(self) -> int:
         """Total information bits across all spatial streams."""
-        return int(sum(bits.size for bits in self.info_bits))
+        return self.info_bits.size
 
 
 @dataclass
@@ -74,7 +75,8 @@ class FrontEndResult:
     lts_start:
         Sample index where the LTS section was found (after time sync).
     channel_estimate:
-        The per-subcarrier channel estimate used for detection.
+        The per-subcarrier channel estimate used for detection: the
+        burst's row of its stack's estimate (views of its arrays).
     estimated_cfo:
         Carrier frequency offset, in cycles per sample, the receiver
         estimated and removed (0.0 when CFO correction is off).
@@ -104,13 +106,12 @@ class ReceiveResult(FrontEndResult):
 
     decoded_bits: np.ndarray
 
-    def total_bit_errors(self, reference: List[np.ndarray]) -> int:
-        """Total bit errors versus the transmitted information bits, one
-        :func:`~repro.utils.bits.count_bit_errors` over every stream."""
-        if len(reference) != len(self.decoded_bits):
-            raise ConfigurationError("reference must have one bit array per stream")
-        if len({np.shape(bits) for bits in reference}) > 1:
-            raise ConfigurationError("reference streams must have one length")
+    def total_bit_errors(self, reference: np.ndarray) -> int:
+        """Total bit errors versus the transmitted information bits,
+        ``(n_streams, n_info_bits)``: one
+        :func:`~repro.utils.bits.count_bit_errors` over every stream, which
+        raises :class:`~repro.exceptions.ConfigurationError` on any other
+        shape."""
         return count_bit_errors(reference, self.decoded_bits)
 
 
@@ -143,13 +144,13 @@ class BurstOutcome:
 
     @classmethod
     def score(
-        cls, received: Union[ReceiveResult, DecodingError], reference: List[np.ndarray]
+        cls, received: Union[ReceiveResult, DecodingError], reference: np.ndarray
     ) -> "BurstOutcome":
         """Score a burst's slot of :meth:`~repro.core.receiver.MimoReceiver.decode_stack`
         against the transmitted information bits.  A burst the receiver gave
         up on (a sync miss, a truncated or non-finite window, a rank-deficient
         estimate) loses every payload bit, so BER and PER both see it."""
-        payload_bits = sum(bits.size for bits in reference)
+        payload_bits = np.size(reference)
         if isinstance(received, DecodingError):
             return cls(payload_bits, payload_bits, str(received))
         return cls(received.total_bit_errors(reference), payload_bits)

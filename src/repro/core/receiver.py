@@ -18,16 +18,19 @@ front end splits at the MIMO detector into two stages:
   kind, pushes each through a single planned FFT call (:mod:`repro.dsp.fft`'s
   cached :class:`~repro.dsp.fft.FftPlan`) and estimates and inverts every
   burst's channel in one stacked QR.  Its :class:`DemodulatedStack`
-  depends on no detector;
+  holds one stacked channel estimate, noise variance and data spectrum
+  per burst, under one row index, and depends on no detector;
 * the detector stage, :meth:`MimoReceiver.detect_stack`, takes any rows
-  of a shared result, detects with one per-subcarrier einsum (or one
-  stacked MMSE solve), pilot-corrects with one
+  of a shared result, detects with one per-subcarrier einsum over the
+  selected rows of the stacked estimate (or one stacked MMSE solve),
+  pilot-corrects with one
   :meth:`~repro.core.pilots.PilotProcessor.correct_block` pass and demaps
   and de-interleaves every stream in one pass.  Receivers that differ
   only in the detector read the same shared result, which is how the
   sweep engine detects each burst of a round once per detector.
 
-A burst the receiver gives up on drops out of the stack alone.
+A burst the receiver gives up on drops out of the stack alone; one with
+non-finite equalised symbols does so before the demapper.
 
 Reception ends in :meth:`MimoReceiver.decode`, which Viterbi-decodes and
 descrambles any stack of code blocks, at most :data:`DECODE_SLICE` per
@@ -92,17 +95,6 @@ TIMING_ADVANCE = 2
 
 
 @dataclass
-class _Burst:
-    """One burst that came through the shared stage: what a detector stage reads."""
-
-    lts_start: int
-    estimated_cfo: float
-    noise_variance: float
-    estimate: ChannelEstimate
-    row: int  # its row of DemodulatedStack.frequency
-
-
-@dataclass
 class DemodulatedStack:
     """A stack of bursts after the shared front-end stage, before detection.
 
@@ -112,18 +104,24 @@ class DemodulatedStack:
     reads it, as often as it likes.
 
     ``layout`` is the geometry of every burst of the stack.  ``bursts`` has
-    one entry per input burst: the burst's sync position,
-    CFO, noise variance and channel estimate, or the
-    :class:`~repro.exceptions.DecodingError` it gave up with.
-    ``frequency`` stacks the data FFT outputs of the bursts that came
-    through, ``(n_live, n_rx, n_symbols, fft_size)``, already quantised to
-    the air group's ``rx_multiplier_format``.
+    one entry per input burst: its row, or the
+    :class:`~repro.exceptions.DecodingError` it gave up with.  A row
+    indexes the remaining fields, one entry per burst that reached channel
+    estimation: its LTS start and CFO, the stacked channel estimate, the
+    noise variances and the data FFT outputs ``(n_rows, n_rx, n_symbols,
+    fft_size)``, already quantised to the air group's
+    ``rx_multiplier_format``.  A rank-deficient burst keeps its row, never
+    read.
     """
 
     air_group: TransceiverConfig
     layout: BurstLayout
-    bursts: List[Union[_Burst, DecodingError]]
-    frequency: Optional[ComplexArray]
+    bursts: List[Union[int, DecodingError]]
+    lts_starts: Sequence[int] = ()
+    estimated_cfos: Sequence[float] = ()
+    estimate: Optional[ChannelEstimate] = None
+    noise_variances: Optional[np.ndarray] = None
+    frequency: Optional[ComplexArray] = None
 
 
 class MimoReceiver:
@@ -316,8 +314,8 @@ class MimoReceiver:
         Each burst is quantised, synchronised and CFO-corrected on its own,
         and its FFT windows are checked against its samples.  Then the LTS
         windows of every burst go through one FFT and one channel estimate
-        (one stacked QR and R^-1), and the data windows of the bursts with
-        an estimate through one FFT.  None of it depends on the detector,
+        (one stacked QR and R^-1), and their data windows through one FFT,
+        all under one row index.  None of it depends on the detector,
         so one result serves the :meth:`detect_stack` of every detector.
 
         Parameters
@@ -356,7 +354,7 @@ class MimoReceiver:
                     f"noise variances must be finite and positive, got {variance!r}"
                 )
         offsets = self._window_offsets(layout)
-        bursts: List[Union[_Burst, DecodingError, None]] = [None] * n_items
+        bursts: List[Union[int, DecodingError, None]] = [None] * n_items
         prepared = []
         for index, (burst, lts_start) in enumerate(zip(samples, lts_starts)):
             try:
@@ -366,22 +364,19 @@ class MimoReceiver:
                 # whole stack's samples in a reference cycle with ``bursts``.
                 bursts[index] = error.with_traceback(None)
 
-        frequency = None
-        if prepared:
-            lts_windows = np.stack([lts for _, _, _, lts, _ in prepared])
-            estimates = self.channel_estimator.estimate(self._lts_spectra(lts_windows))
-            data_windows = []
-            for (index, lts_start, cfo, _, windows), estimate in zip(prepared, estimates):
-                if isinstance(estimate, DecodingError):
-                    bursts[index] = estimate
-                    continue
-                bursts[index] = _Burst(
-                    lts_start, cfo, noise_variances[index], estimate, row=len(data_windows)
-                )
-                data_windows.append(windows)
-            if data_windows:
-                frequency = self._quantize_multiplier(fft(np.stack(data_windows)))
-        return DemodulatedStack(self._air_group, layout, bursts, frequency)
+        if not prepared:
+            return DemodulatedStack(self._air_group, layout, bursts)
+        indices, starts, cfos, lts_windows, data_windows = zip(*prepared)
+        estimate, errors = self.channel_estimator.estimate(
+            self._lts_spectra(np.stack(lts_windows))
+        )
+        for row, (index, error) in enumerate(zip(indices, errors)):
+            bursts[index] = row if error is None else error
+        variances = np.array(noise_variances, dtype=np.float64)[list(indices)]
+        frequency = self._quantize_multiplier(fft(np.stack(data_windows)))
+        return DemodulatedStack(
+            self._air_group, layout, bursts, starts, cfos, estimate, variances, frequency
+        )
 
     @np.errstate(over="ignore", invalid="ignore")
     def detect_stack(
@@ -406,40 +401,45 @@ class MimoReceiver:
                 "a detector stage reads only the shared stage of its own air group"
             )
         bursts = demodulated.bursts if rows is None else [demodulated.bursts[row] for row in rows]
-        outcomes: List[Union[FrontEndResult, DecodingError, _Burst]] = list(bursts)
+        outcomes: List[Union[FrontEndResult, DecodingError, int]] = list(bursts)
         live = [
-            (position, burst) for position, burst in enumerate(bursts) if isinstance(burst, _Burst)
+            (position, row)
+            for position, row in enumerate(bursts)
+            if not isinstance(row, DecodingError)
         ]
         if live:
-            live, detect = self._stacked_detector(live, outcomes)
+            live, detect = self._stacked_detector(demodulated, live, outcomes)
         if not live:
             return outcomes
-        frequency = demodulated.frequency[[burst.row for _, burst in live]]
-        corrected, diag = self.pilots.correct_block(detect(frequency))
+        stack_rows = [row for _, row in live]
+        corrected, diag = self.pilots.correct_block(detect(demodulated.frequency[stack_rows]))
         equalized = corrected[..., self._data_bins]
-        variances = np.array([burst.noise_variance for _, burst in live])
-        coded = self._coded_values(equalized, demodulated.layout.coded_length, variances)
         # Finite samples can still overflow: the data FFT or the detector
-        # into non-finite symbols, which hard decisions slice into silent
-        # garbage bits, or the soft demapper into infinite LLRs, which the
-        # decoder would refuse for the whole stack.  Such a burst gives up
-        # alone.
-        finite = np.isfinite(equalized).all(axis=(1, 2, 3)) & np.isfinite(coded).all(axis=(1, 2))
-        for row, (position, burst) in enumerate(live):
-            if not finite[row]:
+        # into non-finite symbols, which hard decisions would slice into
+        # silent garbage bits, or the soft demapper into infinite LLRs,
+        # which the decoder would refuse for the whole stack.  Such a burst
+        # gives up alone, its non-finite symbols zeroed before the demapper.
+        finite = np.isfinite(equalized).all(axis=(1, 2, 3))
+        equalized[~finite] = 0.0
+        coded = self._coded_values(
+            equalized, demodulated.layout.coded_length, demodulated.noise_variances[stack_rows]
+        )
+        finite &= np.isfinite(coded).all(axis=(1, 2))
+        for index, (position, row) in enumerate(live):
+            if not finite[index]:
                 outcomes[position] = DecodingError(
                     "equalised symbols and coded values must be finite"
                 )
                 continue
             # (symbol, stream) order fixes the summation order of the
             # mean pilot phase.
-            pilot_phases = diag.common_phase[row].T.ravel()
+            pilot_phases = diag.common_phase[index].T.ravel()
             outcomes[position] = FrontEndResult(
-                coded=coded[row],
-                equalized=equalized[row],
-                lts_start=burst.lts_start,
-                channel_estimate=burst.estimate,
-                estimated_cfo=burst.estimated_cfo,
+                coded=coded[index],
+                equalized=equalized[index],
+                lts_start=demodulated.lts_starts[row],
+                channel_estimate=demodulated.estimate[row],
+                estimated_cfo=demodulated.estimated_cfos[row],
                 mean_pilot_phase=float(np.mean(pilot_phases)),
             )
         return outcomes
@@ -494,36 +494,32 @@ class MimoReceiver:
         return lts_start, estimated_cfo, lts_windows, data_windows
 
     def _stacked_detector(
-        self, live: List[Tuple[int, _Burst]], outcomes: list
-    ) -> Tuple[List[Tuple[int, _Burst]], Optional[Callable[[np.ndarray], np.ndarray]]]:
-        """One detector over the stacked estimate of every live
-        ``(position, burst)``.
+        self, demodulated: DemodulatedStack, live: List[Tuple[int, int]], outcomes: list
+    ) -> Tuple[List[Tuple[int, int]], Optional[Callable[[np.ndarray], np.ndarray]]]:
+        """One detector over the rows of ``demodulated``'s stacked estimate
+        of every live ``(position, row)``.
 
         A singular MMSE Gram matrix sinks the stacked solve, so the bursts
         are then solved one at a time to find the ones that give up
         (recorded at their position in ``outcomes``) and the rest are
         solved again.  Returns the surviving bursts and their detector.
         """
-        estimate = ChannelEstimate(
-            matrices=np.stack([burst.estimate.matrices for _, burst in live]),
-            inverses=np.stack([burst.estimate.inverses for _, burst in live]),
-            active_mask=self.channel_estimator.active_mask,
-        )
-        variances = np.array([burst.noise_variance for _, burst in live])
+        estimate, variances = demodulated.estimate, demodulated.noise_variances
+        rows = [row for _, row in live]
         try:
-            return live, self._detector(estimate, variances)
+            return live, self._detector(estimate[rows], variances[rows])
         except DecodingError:
             survivors = []
-            for position, burst in live:
+            for position, row in live:
                 try:
-                    self._detector(burst.estimate, burst.noise_variance)
+                    self._detector(estimate[row], variances[row])
                 except DecodingError as error:
                     outcomes[position] = error.with_traceback(None)
                 else:
-                    survivors.append((position, burst))
+                    survivors.append((position, row))
             if not survivors:
                 return [], None
-            return self._stacked_detector(survivors, outcomes)
+            return self._stacked_detector(demodulated, survivors, outcomes)
 
     def receive(
         self,

@@ -122,8 +122,8 @@ class MimoTransmitter:
         Returns
         -------
         One :class:`~repro.core.frame.TransmitBurst` with per-antenna
-        samples, or a list of one per burst of a stack (their arrays are
-        views of the stack's).
+        samples, or a list of one per burst of a stack (their samples and
+        ``info_bits`` are views of the stack's).
         """
         n_streams = self.config.n_streams
         bits = _checked_bits(stream_bits)
@@ -138,18 +138,8 @@ class MimoTransmitter:
                 f"expected {n_streams} bit streams of at least one bit per burst, "
                 f"got shape {bits.shape}"
             )
-        bursts = self._transmit_rows(
-            stack.reshape(-1, stack.shape[2]), [list(burst) for burst in stack]
-        )
-        return bursts if bits.ndim == 3 else bursts[0]
-
-    def _transmit_rows(
-        self, rows: BitArray, info_bits: List[List[np.ndarray]]
-    ) -> List[TransmitBurst]:
-        """The stacked datapath: ``rows`` holds every stream of every burst,
-        burst-major."""
-        n_streams = self.config.n_streams
-        n_bursts = rows.shape[0] // n_streams
+        n_bursts = stack.shape[0]
+        rows = stack.reshape(n_bursts * n_streams, -1)  # burst-major
         n_cbps = self.config.coded_bits_per_symbol
         layout = burst_layout(self.config, rows.shape[1])
 
@@ -164,15 +154,16 @@ class MimoTransmitter:
         samples[..., layout.data_start : layout.length - layout.tail_length] = (
             self._modulate_block(frequency_symbols).reshape(n_bursts, n_streams, -1)
         )
-        return [
+        bursts = [
             TransmitBurst(
                 samples=samples[burst],
-                info_bits=info_bits[burst],
+                info_bits=stack[burst],
                 layout=layout,
                 config=self.config,
             )
             for burst in range(n_bursts)
         ]
+        return bursts if bits.ndim == 3 else bursts[0]
 
     def random_payload(self, n_info_bits: int, rng: np.random.Generator) -> BitArray:
         """``(n_streams, n_info_bits)`` random bits: one draw per stream, in

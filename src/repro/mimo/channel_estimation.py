@@ -9,8 +9,10 @@ the channel-estimate memories used by the MIMO detector.
 
 :class:`ChannelEstimator` packages the whole process for a stack of
 bursts, side by side like the paper's per-subcarrier QRD arrays: one
-estimate or one :class:`~repro.exceptions.ChannelEstimationError` per
-burst.  The lower-level functions are exposed for tests and benchmarks;
+stacked :class:`ChannelEstimate` — the channel-estimate memory the
+detector reads, one row per burst — and one
+:class:`~repro.exceptions.ChannelEstimationError` or ``None`` per burst.
+The lower-level functions are exposed for tests and benchmarks;
 :func:`invert_channel_stack` flags a singular matrix in its mask rather
 than raising.
 """
@@ -18,7 +20,7 @@ than raising.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -166,20 +168,10 @@ class ChannelEstimate:
     inverses: ComplexArray
     active_mask: npt.NDArray[np.bool_]
 
-    @property
-    def fft_size(self) -> int:
-        """Transform length the estimate covers."""
-        return self.matrices.shape[-3]
-
-    @property
-    def n_rx(self) -> int:
-        """Number of receive antennas."""
-        return self.matrices.shape[-2]
-
-    @property
-    def n_tx(self) -> int:
-        """Number of transmit antennas."""
-        return self.matrices.shape[-1]
+    def __getitem__(self, rows) -> "ChannelEstimate":
+        """The estimate of the bursts ``rows`` of a stacked estimate: one
+        burst's views for an integer, a stacked copy for an index list."""
+        return ChannelEstimate(self.matrices[rows], self.inverses[rows], self.active_mask)
 
 
 class ChannelEstimator:
@@ -203,19 +195,22 @@ class ChannelEstimator:
             raise ConfigurationError("reference_lts must not be empty")
         self.cordic = cordic
         self.active_mask = np.abs(self.reference_lts) > 0
+        # Shared by every estimate this estimator returns.
+        self.active_mask.flags.writeable = False
 
     def estimate(
         self, received_lts: np.ndarray
-    ) -> List[Union[ChannelEstimate, ChannelEstimationError]]:
+    ) -> Tuple[ChannelEstimate, List[Optional[ChannelEstimationError]]]:
         """Estimate and invert the channel of a stack of bursts.
 
         ``received_lts`` holds each burst's staggered LTS observations,
         shape ``(n_items, n_tx, n_rx, fft_size)``.  The whole stack runs
-        through one estimate and one stacked QR/R^-1 and gives one entry
-        per burst: its :class:`ChannelEstimate`, or the
+        through one estimate and one stacked QR/R^-1.  Returns the stacked
+        :class:`ChannelEstimate`, one row per burst, and one entry per
+        burst: ``None``, or the
         :class:`~repro.exceptions.ChannelEstimationError` naming its first
         rank-deficient subcarrier — so a rank-deficient burst drops out
-        alone.
+        alone (its row's inverses are zero there and meaningless).
         """
         received = np.asarray(received_lts, dtype=np.complex128)
         if received.ndim != 4:
@@ -228,19 +223,13 @@ class ChannelEstimator:
         inverses, singular = invert_channel_stack(
             matrices, self.active_mask, cordic=self.cordic
         )
-        return [
-            self._outcome(*item) for item in zip(matrices, inverses, singular)
-        ]
-
-    def _outcome(
-        self, matrices: ComplexArray, inverses: ComplexArray, singular: np.ndarray
-    ) -> Union[ChannelEstimate, ChannelEstimationError]:
-        """One burst's estimate, or the error naming its first singular subcarrier."""
-        if np.any(singular):
-            return ChannelEstimationError(
-                f"channel matrix on subcarrier {np.flatnonzero(singular)[0]} is rank "
+        errors = [
+            ChannelEstimationError(
+                f"channel matrix on subcarrier {np.argmax(bad)} is rank "
                 "deficient; zero-forcing equalisation is impossible"
             )
-        return ChannelEstimate(
-            matrices=matrices, inverses=inverses, active_mask=self.active_mask.copy()
-        )
+            if bad.any()
+            else None
+            for bad in singular
+        ]
+        return ChannelEstimate(matrices, inverses, self.active_mask), errors

@@ -25,9 +25,10 @@ last ulp, so a *rounding certificate* guards the per-axis path: a symbol
 takes it only when, on each axis, any two distinct squared level
 distances that decide its output differ by more than
 :data:`TIE_MARGIN` times a bound on its squared distances — six orders of
-magnitude above complex ``abs``'s rounding error.  The rest (near ties,
-huge or non-finite symbols) go through the full distance table, which is
-kept only as this fallback.
+magnitude above complex ``abs``'s rounding error.  The rest (near ties
+and huge symbols) go through the full distance table, which is kept only
+as this fallback.  A NaN or infinite symbol, which no certificate passes,
+raises :class:`~repro.exceptions.DecodingError` instead of being sliced.
 
 All entry points accept symbol arrays of any shape and demap every symbol in
 one call, vectorised over passes of at most :data:`DISTANCE_BUDGET`
@@ -45,7 +46,7 @@ import numpy as np
 
 import numpy.typing as npt
 
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, DecodingError
 from repro.types import BitArray, FloatArray, IntArray
 from repro.modulation.constellations import Constellation, Modulation, get_constellation
 
@@ -183,21 +184,26 @@ class SymbolDemapper:
         for start in range(0, n_symbols, step):
             yield slice(start, start + step)
 
-    def _certified(
-        self, y_i: FloatArray, y_q: FloatArray, margin_i: FloatArray, margin_q: FloatArray
-    ) -> np.ndarray:
-        """Whether no rounding can move a symbol's per-axis result.
+    def _uncertified(
+        self, received: np.ndarray, rows: slice, margin_i: FloatArray, margin_q: FloatArray
+    ) -> IntArray:
+        """Indices of the symbols of pass ``rows`` whose per-axis result a
+        rounding could move, for the table fallback.
 
         Both margins must exceed a bound on every squared distance from
         the symbol to a point: the squared distance to the farthest
         corner, so it overflows where the table's largest entry does.
-        NaN and infinite symbols never pass.
+        NaN and infinite symbols never pass, and one among them raises
+        :class:`~repro.exceptions.DecodingError`.
         """
-        reach_i = np.abs(y_i) + self._i.reach
-        reach_q = np.abs(y_q) + self._q.reach
+        reach_i = np.abs(received.real[rows]) + self._i.reach
+        reach_q = np.abs(received.imag[rows]) + self._q.reach
         bound = np.square(reach_i, out=reach_i)
         bound += np.square(reach_q, out=reach_q)
-        return np.fmin(margin_i, margin_q) > bound
+        failed = np.flatnonzero(~(np.fmin(margin_i, margin_q) > bound)) + rows.start
+        if not np.isfinite(received[failed]).all():
+            raise DecodingError("symbols to demap must be finite")
+        return failed
 
     def _table_chunks(self, received: np.ndarray):
         """Yield ``(rows, squared distances of those symbols to every point)``."""
@@ -226,10 +232,9 @@ class SymbolDemapper:
             index_q, margin_q = self._q.nearest(y_q)
             index_i *= self._q.size
             index_i += index_q
+            failed = self._uncertified(received, rows, margin_i, margin_q)
             addresses[rows] = self._addresses[index_i.astype(np.intp)]
-            certified = self._certified(y_i, y_q, margin_i, margin_q)
-            if not certified.all():
-                failed = np.flatnonzero(~certified) + rows.start
+            if failed.size:
                 addresses[failed] = self._table_addresses(received[failed])
         return addresses
 
@@ -276,6 +281,7 @@ class SymbolDemapper:
             scale = variance[rows] if variance.ndim else variance
             subsets_i, overall_i, margin_i = self._i.minima(y_i)
             subsets_q, overall_q, margin_q = self._q.minima(y_q)
+            failed = self._uncertified(received, rows, margin_i, margin_q)
             # Rows 2b and 2b + 1: bit b's nearest point with a 0 (a 1) there.
             nearest = np.empty((2 * k, y_i.size), dtype=np.complex128)
             nearest.real[:i_rows] = subsets_i
@@ -284,9 +290,7 @@ class SymbolDemapper:
             nearest.imag[i_rows:] = subsets_q
             distances = np.square(np.abs(nearest))
             llrs[rows] = ((distances[1::2] - distances[0::2]) / scale).T
-            certified = self._certified(y_i, y_q, margin_i, margin_q)
-            if not certified.all():
-                failed = np.flatnonzero(~certified) + rows.start
+            if failed.size:
                 llrs[failed] = self._table_llrs(
                     received[failed], variance[failed] if variance.ndim else variance
                 )
@@ -314,7 +318,9 @@ class SymbolDemapper:
         """Demap symbols, selecting hard bits or soft LLRs.
 
         This mirrors the run-time configurability of the hardware demapper
-        ("can be set up to perform hard or soft symbol demapping").
+        ("can be set up to perform hard or soft symbol demapping").  A NaN
+        or infinite symbol raises :class:`~repro.exceptions.DecodingError`
+        in either mode.
         """
         if soft:
             return self.soft_decisions(symbols, noise_variance=noise_variance)

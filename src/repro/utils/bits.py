@@ -74,11 +74,15 @@ def count_bit_errors(
     The one bit-error count of the link:
     :meth:`~repro.core.frame.BurstOutcome.score` scores every decoded
     burst with it, over all its streams at once.  Arrays of different
-    shapes, or holding anything but 0s and 1s, raise
+    shapes, ragged sequences (streams of unequal length), or arrays
+    holding anything but 0s and 1s, raise
     :class:`~repro.exceptions.ConfigurationError`.
     """
-    ref = np.asarray(reference, dtype=np.uint8)
-    rec = np.asarray(received, dtype=np.uint8)
+    try:
+        ref = np.asarray(reference, dtype=np.uint8)
+        rec = np.asarray(received, dtype=np.uint8)
+    except ValueError as exc:
+        raise ConfigurationError(f"bit arrays must not be ragged: {exc}") from exc
     if ref.shape != rec.shape:
         raise ConfigurationError(
             f"bit arrays have different shapes ({ref.shape} vs {rec.shape})"

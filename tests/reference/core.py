@@ -26,7 +26,7 @@ from repro.core.pilots import PilotProcessor
 from repro.core.receiver import TIMING_ADVANCE, MimoReceiver
 from repro.core.transmitter import MimoTransmitter
 from repro.dsp.fft import fft
-from repro.exceptions import ChannelEstimationError, SynchronizationError
+from repro.exceptions import SynchronizationError
 from repro.mimo.channel_estimation import ChannelEstimate
 from repro.mimo.detector import MmseDetector, zf_detect
 
@@ -221,10 +221,10 @@ def estimate_channel_serial(
                 receiver, fft(streams[rx, start + fft_size : start + 2 * fft_size])
             )
             received_lts[slot, rx] = (first + second) / 2.0
-    (outcome,) = receiver.channel_estimator.estimate(received_lts[None])
-    if isinstance(outcome, ChannelEstimationError):
-        raise outcome
-    return outcome
+    estimate, (error,) = receiver.channel_estimator.estimate(received_lts[None])
+    if error is not None:
+        raise error
+    return estimate[0]
 
 
 def equalize_burst_serial(

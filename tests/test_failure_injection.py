@@ -311,6 +311,7 @@ class _NanTraffic:
         lambda: build_fading_model("rician", 4, rng=0),
         lambda: PoissonTraffic(float("nan")),
         lambda: _receive_result(n_streams=0).total_bit_errors([np.zeros(8, dtype=np.uint8)]),
+        lambda: _receive_result(n_streams=2).total_bit_errors([np.zeros(0), np.zeros(1)]),
         lambda: MimoChannel(snr_db=float("nan")),
         lambda: MimoChannel(snr_db=float("inf")),
         lambda: MimoChannel(impairment={"sample_delay": 3}),
@@ -456,6 +457,7 @@ class _NanTraffic:
         "fading-unknown-model",
         "poisson-nan-rate",
         "receive-result-stream-count-mismatch",
+        "receive-result-ragged-reference",
         "channel-nan-snr",
         "channel-infinite-snr",
         "channel-impairment-not-a-spec",
@@ -627,3 +629,112 @@ class TestSynchronizerFailureModes:
         silent = np.zeros((4, 1000), dtype=complex)
         with pytest.raises(SynchronizationError):
             MimoReceiver().synchronize(silent)
+
+
+def _data_set(samples, data_start, value):
+    """``samples`` with every data-section sample set to ``value``."""
+    fuzzed = samples.copy()
+    fuzzed[:, data_start:] = value
+    return fuzzed
+
+
+def _data_scaled(samples, data_start, scale):
+    """``samples`` with the data section scaled: finite, but its FFT overflows."""
+    fuzzed = samples.copy()
+    fuzzed[:, data_start:] *= scale
+    return fuzzed
+
+
+#: Fuzz rows past the front end: name -> (build the fuzzed samples from a
+#: clean burst's samples and data start, LTS start to trust, outcome type).
+#: A ConfigurationError outcome is raised; any other is the burst's slot.
+RECEIVE_FUZZ_ROWS = {
+    "nan-data": (lambda s, d: _data_set(s, d, np.nan), 160, DecodingError),
+    "inf-data": (lambda s, d: _data_set(s, d, np.inf), 160, DecodingError),
+    "negative-inf-data": (lambda s, d: _data_set(s, d, -np.inf), 160, DecodingError),
+    "overflowing-data": (lambda s, d: _data_scaled(s, d, 1e307), 160, DecodingError),
+    "empty": (lambda s, d: s[:, :0], 160, DecodingError),
+    "empty-unsynchronised": (lambda s, d: s[:, :0], None, SynchronizationError),
+    "all-zero": (lambda s, d: np.zeros_like(s), 160, ChannelEstimationError),
+    "all-zero-unsynchronised": (lambda s, d: np.zeros_like(s), None, SynchronizationError),
+    "all-zero-data": (lambda s, d: _data_set(s, d, 0.0), 160, ReceiveResult),
+    "rank-one": (lambda s, d: s[0], 160, ConfigurationError),
+    "rank-three": (lambda s, d: s[None], 160, ConfigurationError),
+}
+
+
+class TestFuzzPastTheFrontEnd:
+    """NaN/Inf, empty, all-zero and wrong-rank input to the whole receive
+    chain: each raises or slots a typed error (or decodes well-formed bits)
+    and never reaches the demapper or de-interleaver non-finite, leaving
+    its clean neighbour untouched."""
+
+    @pytest.mark.parametrize("soft", [False, True], ids=["hard", "soft"])
+    @pytest.mark.parametrize("row", list(RECEIVE_FUZZ_ROWS))
+    def test_receive_stack_row(self, row, soft, monkeypatch):
+        build, lts_start, expected = RECEIVE_FUZZ_ROWS[row]
+        config = TransceiverConfig(soft_decision=soft)
+        receiver = MimoReceiver(config)
+        burst = MimoTransmitter(config).transmit_random(96, rng=np.random.default_rng(0))
+        fuzzed = build(burst.samples, burst.layout.data_start)
+        demapped = []
+        demap = SymbolDemapper.demap
+
+        def finite_demap(self, symbols, *args, **kwargs):
+            demapped.append(np.isfinite(symbols).all())
+            return demap(self, symbols, *args, **kwargs)
+
+        monkeypatch.setattr(SymbolDemapper, "demap", finite_demap)
+        stack = ([fuzzed, burst.samples], 96, [lts_start, 160])
+        if expected is ConfigurationError:
+            with pytest.raises(ConfigurationError):
+                receiver.receive_stack(*stack)
+            return
+        outcome, clean = receiver.receive_stack(*stack)
+        assert type(outcome) is expected
+        if expected is ReceiveResult:
+            assert outcome.decoded_bits.shape == (4, 96)
+        assert clean.total_bit_errors(burst.info_bits) == 0
+        assert demapped == [True]
+
+    def test_receive_stack_of_nothing_is_empty(self):
+        assert MimoReceiver().receive_stack([], 96) == []
+
+    @pytest.mark.parametrize(
+        "build, expected",
+        [
+            (lambda s, d: _data_set(s, d, np.nan), "received samples must be finite"),
+            (lambda s, d: _data_set(s, d, np.inf), "received samples must be finite"),
+            (lambda s, d: _data_scaled(s, d, 1e307), "equalised symbols"),
+            (lambda s, d: np.full_like(s, np.nan), None),
+            (lambda s, d: np.full_like(s, np.inf), None),
+            (lambda s, d: s[:, :0], None),
+            (lambda s, d: np.zeros_like(s), None),
+        ],
+        ids=["nan-data", "inf-data", "overflowing-data", "all-nan", "all-inf", "empty", "all-zero"],
+    )
+    def test_streaming_push_row(self, build, expected):
+        # A fuzzed frame, then a clean one: a frame still found gives up
+        # alone, one wiped out is never found, and the clean frame decodes.
+        burst = MimoTransmitter().transmit_random(96, rng=np.random.default_rng(1))
+        gap = np.zeros((4, 50), dtype=complex)
+        fuzzed = build(burst.samples, burst.layout.data_start)
+        stream = np.concatenate([gap, fuzzed, gap, burst.samples, gap], axis=1)
+        pipeline = StreamingReceiver(MimoReceiver(), n_info_bits=96)
+        frames = pipeline.push(stream) + pipeline.flush()
+        if expected is not None:
+            lost = frames.pop(0)
+            assert isinstance(lost.outcome, DecodingError)
+            assert expected in str(lost.outcome)
+        (clean,) = frames
+        assert clean.outcome.total_bit_errors(burst.info_bits) == 0
+        assert pipeline.frames_lost == (expected is not None)
+
+    @pytest.mark.parametrize(
+        "chunk",
+        [np.zeros(3000), np.zeros((1, 4, 3000)), np.zeros((3, 3000))],
+        ids=["rank-one", "rank-three", "three-antennas"],
+    )
+    def test_streaming_push_wrong_rank_raises(self, chunk):
+        with pytest.raises(ConfigurationError):
+            StreamingReceiver(MimoReceiver(), n_info_bits=96).push(chunk)

@@ -913,10 +913,9 @@ class TestStackedFrontEndAgreement:
         estimate = receiver.channel_estimator.estimate
 
         def duplicate_columns(received):
-            outcomes = estimate(received)
-            for outcome in outcomes:
-                outcome.matrices[7, :, 1] = outcome.matrices[7, :, 0]
-            return outcomes
+            stacked, errors = estimate(received)
+            stacked.matrices[:, 7, :, 1] = stacked.matrices[:, 7, :, 0]
+            return stacked, errors
 
         monkeypatch.setattr(receiver.channel_estimator, "estimate", duplicate_columns)
         bursts = self._mixed_stack(config, seed=950)[:3]

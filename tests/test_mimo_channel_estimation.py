@@ -2,7 +2,12 @@
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
+from repro.channel.model import IdealChannel, MimoChannel
+from repro.core.config import TransceiverConfig
+from repro.core.receiver import MimoReceiver
+from repro.core.transmitter import MimoTransmitter
 from repro.dsp.cordic import Cordic
 from repro.exceptions import ChannelEstimationError, ConfigurationError
 from repro.mimo.channel_estimation import (
@@ -116,9 +121,10 @@ class TestChannelEstimator:
             rng.normal(size=(active.sum(), 4, 4)) + 1j * rng.normal(size=(active.sum(), 4, 4))
         )
         estimator = ChannelEstimator(lts)
-        (estimate,) = estimator.estimate(_received_from_channel(true_channel, lts)[None])
-        assert estimate.fft_size == 64
-        assert estimate.n_rx == 4 and estimate.n_tx == 4
+        stacked, errors = estimator.estimate(_received_from_channel(true_channel, lts)[None])
+        assert errors == [None]
+        estimate = stacked[0]
+        assert estimate.matrices.shape == estimate.inverses.shape == (64, 4, 4)
         mask = estimate.active_mask
         assert frobenius_error(estimate.matrices[mask], true_channel[mask]) < 1e-12
         for k in np.nonzero(active)[0]:
@@ -138,7 +144,8 @@ class TestChannelEstimator:
         received += 0.01 * (
             rng.normal(size=received.shape) + 1j * rng.normal(size=received.shape)
         )
-        (estimate,) = ChannelEstimator(lts).estimate(received[None])
+        stacked, _ = ChannelEstimator(lts).estimate(received[None])
+        estimate = stacked[0]
         mask = estimate.active_mask
         error = frobenius_error(estimate.matrices[mask], true_channel[mask])
         assert 0 < error < 0.05
@@ -150,11 +157,45 @@ class TestChannelEstimator:
     def test_singular_channel_gets_its_slot(self):
         lts = _reference_lts()
         estimator = ChannelEstimator(lts)
-        (outcome,) = estimator.estimate(np.zeros((1, 4, 4, 64), dtype=complex))
-        assert isinstance(outcome, ChannelEstimationError)
+        _, (error,) = estimator.estimate(np.zeros((1, 4, 4, 64), dtype=complex))
+        assert isinstance(error, ChannelEstimationError)
 
     @pytest.mark.parametrize("shape", [(4, 4, 64), (1, 1, 4, 4, 64)])
     def test_anything_but_a_stack_is_rejected(self, shape):
         estimator = ChannelEstimator(_reference_lts())
         with pytest.raises(ConfigurationError, match="n_items, n_tx, n_rx, fft_size"):
             estimator.estimate(np.zeros(shape, dtype=complex))
+
+
+#: Two-sided false-alarm rate of each χ² case below.
+CHI2_ALPHA = 1e-3
+
+
+@pytest.mark.parametrize("fft_size", [64, 512])
+def test_least_squares_error_variance_matches_theory(fft_size):
+    # On the ideal channel at known timing, each LTS slot's two
+    # repetitions carry independent per-bin noise of variance N σ² (the
+    # FFT is unnormalised), so the averaged ratio Y / X_k misses the true
+    # entry by complex Gaussian noise of variance N σ² / (2 |X_k|²).  Over
+    # every entry of eight bursts, Σ 2|e|² / variance is χ² with two
+    # degrees of freedom per entry; a factor-of-two slip lands far outside.
+    config = TransceiverConfig(fft_size=fft_size)
+    transmitter, receiver = MimoTransmitter(config), MimoReceiver(config)
+    seeds = range(8)
+    payload = np.stack([transmitter.random_payload(48, np.random.default_rng(s)) for s in seeds])
+    bursts = transmitter.transmit(payload)
+    outputs = [
+        MimoChannel(IdealChannel(4), snr_db=10.0, rng=100 + seed).transmit(burst.samples)
+        for seed, burst in zip(seeds, bursts)
+    ]
+    lts_starts = [burst.layout.sts_length for burst in bursts]
+    truth = receiver.demodulate_stack([burst.samples for burst in bursts], 48, lts_starts)
+    noisy = receiver.demodulate_stack([output.samples for output in outputs], 48, lts_starts)
+    active = truth.estimate.active_mask
+    error = (noisy.estimate.matrices - truth.estimate.matrices)[:, active]
+    noise = np.array([output.noise_variance for output in outputs])
+    lts = receiver.preamble.lts_frequency[active]
+    variance = fft_size * noise[:, None] / (2 * np.abs(lts) ** 2)
+    statistic = np.sum(2 * np.abs(error) ** 2 / variance[:, :, None, None])
+    low, high = chi2.ppf([CHI2_ALPHA / 2, 1 - CHI2_ALPHA / 2], 2 * error.size)
+    assert low < statistic < high

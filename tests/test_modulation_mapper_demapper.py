@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, DecodingError
 from repro.modulation.constellations import Modulation, get_constellation
 from repro.modulation.demapper import SymbolDemapper
 from repro.modulation.mapper import SymbolMapper
@@ -110,19 +110,19 @@ class TestSoftDemapping:
 
 def _axis_values(levels):
     """One axis's adversarial coordinates: its levels and half-grid points
-    ``(l_a + l_b) / 2`` with their 1- and 2-ulp neighbours, signed zeros,
-    far values and non-finite ones."""
+    ``(l_a + l_b) / 2`` with their 1- and 2-ulp neighbours, signed zeros
+    and far values (non-finite ones raise, see
+    :func:`test_non_finite_symbols_raise_instead_of_slicing`)."""
     base = np.unique((levels[:, None] + levels[None, :]) / 2)
     up = np.nextafter(base, np.inf)
     down = np.nextafter(base, -np.inf)
     near = [base, up, down, np.nextafter(up, np.inf), np.nextafter(down, -np.inf)]
-    far = [0.0, -0.0, 1e8, -1e8, 1e12, -1e12, np.nan, np.inf, -np.inf]
+    far = [0.0, -0.0, 1e8, -1e8, 1e12, -1e12]
     return np.concatenate(near + [far])
 
 
 def _adversarial_symbols(modulation):
-    """Every pair of I and Q adversarial coordinates (built componentwise,
-    so infinities do not turn into NaNs)."""
+    """Every pair of I and Q adversarial coordinates."""
     points = get_constellation(modulation).points
     values_i = _axis_values(np.unique(points.real))
     values_q = _axis_values(np.unique(points.imag))
@@ -147,14 +147,25 @@ class TestPerAxisExactness:
         demapper = SymbolDemapper(modulation)
         symbols = _adversarial_symbols(modulation)
         variances = np.random.default_rng(47).uniform(0.01, 2.0, size=symbols.size)
-        # Infinite symbols make inf - inf LLRs, in the table as here.
-        with np.errstate(invalid="ignore"):
-            # At variance 1.0 the oracle's LLR is its distance difference.
-            differences = soft_decisions_serial(demapper, symbols).reshape(symbols.size, -1)
-            for variance in (0.3, variances):
-                expected = differences / np.reshape(variance, (-1, 1))
-                llrs = demapper.soft_decisions(symbols, noise_variance=variance)
-                assert llrs.tobytes() == expected.tobytes()
+        # At variance 1.0 the oracle's LLR is its distance difference.
+        differences = soft_decisions_serial(demapper, symbols).reshape(symbols.size, -1)
+        for variance in (0.3, variances):
+            expected = differences / np.reshape(variance, (-1, 1))
+            llrs = demapper.soft_decisions(symbols, noise_variance=variance)
+            assert llrs.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("modulation", list(Modulation))
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("soft", [False, True], ids=["hard", "soft"])
+def test_non_finite_symbols_raise_instead_of_slicing(modulation, bad, soft):
+    # A NaN or infinite coordinate fails every rounding certificate; the
+    # table would slice it to address 0 (or inf - inf LLRs), so it raises.
+    symbols = np.zeros(40, dtype=complex)
+    symbols.real[17] = bad
+    symbols.imag[31] = bad
+    with pytest.raises(DecodingError, match="finite"):
+        SymbolDemapper(modulation).demap(symbols, soft=soft, noise_variance=0.5)
 
 
 def _table_llr_differences(constellation, symbols):

@@ -65,3 +65,34 @@ def test_receiver_decodes_with_keywords_the_viterbi_hook_reads(layers, monkeypat
     assert calls and all(
         len(args) == 1 and set(kwargs) == {"n_info_bits"} for args, kwargs in calls
     )
+
+
+@pytest.mark.parametrize("detector", ["zf", "mmse"])
+def test_a_mixed_stack_calls_each_stacked_layer_once(layers, detector):
+    # The benchmark's per-layer ``calls`` rows count stacked passes: a stack
+    # with a rank-deficient burst and an overflowing one among clean bursts
+    # still runs one channel estimate, one QR, one detection and one demap.
+    import numpy as np
+
+    from repro.core.config import TransceiverConfig
+    from repro.core.frame import FrontEndResult
+    from repro.core.receiver import MimoReceiver
+    from repro.core.transmitter import MimoTransmitter
+    from repro.exceptions import ChannelEstimationError, DecodingError
+
+    config = TransceiverConfig(detector=detector)
+    transmitter, receiver = MimoTransmitter(config), MimoReceiver(config)
+    payload = np.stack([transmitter.random_payload(96, np.random.default_rng(s)) for s in range(4)])
+    bursts = transmitter.transmit(payload)
+    samples = [burst.samples.copy() for burst in bursts]
+    samples[1][2] = 0.0  # a dead receive antenna: rank-deficient estimate
+    # A finite tone on subcarrier 1 whose data FFT overflows.
+    data = samples[2][:, bursts[2].layout.data_start :]
+    data[:] = 1e307 * np.exp(2j * np.pi * np.arange(data.shape[1]) / config.fft_size)
+    with layers.Tracer() as tracer:
+        outcomes = receiver.detect_stack(receiver.demodulate_stack(samples, 96, [160] * 4))
+    assert isinstance(outcomes[1], ChannelEstimationError)
+    assert type(outcomes[2]) is DecodingError and "finite" in str(outcomes[2])
+    assert all(isinstance(outcomes[i], FrontEndResult) for i in (0, 3))
+    for layer in ("mimo.channel_estimation", "mimo.qr", "mimo.detector", "modulation.demapper"):
+        assert tracer.calls[layer] == 1, layer

@@ -282,10 +282,9 @@ def test_mmse_only_give_up_leaves_the_zf_twin_decoding(monkeypatch):
     estimate = ChannelEstimator.estimate
 
     def duplicate_columns(self, received):
-        outcomes = estimate(self, received)
-        for outcome in outcomes:
-            outcome.matrices[7, :, 1] = outcome.matrices[7, :, 0]
-        return outcomes
+        stacked, errors = estimate(self, received)
+        stacked.matrices[:, 7, :, 1] = stacked.matrices[:, 7, :, 0]
+        return stacked, errors
 
     monkeypatch.setattr(ChannelEstimator, "estimate", duplicate_columns)
     spec, items = _twin_spec(snr_db=(300.0,), channels=("ideal",), target_errors=None)
