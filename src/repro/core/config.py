@@ -22,9 +22,13 @@ import numpy as np
 from repro.coding.convolutional import CodeRate
 from repro.dsp.fixedpoint import FixedPointFormat
 from repro.exceptions import ConfigurationError, boolean_flag, integer_at_least
-from repro.hardware.clock import PAPER_CLOCK_HZ
 from repro.modulation.constellations import Modulation
 from repro.types import DetectorName
+
+#: Sample/processing clock frequency reported in the paper (Hz): the
+#: 100 MHz every :class:`TransceiverConfig` runs at, from which
+#: :attr:`TransceiverConfig.info_bit_rate_bps` derives the bit rate.
+PAPER_CLOCK_HZ = 100_000_000.0
 
 #: 802.11a pilot subcarriers (logical indices, 64-point OFDM).
 _IEEE80211A_PILOTS = (-21, -7, 7, 21)

@@ -57,7 +57,7 @@ and detection is quantised to ``TransceiverConfig.rx_multiplier_format``
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -282,23 +282,6 @@ class MimoReceiver:
         return self._scrambler.process(decoded)
 
     # ------------------------------------------------------------------
-    # post-sync datapath: FFT windows -> MIMO detection -> pilot correction
-    # ------------------------------------------------------------------
-    def _detector(
-        self, estimate: ChannelEstimate, noise_variance: Union[float, np.ndarray]
-    ) -> Callable[[np.ndarray], np.ndarray]:
-        """The configured detector for an estimate, stacked or not: ZF
-        multiplies its inverses in, MMSE solves its weights (raising
-        :class:`DecodingError` on a singular Gram matrix)."""
-        if self.config.detector == "mmse":
-            return MmseDetector(estimate, noise_variance).detect
-
-        def detect(frequency: np.ndarray) -> np.ndarray:
-            return zf_detect(frequency, estimate.inverses)
-
-        return detect
-
-    # ------------------------------------------------------------------
     # full burst reception
     # ------------------------------------------------------------------
     @np.errstate(over="ignore", invalid="ignore")
@@ -407,12 +390,26 @@ class MimoReceiver:
             for position, row in enumerate(bursts)
             if not isinstance(row, DecodingError)
         ]
-        if live:
-            live, detect = self._stacked_detector(demodulated, live, outcomes)
         if not live:
             return outcomes
         stack_rows = [row for _, row in live]
-        corrected, diag = self.pilots.correct_block(detect(demodulated.frequency[stack_rows]))
+        frequency = demodulated.frequency[stack_rows]
+        variances = demodulated.noise_variances[stack_rows]
+        if self.config.detector == "mmse":
+            detector = MmseDetector(demodulated.estimate[stack_rows], variances)
+            for (position, _), variance, subcarrier in zip(
+                live, variances, detector.singular_subcarriers
+            ):
+                if subcarrier is not None:
+                    # Its weights are zero: the burst runs on, never read.
+                    outcomes[position] = DecodingError(
+                        f"MMSE Gram matrix is singular on subcarrier {subcarrier} "
+                        f"(noise_variance={variance})"
+                    )
+            detected = detector.detect(frequency)
+        else:
+            detected = zf_detect(frequency, demodulated.estimate.inverses[stack_rows])
+        corrected, diag = self.pilots.correct_block(detected)
         equalized = corrected[..., self._data_bins]
         # Finite samples can still overflow: the data FFT or the detector
         # into non-finite symbols, which hard decisions would slice into
@@ -421,11 +418,11 @@ class MimoReceiver:
         # gives up alone, its non-finite symbols zeroed before the demapper.
         finite = np.isfinite(equalized).all(axis=(1, 2, 3))
         equalized[~finite] = 0.0
-        coded = self._coded_values(
-            equalized, demodulated.layout.coded_length, demodulated.noise_variances[stack_rows]
-        )
+        coded = self._coded_values(equalized, demodulated.layout.coded_length, variances)
         finite &= np.isfinite(coded).all(axis=(1, 2))
         for index, (position, row) in enumerate(live):
+            if isinstance(outcomes[position], DecodingError):
+                continue
             if not finite[index]:
                 outcomes[position] = DecodingError(
                     "equalised symbols and coded values must be finite"
@@ -492,34 +489,6 @@ class MimoReceiver:
         if not (np.isfinite(lts_windows).all() and np.isfinite(data_windows).all()):
             raise DecodingError("received samples must be finite")
         return lts_start, estimated_cfo, lts_windows, data_windows
-
-    def _stacked_detector(
-        self, demodulated: DemodulatedStack, live: List[Tuple[int, int]], outcomes: list
-    ) -> Tuple[List[Tuple[int, int]], Optional[Callable[[np.ndarray], np.ndarray]]]:
-        """One detector over the rows of ``demodulated``'s stacked estimate
-        of every live ``(position, row)``.
-
-        A singular MMSE Gram matrix sinks the stacked solve, so the bursts
-        are then solved one at a time to find the ones that give up
-        (recorded at their position in ``outcomes``) and the rest are
-        solved again.  Returns the surviving bursts and their detector.
-        """
-        estimate, variances = demodulated.estimate, demodulated.noise_variances
-        rows = [row for _, row in live]
-        try:
-            return live, self._detector(estimate[rows], variances[rows])
-        except DecodingError:
-            survivors = []
-            for position, row in live:
-                try:
-                    self._detector(estimate[row], variances[row])
-                except DecodingError as error:
-                    outcomes[position] = error.with_traceback(None)
-                else:
-                    survivors.append((position, row))
-            if not survivors:
-                return [], None
-            return self._stacked_detector(demodulated, survivors, outcomes)
 
     def receive(
         self,

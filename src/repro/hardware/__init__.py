@@ -14,9 +14,7 @@ package provides the substitute substrate:
 * :mod:`repro.hardware.estimator` — parametric per-entity resource models
   calibrated to the paper's figures and scaling claims (Tables 1-4);
 * :mod:`repro.hardware.latency` — cycle-latency models (CORDIC 20 cycles,
-  QRD 440 cycles, channel-estimation latency, burst latency);
-* :mod:`repro.hardware.clock` — the paper's 100 MHz clock rate, which every
-  :class:`~repro.core.config.TransceiverConfig` runs at.
+  QRD 440 cycles, channel-estimation latency, burst latency).
 
 The resource and latency models take the
 :class:`~repro.core.config.TransceiverConfig` the link runs (the paper's

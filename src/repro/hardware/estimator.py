@@ -50,13 +50,11 @@ total.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
+from repro.core.config import TransceiverConfig
 from repro.hardware.qrd import QrdArray
 from repro.hardware.resources import ResourceReport, ResourceUsage
-
-if TYPE_CHECKING:
-    from repro.core.config import TransceiverConfig
 
 
 @dataclass(frozen=True)
@@ -81,14 +79,7 @@ STRATIX_IV_DEVICE = FpgaDevice(
 
 
 def config_or_paper_build(config: Optional[TransceiverConfig]) -> TransceiverConfig:
-    """``config``, or the paper's synthesised build when it is ``None``.
-
-    Imported on use: :mod:`repro.core.config` reads
-    :mod:`repro.hardware.clock`, so importing it while this package loads
-    would be circular.
-    """
-    from repro.core.config import TransceiverConfig
-
+    """``config``, or the paper's synthesised build when it is ``None``."""
     return TransceiverConfig() if config is None else config
 
 

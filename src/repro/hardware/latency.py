@@ -12,14 +12,13 @@ and processing delays can be computed for any configuration.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import Dict, Optional
 
+from repro.core.config import TransceiverConfig
 from repro.dsp.cordic import CORDIC_PIPELINE_LATENCY
 from repro.hardware.estimator import config_or_paper_build
 from repro.hardware.qrd import QrdArray
-
-if TYPE_CHECKING:
-    from repro.core.config import TransceiverConfig
+from repro.sync.time_sync import TimeSynchronizer
 
 #: Pipeline registers per FFT butterfly stage.
 FFT_PIPELINE_PER_STAGE = 4
@@ -45,9 +44,6 @@ class LatencyModel:
     @property
     def time_sync_cycles(self) -> int:
         """Correlator window fill + adder tree + CORDIC magnitude + compare."""
-        # Imported on use for the reason given in config_or_paper_build.
-        from repro.sync.time_sync import TimeSynchronizer
-
         window = TimeSynchronizer.window_length
         adder_tree = max(1, (window - 1).bit_length())
         return window + adder_tree + CORDIC_PIPELINE_LATENCY + 1

@@ -37,6 +37,7 @@ from repro.core.config import OfdmNumerology
 from repro.dsp.backend import DSP_ARITHMETIC
 from repro.exceptions import ConfigurationError, boolean_flag, integer_at_least
 from repro.modulation.constellations import Modulation
+from repro.sim.cache import content_key
 from repro.sim.stats import wilson_interval
 
 #: Bumped whenever the engine's statistics change meaning, so stale cache
@@ -362,8 +363,6 @@ class SweepPoint:
         folded counts, so the record is shared; ``extra_bursts`` keys the
         refined records adaptive mode appends on top of the base budget.
         """
-        from repro.sim.cache import content_key as _content_key
-
         payload = {
             "record": "sweep-point",
             "engine_version": ENGINE_VERSION,
@@ -375,7 +374,7 @@ class SweepPoint:
             "target_errors": spec.target_errors,
             "extra_bursts": int(extra_bursts),
         }
-        return _content_key(payload, prefix="pt-")
+        return content_key(payload, prefix="pt-")
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,8 @@ samples is multiplied against those stored values and summed (32 complex
 multipliers — 128 real 18-bit multipliers in hardware), and the magnitude of
 the sum marks the STS-to-LTS transition.
 
-:class:`TimeSynchronizer` is the one sync stage of the burst receiver, the
-RTL front end and the stream frame detector.  Its one detection metric,
+:class:`TimeSynchronizer` is the one sync stage of the burst receiver and
+the stream frame detector.  Its one detection metric,
 :meth:`~TimeSynchronizer.metric`, normalises each window's correlation by
 the window's and the reference's energy, so it ignores the channel gain
 (~1.0 at a clean transition) where the hardware tunes an absolute

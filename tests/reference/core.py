@@ -6,10 +6,10 @@ production :class:`~repro.core.transmitter.MimoTransmitter` and
 gathers, one planned FFT/IFFT, block pilot passes and one flat
 (antenna, window) synchroniser argmax.  They reuse the production objects
 only for stages that have a single implementation (FFT, quantiser,
-interleaver, mapper, channel estimator, detectors, CFO estimator); every
+interleaver, mapper, channel estimator, CFO estimator); every
 batched stage is recomputed here one unit at a time, down to the
-per-antenna synchroniser search, per-symbol pilot insertion, serial
-demapper, Viterbi decoder, encoder and scrambler.
+per-antenna synchroniser search, per-subcarrier MMSE solves and
+per-symbol detection, per-symbol pilot insertion, serial demapper, Viterbi decoder, encoder and scrambler.
 """
 
 from __future__ import annotations
@@ -28,10 +28,10 @@ from repro.core.transmitter import MimoTransmitter
 from repro.dsp.fft import fft
 from repro.exceptions import SynchronizationError
 from repro.mimo.channel_estimation import ChannelEstimate
-from repro.mimo.detector import MmseDetector, zf_detect
 
 from reference.coding import encode_serial, scramble_serial, viterbi_decode_serial
 from reference.dsp import ofdm_modulate
+from reference.mimo import mmse_weights_serial
 from reference.modulation import demap_serial
 
 
@@ -244,10 +244,9 @@ def equalize_burst_serial(
     fft_size = config.fft_size
     data_bins = list(receiver.numerology.data_bins)
     if config.detector == "mmse":
-        detect = MmseDetector(estimate, noise_variance).detect
+        weights = mmse_weights_serial(estimate.matrices, estimate.active_mask, noise_variance)
     else:
-        def detect(frequency: np.ndarray) -> np.ndarray:
-            return zf_detect(frequency, estimate.inverses)
+        weights = estimate.inverses
 
     equalized = np.zeros((config.n_antennas, n_symbols, len(data_bins)), dtype=np.complex128)
     phases = []
@@ -259,7 +258,7 @@ def equalize_burst_serial(
             - TIMING_ADVANCE
         )
         frequency = _quantize_multiplier(receiver, fft(streams[:, start : start + fft_size]))
-        detected = detect(frequency)
+        detected = np.einsum("kij,jk->ik", weights, frequency)  # W[k] @ y[:, k]
         for stream in range(config.n_antennas):
             corrected, diag = correct_pilots_serial(receiver.pilots, detected[stream], n)
             phases.append(diag.common_phase)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.coding.convolutional import CodeRate
-from repro.core.config import OfdmNumerology, TransceiverConfig
+from repro.core.config import PAPER_CLOCK_HZ, OfdmNumerology, TransceiverConfig
 from repro.dsp.fixedpoint import MULTIPLIER_FORMAT_18BIT
 from repro.exceptions import ConfigurationError
 from repro.modulation.constellations import Modulation
@@ -106,6 +106,11 @@ class TestTransceiverConfig:
         assert config.cyclic_prefix_length == fft_size // 4
         names = {item.name for item in fields(TransceiverConfig)}
         assert not names & {"clock_hz", "cyclic_prefix_ratio", "scramble"}
+
+    def test_every_config_runs_at_the_paper_clock(self):
+        assert PAPER_CLOCK_HZ == 100e6
+        assert TransceiverConfig().clock_hz == PAPER_CLOCK_HZ
+        assert TransceiverConfig(fft_size=512, n_antennas=2).clock_hz == PAPER_CLOCK_HZ
 
     def test_512_point_configuration(self):
         config = TransceiverConfig(fft_size=512)

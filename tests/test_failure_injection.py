@@ -185,7 +185,8 @@ class TestConfigurationMismatches:
 
 
 def _identity_estimate(fft_size=64):
-    eye = np.broadcast_to(np.eye(4, dtype=complex), (fft_size, 4, 4)).copy()
+    """A one-burst stacked estimate of identity channels."""
+    eye = np.broadcast_to(np.eye(4, dtype=complex), (1, fft_size, 4, 4)).copy()
     return ChannelEstimate(
         matrices=eye, inverses=eye, active_mask=np.ones(fft_size, dtype=bool)
     )
@@ -322,7 +323,7 @@ class _NanTraffic:
         lambda: arrival_times(_ShortTraffic(), 2),
         lambda: arrival_times(_NanTraffic(), 2),
         lambda: MimoChannel().transmit(np.zeros((3, 100), dtype=complex)),
-        lambda: MmseDetector(_identity_estimate(), noise_variance=-1.0),
+        lambda: MmseDetector(_identity_estimate(), noise_variances=[-1.0]),
         lambda: IdealChannel().apply(np.zeros((3, 100), dtype=complex)),
         lambda: FlatRayleighChannel(n_rx=0, rng=0),
         lambda: FlatRayleighChannel(n_rx=2, n_tx=2, matrix=np.eye(4)),

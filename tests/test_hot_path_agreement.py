@@ -733,10 +733,10 @@ class TestVectorisedEstimationAgreement:
             active = rng.random(64) < 0.8
             matrices = np.zeros((64, n, n), dtype=np.complex128)
             matrices[active] = _random_stack(int(active.sum()), n, rng)
-            estimate = ChannelEstimate(matrices, np.zeros_like(matrices), active)
+            estimate = ChannelEstimate(matrices[None], np.zeros_like(matrices[None]), active)
             variance = float(rng.uniform(1e-4, 2.0))
             np.testing.assert_array_equal(
-                MmseDetector(estimate, variance)._weights,
+                MmseDetector(estimate, [variance])._weights[0],
                 mmse_weights_serial(matrices, active, variance),
             )
 
@@ -759,11 +759,38 @@ class TestVectorisedEstimationAgreement:
         matrices = _random_stack(16, 2, rng)
         for k in (5, 9):
             matrices[k, :, 1] = matrices[k, :, 0]  # two identical columns
-        estimate = ChannelEstimate(matrices, np.zeros_like(matrices), np.ones(16, dtype=bool))
-        with pytest.raises(DecodingError, match="subcarrier 5 "):
-            MmseDetector(estimate, noise_variance=0.0)
+        active = np.ones(16, dtype=bool)
+        estimate = ChannelEstimate(matrices[None], np.zeros_like(matrices[None]), active)
+        detector = MmseDetector(estimate, [0.0])
+        assert detector.singular_subcarriers == [5]
+        assert not detector._weights.any()
         with pytest.raises(DecodingError, match="subcarrier 5$"):
-            mmse_weights_serial(matrices, np.ones(16, dtype=bool), 0.0)
+            mmse_weights_serial(matrices, active, 0.0)
+
+    def test_singular_gram_flags_each_burst_alone(self):
+        # Bursts singular at different subcarriers, one at two: each is
+        # flagged at its first, and every other burst's weights are those
+        # of solving it alone, byte for byte.
+        rng = np.random.default_rng(323)
+        active = rng.random(32) < 0.8
+        active[[3, 11, 20]] = True
+        matrices = np.zeros((5, 32, 3, 3), dtype=np.complex128)
+        matrices[:, active] = _random_stack(5 * int(active.sum()), 3, rng).reshape(
+            5, -1, 3, 3
+        )
+        for item, k in ((1, 11), (3, 20), (3, 3)):
+            matrices[item, k, :, 2] = 0.0  # a silent transmit antenna
+        variances = np.array([1e-3, 0.0, 0.0, 0.0, 0.5])
+        detector = MmseDetector(
+            ChannelEstimate(matrices, np.zeros_like(matrices), active), variances
+        )
+        assert detector.singular_subcarriers == [None, 11, None, 3, None]
+        for item in (0, 2, 4):
+            np.testing.assert_array_equal(
+                detector._weights[item],
+                mmse_weights_serial(matrices[item], active, variances[item]),
+            )
+        assert not detector._weights[[1, 3]].any()
 
 
 def _front_end_input(config, fading, seed, n_info_bits=96, **channel):
@@ -922,7 +949,9 @@ class TestStackedFrontEndAgreement:
         bursts[1] = bursts[1][:2] + (1e-300,)
         stacked = self._run(receiver, bursts, known_timing=[True, True, True])
         assert isinstance(stacked[1], DecodingError)
-        assert "subcarrier 7 " in str(stacked[1])
+        assert str(stacked[1]) == (
+            "MMSE Gram matrix is singular on subcarrier 7 (noise_variance=1e-300)"
+        )
         assert isinstance(stacked[0], FrontEndResult)
         assert isinstance(stacked[2], FrontEndResult)
 
@@ -1290,10 +1319,11 @@ class TestShapeContractsOnTheHotPath:
 
     def test_zf_detect_rejects_a_transposed_burst(self):
         with pytest.raises(ConfigurationError, match="FFT axis"):
-            # (n_rx, fft_size, n_symbols) where the detector demands
-            # (n_rx, n_symbols, fft_size): the subcarrier axis no longer
-            # matches the inverses' (fft_size, n_tx, n_rx).
+            # (n_items, n_rx, fft_size, n_symbols) where the detector
+            # demands (n_items, n_rx, n_symbols, fft_size): the subcarrier
+            # axis no longer matches the inverses' (n_items, fft_size,
+            # n_tx, n_rx).
             zf_detect(
-                np.zeros((4, 64, 6), dtype=np.complex128),
-                np.zeros((64, 4, 4), dtype=np.complex128),
+                np.zeros((1, 4, 64, 6), dtype=np.complex128),
+                np.zeros((1, 64, 4, 4), dtype=np.complex128),
             )

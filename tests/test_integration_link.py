@@ -122,16 +122,16 @@ class TestEvmAndDetectors:
         burst = transmitter.transmit_random(100, rng=np.random.default_rng(203))
         channel = MimoChannel(FlatRayleighChannel(rng=204), snr_db=25.0, rng=205)
         received = channel.transmit(burst.samples).samples
-        (front,) = receiver.detect_stack(receiver.demodulate_stack([received], 100, [160]))
-        estimate = front.channel_estimate
-        detector = MmseDetector(estimate, noise_variance=1e-2)
+        shared = receiver.demodulate_stack([received], 100, [160])
+        detector = MmseDetector(shared.estimate, noise_variances=[1e-2])
+        assert detector.singular_subcarriers == [None]
         # Equalise the first data symbol and confirm finite, bounded output.
         from repro.dsp.fft import fft
 
         start = 800 + 16 - TIMING_ADVANCE
         frequency = fft(received[:, start : start + 64])
-        detected = detector.detect(frequency)
-        assert detected.shape == (4, 64)
+        detected = detector.detect(frequency[None, :, None])
+        assert detected.shape == (1, 4, 1, 64)
         assert np.all(np.isfinite(detected))
 
 

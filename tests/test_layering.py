@@ -3,7 +3,10 @@
 The channel is the bottom of the link: it may not import the transceiver
 (``repro.core``), the sweep engine (``repro.sim``) or the streaming
 service (``repro.stream``).  The stream reaches the air through
-``repro.core.transceiver`` and may not import the sweep engine.  A
+``repro.core.transceiver`` and may not import the sweep engine.  The
+link's stages (``core``, ``mimo``, ``coding``, ``dsp``, ``modulation``,
+``sync``) import none of the hardware models, the sweep or the stream:
+the hardware models read their sizes from the link, not the other way.  A
 runtime ``sys.modules`` check cannot show this, because ``import repro``
 already loads ``repro.sim``; parsing each module's imports can.
 
@@ -20,9 +23,17 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "repro"
 
+#: The link's stages sit below the hardware models, which read their
+#: sizes from a ``TransceiverConfig``, and below the sweep and the stream.
+_LINK_ABOVE = ("repro.hardware", "repro.sim", "repro.stream")
+
 FORBIDDEN = {
     "channel": ("repro.core", "repro.sim", "repro.stream"),
     "stream": ("repro.sim",),
+    **{
+        package: _LINK_ABOVE
+        for package in ("core", "mimo", "coding", "dsp", "modulation", "sync")
+    },
 }
 
 

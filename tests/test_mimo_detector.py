@@ -4,31 +4,40 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.exceptions import ConfigurationError, DecodingError, ReproError
+from repro.exceptions import ConfigurationError, ReproError
 from repro.mimo.channel_estimation import ChannelEstimate, invert_channel_stack
 from repro.mimo.detector import MmseDetector, zf_detect
 
 
-def _make_estimate(fft_size=16, seed=0):
+def _make_estimate(n_items=2, fft_size=16, seed=0):
     rng = np.random.default_rng(seed)
-    matrices = rng.normal(size=(fft_size, 4, 4)) + 1j * rng.normal(size=(fft_size, 4, 4))
+    shape = (n_items, fft_size, 4, 4)
+    matrices = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     inverses, _ = invert_channel_stack(matrices)
     mask = np.ones(fft_size, dtype=bool)
     return ChannelEstimate(matrices=matrices, inverses=inverses, active_mask=mask), rng
 
 
+def _through(estimate, x):
+    """``x`` ``(n_items, n_tx, n_symbols, fft_size)`` through the estimated channels."""
+    return np.einsum("mkij,mjnk->mink", estimate.matrices, x)
+
+
+def _symbols(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
 class TestZfDetect:
     def test_recovers_transmitted_vectors_noiselessly(self):
         estimate, rng = _make_estimate()
-        x = rng.normal(size=(4, 16)) + 1j * rng.normal(size=(4, 16))
-        y = np.einsum("kij,jk->ik", estimate.matrices, x)
-        recovered = zf_detect(y, estimate.inverses)
+        x = _symbols(rng, (2, 4, 3, 16))
+        recovered = zf_detect(_through(estimate, x), estimate.inverses)
         np.testing.assert_allclose(recovered, x, atol=1e-9)
 
     def test_shape_validation(self):
         estimate, _ = _make_estimate()
         with pytest.raises(ValueError):
-            zf_detect(np.zeros((4, 8)), estimate.inverses)
+            zf_detect(np.zeros((2, 4, 3, 8)), estimate.inverses)
         with pytest.raises(ValueError):
             zf_detect(np.zeros(16), estimate.inverses)
 
@@ -36,80 +45,97 @@ class TestZfDetect:
 class TestMmseDetector:
     def test_reduces_to_zf_at_zero_noise(self):
         estimate, rng = _make_estimate(seed=3)
-        x = rng.normal(size=(4, 16)) + 1j * rng.normal(size=(4, 16))
-        y = np.einsum("kij,jk->ik", estimate.matrices, x)
-        mmse = MmseDetector(estimate, noise_variance=0.0)
-        np.testing.assert_allclose(mmse.detect(y), x, atol=1e-8)
+        x = _symbols(rng, (2, 4, 3, 16))
+        mmse = MmseDetector(estimate, [0.0, 0.0])
+        assert mmse.singular_subcarriers == [None, None]
+        np.testing.assert_allclose(mmse.detect(_through(estimate, x)), x, atol=1e-8)
 
     def test_lower_mse_than_zf_at_low_snr(self):
         estimate, rng = _make_estimate(seed=4)
         noise_variance = 0.5
-        x = (rng.integers(0, 2, size=(4, 16)) * 2 - 1).astype(complex)
-        noise = np.sqrt(noise_variance / 2) * (
-            rng.normal(size=(4, 16)) + 1j * rng.normal(size=(4, 16))
-        )
-        y = np.einsum("kij,jk->ik", estimate.matrices, x) + noise
+        x = (rng.integers(0, 2, size=(2, 4, 3, 16)) * 2 - 1).astype(complex)
+        noise = np.sqrt(noise_variance / 2) * _symbols(rng, x.shape)
+        y = _through(estimate, x) + noise
         zf_error = np.mean(np.abs(zf_detect(y, estimate.inverses) - x) ** 2)
         mmse_error = np.mean(
-            np.abs(MmseDetector(estimate, noise_variance).detect(y) - x) ** 2
+            np.abs(MmseDetector(estimate, [noise_variance] * 2).detect(y) - x) ** 2
         )
         assert mmse_error < zf_error
 
     def test_negative_noise_variance_rejected(self):
         estimate, _ = _make_estimate(seed=5)
         with pytest.raises(ValueError):
-            MmseDetector(estimate, noise_variance=-1.0)
+            MmseDetector(estimate, [0.1, -1.0])
+
+    def test_one_noise_variance_per_burst(self):
+        estimate, _ = _make_estimate(seed=5)
+        for variances in (0.1, [0.1], [0.1, 0.1, 0.1]):
+            with pytest.raises(ConfigurationError, match="does not pair"):
+                MmseDetector(estimate, variances)
+        with pytest.raises(ConfigurationError, match="does not pair"):
+            MmseDetector(estimate[0], [0.1])
 
     def test_shape_validation(self):
         estimate, _ = _make_estimate(seed=6)
-        detector = MmseDetector(estimate, noise_variance=0.1)
+        detector = MmseDetector(estimate, [0.1, 0.1])
         with pytest.raises(ValueError):
-            detector.detect(np.zeros((4, 8)))
+            detector.detect(np.zeros((2, 4, 3, 8)))
 
-    def test_singular_gram_raises_decoding_error(self):
+    def test_singular_gram_flags_its_burst(self):
         # Regression: with noise_variance == 0 a rank-deficient channel
         # estimate makes the Gram matrix exactly singular; the raw
         # LinAlgError used to escape and kill a whole pooled sweep batch.
-        matrices = np.zeros((8, 4, 4), dtype=np.complex128)
-        matrices[:] = np.eye(4)
-        matrices[:, :, 3] = matrices[:, :, 2]  # two identical columns
-        estimate = ChannelEstimate(
-            matrices=matrices,
-            inverses=np.zeros_like(matrices),
-            active_mask=np.ones(8, dtype=bool),
+        # Now only that burst is flagged, its weights left zero.
+        estimate, rng = _make_estimate(seed=10)
+        estimate.matrices[1, 6:] = np.eye(4)
+        estimate.matrices[1, 6:, :, 3] = estimate.matrices[1, 6:, :, 2]  # two identical columns
+        detector = MmseDetector(estimate, [0.0, 0.0])
+        assert detector.singular_subcarriers == [None, 6]
+        assert not detector._weights[1].any()
+        y = _symbols(rng, (2, 4, 3, 16))
+        np.testing.assert_array_equal(
+            detector.detect(y)[0], MmseDetector(estimate[[0]], [0.0]).detect(y[:1])[0]
         )
-        with pytest.raises(DecodingError):
-            MmseDetector(estimate, noise_variance=0.0)
+        assert not detector.detect(y)[1].any()
 
 
 class TestBatchedDetection:
-    """Whole-burst (n_rx, n_symbols, fft_size) detection agrees with per-symbol calls."""
+    """A stack of bursts detects exactly as each burst and each symbol alone."""
 
     def test_zf_batched_equals_per_symbol(self):
         estimate, rng = _make_estimate(seed=7)
-        block = rng.normal(size=(4, 6, 16)) + 1j * rng.normal(size=(4, 6, 16))
+        block = _symbols(rng, (2, 4, 6, 16))
         batched = zf_detect(block, estimate.inverses)
-        assert batched.shape == (4, 6, 16)
-        for n in range(6):
-            np.testing.assert_array_equal(
-                batched[:, n], zf_detect(block[:, n], estimate.inverses)
-            )
+        assert batched.shape == (2, 4, 6, 16)
+        for m in range(2):
+            for n in range(6):
+                np.testing.assert_array_equal(
+                    batched[m : m + 1, :, n : n + 1],
+                    zf_detect(block[m : m + 1, :, n : n + 1], estimate.inverses[m : m + 1]),
+                )
 
     def test_mmse_batched_equals_per_symbol(self):
         estimate, rng = _make_estimate(seed=8)
-        detector = MmseDetector(estimate, noise_variance=0.2)
-        block = rng.normal(size=(4, 5, 16)) + 1j * rng.normal(size=(4, 5, 16))
+        detector = MmseDetector(estimate, [0.2, 0.3])
+        block = _symbols(rng, (2, 4, 5, 16))
         batched = detector.detect(block)
-        assert batched.shape == (4, 5, 16)
+        assert batched.shape == (2, 4, 5, 16)
         for n in range(5):
-            np.testing.assert_array_equal(batched[:, n], detector.detect(block[:, n]))
+            np.testing.assert_array_equal(
+                batched[:, :, n : n + 1], detector.detect(block[:, :, n : n + 1])
+            )
+        for m in range(2):
+            alone = MmseDetector(estimate[[m]], [(0.2, 0.3)[m]])
+            np.testing.assert_array_equal(batched[m], alone.detect(block[m : m + 1])[0])
 
     def test_bad_rank_rejected(self):
         estimate, _ = _make_estimate(seed=9)
         with pytest.raises(ValueError):
-            zf_detect(np.zeros((2, 3, 4, 16)), estimate.inverses)
+            zf_detect(np.zeros((2, 3, 4, 6, 16)), estimate.inverses)
         with pytest.raises(ValueError):
-            zf_detect(np.zeros((4, 6, 8)), estimate.inverses)
+            zf_detect(np.zeros((4, 6, 16)), estimate.inverses)
+        with pytest.raises(ValueError):
+            zf_detect(np.zeros((2, 4, 6, 16)), estimate.inverses[0])
 
 
 def _shapes(min_rank, max_rank):
@@ -120,19 +146,16 @@ def _shapes(min_rank, max_rank):
 def _documented_shape(received, weights):
     """``received`` with ``n_out`` for ``n_rx``, or None for a malformed pair.
 
-    The detectors take ``(n_rx, fft_size)`` or ``(n_rx, n_symbols,
-    fft_size)`` with weights ``(fft_size, n_out, n_rx)``, and a stack
-    ``(n_items, n_rx, n_symbols, fft_size)`` with ``(n_items, fft_size,
-    n_out, n_rx)``.
+    The detectors take a stack ``(n_items, n_rx, n_symbols, fft_size)``
+    with one weight set per burst, ``(n_items, fft_size, n_out, n_rx)``.
     """
-    if (len(weights), len(received)) not in ((3, 2), (3, 3), (4, 4)):
+    if (len(weights), len(received)) != (4, 4):
         return None
-    rx_axis = len(weights) - 3
-    if received[:rx_axis] != weights[:rx_axis]:
+    if received[0] != weights[0]:
         return None
-    if (received[-1], received[rx_axis]) != (weights[-3], weights[-1]):
+    if (received[3], received[1]) != (weights[1], weights[3]):
         return None
-    return received[:rx_axis] + (weights[-2],) + received[rx_axis + 1:]
+    return (received[0], weights[2]) + received[2:]
 
 
 def _assert_documented_shape_or_typed_error(detect, received, weights):
@@ -154,10 +177,11 @@ class TestDetectorShapeCheck:
     """
 
     @settings(max_examples=200, deadline=None)
-    @given(received=_shapes(1, 5), inverses=_shapes(1, 5))
+    @given(received=_shapes(1, 5), inverses=_shapes(4, 4))
     @example(received=(4, 6, 64), inverses=(64, 4, 4))
-    @example(received=(4, 6, 64), inverses=(64, 4, 2))
     @example(received=(2, 4, 6, 64), inverses=(64, 4, 4))
+    @example(received=(2, 4, 6, 64), inverses=(2, 64, 4, 4))
+    @example(received=(2, 4, 6, 64), inverses=(2, 64, 2, 4))
     @example(received=(2, 4, 6, 64), inverses=(3, 64, 4, 4))
     def test_zf_detect(self, received, inverses):
         _assert_documented_shape_or_typed_error(
@@ -167,31 +191,32 @@ class TestDetectorShapeCheck:
         )
 
     @settings(max_examples=200, deadline=None)
-    @given(received=_shapes(1, 5), weights=_shapes(3, 4))
-    @example(received=(4, 6, 64), weights=(64, 4, 4))
-    @example(received=(3, 6, 64), weights=(64, 4, 4))
-    @example(received=(2, 4, 6, 64), weights=(64, 4, 4))
+    @given(received=_shapes(1, 5), weights=_shapes(4, 4))
+    @example(received=(4, 6, 64), weights=(1, 64, 4, 4))
+    @example(received=(2, 4, 6, 64), weights=(2, 64, 4, 4))
+    @example(received=(2, 3, 6, 64), weights=(2, 64, 4, 4))
     @example(received=(2, 4, 6, 64), weights=(3, 64, 4, 4))
     def test_mmse_detect(self, received, weights):
-        # MMSE weights (..., fft_size, n_tx, n_rx) come from an estimate of
-        # matrices (..., fft_size, n_rx, n_tx).
-        *lead, fft_size, n_tx, n_rx = weights
-        matrices = np.ones((*lead, fft_size, n_rx, n_tx), dtype=np.complex128)
+        # MMSE weights (n_items, fft_size, n_tx, n_rx) come from an estimate
+        # of matrices (n_items, fft_size, n_rx, n_tx).
+        n_items, fft_size, n_tx, n_rx = weights
+        matrices = np.ones((n_items, fft_size, n_rx, n_tx), dtype=np.complex128)
         estimate = ChannelEstimate(
             matrices=matrices,
             inverses=np.zeros_like(matrices),
             active_mask=np.ones(fft_size, dtype=bool),
         )
-        detector = MmseDetector(estimate, noise_variance=1.0)
+        detector = MmseDetector(estimate, np.ones(n_items))
         _assert_documented_shape_or_typed_error(detector.detect, received, weights)
 
 
 def _detector(kind, weights_shape):
     """A ``detect(received)`` of ``kind`` whose weights are ``weights_shape``.
 
-    ZF takes the inverses as given; MMSE derives its weights
-    ``(..., fft_size, n_tx, n_rx)`` from an estimate of matrices
-    ``(..., fft_size, n_rx, n_tx)``.
+    ZF takes the inverses as given; MMSE derives its weights ``(n_items,
+    fft_size, n_tx, n_rx)`` from an estimate of matrices ``(n_items,
+    fft_size, n_rx, n_tx)`` and one noise variance per burst, so a weights
+    shape of any other rank already fails to build the detector.
     """
     rng = np.random.default_rng(11)
     *lead, fft_size, n_out, n_rx = weights_shape
@@ -205,33 +230,39 @@ def _detector(kind, weights_shape):
         inverses=np.zeros_like(matrices),
         active_mask=np.ones(fft_size, dtype=bool),
     )
-    return MmseDetector(estimate, noise_variance=0.1).detect
+
+    def detect(received):
+        return MmseDetector(estimate, np.full(lead, 0.1)).detect(received)
+
+    return detect
 
 
 #: (received shape, weights shape, the part of the message naming the fault)
 MALFORMED_PAIRS = {
-    "rank-1-received": ((16,), (16, 4, 4), "does not pair"),
+    "rank-1-received": ((16,), (2, 16, 4, 4), "does not pair"),
     "rank-5-received": ((2, 4, 6, 16, 1), (2, 16, 4, 4), "does not pair"),
     "stack-on-one-estimate": ((2, 4, 6, 16), (16, 4, 4), "does not pair"),
     "burst-on-stacked-estimate": ((4, 6, 16), (2, 16, 4, 4), "does not pair"),
     "symbol-on-stacked-estimate": ((4, 16), (2, 16, 4, 4), "does not pair"),
     "stack-count": ((3, 4, 6, 16), (2, 16, 4, 4), "stack axis"),
-    "fft-symbol": ((4, 8), (16, 4, 4), "FFT axis"),
-    "fft-burst": ((4, 6, 8), (16, 4, 4), "FFT axis"),
+    "fft-symbol": ((4, 8), (16, 4, 4), "does not pair"),
+    "fft-burst": ((4, 6, 8), (16, 4, 4), "does not pair"),
     "fft-stack": ((2, 4, 6, 8), (2, 16, 4, 4), "FFT axis"),
-    "transposed-burst": ((4, 16, 6), (16, 4, 4), "FFT axis"),
-    "antenna-symbol": ((3, 16), (16, 4, 4), "antenna axis"),
-    "antenna-burst": ((3, 6, 16), (16, 4, 4), "antenna axis"),
+    "transposed-burst": ((4, 16, 6), (16, 4, 4), "does not pair"),
+    "transposed-stack": ((2, 4, 16, 6), (2, 16, 4, 4), "FFT axis"),
+    "antenna-symbol": ((3, 16), (16, 4, 4), "does not pair"),
+    "antenna-burst": ((3, 6, 16), (16, 4, 4), "does not pair"),
     "antenna-stack": ((2, 3, 6, 16), (2, 16, 4, 4), "antenna axis"),
-    "antenna-non-square": ((4, 6, 16), (16, 2, 3), "antenna axis"),
+    "antenna-non-square": ((2, 4, 6, 16), (2, 16, 2, 3), "antenna axis"),
+    "one-symbol-form": ((4, 16), (16, 4, 4), "does not pair"),
+    "one-burst-form": ((4, 6, 16), (16, 4, 4), "does not pair"),
 }
 
 #: (received shape, weights shape, documented output shape)
 WELL_FORMED_PAIRS = {
-    "symbol": ((4, 16), (16, 4, 4), (4, 16)),
-    "burst": ((4, 6, 16), (16, 4, 4), (4, 6, 16)),
+    "one-symbol-stack": ((2, 4, 1, 16), (2, 16, 4, 4), (2, 4, 1, 16)),
     "stack": ((2, 4, 6, 16), (2, 16, 4, 4), (2, 4, 6, 16)),
-    "non-square": ((3, 6, 16), (16, 2, 3), (2, 6, 16)),
+    "non-square": ((2, 3, 6, 16), (2, 16, 2, 3), (2, 2, 6, 16)),
 }
 
 

@@ -31,6 +31,7 @@ import repro.core.transceiver as transceiver_module
 import repro.sim.cache as cache_module
 import repro.sim.engine as engine_module
 import repro.sim.runner as runner_module
+import repro.sim.spec as spec_module
 from repro.core.config import TransceiverConfig
 from repro.core.frame import BurstOutcome
 from repro.core.receiver import DECODE_SLICE, MimoReceiver
@@ -292,11 +293,15 @@ def test_mmse_only_give_up_leaves_the_zf_twin_decoding(monkeypatch):
     zf, mmse = ([outcome.decode_failure for outcome in r.outcomes] for r in reports)
     assert zf == [False] * 4
     assert mmse == [True] * 4
+    assert [outcome.cause for outcome in reports[1].outcomes] == [
+        "MMSE Gram matrix is singular on subcarrier 7 "
+        f"(noise_variance={_on_air_alone(spec, items[1], burst).noise_variance})"
+        for burst in range(4)
+    ]
 
 
-def _received_alone(spec, item, burst):
-    """One burst of an item, put on air and received by a fresh transceiver."""
-    receiver = MimoReceiver(item.config)
+def _on_air_alone(spec, item, burst):
+    """One burst of an item, put on air by a fresh transmitter."""
     (air,) = air_round(
         MimoTransmitter(item.config),
         [
@@ -310,7 +315,13 @@ def _received_alone(spec, item, burst):
         spec.n_info_bits,
         known_timing=spec.known_timing,
     )
-    (received,) = receiver.receive_stack(
+    return air
+
+
+def _received_alone(spec, item, burst):
+    """One burst of an item, put on air and received by a fresh transceiver."""
+    air = _on_air_alone(spec, item, burst)
+    (received,) = MimoReceiver(item.config).receive_stack(
         [air.samples], spec.n_info_bits, [air.lts_start], [air.noise_variance]
     )
     return BurstOutcome.score(received, air.burst.info_bits)
@@ -571,7 +582,9 @@ def test_cold_serial_run_keys_and_configures_each_point_once(tmp_path, monkeypat
         n_bursts=2,
         target_errors=None,
     )
-    hashes = _counting_calls(monkeypatch, cache_module.content_key, cache_module, engine_module)
+    hashes = _counting_calls(
+        monkeypatch, cache_module.content_key, cache_module, engine_module, spec_module
+    )
     configs = _counting_calls(monkeypatch, engine_module.build_config, engine_module, runner_module)
     result = SweepRunner(
         spec, n_workers=1, batch_size=1, cache=ResultStore(tmp_path), queue="serial"

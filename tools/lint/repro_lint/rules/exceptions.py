@@ -11,8 +11,9 @@ EXC001 bans the swallowing end: bare ``except:`` and
 accounting a lie.  EXC002 guards the raising end: the ``np.linalg``
 solvers that can throw ``LinAlgError`` (singular Gram matrices deep in
 the noise are a property of the burst, not a bug) must run inside a
-``try`` that catches it — the established idiom translates it to
-``DecodingError`` (see ``repro/mimo/detector.py``).  EXC003 types the
+``try`` that catches it — and turns it into a per-burst give-up, as
+``repro/mimo/detector.py`` flags the burst whose Gram matrix is singular
+and the receiver slots that burst's ``DecodingError``.  EXC003 types the
 argument checks: engine code raises ``ConfigurationError`` (itself a
 ``ValueError``), never a bare builtin exception, apart from a short list
 of sites where the builtin type is the contract.
