@@ -19,7 +19,8 @@ from repro.core.transmitter import MimoTransmitter
 
 def _generate_burst():
     transmitter = MimoTransmitter(TransceiverConfig())
-    return transmitter.transmit_random(96, rng=np.random.default_rng(7))
+    payload = transmitter.random_payload(96, np.random.default_rng(7))
+    return transmitter.transmit(payload[None])[0]
 
 
 def test_fig2_preamble_schedule(table_printer):

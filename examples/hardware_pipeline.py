@@ -36,7 +36,8 @@ def main() -> None:
     print("=== QR decomposition systolic array (Figs. 6-8) ===")
     array = QrdArray(n=4)
     rng = np.random.default_rng(11)
-    channel_matrix = (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))) / np.sqrt(2)
+    # One subcarrier's channel matrix, as a one-matrix stack.
+    channel_matrix = (rng.normal(size=(1, 4, 4)) + 1j * rng.normal(size=(1, 4, 4))) / np.sqrt(2)
     q, r = qr_decompose_givens(channel_matrix, cordic=Cordic(iterations=16))
     h_inverse = invert_upper_triangular(r) @ hermitian(q)
     print(f"boundary cells           : {array.boundary_cells} (2 vectoring CORDICs each)")
@@ -46,7 +47,8 @@ def main() -> None:
     print(f"datapath latency         : {array.latency_cycles} cycles "
           f"({array.latency_cycles / 100e6 * 1e6:.1f} us at 100 MHz)")
     print(f"reconstruction error     : {frobenius_error(q @ r, channel_matrix):.2e}")
-    print(f"|H^-1 H - I|             : {frobenius_error(h_inverse @ channel_matrix, np.eye(4)):.2e}")
+    identity_error = frobenius_error(h_inverse @ channel_matrix, np.eye(4)[None])
+    print(f"|H^-1 H - I|             : {identity_error:.2e}")
 
     print("\n=== Receive pipeline latency (why OFDM data is buffered in FIFOs) ===")
     latency = LatencyModel()

@@ -105,9 +105,8 @@ def deliver_payload(
     for _segment in range(n_segments):
         attempts = 0
         while True:
-            burst = transmitter.transmit_random(
-                BITS_PER_FRAME_PER_STREAM, rng=transmitter_rng
-            )
+            payload = transmitter.random_payload(BITS_PER_FRAME_PER_STREAM, transmitter_rng)
+            (burst,) = transmitter.transmit(payload[None])
             channel = MimoChannel(
                 FlatRayleighChannel(
                     config.n_antennas,

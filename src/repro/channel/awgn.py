@@ -21,12 +21,12 @@ def noise_variance_for_snr(snr_db: float, signal_power: float = 1.0) -> float:
 def awgn_noise(
     shape: tuple[int, ...] | int,
     variance: float,
-    rng: SeedLike = None,
+    rng: SeedLike,
 ) -> ComplexArray:
     """Circularly-symmetric complex Gaussian noise with total variance ``variance``.
 
     Raises :class:`~repro.exceptions.ConfigurationError` unless ``variance``
-    is finite and non-negative.
+    is finite and non-negative, and when ``rng`` is ``None``.
     """
     if not np.isfinite(variance) or variance < 0:
         raise ConfigurationError(f"variance must be finite and >= 0, got {variance}")
@@ -46,22 +46,21 @@ def occupied_power(signal: npt.ArrayLike) -> float:
     whole window dilutes the measured power by those silent samples, so an
     SNR calibrated against it silently depends on the delay and
     burst-length axes.  This helper measures power only over instants where
-    at least one antenna carries energy: for a 1-D stream, the nonzero
-    samples; for an ``(..., n_samples)`` multi-antenna array, the columns
-    whose total power across antennas is nonzero (a staggered-preamble slot
-    where *some* antennas idle is still occupied air time).
+    at least one antenna carries energy: the columns of the ``(n_rx,
+    n_samples)`` array whose total power across antennas is nonzero (a
+    staggered-preamble slot where *some* antennas idle is still occupied
+    air time).  One antenna is a one-row array; any other rank raises
+    :class:`~repro.exceptions.ConfigurationError`.
 
     Returns ``0.0`` when the signal is empty or entirely silent.
     """
     samples = np.asarray(signal, dtype=np.complex128)
-    if samples.size == 0:
-        return 0.0
+    if samples.ndim != 2:
+        raise ConfigurationError(
+            f"signal must have shape (n_rx, n_samples), got {samples.shape}"
+        )
     power = np.abs(samples) ** 2
-    if samples.ndim == 1:
-        occupied = power > 0
-    else:
-        occupied = power.sum(axis=tuple(range(samples.ndim - 1))) > 0
+    occupied = power.sum(axis=0) > 0
     if not occupied.any():
         return 0.0
-    return float(np.mean(power[..., occupied]))
-
+    return float(np.mean(power[:, occupied]))

@@ -34,7 +34,7 @@ N_TAPS = 4
 TAP_DECAY = 2.0
 
 
-def rayleigh_matrix(n_rx: int, n_tx: int, rng: SeedLike = None) -> np.ndarray:
+def rayleigh_matrix(n_rx: int, n_tx: int, rng: SeedLike) -> np.ndarray:
     """Draw an ``n_rx x n_tx`` i.i.d. Rayleigh (complex Gaussian) channel matrix.
 
     The entries have unit average power, so the average received power per
@@ -59,14 +59,15 @@ class FlatRayleighChannel:
     """Frequency-flat Rayleigh MIMO channel.
 
     Applies a single channel matrix ``H`` to the per-antenna sample streams:
-    ``y = H @ x`` sample by sample.
+    ``y = H @ x`` sample by sample.  ``H`` is the given ``matrix``, or else
+    drawn from ``rng``, which is then required.
     """
 
     def __init__(
         self,
         n_rx: int = 4,
         n_tx: int = 4,
-        rng: SeedLike = None,
+        rng: Optional[SeedLike] = None,
         matrix: Optional[np.ndarray] = None,
     ) -> None:
         self.n_rx = n_rx
@@ -99,17 +100,18 @@ class FrequencySelectiveChannel:
     Each transmit/receive antenna pair has :data:`N_TAPS` independent
     complex Gaussian taps drawn from the exponential power-delay profile
     (:func:`exponential_power_delay_profile`), or the given ``taps``, an
-    ``(n_rx, n_tx, n_taps)`` array of any tap count.  The taps are fixed at
-    construction (block fading), matching the paper's assumption that the
-    channel is static across one burst so a single preamble-based estimate
-    serves the whole burst.
+    ``(n_rx, n_tx, n_taps)`` array of any tap count; without ``taps``,
+    ``rng`` is required.  The taps are fixed at construction (block
+    fading), matching the paper's assumption that the channel is static
+    across one burst so a single preamble-based estimate serves the whole
+    burst.
     """
 
     def __init__(
         self,
         n_rx: int = 4,
         n_tx: int = 4,
-        rng: SeedLike = None,
+        rng: Optional[SeedLike] = None,
         taps: Optional[np.ndarray] = None,
     ) -> None:
         self.n_rx = n_rx

@@ -121,13 +121,13 @@ class MimoChannel:
         quantisation, timing delay, CFO and IQ imbalance.
     rng:
         Seed or generator used for the noise (fading randomness is owned by
-        the fading object itself).
+        the fading object itself); required when ``snr_db`` is set.
 
     Raises :class:`~repro.exceptions.ConfigurationError` on an
     ``impairment`` that is neither an ``ImpairmentSpec`` nor ``None``
     (the spec checks its own fields), an ``snr_db`` that is neither
-    ``None`` nor finite, and (in :meth:`transmit`) a burst that is not
-    ``(n_tx, n_samples)``.
+    ``None`` nor finite, an ``snr_db`` without an ``rng``, and (in
+    :meth:`transmit`) a burst that is not ``(n_tx, n_samples)``.
     """
 
     def __init__(
@@ -135,7 +135,7 @@ class MimoChannel:
         fading=None,
         snr_db: Optional[float] = None,
         impairment: Optional[ImpairmentSpec] = None,
-        rng: SeedLike = None,
+        rng: Optional[SeedLike] = None,
     ) -> None:
         if not isinstance(impairment, (ImpairmentSpec, type(None))):
             raise ConfigurationError(
@@ -146,7 +146,7 @@ class MimoChannel:
         self.fading = fading if fading is not None else IdealChannel()
         self.snr_db = snr_db
         self.impairment = impairment or _IDEAL_FRONT_END
-        self.rng = make_rng(rng)
+        self.rng = make_rng(rng) if snr_db is not None else None
 
     @property
     def n_rx(self) -> int:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -159,23 +159,22 @@ class ConvolutionalEncoder:
     def __init__(self, code: Optional[ConvolutionalCode] = None) -> None:
         self.code = code if code is not None else ConvolutionalCode()
 
-    def encode(self, bits: Sequence[int] | np.ndarray) -> BitArray:
-        """Encode one block ``(n,)`` or a stack of equal blocks ``(n_blocks, n)``.
+    def encode(self, bits: np.ndarray) -> BitArray:
+        """Encode a stack of equal blocks ``(n_blocks, n)``.
 
         Every block is independent: the shift register starts all-zero and
         the puncture pattern at its first column; :data:`MEMORY` zero tail
         bits end the block, so the decoder trellis ends in the all-zero
-        state (what the 802.11a tail bits do).  A block's result has
-        :meth:`ConvolutionalCode.coded_length` bits, and a stack's has one
-        such row per block.
+        state (what the 802.11a tail bits do).  The result has one row of
+        :meth:`ConvolutionalCode.coded_length` bits per block; any other
+        rank raises :class:`~repro.exceptions.ConfigurationError`.
         """
-        data = np.asarray(bits, dtype=np.uint8)
-        if data.ndim not in (1, 2):
+        rows = np.asarray(bits, dtype=np.uint8)
+        if rows.ndim != 2:
             raise ConfigurationError(
-                f"encode takes one block (n,) or a stack (n_blocks, n), got shape {data.shape}"
+                f"encode takes a stack (n_blocks, n), got shape {rows.shape}"
             )
-        _as_bit_array(data)  # only 0s and 1s
-        rows = np.atleast_2d(data)
+        _as_bit_array(rows)  # only 0s and 1s
         n_steps = rows.shape[1] + MEMORY
         # The all-zero register (oldest bit first), the input, the tail.
         stream = np.zeros((rows.shape[0], n_steps + MEMORY), dtype=np.uint8)
@@ -193,5 +192,4 @@ class ConvolutionalEncoder:
         period = self.code.puncture_pattern.size
         kept = np.flatnonzero(self.code.puncture_pattern.T)
         slots = (np.arange(-(-mother.shape[1] // period))[:, None] * period + kept).ravel()
-        coded = np.take(mother, slots[slots < mother.shape[1]], axis=1)
-        return coded[0] if data.ndim == 1 else coded
+        return np.take(mother, slots[slots < mother.shape[1]], axis=1)

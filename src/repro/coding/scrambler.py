@@ -5,8 +5,8 @@ using them for phase correction; the polarity applied to the pilots of OFDM
 symbol ``n`` is element ``n`` of the 127-bit maximal-length sequence
 generated by the polynomial x^7 + x^4 + 1 (the same LFSR 802.11a uses for
 data scrambling).  :class:`Scrambler` implements the LFSR for payload
-scrambling/descrambling and :func:`pilot_polarity_sequence` produces the
-polarity values.
+scrambling/descrambling over a ``(n_blocks, n_bits)`` stack of blocks, and
+:func:`pilot_polarity_sequence` produces the polarity values.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ class Scrambler:
     """Self-synchronising 802.11a frame scrambler (x^7 + x^4 + 1).
 
     Scrambling and descrambling are the same XOR operation, so a single
-    ``process`` method serves both directions.  Every call starts the
-    LFSR from ``seed``: one burst is one scrambled block.
+    ``process`` method serves both directions.  Every row of a stack
+    starts the LFSR from ``seed``: one burst stream is one scrambled row.
     """
 
     def __init__(self, seed: int = 0b1011101) -> None:
@@ -45,16 +45,19 @@ class Scrambler:
         return np.take(bits, np.arange(start, start + length), mode="wrap")
 
     def process(self, bits: np.ndarray) -> BitArray:
-        """Scramble (or descramble) a bit stream.
+        """Scramble (or descramble) a stack of blocks ``(n_blocks, n_bits)``.
 
-        A 2-D ``(n_blocks, n_bits)`` stack scrambles every row with the same
-        keystream, as if each row started from the seed.
+        Every row is XORed with the same keystream, as if each row started
+        from the seed; any other rank raises
+        :class:`~repro.exceptions.ConfigurationError`.
         """
         data = np.asarray(bits, dtype=np.uint8)
-        flat = _as_bit_array(data)
         if data.ndim != 2:
-            data = flat
-        return data ^ self.sequence(data.shape[-1])
+            raise ConfigurationError(
+                f"process takes a stack (n_blocks, n_bits), got shape {data.shape}"
+            )
+        _as_bit_array(data)  # only 0s and 1s
+        return data ^ self.sequence(data.shape[1])
 
 
 #: Length of the maximal x^7 + x^4 + 1 LFSR cycle.

@@ -57,7 +57,7 @@ trellis work:
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -170,7 +170,7 @@ class ViterbiDecoder:
         ----------
         values:
             Received coded values (hard bits or LLRs) in transmission order,
-            one block ``(n_coded,)`` or a stack ``(n_blocks, n_coded)``.
+            a stack ``(n_blocks, n_coded)``.
         n_input_bits:
             Number of trellis steps (information + tail bits) each block
             represents.
@@ -178,33 +178,31 @@ class ViterbiDecoder:
         Returns
         -------
         (full_values, erasure_mask):
-            ``full_values`` has shape ``(n_input_bits, 2)`` (with a trailing
-            ``n_blocks`` axis for a stack), the dtype of ``values`` and
-            zeros in erased positions; ``erasure_mask`` is a ``uint8``
-            ``(n_input_bits, 2)`` array, 1 where a real received value is
-            present and 0 where the puncturer deleted the bit.
+            ``full_values`` has shape ``(n_input_bits, 2, n_blocks)``, the
+            dtype of ``values`` and zeros in erased positions;
+            ``erasure_mask`` is a ``uint8`` ``(n_input_bits, 2)`` array, 1
+            where a real received value is present and 0 where the
+            puncturer deleted the bit.
         """
-        received = np.asarray(values)
-        stacked = received.ndim == 2
-        stack = received if stacked else received.reshape(1, -1)
+        stack = np.asarray(values)
+        if stack.ndim != 2:
+            raise ConfigurationError(
+                f"depuncture takes a stack (n_blocks, n_coded), got shape {stack.shape}"
+            )
         # Tile the puncture pattern across trellis steps; filling the boolean
         # mask in C order (step-major, output-minor) reproduces exactly the
         # transmission order the serial depuncturer consumed values in.
         columns = np.arange(n_input_bits) % self.code.puncture_period
         present = self.code.puncture_pattern[:, columns].T.astype(bool)
         consumed = int(np.count_nonzero(present))
-        if stack.shape[1] < consumed:
-            raise ConfigurationError(
-                "received stream too short for the requested block length"
-            )
-        if stack.shape[1] > consumed:
+        if stack.shape[1] != consumed:
             raise ConfigurationError(
                 f"received stream has {stack.shape[1]} values but the block "
                 f"consumes {consumed}"
             )
         full = np.zeros((n_input_bits, _N_OUTPUTS, stack.shape[0]), dtype=stack.dtype)
         full[present] = stack.T
-        return (full if stacked else full[..., 0]), present.view(np.uint8)
+        return full, present.view(np.uint8)
 
     # ------------------------------------------------------------------
     # branch metrics
@@ -240,8 +238,8 @@ class ViterbiDecoder:
     # ------------------------------------------------------------------
     # decoding
     # ------------------------------------------------------------------
-    def decode(self, received: Sequence[float] | np.ndarray, n_info_bits: int) -> BitArray:
-        """Decode one received block, or a stack of blocks, back to information bits.
+    def decode(self, received: np.ndarray, n_info_bits: int) -> BitArray:
+        """Decode a stack of received blocks back to information bits.
 
         Every block is one terminated code block, as
         :meth:`~repro.coding.convolutional.ConvolutionalEncoder.encode`
@@ -252,24 +250,22 @@ class ViterbiDecoder:
         ----------
         received:
             Hard bits or LLRs, in the (punctured) order the encoder emitted:
-            one block ``(n_coded,)`` or a stack ``(n_blocks, n_coded)`` of
-            equally long blocks decoded in one trellis pass.  Hard bits may
-            come as any boolean, integer or float array of 0s and 1s.
+            a stack ``(n_blocks, n_coded)`` of equally long blocks decoded
+            in one trellis pass.  Hard bits may come as any boolean,
+            integer or float array of 0s and 1s.
         n_info_bits:
             Number of information bits to return per block.
 
         Returns
         -------
-        ``(n_info_bits,)`` bits for one block, ``(n_blocks, n_info_bits)``
-        for a stack.
+        ``(n_blocks, n_info_bits)`` bits.
 
         Raises
         ------
         DecodingError
-            If ``received`` is not one block or a 2-D stack, holds no
-            values, is not real (complex or non-numeric), holds a NaN or
-            infinite value, or (hard decision) holds a value other than 0
-            or 1.
+            If ``received`` is not a 2-D stack, holds no values, is not
+            real (complex or non-numeric), holds a NaN or infinite value,
+            or (hard decision) holds a value other than 0 or 1.
         ConfigurationError
             If ``n_info_bits`` is not a non-negative integer, or a row's
             length does not match the block ``n_info_bits`` asks for.
@@ -279,9 +275,6 @@ class ViterbiDecoder:
             raise ConfigurationError(
                 f"n_info_bits must be a non-negative integer, got {n_info_bits!r}"
             )
-        stacked = values.ndim == 2
-        if not stacked:
-            values = values.reshape(1, -1)
         if self._codeword_test and values.shape[1] == 2 * (n_info_bits + MEMORY):
             decoded, is_codeword = self._codewords(values, n_info_bits)
             rows = np.flatnonzero(~is_codeword)
@@ -289,17 +282,17 @@ class ViterbiDecoder:
                 decoded[rows] = self._trellis(values[rows], n_info_bits)
         else:
             decoded = self._trellis(values, n_info_bits)
-        return decoded if stacked else decoded[0]
+        return decoded
 
-    def _checked(self, received: Sequence[float] | np.ndarray) -> np.ndarray:
+    def _checked(self, received: np.ndarray) -> np.ndarray:
         """``received`` checked once: ``uint8`` bits for hard decisions,
         ``float64`` LLRs for soft ones (see :meth:`decode` for what raises)."""
         raw = np.asarray(received)
         if raw.dtype.kind not in "biuf":
             raise DecodingError(f"received values must be real numbers, got {raw.dtype} input")
-        if raw.ndim not in (1, 2):
+        if raw.ndim != 2:
             raise DecodingError(
-                f"received must be one block or a 2-D stack, got {raw.ndim} dimensions"
+                f"received must be a 2-D stack (n_blocks, n_coded), got {raw.ndim} dimensions"
             )
         if raw.size == 0:
             raise DecodingError("received holds no coded values")

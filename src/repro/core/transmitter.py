@@ -19,7 +19,7 @@ depend on the stack it went on air in.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional
 
 import numpy as np
 
@@ -104,39 +104,31 @@ class MimoTransmitter:
     # ------------------------------------------------------------------
     # burst assembly
     # ------------------------------------------------------------------
-    def transmit(
-        self, stream_bits: Union[Sequence[np.ndarray], np.ndarray]
-    ) -> Union[TransmitBurst, List[TransmitBurst]]:
+    def transmit(self, stream_bits: np.ndarray) -> List[TransmitBurst]:
         """Build complete bursts from their per-stream information bits.
 
         Parameters
         ----------
         stream_bits:
-            Either one burst — ``(n_streams, n_info_bits)`` bits, one
-            equal-length row per spatial stream — or a stack of bursts,
-            an array of shape ``(n_bursts, n_streams, n_info_bits)``, all
-            of which go through the datapath in one pass.  Bits must be
-            exactly 0 or 1; anything else, or streams of unequal length,
-            raises :class:`~repro.exceptions.ConfigurationError`.
+            A stack of bursts, ``(n_bursts, n_streams, n_info_bits)`` bits
+            with one equal-length row per spatial stream, all of which go
+            through the datapath in one pass; one burst is a one-burst
+            stack.  Bits must be exactly 0 or 1; anything else, any other
+            rank, or streams of unequal length, raises
+            :class:`~repro.exceptions.ConfigurationError`.
 
         Returns
         -------
-        One :class:`~repro.core.frame.TransmitBurst` with per-antenna
-        samples, or a list of one per burst of a stack (their samples and
-        ``info_bits`` are views of the stack's).
+        One :class:`~repro.core.frame.TransmitBurst` per burst of the
+        stack, with per-antenna samples (their samples and ``info_bits``
+        are views of the stack's).
         """
         n_streams = self.config.n_streams
-        bits = _checked_bits(stream_bits)
-        if bits.ndim not in (2, 3):
+        stack = _checked_bits(stream_bits)
+        if stack.ndim != 3 or 0 in stack.shape or stack.shape[1] != n_streams:
             raise ConfigurationError(
-                f"one burst is (n_streams, n_info_bits) bits and a stack is "
-                f"(n_bursts, n_streams, n_info_bits), got shape {bits.shape}"
-            )
-        stack = bits if bits.ndim == 3 else bits[None]
-        if 0 in stack.shape or stack.shape[1] != n_streams:
-            raise ConfigurationError(
-                f"expected {n_streams} bit streams of at least one bit per burst, "
-                f"got shape {bits.shape}"
+                f"expected a (n_bursts, {n_streams}, n_info_bits) stack of at least "
+                f"one burst and one bit, got shape {stack.shape}"
             )
         n_bursts = stack.shape[0]
         rows = stack.reshape(n_bursts * n_streams, -1)  # burst-major
@@ -154,7 +146,7 @@ class MimoTransmitter:
         samples[..., layout.data_start : layout.length - layout.tail_length] = (
             self._modulate_block(frequency_symbols).reshape(n_bursts, n_streams, -1)
         )
-        bursts = [
+        return [
             TransmitBurst(
                 samples=samples[burst],
                 info_bits=stack[burst],
@@ -163,7 +155,6 @@ class MimoTransmitter:
             )
             for burst in range(n_bursts)
         ]
-        return bursts if bits.ndim == 3 else bursts[0]
 
     def random_payload(self, n_info_bits: int, rng: np.random.Generator) -> BitArray:
         """``(n_streams, n_info_bits)`` random bits: one draw per stream, in
@@ -175,13 +166,6 @@ class MimoTransmitter:
                 for _ in range(self.config.n_streams)
             ]
         )
-
-    def transmit_random(
-        self, n_info_bits: int, rng: Optional[np.random.Generator] = None
-    ) -> TransmitBurst:
-        """Convenience: transmit ``n_info_bits`` random bits on every stream."""
-        generator = rng if rng is not None else np.random.default_rng()  # reprolint: disable=DET001 -- opt-in convenience for interactive use; every engine path injects a seeded generator
-        return self.transmit(self.random_payload(n_info_bits, generator))
 
 
 def _checked_bits(values) -> BitArray:

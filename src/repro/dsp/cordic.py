@@ -31,7 +31,7 @@ import numpy as np
 import numpy.typing as npt
 
 from repro.dsp.fixedpoint import FixedPointFormat
-from repro.exceptions import ConfigurationError
+from repro.exceptions import integer_at_least
 
 #: Pipeline latency (clock cycles) of one hardware CORDIC element in the paper.
 CORDIC_PIPELINE_LATENCY = 20
@@ -41,9 +41,10 @@ DEFAULT_ITERATIONS = 16
 
 
 def cordic_gain(iterations: int = DEFAULT_ITERATIONS) -> float:
-    """Aggregate CORDIC gain ``K = prod(sqrt(1 + 2^-2i))`` for ``iterations``."""
-    if iterations <= 0:
-        raise ConfigurationError("iterations must be positive")
+    """Aggregate CORDIC gain ``K = prod(sqrt(1 + 2^-2i))`` for ``iterations``,
+    an integer of at least 1 (anything else raises
+    :class:`~repro.exceptions.ConfigurationError`)."""
+    iterations = integer_at_least("iterations", iterations, 1)
     gain = 1.0
     for i in range(iterations):
         gain *= math.sqrt(1.0 + 2.0 ** (-2 * i))
@@ -82,7 +83,8 @@ class Cordic:
     Parameters
     ----------
     iterations:
-        Number of micro-rotations (angular accuracy ~ ``2**-iterations``).
+        Number of micro-rotations (angular accuracy ~ ``2**-iterations``),
+        an integer of at least 1.
     fixed_format:
         Optional fixed-point format applied to the x/y datapath after every
         micro-rotation, modelling finite word-length hardware.
@@ -97,12 +99,10 @@ class Cordic:
         iterations: int = DEFAULT_ITERATIONS,
         fixed_format: Optional[FixedPointFormat] = None,
     ) -> None:
-        if iterations <= 0:
-            raise ConfigurationError("iterations must be positive")
-        self.iterations = iterations
+        self.iterations = integer_at_least("iterations", iterations, 1)
         self.fixed_format = fixed_format
-        self._gain = cordic_gain(iterations)
-        self._angles = [math.atan(2.0 ** (-i)) for i in range(iterations)]
+        self._gain = cordic_gain(self.iterations)
+        self._angles = [math.atan(2.0 ** (-i)) for i in range(self.iterations)]
 
     def _quantize(self, value: np.ndarray) -> np.ndarray:
         if self.fixed_format is None:

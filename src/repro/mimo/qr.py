@@ -101,26 +101,27 @@ def _rotate(
 def qr_decompose_givens(
     matrix: np.ndarray, cordic: Optional[Cordic] = None
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """QR decomposition by complex Givens rotations.
+    """QR decomposition of a ``(k, n, n)`` stack by complex Givens rotations.
 
-    Returns ``(q, r)`` with ``matrix = q @ r`` and ``r`` upper triangular
-    with real non-negative diagonal.  The rotations are applied to
-    ``[R | I]`` side by side, so the identity half ends up as ``Q^H``.
-
-    ``matrix`` may also be a ``(k, n, n)`` stack, which is decomposed in one
-    pass the way the paper's per-subcarrier arrays run side by side: every
-    matrix sees the same rotation order and the same per-element
-    expressions as on its own.  ``q`` and ``r`` are then stacks too.
+    Returns ``(q, r)``, two ``(k, n, n)`` stacks with ``matrix[i] = q[i] @
+    r[i]`` and ``r[i]`` upper triangular with real non-negative diagonal.
+    The rotations are applied to ``[R | I]`` side by side, so the identity
+    half ends up as ``Q^H``.  The stack is decomposed in one pass the way
+    the paper's per-subcarrier arrays run side by side: every matrix sees
+    the same rotation order and the same per-element expressions as on
+    its own, so one matrix is a one-matrix stack.  Any other shape raises
+    :class:`~repro.exceptions.ConfigurationError`.
 
     Without ``cordic`` the angles come from ``math.atan2``/``np.hypot`` and
     the rotations from ``cos``/``sin``.  With one, each boundary cell is two
     ``cordic.vector`` calls and each internal cell three ``cordic.rotate``
     calls (phase; real pair; imaginary pair), as in the hardware array.
     """
-    h = np.asarray(matrix, dtype=np.complex128)
-    if h.ndim not in (2, 3) or h.shape[-1] != h.shape[-2]:
-        raise ConfigurationError("expected a square matrix or a stack of them")
-    stack = h.reshape((-1,) + h.shape[-2:])
+    stack = np.asarray(matrix, dtype=np.complex128)
+    if stack.ndim != 3 or stack.shape[-1] != stack.shape[-2]:
+        raise ConfigurationError(
+            f"expected a (k, n, n) stack of square matrices, got shape {stack.shape}"
+        )
     k, n = stack.shape[0], stack.shape[-1]
     # R and Q^H side by side, shape (n, 2n, k): every rotation acts on the
     # same rows of both, and each row is one contiguous run over the stack.
@@ -144,6 +145,4 @@ def qr_decompose_givens(
     work[:, :n][np.tril(np.ones((n, n), dtype=bool), k=-1)] = 0.0
     r = work[:, :n].transpose(2, 0, 1)
     q = hermitian(work[:, n:].transpose(2, 0, 1))
-    if h.ndim == 2:
-        return q[0], r[0]
     return q, r

@@ -3,8 +3,8 @@
 The paper lists the explicit back-substitution equations its pipelined
 hardware evaluates for the 4x4 case (Section IV.B).  This module implements
 the general back substitution (:func:`invert_upper_triangular`) for any
-matrix size; the tests check it against a literal transcription of the
-paper's 4x4 equations.
+matrix size, over a ``(k, n, n)`` stack; the tests check it against a
+literal transcription of the paper's 4x4 equations.
 """
 
 from __future__ import annotations
@@ -32,28 +32,31 @@ def singular_mask(r: np.ndarray) -> np.ndarray:
 
 
 def invert_upper_triangular(r: np.ndarray) -> np.ndarray:
-    """Invert an upper-triangular matrix by back substitution.
+    """Invert a ``(k, n, n)`` stack of upper-triangular matrices by back substitution.
 
     Implements the recurrence the paper's equations follow::
 
         R^-1[i, i] = 1 / R[i, i]
         R^-1[i, j] = -( sum_{k=i+1..j} R[i, k] * R^-1[k, j] ) / R[i, i]   (j > i)
 
-    ``r`` may also be a ``(k, n, n)`` stack: every matrix is inverted in
-    the same pass with the same per-element float expressions.  The
-    products are spelt out in real arithmetic because a complex array
-    multiply rounds differently from the scalar one.
+    Every matrix is inverted in the same pass with the same per-element
+    float expressions, so one matrix is a one-matrix stack.  The products
+    are spelt out in real arithmetic because a complex array multiply
+    rounds differently from the scalar one.
 
     Raises
     ------
+    ConfigurationError
+        If ``r`` is not a ``(k, n, n)`` stack of upper-triangular matrices.
     ChannelEstimationError
         If any matrix is singular (see :func:`singular_mask`); callers
         inverting a stack of independent matrices drop those first.
     """
-    matrix = np.asarray(r, dtype=np.complex128)
-    if matrix.ndim not in (2, 3) or matrix.shape[-1] != matrix.shape[-2]:
-        raise ConfigurationError("expected a square matrix or a stack of them")
-    stack = matrix.reshape((-1,) + matrix.shape[-2:])
+    stack = np.asarray(r, dtype=np.complex128)
+    if stack.ndim != 3 or stack.shape[-1] != stack.shape[-2]:
+        raise ConfigurationError(
+            f"expected a (k, n, n) stack of square matrices, got shape {stack.shape}"
+        )
     n = stack.shape[-1]
     scale = np.maximum(1.0, np.abs(stack).max(axis=(1, 2), initial=0.0))
     if np.any(np.abs(np.tril(stack, k=-1)) > 1e-9 * scale[:, None, None]):
@@ -69,7 +72,7 @@ def invert_upper_triangular(r: np.ndarray) -> np.ndarray:
             for k in range(i + 1, j + 1):
                 acc = acc + _multiply(stack[:, i, k], inverse[:, k, j])
             inverse[:, i, j] = -acc / stack[:, i, i]
-    return inverse.reshape(matrix.shape)
+    return inverse
 
 
 def _multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:

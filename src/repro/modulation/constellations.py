@@ -56,21 +56,6 @@ class Modulation(str, Enum):
         return aliases[normalized]
 
 
-# 802.11a Gray mapping of bit groups onto one-dimensional PAM levels.
-_PAM2 = {0: -1.0, 1: 1.0}
-_PAM4 = {0b00: -3.0, 0b01: -1.0, 0b11: 1.0, 0b10: 3.0}
-_PAM8 = {
-    0b000: -7.0,
-    0b001: -5.0,
-    0b011: -3.0,
-    0b010: -1.0,
-    0b110: 1.0,
-    0b111: 3.0,
-    0b101: 5.0,
-    0b100: 7.0,
-}
-
-
 @dataclass(frozen=True)
 class Constellation:
     """A modulation scheme's look-up table and its metadata.
@@ -108,32 +93,32 @@ class Constellation:
         return ((addresses[:, None] >> shifts) & 1).astype(np.uint8)
 
 
+def _pam_level(label: int, n_bits: int) -> float:
+    """The 802.11a Gray-mapped PAM level of ``label`` on an axis of
+    ``n_bits`` (at most 3) bits; a zero-bit axis, BPSK's Q, sits at 0."""
+    index = label ^ (label >> 1) ^ (label >> 2)  # Gray label to level index
+    return float(2 * index + 1 - (1 << n_bits))
+
+
 def _build_constellation(modulation: Modulation) -> Constellation:
+    """The LUT of ``modulation``, a separable Gray grid.
+
+    The address's top ``ceil(k/2)`` bits label the I level and its low
+    ``floor(k/2)`` bits the Q level, ``address = (I << kq) | Q``; the scale
+    ``1/sqrt(mean I energy + mean Q energy)`` gives unit average symbol
+    energy, an ``M``-level axis having mean energy ``(M**2 - 1) / 3``.
+    """
     k = modulation.bits_per_symbol
-    size = 1 << k
-    points = np.zeros(size, dtype=np.complex128)
-    if modulation is Modulation.BPSK:
-        norm = 1.0
-        for address in range(size):
-            points[address] = complex(_PAM2[address], 0.0)
-    elif modulation is Modulation.QPSK:
-        norm = 1.0 / math.sqrt(2.0)
-        for address in range(size):
-            i_bits = (address >> 1) & 0b1
-            q_bits = address & 0b1
-            points[address] = complex(_PAM2[i_bits], _PAM2[q_bits]) * norm
-    elif modulation is Modulation.QAM16:
-        norm = 1.0 / math.sqrt(10.0)
-        for address in range(size):
-            i_bits = (address >> 2) & 0b11
-            q_bits = address & 0b11
-            points[address] = complex(_PAM4[i_bits], _PAM4[q_bits]) * norm
-    else:  # Modulation.QAM64: the enum is exhaustive
-        norm = 1.0 / math.sqrt(42.0)
-        for address in range(size):
-            i_bits = (address >> 3) & 0b111
-            q_bits = address & 0b111
-            points[address] = complex(_PAM8[i_bits], _PAM8[q_bits]) * norm
+    kq = k // 2
+    norm = 1.0 / math.sqrt(sum(((1 << (2 * bits)) - 1) / 3 for bits in (k - kq, kq)))
+    points = np.array(
+        [
+            complex(_pam_level(address >> kq, k - kq), _pam_level(address & ((1 << kq) - 1), kq))
+            * norm
+            for address in range(1 << k)
+        ],
+        dtype=np.complex128,
+    )
     return Constellation(modulation=modulation, points=points, normalization=norm)
 
 

@@ -181,14 +181,12 @@ class StreamFrameDetector:
     def push(self, chunk: np.ndarray) -> List[FrameWindow]:
         """Consume one chunk of the stream; return any completed frames.
 
-        ``chunk`` has shape ``(n_rx, n_samples)`` (a 1-D array is accepted
-        for single-antenna streams).  Any ``n_samples >= 0`` works — the
-        detector buffers partial frames across calls.  A chunk of any other
-        shape raises :class:`~repro.exceptions.ConfigurationError`.
+        ``chunk`` has shape ``(n_rx, n_samples)``; a single-antenna stream
+        is a one-row chunk.  Any ``n_samples >= 0`` works — the detector
+        buffers partial frames across calls.  A chunk of any other shape
+        raises :class:`~repro.exceptions.ConfigurationError`.
         """
         block = np.asarray(chunk, dtype=np.complex128)
-        if block.ndim == 1:
-            block = block[np.newaxis, :]
         if block.ndim != 2 or block.shape[0] != self.n_rx:
             raise ConfigurationError(
                 f"chunk must have shape ({self.n_rx}, n_samples), got {block.shape}"

@@ -125,7 +125,9 @@ class DownlinkScheduler:
         and pays back the participating total, so long-run service shares
         track the weights without starving anyone.
     weights:
-        Per-user service weights for ``"weighted"`` mode (default: equal).
+        Per-user service weights for ``"weighted"`` mode (default: equal),
+        one per user, each finite and positive; anything else raises
+        :class:`~repro.exceptions.ConfigurationError`.
     n_info_bits:
         Information bits per spatial stream per frame.
     channel:
@@ -182,8 +184,8 @@ class DownlinkScheduler:
             self.weights = np.asarray(weights, dtype=np.float64)
             if self.weights.shape != (self.n_users,):
                 raise ConfigurationError("weights must have one entry per user")
-            if np.any(self.weights <= 0):
-                raise ConfigurationError("weights must be positive")
+            if not np.all(np.isfinite(self.weights) & (self.weights > 0)):
+                raise ConfigurationError("weights must be finite and positive")
         self.traffic = traffic if traffic is not None else PoissonTraffic(100.0)
         self.channel = channel
         self.snr_db = snr_db

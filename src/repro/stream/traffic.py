@@ -34,7 +34,7 @@ class PoissonTraffic:
             raise ConfigurationError("rate_fps must be positive")
         self.rate_fps = float(rate_fps)
 
-    def intervals(self, n_frames: int, rng: SeedLike = None) -> FloatArray:
+    def intervals(self, n_frames: int, rng: SeedLike) -> FloatArray:
         """Exponential inter-arrival gaps in seconds."""
         if n_frames < 0:
             raise ConfigurationError("n_frames must be non-negative")
@@ -42,9 +42,7 @@ class PoissonTraffic:
         return generator.exponential(1.0 / self.rate_fps, size=n_frames)
 
 
-def arrival_times(
-    traffic, n_frames: int, rng: SeedLike = None
-) -> np.ndarray:
+def arrival_times(traffic, n_frames: int, rng: SeedLike) -> np.ndarray:
     """Absolute arrival instants (seconds) for one user's frame sequence.
 
     The model must return exactly ``n_frames`` finite, non-negative gaps:

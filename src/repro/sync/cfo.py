@@ -40,13 +40,19 @@ def estimate_cfo_from_repetition(
 ) -> float:
     """Estimate a normalised CFO from a periodic section of a sample stream.
 
-    Correlates each sample with the sample one ``period`` later over
-    ``(n_periods - 1) * period`` lags starting at ``start``; the angle of the
-    accumulated correlation divided by ``2*pi*period`` is the CFO in cycles
-    per sample.  Multi-antenna input (shape ``(n_rx, n_samples)``) is
-    combined coherently across antennas.
+    ``samples`` has shape ``(n_rx, n_samples)``; one antenna is a one-row
+    stack, and any other rank raises
+    :class:`~repro.exceptions.ConfigurationError`.  Correlates each sample
+    with the sample one ``period`` later over ``(n_periods - 1) * period``
+    lags starting at ``start``; the angle of the accumulated correlation,
+    combined coherently across antennas, divided by ``2*pi*period`` is the
+    CFO in cycles per sample.
     """
-    x = np.atleast_2d(np.asarray(samples, dtype=np.complex128))
+    x = np.asarray(samples, dtype=np.complex128)
+    if x.ndim != 2:
+        raise ConfigurationError(
+            f"samples must have shape (n_rx, n_samples), got {x.shape}"
+        )
     if period <= 0 or n_periods < 2:
         raise ConfigurationError("period must be positive and n_periods at least 2")
     span = (n_periods - 1) * period

@@ -68,8 +68,8 @@ class TimeSynchronizer:
     def metric(self, streams: np.ndarray) -> np.ndarray:
         """Energy-normalised detection metric of every antenna and window.
 
-        Maps ``(n_rx, n)`` samples to ``(n_rx, n - 31)`` metric values; a 1-D
-        stream counts as one antenna.  Each window's correlation magnitude
+        Maps ``(n_rx, n)`` samples to ``(n_rx, n - 31)`` metric values; one
+        antenna is a one-row stack.  Each window's correlation magnitude
         is divided by the geometric mean of the window's and the
         reference's energy.  A window holding a NaN or infinite sample has
         no meaningful metric and reads 0.0, so a corrupted sample can never
@@ -81,8 +81,6 @@ class TimeSynchronizer:
         on an empty antenna axis.
         """
         x = np.asarray(streams, dtype=np.complex128)
-        if x.ndim == 1:
-            x = x[np.newaxis, :]
         if x.ndim != 2 or x.shape[0] == 0:
             raise ConfigurationError(
                 f"streams must have shape (n_rx, n_samples), got {x.shape}"

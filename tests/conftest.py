@@ -52,6 +52,21 @@ def flat_fading_channel() -> MimoChannel:
     return MimoChannel(FlatRayleighChannel(rng=11), snr_db=35.0, rng=12)
 
 
+@pytest.fixture(scope="session")
+def random_burst():
+    """One burst of random payload: ``draw(transmitter, n_info_bits, rng)``.
+
+    The payload is ``transmitter.random_payload(n_info_bits, rng)``, sent
+    through :meth:`~repro.core.transmitter.MimoTransmitter.transmit` as a
+    one-burst stack.
+    """
+
+    def draw(transmitter, n_info_bits, rng):
+        return transmitter.transmit(transmitter.random_payload(n_info_bits, rng)[None])[0]
+
+    return draw
+
+
 @pytest.fixture
 def link_burst():
     """One burst over a link: a round of one through ``transmit_bursts``, then

@@ -56,12 +56,12 @@ class TestAwgnNoise:
 
     def test_negative_variance_rejected(self):
         with pytest.raises(ValueError):
-            awgn_noise(10, -1.0)
+            awgn_noise(10, -1.0, rng=0)
 
     @pytest.mark.parametrize("variance", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_variance_rejected(self, variance):
         with pytest.raises(ConfigurationError):
-            awgn_noise(10, variance)
+            awgn_noise(10, variance, rng=0)
 
     def test_reproducible_with_seed(self):
         np.testing.assert_array_equal(awgn_noise((4, 64), 0.5, rng=7), awgn_noise((4, 64), 0.5, rng=7))
@@ -81,12 +81,12 @@ class TestAwgnNoise:
 class TestOccupiedPower:
     def test_matches_plain_mean_when_fully_occupied(self):
         rng = np.random.default_rng(20)
-        signal = rng.normal(size=1000) + 1j * rng.normal(size=1000)
+        signal = (rng.normal(size=1000) + 1j * rng.normal(size=1000))[None]
         assert occupied_power(signal) == pytest.approx(np.mean(np.abs(signal) ** 2))
 
     def test_zero_padding_does_not_dilute(self):
-        signal = np.ones(100, dtype=complex)
-        padded = np.concatenate([np.zeros(400, dtype=complex), signal, np.zeros(500, dtype=complex)])
+        signal = np.ones((1, 100), dtype=complex)
+        padded = np.pad(signal, ((0, 0), (400, 500)))
         assert occupied_power(padded) == pytest.approx(1.0)
         assert occupied_power(signal) == occupied_power(padded)
 
@@ -102,6 +102,6 @@ class TestOccupiedPower:
         assert occupied_power(x) == pytest.approx((4.0 + 0.0 + 1.0 + 1.0) / 4.0)
 
     def test_silent_and_empty_signals(self):
-        assert occupied_power(np.zeros(16, dtype=complex)) == 0.0
+        assert occupied_power(np.zeros((1, 16), dtype=complex)) == 0.0
         assert occupied_power(np.zeros((4, 0), dtype=complex)) == 0.0
 

@@ -26,7 +26,7 @@ class TestRayleighMatrix:
 
     def test_invalid_dimensions(self):
         with pytest.raises(ValueError):
-            rayleigh_matrix(0, 4)
+            rayleigh_matrix(0, 4, rng=0)
 
     def test_normalize_rescales_the_same_draw(self):
         # CN(0, 1) entries: the raw unit-variance-per-component draw over

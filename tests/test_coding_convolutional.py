@@ -84,7 +84,7 @@ class TestEncoder:
     def test_known_impulse_response(self):
         # A single 1 (followed by the six zero tail bits) produces the
         # generator polynomials' coefficients on the two outputs.
-        coded = ConvolutionalEncoder().encode([1])
+        (coded,) = ConvolutionalEncoder().encode([[1]])
         output_a = coded[0::2]
         output_b = coded[1::2]
         # g0 = 133 octal = 1011011, g1 = 171 octal = 1111001 (MSB = current bit).
@@ -93,17 +93,18 @@ class TestEncoder:
 
     def test_rate_half_output_length(self):
         encoder = ConvolutionalEncoder()
-        coded = encoder.encode(np.random.default_rng(0).integers(0, 2, size=100, dtype=np.uint8))
-        assert coded.size == 2 * (100 + 6)
+        bits = np.random.default_rng(0).integers(0, 2, size=(1, 100), dtype=np.uint8)
+        coded = encoder.encode(bits)
+        assert coded.shape == (1, 2 * (100 + 6))
 
     def test_termination_appends_six_zero_tail_bits(self):
         # The tail is six zeros shifted in after the data: a block that
         # already ends in them starts with exactly the shorter block.
         encoder = ConvolutionalEncoder()
-        bits = np.random.default_rng(1).integers(0, 2, size=10, dtype=np.uint8)
-        coded = encoder.encode(bits)
+        bits = np.random.default_rng(1).integers(0, 2, size=(1, 10), dtype=np.uint8)
+        (coded,) = encoder.encode(bits)
         assert coded.size == 2 * (10 + 6)
-        padded = encoder.encode(np.concatenate([bits, np.zeros(6, dtype=np.uint8)]))
+        (padded,) = encoder.encode(np.pad(bits, ((0, 0), (0, 6))))
         np.testing.assert_array_equal(padded[: coded.size], coded)
         assert not padded[coded.size :].any()
 
@@ -114,8 +115,9 @@ class TestEncoder:
             (CodeRate.RATE_3_4, 168),
         ]:
             encoder = ConvolutionalEncoder(ConvolutionalCode(rate))
-            coded = encoder.encode(np.random.default_rng(2).integers(0, 2, size=120, dtype=np.uint8))
-            assert coded.size == expected
+            bits = np.random.default_rng(2).integers(0, 2, size=(1, 120), dtype=np.uint8)
+            coded = encoder.encode(bits)
+            assert coded.shape == (1, expected)
 
     def test_coded_length_matches_actual(self):
         rng = np.random.default_rng(3)
@@ -123,15 +125,15 @@ class TestEncoder:
             code = ConvolutionalCode(rate)
             encoder = ConvolutionalEncoder(code)
             for n in (0, 1, 7, 53, 100):
-                coded = encoder.encode(rng.integers(0, 2, size=n, dtype=np.uint8))
-                assert coded.size == code.coded_length(n)
+                coded = encoder.encode(rng.integers(0, 2, size=(1, n), dtype=np.uint8))
+                assert coded.shape == (1, code.coded_length(n))
 
     def test_linearity_of_code(self):
         # Convolutional codes are linear: enc(a xor b) == enc(a) xor enc(b).
         rng = np.random.default_rng(4)
         encoder = ConvolutionalEncoder()
-        a = rng.integers(0, 2, size=64, dtype=np.uint8)
-        b = rng.integers(0, 2, size=64, dtype=np.uint8)
+        a = rng.integers(0, 2, size=(1, 64), dtype=np.uint8)
+        b = rng.integers(0, 2, size=(1, 64), dtype=np.uint8)
         coded_a = encoder.encode(a)
         coded_b = encoder.encode(b)
         coded_xor = encoder.encode(a ^ b)
@@ -139,9 +141,9 @@ class TestEncoder:
 
     def test_every_call_is_an_independent_block(self):
         encoder = ConvolutionalEncoder(ConvolutionalCode(CodeRate.RATE_3_4))
-        bits = np.random.default_rng(5).integers(0, 2, size=32, dtype=np.uint8)
+        bits = np.random.default_rng(5).integers(0, 2, size=(1, 32), dtype=np.uint8)
         first = encoder.encode(bits)
-        encoder.encode(np.array([1, 1, 0, 1], dtype=np.uint8))
+        encoder.encode(np.array([[1, 1, 0, 1]], dtype=np.uint8))
         np.testing.assert_array_equal(encoder.encode(bits), first)
 
 
@@ -167,13 +169,6 @@ class TestStackedEncoder:
         assert coded.shape == (n_blocks, code.coded_length(n_bits))
         for row, bits in zip(coded, stack):
             np.testing.assert_array_equal(row, encode_serial(code, bits))
-
-    def test_one_block_is_a_stack_of_one(self):
-        encoder = ConvolutionalEncoder(ConvolutionalCode(CodeRate.RATE_3_4))
-        bits = np.random.default_rng(6).integers(0, 2, size=53, dtype=np.uint8)
-        single = encoder.encode(bits)
-        assert single.ndim == 1
-        np.testing.assert_array_equal(encoder.encode(bits[None, :]), single[None, :])
 
     def test_more_than_two_dimensions_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -10,14 +10,14 @@ from repro.exceptions import ConfigurationError
 class TestScrambler:
     def test_scramble_descramble_roundtrip(self):
         rng = np.random.default_rng(0)
-        bits = rng.integers(0, 2, size=500, dtype=np.uint8)
+        bits = rng.integers(0, 2, size=(1, 500), dtype=np.uint8)
         scrambler = Scrambler()
         scrambled = scrambler.process(bits)
         descrambled = Scrambler().process(scrambled)
         np.testing.assert_array_equal(descrambled, bits)
 
     def test_scrambling_changes_the_data(self):
-        bits = np.zeros(128, dtype=np.uint8)
+        bits = np.zeros((1, 128), dtype=np.uint8)
         scrambled = Scrambler().process(bits)
         assert scrambled.sum() > 0
 
@@ -32,7 +32,7 @@ class TestScrambler:
         assert int(sequence.sum()) == 64
 
     def test_different_seeds_differ(self):
-        bits = np.zeros(64, dtype=np.uint8)
+        bits = np.zeros((1, 64), dtype=np.uint8)
         a = Scrambler(seed=0b1011101).process(bits)
         b = Scrambler(seed=0b0000001).process(bits)
         assert not np.array_equal(a, b)
@@ -44,7 +44,7 @@ class TestScrambler:
             Scrambler(seed=200)
 
     def test_every_call_starts_from_the_seed(self):
-        bits = np.random.default_rng(1).integers(0, 2, size=300, dtype=np.uint8)
+        bits = np.random.default_rng(1).integers(0, 2, size=(1, 300), dtype=np.uint8)
         scrambler = Scrambler()
         first = scrambler.process(bits)
         np.testing.assert_array_equal(scrambler.process(bits), first)

@@ -35,9 +35,9 @@ class TestNumerologyAndPreamble512:
         sts = preamble.sts_time()
         np.testing.assert_allclose(sts[:128], sts[128:256], atol=1e-9)
 
-    def test_transmit_spectrum_occupies_scaled_band(self, config512):
+    def test_transmit_spectrum_occupies_scaled_band(self, config512, random_burst):
         transmitter = MimoTransmitter(config512)
-        burst = transmitter.transmit_random(500, rng=np.random.default_rng(0))
+        burst = random_burst(transmitter, 500, np.random.default_rng(0))
         start = burst.layout.data_start + config512.cyclic_prefix_length
         frequency = fft(burst.samples[0, start : start + 512])
         active = transmitter.numerology.active_mask()

@@ -18,10 +18,10 @@ from repro.hardware.estimator import TransmitterResourceModel
 
 
 class TestSisoMode:
-    def test_siso_burst_structure(self):
+    def test_siso_burst_structure(self, random_burst):
         config = TransceiverConfig(n_antennas=1)
         transmitter = MimoTransmitter(config)
-        burst = transmitter.transmit_random(96, rng=np.random.default_rng(0))
+        burst = random_burst(transmitter, 96, np.random.default_rng(0))
         # Preamble is STS + a single LTS slot.
         assert burst.layout.n_lts_slots == 1
         assert burst.layout.preamble_length == 160 + 160
@@ -39,11 +39,11 @@ class TestSisoMode:
         air, outcome = link_burst(config, channel, 300, rng=5)
         assert outcome.total_bit_errors(air.burst.info_bits) == 0
 
-    def test_siso_channel_estimate_is_scalar_per_subcarrier(self):
+    def test_siso_channel_estimate_is_scalar_per_subcarrier(self, random_burst):
         config = TransceiverConfig(n_antennas=1)
         transmitter = MimoTransmitter(config)
         receiver = MimoReceiver(config)
-        burst = transmitter.transmit_random(96, rng=np.random.default_rng(6))
+        burst = random_burst(transmitter, 96, np.random.default_rng(6))
         result = receiver.receive(burst.samples, n_info_bits=96)
         assert result.channel_estimate.matrices.shape == (64, 1, 1)
 
@@ -60,9 +60,9 @@ class TestTwoByTwoMode:
         air, outcome = link_burst(config, channel, 200, rng=9)
         assert outcome.total_bit_errors(air.burst.info_bits) == 0
 
-    def test_2x2_preamble_has_two_lts_slots(self):
+    def test_2x2_preamble_has_two_lts_slots(self, random_burst):
         config = TransceiverConfig(n_antennas=2)
-        burst = MimoTransmitter(config).transmit_random(96, rng=np.random.default_rng(10))
+        burst = random_burst(MimoTransmitter(config), 96, np.random.default_rng(10))
         assert burst.layout.n_lts_slots == 2
         assert burst.samples.shape[0] == 2
 

@@ -145,7 +145,7 @@ class TestCachedWaveforms:
         assert preamble.mimo_preamble(2) is preamble.mimo_preamble(2)
         assert preamble.mimo_preamble(2).shape == (2, burst_layout(config, 96).preamble_length)
 
-    def test_warm_burst_runs_at_most_three_forward_ffts(self, monkeypatch):
+    def test_warm_burst_runs_at_most_three_forward_ffts(self, monkeypatch, random_burst):
         # The data IFFT (one forward pass inside FftPlan.inverse), the
         # stacked LTS FFT and the stacked data FFT: no preamble waveform is
         # recomputed per burst.
@@ -154,7 +154,7 @@ class TestCachedWaveforms:
         receiver = MimoReceiver(config)
 
         def one_burst(seed):
-            burst = transmitter.transmit_random(120, rng=np.random.default_rng(seed))
+            burst = random_burst(transmitter, 120, np.random.default_rng(seed))
             receiver.detect_stack(receiver.demodulate_stack([burst.samples], 120))
 
         one_burst(0)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.channel.awgn import awgn_noise, noise_variance_for_snr
-from repro.channel.fading import FlatRayleighChannel, FrequencySelectiveChannel
+from repro.channel.fading import FlatRayleighChannel, FrequencySelectiveChannel, rayleigh_matrix
 from repro.channel.model import IdealChannel, MimoChannel, build_fading_model
 from repro.coding.convolutional import CodeRate, ConvolutionalCode, ConvolutionalEncoder
 from repro.coding.interleaver import deinterleave, interleave, interleaver_permutation
@@ -36,7 +36,7 @@ from repro.sync.cfo import estimate_cfo_from_repetition
 from repro.sync.time_sync import TimeSynchronizer
 from repro.core.preamble import PreambleGenerator, burst_layout
 from repro.core.frame import ReceiveResult
-from repro.dsp.cordic import Cordic
+from repro.dsp.cordic import Cordic, cordic_gain
 from repro.dsp.fft import fft
 from repro.dsp.fixedpoint import FixedPointFormat
 from repro.mimo.channel_estimation import ChannelEstimate, ChannelEstimator, invert_channel_stack
@@ -61,6 +61,7 @@ from repro.stream import (
 )
 from repro.stream.traffic import arrival_times
 from repro.utils.bits import count_bit_errors, pack_bits, unpack_bits
+from repro.utils.rng import make_rng
 
 
 @pytest.fixture
@@ -69,9 +70,9 @@ def tx_rx(paper_config):
 
 
 class TestDegenerateChannels:
-    def test_rank_deficient_channel_raises_estimation_error(self, tx_rx):
+    def test_rank_deficient_channel_raises_estimation_error(self, tx_rx, random_burst):
         transmitter, receiver = tx_rx
-        burst = transmitter.transmit_random(100, rng=np.random.default_rng(0))
+        burst = random_burst(transmitter, 100, np.random.default_rng(0))
         # Two receive antennas wired to the same signal -> singular channel.
         matrix = np.ones((4, 4), dtype=complex)
         channel = MimoChannel(FlatRayleighChannel(matrix=matrix))
@@ -79,10 +80,10 @@ class TestDegenerateChannels:
         with pytest.raises(ChannelEstimationError):
             receiver.receive(received, n_info_bits=100, lts_start=160)
 
-    def test_dead_antenna_still_decodes_other_streams_or_errors(self, tx_rx):
+    def test_dead_antenna_still_decodes_other_streams_or_errors(self, tx_rx, random_burst):
         # Zeroing one receive antenna makes the 4x4 inversion singular.
         transmitter, receiver = tx_rx
-        burst = transmitter.transmit_random(100, rng=np.random.default_rng(1))
+        burst = random_burst(transmitter, 100, np.random.default_rng(1))
         received = burst.samples.copy()
         received[2] = 0
         with pytest.raises(ChannelEstimationError):
@@ -90,9 +91,9 @@ class TestDegenerateChannels:
 
 
 class TestCorruptedBursts:
-    def test_wrong_lts_position_produces_errors_not_silence(self, tx_rx):
+    def test_wrong_lts_position_produces_errors_not_silence(self, tx_rx, random_burst):
         transmitter, receiver = tx_rx
-        burst = transmitter.transmit_random(200, rng=np.random.default_rng(2))
+        burst = random_burst(transmitter, 200, np.random.default_rng(2))
         channel = MimoChannel(FlatRayleighChannel(rng=3), snr_db=30.0, rng=4)
         received = channel.transmit(burst.samples).samples
         # Decode with a deliberately wrong timing hypothesis (one OFDM symbol
@@ -101,17 +102,17 @@ class TestCorruptedBursts:
         result = receiver.receive(received, n_info_bits=200, lts_start=160 - 80)
         assert result.total_bit_errors(burst.info_bits) > 0
 
-    def test_wrong_lts_position_past_burst_end_raises(self, tx_rx):
+    def test_wrong_lts_position_past_burst_end_raises(self, tx_rx, random_burst):
         transmitter, receiver = tx_rx
-        burst = transmitter.transmit_random(200, rng=np.random.default_rng(2))
+        burst = random_burst(transmitter, 200, np.random.default_rng(2))
         # A hypothesis one OFDM symbol late leaves too few samples for the
         # claimed payload and must raise rather than decode a partial burst.
         with pytest.raises(DecodingError):
             receiver.receive(burst.samples, n_info_bits=200, lts_start=160 + 80)
 
-    def test_truncated_burst_raises(self, tx_rx):
+    def test_truncated_burst_raises(self, tx_rx, random_burst):
         transmitter, receiver = tx_rx
-        burst = transmitter.transmit_random(200, rng=np.random.default_rng(5))
+        burst = random_burst(transmitter, 200, np.random.default_rng(5))
         with pytest.raises(DecodingError):
             receiver.receive(burst.samples[:, :700], n_info_bits=200, lts_start=160)
 
@@ -128,9 +129,9 @@ class TestCorruptedBursts:
             return
         assert result.decoded_bits.shape == (4, 100)
 
-    def test_claiming_more_bits_than_transmitted_raises(self, tx_rx):
+    def test_claiming_more_bits_than_transmitted_raises(self, tx_rx, random_burst):
         transmitter, receiver = tx_rx
-        burst = transmitter.transmit_random(96, rng=np.random.default_rng(7))
+        burst = random_burst(transmitter, 96, np.random.default_rng(7))
         with pytest.raises(DecodingError):
             receiver.receive(burst.samples, n_info_bits=5000, lts_start=160)
 
@@ -164,7 +165,7 @@ class TestCorruptedBursts:
 
 
 class TestConfigurationMismatches:
-    def test_modulation_mismatch_causes_bit_errors(self):
+    def test_modulation_mismatch_causes_bit_errors(self, random_burst):
         tx_config = TransceiverConfig(modulation="16qam")
         rx_config = TransceiverConfig(modulation="qpsk")
         transmitter = MimoTransmitter(tx_config)
@@ -172,14 +173,14 @@ class TestConfigurationMismatches:
         # 42 information bits fit in a single OFDM symbol for both
         # modulations, so the mismatch shows up as wrong bits rather than a
         # burst-length error.
-        burst = transmitter.transmit_random(42, rng=np.random.default_rng(8))
+        burst = random_burst(transmitter, 42, np.random.default_rng(8))
         result = receiver.receive(burst.samples, n_info_bits=42, lts_start=160)
         assert result.total_bit_errors(burst.info_bits) > 0
 
-    def test_antenna_count_mismatch_rejected(self):
+    def test_antenna_count_mismatch_rejected(self, random_burst):
         transmitter = MimoTransmitter(TransceiverConfig(n_antennas=4))
         receiver = MimoReceiver(TransceiverConfig(n_antennas=2))
-        burst = transmitter.transmit_random(96, rng=np.random.default_rng(9))
+        burst = random_burst(transmitter, 96, np.random.default_rng(9))
         with pytest.raises(ConfigurationError):
             receiver.receive(burst.samples, n_info_bits=96)
 
@@ -242,9 +243,7 @@ class _NanTraffic:
     "build",
     [
         lambda: MimoChannel(FlatRayleighChannel(n_rx=2, n_tx=2, rng=3)).transmit(
-            MimoTransmitter(TransceiverConfig())
-            .transmit_random(96, np.random.default_rng(0))
-            .samples
+            MimoTransmitter(TransceiverConfig()).transmit(np.zeros((1, 4, 96)))[0].samples
         ),
         lambda: DownlinkScheduler(n_users=0),
         lambda: DownlinkScheduler(n_users=2.5),
@@ -262,6 +261,8 @@ class _NanTraffic:
         lambda: DownlinkScheduler(n_users=2, snr_db=float("nan")),
         lambda: DownlinkScheduler(n_users=2, mode="weighted", weights=[1.0]),
         lambda: DownlinkScheduler(n_users=2, mode="weighted", weights=[1.0, 0.0]),
+        lambda: DownlinkScheduler(n_users=2, mode="weighted", weights=[float("nan"), 1.0]),
+        lambda: DownlinkScheduler(n_users=2, mode="weighted", weights=[float("inf"), 1.0]),
         lambda: SweepSpec(snr_db=(float("nan"),)),
         lambda: SweepSpec(snr_db=(20.0, float("inf"))),
         lambda: SweepSpec(channels=("rician",)),
@@ -313,15 +314,15 @@ class _NanTraffic:
         lambda: PoissonTraffic(float("nan")),
         lambda: _receive_result(n_streams=0).total_bit_errors([np.zeros(8, dtype=np.uint8)]),
         lambda: _receive_result(n_streams=2).total_bit_errors([np.zeros(0), np.zeros(1)]),
-        lambda: MimoChannel(snr_db=float("nan")),
-        lambda: MimoChannel(snr_db=float("inf")),
+        lambda: MimoChannel(snr_db=float("nan"), rng=0),
+        lambda: MimoChannel(snr_db=float("inf"), rng=0),
         lambda: MimoChannel(impairment={"sample_delay": 3}),
-        lambda: awgn_noise(8, float("nan")),
+        lambda: awgn_noise(8, float("nan"), rng=0),
         lambda: DownlinkScheduler(n_users=1, channel="rician"),
-        lambda: PoissonTraffic(10.0).intervals(-1),
-        lambda: arrival_times(_BackwardsTraffic(), 2),
-        lambda: arrival_times(_ShortTraffic(), 2),
-        lambda: arrival_times(_NanTraffic(), 2),
+        lambda: PoissonTraffic(10.0).intervals(-1, rng=0),
+        lambda: arrival_times(_BackwardsTraffic(), 2, rng=0),
+        lambda: arrival_times(_ShortTraffic(), 2, rng=0),
+        lambda: arrival_times(_NanTraffic(), 2, rng=0),
         lambda: MimoChannel().transmit(np.zeros((3, 100), dtype=complex)),
         lambda: MmseDetector(_identity_estimate(), noise_variances=[-1.0]),
         lambda: IdealChannel().apply(np.zeros((3, 100), dtype=complex)),
@@ -339,21 +340,21 @@ class _NanTraffic:
         lambda: Scrambler(seed=0),
         lambda: pilot_polarity_sequence(0),
         lambda: ViterbiDecoder(decision="fuzzy"),
-        lambda: ViterbiDecoder().decode(np.zeros(12), n_info_bits=-1),
-        lambda: ViterbiDecoder().decode(np.zeros(32), n_info_bits=10.0),
+        lambda: ViterbiDecoder().decode(np.zeros((1, 12)), n_info_bits=-1),
+        lambda: ViterbiDecoder().decode(np.zeros((1, 32)), n_info_bits=10.0),
         lambda: SymbolDemapper("16qam").demap(np.zeros(4, dtype=complex), soft=True, noise_variance=0.0),
         lambda: SymbolDemapper("16qam").demap(np.zeros(4, dtype=complex), soft=True, noise_variance=float("nan")),
         lambda: SymbolDemapper("16qam").demap(np.zeros(4, dtype=complex), soft=True, noise_variance=float("inf")),
-        lambda: MimoTransmitter().transmit([np.array([0.5, 0, 1, 1])] * 4),
-        lambda: MimoTransmitter().transmit([np.array([np.nan, 0, 1, 1])] * 4),
-        lambda: MimoTransmitter().transmit([np.array([1 + 1j, 0, 1, 1])] * 4),
-        lambda: MimoTransmitter().transmit([np.array([2, 0, 1, 1])] * 4),
-        lambda: MimoTransmitter().transmit([np.zeros((2, 8), dtype=np.uint8)] * 4),
+        lambda: MimoTransmitter().transmit([[np.array([0.5, 0, 1, 1])] * 4]),
+        lambda: MimoTransmitter().transmit([[np.array([np.nan, 0, 1, 1])] * 4]),
+        lambda: MimoTransmitter().transmit([[np.array([1 + 1j, 0, 1, 1])] * 4]),
+        lambda: MimoTransmitter().transmit([[np.array([2, 0, 1, 1])] * 4]),
+        lambda: MimoTransmitter().transmit([[np.zeros((2, 8), dtype=np.uint8)] * 4]),
         lambda: MimoTransmitter().transmit(np.zeros((4, 3, 8), dtype=np.uint8)),
         lambda: MimoTransmitter().transmit(np.full((4, 4, 8), 2, dtype=np.uint8)),
-        lambda: MimoTransmitter().transmit([np.ones(8), np.ones(8), np.ones(8), np.ones(9)]),
-        lambda: MimoTransmitter().transmit_random(-5, np.random.default_rng(0)),
-        lambda: MimoTransmitter().transmit_random(2.5, np.random.default_rng(0)),
+        lambda: MimoTransmitter().transmit([[np.ones(8), np.ones(8), np.ones(8), np.ones(9)]]),
+        lambda: MimoTransmitter().random_payload(-5, np.random.default_rng(0)),
+        lambda: MimoTransmitter().random_payload(2.5, np.random.default_rng(0)),
         lambda: ConvolutionalEncoder().encode(np.zeros((2, 2, 5), dtype=np.uint8)),
         lambda: transmit_bursts(MimoTransmitter(), [MimoChannel()], 96, [1, 2]),
         lambda: QrdArray(n=0),
@@ -363,9 +364,11 @@ class _NanTraffic:
         lambda: FixedPointFormat(16.5, 14.5),
         lambda: FixedPointFormat.from_dict({"word_length": 16, "frac_bits": 14, "rounding": "nearest"}),
         lambda: Cordic(iterations=0),
+        lambda: Cordic(iterations=2.5),
+        lambda: cordic_gain(2.5),
         lambda: fft(np.zeros(48)),
-        lambda: qr_decompose_givens(np.ones((3, 4))),
-        lambda: invert_upper_triangular(np.ones((4, 4))),
+        lambda: qr_decompose_givens(np.ones((1, 3, 4))),
+        lambda: invert_upper_triangular(np.ones((1, 4, 4))),
         lambda: invert_channel_stack(np.zeros((4, 4, 3))),
         lambda: ChannelEstimator(np.array([])),
         lambda: pack_bits([0, 1], 0),
@@ -385,10 +388,18 @@ class _NanTraffic:
         lambda: _pilots().insert_block(np.zeros((1, 32), dtype=complex)),
         lambda: _pilots().correct_block(np.zeros(64, dtype=complex)),
         lambda: _pilots().correct_block(np.zeros((1, 32), dtype=complex)),
-        lambda: estimate_cfo_from_repetition(np.zeros(64, dtype=complex), 0, 0, 2),
+        lambda: estimate_cfo_from_repetition(np.zeros((1, 64), dtype=complex), 0, 0, 2),
         lambda: burst_layout(TransceiverConfig(), 96).lts_slot_start(4),
         lambda: noise_variance_for_snr(10.0, signal_power=0.0),
         lambda: _two_points_per_snr().ber_curve(),
+        lambda: make_rng(None),
+        lambda: awgn_noise(8, 1.0, rng=None),
+        lambda: rayleigh_matrix(4, 4, rng=None),
+        lambda: FlatRayleighChannel(),
+        lambda: FrequencySelectiveChannel(),
+        lambda: MimoChannel(snr_db=20.0),
+        lambda: PoissonTraffic(10.0).intervals(2, rng=None),
+        lambda: arrival_times(PoissonTraffic(10.0), 2, rng=None),
     ],
     ids=[
         "channel-2x2-with-4-antenna-burst",
@@ -408,6 +419,8 @@ class _NanTraffic:
         "scheduler-nan-snr",
         "scheduler-weights-shape",
         "scheduler-zero-weight",
+        "scheduler-nan-weight",
+        "scheduler-infinite-weight",
         "sweep-nan-snr",
         "sweep-infinite-snr",
         "sweep-unknown-channel",
@@ -509,6 +522,8 @@ class _NanTraffic:
         "fixed-point-fractional-format",
         "fixed-point-unknown-rounding",
         "cordic-no-iterations",
+        "cordic-fractional-iterations",
+        "cordic-gain-fractional-iterations",
         "fft-size-not-a-power-of-two",
         "qr-not-square",
         "r-inverse-not-triangular",
@@ -535,6 +550,14 @@ class _NanTraffic:
         "preamble-lts-slot-out-of-range",
         "noise-variance-zero-signal-power",
         "ber-curve-two-points-per-snr",
+        "make-rng-no-seed",
+        "awgn-no-seed",
+        "rayleigh-matrix-no-seed",
+        "flat-fading-no-seed",
+        "selective-fading-no-seed",
+        "channel-snr-no-seed",
+        "poisson-no-seed",
+        "arrivals-no-seed",
     ],
 )
 def test_inconsistent_construction_raises_configuration_error(build):
@@ -623,7 +646,7 @@ class TestSynchronizerFailureModes:
             sts_time=preamble.sts_time(), lts_time=preamble.lts_time()
         )
         with pytest.raises(SynchronizationError):
-            synchronizer.locate(np.zeros(0, dtype=complex))
+            synchronizer.locate(np.zeros((1, 0), dtype=complex))
 
     def test_front_end_does_not_lock_on_a_silent_burst(self):
         # No window scoring above zero means no lock.
@@ -672,11 +695,11 @@ class TestFuzzPastTheFrontEnd:
 
     @pytest.mark.parametrize("soft", [False, True], ids=["hard", "soft"])
     @pytest.mark.parametrize("row", list(RECEIVE_FUZZ_ROWS))
-    def test_receive_stack_row(self, row, soft, monkeypatch):
+    def test_receive_stack_row(self, row, soft, monkeypatch, random_burst):
         build, lts_start, expected = RECEIVE_FUZZ_ROWS[row]
         config = TransceiverConfig(soft_decision=soft)
         receiver = MimoReceiver(config)
-        burst = MimoTransmitter(config).transmit_random(96, rng=np.random.default_rng(0))
+        burst = random_burst(MimoTransmitter(config), 96, np.random.default_rng(0))
         fuzzed = build(burst.samples, burst.layout.data_start)
         demapped = []
         demap = SymbolDemapper.demap
@@ -714,10 +737,10 @@ class TestFuzzPastTheFrontEnd:
         ],
         ids=["nan-data", "inf-data", "overflowing-data", "all-nan", "all-inf", "empty", "all-zero"],
     )
-    def test_streaming_push_row(self, build, expected):
+    def test_streaming_push_row(self, build, expected, random_burst):
         # A fuzzed frame, then a clean one: a frame still found gives up
         # alone, one wiped out is never found, and the clean frame decodes.
-        burst = MimoTransmitter().transmit_random(96, rng=np.random.default_rng(1))
+        burst = random_burst(MimoTransmitter(), 96, np.random.default_rng(1))
         gap = np.zeros((4, 50), dtype=complex)
         fuzzed = build(burst.samples, burst.layout.data_start)
         stream = np.concatenate([gap, fuzzed, gap, burst.samples, gap], axis=1)

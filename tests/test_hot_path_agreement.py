@@ -112,7 +112,7 @@ class TestViterbiAcsAgreement:
         rows = []
         for _ in range(n_blocks):
             info = rng.integers(0, 2, n_bits).astype(np.uint8)
-            coded = encoder.encode(info).astype(np.float64)
+            coded = encoder.encode(info[None])[0].astype(np.float64)
             if decision == "hard":
                 # Flip a random fraction of the coded bits.
                 flips = rng.random(coded.size) < rng.uniform(0.0, 0.12)
@@ -144,7 +144,9 @@ class TestViterbiAcsAgreement:
             for row, bits in zip(stack, decoded):
                 expected = viterbi_decode_serial(code, decision, row, n_bits)
                 np.testing.assert_array_equal(bits, expected)
-                np.testing.assert_array_equal(decoder.decode(row, n_info_bits=n_bits), expected)
+                np.testing.assert_array_equal(
+                    decoder.decode(row[None], n_info_bits=n_bits)[0], expected
+                )
 
     @pytest.mark.parametrize("decision", ["hard", "soft"])
     def test_tie_break_matches_on_degenerate_input(self, decision):
@@ -178,16 +180,16 @@ class TestViterbiAcsAgreement:
             for value, (step, out) in zip(values, kept):
                 expected_full[step, out] = value
                 expected_mask[step, out] = 1.0
-            full, mask = decoder.depuncture(values, n_steps)
-            np.testing.assert_array_equal(full, expected_full)
+            full, mask = decoder.depuncture(values[None], n_steps)
+            np.testing.assert_array_equal(full[..., 0], expected_full)
             np.testing.assert_array_equal(mask, expected_mask)
 
     def test_depuncture_length_validation(self):
         decoder = ViterbiDecoder(ConvolutionalCode(CodeRate.RATE_3_4))
         with pytest.raises(ValueError):
-            decoder.depuncture(np.zeros(3), 6)
+            decoder.depuncture(np.zeros((1, 3)), 6)
         with pytest.raises(ValueError):
-            decoder.depuncture(np.zeros(100), 6)
+            decoder.depuncture(np.zeros((1, 100)), 6)
 
 
 CODING_LENGTHS = [0, 1, 126, 127, 128, 1000]
@@ -202,7 +204,7 @@ class TestEncoderScramblerAgreement:
         code = ConvolutionalCode(rate)
         for length in CODING_LENGTHS:
             bits = rng.integers(0, 2, length).astype(np.uint8)
-            coded = ConvolutionalEncoder(code).encode(bits)
+            (coded,) = ConvolutionalEncoder(code).encode(bits[None])
             np.testing.assert_array_equal(coded, encode_serial(code, bits))
             assert coded.size == code.coded_length(length)
 
@@ -215,7 +217,7 @@ class TestEncoderScramblerAgreement:
         encoder = ConvolutionalEncoder(code)
         for length in CODING_LENGTHS:
             bits = rng.integers(0, 2, length).astype(np.uint8)
-            np.testing.assert_array_equal(encoder.encode(bits), encode_serial(code, bits))
+            np.testing.assert_array_equal(encoder.encode(bits[None])[0], encode_serial(code, bits))
 
     @pytest.mark.parametrize("seed", [0b1011101, 0b0000001, 0b1111111])
     def test_scrambler_matches_serial_lfsr(self, seed):
@@ -223,7 +225,7 @@ class TestEncoderScramblerAgreement:
         for length in CODING_LENGTHS:
             bits = rng.integers(0, 2, length).astype(np.uint8)
             np.testing.assert_array_equal(
-                Scrambler(seed).process(bits), scramble_serial(Scrambler(seed), bits)
+                Scrambler(seed).process(bits[None])[0], scramble_serial(Scrambler(seed), bits)
             )
 
     def test_every_process_call_starts_from_the_seed(self):
@@ -232,7 +234,7 @@ class TestEncoderScramblerAgreement:
         for length in CODING_LENGTHS:
             bits = rng.integers(0, 2, length).astype(np.uint8)
             np.testing.assert_array_equal(
-                scrambler.process(bits), scramble_serial(Scrambler(), bits)
+                scrambler.process(bits[None])[0], scramble_serial(Scrambler(), bits)
             )
 
     def test_scrambler_stack_scrambles_every_row_from_the_seed(self):
@@ -308,7 +310,7 @@ class TestStackedQrAgreement:
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_single_matrix_equals_reference(self, n):
         matrix = _random_stack(1, n, np.random.default_rng(70 + n))[0]
-        q, r = qr_decompose_givens(matrix)
+        (q,), (r,) = qr_decompose_givens(matrix[None])
         q_ref, r_ref = qr_givens_serial(matrix)
         np.testing.assert_array_equal(q, q_ref)
         np.testing.assert_array_equal(r, r_ref)
@@ -435,11 +437,11 @@ class TestReceiverDecodeAgreement:
 
     @pytest.mark.parametrize("soft_decision", [False, True])
     @pytest.mark.parametrize("rate", ALL_RATES)
-    def test_streams_decode_like_the_serial_chain(self, rate, soft_decision):
+    def test_streams_decode_like_the_serial_chain(self, rate, soft_decision, random_burst):
         config = TransceiverConfig(code_rate=rate, soft_decision=soft_decision)
         seed = 100 + 10 * ALL_RATES.index(rate) + int(soft_decision)
         channel = MimoChannel(FlatRayleighChannel(rng=seed), snr_db=12.0, rng=seed + 1)
-        burst = MimoTransmitter(config).transmit_random(300, rng=np.random.default_rng(seed))
+        burst = random_burst(MimoTransmitter(config), 300, np.random.default_rng(seed))
         output = channel.transmit(burst.samples)
         receiver = MimoReceiver(config)
         result = receiver.receive(output.samples, 300, noise_variance=output.noise_variance)
@@ -538,13 +540,13 @@ class TestDemapperBatchAgreement:
         assert demapper.soft_decisions(np.zeros(0)).size == 0
 
 
-def _receive_both_ways(config, channel, n_info_bits=360, seed=0, noise_variance=0.05):
+def _receive_both_ways(random_burst, config, channel, n_info_bits=360, seed=0, noise_variance=0.05):
     """Decode one faded burst with the receiver and with the serial oracle.
 
     Returns ``(batched, serial, burst)``.
     """
     transmitter = MimoTransmitter(config)
-    burst = transmitter.transmit_random(n_info_bits, rng=np.random.default_rng(seed))
+    burst = random_burst(transmitter, n_info_bits, np.random.default_rng(seed))
     samples = channel.transmit(burst.samples).samples if channel is not None else burst.samples
     receiver = MimoReceiver(config)
     batched = receiver.receive(samples, n_info_bits=n_info_bits, noise_variance=noise_variance)
@@ -609,7 +611,9 @@ class TestReceiverBatchAgreement:
     @pytest.mark.parametrize("detector", ["zf", "mmse"])
     @pytest.mark.parametrize("soft_decision", [False, True])
     @pytest.mark.parametrize("quantized", [False, True])
-    def test_full_matrix_agrees_bit_exactly(self, fft_size, detector, soft_decision, quantized):
+    def test_full_matrix_agrees_bit_exactly(
+        self, fft_size, detector, soft_decision, quantized, random_burst
+    ):
         config = TransceiverConfig(
             fft_size=fft_size,
             detector=detector,
@@ -626,25 +630,25 @@ class TestReceiverBatchAgreement:
         channel = MimoChannel(
             FlatRayleighChannel(rng=seed), snr_db=14.0, rng=seed + 1
         )
-        batched, scalar, _ = _receive_both_ways(config, channel, seed=seed + 2)
+        batched, scalar, _ = _receive_both_ways(random_burst, config, channel, seed=seed + 2)
         _assert_results_identical(batched, scalar, equalization=fft_size == 64)
 
-    def test_frequency_selective_channel_agrees(self, fft_size):
+    def test_frequency_selective_channel_agrees(self, fft_size, random_burst):
         config = TransceiverConfig(fft_size=fft_size, soft_decision=True)
         channel = MimoChannel(
             FrequencySelectiveChannel(rng=50), snr_db=20.0, rng=51
         )
-        batched, scalar, _ = _receive_both_ways(config, channel, seed=52)
+        batched, scalar, _ = _receive_both_ways(random_burst, config, channel, seed=52)
         _assert_results_identical(batched, scalar, equalization=fft_size == 64)
 
-    def test_ideal_channel_agrees(self, fft_size):
+    def test_ideal_channel_agrees(self, fft_size, random_burst):
         config = TransceiverConfig(fft_size=fft_size)
-        batched, scalar, burst = _receive_both_ways(config, channel=None, seed=53)
+        batched, scalar, burst = _receive_both_ways(random_burst, config, channel=None, seed=53)
         _assert_results_identical(batched, scalar, equalization=fft_size == 64)
         assert batched.total_bit_errors(burst.info_bits) == 0
 
     @pytest.mark.parametrize("case", RX_IMPAIRMENT_CASES)
-    def test_impaired_channel_agrees(self, fft_size, case):
+    def test_impaired_channel_agrees(self, fft_size, case, random_burst):
         # Timing offset, CFO correction, IQ skew and the 16-bit ADC all sit
         # in front of the batched gathers; both paths must see them alike.
         config = TransceiverConfig(
@@ -655,14 +659,14 @@ class TestReceiverBatchAgreement:
         )
         seed = 700 + RX_IMPAIRMENT_CASES.index(case)
         channel = _channel(FlatRayleighChannel(rng=seed), seed + 1, **case)
-        batched, scalar, _ = _receive_both_ways(config, channel, seed=seed + 2)
+        batched, scalar, _ = _receive_both_ways(random_burst, config, channel, seed=seed + 2)
         _assert_results_identical(batched, scalar, equalization=fft_size == 64)
 
     @pytest.mark.parametrize("n_streams", [1, 2, 3, 4])
-    def test_channel_estimation_agrees(self, fft_size, n_streams):
+    def test_channel_estimation_agrees(self, fft_size, n_streams, random_burst):
         config = TransceiverConfig(fft_size=fft_size, n_antennas=n_streams)
         transmitter = MimoTransmitter(config)
-        burst = transmitter.transmit_random(120, rng=np.random.default_rng(60))
+        burst = random_burst(transmitter, 120, np.random.default_rng(60))
         channel = MimoChannel(
             FlatRayleighChannel(n_streams, n_streams, rng=61), snr_db=25.0, rng=62
         )
@@ -687,10 +691,10 @@ class TestReceiverBatchAgreement:
     ),
 )
 @pytest.mark.parametrize("fft_size", [128, 512])
-def test_equalization_beyond_64_points_agrees_bit_exactly(fft_size):
+def test_equalization_beyond_64_points_agrees_bit_exactly(fft_size, random_burst):
     config = TransceiverConfig(fft_size=fft_size)
     channel = MimoChannel(FlatRayleighChannel(rng=80), snr_db=14.0, rng=81)
-    batched, scalar, _ = _receive_both_ways(config, channel, seed=82)
+    batched, scalar, _ = _receive_both_ways(random_burst, config, channel, seed=82)
     _assert_results_identical(batched, scalar)
 
 
@@ -793,10 +797,10 @@ class TestVectorisedEstimationAgreement:
         assert not detector._weights[[1, 3]].any()
 
 
-def _front_end_input(config, fading, seed, n_info_bits=96, **channel):
+def _front_end_input(random_burst, config, fading, seed, n_info_bits=96, **channel):
     """``(samples, true LTS start, noise variance)`` of one received burst."""
     transmitter = MimoTransmitter(config)
-    burst = transmitter.transmit_random(n_info_bits, rng=np.random.default_rng(seed))
+    burst = random_burst(transmitter, n_info_bits, np.random.default_rng(seed))
     output = _channel(fading, seed + 1, **channel).transmit(burst.samples)
     lts_start = burst.layout.sts_length + channel.get("sample_delay", 0)
     return output.samples, lts_start, output.noise_variance or 1.0
@@ -855,7 +859,7 @@ class TestStackedFrontEndAgreement:
     """
 
     @staticmethod
-    def _mixed_stack(config, seed):
+    def _mixed_stack(random_burst, config, seed):
         n = config.n_antennas
         cfo = config.correct_cfo
         cases = [
@@ -871,7 +875,7 @@ class TestStackedFrontEndAgreement:
             ),
         ]
         return [
-            _front_end_input(config, fading, seed + 10 * index, **channel)
+            _front_end_input(random_burst, config, fading, seed + 10 * index, **channel)
             for index, (fading, channel) in enumerate(cases)
         ]
 
@@ -896,17 +900,18 @@ class TestStackedFrontEndAgreement:
         return stacked
 
     @pytest.mark.parametrize("name", list(STACK_CONFIGS))
-    def test_every_burst_equals_its_one_burst_stack(self, name):
+    def test_every_burst_equals_its_one_burst_stack(self, name, random_burst):
         config = TransceiverConfig(**STACK_CONFIGS[name])
         receiver = MimoReceiver(config)
-        bursts = self._mixed_stack(config, seed=500 + 20 * list(STACK_CONFIGS).index(name))
+        seed = 500 + 20 * list(STACK_CONFIGS).index(name)
+        bursts = self._mixed_stack(random_burst, config, seed=seed)
         stacked = self._run(receiver, bursts, known_timing=[False, True, False, True])
         assert all(isinstance(outcome, FrontEndResult) for outcome in stacked)
 
     @pytest.mark.parametrize("detector", ["zf", "mmse"])
-    def test_give_ups_drop_out_alone_mid_stack(self, detector):
+    def test_give_ups_drop_out_alone_mid_stack(self, detector, random_burst):
         config = TransceiverConfig(n_antennas=2, modulation="qpsk", detector=detector)
-        good = self._mixed_stack(config, seed=900)
+        good = self._mixed_stack(random_burst, config, seed=900)
         samples, lts_start, variance = good[1]
         no_signal = (np.full_like(samples, np.nan), None, variance)
         truncated = (samples[:, :600], None, variance)
@@ -930,7 +935,7 @@ class TestStackedFrontEndAgreement:
         # A kept traceback would hold the stack's samples in a frame cycle.
         assert stacked[1].__traceback__ is None and stacked[3].__traceback__ is None
 
-    def test_singular_mmse_gram_drops_only_its_burst(self, monkeypatch):
+    def test_singular_mmse_gram_drops_only_its_burst(self, monkeypatch, random_burst):
         # A Gram matrix that is singular without a singular R: every
         # estimate gets two identical columns on subcarrier 7, and only the
         # burst whose noise variance vanishes in rounding against the Gram
@@ -945,7 +950,7 @@ class TestStackedFrontEndAgreement:
             return stacked, errors
 
         monkeypatch.setattr(receiver.channel_estimator, "estimate", duplicate_columns)
-        bursts = self._mixed_stack(config, seed=950)[:3]
+        bursts = self._mixed_stack(random_burst, config, seed=950)[:3]
         bursts[1] = bursts[1][:2] + (1e-300,)
         stacked = self._run(receiver, bursts, known_timing=[True, True, True])
         assert isinstance(stacked[1], DecodingError)
@@ -975,8 +980,8 @@ class TestSharedStageAndDetectorStages:
 
     BASE = TransceiverConfig(n_antennas=2, modulation="qpsk", correct_cfo=True, soft_decision=True)
 
-    def _stack(self):
-        good = TestStackedFrontEndAgreement._mixed_stack(self.BASE, seed=1200)
+    def _stack(self, random_burst):
+        good = TestStackedFrontEndAgreement._mixed_stack(random_burst, self.BASE, seed=1200)
         samples, _, variance = good[1]
         silent_antenna = samples.copy()
         silent_antenna[1] = 0.0  # rank-deficient estimate
@@ -984,8 +989,8 @@ class TestSharedStageAndDetectorStages:
         return [burst[0] for burst in bursts], [burst[2] for burst in bursts]
 
     @pytest.mark.parametrize("detector", ["zf", "mmse"])
-    def test_every_detector_reads_one_shared_stage(self, detector):
-        samples, variances = self._stack()
+    def test_every_detector_reads_one_shared_stage(self, detector, random_burst):
+        samples, variances = self._stack(random_burst)
         shared = MimoReceiver(self.BASE).demodulate_stack(samples, 96, None, variances)
         receiver = MimoReceiver(replace(self.BASE, detector=detector))
         own = _front_end(receiver, samples, 96, None, variances)
@@ -1010,8 +1015,8 @@ class TestSharedStageAndDetectorStages:
         [{"modulation": "16qam"}, {"code_rate": "3/4"}, {"rx_multiplier_format": MULTIPLIER_FORMAT_18BIT}],
         ids=["modulation", "code-rate", "multiplier-format"],
     )
-    def test_a_receiver_configured_otherwise_is_refused(self, changes):
-        samples, variances = self._stack()
+    def test_a_receiver_configured_otherwise_is_refused(self, changes, random_burst):
+        samples, variances = self._stack(random_burst)
         shared = MimoReceiver(self.BASE).demodulate_stack(samples[:1], 96, None, variances[:1])
         other = MimoReceiver(replace(self.BASE, detector="mmse", **changes))
         with pytest.raises(ConfigurationError):
@@ -1030,7 +1035,7 @@ class TestTransmitterBatchAgreement:
         n_info_bits = int(rng.integers(40, 700))
         bits = rng.integers(0, 2, size=(config.n_streams, n_info_bits), dtype=np.uint8)
         transmitter = MimoTransmitter(config)
-        batched = transmitter.transmit(bits)
+        (batched,) = transmitter.transmit(bits[None])
         samples, frequency_symbols, coded_bits = transmit_serial(transmitter, bits)
         np.testing.assert_array_equal(batched.samples, samples)
         _assert_transmit_stages_agree(transmitter, bits, frequency_symbols, coded_bits)
@@ -1044,7 +1049,7 @@ class TestTransmitterBatchAgreement:
         ]
         transmitter = MimoTransmitter(config)
         samples, _, _ = transmit_serial(transmitter, bits)
-        np.testing.assert_array_equal(transmitter.transmit(bits).samples, samples)
+        np.testing.assert_array_equal(transmitter.transmit([bits])[0].samples, samples)
 
     def test_pilot_insert_block_matches_per_symbol_insert(self):
         numerology = TransceiverConfig().numerology
@@ -1089,7 +1094,7 @@ class TestTransmitterBatchAgreement:
         receiver = MimoReceiver(config)
         results = []
         for samples in (
-            transmitter.transmit(bits).samples,
+            transmitter.transmit([bits])[0].samples,
             transmit_serial(transmitter, bits)[0],
         ):
             channel = MimoChannel(
@@ -1112,7 +1117,7 @@ class TestTransmitterBatchAgreement:
         bits = [rng.integers(0, 2, size=2000, dtype=np.uint8) for _ in range(4)]
         transmitter = MimoTransmitter(config)
         samples, frequency_symbols, coded_bits = transmit_serial(transmitter, bits)
-        batched = transmitter.transmit(bits)
+        (batched,) = transmitter.transmit([bits])
         np.testing.assert_array_equal(batched.samples, samples)
         _assert_transmit_stages_agree(transmitter, bits, frequency_symbols, coded_bits)
 
@@ -1154,7 +1159,7 @@ def _assert_stack_equals_each_burst_alone(transmitter, stack):
     bursts = transmitter.transmit(stack)
     assert len(bursts) == len(stack)
     for burst, bits in zip(bursts, stack):
-        alone = transmitter.transmit(list(bits))
+        (alone,) = transmitter.transmit([list(bits)])
         samples, frequency_symbols, coded_bits = transmit_serial(transmitter, bits)
         np.testing.assert_array_equal(burst.samples, alone.samples)
         np.testing.assert_array_equal(burst.samples, samples)

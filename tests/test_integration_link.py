@@ -99,11 +99,11 @@ class TestImpairments:
 
 
 class TestEvmAndDetectors:
-    def test_equalized_evm_small_at_high_snr(self):
+    def test_equalized_evm_small_at_high_snr(self, random_burst):
         config = TransceiverConfig()
         transmitter = MimoTransmitter(config)
         receiver = MimoReceiver(config)
-        burst = transmitter.transmit_random(200, rng=np.random.default_rng(200))
+        burst = random_burst(transmitter, 200, np.random.default_rng(200))
         _, frequency_symbols, _ = transmit_serial(transmitter, burst.info_bits)
         channel = MimoChannel(FlatRayleighChannel(rng=201), snr_db=35.0, rng=202)
         received = channel.transmit(burst.samples).samples
@@ -115,11 +115,11 @@ class TestEvmAndDetectors:
             evm = np.sqrt(np.mean(np.abs(error) ** 2) / np.mean(np.abs(reference) ** 2))
             assert evm < 0.2
 
-    def test_mmse_detector_usable_with_receiver_estimate(self):
+    def test_mmse_detector_usable_with_receiver_estimate(self, random_burst):
         config = TransceiverConfig()
         transmitter = MimoTransmitter(config)
         receiver = MimoReceiver(config)
-        burst = transmitter.transmit_random(100, rng=np.random.default_rng(203))
+        burst = random_burst(transmitter, 100, np.random.default_rng(203))
         channel = MimoChannel(FlatRayleighChannel(rng=204), snr_db=25.0, rng=205)
         received = channel.transmit(burst.samples).samples
         shared = receiver.demodulate_stack([received], 100, [160])
@@ -136,14 +136,14 @@ class TestEvmAndDetectors:
 
 
 class TestJesdInterfaceIntegration:
-    def test_burst_survives_converter_framing(self):
+    def test_burst_survives_converter_framing(self, random_burst):
         # Quantise the transmit burst to the 16-bit converter words the
         # paper carries over JESD204 before the channel; the link must
         # still close.
         config = TransceiverConfig()
         transmitter = MimoTransmitter(config)
         receiver = MimoReceiver(config)
-        burst = transmitter.transmit_random(150, rng=np.random.default_rng(300))
+        burst = random_burst(transmitter, 150, np.random.default_rng(300))
         quantised = FixedPointFormat(16, 14).quantize_complex(burst.samples)
         channel = MimoChannel(FlatRayleighChannel(rng=301), snr_db=35.0, rng=302)
         received = channel.transmit(quantised).samples

@@ -38,29 +38,29 @@ class TestUpperTriangularInverse:
     def test_inverse_correct(self, n):
         rng = np.random.default_rng(n)
         r = _random_upper_triangular(n, rng)
-        inv = invert_upper_triangular(r)
+        (inv,) = invert_upper_triangular(r[None])
         np.testing.assert_allclose(r @ inv, np.eye(n), atol=1e-10)
         np.testing.assert_allclose(np.tril(inv, k=-1), 0, atol=1e-10)
 
     def test_diagonal_matrix(self):
         r = np.diag([1.0, 2.0, 4.0]).astype(complex)
         np.testing.assert_allclose(
-            invert_upper_triangular(r), np.diag([1.0, 0.5, 0.25]), atol=1e-12
+            invert_upper_triangular(r[None])[0], np.diag([1.0, 0.5, 0.25]), atol=1e-12
         )
 
     def test_singular_matrix_raises(self):
         r = np.triu(np.ones((4, 4), dtype=complex))
         r[2, 2] = 0.0
         with pytest.raises(ChannelEstimationError):
-            invert_upper_triangular(r)
+            invert_upper_triangular(r[None])
 
     def test_non_triangular_rejected(self):
         with pytest.raises(ValueError):
-            invert_upper_triangular(np.ones((3, 3), dtype=complex))
+            invert_upper_triangular(np.ones((1, 3, 3), dtype=complex))
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
-            invert_upper_triangular(np.ones((2, 3), dtype=complex))
+            invert_upper_triangular(np.ones((1, 2, 3), dtype=complex))
 
 
 class TestPaperEquations:
@@ -69,7 +69,7 @@ class TestPaperEquations:
         for _ in range(10):
             r = _random_upper_triangular(4, rng)
             np.testing.assert_allclose(
-                r_inverse_4x4_paper_equations(r), invert_upper_triangular(r), atol=1e-12
+                r_inverse_4x4_paper_equations(r), invert_upper_triangular(r[None])[0], atol=1e-12
             )
 
     def test_produces_actual_inverse(self):

@@ -1,9 +1,36 @@
 """Tests for repro.modulation.constellations."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.modulation.constellations import Constellation, Modulation, get_constellation
+
+#: The 802.11a Gray mapping of one axis's bit group (first bit as MSB) to
+#: its level, by group width, and the normalisation factor K_MOD of every
+#: modulation: the standard's literal mapping tables.
+LEVELS_80211A = {
+    0: {0: 0.0},
+    1: {0: -1.0, 1: 1.0},
+    2: {0b00: -3.0, 0b01: -1.0, 0b11: 1.0, 0b10: 3.0},
+    3: {
+        0b000: -7.0,
+        0b001: -5.0,
+        0b011: -3.0,
+        0b010: -1.0,
+        0b110: 1.0,
+        0b111: 3.0,
+        0b101: 5.0,
+        0b100: 7.0,
+    },
+}
+K_MOD_80211A = {
+    Modulation.BPSK: 1.0,
+    Modulation.QPSK: 1.0 / math.sqrt(2.0),
+    Modulation.QAM16: 1.0 / math.sqrt(10.0),
+    Modulation.QAM64: 1.0 / math.sqrt(42.0),
+}
 
 
 class TestModulationEnum:
@@ -32,6 +59,27 @@ class TestModulationEnum:
 
 
 class TestConstellationTables:
+    @pytest.mark.parametrize("modulation", list(Modulation))
+    def test_tables_are_byte_equal_to_the_80211a_literals(self, modulation):
+        # I takes the address's top ceil(k/2) bits, Q its low floor(k/2).
+        k = modulation.bits_per_symbol
+        kq = k // 2
+        norm = K_MOD_80211A[modulation]
+        expected = np.array(
+            [
+                complex(
+                    LEVELS_80211A[k - kq][address >> kq],
+                    LEVELS_80211A[kq][address & ((1 << kq) - 1)],
+                )
+                * norm
+                for address in range(1 << k)
+            ]
+        )
+        constellation = get_constellation(modulation)
+        assert constellation.normalization == norm
+        assert constellation.points.dtype == np.complex128
+        assert constellation.points.tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("modulation", list(Modulation))
     def test_unit_average_power(self, modulation):
         constellation = get_constellation(modulation)

@@ -42,7 +42,7 @@ def test_tracer_installs_and_restores_every_target(layers):
     assert all(now is then for now, then in zip(after, before))
 
 
-def test_receiver_decodes_with_keywords_the_viterbi_hook_reads(layers, monkeypatch):
+def test_receiver_decodes_with_keywords_the_viterbi_hook_reads(layers, monkeypatch, random_burst):
     # The trellis-step hook takes a block as terminated unless ``decode``
     # gets a 4th positional argument or a ``terminated`` keyword; the
     # receiver passes the block and ``n_info_bits=`` alone.
@@ -60,7 +60,7 @@ def test_receiver_decodes_with_keywords_the_viterbi_hook_reads(layers, monkeypat
         return decode(self, *args, **kwargs)
 
     monkeypatch.setattr(ViterbiDecoder, "decode", spy)
-    burst = MimoTransmitter().transmit_random(96, rng=np.random.default_rng(0))
+    burst = random_burst(MimoTransmitter(), 96, np.random.default_rng(0))
     MimoReceiver().receive(burst.samples, n_info_bits=96)
     assert calls and all(
         len(args) == 1 and set(kwargs) == {"n_info_bits"} for args, kwargs in calls

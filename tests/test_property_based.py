@@ -40,7 +40,7 @@ class TestBitUtilityProperties:
 class TestScramblerProperties:
     @given(bit_lists, st.integers(1, 127))
     def test_scramble_is_an_involution(self, bits, seed):
-        data = np.array(bits, dtype=np.uint8)
+        data = np.array([bits], dtype=np.uint8)
         once = Scrambler(seed=seed).process(data)
         twice = Scrambler(seed=seed).process(once)
         np.testing.assert_array_equal(twice, data)
@@ -70,7 +70,7 @@ class TestCodingProperties:
     @settings(deadline=None, max_examples=25)
     @given(small_bit_lists, st.sampled_from(list(CodeRate)))
     def test_encode_decode_roundtrip_error_free(self, bits, rate):
-        data = np.array(bits, dtype=np.uint8)
+        data = np.array([bits], dtype=np.uint8)
         code = ConvolutionalCode(rate)
         coded = ConvolutionalEncoder(code).encode(data)
         decoded = ViterbiDecoder(code).decode(coded, n_info_bits=data.size)
@@ -79,16 +79,16 @@ class TestCodingProperties:
     @settings(deadline=None, max_examples=25)
     @given(small_bit_lists)
     def test_single_coded_bit_error_always_corrected(self, bits):
-        data = np.array(bits, dtype=np.uint8)
+        data = np.array([bits], dtype=np.uint8)
         coded = ConvolutionalEncoder().encode(data)
         corrupted = coded.copy()
-        corrupted[len(corrupted) // 2] ^= 1
+        corrupted[0, corrupted.shape[1] // 2] ^= 1
         decoded = ViterbiDecoder().decode(corrupted, n_info_bits=data.size)
         np.testing.assert_array_equal(decoded, data)
 
     @given(small_bit_lists)
     def test_coded_length_formula(self, bits):
-        data = np.array(bits, dtype=np.uint8)
+        data = np.array([bits], dtype=np.uint8)
         encoder = ConvolutionalEncoder()
         coded = encoder.encode(data)
         assert coded.size == encoder.code.coded_length(data.size)
@@ -295,7 +295,7 @@ class TestQrProperties:
     def test_qr_invariants(self, seed, n):
         rng = np.random.default_rng(seed)
         h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        q, r = qr_decompose_givens(h)
+        (q,), (r,) = qr_decompose_givens(h[None])
         assert frobenius_error(q @ r, h) < 1e-9
         np.testing.assert_allclose(np.tril(r, k=-1), 0, atol=1e-9)
         np.testing.assert_allclose(hermitian(q) @ q, np.eye(n), atol=1e-9)
@@ -307,6 +307,6 @@ class TestQrProperties:
         r = np.triu(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
         for i in range(n):
             r[i, i] = 0.5 + abs(r[i, i])
-        inverse = invert_upper_triangular(r)
+        (inverse,) = invert_upper_triangular(r[None])
         np.testing.assert_allclose(r @ inverse, np.eye(n), atol=1e-9)
         np.testing.assert_allclose(np.tril(inverse, k=-1), 0, atol=1e-9)

@@ -43,7 +43,7 @@ CHUNK_SIZES = [
 
 
 @pytest.fixture(scope="module")
-def stream_and_reference():
+def stream_and_reference(random_burst):
     """A 3-frame continuous stream plus the offline receive-path decodes."""
     config = TransceiverConfig()
     transmitter = MimoTransmitter(config)
@@ -51,7 +51,7 @@ def stream_and_reference():
     references = []
     rng = np.random.default_rng(1234)
     for _ in range(N_FRAMES):
-        burst = transmitter.transmit_random(N_INFO_BITS, rng=rng)
+        burst = random_burst(transmitter, N_INFO_BITS, rng)
         channel = MimoChannel(
             fading=FlatRayleighChannel(
                 config.n_antennas, config.n_antennas, rng=rng.integers(0, 2**31)

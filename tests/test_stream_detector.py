@@ -19,12 +19,12 @@ def preamble():
 
 
 @pytest.fixture(scope="module")
-def clean_frames(preamble):
+def clean_frames(preamble, random_burst):
     """Two clean back-to-back 4x4 bursts and their common frame length."""
     transmitter = MimoTransmitter()
     rng = np.random.default_rng(99)
     bursts = [
-        transmitter.transmit_random(N_INFO_BITS, rng=rng).samples
+        random_burst(transmitter, N_INFO_BITS, rng).samples
         for _ in range(2)
     ]
     return bursts, bursts[0].shape[1]
@@ -175,14 +175,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             detector.push(np.zeros((3, 10), dtype=complex))
 
-    def test_single_antenna_accepts_1d_chunks(self, preamble):
+    def test_single_antenna_accepts_one_row_chunks(self, preamble):
         # One information bit: a 320-sample preamble and a 96-sample frame tail.
         layout = burst_layout(TransceiverConfig(n_antennas=1), 1)
         assert layout.length == layout.preamble_length + 96
         detector = StreamFrameDetector(preamble, layout)
-        samples = np.concatenate(
-            [preamble.mimo_preamble(1)[0], np.zeros(200, dtype=complex)]
-        )
+        samples = np.pad(preamble.mimo_preamble(1), ((0, 0), (0, 200)))
         windows = detector.push(samples)
         windows += detector.flush()
         assert len(windows) == 1

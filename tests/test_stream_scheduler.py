@@ -58,7 +58,7 @@ class TestTrafficModels:
         assert first.mean() == pytest.approx(0.01, rel=0.8)
 
     def test_arrival_times_are_cumulative(self):
-        times = arrival_times(_ConstantRate(10.0), 3)
+        times = arrival_times(_ConstantRate(10.0), 3, rng=0)
         np.testing.assert_allclose(times, [0.0, 0.1, 0.2])
 
     def test_invalid_rates_rejected(self):

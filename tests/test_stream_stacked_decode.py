@@ -35,13 +35,13 @@ from repro.stream import DownlinkScheduler, StreamingReceiver
 N_INFO_BITS = 256
 
 
-def _received_frames(config, n_frames, seed, snr_db=20.0):
+def _received_frames(random_burst, config, n_frames, seed, snr_db=20.0):
     """Back-to-back received frames over fresh flat-Rayleigh draws."""
     transmitter = MimoTransmitter(config)
     rng = np.random.default_rng(seed)
     frames = []
     for _ in range(n_frames):
-        burst = transmitter.transmit_random(N_INFO_BITS, rng=rng)
+        burst = random_burst(transmitter, N_INFO_BITS, rng)
         channel = MimoChannel(
             FlatRayleighChannel(
                 config.n_antennas, config.n_antennas, rng=rng.integers(0, 2**31)
@@ -66,10 +66,10 @@ def _count_decodes(monkeypatch):
 
 
 @pytest.mark.parametrize("soft", [False, True], ids=["hard", "soft"])
-def test_receive_stack_matches_receive_alone(monkeypatch, soft):
+def test_receive_stack_matches_receive_alone(monkeypatch, soft, random_burst):
     receiver = MimoReceiver(TransceiverConfig(soft_decision=soft))
-    good = _received_frames(receiver.config, 2, seed=31)
-    nan_in_data = _received_frames(receiver.config, 1, seed=32)[0]
+    good = _received_frames(random_burst, receiver.config, 2, seed=31)
+    nan_in_data = _received_frames(random_burst, receiver.config, 1, seed=32)[0]
     nan_in_data[:, 900] = np.nan
     too_short = good[0][:, :600]
     bursts = [good[0], nan_in_data, good[1], too_short]
@@ -89,11 +89,9 @@ def test_receive_stack_matches_receive_alone(monkeypatch, soft):
         np.testing.assert_array_equal(outcome.equalized, expected.equalized)
 
 
-def test_received_burst_scores_against_reference_bits():
+def test_received_burst_scores_against_reference_bits(random_burst):
     config = TransceiverConfig()
-    burst = MimoTransmitter(config).transmit_random(
-        N_INFO_BITS, rng=np.random.default_rng(5)
-    )
+    burst = random_burst(MimoTransmitter(config), N_INFO_BITS, np.random.default_rng(5))
     reference = [bits.copy() for bits in burst.info_bits]
     reference[1][:3] ^= 1
     result = MimoReceiver(config).receive(burst.samples, N_INFO_BITS)
@@ -117,9 +115,9 @@ def _frame_summary(frames):
     ]
 
 
-def test_one_push_of_many_frames_equals_one_push_per_frame():
+def test_one_push_of_many_frames_equals_one_push_per_frame(random_burst):
     config = TransceiverConfig()
-    frames = _received_frames(config, 5, seed=41)
+    frames = _received_frames(random_burst, config, 5, seed=41)
     frames[2][:, 900] = np.nan  # a give-up inside the stacked push
 
     grouped = StreamingReceiver(MimoReceiver(config), n_info_bits=N_INFO_BITS)
@@ -142,9 +140,9 @@ N_STREAM_FRAMES = 40
 
 
 @pytest.fixture(scope="module")
-def forty_frames():
+def forty_frames(random_burst):
     """Forty back-to-back 4x4 frames: 160 code-block rows."""
-    return _received_frames(TransceiverConfig(), N_STREAM_FRAMES, seed=61)
+    return _received_frames(random_burst, TransceiverConfig(), N_STREAM_FRAMES, seed=61)
 
 
 def _stream_in_pushes(frames, per_push):
@@ -187,11 +185,11 @@ def test_frame_without_preamble_is_lost_alone(forty_frames):
     assert (pipeline.frames_detected, pipeline.frames_lost) == (N_STREAM_FRAMES - 1, 0)
 
 
-def test_drain_decodes_a_lone_frame_now():
+def test_drain_decodes_a_lone_frame_now(random_burst):
     # The stop-and-wait contract: a frame pushed alone waits for a full
     # slice, and drain() hands it back decoded without one.
     config = TransceiverConfig()
-    (frame,) = _received_frames(config, 1, seed=71, snr_db=30.0)
+    (frame,) = _received_frames(random_burst, config, 1, seed=71, snr_db=30.0)
     pipeline = StreamingReceiver(MimoReceiver(config), n_info_bits=N_INFO_BITS)
     assert pipeline.push(frame) == []
     assert pipeline.frames_detected == 0
@@ -276,9 +274,9 @@ def test_scheduler_report_is_independent_of_the_push_group(
 
 @pytest.mark.parametrize("position", [1206, 1556])
 @pytest.mark.parametrize("value", [np.inf, np.nan], ids=["inf", "nan"])
-def test_non_finite_stream_sample_loses_at_most_its_frame(value, position):
+def test_non_finite_stream_sample_loses_at_most_its_frame(value, position, random_burst):
     config = TransceiverConfig()
-    frames = _received_frames(config, 3, seed=51, snr_db=30.0)
+    frames = _received_frames(random_burst, config, 3, seed=51, snr_db=30.0)
     clean = StreamingReceiver(MimoReceiver(config), n_info_bits=N_INFO_BITS)
     reference = clean.push(np.concatenate(frames, axis=1)) + clean.flush()
 

@@ -25,13 +25,13 @@ def preamble_waveform():
 
 class TestRepetitionEstimator:
     def test_zero_cfo(self, preamble_waveform):
-        cfo = estimate_cfo_from_repetition(preamble_waveform[0], period=16, start=16, n_periods=8)
+        cfo = estimate_cfo_from_repetition(preamble_waveform[:1], period=16, start=16, n_periods=8)
         assert cfo == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("true_cfo", [-0.02, -0.005, 0.001, 0.01, 0.025])
     def test_recovers_applied_cfo_from_sts(self, preamble_waveform, true_cfo):
         shifted = apply_carrier_frequency_offset(preamble_waveform, true_cfo)
-        measured = estimate_cfo_from_repetition(shifted[0], period=16, start=16, n_periods=8)
+        measured = estimate_cfo_from_repetition(shifted[:1], period=16, start=16, n_periods=8)
         assert measured == pytest.approx(true_cfo, abs=1e-6)
 
     def test_multi_antenna_combining(self, preamble_waveform):
@@ -41,14 +41,14 @@ class TestRepetitionEstimator:
 
     def test_bounds_checked(self, preamble_waveform):
         with pytest.raises(SynchronizationError):
-            estimate_cfo_from_repetition(preamble_waveform[0], period=64, start=700, n_periods=4)
+            estimate_cfo_from_repetition(preamble_waveform[:1], period=64, start=700, n_periods=4)
         with pytest.raises(ValueError):
-            estimate_cfo_from_repetition(preamble_waveform[0], period=0, start=0, n_periods=2)
+            estimate_cfo_from_repetition(preamble_waveform[:1], period=0, start=0, n_periods=2)
         with pytest.raises(ValueError):
-            estimate_cfo_from_repetition(preamble_waveform[0], period=16, start=0, n_periods=1)
+            estimate_cfo_from_repetition(preamble_waveform[:1], period=16, start=0, n_periods=1)
 
     def test_zero_signal_returns_zero(self):
-        assert estimate_cfo_from_repetition(np.zeros(200, dtype=complex), 16, 0, 4) == 0.0
+        assert estimate_cfo_from_repetition(np.zeros((1, 200), dtype=complex), 16, 0, 4) == 0.0
 
 
 class TestCfoEstimator:

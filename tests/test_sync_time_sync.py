@@ -26,11 +26,12 @@ def _synchronizer(preamble) -> TimeSynchronizer:
 
 
 def _clean_burst(preamble, delay=0, n_data=200, rng_seed=0):
-    """Antenna-0 style waveform: STS then LTS then random data, with delay."""
+    """Antenna-0 style waveform, one antenna: STS then LTS then random data,
+    with delay."""
     rng = np.random.default_rng(rng_seed)
     data = 0.2 * (rng.normal(size=n_data) + 1j * rng.normal(size=n_data))
-    burst = np.concatenate([preamble.sts_time(), preamble.lts_time(), data])
-    return np.concatenate([np.zeros(delay, dtype=complex), burst])
+    burst = np.concatenate([np.zeros(delay), preamble.sts_time(), preamble.lts_time(), data])
+    return burst[None]
 
 
 class TestConstruction:
@@ -47,14 +48,9 @@ class TestConstruction:
 class TestMetric:
     def test_one_row_per_antenna_one_value_per_window(self, preamble):
         burst = _clean_burst(preamble)
-        streams = np.stack([burst, 0.5 * burst, np.roll(burst, 3)])
+        streams = np.concatenate([burst, 0.5 * burst, np.roll(burst, 3, axis=1)])
         metric = _synchronizer(preamble).metric(streams)
         assert metric.shape == (3, burst.size - 32 + 1)
-
-    def test_one_dimensional_stream_is_one_antenna(self, preamble):
-        burst = _clean_burst(preamble, delay=5)
-        sync = _synchronizer(preamble)
-        np.testing.assert_array_equal(sync.metric(burst), sync.metric(burst[None, :]))
 
     def test_clean_transition_scores_one(self, preamble):
         metric = _synchronizer(preamble).metric(_clean_burst(preamble))
@@ -74,7 +70,7 @@ class TestMetric:
 
     def test_stream_shorter_than_window_rejected(self, preamble):
         sync = _synchronizer(preamble)
-        for short in (np.zeros(10, dtype=complex), np.zeros((4, 31), dtype=complex)):
+        for short in (np.zeros((1, 10), dtype=complex), np.zeros((4, 31), dtype=complex)):
             with pytest.raises(SynchronizationError):
                 sync.metric(short)
             with pytest.raises(SynchronizationError):
@@ -166,7 +162,7 @@ class TestLocate:
             burst.shape, noise_variance_for_snr(0.0, occupied_power(burst)), rng=2
         )
         clean = _clean_burst(preamble, delay=60)
-        assert sync.locate(np.stack([noisy, clean])) == 160 + 60
+        assert sync.locate(np.concatenate([noisy, clean])) == 160 + 60
 
     @pytest.mark.parametrize("fill", [0.0, np.nan, np.inf])
     def test_no_lock_on_silent_or_corrupted_streams(self, preamble, fill):
@@ -180,7 +176,7 @@ class TestMimoPreambleDetection:
         # Antenna 0 carries STS followed immediately by its own LTS slot, so
         # the detector locks on the slot-0 boundary even in the 4-antenna
         # staggered preamble.
-        waveform = preamble.mimo_preamble(4)[0]
+        waveform = preamble.mimo_preamble(4)[:1]
         assert _synchronizer(preamble).locate(waveform) == preamble.sts_time().size
 
 

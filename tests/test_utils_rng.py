@@ -1,6 +1,9 @@
 """Tests for repro.utils.rng."""
 
 import numpy as np
+import pytest
+
+from repro.exceptions import ConfigurationError
 
 from repro.utils.rng import make_rng
 
@@ -16,5 +19,6 @@ def test_existing_generator_is_passed_through():
     assert make_rng(generator) is generator
 
 
-def test_none_returns_generator():
-    assert isinstance(make_rng(None), np.random.Generator)
+def test_none_is_refused():
+    with pytest.raises(ConfigurationError):
+        make_rng(None)

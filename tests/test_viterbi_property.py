@@ -56,8 +56,8 @@ assert MAX_BLOCKS > DECODE_SLICE and MAX_BITS > _gather_steps(1)
 
 
 def _received_row(code, decision, n_bits, zero_fraction, rng):
-    info = rng.integers(0, 2, n_bits).astype(np.uint8)
-    coded = ConvolutionalEncoder(code).encode(info).astype(np.float64)
+    info = rng.integers(0, 2, (1, n_bits)).astype(np.uint8)
+    coded = ConvolutionalEncoder(code).encode(info)[0].astype(np.float64)
     if decision == "hard":
         flips = rng.random(coded.size) < rng.uniform(0.0, 0.15)
         return np.where(flips, 1.0 - coded, coded)
@@ -105,7 +105,7 @@ def test_stack_decodes_like_the_serial_oracle(
     expected = [viterbi_decode_serial(code, decision, row, n_bits) for row in pool]
     for bits, row in zip(decoded, rows):
         np.testing.assert_array_equal(bits, expected[row])
-    np.testing.assert_array_equal(decoder.decode(pool[0], n_info_bits=n_bits), expected[0])
+    np.testing.assert_array_equal(decoder.decode(pool[0][None], n_info_bits=n_bits)[0], expected[0])
 
 
 #: Information bits of a tie-built block.
@@ -122,20 +122,20 @@ def _halfway_word(code, rng, n_events):
     """
     encoder = ConvolutionalEncoder(code)
     info = rng.integers(0, 2, TIE_BITS).astype(np.uint8)
-    first = encoder.encode(info)
+    first = encoder.encode(info[None])[0]
     received = first.copy()
     other = info.copy()
     for start in rng.permutation(np.arange(0, TIE_BITS - 3, 12))[:n_events]:
         for event in ([1], [1, 1], [1, 0, 1], [1, 1, 1]):
             flipped = info.copy()
             flipped[start : start + len(event)] ^= np.array(event, dtype=np.uint8)
-            differ = np.flatnonzero(encoder.encode(flipped) != first)
+            differ = np.flatnonzero(encoder.encode(flipped[None])[0] != first)
             if differ.size % 2 == 0:
                 break
         assert differ.size % 2 == 0
         received[rng.choice(differ, differ.size // 2, replace=False)] ^= 1
         other[start : start + len(event)] ^= np.array(event, dtype=np.uint8)
-    return received, first, encoder.encode(other)
+    return received, first, encoder.encode(other[None])[0]
 
 
 def _tie_pool(code, decision, rng):
@@ -149,8 +149,8 @@ def _tie_pool(code, decision, rng):
         pool.append(received.astype(np.float64) if decision == "hard" else 1.0 - 2.0 * received)
     if decision == "soft":
         coded = ConvolutionalEncoder(code).encode(
-            rng.integers(0, 2, TIE_BITS).astype(np.uint8)
-        )
+            rng.integers(0, 2, (1, TIE_BITS)).astype(np.uint8)
+        )[0]
         clean = 2.0 * (1.0 - 2.0 * coded)
         erased = clean.copy()
         erased[20:60] = 0.0  # every kept value of about 20 steps
@@ -199,8 +199,8 @@ ROW_KINDS = ("codeword", "flip", "tail flip")
 
 
 def _near_codeword_row(code, n_bits, kind, rng):
-    info = rng.integers(0, 2, n_bits).astype(np.uint8)
-    coded = ConvolutionalEncoder(code).encode(info).astype(np.float64)
+    info = rng.integers(0, 2, (1, n_bits)).astype(np.uint8)
+    coded = ConvolutionalEncoder(code).encode(info)[0].astype(np.float64)
     if kind != "codeword":
         first = coded.size - 2 * MEMORY if kind == "tail flip" else 0
         position = rng.integers(first, coded.size)
@@ -254,11 +254,11 @@ def test_an_all_codeword_stack_skips_the_trellis(monkeypatch):
     code = ConvolutionalCode()
     rng = np.random.default_rng(11)
     info = rng.integers(0, 2, (DECODE_SLICE + 3, 60)).astype(np.uint8)
-    stack = np.array([ConvolutionalEncoder(code).encode(row) for row in info])
+    stack = ConvolutionalEncoder(code).encode(info)
     decoder = ViterbiDecoder(code)
     calls = _count_acs_calls(decoder, monkeypatch)
     np.testing.assert_array_equal(decoder.decode(stack, n_info_bits=60), info)
-    np.testing.assert_array_equal(decoder.decode(stack[0], n_info_bits=60), info[0])
+    np.testing.assert_array_equal(decoder.decode(stack[:1], n_info_bits=60), info[:1])
     # The empty block's only codeword is its all-zero tail.
     assert decoder.decode(np.zeros((2, 12)), n_info_bits=0).shape == (2, 0)
     assert calls == []
@@ -278,7 +278,8 @@ def test_codes_without_the_fast_path_run_the_integer_trellis(code, monkeypatch):
     n_bits = 36
     pool = [_received_row(code, "hard", n_bits, 0.0, rng) for _ in range(3)]
     # Codewords too: without a fast path they also run the trellis.
-    pool.append(ConvolutionalEncoder(code).encode(np.ones(n_bits, dtype=np.uint8)).astype(float))
+    (codeword,) = ConvolutionalEncoder(code).encode(np.ones((1, n_bits), dtype=np.uint8))
+    pool.append(codeword.astype(float))
     stack = np.array(pool)
     decoder = ViterbiDecoder(code)
     calls = _count_acs_calls(decoder, monkeypatch)
@@ -322,7 +323,7 @@ def test_a_stack_above_the_walk_crossover_decodes_like_the_serial_oracle(
 
 def test_soft_decisions_keep_the_float_trellis(monkeypatch):
     code = ConvolutionalCode()
-    llrs = 1.0 - 2.0 * ConvolutionalEncoder(code).encode(np.zeros(20, dtype=np.uint8))
+    llrs = 1.0 - 2.0 * ConvolutionalEncoder(code).encode(np.zeros((1, 20), dtype=np.uint8))
     decoder = ViterbiDecoder(code, decision="soft")
     calls = _count_acs_calls(decoder, monkeypatch)
     decoder.decode(llrs, n_info_bits=20)
